@@ -28,6 +28,7 @@
 //! `replay --expect` fails on a canonical-report mismatch, `compare` fails
 //! on a regression (new silent corruption or dropped scenarios).
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use adcc_bench::{NativeCg, NativeMechanism};
@@ -184,6 +185,18 @@ fn check_known_flags(
     Ok(())
 }
 
+/// Run `print` against a locked stdout. A reader that went away (`campaign
+/// run … | head -1`) is not a failure: the output stops there and the
+/// command carries on to its exit code.
+fn to_stdout(print: impl FnOnce(&mut io::StdoutLock) -> io::Result<()>) -> Result<(), String> {
+    match print(&mut io::stdout().lock()) {
+        Err(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+            Err(format!("cannot write to stdout: {e}"))
+        }
+        _ => Ok(()),
+    }
+}
+
 /// Presence test for a standalone boolean flag.
 fn take_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
@@ -298,25 +311,32 @@ fn cmd_run(args: &[String], replay: bool) -> Result<ExitCode, String> {
     } else {
         run_campaign(&cfg)
     };
-    print_summary(&report);
-    print_resilience(&report);
-
-    if let Some(out) = out_path {
-        std::fs::write(&out, report.to_string_pretty())
+    // The report goes to disk before anything is printed: a closed or
+    // failing stdout must not cost a completed campaign.
+    if let Some(out) = &out_path {
+        std::fs::write(out, report.to_string_pretty())
             .map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("report written to {out}");
-    } else if replay && expected.is_none() {
-        // Bare replay: emit the canonical form for eyeballing/diffing.
-        print!("{}", report.canonical_string());
     }
-
-    if let Some(exp) = &expected {
-        if exp.canonical_string() == report.canonical_string() {
-            println!("replay OK: canonical report matches byte-for-byte");
-        } else {
-            eprintln!("replay MISMATCH: canonical report differs from the expected file");
-            return Ok(ExitCode::FAILURE);
+    let matches_expected = expected
+        .as_ref()
+        .map(|exp| exp.canonical_string() == report.canonical_string());
+    to_stdout(|o| {
+        print_summary(o, &report)?;
+        print_resilience(o, &report)?;
+        if let Some(out) = &out_path {
+            writeln!(o, "report written to {out}")?;
+        } else if replay && expected.is_none() {
+            // Bare replay: emit the canonical form for eyeballing/diffing.
+            write!(o, "{}", report.canonical_string())?;
         }
+        if matches_expected == Some(true) {
+            writeln!(o, "replay OK: canonical report matches byte-for-byte")?;
+        }
+        Ok(())
+    })?;
+    if matches_expected == Some(false) {
+        eprintln!("replay MISMATCH: canonical report differs from the expected file");
+        return Ok(ExitCode::FAILURE);
     }
     if report.silent_corruption_total() > 0 {
         eprintln!(
@@ -336,8 +356,9 @@ fn cmd_run(args: &[String], replay: bool) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn print_summary(report: &CampaignReport) {
-    println!(
+fn print_summary(o: &mut impl Write, report: &CampaignReport) -> io::Result<()> {
+    writeln!(
+        o,
         "campaign: seed {} budget {} schedule {}{}{} threads {} wall {} ms",
         report.seed,
         report.budget_states,
@@ -356,14 +377,22 @@ fn print_summary(report: &CampaignReport) {
         },
         report.threads,
         report.wall_clock_ms
-    );
+    )?;
     if let Some((i, n)) = report.shard {
-        println!("partial report: shard {i}/{n} (merge the full set with `campaign merge`)");
+        writeln!(
+            o,
+            "partial report: shard {i}/{n} (merge the full set with `campaign merge`)"
+        )?;
     }
     let m = &report.image_memory;
     if m.images > 0 {
-        println!(
-            "crash-image memory: {} B/state ({} images over {} executions; \
+        let distinct = match m.distinct_states {
+            Some(d) => format!(", {d} distinct states"),
+            None => String::new(),
+        };
+        writeln!(
+            o,
+            "crash-image memory: {} B/state ({} images{distinct} over {} executions; \
              full-copy equivalent {} B/state, {:.1}x; peak live {:.1} MiB)",
             m.bytes_per_crash_state(),
             m.images,
@@ -371,14 +400,16 @@ fn print_summary(report: &CampaignReport) {
             m.full_copy_bytes_per_state(),
             m.full_copy_bytes_per_state() as f64 / m.bytes_per_crash_state().max(1) as f64,
             m.peak_live_bytes as f64 / (1024.0 * 1024.0),
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        o,
         "{:<30} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6}",
         "scenario", "trials", "exact", "recomp", "detect", "clean", "SILENT"
-    );
+    )?;
     for s in &report.scenarios {
-        println!(
+        writeln!(
+            o,
             "{:<30} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6}",
             s.name,
             s.trials,
@@ -387,10 +418,11 @@ fn print_summary(report: &CampaignReport) {
             s.outcomes.detected_dirty,
             s.outcomes.completed_clean,
             s.outcomes.silent_corruption
-        );
+        )?;
     }
     let t = &report.totals;
-    println!(
+    writeln!(
+        o,
         "{:<30} {:>6} {:>6} {:>6} {:>6} {:>6} {:>6}",
         "TOTAL",
         t.total(),
@@ -399,20 +431,21 @@ fn print_summary(report: &CampaignReport) {
         t.detected_dirty,
         t.completed_clean,
         t.silent_corruption
-    );
+    )
 }
 
 /// Per-scenario natural-resilience table (printed only when the report
 /// carries dirty-restart sweeps — a plain run shows nothing extra).
-fn print_resilience(report: &CampaignReport) {
+fn print_resilience(o: &mut impl Write, report: &CampaignReport) -> io::Result<()> {
     if !report
         .scenarios
         .iter()
         .any(|s| s.natural_resilience.is_some())
     {
-        return;
+        return Ok(());
     }
-    println!(
+    writeln!(
+        o,
         "{:<30} {:>6} {:>6} {:>6} {:>6} {:>7} {:>6} {:>5} {:>9}",
         "natural resilience",
         "trials",
@@ -423,7 +456,7 @@ fn print_resilience(report: &CampaignReport) {
         "detect",
         "ok%",
         "extra/ok"
-    );
+    )?;
     for s in &report.scenarios {
         let Some(r) = &s.natural_resilience else {
             continue;
@@ -435,7 +468,8 @@ fn print_resilience(report: &CampaignReport) {
         } else {
             c.converged_ok() as f64 * 100.0 / total as f64
         };
-        println!(
+        writeln!(
+            o,
             "{:<30} {:>6} {:>6} {:>6} {:>6} {:>7} {:>6} {:>5.1} {:>9}",
             s.name,
             total,
@@ -449,8 +483,9 @@ fn print_resilience(report: &CampaignReport) {
                 Some(m) => format!("{:.3}", m as f64 / 1e3),
                 None => "-".to_string(),
             },
-        );
+        )?;
     }
+    Ok(())
 }
 
 /// Fold a complete set of shard reports into the canonical unsharded
@@ -490,10 +525,12 @@ fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
         })
         .collect::<Result<Vec<_>, String>>()?;
     let merged = CampaignReport::merge_shards(&partials)?;
-    print_summary(&merged);
     std::fs::write(&out, merged.to_string_pretty())
         .map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("merged report written to {out}");
+    to_stdout(|o| {
+        print_summary(o, &merged)?;
+        writeln!(o, "merged report written to {out}")
+    })?;
     if merged.silent_corruption_total() > 0 {
         eprintln!(
             "FAIL: {} silent-corruption outcome(s)",
@@ -671,23 +708,29 @@ fn cmd_resilience(args: &[String]) -> Result<ExitCode, String> {
             ok += r.classes.converged_ok();
         }
     }
-    println!(
-        "resilience: seed {} budget {} registry {} — {} of {} scenario(s) swept, \
-         {} dirty restart(s), {} converged ok",
-        cfg.seed,
-        cfg.budget_states,
-        cfg.registry.name(),
-        swept_scenarios,
-        swept.scenarios.len(),
-        trials,
-        ok,
-    );
-    print_resilience(&swept);
-    if let Some(out) = out_path {
-        std::fs::write(&out, swept.to_string_pretty())
+    if let Some(out) = &out_path {
+        std::fs::write(out, swept.to_string_pretty())
             .map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("resilience report written to {out}");
     }
+    to_stdout(|o| {
+        writeln!(
+            o,
+            "resilience: seed {} budget {} registry {} — {} of {} scenario(s) swept, \
+             {} dirty restart(s), {} converged ok",
+            cfg.seed,
+            cfg.budget_states,
+            cfg.registry.name(),
+            swept_scenarios,
+            swept.scenarios.len(),
+            trials,
+            ok,
+        )?;
+        print_resilience(o, &swept)?;
+        if let Some(out) = &out_path {
+            writeln!(o, "resilience report written to {out}")?;
+        }
+        Ok(())
+    })?;
     if swept.silent_corruption_total() > 0 {
         eprintln!(
             "FAIL: {} silent-corruption outcome(s)",

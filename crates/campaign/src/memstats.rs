@@ -21,6 +21,7 @@ use serde::Serialize;
 pub struct ImageMemory {
     executions: AtomicU64,
     images: AtomicU64,
+    distinct_states: AtomicU64,
     base_bytes: AtomicU64,
     delta_bytes: AtomicU64,
     full_copy_bytes: AtomicU64,
@@ -30,17 +31,22 @@ pub struct ImageMemory {
 impl ImageMemory {
     /// Record one batched forward execution: the shared base snapshot it
     /// took (`base_bytes`, the NVM pool size), the summed delta payload of
-    /// the `images` crash states it harvested, and the pool size a legacy
-    /// full-copy image of this scenario would have cost per state.
+    /// the `images` crash states it harvested (one per scheduled unit that
+    /// fired), how many of those were `distinct_states` (units captured by
+    /// the same poll are one state, recovered once), and the pool size a
+    /// legacy full-copy image of this scenario would have cost per state.
     pub fn record_execution(
         &self,
         base_bytes: u64,
         delta_bytes: u64,
         images: u64,
+        distinct_states: u64,
         pool_bytes: u64,
     ) {
         self.executions.fetch_add(1, Ordering::Relaxed);
         self.images.fetch_add(images, Ordering::Relaxed);
+        self.distinct_states
+            .fetch_add(distinct_states, Ordering::Relaxed);
         self.base_bytes.fetch_add(base_bytes, Ordering::Relaxed);
         self.delta_bytes.fetch_add(delta_bytes, Ordering::Relaxed);
         self.full_copy_bytes
@@ -57,6 +63,7 @@ impl ImageMemory {
         ImageMemorySummary {
             executions: self.executions.load(Ordering::Relaxed),
             images: self.images.load(Ordering::Relaxed),
+            distinct_states: Some(self.distinct_states.load(Ordering::Relaxed)),
             base_bytes: self.base_bytes.load(Ordering::Relaxed),
             delta_bytes: self.delta_bytes.load(Ordering::Relaxed),
             full_copy_bytes: self.full_copy_bytes.load(Ordering::Relaxed),
@@ -73,6 +80,10 @@ pub struct ImageMemorySummary {
     /// Crash states that produced an image (completed-clean states store
     /// nothing).
     pub images: u64,
+    /// Distinct crash states among `images`: units captured by the same
+    /// poll share one machine state and one recovery. `None` when the
+    /// document predates the count (it is emitted only when known).
+    pub distinct_states: Option<u64>,
     /// Bytes of shared base snapshots (one per execution).
     pub base_bytes: u64,
     /// Bytes of per-state delta payload.
@@ -107,11 +118,12 @@ mod tests {
     #[test]
     fn records_and_summarizes() {
         let m = ImageMemory::default();
-        m.record_execution(1000, 200, 4, 1000);
-        m.record_execution(2000, 100, 1, 2000);
+        m.record_execution(1000, 200, 4, 2, 1000);
+        m.record_execution(2000, 100, 1, 1, 2000);
         let s = m.summary();
         assert_eq!(s.executions, 2);
         assert_eq!(s.images, 5);
+        assert_eq!(s.distinct_states, Some(3));
         assert_eq!(s.base_bytes, 3000);
         assert_eq!(s.delta_bytes, 300);
         assert_eq!(s.full_copy_bytes, 4 * 1000 + 2000);

@@ -522,13 +522,21 @@ impl CampaignReport {
                     .merge(t);
             }
         }
-        let mut image_memory = ImageMemorySummary::default();
+        let mut image_memory = ImageMemorySummary {
+            distinct_states: Some(0),
+            ..ImageMemorySummary::default()
+        };
         let mut wall_clock_ms = 0;
         let mut threads = 0;
         for p in partials {
             let m = &p.image_memory;
             image_memory.executions += m.executions;
             image_memory.images += m.images;
+            // Known only if every shard knew it.
+            image_memory.distinct_states = image_memory
+                .distinct_states
+                .zip(m.distinct_states)
+                .map(|(a, b)| a + b);
             image_memory.base_bytes += m.base_bytes;
             image_memory.delta_bytes += m.delta_bytes;
             image_memory.full_copy_bytes += m.full_copy_bytes;
@@ -620,6 +628,9 @@ impl CampaignReport {
         let mut im = Json::obj();
         im.push("executions", Json::Int(m.executions));
         im.push("images", Json::Int(m.images));
+        if let Some(distinct) = m.distinct_states {
+            im.push("distinct_states", Json::Int(distinct));
+        }
         im.push("base_bytes", Json::Int(m.base_bytes));
         im.push("delta_bytes", Json::Int(m.delta_bytes));
         im.push("full_copy_bytes", Json::Int(m.full_copy_bytes));
@@ -752,6 +763,9 @@ impl CampaignReport {
             image_memory: ImageMemorySummary {
                 executions: im_int("executions"),
                 images: im_int("images"),
+                distinct_states: im
+                    .and_then(|m| m.get("distinct_states"))
+                    .and_then(Json::as_u64),
                 base_bytes: im_int("base_bytes"),
                 delta_bytes: im_int("delta_bytes"),
                 full_copy_bytes: im_int("full_copy_bytes"),
@@ -893,6 +907,7 @@ mod tests {
             image_memory: ImageMemorySummary {
                 executions: 2,
                 images: 2,
+                distinct_states: Some(1),
                 base_bytes: 1 << 20,
                 delta_bytes: 4096,
                 full_copy_bytes: 2 << 20,

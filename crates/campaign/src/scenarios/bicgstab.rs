@@ -11,7 +11,8 @@ use adcc_telemetry::{ExecutionProfile, Probe};
 
 use adcc_resilience::Tolerance;
 
-use super::{harness, max_diff, trim_dram, verified_completion};
+use super::harness::{self, Classified};
+use super::{max_diff, trim_dram, verified_completion};
 use crate::memstats::ImageMemory;
 use crate::outcome::classify;
 use crate::scenario::{Kernel, Mechanism, ResilienceBatch, Scenario, Trial, UnitSpace};
@@ -80,15 +81,13 @@ impl BiExtended {
         &self,
         bi: &ExtendedBiCgStab,
         cfg: SystemConfig,
-        unit: u64,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,
-    ) -> Trial {
+    ) -> Classified {
         let rec = bi.recover_and_resume(image, cfg);
         let matches = max_diff(&rec.solution, &self.reference) < TOL;
         let detected = rec.restart_from.is_none();
-        Trial {
-            unit,
+        Classified {
             outcome: classify(detected, matches, rec.report.lost_units),
             lost_units: rec.report.lost_units,
             sim_time_ps: rec.report.total().ps(),
@@ -144,7 +143,7 @@ impl Scenario for BiExtended {
             }
             RunOutcome::Crashed(image) => {
                 let profile = probe.map(|p| p.finish(&emu).with_image(&image));
-                self.crash_trial(&bi, cfg, unit, &image, profile)
+                self.crash_trial(&bi, cfg, &image, profile).for_unit(unit)
             }
         }
     }
@@ -165,9 +164,8 @@ impl Scenario for BiExtended {
                     .completed()
                     .expect("Never trigger completes");
             },
-            |_k, unit, _site, image, profile| {
-                self.crash_trial(&bi, cfg.clone(), unit, image, profile)
-            },
+            |_k, _site, image, profile| self.crash_trial(&bi, cfg.clone(), image, profile),
+            Classified::for_unit,
             |(), e, profile| {
                 let sol = bi.peek_solution(e);
                 verified_completion(max_diff(&sol, &self.reference) < TOL, 0, profile)
@@ -191,9 +189,9 @@ impl Scenario for BiExtended {
                     .completed()
                     .expect("Never trigger completes");
             },
-            |unit, image| {
+            |image| {
                 let d = bi.dirty_restart(image, cfg.clone());
-                harness::classify_dirty(unit, &d, &self.reference, &tolerance)
+                harness::classify_dirty(&d, &self.reference, &tolerance)
             },
         );
         Some(ResilienceBatch { trials, tolerance })

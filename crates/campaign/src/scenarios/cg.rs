@@ -14,7 +14,8 @@ use adcc_telemetry::{ExecutionProfile, Probe};
 
 use adcc_resilience::Tolerance;
 
-use super::{harness, max_diff, trim_dram, verified_completion};
+use super::harness::{self, Classified};
+use super::{max_diff, trim_dram, verified_completion};
 use crate::memstats::ImageMemory;
 use crate::outcome::classify;
 use crate::scenario::{Kernel, Mechanism, ResilienceBatch, Scenario, Trial, UnitSpace};
@@ -72,15 +73,13 @@ impl CgExtended {
         &self,
         cg: &ExtendedCg,
         cfg: SystemConfig,
-        unit: u64,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,
-    ) -> Trial {
+    ) -> Classified {
         let rec = cg.recover_and_resume(image, cfg);
         let matches = max_diff(&rec.solution.z, &self.reference) < TOL;
         let detected = rec.restart_from.is_none();
-        Trial {
-            unit,
+        Classified {
             outcome: classify(detected, matches, rec.report.lost_units),
             lost_units: rec.report.lost_units,
             sim_time_ps: rec.report.total().ps(),
@@ -139,7 +138,7 @@ impl Scenario for CgExtended {
             }
             RunOutcome::Crashed(image) => {
                 let profile = probe.map(|p| p.finish(&emu).with_image(&image));
-                self.crash_trial(&cg, cfg, unit, &image, profile)
+                self.crash_trial(&cg, cfg, &image, profile).for_unit(unit)
             }
         }
     }
@@ -160,9 +159,8 @@ impl Scenario for CgExtended {
                     .completed()
                     .expect("Never trigger completes")
             },
-            |_k, unit, _site, image, profile| {
-                self.crash_trial(&cg, cfg.clone(), unit, image, profile)
-            },
+            |_k, _site, image, profile| self.crash_trial(&cg, cfg.clone(), image, profile),
+            Classified::for_unit,
             |rho, e, profile| {
                 let sol = cg.peek_solution(e, rho);
                 verified_completion(max_diff(&sol.z, &self.reference) < TOL, 0, profile)
@@ -186,9 +184,9 @@ impl Scenario for CgExtended {
                     .completed()
                     .expect("Never trigger completes");
             },
-            |unit, image| {
+            |image| {
                 let d = cg.dirty_restart(image, cfg.clone());
-                harness::classify_dirty(unit, &d, &self.reference, &tolerance)
+                harness::classify_dirty(&d, &self.reference, &tolerance)
             },
         );
         Some(ResilienceBatch { trials, tolerance })
@@ -228,11 +226,10 @@ impl CgCkpt {
         mgr: &mut CkptManager,
         cfg: SystemConfig,
         rho0: f64,
-        unit: u64,
         completed: u64,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,
-    ) -> Trial {
+    ) -> Classified {
         let sys2 = MemorySystem::from_image(cfg, image);
         let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
         let t0 = emu2.now();
@@ -246,8 +243,7 @@ impl CgCkpt {
         // Completed-but-uncheckpointed iterations are re-executed.
         let lost = completed.saturating_sub(start as u64);
         let matches = max_diff(&cg.peek_solution(&emu2), &self.reference) < TOL;
-        Trial {
-            unit,
+        Classified {
             outcome: classify(!restored, matches, lost),
             lost_units: lost,
             sim_time_ps,
@@ -306,7 +302,8 @@ impl Scenario for CgCkpt {
         };
         let profile = probe.map(|p| p.finish(&emu).with_image(&image));
         let completed = Self::completed_steps(emu.fired_site().expect("crashed"));
-        self.crash_trial(&cg, &mut mgr, cfg, rho0, unit, completed, &image, profile)
+        self.crash_trial(&cg, &mut mgr, cfg, rho0, completed, &image, profile)
+            .for_unit(unit)
     }
 
     fn run_batch(&self, units: &[u64], telemetry: bool, mem: &ImageMemory) -> Option<Vec<Trial>> {
@@ -327,18 +324,18 @@ impl Scenario for CgCkpt {
                     .completed()
                     .expect("Never trigger completes")
             },
-            |_k, unit, site, image, profile| {
+            |_k, site, image, profile| {
                 self.crash_trial(
                     &cg,
                     &mut mgr.borrow_mut(),
                     cfg.clone(),
                     rho0,
-                    unit,
                     Self::completed_steps(site),
                     image,
                     profile,
                 )
             },
+            Classified::for_unit,
             |_rho, e, profile| {
                 let sol = cg.peek_solution(e);
                 verified_completion(max_diff(&sol, &self.reference) < TOL, 0, profile)
@@ -364,9 +361,9 @@ impl Scenario for CgCkpt {
                     .completed()
                     .expect("Never trigger completes");
             },
-            |unit, image| {
+            |image| {
                 let d = cg.dirty_restart(image, cfg.clone(), rho0);
-                harness::classify_dirty(unit, &d, &self.reference, &tolerance)
+                harness::classify_dirty(&d, &self.reference, &tolerance)
             },
         );
         Some(ResilienceBatch { trials, tolerance })
@@ -489,11 +486,10 @@ impl CgPmem {
         layout: adcc_pmem::undo::UndoPoolLayout,
         cfg: SystemConfig,
         rho0: f64,
-        unit: u64,
         iter: u64,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,
-    ) -> Trial {
+    ) -> Classified {
         let mut sys2 = MemorySystem::from_image(cfg, image);
         let t0 = sys2.now();
         UndoPool::recover(layout, &mut sys2);
@@ -515,8 +511,7 @@ impl CgPmem {
         // with `committed == i + 1` (nothing lost).
         let lost = (iter + 1).saturating_sub(committed as u64);
         let matches = max_diff(&cg.peek_solution(&emu2), &self.reference) < TOL;
-        Trial {
-            unit,
+        Classified {
             outcome: classify(false, matches, lost),
             lost_units: lost,
             sim_time_ps,
@@ -575,7 +570,8 @@ impl Scenario for CgPmem {
         };
         let profile = probe.map(|p| p.finish(&emu).with_image(&image).with_log(pool.log_stats()));
         let iter = emu.fired_site().expect("crashed").index;
-        self.crash_trial(&cg, layout, cfg, rho0, unit, iter, &image, profile)
+        self.crash_trial(&cg, layout, cfg, rho0, iter, &image, profile)
+            .for_unit(unit)
     }
 
     fn run_batch(&self, units: &[u64], telemetry: bool, mem: &ImageMemory) -> Option<Vec<Trial>> {
@@ -606,19 +602,11 @@ impl Scenario for CgPmem {
                     }
                 }
             },
-            |k, unit, site, image, profile| {
+            |k, site, image, profile| {
                 let profile = profile.map(|p| p.with_log(logs.borrow()[k]));
-                self.crash_trial(
-                    &cg,
-                    layout,
-                    cfg.clone(),
-                    rho0,
-                    unit,
-                    site.index,
-                    image,
-                    profile,
-                )
+                self.crash_trial(&cg, layout, cfg.clone(), rho0, site.index, image, profile)
             },
+            Classified::for_unit,
             |(), e, profile| {
                 let profile = profile.map(|p| p.with_log(pool.borrow().log_stats()));
                 let sol = cg.peek_solution(e);
@@ -650,9 +638,9 @@ impl Scenario for CgPmem {
                     }
                 }
             },
-            |unit, image| {
+            |image| {
                 let d = cg.dirty_restart(image, cfg.clone(), rho0);
-                harness::classify_dirty(unit, &d, &self.reference, &tolerance)
+                harness::classify_dirty(&d, &self.reference, &tolerance)
             },
         );
         Some(ResilienceBatch { trials, tolerance })

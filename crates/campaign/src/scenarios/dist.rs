@@ -451,6 +451,7 @@ impl<S: DistSpec> Scenario for Dist<S> {
                 stats.base_bytes,
                 stats.delta_bytes,
                 stats.images,
+                stats.distinct_states,
                 stats.pool_bytes,
             );
             for (unit, t) in results {
@@ -507,6 +508,7 @@ impl<S: DistSpec> Scenario for Dist<S> {
                 stats.base_bytes,
                 stats.delta_bytes,
                 stats.images,
+                stats.distinct_states,
                 stats.pool_bytes,
             );
             for (unit, d) in results {

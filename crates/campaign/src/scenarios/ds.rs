@@ -37,7 +37,8 @@ use adcc_sim::line::LINE_SIZE;
 use adcc_sim::system::MemorySystem;
 use adcc_telemetry::{ExecutionProfile, Probe};
 
-use super::{harness, verified_completion};
+use super::harness::{self, Classified};
+use super::verified_completion;
 use crate::memstats::ImageMemory;
 use crate::outcome::classify;
 use crate::scenario::{
@@ -214,11 +215,10 @@ impl DsScenario {
     /// Recover one crash image and classify — shared by both paths.
     fn crash_trial(
         &self,
-        unit: u64,
         site: CrashSite,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,
-    ) -> Trial {
+    ) -> Classified {
         let r = recover_verify_resume(
             self.cfg,
             self.layout,
@@ -228,8 +228,7 @@ impl DsScenario {
         );
         let lost = applied_at(site).saturating_sub(r.resume_from);
         let profile = profile.map(|p| p.with_ds_ops(r.resume_from, r.replayed));
-        Trial {
-            unit,
+        Classified {
             outcome: classify(r.detected, r.matches, lost),
             lost_units: lost,
             sim_time_ps: r.sim_time_ps,
@@ -285,7 +284,7 @@ impl Scenario for DsScenario {
         };
         let profile = probe.map(|p| p.finish(&emu).with_image(&image).with_log(w.log_stats()));
         let site = emu.fired_site().expect("crashed");
-        self.crash_trial(unit, site, &image, profile)
+        self.crash_trial(site, &image, profile).for_unit(unit)
     }
 
     fn run_batch(&self, units: &[u64], telemetry: bool, mem: &ImageMemory) -> Option<Vec<Trial>> {
@@ -311,10 +310,11 @@ impl Scenario for DsScenario {
                 }
                 w.completed_matches(e, &self.stream)
             },
-            |k, unit, site, image, profile| {
+            |k, site, image, profile| {
                 let profile = profile.map(|p| p.with_log(logs.borrow()[k]));
-                self.crash_trial(unit, site, image, profile)
+                self.crash_trial(site, image, profile)
             },
+            Classified::for_unit,
             |matches, _e, profile| {
                 let w = w.borrow();
                 let profile =
@@ -354,7 +354,8 @@ impl Scenario for DsScenario {
                 }
                 w.completed_matches(e, &self.stream)
             },
-            |_k, unit, site, image, _profile| self.crash_trial(unit, site, image, None),
+            |_k, site, image, _profile| self.crash_trial(site, image, None),
+            Classified::for_unit,
             |matches, _e, _profile| verified_completion(matches, 0, None),
         );
         let rec = emu.system_mut().take_recorder().expect("recorder attached");

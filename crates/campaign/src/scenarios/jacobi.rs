@@ -13,7 +13,8 @@ use adcc_telemetry::{ExecutionProfile, Probe};
 
 use adcc_resilience::Tolerance;
 
-use super::{harness, max_diff, trim_dram, verified_completion};
+use super::harness::{self, Classified};
+use super::{max_diff, trim_dram, verified_completion};
 use crate::memstats::ImageMemory;
 use crate::outcome::classify;
 use crate::scenario::{Kernel, Mechanism, ResilienceBatch, Scenario, Trial, UnitSpace};
@@ -67,15 +68,13 @@ impl JacobiExtended {
         &self,
         jac: &ExtendedJacobi,
         cfg: SystemConfig,
-        unit: u64,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,
-    ) -> Trial {
+    ) -> Classified {
         let rec = jac.recover_and_resume(image, cfg);
         let matches = max_diff(&rec.solution, &self.reference) < TOL;
         let detected = rec.restart_from.is_none();
-        Trial {
-            unit,
+        Classified {
             outcome: classify(detected, matches, rec.report.lost_units),
             lost_units: rec.report.lost_units,
             sim_time_ps: rec.report.total().ps(),
@@ -125,7 +124,7 @@ impl Scenario for JacobiExtended {
             }
             RunOutcome::Crashed(image) => {
                 let profile = probe.map(|p| p.finish(&emu).with_image(&image));
-                self.crash_trial(&jac, cfg, unit, &image, profile)
+                self.crash_trial(&jac, cfg, &image, profile).for_unit(unit)
             }
         }
     }
@@ -146,9 +145,8 @@ impl Scenario for JacobiExtended {
                     .completed()
                     .expect("Never trigger completes");
             },
-            |_k, unit, _site, image, profile| {
-                self.crash_trial(&jac, cfg.clone(), unit, image, profile)
-            },
+            |_k, _site, image, profile| self.crash_trial(&jac, cfg.clone(), image, profile),
+            Classified::for_unit,
             |(), e, profile| {
                 let sol = jac.peek_solution(e);
                 verified_completion(max_diff(&sol, &self.reference) < TOL, 0, profile)
@@ -172,9 +170,9 @@ impl Scenario for JacobiExtended {
                     .completed()
                     .expect("Never trigger completes");
             },
-            |unit, image| {
+            |image| {
                 let d = jac.dirty_restart(image, cfg.clone());
-                harness::classify_dirty(unit, &d, &self.reference, &tolerance)
+                harness::classify_dirty(&d, &self.reference, &tolerance)
             },
         );
         Some(ResilienceBatch { trials, tolerance })
@@ -212,11 +210,10 @@ impl JacobiCkpt {
         jac: &PlainJacobi,
         mgr: &mut CkptManager,
         cfg: SystemConfig,
-        unit: u64,
         completed: u64,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,
-    ) -> Trial {
+    ) -> Classified {
         let sys2 = MemorySystem::from_image(cfg, image);
         let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
         let t0 = emu2.now();
@@ -228,8 +225,7 @@ impl JacobiCkpt {
 
         let lost = completed.saturating_sub(start as u64);
         let matches = max_diff(&jac.peek_solution(&emu2), &self.reference) < TOL;
-        Trial {
-            unit,
+        Classified {
             outcome: classify(!restored, matches, lost),
             lost_units: lost,
             sim_time_ps,
@@ -288,7 +284,8 @@ impl Scenario for JacobiCkpt {
         };
         let profile = probe.map(|p| p.finish(&emu).with_image(&image));
         let completed = Self::completed_steps(emu.fired_site().expect("crashed"));
-        self.crash_trial(&jac, &mut mgr, cfg, unit, completed, &image, profile)
+        self.crash_trial(&jac, &mut mgr, cfg, completed, &image, profile)
+            .for_unit(unit)
     }
 
     fn run_batch(&self, units: &[u64], telemetry: bool, mem: &ImageMemory) -> Option<Vec<Trial>> {
@@ -308,17 +305,17 @@ impl Scenario for JacobiCkpt {
                     .completed()
                     .expect("Never trigger completes");
             },
-            |_k, unit, site, image, profile| {
+            |_k, site, image, profile| {
                 self.crash_trial(
                     &jac,
                     &mut mgr.borrow_mut(),
                     cfg.clone(),
-                    unit,
                     Self::completed_steps(site),
                     image,
                     profile,
                 )
             },
+            Classified::for_unit,
             |(), e, profile| {
                 let sol = jac.peek_solution(e);
                 verified_completion(max_diff(&sol, &self.reference) < TOL, 0, profile)
@@ -343,9 +340,9 @@ impl Scenario for JacobiCkpt {
                     .completed()
                     .expect("Never trigger completes");
             },
-            |unit, image| {
+            |image| {
                 let d = jac.dirty_restart(image, cfg.clone());
-                harness::classify_dirty(unit, &d, &self.reference, &tolerance)
+                harness::classify_dirty(&d, &self.reference, &tolerance)
             },
         );
         Some(ResilienceBatch { trials, tolerance })

@@ -13,7 +13,8 @@ use adcc_telemetry::{ExecutionProfile, Probe};
 
 use adcc_resilience::Tolerance;
 
-use super::{harness, trim_dram, verified_completion};
+use super::harness::{self, Classified};
+use super::{trim_dram, verified_completion};
 use crate::memstats::ImageMemory;
 use crate::outcome::classify;
 use crate::scenario::{Kernel, Mechanism, ResilienceBatch, Scenario, Trial, UnitSpace};
@@ -109,15 +110,13 @@ impl LuExtended {
         &self,
         lu: &ChecksumLu,
         cfg: SystemConfig,
-        unit: u64,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,
-    ) -> Trial {
+    ) -> Classified {
         let rec = lu.recover_and_resume(image, cfg);
         let matches = factor_matches(&rec.factor, &self.reference);
         let detected = rec.statuses.contains(&LuBlockStatus::Inconsistent);
-        Trial {
-            unit,
+        Classified {
             outcome: classify(detected, matches, rec.report.lost_units),
             lost_units: rec.report.lost_units,
             sim_time_ps: rec.report.total().ps(),
@@ -164,7 +163,7 @@ impl Scenario for LuExtended {
             }
             RunOutcome::Crashed(image) => {
                 let profile = probe.map(|p| p.finish(&emu).with_image(&image));
-                self.crash_trial(&lu, cfg, unit, &image, profile)
+                self.crash_trial(&lu, cfg, &image, profile).for_unit(unit)
             }
         }
     }
@@ -183,9 +182,8 @@ impl Scenario for LuExtended {
             |e| {
                 lu.run(e, 0).completed().expect("Never trigger completes");
             },
-            |_k, unit, _site, image, profile| {
-                self.crash_trial(&lu, cfg.clone(), unit, image, profile)
-            },
+            |_k, _site, image, profile| self.crash_trial(&lu, cfg.clone(), image, profile),
+            Classified::for_unit,
             |(), e, profile| {
                 let factor = lu.peek_factor(e);
                 verified_completion(factor_matches(&factor, &self.reference), 0, profile)
@@ -208,9 +206,9 @@ impl Scenario for LuExtended {
             |e| {
                 lu.run(e, 0).completed().expect("Never trigger completes");
             },
-            |unit, image| {
+            |image| {
                 let d = lu.dirty_restart(image, cfg.clone());
-                harness::classify_dirty(unit, &d, &want, &tolerance)
+                harness::classify_dirty(&d, &want, &tolerance)
             },
         );
         Some(ResilienceBatch { trials, tolerance })
@@ -251,11 +249,10 @@ impl LuCkpt {
         lu: &ChecksumLu,
         mgr: &mut CkptManager,
         cfg: SystemConfig,
-        unit: u64,
         crashed_block: u64,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,
-    ) -> Trial {
+    ) -> Classified {
         let sys2 = MemorySystem::from_image(cfg, image);
         let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
         let t0 = emu2.now();
@@ -271,8 +268,7 @@ impl LuCkpt {
         // land right after the checkpoint.
         let lost = (crashed_block + 1).saturating_sub(start as u64);
         let matches = factor_matches(&lu.peek_factor(&emu2), &self.reference);
-        Trial {
-            unit,
+        Classified {
             outcome: classify(!restored, matches, lost),
             lost_units: lost,
             sim_time_ps,
@@ -327,7 +323,8 @@ impl Scenario for LuCkpt {
         };
         let profile = probe.map(|p| p.finish(&emu).with_image(&image));
         let crashed = Self::crashed_block(emu.fired_site().expect("crashed"));
-        self.crash_trial(&lu, &mut mgr, cfg, unit, crashed, &image, profile)
+        self.crash_trial(&lu, &mut mgr, cfg, crashed, &image, profile)
+            .for_unit(unit)
     }
 
     fn run_batch(&self, units: &[u64], telemetry: bool, mem: &ImageMemory) -> Option<Vec<Trial>> {
@@ -348,17 +345,17 @@ impl Scenario for LuCkpt {
                     .completed()
                     .expect("Never trigger completes");
             },
-            |_k, unit, site, image, profile| {
+            |_k, site, image, profile| {
                 self.crash_trial(
                     &lu,
                     &mut mgr.borrow_mut(),
                     cfg.clone(),
-                    unit,
                     Self::crashed_block(site),
                     image,
                     profile,
                 )
             },
+            Classified::for_unit,
             |(), e, profile| {
                 let factor = lu.peek_factor(e);
                 verified_completion(factor_matches(&factor, &self.reference), 0, profile)
@@ -385,9 +382,9 @@ impl Scenario for LuCkpt {
                     .completed()
                     .expect("Never trigger completes");
             },
-            |unit, image| {
+            |image| {
                 let d = lu.dirty_restart(image, cfg.clone());
-                harness::classify_dirty(unit, &d, &want, &tolerance)
+                harness::classify_dirty(&d, &want, &tolerance)
             },
         );
         Some(ResilienceBatch { trials, tolerance })

@@ -17,7 +17,8 @@ use adcc_telemetry::{ExecutionProfile, Probe};
 
 use adcc_resilience::Tolerance;
 
-use super::{harness, trim_dram, verified_completion};
+use super::harness::{self, Classified};
+use super::{trim_dram, verified_completion};
 use crate::memstats::ImageMemory;
 use crate::outcome::classify;
 use crate::scenario::{Kernel, Mechanism, ResilienceBatch, Scenario, Trial, UnitSpace};
@@ -49,69 +50,76 @@ pub struct McCampaign {
     reference: [u64; XS_CHANNELS],
 }
 
+/// Counts of one crash-free simulated [`McMode::Native`] execution under
+/// `cfg`.
+fn native_counts(problem: &McProblem, cfg: &SystemConfig) -> [u64; XS_CHANNELS] {
+    let mut sys = MemorySystem::new(cfg.clone());
+    let mc = McSim::setup(&mut sys, problem.clone(), LOOKUPS, MC_SEED, McMode::Native);
+    let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
+    mc.run(&mut emu, 0, LOOKUPS)
+        .completed()
+        .expect("trigger is Never");
+    mc.peek_counts(&emu)
+}
+
+fn problem() -> McProblem {
+    McProblem::generate(36, 64, PROBLEM_SEED)
+}
+
+fn selective_config(grid_bytes: usize) -> SystemConfig {
+    trim_dram(SystemConfig::nvm_only(
+        16 << 10,
+        (grid_bytes + (1 << 20)).next_power_of_two(),
+    ))
+}
+
+/// Deliberately hostile tiny heterogeneous caches (counter lines evicted
+/// at arbitrary times).
+fn epoch_config(grid_bytes: usize) -> SystemConfig {
+    trim_dram(SystemConfig::heterogeneous(
+        4 << 10,
+        16 << 10,
+        (grid_bytes + (1 << 20)).next_power_of_two(),
+    ))
+}
+
+/// The crash-free reference counts every MC scenario is checked against.
+/// They are mode- and platform-independent (the sampled physics only
+/// depends on the MC seed), so a registry build runs this once — it is a
+/// full simulated forward execution — and hands it to both scenarios.
+pub fn reference_counts() -> [u64; XS_CHANNELS] {
+    let problem = problem();
+    native_counts(&problem, &selective_config(problem.grid_bytes()))
+}
+
 impl McCampaign {
-    fn new(
-        mode: McMode,
-        cfg_of: impl Fn(usize) -> SystemConfig,
-        platform: &'static str,
-        name: &'static str,
-        mechanism: Mechanism,
-    ) -> Self {
-        let problem = McProblem::generate(36, 64, PROBLEM_SEED);
-        let cfg = cfg_of(problem.grid_bytes());
-        // Crash-free reference counts (mode- and platform-independent:
-        // the sampled physics only depends on the MC seed).
-        let mut sys = MemorySystem::new(cfg.clone());
-        let mc = McSim::setup(&mut sys, problem.clone(), LOOKUPS, MC_SEED, McMode::Native);
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        mc.run(&mut emu, 0, LOOKUPS)
-            .completed()
-            .expect("trigger is Never");
-        let reference = mc.peek_counts(&emu);
+    /// The paper's fixed MC scheme: flush state every `INTERVAL` lookups,
+    /// replay from the flushed index.
+    pub fn new_selective(reference: [u64; XS_CHANNELS]) -> Self {
+        let problem = problem();
         McCampaign {
+            cfg: selective_config(problem.grid_bytes()),
             problem,
-            mode,
-            cfg,
-            platform,
-            name,
-            mechanism,
+            mode: McMode::Selective { interval: INTERVAL },
+            platform: "nvm-only",
+            name: "mc-selective",
+            mechanism: Mechanism::Selective,
             reference,
         }
     }
 
-    /// The paper's fixed MC scheme: flush state every `INTERVAL` lookups,
-    /// replay from the flushed index.
-    pub fn new_selective() -> Self {
-        Self::new(
-            McMode::Selective { interval: INTERVAL },
-            |grid_bytes| {
-                trim_dram(SystemConfig::nvm_only(
-                    16 << 10,
-                    (grid_bytes + (1 << 20)).next_power_of_two(),
-                ))
-            },
-            "nvm-only",
-            "mc-selective",
-            Mechanism::Selective,
-        )
-    }
-
-    /// The epoch extension under deliberately hostile tiny heterogeneous
-    /// caches (counter lines evicted at arbitrary times).
-    pub fn new_epoch() -> Self {
-        Self::new(
-            McMode::Epoch { interval: INTERVAL },
-            |grid_bytes| {
-                trim_dram(SystemConfig::heterogeneous(
-                    4 << 10,
-                    16 << 10,
-                    (grid_bytes + (1 << 20)).next_power_of_two(),
-                ))
-            },
-            "hetero",
-            "mc-epoch",
-            Mechanism::Epoch,
-        )
+    /// The epoch extension under [`epoch_config`]'s hostile caches.
+    pub fn new_epoch(reference: [u64; XS_CHANNELS]) -> Self {
+        let problem = problem();
+        McCampaign {
+            cfg: epoch_config(problem.grid_bytes()),
+            problem,
+            mode: McMode::Epoch { interval: INTERVAL },
+            platform: "hetero",
+            name: "mc-epoch",
+            mechanism: Mechanism::Epoch,
+            reference,
+        }
     }
 
     /// Recover from a crash image taken right after lookup `site.index`
@@ -119,11 +127,10 @@ impl McCampaign {
     fn crash_trial(
         &self,
         mc: &McSim,
-        unit: u64,
         site: CrashSite,
         image: &NvmImage,
         telemetry: Option<ExecutionProfile>,
-    ) -> Trial {
+    ) -> Classified {
         let rec = mc.recover_and_resume(image, self.cfg.clone(), site.index + 1);
         let total: u64 = rec.counts.iter().sum();
         // The count-total audit is the mechanism's integrity check: replay
@@ -131,8 +138,7 @@ impl McCampaign {
         // the flushed index), so any discrepancy shows up here.
         let detected = total != LOOKUPS;
         let matches = rec.counts == self.reference;
-        Trial {
-            unit,
+        Classified {
             outcome: classify(detected, matches, rec.report.lost_units),
             lost_units: rec.report.lost_units,
             sim_time_ps: rec.report.total().ps(),
@@ -179,7 +185,7 @@ impl Scenario for McCampaign {
             RunOutcome::Crashed(image) => {
                 let profile = probe.map(|p| p.finish(&emu).with_image(&image));
                 let site = emu.fired_site().expect("crashed");
-                self.crash_trial(&mc, unit, site, &image, profile)
+                self.crash_trial(&mc, site, &image, profile).for_unit(unit)
             }
         }
     }
@@ -199,7 +205,8 @@ impl Scenario for McCampaign {
                     .completed()
                     .expect("Never trigger completes");
             },
-            |_k, unit, site, image, profile| self.crash_trial(&mc, unit, site, image, profile),
+            |_k, site, image, profile| self.crash_trial(&mc, site, image, profile),
+            Classified::for_unit,
             |(), e, profile| {
                 let matches = mc.peek_counts(e) == self.reference;
                 verified_completion(matches, 0, profile)
@@ -223,11 +230,29 @@ impl Scenario for McCampaign {
                     .completed()
                     .expect("Never trigger completes");
             },
-            |unit, image| {
+            |image| {
                 let d = mc.dirty_restart(image, self.cfg.clone());
-                harness::classify_dirty(unit, &d, &want, &tolerance)
+                harness::classify_dirty(&d, &want, &tolerance)
             },
         );
         Some(ResilienceBatch { trials, tolerance })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_reference_serves_both_scenarios() {
+        let reference = reference_counts();
+        for s in [
+            McCampaign::new_selective(reference),
+            McCampaign::new_epoch(reference),
+        ] {
+            assert_eq!(s.reference, reference, "{}", s.name);
+            // Still what the scenario would have computed for itself.
+            assert_eq!(native_counts(&s.problem, &s.cfg), reference, "{}", s.name);
+        }
     }
 }

@@ -42,6 +42,7 @@ pub fn ds_all() -> Vec<Box<dyn Scenario>> {
 /// appear with at least two mechanisms each (the campaign acceptance
 /// criterion); `crate::scenario::tests` enforces it.
 pub fn all() -> Vec<Box<dyn Scenario>> {
+    let mc_reference = mc::reference_counts();
     vec![
         Box::new(cg::CgExtended::new()),
         Box::new(cg::CgCkpt::new()),
@@ -54,8 +55,8 @@ pub fn all() -> Vec<Box<dyn Scenario>> {
         Box::new(stencil::StencilCkpt::new()),
         Box::new(lu::LuExtended::new()),
         Box::new(lu::LuCkpt::new()),
-        Box::new(mc::McCampaign::new_selective()),
-        Box::new(mc::McCampaign::new_epoch()),
+        Box::new(mc::McCampaign::new_selective(mc_reference)),
+        Box::new(mc::McCampaign::new_epoch(mc_reference)),
     ]
 }
 

@@ -12,7 +12,8 @@ use adcc_telemetry::{ExecutionProfile, Probe};
 
 use adcc_resilience::Tolerance;
 
-use super::{harness, max_diff, trim_dram, verified_completion};
+use super::harness::{self, Classified};
+use super::{max_diff, trim_dram, verified_completion};
 use crate::memstats::ImageMemory;
 use crate::outcome::classify;
 use crate::scenario::{Kernel, Mechanism, ResilienceBatch, Scenario, Trial, UnitSpace};
@@ -80,15 +81,13 @@ impl StencilExtended {
         &self,
         st: &ExtendedStencil,
         cfg: SystemConfig,
-        unit: u64,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,
-    ) -> Trial {
+    ) -> Classified {
         let rec = st.recover_and_resume(image, cfg);
         let matches = max_diff(&rec.solution, &self.reference) < TOL;
         let detected = rec.restart_from.is_none();
-        Trial {
-            unit,
+        Classified {
             outcome: classify(detected, matches, rec.report.lost_units),
             lost_units: rec.report.lost_units,
             sim_time_ps: rec.report.total().ps(),
@@ -150,7 +149,7 @@ impl Scenario for StencilExtended {
             }
             RunOutcome::Crashed(image) => {
                 let profile = probe.map(|p| p.finish(&emu).with_image(&image));
-                self.crash_trial(&st, cfg, unit, &image, profile)
+                self.crash_trial(&st, cfg, &image, profile).for_unit(unit)
             }
         }
     }
@@ -172,9 +171,8 @@ impl Scenario for StencilExtended {
                     .completed()
                     .expect("Never trigger completes");
             },
-            |_k, unit, _site, image, profile| {
-                self.crash_trial(&st, cfg.clone(), unit, image, profile)
-            },
+            |_k, _site, image, profile| self.crash_trial(&st, cfg.clone(), image, profile),
+            Classified::for_unit,
             |(), e, profile| {
                 let grid = st.peek_grid(e, SWEEPS);
                 verified_completion(max_diff(&grid, &self.reference) < TOL, 0, profile)
@@ -198,9 +196,9 @@ impl Scenario for StencilExtended {
                     .completed()
                     .expect("Never trigger completes");
             },
-            |unit, image| {
+            |image| {
                 let d = st.dirty_restart(image, cfg.clone());
-                harness::classify_dirty(unit, &d, &self.reference, &tolerance)
+                harness::classify_dirty(&d, &self.reference, &tolerance)
             },
         );
         Some(ResilienceBatch { trials, tolerance })
@@ -237,17 +235,18 @@ impl StencilCkpt {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn crash_trial(
+    /// Restore + resume one crash state. What it cost is a fact of the
+    /// state; what it *lost* is not (see [`StencilCkpt::lost_sweeps`]), so
+    /// the result stops short of a classification.
+    fn crash_state(
         &self,
         st: &PlainStencil,
         mgr: &mut CkptManager,
         cfg: SystemConfig,
-        unit: u64,
         site: CrashSite,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,
-    ) -> Trial {
+    ) -> Resumed {
         let sys2 = MemorySystem::from_image(cfg, image);
         let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
         let t0 = emu2.now();
@@ -257,14 +256,41 @@ impl StencilCkpt {
         }
         let sim_time_ps = (emu2.now() - t0).ps();
 
-        let lost = Self::lost_sweeps(unit, site, start);
-        let matches = max_diff(&st.peek_grid(&emu2, SWEEPS), &self.reference) < TOL;
-        Trial {
-            unit,
-            outcome: classify(!restored, matches, lost),
-            lost_units: lost,
+        Resumed {
+            site,
+            start,
+            restored,
+            matches: max_diff(&st.peek_grid(&emu2, SWEEPS), &self.reference) < TOL,
             sim_time_ps,
             telemetry: profile,
+        }
+    }
+}
+
+/// One restored-and-resumed `stencil-ckpt` crash state, not yet charged to
+/// a unit.
+struct Resumed {
+    site: CrashSite,
+    /// First sweep the resumed run re-executed.
+    start: usize,
+    restored: bool,
+    matches: bool,
+    sim_time_ps: u64,
+    telemetry: Option<ExecutionProfile>,
+}
+
+impl Resumed {
+    /// The trial of `unit`. The one per-unit classification in the
+    /// registry: a legacy access-count unit and a dense unit captured by
+    /// the same `PH_SWEEP_END` poll share this state but not their loss.
+    fn for_unit(&self, unit: u64) -> Trial {
+        let lost = StencilCkpt::lost_sweeps(unit, self.site, self.start);
+        Trial {
+            unit,
+            outcome: classify(!self.restored, self.matches, lost),
+            lost_units: lost,
+            sim_time_ps: self.sim_time_ps,
+            telemetry: self.telemetry,
         }
     }
 }
@@ -317,7 +343,8 @@ impl Scenario for StencilCkpt {
         };
         let profile = probe.map(|p| p.finish(&emu).with_image(&image));
         let site = emu.fired_site().expect("crashed");
-        self.crash_trial(&st, &mut mgr, cfg, unit, site, &image, profile)
+        self.crash_state(&st, &mut mgr, cfg, site, &image, profile)
+            .for_unit(unit)
     }
 
     fn run_batch(&self, units: &[u64], telemetry: bool, mem: &ImageMemory) -> Option<Vec<Trial>> {
@@ -337,17 +364,17 @@ impl Scenario for StencilCkpt {
                     .completed()
                     .expect("Never trigger completes");
             },
-            |_k, unit, site, image, profile| {
-                self.crash_trial(
+            |_k, site, image, profile| {
+                self.crash_state(
                     &st,
                     &mut mgr.borrow_mut(),
                     cfg.clone(),
-                    unit,
                     site,
                     image,
                     profile,
                 )
             },
+            Resumed::for_unit,
             |(), e, profile| {
                 let grid = st.peek_grid(e, SWEEPS);
                 verified_completion(max_diff(&grid, &self.reference) < TOL, 0, profile)
@@ -372,9 +399,9 @@ impl Scenario for StencilCkpt {
                     .completed()
                     .expect("Never trigger completes");
             },
-            |unit, image| {
+            |image| {
                 let d = st.dirty_restart(image, cfg.clone());
-                harness::classify_dirty(unit, &d, &self.reference, &tolerance)
+                harness::classify_dirty(&d, &self.reference, &tolerance)
             },
         );
         Some(ResilienceBatch { trials, tolerance })

@@ -4,7 +4,7 @@
 //! a workflow file passes a flag the binary no longer (or does not yet)
 //! understand.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn campaign(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_campaign"))
@@ -219,6 +219,41 @@ fn value_flags_without_values_exit_nonzero() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("needs a value"), "{args:?}:\n{stderr}");
     }
+}
+
+#[test]
+fn a_closed_stdout_is_a_quiet_exit_zero_and_keeps_the_report() {
+    // `campaign run … --out r.json | head -1`: the reader is gone before
+    // the summary is printed. The report must already be on disk and the
+    // broken pipe must not turn a clean campaign into a failure.
+    let dir = std::env::temp_dir().join("adcc-closed-stdout");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("report.json").to_string_lossy().into_owned();
+    let _ = std::fs::remove_file(&path);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args([
+            "run",
+            "--budget-states",
+            "8",
+            "--seed",
+            "3",
+            "--threads",
+            "2",
+        ])
+        .args(["--out", &path])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn campaign binary");
+    // Close the read end before the child prints anything.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for campaign binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
+    assert!(stderr.is_empty(), "stderr:\n{stderr}");
+    let doc = std::fs::read_to_string(&path).expect("report written before printing");
+    let report = adcc_campaign::report::CampaignReport::parse(&doc).expect("report parses");
+    assert_eq!(report.totals.total(), 8);
 }
 
 /// Run a tiny sharded campaign into `dir`, returning the report path.

@@ -2,7 +2,7 @@
 //! crash, recovery in either mode, recovery-traffic measurement, and
 //! cluster-wide telemetry rollup.
 
-use adcc_sim::crash::{CrashSite, CrashTrigger};
+use adcc_sim::crash::{poll_groups, CrashSite, CrashTrigger};
 use adcc_sim::image::{DeltaImage, NvmImage};
 use adcc_telemetry::{ExecutionProfile, Probe};
 
@@ -300,7 +300,8 @@ pub fn global_restart_recover<K: DistKernel + ?Sized>(
 
 /// Outcome facts of one distributed trial, classified by the campaign.
 /// `Clone` exists for the batch path: crash points harvested at the same
-/// poll share one machine state, so one replayed recovery serves them all.
+/// poll are one crash state ([`poll_groups`]), so one replayed recovery
+/// serves them all.
 #[derive(Debug, Clone)]
 pub struct DistTrial {
     /// Gathered global solution after completion (or recovery + resume).
@@ -494,8 +495,11 @@ pub struct BatchStats {
     pub base_bytes: u64,
     /// Total delta bytes across all harvested crash states.
     pub delta_bytes: u64,
-    /// Harvested crash states.
+    /// Harvested crash states, one per scheduled point that fired.
     pub images: u64,
+    /// Distinct crash states among `images` (points captured by the same
+    /// poll are one state, replayed once).
+    pub distinct_states: u64,
     /// Full-image bytes one crash state would have cost (per-rank NVM
     /// capacity).
     pub pool_bytes: u64,
@@ -601,11 +605,36 @@ pub fn run_dist_batch<K: DistKernel + Clone>(
     (results, stats)
 }
 
-/// Drain the crash states captured at one poll boundary and replay each
-/// distinct machine state through recovery + resume on a forked cluster.
-/// All states drained for one rank here fired at the same poll (each
-/// boundary polls a rank once), so they share one [`DeltaImage`] and one
-/// replayed recovery serves every unit.
+/// Drain the crash states captured at one poll boundary and run `replay`
+/// once per distinct machine state ([`poll_groups`]; each boundary polls a
+/// rank once, so a rank's drain is a single group), charging the result to
+/// every unit of the group.
+fn drain_groups<T: Clone>(
+    cl: &mut Cluster,
+    site: CrashSite,
+    results: &mut Vec<(u64, T)>,
+    stats: &mut BatchStats,
+    mut replay: impl FnMut(&Cluster, usize, &DeltaImage) -> T,
+) {
+    for rank in 0..cl.ranks() {
+        let harvests = cl.drain_harvests(rank);
+        debug_assert!(harvests.iter().all(|h| h.site == site));
+        stats.images += harvests.len() as u64;
+        stats.delta_bytes += harvests.iter().map(|h| h.image.delta_bytes()).sum::<u64>();
+        for group in poll_groups(&harvests) {
+            stats.distinct_states += 1;
+            let replayed = replay(cl, rank, &group[0].image);
+            // Most groups are a single unit and a replay carries the global
+            // solution: clone for all but the last.
+            let (last, rest) = group.split_last().expect("poll groups are non-empty");
+            results.extend(rest.iter().map(|h| (h.unit, replayed.clone())));
+            results.push((last.unit, replayed));
+        }
+    }
+}
+
+/// Drain one poll boundary and replay each distinct crash state through
+/// recovery + resume on a forked cluster.
 #[allow(clippy::too_many_arguments)]
 fn drain_and_replay<K: DistKernel + Clone>(
     cl: &mut Cluster,
@@ -618,33 +647,9 @@ fn drain_and_replay<K: DistKernel + Clone>(
     stats: &mut BatchStats,
 ) {
     let site = CrashSite::new(phase, iter);
-    for rank in 0..cl.ranks() {
-        let harvests = cl.drain_harvests(rank);
-        if harvests.is_empty() {
-            continue;
-        }
-        debug_assert!(harvests.iter().all(|h| h.site == site));
-        stats.images += harvests.len() as u64;
-        stats.delta_bytes += harvests.iter().map(|h| h.image.delta_bytes()).sum::<u64>();
-        let trial = replay_recovery(
-            cl,
-            kernel,
-            rank,
-            iter,
-            site,
-            &harvests[0].image,
-            probes,
-            reference,
-        );
-        let mut units = harvests.into_iter().map(|h| h.unit);
-        let last = units.next_back();
-        for unit in units {
-            results.push((unit, trial.clone()));
-        }
-        if let Some(unit) = last {
-            results.push((unit, trial));
-        }
-    }
+    drain_groups(cl, site, results, stats, |cl, rank, image| {
+        replay_recovery(cl, kernel, rank, iter, site, image, probes, reference)
+    });
 }
 
 /// Reboot one harvested crash state and drive it through recovery and the
@@ -819,9 +824,8 @@ pub fn run_dist_dirty_batch<K: DistKernel + Clone>(
     (results, stats)
 }
 
-/// Drain one poll boundary's captured states and run each distinct
-/// machine state through a dirty continuation — all states drained for one
-/// rank here share one [`DeltaImage`], so one replay serves every unit.
+/// Drain one poll boundary and run each distinct crash state through a
+/// dirty continuation.
 fn drain_and_replay_dirty<K: DistKernel + Clone>(
     cl: &mut Cluster,
     kernel: &K,
@@ -831,24 +835,9 @@ fn drain_and_replay_dirty<K: DistKernel + Clone>(
     stats: &mut BatchStats,
 ) {
     let site = CrashSite::new(phase, iter);
-    for rank in 0..cl.ranks() {
-        let harvests = cl.drain_harvests(rank);
-        if harvests.is_empty() {
-            continue;
-        }
-        debug_assert!(harvests.iter().all(|h| h.site == site));
-        stats.images += harvests.len() as u64;
-        stats.delta_bytes += harvests.iter().map(|h| h.image.delta_bytes()).sum::<u64>();
-        let reboot = replay_dirty(cl, kernel, rank, iter, site, &harvests[0].image);
-        let mut units = harvests.into_iter().map(|h| h.unit);
-        let last = units.next_back();
-        for unit in units {
-            results.push((unit, reboot.clone()));
-        }
-        if let Some(unit) = last {
-            results.push((unit, reboot));
-        }
-    }
+    drain_groups(cl, site, results, stats, |cl, rank, image| {
+        replay_dirty(cl, kernel, rank, iter, site, image)
+    });
 }
 
 /// Drive one failure set through forward execution and dirty continuations

@@ -64,10 +64,19 @@ pub enum CrashTrigger {
 /// everything a campaign needs to classify the crash point later — the
 /// image for recovery, the site for loss attribution, the counters for a
 /// cumulative cost profile — while the shared execution keeps running.
+///
+/// Harvests with equal [`Harvest::poll`] are one **crash state**: they were
+/// captured by the same poll, so machine state, `site`, `at` and the image
+/// (one shared delta payload) are identical and only `unit` differs. See
+/// [`poll_groups`].
 #[derive(Debug)]
 pub struct Harvest {
     /// The scheduled unit this crash state belongs to.
     pub unit: u64,
+    /// Ordinal of the capturing poll among this emulator's polls since the
+    /// plan was armed (1-based). Two polls never share an ordinal, even of
+    /// the same site with no access in between.
+    pub poll: u64,
     /// The instrumented site whose poll captured the state.
     pub site: CrashSite,
     /// Copy-on-write crash image at the fork instant.
@@ -93,7 +102,17 @@ struct HarvestState {
     base: DeltaBase,
     points: Vec<PlanPoint>,
     pending: usize,
+    polls: u64,
     out: Vec<Harvest>,
+}
+
+/// Split harvests (capture order, as [`CrashEmulator::take_harvests`] and
+/// [`CrashEmulator::drain_harvests`] return them) into crash-state
+/// equivalence classes: maximal runs captured by the same poll. Recovery
+/// is a function of the machine state alone, so a consumer classifies
+/// `group[0]` once and charges the result to every `unit` in the group.
+pub fn poll_groups(harvests: &[Harvest]) -> impl Iterator<Item = &[Harvest]> {
+    harvests.chunk_by(|a, b| a.poll == b.poll)
 }
 
 /// The crash emulator: a [`MemorySystem`] plus a trigger. Dereferences to
@@ -169,6 +188,7 @@ impl CrashEmulator {
             base,
             points,
             pending,
+            polls: 0,
             out: Vec::new(),
         });
     }
@@ -201,6 +221,7 @@ impl CrashEmulator {
         let Some(h) = self.harvest.as_mut() else {
             return;
         };
+        h.polls += 1;
         if h.pending == 0 {
             return;
         }
@@ -224,7 +245,8 @@ impl CrashEmulator {
         let at = self.sys.counter_snapshot();
         // Points firing at the same poll see the same machine state: fork
         // the delta once and share it (dense access-grain points are often
-        // spaced closer than the polls that can capture them).
+        // spaced closer than the polls that can capture them). The shared
+        // `poll` ordinal is what tells consumers so.
         let image = self.sys.crash_fork_delta(&base);
         // Mark each harvested crash point in the (optional) persistency
         // event stream so the analyzer can tie diagnostics to units.
@@ -232,9 +254,11 @@ impl CrashEmulator {
             self.sys.record_crash_mark(unit);
         }
         let h = self.harvest.as_mut().expect("harvest armed");
+        let poll = h.polls;
         for unit in fired {
             h.out.push(Harvest {
                 unit,
+                poll,
                 site,
                 image: image.clone(),
                 at,
@@ -571,6 +595,58 @@ mod tests {
         assert_eq!(harvests[1].at.stats.accesses, 4);
         // The sim-time point fired at the first poll after time advanced.
         assert_eq!(harvests[2].at.stats.accesses, 1);
+    }
+
+    #[test]
+    fn points_firing_at_one_poll_share_the_poll_and_the_payload() {
+        let mut e = emu(CrashTrigger::Never);
+        let a = PArray::<u64>::alloc_nvm(&mut e, 8);
+        // Three access-count points spaced closer than the polls.
+        e.arm_harvest((0..3).map(|u| (CrashTrigger::AtAccessCount(1 + u), u)));
+        for i in 0..4u64 {
+            a.set(&mut e, i as usize, i);
+        }
+        a.persist_all(&mut e);
+        assert!(!e.poll(CrashSite::new(0, 0)));
+        let harvests = e.take_harvests();
+        assert_eq!(harvests.len(), 3);
+        let mut groups = poll_groups(&harvests);
+        let group = groups.next().expect("one group");
+        assert_eq!(group.len(), 3);
+        assert!(groups.next().is_none());
+        for h in &group[1..] {
+            assert_eq!(h.poll, group[0].poll);
+            assert!(std::sync::Arc::ptr_eq(
+                &h.image.delta,
+                &group[0].image.delta
+            ));
+        }
+    }
+
+    #[test]
+    fn back_to_back_polls_of_one_site_are_distinct_crash_states() {
+        let site = CrashSite::new(3, 0);
+        let mut e = emu(CrashTrigger::Never);
+        let a = PArray::<u64>::alloc_nvm(&mut e, 4);
+        e.arm_harvest((1..=2).map(|occurrence| {
+            let trigger = CrashTrigger::AtSite { site, occurrence };
+            (trigger, occurrence as u64)
+        }));
+        a.set(&mut e, 0, 9);
+        // Same site, no access and no simulated time in between.
+        assert!(!e.poll(site));
+        assert!(!e.poll(site));
+        let harvests = e.take_harvests();
+        assert_eq!(harvests.len(), 2);
+        assert_eq!(harvests[0].site, harvests[1].site);
+        assert_eq!(harvests[0].at.stats.accesses, harvests[1].at.stats.accesses);
+        assert_eq!(harvests[0].at.now_ps, harvests[1].at.now_ps);
+        assert_ne!(harvests[0].poll, harvests[1].poll);
+        assert_eq!(poll_groups(&harvests).count(), 2);
+        assert!(!std::sync::Arc::ptr_eq(
+            &harvests[0].image.delta,
+            &harvests[1].image.delta
+        ));
     }
 
     #[test]

@@ -126,14 +126,22 @@ impl std::fmt::Debug for NvmImage {
 /// [`crate::system::MemorySystem::crash_fork`] image taken at the same
 /// instant would hold; [`DeltaImage::materialize`] proves it by producing
 /// that byte-identical [`NvmImage`].
+///
+/// Cloning is O(1): the delta payload is immutable and shared, so every
+/// crash point harvested at one poll holds the same allocation.
 #[derive(Clone)]
 pub struct DeltaImage {
     base: Arc<NvmImage>,
+    pub(crate) delta: Arc<DeltaPayload>,
+    dirty_lines: u64,
+}
+
+/// The lines of a [`DeltaImage`] that differ from its base.
+pub(crate) struct DeltaPayload {
     /// Sorted line numbers present in the delta.
     lines: Vec<u64>,
     /// Concatenated payload: `lines[i]`'s bytes live at `i * LINE_SIZE`.
     data: Vec<u8>,
-    dirty_lines: u64,
 }
 
 impl DeltaImage {
@@ -144,8 +152,7 @@ impl DeltaImage {
         debug_assert!(lines.windows(2).all(|w| w[0] < w[1]), "lines unsorted");
         DeltaImage {
             base,
-            lines,
-            data,
+            delta: Arc::new(DeltaPayload { lines, data }),
             dirty_lines: 0,
         }
     }
@@ -175,13 +182,13 @@ impl DeltaImage {
 
     /// Number of lines stored in the delta.
     pub fn delta_line_count(&self) -> u64 {
-        self.lines.len() as u64
+        self.delta.lines.len() as u64
     }
 
     /// Bytes of delta payload this crash state owns (excludes the shared
     /// base). This is the per-state memory cost campaigns report.
     pub fn delta_bytes(&self) -> u64 {
-        self.data.len() as u64
+        self.delta.data.len() as u64
     }
 
     /// Logical size of the image in bytes (same as the base snapshot).
@@ -209,8 +216,8 @@ impl DeltaImage {
             let off = offset_in_line(a);
             let take = (LINE_SIZE - off).min(buf.len() - done);
             let line = line_of(a);
-            let src = match self.lines.binary_search(&line) {
-                Ok(i) => &self.data[i * LINE_SIZE..(i + 1) * LINE_SIZE],
+            let src = match self.delta.lines.binary_search(&line) {
+                Ok(i) => &self.delta.data[i * LINE_SIZE..(i + 1) * LINE_SIZE],
                 Err(_) => {
                     let base = (line << LINE_SHIFT) as usize;
                     &self.base.bytes()[base..base + LINE_SIZE]
@@ -254,10 +261,10 @@ impl DeltaImage {
     /// to the full crash image taken at the same instant.
     pub fn materialize(&self) -> NvmImage {
         let mut bytes = self.base.bytes().to_vec();
-        for (i, &line) in self.lines.iter().enumerate() {
+        let DeltaPayload { lines, data } = &*self.delta;
+        for (&line, payload) in lines.iter().zip(data.chunks_exact(LINE_SIZE)) {
             let off = (line << LINE_SHIFT) as usize;
-            bytes[off..off + LINE_SIZE]
-                .copy_from_slice(&self.data[i * LINE_SIZE..(i + 1) * LINE_SIZE]);
+            bytes[off..off + LINE_SIZE].copy_from_slice(payload);
         }
         NvmImage::new(bytes).with_dirty_lines(self.dirty_lines)
     }
@@ -268,7 +275,7 @@ impl std::fmt::Debug for DeltaImage {
         write!(
             f,
             "DeltaImage({} lines over {}-byte base)",
-            self.lines.len(),
+            self.delta.lines.len(),
             self.base.len()
         )
     }

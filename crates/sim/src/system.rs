@@ -1001,6 +1001,11 @@ impl MemorySystem {
                 data.extend_from_slice(&payload);
             }
         }
+        // The payload is shared by every unit this fork serves and lives as
+        // long as the batch: give back the room reserved for lines that
+        // turned out to match the base.
+        kept.shrink_to_fit();
+        data.shrink_to_fit();
         DeltaImage::new(Arc::clone(&base.base), kept, data).with_dirty_lines(self.dirty_nvm_lines())
     }
 

@@ -11,6 +11,9 @@
 //!    produces exactly the trials `run_trial` (one execution and one full
 //!    image per unit) produces — outcome, loss, recovery clock, and the
 //!    full telemetry profile.
+//!    A second pass picks units that *share a poll* — one crash state
+//!    charged to several units — where the batch path recovers once per
+//!    state and `run_trial` remains the per-unit oracle.
 //! 3. **Report level**: whole campaigns are byte-identical in canonical
 //!    form under both code paths, across 1 and 8 worker threads, dense
 //!    units included.
@@ -60,6 +63,73 @@ fn every_scenario_batches_identically_to_per_trial() {
             m.delta_bytes < m.full_copy_bytes / 10,
             "deltas must be far below full copies: {m:?}"
         );
+    }
+}
+
+/// Units chosen so that several land on the same poll: the first site
+/// units, then a run of consecutive dense units (spaced closer than the
+/// polls that capture them). For `stencil-ckpt` the last six site units
+/// are its legacy access-count points, the first of which lands on the
+/// first `PH_SWEEP_END` together with the dense units.
+fn poll_sharing_units(total: u64) -> Vec<u64> {
+    (0..3).chain(total - 6..total + 8).collect()
+}
+
+/// The crash-state equivalence gate: where units share a poll the batch
+/// path runs recovery once per state, and every unit's trial must still
+/// equal its own `run_trial` — in particular `stencil-ckpt`, whose loss
+/// accounting differs between units of one state.
+#[test]
+fn units_sharing_a_crash_state_match_per_trial() {
+    for telemetry in [false, true] {
+        for s in registry().into_iter().chain(ds_registry()) {
+            let units = poll_sharing_units(s.total_units());
+            let mem = ImageMemory::default();
+            let batch = s.run_batch(&units, telemetry, &mem).expect("batched path");
+            let m = mem.summary();
+            let distinct = m.distinct_states.expect("fresh runs know the count");
+            assert!(
+                distinct < m.images,
+                "{}: no unit shared a poll ({distinct} states, {} images)",
+                s.name(),
+                m.images
+            );
+            for (&unit, b) in units.iter().zip(&batch) {
+                let t = s.run_trial(unit, telemetry);
+                let got = (b.unit, b.outcome, b.lost_units, b.sim_time_ps, b.telemetry);
+                let want = (t.unit, t.outcome, t.lost_units, t.sim_time_ps, t.telemetry);
+                assert_eq!(got, want, "{} unit {unit} telemetry={telemetry}", s.name());
+            }
+            if s.name() == "stencil-ckpt" {
+                // The counter-example itself: the first legacy access-count
+                // unit and the first dense unit are one state (one resume,
+                // one recovery clock) and are charged different losses.
+                let total = s.total_units();
+                let of = |unit| &batch[units.binary_search(&unit).expect("scheduled")];
+                let (legacy, dense) = (of(total - 6), of(total));
+                assert_eq!(legacy.sim_time_ps, dense.sim_time_ps);
+                assert_ne!(legacy.lost_units, dense.lost_units);
+                assert_ne!(legacy.outcome, dense.outcome);
+            }
+        }
+    }
+}
+
+/// Same gate for the dirty-restart sweep: a batch whose units share crash
+/// states equals one dirty restart per unit (a batch of one shares
+/// nothing).
+#[test]
+fn dirty_restarts_sharing_a_crash_state_match_per_unit() {
+    for s in registry() {
+        let units = poll_sharing_units(s.total_units());
+        let mem = ImageMemory::default();
+        let batch = s.run_resilience(&units, &mem).expect("kernel sweep");
+        let m = mem.summary();
+        assert!(m.distinct_states.unwrap() < m.images, "{}", s.name());
+        for (&unit, b) in units.iter().zip(&batch.trials) {
+            let solo = s.run_resilience(&[unit], &ImageMemory::default()).unwrap();
+            assert_eq!(*b, solo.trials[0], "{} unit {unit}", s.name());
+        }
     }
 }
 
