@@ -8,6 +8,8 @@
 //! and replay recovery classifies the states streaming — O(run + points ×
 //! recovery) instead of O(points × run).
 
+use std::sync::OnceLock;
+
 use adcc_core::mc::sim::{McMode, McSim};
 use adcc_core::mc::{McProblem, XS_CHANNELS};
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
@@ -85,11 +87,15 @@ fn epoch_config(grid_bytes: usize) -> SystemConfig {
 
 /// The crash-free reference counts every MC scenario is checked against.
 /// They are mode- and platform-independent (the sampled physics only
-/// depends on the MC seed), so a registry build runs this once — it is a
-/// full simulated forward execution — and hands it to both scenarios.
+/// depends on the MC seed) and a pure function of this file's constants,
+/// so the full simulated forward execution behind them runs once per
+/// process, not once per registry build.
 pub fn reference_counts() -> [u64; XS_CHANNELS] {
-    let problem = problem();
-    native_counts(&problem, &selective_config(problem.grid_bytes()))
+    static COUNTS: OnceLock<[u64; XS_CHANNELS]> = OnceLock::new();
+    *COUNTS.get_or_init(|| {
+        let problem = problem();
+        native_counts(&problem, &selective_config(problem.grid_bytes()))
+    })
 }
 
 impl McCampaign {

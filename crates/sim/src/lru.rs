@@ -114,6 +114,13 @@ pub struct SetAssocCache {
     plru: Box<[PlruBits]>,
     /// Deterministic stream for the `Random` policy.
     rng: XorShift,
+    /// Last-hit memory: the line the most recent scanning hit found
+    /// (`Slot::INVALID` when forgotten) and the index of its slot in
+    /// `slots`. A lookup of that line skips the tag scan. Valid only while
+    /// no slot's tag has changed since, so everything that rewrites a tag
+    /// (`insert`, `remove`, `clear`) forgets it.
+    last_line: u64,
+    last_slot: usize,
 }
 
 impl SetAssocCache {
@@ -137,6 +144,8 @@ impl SetAssocCache {
             policy,
             plru: vec![PlruBits::default(); sets].into_boxed_slice(),
             rng: XorShift::new(0x9E37_79B9_7F4A_7C15),
+            last_line: Slot::INVALID,
+            last_slot: 0,
         }
     }
 
@@ -168,33 +177,49 @@ impl SetAssocCache {
 
     /// Look up `line`; on a hit, refresh the policy's recency state and
     /// return mutable access to its payload plus a dirty-flag setter.
+    ///
+    /// A repeat of the last hit line is answered from the last-hit memory
+    /// without the tag scan; the tick and the policy's hit bookkeeping are
+    /// the same either way.
     #[inline]
     pub fn lookup(&mut self, line: u64) -> Option<LineRef<'_>> {
+        debug_assert!(line != Slot::INVALID, "the invalid tag is not a line");
         self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_index(line);
-        let policy = self.policy;
-        let assoc = self.assoc;
+        if line == self.last_line {
+            return Some(self.hit(line, self.last_slot));
+        }
         let range = self.set_range(line);
-        let slots = &mut self.slots[range];
-        for (way, slot) in slots.iter_mut().enumerate() {
-            if slot.tag == line {
-                match policy {
-                    ReplacementPolicy::Lru => slot.stamp = tick,
-                    // FIFO and Random ignore re-references.
-                    ReplacementPolicy::Fifo | ReplacementPolicy::Random => {}
-                    ReplacementPolicy::TreePlru => self.plru[set].touch(assoc, way),
-                }
-                return Some(LineRef { slot });
+        let way = self.slots[range.clone()]
+            .iter()
+            .position(|s| s.tag == line)?;
+        self.last_line = line;
+        self.last_slot = range.start + way;
+        Some(self.hit(line, self.last_slot))
+    }
+
+    /// Hit bookkeeping for `line` resident in `slots[idx]`, at the current
+    /// tick.
+    #[inline]
+    fn hit(&mut self, line: u64, idx: usize) -> LineRef<'_> {
+        match self.policy {
+            ReplacementPolicy::Lru => self.slots[idx].stamp = self.tick,
+            // FIFO and Random ignore re-references.
+            ReplacementPolicy::Fifo | ReplacementPolicy::Random => {}
+            ReplacementPolicy::TreePlru => {
+                let set = self.set_index(line);
+                self.plru[set].touch(self.assoc, idx - set * self.assoc);
             }
         }
-        None
+        LineRef {
+            slot: &mut self.slots[idx],
+        }
     }
 
     /// Insert `line` with `data`, evicting the set's policy victim if the
     /// set is full. The line must not already be resident (callers look up
     /// first).
     pub fn insert(&mut self, line: u64, data: [u8; LINE_SIZE], dirty: bool) -> Option<Victim> {
+        self.last_line = Slot::INVALID;
         self.tick += 1;
         let tick = self.tick;
         let set = self.set_index(line);
@@ -254,6 +279,7 @@ impl SetAssocCache {
     /// Remove `line` from the cache (CLFLUSH semantics), returning it if it
     /// was resident.
     pub fn remove(&mut self, line: u64) -> Option<Victim> {
+        self.last_line = Slot::INVALID;
         let range = self.set_range(line);
         let slots = &mut self.slots[range];
         for slot in slots.iter_mut() {
@@ -337,6 +363,7 @@ impl SetAssocCache {
             *bits = PlruBits::default();
         }
         self.tick = 0;
+        self.last_line = Slot::INVALID;
     }
 }
 
@@ -522,6 +549,104 @@ mod tests {
             let v = c.remove(3).unwrap();
             assert_eq!(v.data, data(33), "{policy:?} corrupted payload");
             assert!(v.dirty);
+        }
+    }
+
+    /// Everything replacement depends on, for comparing two caches.
+    fn replacement_state(c: &SetAssocCache) -> (u64, Vec<(u64, u64, bool, u8)>, Vec<u64>, String) {
+        (
+            c.tick,
+            c.slots
+                .iter()
+                .map(|s| (s.tag, s.stamp, s.dirty, s.data[0]))
+                .collect(),
+            c.plru.iter().map(|b| b.0).collect(),
+            format!("{:?}", c.rng),
+        )
+    }
+
+    #[test]
+    fn last_hit_is_forgotten_by_insert_remove_and_clear() {
+        // FIFO, so the line just hit can be the next victim.
+        let cfg = CacheConfig::new(8 * LINE_SIZE, 2).with_policy(ReplacementPolicy::Fifo);
+        let mut c = SetAssocCache::new(cfg);
+        // Lines 0, 4, 8 map to set 0.
+        c.insert(0, data(0), false);
+        c.insert(4, data(4), false);
+        assert!(c.lookup(0).is_some());
+        assert_eq!(c.last_line, 0);
+        // The remembered line is the victim: its slot now holds line 8.
+        let v = c.insert(8, data(8), false).expect("set full");
+        assert_eq!(v.line, 0);
+        assert_eq!(c.last_line, Slot::INVALID);
+        assert!(c.lookup(0).is_none(), "stale memory answered for line 0");
+        assert_eq!(c.lookup(8).expect("resident").data_ref()[0], 8);
+
+        // An insert elsewhere forgets too; the next hit scans and remembers.
+        assert_eq!(c.last_line, 8);
+        c.insert(1, data(1), false);
+        assert_eq!(c.last_line, Slot::INVALID);
+        assert_eq!(c.lookup(8).expect("resident").data_ref()[0], 8);
+        assert_eq!(c.last_line, 8);
+
+        assert!(c.remove(8).is_some());
+        assert_eq!(c.last_line, Slot::INVALID);
+        assert!(c.lookup(8).is_none());
+
+        assert!(c.lookup(4).is_some());
+        assert_eq!(c.last_line, 4);
+        c.clear();
+        assert_eq!(c.last_line, Slot::INVALID);
+        assert!(c.lookup(4).is_none());
+    }
+
+    #[test]
+    fn last_hit_survives_cleaning() {
+        let mut c = tiny();
+        c.insert(5, data(5), true);
+        c.insert(6, data(6), true);
+        assert!(c.lookup(5).is_some());
+        assert!(c.clean_line(5).is_some());
+        assert_eq!(c.last_line, 5);
+        let mut r = c.lookup(5).expect("still resident");
+        assert!(!r.dirty(), "the remembered slot was cleaned in place");
+        r.mark_dirty();
+        assert_eq!(c.clean_all().len(), 2);
+        assert_eq!(c.last_line, 5);
+        assert!(!c.lookup(5).expect("still resident").dirty());
+    }
+
+    #[test]
+    fn remembered_hits_leave_the_state_a_scan_would() {
+        for policy in ReplacementPolicy::ALL {
+            // 2 sets x 4 ways over 12 lines: hits, misses, and evictions of
+            // the line hit last followed by a lookup of it.
+            let cfg = CacheConfig::new(8 * LINE_SIZE, 4).with_policy(policy);
+            let mut fast = SetAssocCache::new(cfg);
+            let mut scan = SetAssocCache::new(cfg);
+            let mut rng = XorShift::new(7);
+            let mut line = 0u64;
+            for step in 0..20_000 {
+                // Two times in three, repeat the previous line.
+                if rng.below(3) == 0 {
+                    line = rng.below(12) as u64;
+                }
+                scan.last_line = Slot::INVALID;
+                let hit = fast.lookup(line).map(|r| *r.data_ref());
+                assert_eq!(hit, scan.lookup(line).map(|r| *r.data_ref()));
+                if hit.is_none() {
+                    let payload = data(step as u8);
+                    assert_eq!(
+                        fast.insert(line, payload, step % 2 == 0),
+                        scan.insert(line, payload, step % 2 == 0)
+                    );
+                }
+                assert_eq!(
+                    replacement_state(&fast),
+                    replacement_state(&scan),
+                    "{policy:?} step {step}"
+                );
+            }
         }
     }
 

@@ -23,7 +23,7 @@ use crate::alloc::Bump;
 use crate::backing::Backing;
 use crate::clock::{Bucket, SimClock, SimTime};
 use crate::image::{DeltaImage, NvmImage};
-use crate::line::{is_dram_addr, line_of, DRAM_BASE, LINE_SHIFT, LINE_SIZE};
+use crate::line::{is_dram_addr, line_of, offset_in_line, DRAM_BASE, LINE_SHIFT, LINE_SIZE};
 use crate::lru::{CacheConfig, SetAssocCache, Victim};
 use crate::stats::MemStats;
 use crate::timing::{PlatformTiming, StreamDetector};
@@ -363,17 +363,62 @@ impl MemorySystem {
     // ------------------------------------------------------------------
 
     /// Charged read of `buf.len()` bytes at `addr` (may span lines).
+    ///
+    /// Inlined into the caller so that an access known there to sit inside
+    /// one line (every `PArray` element) is a single CPU-cache line access
+    /// with a constant copy length; anything else — spanning or empty —
+    /// takes the out-of-line byte loop.
+    #[inline]
     pub fn read_bytes(&mut self, addr: u64, buf: &mut [u8]) {
+        let off = offset_in_line(addr);
+        if buf.is_empty() || off + buf.len() > LINE_SIZE {
+            return self.read_bytes_spanning(addr, buf);
+        }
+        self.charge_access();
+        self.with_line(line_of(addr), |data| {
+            buf.copy_from_slice(&data[off..off + buf.len()]);
+            false
+        });
+    }
+
+    /// Charged write of `src` at `addr` (may span lines). Inlined like
+    /// [`Self::read_bytes`].
+    #[inline]
+    pub fn write_bytes(&mut self, addr: u64, src: &[u8]) {
+        let off = offset_in_line(addr);
+        if src.is_empty() || off + src.len() > LINE_SIZE {
+            return self.write_bytes_spanning(addr, src);
+        }
+        self.charge_access();
+        let line = line_of(addr);
+        self.record_store_event(line);
+        self.with_line(line, |data| {
+            data[off..off + src.len()].copy_from_slice(src);
+            true
+        });
+    }
+
+    /// One element access: the crash-trigger count, the counter and the
+    /// CPU-side cost, whatever lines it goes on to touch (an empty access
+    /// touches none).
+    #[inline]
+    fn charge_access(&mut self) {
         self.access_count += 1;
         self.stats.accesses += 1;
         self.clock.charge(self.cfg.timing.cpu_access_ps);
+    }
+
+    /// [`Self::read_bytes`] for any length: one charged access, then one
+    /// `with_line` per line touched, in address order.
+    #[inline(never)]
+    pub(crate) fn read_bytes_spanning(&mut self, addr: u64, buf: &mut [u8]) {
+        self.charge_access();
         let mut done = 0usize;
         while done < buf.len() {
             let a = addr + done as u64;
-            let off = crate::line::offset_in_line(a);
+            let off = offset_in_line(a);
             let take = (LINE_SIZE - off).min(buf.len() - done);
-            let line = line_of(a);
-            self.with_line(line, |data| {
+            self.with_line(line_of(a), |data| {
                 buf[done..done + take].copy_from_slice(&data[off..off + take]);
                 false
             });
@@ -381,15 +426,16 @@ impl MemorySystem {
         }
     }
 
-    /// Charged write of `src` at `addr` (may span lines).
-    pub fn write_bytes(&mut self, addr: u64, src: &[u8]) {
-        self.access_count += 1;
-        self.stats.accesses += 1;
-        self.clock.charge(self.cfg.timing.cpu_access_ps);
+    /// [`Self::write_bytes`] for any length: one charged access, then one
+    /// store event and one `with_line` per line touched, in address
+    /// order.
+    #[inline(never)]
+    pub(crate) fn write_bytes_spanning(&mut self, addr: u64, src: &[u8]) {
+        self.charge_access();
         let mut done = 0usize;
         while done < src.len() {
             let a = addr + done as u64;
-            let off = crate::line::offset_in_line(a);
+            let off = offset_in_line(a);
             let take = (LINE_SIZE - off).min(src.len() - done);
             let line = line_of(a);
             self.record_store_event(line);
@@ -401,10 +447,12 @@ impl MemorySystem {
         }
     }
 
-    /// Bring `line` into the CPU cache (fetching/evicting as needed) and
-    /// apply `f` to its payload; `f` returns whether it dirtied the line.
+    /// Apply `f` to `line`'s payload in the CPU cache; `f` returns whether
+    /// it dirtied the line. A hit is handled inline; a miss fetches the
+    /// line, applies `f`, then installs it (evicting as needed) — both
+    /// halves out of line.
+    #[inline]
     fn with_line<F: FnOnce(&mut [u8; LINE_SIZE]) -> bool>(&mut self, line: u64, f: F) {
-        // Fast path: CPU hit.
         if let Some(mut r) = self.cpu.lookup(line) {
             self.stats.cpu.hits += 1;
             if f(r.data()) {
@@ -412,9 +460,21 @@ impl MemorySystem {
             }
             return;
         }
-        self.stats.cpu.misses += 1;
-        let mut data = self.fetch_below(line);
+        let mut data = self.fetch_missed(line);
         let dirty = f(&mut data);
+        self.install(line, data, dirty);
+    }
+
+    /// Count a CPU-cache miss on `line` and fetch it from below.
+    #[inline(never)]
+    fn fetch_missed(&mut self, line: u64) -> [u8; LINE_SIZE] {
+        self.stats.cpu.misses += 1;
+        self.fetch_below(line)
+    }
+
+    /// Install a fetched line in the CPU cache, writing back its victim.
+    #[inline(never)]
+    fn install(&mut self, line: u64, data: [u8; LINE_SIZE], dirty: bool) {
         if let Some(victim) = self.cpu.insert(line, data, dirty) {
             self.writeback(victim);
         }
@@ -731,7 +791,7 @@ impl MemorySystem {
         let mut done = 0usize;
         while done < buf.len() {
             let a = addr + done as u64;
-            let off = crate::line::offset_in_line(a);
+            let off = offset_in_line(a);
             let take = (LINE_SIZE - off).min(buf.len() - done);
             let line = line_of(a);
             let data = self.peek_line(line);
@@ -1219,6 +1279,59 @@ mod tests {
     }
 
     #[test]
+    fn empty_access_is_charged_but_touches_no_line() {
+        let mut s = small_sys();
+        let a = s.alloc_nvm(64);
+        let mut rec = crate::events::EventRecorder::new();
+        rec.track_range(a, 64);
+        s.attach_recorder(rec);
+        let t0 = s.now();
+        s.read_bytes(a, &mut []);
+        s.write_bytes(a, &[]);
+        assert_eq!(s.stats().accesses, 2);
+        assert_eq!(s.access_count(), 2);
+        assert_eq!((s.now() - t0).ps(), 2 * s.config().timing.cpu_access_ps);
+        assert_eq!(s.stats().cpu, crate::stats::LevelStats::default());
+        assert_eq!(s.dirty_nvm_lines(), 0);
+        assert!(s.take_recorder().expect("attached").is_empty());
+    }
+
+    #[test]
+    fn sixteen_bytes_at_offset_56_are_one_access_over_two_lines() {
+        use crate::events::EventKind;
+        let mut s = small_sys();
+        let a = s.alloc_nvm(128);
+        let mut rec = crate::events::EventRecorder::new();
+        rec.track_range(a, 128);
+        s.attach_recorder(rec);
+        let src: Vec<u8> = (1..=16).collect();
+        s.write_bytes(a + 56, &src);
+        assert_eq!(s.stats().accesses, 1);
+        assert_eq!((s.stats().cpu.hits, s.stats().cpu.misses), (0, 2));
+        let mut out = [0u8; 16];
+        s.read_bytes(a + 56, &mut out);
+        assert_eq!(out[..], src[..]);
+        assert_eq!(s.stats().accesses, 2);
+        assert_eq!(s.access_count(), 2);
+        assert_eq!((s.stats().cpu.hits, s.stats().cpu.misses), (2, 2));
+        let kinds: Vec<EventKind> = s
+            .take_recorder()
+            .expect("attached")
+            .events()
+            .iter()
+            .map(|e| e.kind)
+            .collect();
+        let line = line_of(a);
+        assert_eq!(
+            kinds,
+            [
+                EventKind::Store { line },
+                EventKind::Store { line: line + 1 }
+            ]
+        );
+    }
+
+    #[test]
     fn clflushopt_is_cheaper_but_equally_durable() {
         let mut s1 = small_sys();
         let a = s1.alloc_nvm(64);
@@ -1526,5 +1639,150 @@ mod tests {
         let mut out = [0u8; 8];
         s2.read_bytes(a, &mut out);
         assert_eq!(out, [42; 8]);
+    }
+
+    /// Where an op lands: (`true` = the DRAM-direct region, `false` = the NVM
+    /// one; byte offset into it).
+    type At = (bool, u64);
+
+    /// One step of a random program for the access-path differential test.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Read this many bytes.
+        Read(At, usize),
+        /// Write this many bytes, counting up from the given value.
+        Write(At, usize, u8),
+        Clflush(At),
+        Clwb(At),
+        PersistLine(At),
+        /// Batched persist of the NVM lines holding these offsets.
+        PersistBatched(Vec<u64>),
+        Sfence,
+        Drain,
+        Crash,
+    }
+
+    /// Bytes of each region the ops address: 24 lines against a 16-line
+    /// CPU cache, so hits, misses and evictions all occur.
+    const REGION: u64 = 24 * LINE_SIZE as u64;
+
+    fn op_strategy() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        let at = || (any::<bool>(), 0..REGION);
+        prop_oneof![
+            8 => (at(), 0usize..=16).prop_map(|(at, len)| Op::Read(at, len)),
+            8 => (at(), 0usize..=16, any::<u8>()).prop_map(|(at, len, v)| Op::Write(at, len, v)),
+            1 => at().prop_map(Op::Clflush),
+            1 => at().prop_map(Op::Clwb),
+            1 => at().prop_map(Op::PersistLine),
+            1 => prop::collection::vec(0..REGION, 0..6).prop_map(Op::PersistBatched),
+            1 => Just(Op::Sfence),
+            1 => Just(Op::Drain),
+            1 => Just(Op::Crash),
+        ]
+    }
+
+    /// Run `ops` through two clones of one system — `fast` by the public
+    /// entry points, `slow` with every access forced through the spanning
+    /// loop — and require them to stay indistinguishable.
+    fn access_paths_agree(cfg: SystemConfig, ops: &[Op]) -> proptest::prelude::TestCaseResult {
+        use proptest::prelude::*;
+        let mut fast = MemorySystem::new(cfg);
+        // 16 bytes of slack: an access may start on the region's last byte.
+        let nvm = fast.alloc_nvm(REGION as usize + 16);
+        let dram = fast.alloc_dram(REGION as usize + 16);
+        let mut rec = crate::events::EventRecorder::new();
+        rec.track_range(nvm, REGION as usize + 16);
+        fast.attach_recorder(rec);
+        let mut slow = fast.clone();
+        let addr = |(in_dram, off): At| if in_dram { dram + off } else { nvm + off };
+        for (k, op) in ops.iter().enumerate() {
+            match *op {
+                Op::Read(at, len) => {
+                    let (mut a, mut b) = ([0u8; 16], [0xAAu8; 16]);
+                    fast.read_bytes(addr(at), &mut a[..len]);
+                    slow.read_bytes_spanning(addr(at), &mut b[..len]);
+                    prop_assert_eq!(&a[..len], &b[..len], "op {}: {:?}", k, op);
+                }
+                Op::Write(at, len, v) => {
+                    let src: Vec<u8> = (0..len as u8).map(|i| v.wrapping_add(i)).collect();
+                    fast.write_bytes(addr(at), &src);
+                    slow.write_bytes_spanning(addr(at), &src);
+                }
+                Op::Clflush(at) => {
+                    fast.clflush(addr(at));
+                    slow.clflush(addr(at));
+                }
+                Op::Clwb(at) => {
+                    fast.clwb(addr(at));
+                    slow.clwb(addr(at));
+                }
+                Op::PersistLine(at) => {
+                    fast.persist_line(addr(at));
+                    slow.persist_line(addr(at));
+                }
+                Op::PersistBatched(ref offs) => {
+                    let lines: Vec<u64> = offs.iter().map(|&o| line_of(nvm + o)).collect();
+                    fast.persist_lines_batched(&lines);
+                    slow.persist_lines_batched(&lines);
+                }
+                Op::Sfence => {
+                    fast.sfence();
+                    slow.sfence();
+                }
+                Op::Drain => {
+                    fast.drain_dram_cache();
+                    slow.drain_dram_cache();
+                }
+                Op::Crash => {
+                    let (a, b) = (fast.crash(), slow.crash());
+                    prop_assert_eq!(a.bytes(), b.bytes(), "op {}", k);
+                }
+            }
+            prop_assert_eq!(fast.stats(), slow.stats(), "op {}: {:?}", k, op);
+            prop_assert_eq!(
+                fast.clock().bucket_totals(),
+                slow.clock().bucket_totals(),
+                "op {}: {:?}",
+                k,
+                op
+            );
+        }
+        prop_assert_eq!(fast.access_count(), slow.access_count());
+        prop_assert_eq!(fast.now(), slow.now());
+        prop_assert_eq!(
+            fast.recorder().expect("attached").events(),
+            slow.recorder().expect("attached").events()
+        );
+        let (a, b) = (fast.crash(), slow.crash());
+        prop_assert_eq!(a.dirty_lines_at_crash(), b.dirty_lines_at_crash());
+        prop_assert_eq!(a.bytes(), b.bytes());
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The inlined line-local path changes no byte, counter, bucket or
+        /// store event against the byte loop, on either platform under any
+        /// replacement policy. (Both sides share the cache's last-hit
+        /// memory; `lru.rs` tests that against the scan.)
+        #[test]
+        fn line_local_fast_path_equals_the_spanning_loop(
+            ops in proptest::collection::vec(op_strategy(), 1..250),
+        ) {
+            use crate::policy::ReplacementPolicy;
+            for policy in ReplacementPolicy::ALL {
+                let mut nvm_only = SystemConfig::nvm_only(16 * LINE_SIZE, 1 << 16);
+                nvm_only.cpu_cache = nvm_only.cpu_cache.with_policy(policy);
+                access_paths_agree(nvm_only, &ops)?;
+
+                let mut hetero =
+                    SystemConfig::heterogeneous(16 * LINE_SIZE, 32 * LINE_SIZE, 1 << 16);
+                hetero.cpu_cache = hetero.cpu_cache.with_policy(policy);
+                hetero.dram_cache = hetero.dram_cache.map(|c| c.with_policy(policy));
+                access_paths_agree(hetero, &ops)?;
+            }
+        }
     }
 }
