@@ -1,5 +1,7 @@
 //! The `campaign` CLI: run crash-injection campaigns, replay them from a
-//! seed, diff two reports, and emit the wall-clock bench trajectory.
+//! seed, re-run them under the analyzer or the dirty-restart sweep, diff
+//! two reports, and price them under the cost models. (Throughput is
+//! measured from outside, by `benchmark/run.sh`.)
 //!
 //! ```text
 //! campaign run     [--registry kernel|dist|ds] [--budget-states N]
@@ -13,7 +15,6 @@
 //! campaign compare OLD.json NEW.json
 //! campaign cost    [--budget-states N] [--seed S] [--threads T]
 //!                  [--schedule SPEC] [--out PATH]
-//! campaign bench   [--samples N] [--iters K] [--n DIM] [--out PATH]
 //! ```
 //!
 //! `--telemetry` embeds per-scenario flush/fence/log/dirty-residency
@@ -31,19 +32,18 @@
 use std::io::{self, Write};
 use std::process::ExitCode;
 
-use adcc_bench::{NativeCg, NativeMechanism};
 use adcc_campaign::cost::CostTable;
 use adcc_campaign::engine::{run_campaign, CampaignConfig};
 use adcc_campaign::json::Json;
 use adcc_campaign::report::{
-    compare, flush_audit, parse_shard, CampaignReport, SCHEMA, SCHEMA_V5, SCHEMA_V6,
+    compare, flush_audit, parse_shard, CampaignReport, RERUNNABLE_SCHEMAS,
 };
 use adcc_campaign::resilience::run_resilience;
 use adcc_campaign::scenario::Registry;
 use adcc_campaign::schedule::Schedule;
 use adcc_campaign::triage::run_triage;
 use adcc_dist::net::FaultProfile;
-use adcc_telemetry::{adr_eadr_costs, platform_costs, ExecutionProfile, Probe};
+use adcc_telemetry::platform_costs;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -55,7 +55,6 @@ fn main() -> ExitCode {
         Some("resilience") => cmd_resilience(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
         Some("cost") => cmd_cost(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("--help") | Some("-h") | None => {
             eprint!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -91,9 +90,6 @@ usage:
   campaign compare OLD.json NEW.json
   campaign cost    [--budget-states N] [--seed S] [--threads T]
                    [--schedule SPEC] [--registry NAME] [--json] [--out PATH]
-  campaign bench   [--samples N] [--iters K] [--n DIM]
-                   [--campaign-states N] [--dist-states N] [--ds-states N]
-                   [--resilience-states N] [--out PATH]
 
 --registry NAME selects the scenario registry to sweep (recorded in the
 report; replays reproduce it): `kernel` (default) is the single-rank
@@ -101,14 +97,13 @@ compute-kernel suite, `dist` the multi-rank cluster scenarios with
 (rank, site) crash points comparing global checkpoint restart against
 algorithm-directed local recovery, `ds` the persistent data-structure
 op-stream workloads (MSC queue, open-addressing hash table) under
-undo-logged and unprotected-baseline protection. `--dist` is a
-deprecated alias for `--registry dist`.
+undo-logged and unprotected-baseline protection.
 --dense D appends D access-grain crash points per scenario after its
 site-grain space (recorded in the report; replays reproduce it).
 --max-batch B caps crash points harvested per forward execution (batched
 copy-on-write delta images); --per-trial forces the legacy
-one-execution-per-trial full-copy path (same canonical report, used as
-the bench baseline).
+one-execution-per-trial full-copy path (same canonical report; the
+reference the batched path is checked against).
 --faults PROFILE (dist registry only) injects seeded fabric faults under
 every cluster's reliable transport: `off` (default) is the faultless
 fabric, `lossy` drops/duplicates/reorders a small fraction of messages,
@@ -218,7 +213,7 @@ fn cmd_run(args: &[String], replay: bool) -> Result<ExitCode, String> {
             "--out",
             "--expect",
         ],
-        &["--telemetry", "--per-trial", "--dist", "--resilience"],
+        &["--telemetry", "--per-trial", "--resilience"],
     )?;
     let expect_path = take_opt(args, "--expect")?;
     if expect_path.is_some() && !replay {
@@ -266,11 +261,7 @@ fn cmd_run(args: &[String], replay: bool) -> Result<ExitCode, String> {
         cfg.shard = Some(parse_shard(&v)?);
     }
     cfg.per_trial = take_flag(args, "--per-trial");
-    // `--dist` is the deprecated spelling of `--registry dist`; an
-    // explicit `--registry` always wins over an inherited report value.
-    if take_flag(args, "--dist") {
-        cfg.registry = Registry::Dist;
-    }
+    // An explicit `--registry` wins over an inherited report value.
     if let Some(v) = take_opt(args, "--registry")? {
         cfg.registry = Registry::parse(&v).map_err(|e| format!("{e}\n{USAGE}"))?;
     }
@@ -549,35 +540,46 @@ fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Re-run a report's exact schedule under the persist-order analyzer and
-/// triage its failing states into clustered root causes. Rejects pre-v5
-/// schemas (their unit spaces predate the analyzed scenarios) and shard
-/// reports (triage needs the full schedule). `--fail-on-diagnostics` is
-/// the CI clean-tree gate: any protocol finding exits nonzero.
-fn cmd_triage(args: &[String]) -> Result<ExitCode, String> {
+/// The set-up `triage` and `resilience` share: both re-run a finished
+/// report's exact schedule, so both read `REPORT.json` off the front of
+/// `args`, refuse schemas that predate the `scenarios` unit spaces they
+/// re-run (`sub` needs one of [`RERUNNABLE_SCHEMAS`]) and shard reports
+/// (they need the full schedule; `verb` names what cannot be done to a
+/// shard), and rebuild the report's [`CampaignConfig`] with `--threads`
+/// applied. Returns the config and the `--out` path.
+fn rerun_config(
+    sub: &str,
+    scenarios: &str,
+    verb: &str,
+    args: &[String],
+    bool_flags: &[&str],
+) -> Result<(CampaignConfig, Option<String>), String> {
     let (path, rest) = match args.split_first() {
         Some((p, rest)) if !p.starts_with("--") => (p, rest),
         _ => {
             // Surface an unknown option before complaining about the
             // missing positional, so typo'd flags get the right message.
-            check_known_flags(args, &["--threads", "--out"], &["--fail-on-diagnostics"])?;
-            return Err(format!("triage needs a report path\n{USAGE}"));
+            check_known_flags(args, &["--threads", "--out"], bool_flags)?;
+            return Err(format!("{sub} needs a report path\n{USAGE}"));
         }
     };
-    check_known_flags(rest, &["--threads", "--out"], &["--fail-on-diagnostics"])?;
+    check_known_flags(rest, &["--threads", "--out"], bool_flags)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let raw = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     let schema = raw.get("schema").and_then(Json::as_str).unwrap_or("");
-    if schema != SCHEMA && schema != SCHEMA_V6 && schema != SCHEMA_V5 {
+    if !RERUNNABLE_SCHEMAS.contains(&schema) {
+        let (last, init) = RERUNNABLE_SCHEMAS.split_last().expect("non-empty list");
+        let init: Vec<String> = init.iter().map(|s| format!("{s:?}")).collect();
         return Err(format!(
-            "{path}: triage needs a {SCHEMA:?}, {SCHEMA_V6:?}, or {SCHEMA_V5:?} report, \
-             got {schema:?} (older schemas predate the analyzed scenario unit spaces)\n{USAGE}"
+            "{path}: {sub} needs a {}, or {last:?} report, \
+             got {schema:?} (older schemas predate the {scenarios} scenario unit spaces)\n{USAGE}",
+            init.join(", ")
         ));
     }
     let report = CampaignReport::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     if report.shard.is_some() {
         return Err(format!(
-            "{path}: cannot triage a shard report — merge the full set first \
+            "{path}: cannot {verb} a shard report — merge the full set first \
              (campaign merge)\n{USAGE}"
         ));
     }
@@ -596,6 +598,22 @@ fn cmd_triage(args: &[String]) -> Result<ExitCode, String> {
     }
     let out_path = take_opt(rest, "--out")?;
     cfg.validate().map_err(|e| format!("{e}\n{USAGE}"))?;
+    Ok((cfg, out_path))
+}
+
+/// Re-run a report's exact schedule under the persist-order analyzer and
+/// triage its failing states into clustered root causes. Rejects pre-v5
+/// schemas (their unit spaces predate the analyzed scenarios) and shard
+/// reports (triage needs the full schedule). `--fail-on-diagnostics` is
+/// the CI clean-tree gate: any protocol finding exits nonzero.
+fn cmd_triage(args: &[String]) -> Result<ExitCode, String> {
+    let (cfg, out_path) = rerun_config(
+        "triage",
+        "analyzed",
+        "triage",
+        args,
+        &["--fail-on-diagnostics"],
+    )?;
 
     let triaged = run_triage(&cfg);
     let diags = triaged
@@ -638,7 +656,7 @@ fn cmd_triage(args: &[String]) -> Result<ExitCode, String> {
             .map_err(|e| format!("cannot write {out}: {e}"))?;
         println!("triage report written to {out}");
     }
-    if take_flag(rest, "--fail-on-diagnostics") && !diags.findings.is_empty() {
+    if take_flag(args, "--fail-on-diagnostics") && !diags.findings.is_empty() {
         eprintln!(
             "FAIL: {} protocol finding(s) on what should be a clean tree",
             diags.findings.len()
@@ -653,47 +671,7 @@ fn cmd_triage(args: &[String]) -> Result<ExitCode, String> {
 /// blocks. Rejects pre-v5 schemas (their unit spaces predate the batched
 /// scenarios) and shard reports (the sweep needs the full schedule).
 fn cmd_resilience(args: &[String]) -> Result<ExitCode, String> {
-    let (path, rest) = match args.split_first() {
-        Some((p, rest)) if !p.starts_with("--") => (p, rest),
-        _ => {
-            // Surface an unknown option before complaining about the
-            // missing positional, so typo'd flags get the right message.
-            check_known_flags(args, &["--threads", "--out"], &[])?;
-            return Err(format!("resilience needs a report path\n{USAGE}"));
-        }
-    };
-    check_known_flags(rest, &["--threads", "--out"], &[])?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let raw = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let schema = raw.get("schema").and_then(Json::as_str).unwrap_or("");
-    if schema != SCHEMA && schema != SCHEMA_V6 && schema != SCHEMA_V5 {
-        return Err(format!(
-            "{path}: resilience needs a {SCHEMA:?}, {SCHEMA_V6:?}, or {SCHEMA_V5:?} report, \
-             got {schema:?} (older schemas predate the batched scenario unit spaces)\n{USAGE}"
-        ));
-    }
-    let report = CampaignReport::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    if report.shard.is_some() {
-        return Err(format!(
-            "{path}: cannot sweep a shard report — merge the full set first \
-             (campaign merge)\n{USAGE}"
-        ));
-    }
-
-    let mut cfg = CampaignConfig {
-        seed: report.seed,
-        budget_states: report.budget_states,
-        schedule: Schedule::parse(&report.schedule)?,
-        dense_units: report.dense_units,
-        registry: report.registry,
-        faults: report.faults,
-        ..CampaignConfig::default()
-    };
-    if let Some(v) = take_opt(rest, "--threads")? {
-        cfg.threads = parse_u64(&v, "threads")? as usize;
-    }
-    let out_path = take_opt(rest, "--out")?;
-    cfg.validate().map_err(|e| format!("{e}\n{USAGE}"))?;
+    let (cfg, out_path) = rerun_config("resilience", "batched", "sweep", args, &[])?;
 
     let swept = run_resilience(&cfg);
     let swept_scenarios = swept
@@ -777,15 +755,10 @@ fn cmd_cost(args: &[String]) -> Result<ExitCode, String> {
             "--schedule",
             "--out",
         ],
-        &["--json", "--dist"],
+        &["--json"],
     )?;
     let mut cfg = CampaignConfig {
         telemetry: true,
-        registry: if take_flag(args, "--dist") {
-            Registry::Dist
-        } else {
-            Registry::Kernel
-        },
         ..CampaignConfig::default()
     };
     if let Some(v) = take_opt(args, "--registry")? {
@@ -904,453 +877,5 @@ fn finish_cost(report: &CampaignReport) -> Result<ExitCode, String> {
         );
         return Ok(ExitCode::FAILURE);
     }
-    Ok(ExitCode::SUCCESS)
-}
-
-/// Simulated per-iteration crash-consistency counts for the bench's four
-/// mechanisms, measured on the reference simulated CG problem so the
-/// trajectory carries modeled NVM cost next to host wall-clock. Native
-/// host runs cannot count flushes (the host machine has no instrumented
-/// cache), so the counts come from one deterministic simulated execution
-/// per mechanism.
-fn modeled_cg_profiles(iters: usize) -> Vec<(&'static str, ExecutionProfile)> {
-    use adcc_core::cg::{variants, ExtendedCg, PlainCg};
-    use adcc_pmem::UndoPool;
-    use adcc_sim::crash::{CrashEmulator, CrashTrigger};
-    use adcc_sim::system::{MemorySystem, SystemConfig};
-
-    let class = adcc_linalg::CgClass::TEST;
-    let a = class.matrix(9);
-    let b = class.rhs(&a);
-    let cfg = SystemConfig::nvm_only(16 << 10, 32 << 20);
-
-    let mut out = Vec::new();
-
-    // native: plain CG, no persistence mechanism.
-    {
-        let mut sys = MemorySystem::new(cfg.clone());
-        let (cg, rho0) = PlainCg::setup(&mut sys, &a, &b, iters);
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let probe = Probe::attach(&emu);
-        variants::run_native(&mut emu, &cg, rho0);
-        out.push(("native", probe.finish(&emu)));
-    }
-    // history_algo: the paper's algorithm extension.
-    {
-        let mut sys = MemorySystem::new(cfg.clone());
-        let (cg, rho0) = ExtendedCg::setup(&mut sys, &a, &b, iters);
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let probe = Probe::attach(&emu);
-        cg.run(&mut emu, 0, iters, rho0);
-        out.push(("history_algo", probe.finish(&emu)));
-    }
-    // checkpoint: plain CG + per-iteration double-buffered NVM checkpoint.
-    {
-        let mut sys = MemorySystem::new(cfg.clone());
-        let (cg, rho0) = PlainCg::setup(&mut sys, &a, &b, iters);
-        let mut mgr = adcc_ckpt::manager::CkptManager::new_nvm(&mut sys, cg.ckpt_regions(), false);
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let probe = Probe::attach(&emu);
-        variants::run_with_ckpt(&mut emu, &cg, rho0, &mut mgr);
-        out.push(("checkpoint", probe.finish(&emu)));
-    }
-    // undo_log: plain CG, each iteration one undo-log transaction.
-    {
-        let mut sys = MemorySystem::new(cfg);
-        let (cg, rho0) = PlainCg::setup(&mut sys, &a, &b, iters);
-        let lines = 3 * (cg.n * 8).div_ceil(64) + 8;
-        let mut pool = UndoPool::new(&mut sys, lines);
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let probe = Probe::attach(&emu);
-        variants::run_with_pmem(&mut emu, &cg, rho0, &mut pool);
-        out.push(("undo_log", probe.finish(&emu).with_log(pool.log_stats())));
-    }
-    out
-}
-
-/// Measure one campaign configuration for the bench trajectory; returns
-/// `(report, wall_seconds)`.
-fn bench_campaign(states: u64, per_trial: bool) -> (CampaignReport, f64) {
-    let cfg = CampaignConfig {
-        budget_states: states,
-        per_trial,
-        ..CampaignConfig::default()
-    };
-    let t0 = std::time::Instant::now();
-    let report = run_campaign(&cfg);
-    (report, t0.elapsed().as_secs_f64())
-}
-
-/// Wall-clock bench trajectory (the `BENCH_*.json` series): median
-/// ns/iteration of native host CG under each persistence mechanism, plus
-/// simulated flush/fence counts, modeled ADR/eADR cost per iteration, and
-/// (since v3) crash-campaign throughput and image-memory columns for the
-/// copy-on-write delta engine against the legacy full-copy path.
-fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
-    check_known_flags(
-        args,
-        &[
-            "--samples",
-            "--iters",
-            "--n",
-            "--campaign-states",
-            "--dist-states",
-            "--ds-states",
-            "--resilience-states",
-            "--out",
-        ],
-        &[],
-    )?;
-    let samples = take_opt(args, "--samples")?
-        .map(|v| parse_u64(&v, "samples"))
-        .transpose()?
-        .unwrap_or(7)
-        .max(1);
-    let iters = take_opt(args, "--iters")?
-        .map(|v| parse_u64(&v, "iters"))
-        .transpose()?
-        .unwrap_or(3)
-        .max(1) as usize;
-    let n = take_opt(args, "--n")?
-        .map(|v| parse_u64(&v, "n"))
-        .transpose()?
-        .unwrap_or(20_000) as usize;
-    let campaign_states = take_opt(args, "--campaign-states")?
-        .map(|v| parse_u64(&v, "campaign-states"))
-        .transpose()?
-        .unwrap_or(2_000);
-    let dist_states = take_opt(args, "--dist-states")?
-        .map(|v| parse_u64(&v, "dist-states"))
-        .transpose()?
-        .unwrap_or(300);
-    let ds_states = take_opt(args, "--ds-states")?
-        .map(|v| parse_u64(&v, "ds-states"))
-        .transpose()?
-        .unwrap_or(500);
-    let resilience_states = take_opt(args, "--resilience-states")?
-        .map(|v| parse_u64(&v, "resilience-states"))
-        .transpose()?
-        .unwrap_or(500);
-    // Default to the *current* trajectory point: BENCH_0.json (v1)
-    // through BENCH_6.json (v7) are committed documents and must never be
-    // clobbered by a v8 emission.
-    let out = take_opt(args, "--out")?.unwrap_or_else(|| "BENCH_7.json".to_string());
-
-    let class = adcc_linalg::CgClass {
-        name: "bench",
-        n,
-        extras_per_row: 12,
-    };
-    let a = class.matrix(9);
-    let b = class.rhs(&a);
-
-    let mechanisms: [(&str, fn(usize) -> NativeMechanism); 4] = [
-        ("native", |_| NativeMechanism::None),
-        ("history_algo", |_| NativeMechanism::history()),
-        ("checkpoint", NativeMechanism::checkpoint),
-        ("undo_log", NativeMechanism::undo_log),
-    ];
-
-    // Simulated counterpart of each mechanism: flush/fence counts and
-    // modeled NVM cost per iteration, deterministic across hosts.
-    const SIM_ITERS: usize = 6;
-    let modeled = modeled_cg_profiles(SIM_ITERS);
-
-    let mut results = Vec::new();
-    for (name, make) in mechanisms {
-        let mut per_iter_ns: Vec<u64> = (0..samples)
-            .map(|_| {
-                let mut cg = NativeCg::new(a.clone(), b.clone());
-                let mut mech = make(a.n());
-                let t0 = std::time::Instant::now();
-                for _ in 0..iters {
-                    mech.run_iteration(&mut cg);
-                }
-                std::hint::black_box(cg.rho);
-                (t0.elapsed().as_nanos() / iters as u128) as u64
-            })
-            .collect();
-        per_iter_ns.sort_unstable();
-        let median = per_iter_ns[per_iter_ns.len() / 2];
-        let profile = modeled
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, p)| p)
-            .expect("every bench mechanism has a simulated counterpart");
-        let (adr, eadr) = adr_eadr_costs(profile);
-        let per = SIM_ITERS as u64;
-        println!(
-            "wallclock_cg/{name:<13} median {median:>12} ns/iter ({samples} samples) \
-             | sim/iter: {} flushes, {} fences, adr {:.1} us, eadr {:.1} us",
-            profile.flush_total() / per,
-            profile.sfences / per,
-            adr as f64 / per as f64 / 1e6,
-            eadr as f64 / per as f64 / 1e6,
-        );
-        let mut e = Json::obj();
-        e.push("bench", Json::Str(format!("wallclock_cg/{name}")));
-        e.push("median_ns_per_iter", Json::Int(median));
-        e.push(
-            "sim_flushes_per_iter",
-            Json::Int(profile.flush_total() / per),
-        );
-        e.push("sim_sfences_per_iter", Json::Int(profile.sfences / per));
-        e.push("sim_log_bytes_per_iter", Json::Int(profile.log_bytes / per));
-        e.push("sim_adr_cost_ps_per_iter", Json::Int(adr / per));
-        e.push("sim_eadr_cost_ps_per_iter", Json::Int(eadr / per));
-        results.push(e);
-    }
-
-    // Crash-campaign throughput: the copy-on-write delta engine against
-    // the legacy one-execution-per-trial full-copy path, same seed and
-    // budget. The delta run reports its own bytes-per-state; the
-    // per-trial run's figure is the full-copy equivalent the delta run
-    // measured (one whole-pool image per crashing trial).
-    let (delta_report, delta_secs) = bench_campaign(campaign_states, false);
-    let (legacy_report, legacy_secs) = bench_campaign(campaign_states, true);
-    let m = delta_report.image_memory;
-    // `peak_live_bytes` is only measured on the delta path; the legacy
-    // row carries the modeled per-state full-copy cost and no peak (its
-    // real peak depends on worker count, which the model cannot see).
-    let campaign_rows: Vec<(&str, &CampaignReport, f64, u64, Option<u64>)> = vec![
-        (
-            "campaign/delta",
-            &delta_report,
-            delta_secs,
-            m.bytes_per_crash_state(),
-            Some(m.peak_live_bytes),
-        ),
-        (
-            "campaign/per-trial",
-            &legacy_report,
-            legacy_secs,
-            m.full_copy_bytes_per_state(),
-            None,
-        ),
-    ];
-    for (name, report, secs, bytes_per_state, peak) in &campaign_rows {
-        let states = report.totals.total();
-        let sps = states as f64 / secs.max(1e-9);
-        println!(
-            "{name:<22} {states} states in {:>8.2} s | {:>8.0} states/s | {:>9} B/state",
-            secs, sps, bytes_per_state
-        );
-        let mut e = Json::obj();
-        e.push("bench", Json::Str((*name).to_string()));
-        e.push("budget_states", Json::Int(campaign_states));
-        e.push("states", Json::Int(states));
-        e.push("wall_ms", Json::Int((secs * 1e3) as u64));
-        e.push("states_per_sec", Json::Int(sps as u64));
-        e.push("image_bytes_per_state", Json::Int(*bytes_per_state));
-        if let Some(peak) = peak {
-            e.push("peak_live_bytes", Json::Int(*peak));
-        }
-        results.push(e);
-    }
-
-    // Distributed campaign throughput and the recovery-traffic gap the
-    // dist registry exists to measure: algorithm-directed local recovery
-    // versus global checkpoint restart, same seed, same crash points.
-    // Since v5 the default row uses the batched harvest-plan path (one
-    // forward cluster execution per chunk, forked-cluster recovery
-    // replays); the `-per-trial` row is the legacy one-cluster-per-state
-    // baseline the speedup is measured against.
-    for (bench_name, per_trial) in [("campaign/dist", false), ("campaign/dist-per-trial", true)] {
-        let t0 = std::time::Instant::now();
-        let dist_report = run_campaign(&CampaignConfig {
-            budget_states: dist_states,
-            telemetry: true,
-            registry: Registry::Dist,
-            per_trial,
-            ..CampaignConfig::default()
-        });
-        let dist_secs = t0.elapsed().as_secs_f64();
-        let mode_bytes = |suffix: &str| -> (u64, u64) {
-            dist_report
-                .scenarios
-                .iter()
-                .filter(|s| s.name.ends_with(suffix))
-                .fold((0, 0), |(bytes, trials), s| {
-                    (
-                        bytes + s.telemetry.as_ref().map_or(0, |t| t.recovery_net_bytes),
-                        trials + s.trials,
-                    )
-                })
-        };
-        let (local_bytes, local_trials) = mode_bytes("-local");
-        let (restart_bytes, restart_trials) = mode_bytes("-restart");
-        let dist_total = dist_report.totals.total();
-        let dist_sps = dist_total as f64 / dist_secs.max(1e-9);
-        println!(
-            "{bench_name:<22} {dist_total} states in {dist_secs:>8.2} s | {dist_sps:>8.0} states/s \
-             | recovery B/trial: local {}, restart {}",
-            local_bytes / local_trials.max(1),
-            restart_bytes / restart_trials.max(1),
-        );
-        let mut e = Json::obj();
-        e.push("bench", Json::Str(bench_name.into()));
-        e.push("budget_states", Json::Int(dist_states));
-        e.push("states", Json::Int(dist_total));
-        e.push("wall_ms", Json::Int((dist_secs * 1e3) as u64));
-        e.push("states_per_sec", Json::Int(dist_sps as u64));
-        e.push("local_recovery_bytes", Json::Int(local_bytes));
-        e.push(
-            "local_recovery_bytes_per_trial",
-            Json::Int(local_bytes / local_trials.max(1)),
-        );
-        e.push("restart_recovery_bytes", Json::Int(restart_bytes));
-        e.push(
-            "restart_recovery_bytes_per_trial",
-            Json::Int(restart_bytes / restart_trials.max(1)),
-        );
-        results.push(e);
-    }
-
-    // The faulted dist campaign: the same batched path under the lossy
-    // fabric profile. The retry/ack machinery perturbs every trial's
-    // clock, so the row pins both the surviving throughput and the fault
-    // volume the transport absorbed (drops, reorders, duplicates,
-    // retries) — a rerun that stops injecting faults is visible here.
-    {
-        let t0 = std::time::Instant::now();
-        let faulted_report = run_campaign(&CampaignConfig {
-            budget_states: dist_states,
-            telemetry: true,
-            registry: Registry::Dist,
-            faults: FaultProfile::Lossy,
-            ..CampaignConfig::default()
-        });
-        let faulted_secs = t0.elapsed().as_secs_f64();
-        let faulted_total = faulted_report.totals.total();
-        let faulted_sps = faulted_total as f64 / faulted_secs.max(1e-9);
-        let t = faulted_report.telemetry.as_ref();
-        let (dropped, reordered, duplicated, retries) = t.map_or((0, 0, 0, 0), |t| {
-            (
-                t.net_dropped,
-                t.net_reordered,
-                t.net_duplicated,
-                t.net_retries,
-            )
-        });
-        println!(
-            "{:<22} {faulted_total} states in {faulted_secs:>8.2} s | {faulted_sps:>8.0} states/s \
-             | net faults: {dropped} dropped, {reordered} reordered, {duplicated} duplicated, {retries} retries",
-            "campaign/dist-faults",
-        );
-        let mut e = Json::obj();
-        e.push("bench", Json::Str("campaign/dist-faults".into()));
-        e.push("faults", Json::Str(FaultProfile::Lossy.name().into()));
-        e.push("budget_states", Json::Int(dist_states));
-        e.push("states", Json::Int(faulted_total));
-        e.push("wall_ms", Json::Int((faulted_secs * 1e3) as u64));
-        e.push("states_per_sec", Json::Int(faulted_sps as u64));
-        e.push("net_dropped", Json::Int(dropped));
-        e.push("net_reordered", Json::Int(reordered));
-        e.push("net_duplicated", Json::Int(duplicated));
-        e.push("net_retries", Json::Int(retries));
-        results.push(e);
-    }
-
-    // Persistent data-structure campaign throughput: crash-state rate and
-    // the op-replay rate the recovery path sustains (each crash trial
-    // replays the op-stream suffix against the recovered structure; the
-    // telemetry aggregate counts every replayed op).
-    {
-        let t0 = std::time::Instant::now();
-        let ds_report = run_campaign(&CampaignConfig {
-            budget_states: ds_states,
-            telemetry: true,
-            registry: Registry::Ds,
-            ..CampaignConfig::default()
-        });
-        let ds_secs = t0.elapsed().as_secs_f64();
-        let ds_total = ds_report.totals.total();
-        let ds_sps = ds_total as f64 / ds_secs.max(1e-9);
-        let replayed = ds_report
-            .telemetry
-            .as_ref()
-            .map_or(0, |t| t.ds_ops_replayed);
-        let rps = replayed as f64 / ds_secs.max(1e-9);
-        println!(
-            "{:<22} {ds_total} states in {ds_secs:>8.2} s | {ds_sps:>8.0} states/s \
-             | {replayed} ops replayed ({rps:.0} ops/s)",
-            "campaign/ds",
-        );
-        let mut e = Json::obj();
-        e.push("bench", Json::Str("campaign/ds".into()));
-        e.push("budget_states", Json::Int(ds_states));
-        e.push("states", Json::Int(ds_total));
-        e.push("wall_ms", Json::Int((ds_secs * 1e3) as u64));
-        e.push("states_per_sec", Json::Int(ds_sps as u64));
-        e.push("ops_replayed", Json::Int(replayed));
-        e.push("ops_replayed_per_sec", Json::Int(rps as u64));
-        results.push(e);
-    }
-
-    // The dirty-restart sweep: the fused resilience engine over the
-    // kernel registry (every harvested crash image additionally rebooted
-    // with no consistency mechanism and run to natural termination). The
-    // row tracks sweep throughput plus the natural-resilience outcome
-    // mix, so a kernel change that erodes dirty-restart convergence is
-    // visible in the trajectory.
-    {
-        let t0 = std::time::Instant::now();
-        let swept_report = run_resilience(&CampaignConfig {
-            budget_states: resilience_states,
-            ..CampaignConfig::default()
-        });
-        let swept_secs = t0.elapsed().as_secs_f64();
-        let (mut dirty, mut ok, mut extra) = (0u64, 0u64, 0u64);
-        for s in &swept_report.scenarios {
-            if let Some(r) = &s.natural_resilience {
-                dirty += r.trials();
-                ok += r.classes.converged_ok();
-                extra += r.extra_units_total;
-            }
-        }
-        let dps = dirty as f64 / swept_secs.max(1e-9);
-        println!(
-            "{:<22} {dirty} dirty restarts in {swept_secs:>8.2} s | {dps:>8.0} restarts/s \
-             | {ok} converged ok, {extra} extra units",
-            "campaign/resilience",
-        );
-        let mut e = Json::obj();
-        e.push("bench", Json::Str("campaign/resilience".into()));
-        e.push("budget_states", Json::Int(resilience_states));
-        e.push("states", Json::Int(swept_report.totals.total()));
-        e.push("wall_ms", Json::Int((swept_secs * 1e3) as u64));
-        e.push("dirty_restarts", Json::Int(dirty));
-        e.push("dirty_restarts_per_sec", Json::Int(dps as u64));
-        e.push("converged_ok", Json::Int(ok));
-        e.push(
-            "converged_ok_ppm",
-            Json::Int((ok * 1_000_000).checked_div(dirty).unwrap_or(0)),
-        );
-        e.push("extra_units_total", Json::Int(extra));
-        results.push(e);
-    }
-
-    let mut config = Json::obj();
-    config.push("kernel", Json::Str("native-cg".into()));
-    config.push("n", Json::Int(n as u64));
-    config.push("extras_per_row", Json::Int(12));
-    config.push("iters_per_sample", Json::Int(iters as u64));
-    config.push("samples", Json::Int(samples));
-    config.push("sim_iters", Json::Int(SIM_ITERS as u64));
-    config.push("campaign_states", Json::Int(campaign_states));
-    config.push("dist_states", Json::Int(dist_states));
-    config.push("ds_states", Json::Int(ds_states));
-    config.push("resilience_states", Json::Int(resilience_states));
-    let mut doc = Json::obj();
-    // v8 adds the campaign/resilience row: dirty-restart sweep
-    // throughput plus the natural-resilience outcome mix (v7 added the
-    // campaign/dist-faults row, v6 the campaign/ds row, v5 the batched
-    // dist row and its per-trial baseline).
-    doc.push("schema", Json::Str("adcc-bench-trajectory/v8".into()));
-    doc.push("unit", Json::Str("ns_per_iter".into()));
-    doc.push("config", config);
-    doc.push("results", Json::Arr(results));
-    std::fs::write(&out, doc.pretty()).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("trajectory written to {out}");
     Ok(ExitCode::SUCCESS)
 }

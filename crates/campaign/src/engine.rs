@@ -4,11 +4,12 @@
 use std::time::Instant;
 
 use adcc_dist::net::FaultProfile;
+use adcc_resilience::NaturalResilience;
 use adcc_telemetry::ExecutionProfile;
 
 use crate::memstats::ImageMemory;
-use crate::report::{CampaignReport, ScenarioReport};
-use crate::scenario::{Registry, Scenario, Trial};
+use crate::report::{CampaignReport, DiagnosticsBlock, ScenarioReport};
+use crate::scenario::{PassOutput, Passes, Registry, Scenario, Trial};
 use crate::schedule::Schedule;
 
 /// Campaign inputs. `(seed, budget_states, schedule, dense_units)` fully
@@ -45,7 +46,7 @@ pub struct CampaignConfig {
     /// Force the legacy path: one instrumented execution and one full
     /// `NvmImage` copy per trial. The canonical report is byte-identical
     /// either way (the delta-equivalence suite enforces it); this is the
-    /// baseline the bench compares against.
+    /// reference path CI's whole-campaign equivalence gates replay.
     pub per_trial: bool,
     /// Which named scenario registry to sweep (`--registry <name>`):
     /// the default compute-kernel registry, the distributed
@@ -224,37 +225,46 @@ struct Task {
     units: Vec<u64>,
 }
 
-/// Run a full campaign. Deterministic in `(seed, budget_states,
-/// schedule, dense_units)`: trials are pure functions of `(scenario,
-/// unit)` — every worker owns its own `MemorySystem`, so the single-clock
-/// simulator is never shared — and results are merged in schedule order,
-/// so neither the thread count nor the batch size can reorder anything.
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
+/// A driven campaign, before it is aggregated: the registry, what every
+/// scenario's tasks produced (merged in task order), and the host facts
+/// of the run.
+pub(crate) struct Driven {
+    pub(crate) scenarios: Vec<Box<dyn Scenario>>,
+    /// Per scenario (registry order), every chunk's output appended in
+    /// schedule order.
+    pub(crate) outputs: Vec<PassOutput>,
+    mem: ImageMemory,
+    threads: u64,
+    start: Instant,
+}
+
+/// Plan → chunk → pool → task-ordered merge, the loop every engine entry
+/// point shares. `passes` is what each batch task asks its scenario for;
+/// `per_trial` replaces the batch tasks by one [`Scenario::run_trial`] per
+/// point (the recover pass only — the reference path has no other).
+///
+/// Trials are pure functions of `(scenario, unit)` — every worker owns its
+/// own `MemorySystem`, so the single-clock simulator is never shared — and
+/// the pool returns results in submission order, so neither the thread
+/// count nor the batch size can reorder anything.
+pub(crate) fn drive(cfg: &CampaignConfig, passes: Passes, per_trial: bool) -> Driven {
     let start = Instant::now();
     let scenarios = cfg.registry.scenarios_with(cfg.faults);
-    let points = plan(cfg, &scenarios);
-
-    let mut tasks = Vec::new();
-    for (idx, units) in points.iter().enumerate() {
-        if units.is_empty() {
-            continue;
-        }
-        if cfg.per_trial {
-            tasks.extend(units.iter().map(|&u| Task {
-                scenario: idx,
-                units: vec![u],
-            }));
-        } else {
-            tasks.extend(
-                units
-                    .chunks(cfg.max_batch.max(1) as usize)
-                    .map(|chunk| Task {
-                        scenario: idx,
-                        units: chunk.to_vec(),
-                    }),
-            );
-        }
-    }
+    let chunk = if per_trial {
+        1
+    } else {
+        cfg.max_batch.max(1) as usize
+    };
+    let tasks: Vec<Task> = plan(cfg, &scenarios)
+        .iter()
+        .enumerate()
+        .flat_map(|(scenario, units)| {
+            units.chunks(chunk).map(move |units| Task {
+                scenario,
+                units: units.to_vec(),
+            })
+        })
+        .collect();
 
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(cfg.threads)
@@ -262,32 +272,52 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         .expect("thread pool");
     let threads = pool.current_num_threads() as u64;
     let mem = ImageMemory::default();
-    let results: Vec<(usize, Vec<Trial>)> = pool.install_map(tasks, |_, task| {
+    let results: Vec<(usize, PassOutput)> = pool.install_map(tasks, |_, task| {
         let s = &scenarios[task.scenario];
-        let per_trial = |units: &[u64]| {
-            units
-                .iter()
-                .map(|&u| s.run_trial(u, cfg.telemetry))
-                .collect()
-        };
-        let trials = if cfg.per_trial {
-            per_trial(&task.units)
+        let out = if per_trial {
+            PassOutput {
+                trials: vec![s.run_trial(task.units[0], passes.telemetry)],
+                ..PassOutput::default()
+            }
         } else {
-            s.run_batch(&task.units, cfg.telemetry, &mem)
-                .unwrap_or_else(|| per_trial(&task.units))
+            s.run_passes(&task.units, passes, &mem)
         };
-        (task.scenario, trials)
+        (task.scenario, out)
     });
 
-    let mut per_scenario: Vec<Vec<Trial>> = scenarios.iter().map(|_| Vec::new()).collect();
-    for (idx, trials) in results {
-        per_scenario[idx].extend(trials);
+    let mut outputs: Vec<PassOutput> = scenarios.iter().map(|_| PassOutput::default()).collect();
+    for (idx, out) in results {
+        outputs[idx].absorb(out);
     }
+    Driven {
+        scenarios,
+        outputs,
+        mem,
+        threads,
+        start,
+    }
+}
 
-    let scenario_reports: Vec<ScenarioReport> = scenarios
+/// Aggregate → totals → report, the other half every entry point shares.
+/// A scenario's `natural_resilience` block is its dirty pass, when one
+/// ran; `diagnostics` is the triage engine's block.
+pub(crate) fn assemble(
+    cfg: &CampaignConfig,
+    driven: Driven,
+    diagnostics: Option<DiagnosticsBlock>,
+) -> CampaignReport {
+    let scenario_reports: Vec<ScenarioReport> = driven
+        .scenarios
         .iter()
-        .zip(&per_scenario)
-        .map(|(s, trials)| aggregate(s.as_ref(), cfg.dense_units, trials))
+        .zip(&driven.outputs)
+        .map(|(s, out)| {
+            let mut report = aggregate(s.as_ref(), cfg.dense_units, &out.trials);
+            report.natural_resilience = out
+                .dirty
+                .as_ref()
+                .map(|d| NaturalResilience::from_trials(d.tolerance, &d.trials));
+            report
+        })
         .collect();
     let mut totals = crate::outcome::OutcomeCounts::default();
     let mut telemetry: Option<ExecutionProfile> = None;
@@ -310,11 +340,19 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
         scenarios: scenario_reports,
         totals,
         telemetry,
-        diagnostics: None,
-        image_memory: mem.summary(),
-        wall_clock_ms: start.elapsed().as_millis() as u64,
-        threads,
+        diagnostics,
+        image_memory: driven.mem.summary(),
+        wall_clock_ms: driven.start.elapsed().as_millis() as u64,
+        threads: driven.threads,
     }
+}
+
+/// Run a full campaign. Deterministic in `(seed, budget_states,
+/// schedule, dense_units)`; the thread count, the batch size and
+/// `per_trial` only affect wall-clock and memory.
+pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
+    let driven = drive(cfg, Passes::recover(cfg.telemetry), cfg.per_trial);
+    assemble(cfg, driven, None)
 }
 
 /// Crash points per scenario (registry order), drawn over the site-grain
@@ -322,7 +360,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
 /// `k % n == i` of each scenario's full plan — the partition is over the
 /// *planned* sequence, not the unit values, so it is stable under
 /// duplicate points and exactly tiles the unsharded plan.
-pub(crate) fn plan(cfg: &CampaignConfig, scenarios: &[Box<dyn Scenario>]) -> Vec<Vec<u64>> {
+fn plan(cfg: &CampaignConfig, scenarios: &[Box<dyn Scenario>]) -> Vec<Vec<u64>> {
     let n = scenarios.len() as u64;
     let base = cfg.budget_states / n;
     let rem = cfg.budget_states % n;
@@ -350,7 +388,7 @@ pub(crate) fn plan(cfg: &CampaignConfig, scenarios: &[Box<dyn Scenario>]) -> Vec
         .collect()
 }
 
-pub(crate) fn aggregate(s: &dyn Scenario, dense_units: u64, trials: &[Trial]) -> ScenarioReport {
+fn aggregate(s: &dyn Scenario, dense_units: u64, trials: &[Trial]) -> ScenarioReport {
     let mut outcomes = crate::outcome::OutcomeCounts::default();
     let mut lost_total = 0u64;
     let mut lost_max = 0u64;
@@ -386,6 +424,8 @@ pub(crate) fn aggregate(s: &dyn Scenario, dense_units: u64, trials: &[Trial]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::resilience::run_resilience;
+    use crate::triage::run_triage;
 
     /// A small campaign is deterministic across thread counts — the heavy
     /// version (larger budget, byte-compare of files) lives in the root
@@ -440,12 +480,59 @@ mod tests {
             schedule: Schedule::Stratified,
             ..CampaignConfig::default()
         };
-        let scenarios = crate::scenario::registry();
+        let scenarios = Registry::Kernel.scenarios();
         let points = plan(&cfg, &scenarios);
         let n = scenarios.len();
         assert_eq!(points.len(), n);
         let total: usize = points.iter().map(Vec::len).sum();
         assert_eq!(total, 14);
         assert!(points[0].len() >= points[n - 1].len());
+    }
+
+    /// The seam the three entry points share: a sharded config plans half
+    /// a schedule, so the report must say so — a half-campaign labelled as
+    /// a full run would merge, compare and replay as something it is not.
+    #[test]
+    fn every_entry_point_stamps_the_shard_it_planned() {
+        let cfg = CampaignConfig {
+            budget_states: 26,
+            threads: 1,
+            shard: Some((0, 2)),
+            ..CampaignConfig::default()
+        };
+        for report in [
+            run_campaign(&cfg),
+            run_resilience(&cfg),
+            run_triage(&cfg).report,
+        ] {
+            assert_eq!(report.shard, Some((0, 2)));
+            assert!(report.canonical_string().contains("\"shard\": \"0/2\""));
+            assert_eq!(
+                report.totals.total(),
+                13,
+                "the shard's trials, not the budget's"
+            );
+        }
+    }
+
+    /// ROADMAP 2(d): the fused sweep asks for recover + dirty in one call,
+    /// so a kernel chunk runs forward once — same executions and images as
+    /// the plain campaign of that config, not twice as many.
+    #[test]
+    fn fused_resilience_harvests_each_kernel_chunk_once() {
+        let cfg = CampaignConfig {
+            budget_states: 39,
+            dense_units: 40,
+            threads: 1,
+            ..CampaignConfig::default()
+        };
+        let (plain, fused) = (run_campaign(&cfg), run_resilience(&cfg));
+        assert!(plain.image_memory.executions > 0);
+        assert_eq!(fused.image_memory.executions, plain.image_memory.executions);
+        assert_eq!(fused.image_memory.images, plain.image_memory.images);
+        assert!(fused
+            .scenarios
+            .iter()
+            .all(|s| s.natural_resilience.is_some()));
     }
 }

@@ -24,8 +24,10 @@
 //! * machine-readable JSON **reports** ([`report::CampaignReport`]) that
 //!   are replayable from `(seed, budget, schedule)` alone — byte-for-byte
 //!   identical across reruns and thread counts;
-//! * the `campaign` **CLI** (`run`, `replay`, `compare`, `bench`) driving
-//!   the PR-smoke and nightly-deep CI tiers.
+//! * the `campaign` **CLI** (`run`, `replay`, `merge`, `triage`,
+//!   `resilience`, `compare`, `cost`) driving the PR-smoke and
+//!   nightly-deep CI tiers. Throughput is measured from outside, by
+//!   `benchmark/run.sh`.
 //!
 //! ## Example: run a 50-state campaign and read the report
 //!
@@ -75,8 +77,8 @@ pub use report::{
 };
 pub use resilience::run_resilience;
 pub use scenario::{
-    dist_registry, ds_registry, registry, AnalyzedBatch, AnalyzedTrial, Kernel, Mechanism,
-    Registry, ResilienceBatch, Scenario, Trial, UnitSpace,
+    Analyzed, AnalyzedBatch, AnalyzedTrial, Kernel, Mechanism, PassOutput, Passes, Registry,
+    ResilienceBatch, Scenario, Trial, UnitSpace,
 };
 pub use schedule::Schedule;
 pub use triage::{run_triage, TriageReport};

@@ -33,6 +33,13 @@ pub const SCHEMA_V6: &str = "adcc-campaign-report/v6";
 /// keys), still accepted by [`CampaignReport::parse`].
 pub const SCHEMA_V5: &str = "adcc-campaign-report/v5";
 
+/// The generations whose header still names today's schedule: the unit
+/// spaces of the batched and analyzed scenarios landed with v5, so a
+/// report at or above it can be re-run (`campaign triage`, `campaign
+/// resilience`) and one below it cannot. Newest first; a schema bump adds
+/// its predecessor here, in one place.
+pub const RERUNNABLE_SCHEMAS: [&str; 3] = [SCHEMA, SCHEMA_V6, SCHEMA_V5];
+
 /// The v4 format (generalized `registry` header, log-metadata /
 /// op-stream telemetry keys), still accepted by
 /// [`CampaignReport::parse`].

@@ -4,12 +4,12 @@
 //! and `campaign resilience REPORT.json`: it re-runs the campaign's exact
 //! schedule through the plain recovery machinery (so the report's outcome
 //! section matches a plain run byte-for-byte) and, for every scenario
-//! exposing a dirty-restart path
-//! ([`crate::scenario::Scenario::run_resilience`]), reboots each harvested
-//! crash image from the raw dirty NVM state with **no** consistency
-//! mechanism — no undo replay, no checkpoint rollback, no invariant scan —
-//! runs it to the scenario's natural termination bound, and classifies the
-//! answer on the five-way [`adcc_resilience::DirtyClass`] ladder.
+//! with a dirty-restart step ([`crate::scenario::Passes::dirty`]), reboots
+//! each harvested crash image from the raw dirty NVM state with **no**
+//! consistency mechanism — no undo replay, no checkpoint rollback, no
+//! invariant scan — runs it to the scenario's natural termination bound,
+//! and classifies the answer on the five-way
+//! [`adcc_resilience::DirtyClass`] ladder.
 //!
 //! The per-scenario aggregate lands in the report's schema-v7
 //! `natural_resilience` block. Scenarios without a dirty-restart path
@@ -22,144 +22,26 @@
 //! aggregate stores only integer counters — reruns and any worker-thread
 //! count produce byte-identical canonical reports.
 
-use std::time::Instant;
-
-use adcc_resilience::{DirtyTrial, NaturalResilience, Tolerance};
-use adcc_telemetry::ExecutionProfile;
-
-use crate::engine::{aggregate, plan, CampaignConfig};
-use crate::memstats::ImageMemory;
-use crate::report::{CampaignReport, ScenarioReport};
-use crate::scenario::Trial;
-
-/// One unit of parallel sweep work (the engine's batched task shape).
-struct Task {
-    scenario: usize,
-    units: Vec<u64>,
-}
-
-/// What one task produced: the plain recovery trials plus, when the
-/// scenario has a dirty-restart path, the classified dirty restarts and
-/// the tolerance ladder they were scored with.
-struct TaskResult {
-    scenario: usize,
-    trials: Vec<Trial>,
-    dirty: Option<(Vec<DirtyTrial>, Tolerance)>,
-}
+use crate::engine::{assemble, drive, CampaignConfig};
+use crate::report::CampaignReport;
+use crate::scenario::Passes;
 
 /// Run the campaign described by `cfg` with the dirty-restart sweep
-/// fused in. The outcome section equals a plain [`crate::engine::run_campaign`]
-/// of the same config; scenarios with a dirty-restart path additionally
-/// carry a `natural_resilience` block. Deterministic in the config's
-/// canonical inputs; the thread count only affects wall-clock.
+/// fused in: every batch task asks its scenario for the recover and the
+/// dirty pass of **one** forward execution. The outcome section equals a
+/// plain [`crate::engine::run_campaign`] of the same config; scenarios
+/// with a dirty-restart step additionally carry a `natural_resilience`
+/// block. Deterministic in the config's canonical inputs; the thread
+/// count only affects wall-clock.
 pub fn run_resilience(cfg: &CampaignConfig) -> CampaignReport {
-    let start = Instant::now();
-    let scenarios = cfg.registry.scenarios_with(cfg.faults);
-    let points = plan(cfg, &scenarios);
-
-    let mut tasks = Vec::new();
-    for (idx, units) in points.iter().enumerate() {
-        if units.is_empty() {
-            continue;
-        }
-        tasks.extend(
-            units
-                .chunks(cfg.max_batch.max(1) as usize)
-                .map(|chunk| Task {
-                    scenario: idx,
-                    units: chunk.to_vec(),
-                }),
-        );
-    }
-
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(cfg.threads)
-        .build()
-        .expect("thread pool");
-    let threads = pool.current_num_threads() as u64;
-    let mem = ImageMemory::default();
-    let results: Vec<TaskResult> = pool.install_map(tasks, |_, task| {
-        let s = &scenarios[task.scenario];
-        let trials = s
-            .run_batch(&task.units, cfg.telemetry, &mem)
-            .unwrap_or_else(|| {
-                task.units
-                    .iter()
-                    .map(|&u| s.run_trial(u, cfg.telemetry))
-                    .collect()
-            });
-        let dirty = s
-            .run_resilience(&task.units, &mem)
-            .map(|b| (b.trials, b.tolerance));
-        TaskResult {
-            scenario: task.scenario,
-            trials,
-            dirty,
-        }
-    });
-
-    // Merge in task order (results preserve submission order), so the
-    // assembly below is independent of which worker ran what.
-    let mut per_scenario: Vec<Vec<Trial>> = scenarios.iter().map(|_| Vec::new()).collect();
-    let mut dirty_per_scenario: Vec<Option<(Vec<DirtyTrial>, Tolerance)>> =
-        scenarios.iter().map(|_| None).collect();
-    for r in results {
-        per_scenario[r.scenario].extend(r.trials);
-        if let Some((trials, tolerance)) = r.dirty {
-            match &mut dirty_per_scenario[r.scenario] {
-                Some((acc, tol)) => {
-                    // The ladder is a per-scenario constant; chunks of the
-                    // same scenario cannot disagree.
-                    debug_assert_eq!(*tol, tolerance);
-                    acc.extend(trials);
-                }
-                slot @ None => *slot = Some((trials, tolerance)),
-            }
-        }
-    }
-
-    let scenario_reports: Vec<ScenarioReport> = scenarios
-        .iter()
-        .zip(&per_scenario)
-        .zip(dirty_per_scenario)
-        .map(|((s, trials), dirty)| {
-            let mut report = aggregate(s.as_ref(), cfg.dense_units, trials);
-            report.natural_resilience =
-                dirty.map(|(dts, tol)| NaturalResilience::from_trials(tol, &dts));
-            report
-        })
-        .collect();
-    let mut totals = crate::outcome::OutcomeCounts::default();
-    let mut telemetry: Option<ExecutionProfile> = None;
-    for r in &scenario_reports {
-        totals.merge(&r.outcomes);
-        if let Some(t) = &r.telemetry {
-            telemetry
-                .get_or_insert_with(ExecutionProfile::default)
-                .merge(t);
-        }
-    }
-    CampaignReport {
-        seed: cfg.seed,
-        budget_states: cfg.budget_states,
-        schedule: cfg.schedule.name(),
-        dense_units: cfg.dense_units,
-        registry: cfg.registry,
-        faults: cfg.faults,
-        shard: None,
-        scenarios: scenario_reports,
-        totals,
-        telemetry,
-        diagnostics: None,
-        image_memory: mem.summary(),
-        wall_clock_ms: start.elapsed().as_millis() as u64,
-        threads,
-    }
+    let passes = Passes::recover(cfg.telemetry).and_dirty();
+    assemble(cfg, drive(cfg, passes, false), None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::run_campaign;
     use crate::scenario::Registry;
     use crate::schedule::Schedule;
     use adcc_resilience::DirtyClass;
@@ -181,7 +63,7 @@ mod tests {
         let fused = run_resilience(&cfg);
         // The dirty sweep is side-effect-free on the recovery machinery:
         // outcomes must equal a plain run of the same inputs.
-        let plain = crate::engine::run_campaign(&cfg);
+        let plain = run_campaign(&cfg);
         assert_eq!(fused.totals, plain.totals);
         for (a, b) in fused.scenarios.iter().zip(&plain.scenarios) {
             assert_eq!(a.outcomes, b.outcomes, "{}", a.name);
@@ -214,34 +96,36 @@ mod tests {
         assert!(!fused.canonical_string().contains("natural_resilience"));
     }
 
+    /// The PR tier's resilience gate (`campaign resilience` over the
+    /// kernel smoke report: seed 42, 500 states), asserted on the library.
     #[test]
     fn iterative_kernels_show_the_easycrash_contrast() {
         // The paper's natural-consistency claim: iterative solvers absorb
         // dirty restarts (nonzero converged-ok), while the exact-answer MC
         // audit path cannot (its dirty restarts never classify ok).
         let cfg = CampaignConfig {
-            budget_states: 130,
+            budget_states: 500,
             threads: 0,
             ..tiny_cfg(Registry::Kernel)
         };
         let report = run_resilience(&cfg);
-        let ok_of = |name: &str| {
+        let of = |name: &str| {
             let s = report
                 .scenarios
                 .iter()
                 .find(|s| s.name == name)
                 .unwrap_or_else(|| panic!("scenario {name} missing"));
-            let r = s.natural_resilience.as_ref().expect("resilience block");
-            // Clean completions classify converged-exact; subtract them so
-            // the contrast measures actual dirty restarts.
-            (
-                r.classes.converged_ok(),
-                r.classes.get(DirtyClass::DetectedDirtyAgain),
-            )
+            s.natural_resilience.as_ref().expect("resilience block")
         };
-        let (cg_ok, _) = ok_of("cg-extended");
-        assert!(cg_ok > 0, "iterative CG absorbed no dirty restart at all");
-        let (_, mc_detected) = ok_of("mc-selective");
-        assert!(mc_detected > 0, "the MC audit never rejected a dirty image");
+        assert!(
+            of("cg-extended").classes.converged_ok() > 0,
+            "iterative CG absorbed no dirty restart at all"
+        );
+        for mc in ["mc-selective", "mc-epoch"] {
+            assert!(
+                of(mc).classes.get(DirtyClass::DetectedDirtyAgain) > 0,
+                "{mc}: the MC audit never rejected a dirty image"
+            );
+        }
     }
 }

@@ -204,6 +204,102 @@ pub struct ResilienceBatch {
     pub tolerance: adcc_resilience::Tolerance,
 }
 
+/// Which passes one batch execution ([`Scenario::run_passes`]) applies to
+/// each crash state it harvests. Every pass works on the same harvested
+/// state, so asking for several costs one forward execution, not one each.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Passes {
+    /// Recover each crash state through the scenario's mechanism and
+    /// classify it into a [`Trial`].
+    pub recover: bool,
+    /// Capture the forward-execution [`ExecutionProfile`] of every
+    /// recovered trial (only meaningful with `recover`).
+    pub telemetry: bool,
+    /// Reboot each crash state dirty — no mechanism — and classify the
+    /// answer (EasyCrash). Skipped by scenarios with no loop to re-enter.
+    pub dirty: bool,
+    /// Record the forward execution over the scenario's declared protocol
+    /// regions and run the persist-order sanitizer (WITCHER). Skipped by
+    /// scenarios that declare no regions.
+    pub analyze: bool,
+}
+
+impl Passes {
+    /// The recover pass, with or without telemetry.
+    pub const fn recover(telemetry: bool) -> Passes {
+        Passes {
+            recover: true,
+            telemetry,
+            dirty: false,
+            analyze: false,
+        }
+    }
+
+    /// These passes plus the dirty-restart pass.
+    pub const fn and_dirty(self) -> Passes {
+        Passes {
+            dirty: true,
+            ..self
+        }
+    }
+
+    /// These passes plus the analyze pass.
+    pub const fn and_analyze(self) -> Passes {
+        Passes {
+            analyze: true,
+            ..self
+        }
+    }
+}
+
+/// What the analyze pass found in one batch execution.
+#[derive(Debug, Clone, Default)]
+pub struct Analyzed {
+    /// Sanitizer crash facts per scheduled unit, in engine (schedule)
+    /// order; units whose trigger never fired carry none.
+    pub facts: Vec<Vec<adcc_analyze::Diagnostic>>,
+    /// Protocol violations of the completed forward execution.
+    pub protocol: Vec<adcc_analyze::Diagnostic>,
+}
+
+/// Output of one batch execution ([`Scenario::run_passes`]): one entry per
+/// requested pass the scenario supports.
+#[derive(Debug, Clone, Default)]
+pub struct PassOutput {
+    /// The recover pass: per-unit trials in engine (schedule) order.
+    /// Empty unless [`Passes::recover`] was requested.
+    pub trials: Vec<Trial>,
+    /// The dirty-restart pass; `None` when not requested or the scenario
+    /// has no dirty-restart step.
+    pub dirty: Option<ResilienceBatch>,
+    /// The analyze pass; `None` when not requested or the scenario
+    /// declares no protocol regions.
+    pub analysis: Option<Analyzed>,
+}
+
+impl PassOutput {
+    /// Append the output of the scenario's next chunk (same passes).
+    pub(crate) fn absorb(&mut self, next: PassOutput) {
+        self.trials.extend(next.trials);
+        if let Some(d) = next.dirty {
+            match &mut self.dirty {
+                Some(acc) => {
+                    // The ladder is a per-scenario constant; chunks of the
+                    // same scenario cannot disagree.
+                    debug_assert_eq!(acc.tolerance, d.tolerance);
+                    acc.trials.extend(d.trials);
+                }
+                slot @ None => *slot = Some(d),
+            }
+        }
+        if let Some(a) = next.analysis {
+            let acc = self.analysis.get_or_insert_with(Analyzed::default);
+            acc.facts.extend(a.facts);
+            acc.protocol.extend(a.protocol);
+        }
+    }
+}
+
 /// Result of injecting one crash state and attempting recovery.
 #[derive(Debug, Clone, Copy)]
 pub struct Trial {
@@ -301,7 +397,9 @@ impl UnitSpace {
 ///
 /// ## Batch path
 ///
-/// [`Scenario::run_batch`] must produce trials **identical** to calling
+/// [`Scenario::run_passes`] is the one batch hook; [`Scenario::run_batch`],
+/// [`Scenario::run_analyzed`] and [`Scenario::run_resilience`] are provided
+/// over it. Its recover pass must produce trials **identical** to calling
 /// [`Scenario::run_trial`] per unit (the delta-equivalence suite enforces
 /// this): the forward execution is deterministic, so its state at a crash
 /// point's poll equals the state of an individual run crashed there.
@@ -337,65 +435,57 @@ pub trait Scenario: Send + Sync {
     /// via `crash_now`.
     fn run_trial(&self, unit: u64, telemetry: bool) -> Trial;
 
-    /// Batch fast path: harvest every scheduled crash point of `units`
+    /// The batch hook: harvest every scheduled crash point of `units`
     /// (sorted ascending) from **one** instrumented execution as
-    /// copy-on-write [`adcc_sim::image::DeltaImage`]s, classifying
-    /// outcomes streaming (one transient materialization at a time).
-    /// `mem` accumulates crash-image memory accounting. Default: none —
-    /// the engine falls back to `run_trial` per unit.
+    /// copy-on-write [`adcc_sim::image::DeltaImage`]s and apply the
+    /// requested `passes` to each distinct crash state, streaming (one
+    /// transient materialization at a time). `mem` accumulates crash-image
+    /// memory accounting, once per forward execution. A requested pass the
+    /// scenario does not support is skipped and its output left `None`;
+    /// with no pass left to apply nothing runs at all.
+    fn run_passes(&self, units: &[u64], passes: Passes, mem: &ImageMemory) -> PassOutput;
+
+    /// The recover pass alone: trials identical to [`Scenario::run_trial`]
+    /// per unit. Always `Some` — every scenario batches.
     fn run_batch(&self, units: &[u64], telemetry: bool, mem: &ImageMemory) -> Option<Vec<Trial>> {
-        let _ = (units, telemetry, mem);
-        None
+        Some(
+            self.run_passes(units, Passes::recover(telemetry), mem)
+                .trials,
+        )
     }
 
-    /// Analyzer-instrumented batch: like [`Scenario::run_batch`] with an
-    /// [`adcc_sim::events::EventRecorder`] attached over the scenario's
-    /// declared protocol regions, returning the same trials (recording is
-    /// outcome-neutral, so they must equal the plain path's) plus the
+    /// Recover + analyze in one execution: the same trials as
+    /// [`Scenario::run_batch`] (recording is outcome-neutral) plus the
     /// sanitizer's per-crash facts and end-of-run protocol diagnostics.
-    /// Default: none — the scenario has no analyzed path and the triage
-    /// engine falls back to `run_batch` with empty facts.
+    /// `None` for scenarios that declare no protocol regions — after the
+    /// recover pass ran anyway; a caller that wants those trials either
+    /// way asks [`Scenario::run_passes`] directly, as the triage engine does.
     fn run_analyzed(&self, units: &[u64], mem: &ImageMemory) -> Option<AnalyzedBatch> {
-        let _ = (units, mem);
-        None
+        let out = self.run_passes(units, Passes::recover(false).and_analyze(), mem);
+        let analysis = out.analysis?;
+        Some(AnalyzedBatch {
+            trials: out
+                .trials
+                .into_iter()
+                .zip(analysis.facts)
+                .map(|(trial, facts)| AnalyzedTrial { trial, facts })
+                .collect(),
+            protocol: analysis.protocol,
+        })
     }
 
-    /// Dirty-restart (EasyCrash) batch: harvest every scheduled crash
-    /// point like [`Scenario::run_batch`], but instead of the scenario's
-    /// recovery mechanism, reboot each crash image from the raw dirty NVM
-    /// state — no invariant scan, no checkpoint rollback, no log replay —
-    /// re-enter the iteration loop from whatever counters/values survived,
-    /// run to the natural termination bound, and classify the answer
-    /// against the reference through the scenario's residual tolerance.
-    /// Units whose trigger never fires complete cleanly and classify as
-    /// `converged-exact` with zero extra work. Default: none — the
-    /// scenario has no dirty-restart path and the resilience engine
-    /// records it as unsupported.
+    /// The dirty-restart (EasyCrash) pass alone: reboot each crash image
+    /// from the raw dirty NVM state — no invariant scan, no checkpoint
+    /// rollback, no log replay — re-enter the iteration loop from whatever
+    /// counters/values survived, run to the natural termination bound, and
+    /// classify the answer against the reference through the scenario's
+    /// residual tolerance. Units whose trigger never fires complete cleanly
+    /// and classify as `converged-exact` with zero extra work. `None` for
+    /// scenarios with no dirty-restart step.
     fn run_resilience(&self, units: &[u64], mem: &ImageMemory) -> Option<ResilienceBatch> {
-        let _ = (units, mem);
-        None
+        self.run_passes(units, Passes::default().and_dirty(), mem)
+            .dirty
     }
-}
-
-/// Build the full registry. Order is part of the report format: reports
-/// list scenarios in registry order, and the determinism suite compares
-/// reports byte-for-byte.
-pub fn registry() -> Vec<Box<dyn Scenario>> {
-    scenarios::all()
-}
-
-/// Build the distributed registry (`campaign run --registry dist`): the
-/// `adcc::dist` kernels under algorithm-directed local recovery and
-/// global checkpoint restart, same ordering guarantees as [`registry`].
-pub fn dist_registry() -> Vec<Box<dyn Scenario>> {
-    scenarios::dist_all()
-}
-
-/// Build the persistent data-structure registry (`campaign run --registry
-/// ds`): the `adcc::ds` queue/hash op-stream workloads under undo-logged
-/// and baseline protection, same ordering guarantees as [`registry`].
-pub fn ds_registry() -> Vec<Box<dyn Scenario>> {
-    scenarios::ds_all()
 }
 
 #[cfg(test)]
@@ -404,7 +494,7 @@ mod tests {
 
     #[test]
     fn registry_covers_every_compute_kernel_with_two_mechanisms() {
-        let reg = registry();
+        let reg = Registry::Kernel.scenarios();
         for kernel in Kernel::COMPUTE {
             let mechanisms: std::collections::BTreeSet<&str> = reg
                 .iter()
@@ -461,7 +551,7 @@ mod tests {
 
     #[test]
     fn dist_registry_pairs_both_recovery_modes_per_kernel() {
-        let reg = dist_registry();
+        let reg = Registry::Dist.scenarios();
         assert_eq!(reg.len(), 6);
         for kernel in [Kernel::Stencil, Kernel::Jacobi, Kernel::Cg] {
             let mechanisms: Vec<&str> = reg
@@ -485,7 +575,7 @@ mod tests {
 
     #[test]
     fn ds_registry_pairs_both_protections_per_structure() {
-        let reg = ds_registry();
+        let reg = Registry::Ds.scenarios();
         assert_eq!(reg.len(), 4);
         for kernel in [Kernel::Queue, Kernel::Hash] {
             let mechanisms: Vec<&str> = reg

@@ -2,20 +2,18 @@
 //! (ring-buffer) iteration histories.
 
 use adcc_core::bicgstab::{bicgstab_host, sites, ExtendedBiCgStab};
+use adcc_core::DirtyRestart;
 use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::spd::CgClass;
+use adcc_resilience::Tolerance;
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
 use adcc_sim::image::NvmImage;
 use adcc_sim::system::{MemorySystem, SystemConfig};
-use adcc_telemetry::{ExecutionProfile, Probe};
+use adcc_telemetry::ExecutionProfile;
 
-use adcc_resilience::Tolerance;
-
-use super::harness::{self, Classified};
+use super::harness::{Classified, Workload};
 use super::{max_diff, trim_dram, verified_completion};
-use crate::memstats::ImageMemory;
-use crate::outcome::classify;
-use crate::scenario::{Kernel, Mechanism, ResilienceBatch, Scenario, Trial, UnitSpace};
+use crate::scenario::{Kernel, Mechanism, Trial, UnitSpace};
 
 const ITERS: usize = 10;
 const WINDOW: usize = 4;
@@ -76,29 +74,15 @@ impl BiExtended {
             + (2 << 20);
         trim_dram(SystemConfig::nvm_only(16 << 10, cap))
     }
-
-    fn crash_trial(
-        &self,
-        bi: &ExtendedBiCgStab,
-        cfg: SystemConfig,
-        image: &NvmImage,
-        profile: Option<ExecutionProfile>,
-    ) -> Classified {
-        let rec = bi.recover_and_resume(image, cfg);
-        let matches = max_diff(&rec.solution, &self.reference) < TOL;
-        let detected = rec.restart_from.is_none();
-        Classified {
-            outcome: classify(detected, matches, rec.report.lost_units),
-            lost_units: rec.report.lost_units,
-            sim_time_ps: rec.report.total().ps(),
-            telemetry: profile,
-        }
-    }
 }
 
 const BI_PHASES: [u32; 2] = [sites::PH_AFTER_XR, sites::PH_ITER_END];
 
-impl Scenario for BiExtended {
+impl Workload for BiExtended {
+    type Live = ExtendedBiCgStab;
+    type End = f64;
+    type State = Classified;
+
     fn name(&self) -> &'static str {
         if self.window > ITERS {
             "bicgstab-extended"
@@ -129,71 +113,45 @@ impl Scenario for BiExtended {
         }
     }
 
-    fn run_trial(&self, unit: u64, telemetry: bool) -> Trial {
-        let cfg = self.config();
-        let mut sys = MemorySystem::new(cfg.clone());
+    fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, ExtendedBiCgStab) {
+        let mut sys = MemorySystem::new(self.config());
         let bi = ExtendedBiCgStab::setup_windowed(&mut sys, &self.a, &self.b, ITERS, self.window);
-        let mut emu = CrashEmulator::from_system(sys, self.trigger_of(unit));
-        let probe = telemetry.then(|| Probe::attach(&emu));
-        match bi.run(&mut emu, 0, ITERS, self.rho0) {
-            RunOutcome::Completed(_) => {
-                let profile = probe.map(|p| p.finish(&emu));
-                let sol = bi.peek_solution(&emu);
-                verified_completion(max_diff(&sol, &self.reference) < TOL, unit, profile)
-            }
-            RunOutcome::Crashed(image) => {
-                let profile = probe.map(|p| p.finish(&emu).with_image(&image));
-                self.crash_trial(&bi, cfg, &image, profile).for_unit(unit)
-            }
-        }
+        (CrashEmulator::from_system(sys, trigger), bi)
     }
 
-    fn run_batch(&self, units: &[u64], telemetry: bool, mem: &ImageMemory) -> Option<Vec<Trial>> {
-        let cfg = self.config();
-        let mut sys = MemorySystem::new(cfg.clone());
-        let bi = ExtendedBiCgStab::setup_windowed(&mut sys, &self.a, &self.b, ITERS, self.window);
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        Some(harness::run_harvested(
-            units,
-            telemetry,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                bi.run(e, 0, ITERS, self.rho0)
-                    .completed()
-                    .expect("Never trigger completes");
-            },
-            |_k, _site, image, profile| self.crash_trial(&bi, cfg.clone(), image, profile),
-            Classified::for_unit,
-            |(), e, profile| {
-                let sol = bi.peek_solution(e);
-                verified_completion(max_diff(&sol, &self.reference) < TOL, 0, profile)
-            },
-        ))
+    fn forward(&self, bi: &mut ExtendedBiCgStab, emu: &mut CrashEmulator) -> RunOutcome<f64> {
+        bi.run(emu, 0, ITERS, self.rho0)
     }
 
-    fn run_resilience(&self, units: &[u64], mem: &ImageMemory) -> Option<ResilienceBatch> {
-        let cfg = self.config();
-        let mut sys = MemorySystem::new(cfg.clone());
-        let bi = ExtendedBiCgStab::setup_windowed(&mut sys, &self.a, &self.b, ITERS, self.window);
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let tolerance = dirty_tolerance();
-        let trials = harness::run_dirty(
-            units,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                bi.run(e, 0, ITERS, self.rho0)
-                    .completed()
-                    .expect("Never trigger completes");
-            },
-            |image| {
-                let d = bi.dirty_restart(image, cfg.clone());
-                harness::classify_dirty(&d, &self.reference, &tolerance)
-            },
-        );
-        Some(ResilienceBatch { trials, tolerance })
+    fn recover(
+        &self,
+        bi: &mut ExtendedBiCgStab,
+        _site: CrashSite,
+        image: &NvmImage,
+        profile: Option<ExecutionProfile>,
+    ) -> Classified {
+        let rec = bi.recover_and_resume(image, self.config());
+        let matches = max_diff(&rec.solution, &self.reference) < TOL;
+        let detected = rec.restart_from.is_none();
+        Classified::from_report(detected, matches, &rec.report, profile)
+    }
+
+    fn complete(
+        &self,
+        bi: &ExtendedBiCgStab,
+        _rho: f64,
+        emu: &CrashEmulator,
+        profile: Option<ExecutionProfile>,
+    ) -> Trial {
+        let sol = bi.peek_solution(emu);
+        verified_completion(max_diff(&sol, &self.reference) < TOL, 0, profile)
+    }
+
+    fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
+        Some((dirty_tolerance(), self.reference.clone()))
+    }
+
+    fn dirty_restart(&self, bi: &ExtendedBiCgStab, image: &NvmImage) -> DirtyRestart {
+        bi.dirty_restart(image, self.config())
     }
 }

@@ -3,22 +3,20 @@
 
 use adcc_ckpt::manager::CkptManager;
 use adcc_core::cg::{cg_host, sites, ExtendedCg, PlainCg};
+use adcc_core::DirtyRestart;
 use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::spd::CgClass;
 use adcc_pmem::stats::LogStats;
 use adcc_pmem::undo::UndoPool;
+use adcc_resilience::Tolerance;
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
 use adcc_sim::image::NvmImage;
 use adcc_sim::system::{MemorySystem, SystemConfig};
-use adcc_telemetry::{ExecutionProfile, Probe};
+use adcc_telemetry::ExecutionProfile;
 
-use adcc_resilience::Tolerance;
-
-use super::harness::{self, Classified};
+use super::harness::{Classified, Workload};
 use super::{max_diff, trim_dram, verified_completion};
-use crate::memstats::ImageMemory;
-use crate::outcome::classify;
-use crate::scenario::{Kernel, Mechanism, ResilienceBatch, Scenario, Trial, UnitSpace};
+use crate::scenario::{Kernel, Mechanism, Trial, UnitSpace};
 
 const ITERS: usize = 12;
 const TOL: f64 = 1e-9;
@@ -68,30 +66,6 @@ impl CgExtended {
         let (a, b, reference) = problem();
         CgExtended { a, b, reference }
     }
-
-    fn crash_trial(
-        &self,
-        cg: &ExtendedCg,
-        cfg: SystemConfig,
-        image: &NvmImage,
-        profile: Option<ExecutionProfile>,
-    ) -> Classified {
-        let rec = cg.recover_and_resume(image, cfg);
-        let matches = max_diff(&rec.solution.z, &self.reference) < TOL;
-        let detected = rec.restart_from.is_none();
-        Classified {
-            outcome: classify(detected, matches, rec.report.lost_units),
-            lost_units: rec.report.lost_units,
-            sim_time_ps: rec.report.total().ps(),
-            telemetry: profile,
-        }
-    }
-}
-
-impl Default for CgExtended {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 const CG_PHASES: [u32; 4] = [
@@ -101,7 +75,12 @@ const CG_PHASES: [u32; 4] = [
     sites::PH_LINE10,
 ];
 
-impl Scenario for CgExtended {
+impl Workload for CgExtended {
+    /// The kernel handle and the initial `rho`.
+    type Live = (ExtendedCg, f64);
+    type End = f64;
+    type State = Classified;
+
     fn name(&self) -> &'static str {
         "cg-extended"
     }
@@ -124,72 +103,46 @@ impl Scenario for CgExtended {
         }
     }
 
-    fn run_trial(&self, unit: u64, telemetry: bool) -> Trial {
-        let cfg = config(&self.a);
-        let mut sys = MemorySystem::new(cfg.clone());
-        let (cg, rho0) = ExtendedCg::setup(&mut sys, &self.a, &self.b, ITERS);
-        let mut emu = CrashEmulator::from_system(sys, self.trigger_of(unit));
-        let probe = telemetry.then(|| Probe::attach(&emu));
-        match cg.run(&mut emu, 0, ITERS, rho0) {
-            RunOutcome::Completed(rho) => {
-                let profile = probe.map(|p| p.finish(&emu));
-                let sol = cg.peek_solution(&emu, rho);
-                verified_completion(max_diff(&sol.z, &self.reference) < TOL, unit, profile)
-            }
-            RunOutcome::Crashed(image) => {
-                let profile = probe.map(|p| p.finish(&emu).with_image(&image));
-                self.crash_trial(&cg, cfg, &image, profile).for_unit(unit)
-            }
-        }
+    fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, Self::Live) {
+        let mut sys = MemorySystem::new(config(&self.a));
+        let live = ExtendedCg::setup(&mut sys, &self.a, &self.b, ITERS);
+        (CrashEmulator::from_system(sys, trigger), live)
     }
 
-    fn run_batch(&self, units: &[u64], telemetry: bool, mem: &ImageMemory) -> Option<Vec<Trial>> {
-        let cfg = config(&self.a);
-        let mut sys = MemorySystem::new(cfg.clone());
-        let (cg, rho0) = ExtendedCg::setup(&mut sys, &self.a, &self.b, ITERS);
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        Some(harness::run_harvested(
-            units,
-            telemetry,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                cg.run(e, 0, ITERS, rho0)
-                    .completed()
-                    .expect("Never trigger completes")
-            },
-            |_k, _site, image, profile| self.crash_trial(&cg, cfg.clone(), image, profile),
-            Classified::for_unit,
-            |rho, e, profile| {
-                let sol = cg.peek_solution(e, rho);
-                verified_completion(max_diff(&sol.z, &self.reference) < TOL, 0, profile)
-            },
-        ))
+    fn forward(&self, (cg, rho0): &mut Self::Live, emu: &mut CrashEmulator) -> RunOutcome<f64> {
+        cg.run(emu, 0, ITERS, *rho0)
     }
 
-    fn run_resilience(&self, units: &[u64], mem: &ImageMemory) -> Option<ResilienceBatch> {
-        let cfg = config(&self.a);
-        let mut sys = MemorySystem::new(cfg.clone());
-        let (cg, rho0) = ExtendedCg::setup(&mut sys, &self.a, &self.b, ITERS);
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let tolerance = dirty_tolerance();
-        let trials = harness::run_dirty(
-            units,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                cg.run(e, 0, ITERS, rho0)
-                    .completed()
-                    .expect("Never trigger completes");
-            },
-            |image| {
-                let d = cg.dirty_restart(image, cfg.clone());
-                harness::classify_dirty(&d, &self.reference, &tolerance)
-            },
-        );
-        Some(ResilienceBatch { trials, tolerance })
+    fn recover(
+        &self,
+        (cg, _): &mut Self::Live,
+        _site: CrashSite,
+        image: &NvmImage,
+        profile: Option<ExecutionProfile>,
+    ) -> Classified {
+        let rec = cg.recover_and_resume(image, config(&self.a));
+        let matches = max_diff(&rec.solution.z, &self.reference) < TOL;
+        let detected = rec.restart_from.is_none();
+        Classified::from_report(detected, matches, &rec.report, profile)
+    }
+
+    fn complete(
+        &self,
+        (cg, _): &Self::Live,
+        rho: f64,
+        emu: &CrashEmulator,
+        profile: Option<ExecutionProfile>,
+    ) -> Trial {
+        let sol = cg.peek_solution(emu, rho);
+        verified_completion(max_diff(&sol.z, &self.reference) < TOL, 0, profile)
+    }
+
+    fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
+        Some((dirty_tolerance(), self.reference.clone()))
+    }
+
+    fn dirty_restart(&self, (cg, _): &Self::Live, image: &NvmImage) -> DirtyRestart {
+        cg.dirty_restart(image, config(&self.a))
     }
 }
 
@@ -211,54 +164,20 @@ impl CgCkpt {
         let (a, b, reference) = problem();
         CgCkpt { a, b, reference }
     }
-
-    /// Iterations whose step had completed when the crash landed at
-    /// `site`: both polled sites (`PH_LINE10` before the checkpoint,
-    /// `PH_ITER_END` after it) sit after iteration `index`'s step.
-    fn completed_steps(site: CrashSite) -> u64 {
-        site.index + 1
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn crash_trial(
-        &self,
-        cg: &PlainCg,
-        mgr: &mut CkptManager,
-        cfg: SystemConfig,
-        rho0: f64,
-        completed: u64,
-        image: &NvmImage,
-        profile: Option<ExecutionProfile>,
-    ) -> Classified {
-        let sys2 = MemorySystem::from_image(cfg, image);
-        let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
-        let t0 = emu2.now();
-        let (start, mut rho, restored) =
-            adcc_core::cg::variants::ckpt_restore(&mut emu2, cg, rho0, mgr);
-        for _ in start..ITERS {
-            rho = cg.step(&mut emu2, rho);
-        }
-        let sim_time_ps = (emu2.now() - t0).ps();
-
-        // Completed-but-uncheckpointed iterations are re-executed.
-        let lost = completed.saturating_sub(start as u64);
-        let matches = max_diff(&cg.peek_solution(&emu2), &self.reference) < TOL;
-        Classified {
-            outcome: classify(!restored, matches, lost),
-            lost_units: lost,
-            sim_time_ps,
-            telemetry: profile,
-        }
-    }
 }
 
-impl Default for CgCkpt {
-    fn default() -> Self {
-        Self::new()
-    }
+/// What `cg-ckpt` set-up leaves behind.
+pub(crate) struct CkptLive {
+    cg: PlainCg,
+    rho0: f64,
+    mgr: CkptManager,
 }
 
-impl Scenario for CgCkpt {
+impl Workload for CgCkpt {
+    type Live = CkptLive;
+    type End = f64;
+    type State = Classified;
+
     fn name(&self) -> &'static str {
         "cg-ckpt"
     }
@@ -285,88 +204,61 @@ impl Scenario for CgCkpt {
         }
     }
 
-    fn run_trial(&self, unit: u64, telemetry: bool) -> Trial {
-        let cfg = config(&self.a);
-        let mut sys = MemorySystem::new(cfg.clone());
-        let (cg, rho0) = PlainCg::setup(&mut sys, &self.a, &self.b, ITERS);
-        let mut mgr = CkptManager::new_nvm(&mut sys, cg.ckpt_regions(), false);
-        let mut emu = CrashEmulator::from_system(sys, self.trigger_of(unit));
-        let probe = telemetry.then(|| Probe::attach(&emu));
-        let image = match adcc_core::cg::variants::run_with_ckpt(&mut emu, &cg, rho0, &mut mgr) {
-            RunOutcome::Completed(_) => {
-                let profile = probe.map(|p| p.finish(&emu));
-                let sol = cg.peek_solution(&emu);
-                return verified_completion(max_diff(&sol, &self.reference) < TOL, unit, profile);
-            }
-            RunOutcome::Crashed(image) => image,
-        };
-        let profile = probe.map(|p| p.finish(&emu).with_image(&image));
-        let completed = Self::completed_steps(emu.fired_site().expect("crashed"));
-        self.crash_trial(&cg, &mut mgr, cfg, rho0, completed, &image, profile)
-            .for_unit(unit)
-    }
-
-    fn run_batch(&self, units: &[u64], telemetry: bool, mem: &ImageMemory) -> Option<Vec<Trial>> {
-        let cfg = config(&self.a);
-        let mut sys = MemorySystem::new(cfg.clone());
+    fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, CkptLive) {
+        let mut sys = MemorySystem::new(config(&self.a));
         let (cg, rho0) = PlainCg::setup(&mut sys, &self.a, &self.b, ITERS);
         let mgr = CkptManager::new_nvm(&mut sys, cg.ckpt_regions(), false);
-        let mgr = std::cell::RefCell::new(mgr);
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        Some(harness::run_harvested(
-            units,
-            telemetry,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                adcc_core::cg::variants::run_with_ckpt(e, &cg, rho0, &mut mgr.borrow_mut())
-                    .completed()
-                    .expect("Never trigger completes")
-            },
-            |_k, site, image, profile| {
-                self.crash_trial(
-                    &cg,
-                    &mut mgr.borrow_mut(),
-                    cfg.clone(),
-                    rho0,
-                    Self::completed_steps(site),
-                    image,
-                    profile,
-                )
-            },
-            Classified::for_unit,
-            |_rho, e, profile| {
-                let sol = cg.peek_solution(e);
-                verified_completion(max_diff(&sol, &self.reference) < TOL, 0, profile)
-            },
-        ))
+        let emu = CrashEmulator::from_system(sys, trigger);
+        (emu, CkptLive { cg, rho0, mgr })
     }
 
-    fn run_resilience(&self, units: &[u64], mem: &ImageMemory) -> Option<ResilienceBatch> {
-        let cfg = config(&self.a);
-        let mut sys = MemorySystem::new(cfg.clone());
-        let (cg, rho0) = PlainCg::setup(&mut sys, &self.a, &self.b, ITERS);
-        let mgr = CkptManager::new_nvm(&mut sys, cg.ckpt_regions(), false);
-        let mgr = std::cell::RefCell::new(mgr);
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let tolerance = dirty_tolerance();
-        let trials = harness::run_dirty(
-            units,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                adcc_core::cg::variants::run_with_ckpt(e, &cg, rho0, &mut mgr.borrow_mut())
-                    .completed()
-                    .expect("Never trigger completes");
-            },
-            |image| {
-                let d = cg.dirty_restart(image, cfg.clone(), rho0);
-                harness::classify_dirty(&d, &self.reference, &tolerance)
-            },
-        );
-        Some(ResilienceBatch { trials, tolerance })
+    fn forward(&self, live: &mut CkptLive, emu: &mut CrashEmulator) -> RunOutcome<f64> {
+        adcc_core::cg::variants::run_with_ckpt(emu, &live.cg, live.rho0, &mut live.mgr)
+    }
+
+    fn recover(
+        &self,
+        live: &mut CkptLive,
+        site: CrashSite,
+        image: &NvmImage,
+        profile: Option<ExecutionProfile>,
+    ) -> Classified {
+        let cg = &live.cg;
+        let sys2 = MemorySystem::from_image(config(&self.a), image);
+        let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
+        let t0 = emu2.now();
+        let (start, mut rho, restored) =
+            adcc_core::cg::variants::ckpt_restore(&mut emu2, cg, live.rho0, &mut live.mgr);
+        for _ in start..ITERS {
+            rho = cg.step(&mut emu2, rho);
+        }
+        let sim_time_ps = (emu2.now() - t0).ps();
+
+        // Both polled sites (`PH_LINE10` before the checkpoint,
+        // `PH_ITER_END` after it) sit after iteration `index`'s step;
+        // completed-but-uncheckpointed iterations are re-executed.
+        let lost = (site.index + 1).saturating_sub(start as u64);
+        let matches = max_diff(&cg.peek_solution(&emu2), &self.reference) < TOL;
+        Classified::new(!restored, matches, lost, sim_time_ps, profile)
+    }
+
+    fn complete(
+        &self,
+        live: &CkptLive,
+        _rho: f64,
+        emu: &CrashEmulator,
+        profile: Option<ExecutionProfile>,
+    ) -> Trial {
+        let sol = live.cg.peek_solution(emu);
+        verified_completion(max_diff(&sol, &self.reference) < TOL, 0, profile)
+    }
+
+    fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
+        Some((dirty_tolerance(), self.reference.clone()))
+    }
+
+    fn dirty_restart(&self, live: &CkptLive, image: &NvmImage) -> DirtyRestart {
+        live.cg.dirty_restart(image, config(&self.a), live.rho0)
     }
 }
 
@@ -391,12 +283,6 @@ impl CgPmem {
     }
 }
 
-impl Default for CgPmem {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 const PMEM_PHASES: [u32; 4] = [
     sites::PH_AFTER_Z,
     sites::PH_AFTER_R,
@@ -404,28 +290,29 @@ const PMEM_PHASES: [u32; 4] = [
     sites::PH_ITER_END,
 ];
 
+/// What `cg-pmem` set-up leaves behind.
+pub(crate) struct PmemLive {
+    cg: PlainCg,
+    rho0: f64,
+    pool: UndoPool,
+    /// Sidecar per-harvest undo-log counters (the emulator cannot see the
+    /// pool): `logs[k]` is the log state at harvest `k`'s instant.
+    logs: Vec<LogStats>,
+}
+
 /// Record the undo pool's log counters for every harvest the emulator just
 /// captured (`logs[k]` belongs to harvest `k`). Log state cannot change
 /// between the capturing poll and this call, so the sample is exact.
-fn note_logs(emu: &CrashEmulator, pool: &UndoPool, logs: &mut Option<&mut Vec<LogStats>>) {
-    if let Some(logs) = logs {
-        while logs.len() < emu.harvest_count() {
-            logs.push(pool.log_stats());
-        }
+fn note_logs(emu: &CrashEmulator, pool: &UndoPool, logs: &mut Vec<LogStats>) {
+    while logs.len() < emu.harvest_count() {
+        logs.push(pool.log_stats());
     }
 }
 
-impl CgPmem {
+impl PmemLive {
     /// One undo-logged CG iteration with in-transaction crash polls.
-    fn pmem_iteration(
-        &self,
-        cg: &PlainCg,
-        emu: &mut CrashEmulator,
-        pool: &mut UndoPool,
-        i: usize,
-        rho: f64,
-        mut logs: Option<&mut Vec<LogStats>>,
-    ) -> RunOutcome<f64> {
+    fn iteration(&mut self, emu: &mut CrashEmulator, i: usize, rho: f64) -> RunOutcome<f64> {
+        let PmemLive { cg, pool, logs, .. } = self;
         pool.tx_begin(emu);
         cg.a.spmv(emu, cg.p, cg.q);
         let pq = adcc_linalg::simops::dot(emu, cg.p, cg.q);
@@ -436,7 +323,7 @@ impl CgPmem {
             cg.z.set(emu, j, v);
         }
         let crashed = emu.poll(CrashSite::new(sites::PH_AFTER_Z, i as u64));
-        note_logs(emu, pool, &mut logs);
+        note_logs(emu, pool, logs);
         if crashed {
             return RunOutcome::Crashed(emu.crash_now());
         }
@@ -446,7 +333,7 @@ impl CgPmem {
             cg.r.set(emu, j, v);
         }
         let crashed = emu.poll(CrashSite::new(sites::PH_AFTER_R, i as u64));
-        note_logs(emu, pool, &mut logs);
+        note_logs(emu, pool, logs);
         if crashed {
             return RunOutcome::Crashed(emu.crash_now());
         }
@@ -460,7 +347,7 @@ impl CgPmem {
         }
         emu.charge_flops(2 * cg.n as u64);
         let crashed = emu.poll(CrashSite::new(sites::PH_LINE10, i as u64));
-        note_logs(emu, pool, &mut logs);
+        note_logs(emu, pool, logs);
         if crashed {
             return RunOutcome::Crashed(emu.crash_now());
         }
@@ -470,57 +357,19 @@ impl CgPmem {
         cg.iter_cell.set(emu, (i + 1) as u64);
         pool.tx_commit(emu);
         let crashed = emu.poll(CrashSite::new(sites::PH_ITER_END, i as u64));
-        note_logs(emu, pool, &mut logs);
+        note_logs(emu, pool, logs);
         if crashed {
             return RunOutcome::Crashed(emu.crash_now());
         }
         RunOutcome::Completed(rho_new)
     }
-
-    /// Recovery + classification for one crash state. `iter` is the
-    /// iteration the crash landed in (from the fired/harvested site).
-    #[allow(clippy::too_many_arguments)]
-    fn crash_trial(
-        &self,
-        cg: &PlainCg,
-        layout: adcc_pmem::undo::UndoPoolLayout,
-        cfg: SystemConfig,
-        rho0: f64,
-        iter: u64,
-        image: &NvmImage,
-        profile: Option<ExecutionProfile>,
-    ) -> Classified {
-        let mut sys2 = MemorySystem::from_image(cfg, image);
-        let t0 = sys2.now();
-        UndoPool::recover(layout, &mut sys2);
-        let committed = cg.iter_cell.get(&mut sys2) as usize;
-        let mut rho = if committed == 0 {
-            rho0
-        } else {
-            cg.rho_cell.get(&mut sys2)
-        };
-        let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
-        for _ in committed..ITERS {
-            rho = cg.step(&mut emu2, rho);
-        }
-        let sim_time_ps = (emu2.now() - t0).ps();
-
-        // The in-flight transaction (if any) rolls back and its iteration
-        // is re-executed: mid-transaction crashes at iteration `i` leave
-        // `committed == i` (one lost), ITER_END crashes land post-commit
-        // with `committed == i + 1` (nothing lost).
-        let lost = (iter + 1).saturating_sub(committed as u64);
-        let matches = max_diff(&cg.peek_solution(&emu2), &self.reference) < TOL;
-        Classified {
-            outcome: classify(false, matches, lost),
-            lost_units: lost,
-            sim_time_ps,
-            telemetry: profile,
-        }
-    }
 }
 
-impl Scenario for CgPmem {
+impl Workload for CgPmem {
+    type Live = PmemLive;
+    type End = ();
+    type State = Classified;
+
     fn name(&self) -> &'static str {
         "cg-pmem"
     }
@@ -543,106 +392,83 @@ impl Scenario for CgPmem {
         }
     }
 
-    fn run_trial(&self, unit: u64, telemetry: bool) -> Trial {
-        let cfg = config(&self.a);
-        let mut sys = MemorySystem::new(cfg.clone());
+    fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, PmemLive) {
+        let mut sys = MemorySystem::new(config(&self.a));
         let (cg, rho0) = PlainCg::setup(&mut sys, &self.a, &self.b, ITERS);
         let lines = 3 * (cg.n * 8).div_ceil(64) + 8;
-        let mut pool = UndoPool::new(&mut sys, lines);
-        let layout = pool.layout();
-        let mut emu = CrashEmulator::from_system(sys, self.trigger_of(unit));
-        let probe = telemetry.then(|| Probe::attach(&emu));
-        let mut rho = rho0;
-        let mut crash: Option<NvmImage> = None;
+        let pool = UndoPool::new(&mut sys, lines);
+        let live = PmemLive {
+            cg,
+            rho0,
+            pool,
+            logs: Vec::new(),
+        };
+        (CrashEmulator::from_system(sys, trigger), live)
+    }
+
+    fn forward(&self, live: &mut PmemLive, emu: &mut CrashEmulator) -> RunOutcome<()> {
+        let mut rho = live.rho0;
         for i in 0..ITERS {
-            match self.pmem_iteration(&cg, &mut emu, &mut pool, i, rho, None) {
+            match live.iteration(emu, i, rho) {
                 RunOutcome::Completed(r) => rho = r,
-                RunOutcome::Crashed(image) => {
-                    crash = Some(image);
-                    break;
-                }
+                RunOutcome::Crashed(image) => return RunOutcome::Crashed(image),
             }
         }
-        let Some(image) = crash else {
-            let profile = probe.map(|p| p.finish(&emu).with_log(pool.log_stats()));
-            let sol = cg.peek_solution(&emu);
-            return verified_completion(max_diff(&sol, &self.reference) < TOL, unit, profile);
+        RunOutcome::Completed(())
+    }
+
+    fn recover(
+        &self,
+        live: &mut PmemLive,
+        site: CrashSite,
+        image: &NvmImage,
+        profile: Option<ExecutionProfile>,
+    ) -> Classified {
+        let cg = &live.cg;
+        let mut sys2 = MemorySystem::from_image(config(&self.a), image);
+        let t0 = sys2.now();
+        UndoPool::recover(live.pool.layout(), &mut sys2);
+        let committed = cg.iter_cell.get(&mut sys2) as usize;
+        let mut rho = if committed == 0 {
+            live.rho0
+        } else {
+            cg.rho_cell.get(&mut sys2)
         };
-        let profile = probe.map(|p| p.finish(&emu).with_image(&image).with_log(pool.log_stats()));
-        let iter = emu.fired_site().expect("crashed").index;
-        self.crash_trial(&cg, layout, cfg, rho0, iter, &image, profile)
-            .for_unit(unit)
+        let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
+        for _ in committed..ITERS {
+            rho = cg.step(&mut emu2, rho);
+        }
+        let sim_time_ps = (emu2.now() - t0).ps();
+
+        // The in-flight transaction (if any) rolls back and its iteration
+        // is re-executed: mid-transaction crashes at iteration `i` leave
+        // `committed == i` (one lost), ITER_END crashes land post-commit
+        // with `committed == i + 1` (nothing lost).
+        let lost = (site.index + 1).saturating_sub(committed as u64);
+        let matches = max_diff(&cg.peek_solution(&emu2), &self.reference) < TOL;
+        Classified::new(false, matches, lost, sim_time_ps, profile)
     }
 
-    fn run_batch(&self, units: &[u64], telemetry: bool, mem: &ImageMemory) -> Option<Vec<Trial>> {
-        let cfg = config(&self.a);
-        let mut sys = MemorySystem::new(cfg.clone());
-        let (cg, rho0) = PlainCg::setup(&mut sys, &self.a, &self.b, ITERS);
-        let lines = 3 * (cg.n * 8).div_ceil(64) + 8;
-        let pool = std::cell::RefCell::new(UndoPool::new(&mut sys, lines));
-        let layout = pool.borrow().layout();
-        // Sidecar per-harvest undo-log counters (the emulator cannot see
-        // the pool): `logs[k]` is the log state at harvest `k`'s instant.
-        let logs: std::cell::RefCell<Vec<LogStats>> = std::cell::RefCell::new(Vec::new());
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        Some(harness::run_harvested(
-            units,
-            telemetry,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                let mut pool = pool.borrow_mut();
-                let mut logs = logs.borrow_mut();
-                let mut rho = rho0;
-                for i in 0..ITERS {
-                    match self.pmem_iteration(&cg, e, &mut pool, i, rho, Some(&mut *logs)) {
-                        RunOutcome::Completed(r) => rho = r,
-                        RunOutcome::Crashed(_) => unreachable!("Never trigger"),
-                    }
-                }
-            },
-            |k, site, image, profile| {
-                let profile = profile.map(|p| p.with_log(logs.borrow()[k]));
-                self.crash_trial(&cg, layout, cfg.clone(), rho0, site.index, image, profile)
-            },
-            Classified::for_unit,
-            |(), e, profile| {
-                let profile = profile.map(|p| p.with_log(pool.borrow().log_stats()));
-                let sol = cg.peek_solution(e);
-                verified_completion(max_diff(&sol, &self.reference) < TOL, 0, profile)
-            },
-        ))
+    fn complete(
+        &self,
+        live: &PmemLive,
+        (): (),
+        emu: &CrashEmulator,
+        profile: Option<ExecutionProfile>,
+    ) -> Trial {
+        let sol = live.cg.peek_solution(emu);
+        verified_completion(max_diff(&sol, &self.reference) < TOL, 0, profile)
     }
 
-    fn run_resilience(&self, units: &[u64], mem: &ImageMemory) -> Option<ResilienceBatch> {
-        let cfg = config(&self.a);
-        let mut sys = MemorySystem::new(cfg.clone());
-        let (cg, rho0) = PlainCg::setup(&mut sys, &self.a, &self.b, ITERS);
-        let lines = 3 * (cg.n * 8).div_ceil(64) + 8;
-        let pool = std::cell::RefCell::new(UndoPool::new(&mut sys, lines));
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let tolerance = dirty_tolerance();
-        let trials = harness::run_dirty(
-            units,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                let mut pool = pool.borrow_mut();
-                let mut rho = rho0;
-                for i in 0..ITERS {
-                    match self.pmem_iteration(&cg, e, &mut pool, i, rho, None) {
-                        RunOutcome::Completed(r) => rho = r,
-                        RunOutcome::Crashed(_) => unreachable!("Never trigger"),
-                    }
-                }
-            },
-            |image| {
-                let d = cg.dirty_restart(image, cfg.clone(), rho0);
-                harness::classify_dirty(&d, &self.reference, &tolerance)
-            },
-        );
-        Some(ResilienceBatch { trials, tolerance })
+    fn log_stats(&self, live: &PmemLive, harvest: Option<usize>) -> Option<LogStats> {
+        Some(harvest.map_or_else(|| live.pool.log_stats(), |k| live.logs[k]))
+    }
+
+    fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
+        Some((dirty_tolerance(), self.reference.clone()))
+    }
+
+    fn dirty_restart(&self, live: &PmemLive, image: &NvmImage) -> DirtyRestart {
+        live.cg.dirty_restart(image, config(&self.a), live.rho0)
     }
 }

@@ -39,7 +39,7 @@ use adcc_dist::sites;
 use adcc_dist::stencil::{DistStencil, StencilConfig};
 use adcc_dist::trial::{
     reference_run, run_dist_batch, run_dist_dirty_batch, run_dist_dirty_trial, run_dist_trial,
-    BatchPoint, DirtyReboot, DistKernel, DistTrial, RecoveryMode, ReferenceRun,
+    BatchPoint, BatchStats, DirtyReboot, DistKernel, DistTrial, RecoveryMode, ReferenceRun,
 };
 use adcc_resilience::{DirtyClass, DirtyTrial, Tolerance};
 use adcc_sim::crash::{CrashSite, CrashTrigger};
@@ -47,7 +47,9 @@ use adcc_sim::crash::{CrashSite, CrashTrigger};
 use super::{max_diff, verified_completion};
 use crate::memstats::ImageMemory;
 use crate::outcome::classify;
-use crate::scenario::{Kernel, Mechanism, ResilienceBatch, Scenario, Trial, UnitSpace};
+use crate::scenario::{
+    Kernel, Mechanism, PassOutput, Passes, ResilienceBatch, Scenario, Trial, UnitSpace,
+};
 
 const TOL: f64 = 1e-9;
 
@@ -257,8 +259,8 @@ impl<S: DistSpec> Dist<S> {
     }
 
     /// Classify one distributed trial against the cached reference — the
-    /// single classification path both [`Scenario::run_trial`] and
-    /// [`Scenario::run_batch`] go through.
+    /// single classification path both [`Scenario::run_trial`] and the
+    /// recover pass of [`Scenario::run_passes`] go through.
     fn classify_dist(&self, unit: u64, t: DistTrial) -> Trial {
         let matches = max_diff(&t.solution, &self.reference().solution) < TOL;
         if t.completed_clean {
@@ -419,16 +421,24 @@ impl<S: DistSpec> Scenario for Dist<S> {
         self.classify_dist(unit, t)
     }
 
-    /// One forward cluster execution harvests every *singleton* crash
-    /// point of `units` as a copy-on-write delta, replays each through
-    /// recovery on a forked cluster, and short-circuits resumed tails
-    /// against the cached reference run. Cascade and node-loss units
-    /// cannot be harvested from a single execution (their failure sets
-    /// change the execution itself), so they run as dedicated trials
-    /// alongside the batch. Produces trials identical to per-unit
-    /// `run_trial` (the delta-equivalence suite pins this).
-    fn run_batch(&self, units: &[u64], telemetry: bool, mem: &ImageMemory) -> Option<Vec<Trial>> {
-        let reference = self.reference();
+    /// One `decode` partition serves every pass: singleton and dense
+    /// units are harvested from a forward cluster execution as
+    /// copy-on-write deltas; cascade and node-loss units cannot be (their
+    /// failure sets change the execution itself), so they run as dedicated
+    /// trials alongside.
+    ///
+    /// * recover — each harvested state replays through recovery on a
+    ///   forked cluster, short-circuiting resumed tails against the cached
+    ///   reference run. Trials identical to per-unit `run_trial` (the
+    ///   delta-equivalence suite pins this).
+    /// * dirty — each harvested state reboots dirty on a forked cluster.
+    ///   Units whose trigger never fires completed clean — nothing
+    ///   crashed, nothing rebooted — and classify as converged-exact at
+    ///   zero cost.
+    ///
+    /// The two passes harvest through separate `adcc_dist::trial` drains,
+    /// so a fused call still runs the cluster forward once per pass.
+    fn run_passes(&self, units: &[u64], passes: Passes, mem: &ImageMemory) -> PassOutput {
         let mut points: Vec<BatchPoint> = Vec::new();
         let mut solo: Vec<(u64, Vec<RankFailure>)> = Vec::new();
         for &unit in units {
@@ -442,97 +452,83 @@ impl<S: DistSpec> Scenario for Dist<S> {
                 UnitKind::NodeLoss(f) => solo.push((unit, vec![f])),
             }
         }
-        let mut by_unit: HashMap<u64, Trial> = HashMap::with_capacity(units.len());
-        if !points.is_empty() {
-            let (mut cl, mut kernel) = self.spec.build(self.mode, &[]);
-            let (results, stats) =
-                run_dist_batch(&mut cl, &mut kernel, &points, telemetry, reference);
+        let record = |stats: BatchStats| {
             mem.record_execution(
                 stats.base_bytes,
                 stats.delta_bytes,
                 stats.images,
                 stats.distinct_states,
                 stats.pool_bytes,
-            );
-            for (unit, t) in results {
-                by_unit.insert(unit, self.classify_dist(unit, t));
+            )
+        };
+        let mut out = PassOutput::default();
+
+        if passes.recover {
+            let mut by_unit: HashMap<u64, Trial> = HashMap::with_capacity(units.len());
+            if !points.is_empty() {
+                let (mut cl, mut kernel) = self.spec.build(self.mode, &[]);
+                let (results, stats) = run_dist_batch(
+                    &mut cl,
+                    &mut kernel,
+                    &points,
+                    passes.telemetry,
+                    self.reference(),
+                );
+                record(stats);
+                for (unit, t) in results {
+                    by_unit.insert(unit, self.classify_dist(unit, t));
+                }
             }
-        }
-        for (unit, failures) in solo {
-            let t = self.run_solo(&failures, telemetry);
-            by_unit.insert(unit, self.classify_dist(unit, t));
-        }
-        Some(
-            units
+            for (unit, failures) in &solo {
+                let t = self.run_solo(failures, passes.telemetry);
+                by_unit.insert(*unit, self.classify_dist(*unit, t));
+            }
+            out.trials = units
                 .iter()
                 .map(|u| by_unit.remove(u).expect("batch covered every unit"))
-                .collect(),
-        )
-    }
+                .collect();
+        }
 
-    /// The dirty-restart sweep over the same schedule `run_batch` covers:
-    /// singleton and dense units harvest through one forward execution and
-    /// reboot dirty on forked clusters; cascade and node-loss units run as
-    /// dedicated dirty trials. Units whose trigger never fires completed
-    /// clean — nothing crashed, nothing rebooted — and classify as
-    /// converged-exact at zero cost.
-    fn run_resilience(&self, units: &[u64], mem: &ImageMemory) -> Option<ResilienceBatch> {
-        let tolerance = self.spec.dirty_tolerance();
-        let classify_dirty = |unit: u64, d: &DirtyReboot| {
-            let diff = max_diff(&d.solution, &self.reference().solution);
-            DirtyTrial {
-                unit,
-                class: tolerance.classify(false, diff),
-                extra_units: 0,
-                sim_time_ps: d.sim_time_ps,
-            }
-        };
-        let mut points: Vec<BatchPoint> = Vec::new();
-        let mut solo: Vec<(u64, Vec<RankFailure>)> = Vec::new();
-        for &unit in units {
-            match self.decode(unit) {
-                UnitKind::Single(f) | UnitKind::Dense(f) => points.push(BatchPoint {
+        if passes.dirty {
+            let tolerance = self.spec.dirty_tolerance();
+            let classify_dirty = |unit: u64, d: &DirtyReboot| {
+                let diff = max_diff(&d.solution, &self.reference().solution);
+                DirtyTrial {
                     unit,
-                    rank: f.rank,
-                    trigger: f.trigger,
-                }),
-                UnitKind::Cascade(first, second) => solo.push((unit, vec![first, second])),
-                UnitKind::NodeLoss(f) => solo.push((unit, vec![f])),
-            }
-        }
-        let mut by_unit: HashMap<u64, DirtyTrial> = HashMap::with_capacity(units.len());
-        if !points.is_empty() {
-            let (mut cl, mut kernel) = self.spec.build(self.mode, &[]);
-            let (results, stats) = run_dist_dirty_batch(&mut cl, &mut kernel, &points);
-            mem.record_execution(
-                stats.base_bytes,
-                stats.delta_bytes,
-                stats.images,
-                stats.distinct_states,
-                stats.pool_bytes,
-            );
-            for (unit, d) in results {
-                by_unit.insert(unit, classify_dirty(unit, &d));
-            }
-        }
-        for (unit, failures) in solo {
-            let (mut cl, mut kernel) = self.spec.build(self.mode, &failures);
-            if let Some(d) = run_dist_dirty_trial(&mut cl, &mut kernel) {
-                by_unit.insert(unit, classify_dirty(unit, &d));
-            }
-        }
-        let trials = units
-            .iter()
-            .map(|&unit| {
-                by_unit.remove(&unit).unwrap_or(DirtyTrial {
-                    unit,
-                    class: DirtyClass::ConvergedExact,
+                    class: tolerance.classify(false, diff),
                     extra_units: 0,
-                    sim_time_ps: 0,
+                    sim_time_ps: d.sim_time_ps,
+                }
+            };
+            let mut by_unit: HashMap<u64, DirtyTrial> = HashMap::with_capacity(units.len());
+            if !points.is_empty() {
+                let (mut cl, mut kernel) = self.spec.build(self.mode, &[]);
+                let (results, stats) = run_dist_dirty_batch(&mut cl, &mut kernel, &points);
+                record(stats);
+                for (unit, d) in results {
+                    by_unit.insert(unit, classify_dirty(unit, &d));
+                }
+            }
+            for (unit, failures) in &solo {
+                let (mut cl, mut kernel) = self.spec.build(self.mode, failures);
+                if let Some(d) = run_dist_dirty_trial(&mut cl, &mut kernel) {
+                    by_unit.insert(*unit, classify_dirty(*unit, &d));
+                }
+            }
+            let trials = units
+                .iter()
+                .map(|&unit| {
+                    by_unit.remove(&unit).unwrap_or(DirtyTrial {
+                        unit,
+                        class: DirtyClass::ConvergedExact,
+                        extra_units: 0,
+                        sim_time_ps: 0,
+                    })
                 })
-            })
-            .collect();
-        Some(ResilienceBatch { trials, tolerance })
+                .collect();
+            out.dirty = Some(ResilienceBatch { trials, tolerance });
+        }
+        out
     }
 }
 
@@ -563,11 +559,6 @@ pub fn all_with(faults: FaultProfile) -> Vec<Box<dyn Scenario>> {
         )),
         Box::new(Dist::new(CgSpec::new(faults), RecoveryMode::GlobalRestart)),
     ]
-}
-
-/// The faultless registry (`campaign run --registry dist`).
-pub fn all() -> Vec<Box<dyn Scenario>> {
-    all_with(FaultProfile::Off)
 }
 
 #[cfg(test)]

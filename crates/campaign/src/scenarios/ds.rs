@@ -21,29 +21,22 @@
 //! and final verification. `lost_units` counts the ops that had been
 //! applied at the crash instant but had to be re-executed.
 
-use std::cell::RefCell;
-
-use adcc_analyze::{analyze, Checks, Region, Role};
+use adcc_analyze::{Checks, Region, Role};
 use adcc_ds::sites::{PH_DS_COMMIT, PH_DS_MUT, PH_DS_PREP};
 use adcc_ds::{
-    recover_verify_resume, DsLayout, OpStream, OpStreamCfg, Protection, Structure, Workload,
-    WorkloadCfg,
+    recover_verify_resume, DsLayout, OpStream, OpStreamCfg, Protection, Structure,
+    Workload as DsWorkload, WorkloadCfg,
 };
 use adcc_pmem::LogStats;
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
-use adcc_sim::events::EventRecorder;
 use adcc_sim::image::NvmImage;
 use adcc_sim::line::LINE_SIZE;
 use adcc_sim::system::MemorySystem;
-use adcc_telemetry::{ExecutionProfile, Probe};
+use adcc_telemetry::ExecutionProfile;
 
-use super::harness::{self, Classified};
+use super::harness::{Classified, Workload};
 use super::verified_completion;
-use crate::memstats::ImageMemory;
-use crate::outcome::classify;
-use crate::scenario::{
-    AnalyzedBatch, AnalyzedTrial, Kernel, Mechanism, Scenario, Trial, UnitSpace,
-};
+use crate::scenario::{Kernel, Mechanism, Scenario, Trial, UnitSpace};
 
 /// The three always-polled phases of one op, in poll order.
 const SITE_PHASES: [u32; 3] = [PH_DS_PREP, PH_DS_MUT, PH_DS_COMMIT];
@@ -111,7 +104,7 @@ impl DsScenario {
         // Setup is deterministic, so every trial re-creates the same
         // persistent layout; compute it once on a scratch system.
         let mut sys = MemorySystem::new(cfg.system());
-        let layout = Workload::setup(&mut sys, cfg).layout();
+        let layout = DsWorkload::setup(&mut sys, cfg).layout();
         DsScenario {
             name,
             kernel: match structure {
@@ -126,6 +119,100 @@ impl DsScenario {
             stream,
             layout,
         }
+    }
+}
+
+/// What ds set-up leaves behind: the live structure handle plus the
+/// sidecar per-harvest undo-log counters (the emulator cannot see the
+/// pool): `logs[k]` is the log state at harvest `k`'s instant.
+pub(crate) struct DsLive {
+    w: DsWorkload,
+    logs: Vec<LogStats>,
+}
+
+impl Workload for DsScenario {
+    type Live = DsLive;
+    /// Whether the completed structure matches the host oracle.
+    type End = bool;
+    type State = Classified;
+
+    fn name(&self) -> &'static str {
+        self.name
+    }
+    fn kernel(&self) -> Kernel {
+        self.kernel
+    }
+    fn mechanism(&self) -> Mechanism {
+        self.mechanism
+    }
+    fn unit_space(&self) -> UnitSpace {
+        UnitSpace::new(SITE_PHASES.len() as u64 * self.stream.len(), DENSE_STRIDE)
+    }
+
+    fn site_trigger(&self, unit: u64) -> CrashTrigger {
+        let seq = unit / SITE_PHASES.len() as u64 + 1;
+        let phase = SITE_PHASES[(unit % SITE_PHASES.len() as u64) as usize];
+        CrashTrigger::AtSite {
+            site: CrashSite::new(phase, seq),
+            occurrence: 1,
+        }
+    }
+
+    fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, DsLive) {
+        let mut emu = CrashEmulator::new(self.cfg.system(), trigger);
+        let w = DsWorkload::setup(emu.system_mut(), self.cfg);
+        (
+            emu,
+            DsLive {
+                w,
+                logs: Vec::new(),
+            },
+        )
+    }
+
+    /// Apply the op stream, then audit: the audit runs before the driver
+    /// closes the telemetry window, on both the trial and the batch path.
+    fn forward(&self, live: &mut DsLive, emu: &mut CrashEmulator) -> RunOutcome<bool> {
+        for op in self.stream.ops() {
+            if let RunOutcome::Crashed(image) = live.w.apply_op(emu, op, Some(&mut live.logs)) {
+                return RunOutcome::Crashed(image);
+            }
+        }
+        RunOutcome::Completed(live.w.completed_matches(emu, &self.stream))
+    }
+
+    fn recover(
+        &self,
+        _live: &mut DsLive,
+        site: CrashSite,
+        image: &NvmImage,
+        profile: Option<ExecutionProfile>,
+    ) -> Classified {
+        let r = recover_verify_resume(
+            self.cfg,
+            self.layout,
+            self.cfg.system(),
+            image,
+            &self.stream,
+        );
+        let lost = applied_at(site).saturating_sub(r.resume_from);
+        let profile = profile.map(|p| p.with_ds_ops(r.resume_from, r.replayed));
+        Classified::new(r.detected, r.matches, lost, r.sim_time_ps, profile)
+    }
+
+    fn complete(
+        &self,
+        _live: &DsLive,
+        matches: bool,
+        _emu: &CrashEmulator,
+        profile: Option<ExecutionProfile>,
+    ) -> Trial {
+        let profile = profile.map(|p| p.with_ds_ops(self.stream.len(), 0));
+        verified_completion(matches, 0, profile)
+    }
+
+    fn log_stats(&self, live: &DsLive, harvest: Option<usize>) -> Option<LogStats> {
+        Some(harvest.map_or_else(|| live.w.log_stats(), |k| live.logs[k]))
     }
 
     /// Declared protocol regions for the persist-order analyzer: the
@@ -144,7 +231,7 @@ impl DsScenario {
     /// sync boundaries, so `redundant_flush` stays off (the directed
     /// mutant tests in `crates/ds/tests/analyzer_mutants.rs` cover that
     /// category instead).
-    fn protocol_regions(&self) -> Vec<Region> {
+    fn regions(&self) -> Vec<Region> {
         let checks = match self.mechanism {
             Mechanism::Pmem => Checks {
                 redundant_flush: false,
@@ -211,187 +298,23 @@ impl DsScenario {
         }
         regions
     }
-
-    /// Recover one crash image and classify — shared by both paths.
-    fn crash_trial(
-        &self,
-        site: CrashSite,
-        image: &NvmImage,
-        profile: Option<ExecutionProfile>,
-    ) -> Classified {
-        let r = recover_verify_resume(
-            self.cfg,
-            self.layout,
-            self.cfg.system(),
-            image,
-            &self.stream,
-        );
-        let lost = applied_at(site).saturating_sub(r.resume_from);
-        let profile = profile.map(|p| p.with_ds_ops(r.resume_from, r.replayed));
-        Classified {
-            outcome: classify(r.detected, r.matches, lost),
-            lost_units: lost,
-            sim_time_ps: r.sim_time_ps,
-            telemetry: profile,
-        }
-    }
-}
-
-impl Scenario for DsScenario {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-    fn kernel(&self) -> Kernel {
-        self.kernel
-    }
-    fn mechanism(&self) -> Mechanism {
-        self.mechanism
-    }
-    fn unit_space(&self) -> UnitSpace {
-        UnitSpace::new(SITE_PHASES.len() as u64 * self.stream.len(), DENSE_STRIDE)
-    }
-
-    fn site_trigger(&self, unit: u64) -> CrashTrigger {
-        let seq = unit / SITE_PHASES.len() as u64 + 1;
-        let phase = SITE_PHASES[(unit % SITE_PHASES.len() as u64) as usize];
-        CrashTrigger::AtSite {
-            site: CrashSite::new(phase, seq),
-            occurrence: 1,
-        }
-    }
-
-    fn run_trial(&self, unit: u64, telemetry: bool) -> Trial {
-        let mut emu = CrashEmulator::new(self.cfg.system(), self.trigger_of(unit));
-        let mut w = Workload::setup(emu.system_mut(), self.cfg);
-        let probe = telemetry.then(|| Probe::attach(&emu));
-        let mut crash: Option<NvmImage> = None;
-        for op in self.stream.ops() {
-            if let RunOutcome::Crashed(image) = w.apply_op(&mut emu, op, None) {
-                crash = Some(image);
-                break;
-            }
-        }
-        let Some(image) = crash else {
-            // Audit before finishing the probe, mirroring the batch path
-            // (whose completion profile is measured after its audit too).
-            let matches = w.completed_matches(&mut emu, &self.stream);
-            let profile = probe.map(|p| {
-                p.finish(&emu)
-                    .with_log(w.log_stats())
-                    .with_ds_ops(self.stream.len(), 0)
-            });
-            return verified_completion(matches, unit, profile);
-        };
-        let profile = probe.map(|p| p.finish(&emu).with_image(&image).with_log(w.log_stats()));
-        let site = emu.fired_site().expect("crashed");
-        self.crash_trial(site, &image, profile).for_unit(unit)
-    }
-
-    fn run_batch(&self, units: &[u64], telemetry: bool, mem: &ImageMemory) -> Option<Vec<Trial>> {
-        let mut emu = CrashEmulator::new(self.cfg.system(), CrashTrigger::Never);
-        let w = RefCell::new(Workload::setup(emu.system_mut(), self.cfg));
-        // Sidecar per-harvest undo-log counters (the emulator cannot see
-        // the pool): `logs[k]` is the log state at harvest `k`'s instant.
-        let logs: RefCell<Vec<LogStats>> = RefCell::new(Vec::new());
-        Some(harness::run_harvested(
-            units,
-            telemetry,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                let mut w = w.borrow_mut();
-                let mut logs = logs.borrow_mut();
-                for op in self.stream.ops() {
-                    match w.apply_op(e, op, Some(&mut logs)) {
-                        RunOutcome::Completed(()) => {}
-                        RunOutcome::Crashed(_) => unreachable!("Never trigger"),
-                    }
-                }
-                w.completed_matches(e, &self.stream)
-            },
-            |k, site, image, profile| {
-                let profile = profile.map(|p| p.with_log(logs.borrow()[k]));
-                self.crash_trial(site, image, profile)
-            },
-            Classified::for_unit,
-            |matches, _e, profile| {
-                let w = w.borrow();
-                let profile =
-                    profile.map(|p| p.with_log(w.log_stats()).with_ds_ops(self.stream.len(), 0));
-                verified_completion(matches, 0, profile)
-            },
-        ))
-    }
-
-    fn run_analyzed(&self, units: &[u64], mem: &ImageMemory) -> Option<AnalyzedBatch> {
-        let mut emu = CrashEmulator::new(self.cfg.system(), CrashTrigger::Never);
-        let w = RefCell::new(Workload::setup(emu.system_mut(), self.cfg));
-        // Attach the recorder only after setup: the protocol under
-        // analysis starts at the op stream, not at heap construction.
-        let regions = self.protocol_regions();
-        let mut rec = EventRecorder::new();
-        for r in &regions {
-            rec.track_range(
-                r.first_line << adcc_sim::line::LINE_SHIFT,
-                r.line_count as usize * LINE_SIZE,
-            );
-        }
-        emu.system_mut().attach_recorder(rec);
-        let trials = harness::run_harvested_ref(
-            units,
-            false,
-            mem,
-            &mut emu,
-            |u| self.trigger_of(u),
-            |e| {
-                let mut w = w.borrow_mut();
-                for op in self.stream.ops() {
-                    match w.apply_op(e, op, None) {
-                        RunOutcome::Completed(()) => {}
-                        RunOutcome::Crashed(_) => unreachable!("Never trigger"),
-                    }
-                }
-                w.completed_matches(e, &self.stream)
-            },
-            |_k, site, image, _profile| self.crash_trial(site, image, None),
-            Classified::for_unit,
-            |matches, _e, _profile| verified_completion(matches, 0, None),
-        );
-        let rec = emu.system_mut().take_recorder().expect("recorder attached");
-        let analysis = analyze(rec.events(), &regions);
-        let trials = trials
-            .into_iter()
-            .map(|trial| AnalyzedTrial {
-                facts: analysis
-                    .at_crashes
-                    .get(&trial.unit)
-                    .cloned()
-                    .unwrap_or_default(),
-                trial,
-            })
-            .collect();
-        Some(AnalyzedBatch {
-            trials,
-            protocol: analysis.protocol,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memstats::ImageMemory;
     use crate::outcome::Outcome;
 
     #[test]
     fn site_units_tile_ops_by_phase() {
         let s = DsScenario::new("ds-queue-undo", Structure::Queue, Protection::Undo);
         assert_eq!(s.total_units(), 3 * s.stream.len());
-        let CrashTrigger::AtSite { site, occurrence } = s.site_trigger(0) else {
+        let CrashTrigger::AtSite { site, occurrence } = Scenario::site_trigger(&s, 0) else {
             panic!("site-grain units use AtSite");
         };
         assert_eq!((site.phase, site.index, occurrence), (PH_DS_PREP, 1, 1));
-        let CrashTrigger::AtSite { site, .. } = s.site_trigger(5) else {
+        let CrashTrigger::AtSite { site, .. } = Scenario::site_trigger(&s, 5) else {
             panic!("site-grain units use AtSite");
         };
         assert_eq!((site.phase, site.index), (PH_DS_COMMIT, 2));

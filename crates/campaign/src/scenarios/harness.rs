@@ -1,34 +1,185 @@
-//! Shared batched-harvest harness.
+//! The one kernel/ds scenario driver.
 //!
-//! Every scenario's `run_batch` has the same shape: set the workload up,
-//! arm the emulator's harvest plan with one trigger per scheduled unit,
-//! run the forward execution **once** to completion, then classify each
-//! harvested crash state streaming (materializing one image at a time, so
-//! peak memory stays flat no matter how many crash points the batch
-//! carries). Units whose trigger never fired completed cleanly; they share
-//! one completion-classified trial template.
+//! The experiment is always the same: crash a workload at a point, recover
+//! from what NVM holds, compare with the crash-free answer. A scenario
+//! states its half of that **once**, as the hooks of [`Workload`] — set-up,
+//! forward run, per-state recovery, per-unit charge, completion check, and
+//! optionally a dirty-restart step and protocol regions — and this module
+//! derives every way of running it:
+//!
+//! * [`run_trial`], the per-unit reference: arm the unit's real trigger,
+//!   run until it fires, recover from the `crash_now` full-copy image. The
+//!   oracle the delta-equivalence suite compares the batch against.
+//! * [`run_passes`], the batch: arm one harvest point per scheduled unit,
+//!   run the forward execution **once** to completion, then apply whichever
+//!   of the recover / dirty-restart / analyze passes were asked for to each
+//!   harvested crash state, streaming (one materialized image at a time, so
+//!   peak memory stays flat no matter how many crash points the batch
+//!   carries).
 //!
 //! A crash *state* is not a crash *unit*: every unit whose trigger fired
-//! at the same poll saw the same machine ([`poll_groups`]). Scenarios
-//! therefore hand the harness two steps. The **per-state** step gets the
-//! image and the site and does all the work — reboot, recover, resume,
-//! compare — once per poll group; its signature has no unit, so it cannot
-//! make the result depend on one. The **per-unit** step turns that state
-//! into the `Trial` of each unit in the group and must be cheap.
+//! at the same poll saw the same machine ([`poll_groups`]). The per-state
+//! hooks ([`Workload::recover`], [`Workload::dirty_restart`]) therefore run
+//! once per poll group and have no unit in their signature, so they cannot
+//! make the result depend on one; [`CrashState::charge`] turns a recovered
+//! state into the `Trial` of each unit in the group and must be cheap.
+//!
+//! Hooks are resolved by monomorphization (`impl<W: Workload> Scenario for
+//! W`): no boxed closure sits on a per-state path.
 
-use adcc_core::DirtyRestart;
+use adcc_analyze::{analyze, Region};
+use adcc_core::{DirtyRestart, RecoveryReport};
+use adcc_pmem::LogStats;
 use adcc_resilience::{DirtyClass, DirtyTrial, Tolerance};
-use adcc_sim::crash::{poll_groups, CrashEmulator, CrashSite, CrashTrigger, Harvest};
+use adcc_sim::crash::{poll_groups, CrashEmulator, CrashSite, CrashTrigger, Harvest, RunOutcome};
+use adcc_sim::events::EventRecorder;
 use adcc_sim::image::NvmImage;
+use adcc_sim::line::{LINE_SHIFT, LINE_SIZE};
 use adcc_telemetry::{ExecutionProfile, Probe};
 
 use crate::memstats::ImageMemory;
-use crate::outcome::Outcome;
-use crate::scenario::Trial;
+use crate::outcome::{classify, Outcome};
+use crate::scenario::{
+    Analyzed, Kernel, Mechanism, PassOutput, Passes, ResilienceBatch, Scenario, Trial, UnitSpace,
+};
+
+/// One kernel or data-structure workload under one persistence mechanism,
+/// stated as the hooks the driver needs. Everything a hook may depend on
+/// is in its signature:
+///
+/// * [`setup`](Workload::setup) — `self` only (the problem is fixed at
+///   construction), so every execution starts from the same machine.
+/// * [`forward`](Workload::forward) — the live state and the emulator.
+///   Must poll the emulator and return `Crashed` when a poll fires; with
+///   the `Never` trigger of a batch it runs to completion.
+/// * [`recover`](Workload::recover) — the crash state (site + image) and
+///   the live mechanism handles (layouts, the checkpoint manager), never a
+///   unit and never the forward emulator.
+/// * [`CrashState::charge`] — the recovered state and the unit.
+/// * [`dirty_restart`](Workload::dirty_restart) — the image and the live
+///   kernel handle; no mechanism is consulted.
+pub(crate) trait Workload: Send + Sync {
+    /// What set-up leaves behind: the kernel handle plus whatever its
+    /// mechanism owns (checkpoint manager, undo pool, log sidecar).
+    type Live;
+    /// Completion context of the forward run (e.g. CG's final `rho`).
+    type End;
+    /// What recovering one crash state came to, before it is charged to a
+    /// unit — [`Classified`] for every scenario whose classification is a
+    /// function of the state alone.
+    type State: CrashState;
+
+    /// Unique scenario name (report key).
+    fn name(&self) -> &'static str;
+    /// Kernel family under test.
+    fn kernel(&self) -> Kernel;
+    /// Persistence mechanism under test.
+    fn mechanism(&self) -> Mechanism;
+    /// Platform preset name (report metadata).
+    fn platform_name(&self) -> &'static str {
+        "nvm-only"
+    }
+    /// The scenario's crash-point geometry.
+    fn unit_space(&self) -> UnitSpace;
+    /// Crash trigger for a site-grain unit.
+    fn site_trigger(&self, unit: u64) -> CrashTrigger;
+
+    /// Build a fresh machine armed with `trigger` and set the workload up
+    /// on it.
+    fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, Self::Live);
+
+    /// Drive the forward execution until it completes or a poll fires.
+    fn forward(&self, live: &mut Self::Live, emu: &mut CrashEmulator) -> RunOutcome<Self::End>;
+
+    /// The per-state step: reboot `image`, recover through the mechanism,
+    /// resume to the end, compare with the reference. `profile` is the
+    /// forward execution's cost up to the crash, when telemetry is on.
+    fn recover(
+        &self,
+        live: &mut Self::Live,
+        site: CrashSite,
+        image: &NvmImage,
+        profile: Option<ExecutionProfile>,
+    ) -> Self::State;
+
+    /// Classify the completed run (the crash point landed beyond it). The
+    /// driver overrides the trial's `unit`.
+    fn complete(
+        &self,
+        live: &Self::Live,
+        end: Self::End,
+        emu: &CrashEmulator,
+        profile: Option<ExecutionProfile>,
+    ) -> Trial;
+
+    /// Mechanism log counters the emulator cannot see, folded into every
+    /// telemetry profile: as of harvest ordinal `harvest`'s instant, or —
+    /// `None` — as of now (the run has stopped, crashed or complete).
+    /// Default: the mechanism keeps no log.
+    fn log_stats(&self, live: &Self::Live, harvest: Option<usize>) -> Option<LogStats> {
+        let _ = (live, harvest);
+        None
+    }
+
+    /// The dirty-restart pass's yardstick: the residual tolerance ladder
+    /// and the reference answer in [`DirtyRestart::solution`]'s layout.
+    /// Default `None`: the workload has no loop to re-enter, so it has no
+    /// dirty-restart pass.
+    fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
+        None
+    }
+
+    /// The per-state dirty step: reboot `image` as it is and run to the
+    /// natural termination bound. Only called when
+    /// [`dirty_reference`](Workload::dirty_reference) is `Some`.
+    fn dirty_restart(&self, live: &Self::Live, image: &NvmImage) -> DirtyRestart {
+        let _ = (live, image);
+        unreachable!("{} declares no dirty reference", Workload::name(self))
+    }
+
+    /// Protocol regions for the persist-order analyzer. Default empty: no
+    /// analyze pass.
+    fn regions(&self) -> Vec<Region> {
+        Vec::new()
+    }
+}
+
+impl<W: Workload> Scenario for W {
+    fn name(&self) -> &'static str {
+        Workload::name(self)
+    }
+    fn kernel(&self) -> Kernel {
+        Workload::kernel(self)
+    }
+    fn mechanism(&self) -> Mechanism {
+        Workload::mechanism(self)
+    }
+    fn platform_name(&self) -> &'static str {
+        Workload::platform_name(self)
+    }
+    fn unit_space(&self) -> UnitSpace {
+        Workload::unit_space(self)
+    }
+    fn site_trigger(&self, unit: u64) -> CrashTrigger {
+        Workload::site_trigger(self, unit)
+    }
+    fn run_trial(&self, unit: u64, telemetry: bool) -> Trial {
+        run_trial(self, unit, telemetry)
+    }
+    fn run_passes(&self, units: &[u64], passes: Passes, mem: &ImageMemory) -> PassOutput {
+        run_passes(self, units, passes, mem)
+    }
+}
+
+/// A recovered crash state: the result of the per-state step.
+pub(crate) trait CrashState {
+    /// The per-unit step: the trial of `unit`, one of the units that
+    /// crashed in this state.
+    fn charge(&self, unit: u64) -> Trial;
+}
 
 /// What recovering one crash state came to, before it is charged to a
-/// unit: a [`Trial`] minus its `unit`. The per-state result of every
-/// scenario whose classification is a function of the state alone.
+/// unit: a [`Trial`] minus its `unit`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Classified {
     pub outcome: Outcome,
@@ -38,8 +189,43 @@ pub(crate) struct Classified {
 }
 
 impl Classified {
-    /// The trial of `unit`, one of the units that crashed in this state.
-    pub(crate) fn for_unit(&self, unit: u64) -> Trial {
+    /// Classify a recovery that re-executed `lost_units` work units in
+    /// `sim_time_ps` of simulated detect + resume time.
+    pub(crate) fn new(
+        detected: bool,
+        matches: bool,
+        lost_units: u64,
+        sim_time_ps: u64,
+        telemetry: Option<ExecutionProfile>,
+    ) -> Classified {
+        Classified {
+            outcome: classify(detected, matches, lost_units),
+            lost_units,
+            sim_time_ps,
+            telemetry,
+        }
+    }
+
+    /// Classify a recovery the kernel itself measured (the
+    /// algorithm-directed `recover_and_resume` paths).
+    pub(crate) fn from_report(
+        detected: bool,
+        matches: bool,
+        report: &RecoveryReport,
+        telemetry: Option<ExecutionProfile>,
+    ) -> Classified {
+        Classified::new(
+            detected,
+            matches,
+            report.lost_units,
+            report.total().ps(),
+            telemetry,
+        )
+    }
+}
+
+impl CrashState for Classified {
+    fn charge(&self, unit: u64) -> Trial {
         Trial {
             unit,
             outcome: self.outcome,
@@ -50,184 +236,174 @@ impl Classified {
     }
 }
 
-/// Run one harvested batch execution and classify its trials.
-///
-/// * `units` — sorted, distinct scheduled units.
-/// * `trigger_of` — unit → crash trigger (usually `Scenario::trigger_of`).
-/// * `emu` — freshly set-up emulator (trigger [`CrashTrigger::Never`]).
-/// * `run` — drives the forward execution to completion, returning
-///   whatever completion context the scenario needs (e.g. a final `rho`).
-/// * `crash_state` — the per-state step: recovers and classifies one crash
-///   state from its materialized image, once per poll group (`k` is the
-///   harvest ordinal of the group's first capture — scenarios keeping
-///   per-capture sidecars index them with it); must match the `run_trial`
-///   crash arm exactly.
-/// * `unit_trial` — the per-unit step: the trial of one unit of the group.
-/// * `complete_trial` — classifies the completed run (called at most once;
-///   its trial is replicated, with the unit overridden, across every unit
-///   whose trigger never fired).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_harvested<T, S>(
-    units: &[u64],
-    telemetry: bool,
-    mem: &ImageMemory,
-    mut emu: CrashEmulator,
-    trigger_of: impl Fn(u64) -> CrashTrigger,
-    run: impl FnOnce(&mut CrashEmulator) -> T,
-    crash_state: impl FnMut(usize, CrashSite, &NvmImage, Option<ExecutionProfile>) -> S,
-    unit_trial: impl Fn(&S, u64) -> Trial,
-    complete_trial: impl FnOnce(T, &CrashEmulator, Option<ExecutionProfile>) -> Trial,
-) -> Vec<Trial> {
-    run_harvested_ref(
-        units,
-        telemetry,
-        mem,
-        &mut emu,
-        trigger_of,
-        run,
-        crash_state,
-        unit_trial,
-        complete_trial,
-    )
+/// `profile` plus the mechanism's log counters, where it keeps any.
+fn with_log<W: Workload>(
+    w: &W,
+    live: &W::Live,
+    harvest: Option<usize>,
+    profile: ExecutionProfile,
+) -> ExecutionProfile {
+    match w.log_stats(live, harvest) {
+        Some(log) => profile.with_log(log),
+        None => profile,
+    }
 }
 
-/// Like [`run_harvested`], but borrowing the emulator so the caller can
-/// inspect it afterwards — the analyzed batch path detaches the
-/// persist-order event recorder from the system once the run is done.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_harvested_ref<T, S>(
-    units: &[u64],
-    telemetry: bool,
-    mem: &ImageMemory,
-    emu: &mut CrashEmulator,
-    trigger_of: impl Fn(u64) -> CrashTrigger,
-    run: impl FnOnce(&mut CrashEmulator) -> T,
-    mut crash_state: impl FnMut(usize, CrashSite, &NvmImage, Option<ExecutionProfile>) -> S,
-    unit_trial: impl Fn(&S, u64) -> Trial,
-    complete_trial: impl FnOnce(T, &CrashEmulator, Option<ExecutionProfile>) -> Trial,
-) -> Vec<Trial> {
-    let probe = telemetry.then(|| Probe::attach(emu));
-    let (end, harvests) = harvest(units, mem, emu, trigger_of, run);
+/// The per-unit reference run: one instrumented execution under `unit`'s
+/// real trigger, recovery from the full-copy `crash_now` image.
+pub(crate) fn run_trial<W: Workload>(w: &W, unit: u64, telemetry: bool) -> Trial {
+    let (mut emu, mut live) = w.setup(w.trigger_of(unit));
+    let probe = telemetry.then(|| Probe::attach(&emu));
+    match w.forward(&mut live, &mut emu) {
+        RunOutcome::Completed(end) => {
+            let profile = probe.map(|p| with_log(w, &live, None, p.finish(&emu)));
+            Trial {
+                unit,
+                ..w.complete(&live, end, &emu, profile)
+            }
+        }
+        RunOutcome::Crashed(image) => {
+            let profile =
+                probe.map(|p| with_log(w, &live, None, p.finish(&emu).with_image(&image)));
+            let site = emu.fired_site().expect("crashed");
+            w.recover(&mut live, site, &image, profile).charge(unit)
+        }
+    }
+}
 
-    let mut by_unit: Vec<Option<Trial>> = vec![None; units.len()];
+/// The batch: one forward execution harvesting every unit of `units`
+/// (sorted, distinct), then the requested passes over each poll group.
+pub(crate) fn run_passes<W: Workload>(
+    w: &W,
+    units: &[u64],
+    passes: Passes,
+    mem: &ImageMemory,
+) -> PassOutput {
+    debug_assert!(units.windows(2).all(|w| w[0] < w[1]), "units unsorted");
+    let dirty_ref = passes.dirty.then(|| w.dirty_reference()).flatten();
+    let regions = if passes.analyze {
+        w.regions()
+    } else {
+        Vec::new()
+    };
+    if !passes.recover && dirty_ref.is_none() && regions.is_empty() {
+        return PassOutput::default();
+    }
+
+    let (mut emu, mut live) = w.setup(CrashTrigger::Never);
+    if !regions.is_empty() {
+        // Attach the recorder only after setup: the protocol under
+        // analysis starts at the forward run, not at heap construction.
+        let mut rec = EventRecorder::new();
+        for r in &regions {
+            rec.track_range(
+                r.first_line << LINE_SHIFT,
+                r.line_count as usize * LINE_SIZE,
+            );
+        }
+        emu.system_mut().attach_recorder(rec);
+    }
+    let probe = (passes.recover && passes.telemetry).then(|| Probe::attach(&emu));
+    emu.arm_harvest(units.iter().map(|&u| (w.trigger_of(u), u)));
+    let end = w
+        .forward(&mut live, &mut emu)
+        .completed()
+        .expect("a Never trigger runs to completion");
+    let harvests = emu.take_harvests();
+    record(mem, &emu, &harvests);
+
+    let slot = |unit: u64| {
+        units
+            .binary_search(&unit)
+            .expect("harvested unit was scheduled")
+    };
+    let mut trials: Vec<Option<Trial>> = vec![None; if passes.recover { units.len() } else { 0 }];
+    // A unit whose trigger never fires completed cleanly: nothing was
+    // lost, nothing rebooted — converged-exact at zero extra work.
+    let mut dirty: Vec<DirtyTrial> = if dirty_ref.is_some() {
+        units
+            .iter()
+            .map(|&unit| DirtyTrial {
+                unit,
+                class: DirtyClass::ConvergedExact,
+                extra_units: 0,
+                sim_time_ps: 0,
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+    // Ordinal of the group's first harvest: log sidecars are per capture.
     let mut k = 0;
     for group in poll_groups(&harvests) {
         let h = &group[0];
-        let profile = probe.as_ref().map(|p| {
-            p.finish_at(&h.at)
-                .with_dirty_lines(h.image.dirty_lines_at_crash())
-        });
         // Materialize one image at a time: classification is streaming.
         let image = h.image.materialize();
-        let state = crash_state(k, h.site, &image, profile);
-        for h in group {
-            by_unit[slot(units, h.unit)] = Some(unit_trial(&state, h.unit));
+        if passes.recover {
+            let profile = probe.as_ref().map(|p| {
+                let at_crash = p
+                    .finish_at(&h.at)
+                    .with_dirty_lines(h.image.dirty_lines_at_crash());
+                with_log(w, &live, Some(k), at_crash)
+            });
+            let state = w.recover(&mut live, h.site, &image, profile);
+            for h in group {
+                trials[slot(h.unit)] = Some(state.charge(h.unit));
+            }
+        }
+        if let Some((tolerance, reference)) = &dirty_ref {
+            let d = w.dirty_restart(&live, &image);
+            let class = classify_dirty(&d, reference, tolerance);
+            for h in group {
+                dirty[slot(h.unit)] = DirtyTrial {
+                    unit: h.unit,
+                    class,
+                    extra_units: d.extra_units,
+                    sim_time_ps: d.sim_time_ps,
+                };
+            }
         }
         k += group.len();
     }
-    fill_completed(units, &mut by_unit, || {
-        let profile = probe.as_ref().map(|p| p.finish(emu));
-        complete_trial(end, emu, profile)
-    })
-}
-
-/// One dirty restart's classification, before it is charged to a unit: a
-/// [`DirtyTrial`] minus its `unit`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DirtyState {
-    class: DirtyClass,
-    extra_units: u64,
-    sim_time_ps: u64,
-}
-
-/// Run one harvested batch execution in dirty-restart mode.
-///
-/// Same harvest mechanics as [`run_harvested`], but each crash state is
-/// handed to `dirty_state` (which reboots it dirty and classifies the
-/// outcome) instead of the scenario's recovery path — once per poll
-/// group; a dirty restart consults no mechanism, so nothing about it can
-/// depend on the unit and the harness charges it to the group itself.
-/// Units whose trigger never fires complete cleanly: nothing was lost,
-/// nothing rebooted, so they classify as [`DirtyClass::ConvergedExact`]
-/// with zero extra work.
-pub(crate) fn run_dirty(
-    units: &[u64],
-    mem: &ImageMemory,
-    mut emu: CrashEmulator,
-    trigger_of: impl Fn(u64) -> CrashTrigger,
-    run: impl FnOnce(&mut CrashEmulator),
-    mut dirty_state: impl FnMut(&NvmImage) -> DirtyState,
-) -> Vec<DirtyTrial> {
-    let ((), harvests) = harvest(units, mem, &mut emu, trigger_of, run);
-
-    let mut trials: Vec<DirtyTrial> = units
-        .iter()
-        .map(|&unit| DirtyTrial {
-            unit,
-            class: DirtyClass::ConvergedExact,
-            extra_units: 0,
-            sim_time_ps: 0,
-        })
-        .collect();
-    for group in poll_groups(&harvests) {
-        // Materialize one image at a time: classification is streaming.
-        let image = group[0].image.materialize();
-        let state = dirty_state(&image);
-        for h in group {
-            trials[slot(units, h.unit)] = DirtyTrial {
-                unit: h.unit,
-                class: state.class,
-                extra_units: state.extra_units,
-                sim_time_ps: state.sim_time_ps,
-            };
+    if trials.iter().any(Option::is_none) {
+        let profile = probe
+            .as_ref()
+            .map(|p| with_log(w, &live, None, p.finish(&emu)));
+        let template = w.complete(&live, end, &emu, profile);
+        for (t, &unit) in trials.iter_mut().zip(units) {
+            t.get_or_insert(Trial { unit, ..template });
         }
     }
-    trials
+
+    let analysis = (!regions.is_empty()).then(|| {
+        let rec = emu.system_mut().take_recorder().expect("recorder attached");
+        let mut found = analyze(rec.events(), &regions);
+        Analyzed {
+            facts: units
+                .iter()
+                .map(|u| found.at_crashes.remove(u).unwrap_or_default())
+                .collect(),
+            protocol: found.protocol,
+        }
+    });
+    PassOutput {
+        trials: trials.into_iter().flatten().collect(),
+        dirty: dirty_ref.map(|(tolerance, _)| ResilienceBatch {
+            trials: dirty,
+            tolerance,
+        }),
+        analysis,
+    }
 }
 
-/// The forward half both runners share: arm one harvest point per unit,
-/// run to completion, take the captures (poll order) and record their
-/// memory facts.
-fn harvest<T>(
-    units: &[u64],
-    mem: &ImageMemory,
-    emu: &mut CrashEmulator,
-    trigger_of: impl Fn(u64) -> CrashTrigger,
-    run: impl FnOnce(&mut CrashEmulator) -> T,
-) -> (T, Vec<Harvest>) {
-    debug_assert!(units.windows(2).all(|w| w[0] < w[1]), "units unsorted");
-    debug_assert_eq!(
-        emu.trigger(),
-        CrashTrigger::Never,
-        "batch executions must run to completion"
-    );
-    emu.arm_harvest(units.iter().map(|&u| (trigger_of(u), u)));
-    let end = run(emu);
-    let harvests = emu.take_harvests();
-    record(mem, emu, &harvests);
-    (end, harvests)
-}
-
-/// Engine-order position of a harvested unit.
-fn slot(units: &[u64], unit: u64) -> usize {
-    units
-        .binary_search(&unit)
-        .expect("harvested unit was scheduled")
-}
-
-/// Classify one kernel dirty-restart against the scenario reference: a
-/// restart the application's own audit rejected is `detected-dirty-again`;
+/// Classify one dirty restart against the scenario reference: a restart
+/// the application's own audit rejected is `detected-dirty-again`;
 /// otherwise the max elementwise difference runs through the tolerance
 /// ladder (NaN anywhere maps to infinity, hence diverged).
-pub(crate) fn classify_dirty(d: &DirtyRestart, reference: &[f64], tol: &Tolerance) -> DirtyState {
-    let (detected, diff) = match &d.solution {
-        None => (true, 0.0),
-        Some(sol) => (false, super::max_diff(sol, reference)),
-    };
-    DirtyState {
-        class: tol.classify(detected, diff),
-        extra_units: d.extra_units,
-        sim_time_ps: d.sim_time_ps,
+fn classify_dirty(d: &DirtyRestart, reference: &[f64], tol: &Tolerance) -> DirtyClass {
+    match &d.solution {
+        None => tol.classify(true, 0.0),
+        Some(sol) => tol.classify(false, super::max_diff(sol, reference)),
     }
 }
 
@@ -241,121 +417,194 @@ fn record(mem: &ImageMemory, emu: &CrashEmulator, harvests: &[Harvest]) {
     mem.record_execution(pool, delta_bytes, harvests.len() as u64, distinct, pool);
 }
 
-/// Replicate a lazily-built completion trial over every unit still missing
-/// one, then unwrap into engine order.
-fn fill_completed(
-    units: &[u64],
-    by_unit: &mut [Option<Trial>],
-    template: impl FnOnce() -> Trial,
-) -> Vec<Trial> {
-    if by_unit.iter().any(Option::is_none) {
-        let template = template();
-        for (i, t) in by_unit.iter_mut().enumerate() {
-            if t.is_none() {
-                *t = Some(Trial {
-                    unit: units[i],
-                    ..template
-                });
-            }
-        }
-    }
-    by_unit
-        .iter()
-        .map(|t| t.expect("every unit classified"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use adcc_sim::parray::PArray;
     use adcc_sim::system::SystemConfig;
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     /// Four polls, two accesses apart; unit `u` fires at the first poll
     /// with at least `u` accesses, so units 1..=2 share the second poll,
-    /// 3..=4 the third, 5..=6 the fourth, and 7 never fires.
-    fn emu_and_run() -> (CrashEmulator, impl FnOnce(&mut CrashEmulator)) {
-        let mut emu =
-            CrashEmulator::new(SystemConfig::nvm_only(4096, 1 << 16), CrashTrigger::Never);
-        let a = PArray::<u64>::alloc_nvm(&mut emu, 8);
-        let run = move |e: &mut CrashEmulator| {
+    /// 3..=4 the third, 5..=6 the fourth, and 7 never fires. Counts how
+    /// often each per-state hook ran.
+    #[derive(Default)]
+    struct Toy {
+        recovers: AtomicU64,
+        dirties: AtomicU64,
+    }
+
+    impl Workload for Toy {
+        type Live = PArray<u64>;
+        type End = ();
+        /// `lost_units` carries the crash site's poll index.
+        type State = Classified;
+
+        fn name(&self) -> &'static str {
+            "toy"
+        }
+        fn kernel(&self) -> Kernel {
+            Kernel::Cg
+        }
+        fn mechanism(&self) -> Mechanism {
+            Mechanism::Extended
+        }
+        fn unit_space(&self) -> UnitSpace {
+            UnitSpace::site_grain(8)
+        }
+        fn site_trigger(&self, unit: u64) -> CrashTrigger {
+            CrashTrigger::AtAccessCount(unit)
+        }
+        fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, PArray<u64>) {
+            let mut emu = CrashEmulator::new(SystemConfig::nvm_only(4096, 1 << 16), trigger);
+            let a = PArray::<u64>::alloc_nvm(&mut emu, 8);
+            (emu, a)
+        }
+        fn forward(&self, a: &mut PArray<u64>, e: &mut CrashEmulator) -> RunOutcome<()> {
             for i in 0..4u64 {
-                assert!(!e.poll(CrashSite::new(0, i)));
+                if e.poll(CrashSite::new(0, i)) {
+                    return RunOutcome::Crashed(e.crash_now());
+                }
                 a.set(e, 2 * i as usize, i);
                 a.set(e, 2 * i as usize + 1, i);
             }
-        };
-        (emu, run)
+            RunOutcome::Completed(())
+        }
+        fn recover(
+            &self,
+            _a: &mut PArray<u64>,
+            site: CrashSite,
+            _image: &NvmImage,
+            profile: Option<ExecutionProfile>,
+        ) -> Classified {
+            self.recovers.fetch_add(1, Relaxed);
+            Classified {
+                outcome: Outcome::RecoveredExact,
+                lost_units: site.index,
+                sim_time_ps: 0,
+                telemetry: profile,
+            }
+        }
+        fn complete(
+            &self,
+            _a: &PArray<u64>,
+            (): (),
+            _e: &CrashEmulator,
+            profile: Option<ExecutionProfile>,
+        ) -> Trial {
+            super::super::verified_completion(true, 0, profile)
+        }
+        fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
+            Some((Tolerance::exact_only(0.0), vec![0.0]))
+        }
+        fn dirty_restart(&self, _a: &PArray<u64>, _image: &NvmImage) -> DirtyRestart {
+            // Wrong answer, so a dirty trial is distinguishable from the
+            // converged-exact default of a unit that never fired.
+            DirtyRestart {
+                solution: Some(vec![1.0]),
+                extra_units: self.dirties.fetch_add(1, Relaxed) + 1,
+                sim_time_ps: 0,
+            }
+        }
+    }
+
+    const UNITS: [u64; 7] = [1, 2, 3, 4, 5, 6, 7];
+
+    fn lost(trials: &[Trial]) -> Vec<(u64, u64)> {
+        trials.iter().map(|t| (t.unit, t.lost_units)).collect()
+    }
+
+    fn extra(batch: &ResilienceBatch) -> Vec<(u64, u64)> {
+        batch
+            .trials
+            .iter()
+            .map(|t| (t.unit, t.extra_units))
+            .collect()
     }
 
     #[test]
     fn per_state_step_runs_once_per_distinct_poll() {
-        let units: Vec<u64> = (1..=7).collect();
-        let mem = ImageMemory::default();
-        let (emu, run) = emu_and_run();
-        let mut states: Vec<(usize, CrashSite)> = Vec::new();
-        let trials = run_harvested(
-            &units,
-            false,
-            &mem,
-            emu,
-            CrashTrigger::AtAccessCount,
-            run,
-            |k, site, _image, _profile| {
-                states.push((k, site));
-                site.index
-            },
-            |&poll_index, unit| Trial {
-                unit,
-                outcome: Outcome::RecoveredExact,
-                lost_units: poll_index,
-                sim_time_ps: 0,
-                telemetry: None,
-            },
-            |(), _e, _profile| super::super::verified_completion(true, 0, None),
-        );
-        // One call per poll that captured anything, keyed by the ordinal
-        // of the group's first harvest.
-        let sites: Vec<(usize, u64)> = states.iter().map(|(k, s)| (*k, s.index)).collect();
-        assert_eq!(sites, [(0, 1), (2, 2), (4, 3)]);
+        let (toy, mem) = (Toy::default(), ImageMemory::default());
+        let out = run_passes(&toy, &UNITS, Passes::recover(false), &mem);
+        // One call per poll that captured anything; no dirty pass ran.
+        assert_eq!(toy.recovers.load(Relaxed), 3);
+        assert_eq!(toy.dirties.load(Relaxed), 0);
+        assert!(out.dirty.is_none() && out.analysis.is_none());
         // Every unit still gets its own trial, built from its group's state.
-        let got: Vec<(u64, u64)> = trials.iter().map(|t| (t.unit, t.lost_units)).collect();
         assert_eq!(
-            got,
+            lost(&out.trials),
             [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3), (7, 0)]
         );
-        assert_eq!(trials[6].outcome, Outcome::CompletedClean);
+        assert_eq!(out.trials[6].outcome, Outcome::CompletedClean);
         let m = mem.summary();
-        assert_eq!((m.images, m.distinct_states), (6, Some(3)));
+        assert_eq!((m.executions, m.images, m.distinct_states), (1, 6, Some(3)));
     }
 
     #[test]
     fn dirty_step_runs_once_per_distinct_poll() {
-        let units: Vec<u64> = (1..=7).collect();
-        let mem = ImageMemory::default();
-        let (emu, run) = emu_and_run();
-        let mut calls = 0u64;
-        let trials = run_dirty(
-            &units,
-            &mem,
-            emu,
-            CrashTrigger::AtAccessCount,
-            run,
-            |_image| {
-                calls += 1;
-                DirtyState {
-                    class: DirtyClass::ConvergedWrong,
-                    extra_units: calls,
-                    sim_time_ps: 0,
-                }
-            },
-        );
-        assert_eq!(calls, 3);
-        let got: Vec<(u64, u64)> = trials.iter().map(|t| (t.unit, t.extra_units)).collect();
+        let (toy, mem) = (Toy::default(), ImageMemory::default());
+        let out = run_passes(&toy, &UNITS, Passes::default().and_dirty(), &mem);
+        assert_eq!(toy.dirties.load(Relaxed), 3);
+        assert_eq!(toy.recovers.load(Relaxed), 0);
+        assert!(out.trials.is_empty());
+        let batch = out.dirty.expect("toy declares a dirty reference");
         assert_eq!(
-            got,
+            extra(&batch),
             [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3), (7, 0)]
         );
-        assert_eq!(trials[6].class, DirtyClass::ConvergedExact);
+        assert_eq!(batch.trials[0].class, DirtyClass::ConvergedWrong);
+        assert_eq!(batch.trials[6].class, DirtyClass::ConvergedExact);
+    }
+
+    #[test]
+    fn fused_passes_share_one_execution_and_equal_the_single_pass_runs() {
+        let (toy, mem) = (Toy::default(), ImageMemory::default());
+        let fused = run_passes(&toy, &UNITS, Passes::recover(false).and_dirty(), &mem);
+        // Each per-state step still ran once per distinct poll, over one
+        // forward execution.
+        assert_eq!(toy.recovers.load(Relaxed), 3);
+        assert_eq!(toy.dirties.load(Relaxed), 3);
+        assert_eq!(mem.summary().executions, 1);
+
+        let solo = Toy::default();
+        let mem = ImageMemory::default();
+        let recovered = run_passes(&solo, &UNITS, Passes::recover(false), &mem);
+        let dirtied = run_passes(&solo, &UNITS, Passes::default().and_dirty(), &mem);
+        assert_eq!(mem.summary().executions, 2);
+        assert_eq!(lost(&fused.trials), lost(&recovered.trials));
+        let (fused_dirty, solo_dirty) = (fused.dirty.unwrap(), dirtied.dirty.unwrap());
+        assert_eq!(fused_dirty.trials, solo_dirty.trials);
+        assert_eq!(fused_dirty.tolerance, solo_dirty.tolerance);
+    }
+
+    #[test]
+    fn passes_the_workload_lacks_are_skipped_and_nothing_runs_for_none() {
+        let (toy, mem) = (Toy::default(), ImageMemory::default());
+        // The toy declares no regions: the analyze pass degrades to the
+        // recover pass it rode on.
+        let out = run_passes(&toy, &UNITS, Passes::recover(false).and_analyze(), &mem);
+        assert!(out.analysis.is_none());
+        assert_eq!(out.trials.len(), UNITS.len());
+        // No pass at all: no forward execution either.
+        let none = run_passes(&toy, &UNITS, Passes::default(), &mem);
+        assert!(none.trials.is_empty() && none.dirty.is_none());
+        assert_eq!(mem.summary().executions, 1);
+    }
+
+    #[test]
+    fn derived_run_trial_equals_the_batch_unit_for_unit() {
+        let (toy, mem) = (Toy::default(), ImageMemory::default());
+        for telemetry in [false, true] {
+            let batch = run_passes(&toy, &UNITS, Passes::recover(telemetry), &mem).trials;
+            for (b, &unit) in batch.iter().zip(&UNITS) {
+                let t = run_trial(&toy, unit, telemetry);
+                let got = (b.unit, b.outcome, b.lost_units, b.sim_time_ps, b.telemetry);
+                let want = (t.unit, t.outcome, t.lost_units, t.sim_time_ps, t.telemetry);
+                assert_eq!(got, want, "unit {unit} telemetry={telemetry}");
+                assert_eq!(t.telemetry.is_some(), telemetry);
+            }
+            // Unit 7's trigger never fires: both paths report the clean run.
+            assert_eq!(batch[6].outcome, Outcome::CompletedClean);
+        }
     }
 }

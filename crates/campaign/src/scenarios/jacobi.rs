@@ -1,23 +1,19 @@
 //! Jacobi scenarios: algorithm extension and per-iteration checkpoint.
 
-use std::cell::RefCell;
-
 use adcc_ckpt::manager::CkptManager;
 use adcc_core::jacobi::{jacobi_host, sites, ExtendedJacobi, PlainJacobi};
+use adcc_core::DirtyRestart;
 use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::spd::CgClass;
+use adcc_resilience::Tolerance;
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
 use adcc_sim::image::NvmImage;
 use adcc_sim::system::{MemorySystem, SystemConfig};
-use adcc_telemetry::{ExecutionProfile, Probe};
+use adcc_telemetry::ExecutionProfile;
 
-use adcc_resilience::Tolerance;
-
-use super::harness::{self, Classified};
+use super::harness::{Classified, Workload};
 use super::{max_diff, trim_dram, verified_completion};
-use crate::memstats::ImageMemory;
-use crate::outcome::classify;
-use crate::scenario::{Kernel, Mechanism, ResilienceBatch, Scenario, Trial, UnitSpace};
+use crate::scenario::{Kernel, Mechanism, Trial, UnitSpace};
 
 const ITERS: usize = 12;
 const TOL: f64 = 1e-9;
@@ -63,33 +59,13 @@ impl JacobiExtended {
         let (a, b, reference) = problem();
         JacobiExtended { a, b, reference }
     }
-
-    fn crash_trial(
-        &self,
-        jac: &ExtendedJacobi,
-        cfg: SystemConfig,
-        image: &NvmImage,
-        profile: Option<ExecutionProfile>,
-    ) -> Classified {
-        let rec = jac.recover_and_resume(image, cfg);
-        let matches = max_diff(&rec.solution, &self.reference) < TOL;
-        let detected = rec.restart_from.is_none();
-        Classified {
-            outcome: classify(detected, matches, rec.report.lost_units),
-            lost_units: rec.report.lost_units,
-            sim_time_ps: rec.report.total().ps(),
-            telemetry: profile,
-        }
-    }
 }
 
-impl Default for JacobiExtended {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+impl Workload for JacobiExtended {
+    type Live = ExtendedJacobi;
+    type End = ();
+    type State = Classified;
 
-impl Scenario for JacobiExtended {
     fn name(&self) -> &'static str {
         "jacobi-extended"
     }
@@ -110,72 +86,46 @@ impl Scenario for JacobiExtended {
         }
     }
 
-    fn run_trial(&self, unit: u64, telemetry: bool) -> Trial {
-        let cfg = config(&self.a);
-        let mut sys = MemorySystem::new(cfg.clone());
+    fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, ExtendedJacobi) {
+        let mut sys = MemorySystem::new(config(&self.a));
         let jac = ExtendedJacobi::setup(&mut sys, &self.a, &self.b, ITERS);
-        let mut emu = CrashEmulator::from_system(sys, self.trigger_of(unit));
-        let probe = telemetry.then(|| Probe::attach(&emu));
-        match jac.run(&mut emu, 0, ITERS) {
-            RunOutcome::Completed(()) => {
-                let profile = probe.map(|p| p.finish(&emu));
-                let sol = jac.peek_solution(&emu);
-                verified_completion(max_diff(&sol, &self.reference) < TOL, unit, profile)
-            }
-            RunOutcome::Crashed(image) => {
-                let profile = probe.map(|p| p.finish(&emu).with_image(&image));
-                self.crash_trial(&jac, cfg, &image, profile).for_unit(unit)
-            }
-        }
+        (CrashEmulator::from_system(sys, trigger), jac)
     }
 
-    fn run_batch(&self, units: &[u64], telemetry: bool, mem: &ImageMemory) -> Option<Vec<Trial>> {
-        let cfg = config(&self.a);
-        let mut sys = MemorySystem::new(cfg.clone());
-        let jac = ExtendedJacobi::setup(&mut sys, &self.a, &self.b, ITERS);
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        Some(harness::run_harvested(
-            units,
-            telemetry,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                jac.run(e, 0, ITERS)
-                    .completed()
-                    .expect("Never trigger completes");
-            },
-            |_k, _site, image, profile| self.crash_trial(&jac, cfg.clone(), image, profile),
-            Classified::for_unit,
-            |(), e, profile| {
-                let sol = jac.peek_solution(e);
-                verified_completion(max_diff(&sol, &self.reference) < TOL, 0, profile)
-            },
-        ))
+    fn forward(&self, jac: &mut ExtendedJacobi, emu: &mut CrashEmulator) -> RunOutcome<()> {
+        jac.run(emu, 0, ITERS)
     }
 
-    fn run_resilience(&self, units: &[u64], mem: &ImageMemory) -> Option<ResilienceBatch> {
-        let cfg = config(&self.a);
-        let mut sys = MemorySystem::new(cfg.clone());
-        let jac = ExtendedJacobi::setup(&mut sys, &self.a, &self.b, ITERS);
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let tolerance = dirty_tolerance();
-        let trials = harness::run_dirty(
-            units,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                jac.run(e, 0, ITERS)
-                    .completed()
-                    .expect("Never trigger completes");
-            },
-            |image| {
-                let d = jac.dirty_restart(image, cfg.clone());
-                harness::classify_dirty(&d, &self.reference, &tolerance)
-            },
-        );
-        Some(ResilienceBatch { trials, tolerance })
+    fn recover(
+        &self,
+        jac: &mut ExtendedJacobi,
+        _site: CrashSite,
+        image: &NvmImage,
+        profile: Option<ExecutionProfile>,
+    ) -> Classified {
+        let rec = jac.recover_and_resume(image, config(&self.a));
+        let matches = max_diff(&rec.solution, &self.reference) < TOL;
+        let detected = rec.restart_from.is_none();
+        Classified::from_report(detected, matches, &rec.report, profile)
+    }
+
+    fn complete(
+        &self,
+        jac: &ExtendedJacobi,
+        (): (),
+        emu: &CrashEmulator,
+        profile: Option<ExecutionProfile>,
+    ) -> Trial {
+        let sol = jac.peek_solution(emu);
+        verified_completion(max_diff(&sol, &self.reference) < TOL, 0, profile)
+    }
+
+    fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
+        Some((dirty_tolerance(), self.reference.clone()))
+    }
+
+    fn dirty_restart(&self, jac: &ExtendedJacobi, image: &NvmImage) -> DirtyRestart {
+        jac.dirty_restart(image, config(&self.a))
     }
 }
 
@@ -196,51 +146,13 @@ impl JacobiCkpt {
         let (a, b, reference) = problem();
         JacobiCkpt { a, b, reference }
     }
-
-    /// Iterations whose step had completed when the crash landed at
-    /// `site`: both polled sites (`PH_AFTER_X` before the checkpoint,
-    /// `PH_ITER_END` after it) sit after iteration `index`'s step.
-    fn completed_steps(site: CrashSite) -> u64 {
-        site.index + 1
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn crash_trial(
-        &self,
-        jac: &PlainJacobi,
-        mgr: &mut CkptManager,
-        cfg: SystemConfig,
-        completed: u64,
-        image: &NvmImage,
-        profile: Option<ExecutionProfile>,
-    ) -> Classified {
-        let sys2 = MemorySystem::from_image(cfg, image);
-        let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
-        let t0 = emu2.now();
-        let (start, restored) = adcc_core::jacobi::variants::ckpt_restore(&mut emu2, jac, mgr);
-        for _ in start..ITERS {
-            jac.step(&mut emu2);
-        }
-        let sim_time_ps = (emu2.now() - t0).ps();
-
-        let lost = completed.saturating_sub(start as u64);
-        let matches = max_diff(&jac.peek_solution(&emu2), &self.reference) < TOL;
-        Classified {
-            outcome: classify(!restored, matches, lost),
-            lost_units: lost,
-            sim_time_ps,
-            telemetry: profile,
-        }
-    }
 }
 
-impl Default for JacobiCkpt {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+impl Workload for JacobiCkpt {
+    type Live = (PlainJacobi, CkptManager);
+    type End = ();
+    type State = Classified;
 
-impl Scenario for JacobiCkpt {
     fn name(&self) -> &'static str {
         "jacobi-ckpt"
     }
@@ -267,84 +179,56 @@ impl Scenario for JacobiCkpt {
         }
     }
 
-    fn run_trial(&self, unit: u64, telemetry: bool) -> Trial {
-        let cfg = config(&self.a);
-        let mut sys = MemorySystem::new(cfg.clone());
+    fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, Self::Live) {
+        let mut sys = MemorySystem::new(config(&self.a));
         let jac = PlainJacobi::setup(&mut sys, &self.a, &self.b, ITERS);
-        let mut mgr = CkptManager::new_nvm(&mut sys, jac.ckpt_regions(), false);
-        let mut emu = CrashEmulator::from_system(sys, self.trigger_of(unit));
-        let probe = telemetry.then(|| Probe::attach(&emu));
-        let image = match adcc_core::jacobi::variants::run_with_ckpt(&mut emu, &jac, &mut mgr) {
-            RunOutcome::Completed(()) => {
-                let profile = probe.map(|p| p.finish(&emu));
-                let sol = jac.peek_solution(&emu);
-                return verified_completion(max_diff(&sol, &self.reference) < TOL, unit, profile);
-            }
-            RunOutcome::Crashed(image) => image,
-        };
-        let profile = probe.map(|p| p.finish(&emu).with_image(&image));
-        let completed = Self::completed_steps(emu.fired_site().expect("crashed"));
-        self.crash_trial(&jac, &mut mgr, cfg, completed, &image, profile)
-            .for_unit(unit)
+        let mgr = CkptManager::new_nvm(&mut sys, jac.ckpt_regions(), false);
+        (CrashEmulator::from_system(sys, trigger), (jac, mgr))
     }
 
-    fn run_batch(&self, units: &[u64], telemetry: bool, mem: &ImageMemory) -> Option<Vec<Trial>> {
-        let cfg = config(&self.a);
-        let mut sys = MemorySystem::new(cfg.clone());
-        let jac = PlainJacobi::setup(&mut sys, &self.a, &self.b, ITERS);
-        let mgr = RefCell::new(CkptManager::new_nvm(&mut sys, jac.ckpt_regions(), false));
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        Some(harness::run_harvested(
-            units,
-            telemetry,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                adcc_core::jacobi::variants::run_with_ckpt(e, &jac, &mut mgr.borrow_mut())
-                    .completed()
-                    .expect("Never trigger completes");
-            },
-            |_k, site, image, profile| {
-                self.crash_trial(
-                    &jac,
-                    &mut mgr.borrow_mut(),
-                    cfg.clone(),
-                    Self::completed_steps(site),
-                    image,
-                    profile,
-                )
-            },
-            Classified::for_unit,
-            |(), e, profile| {
-                let sol = jac.peek_solution(e);
-                verified_completion(max_diff(&sol, &self.reference) < TOL, 0, profile)
-            },
-        ))
+    fn forward(&self, (jac, mgr): &mut Self::Live, emu: &mut CrashEmulator) -> RunOutcome<()> {
+        adcc_core::jacobi::variants::run_with_ckpt(emu, jac, mgr)
     }
 
-    fn run_resilience(&self, units: &[u64], mem: &ImageMemory) -> Option<ResilienceBatch> {
-        let cfg = config(&self.a);
-        let mut sys = MemorySystem::new(cfg.clone());
-        let jac = PlainJacobi::setup(&mut sys, &self.a, &self.b, ITERS);
-        let mgr = RefCell::new(CkptManager::new_nvm(&mut sys, jac.ckpt_regions(), false));
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let tolerance = dirty_tolerance();
-        let trials = harness::run_dirty(
-            units,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                adcc_core::jacobi::variants::run_with_ckpt(e, &jac, &mut mgr.borrow_mut())
-                    .completed()
-                    .expect("Never trigger completes");
-            },
-            |image| {
-                let d = jac.dirty_restart(image, cfg.clone());
-                harness::classify_dirty(&d, &self.reference, &tolerance)
-            },
-        );
-        Some(ResilienceBatch { trials, tolerance })
+    fn recover(
+        &self,
+        (jac, mgr): &mut Self::Live,
+        site: CrashSite,
+        image: &NvmImage,
+        profile: Option<ExecutionProfile>,
+    ) -> Classified {
+        let sys2 = MemorySystem::from_image(config(&self.a), image);
+        let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
+        let t0 = emu2.now();
+        let (start, restored) = adcc_core::jacobi::variants::ckpt_restore(&mut emu2, jac, mgr);
+        for _ in start..ITERS {
+            jac.step(&mut emu2);
+        }
+        let sim_time_ps = (emu2.now() - t0).ps();
+
+        // Both polled sites (`PH_AFTER_X` before the checkpoint,
+        // `PH_ITER_END` after it) sit after iteration `index`'s step.
+        let lost = (site.index + 1).saturating_sub(start as u64);
+        let matches = max_diff(&jac.peek_solution(&emu2), &self.reference) < TOL;
+        Classified::new(!restored, matches, lost, sim_time_ps, profile)
+    }
+
+    fn complete(
+        &self,
+        (jac, _): &Self::Live,
+        (): (),
+        emu: &CrashEmulator,
+        profile: Option<ExecutionProfile>,
+    ) -> Trial {
+        let sol = jac.peek_solution(emu);
+        verified_completion(max_diff(&sol, &self.reference) < TOL, 0, profile)
+    }
+
+    fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
+        Some((dirty_tolerance(), self.reference.clone()))
+    }
+
+    fn dirty_restart(&self, (jac, _): &Self::Live, image: &NvmImage) -> DirtyRestart {
+        jac.dirty_restart(image, config(&self.a))
     }
 }

@@ -1,23 +1,19 @@
 //! Checksum-LU scenarios: ABFT-checksum algorithm extension and per-block
 //! checkpoint.
 
-use std::cell::RefCell;
-
 use adcc_ckpt::manager::CkptManager;
 use adcc_core::lu::{dominant_matrix, lu_host, sites, ChecksumLu, LuBlockStatus};
+use adcc_core::DirtyRestart;
 use adcc_linalg::Matrix;
+use adcc_resilience::Tolerance;
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
 use adcc_sim::image::NvmImage;
 use adcc_sim::system::{MemorySystem, SystemConfig};
-use adcc_telemetry::{ExecutionProfile, Probe};
+use adcc_telemetry::ExecutionProfile;
 
-use adcc_resilience::Tolerance;
-
-use super::harness::{self, Classified};
+use super::harness::{Classified, Workload};
 use super::{trim_dram, verified_completion};
-use crate::memstats::ImageMemory;
-use crate::outcome::classify;
-use crate::scenario::{Kernel, Mechanism, ResilienceBatch, Scenario, Trial, UnitSpace};
+use crate::scenario::{Kernel, Mechanism, Trial, UnitSpace};
 
 const N: usize = 32;
 const BK: usize = 4;
@@ -105,33 +101,13 @@ impl LuExtended {
         let reference = lu_host(&a);
         LuExtended { a, reference }
     }
-
-    fn crash_trial(
-        &self,
-        lu: &ChecksumLu,
-        cfg: SystemConfig,
-        image: &NvmImage,
-        profile: Option<ExecutionProfile>,
-    ) -> Classified {
-        let rec = lu.recover_and_resume(image, cfg);
-        let matches = factor_matches(&rec.factor, &self.reference);
-        let detected = rec.statuses.contains(&LuBlockStatus::Inconsistent);
-        Classified {
-            outcome: classify(detected, matches, rec.report.lost_units),
-            lost_units: rec.report.lost_units,
-            sim_time_ps: rec.report.total().ps(),
-            telemetry: profile,
-        }
-    }
 }
 
-impl Default for LuExtended {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+impl Workload for LuExtended {
+    type Live = ChecksumLu;
+    type End = ();
+    type State = Classified;
 
-impl Scenario for LuExtended {
     fn name(&self) -> &'static str {
         "lu-extended"
     }
@@ -149,69 +125,46 @@ impl Scenario for LuExtended {
         lu_site_trigger(unit)
     }
 
-    fn run_trial(&self, unit: u64, telemetry: bool) -> Trial {
-        let cfg = config();
-        let mut sys = MemorySystem::new(cfg.clone());
+    fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, ChecksumLu) {
+        let mut sys = MemorySystem::new(config());
         let lu = ChecksumLu::setup(&mut sys, &self.a, BK);
-        let mut emu = CrashEmulator::from_system(sys, self.trigger_of(unit));
-        let probe = telemetry.then(|| Probe::attach(&emu));
-        match lu.run(&mut emu, 0) {
-            RunOutcome::Completed(()) => {
-                let profile = probe.map(|p| p.finish(&emu));
-                let factor = lu.peek_factor(&emu);
-                verified_completion(factor_matches(&factor, &self.reference), unit, profile)
-            }
-            RunOutcome::Crashed(image) => {
-                let profile = probe.map(|p| p.finish(&emu).with_image(&image));
-                self.crash_trial(&lu, cfg, &image, profile).for_unit(unit)
-            }
-        }
+        (CrashEmulator::from_system(sys, trigger), lu)
     }
 
-    fn run_batch(&self, units: &[u64], telemetry: bool, mem: &ImageMemory) -> Option<Vec<Trial>> {
-        let cfg = config();
-        let mut sys = MemorySystem::new(cfg.clone());
-        let lu = ChecksumLu::setup(&mut sys, &self.a, BK);
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        Some(harness::run_harvested(
-            units,
-            telemetry,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                lu.run(e, 0).completed().expect("Never trigger completes");
-            },
-            |_k, _site, image, profile| self.crash_trial(&lu, cfg.clone(), image, profile),
-            Classified::for_unit,
-            |(), e, profile| {
-                let factor = lu.peek_factor(e);
-                verified_completion(factor_matches(&factor, &self.reference), 0, profile)
-            },
-        ))
+    fn forward(&self, lu: &mut ChecksumLu, emu: &mut CrashEmulator) -> RunOutcome<()> {
+        lu.run(emu, 0)
     }
 
-    fn run_resilience(&self, units: &[u64], mem: &ImageMemory) -> Option<ResilienceBatch> {
-        let cfg = config();
-        let mut sys = MemorySystem::new(cfg.clone());
-        let lu = ChecksumLu::setup(&mut sys, &self.a, BK);
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let want = flat_factor(&self.reference);
-        let tolerance = dirty_tolerance();
-        let trials = harness::run_dirty(
-            units,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                lu.run(e, 0).completed().expect("Never trigger completes");
-            },
-            |image| {
-                let d = lu.dirty_restart(image, cfg.clone());
-                harness::classify_dirty(&d, &want, &tolerance)
-            },
-        );
-        Some(ResilienceBatch { trials, tolerance })
+    fn recover(
+        &self,
+        lu: &mut ChecksumLu,
+        _site: CrashSite,
+        image: &NvmImage,
+        profile: Option<ExecutionProfile>,
+    ) -> Classified {
+        let rec = lu.recover_and_resume(image, config());
+        let matches = factor_matches(&rec.factor, &self.reference);
+        let detected = rec.statuses.contains(&LuBlockStatus::Inconsistent);
+        Classified::from_report(detected, matches, &rec.report, profile)
+    }
+
+    fn complete(
+        &self,
+        lu: &ChecksumLu,
+        (): (),
+        emu: &CrashEmulator,
+        profile: Option<ExecutionProfile>,
+    ) -> Trial {
+        let factor = lu.peek_factor(emu);
+        verified_completion(factor_matches(&factor, &self.reference), 0, profile)
+    }
+
+    fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
+        Some((dirty_tolerance(), flat_factor(&self.reference)))
+    }
+
+    fn dirty_restart(&self, lu: &ChecksumLu, image: &NvmImage) -> DirtyRestart {
+        lu.dirty_restart(image, config())
     }
 }
 
@@ -242,48 +195,13 @@ impl LuCkpt {
             site.index
         }
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn crash_trial(
-        &self,
-        lu: &ChecksumLu,
-        mgr: &mut CkptManager,
-        cfg: SystemConfig,
-        crashed_block: u64,
-        image: &NvmImage,
-        profile: Option<ExecutionProfile>,
-    ) -> Classified {
-        let sys2 = MemorySystem::from_image(cfg, image);
-        let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
-        let t0 = emu2.now();
-        let (start, restored) = adcc_core::lu::variants::ckpt_restore(&mut emu2, lu, mgr);
-        for b in start..blocks() as usize {
-            for c in b * BK..((b + 1) * BK).min(N) {
-                lu.process_column(&mut emu2, c);
-            }
-        }
-        let sim_time_ps = (emu2.now() - t0).ps();
-
-        // Column crashes abandon the in-flight block; block-end crashes
-        // land right after the checkpoint.
-        let lost = (crashed_block + 1).saturating_sub(start as u64);
-        let matches = factor_matches(&lu.peek_factor(&emu2), &self.reference);
-        Classified {
-            outcome: classify(!restored, matches, lost),
-            lost_units: lost,
-            sim_time_ps,
-            telemetry: profile,
-        }
-    }
 }
 
-impl Default for LuCkpt {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+impl Workload for LuCkpt {
+    type Live = (ChecksumLu, CkptManager);
+    type End = ();
+    type State = Classified;
 
-impl Scenario for LuCkpt {
     fn name(&self) -> &'static str {
         "lu-ckpt"
     }
@@ -301,92 +219,59 @@ impl Scenario for LuCkpt {
         lu_site_trigger(unit)
     }
 
-    fn run_trial(&self, unit: u64, telemetry: bool) -> Trial {
-        let cfg = config();
-        let mut sys = MemorySystem::new(cfg.clone());
+    fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, Self::Live) {
+        let mut sys = MemorySystem::new(config());
         let lu = ChecksumLu::setup(&mut sys, &self.a, BK);
         let regions = adcc_core::lu::variants::lu_ckpt_regions(&lu);
-        let mut mgr = CkptManager::new_nvm(&mut sys, regions, false);
-        let mut emu = CrashEmulator::from_system(sys, self.trigger_of(unit));
-        let probe = telemetry.then(|| Probe::attach(&emu));
-        let image = match adcc_core::lu::variants::run_with_ckpt(&mut emu, &lu, &mut mgr) {
-            RunOutcome::Completed(()) => {
-                let profile = probe.map(|p| p.finish(&emu));
-                let factor = lu.peek_factor(&emu);
-                return verified_completion(
-                    factor_matches(&factor, &self.reference),
-                    unit,
-                    profile,
-                );
+        let mgr = CkptManager::new_nvm(&mut sys, regions, false);
+        (CrashEmulator::from_system(sys, trigger), (lu, mgr))
+    }
+
+    fn forward(&self, (lu, mgr): &mut Self::Live, emu: &mut CrashEmulator) -> RunOutcome<()> {
+        adcc_core::lu::variants::run_with_ckpt(emu, lu, mgr)
+    }
+
+    fn recover(
+        &self,
+        (lu, mgr): &mut Self::Live,
+        site: CrashSite,
+        image: &NvmImage,
+        profile: Option<ExecutionProfile>,
+    ) -> Classified {
+        let sys2 = MemorySystem::from_image(config(), image);
+        let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
+        let t0 = emu2.now();
+        let (start, restored) = adcc_core::lu::variants::ckpt_restore(&mut emu2, lu, mgr);
+        for b in start..blocks() as usize {
+            for c in b * BK..((b + 1) * BK).min(N) {
+                lu.process_column(&mut emu2, c);
             }
-            RunOutcome::Crashed(image) => image,
-        };
-        let profile = probe.map(|p| p.finish(&emu).with_image(&image));
-        let crashed = Self::crashed_block(emu.fired_site().expect("crashed"));
-        self.crash_trial(&lu, &mut mgr, cfg, crashed, &image, profile)
-            .for_unit(unit)
+        }
+        let sim_time_ps = (emu2.now() - t0).ps();
+
+        // Column crashes abandon the in-flight block; block-end crashes
+        // land right after the checkpoint.
+        let lost = (Self::crashed_block(site) + 1).saturating_sub(start as u64);
+        let matches = factor_matches(&lu.peek_factor(&emu2), &self.reference);
+        Classified::new(!restored, matches, lost, sim_time_ps, profile)
     }
 
-    fn run_batch(&self, units: &[u64], telemetry: bool, mem: &ImageMemory) -> Option<Vec<Trial>> {
-        let cfg = config();
-        let mut sys = MemorySystem::new(cfg.clone());
-        let lu = ChecksumLu::setup(&mut sys, &self.a, BK);
-        let regions = adcc_core::lu::variants::lu_ckpt_regions(&lu);
-        let mgr = RefCell::new(CkptManager::new_nvm(&mut sys, regions, false));
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        Some(harness::run_harvested(
-            units,
-            telemetry,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                adcc_core::lu::variants::run_with_ckpt(e, &lu, &mut mgr.borrow_mut())
-                    .completed()
-                    .expect("Never trigger completes");
-            },
-            |_k, site, image, profile| {
-                self.crash_trial(
-                    &lu,
-                    &mut mgr.borrow_mut(),
-                    cfg.clone(),
-                    Self::crashed_block(site),
-                    image,
-                    profile,
-                )
-            },
-            Classified::for_unit,
-            |(), e, profile| {
-                let factor = lu.peek_factor(e);
-                verified_completion(factor_matches(&factor, &self.reference), 0, profile)
-            },
-        ))
+    fn complete(
+        &self,
+        (lu, _): &Self::Live,
+        (): (),
+        emu: &CrashEmulator,
+        profile: Option<ExecutionProfile>,
+    ) -> Trial {
+        let factor = lu.peek_factor(emu);
+        verified_completion(factor_matches(&factor, &self.reference), 0, profile)
     }
 
-    fn run_resilience(&self, units: &[u64], mem: &ImageMemory) -> Option<ResilienceBatch> {
-        let cfg = config();
-        let mut sys = MemorySystem::new(cfg.clone());
-        let lu = ChecksumLu::setup(&mut sys, &self.a, BK);
-        let regions = adcc_core::lu::variants::lu_ckpt_regions(&lu);
-        let mgr = RefCell::new(CkptManager::new_nvm(&mut sys, regions, false));
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let want = flat_factor(&self.reference);
-        let tolerance = dirty_tolerance();
-        let trials = harness::run_dirty(
-            units,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                adcc_core::lu::variants::run_with_ckpt(e, &lu, &mut mgr.borrow_mut())
-                    .completed()
-                    .expect("Never trigger completes");
-            },
-            |image| {
-                let d = lu.dirty_restart(image, cfg.clone());
-                harness::classify_dirty(&d, &want, &tolerance)
-            },
-        );
-        Some(ResilienceBatch { trials, tolerance })
+    fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
+        Some((dirty_tolerance(), flat_factor(&self.reference)))
+    }
+
+    fn dirty_restart(&self, (lu, _): &Self::Live, image: &NvmImage) -> DirtyRestart {
+        lu.dirty_restart(image, config())
     }
 }

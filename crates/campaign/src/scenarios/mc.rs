@@ -12,18 +12,16 @@ use std::sync::OnceLock;
 
 use adcc_core::mc::sim::{McMode, McSim};
 use adcc_core::mc::{McProblem, XS_CHANNELS};
+use adcc_core::DirtyRestart;
+use adcc_resilience::Tolerance;
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
 use adcc_sim::image::NvmImage;
 use adcc_sim::system::{MemorySystem, SystemConfig};
-use adcc_telemetry::{ExecutionProfile, Probe};
+use adcc_telemetry::ExecutionProfile;
 
-use adcc_resilience::Tolerance;
-
-use super::harness::{self, Classified};
+use super::harness::{Classified, Workload};
 use super::{trim_dram, verified_completion};
-use crate::memstats::ImageMemory;
-use crate::outcome::classify;
-use crate::scenario::{Kernel, Mechanism, ResilienceBatch, Scenario, Trial, UnitSpace};
+use crate::scenario::{Kernel, Mechanism, Trial, UnitSpace};
 
 const LOOKUPS: u64 = 1_200;
 const INTERVAL: u64 = 64;
@@ -127,33 +125,13 @@ impl McCampaign {
             reference,
         }
     }
-
-    /// Recover from a crash image taken right after lookup `site.index`
-    /// completed (`lookups_done = site.index + 1`), resume, classify.
-    fn crash_trial(
-        &self,
-        mc: &McSim,
-        site: CrashSite,
-        image: &NvmImage,
-        telemetry: Option<ExecutionProfile>,
-    ) -> Classified {
-        let rec = mc.recover_and_resume(image, self.cfg.clone(), site.index + 1);
-        let total: u64 = rec.counts.iter().sum();
-        // The count-total audit is the mechanism's integrity check: replay
-        // can only ever double-count (evicted counter lines are newer than
-        // the flushed index), so any discrepancy shows up here.
-        let detected = total != LOOKUPS;
-        let matches = rec.counts == self.reference;
-        Classified {
-            outcome: classify(detected, matches, rec.report.lost_units),
-            lost_units: rec.report.lost_units,
-            sim_time_ps: rec.report.total().ps(),
-            telemetry,
-        }
-    }
 }
 
-impl Scenario for McCampaign {
+impl Workload for McCampaign {
+    type Live = McSim;
+    type End = ();
+    type State = Classified;
+
     fn name(&self) -> &'static str {
         self.name
     }
@@ -177,71 +155,52 @@ impl Scenario for McCampaign {
         }
     }
 
-    fn run_trial(&self, unit: u64, telemetry: bool) -> Trial {
+    fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, McSim) {
         let mut sys = MemorySystem::new(self.cfg.clone());
         let mc = McSim::setup(&mut sys, self.problem.clone(), LOOKUPS, MC_SEED, self.mode);
-        let mut emu = CrashEmulator::from_system(sys, self.trigger_of(unit));
-        let probe = telemetry.then(|| Probe::attach(&emu));
-        match mc.run(&mut emu, 0, LOOKUPS) {
-            RunOutcome::Completed(()) => {
-                let profile = probe.map(|p| p.finish(&emu));
-                let matches = mc.peek_counts(&emu) == self.reference;
-                verified_completion(matches, unit, profile)
-            }
-            RunOutcome::Crashed(image) => {
-                let profile = probe.map(|p| p.finish(&emu).with_image(&image));
-                let site = emu.fired_site().expect("crashed");
-                self.crash_trial(&mc, site, &image, profile).for_unit(unit)
-            }
-        }
+        (CrashEmulator::from_system(sys, trigger), mc)
     }
 
-    fn run_batch(&self, units: &[u64], telemetry: bool, mem: &ImageMemory) -> Option<Vec<Trial>> {
-        let mut sys = MemorySystem::new(self.cfg.clone());
-        let mc = McSim::setup(&mut sys, self.problem.clone(), LOOKUPS, MC_SEED, self.mode);
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        Some(harness::run_harvested(
-            units,
-            telemetry,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                mc.run(e, 0, LOOKUPS)
-                    .completed()
-                    .expect("Never trigger completes");
-            },
-            |_k, site, image, profile| self.crash_trial(&mc, site, image, profile),
-            Classified::for_unit,
-            |(), e, profile| {
-                let matches = mc.peek_counts(e) == self.reference;
-                verified_completion(matches, 0, profile)
-            },
-        ))
+    fn forward(&self, mc: &mut McSim, emu: &mut CrashEmulator) -> RunOutcome<()> {
+        mc.run(emu, 0, LOOKUPS)
     }
 
-    fn run_resilience(&self, units: &[u64], mem: &ImageMemory) -> Option<ResilienceBatch> {
-        let mut sys = MemorySystem::new(self.cfg.clone());
-        let mc = McSim::setup(&mut sys, self.problem.clone(), LOOKUPS, MC_SEED, self.mode);
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let want: Vec<f64> = self.reference.iter().map(|&c| c as f64).collect();
-        let tolerance = dirty_tolerance();
-        let trials = harness::run_dirty(
-            units,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                mc.run(e, 0, LOOKUPS)
-                    .completed()
-                    .expect("Never trigger completes");
-            },
-            |image| {
-                let d = mc.dirty_restart(image, self.cfg.clone());
-                harness::classify_dirty(&d, &want, &tolerance)
-            },
-        );
-        Some(ResilienceBatch { trials, tolerance })
+    /// Recover from a crash image taken right after lookup `site.index`
+    /// completed (`lookups_done = site.index + 1`), resume, classify.
+    fn recover(
+        &self,
+        mc: &mut McSim,
+        site: CrashSite,
+        image: &NvmImage,
+        telemetry: Option<ExecutionProfile>,
+    ) -> Classified {
+        let rec = mc.recover_and_resume(image, self.cfg.clone(), site.index + 1);
+        let total: u64 = rec.counts.iter().sum();
+        // The count-total audit is the mechanism's integrity check: replay
+        // can only ever double-count (evicted counter lines are newer than
+        // the flushed index), so any discrepancy shows up here.
+        let detected = total != LOOKUPS;
+        let matches = rec.counts == self.reference;
+        Classified::from_report(detected, matches, &rec.report, telemetry)
+    }
+
+    fn complete(
+        &self,
+        mc: &McSim,
+        (): (),
+        emu: &CrashEmulator,
+        profile: Option<ExecutionProfile>,
+    ) -> Trial {
+        verified_completion(mc.peek_counts(emu) == self.reference, 0, profile)
+    }
+
+    fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
+        let want = self.reference.iter().map(|&c| c as f64).collect();
+        Some((dirty_tolerance(), want))
+    }
+
+    fn dirty_restart(&self, mc: &McSim, image: &NvmImage) -> DirtyRestart {
+        mc.dirty_restart(image, self.cfg.clone())
     }
 }
 

@@ -1,5 +1,7 @@
-//! Concrete scenarios: each file wires one kernel family's runners and
-//! recovery paths into the [`crate::scenario::Scenario`] trait.
+//! Concrete scenarios: each kernel/ds file states one family's set-up,
+//! forward run and recovery steps as the hooks of `harness::Workload`,
+//! from which the harness derives the [`crate::scenario::Scenario`] impl;
+//! `dist` implements the trait itself over `adcc_dist::trial`.
 
 mod bicgstab;
 mod cg;
@@ -17,16 +19,12 @@ use adcc_telemetry::ExecutionProfile;
 use crate::outcome::Outcome;
 use crate::scenario::{Scenario, Trial};
 
-/// Every distributed scenario (the `dist` registry), in report order:
-/// three kernel families × two recovery modes over a 4-rank cluster.
-pub fn dist_all() -> Vec<Box<dyn Scenario>> {
-    dist::all()
-}
-
-/// The distributed registry under a fabric fault profile (`campaign run
-/// --registry dist --faults <profile>`): the chaotic tier swaps every
-/// cluster to the 16-rank 2-D grid presets with a remote checkpoint
-/// level and appends node-loss units to the local-recovery scenarios.
+/// Every distributed scenario (the `dist` registry), in report order —
+/// three kernel families × two recovery modes over a 4-rank cluster —
+/// under a fabric fault profile (`campaign run --registry dist --faults
+/// <profile>`): the chaotic tier swaps every cluster to the 16-rank 2-D
+/// grid presets with a remote checkpoint level and appends node-loss
+/// units to the local-recovery scenarios.
 pub fn dist_all_with(faults: adcc_dist::net::FaultProfile) -> Vec<Box<dyn Scenario>> {
     dist::all_with(faults)
 }

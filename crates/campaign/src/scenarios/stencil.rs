@@ -1,22 +1,19 @@
 //! Heat-stencil scenarios: checksum-ring algorithm extension and
 //! per-sweep checkpoint (with mid-sweep access-count crash points).
 
-use std::cell::RefCell;
-
 use adcc_ckpt::manager::CkptManager;
 use adcc_core::stencil::{heat_host, sites, ExtendedStencil, PlainStencil};
+use adcc_core::DirtyRestart;
+use adcc_resilience::Tolerance;
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
 use adcc_sim::image::NvmImage;
 use adcc_sim::system::{MemorySystem, SystemConfig};
-use adcc_telemetry::{ExecutionProfile, Probe};
+use adcc_telemetry::ExecutionProfile;
 
-use adcc_resilience::Tolerance;
-
-use super::harness::{self, Classified};
+use super::harness::{Classified, CrashState, Workload};
 use super::{max_diff, trim_dram, verified_completion};
-use crate::memstats::ImageMemory;
 use crate::outcome::classify;
-use crate::scenario::{Kernel, Mechanism, ResilienceBatch, Scenario, Trial, UnitSpace};
+use crate::scenario::{Kernel, Mechanism, Trial, UnitSpace};
 
 // A 24×24 grid makes one generation (4.6 KB) overflow the 4 KB CPU cache,
 // so older sweeps actually reach NVM and the extension's verified-restart
@@ -37,7 +34,7 @@ const DENSE_STRIDE: u64 = 4;
 
 /// Checksummed row blocks per sweep — must stay the same formula as
 /// [`ExtendedStencil::blocks`] (the trigger mapping has no live object to
-/// ask; `run_trial`/`run_batch` debug-assert the two agree).
+/// ask; set-up debug-asserts the two agree).
 fn blocks() -> u64 {
     (GRID as u64 - 2).div_ceil(ROW_BLOCK as u64)
 }
@@ -76,33 +73,13 @@ impl StencilExtended {
             reference: reference(),
         }
     }
-
-    fn crash_trial(
-        &self,
-        st: &ExtendedStencil,
-        cfg: SystemConfig,
-        image: &NvmImage,
-        profile: Option<ExecutionProfile>,
-    ) -> Classified {
-        let rec = st.recover_and_resume(image, cfg);
-        let matches = max_diff(&rec.solution, &self.reference) < TOL;
-        let detected = rec.restart_from.is_none();
-        Classified {
-            outcome: classify(detected, matches, rec.report.lost_units),
-            lost_units: rec.report.lost_units,
-            sim_time_ps: rec.report.total().ps(),
-            telemetry: profile,
-        }
-    }
 }
 
-impl Default for StencilExtended {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+impl Workload for StencilExtended {
+    type Live = ExtendedStencil;
+    type End = ();
+    type State = Classified;
 
-impl Scenario for StencilExtended {
     fn name(&self) -> &'static str {
         "stencil-extended"
     }
@@ -134,74 +111,47 @@ impl Scenario for StencilExtended {
         }
     }
 
-    fn run_trial(&self, unit: u64, telemetry: bool) -> Trial {
-        let cfg = config();
-        let mut sys = MemorySystem::new(cfg.clone());
+    fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, ExtendedStencil) {
+        let mut sys = MemorySystem::new(config());
         let st = ExtendedStencil::setup(&mut sys, GRID, GRID, SWEEPS, WINDOW, ROW_BLOCK);
         debug_assert_eq!(st.blocks() as u64, blocks(), "trigger mapping stale");
-        let mut emu = CrashEmulator::from_system(sys, self.trigger_of(unit));
-        let probe = telemetry.then(|| Probe::attach(&emu));
-        match st.run(&mut emu, 0, SWEEPS) {
-            RunOutcome::Completed(()) => {
-                let profile = probe.map(|p| p.finish(&emu));
-                let grid = st.peek_grid(&emu, SWEEPS);
-                verified_completion(max_diff(&grid, &self.reference) < TOL, unit, profile)
-            }
-            RunOutcome::Crashed(image) => {
-                let profile = probe.map(|p| p.finish(&emu).with_image(&image));
-                self.crash_trial(&st, cfg, &image, profile).for_unit(unit)
-            }
-        }
+        (CrashEmulator::from_system(sys, trigger), st)
     }
 
-    fn run_batch(&self, units: &[u64], telemetry: bool, mem: &ImageMemory) -> Option<Vec<Trial>> {
-        let cfg = config();
-        let mut sys = MemorySystem::new(cfg.clone());
-        let st = ExtendedStencil::setup(&mut sys, GRID, GRID, SWEEPS, WINDOW, ROW_BLOCK);
-        debug_assert_eq!(st.blocks() as u64, blocks(), "trigger mapping stale");
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        Some(harness::run_harvested(
-            units,
-            telemetry,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                st.run(e, 0, SWEEPS)
-                    .completed()
-                    .expect("Never trigger completes");
-            },
-            |_k, _site, image, profile| self.crash_trial(&st, cfg.clone(), image, profile),
-            Classified::for_unit,
-            |(), e, profile| {
-                let grid = st.peek_grid(e, SWEEPS);
-                verified_completion(max_diff(&grid, &self.reference) < TOL, 0, profile)
-            },
-        ))
+    fn forward(&self, st: &mut ExtendedStencil, emu: &mut CrashEmulator) -> RunOutcome<()> {
+        st.run(emu, 0, SWEEPS)
     }
 
-    fn run_resilience(&self, units: &[u64], mem: &ImageMemory) -> Option<ResilienceBatch> {
-        let cfg = config();
-        let mut sys = MemorySystem::new(cfg.clone());
-        let st = ExtendedStencil::setup(&mut sys, GRID, GRID, SWEEPS, WINDOW, ROW_BLOCK);
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let tolerance = dirty_tolerance();
-        let trials = harness::run_dirty(
-            units,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                st.run(e, 0, SWEEPS)
-                    .completed()
-                    .expect("Never trigger completes");
-            },
-            |image| {
-                let d = st.dirty_restart(image, cfg.clone());
-                harness::classify_dirty(&d, &self.reference, &tolerance)
-            },
-        );
-        Some(ResilienceBatch { trials, tolerance })
+    fn recover(
+        &self,
+        st: &mut ExtendedStencil,
+        _site: CrashSite,
+        image: &NvmImage,
+        profile: Option<ExecutionProfile>,
+    ) -> Classified {
+        let rec = st.recover_and_resume(image, config());
+        let matches = max_diff(&rec.solution, &self.reference) < TOL;
+        let detected = rec.restart_from.is_none();
+        Classified::from_report(detected, matches, &rec.report, profile)
+    }
+
+    fn complete(
+        &self,
+        st: &ExtendedStencil,
+        (): (),
+        emu: &CrashEmulator,
+        profile: Option<ExecutionProfile>,
+    ) -> Trial {
+        let grid = st.peek_grid(emu, SWEEPS);
+        verified_completion(max_diff(&grid, &self.reference) < TOL, 0, profile)
+    }
+
+    fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
+        Some((dirty_tolerance(), self.reference.clone()))
+    }
+
+    fn dirty_restart(&self, st: &ExtendedStencil, image: &NvmImage) -> DirtyRestart {
+        st.dirty_restart(image, config())
     }
 }
 
@@ -234,42 +184,13 @@ impl StencilCkpt {
             (site.index + 1).saturating_sub(start as u64)
         }
     }
-
-    /// Restore + resume one crash state. What it cost is a fact of the
-    /// state; what it *lost* is not (see [`StencilCkpt::lost_sweeps`]), so
-    /// the result stops short of a classification.
-    fn crash_state(
-        &self,
-        st: &PlainStencil,
-        mgr: &mut CkptManager,
-        cfg: SystemConfig,
-        site: CrashSite,
-        image: &NvmImage,
-        profile: Option<ExecutionProfile>,
-    ) -> Resumed {
-        let sys2 = MemorySystem::from_image(cfg, image);
-        let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
-        let t0 = emu2.now();
-        let (start, restored) = adcc_core::stencil::variants::ckpt_restore(&mut emu2, st, mgr);
-        for t in start..SWEEPS {
-            st.sweep(&mut emu2, t);
-        }
-        let sim_time_ps = (emu2.now() - t0).ps();
-
-        Resumed {
-            site,
-            start,
-            restored,
-            matches: max_diff(&st.peek_grid(&emu2, SWEEPS), &self.reference) < TOL,
-            sim_time_ps,
-            telemetry: profile,
-        }
-    }
 }
 
 /// One restored-and-resumed `stencil-ckpt` crash state, not yet charged to
-/// a unit.
-struct Resumed {
+/// a unit. What the restore cost is a fact of the state; what it *lost* is
+/// not (see [`StencilCkpt::lost_sweeps`]), so the state stops short of a
+/// classification.
+pub(crate) struct Resumed {
     site: CrashSite,
     /// First sweep the resumed run re-executed.
     start: usize,
@@ -279,11 +200,11 @@ struct Resumed {
     telemetry: Option<ExecutionProfile>,
 }
 
-impl Resumed {
-    /// The trial of `unit`. The one per-unit classification in the
-    /// registry: a legacy access-count unit and a dense unit captured by
-    /// the same `PH_SWEEP_END` poll share this state but not their loss.
-    fn for_unit(&self, unit: u64) -> Trial {
+impl CrashState for Resumed {
+    /// The one per-unit classification in the registry: a legacy
+    /// access-count unit and a dense unit captured by the same
+    /// `PH_SWEEP_END` poll share this state but not their loss.
+    fn charge(&self, unit: u64) -> Trial {
         let lost = StencilCkpt::lost_sweeps(unit, self.site, self.start);
         Trial {
             unit,
@@ -295,13 +216,11 @@ impl Resumed {
     }
 }
 
-impl Default for StencilCkpt {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+impl Workload for StencilCkpt {
+    type Live = (PlainStencil, CkptManager);
+    type End = ();
+    type State = Resumed;
 
-impl Scenario for StencilCkpt {
     fn name(&self) -> &'static str {
         "stencil-ckpt"
     }
@@ -326,84 +245,59 @@ impl Scenario for StencilCkpt {
         }
     }
 
-    fn run_trial(&self, unit: u64, telemetry: bool) -> Trial {
-        let cfg = config();
-        let mut sys = MemorySystem::new(cfg.clone());
+    fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, Self::Live) {
+        let mut sys = MemorySystem::new(config());
         let st = PlainStencil::setup(&mut sys, GRID, GRID, SWEEPS);
-        let mut mgr = CkptManager::new_nvm(&mut sys, st.ckpt_regions(), false);
-        let mut emu = CrashEmulator::from_system(sys, self.trigger_of(unit));
-        let probe = telemetry.then(|| Probe::attach(&emu));
-        let image = match adcc_core::stencil::variants::run_with_ckpt(&mut emu, &st, &mut mgr) {
-            RunOutcome::Completed(()) => {
-                let profile = probe.map(|p| p.finish(&emu));
-                let grid = st.peek_grid(&emu, SWEEPS);
-                return verified_completion(max_diff(&grid, &self.reference) < TOL, unit, profile);
-            }
-            RunOutcome::Crashed(image) => image,
-        };
-        let profile = probe.map(|p| p.finish(&emu).with_image(&image));
-        let site = emu.fired_site().expect("crashed");
-        self.crash_state(&st, &mut mgr, cfg, site, &image, profile)
-            .for_unit(unit)
+        let mgr = CkptManager::new_nvm(&mut sys, st.ckpt_regions(), false);
+        (CrashEmulator::from_system(sys, trigger), (st, mgr))
     }
 
-    fn run_batch(&self, units: &[u64], telemetry: bool, mem: &ImageMemory) -> Option<Vec<Trial>> {
-        let cfg = config();
-        let mut sys = MemorySystem::new(cfg.clone());
-        let st = PlainStencil::setup(&mut sys, GRID, GRID, SWEEPS);
-        let mgr = RefCell::new(CkptManager::new_nvm(&mut sys, st.ckpt_regions(), false));
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        Some(harness::run_harvested(
-            units,
-            telemetry,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                adcc_core::stencil::variants::run_with_ckpt(e, &st, &mut mgr.borrow_mut())
-                    .completed()
-                    .expect("Never trigger completes");
-            },
-            |_k, site, image, profile| {
-                self.crash_state(
-                    &st,
-                    &mut mgr.borrow_mut(),
-                    cfg.clone(),
-                    site,
-                    image,
-                    profile,
-                )
-            },
-            Resumed::for_unit,
-            |(), e, profile| {
-                let grid = st.peek_grid(e, SWEEPS);
-                verified_completion(max_diff(&grid, &self.reference) < TOL, 0, profile)
-            },
-        ))
+    fn forward(&self, (st, mgr): &mut Self::Live, emu: &mut CrashEmulator) -> RunOutcome<()> {
+        adcc_core::stencil::variants::run_with_ckpt(emu, st, mgr)
     }
 
-    fn run_resilience(&self, units: &[u64], mem: &ImageMemory) -> Option<ResilienceBatch> {
-        let cfg = config();
-        let mut sys = MemorySystem::new(cfg.clone());
-        let st = PlainStencil::setup(&mut sys, GRID, GRID, SWEEPS);
-        let mgr = RefCell::new(CkptManager::new_nvm(&mut sys, st.ckpt_regions(), false));
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let tolerance = dirty_tolerance();
-        let trials = harness::run_dirty(
-            units,
-            mem,
-            emu,
-            |u| self.trigger_of(u),
-            |e| {
-                adcc_core::stencil::variants::run_with_ckpt(e, &st, &mut mgr.borrow_mut())
-                    .completed()
-                    .expect("Never trigger completes");
-            },
-            |image| {
-                let d = st.dirty_restart(image, cfg.clone());
-                harness::classify_dirty(&d, &self.reference, &tolerance)
-            },
-        );
-        Some(ResilienceBatch { trials, tolerance })
+    fn recover(
+        &self,
+        (st, mgr): &mut Self::Live,
+        site: CrashSite,
+        image: &NvmImage,
+        profile: Option<ExecutionProfile>,
+    ) -> Resumed {
+        let sys2 = MemorySystem::from_image(config(), image);
+        let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
+        let t0 = emu2.now();
+        let (start, restored) = adcc_core::stencil::variants::ckpt_restore(&mut emu2, st, mgr);
+        for t in start..SWEEPS {
+            st.sweep(&mut emu2, t);
+        }
+        let sim_time_ps = (emu2.now() - t0).ps();
+
+        Resumed {
+            site,
+            start,
+            restored,
+            matches: max_diff(&st.peek_grid(&emu2, SWEEPS), &self.reference) < TOL,
+            sim_time_ps,
+            telemetry: profile,
+        }
+    }
+
+    fn complete(
+        &self,
+        (st, _): &Self::Live,
+        (): (),
+        emu: &CrashEmulator,
+        profile: Option<ExecutionProfile>,
+    ) -> Trial {
+        let grid = st.peek_grid(emu, SWEEPS);
+        verified_completion(max_diff(&grid, &self.reference) < TOL, 0, profile)
+    }
+
+    fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
+        Some((dirty_tolerance(), self.reference.clone()))
+    }
+
+    fn dirty_restart(&self, (st, _): &Self::Live, image: &NvmImage) -> DirtyRestart {
+        st.dirty_restart(image, config())
     }
 }

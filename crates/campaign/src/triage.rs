@@ -2,9 +2,10 @@
 //! campaign.
 //!
 //! `run_triage` re-runs a campaign's exact schedule with the
-//! persist-order event recorder attached (scenarios exposing
-//! [`crate::scenario::Scenario::run_analyzed`]; the rest fall back to the plain batch
-//! path with empty facts), then:
+//! persist-order event recorder attached (the analyze pass,
+//! [`crate::scenario::Passes::analyze`], on scenarios that declare
+//! protocol regions; the rest contribute their trials with empty facts),
+//! then:
 //!
 //! 1. infers per-mechanism persist-order invariants from the **passing**
 //!    trials (evidence counts: "N states of mechanism M crashed and
@@ -22,15 +23,13 @@
 
 use std::collections::BTreeMap;
 
-use adcc_analyze::{cluster_failures, Diagnostic, RootCause, TrialDigest};
-use adcc_telemetry::ExecutionProfile;
+use adcc_analyze::{cluster_failures, RootCause, TrialDigest};
 
-use crate::engine::{aggregate, plan, CampaignConfig};
+use crate::engine::{assemble, drive, CampaignConfig};
 use crate::json::Json;
-use crate::memstats::ImageMemory;
 use crate::outcome::Outcome;
-use crate::report::{CampaignReport, DiagnosticRecord, DiagnosticsBlock, ScenarioReport};
-use crate::scenario::{AnalyzedBatch, AnalyzedTrial, Trial};
+use crate::report::{CampaignReport, DiagnosticRecord, DiagnosticsBlock};
+use crate::scenario::Passes;
 
 /// Triage document format identifier.
 pub const TRIAGE_SCHEMA: &str = "adcc-triage-report/v1";
@@ -105,184 +104,67 @@ impl TriageReport {
     }
 }
 
-/// One unit of parallel triage work (mirrors the engine's batched task
-/// shape: a scenario index plus the crash points one forward execution
-/// harvests).
-struct Task {
-    scenario: usize,
-    units: Vec<u64>,
-}
-
-/// What one task produced: its analyzed trials, the forward execution's
-/// protocol findings, and whether the scenario actually ran under the
-/// analyzer (fallback batches carry empty facts and don't count).
-struct TaskResult {
-    scenario: usize,
-    trials: Vec<AnalyzedTrial>,
-    protocol: Vec<Diagnostic>,
-    analyzed: bool,
-}
-
 /// Run the campaign described by `cfg` with the analyzer attached and
-/// triage its failing states. Deterministic in the config's canonical
-/// inputs; the thread count only affects wall-clock.
+/// triage its failing states: every batch task asks its scenario for the
+/// recover and the analyze pass of one forward execution; scenarios that
+/// declare no protocol regions contribute trials with empty facts, so
+/// triage still covers the registry — just without sanitizer evidence.
+/// Deterministic in the config's canonical inputs; the thread count only
+/// affects wall-clock.
 pub fn run_triage(cfg: &CampaignConfig) -> TriageReport {
-    let start = std::time::Instant::now();
-    let scenarios = cfg.registry.scenarios_with(cfg.faults);
-    let points = plan(cfg, &scenarios);
-
-    let mut tasks = Vec::new();
-    for (idx, units) in points.iter().enumerate() {
-        if units.is_empty() {
-            continue;
-        }
-        tasks.extend(
-            units
-                .chunks(cfg.max_batch.max(1) as usize)
-                .map(|chunk| Task {
-                    scenario: idx,
-                    units: chunk.to_vec(),
-                }),
-        );
-    }
-
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(cfg.threads)
-        .build()
-        .expect("thread pool");
-    let threads = pool.current_num_threads() as u64;
-    let mem = ImageMemory::default();
-    let results: Vec<TaskResult> = pool.install_map(tasks, |_, task| {
-        let s = &scenarios[task.scenario];
-        match s.run_analyzed(&task.units, &mem) {
-            Some(batch) => TaskResult {
-                scenario: task.scenario,
-                trials: batch.trials,
-                protocol: batch.protocol,
-                analyzed: true,
-            },
-            None => {
-                // No analyzed path: classify through the plain batch (or
-                // per-trial) machinery with empty facts, so triage still
-                // covers the registry — just without sanitizer evidence.
-                let trials: Vec<Trial> = s
-                    .run_batch(&task.units, false, &mem)
-                    .unwrap_or_else(|| task.units.iter().map(|&u| s.run_trial(u, false)).collect());
-                TaskResult {
-                    scenario: task.scenario,
-                    trials: trials
-                        .into_iter()
-                        .map(|trial| AnalyzedTrial {
-                            trial,
-                            facts: Vec::new(),
-                        })
-                        .collect(),
-                    protocol: Vec::new(),
-                    analyzed: false,
-                }
-            }
-        }
-    });
-
-    // Merge in task order (results preserve submission order), so the
-    // assembly below is independent of which worker ran what.
-    let mut per_scenario: Vec<AnalyzedBatch> =
-        scenarios.iter().map(|_| AnalyzedBatch::default()).collect();
-    let mut analyzed_flags = vec![false; scenarios.len()];
-    for r in results {
-        per_scenario[r.scenario].trials.extend(r.trials);
-        per_scenario[r.scenario].protocol.extend(r.protocol);
-        analyzed_flags[r.scenario] |= r.analyzed;
-    }
+    let driven = drive(cfg, Passes::recover(false).and_analyze(), false);
 
     // Protocol findings repeat once per chunk (each chunk is its own
     // forward execution over the same deterministic op stream): dedupe by
     // (scenario, category, region, line), keeping the first occurrence's
     // event window. The ordered map also fixes the emission order.
     let mut findings: BTreeMap<(String, String, String, u64), DiagnosticRecord> = BTreeMap::new();
-    for (s, batch) in scenarios.iter().zip(&per_scenario) {
-        for d in &batch.protocol {
-            let key = (
-                s.name().to_string(),
-                d.category.name().to_string(),
-                d.region.clone(),
-                d.line,
-            );
-            findings.entry(key).or_insert_with(|| DiagnosticRecord {
-                scenario: s.name().to_string(),
-                category: d.category.name().to_string(),
-                region: d.region.clone(),
-                line: d.line,
-                first_event: d.first_event,
-                last_event: d.last_event,
-                epoch: d.epoch,
-            });
-        }
-    }
-    let diagnostics = DiagnosticsBlock {
-        analyzed: scenarios
-            .iter()
-            .zip(&analyzed_flags)
-            .filter(|(_, &a)| a)
-            .map(|(s, _)| s.name().to_string())
-            .collect(),
-        findings: findings.into_values().collect(),
-    };
-
+    let mut analyzed: Vec<String> = Vec::new();
     // Per-trial digests feed invariant inference: passing trials are the
     // evidence base, failing trials the states to explain.
     let mut digests: Vec<TrialDigest> = Vec::new();
-    for (s, batch) in scenarios.iter().zip(&per_scenario) {
-        for t in &batch.trials {
+    for (s, out) in driven.scenarios.iter().zip(&driven.outputs) {
+        if let Some(analysis) = &out.analysis {
+            analyzed.push(s.name().to_string());
+            for d in &analysis.protocol {
+                let key = (
+                    s.name().to_string(),
+                    d.category.name().to_string(),
+                    d.region.clone(),
+                    d.line,
+                );
+                findings.entry(key).or_insert_with(|| DiagnosticRecord {
+                    scenario: s.name().to_string(),
+                    category: d.category.name().to_string(),
+                    region: d.region.clone(),
+                    line: d.line,
+                    first_event: d.first_event,
+                    last_event: d.last_event,
+                    epoch: d.epoch,
+                });
+            }
+        }
+        let facts = out.analysis.as_ref().map(|a| a.facts.as_slice());
+        for (i, t) in out.trials.iter().enumerate() {
             digests.push(TrialDigest {
                 scenario: s.name().to_string(),
                 mechanism: s.mechanism().name().to_string(),
-                unit: t.trial.unit,
-                outcome: t.trial.outcome.name().to_string(),
-                failed: failed(t.trial.outcome),
-                facts: t.facts.clone(),
+                unit: t.unit,
+                outcome: t.outcome.name().to_string(),
+                failed: failed(t.outcome),
+                facts: facts.map_or_else(Vec::new, |f| f[i].clone()),
             });
         }
     }
     let failing_states = digests.iter().filter(|d| d.failed).count() as u64;
     let root_causes = cluster_failures(&digests, ROOT_CAUSE_CAP);
 
-    let scenario_reports: Vec<ScenarioReport> = scenarios
-        .iter()
-        .zip(&per_scenario)
-        .map(|(s, batch)| {
-            let trials: Vec<Trial> = batch.trials.iter().map(|t| t.trial).collect();
-            aggregate(s.as_ref(), cfg.dense_units, &trials)
-        })
-        .collect();
-    let mut totals = crate::outcome::OutcomeCounts::default();
-    let mut telemetry: Option<ExecutionProfile> = None;
-    for r in &scenario_reports {
-        totals.merge(&r.outcomes);
-        if let Some(t) = &r.telemetry {
-            telemetry
-                .get_or_insert_with(ExecutionProfile::default)
-                .merge(t);
-        }
-    }
-    let report = CampaignReport {
-        seed: cfg.seed,
-        budget_states: cfg.budget_states,
-        schedule: cfg.schedule.name(),
-        dense_units: cfg.dense_units,
-        registry: cfg.registry,
-        faults: cfg.faults,
-        shard: None,
-        scenarios: scenario_reports,
-        totals,
-        telemetry,
-        diagnostics: Some(diagnostics),
-        image_memory: mem.summary(),
-        wall_clock_ms: start.elapsed().as_millis() as u64,
-        threads,
+    let diagnostics = DiagnosticsBlock {
+        analyzed,
+        findings: findings.into_values().collect(),
     };
     TriageReport {
-        report,
+        report: assemble(cfg, driven, Some(diagnostics)),
         root_causes,
         failing_states,
     }

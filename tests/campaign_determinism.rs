@@ -8,6 +8,7 @@
 
 use adcc::campaign::engine::{run_campaign, CampaignConfig};
 use adcc::campaign::report::CampaignReport;
+use adcc::campaign::scenario::Registry;
 use adcc::campaign::schedule::Schedule;
 
 const BUDGET: u64 = 26;
@@ -159,4 +160,30 @@ fn telemetry_counts_are_meaningful_per_mechanism() {
         assert_eq!(s.telemetry.unwrap().log_bytes, 0, "{}", s.name);
     }
     assert!(adcc::campaign::flush_audit(&report).is_empty());
+}
+
+/// The PR tier's ds smoke campaign (`campaign run --registry ds
+/// --budget-states 500 --seed 42 --telemetry`), asserted on the library:
+/// both undo-logged scenarios must have drawn trials and recorded zero
+/// silent corruption. (The baseline rows are allowed detected/recomputed
+/// outcomes — never silent ones, which the run's exit code rejects
+/// globally.)
+#[test]
+fn ds_smoke_campaign_draws_both_undo_scenarios_and_never_corrupts_silently() {
+    let report = run_campaign(&CampaignConfig {
+        budget_states: 500,
+        registry: Registry::Ds,
+        ..config_telemetry(0, 42)
+    });
+    let undo: Vec<_> = report
+        .scenarios
+        .iter()
+        .filter(|s| s.name.ends_with("-undo"))
+        .collect();
+    assert_eq!(undo.len(), 2, "{:?}", report.scenarios);
+    for s in undo {
+        assert!(s.trials > 0, "{} drew no trials", s.name);
+        assert_eq!(s.outcomes.silent_corruption, 0, "{}", s.name);
+    }
+    assert_eq!(report.silent_corruption_total(), 0);
 }

@@ -14,13 +14,16 @@
 //!    A second pass picks units that *share a poll* — one crash state
 //!    charged to several units — where the batch path recovers once per
 //!    state and `run_trial` remains the per-unit oracle.
+//!    A third asks the one batch hook for several passes at once and
+//!    checks each against its single-pass run: the passes share a forward
+//!    execution, never a result.
 //! 3. **Report level**: whole campaigns are byte-identical in canonical
 //!    form under both code paths, across 1 and 8 worker threads, dense
 //!    units included.
 
 use adcc::campaign::engine::{run_campaign, CampaignConfig};
 use adcc::campaign::memstats::ImageMemory;
-use adcc::campaign::scenario::{dist_registry, ds_registry, registry, Registry};
+use adcc::campaign::scenario::{Passes, Registry};
 
 /// A spread of units across each scenario's site-grain space plus one
 /// dense (access-grain) point.
@@ -35,7 +38,7 @@ fn sample_units(total: u64) -> Vec<u64> {
 fn every_scenario_batches_identically_to_per_trial() {
     for telemetry in [false, true] {
         let mem = ImageMemory::default();
-        for s in registry() {
+        for s in Registry::Kernel.scenarios() {
             let units = sample_units(s.total_units());
             let batch = s
                 .run_batch(&units, telemetry, &mem)
@@ -82,7 +85,10 @@ fn poll_sharing_units(total: u64) -> Vec<u64> {
 #[test]
 fn units_sharing_a_crash_state_match_per_trial() {
     for telemetry in [false, true] {
-        for s in registry().into_iter().chain(ds_registry()) {
+        for s in [Registry::Kernel, Registry::Ds]
+            .into_iter()
+            .flat_map(Registry::scenarios)
+        {
             let units = poll_sharing_units(s.total_units());
             let mem = ImageMemory::default();
             let batch = s.run_batch(&units, telemetry, &mem).expect("batched path");
@@ -120,7 +126,7 @@ fn units_sharing_a_crash_state_match_per_trial() {
 /// nothing).
 #[test]
 fn dirty_restarts_sharing_a_crash_state_match_per_unit() {
-    for s in registry() {
+    for s in Registry::Kernel.scenarios() {
         let units = poll_sharing_units(s.total_units());
         let mem = ImageMemory::default();
         let batch = s.run_resilience(&units, &mem).expect("kernel sweep");
@@ -133,6 +139,78 @@ fn dirty_restarts_sharing_a_crash_state_match_per_unit() {
     }
 }
 
+/// The fused-call gate: recover + dirty asked of one `run_passes` call
+/// equal separate `run_batch` + `run_resilience` — trials (telemetry
+/// included), dirty trials and tolerance — for every kernel and dist
+/// scenario, on units that share crash states. A kernel chunk harvests
+/// once for both passes; nothing else may change.
+#[test]
+fn fused_recover_and_dirty_passes_equal_the_separate_runs() {
+    for reg in [Registry::Kernel, Registry::Dist] {
+        for s in reg.scenarios() {
+            let units = poll_sharing_units(s.total_units());
+            let (fused_mem, mem) = (ImageMemory::default(), ImageMemory::default());
+            let fused = s.run_passes(&units, Passes::recover(true).and_dirty(), &fused_mem);
+            let batch = s.run_batch(&units, true, &mem).expect("batched path");
+            let swept = s.run_resilience(&units, &mem).expect("dirty-restart path");
+
+            assert_eq!(fused.trials.len(), units.len(), "{}", s.name());
+            for (f, b) in fused.trials.iter().zip(&batch) {
+                let got = (f.unit, f.outcome, f.lost_units, f.sim_time_ps, f.telemetry);
+                let want = (b.unit, b.outcome, b.lost_units, b.sim_time_ps, b.telemetry);
+                assert_eq!(got, want, "{} unit {}", s.name(), b.unit);
+            }
+            let dirty = fused.dirty.expect("dirty pass requested and supported");
+            assert_eq!(dirty.trials, swept.trials, "{}", s.name());
+            assert_eq!(dirty.tolerance, swept.tolerance, "{}", s.name());
+            assert!(
+                fused.analysis.is_none(),
+                "{}: no regions declared",
+                s.name()
+            );
+
+            if reg == Registry::Kernel {
+                let (f, m) = (fused_mem.summary(), mem.summary());
+                assert_eq!((f.executions, m.executions), (1, 2), "{}", s.name());
+            }
+        }
+    }
+}
+
+/// The analyze pass through the hook equals `run_analyzed` for every ds
+/// scenario — trials, per-unit crash facts, protocol findings — and the
+/// ds registry has no dirty-restart step to fuse.
+#[test]
+fn ds_analyze_pass_equals_run_analyzed() {
+    let mut any_facts = false;
+    for s in Registry::Ds.scenarios() {
+        let units = poll_sharing_units(s.total_units());
+        let mem = ImageMemory::default();
+        let passes = Passes::recover(false).and_analyze().and_dirty();
+        let out = s.run_passes(&units, passes, &mem);
+        let want = s.run_analyzed(&units, &mem).expect("ds declares regions");
+        assert!(out.dirty.is_none(), "{}", s.name());
+        assert!(s.run_resilience(&units, &mem).is_none(), "{}", s.name());
+
+        let analysis = out.analysis.expect("analyze pass requested and supported");
+        assert_eq!(out.trials.len(), want.trials.len(), "{}", s.name());
+        any_facts |= analysis.facts.iter().any(|f| !f.is_empty());
+        for ((t, facts), w) in out.trials.iter().zip(&analysis.facts).zip(&want.trials) {
+            let got = (t.unit, t.outcome, t.lost_units, t.sim_time_ps);
+            let want = (
+                w.trial.unit,
+                w.trial.outcome,
+                w.trial.lost_units,
+                w.trial.sim_time_ps,
+            );
+            assert_eq!(got, want, "{} unit {}", s.name(), t.unit);
+            assert_eq!(facts, &w.facts, "{} unit {}", s.name(), t.unit);
+        }
+        assert_eq!(analysis.protocol, want.protocol, "{}", s.name());
+    }
+    assert!(any_facts, "no crash point left a tracked line unpersisted");
+}
+
 /// The dist divergence gate: every distributed scenario's `run_batch`
 /// (one harvest-planned cluster execution, forked-cluster recovery
 /// replays, reference-run tail short-circuit) must produce trials
@@ -142,7 +220,7 @@ fn dirty_restarts_sharing_a_crash_state_match_per_unit() {
 fn every_dist_scenario_batches_identically_to_per_trial() {
     for telemetry in [false, true] {
         let mem = ImageMemory::default();
-        for s in dist_registry() {
+        for s in Registry::Dist.scenarios() {
             let units = sample_units(s.total_units());
             let batch = s
                 .run_batch(&units, telemetry, &mem)
@@ -181,7 +259,7 @@ fn every_dist_scenario_batches_identically_to_per_trial() {
 fn every_ds_scenario_batches_identically_to_per_trial() {
     for telemetry in [false, true] {
         let mem = ImageMemory::default();
-        for s in ds_registry() {
+        for s in Registry::Ds.scenarios() {
             let units = sample_units(s.total_units());
             let batch = s
                 .run_batch(&units, telemetry, &mem)

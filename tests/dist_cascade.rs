@@ -143,7 +143,10 @@ fn faulted_smoke_campaigns_are_deterministic_and_corruption_free() {
             "{}: fabric faults and cascades must never corrupt silently",
             faults.name()
         );
+        // The profile is part of the report, so a replay re-injects it.
         assert_eq!(serial.faults, faults);
+        let header = format!("\"faults\": \"{}\"", faults.name());
+        assert!(serial.canonical_string().contains(&header), "{header}");
         let t = serial.telemetry.as_ref().expect("telemetry on");
         assert!(
             t.net_dropped > 0,
