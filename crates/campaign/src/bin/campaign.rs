@@ -383,8 +383,8 @@ fn print_summary(o: &mut impl Write, report: &CampaignReport) -> io::Result<()> 
         };
         writeln!(
             o,
-            "crash-image memory: {} B/state ({} images{distinct} over {} executions; \
-             full-copy equivalent {} B/state, {:.1}x; peak live {:.1} MiB)",
+            "crash-image memory: {} B/state resident ({} images{distinct} over {} executions; \
+             logical dense copy {} B/state, {:.1}x; peak resident {:.2} MiB)",
             m.bytes_per_crash_state(),
             m.images,
             m.executions,

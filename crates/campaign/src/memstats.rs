@@ -1,10 +1,14 @@
 //! Crash-image memory accounting for the copy-on-write campaign path.
 //!
-//! The legacy engine materialized a full `NvmImage` (an O(pool-size) byte
+//! The legacy engine materialized a dense `NvmImage` (an O(pool-size) byte
 //! copy) per crash state; the delta engine stores one shared base per
-//! forward execution plus O(dirty-lines) per state. This module counts
-//! both so reports and benches can show bytes-per-crash-state and the
-//! full-copy equivalent side by side. Everything here is a **host fact**
+//! forward execution plus O(dirty-lines) per state, and every image —
+//! base, delta or materialized — holds only the pool's written prefix.
+//! This module counts both sides so reports and benches can show them
+//! side by side: `base_bytes`, `delta_bytes` and `peak_live_bytes` are
+//! **resident** bytes (what the harness actually held), `full_copy_bytes`
+//! is the **logical** yardstick (images × pool capacity, what dense
+//! per-state copies would have cost). Everything here is a **host fact**
 //! (how much memory the harness itself used), so it lives in the report's
 //! non-canonical `host` section — but all counters derive from the
 //! deterministic simulation, so they are identical across reruns and
@@ -29,18 +33,21 @@ pub struct ImageMemory {
 }
 
 impl ImageMemory {
-    /// Record one batched forward execution: the shared base snapshot it
-    /// took (`base_bytes`, the NVM pool size), the summed delta payload of
-    /// the `images` crash states it harvested (one per scheduled unit that
-    /// fired), how many of those were `distinct_states` (units captured by
-    /// the same poll are one state, recovered once), and the pool size a
-    /// legacy full-copy image of this scenario would have cost per state.
+    /// Record one batched forward execution: the resident bytes of the
+    /// shared base snapshot(s) it took (`base_bytes`, the written prefix of
+    /// the NVM pool), the summed delta payload of the `images` crash states
+    /// it harvested (one per scheduled unit that fired), how many of those
+    /// were `distinct_states` (units captured by the same poll are one
+    /// state, recovered once), the resident bytes of the largest image it
+    /// materialized (`materialized_bytes`), and the logical pool size a
+    /// dense full-copy image of this scenario would have cost per state.
     pub fn record_execution(
         &self,
         base_bytes: u64,
         delta_bytes: u64,
         images: u64,
         distinct_states: u64,
+        materialized_bytes: u64,
         pool_bytes: u64,
     ) {
         self.executions.fetch_add(1, Ordering::Relaxed);
@@ -54,7 +61,7 @@ impl ImageMemory {
         // Live set of one execution: the shared base, every delta of the
         // batch, and the single transient materialization classification
         // holds at a time.
-        let live = base_bytes + delta_bytes + pool_bytes;
+        let live = base_bytes + delta_bytes + materialized_bytes;
         self.peak_live_bytes.fetch_max(live, Ordering::Relaxed);
     }
 
@@ -84,15 +91,16 @@ pub struct ImageMemorySummary {
     /// poll share one machine state and one recovery. `None` when the
     /// document predates the count (it is emitted only when known).
     pub distinct_states: Option<u64>,
-    /// Bytes of shared base snapshots (one per execution).
+    /// Resident bytes of shared base snapshots (one written prefix per
+    /// execution).
     pub base_bytes: u64,
     /// Bytes of per-state delta payload.
     pub delta_bytes: u64,
-    /// What the legacy full-copy path would have allocated for the same
-    /// states (images × pool size).
+    /// Logical bytes of the same states: what dense full-pool copies would
+    /// have allocated (images × pool capacity).
     pub full_copy_bytes: u64,
-    /// Largest single-execution live set (base + deltas + one transient
-    /// materialization).
+    /// Largest single-execution resident set (base + deltas + one
+    /// transient materialization).
     pub peak_live_bytes: u64,
 }
 
@@ -105,7 +113,8 @@ impl ImageMemorySummary {
             .unwrap_or(0)
     }
 
-    /// Average bytes per state the legacy full-copy path would have paid.
+    /// Average logical bytes per state (what a dense full-copy image per
+    /// state would have paid).
     pub fn full_copy_bytes_per_state(&self) -> u64 {
         self.full_copy_bytes.checked_div(self.images).unwrap_or(0)
     }
@@ -118,17 +127,17 @@ mod tests {
     #[test]
     fn records_and_summarizes() {
         let m = ImageMemory::default();
-        m.record_execution(1000, 200, 4, 2, 1000);
-        m.record_execution(2000, 100, 1, 1, 2000);
+        m.record_execution(300, 200, 4, 2, 400, 1000);
+        m.record_execution(500, 100, 1, 1, 600, 2000);
         let s = m.summary();
         assert_eq!(s.executions, 2);
         assert_eq!(s.images, 5);
         assert_eq!(s.distinct_states, Some(3));
-        assert_eq!(s.base_bytes, 3000);
+        assert_eq!(s.base_bytes, 800);
         assert_eq!(s.delta_bytes, 300);
         assert_eq!(s.full_copy_bytes, 4 * 1000 + 2000);
-        assert_eq!(s.peak_live_bytes, 2000 + 100 + 2000);
-        assert_eq!(s.bytes_per_crash_state(), 3300 / 5);
+        assert_eq!(s.peak_live_bytes, 500 + 100 + 600);
+        assert_eq!(s.bytes_per_crash_state(), 1100 / 5);
         assert_eq!(s.full_copy_bytes_per_state(), 6000 / 5);
     }
 

@@ -43,8 +43,8 @@ fn dirty_tolerance() -> Tolerance {
 }
 
 fn config(a: &CsrMatrix) -> SystemConfig {
-    // History (4 arrays × (iters + 2) rows) + matrix + vectors + slack:
-    // small enough that per-trial crash images stay a ~3 MB memcpy.
+    // History (4 arrays × (iters + 2) rows) + matrix + vectors + slack.
+    // Crash images hold only the written prefix, so the slack costs nothing.
     let cap = 4 * (ITERS + 2) * a.n() * 8 + a.nnz() * 12 + (a.n() + 1) * 4 + (2 << 20);
     trim_dram(SystemConfig::nvm_only(16 << 10, cap))
 }

@@ -458,6 +458,7 @@ impl<S: DistSpec> Scenario for Dist<S> {
                 stats.delta_bytes,
                 stats.images,
                 stats.distinct_states,
+                stats.materialized_bytes,
                 stats.pool_bytes,
             )
         };

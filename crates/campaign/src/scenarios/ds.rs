@@ -355,4 +355,11 @@ mod tests {
             assert_eq!(t.telemetry, b.telemetry, "unit {u}");
         }
     }
+
+    #[test]
+    fn images_hold_kilobytes_of_the_mebibyte_pool() {
+        let s = DsScenario::new("ds-queue-undo", Structure::Queue, Protection::Undo);
+        let pool = super::super::harness::assert_images_hold_only_the_written_prefix(&s, 16 << 10);
+        assert_eq!(pool, 1 << 20);
+    }
 }

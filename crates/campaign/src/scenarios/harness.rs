@@ -304,13 +304,15 @@ pub(crate) fn run_passes<W: Workload>(
         emu.system_mut().attach_recorder(rec);
     }
     let probe = (passes.recover && passes.telemetry).then(|| Probe::attach(&emu));
-    emu.arm_harvest(units.iter().map(|&u| (w.trigger_of(u), u)));
+    let base_bytes = emu
+        .arm_harvest(units.iter().map(|&u| (w.trigger_of(u), u)))
+        .resident_bytes();
     let end = w
         .forward(&mut live, &mut emu)
         .completed()
         .expect("a Never trigger runs to completion");
     let harvests = emu.take_harvests();
-    record(mem, &emu, &harvests);
+    record(mem, &emu, base_bytes, &harvests);
 
     let slot = |unit: u64| {
         units
@@ -409,12 +411,54 @@ fn classify_dirty(d: &DirtyRestart, reference: &[f64], tol: &Tolerance) -> Dirty
 
 /// Record one batched execution's crash-image memory facts. Images and
 /// delta bytes count per scheduled unit (what the batch would hold without
-/// payload sharing); the poll groups are the distinct states.
-fn record(mem: &ImageMemory, emu: &CrashEmulator, harvests: &[Harvest]) {
-    let pool = emu.config().nvm_capacity as u64;
+/// payload sharing); the poll groups are the distinct states, of which one
+/// is materialized at a time.
+fn record(mem: &ImageMemory, emu: &CrashEmulator, base_bytes: u64, harvests: &[Harvest]) {
     let delta_bytes: u64 = harvests.iter().map(|h| h.image.delta_bytes()).sum();
     let distinct = poll_groups(harvests).count() as u64;
-    mem.record_execution(pool, delta_bytes, harvests.len() as u64, distinct, pool);
+    let materialized = harvests
+        .iter()
+        .map(|h| h.image.materialized_bytes())
+        .max()
+        .unwrap_or(0);
+    mem.record_execution(
+        base_bytes,
+        delta_bytes,
+        harvests.len() as u64,
+        distinct,
+        materialized,
+        emu.config().nvm_capacity as u64,
+    );
+}
+
+/// Harvest the first 128-unit chunk of `w` and check that no crash image
+/// holds more than the run ever wrote: a host-independent "bytes copied"
+/// gate, so a regression back to capacity-sized image buffers fails a test
+/// instead of a noisy timing. Returns the pool capacity the images span.
+#[cfg(test)]
+pub(crate) fn assert_images_hold_only_the_written_prefix<W: Workload>(
+    w: &W,
+    written_max: usize,
+) -> usize {
+    let units: Vec<u64> = (0..w.total_units().min(128)).collect();
+    let (mut emu, mut live) = w.setup(CrashTrigger::Never);
+    let pool = emu.config().nvm_capacity;
+    let base = emu.arm_harvest(units.iter().map(|&u| (w.trigger_of(u), u)));
+    assert_eq!(base.len(), pool);
+    assert!(base.resident_bytes() as usize <= written_max);
+    assert!(w.forward(&mut live, &mut emu).completed().is_some());
+    // The backing store's prefix only grows: at the end of the run it ends
+    // at the highest line the run wrote.
+    let written = emu.nvm_snapshot().prefix().len();
+    assert!(written <= written_max, "{written} B written of {pool}");
+    let harvests = emu.take_harvests();
+    assert!(poll_groups(&harvests).count() > 1);
+    for group in poll_groups(&harvests) {
+        let image = group[0].image.materialize();
+        assert_eq!(image.len(), pool, "len() stays the logical pool size");
+        assert!(image.prefix().len() <= written, "unit {}", group[0].unit);
+    }
+    pool
 }
 
 #[cfg(test)]
@@ -606,5 +650,12 @@ mod tests {
             // Unit 7's trigger never fires: both paths report the clean run.
             assert_eq!(batch[6].outcome, Outcome::CompletedClean);
         }
+    }
+
+    #[test]
+    fn cg_images_hold_a_fraction_of_the_pool() {
+        let w = super::super::cg::CgExtended::new();
+        let pool = assert_images_hold_only_the_written_prefix(&w, 128 << 10);
+        assert!(pool >= 2 << 20, "{pool}");
     }
 }

@@ -20,7 +20,7 @@
 use adcc_sim::clock::Bucket;
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, Harvest};
 use adcc_sim::image::NvmImage;
-use adcc_sim::system::{MemorySystem, SystemConfig};
+use adcc_sim::system::{DeltaBase, MemorySystem, SystemConfig};
 
 use crate::net::{decode_f64s, encode_f64s, Fabric, FaultPlan, NetTiming, NetTraffic};
 
@@ -207,14 +207,14 @@ impl Cluster {
 
     /// Arm a harvest plan on one rank: its polls capture copy-on-write
     /// crash states instead of crashing (see
-    /// [`CrashEmulator::arm_harvest`]). Capture is uncharged, so the
-    /// forward execution is unperturbed.
+    /// [`CrashEmulator::arm_harvest`], whose delta base this returns).
+    /// Capture is uncharged, so the forward execution is unperturbed.
     pub fn arm_harvest(
         &mut self,
         rank: usize,
         points: impl IntoIterator<Item = (CrashTrigger, u64)>,
-    ) {
-        self.emus[rank].arm_harvest(points);
+    ) -> &DeltaBase {
+        self.emus[rank].arm_harvest(points)
     }
 
     /// Take the crash states one rank's plan captured since the last

@@ -490,8 +490,8 @@ pub struct BatchPoint {
 /// campaign's `ImageMemory` gauge.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchStats {
-    /// Bytes the armed ranks' copy-on-write bases pin (one full NVM
-    /// snapshot per armed rank).
+    /// Resident bytes the armed ranks' copy-on-write bases pin (one
+    /// written-prefix NVM snapshot per armed rank).
     pub base_bytes: u64,
     /// Total delta bytes across all harvested crash states.
     pub delta_bytes: u64,
@@ -500,8 +500,11 @@ pub struct BatchStats {
     /// Distinct crash states among `images` (points captured by the same
     /// poll are one state, replayed once).
     pub distinct_states: u64,
-    /// Full-image bytes one crash state would have cost (per-rank NVM
-    /// capacity).
+    /// Resident bytes of the largest image materialized for a replay (one
+    /// is live at a time).
+    pub materialized_bytes: u64,
+    /// Logical bytes of one crash image, what a dense full-pool copy per
+    /// state would have cost (per-rank NVM capacity).
     pub pool_bytes: u64,
 }
 
@@ -539,8 +542,7 @@ pub fn run_dist_batch<K: DistKernel + Clone>(
             .map(|p| (p.trigger, p.unit))
             .collect();
         if !pts.is_empty() {
-            cl.arm_harvest(rank, pts);
-            stats.base_bytes += stats.pool_bytes;
+            stats.base_bytes += cl.arm_harvest(rank, pts).resident_bytes();
         }
     }
     let probes: Option<Vec<Probe>> =
@@ -623,6 +625,9 @@ fn drain_groups<T: Clone>(
         stats.delta_bytes += harvests.iter().map(|h| h.image.delta_bytes()).sum::<u64>();
         for group in poll_groups(&harvests) {
             stats.distinct_states += 1;
+            stats.materialized_bytes = stats
+                .materialized_bytes
+                .max(group[0].image.materialized_bytes());
             let replayed = replay(cl, rank, &group[0].image);
             // Most groups are a single unit and a replay carries the global
             // solution: clone for all but the last.
@@ -804,8 +809,7 @@ pub fn run_dist_dirty_batch<K: DistKernel + Clone>(
             .map(|p| (p.trigger, p.unit))
             .collect();
         if !pts.is_empty() {
-            cl.arm_harvest(rank, pts);
-            stats.base_bytes += stats.pool_bytes;
+            stats.base_bytes += cl.arm_harvest(rank, pts).resident_bytes();
         }
     }
     let mut results: Vec<(u64, DirtyReboot)> = Vec::with_capacity(points.len());

@@ -6,6 +6,44 @@
 
 use crate::line::{LINE_SHIFT, LINE_SIZE};
 
+/// Copy `buf.len()` bytes at offset `off` out of a pool stored as its
+/// written `prefix`: bytes past the prefix read as zero. The caller has
+/// already bounds-checked the range against the pool's logical length.
+#[inline]
+pub(crate) fn read_padded(prefix: &[u8], off: usize, buf: &mut [u8]) {
+    let have = prefix.len().saturating_sub(off).min(buf.len());
+    if have > 0 {
+        buf[..have].copy_from_slice(&prefix[off..off + have]);
+    }
+    buf[have..].fill(0);
+}
+
+/// Write `src` at offset `off` of a pool stored as its written `prefix`,
+/// materializing the zero fill up to the end of the write first.
+#[inline]
+pub(crate) fn write_growing(prefix: &mut Vec<u8>, off: usize, src: &[u8]) {
+    let end = off + src.len();
+    if end > prefix.len() {
+        prefix.resize(end, 0);
+    }
+    prefix[off..end].copy_from_slice(src);
+}
+
+/// Length of `bytes` without its trailing zeros. Chunked comparison so a
+/// long zero tail is scanned at memcmp speed, not byte-at-a-time.
+pub(crate) fn trimmed_len(bytes: &[u8]) -> usize {
+    const CHUNK: usize = 1024;
+    const ZERO: [u8; CHUNK] = [0; CHUNK];
+    let mut live = bytes.len();
+    while live >= CHUNK && bytes[live - CHUNK..live] == ZERO {
+        live -= CHUNK;
+    }
+    while live > 0 && bytes[live - 1] == 0 {
+        live -= 1;
+    }
+    live
+}
+
 /// A flat byte store with a base address.
 ///
 /// The store can optionally journal writes at line granularity (see
@@ -128,25 +166,13 @@ impl Backing {
         off
     }
 
-    /// Materialize the zero fill up to `end` so a write there lands in
-    /// allocated storage.
-    #[inline]
-    fn grow(&mut self, end: usize) {
-        if end > self.bytes.len() {
-            self.bytes.resize(end, 0);
-        }
-    }
-
     /// Read the full line containing byte address `line_addr << 6`.
     #[inline]
     pub fn read_line(&self, line: u64) -> [u8; LINE_SIZE] {
         let addr = line << LINE_SHIFT;
         let off = self.index(addr, LINE_SIZE);
         let mut out = [0u8; LINE_SIZE];
-        let have = self.bytes.len().saturating_sub(off).min(LINE_SIZE);
-        if have > 0 {
-            out[..have].copy_from_slice(&self.bytes[off..off + have]);
-        }
+        read_padded(&self.bytes, off, &mut out);
         out
     }
 
@@ -156,58 +182,45 @@ impl Backing {
         let addr = line << LINE_SHIFT;
         let off = self.index(addr, LINE_SIZE);
         self.note_line(line);
-        self.grow(off + LINE_SIZE);
-        self.bytes[off..off + LINE_SIZE].copy_from_slice(data);
+        write_growing(&mut self.bytes, off, data);
     }
 
     /// Raw (uncharged) byte read, used by image snapshots and debugging.
     pub fn read_bytes(&self, addr: u64, buf: &mut [u8]) {
         let off = self.index(addr, buf.len());
-        let have = self.bytes.len().saturating_sub(off).min(buf.len());
-        if have > 0 {
-            buf[..have].copy_from_slice(&self.bytes[off..off + have]);
-        }
-        buf[have..].fill(0);
+        read_padded(&self.bytes, off, buf);
     }
 
     /// Raw (uncharged) byte write, used to seed initial state.
     pub fn write_bytes(&mut self, addr: u64, src: &[u8]) {
         let off = self.index(addr, src.len());
         self.note_range(addr, src.len());
-        self.grow(off + src.len());
-        self.bytes[off..off + src.len()].copy_from_slice(src);
+        write_growing(&mut self.bytes, off, src);
     }
 
-    /// Clone the full contents (crash snapshot). Always `capacity` bytes:
-    /// the unwritten tail is materialized as zeros so image consumers see
-    /// the whole pool.
+    /// Clone the contents (crash snapshot) as the written prefix: the
+    /// pool's bytes from offset 0 up to the highest byte ever written.
+    /// Everything from there to [`Backing::capacity`] is zero and is not
+    /// stored, so a snapshot costs O(live data), like [`Clone`].
     pub fn snapshot(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.cap];
-        out[..self.bytes.len()].copy_from_slice(&self.bytes);
-        out
+        self.bytes.clone()
     }
 
-    /// Overwrite the full contents (restoring a snapshot). Invalidates any
-    /// outstanding write journal: the whole store changed at once.
-    pub fn restore(&mut self, bytes: &[u8]) {
-        assert_eq!(bytes.len(), self.cap, "snapshot size mismatch");
+    /// Overwrite the full contents with a snapshot given as its written
+    /// `prefix` plus the logical pool length `len` (the rest reads as
+    /// zero). Invalidates any outstanding write journal: the whole store
+    /// changed at once.
+    pub fn restore(&mut self, prefix: &[u8], len: usize) {
+        assert_eq!(len, self.cap, "snapshot size mismatch");
+        assert!(prefix.len() <= len, "snapshot prefix longer than the pool");
         self.journal_epoch += 1;
         self.journal.clear();
         self.journaling = false;
-        // Trim the snapshot's trailing zeros so a restored store keeps the
-        // cheap-to-clone written-prefix invariant. Chunked comparison so
-        // the scan runs at memcmp speed, not byte-at-a-time.
-        const CHUNK: usize = 1024;
-        const ZERO: [u8; CHUNK] = [0; CHUNK];
-        let mut live = bytes.len();
-        while live >= CHUNK && bytes[live - CHUNK..live] == ZERO {
-            live -= CHUNK;
-        }
-        while live > 0 && bytes[live - 1] == 0 {
-            live -= 1;
-        }
+        // Trailing zeros of the prefix carry no data: drop them so the
+        // restored store stays as cheap to clone as its live data allows.
+        let live = trimmed_len(prefix);
         self.bytes.clear();
-        self.bytes.extend_from_slice(&bytes[..live]);
+        self.bytes.extend_from_slice(&prefix[..live]);
     }
 
     /// Zero everything (volatile medium lost at crash). Invalidates any
@@ -301,7 +314,7 @@ mod tests {
         let snap = b.snapshot();
         let e = b.mark_journal();
         b.write_bytes(0, &[1; 8]);
-        b.restore(&snap);
+        b.restore(&snap, 256);
         assert!(b.journal_epoch() > e, "restore bumps the epoch");
         assert!(b.journal_lines().is_empty());
         b.write_bytes(0, &[2; 8]);
@@ -353,16 +366,35 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_always_full_capacity_and_roundtrips() {
-        let mut b = Backing::new(0, 128);
+    fn snapshot_is_the_written_prefix_and_roundtrips() {
+        let mut b = Backing::new(0, 256);
+        assert!(b.snapshot().is_empty(), "nothing written, nothing stored");
         b.write_bytes(0, &[9; 16]);
         let snap = b.snapshot();
-        assert_eq!(snap.len(), 128, "snapshot materializes the whole pool");
-        assert_eq!(&snap[..16], &[9; 16]);
-        assert_eq!(&snap[16..], &[0; 112]);
+        assert_eq!(snap, [9; 16], "snapshot stops at the last written byte");
         b.wipe();
         assert_eq!(b.read_line(0)[0], 0);
-        b.restore(&snap);
-        assert_eq!(b.read_line(0)[0], 9);
+        b.restore(&snap, 256);
+        assert_eq!(b.read_line(0)[..16], [9; 16]);
+        assert_eq!(b.read_line(0)[16..], [0; 48], "past the prefix reads zero");
+        assert_eq!(b.read_line(3), [0; LINE_SIZE]);
+        assert_eq!(b.snapshot(), snap);
+    }
+
+    #[test]
+    fn restore_trims_the_trailing_zeros_of_the_prefix() {
+        let mut b = Backing::new(0, 8192);
+        let mut prefix = vec![0u8; 4096];
+        prefix[5] = 1;
+        b.restore(&prefix, 8192);
+        assert_eq!(b.snapshot(), [0, 0, 0, 0, 0, 1]);
+        b.restore(&[0; 100], 8192);
+        assert!(b.snapshot().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot size mismatch")]
+    fn restore_rejects_a_snapshot_of_another_pool_size() {
+        Backing::new(0, 128).restore(&[1; 16], 64);
     }
 }

@@ -166,13 +166,17 @@ impl CrashEmulator {
     /// counter snapshot) for its unit — without crashing, so one
     /// instrumented execution yields an image per scheduled crash point.
     /// Each point fires at most once; capture order is poll order. The
-    /// delta base is taken now (see [`MemorySystem::delta_base`]).
+    /// delta base is taken now (see [`MemorySystem::delta_base`]) and
+    /// returned, so a driver can account for the memory it pins.
     ///
     /// The armed crash `trigger` still works independently; a poll that
     /// both harvests and fires the trigger captures the harvest first, so
     /// the image equals what [`CrashEmulator::crash_now`] is about to
     /// return.
-    pub fn arm_harvest(&mut self, points: impl IntoIterator<Item = (CrashTrigger, u64)>) {
+    pub fn arm_harvest(
+        &mut self,
+        points: impl IntoIterator<Item = (CrashTrigger, u64)>,
+    ) -> &DeltaBase {
         let base = self.sys.delta_base();
         let points: Vec<PlanPoint> = points
             .into_iter()
@@ -184,13 +188,14 @@ impl CrashEmulator {
             })
             .collect();
         let pending = points.iter().filter(|p| !p.done).count();
-        self.harvest = Some(HarvestState {
+        let armed = self.harvest.insert(HarvestState {
             base,
             points,
             pending,
             polls: 0,
             out: Vec::new(),
         });
+        &armed.base
     }
 
     /// Crash states captured so far by the armed harvest plan.
@@ -483,7 +488,7 @@ mod tests {
         assert_eq!(a.get(&mut e, 1), 2);
         // ...and the fork equals the real crash image taken at that point.
         let crashed = e.crash_now();
-        assert_eq!(fork.bytes(), crashed.bytes());
+        assert_eq!(fork, crashed);
         assert_eq!(fork.read_u64(a.addr(0)), 1);
         assert_eq!(fork.read_u64(a.addr(1)), 0);
     }
@@ -560,7 +565,7 @@ mod tests {
         )]);
         assert!(run(&mut harvester).is_none());
         let h = harvester.take_harvests().remove(0);
-        assert_eq!(h.image.materialize().bytes(), crashed.bytes());
+        assert_eq!(h.image.materialize(), crashed);
         assert_eq!(
             h.image.dirty_lines_at_crash(),
             crashed.dirty_lines_at_crash()
@@ -670,7 +675,7 @@ mod tests {
         let img = e.crash_now();
         let h = e.take_harvests().remove(0);
         assert_eq!(h.unit, 9);
-        assert_eq!(h.image.materialize().bytes(), img.bytes());
+        assert_eq!(h.image.materialize(), img);
     }
 
     #[test]
@@ -678,7 +683,7 @@ mod tests {
         let o: RunOutcome<i32> = RunOutcome::Completed(3);
         assert!(!o.is_crashed());
         assert_eq!(o.completed(), Some(3));
-        let o: RunOutcome<i32> = RunOutcome::Crashed(NvmImage::new(vec![]));
+        let o: RunOutcome<i32> = RunOutcome::Crashed(NvmImage::new(vec![], 0));
         assert!(o.is_crashed());
         assert!(o.crashed().is_some());
     }

@@ -9,27 +9,48 @@
 //! harvests at scale: an immutable base snapshot shared via [`Arc`] plus
 //! only the NVM lines that changed since the base was taken, so storing a
 //! crash state costs O(dirty lines) instead of O(pool size). Recovery
-//! lazily [`DeltaImage::materialize`]s a full image when it needs one.
+//! lazily [`DeltaImage::materialize`]s a standalone image when it needs one.
+//!
+//! Both carry only what was written: an image stores the pool's **written
+//! prefix** plus its logical length, and every byte past the prefix reads
+//! as zero — the invariant [`crate::backing::Backing`] keeps for the live
+//! pool, held end to end so no crash path allocates or copies the pool's
+//! capacity.
 
 use std::sync::Arc;
 
+use crate::backing::{read_padded, trimmed_len};
 use crate::line::{line_of, offset_in_line, LINE_SHIFT, LINE_SIZE};
 use crate::parray::{PArray, Pod};
 
 /// A byte-exact snapshot of the NVM region at crash time.
+///
+/// Stored as the written prefix plus the logical length: `len()` is the
+/// size of the pool, [`NvmImage::prefix`] the bytes actually held, and
+/// every address in `prefix().len()..len()` reads as zero. Nobody may
+/// assume the prefix spans the pool. Equality is logical — two images are
+/// equal when they have the same length and read the same at every
+/// address (trailing zeros of either prefix are insignificant; the
+/// dirty-residency metadata is not part of the comparison).
 #[derive(Clone)]
 pub struct NvmImage {
-    bytes: Vec<u8>,
+    /// The written prefix; offsets from `prefix.len()` up to `len` are zero.
+    prefix: Vec<u8>,
+    /// Logical size of the snapshot (the NVM pool capacity).
+    len: usize,
     /// Distinct dirty NVM-homed cache lines resident in volatile levels at
     /// the crash instant (telemetry metadata; zero when not recorded).
     dirty_lines: u64,
 }
 
 impl NvmImage {
-    /// Wrap raw snapshot bytes (no dirty-residency metadata attached).
-    pub fn new(bytes: Vec<u8>) -> Self {
+    /// Wrap a snapshot given as its written `prefix` and logical length
+    /// `len` (no dirty-residency metadata attached).
+    pub fn new(prefix: Vec<u8>, len: usize) -> Self {
+        assert!(prefix.len() <= len, "image prefix longer than the image");
         NvmImage {
-            bytes,
+            prefix,
+            len,
             dirty_lines: 0,
         }
     }
@@ -59,31 +80,48 @@ impl NvmImage {
         crate::line::lines_to_bytes(self.dirty_lines)
     }
 
-    /// Raw bytes of the snapshot (NVM addresses index directly).
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+    /// The stored bytes: the written prefix of the snapshot (NVM addresses
+    /// index directly). Shorter than [`NvmImage::len`] whenever the pool's
+    /// tail was never written; the rest of the image is zero.
+    pub fn prefix(&self) -> &[u8] {
+        &self.prefix
     }
 
-    /// Snapshot size in bytes.
+    /// Bytes of host memory the image holds (its prefix), as opposed to
+    /// the logical [`NvmImage::len`].
+    pub fn resident_bytes(&self) -> u64 {
+        self.prefix.len() as u64
+    }
+
+    /// Logical snapshot size in bytes (the NVM pool capacity).
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        self.len
     }
 
-    /// Whether the snapshot holds no bytes.
+    /// Whether the snapshot is of a zero-byte pool.
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.len == 0
+    }
+
+    /// Copy `buf.len()` bytes starting at NVM address `addr` out of the
+    /// image.
+    pub fn read_bytes(&self, addr: u64, buf: &mut [u8]) {
+        let a = addr as usize;
+        assert!(
+            a + buf.len() <= self.len,
+            "image read at {addr:#x}+{} out of range {}",
+            buf.len(),
+            self.len
+        );
+        read_padded(&self.prefix, a, buf);
     }
 
     /// Read a typed value at an NVM address.
     pub fn read<T: Pod>(&self, addr: u64) -> T {
-        let a = addr as usize;
-        assert!(
-            a + T::SIZE <= self.bytes.len(),
-            "image read at {addr:#x}+{} out of range {}",
-            T::SIZE,
-            self.bytes.len()
-        );
-        T::from_bytes(&self.bytes[a..a + T::SIZE])
+        let mut buf = [0u8; 16];
+        assert!(T::SIZE <= buf.len(), "oversized Pod read");
+        self.read_bytes(addr, &mut buf[..T::SIZE]);
+        T::from_bytes(&buf[..T::SIZE])
     }
 
     /// Read one byte at an NVM address.
@@ -112,9 +150,24 @@ impl NvmImage {
     }
 }
 
+impl PartialEq for NvmImage {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len
+            && self.prefix[..trimmed_len(&self.prefix)]
+                == other.prefix[..trimmed_len(&other.prefix)]
+    }
+}
+
+impl Eq for NvmImage {}
+
 impl std::fmt::Debug for NvmImage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "NvmImage({} bytes)", self.bytes.len())
+        write!(
+            f,
+            "NvmImage({} bytes, {} written)",
+            self.len,
+            self.prefix.len()
+        )
     }
 }
 
@@ -196,6 +249,18 @@ impl DeltaImage {
         self.base.len()
     }
 
+    /// Length of the written prefix [`DeltaImage::materialize`] produces:
+    /// the base's prefix, extended to the end of the last delta line when
+    /// that lands beyond it.
+    pub fn materialized_bytes(&self) -> u64 {
+        let delta_end = self
+            .delta
+            .lines
+            .last()
+            .map_or(0, |&line| (line << LINE_SHIFT) + LINE_SIZE as u64);
+        self.base.resident_bytes().max(delta_end)
+    }
+
     /// Whether the logical image holds no bytes.
     pub fn is_empty(&self) -> bool {
         self.base.is_empty()
@@ -215,15 +280,14 @@ impl DeltaImage {
             let a = addr + done as u64;
             let off = offset_in_line(a);
             let take = (LINE_SIZE - off).min(buf.len() - done);
-            let line = line_of(a);
-            let src = match self.delta.lines.binary_search(&line) {
-                Ok(i) => &self.delta.data[i * LINE_SIZE..(i + 1) * LINE_SIZE],
-                Err(_) => {
-                    let base = (line << LINE_SHIFT) as usize;
-                    &self.base.bytes()[base..base + LINE_SIZE]
+            let dst = &mut buf[done..done + take];
+            match self.delta.lines.binary_search(&line_of(a)) {
+                Ok(i) => {
+                    let at = i * LINE_SIZE + off;
+                    dst.copy_from_slice(&self.delta.data[at..at + take]);
                 }
-            };
-            buf[done..done + take].copy_from_slice(&src[off..off + take]);
+                Err(_) => read_padded(self.base.prefix(), a as usize, dst),
+            }
             done += take;
         }
     }
@@ -256,17 +320,21 @@ impl DeltaImage {
         (0..arr.len()).map(|i| self.read(arr.addr(i))).collect()
     }
 
-    /// Expand to a standalone full [`NvmImage`]: base bytes with the delta
-    /// lines applied, dirty-residency metadata carried over. Byte-identical
-    /// to the full crash image taken at the same instant.
+    /// Expand to a standalone [`NvmImage`]: the base's written prefix with
+    /// the delta lines applied (growing the prefix only for lines that land
+    /// beyond it), dirty-residency metadata carried over. Equal to the
+    /// full crash image taken at the same instant.
     pub fn materialize(&self) -> NvmImage {
-        let mut bytes = self.base.bytes().to_vec();
+        let end = self.materialized_bytes() as usize;
+        let mut prefix = Vec::with_capacity(end);
+        prefix.extend_from_slice(self.base.prefix());
+        prefix.resize(end, 0);
         let DeltaPayload { lines, data } = &*self.delta;
         for (&line, payload) in lines.iter().zip(data.chunks_exact(LINE_SIZE)) {
             let off = (line << LINE_SHIFT) as usize;
-            bytes[off..off + LINE_SIZE].copy_from_slice(payload);
+            prefix[off..off + LINE_SIZE].copy_from_slice(payload);
         }
-        NvmImage::new(bytes).with_dirty_lines(self.dirty_lines)
+        NvmImage::new(prefix, self.len()).with_dirty_lines(self.dirty_lines)
     }
 }
 
@@ -300,7 +368,34 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn image_bounds_checked() {
-        let img = NvmImage::new(vec![0; 8]);
+        let img = NvmImage::new(vec![0; 8], 8);
         let _ = img.read_u64(4);
+    }
+
+    #[test]
+    fn reads_past_the_prefix_are_zero_and_bounds_are_logical() {
+        let img = NvmImage::new(vec![0xff; 12], 64);
+        assert_eq!(img.len(), 64);
+        assert_eq!(img.resident_bytes(), 12);
+        assert_eq!(img.read_u64(0), u64::MAX);
+        assert_eq!(img.read_u64(8), 0xffff_ffff, "straddles the prefix end");
+        assert_eq!(img.read_u64(56), 0, "wholly past the prefix");
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn bounds_check_is_against_the_logical_length() {
+        let img = NvmImage::new(vec![1; 8], 64);
+        let _ = img.read_u64(60);
+    }
+
+    #[test]
+    fn equality_is_logical() {
+        let a = NvmImage::new(vec![1, 2, 0, 0], 64);
+        let b = NvmImage::new(vec![1, 2], 64).with_dirty_lines(3);
+        assert_eq!(a, b, "trailing zeros of a prefix are insignificant");
+        assert_ne!(a, NvmImage::new(vec![1, 2], 128), "length is significant");
+        assert_ne!(a, NvmImage::new(vec![1, 3], 64));
+        assert_ne!(a, NvmImage::new(vec![1, 2, 0, 4], 64));
     }
 }

@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use crate::alloc::Bump;
-use crate::backing::Backing;
+use crate::backing::{write_growing, Backing};
 use crate::clock::{Bucket, SimClock, SimTime};
 use crate::image::{DeltaImage, NvmImage};
 use crate::line::{is_dram_addr, line_of, offset_in_line, DRAM_BASE, LINE_SHIFT, LINE_SIZE};
@@ -173,25 +173,26 @@ impl DeltaBase {
         &self.base
     }
 
-    /// Size of the base snapshot in bytes (the NVM pool size).
+    /// Logical size of the base snapshot in bytes (the NVM pool size).
     pub fn len(&self) -> usize {
         self.base.len()
     }
 
-    /// Whether the base snapshot holds no bytes.
+    /// Whether the base snapshot is of a zero-byte pool.
     pub fn is_empty(&self) -> bool {
         self.base.is_empty()
+    }
+
+    /// Bytes of host memory the shared base holds: the pool's written
+    /// prefix when the base was taken (see [`NvmImage::resident_bytes`]).
+    pub fn resident_bytes(&self) -> u64 {
+        self.base.resident_bytes()
     }
 }
 
 impl std::fmt::Debug for DeltaBase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "DeltaBase({} bytes, epoch {})",
-            self.base.len(),
-            self.epoch
-        )
+        write!(f, "DeltaBase({:?}, epoch {})", self.base, self.epoch)
     }
 }
 
@@ -315,7 +316,7 @@ impl MemorySystem {
     /// cold caches over the surviving persistent bytes).
     pub fn from_image(cfg: SystemConfig, image: &NvmImage) -> Self {
         let mut sys = MemorySystem::new(cfg);
-        sys.nvm.restore(image.bytes());
+        sys.nvm.restore(image.prefix(), image.len());
         sys
     }
 
@@ -977,13 +978,13 @@ impl MemorySystem {
         self.dram.wipe();
         self.nvm_streams.reset();
         self.dram_streams.reset();
-        NvmImage::new(self.nvm.snapshot()).with_dirty_lines(dirty_lines)
+        self.nvm_snapshot().with_dirty_lines(dirty_lines)
     }
 
     /// Non-destructive snapshot of the current NVM backing store (what
     /// *would* survive a crash right now). Uncharged; for tests/analysis.
     pub fn nvm_snapshot(&self) -> NvmImage {
-        NvmImage::new(self.nvm.snapshot())
+        NvmImage::new(self.nvm.snapshot(), self.nvm.capacity())
     }
 
     /// Snapshot every deterministic counter (see [`CounterSnapshot`]).
@@ -1006,7 +1007,7 @@ impl MemorySystem {
     pub fn delta_base(&mut self) -> DeltaBase {
         let epoch = self.nvm.mark_journal();
         DeltaBase {
-            base: Arc::new(NvmImage::new(self.nvm.snapshot())),
+            base: Arc::new(self.nvm_snapshot()),
             epoch,
         }
     }
@@ -1046,7 +1047,6 @@ impl MemorySystem {
         // Stable sort keeps insertion order within a line, so the last
         // entry of an equal-line run is the newest (CPU-level) copy.
         overlay.sort_by_key(|&(line, _)| line);
-        let base_bytes = base.base.bytes();
         let mut kept = Vec::with_capacity(lines.len());
         let mut data = Vec::with_capacity(lines.len() * LINE_SIZE);
         for &line in &lines {
@@ -1055,8 +1055,10 @@ impl MemorySystem {
             if after > 0 && overlay[after - 1].0 == line {
                 payload = overlay[after - 1].1;
             }
-            let off = ((line << LINE_SHIFT) - nvm_base) as usize;
-            if payload[..] != base_bytes[off..off + LINE_SIZE] {
+            let off = (line << LINE_SHIFT) - nvm_base;
+            let mut in_base = [0u8; LINE_SIZE];
+            base.base.read_bytes(off, &mut in_base);
+            if payload != in_base {
                 kept.push(line);
                 data.extend_from_slice(&payload);
             }
@@ -1080,7 +1082,7 @@ impl MemorySystem {
     /// NVM-homed cache lines the battery would drain (CPU copies supersede
     /// DRAM-cache copies, like the real drain). Uncharged.
     pub fn crash_fork(&self) -> NvmImage {
-        let mut bytes = self.nvm.snapshot();
+        let mut prefix = self.nvm.snapshot();
         if self.cfg.persistent_caches {
             let base = self.nvm.base();
             // DRAM-cache copies first, then CPU copies (newer) on top.
@@ -1094,11 +1096,11 @@ impl MemorySystem {
                 if !dirty || is_dram_addr(addr) {
                     continue;
                 }
-                let off = (addr - base) as usize;
-                bytes[off..off + LINE_SIZE].copy_from_slice(data);
+                // A drained line may sit beyond anything NVM ever held.
+                write_growing(&mut prefix, (addr - base) as usize, data);
             }
         }
-        NvmImage::new(bytes).with_dirty_lines(self.dirty_nvm_lines())
+        NvmImage::new(prefix, self.nvm.capacity()).with_dirty_lines(self.dirty_nvm_lines())
     }
 }
 
@@ -1440,7 +1442,7 @@ mod tests {
         assert_eq!(out, [8; 8]);
         // ...and the image matches what a real crash produces.
         let crashed = s.crash();
-        assert_eq!(fork.bytes(), crashed.bytes());
+        assert_eq!(fork, crashed);
         assert_eq!(fork.read_u8(a), 7);
         assert_eq!(fork.read_u8(b), 0);
     }
@@ -1454,7 +1456,7 @@ mod tests {
         s.write_bytes(a + 64, &[6; 8]); // dirty in the CPU cache
         let fork = s.crash_fork();
         let crashed = s.crash();
-        assert_eq!(fork.bytes(), crashed.bytes());
+        assert_eq!(fork, crashed);
         assert_eq!(fork.read_u8(a), 0, "DRAM-cache copy is volatile");
     }
 
@@ -1468,7 +1470,7 @@ mod tests {
         s.write_bytes(a + 64, &[2; 8]); // dirty in the CPU cache
         let fork = s.crash_fork();
         let crashed = s.crash();
-        assert_eq!(fork.bytes(), crashed.bytes());
+        assert_eq!(fork, crashed);
         assert_eq!(fork.read_u8(a), 1);
         assert_eq!(fork.read_u8(a + 64), 2);
     }
@@ -1518,7 +1520,7 @@ mod tests {
         s.write_bytes(a + 128, &[3; 8]); // stranded in cache: not in NVM
         let delta = s.crash_fork_delta(&base);
         let full = s.crash_fork();
-        assert_eq!(delta.materialize().bytes(), full.bytes());
+        assert_eq!(delta.materialize(), full);
         assert_eq!(delta.read_u8(a), 1, "pre-base bytes come from the base");
         assert_eq!(delta.read_u8(a + 64), 2, "post-base bytes from the delta");
         assert_eq!(delta.read_u8(a + 128), 0, "cached write not durable");
@@ -1537,7 +1539,7 @@ mod tests {
         s.clflush(a);
         let delta = s.crash_fork_delta(&base);
         assert_eq!(delta.delta_line_count(), 0);
-        assert_eq!(delta.materialize().bytes(), s.crash_fork().bytes());
+        assert_eq!(delta.materialize(), s.crash_fork());
     }
 
     #[test]
@@ -1574,7 +1576,7 @@ mod tests {
         s.write_bytes(a + 64, &[2; 8]); // dirty in the CPU cache
         let delta = s.crash_fork_delta(&base);
         let full = s.crash_fork();
-        assert_eq!(delta.materialize().bytes(), full.bytes());
+        assert_eq!(delta.materialize(), full);
         assert_eq!(delta.read_u8(a), 1);
         assert_eq!(delta.read_u8(a + 64), 2);
     }
@@ -1635,7 +1637,7 @@ mod tests {
         s.persist_line(a);
         let img = s.crash();
         let mut s2 = MemorySystem::new(SystemConfig::nvm_only(4096, 1 << 20));
-        s2.nvm.restore(img.bytes());
+        s2.nvm.restore(img.prefix(), img.len());
         let mut out = [0u8; 8];
         s2.read_bytes(a, &mut out);
         assert_eq!(out, [42; 8]);
@@ -1736,7 +1738,7 @@ mod tests {
                 }
                 Op::Crash => {
                     let (a, b) = (fast.crash(), slow.crash());
-                    prop_assert_eq!(a.bytes(), b.bytes(), "op {}", k);
+                    prop_assert_eq!(a, b, "op {}", k);
                 }
             }
             prop_assert_eq!(fast.stats(), slow.stats(), "op {}: {:?}", k, op);
@@ -1756,7 +1758,7 @@ mod tests {
         );
         let (a, b) = (fast.crash(), slow.crash());
         prop_assert_eq!(a.dirty_lines_at_crash(), b.dirty_lines_at_crash());
-        prop_assert_eq!(a.bytes(), b.bytes());
+        prop_assert_eq!(a, b);
         Ok(())
     }
 

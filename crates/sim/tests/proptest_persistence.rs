@@ -188,7 +188,7 @@ proptest! {
                 let delta = sys.crash_fork_delta(&base);
                 let full = sys.crash_fork();
                 let materialized = delta.materialize();
-                prop_assert_eq!(materialized.bytes(), full.bytes(), "op {}", k);
+                prop_assert_eq!(materialized, full, "op {}", k);
                 prop_assert_eq!(
                     delta.dirty_lines_at_crash(),
                     full.dirty_lines_at_crash(),

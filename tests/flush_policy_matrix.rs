@@ -132,7 +132,7 @@ fn epoch_and_serial_persist_produce_identical_images() {
     };
     let a = build(false);
     let b = build(true);
-    assert_eq!(a.bytes(), b.bytes());
+    assert_eq!(a, b);
 }
 
 proptest! {

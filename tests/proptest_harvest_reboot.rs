@@ -102,7 +102,7 @@ proptest! {
             // The materialized harvest is the per-trial image, byte for
             // byte, dirty-residency metadata included.
             let materialized = h.image.materialize();
-            prop_assert_eq!(materialized.bytes(), crashed.bytes(), "site {:?}", h.site);
+            prop_assert_eq!(materialized, crashed, "site {:?}", h.site);
             prop_assert_eq!(
                 materialized.dirty_lines_at_crash(),
                 crashed.dirty_lines_at_crash(),
@@ -211,7 +211,7 @@ fn reboot_rank_aligns_identically_for_crash_and_materialized_harvest_images() {
         batch.barrier();
     }
     let batch_image = harvested.expect("harvest captured");
-    assert_eq!(batch_image.bytes(), per_image.bytes(), "images identical");
+    assert_eq!(batch_image, per_image, "images identical");
 
     // Reboot both clusters' armed rank from their respective images: the
     // clock re-alignment (frontier, Detect restart charge) and the
