@@ -1,6 +1,22 @@
-//! The campaign engine: schedule crash points per scenario, fan trials
+//! The campaign engine: schedule crash points per scenario, fan the work
 //! out across OS threads, aggregate a deterministic report.
+//!
+//! Two grains of work. A **task** is one forward execution: a scenario
+//! plus a `max_batch`-sized chunk of its crash points, claimed from one
+//! cursor in plan order; the worker that claims it runs
+//! [`Scenario::harvest`] and owns the batch. A **job** is one distinct crash
+//! state of a harvested batch ([`Harvested::run_next`]): the owner takes its
+//! own jobs, and a worker the task list has nothing left for takes jobs of
+//! batches other workers still own — so a campaign ends when its work does,
+//! not when its longest task does. Every worker holds at most one batch and
+//! runs at most one job at a time, so no more than `threads` forward
+//! executions and `threads` recoveries are alive at once. Job results land
+//! in per-batch slots indexed by poll order, batch outputs in slots indexed
+//! by task, and both merges read their slots in index order: neither the
+//! thread count nor the batch size nor who helped whom can reorder a byte.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 use std::time::Instant;
 
 use adcc_dist::net::FaultProfile;
@@ -9,7 +25,7 @@ use adcc_telemetry::ExecutionProfile;
 
 use crate::memstats::ImageMemory;
 use crate::report::{CampaignReport, DiagnosticsBlock, ScenarioReport};
-use crate::scenario::{PassOutput, Passes, Registry, Scenario, Trial};
+use crate::scenario::{Harvested, PassOutput, Passes, Registry, Scenario, Trial};
 use crate::schedule::Schedule;
 
 /// Campaign inputs. `(seed, budget_states, schedule, dense_units)` fully
@@ -216,13 +232,12 @@ impl CampaignConfigBuilder {
     }
 }
 
-/// One unit of parallel work: a scenario index plus the crash points it
-/// evaluates. The batched pass chunks each scenario's points into
-/// `max_batch`-sized tasks (one forward execution each); the per-trial
-/// path gets one task per point.
-struct Task {
-    scenario: usize,
-    units: Vec<u64>,
+/// One forward execution's worth of work: a scenario index plus the crash
+/// points it evaluates. The batched pass chunks each scenario's points into
+/// `max_batch`-sized tasks; the per-trial path gets one task per point.
+pub(crate) struct Task {
+    pub(crate) scenario: usize,
+    pub(crate) units: Vec<u64>,
 }
 
 /// A driven campaign, before it is aggregated: the registry, what every
@@ -243,10 +258,11 @@ pub(crate) struct Driven {
 /// `per_trial` replaces the batch tasks by one [`Scenario::run_trial`] per
 /// point (the recover pass only — the reference path has no other).
 ///
-/// Trials are pure functions of `(scenario, unit)` — every worker owns its
-/// own `MemorySystem`, so the single-clock simulator is never shared — and
-/// the pool returns results in submission order, so neither the thread
-/// count nor the batch size can reorder anything.
+/// Trials are pure functions of `(scenario, unit)` — every forward
+/// execution and every recovery owns its own `MemorySystem`, so the
+/// single-clock simulator is never shared — and [`run_tasks`] returns
+/// outputs in task order, so neither the thread count nor the batch size
+/// can reorder anything.
 pub(crate) fn drive(cfg: &CampaignConfig, passes: Passes, per_trial: bool) -> Driven {
     let start = Instant::now();
     let scenarios = cfg.registry.scenarios_with(cfg.faults);
@@ -266,36 +282,188 @@ pub(crate) fn drive(cfg: &CampaignConfig, passes: Passes, per_trial: bool) -> Dr
         })
         .collect();
 
-    let pool = rayon::ThreadPoolBuilder::new()
+    let threads = rayon::ThreadPoolBuilder::new()
         .num_threads(cfg.threads)
         .build()
-        .expect("thread pool");
-    let threads = pool.current_num_threads() as u64;
-    let mem = ImageMemory::default();
-    let results: Vec<(usize, PassOutput)> = pool.install_map(tasks, |_, task| {
-        let s = &scenarios[task.scenario];
-        let out = if per_trial {
-            PassOutput {
-                trials: vec![s.run_trial(task.units[0], passes.telemetry)],
-                ..PassOutput::default()
-            }
-        } else {
-            s.run_passes(&task.units, passes, &mem)
-        };
-        (task.scenario, out)
-    });
+        .expect("thread pool")
+        .current_num_threads();
+    let mem = ImageMemory::for_workers(threads);
+    let results = run_tasks(&scenarios, &tasks, threads, passes, per_trial, &mem);
 
     let mut outputs: Vec<PassOutput> = scenarios.iter().map(|_| PassOutput::default()).collect();
-    for (idx, out) in results {
-        outputs[idx].absorb(out);
+    for (task, out) in tasks.iter().zip(results) {
+        outputs[task.scenario].absorb(out);
     }
     Driven {
         scenarios,
         outputs,
         mem,
-        threads,
+        threads: threads as u64,
         start,
     }
+}
+
+/// What the workers of one [`run_tasks`] call share.
+struct Pool<'a> {
+    /// One slot per worker: the batch it owns between harvest and merge.
+    /// Readers run jobs of the batch; the owner takes the write lock to
+    /// install it and to take it back, which waits out every job a helper
+    /// still has in flight.
+    owned: Vec<RwLock<Option<Box<dyn Harvested + 'a>>>>,
+    /// The next task nobody has claimed.
+    next_task: AtomicUsize,
+    /// Batch tasks whose harvest has not ended yet. A helper that found no
+    /// job may leave only at zero: until then a batch can still appear.
+    unharvested: Mutex<usize>,
+    harvested: Condvar,
+}
+
+/// Locks here guard single assignments, so a poisoned one still holds a
+/// consistent value — and the worker that poisoned it is already taking
+/// the whole scope down with its own panic.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Ends one task's harvest on drop — by return or by unwind, so a forward
+/// execution that panics cannot leave the helpers waiting for its batch.
+struct HarvestEnds<'p, 'a>(&'p Pool<'a>);
+
+impl Drop for HarvestEnds<'_, '_> {
+    fn drop(&mut self) {
+        *lock(&self.0.unharvested) -= 1;
+        self.0.harvested.notify_all();
+    }
+}
+
+impl<'a> Pool<'a> {
+    /// Run jobs of worker `of`'s batch until none is unclaimed; whether
+    /// any ran.
+    fn run_jobs(&self, of: usize) -> bool {
+        let slot = self.owned[of]
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        let mut ran = false;
+        if let Some(batch) = slot.as_ref() {
+            while batch.run_next() {
+                ran = true;
+            }
+        }
+        ran
+    }
+
+    /// Harvest one batch task as worker `me`, share it, run what jobs the
+    /// helpers leave, merge.
+    fn run_batch(
+        &self,
+        me: usize,
+        harvest: impl FnOnce() -> Box<dyn Harvested + 'a>,
+    ) -> PassOutput {
+        let own = |batch| {
+            let mut slot = self.owned[me]
+                .write()
+                .unwrap_or_else(PoisonError::into_inner);
+            std::mem::replace(&mut *slot, batch)
+        };
+        {
+            let _ends = HarvestEnds(self);
+            own(Some(harvest()));
+        }
+        self.run_jobs(me);
+        own(None).expect("installed above").finish()
+    }
+
+    /// The idle loop: take jobs of whatever batches the other workers own
+    /// until every task is harvested and no batch has a job left.
+    fn help(&self, me: usize) {
+        loop {
+            // Read before the scan: a harvest that ends during it shows up
+            // as a changed count below, and the scan runs again.
+            let left = *lock(&self.unharvested);
+            let mut ran = false;
+            for of in (0..self.owned.len()).filter(|&of| of != me) {
+                ran |= self.run_jobs(of);
+            }
+            if ran {
+                continue;
+            }
+            if left == 0 {
+                return;
+            }
+            drop(
+                self.harvested
+                    .wait_while(lock(&self.unharvested), |now| *now == left)
+                    .unwrap_or_else(PoisonError::into_inner),
+            );
+        }
+    }
+}
+
+/// Run `tasks` on up to `threads` workers and return their outputs in task
+/// order. Workers claim tasks in order; one that finds the list empty
+/// helps with the jobs of the batches still open (module docs). A panic
+/// in any task or job propagates once every worker has stopped.
+pub(crate) fn run_tasks(
+    scenarios: &[Box<dyn Scenario>],
+    tasks: &[Task],
+    threads: usize,
+    passes: Passes,
+    per_trial: bool,
+    mem: &ImageMemory,
+) -> Vec<PassOutput> {
+    // A per-trial task has no jobs to share, and no batch has more jobs
+    // than units: more workers than that would only ever wait.
+    let most = if per_trial {
+        tasks.len()
+    } else {
+        tasks.iter().map(|t| t.units.len()).sum()
+    };
+    let workers = threads.min(most).max(1);
+    let pool = Pool {
+        owned: (0..workers).map(|_| RwLock::new(None)).collect(),
+        next_task: AtomicUsize::new(0),
+        unharvested: Mutex::new(if per_trial { 0 } else { tasks.len() }),
+        harvested: Condvar::new(),
+    };
+    let outputs: Vec<Mutex<Option<PassOutput>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
+    let work = |me: usize| {
+        loop {
+            // The cursor hands out indices and publishes nothing.
+            let i = pool.next_task.fetch_add(1, Ordering::Relaxed);
+            let Some(task) = tasks.get(i) else {
+                break;
+            };
+            let s = &scenarios[task.scenario];
+            let out = if per_trial {
+                PassOutput {
+                    trials: vec![s.run_trial(task.units[0], passes.telemetry)],
+                    ..PassOutput::default()
+                }
+            } else {
+                pool.run_batch(me, || s.harvest(&task.units, passes, mem))
+            };
+            *lock(&outputs[i]) = Some(out);
+        }
+        pool.help(me);
+    };
+    if workers == 1 {
+        work(0);
+    } else {
+        std::thread::scope(|scope| {
+            let work = &work;
+            for me in 0..workers {
+                scope.spawn(move || work(me));
+            }
+        });
+    }
+    outputs
+        .into_iter()
+        .map(|out| {
+            out.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("every task ran")
+        })
+        .collect()
 }
 
 /// Aggregate → totals → report, the other half every entry point shares.

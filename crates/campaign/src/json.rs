@@ -77,10 +77,14 @@ impl Json {
     }
 
     /// Pretty-print with two-space indentation and a trailing newline.
+    /// The string is returned at its exact size: documents get kept (a
+    /// replay holds two, a repeat loop one per run), and growth by
+    /// doubling would leave each with up to its own length in slack.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0);
         out.push('\n');
+        out.shrink_to_fit();
         out
     }
 

@@ -11,8 +11,9 @@
 //! per-state copies would have cost). Everything here is a **host fact**
 //! (how much memory the harness itself used), so it lives in the report's
 //! non-canonical `host` section — but all counters derive from the
-//! deterministic simulation, so they are identical across reruns and
-//! thread counts.
+//! deterministic simulation, so they are identical across reruns, and all
+//! but `peak_live_bytes` (one transient image *per worker*) across thread
+//! counts too.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -23,6 +24,11 @@ use serde::Serialize;
 /// deterministic regardless of worker interleaving.
 #[derive(Debug, Default)]
 pub struct ImageMemory {
+    /// How many workers beyond the first may hold a materialized image of
+    /// one execution at the same time. The default accumulator is that of
+    /// a caller that runs each batch on its own thread
+    /// ([`crate::scenario::Scenario::run_passes`]): none.
+    extra_workers: u64,
     executions: AtomicU64,
     images: AtomicU64,
     distinct_states: AtomicU64,
@@ -33,14 +39,32 @@ pub struct ImageMemory {
 }
 
 impl ImageMemory {
+    /// The accumulator of a pool of `workers` threads that may all take
+    /// per-state jobs of one execution at once, each holding the image it
+    /// materialized: the worst-case live set [`ImageMemory::record_execution`]
+    /// accounts per execution carries one transient image per worker.
+    pub fn for_workers(workers: usize) -> Self {
+        ImageMemory {
+            extra_workers: workers.saturating_sub(1) as u64,
+            ..ImageMemory::default()
+        }
+    }
+
+    /// How many workers may materialize images of one execution at once.
+    pub fn workers(&self) -> u64 {
+        self.extra_workers + 1
+    }
+
     /// Record one batched forward execution: the resident bytes of the
     /// shared base snapshot(s) it took (`base_bytes`, the written prefix of
     /// the NVM pool), the summed delta payload of the `images` crash states
     /// it harvested (one per scheduled unit that fired), how many of those
     /// were `distinct_states` (units captured by the same poll are one
-    /// state, recovered once), the resident bytes of the largest image it
-    /// materialized (`materialized_bytes`), and the logical pool size a
-    /// dense full-copy image of this scenario would have cost per state.
+    /// state, recovered once), the most resident bytes its transient
+    /// materializations can come to at any one time (`materialized_bytes`:
+    /// its largest image, times however many of its states are recovered
+    /// concurrently), and the logical pool size a dense full-copy image of
+    /// this scenario would have cost per state.
     pub fn record_execution(
         &self,
         base_bytes: u64,
@@ -59,8 +83,8 @@ impl ImageMemory {
         self.full_copy_bytes
             .fetch_add(images.saturating_mul(pool_bytes), Ordering::Relaxed);
         // Live set of one execution: the shared base, every delta of the
-        // batch, and the single transient materialization classification
-        // holds at a time.
+        // batch, and the transient materializations classification holds
+        // at a time.
         let live = base_bytes + delta_bytes + materialized_bytes;
         self.peak_live_bytes.fetch_max(live, Ordering::Relaxed);
     }
@@ -99,8 +123,10 @@ pub struct ImageMemorySummary {
     /// Logical bytes of the same states: what dense full-pool copies would
     /// have allocated (images × pool capacity).
     pub full_copy_bytes: u64,
-    /// Largest single-execution resident set (base + deltas + one
-    /// transient materialization).
+    /// Largest single-execution resident set: base + deltas + one
+    /// transient materialization per worker that can be recovering one of
+    /// its states (so, unlike the other counters, it grows with the thread
+    /// count of the run that wrote it).
     pub peak_live_bytes: u64,
 }
 

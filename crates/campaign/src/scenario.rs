@@ -300,6 +300,36 @@ impl PassOutput {
     }
 }
 
+/// A batch between its forward execution and its merge
+/// ([`Scenario::harvest`]): the distinct crash states one execution
+/// harvested, each an independent job — materialize the image, recover,
+/// (dirty-restart) — whose result lands in a slot indexed by the state's
+/// poll order. Jobs may run on any thread, several at once; the merge reads
+/// the slots in poll order, so who ran what cannot reach the output.
+pub trait Harvested: Send + Sync {
+    /// Claim one crash state no caller has claimed yet and run its job;
+    /// `false` once every state is claimed. Safe to call concurrently.
+    fn run_next(&self) -> bool;
+
+    /// The merge: charge every recovered state to its units, classify the
+    /// units that ran to completion, run the analysis. Call once every
+    /// [`Harvested::run_next`] call has returned, `false` included.
+    fn finish(self: Box<Self>) -> PassOutput;
+}
+
+/// A batch whose scenario does not split: the harvest step already
+/// computed the whole output, no job is left to share.
+pub(crate) struct Whole(pub(crate) PassOutput);
+
+impl Harvested for Whole {
+    fn run_next(&self) -> bool {
+        false
+    }
+    fn finish(self: Box<Self>) -> PassOutput {
+        self.0
+    }
+}
+
 /// Result of injecting one crash state and attempting recovery.
 #[derive(Debug, Clone, Copy)]
 pub struct Trial {
@@ -397,9 +427,11 @@ impl UnitSpace {
 ///
 /// ## Batch path
 ///
-/// [`Scenario::run_passes`] is the one batch hook; [`Scenario::run_batch`],
-/// [`Scenario::run_analyzed`] and [`Scenario::run_resilience`] are provided
-/// over it. Its recover pass must produce trials **identical** to calling
+/// [`Scenario::harvest`] is the one batch hook; [`Scenario::run_passes`]
+/// composes it with its jobs and merge sequentially, and
+/// [`Scenario::run_batch`], [`Scenario::run_analyzed`] and
+/// [`Scenario::run_resilience`] are provided over that. The recover pass
+/// must produce trials **identical** to calling
 /// [`Scenario::run_trial`] per unit (the delta-equivalence suite enforces
 /// this): the forward execution is deterministic, so its state at a crash
 /// point's poll equals the state of an individual run crashed there.
@@ -435,15 +467,30 @@ pub trait Scenario: Send + Sync {
     /// via `crash_now`.
     fn run_trial(&self, unit: u64, telemetry: bool) -> Trial;
 
-    /// The batch hook: harvest every scheduled crash point of `units`
-    /// (sorted ascending) from **one** instrumented execution as
-    /// copy-on-write [`adcc_sim::image::DeltaImage`]s and apply the
-    /// requested `passes` to each distinct crash state, streaming (one
-    /// transient materialization at a time). `mem` accumulates crash-image
-    /// memory accounting, once per forward execution. A requested pass the
-    /// scenario does not support is skipped and its output left `None`;
-    /// with no pass left to apply nothing runs at all.
-    fn run_passes(&self, units: &[u64], passes: Passes, mem: &ImageMemory) -> PassOutput;
+    /// The batch hook, first half: run the forward execution **once**,
+    /// harvesting every scheduled crash point of `units` (sorted ascending)
+    /// as copy-on-write [`adcc_sim::image::DeltaImage`]s, and hand back
+    /// what is left to do as a [`Harvested`] batch — the per-state jobs
+    /// the requested `passes` ask for, then the merge. `mem` accumulates
+    /// crash-image memory accounting, once per forward execution. A
+    /// requested pass the scenario does not support is skipped and its
+    /// output left `None`; with no pass left to apply nothing runs at all.
+    fn harvest<'a>(
+        &'a self,
+        units: &'a [u64],
+        passes: Passes,
+        mem: &ImageMemory,
+    ) -> Box<dyn Harvested + 'a>;
+
+    /// One whole batch on the calling thread: [`Scenario::harvest`], every
+    /// per-state job in poll order (one transient materialization at a
+    /// time), the merge. The engine runs the same three steps, only with
+    /// idle workers taking jobs too.
+    fn run_passes(&self, units: &[u64], passes: Passes, mem: &ImageMemory) -> PassOutput {
+        let batch = self.harvest(units, passes, mem);
+        while batch.run_next() {}
+        batch.finish()
+    }
 
     /// The recover pass alone: trials identical to [`Scenario::run_trial`]
     /// per unit. Always `Some` — every scenario batches.

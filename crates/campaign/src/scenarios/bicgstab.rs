@@ -125,7 +125,7 @@ impl Workload for BiExtended {
 
     fn recover(
         &self,
-        bi: &mut ExtendedBiCgStab,
+        bi: &ExtendedBiCgStab,
         _site: CrashSite,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,

@@ -115,7 +115,7 @@ impl Workload for CgExtended {
 
     fn recover(
         &self,
-        (cg, _): &mut Self::Live,
+        (cg, _): &Self::Live,
         _site: CrashSite,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,
@@ -218,7 +218,7 @@ impl Workload for CgCkpt {
 
     fn recover(
         &self,
-        live: &mut CkptLive,
+        live: &CkptLive,
         site: CrashSite,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,
@@ -228,7 +228,7 @@ impl Workload for CgCkpt {
         let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
         let t0 = emu2.now();
         let (start, mut rho, restored) =
-            adcc_core::cg::variants::ckpt_restore(&mut emu2, cg, live.rho0, &mut live.mgr);
+            adcc_core::cg::variants::ckpt_restore(&mut emu2, cg, live.rho0, &live.mgr);
         for _ in start..ITERS {
             rho = cg.step(&mut emu2, rho);
         }
@@ -419,7 +419,7 @@ impl Workload for CgPmem {
 
     fn recover(
         &self,
-        live: &mut PmemLive,
+        live: &PmemLive,
         site: CrashSite,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,

@@ -48,7 +48,8 @@ use super::{max_diff, verified_completion};
 use crate::memstats::ImageMemory;
 use crate::outcome::classify;
 use crate::scenario::{
-    Kernel, Mechanism, PassOutput, Passes, ResilienceBatch, Scenario, Trial, UnitSpace,
+    Harvested, Kernel, Mechanism, PassOutput, Passes, ResilienceBatch, Scenario, Trial, UnitSpace,
+    Whole,
 };
 
 const TOL: f64 = 1e-9;
@@ -260,7 +261,7 @@ impl<S: DistSpec> Dist<S> {
 
     /// Classify one distributed trial against the cached reference — the
     /// single classification path both [`Scenario::run_trial`] and the
-    /// recover pass of [`Scenario::run_passes`] go through.
+    /// recover pass of [`Scenario::harvest`] go through.
     fn classify_dist(&self, unit: u64, t: DistTrial) -> Trial {
         let matches = max_diff(&t.solution, &self.reference().solution) < TOL;
         if t.completed_clean {
@@ -437,8 +438,15 @@ impl<S: DistSpec> Scenario for Dist<S> {
     ///   zero cost.
     ///
     /// The two passes harvest through separate `adcc_dist::trial` drains,
-    /// so a fused call still runs the cluster forward once per pass.
-    fn run_passes(&self, units: &[u64], passes: Passes, mem: &ImageMemory) -> PassOutput {
+    /// so a fused call still runs the cluster forward once per pass — and
+    /// each drain recovers its states as it goes, so the batch is one job:
+    /// the harvest step returns it [`Whole`].
+    fn harvest<'a>(
+        &'a self,
+        units: &'a [u64],
+        passes: Passes,
+        mem: &ImageMemory,
+    ) -> Box<dyn Harvested + 'a> {
         let mut points: Vec<BatchPoint> = Vec::new();
         let mut solo: Vec<(u64, Vec<RankFailure>)> = Vec::new();
         for &unit in units {
@@ -529,7 +537,7 @@ impl<S: DistSpec> Scenario for Dist<S> {
                 .collect();
             out.dirty = Some(ResilienceBatch { trials, tolerance });
         }
-        out
+        Box::new(Whole(out))
     }
 }
 

@@ -183,7 +183,7 @@ impl Workload for DsScenario {
 
     fn recover(
         &self,
-        _live: &mut DsLive,
+        _live: &DsLive,
         site: CrashSite,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,

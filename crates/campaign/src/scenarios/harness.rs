@@ -10,19 +10,34 @@
 //! * [`run_trial`], the per-unit reference: arm the unit's real trigger,
 //!   run until it fires, recover from the `crash_now` full-copy image. The
 //!   oracle the delta-equivalence suite compares the batch against.
-//! * [`run_passes`], the batch: arm one harvest point per scheduled unit,
-//!   run the forward execution **once** to completion, then apply whichever
-//!   of the recover / dirty-restart / analyze passes were asked for to each
-//!   harvested crash state, streaming (one materialized image at a time, so
-//!   peak memory stays flat no matter how many crash points the batch
-//!   carries).
+//! * the batch, in the three steps of [`Scenario::harvest`]:
+//!   1. [`harvest`] — arm one harvest point per scheduled unit and run the
+//!      forward execution **once** to completion. One thread, once per
+//!      batch.
+//!   2. [`Batch::run_next`] — one job per *distinct crash state*:
+//!      materialize its image, recover, dirty-restart, whichever were asked
+//!      for. A job reads the batch (`&Live`, the harvests, the probe) and
+//!      writes only its own result slot, so any number of threads may take
+//!      jobs from one batch at once; each holds one materialized image, so
+//!      peak memory is flat in the number of crash points and linear in
+//!      the number of workers.
+//!   3. [`Batch::finish`] — charge the recovered states to their units in
+//!      poll order, classify the units that ran to completion, run the
+//!      analysis. One thread, once per batch, after every job.
+//!
+//!   [`Scenario::run_passes`] is those three steps on one thread; the
+//!   engine lets idle workers take step-2 jobs of a batch another worker
+//!   owns. Either way the merge reads group-indexed slots in poll order,
+//!   so the output is the same bytes.
 //!
 //! A crash *state* is not a crash *unit*: every unit whose trigger fired
 //! at the same poll saw the same machine ([`poll_groups`]). The per-state
 //! hooks ([`Workload::recover`], [`Workload::dirty_restart`]) therefore run
-//! once per poll group and have no unit in their signature, so they cannot
-//! make the result depend on one; [`CrashState::charge`] turns a recovered
-//! state into the `Trial` of each unit in the group and must be cheap.
+//! once per poll group, take the live handles by shared reference and have
+//! no unit in their signature, so they can neither make the result depend
+//! on a unit nor on which job ran first; [`CrashState::charge`] turns a
+//! recovered state into the `Trial` of each unit in the group and must be
+//! cheap.
 //!
 //! Hooks are resolved by monomorphization (`impl<W: Workload> Scenario for
 //! W`): no boxed closure sits on a per-state path.
@@ -37,10 +52,15 @@ use adcc_sim::image::NvmImage;
 use adcc_sim::line::{LINE_SHIFT, LINE_SIZE};
 use adcc_telemetry::{ExecutionProfile, Probe};
 
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
+
 use crate::memstats::ImageMemory;
 use crate::outcome::{classify, Outcome};
 use crate::scenario::{
-    Analyzed, Kernel, Mechanism, PassOutput, Passes, ResilienceBatch, Scenario, Trial, UnitSpace,
+    Analyzed, Harvested, Kernel, Mechanism, PassOutput, Passes, ResilienceBatch, Scenario, Trial,
+    UnitSpace, Whole,
 };
 
 /// One kernel or data-structure workload under one persistence mechanism,
@@ -53,21 +73,22 @@ use crate::scenario::{
 ///   Must poll the emulator and return `Crashed` when a poll fires; with
 ///   the `Never` trigger of a batch it runs to completion.
 /// * [`recover`](Workload::recover) — the crash state (site + image) and
-///   the live mechanism handles (layouts, the checkpoint manager), never a
-///   unit and never the forward emulator.
+///   a shared reference to the live mechanism handles (layouts, the
+///   checkpoint manager), never a unit and never the forward emulator.
+///   Several recoveries of one batch may run at once.
 /// * [`CrashState::charge`] — the recovered state and the unit.
 /// * [`dirty_restart`](Workload::dirty_restart) — the image and the live
 ///   kernel handle; no mechanism is consulted.
 pub(crate) trait Workload: Send + Sync {
     /// What set-up leaves behind: the kernel handle plus whatever its
     /// mechanism owns (checkpoint manager, undo pool, log sidecar).
-    type Live;
+    type Live: Send + Sync;
     /// Completion context of the forward run (e.g. CG's final `rho`).
-    type End;
+    type End: Send + Sync;
     /// What recovering one crash state came to, before it is charged to a
     /// unit — [`Classified`] for every scenario whose classification is a
     /// function of the state alone.
-    type State: CrashState;
+    type State: CrashState + Send;
 
     /// Unique scenario name (report key).
     fn name(&self) -> &'static str;
@@ -96,7 +117,7 @@ pub(crate) trait Workload: Send + Sync {
     /// forward execution's cost up to the crash, when telemetry is on.
     fn recover(
         &self,
-        live: &mut Self::Live,
+        live: &Self::Live,
         site: CrashSite,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,
@@ -166,8 +187,13 @@ impl<W: Workload> Scenario for W {
     fn run_trial(&self, unit: u64, telemetry: bool) -> Trial {
         run_trial(self, unit, telemetry)
     }
-    fn run_passes(&self, units: &[u64], passes: Passes, mem: &ImageMemory) -> PassOutput {
-        run_passes(self, units, passes, mem)
+    fn harvest<'a>(
+        &'a self,
+        units: &'a [u64],
+        passes: Passes,
+        mem: &ImageMemory,
+    ) -> Box<dyn Harvested + 'a> {
+        harvest(self, units, passes, mem)
     }
 }
 
@@ -266,19 +292,50 @@ pub(crate) fn run_trial<W: Workload>(w: &W, unit: u64, telemetry: bool) -> Trial
             let profile =
                 probe.map(|p| with_log(w, &live, None, p.finish(&emu).with_image(&image)));
             let site = emu.fired_site().expect("crashed");
-            w.recover(&mut live, site, &image, profile).charge(unit)
+            w.recover(&live, site, &image, profile).charge(unit)
         }
     }
 }
 
-/// The batch: one forward execution harvesting every unit of `units`
-/// (sorted, distinct), then the requested passes over each poll group.
-pub(crate) fn run_passes<W: Workload>(
-    w: &W,
-    units: &[u64],
+/// One harvested batch of `w`: everything the forward execution left
+/// behind, the poll groups as jobs, one result slot per group.
+struct Batch<'a, W: Workload> {
+    w: &'a W,
+    units: &'a [u64],
+    recover: bool,
+    dirty_ref: Option<(Tolerance, Vec<f64>)>,
+    regions: Vec<Region>,
+    emu: CrashEmulator,
+    live: W::Live,
+    end: W::End,
+    probe: Option<Probe>,
+    harvests: Vec<Harvest>,
+    /// Each poll group as its range of `harvests`. The range's start is
+    /// the ordinal of the group's first harvest: log sidecars are per
+    /// capture.
+    groups: Vec<Range<usize>>,
+    /// The next group nobody has claimed.
+    next: AtomicUsize,
+    /// Group-indexed results.
+    done: Vec<Mutex<Option<Recovered<W::State>>>>,
+}
+
+/// What one crash state's job produced: one entry per requested per-state
+/// pass.
+struct Recovered<S> {
+    state: Option<S>,
+    /// The dirty trial of every unit in the group, but for its `unit`.
+    dirty: Option<DirtyTrial>,
+}
+
+/// Step 1: one forward execution harvesting every unit of `units` (sorted,
+/// distinct).
+fn harvest<'a, W: Workload>(
+    w: &'a W,
+    units: &'a [u64],
     passes: Passes,
     mem: &ImageMemory,
-) -> PassOutput {
+) -> Box<dyn Harvested + 'a> {
     debug_assert!(units.windows(2).all(|w| w[0] < w[1]), "units unsorted");
     let dirty_ref = passes.dirty.then(|| w.dirty_reference()).flatten();
     let regions = if passes.analyze {
@@ -287,7 +344,7 @@ pub(crate) fn run_passes<W: Workload>(
         Vec::new()
     };
     if !passes.recover && dirty_ref.is_none() && regions.is_empty() {
-        return PassOutput::default();
+        return Box::new(Whole(PassOutput::default()));
     }
 
     let (mut emu, mut live) = w.setup(CrashTrigger::Never);
@@ -312,89 +369,158 @@ pub(crate) fn run_passes<W: Workload>(
         .completed()
         .expect("a Never trigger runs to completion");
     let harvests = emu.take_harvests();
-    record(mem, &emu, base_bytes, &harvests);
+    let mut end_of_last = 0;
+    let groups: Vec<Range<usize>> = poll_groups(&harvests)
+        .map(|group| {
+            let start = end_of_last;
+            end_of_last += group.len();
+            start..end_of_last
+        })
+        .collect();
+    record(mem, &emu, base_bytes, &harvests, groups.len() as u64);
+    Box::new(Batch {
+        w,
+        units,
+        recover: passes.recover,
+        dirty_ref,
+        regions,
+        emu,
+        live,
+        end,
+        probe,
+        harvests,
+        next: AtomicUsize::new(0),
+        done: groups.iter().map(|_| Mutex::new(None)).collect(),
+        groups,
+    })
+}
 
-    let slot = |unit: u64| {
-        units
-            .binary_search(&unit)
-            .expect("harvested unit was scheduled")
-    };
-    let mut trials: Vec<Option<Trial>> = vec![None; if passes.recover { units.len() } else { 0 }];
-    // A unit whose trigger never fires completed cleanly: nothing was
-    // lost, nothing rebooted — converged-exact at zero extra work.
-    let mut dirty: Vec<DirtyTrial> = if dirty_ref.is_some() {
-        units
-            .iter()
-            .map(|&unit| DirtyTrial {
-                unit,
-                class: DirtyClass::ConvergedExact,
-                extra_units: 0,
-                sim_time_ps: 0,
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    // Ordinal of the group's first harvest: log sidecars are per capture.
-    let mut k = 0;
-    for group in poll_groups(&harvests) {
-        let h = &group[0];
-        // Materialize one image at a time: classification is streaming.
+impl<W: Workload> Harvested for Batch<'_, W> {
+    /// Step 2, one job: the per-state passes over the next unclaimed poll
+    /// group's machine state.
+    fn run_next(&self) -> bool {
+        // The claim publishes nothing: what a job reads was written before
+        // the batch was shared, what it writes goes through its slot's lock.
+        let g = self.next.fetch_add(1, Ordering::Relaxed);
+        let Some(group) = self.groups.get(g) else {
+            return false;
+        };
+        let h = &self.harvests[group.start];
         let image = h.image.materialize();
-        if passes.recover {
-            let profile = probe.as_ref().map(|p| {
+        let state = self.recover.then(|| {
+            let profile = self.probe.as_ref().map(|p| {
                 let at_crash = p
                     .finish_at(&h.at)
                     .with_dirty_lines(h.image.dirty_lines_at_crash());
-                with_log(w, &live, Some(k), at_crash)
+                with_log(self.w, &self.live, Some(group.start), at_crash)
             });
-            let state = w.recover(&mut live, h.site, &image, profile);
-            for h in group {
-                trials[slot(h.unit)] = Some(state.charge(h.unit));
+            self.w.recover(&self.live, h.site, &image, profile)
+        });
+        let dirty = self.dirty_ref.as_ref().map(|(tolerance, reference)| {
+            let d = self.w.dirty_restart(&self.live, &image);
+            DirtyTrial {
+                unit: h.unit,
+                class: classify_dirty(&d, reference, tolerance),
+                extra_units: d.extra_units,
+                sim_time_ps: d.sim_time_ps,
             }
-        }
-        if let Some((tolerance, reference)) = &dirty_ref {
-            let d = w.dirty_restart(&live, &image);
-            let class = classify_dirty(&d, reference, tolerance);
-            for h in group {
-                dirty[slot(h.unit)] = DirtyTrial {
-                    unit: h.unit,
-                    class,
-                    extra_units: d.extra_units,
-                    sim_time_ps: d.sim_time_ps,
-                };
-            }
-        }
-        k += group.len();
-    }
-    if trials.iter().any(Option::is_none) {
-        let profile = probe
-            .as_ref()
-            .map(|p| with_log(w, &live, None, p.finish(&emu)));
-        let template = w.complete(&live, end, &emu, profile);
-        for (t, &unit) in trials.iter_mut().zip(units) {
-            t.get_or_insert(Trial { unit, ..template });
-        }
+        });
+        *self.done[g].lock().expect("a job never panics mid-store") =
+            Some(Recovered { state, dirty });
+        true
     }
 
-    let analysis = (!regions.is_empty()).then(|| {
-        let rec = emu.system_mut().take_recorder().expect("recorder attached");
-        let mut found = analyze(rec.events(), &regions);
-        Analyzed {
-            facts: units
+    /// Step 3: merge the group slots in poll order, then the units that
+    /// never crashed and the analysis.
+    fn finish(self: Box<Self>) -> PassOutput {
+        let Batch {
+            w,
+            units,
+            recover,
+            dirty_ref,
+            regions,
+            mut emu,
+            live,
+            end,
+            probe,
+            harvests,
+            groups,
+            done,
+            ..
+        } = *self;
+        let slot = |unit: u64| {
+            units
+                .binary_search(&unit)
+                .expect("harvested unit was scheduled")
+        };
+        let mut trials: Vec<Option<Trial>> = vec![None; if recover { units.len() } else { 0 }];
+        // A unit whose trigger never fires completed cleanly: nothing was
+        // lost, nothing rebooted — converged-exact at zero extra work.
+        let mut dirty: Vec<DirtyTrial> = if dirty_ref.is_some() {
+            units
                 .iter()
-                .map(|u| found.at_crashes.remove(u).unwrap_or_default())
-                .collect(),
-            protocol: found.protocol,
+                .map(|&unit| DirtyTrial {
+                    unit,
+                    class: DirtyClass::ConvergedExact,
+                    extra_units: 0,
+                    sim_time_ps: 0,
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        for (group, out) in groups.into_iter().zip(done) {
+            // An empty slot means the job that claimed the group died (a
+            // panicking `recover` on a helper thread): fail the batch here
+            // rather than report a state nobody classified.
+            let out = out
+                .into_inner()
+                .expect("a job never panics mid-store")
+                .unwrap_or_else(|| {
+                    panic!(
+                        "{}: the job recovering the crash state of unit {} did not finish",
+                        Workload::name(w),
+                        harvests[group.start].unit
+                    )
+                });
+            for h in &harvests[group] {
+                if let Some(state) = &out.state {
+                    trials[slot(h.unit)] = Some(state.charge(h.unit));
+                }
+                if let Some(d) = out.dirty {
+                    dirty[slot(h.unit)] = DirtyTrial { unit: h.unit, ..d };
+                }
+            }
         }
-    });
-    PassOutput {
-        trials: trials.into_iter().flatten().collect(),
-        dirty: dirty_ref.map(|(tolerance, _)| ResilienceBatch {
-            trials: dirty,
-            tolerance,
-        }),
-        analysis,
+        if trials.iter().any(Option::is_none) {
+            let profile = probe
+                .as_ref()
+                .map(|p| with_log(w, &live, None, p.finish(&emu)));
+            let template = w.complete(&live, end, &emu, profile);
+            for (t, &unit) in trials.iter_mut().zip(units) {
+                t.get_or_insert(Trial { unit, ..template });
+            }
+        }
+
+        let analysis = (!regions.is_empty()).then(|| {
+            let rec = emu.system_mut().take_recorder().expect("recorder attached");
+            let mut found = analyze(rec.events(), &regions);
+            Analyzed {
+                facts: units
+                    .iter()
+                    .map(|u| found.at_crashes.remove(u).unwrap_or_default())
+                    .collect(),
+                protocol: found.protocol,
+            }
+        });
+        PassOutput {
+            trials: trials.into_iter().flatten().collect(),
+            dirty: dirty_ref.map(|(tolerance, _)| ResilienceBatch {
+                trials: dirty,
+                tolerance,
+            }),
+            analysis,
+        }
     }
 }
 
@@ -411,16 +537,22 @@ fn classify_dirty(d: &DirtyRestart, reference: &[f64], tol: &Tolerance) -> Dirty
 
 /// Record one batched execution's crash-image memory facts. Images and
 /// delta bytes count per scheduled unit (what the batch would hold without
-/// payload sharing); the poll groups are the distinct states, of which one
-/// is materialized at a time.
-fn record(mem: &ImageMemory, emu: &CrashEmulator, base_bytes: u64, harvests: &[Harvest]) {
+/// payload sharing); the poll groups are the distinct states, of which each
+/// worker on the batch materializes one at a time.
+fn record(
+    mem: &ImageMemory,
+    emu: &CrashEmulator,
+    base_bytes: u64,
+    harvests: &[Harvest],
+    distinct: u64,
+) {
     let delta_bytes: u64 = harvests.iter().map(|h| h.image.delta_bytes()).sum();
-    let distinct = poll_groups(harvests).count() as u64;
     let materialized = harvests
         .iter()
         .map(|h| h.image.materialized_bytes())
         .max()
-        .unwrap_or(0);
+        .unwrap_or(0)
+        * distinct.min(mem.workers());
     mem.record_execution(
         base_bytes,
         delta_bytes,
@@ -464,9 +596,12 @@ pub(crate) fn assert_images_hold_only_the_written_prefix<W: Workload>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{run_tasks, Task};
     use adcc_sim::parray::PArray;
     use adcc_sim::system::SystemConfig;
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    use std::sync::{Arc, Barrier};
+    use std::thread::ThreadId;
 
     /// Four polls, two accesses apart; unit `u` fires at the first poll
     /// with at least `u` accesses, so units 1..=2 share the second poll,
@@ -474,12 +609,35 @@ mod tests {
     /// often each per-state hook ran.
     #[derive(Default)]
     struct Toy {
-        recovers: AtomicU64,
-        dirties: AtomicU64,
+        recovers: Arc<AtomicU64>,
+        dirties: Arc<AtomicU64>,
+        /// When set, the first two recoveries do not return before both
+        /// have started: two workers are inside one batch at once.
+        meet: Option<Barrier>,
+        /// With `meet`: a recovery running on any thread but the one that
+        /// ran the forward execution panics.
+        helpers_panic: bool,
+    }
+
+    /// The toy's array plus a mechanism log the emulator cannot see, kept
+    /// the way `ds` keeps its undo-log counters: `appends` is the number
+    /// of polls passed, `logs[k]` its value when harvest `k` was captured.
+    struct ToyLive {
+        a: PArray<u64>,
+        owner: ThreadId,
+        polls: u64,
+        logs: Vec<LogStats>,
+    }
+
+    fn polls_passed(polls: u64) -> LogStats {
+        LogStats {
+            appends: polls,
+            ..LogStats::default()
+        }
     }
 
     impl Workload for Toy {
-        type Live = PArray<u64>;
+        type Live = ToyLive;
         type End = ();
         /// `lost_units` carries the crash site's poll index.
         type State = Classified;
@@ -499,29 +657,45 @@ mod tests {
         fn site_trigger(&self, unit: u64) -> CrashTrigger {
             CrashTrigger::AtAccessCount(unit)
         }
-        fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, PArray<u64>) {
+        fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, ToyLive) {
             let mut emu = CrashEmulator::new(SystemConfig::nvm_only(4096, 1 << 16), trigger);
-            let a = PArray::<u64>::alloc_nvm(&mut emu, 8);
-            (emu, a)
+            let live = ToyLive {
+                a: PArray::<u64>::alloc_nvm(&mut emu, 8),
+                owner: std::thread::current().id(),
+                polls: 0,
+                logs: Vec::new(),
+            };
+            (emu, live)
         }
-        fn forward(&self, a: &mut PArray<u64>, e: &mut CrashEmulator) -> RunOutcome<()> {
+        fn forward(&self, live: &mut ToyLive, e: &mut CrashEmulator) -> RunOutcome<()> {
             for i in 0..4u64 {
-                if e.poll(CrashSite::new(0, i)) {
+                let fired = e.poll(CrashSite::new(0, i));
+                live.polls = i + 1;
+                while live.logs.len() < e.harvest_count() {
+                    live.logs.push(polls_passed(live.polls));
+                }
+                if fired {
                     return RunOutcome::Crashed(e.crash_now());
                 }
-                a.set(e, 2 * i as usize, i);
-                a.set(e, 2 * i as usize + 1, i);
+                live.a.set(e, 2 * i as usize, i);
+                live.a.set(e, 2 * i as usize + 1, i);
             }
             RunOutcome::Completed(())
         }
         fn recover(
             &self,
-            _a: &mut PArray<u64>,
+            live: &ToyLive,
             site: CrashSite,
             _image: &NvmImage,
             profile: Option<ExecutionProfile>,
         ) -> Classified {
-            self.recovers.fetch_add(1, Relaxed);
+            let earlier = self.recovers.fetch_add(1, Relaxed);
+            if let Some(meet) = self.meet.as_ref().filter(|_| earlier < 2) {
+                meet.wait();
+                if self.helpers_panic && std::thread::current().id() != live.owner {
+                    panic!("toy: a helper's recovery failed");
+                }
+            }
             Classified {
                 outcome: Outcome::RecoveredExact,
                 lost_units: site.index,
@@ -531,7 +705,7 @@ mod tests {
         }
         fn complete(
             &self,
-            _a: &PArray<u64>,
+            _live: &ToyLive,
             (): (),
             _e: &CrashEmulator,
             profile: Option<ExecutionProfile>,
@@ -541,7 +715,10 @@ mod tests {
         fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
             Some((Tolerance::exact_only(0.0), vec![0.0]))
         }
-        fn dirty_restart(&self, _a: &PArray<u64>, _image: &NvmImage) -> DirtyRestart {
+        fn log_stats(&self, live: &ToyLive, harvest: Option<usize>) -> Option<LogStats> {
+            Some(harvest.map_or(polls_passed(live.polls), |k| live.logs[k]))
+        }
+        fn dirty_restart(&self, _live: &ToyLive, _image: &NvmImage) -> DirtyRestart {
             // Wrong answer, so a dirty trial is distinguishable from the
             // converged-exact default of a unit that never fired.
             DirtyRestart {
@@ -569,7 +746,7 @@ mod tests {
     #[test]
     fn per_state_step_runs_once_per_distinct_poll() {
         let (toy, mem) = (Toy::default(), ImageMemory::default());
-        let out = run_passes(&toy, &UNITS, Passes::recover(false), &mem);
+        let out = toy.run_passes(&UNITS, Passes::recover(false), &mem);
         // One call per poll that captured anything; no dirty pass ran.
         assert_eq!(toy.recovers.load(Relaxed), 3);
         assert_eq!(toy.dirties.load(Relaxed), 0);
@@ -587,7 +764,7 @@ mod tests {
     #[test]
     fn dirty_step_runs_once_per_distinct_poll() {
         let (toy, mem) = (Toy::default(), ImageMemory::default());
-        let out = run_passes(&toy, &UNITS, Passes::default().and_dirty(), &mem);
+        let out = toy.run_passes(&UNITS, Passes::default().and_dirty(), &mem);
         assert_eq!(toy.dirties.load(Relaxed), 3);
         assert_eq!(toy.recovers.load(Relaxed), 0);
         assert!(out.trials.is_empty());
@@ -603,7 +780,7 @@ mod tests {
     #[test]
     fn fused_passes_share_one_execution_and_equal_the_single_pass_runs() {
         let (toy, mem) = (Toy::default(), ImageMemory::default());
-        let fused = run_passes(&toy, &UNITS, Passes::recover(false).and_dirty(), &mem);
+        let fused = toy.run_passes(&UNITS, Passes::recover(false).and_dirty(), &mem);
         // Each per-state step still ran once per distinct poll, over one
         // forward execution.
         assert_eq!(toy.recovers.load(Relaxed), 3);
@@ -612,8 +789,8 @@ mod tests {
 
         let solo = Toy::default();
         let mem = ImageMemory::default();
-        let recovered = run_passes(&solo, &UNITS, Passes::recover(false), &mem);
-        let dirtied = run_passes(&solo, &UNITS, Passes::default().and_dirty(), &mem);
+        let recovered = solo.run_passes(&UNITS, Passes::recover(false), &mem);
+        let dirtied = solo.run_passes(&UNITS, Passes::default().and_dirty(), &mem);
         assert_eq!(mem.summary().executions, 2);
         assert_eq!(lost(&fused.trials), lost(&recovered.trials));
         let (fused_dirty, solo_dirty) = (fused.dirty.unwrap(), dirtied.dirty.unwrap());
@@ -626,11 +803,11 @@ mod tests {
         let (toy, mem) = (Toy::default(), ImageMemory::default());
         // The toy declares no regions: the analyze pass degrades to the
         // recover pass it rode on.
-        let out = run_passes(&toy, &UNITS, Passes::recover(false).and_analyze(), &mem);
+        let out = toy.run_passes(&UNITS, Passes::recover(false).and_analyze(), &mem);
         assert!(out.analysis.is_none());
         assert_eq!(out.trials.len(), UNITS.len());
         // No pass at all: no forward execution either.
-        let none = run_passes(&toy, &UNITS, Passes::default(), &mem);
+        let none = toy.run_passes(&UNITS, Passes::default(), &mem);
         assert!(none.trials.is_empty() && none.dirty.is_none());
         assert_eq!(mem.summary().executions, 1);
     }
@@ -639,7 +816,9 @@ mod tests {
     fn derived_run_trial_equals_the_batch_unit_for_unit() {
         let (toy, mem) = (Toy::default(), ImageMemory::default());
         for telemetry in [false, true] {
-            let batch = run_passes(&toy, &UNITS, Passes::recover(telemetry), &mem).trials;
+            let batch = toy
+                .run_passes(&UNITS, Passes::recover(telemetry), &mem)
+                .trials;
             for (b, &unit) in batch.iter().zip(&UNITS) {
                 let t = run_trial(&toy, unit, telemetry);
                 let got = (b.unit, b.outcome, b.lost_units, b.sim_time_ps, b.telemetry);
@@ -649,7 +828,88 @@ mod tests {
             }
             // Unit 7's trigger never fires: both paths report the clean run.
             assert_eq!(batch[6].outcome, Outcome::CompletedClean);
+            // The log sidecar is read at the group's *first harvest
+            // ordinal* (0, 2, 4), not at its group index: each profile
+            // carries the polls passed when its state was captured.
+            if telemetry {
+                let logged: Vec<u64> = batch
+                    .iter()
+                    .map(|t| t.telemetry.expect("asked for").log_appends)
+                    .collect();
+                assert_eq!(logged, [2, 2, 3, 3, 4, 4, 4]);
+            }
         }
+    }
+
+    /// One toy batch through the engine's pool on two workers.
+    fn pooled(toy: Toy, passes: Passes, mem: &ImageMemory) -> PassOutput {
+        let scenarios: Vec<Box<dyn Scenario>> = vec![Box::new(toy)];
+        let tasks = [Task {
+            scenario: 0,
+            units: UNITS.to_vec(),
+        }];
+        let mut out = run_tasks(&scenarios, &tasks, 2, passes, false, mem);
+        out.pop().expect("one task")
+    }
+
+    /// Run `f` on its own thread and fail, rather than hang the suite, if
+    /// it is still running after a minute.
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(f()));
+        finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the pool neither finished nor panicked")
+    }
+
+    #[test]
+    fn two_workers_sharing_a_batch_run_each_per_state_step_once() {
+        let passes = Passes::recover(true).and_dirty();
+        let alone = Toy::default().run_passes(&UNITS, passes, &ImageMemory::default());
+
+        let toy = Toy {
+            meet: Some(Barrier::new(2)),
+            ..Toy::default()
+        };
+        let (recovers, dirties) = (toy.recovers.clone(), toy.dirties.clone());
+        let mem = Arc::new(ImageMemory::for_workers(2));
+        let shared = {
+            let mem = mem.clone();
+            within_a_minute(move || pooled(toy, passes, &mem))
+        };
+        // The barrier let nobody through until a second worker was inside
+        // the batch — and still: one call per distinct poll, not per worker.
+        assert_eq!(recovers.load(Relaxed), 3);
+        assert_eq!(dirties.load(Relaxed), 3);
+        // Same trials, telemetry and log sidecars included, in unit order.
+        let key = |t: &Trial| (t.unit, t.outcome, t.lost_units, t.sim_time_ps, t.telemetry);
+        assert_eq!(
+            shared.trials.iter().map(key).collect::<Vec<_>>(),
+            alone.trials.iter().map(key).collect::<Vec<_>>()
+        );
+        // The toy's dirty step numbers its calls, so only which unit got a
+        // dirty trial at all is order-independent.
+        let class = |b: &ResilienceBatch| b.trials.iter().map(|t| t.class).collect::<Vec<_>>();
+        assert_eq!(class(&shared.dirty.unwrap()), class(&alone.dirty.unwrap()));
+        // Sharing bought no forward execution and no image.
+        let m = mem.summary();
+        assert_eq!((m.executions, m.images, m.distinct_states), (1, 6, Some(3)));
+    }
+
+    #[test]
+    fn a_recovery_that_panics_on_a_helper_fails_the_run_instead_of_hanging_it() {
+        let toy = Toy {
+            meet: Some(Barrier::new(2)),
+            helpers_panic: true,
+            ..Toy::default()
+        };
+        let outcome = within_a_minute(move || {
+            std::panic::catch_unwind(|| {
+                pooled(toy, Passes::recover(false), &ImageMemory::for_workers(2))
+            })
+            .map(|out| out.trials.len())
+        });
+        assert!(outcome.is_err(), "the helper's panic was swallowed");
     }
 
     #[test]

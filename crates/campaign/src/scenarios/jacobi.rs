@@ -98,7 +98,7 @@ impl Workload for JacobiExtended {
 
     fn recover(
         &self,
-        jac: &mut ExtendedJacobi,
+        jac: &ExtendedJacobi,
         _site: CrashSite,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,
@@ -192,7 +192,7 @@ impl Workload for JacobiCkpt {
 
     fn recover(
         &self,
-        (jac, mgr): &mut Self::Live,
+        (jac, mgr): &Self::Live,
         site: CrashSite,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,

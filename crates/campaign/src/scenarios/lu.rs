@@ -137,7 +137,7 @@ impl Workload for LuExtended {
 
     fn recover(
         &self,
-        lu: &mut ChecksumLu,
+        lu: &ChecksumLu,
         _site: CrashSite,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,
@@ -233,7 +233,7 @@ impl Workload for LuCkpt {
 
     fn recover(
         &self,
-        (lu, mgr): &mut Self::Live,
+        (lu, mgr): &Self::Live,
         site: CrashSite,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,

@@ -62,8 +62,13 @@ fn native_counts(problem: &McProblem, cfg: &SystemConfig) -> [u64; XS_CHANNELS] 
     mc.peek_counts(&emu)
 }
 
+/// The one problem both scenarios run: generated once per process, its
+/// grids shared by every clone.
 fn problem() -> McProblem {
-    McProblem::generate(36, 64, PROBLEM_SEED)
+    static PROBLEM: OnceLock<McProblem> = OnceLock::new();
+    PROBLEM
+        .get_or_init(|| McProblem::generate(36, 64, PROBLEM_SEED))
+        .clone()
 }
 
 fn selective_config(grid_bytes: usize) -> SystemConfig {
@@ -169,7 +174,7 @@ impl Workload for McCampaign {
     /// completed (`lookups_done = site.index + 1`), resume, classify.
     fn recover(
         &self,
-        mc: &mut McSim,
+        mc: &McSim,
         site: CrashSite,
         image: &NvmImage,
         telemetry: Option<ExecutionProfile>,
@@ -207,6 +212,7 @@ impl Workload for McCampaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Scenario;
 
     #[test]
     fn one_reference_serves_both_scenarios() {
@@ -218,6 +224,35 @@ mod tests {
             assert_eq!(s.reference, reference, "{}", s.name);
             // Still what the scenario would have computed for itself.
             assert_eq!(native_counts(&s.problem, &s.cfg), reference, "{}", s.name);
+        }
+    }
+
+    /// A work invariant in the spirit of
+    /// `assert_images_hold_only_the_written_prefix`: selective recovery
+    /// re-executes at most one flush interval, so the accesses it
+    /// simulates are bounded by an interval's worth wherever the crash
+    /// lands. Simulating the untimed rest of the run made a crash at lookup
+    /// 12 cost ~50x one at lookup 1170.
+    #[test]
+    fn selective_recovery_simulates_one_interval_wherever_the_crash_lands() {
+        let s = McCampaign::new_selective(reference_counts());
+        let units = [12, 1170];
+        let (mut emu, mut mc) = s.setup(CrashTrigger::Never);
+        emu.arm_harvest(units.iter().map(|&u| (s.trigger_of(u), u)));
+        assert!(s.forward(&mut mc, &mut emu).completed().is_some());
+        let interval_worth = emu.access_count() * INTERVAL / LOOKUPS;
+        let harvests = emu.take_harvests();
+        assert_eq!(harvests.len(), units.len());
+        for h in &harvests {
+            let image = h.image.materialize();
+            let rec = mc.recover_and_resume(&image, s.cfg.clone(), h.site.index + 1);
+            assert!(rec.report.lost_units <= INTERVAL, "unit {}", h.unit);
+            assert!(
+                rec.accesses <= 2 * interval_worth,
+                "unit {}: {} accesses simulated, an interval is worth {interval_worth}",
+                h.unit,
+                rec.accesses
+            );
         }
     }
 }

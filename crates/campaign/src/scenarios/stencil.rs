@@ -124,7 +124,7 @@ impl Workload for StencilExtended {
 
     fn recover(
         &self,
-        st: &mut ExtendedStencil,
+        st: &ExtendedStencil,
         _site: CrashSite,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,
@@ -258,7 +258,7 @@ impl Workload for StencilCkpt {
 
     fn recover(
         &self,
-        (st, mgr): &mut Self::Live,
+        (st, mgr): &Self::Live,
         site: CrashSite,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,

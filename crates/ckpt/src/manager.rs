@@ -58,8 +58,8 @@ impl CkptManager {
     }
 
     /// Restore the newest valid checkpoint; returns its sequence number.
-    pub fn restore(&mut self, sys: &mut MemorySystem) -> Option<u64> {
-        match &mut self.target {
+    pub fn restore(&self, sys: &mut MemorySystem) -> Option<u64> {
+        match &self.target {
             CkptTarget::Nvm(m) => m.restore(sys, &self.regions),
             CkptTarget::Hdd(h) => h.restore(sys, &self.regions),
         }

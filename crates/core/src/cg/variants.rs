@@ -58,7 +58,7 @@ pub fn ckpt_restore(
     emu: &mut CrashEmulator,
     cg: &PlainCg,
     rho0: f64,
-    mgr: &mut CkptManager,
+    mgr: &CkptManager,
 ) -> (usize, f64, bool) {
     match mgr.restore(emu) {
         Some(_) => {

@@ -47,7 +47,7 @@ pub fn run_with_ckpt(
 pub fn ckpt_restore(
     emu: &mut CrashEmulator,
     jac: &PlainJacobi,
-    mgr: &mut CkptManager,
+    mgr: &CkptManager,
 ) -> (usize, bool) {
     match mgr.restore(emu) {
         Some(_) => (jac.iter_cell.get(emu) as usize, true),

@@ -52,11 +52,7 @@ pub fn run_with_ckpt(
 
 /// Restore from the newest checkpoint, or wipe the factor back to zeros
 /// when none exists yet. Returns `(completed_blocks, restored)`.
-pub fn ckpt_restore(
-    emu: &mut CrashEmulator,
-    lu: &ChecksumLu,
-    mgr: &mut CkptManager,
-) -> (usize, bool) {
+pub fn ckpt_restore(emu: &mut CrashEmulator, lu: &ChecksumLu, mgr: &CkptManager) -> (usize, bool) {
     match mgr.restore(emu) {
         Some(_) => (lu.blk_cell.get(emu) as usize, true),
         None => {

@@ -7,13 +7,17 @@
 //! cross-section values per point; a lookup binary-searches the grid of
 //! every nuclide in the sampled material and interpolates.
 
+use std::sync::Arc;
+
 use adcc_sim::parray::PArray;
 use adcc_sim::system::MemorySystem;
 
 use super::rng::{mix64, unit_f64};
 use super::XS_CHANNELS;
 
-/// Host-side description of the MC problem.
+/// Host-side description of the MC problem. The grids are immutable and
+/// shared, so a clone (every `McSim` holds one) costs the material lists,
+/// not the grid data.
 #[derive(Debug, Clone)]
 pub struct McProblem {
     pub n_nuclides: usize,
@@ -23,9 +27,9 @@ pub struct McProblem {
     /// Cumulative material-selection distribution.
     pub mat_cdf: Vec<f64>,
     /// Sorted energies, nuclide-major: `energy[nuc * grid_points + g]`.
-    pub energy: Vec<f64>,
+    pub energy: Arc<[f64]>,
     /// Cross sections: `xs[(nuc * grid_points + g) * 5 + c]`.
-    pub xs: Vec<f64>,
+    pub xs: Arc<[f64]>,
 }
 
 /// XSBench's material-selection probabilities (H-M model, `pick_mat`).
@@ -89,8 +93,8 @@ impl McProblem {
             grid_points,
             materials,
             mat_cdf,
-            energy,
-            xs,
+            energy: energy.into(),
+            xs: xs.into(),
         }
     }
 
@@ -131,57 +135,117 @@ impl SimMcGrids {
             grid_points: p.grid_points,
         }
     }
+}
 
-    /// Binary search nuclide `nuc`'s energy grid for the last index with
-    /// `energy[idx] <= e` (clamped to `grid_points - 2` so idx+1 is
-    /// valid). Charged reads + integer ops.
-    pub fn search(&self, sys: &mut MemorySystem, nuc: usize, e: f64) -> usize {
-        let base = nuc * self.grid_points;
-        let mut lo = 0usize;
-        let mut hi = self.grid_points - 1;
-        while lo + 1 < hi {
-            let mid = (lo + hi) / 2;
-            let v = self.energy.get(sys, base + mid);
-            if v <= e {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        lo.min(self.grid_points - 2)
-    }
+/// The memory one lookup runs against: the two read-only grids, the
+/// five-element `macro_xs` accumulator and the flop meter. The lookup's
+/// arithmetic ([`search`], [`interpolate`], `McSim::lookup`) is written once
+/// over this trait, so the simulated run and the host-side tally of
+/// `McSim::recover_and_resume` cannot drift apart.
+pub(super) trait LookupMem {
+    /// `energy[i]` (nuclide-major, as [`McProblem::energy`]).
+    fn energy(&mut self, i: usize) -> f64;
+    /// `xs[i]` (as [`McProblem::xs`]).
+    fn xs(&mut self, i: usize) -> f64;
+    /// `macro_xs[c]`.
+    fn macro_xs(&mut self, c: usize) -> f64;
+    /// `macro_xs[c] = v`.
+    fn set_macro_xs(&mut self, c: usize, v: f64);
+    /// Account `n` floating-point operations.
+    fn charge_flops(&mut self, n: u64);
+}
 
-    /// Interpolate the five cross sections of nuclide `nuc` at energy `e`
-    /// between grid points `g` and `g+1`. Charged.
-    pub fn interpolate(
-        &self,
-        sys: &mut MemorySystem,
-        nuc: usize,
-        g: usize,
-        e: f64,
-    ) -> [f64; XS_CHANNELS] {
-        let base = nuc * self.grid_points;
-        let e0 = self.energy.get(sys, base + g);
-        let e1 = self.energy.get(sys, base + g + 1);
-        let f = if e1 > e0 { (e - e0) / (e1 - e0) } else { 0.0 };
-        let f = f.clamp(0.0, 1.0);
-        let mut out = [0.0; XS_CHANNELS];
-        let row0 = (base + g) * XS_CHANNELS;
-        let row1 = (base + g + 1) * XS_CHANNELS;
-        for (c, o) in out.iter_mut().enumerate() {
-            let lo = self.xs.get(sys, row0 + c);
-            let hi = self.xs.get(sys, row1 + c);
-            *o = lo + f * (hi - lo);
-        }
-        sys.charge_flops(3 + 3 * XS_CHANNELS as u64);
-        out
+/// [`LookupMem`] over the simulated machine: every element access is a
+/// charged `PArray` access, every flop lands on the simulated clock.
+pub(super) struct Charged<'a> {
+    pub(super) sys: &'a mut MemorySystem,
+    pub(super) grids: SimMcGrids,
+    pub(super) macro_xs: PArray<f64>,
+}
+
+impl LookupMem for Charged<'_> {
+    #[inline]
+    fn energy(&mut self, i: usize) -> f64 {
+        self.grids.energy.get(self.sys, i)
     }
+    #[inline]
+    fn xs(&mut self, i: usize) -> f64 {
+        self.grids.xs.get(self.sys, i)
+    }
+    #[inline]
+    fn macro_xs(&mut self, c: usize) -> f64 {
+        self.macro_xs.get(self.sys, c)
+    }
+    #[inline]
+    fn set_macro_xs(&mut self, c: usize, v: f64) {
+        self.macro_xs.set(self.sys, c, v);
+    }
+    #[inline]
+    fn charge_flops(&mut self, n: u64) {
+        self.sys.charge_flops(n);
+    }
+}
+
+/// Binary search nuclide `nuc`'s energy grid for the last index with
+/// `energy[idx] <= e` (clamped to `grid_points - 2` so idx+1 is valid).
+#[inline]
+pub(super) fn search<M: LookupMem>(mem: &mut M, grid_points: usize, nuc: usize, e: f64) -> usize {
+    let base = nuc * grid_points;
+    let mut lo = 0usize;
+    let mut hi = grid_points - 1;
+    while lo + 1 < hi {
+        let mid = (lo + hi) / 2;
+        let v = mem.energy(base + mid);
+        if v <= e {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo.min(grid_points - 2)
+}
+
+/// Interpolate the five cross sections of nuclide `nuc` at energy `e`
+/// between grid points `g` and `g+1`.
+#[inline]
+pub(super) fn interpolate<M: LookupMem>(
+    mem: &mut M,
+    grid_points: usize,
+    nuc: usize,
+    g: usize,
+    e: f64,
+) -> [f64; XS_CHANNELS] {
+    let base = nuc * grid_points;
+    let e0 = mem.energy(base + g);
+    let e1 = mem.energy(base + g + 1);
+    let f = if e1 > e0 { (e - e0) / (e1 - e0) } else { 0.0 };
+    let f = f.clamp(0.0, 1.0);
+    let mut out = [0.0; XS_CHANNELS];
+    let row0 = (base + g) * XS_CHANNELS;
+    let row1 = (base + g + 1) * XS_CHANNELS;
+    for (c, o) in out.iter_mut().enumerate() {
+        let lo = mem.xs(row0 + c);
+        let hi = mem.xs(row1 + c);
+        *o = lo + f * (hi - lo);
+    }
+    mem.charge_flops(3 + 3 * XS_CHANNELS as u64);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use adcc_sim::system::SystemConfig;
+
+    fn charged<'a>(sys: &'a mut MemorySystem, p: &McProblem) -> Charged<'a> {
+        let grids = SimMcGrids::seed_from(sys, p);
+        let macro_xs = PArray::<f64>::alloc_nvm(sys, XS_CHANNELS);
+        Charged {
+            sys,
+            grids,
+            macro_xs,
+        }
+    }
 
     #[test]
     fn generation_is_deterministic_and_sized() {
@@ -218,10 +282,10 @@ mod tests {
             32 << 10,
             (p.grid_bytes() + (1 << 20)).next_power_of_two(),
         ));
-        let g = SimMcGrids::seed_from(&mut sys, &p);
+        let mut mem = charged(&mut sys, &p);
         for &e in &[0.001, 0.25, 0.5, 0.75, 0.999] {
             for nuc in [0usize, 17, 35] {
-                let idx = g.search(&mut sys, nuc, e);
+                let idx = search(&mut mem, 256, nuc, e);
                 let base = nuc * 256;
                 let lo = p.energy[base + idx];
                 let hi = p.energy[base + idx + 1];
@@ -238,10 +302,10 @@ mod tests {
     fn interpolation_is_convex() {
         let p = McProblem::generate(36, 64, 5);
         let mut sys = MemorySystem::new(SystemConfig::nvm_only(32 << 10, 8 << 20));
-        let g = SimMcGrids::seed_from(&mut sys, &p);
+        let mut mem = charged(&mut sys, &p);
         let e = 0.4;
-        let idx = g.search(&mut sys, 3, e);
-        let out = g.interpolate(&mut sys, 3, idx, e);
+        let idx = search(&mut mem, 64, 3, e);
+        let out = interpolate(&mut mem, 64, 3, idx, e);
         for (c, v) in out.iter().enumerate() {
             let lo = p.xs[(3 * 64 + idx) * 5 + c];
             let hi = p.xs[(3 * 64 + idx + 1) * 5 + c];

@@ -1,12 +1,29 @@
 //! The instrumented MC transport simulation: native / basic-idea /
 //! selective-flush modes, and replay-based recovery.
+//!
+//! One lookup's arithmetic is written once, generically over the
+//! crate-private `grids::LookupMem`, and instantiated twice: charged,
+//! over the simulated machine (the forward run, the dirty restart and the
+//! *timed* part of recovery), and uncharged, over a crash image's own grid
+//! bytes (the tally that finishes [`McSim::recover_and_resume`]).
+//!
+//! Replay recovery has two parts. The **timed prefix** re-executes lookups
+//! `[resumed_from, crashed_at)` on a machine booted from the image: at most
+//! one flush interval, the paper's recovery cost, reported as `resume_time`.
+//! The **tail** `[crashed_at, lookups)` is work the crashed run had not done
+//! yet; nobody times it, and all it contributes to the answer is which
+//! counter each lookup bumps. Counters are only ever `get + 1 -> set`, so
+//! the final counts are *additive*: (counts after the prefix) + (the tail's
+//! per-type tally). A double count the prefix replay introduced stays a
+//! double count, the count-total audit fires exactly as if the tail had been
+//! simulated, and no simulated access is spent on it.
 
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
 use adcc_sim::image::NvmImage;
-use adcc_sim::parray::{PArray, PScalar};
+use adcc_sim::parray::{PArray, PScalar, Pod};
 use adcc_sim::system::{MemorySystem, SystemConfig};
 
-use super::grids::{McProblem, SimMcGrids};
+use super::grids::{interpolate, search, Charged, LookupMem, McProblem, SimMcGrids};
 use super::rng::{sample, unit_f64};
 use super::{sites, XS_CHANNELS};
 use crate::traits::{DirtyRestart, RecoveryReport};
@@ -46,6 +63,9 @@ pub struct McRecovery {
     pub counts: [u64; XS_CHANNELS],
     /// Detect/resume split; `lost_units` = lookups re-executed.
     pub report: RecoveryReport,
+    /// Element accesses recovery charged on its rebooted machine: a
+    /// host-independent measure of the simulated work it did.
+    pub accesses: u64,
 }
 
 /// Counter storage for [`McMode::Epoch`]: two cache lines, each holding
@@ -171,39 +191,68 @@ impl McSim {
     /// One lookup: sample inputs, search + interpolate every nuclide of
     /// the material, accumulate `macro_xs`, and choose the interaction
     /// type via the paper's normalized-CDF extension.
-    fn one_lookup(&self, sys: &mut MemorySystem, i: u64) -> usize {
+    #[inline]
+    fn lookup<M: LookupMem>(&self, mem: &mut M, i: u64) -> usize {
         let e = unit_f64(sample(self.seed, i, 0));
         let mat = self
             .problem
             .pick_material(unit_f64(sample(self.seed, i, 1)));
         for c in 0..XS_CHANNELS {
-            self.macro_xs.set(sys, c, 0.0);
+            mem.set_macro_xs(c, 0.0);
         }
-        // Iterate a clone-free index list (host-side config data).
-        for idx in 0..self.problem.materials[mat].len() {
-            let nuc = self.problem.materials[mat][idx] as usize;
-            let g = self.grids.search(sys, nuc, e);
-            let xs = self.grids.interpolate(sys, nuc, g, e);
+        let grid_points = self.grids.grid_points;
+        for &nuc in &self.problem.materials[mat] {
+            let nuc = nuc as usize;
+            let g = search(mem, grid_points, nuc, e);
+            let xs = interpolate(mem, grid_points, nuc, g, e);
             for (c, v) in xs.iter().enumerate() {
-                let acc = self.macro_xs.get(sys, c) + v;
-                self.macro_xs.set(sys, c, acc);
+                let acc = mem.macro_xs(c) + v;
+                mem.set_macro_xs(c, acc);
             }
-            sys.charge_flops(XS_CHANNELS as u64);
+            mem.charge_flops(XS_CHANNELS as u64);
         }
         // CDF over the five macroscopic cross sections, normalized by the
         // total; a uniform draw picks the interaction type.
         let mut cdf = [0.0f64; XS_CHANNELS];
         let mut acc = 0.0;
         for (c, entry) in cdf.iter_mut().enumerate() {
-            acc += self.macro_xs.get(sys, c);
+            acc += mem.macro_xs(c);
             *entry = acc;
         }
         let total = cdf[XS_CHANNELS - 1];
         let x = unit_f64(sample(self.seed, i, 2));
-        sys.charge_flops(2 * XS_CHANNELS as u64);
+        mem.charge_flops(2 * XS_CHANNELS as u64);
         cdf.iter()
             .position(|&c| x <= c / total)
             .unwrap_or(XS_CHANNELS - 1)
+    }
+
+    /// [`McSim::lookup`] on the simulated machine: every access charged.
+    pub(super) fn one_lookup(&self, sys: &mut MemorySystem, i: u64) -> usize {
+        let mut mem = Charged {
+            sys,
+            grids: self.grids,
+            macro_xs: self.macro_xs,
+        };
+        self.lookup(&mut mem, i)
+    }
+
+    /// Interaction types of lookups `[from, lookups)`, tallied on the host
+    /// from `image`'s own grid bytes — what simulating those lookups on a
+    /// machine booted from `image` would add to the counters.
+    fn tally_tail(&self, image: &NvmImage, from: u64) -> [u64; XS_CHANNELS] {
+        let view = |arr: &PArray<f64>| image.view(arr.base(), arr.byte_len());
+        let (energy, xs) = (view(&self.grids.energy), view(&self.grids.xs));
+        let mut mem = ImageGrids {
+            energy: &energy,
+            xs: &xs,
+            macro_xs: [0.0; XS_CHANNELS],
+        };
+        let mut tally = [0u64; XS_CHANNELS];
+        for i in from..self.lookups {
+            tally[self.lookup(&mut mem, i)] += 1;
+        }
+        tally
     }
 
     /// Flush the persistent MC state (macro_xs + counters + index).
@@ -373,6 +422,7 @@ impl McSim {
                     lost_units: crashed_at.saturating_sub(resumed_from),
                     restart_unit: resumed_from,
                 },
+                accesses: sys.access_count(),
             };
         }
         let t0 = sys.now();
@@ -384,22 +434,53 @@ impl McSim {
             .completed()
             .expect("trigger is Never");
         let t2 = emu.now();
-        // Continue to completion.
-        self.run(&mut emu, crashed_at, self.lookups)
-            .completed()
-            .expect("trigger is Never");
-        let sys = emu.into_system();
+        // The rest of the run only ever adds one to a counter per lookup:
+        // tally it on the host instead of simulating it untimed.
+        let mut counts = self.peek_counts(&emu);
+        for (c, n) in counts.iter_mut().zip(self.tally_tail(image, crashed_at)) {
+            *c += n;
+        }
         McRecovery {
             resumed_from,
-            counts: self.peek_counts(&sys),
+            counts,
             report: RecoveryReport {
                 detect_time: t1 - t0,
                 resume_time: t2 - t1,
                 lost_units: crashed_at.saturating_sub(resumed_from),
                 restart_unit: resumed_from,
             },
+            accesses: emu.access_count(),
         }
     }
+}
+
+/// [`LookupMem`] over a crash image, uncharged: the grids are read straight
+/// from the image's bytes and `macro_xs` lives in a local.
+struct ImageGrids<'a> {
+    energy: &'a [u8],
+    xs: &'a [u8],
+    macro_xs: [f64; XS_CHANNELS],
+}
+
+impl LookupMem for ImageGrids<'_> {
+    #[inline]
+    fn energy(&mut self, i: usize) -> f64 {
+        f64::from_bytes(&self.energy[i * 8..])
+    }
+    #[inline]
+    fn xs(&mut self, i: usize) -> f64 {
+        f64::from_bytes(&self.xs[i * 8..])
+    }
+    #[inline]
+    fn macro_xs(&mut self, c: usize) -> f64 {
+        self.macro_xs[c]
+    }
+    #[inline]
+    fn set_macro_xs(&mut self, c: usize, v: f64) {
+        self.macro_xs[c] = v;
+    }
+    #[inline]
+    fn charge_flops(&mut self, _n: u64) {}
 }
 
 #[cfg(test)]
@@ -421,6 +502,136 @@ mod tests {
         let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
         mc.run(&mut emu, 0, lookups).completed().unwrap();
         mc.peek_counts(&emu)
+    }
+
+    impl McSim {
+        /// The differential oracle for the tally: recovery as it was before
+        /// the tail became a host-side tally — the lookups past the crash
+        /// point simulated, untimed, on the rebooted machine.
+        fn recover_and_resume_simulated_tail(
+            &self,
+            image: &NvmImage,
+            cfg: SystemConfig,
+            crashed_at: u64,
+        ) -> McRecovery {
+            let mut sys = MemorySystem::from_image(cfg, image);
+            let t0 = sys.now();
+            let resumed_from = self.idx_cell.get(&mut sys);
+            let t1 = sys.now();
+            let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
+            self.run(&mut emu, resumed_from, crashed_at)
+                .completed()
+                .unwrap();
+            let t2 = emu.now();
+            let accesses = emu.access_count();
+            self.run(&mut emu, crashed_at, self.lookups)
+                .completed()
+                .unwrap();
+            McRecovery {
+                resumed_from,
+                counts: self.peek_counts(&emu),
+                report: RecoveryReport {
+                    detect_time: t1 - t0,
+                    resume_time: t2 - t1,
+                    lost_units: crashed_at.saturating_sub(resumed_from),
+                    restart_unit: resumed_from,
+                },
+                accesses,
+            }
+        }
+    }
+
+    /// Everything a recovery reports, in comparable form.
+    fn facts(r: &McRecovery) -> (u64, [u64; XS_CHANNELS], u64, u64, u64, u64, u64) {
+        (
+            r.resumed_from,
+            r.counts,
+            r.report.detect_time.ps(),
+            r.report.resume_time.ps(),
+            r.report.lost_units,
+            r.report.restart_unit,
+            r.accesses,
+        )
+    }
+
+    /// Crash images of one run of `mode`, one per lookup boundary:
+    /// `images[k]` is NVM as of `k` completed lookups (`images[0]` the
+    /// seeded machine before the loop).
+    fn images_at_every_lookup(
+        p: &McProblem,
+        c: &SystemConfig,
+        lookups: u64,
+        mode: McMode,
+    ) -> (McSim, Vec<NvmImage>) {
+        let mut sys = MemorySystem::new(c.clone());
+        let mc = McSim::setup(&mut sys, p.clone(), lookups, 42, mode);
+        let mut images = vec![sys.crash_fork()];
+        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
+        for i in 0..lookups {
+            mc.run(&mut emu, i, i + 1).completed().unwrap();
+            images.push(emu.crash_fork());
+        }
+        (mc, images)
+    }
+
+    #[test]
+    fn tallied_tail_equals_the_simulated_tail_at_every_crash_point() {
+        let p = McProblem::generate(36, 32, 11);
+        // Small caches: counter lines get evicted between flushes, so the
+        // replayed prefix double-counts at many crash points.
+        let c = SystemConfig::nvm_only(4 << 10, 1 << 20);
+        let lookups = 60u64;
+        let mut audits_fired = 0;
+        for mode in [
+            McMode::Selective { interval: 8 },
+            McMode::Basic,
+            McMode::EveryIteration,
+            McMode::Native,
+        ] {
+            let (mc, images) = images_at_every_lookup(&p, &c, lookups, mode);
+            for (crashed_at, image) in images.iter().enumerate() {
+                let crashed_at = crashed_at as u64;
+                let got = mc.recover_and_resume(image, c.clone(), crashed_at);
+                let want = mc.recover_and_resume_simulated_tail(image, c.clone(), crashed_at);
+                assert_eq!(
+                    facts(&got),
+                    facts(&want),
+                    "{mode:?} crashed_at {crashed_at}"
+                );
+                audits_fired += u64::from(got.counts.iter().sum::<u64>() != lookups);
+            }
+        }
+        // The comparison covered inexact recoveries too, not only clean ones.
+        assert!(audits_fired > 0, "no crash point exercised the count audit");
+    }
+
+    #[test]
+    fn tally_reads_the_grids_of_the_image_it_was_handed() {
+        let p = McProblem::generate(36, 32, 11);
+        let c = SystemConfig::nvm_only(16 << 10, 1 << 20);
+        let lookups = 200u64;
+        let mode = McMode::Selective { interval: 8 };
+        let mut sys = MemorySystem::new(c.clone());
+        let mc = McSim::setup(&mut sys, p.clone(), lookups, 42, mode);
+        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
+        mc.run(&mut emu, 0, 16).completed().unwrap();
+        let clean = emu.crash_fork();
+        // Poison the fuel's first nuclide: every cross section of one
+        // mid-grid point becomes huge, so the lookups that interpolate
+        // there pick a different interaction type.
+        let mut bytes = clean.prefix().to_vec();
+        for ch in 0..XS_CHANNELS {
+            let at = mc.grids.xs.addr(16 * XS_CHANNELS + ch) as usize;
+            bytes[at..at + 8].copy_from_slice(&(1e9 * (ch + 1) as f64).to_le_bytes());
+        }
+        let poisoned = NvmImage::new(bytes, clean.len());
+
+        let reference = mc.recover_and_resume(&clean, c.clone(), 16);
+        let tallied = mc.recover_and_resume(&poisoned, c.clone(), 16);
+        let simulated = mc.recover_and_resume_simulated_tail(&poisoned, c.clone(), 16);
+        assert_eq!(facts(&tallied), facts(&simulated));
+        assert_ne!(tallied.counts, reference.counts, "the poison must show");
+        assert_eq!(tallied.counts.iter().sum::<u64>(), lookups);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub fn run_with_ckpt(
     interval: u64,
 ) -> RunOutcome<()> {
     for i in 0..mc.lookups {
-        let t = one_lookup_step(mc, emu, i);
+        let t = mc.one_lookup(emu, i);
         let c = mc.counters.get(emu, t) + 1;
         mc.counters.set(emu, t, c);
         if (i + 1) % interval.max(1) == 0 {
@@ -80,7 +80,7 @@ pub fn run_with_pmem(
             }
             in_tx = true;
         }
-        let t = one_lookup_step(mc, emu, i);
+        let t = mc.one_lookup(emu, i);
         let c = mc.counters.get(emu, t) + 1;
         mc.counters.set(emu, t, c);
         if (i + 1) % interval == 0 {
@@ -97,40 +97,6 @@ pub fn run_with_pmem(
         pool.tx_commit(emu);
     }
     RunOutcome::Completed(())
-}
-
-/// One lookup + interaction selection, shared with the variants (kept in
-/// sync with [`McSim::run`]'s loop body via the module tests).
-fn one_lookup_step(mc: &McSim, emu: &mut CrashEmulator, i: u64) -> usize {
-    use super::rng::{sample, unit_f64};
-    use super::XS_CHANNELS;
-    let e = unit_f64(sample(mc.seed, i, 0));
-    let mat = mc.problem.pick_material(unit_f64(sample(mc.seed, i, 1)));
-    for c in 0..XS_CHANNELS {
-        mc.macro_xs.set(emu, c, 0.0);
-    }
-    for idx in 0..mc.problem.materials[mat].len() {
-        let nuc = mc.problem.materials[mat][idx] as usize;
-        let g = mc.grids.search(emu, nuc, e);
-        let xs = mc.grids.interpolate(emu, nuc, g, e);
-        for (c, v) in xs.iter().enumerate() {
-            let acc = mc.macro_xs.get(emu, c) + v;
-            mc.macro_xs.set(emu, c, acc);
-        }
-        emu.charge_flops(XS_CHANNELS as u64);
-    }
-    let mut cdf = [0.0f64; XS_CHANNELS];
-    let mut acc = 0.0;
-    for (c, entry) in cdf.iter_mut().enumerate() {
-        acc += mc.macro_xs.get(emu, c);
-        *entry = acc;
-    }
-    let total = cdf[XS_CHANNELS - 1];
-    let x = unit_f64(sample(mc.seed, i, 2));
-    emu.charge_flops(2 * XS_CHANNELS as u64);
-    cdf.iter()
-        .position(|&c| x <= c / total)
-        .unwrap_or(XS_CHANNELS - 1)
 }
 
 #[cfg(test)]

@@ -53,7 +53,7 @@ pub fn reseed_initial(emu: &mut CrashEmulator, st: &PlainStencil) {
 pub fn ckpt_restore(
     emu: &mut CrashEmulator,
     st: &PlainStencil,
-    mgr: &mut CkptManager,
+    mgr: &CkptManager,
 ) -> (usize, bool) {
     match mgr.restore(emu) {
         Some(_) => (st.sweep_cell.get(emu) as usize, true),

@@ -69,6 +69,8 @@ pub struct Backing {
     /// invalidate any outstanding journal consumer.
     journal_epoch: u64,
     /// Per-line epoch of the last journal entry (avoids duplicate pushes).
+    /// Like `bytes` it spans only the lines written so far, not the pool:
+    /// a line past its end has never been journaled (epoch 0).
     line_mark: Vec<u64>,
     /// Distinct lines written since the last mark (unsorted).
     journal: Vec<u64>,
@@ -94,16 +96,25 @@ impl Backing {
     /// Start (or restart) the write journal: clears any previous journal
     /// and returns the new journal epoch. From now on every line written
     /// is recorded once; [`Backing::journal_lines`] lists them. The
-    /// per-line mark table (12.5% of pool size) is allocated here, on
-    /// first use — stores that never journal never pay for it.
+    /// per-line mark table behind that grows with the highest line
+    /// journaled (12.5% of the *written* span, not of the pool) — stores
+    /// that never journal never pay for it.
     pub fn mark_journal(&mut self) -> u64 {
-        if self.line_mark.is_empty() {
-            self.line_mark = vec![0; self.cap.div_ceil(LINE_SIZE)];
-        }
         self.journal_epoch += 1;
         self.journal.clear();
         self.journaling = true;
         self.journal_epoch
+    }
+
+    /// Stop journaling and free the per-line mark table. Invalidates the
+    /// outstanding journal consumer like [`Backing::restore`] does (the
+    /// epoch moves on), so a fork against a base taken before this call is
+    /// caught as stale instead of silently missing lines.
+    pub fn end_journal(&mut self) {
+        self.journal_epoch += 1;
+        self.journaling = false;
+        self.journal = Vec::new();
+        self.line_mark = Vec::new();
     }
 
     /// The current journal epoch (compare against the epoch returned by
@@ -124,6 +135,11 @@ impl Backing {
             return;
         }
         let idx = (line - (self.base >> LINE_SHIFT)) as usize;
+        debug_assert!(idx < self.cap.div_ceil(LINE_SIZE), "line past the pool");
+        if idx >= self.line_mark.len() {
+            // Epoch 0 is never current: `mark_journal` starts at 1.
+            self.line_mark.resize(idx + 1, 0);
+        }
         if self.line_mark[idx] != self.journal_epoch {
             self.line_mark[idx] = self.journal_epoch;
             self.journal.push(line);

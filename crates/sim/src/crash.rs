@@ -204,9 +204,14 @@ impl CrashEmulator {
     }
 
     /// Disarm the harvest plan and take the captured crash states (poll
-    /// order). Empty if no plan was armed.
+    /// order), retiring the plan's delta base: the system stops journaling
+    /// NVM writes. Empty if no plan was armed.
     pub fn take_harvests(&mut self) -> Vec<Harvest> {
-        self.harvest.take().map(|h| h.out).unwrap_or_default()
+        let Some(plan) = self.harvest.take() else {
+            return Vec::new();
+        };
+        self.sys.retire_delta_base();
+        plan.out
     }
 
     /// Take the crash states captured since the last drain, leaving the

@@ -17,6 +17,7 @@
 //! pool, held end to end so no crash path allocates or copies the pool's
 //! capacity.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use crate::backing::{read_padded, trimmed_len};
@@ -114,6 +115,22 @@ impl NvmImage {
             self.len
         );
         read_padded(&self.prefix, a, buf);
+    }
+
+    /// The `len` bytes starting at NVM address `addr`: borrowed when the
+    /// range lies inside the written prefix, a zero-padded copy otherwise.
+    /// For a reader that scans a region many times (a read-only table),
+    /// one view replaces a bounds-checked padded copy per element.
+    pub fn view(&self, addr: u64, len: usize) -> Cow<'_, [u8]> {
+        let a = addr as usize;
+        match self.prefix.get(a..a + len) {
+            Some(held) => Cow::Borrowed(held),
+            None => {
+                let mut buf = vec![0u8; len];
+                self.read_bytes(addr, &mut buf);
+                Cow::Owned(buf)
+            }
+        }
     }
 
     /// Read a typed value at an NVM address.
@@ -380,6 +397,11 @@ mod tests {
         assert_eq!(img.read_u64(0), u64::MAX);
         assert_eq!(img.read_u64(8), 0xffff_ffff, "straddles the prefix end");
         assert_eq!(img.read_u64(56), 0, "wholly past the prefix");
+        // A range view borrows inside the prefix and pads beyond it.
+        assert!(matches!(img.view(4, 8), Cow::Borrowed(b) if b == [0xff; 8]));
+        let mut padded = [0u8; 8];
+        padded[..4].fill(0xff);
+        assert!(matches!(img.view(8, 8), Cow::Owned(b) if b == padded));
     }
 
     #[test]

@@ -1012,6 +1012,15 @@ impl MemorySystem {
         }
     }
 
+    /// Retire the base taken by [`MemorySystem::delta_base`]: stop the write
+    /// journal and free its per-line mark table (12.5% of the pool's
+    /// capacity). A system that is kept around after its last fork — a
+    /// batch's forward machine waiting for the merge — should not keep
+    /// paying for forks it will never take. Uncharged.
+    pub fn retire_delta_base(&mut self) {
+        self.nvm.end_journal();
+    }
+
     /// Fork the crash image at the current point as a copy-on-write delta
     /// against `base`: semantically identical to
     /// [`MemorySystem::crash_fork`] (honoring

@@ -187,3 +187,56 @@ fn ds_smoke_campaign_draws_both_undo_scenarios_and_never_corrupts_silently() {
     }
     assert_eq!(report.silent_corruption_total(), 0);
 }
+
+/// The pool's two grains — tasks (`max_batch`-sized forward executions)
+/// and jobs (the distinct crash states of one) — must both be invisible:
+/// odd worker counts, more workers than tasks, one-unit tasks with nothing
+/// to share and 128-unit tasks whose jobs cross worker boundaries all
+/// produce the canonical bytes of the serial run. The three configs are
+/// the ones the replay gates pin (kernel 260 and `--resilience` 130 over
+/// dense 400, ds 1200). One-unit tasks cost a forward execution per unit
+/// and have no job to share, so they run at the two worker counts that
+/// differ most — odd, and more workers than this host has cores.
+#[test]
+fn canonical_bytes_survive_every_thread_count_and_batch_size() {
+    use adcc::campaign::run_resilience;
+    let kernel = CampaignConfig {
+        budget_states: 260,
+        dense_units: 400,
+        ..config_telemetry(1, 42)
+    };
+    let resilience = CampaignConfig {
+        budget_states: 130,
+        ..kernel.clone()
+    };
+    let ds = CampaignConfig {
+        budget_states: 1200,
+        registry: Registry::Ds,
+        ..config_telemetry(1, 42)
+    };
+    let engines: [(&str, &CampaignConfig, fn(&CampaignConfig) -> CampaignReport); 3] = [
+        ("kernel", &kernel, run_campaign),
+        ("kernel --resilience", &resilience, run_resilience),
+        ("ds", &ds, run_campaign),
+    ];
+    for (name, base, run) in engines {
+        let want = run(base).canonical_string();
+        for threads in [1, 2, 3, 8] {
+            for max_batch in [1, 7, 128] {
+                if max_batch == 1 && threads < 3 {
+                    continue;
+                }
+                let got = run(&CampaignConfig {
+                    threads,
+                    max_batch,
+                    ..base.clone()
+                });
+                assert_eq!(
+                    got.canonical_string(),
+                    want,
+                    "{name}: threads {threads}, max_batch {max_batch}"
+                );
+            }
+        }
+    }
+}
