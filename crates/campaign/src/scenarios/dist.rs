@@ -10,14 +10,14 @@
 //!   decodes to rank `u % ranks`, then `(u / ranks) / 2 + 1` as the
 //!   superstep and `(u / ranks) % 2` as the phase (`PH_MID` / `PH_END`),
 //!   so any schedule prefix already spreads crash points across ranks
-//!   *and* supersteps. These harvest through the batch fast path.
+//!   *and* supersteps.
 //! * **Block B — cascading failures** (`2 * ranks` units): a first crash
 //!   on rank `c % ranks` at a mid-run or late superstep, plus a second,
 //!   staggered crash on the next rank armed to fire *while the cluster is
 //!   still recovering or resuming* from the first. Occurrence counts are
 //!   chosen per recovery mode so the second trigger lands inside the
 //!   recovery re-execution (GlobalRestart) or the resumed superstep
-//!   (AlgorithmDirected). These run as dedicated trials.
+//!   (AlgorithmDirected).
 //! * **Block C — node loss** (`ranks` units, chaotic profile +
 //!   AlgorithmDirected only): the failed rank's NVM image is destroyed
 //!   with the process, forcing recovery to restore from the remote
@@ -27,9 +27,23 @@
 //! Dense units (at or above `total_units`) map to access-count triggers
 //! on rank `d % ranks` with thresholds spaced by the scenario's measured
 //! stride — the same subdivision the single-rank scenarios use, per rank.
+//!
+//! ## One forward execution per chunk
+//!
+//! Every unit is a harvest point. A failure set's forward execution up to
+//! its *first* crash is the crash-free execution — an armed trigger that
+//! has not fired perturbs nothing — so the batch path harvests the first
+//! failure of a cascade or node loss exactly like a singleton, and hands
+//! the rest of the set (the node-loss flag, the second failure) to
+//! `adcc_dist::trial::run_dist_batch` as the point's `FollowUp`, which
+//! arms it on the replay's fork. One cluster is built and run forward per
+//! chunk whatever the passes: each drained state is forked for recovery
+//! and/or for the dirty reboot. Dedicated per-unit clusters survive only
+//! behind [`Scenario::run_trial`] — the oracle the batch path is checked
+//! against.
 
 use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 use adcc_dist::cg::{CgConfig, DistCg};
 use adcc_dist::cluster::{Cluster, RankFailure};
@@ -38,8 +52,8 @@ use adcc_dist::net::FaultProfile;
 use adcc_dist::sites;
 use adcc_dist::stencil::{DistStencil, StencilConfig};
 use adcc_dist::trial::{
-    reference_run, run_dist_batch, run_dist_dirty_batch, run_dist_dirty_trial, run_dist_trial,
-    BatchPoint, BatchStats, DirtyReboot, DistKernel, DistTrial, RecoveryMode, ReferenceRun,
+    reference_run, run_dist_batch, run_dist_trial, BatchPasses, BatchPoint, DistKernel, DistTrial,
+    FollowUp, RecoveryMode, ReferenceRun,
 };
 use adcc_resilience::{DirtyClass, DirtyTrial, Tolerance};
 use adcc_sim::crash::{CrashSite, CrashTrigger};
@@ -212,16 +226,29 @@ impl DistSpec for CgSpec {
 
 /// What one scheduled unit asks the cluster to survive.
 enum UnitKind {
-    /// Block A: one fail-stop crash — harvestable by the batch path.
+    /// Block A: one fail-stop crash.
     Single(RankFailure),
     /// Block B: a first crash plus a second one staggered to land during
-    /// recovery or the resumed tail — runs as a dedicated trial.
+    /// recovery or the resumed tail.
     Cascade(RankFailure, RankFailure),
-    /// Block C: one crash whose NVM image dies with the node — runs as a
-    /// dedicated trial through the remote-restore path.
+    /// Block C: one crash whose NVM image dies with the node — recovery
+    /// goes through the remote-restore path.
     NodeLoss(RankFailure),
-    /// Access-grain dense tail — harvestable by the batch path.
+    /// Access-grain dense tail.
     Dense(RankFailure),
+}
+
+impl UnitKind {
+    /// The failure set in firing order: the first failure — what a
+    /// per-trial cluster arms together with the second, and what the batch
+    /// path harvests — and the staggered second one, if any, which rides
+    /// the batch path's replay forks.
+    fn failures(&self) -> (RankFailure, Option<RankFailure>) {
+        match *self {
+            UnitKind::Single(f) | UnitKind::NodeLoss(f) | UnitKind::Dense(f) => (f, None),
+            UnitKind::Cascade(first, second) => (first, Some(second)),
+        }
+    }
 }
 
 fn at_site(phase: u32, iter: u64, occurrence: u32) -> CrashTrigger {
@@ -236,11 +263,36 @@ fn at_site(phase: u32, iter: u64, occurrence: u32) -> CrashTrigger {
 struct Dist<S: DistSpec> {
     spec: S,
     mode: RecoveryMode,
-    /// The crash-free cluster execution, computed on first use and then
-    /// shared by every trial of this scenario: per-trial classification
-    /// needs its solution, the batch path also its per-superstep resume
-    /// states (to short-circuit resumed tails).
-    reference: OnceLock<ReferenceRun>,
+    /// The crash-free cluster execution, looked up on first use (see
+    /// [`cached_reference`]) and then shared by every trial of this
+    /// scenario: per-trial classification needs its solution, the batch
+    /// path also its per-superstep resume states (to short-circuit resumed
+    /// tails).
+    reference: OnceLock<&'static ReferenceRun>,
+}
+
+/// The process-wide reference cache. A crash-free run is a pure function
+/// of the scenario's fixed config — which its name (kernel family and
+/// recovery mode) and fault profile pin — and every `run_campaign`
+/// rebuilds the registry, so the cluster execution behind it runs once per
+/// process rather than once per registry build (as
+/// [`super::mc::reference_counts`] does for MC). The map hands out one
+/// leaked cell per key; the run itself happens outside the map's lock, so
+/// scenarios compute their references concurrently.
+fn cached_reference(
+    name: &'static str,
+    faults: FaultProfile,
+    run: impl FnOnce() -> ReferenceRun,
+) -> &'static ReferenceRun {
+    type Cells = Mutex<HashMap<(&'static str, &'static str), &'static OnceLock<ReferenceRun>>>;
+    static CELLS: OnceLock<Cells> = OnceLock::new();
+    let cell: &'static OnceLock<ReferenceRun> = CELLS
+        .get_or_init(Cells::default)
+        .lock()
+        .expect("reference cache poisoned")
+        .entry((name, faults.name()))
+        .or_insert_with(|| Box::leak(Box::default()));
+    cell.get_or_init(run)
 }
 
 impl<S: DistSpec> Dist<S> {
@@ -252,16 +304,19 @@ impl<S: DistSpec> Dist<S> {
         }
     }
 
-    fn reference(&self) -> &ReferenceRun {
+    fn reference(&self) -> &'static ReferenceRun {
         self.reference.get_or_init(|| {
-            let (mut cl, mut kernel) = self.spec.build(self.mode, &[]);
-            reference_run(&mut cl, &mut kernel)
+            cached_reference(self.spec.name(self.mode), self.spec.faults(), || {
+                let (mut cl, mut kernel) = self.spec.build(self.mode, &[]);
+                reference_run(&mut cl, &mut kernel)
+            })
         })
     }
 
     /// Classify one distributed trial against the cached reference — the
     /// single classification path both [`Scenario::run_trial`] and the
-    /// recover pass of [`Scenario::harvest`] go through.
+    /// recover pass of [`Scenario::harvest`] go through (the latter once
+    /// per replay: every unit a replay answers for gets the same verdict).
     fn classify_dist(&self, unit: u64, t: DistTrial) -> Trial {
         let matches = max_diff(&t.solution, &self.reference().solution) < TOL;
         if t.completed_clean {
@@ -369,10 +424,10 @@ impl<S: DistSpec> Dist<S> {
         }
     }
 
-    /// Run one unit's failure set as a dedicated trial (blocks B and C).
-    fn run_solo(&self, failures: &[RankFailure], telemetry: bool) -> DistTrial {
-        let (mut cl, mut kernel) = self.spec.build(self.mode, failures);
-        run_dist_trial(&mut cl, &mut kernel, telemetry)
+    /// Everything a per-trial cluster arms for `unit`, in firing order.
+    fn failure_set(&self, unit: u64) -> Vec<RankFailure> {
+        let (first, second) = self.decode(unit).failures();
+        std::iter::once(first).chain(second).collect()
     }
 }
 
@@ -405,41 +460,30 @@ impl<S: DistSpec> Scenario for Dist<S> {
     fn trigger_of(&self, unit: u64) -> CrashTrigger {
         // The *first* failure's trigger: schedules only need a stable
         // per-unit label, and cascades are keyed by their leading crash.
-        match self.decode(unit) {
-            UnitKind::Single(f)
-            | UnitKind::Cascade(f, _)
-            | UnitKind::NodeLoss(f)
-            | UnitKind::Dense(f) => f.trigger,
-        }
+        self.decode(unit).failures().0.trigger
     }
 
+    /// The oracle: one dedicated cluster with the unit's whole failure set
+    /// armed, run forward, recovered and resumed to the last superstep.
     fn run_trial(&self, unit: u64, telemetry: bool) -> Trial {
-        let t = match self.decode(unit) {
-            UnitKind::Single(f) | UnitKind::Dense(f) => self.run_solo(&[f], telemetry),
-            UnitKind::Cascade(first, second) => self.run_solo(&[first, second], telemetry),
-            UnitKind::NodeLoss(f) => self.run_solo(&[f], telemetry),
-        };
+        let (mut cl, mut kernel) = self.spec.build(self.mode, &self.failure_set(unit));
+        let t = run_dist_trial(&mut cl, &mut kernel, telemetry);
         self.classify_dist(unit, t)
     }
 
-    /// One `decode` partition serves every pass: singleton and dense
-    /// units are harvested from a forward cluster execution as
-    /// copy-on-write deltas; cascade and node-loss units cannot be (their
-    /// failure sets change the execution itself), so they run as dedicated
-    /// trials alongside.
+    /// One forward cluster execution serves every unit and every pass:
+    /// each unit's first failure is harvested as a copy-on-write delta, and
+    /// each drained state is replayed on forks of the live cluster with
+    /// the rest of the unit's failure set armed on them.
     ///
-    /// * recover — each harvested state replays through recovery on a
-    ///   forked cluster, short-circuiting resumed tails against the cached
-    ///   reference run. Trials identical to per-unit `run_trial` (the
-    ///   delta-equivalence suite pins this).
-    /// * dirty — each harvested state reboots dirty on a forked cluster.
-    ///   Units whose trigger never fires completed clean — nothing
-    ///   crashed, nothing rebooted — and classify as converged-exact at
-    ///   zero cost.
+    /// * recover — the state replays through recovery, short-circuiting
+    ///   resumed tails against the cached reference run. Trials identical
+    ///   to per-unit `run_trial` (the delta-equivalence suite pins this).
+    /// * dirty — the state reboots dirty. Units whose trigger never fires
+    ///   completed clean — nothing crashed, nothing rebooted — and
+    ///   classify as converged-exact at zero cost.
     ///
-    /// The two passes harvest through separate `adcc_dist::trial` drains,
-    /// so a fused call still runs the cluster forward once per pass — and
-    /// each drain recovers its states as it goes, so the batch is one job:
+    /// The drain recovers its states as it goes, so the batch is one job:
     /// the harvest step returns it [`Whole`].
     fn harvest<'a>(
         &'a self,
@@ -447,87 +491,79 @@ impl<S: DistSpec> Scenario for Dist<S> {
         passes: Passes,
         mem: &ImageMemory,
     ) -> Box<dyn Harvested + 'a> {
-        let mut points: Vec<BatchPoint> = Vec::new();
-        let mut solo: Vec<(u64, Vec<RankFailure>)> = Vec::new();
-        for &unit in units {
-            match self.decode(unit) {
-                UnitKind::Single(f) | UnitKind::Dense(f) => points.push(BatchPoint {
+        let mut out = PassOutput::default();
+        if !(passes.recover || passes.dirty) {
+            return Box::new(Whole(out));
+        }
+        let points: Vec<BatchPoint> = units
+            .iter()
+            .map(|&unit| {
+                let (first, second) = self.decode(unit).failures();
+                BatchPoint {
                     unit,
-                    rank: f.rank,
-                    trigger: f.trigger,
-                }),
-                UnitKind::Cascade(first, second) => solo.push((unit, vec![first, second])),
-                UnitKind::NodeLoss(f) => solo.push((unit, vec![f])),
+                    rank: first.rank,
+                    trigger: first.trigger,
+                    follow: FollowUp {
+                        node_loss: first.node_loss,
+                        second,
+                    },
+                }
+            })
+            .collect();
+        let (mut cl, mut kernel) = self.spec.build(self.mode, &[]);
+        let (replays, stats) = run_dist_batch(
+            &mut cl,
+            &mut kernel,
+            &points,
+            BatchPasses {
+                recover: passes.recover,
+                telemetry: passes.telemetry,
+                dirty: passes.dirty,
+            },
+            self.reference(),
+        );
+        mem.record_execution(
+            stats.base_bytes,
+            stats.delta_bytes,
+            stats.images,
+            stats.distinct_states,
+            stats.materialized_bytes,
+            stats.pool_bytes,
+        );
+
+        let tolerance = self.spec.dirty_tolerance();
+        let mut trials: HashMap<u64, Trial> = HashMap::with_capacity(units.len());
+        let mut dirty: HashMap<u64, DirtyTrial> = HashMap::with_capacity(units.len());
+        for replay in replays {
+            if let Some(t) = replay.trial {
+                let t = self.classify_dist(replay.units[0], t);
+                trials.extend(replay.units.iter().map(|&unit| (unit, Trial { unit, ..t })));
+            }
+            if let Some(d) = replay.dirty {
+                let diff = max_diff(&d.solution, &self.reference().solution);
+                let class = tolerance.classify(false, diff);
+                dirty.extend(replay.units.iter().map(|&unit| {
+                    let t = DirtyTrial {
+                        unit,
+                        class,
+                        extra_units: 0,
+                        sim_time_ps: d.sim_time_ps,
+                    };
+                    (unit, t)
+                }));
             }
         }
-        let record = |stats: BatchStats| {
-            mem.record_execution(
-                stats.base_bytes,
-                stats.delta_bytes,
-                stats.images,
-                stats.distinct_states,
-                stats.materialized_bytes,
-                stats.pool_bytes,
-            )
-        };
-        let mut out = PassOutput::default();
-
         if passes.recover {
-            let mut by_unit: HashMap<u64, Trial> = HashMap::with_capacity(units.len());
-            if !points.is_empty() {
-                let (mut cl, mut kernel) = self.spec.build(self.mode, &[]);
-                let (results, stats) = run_dist_batch(
-                    &mut cl,
-                    &mut kernel,
-                    &points,
-                    passes.telemetry,
-                    self.reference(),
-                );
-                record(stats);
-                for (unit, t) in results {
-                    by_unit.insert(unit, self.classify_dist(unit, t));
-                }
-            }
-            for (unit, failures) in &solo {
-                let t = self.run_solo(failures, passes.telemetry);
-                by_unit.insert(*unit, self.classify_dist(*unit, t));
-            }
             out.trials = units
                 .iter()
-                .map(|u| by_unit.remove(u).expect("batch covered every unit"))
+                .map(|u| trials.remove(u).expect("batch covered every unit"))
                 .collect();
         }
-
         if passes.dirty {
-            let tolerance = self.spec.dirty_tolerance();
-            let classify_dirty = |unit: u64, d: &DirtyReboot| {
-                let diff = max_diff(&d.solution, &self.reference().solution);
-                DirtyTrial {
-                    unit,
-                    class: tolerance.classify(false, diff),
-                    extra_units: 0,
-                    sim_time_ps: d.sim_time_ps,
-                }
-            };
-            let mut by_unit: HashMap<u64, DirtyTrial> = HashMap::with_capacity(units.len());
-            if !points.is_empty() {
-                let (mut cl, mut kernel) = self.spec.build(self.mode, &[]);
-                let (results, stats) = run_dist_dirty_batch(&mut cl, &mut kernel, &points);
-                record(stats);
-                for (unit, d) in results {
-                    by_unit.insert(unit, classify_dirty(unit, &d));
-                }
-            }
-            for (unit, failures) in &solo {
-                let (mut cl, mut kernel) = self.spec.build(self.mode, failures);
-                if let Some(d) = run_dist_dirty_trial(&mut cl, &mut kernel) {
-                    by_unit.insert(*unit, classify_dirty(*unit, &d));
-                }
-            }
             let trials = units
                 .iter()
                 .map(|&unit| {
-                    by_unit.remove(&unit).unwrap_or(DirtyTrial {
+                    dirty.remove(&unit).unwrap_or(DirtyTrial {
                         unit,
                         class: DirtyClass::ConvergedExact,
                         extra_units: 0,
@@ -574,6 +610,7 @@ pub fn all_with(faults: FaultProfile) -> Vec<Box<dyn Scenario>> {
 mod tests {
     use super::*;
     use crate::outcome::Outcome;
+    use adcc_dist::trial::run_dist_dirty_trial;
 
     fn stencil(mode: RecoveryMode) -> Dist<StencilSpec> {
         Dist::new(
@@ -750,5 +787,92 @@ mod tests {
         let p = t.telemetry.expect("telemetry requested");
         assert!(p.remote_restore_bytes > 0, "remote level was read");
         assert!(p.net_dropped > 0, "chaotic fabric dropped messages");
+    }
+
+    #[test]
+    fn the_reference_run_executes_once_per_process() {
+        let first = Dist::new(
+            JacobiSpec {
+                faults: FaultProfile::Lossy,
+            },
+            RecoveryMode::GlobalRestart,
+        );
+        let rebuilt = Dist::new(
+            JacobiSpec {
+                faults: FaultProfile::Lossy,
+            },
+            RecoveryMode::GlobalRestart,
+        );
+        // A second registry build is handed the first one's run — the same
+        // allocation, so no cluster was executed for it...
+        assert!(std::ptr::eq(first.reference(), rebuilt.reference()));
+        // ...and it is bit for bit what a fresh execution would produce.
+        let (mut cl, mut kernel) = rebuilt.spec.build(rebuilt.mode, &[]);
+        let fresh = reference_run(&mut cl, &mut kernel);
+        assert!(fresh == *rebuilt.reference());
+        // The key is (kernel family, recovery mode, fault profile).
+        for other in [
+            Dist::new(
+                JacobiSpec {
+                    faults: FaultProfile::Lossy,
+                },
+                RecoveryMode::AlgorithmDirected,
+            ),
+            Dist::new(
+                JacobiSpec {
+                    faults: FaultProfile::Off,
+                },
+                RecoveryMode::GlobalRestart,
+            ),
+        ] {
+            assert!(!std::ptr::eq(first.reference(), other.reference()));
+        }
+    }
+
+    /// The dirty pass's oracle: one dedicated cluster with the unit's
+    /// whole failure set armed, rebooted dirty at every crash.
+    fn dirty_oracle<S: DistSpec>(s: &Dist<S>, unit: u64) -> DirtyTrial {
+        let (mut cl, mut kernel) = s.spec.build(s.mode, &s.failure_set(unit));
+        let rebooted = run_dist_dirty_trial(&mut cl, &mut kernel);
+        DirtyTrial {
+            unit,
+            class: rebooted.as_ref().map_or(DirtyClass::ConvergedExact, |d| {
+                let diff = max_diff(&d.solution, &s.reference().solution);
+                s.spec.dirty_tolerance().classify(false, diff)
+            }),
+            extra_units: 0,
+            sim_time_ps: rebooted.map_or(0, |d| d.sim_time_ps),
+        }
+    }
+
+    /// Every cascade and node-loss unit of one chaotic-tier scenario, plus
+    /// the singletons that share a poll with a cascade leader and with a
+    /// node loss: one cluster, one forward execution, and a dirty trial
+    /// per unit equal to the per-trial oracle's.
+    fn dirty_failure_sets_match_the_oracle<S: DistSpec>(spec: S, mode: RecoveryMode) {
+        let s = Dist::new(spec, mode);
+        let (ranks, iters) = (s.spec.ranks(), s.spec.iters());
+        let (a, b, c) = s.blocks();
+        let mid = (iters / 2).max(1);
+        let mut units = vec![(mid - 1) * 2 * ranks + 3, ((mid - 1) * 2 + 1) * ranks + 3];
+        units.extend(a..a + b + c);
+        let mem = ImageMemory::default();
+        let swept = s.run_resilience(&units, &mem).expect("dist sweeps dirty");
+        let m = mem.summary();
+        assert_eq!(m.executions, 1, "{}: one cluster per chunk", s.name());
+        assert!(m.distinct_states.unwrap() < m.images, "{}", s.name());
+        for (&unit, got) in units.iter().zip(&swept.trials) {
+            assert_eq!(*got, dirty_oracle(&s, unit), "{} unit {unit}", s.name());
+        }
+    }
+
+    #[test]
+    fn dirty_pass_of_every_failure_set_unit_equals_the_per_trial_oracle() {
+        let faults = FaultProfile::Chaotic;
+        for mode in [RecoveryMode::AlgorithmDirected, RecoveryMode::GlobalRestart] {
+            dirty_failure_sets_match_the_oracle(StencilSpec { faults }, mode);
+            dirty_failure_sets_match_the_oracle(JacobiSpec { faults }, mode);
+            dirty_failure_sets_match_the_oracle(CgSpec::new(faults), mode);
+        }
     }
 }

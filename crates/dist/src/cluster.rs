@@ -232,24 +232,60 @@ impl Cluster {
     /// observes exactly what the live cluster would if a rank died at this
     /// instant — survivors' volatile state included.
     pub fn fork(&self) -> Cluster {
+        self.fork_armed(&[])
+    }
+
+    /// [`Cluster::fork`] with a failure set armed **on the fork**: each
+    /// listed rank's cloned machine gets its trigger (and node-loss flag),
+    /// so a replay of one harvested failure can be felled again while it
+    /// recovers or resumes — the rest of a cascade. A fresh emulator has
+    /// counted no polls: the caller discounts an `AtSite` occurrence by the
+    /// polls of that site the live run already made on that rank.
+    pub fn fork_armed(&self, pending: &[RankFailure]) -> Cluster {
+        let mut node_loss = self.node_loss.clone();
+        for f in pending {
+            assert!(
+                f.rank < self.cfg.ranks,
+                "crash rank {} out of range",
+                f.rank
+            );
+            node_loss[f.rank] = f.node_loss;
+        }
         let emus = self
             .emus
             .iter()
-            .map(|e| CrashEmulator::from_system(e.system().clone(), CrashTrigger::Never))
+            .enumerate()
+            .map(|(rank, e)| {
+                let trigger = pending
+                    .iter()
+                    .find(|f| f.rank == rank)
+                    .map_or(CrashTrigger::Never, |f| f.trigger);
+                CrashEmulator::from_system(e.system().clone(), trigger)
+            })
             .collect();
         Cluster {
             cfg: self.cfg.clone(),
             emus,
             fabric: self.fabric.clone(),
-            node_loss: self.node_loss.clone(),
+            node_loss,
         }
+    }
+
+    /// Whether any rank still carries an armed trigger that has not fired.
+    /// While one does, the rest of the run is *not* a function of the
+    /// cluster's resume state alone — a crash is still to come — so a
+    /// replay must not cut its tail short against a crash-free reference.
+    /// A reboot disarms the rebooted rank.
+    pub fn armed_pending(&self) -> bool {
+        self.emus
+            .iter()
+            .any(|e| !e.fired() && !matches!(e.trigger(), CrashTrigger::Never))
     }
 
     /// Send a vector of `f64`s from `src` to `dst`.
     pub fn send(&mut self, src: usize, dst: usize, vals: &[f64]) {
-        let payload = encode_f64s(vals);
         self.fabric
-            .send(self.emus[src].system_mut(), src, dst, &payload);
+            .send(self.emus[src].system_mut(), src, dst, encode_f64s(vals));
     }
 
     /// Receive the oldest pending vector from `src` at `dst`.
@@ -449,6 +485,46 @@ mod tests {
         assert!(!cl.poll(0, early) && cl.poll(1, early));
         assert!(!cl.poll(1, late), "a fired trigger stays quiet");
         assert!(cl.poll(3, late));
+    }
+
+    #[test]
+    fn an_armed_fork_carries_its_failure_set_and_a_plain_fork_none() {
+        let site = CrashSite::new(crate::sites::PH_MID, 3);
+        let trigger = CrashTrigger::AtSite {
+            site,
+            occurrence: 1,
+        };
+        let live = Cluster::new(cfg(), None);
+        assert!(!live.armed_pending() && !live.fork().armed_pending());
+        let mut fork = live.fork_armed(&[RankFailure::node_loss(2, trigger)]);
+        assert!(fork.armed_pending(), "rank 2 is still to fall");
+        assert!(fork.node_loss(2) && !fork.node_loss(1));
+        assert!(
+            !live.node_loss(2),
+            "arming a fork never touches the live run"
+        );
+        // A fresh emulator has counted no polls: occurrence 1 is the
+        // fork's own first poll of the site, whatever the live run polled.
+        assert!(!fork.poll(1, site));
+        assert!(fork.poll(2, site));
+        assert!(!fork.armed_pending(), "a fired trigger is spent");
+    }
+
+    #[test]
+    fn rebooting_an_armed_rank_disarms_it() {
+        let site = CrashSite::new(crate::sites::PH_END, 2);
+        let trigger = CrashTrigger::AtSite {
+            site,
+            occurrence: 1,
+        };
+        let mut fork = Cluster::new(cfg(), None).fork_armed(&[RankFailure::crash(1, trigger)]);
+        assert!(fork.armed_pending());
+        // The rank comes back as a fresh process, exactly as on the
+        // per-trial path: no trigger survives a reboot.
+        let image = fork.crash_rank(1);
+        fork.reboot_rank(1, &image);
+        assert!(!fork.armed_pending());
+        assert!(!fork.poll(1, site), "the replacement process is unarmed");
     }
 
     #[test]

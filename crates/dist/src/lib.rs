@@ -62,8 +62,9 @@ pub mod trial;
 pub use cluster::{Cluster, ClusterConfig};
 pub use net::{Fabric, NetTiming, NetTraffic};
 pub use trial::{
-    poll_phase, reference_run, run_dist_batch, run_dist_trial, run_superstep, BatchPoint,
-    BatchStats, CrashInfo, DistKernel, DistTrial, Recovery, RecoveryMode, ReferenceRun,
+    poll_phase, reference_run, run_dist_batch, run_dist_trial, run_superstep, BatchPasses,
+    BatchPoint, BatchReplay, BatchStats, CrashInfo, DistKernel, DistTrial, FollowUp, Recovery,
+    RecoveryMode, ReferenceRun,
 };
 
 /// Instrumented crash-site phases shared by every distributed kernel.

@@ -311,10 +311,12 @@ impl Fabric {
 
     /// Send `payload` from `src` to `dst`: charge the transfer (plus
     /// seeded jitter) on the sender's clock, apply the fault plan, enqueue
-    /// the bytes. Faults perturb only clocks and counters — the logical
+    /// the bytes. The buffer is taken by value and queued as is — the
+    /// sender encoded it for this message, so the fabric never copies it.
+    /// Faults perturb only clocks and counters — the logical
     /// [`NetTraffic`] records exactly one message per send, so
     /// recovery-traffic comparisons are unaffected by the profile.
-    pub fn send(&mut self, src_sys: &mut MemorySystem, src: usize, dst: usize, payload: &[u8]) {
+    pub fn send(&mut self, src_sys: &mut MemorySystem, src: usize, dst: usize, payload: Vec<u8>) {
         assert!(src < self.ranks && dst < self.ranks, "rank out of range");
         assert_ne!(src, dst, "self-sends are a cluster bug");
         let bytes = payload.len() as u64;
@@ -340,7 +342,7 @@ impl Fabric {
             }
         }
         self.queues[src * self.ranks + dst].push_back(Queued {
-            payload: payload.to_vec(),
+            payload,
             reorder_ps,
         });
         self.seq += 1;
@@ -396,8 +398,8 @@ mod tests {
         let mut f = Fabric::new(2, NetTiming::cluster_2017(), 7);
         let mut a = sys();
         let mut b = sys();
-        f.send(&mut a, 0, 1, &encode_f64s(&[1.5, 2.5]));
-        f.send(&mut a, 0, 1, &encode_f64s(&[3.5]));
+        f.send(&mut a, 0, 1, encode_f64s(&[1.5, 2.5]));
+        f.send(&mut a, 0, 1, encode_f64s(&[3.5]));
         assert_eq!(f.pending(), 2);
         assert_eq!(decode_f64s(&f.recv(&mut b, 0, 1)), vec![1.5, 2.5]);
         assert_eq!(decode_f64s(&f.recv(&mut b, 0, 1)), vec![3.5]);
@@ -411,7 +413,7 @@ mod tests {
         let mut f = Fabric::new(2, t, 0);
         let mut a = sys();
         let mut b = sys();
-        f.send(&mut a, 0, 1, &[0u8; 100]);
+        f.send(&mut a, 0, 1, vec![0u8; 100]);
         let _ = f.recv(&mut b, 0, 1);
         let sent = a.clock().bucket_total(Bucket::Network).ps();
         assert!(sent >= t.transfer_cost_ps(100), "{sent}");
@@ -432,7 +434,7 @@ mod tests {
             (0..8)
                 .map(|_| {
                     let mut a = sys();
-                    f.send(&mut a, 0, 1, &[0u8; 8]);
+                    f.send(&mut a, 0, 1, vec![0u8; 8]);
                     a.clock().bucket_total(Bucket::Network).ps()
                 })
                 .collect()
@@ -471,7 +473,7 @@ mod tests {
         let mut b = sys();
         let payloads: Vec<Vec<f64>> = (0..64).map(|i| vec![i as f64, -(i as f64)]).collect();
         for p in &payloads {
-            f.send(&mut a, 0, 1, &encode_f64s(p));
+            f.send(&mut a, 0, 1, encode_f64s(p));
         }
         for p in &payloads {
             assert_eq!(decode_f64s(&f.recv(&mut b, 0, 1)), *p, "content intact");
@@ -498,7 +500,7 @@ mod tests {
             let mut a = sys();
             let mut b = sys();
             for i in 0..32 {
-                f.send(&mut a, 0, 1, &encode_f64s(&[i as f64]));
+                f.send(&mut a, 0, 1, encode_f64s(&[i as f64]));
                 let _ = f.recv(&mut b, 0, 1);
             }
             (
@@ -523,7 +525,7 @@ mod tests {
             let mut a = sys();
             (0..8)
                 .map(|_| {
-                    f.send(&mut a, 0, 1, &[0u8; 8]);
+                    f.send(&mut a, 0, 1, vec![0u8; 8]);
                     a.clock().bucket_total(Bucket::Network).ps()
                 })
                 .collect::<Vec<_>>()

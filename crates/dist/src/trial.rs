@@ -1,12 +1,36 @@
 //! The shared distributed-trial driver: forward execution, rank-granular
 //! crash, recovery in either mode, recovery-traffic measurement, and
 //! cluster-wide telemetry rollup.
+//!
+//! Two ways to run a failure set, one answer:
+//!
+//! * **Per trial — the oracle.** [`run_dist_trial`] (and
+//!   [`run_dist_dirty_trial`] for dirty reboots) takes a cluster built with
+//!   the whole failure set armed, runs it forward to the first crash, then
+//!   recovers and resumes to the last superstep, looping if another armed
+//!   trigger fires on the way.
+//! * **Batched.** [`run_dist_batch`] runs one *crash-free* cluster forward
+//!   once for a whole chunk of units and harvests the **first** failure of
+//!   each as a copy-on-write image — singleton, cascade leader and node
+//!   loss alike, because an armed trigger that has not fired perturbs
+//!   nothing. Each drained state is replayed on forks of the live cluster:
+//!   one for recovery, one for the dirty reboot, as [`BatchPasses`] asks.
+//!   The rest of the set — the node-loss flag, the second failure — is the
+//!   point's [`FollowUp`], armed **on the fork**
+//!   ([`Cluster::fork_armed`]) with its occurrence discounted by the polls
+//!   the live run already made. From the crash instant on, both paths run
+//!   the same post-crash loops; the batch path alone may cut a resumed
+//!   tail short against the [`ReferenceRun`], and only once no armed
+//!   trigger on the fork is still pending.
 
-use adcc_sim::crash::{poll_groups, CrashSite, CrashTrigger};
-use adcc_sim::image::{DeltaImage, NvmImage};
+use std::cmp::Ordering;
+use std::collections::HashMap;
+
+use adcc_sim::crash::{poll_groups, CrashSite, CrashTrigger, Harvest};
+use adcc_sim::image::NvmImage;
 use adcc_telemetry::{ExecutionProfile, Probe};
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, RankFailure};
 use crate::sites;
 
 /// How a rank failure is repaired.
@@ -299,10 +323,7 @@ pub fn global_restart_recover<K: DistKernel + ?Sized>(
 }
 
 /// Outcome facts of one distributed trial, classified by the campaign.
-/// `Clone` exists for the batch path: crash points harvested at the same
-/// poll are one crash state ([`poll_groups`]), so one replayed recovery
-/// serves them all.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DistTrial {
     /// Gathered global solution after completion (or recovery + resume).
     pub solution: Vec<f64>,
@@ -329,6 +350,38 @@ pub struct DistTrial {
     pub profile: Option<ExecutionProfile>,
 }
 
+impl DistTrial {
+    /// A trial that has recovered nothing (yet): no losses, no recovery
+    /// window, no solution gathered.
+    fn unrecovered(completed_clean: bool) -> DistTrial {
+        DistTrial {
+            solution: Vec::new(),
+            completed_clean,
+            detected: false,
+            lost_units: 0,
+            sim_time_ps: 0,
+            recovery_net_msgs: 0,
+            recovery_net_bytes: 0,
+            remote_restore_bytes: 0,
+            profile: None,
+        }
+    }
+
+    /// The trial of a run no armed trigger fired in: the live cluster's
+    /// solution and, with probes attached, its whole-run profile.
+    fn clean_completion<K: DistKernel>(
+        cl: &Cluster,
+        kernel: &K,
+        probes: Option<&[Probe]>,
+    ) -> DistTrial {
+        DistTrial {
+            solution: kernel.solution(cl),
+            profile: probes.map(|p| roll_up(p, cl)),
+            ..DistTrial::unrecovered(true)
+        }
+    }
+}
+
 /// Roll every rank's probe window into one cluster-wide profile.
 fn roll_up(probes: &[Probe], cl: &Cluster) -> ExecutionProfile {
     let mut total = ExecutionProfile::default();
@@ -339,97 +392,123 @@ fn roll_up(probes: &[Probe], cl: &Cluster) -> ExecutionProfile {
 }
 
 /// Drive one distributed trial: forward supersteps until completion or the
-/// first armed crash, then recovery and resume — looping, because with a
-/// failure *set* armed a second crash can land in the resumed tail (or,
-/// via [`global_restart_recover`], inside recovery itself). Telemetry
-/// probes are passive counter snapshots, so the `telemetry` flag never
-/// changes the simulated execution.
+/// first armed crash, then recovery and resume (`recover_and_resume`) —
+/// which loops, because with a failure *set* armed a second crash can land
+/// in the resumed tail (or, via [`global_restart_recover`], inside recovery
+/// itself). Telemetry probes are passive counter snapshots, so the
+/// `telemetry` flag never changes the simulated execution.
+///
+/// This is the **oracle**: one cluster per failure set, nothing forked,
+/// nothing harvested, the tail always executed. [`run_dist_batch`] must
+/// agree with it unit for unit.
 pub fn run_dist_trial<K: DistKernel>(
     cl: &mut Cluster,
     kernel: &mut K,
     telemetry: bool,
 ) -> DistTrial {
-    let probes: Option<Vec<Probe>> = telemetry.then(|| {
-        (0..cl.ranks())
-            .map(|r| Probe::attach(cl.system(r)))
-            .collect()
-    });
-    let iters = kernel.iters();
-    let mut crash = None;
-    for iter in 1..=iters {
-        if let Some(c) = run_superstep(kernel, cl, iter, true) {
-            crash = Some(c);
-            break;
-        }
-    }
-    let Some(first) = crash else {
-        return DistTrial {
-            solution: kernel.solution(cl),
-            completed_clean: true,
-            detected: false,
-            lost_units: 0,
-            sim_time_ps: 0,
-            recovery_net_msgs: 0,
-            recovery_net_bytes: 0,
-            remote_restore_bytes: 0,
-            profile: probes.map(|p| roll_up(&p, cl)),
-        };
+    let probes: Option<Vec<Probe>> = telemetry.then(|| attach_probes(cl));
+    let Some(first) = forward_to_first_crash(cl, kernel) else {
+        return DistTrial::clean_completion(cl, kernel, probes.as_deref());
     };
-
     // The forward window ends at the first crash instant: counters survive
     // the crash, and the failed rank's system is still the crashed one
     // (its replacement happens inside `recover`).
     let dirty_lines = first.image.dirty_lines_at_crash();
     let forward = probes.map(|p| roll_up(&p, cl).with_dirty_lines(dirty_lines));
+    recover_and_resume(cl, kernel, first, forward, None)
+}
 
-    let mut detected = false;
-    let mut lost_units = 0u64;
-    let mut remote_restore_bytes = 0u64;
-    let mut recovery_msgs = 0u64;
-    let mut recovery_bytes = 0u64;
-    let mut sim_time_ps = 0u64;
+fn attach_probes(cl: &Cluster) -> Vec<Probe> {
+    (0..cl.ranks())
+        .map(|r| Probe::attach(cl.system(r)))
+        .collect()
+}
+
+/// Run supersteps from the start until the first armed trigger fires.
+fn forward_to_first_crash<K: DistKernel>(cl: &mut Cluster, kernel: &mut K) -> Option<CrashInfo> {
+    (1..=kernel.iters()).find_map(|iter| run_superstep(kernel, cl, iter, true))
+}
+
+/// Everything after the first crash of a trial: recover, resume, and —
+/// when another armed trigger fires in the resumed tail — recover again,
+/// until the run reaches its last superstep. Each armed trigger fires at
+/// most once, so the cascade terminates. Recovery windows (simulated time,
+/// fabric traffic, losses) accumulate across the cascade.
+///
+/// `cl`/`kernel` are the per-trial cluster itself (`reference` is `None`:
+/// the oracle executes every superstep) or a fork of a live harvesting
+/// cluster with the rest of the failure set armed on it. With a
+/// `reference`, the tail is cut short at the first superstep boundary
+/// whose resume state equals the crash-free run's — but **only once no
+/// armed trigger is still pending** ([`Cluster::armed_pending`]): until
+/// then a crash is still to come and the tail is not the reference's.
+fn recover_and_resume<K: DistKernel>(
+    cl: &mut Cluster,
+    kernel: &mut K,
+    first: CrashInfo,
+    forward: Option<ExecutionProfile>,
+    reference: Option<&ReferenceRun>,
+) -> DistTrial {
+    // `states[0]` is unused (supersteps are 1-based), so a resume at
+    // superstep 1 always re-executes.
+    let on_reference = |kernel: &K, cl: &Cluster, boundary: u64| {
+        reference.is_some_and(|r| {
+            boundary >= 1
+                && !cl.armed_pending()
+                && resume_state_bits(kernel, cl) == r.states[boundary as usize]
+        })
+    };
+    let iters = kernel.iters();
+    let mut t = DistTrial::unrecovered(false);
+    let mut matched = false;
     let mut pending = Some(first);
     while let Some(c) = pending.take() {
         let traffic_before = cl.traffic();
         let now_before = cl.max_now_ps();
         let recovery = kernel.recover(cl, c);
         let w = cl.traffic().since(&traffic_before);
-        recovery_msgs += w.msgs;
-        recovery_bytes += w.bytes;
+        t.recovery_net_msgs += w.msgs;
+        t.recovery_net_bytes += w.bytes;
         // Saturating: a reboot discards the crashed rank's clock, so when
         // that rank had run ahead of every survivor the frontier itself
         // steps back across the recovery window.
-        sim_time_ps += cl.max_now_ps().saturating_sub(now_before);
-        detected |= recovery.detected;
-        lost_units += recovery.lost_units;
-        remote_restore_bytes += recovery.remote_restore_bytes;
+        t.sim_time_ps += cl.max_now_ps().saturating_sub(now_before);
+        t.detected |= recovery.detected;
+        t.lost_units += recovery.lost_units;
+        t.remote_restore_bytes += recovery.remote_restore_bytes;
 
-        for iter in recovery.resume_iter..=iters {
-            let exchange = iter != recovery.resume_iter || recovery.resume_exchange;
+        // Entry-state short-circuit: when recovery lands exactly on a
+        // reference boundary (a checkpoint restore, or a bit-exact
+        // reconstruction), the whole tail — supersteps included — is
+        // already committed to the reference solution.
+        let entry = recovery.resume_iter;
+        matched = on_reference(kernel, cl, entry - 1);
+        if matched {
+            break;
+        }
+        for iter in entry..=iters {
+            let exchange = iter != entry || recovery.resume_exchange;
             if let Some(next) = run_superstep(kernel, cl, iter, exchange) {
                 // A cascading failure in the resumed tail: loop back into
-                // recovery (each armed trigger fires at most once, so the
-                // cascade terminates).
+                // recovery.
                 pending = Some(next);
+                break;
+            }
+            matched = on_reference(kernel, cl, iter);
+            if matched {
                 break;
             }
         }
     }
-
-    DistTrial {
-        solution: kernel.solution(cl),
-        completed_clean: false,
-        detected,
-        lost_units,
-        sim_time_ps,
-        recovery_net_msgs: recovery_msgs,
-        recovery_net_bytes: recovery_bytes,
-        remote_restore_bytes,
-        profile: forward.map(|p| {
-            p.with_recovery_net_bytes(recovery_bytes)
-                .with_remote_restore_bytes(remote_restore_bytes)
-        }),
-    }
+    t.solution = match reference {
+        Some(r) if matched => r.solution.clone(),
+        _ => kernel.solution(cl),
+    };
+    t.profile = forward.map(|p| {
+        p.with_recovery_net_bytes(t.recovery_net_bytes)
+            .with_remote_restore_bytes(t.remote_restore_bytes)
+    });
+    t
 }
 
 /// The crash-free execution of one scenario, computed once and shared by
@@ -441,7 +520,7 @@ pub fn run_dist_trial<K: DistKernel>(
 /// boundary is bit-for-bit committed to the reference solution — the tail
 /// is a deterministic function of the resume state — so the batch driver
 /// stops re-executing there and returns the cached solution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReferenceRun {
     /// Solution of the crash-free run.
     pub solution: Vec<f64>,
@@ -475,15 +554,66 @@ pub fn reference_run<K: DistKernel>(cl: &mut Cluster, kernel: &mut K) -> Referen
     }
 }
 
-/// One scheduled crash point of a batched campaign chunk.
+/// What the rest of a unit's failure set does once its first failure has
+/// fired. The first failure is what a [`BatchPoint`] harvests; the
+/// follow-up rides on the replay's fork. Units captured by one poll share
+/// the crash image, but only units with *equal* follow-ups share a replay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct FollowUp {
+    /// The first failure takes the rank's NVM down with it: recovery must
+    /// not read the harvested image (see [`CrashInfo::node_loss`]).
+    pub node_loss: bool,
+    /// A second failure, armed to land while the cluster is still
+    /// recovering or resuming from the first. Must be a
+    /// [`CrashTrigger::AtSite`] on another rank that the forward run has
+    /// not already exhausted when the first failure fires.
+    pub second: Option<RankFailure>,
+}
+
+/// One scheduled crash point of a batched campaign chunk: the first
+/// failure of the unit's failure set (harvested from the live forward
+/// execution) plus what follows it.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchPoint {
     /// Campaign unit this point reports as.
     pub unit: u64,
     /// Rank whose emulator the trigger is armed on.
     pub rank: usize,
-    /// The trigger itself.
+    /// The (first) trigger itself.
     pub trigger: CrashTrigger,
+    /// The rest of the failure set; `FollowUp::default()` for a plain
+    /// fail-stop crash.
+    pub follow: FollowUp,
+}
+
+/// Which replays [`run_dist_batch`] runs per harvested crash state. Both
+/// work on forks of the same live cluster at the same drain, so asking for
+/// both costs one forward execution.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchPasses {
+    /// Recover each state through the kernel's mechanism ([`DistTrial`]).
+    pub recover: bool,
+    /// Attach the forward-execution profile to each recovered trial (only
+    /// meaningful with `recover`).
+    pub telemetry: bool,
+    /// Reboot each state dirty, with no mechanism ([`DirtyReboot`]).
+    pub dirty: bool,
+}
+
+/// One replayed crash state and the units it is charged to: every unit
+/// captured by the same poll under the same [`FollowUp`]. The units that
+/// never crashed come back as one last entry whose `trial` completed clean.
+#[derive(Debug)]
+pub struct BatchReplay {
+    /// The scheduled units this replay answers for (harvest order).
+    pub units: Vec<u64>,
+    /// The follow-up the replay ran under.
+    pub follow: FollowUp,
+    /// The recover pass; `None` when not requested.
+    pub trial: Option<DistTrial>,
+    /// The dirty pass; `None` when not requested — or when nothing
+    /// crashed, so nothing was rebooted.
+    pub dirty: Option<DirtyReboot>,
 }
 
 /// Image-memory accounting of one batch execution, reported to the
@@ -497,8 +627,9 @@ pub struct BatchStats {
     pub delta_bytes: u64,
     /// Harvested crash states, one per scheduled point that fired.
     pub images: u64,
-    /// Distinct crash states among `images` (points captured by the same
-    /// poll are one state, replayed once).
+    /// Distinct crash states among `images`: points captured by the same
+    /// poll are one state. A state is replayed once per distinct
+    /// [`FollowUp`] among its units, so replays ≥ `distinct_states`.
     pub distinct_states: u64,
     /// Resident bytes of the largest image materialized for a replay (one
     /// is live at a time).
@@ -508,241 +639,11 @@ pub struct BatchStats {
     pub pool_bytes: u64,
 }
 
-/// Run one batch of crash points through a single forward cluster
-/// execution.
-///
-/// Each rank with scheduled points gets a harvest plan: its polls capture
-/// a copy-on-write [`DeltaImage`] instead of crashing, and the forward run
-/// continues unperturbed (harvest capture is uncharged, so the cluster
-/// state at every later poll is exactly what each per-trial run would have
-/// seen — per-trial arms only one rank, whose poll sequence up to its fire
-/// is a prefix of this run's). After each poll boundary the driver drains
-/// the captured states and replays each through recovery on a forked
-/// cluster, with the resumed tail short-circuited against `reference`.
-///
-/// Returns `(unit, trial)` pairs in harvest order plus the batch's
-/// image-memory accounting. Points whose trigger never fires complete
-/// clean with the live cluster's outcome.
-pub fn run_dist_batch<K: DistKernel + Clone>(
-    cl: &mut Cluster,
-    kernel: &mut K,
-    points: &[BatchPoint],
-    telemetry: bool,
-    reference: &ReferenceRun,
-) -> (Vec<(u64, DistTrial)>, BatchStats) {
-    let ranks = cl.ranks();
-    let mut stats = BatchStats {
-        pool_bytes: cl.system(0).config().nvm_capacity as u64,
-        ..BatchStats::default()
-    };
-    for rank in 0..ranks {
-        let pts: Vec<(CrashTrigger, u64)> = points
-            .iter()
-            .filter(|p| p.rank == rank)
-            .map(|p| (p.trigger, p.unit))
-            .collect();
-        if !pts.is_empty() {
-            stats.base_bytes += cl.arm_harvest(rank, pts).resident_bytes();
-        }
-    }
-    let probes: Option<Vec<Probe>> =
-        telemetry.then(|| (0..ranks).map(|r| Probe::attach(cl.system(r))).collect());
-
-    let mut results: Vec<(u64, DistTrial)> = Vec::with_capacity(points.len());
-    let iters = kernel.iters();
-    for iter in 1..=iters {
-        kernel.compute(cl, iter, true);
-        let fired = poll_phase(cl, sites::PH_MID, iter);
-        debug_assert!(fired.is_none(), "harvest plans capture instead of crashing");
-        drain_and_replay(
-            cl,
-            kernel,
-            iter,
-            sites::PH_MID,
-            probes.as_deref(),
-            reference,
-            &mut results,
-            &mut stats,
-        );
-        kernel.commit(cl, iter);
-        let fired = poll_phase(cl, sites::PH_END, iter);
-        debug_assert!(fired.is_none(), "harvest plans capture instead of crashing");
-        drain_and_replay(
-            cl,
-            kernel,
-            iter,
-            sites::PH_END,
-            probes.as_deref(),
-            reference,
-            &mut results,
-            &mut stats,
-        );
-        cl.barrier();
-    }
-
-    // Points that never fired complete clean, exactly as their per-trial
-    // runs would: the harvest plans never perturbed the forward execution.
-    let crashed: std::collections::HashSet<u64> = results.iter().map(|(u, _)| *u).collect();
-    let clean: Vec<u64> = points
-        .iter()
-        .map(|p| p.unit)
-        .filter(|u| !crashed.contains(u))
-        .collect();
-    if !clean.is_empty() {
-        let template = DistTrial {
-            solution: kernel.solution(cl),
-            completed_clean: true,
-            detected: false,
-            lost_units: 0,
-            sim_time_ps: 0,
-            recovery_net_msgs: 0,
-            recovery_net_bytes: 0,
-            remote_restore_bytes: 0,
-            profile: probes.as_ref().map(|p| roll_up(p, cl)),
-        };
-        for unit in clean {
-            results.push((unit, template.clone()));
-        }
-    }
-    (results, stats)
-}
-
-/// Drain the crash states captured at one poll boundary and run `replay`
-/// once per distinct machine state ([`poll_groups`]; each boundary polls a
-/// rank once, so a rank's drain is a single group), charging the result to
-/// every unit of the group.
-fn drain_groups<T: Clone>(
-    cl: &mut Cluster,
-    site: CrashSite,
-    results: &mut Vec<(u64, T)>,
-    stats: &mut BatchStats,
-    mut replay: impl FnMut(&Cluster, usize, &DeltaImage) -> T,
-) {
-    for rank in 0..cl.ranks() {
-        let harvests = cl.drain_harvests(rank);
-        debug_assert!(harvests.iter().all(|h| h.site == site));
-        stats.images += harvests.len() as u64;
-        stats.delta_bytes += harvests.iter().map(|h| h.image.delta_bytes()).sum::<u64>();
-        for group in poll_groups(&harvests) {
-            stats.distinct_states += 1;
-            stats.materialized_bytes = stats
-                .materialized_bytes
-                .max(group[0].image.materialized_bytes());
-            let replayed = replay(cl, rank, &group[0].image);
-            // Most groups are a single unit and a replay carries the global
-            // solution: clone for all but the last.
-            let (last, rest) = group.split_last().expect("poll groups are non-empty");
-            results.extend(rest.iter().map(|h| (h.unit, replayed.clone())));
-            results.push((last.unit, replayed));
-        }
-    }
-}
-
-/// Drain one poll boundary and replay each distinct crash state through
-/// recovery + resume on a forked cluster.
-#[allow(clippy::too_many_arguments)]
-fn drain_and_replay<K: DistKernel + Clone>(
-    cl: &mut Cluster,
-    kernel: &K,
-    iter: u64,
-    phase: u32,
-    probes: Option<&[Probe]>,
-    reference: &ReferenceRun,
-    results: &mut Vec<(u64, DistTrial)>,
-    stats: &mut BatchStats,
-) {
-    let site = CrashSite::new(phase, iter);
-    drain_groups(cl, site, results, stats, |cl, rank, image| {
-        replay_recovery(cl, kernel, rank, iter, site, image, probes, reference)
-    });
-}
-
-/// Reboot one harvested crash state and drive it through recovery and the
-/// resumed tail, exactly as [`run_dist_trial`] would from the same
-/// instant. The live cluster is forked (systems, emulators-as-`Never`,
-/// fabric with its jitter sequence), so the replay sees the survivors'
-/// volatile state — which neighbor-assisted reconstruction reads — and
-/// the same message timing the per-trial run would. The forward profile is
-/// read from the live probes at the drain boundary: nothing is charged
-/// between a poll and its drain, so the live counters *are* the
-/// crash-instant counters.
-#[allow(clippy::too_many_arguments)]
-fn replay_recovery<K: DistKernel + Clone>(
-    cl: &Cluster,
-    kernel: &K,
-    rank: usize,
-    iter: u64,
-    site: CrashSite,
-    image: &DeltaImage,
-    probes: Option<&[Probe]>,
-    reference: &ReferenceRun,
-) -> DistTrial {
-    let dirty_lines = image.dirty_lines_at_crash();
-    let forward = probes.map(|p| roll_up(p, cl).with_dirty_lines(dirty_lines));
-
-    let mut cl = cl.fork();
-    let mut kernel = kernel.clone();
-    let crash = CrashInfo {
-        rank,
-        iter,
-        site,
-        image: image.materialize(),
-        node_loss: cl.node_loss(rank),
-    };
-    let traffic_before = cl.traffic();
-    let now_before = cl.max_now_ps();
-    let recovery = kernel.recover(&mut cl, crash);
-    let rec_traffic = cl.traffic().since(&traffic_before);
-    // Saturating, matching `run_dist_trial`: rebooting a rank that ran
-    // ahead of every survivor steps the frontier back.
-    let sim_time_ps = cl.max_now_ps().saturating_sub(now_before);
-
-    let iters = kernel.iters();
-    // Entry-state short-circuit: when recovery lands exactly on a
-    // reference boundary (a checkpoint restore, or a bit-exact
-    // reconstruction), the whole tail — supersteps included — is already
-    // committed to the reference solution. `states[0]` is unused, so a
-    // resume at superstep 1 always re-executes.
-    let entry = recovery.resume_iter;
-    let mut solution = if entry >= 2
-        && resume_state_bits(&kernel, &cl) == reference.states[(entry - 1) as usize]
-    {
-        Some(reference.solution.clone())
-    } else {
-        None
-    };
-    if solution.is_none() {
-        for it in entry..=iters {
-            let exchange = it != entry || recovery.resume_exchange;
-            let again = run_superstep(&mut kernel, &mut cl, it, exchange);
-            debug_assert!(again.is_none(), "forked emulators have no triggers");
-            if resume_state_bits(&kernel, &cl) == reference.states[it as usize] {
-                solution = Some(reference.solution.clone());
-                break;
-            }
-        }
-    }
-    DistTrial {
-        solution: solution.unwrap_or_else(|| kernel.solution(&cl)),
-        completed_clean: false,
-        detected: recovery.detected,
-        lost_units: recovery.lost_units,
-        sim_time_ps,
-        recovery_net_msgs: rec_traffic.msgs,
-        recovery_net_bytes: rec_traffic.bytes,
-        remote_restore_bytes: recovery.remote_restore_bytes,
-        profile: forward.map(|p| {
-            p.with_recovery_net_bytes(rec_traffic.bytes)
-                .with_remote_restore_bytes(recovery.remote_restore_bytes)
-        }),
-    }
-}
-
 /// Outcome facts of one dirty continuation, classified by the campaign's
 /// resilience sweep. Dirty reboots never roll back — the cluster resumes
 /// at the frontier's successor — so no completed work is re-executed and
 /// the only cost is the simulated time of the reboot plus the tail.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DirtyReboot {
     /// Gathered global solution after the dirty continuation terminated.
     pub solution: Vec<f64>,
@@ -751,52 +652,32 @@ pub struct DirtyReboot {
     pub sim_time_ps: u64,
 }
 
-/// Reboot one harvested crash state dirty and run the scenario to its
-/// natural termination bound. The live cluster is forked so the survivors'
-/// volatile state — which the resumed exchanges read — is exactly what the
-/// crash instant left; the failed rank comes back from the raw image via
-/// [`DistKernel::dirty_reboot`] with no mechanism consulted.
-pub fn replay_dirty<K: DistKernel + Clone>(
-    cl: &Cluster,
-    kernel: &K,
-    rank: usize,
-    iter: u64,
-    site: CrashSite,
-    image: &DeltaImage,
-) -> DirtyReboot {
-    let mut cl = cl.fork();
-    let mut kernel = kernel.clone();
-    let crash = CrashInfo {
-        rank,
-        iter,
-        site,
-        image: image.materialize(),
-        node_loss: cl.node_loss(rank),
-    };
-    let now_before = cl.max_now_ps();
-    let entry = kernel.dirty_reboot(&mut cl, &crash);
-    let iters = kernel.iters();
-    for it in entry..=iters {
-        let again = run_superstep(&mut kernel, &mut cl, it, true);
-        debug_assert!(again.is_none(), "forked emulators have no triggers");
-    }
-    DirtyReboot {
-        solution: kernel.solution(&cl),
-        // Saturating, matching `replay_recovery`: rebooting a rank that
-        // ran ahead of every survivor steps the frontier back.
-        sim_time_ps: cl.max_now_ps().saturating_sub(now_before),
-    }
-}
-
-/// Run one batch of crash points through a single forward execution and a
-/// dirty continuation per harvested state — the resilience-sweep analogue
-/// of [`run_dist_batch`]. Points whose trigger never fires are absent from
-/// the results (the caller fills them as clean completions).
-pub fn run_dist_dirty_batch<K: DistKernel + Clone>(
+/// Run one batch of crash points through a single forward cluster
+/// execution.
+///
+/// Each rank with scheduled points gets a harvest plan: its polls capture
+/// a copy-on-write [`adcc_sim::image::DeltaImage`] instead of crashing, and
+/// the forward run continues unperturbed (harvest capture is uncharged, so
+/// the cluster state at every later poll is exactly what each per-trial run
+/// would have seen — a per-trial run's forward execution up to its *first*
+/// crash is a prefix of this run's, whatever else its failure set arms: an
+/// armed trigger that has not fired perturbs nothing). After each poll
+/// boundary the driver drains the captured states and replays each on forks
+/// of the live cluster, as `passes` asks: through recovery (the resumed tail
+/// short-circuited against `reference`) and/or through a dirty reboot. A
+/// point's [`FollowUp`] is armed on its forks, so cascades and node losses
+/// are cut from the same execution as singleton crashes.
+///
+/// Returns one [`BatchReplay`] per replay in harvest order — then one for
+/// the points whose trigger never fired, which complete clean with the
+/// live cluster's outcome — plus the batch's image-memory accounting.
+pub fn run_dist_batch<K: DistKernel + Clone>(
     cl: &mut Cluster,
     kernel: &mut K,
     points: &[BatchPoint],
-) -> (Vec<(u64, DirtyReboot)>, BatchStats) {
+    passes: BatchPasses,
+    reference: &ReferenceRun,
+) -> (Vec<BatchReplay>, BatchStats) {
     let ranks = cl.ranks();
     let mut stats = BatchStats {
         pool_bytes: cl.system(0).config().nvm_capacity as u64,
@@ -812,70 +693,337 @@ pub fn run_dist_dirty_batch<K: DistKernel + Clone>(
             stats.base_bytes += cl.arm_harvest(rank, pts).resident_bytes();
         }
     }
-    let mut results: Vec<(u64, DirtyReboot)> = Vec::with_capacity(points.len());
-    let iters = kernel.iters();
-    for iter in 1..=iters {
+    let probes = (passes.recover && passes.telemetry).then(|| attach_probes(cl));
+    let drain = Drain {
+        follows: points
+            .iter()
+            .filter(|p| p.follow != FollowUp::default())
+            .map(|p| (p.unit, p.follow))
+            .collect(),
+        probes: probes.as_deref(),
+        passes,
+        reference,
+    };
+
+    let mut out: Vec<BatchReplay> = Vec::with_capacity(points.len());
+    for iter in 1..=kernel.iters() {
         kernel.compute(cl, iter, true);
-        let fired = poll_phase(cl, sites::PH_MID, iter);
-        debug_assert!(fired.is_none(), "harvest plans capture instead of crashing");
-        drain_and_replay_dirty(cl, kernel, iter, sites::PH_MID, &mut results, &mut stats);
+        drain.poll_and_replay(cl, kernel, sites::PH_MID, iter, &mut out, &mut stats);
         kernel.commit(cl, iter);
-        let fired = poll_phase(cl, sites::PH_END, iter);
-        debug_assert!(fired.is_none(), "harvest plans capture instead of crashing");
-        drain_and_replay_dirty(cl, kernel, iter, sites::PH_END, &mut results, &mut stats);
+        drain.poll_and_replay(cl, kernel, sites::PH_END, iter, &mut out, &mut stats);
         cl.barrier();
     }
-    (results, stats)
+
+    // Points that never fired complete clean, exactly as their per-trial
+    // runs would: the harvest plans never perturbed the forward execution.
+    let crashed: std::collections::HashSet<u64> =
+        out.iter().flat_map(|r| r.units.iter().copied()).collect();
+    let clean: Vec<u64> = points
+        .iter()
+        .map(|p| p.unit)
+        .filter(|u| !crashed.contains(u))
+        .collect();
+    if !clean.is_empty() {
+        out.push(BatchReplay {
+            units: clean,
+            follow: FollowUp::default(),
+            trial: passes
+                .recover
+                .then(|| DistTrial::clean_completion(cl, kernel, probes.as_deref())),
+            dirty: None,
+        });
+    }
+    (out, stats)
 }
 
-/// Drain one poll boundary and run each distinct crash state through a
-/// dirty continuation.
-fn drain_and_replay_dirty<K: DistKernel + Clone>(
+/// What every drain of one batch execution shares.
+struct Drain<'a> {
+    /// The non-default follow-ups, by unit.
+    follows: HashMap<u64, FollowUp>,
+    probes: Option<&'a [Probe]>,
+    passes: BatchPasses,
+    reference: &'a ReferenceRun,
+}
+
+impl Drain<'_> {
+    /// Poll one phase boundary, drain the crash states it captured and
+    /// replay each distinct machine state ([`poll_groups`]; each boundary
+    /// polls a rank once, so a rank's drain is a single group) once per
+    /// distinct follow-up among its units.
+    fn poll_and_replay<K: DistKernel + Clone>(
+        &self,
+        cl: &mut Cluster,
+        kernel: &K,
+        phase: u32,
+        iter: u64,
+        out: &mut Vec<BatchReplay>,
+        stats: &mut BatchStats,
+    ) {
+        let fired = poll_phase(cl, phase, iter);
+        debug_assert!(fired.is_none(), "harvest plans capture instead of crashing");
+        let site = CrashSite::new(phase, iter);
+        for rank in 0..cl.ranks() {
+            let harvests = cl.drain_harvests(rank);
+            debug_assert!(harvests.iter().all(|h| h.site == site));
+            stats.images += harvests.len() as u64;
+            stats.delta_bytes += harvests.iter().map(|h| h.image.delta_bytes()).sum::<u64>();
+            for group in poll_groups(&harvests) {
+                stats.distinct_states += 1;
+                stats.materialized_bytes = stats
+                    .materialized_bytes
+                    .max(group[0].image.materialized_bytes());
+                let group_start = out.len();
+                for h in group {
+                    let follow = self.follows.get(&h.unit).copied().unwrap_or_default();
+                    match out[group_start..].iter_mut().find(|r| r.follow == follow) {
+                        Some(served) => served.units.push(h.unit),
+                        None => out.push(self.replay(cl, kernel, rank, h, follow)),
+                    }
+                }
+            }
+        }
+    }
+
+    /// Reboot one harvested crash state on forks of the live cluster and
+    /// drive it exactly as the per-trial drivers would from the same
+    /// instant: [`recover_and_resume`] as [`run_dist_trial`] does,
+    /// [`dirty_continuation`] as [`run_dist_dirty_trial`] does. A fork
+    /// clones the systems and the fabric with its jitter sequence, so a
+    /// replay sees the survivors' volatile state — which neighbor-assisted
+    /// reconstruction reads — and the same message timing the per-trial
+    /// run would; the unit's second failure, if any, is armed on it. The
+    /// forward profile is read from the live probes at the drain boundary:
+    /// nothing is charged between a poll and its drain, so the live
+    /// counters *are* the crash-instant counters.
+    fn replay<K: DistKernel + Clone>(
+        &self,
+        cl: &Cluster,
+        kernel: &K,
+        rank: usize,
+        h: &Harvest,
+        follow: FollowUp,
+    ) -> BatchReplay {
+        let armed = follow
+            .second
+            .map(|second| arm_on_fork(second, h.unit, rank, h.site));
+        let fork = || (cl.fork_armed(armed.as_slice()), kernel.clone());
+        let crash = CrashInfo {
+            rank,
+            iter: h.site.index,
+            site: h.site,
+            image: h.image.materialize(),
+            node_loss: follow.node_loss,
+        };
+        let dirty = self.passes.dirty.then(|| {
+            let (mut cl, mut kernel) = fork();
+            dirty_continuation(&mut cl, &mut kernel, &crash)
+        });
+        let trial = self.passes.recover.then(|| {
+            let dirty_lines = crash.image.dirty_lines_at_crash();
+            let forward = self
+                .probes
+                .map(|p| roll_up(p, cl).with_dirty_lines(dirty_lines));
+            let (mut cl, mut kernel) = fork();
+            recover_and_resume(&mut cl, &mut kernel, crash, forward, Some(self.reference))
+        });
+        BatchReplay {
+            units: vec![h.unit],
+            follow,
+            trial,
+            dirty,
+        }
+    }
+}
+
+/// The second failure of a unit as a fork taken at the first failure's
+/// instant must arm it. A per-trial run arms the whole failure set before
+/// superstep 1, so by the time the first failure fires the second rank's
+/// emulator has already counted the polls the forward run made of its
+/// site; a fork's emulator is fresh, so the occurrence is discounted by
+/// exactly those polls. Under the [`run_superstep`] protocol a crash-free
+/// forward run polls each site once per rank, in superstep-then-phase
+/// order, ranks ascending, and the sweep stops at the firing rank — so the
+/// second rank has polled its site once if the site lies before the first
+/// failure's, or is the same site and the rank sits below the failed one,
+/// and never otherwise.
+///
+/// Panics — naming the unit — when the failure set cannot be served from a
+/// harvest of its first failure: a follow-up that is not a site trigger,
+/// sits on the failed rank itself, or was exhausted by the forward run (it
+/// would have fired *before* the "first" failure, or can never fire).
+fn arm_on_fork(
+    second: RankFailure,
+    unit: u64,
+    crash_rank: usize,
+    crash_site: CrashSite,
+) -> RankFailure {
+    let CrashTrigger::AtSite { site, occurrence } = second.trigger else {
+        panic!(
+            "unit {unit}: a follow-up failure must be a site trigger, got {:?}",
+            second.trigger
+        );
+    };
+    assert_ne!(
+        second.rank, crash_rank,
+        "unit {unit}: the follow-up failure sits on the rank that failed first"
+    );
+    let order = |s: CrashSite| (s.index, s.phase);
+    let seen = match order(site).cmp(&order(crash_site)) {
+        Ordering::Less => 1,
+        Ordering::Equal => u32::from(second.rank < crash_rank),
+        Ordering::Greater => 0,
+    };
+    assert!(
+        occurrence > seen,
+        "unit {unit}: follow-up failure on rank {} ({site:?}, occurrence {occurrence}) is \
+         exhausted — the forward run polled that site {seen} time(s) on that rank before the \
+         first failure fired on rank {crash_rank} at {crash_site:?}",
+        second.rank
+    );
+    RankFailure {
+        trigger: CrashTrigger::AtSite {
+            site,
+            occurrence: occurrence - seen,
+        },
+        ..second
+    }
+}
+
+/// Everything after the first crash of a dirty trial: bring the crashed
+/// rank back from its raw image via [`DistKernel::dirty_reboot`] — no
+/// mechanism consulted — and run the scenario to its natural termination
+/// bound. A second armed failure landing in the dirty tail reboots dirty
+/// again; each armed trigger fires at most once, so the cascade
+/// terminates. `cl`/`kernel` are the per-trial cluster itself or a fork of
+/// a live harvesting cluster (survivors' volatile state — which the
+/// resumed exchanges read — exactly what the crash instant left).
+fn dirty_continuation<K: DistKernel>(
     cl: &mut Cluster,
-    kernel: &K,
-    iter: u64,
-    phase: u32,
-    results: &mut Vec<(u64, DirtyReboot)>,
-    stats: &mut BatchStats,
-) {
-    let site = CrashSite::new(phase, iter);
-    drain_groups(cl, site, results, stats, |cl, rank, image| {
-        replay_dirty(cl, kernel, rank, iter, site, image)
-    });
+    kernel: &mut K,
+    first: &CrashInfo,
+) -> DirtyReboot {
+    let now_before = cl.max_now_ps();
+    let iters = kernel.iters();
+    let mut entry = kernel.dirty_reboot(cl, first);
+    while let Some(next) = (entry..=iters).find_map(|iter| run_superstep(kernel, cl, iter, true)) {
+        entry = kernel.dirty_reboot(cl, &next);
+    }
+    DirtyReboot {
+        solution: kernel.solution(cl),
+        // Saturating, matching `recover_and_resume`: rebooting a rank that
+        // ran ahead of every survivor steps the frontier back.
+        sim_time_ps: cl.max_now_ps().saturating_sub(now_before),
+    }
 }
 
 /// Drive one failure set through forward execution and dirty continuations
-/// — the per-trial analogue of [`run_dist_trial`] for failure sets the
-/// batch path cannot harvest (cascades, node loss). Returns `None` when no
-/// armed trigger fired (the run completed clean). A second crash landing
-/// in a dirty tail reboots dirty again; each armed trigger fires at most
-/// once, so the cascade terminates.
+/// — the per-trial oracle of [`run_dist_batch`]'s dirty pass, as
+/// [`run_dist_trial`] is of its recover pass. Returns `None` when no armed
+/// trigger fired (the run completed clean).
 pub fn run_dist_dirty_trial<K: DistKernel>(
     cl: &mut Cluster,
     kernel: &mut K,
 ) -> Option<DirtyReboot> {
-    let iters = kernel.iters();
-    let mut crash = None;
-    for iter in 1..=iters {
-        if let Some(c) = run_superstep(kernel, cl, iter, true) {
-            crash = Some(c);
-            break;
+    let first = forward_to_first_crash(cl, kernel)?;
+    Some(dirty_continuation(cl, kernel, &first))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::stencil::{DistStencil, StencilConfig};
+
+    fn at_site(phase: u32, iter: u64, occurrence: u32) -> CrashTrigger {
+        CrashTrigger::AtSite {
+            site: CrashSite::new(phase, iter),
+            occurrence,
         }
     }
-    let first = crash?;
-    let now_before = cl.max_now_ps();
-    let mut pending = Some(first);
-    while let Some(c) = pending.take() {
-        let entry = kernel.dirty_reboot(cl, &c);
-        for iter in entry..=iters {
-            if let Some(next) = run_superstep(kernel, cl, iter, true) {
-                pending = Some(next);
-                break;
-            }
-        }
+
+    fn build(failures: &[RankFailure]) -> (Cluster, DistStencil) {
+        let cfg = StencilConfig {
+            cells: 64,
+            ..StencilConfig::campaign(RecoveryMode::AlgorithmDirected)
+        };
+        let mut cl = Cluster::new_multi(cfg.cluster(), failures);
+        let prog = DistStencil::setup(&mut cl, cfg);
+        (cl, prog)
     }
-    Some(DirtyReboot {
-        solution: kernel.solution(cl),
-        sim_time_ps: cl.max_now_ps().saturating_sub(now_before),
-    })
+
+    #[test]
+    fn a_follow_up_below_the_failed_rank_fires_on_its_first_re_poll() {
+        // Rank 3 fails at (MID, 4). The sweep had already polled rank 0
+        // there once, so a per-trial "occurrence 2" on rank 0 means the
+        // *next* poll of that site — occurrence 1 on a fresh fork.
+        let crash_site = CrashSite::new(sites::PH_MID, 4);
+        let second = RankFailure::crash(0, at_site(sites::PH_MID, 4, 2));
+        let armed = arm_on_fork(second, 9, 3, crash_site);
+        assert_eq!(armed, RankFailure::crash(0, at_site(sites::PH_MID, 4, 1)));
+        let (live, _) = build(&[]);
+        let mut fork = live.fork_armed(&[armed]);
+        assert!(fork.poll(0, crash_site), "fires on the first re-poll");
+
+        // A rank above the failed one was never reached by the sweep, and
+        // a site still ahead was never polled at all: no discount.
+        let above = RankFailure::crash(2, at_site(sites::PH_MID, 4, 1));
+        assert_eq!(arm_on_fork(above, 9, 1, crash_site), above);
+        let ahead = RankFailure::node_loss(0, at_site(sites::PH_END, 4, 1));
+        assert_eq!(arm_on_fork(ahead, 9, 3, crash_site), ahead);
+        // A site already behind was polled once on every rank.
+        let behind = RankFailure::crash(2, at_site(sites::PH_MID, 3, 2));
+        assert_eq!(
+            arm_on_fork(behind, 9, 1, crash_site),
+            RankFailure::crash(2, at_site(sites::PH_MID, 3, 1))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unit 77: follow-up failure on rank 0")]
+    fn an_exhausted_follow_up_panics_naming_the_unit() {
+        // Occurrence 1 on a rank the sweep already polled: the per-trial
+        // run would have felled rank 0 *before* rank 3 — the failure set
+        // is mis-ordered, and a fork armed with it would never fire.
+        let second = RankFailure::crash(0, at_site(sites::PH_MID, 4, 1));
+        arm_on_fork(second, 77, 3, CrashSite::new(sites::PH_MID, 4));
+    }
+
+    #[test]
+    #[should_panic(expected = "unit 78: a follow-up failure must be a site trigger")]
+    fn a_follow_up_that_is_not_a_site_trigger_panics_naming_the_unit() {
+        let second = RankFailure::crash(0, CrashTrigger::AtAccessCount(10));
+        arm_on_fork(second, 78, 3, CrashSite::new(sites::PH_MID, 4));
+    }
+
+    #[test]
+    fn the_tail_short_circuit_is_refused_while_a_trigger_is_pending() {
+        let reference = {
+            let (mut cl, mut kernel) = build(&[]);
+            reference_run(&mut cl, &mut kernel)
+        };
+        let first = RankFailure::crash(1, at_site(sites::PH_END, 3, 1));
+        let (mut live, mut kernel) = build(&[first]);
+        let crash = forward_to_first_crash(&mut live, &mut kernel).expect("armed");
+        let resume = |mut cl: Cluster, reference: Option<&ReferenceRun>| {
+            let crash = CrashInfo {
+                image: crash.image.clone(),
+                ..crash
+            };
+            let t = recover_and_resume(&mut cl, &mut kernel.clone(), crash, None, reference);
+            (t, cl.max_now_ps())
+        };
+        // The oracle executes every superstep; an unarmed fork lands on
+        // the reference right after recovery and stops there.
+        let (oracle, ran_to_the_end) = resume(live.fork(), None);
+        let (cut, stopped_at) = resume(live.fork(), Some(&reference));
+        assert_eq!(cut, oracle);
+        assert!(stopped_at < ran_to_the_end, "the unarmed tail is cut short");
+        // A trigger that is armed but never reached: the same answer, but
+        // only by running the whole tail — a crash could still be coming.
+        let never = RankFailure::crash(2, at_site(sites::PH_MID, kernel.iters() + 1, 1));
+        let armed = live.fork_armed(&[never]);
+        assert!(armed.armed_pending());
+        let (waited, ran) = resume(armed, Some(&reference));
+        assert_eq!(waited, oracle);
+        assert_eq!(ran, ran_to_the_end, "every superstep executed");
+    }
 }

@@ -23,7 +23,15 @@
 
 use adcc::campaign::engine::{run_campaign, CampaignConfig};
 use adcc::campaign::memstats::ImageMemory;
-use adcc::campaign::scenario::{Passes, Registry};
+use adcc::campaign::scenario::{Mechanism, Passes, Registry, Scenario};
+use adcc::dist::cluster::{Cluster, RankFailure};
+use adcc::dist::jacobi::{DistJacobi, JacobiConfig};
+use adcc::dist::net::FaultProfile;
+use adcc::dist::trial::{
+    reference_run, run_dist_batch, run_dist_dirty_trial, run_dist_trial, BatchPasses, BatchPoint,
+    FollowUp, RecoveryMode,
+};
+use adcc::sim::crash::{CrashSite, CrashTrigger};
 
 /// A spread of units across each scenario's site-grain space plus one
 /// dense (access-grain) point.
@@ -142,8 +150,8 @@ fn dirty_restarts_sharing_a_crash_state_match_per_unit() {
 /// The fused-call gate: recover + dirty asked of one `run_passes` call
 /// equal separate `run_batch` + `run_resilience` — trials (telemetry
 /// included), dirty trials and tolerance — for every kernel and dist
-/// scenario, on units that share crash states. A kernel chunk harvests
-/// once for both passes; nothing else may change.
+/// scenario, on units that share crash states. A chunk harvests once for
+/// both passes; nothing else may change.
 #[test]
 fn fused_recover_and_dirty_passes_equal_the_separate_runs() {
     for reg in [Registry::Kernel, Registry::Dist] {
@@ -169,10 +177,10 @@ fn fused_recover_and_dirty_passes_equal_the_separate_runs() {
                 s.name()
             );
 
-            if reg == Registry::Kernel {
-                let (f, m) = (fused_mem.summary(), mem.summary());
-                assert_eq!((f.executions, m.executions), (1, 2), "{}", s.name());
-            }
+            // One forward execution serves both passes — on the dist
+            // registry too: one cluster per chunk, forked per pass.
+            let (f, m) = (fused_mem.summary(), mem.summary());
+            assert_eq!((f.executions, m.executions), (1, 2), "{}", s.name());
         }
     }
 }
@@ -247,6 +255,165 @@ fn every_dist_scenario_batches_identically_to_per_trial() {
             m.delta_bytes < m.full_copy_bytes / 10,
             "dist deltas must be far below full copies: {m:?}"
         );
+    }
+}
+
+/// The failure-set units of one chaotic-tier dist scenario — the whole
+/// cascade block (2 × 16: the wrap-around rank 15 → 0 pair and its
+/// occurrence-2 trigger included, GlobalRestart's mid-rollback
+/// `(PH_MID, iter1 − 1, 2)` too) and, under local recovery, the whole
+/// node-loss block — preceded by the two singletons that share a poll
+/// with a cascade leader (`PH_MID` of the mid-run superstep) and with a
+/// node loss (its `PH_END`), on rank 3. Geometry as published in
+/// `scenarios/dist.rs`: singletons, then `2 * ranks` cascades, then
+/// `ranks` node losses where the scenario has them.
+fn chaotic_failure_set_units(s: &dyn Scenario) -> Vec<u64> {
+    const RANKS: u64 = 16;
+    let node_loss = if s.mechanism() == Mechanism::Extended {
+        RANKS
+    } else {
+        0
+    };
+    let sites = s.total_units();
+    let singles = sites - node_loss - 2 * RANKS;
+    let mid = (singles / (2 * RANKS) / 2).max(1);
+    let mut units = vec![(mid - 1) * 2 * RANKS + 3, ((mid - 1) * 2 + 1) * RANKS + 3];
+    units.extend(singles..sites);
+    units
+}
+
+/// The chaotic-tier gate: cascades and node losses ride the harvest — the
+/// first failure is cut from the chunk's one forward execution, the rest
+/// of the set is armed on the replay's fork — so `run_trial` (one
+/// dedicated 16-rank cluster per unit, nothing forked, every superstep
+/// executed) is their oracle: outcome, loss, recovery clock and the full
+/// telemetry profile, telemetry off and on, all six scenarios. The fused
+/// call's dirty pass must equal the dirty pass alone (whose own per-unit
+/// oracle, `run_dist_dirty_trial`, is pinned in `scenarios/dist.rs`), and
+/// either way the chunk builds one cluster.
+#[test]
+fn chaotic_failure_sets_batch_identically_to_per_trial() {
+    for s in Registry::Dist.scenarios_with(FaultProfile::Chaotic) {
+        let units = chaotic_failure_set_units(s.as_ref());
+        for telemetry in [false, true] {
+            let mem = ImageMemory::default();
+            let batch = s.run_batch(&units, telemetry, &mem).expect("batched path");
+            let m = mem.summary();
+            assert_eq!(m.executions, 1, "{}", s.name());
+            assert_eq!(
+                m.images,
+                units.len() as u64,
+                "{}: every unit crashes",
+                s.name()
+            );
+            // Each singleton shares its poll with a failure-set unit.
+            assert!(m.distinct_states.unwrap() < m.images, "{}", s.name());
+            for (&unit, b) in units.iter().zip(&batch) {
+                let t = s.run_trial(unit, telemetry);
+                let got = (b.unit, b.outcome, b.lost_units, b.sim_time_ps, b.telemetry);
+                let want = (t.unit, t.outcome, t.lost_units, t.sim_time_ps, t.telemetry);
+                assert_eq!(got, want, "{} unit {unit} telemetry={telemetry}", s.name());
+                assert_eq!(b.telemetry.is_some(), telemetry);
+            }
+        }
+
+        let (fused_mem, mem) = (ImageMemory::default(), ImageMemory::default());
+        let fused = s.run_passes(&units, Passes::recover(true).and_dirty(), &fused_mem);
+        let batch = s.run_batch(&units, true, &mem).expect("batched path");
+        let swept = s.run_resilience(&units, &mem).expect("dirty-restart path");
+        for (f, b) in fused.trials.iter().zip(&batch) {
+            let got = (f.unit, f.outcome, f.lost_units, f.sim_time_ps, f.telemetry);
+            let want = (b.unit, b.outcome, b.lost_units, b.sim_time_ps, b.telemetry);
+            assert_eq!(got, want, "{} unit {}", s.name(), b.unit);
+        }
+        assert_eq!(fused.dirty.expect("dirty pass").trials, swept.trials);
+        assert_eq!(fused_mem.summary().executions, 1, "{}", s.name());
+    }
+}
+
+/// One harvested poll, three failure sets: a singleton, a cascade leader
+/// and a node loss scheduled on the same `(rank, site)` share one crash
+/// image and nothing else — each is replayed on its own forks under its
+/// own follow-up, and each equals the dedicated cluster that arms that
+/// failure set from the start, on both passes.
+#[test]
+fn failure_sets_sharing_one_harvested_poll_get_a_replay_each() {
+    let cfg = JacobiConfig::campaign_for(RecoveryMode::AlgorithmDirected, FaultProfile::Chaotic);
+    let build = |failures: &[RankFailure]| {
+        let mut cl = Cluster::new_multi(cfg.cluster(), failures);
+        let kernel = DistJacobi::setup(&mut cl, cfg.clone());
+        (cl, kernel)
+    };
+    let reference = {
+        let (mut cl, mut kernel) = build(&[]);
+        reference_run(&mut cl, &mut kernel)
+    };
+    let at = |phase, iter| CrashTrigger::AtSite {
+        site: CrashSite::new(phase, iter),
+        occurrence: 1,
+    };
+    let (ph_mid, ph_end) = (adcc::dist::sites::PH_MID, adcc::dist::sites::PH_END);
+    let iter = cfg.iters / 2;
+    let first = at(ph_end, iter);
+    // The cascade's second failure lands in the resumed superstep.
+    let second = RankFailure::crash(6, at(ph_mid, iter + 1));
+    let follows = [
+        FollowUp::default(),
+        FollowUp {
+            node_loss: false,
+            second: Some(second),
+        },
+        FollowUp {
+            node_loss: true,
+            second: None,
+        },
+    ];
+    let points: Vec<BatchPoint> = follows
+        .iter()
+        .zip(0u64..)
+        .map(|(&follow, unit)| BatchPoint {
+            unit,
+            rank: 5,
+            trigger: first,
+            follow,
+        })
+        .collect();
+
+    for telemetry in [false, true] {
+        let passes = BatchPasses {
+            recover: true,
+            telemetry,
+            dirty: true,
+        };
+        let (mut cl, mut kernel) = build(&[]);
+        let (replays, stats) = run_dist_batch(&mut cl, &mut kernel, &points, passes, &reference);
+        assert_eq!((stats.images, stats.distinct_states), (3, 1));
+        assert_eq!(replays.len(), 3, "one replay per follow-up");
+
+        for (replay, point) in replays.iter().zip(&points) {
+            assert_eq!(replay.units, [point.unit]);
+            assert_eq!(replay.follow, point.follow);
+            let failures: Vec<RankFailure> = [RankFailure {
+                rank: point.rank,
+                trigger: point.trigger,
+                node_loss: point.follow.node_loss,
+            }]
+            .into_iter()
+            .chain(point.follow.second)
+            .collect();
+            let (mut cl, mut kernel) = build(&failures);
+            let oracle = run_dist_trial(&mut cl, &mut kernel, telemetry);
+            assert_eq!(replay.trial.as_ref(), Some(&oracle), "unit {}", point.unit);
+            let (mut cl, mut kernel) = build(&failures);
+            let oracle = run_dist_dirty_trial(&mut cl, &mut kernel);
+            assert_eq!(replay.dirty, oracle, "unit {}", point.unit);
+        }
+        // Three different trials from the one image.
+        let trial = |k: usize| replays[k].trial.as_ref().unwrap();
+        assert_eq!(trial(0).remote_restore_bytes, 0);
+        assert!(trial(1).recovery_net_bytes > trial(0).recovery_net_bytes);
+        assert!(trial(2).remote_restore_bytes > 0);
+        assert!(trial(0).solution == reference.solution, "exact recovery");
     }
 }
 

@@ -9,8 +9,10 @@
 
 use adcc::campaign::engine::{run_campaign, CampaignConfig};
 use adcc::campaign::report::CampaignReport;
+use adcc::campaign::run_resilience;
 use adcc::campaign::scenario::Registry;
 use adcc::campaign::schedule::Schedule;
+use adcc::dist::net::FaultProfile;
 
 /// The CI smoke budget (4 ranks, 500 states, seed 42).
 const SMOKE_BUDGET: u64 = 500;
@@ -101,4 +103,35 @@ fn dist_and_single_rank_registries_share_one_engine_but_not_bytes() {
     let t = single.telemetry.expect("telemetry on");
     assert_eq!(t.net_msgs, 0);
     assert_eq!(t.recovery_net_bytes, 0);
+}
+
+/// Work counters, exact (ROADMAP item 5's pattern): a perf regression on
+/// the dist registry fails here, not in a noisy timing. At the chaotic
+/// smoke config every chunk — six scenarios, two chunks each — builds and
+/// runs **one** cluster whatever the passes, and every unit that crashes
+/// is served from an image harvested off that execution: cascades and
+/// node losses included, the dirty sweep included.
+#[test]
+fn chaotic_dist_chunks_run_one_cluster_each_whatever_the_passes() {
+    let cfg = CampaignConfig {
+        budget_states: 1500,
+        dense_units: 80,
+        faults: FaultProfile::Chaotic,
+        telemetry: false,
+        ..config(2)
+    };
+    for report in [run_campaign(&cfg), run_resilience(&cfg)] {
+        let m = &report.image_memory;
+        assert_eq!(m.executions, 12, "one forward execution per chunk");
+        assert_eq!(
+            m.images,
+            report.totals.total() - report.totals.completed_clean,
+            "every crashing unit is served from a harvested image"
+        );
+        // `distinct_states` counts poll groups; a group is replayed once
+        // per distinct follow-up among its units, so replays can exceed it.
+        assert!(m.distinct_states.expect("fresh runs know the count") <= m.images);
+        assert_eq!(report.totals.total(), 1500);
+        assert_eq!(report.silent_corruption_total(), 0);
+    }
 }

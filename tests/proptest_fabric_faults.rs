@@ -77,7 +77,7 @@ fn run_pattern(
         .map(|(i, &(src, hop, len))| {
             let dst = (src + hop) % RANKS;
             let payload = vec![(i % 251) as u8; len];
-            fabric.send(&mut systems[src], src, dst, &payload);
+            fabric.send(&mut systems[src], src, dst, payload);
             let sent_ps = systems[src].now().ps();
             let got = fabric.recv(&mut systems[dst], src, dst);
             (sent_ps, systems[dst].now().ps(), got)
@@ -181,7 +181,7 @@ proptest! {
         let mut warm: Vec<MemorySystem> = (0..RANKS).map(|_| MemorySystem::new(cfg())).collect();
         for (i, &(src, hop, len)) in prefix.iter().enumerate() {
             let dst = (src + hop) % RANKS;
-            original.send(&mut warm[src], src, dst, &vec![(i % 251) as u8; len]);
+            original.send(&mut warm[src], src, dst, vec![(i % 251) as u8; len]);
             original.recv(&mut warm[dst], src, dst);
         }
         let mut forked = original.clone();
@@ -196,7 +196,7 @@ proptest! {
                 .map(|(i, &(src, hop, len))| {
                     let dst = (src + hop) % RANKS;
                     let payload = vec![(i % 249) as u8; len];
-                    fabric.send(&mut fresh[src], src, dst, &payload);
+                    fabric.send(&mut fresh[src], src, dst, payload);
                     let sent_ps = fresh[src].now().ps();
                     let got = fabric.recv(&mut fresh[dst], src, dst);
                     (sent_ps, fresh[dst].now().ps(), got)
