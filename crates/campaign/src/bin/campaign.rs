@@ -32,12 +32,9 @@
 use std::io::{self, Write};
 use std::process::ExitCode;
 
-use adcc_campaign::cost::CostTable;
+use adcc_campaign::cost::{CostTable, COST_SCHEMA};
 use adcc_campaign::engine::{run_campaign, CampaignConfig};
-use adcc_campaign::json::Json;
-use adcc_campaign::report::{
-    compare, flush_audit, parse_shard, CampaignReport, RERUNNABLE_SCHEMAS,
-};
+use adcc_campaign::report::{compare, flush_audit, parse_shard, CampaignReport};
 use adcc_campaign::resilience::run_resilience;
 use adcc_campaign::scenario::Registry;
 use adcc_campaign::schedule::Schedule;
@@ -70,7 +67,19 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "\
+/// The usage text with the schema names it quotes filled in from their
+/// constants, so it cannot name a generation the code no longer emits.
+struct Usage;
+
+const USAGE: Usage = Usage;
+
+impl std::fmt::Display for Usage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&USAGE_TEXT.replace("{COST_SCHEMA}", COST_SCHEMA))
+    }
+}
+
+const USAGE_TEXT: &str = "\
 usage:
   campaign run     [--registry kernel|dist|ds] [--budget-states N]
                    [--seed S] [--threads T]
@@ -118,7 +127,7 @@ folds the complete shard set back into a report byte-identical to an
 unsharded run of the same seed (partial campaigns are resumable: rerun
 only the missing shards, then merge).
 cost --json emits the cost table as a schema-versioned JSON document
-(adcc-cost-table/v1) instead of the text table, for CI diffing.
+({COST_SCHEMA}) instead of the text table, for CI diffing.
 triage re-runs REPORT.json's exact schedule with the persist-order event
 recorder attached, infers per-mechanism persist-order invariants from
 the passing trials, and clusters the failing states by violated
@@ -542,14 +551,13 @@ fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
 
 /// The set-up `triage` and `resilience` share: both re-run a finished
 /// report's exact schedule, so both read `REPORT.json` off the front of
-/// `args`, refuse schemas that predate the `scenarios` unit spaces they
-/// re-run (`sub` needs one of [`RERUNNABLE_SCHEMAS`]) and shard reports
-/// (they need the full schedule; `verb` names what cannot be done to a
-/// shard), and rebuild the report's [`CampaignConfig`] with `--threads`
-/// applied. Returns the config and the `--out` path.
+/// `args` (anything [`CampaignReport::parse`] accepts can be re-run),
+/// refuse shard reports (they need the full schedule; `verb` names what
+/// cannot be done to a shard), and rebuild the report's
+/// [`CampaignConfig`] with `--threads` applied. Returns the config and the
+/// `--out` path.
 fn rerun_config(
     sub: &str,
-    scenarios: &str,
     verb: &str,
     args: &[String],
     bool_flags: &[&str],
@@ -565,17 +573,6 @@ fn rerun_config(
     };
     check_known_flags(rest, &["--threads", "--out"], bool_flags)?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let raw = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let schema = raw.get("schema").and_then(Json::as_str).unwrap_or("");
-    if !RERUNNABLE_SCHEMAS.contains(&schema) {
-        let (last, init) = RERUNNABLE_SCHEMAS.split_last().expect("non-empty list");
-        let init: Vec<String> = init.iter().map(|s| format!("{s:?}")).collect();
-        return Err(format!(
-            "{path}: {sub} needs a {}, or {last:?} report, \
-             got {schema:?} (older schemas predate the {scenarios} scenario unit spaces)\n{USAGE}",
-            init.join(", ")
-        ));
-    }
     let report = CampaignReport::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     if report.shard.is_some() {
         return Err(format!(
@@ -607,13 +604,7 @@ fn rerun_config(
 /// reports (triage needs the full schedule). `--fail-on-diagnostics` is
 /// the CI clean-tree gate: any protocol finding exits nonzero.
 fn cmd_triage(args: &[String]) -> Result<ExitCode, String> {
-    let (cfg, out_path) = rerun_config(
-        "triage",
-        "analyzed",
-        "triage",
-        args,
-        &["--fail-on-diagnostics"],
-    )?;
+    let (cfg, out_path) = rerun_config("triage", "triage", args, &["--fail-on-diagnostics"])?;
 
     let triaged = run_triage(&cfg);
     let diags = triaged
@@ -671,7 +662,7 @@ fn cmd_triage(args: &[String]) -> Result<ExitCode, String> {
 /// blocks. Rejects pre-v5 schemas (their unit spaces predate the batched
 /// scenarios) and shard reports (the sweep needs the full schedule).
 fn cmd_resilience(args: &[String]) -> Result<ExitCode, String> {
-    let (cfg, out_path) = rerun_config("resilience", "batched", "sweep", args, &[])?;
+    let (cfg, out_path) = rerun_config("resilience", "sweep", args, &[])?;
 
     let swept = run_resilience(&cfg);
     let swept_scenarios = swept

@@ -14,13 +14,9 @@ use crate::report::CampaignReport;
 
 /// Cost-table document schema (bump on breaking changes).
 ///
-/// v2 adds the `nearpm_cost_ps` column (near-data persistence preset)
-/// between the ADR and eADR prices. v1 documents still parse; the
-/// missing column defaults to zero.
+/// v2 added the `nearpm_cost_ps` column (near-data persistence preset)
+/// between the ADR and eADR prices. It is the only generation parsed.
 pub const COST_SCHEMA: &str = "adcc-cost-table/v2";
-
-/// The previous cost-table generation, still accepted by [`CostTable::parse`].
-pub const COST_SCHEMA_V1: &str = "adcc-cost-table/v1";
 
 /// One scenario's cost row (or the campaign total).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,8 +81,7 @@ impl CostRow {
             dirty_bytes: n("dirty_bytes")?,
             consistency_window_ps: n("consistency_window_ps")?,
             adr_cost_ps: n("adr_cost_ps")?,
-            // v1 rows predate the NearPM column.
-            nearpm_cost_ps: j.get("nearpm_cost_ps").and_then(Json::as_u64).unwrap_or(0),
+            nearpm_cost_ps: n("nearpm_cost_ps")?,
             eadr_cost_ps: n("eadr_cost_ps")?,
         })
     }
@@ -168,7 +163,7 @@ impl CostTable {
             .get("schema")
             .and_then(Json::as_str)
             .ok_or("missing schema")?;
-        if schema != COST_SCHEMA && schema != COST_SCHEMA_V1 {
+        if schema != COST_SCHEMA {
             return Err(format!(
                 "unsupported schema {schema:?} (want {COST_SCHEMA:?})"
             ));
@@ -241,35 +236,9 @@ mod tests {
 
     #[test]
     fn parse_rejects_other_schemas() {
-        assert!(CostTable::parse(r#"{"schema": "adcc-cost-table/v3"}"#).is_err());
-    }
-
-    #[test]
-    fn v1_documents_still_parse_with_a_zero_nearpm_column() {
-        let v1 = r#"{
-  "schema": "adcc-cost-table/v1",
-  "seed": 42,
-  "budget_states": 10,
-  "schedule": "stratified",
-  "scenarios": [
-    {
-      "name": "cg-ckpt",
-      "trials": 10,
-      "flushes": 16,
-      "sfences": 8,
-      "log_bytes": 1024,
-      "dirty_bytes": 64,
-      "consistency_window_ps": 9000,
-      "adr_cost_ps": 7000000,
-      "eadr_cost_ps": 49000
-    }
-  ]
-}"#;
-        let table = CostTable::parse(v1).unwrap();
-        assert_eq!(table.rows[0].nearpm_cost_ps, 0);
-        // Re-emission upgrades the document to the current schema.
-        let upgraded = table.to_string_pretty();
-        assert!(upgraded.contains(COST_SCHEMA));
-        assert!(upgraded.contains("\"nearpm_cost_ps\": 0"));
+        for other in ["adcc-cost-table/v1", "adcc-cost-table/v3"] {
+            let err = CostTable::parse(&format!(r#"{{"schema": "{other}"}}"#)).unwrap_err();
+            assert!(err.contains("unsupported schema"), "{other}: {err}");
+        }
     }
 }

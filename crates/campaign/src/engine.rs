@@ -104,26 +104,9 @@ impl Default for CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// Start a validating [`CampaignConfigBuilder`] from the defaults.
-    ///
-    /// Prefer this over hand-filling the struct literal: `build()` rejects
-    /// incoherent combinations (e.g. sharding a per-trial run) before the
-    /// engine sees them, with the same error text the CLI prints.
-    pub fn builder() -> CampaignConfigBuilder {
-        CampaignConfigBuilder {
-            cfg: CampaignConfig::default(),
-        }
-    }
-
-    /// Start a validating builder from an existing config (e.g. one
-    /// inherited from a report being replayed), so overrides go through
-    /// the same `build()` validation.
-    pub fn to_builder(&self) -> CampaignConfigBuilder {
-        CampaignConfigBuilder { cfg: self.clone() }
-    }
-
-    /// Check the config for incoherent combinations. `build()` calls
-    /// this; configs assembled as struct literals can call it directly.
+    /// Check the config for incoherent combinations (e.g. sharding a
+    /// per-trial run) before the engine sees them; errors name the
+    /// offending flag combination exactly as the CLI reports it.
     pub fn validate(&self) -> Result<(), String> {
         if self.shard.is_some() && self.per_trial {
             return Err(
@@ -147,88 +130,6 @@ impl CampaignConfig {
             ));
         }
         Ok(())
-    }
-}
-
-/// Validating builder for [`CampaignConfig`] — see
-/// [`CampaignConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct CampaignConfigBuilder {
-    cfg: CampaignConfig,
-}
-
-impl CampaignConfigBuilder {
-    /// Seed driving every stochastic schedule decision.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Total crash states across the whole campaign.
-    pub fn budget_states(mut self, budget: u64) -> Self {
-        self.cfg.budget_states = budget;
-        self
-    }
-
-    /// Crash-point selection policy.
-    pub fn schedule(mut self, schedule: Schedule) -> Self {
-        self.cfg.schedule = schedule;
-        self
-    }
-
-    /// Worker OS threads; `0` picks the host parallelism.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = threads;
-        self
-    }
-
-    /// Capture per-trial [`ExecutionProfile`]s in the report.
-    pub fn telemetry(mut self, on: bool) -> Self {
-        self.cfg.telemetry = on;
-        self
-    }
-
-    /// Extra access-grain (dense) crash points per scenario.
-    pub fn dense_units(mut self, dense: u64) -> Self {
-        self.cfg.dense_units = dense;
-        self
-    }
-
-    /// Crash points harvested per forward execution in the batched pass.
-    pub fn max_batch(mut self, max_batch: u64) -> Self {
-        self.cfg.max_batch = max_batch;
-        self
-    }
-
-    /// Force the legacy one-execution-per-trial path.
-    pub fn per_trial(mut self, on: bool) -> Self {
-        self.cfg.per_trial = on;
-        self
-    }
-
-    /// Which named scenario registry to sweep.
-    pub fn registry(mut self, registry: Registry) -> Self {
-        self.cfg.registry = registry;
-        self
-    }
-
-    /// Run shard `i` of an `n`-way campaign split.
-    pub fn shard(mut self, shard: Option<(u64, u64)>) -> Self {
-        self.cfg.shard = shard;
-        self
-    }
-
-    /// Fabric fault profile injected under every dist-registry cluster.
-    pub fn faults(mut self, faults: FaultProfile) -> Self {
-        self.cfg.faults = faults;
-        self
-    }
-
-    /// Validate and produce the config. Errors name the offending flag
-    /// combination exactly as the CLI reports it.
-    pub fn build(self) -> Result<CampaignConfig, String> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
     }
 }
 
@@ -613,32 +514,26 @@ mod tests {
     }
 
     #[test]
-    fn builder_validates_flag_combinations() {
-        let err = CampaignConfig::builder()
-            .per_trial(true)
-            .shard(Some((0, 2)))
-            .build()
-            .unwrap_err();
+    fn validate_rejects_incoherent_flag_combinations() {
+        let err = CampaignConfig {
+            per_trial: true,
+            shard: Some((0, 2)),
+            ..CampaignConfig::default()
+        }
+        .validate()
+        .unwrap_err();
         assert!(err.contains("--shard"), "{err}");
         assert!(err.contains("--per-trial"), "{err}");
 
-        let cfg = CampaignConfig::builder()
-            .seed(7)
-            .budget_states(99)
-            .registry(Registry::Ds)
-            .shard(Some((1, 4)))
-            .build()
-            .unwrap();
-        assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.budget_states, 99);
-        assert_eq!(cfg.registry, Registry::Ds);
-        assert_eq!(cfg.shard, Some((1, 4)));
-
-        assert!(CampaignConfig::builder()
-            .shard(Some((4, 4)))
-            .build()
-            .is_err());
-        assert!(CampaignConfig::builder().max_batch(0).build().is_err());
+        let cfg = |shard, max_batch| CampaignConfig {
+            registry: Registry::Ds,
+            shard,
+            max_batch,
+            ..CampaignConfig::default()
+        };
+        assert_eq!(cfg(Some((1, 4)), 128).validate(), Ok(()));
+        assert!(cfg(Some((4, 4)), 128).validate().is_err());
+        assert!(cfg(None, 0).validate().is_err());
     }
 
     #[test]

@@ -36,14 +36,15 @@
 //! use adcc_campaign::report::CampaignReport;
 //! use adcc_campaign::schedule::Schedule;
 //!
-//! let cfg = CampaignConfig::builder()
-//!     .seed(42)
-//!     .budget_states(50)
-//!     .schedule(Schedule::Stratified)
-//!     .threads(2)
-//!     .telemetry(true)
-//!     .build()
-//!     .unwrap();
+//! let cfg = CampaignConfig {
+//!     seed: 42,
+//!     budget_states: 50,
+//!     schedule: Schedule::Stratified,
+//!     threads: 2,
+//!     telemetry: true,
+//!     ..CampaignConfig::default()
+//! };
+//! cfg.validate().unwrap();
 //! let report = run_campaign(&cfg);
 //! assert_eq!(report.totals.total(), 50);
 //! assert_eq!(report.silent_corruption_total(), 0);
@@ -69,7 +70,7 @@ pub mod schedule;
 pub mod triage;
 
 pub use cost::{CostRow, CostTable};
-pub use engine::{run_campaign, CampaignConfig, CampaignConfigBuilder};
+pub use engine::{run_campaign, CampaignConfig};
 pub use memstats::{ImageMemory, ImageMemorySummary};
 pub use outcome::{Outcome, OutcomeCounts};
 pub use report::{

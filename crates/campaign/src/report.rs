@@ -6,6 +6,14 @@
 //! section byte-for-byte, on any worker-thread count. Host facts that
 //! legitimately vary between runs (wall-clock, thread count) live in the
 //! `host` object, which [`CampaignReport::canonical_string`] strips.
+//!
+//! **One schema rule.** Optional blocks are additive: a block that a run
+//! did not produce (`telemetry`, `diagnostics`, `natural_resilience`, the
+//! `registry` / `faults` / `dense_units` / `shard` headers) is absent from
+//! the document and parses as `None` or the default — no new generation.
+//! [`CampaignReport::parse`] accepts exactly [`RERUNNABLE_SCHEMAS`]: the
+//! generations whose header still names today's schedule, so anything
+//! that parses can also be re-run.
 
 use adcc_dist::net::FaultProfile;
 use adcc_resilience::{DirtyClass, DirtyClassCounts, NaturalResilience, Tolerance};
@@ -25,37 +33,19 @@ use crate::scenario::Registry;
 /// sweep so plain reports keep their exact v6 bytes.
 pub const SCHEMA: &str = "adcc-campaign-report/v7";
 
-/// The v6 format (optional `diagnostics` block: persist-order sanitizer
-/// findings), still accepted by [`CampaignReport::parse`].
+/// The v6 format (no `natural_resilience` blocks), still accepted.
 pub const SCHEMA_V6: &str = "adcc-campaign-report/v6";
 
-/// The v5 format (optional `faults` header, fault/remote telemetry
-/// keys), still accepted by [`CampaignReport::parse`].
+/// The v5 format (no `diagnostics` block either), still accepted — and
+/// the floor: the unit spaces of the batched and analyzed scenarios
+/// landed with it, so an older header names a schedule today's engine
+/// cannot reproduce.
 pub const SCHEMA_V5: &str = "adcc-campaign-report/v5";
 
-/// The generations whose header still names today's schedule: the unit
-/// spaces of the batched and analyzed scenarios landed with v5, so a
-/// report at or above it can be re-run (`campaign triage`, `campaign
-/// resilience`) and one below it cannot. Newest first; a schema bump adds
-/// its predecessor here, in one place.
+/// Every generation [`CampaignReport::parse`] accepts, newest first — all
+/// of them re-runnable (`campaign replay --expect`, `triage`,
+/// `resilience`).
 pub const RERUNNABLE_SCHEMAS: [&str; 3] = [SCHEMA, SCHEMA_V6, SCHEMA_V5];
-
-/// The v4 format (generalized `registry` header, log-metadata /
-/// op-stream telemetry keys), still accepted by
-/// [`CampaignReport::parse`].
-pub const SCHEMA_V4: &str = "adcc-campaign-report/v4";
-
-/// The v3 format (optional `"dist"` registry header, fabric telemetry
-/// keys), still accepted by [`CampaignReport::parse`].
-pub const SCHEMA_V3: &str = "adcc-campaign-report/v3";
-
-/// The v2 format (telemetry blocks without fabric keys), still accepted
-/// by [`CampaignReport::parse`].
-pub const SCHEMA_V2: &str = "adcc-campaign-report/v2";
-
-/// The original format, still accepted by [`CampaignReport::parse`]
-/// (telemetry blocks absent).
-pub const SCHEMA_V1: &str = "adcc-campaign-report/v1";
 
 /// Aggregated results for one scenario.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -288,17 +278,13 @@ fn telemetry_json(t: &ExecutionProfile) -> Json {
 }
 
 /// Parse a telemetry block emitted by [`telemetry_json`] (derived fields
-/// are ignored; they are recomputed at emission). The fabric keys and the
-/// v4 log-metadata / op-stream keys are optional so v1–v3 blocks still
-/// parse (they default to zero, which is also what scenarios outside
-/// those registries record).
+/// are ignored; they are recomputed at emission).
 fn telemetry_from_json(j: &Json) -> Result<ExecutionProfile, String> {
     let n = |key: &str| -> Result<u64, String> {
         j.get(key)
             .and_then(Json::as_u64)
             .ok_or_else(|| format!("telemetry missing {key}"))
     };
-    let opt = |key: &str| -> u64 { j.get(key).and_then(Json::as_u64).unwrap_or(0) };
     Ok(ExecutionProfile {
         clflushes: n("clflushes")?,
         clflushopts: n("clflushopts")?,
@@ -316,19 +302,19 @@ fn telemetry_from_json(j: &Json) -> Result<ExecutionProfile, String> {
         log_appends: n("log_appends")?,
         log_bytes: n("log_bytes")?,
         dirty_lines_at_crash: n("dirty_lines_at_crash")?,
-        net_msgs: opt("net_msgs"),
-        net_bytes: opt("net_bytes"),
-        net_ps: opt("net_ps"),
-        recovery_net_bytes: opt("recovery_net_bytes"),
-        log_meta_appends: opt("log_meta_appends"),
-        log_meta_bytes: opt("log_meta_bytes"),
-        ds_ops_applied: opt("ds_ops_applied"),
-        ds_ops_replayed: opt("ds_ops_replayed"),
-        net_dropped: opt("net_dropped"),
-        net_duplicated: opt("net_duplicated"),
-        net_reordered: opt("net_reordered"),
-        net_retries: opt("net_retries"),
-        remote_restore_bytes: opt("remote_restore_bytes"),
+        net_msgs: n("net_msgs")?,
+        net_bytes: n("net_bytes")?,
+        net_ps: n("net_ps")?,
+        recovery_net_bytes: n("recovery_net_bytes")?,
+        log_meta_appends: n("log_meta_appends")?,
+        log_meta_bytes: n("log_meta_bytes")?,
+        ds_ops_applied: n("ds_ops_applied")?,
+        ds_ops_replayed: n("ds_ops_replayed")?,
+        net_dropped: n("net_dropped")?,
+        net_duplicated: n("net_duplicated")?,
+        net_reordered: n("net_reordered")?,
+        net_retries: n("net_retries")?,
+        remote_restore_bytes: n("remote_restore_bytes")?,
     })
 }
 
@@ -670,17 +656,10 @@ impl CampaignReport {
             .get("schema")
             .and_then(Json::as_str)
             .ok_or("missing schema")?;
-        if schema != SCHEMA
-            && schema != SCHEMA_V6
-            && schema != SCHEMA_V5
-            && schema != SCHEMA_V4
-            && schema != SCHEMA_V3
-            && schema != SCHEMA_V2
-            && schema != SCHEMA_V1
-        {
+        if !RERUNNABLE_SCHEMAS.contains(&schema) {
             return Err(format!(
-                "unsupported schema {schema:?} (want {SCHEMA:?}, {SCHEMA_V6:?}, \
-                 {SCHEMA_V5:?}, {SCHEMA_V4:?}, {SCHEMA_V3:?}, {SCHEMA_V2:?}, or {SCHEMA_V1:?})"
+                "unsupported schema {schema:?} (want one of {RERUNNABLE_SCHEMAS:?}; older \
+                 generations predate today's scenario unit spaces)"
             ));
         }
         let int = |key: &str| -> Result<u64, String> {

@@ -128,4 +128,30 @@ mod tests {
             );
         }
     }
+
+    /// The same contrast on the dist registry (nightly sweeps the
+    /// exhaustive space through `campaign resilience`; this is the gate):
+    /// the algorithm-directed protocol's NVM residue *is* the frontier
+    /// iterate, so every dirty reboot of a `-local` scenario converges
+    /// exactly, while a `-restart` scenario rebooted without its
+    /// checkpoint mechanism never absorbs them all.
+    #[test]
+    fn dist_local_scenarios_absorb_every_dirty_reboot_and_restart_ones_do_not() {
+        let report = run_resilience(&CampaignConfig {
+            budget_states: 300,
+            dense_units: 40,
+            threads: 0,
+            ..tiny_cfg(Registry::Dist)
+        });
+        for s in &report.scenarios {
+            let r = s.natural_resilience.as_ref().expect("resilience block");
+            assert!(r.trials() > 0, "{}", s.name);
+            if s.name.ends_with("-local") {
+                let exact = r.classes.get(DirtyClass::ConvergedExact);
+                assert_eq!(exact, r.trials(), "{}", s.name);
+            } else {
+                assert!(r.classes.converged_ok() < r.trials(), "{}", s.name);
+            }
+        }
+    }
 }

@@ -190,6 +190,10 @@ fn unknown_subcommand_exits_nonzero_with_usage() {
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown subcommand") && stderr.contains("usage:"));
+    assert!(
+        stderr.contains(adcc_campaign::cost::COST_SCHEMA),
+        "usage names the cost-table generation `cost --json` emits:\n{stderr}"
+    );
     // `campaign bench` is gone (benchmark/run.sh measures throughput from
     // outside): the name gets the same treatment as any other typo.
     let out = campaign(&["bench"]);
@@ -384,21 +388,26 @@ fn triage_usage_errors_exit_nonzero() {
     assert!(stderr.contains("cannot read"), "stderr:\n{stderr}");
 }
 
+fn assert_pre_v5_report_is_refused(sub: &str) {
+    let dir = std::env::temp_dir().join(format!("adcc-{sub}-pre-v5"));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("v4.json");
+    std::fs::write(&path, r#"{"schema": "adcc-campaign-report/v4"}"#).unwrap();
+    let out = campaign(&[sub, path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "v4 must be rejected");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unsupported schema \"adcc-campaign-report/v4\""),
+        "stderr:\n{stderr}"
+    );
+}
+
 #[test]
 fn triage_rejects_pre_v5_schema_generations() {
-    // v1–v4 reports predate the analyzed scenario unit spaces: their
-    // headers cannot be replayed under the analyzer, so triage must
-    // refuse them loudly rather than re-run the wrong schedule.
-    for v in 1..=4 {
-        let path = fixture(&format!("campaign-report-v{v}.json"));
-        let out = campaign(&["triage", &path]);
-        assert_eq!(out.status.code(), Some(1), "v{v} must be rejected");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("triage needs a") && stderr.contains("usage:"),
-            "v{v} stderr:\n{stderr}"
-        );
-    }
+    // A pre-v5 header names a schedule today's unit spaces cannot
+    // reproduce: the one parser refuses it, and triage says so rather
+    // than re-run the wrong schedule.
+    assert_pre_v5_report_is_refused("triage");
     // The accepted generations span every schema since the batched unit
     // spaces landed: a v6 report still triages clean after the v7 bump.
     let path = fixture("campaign-report-v6.json");
@@ -495,19 +504,7 @@ fn resilience_usage_errors_exit_nonzero() {
 
 #[test]
 fn resilience_rejects_pre_v5_schema_generations() {
-    // v1–v4 reports predate the batched scenario unit spaces: their
-    // headers cannot be re-swept faithfully, so the subcommand must
-    // refuse them loudly rather than classify the wrong schedule.
-    for v in 1..=4 {
-        let path = fixture(&format!("campaign-report-v{v}.json"));
-        let out = campaign(&["resilience", &path]);
-        assert_eq!(out.status.code(), Some(1), "v{v} must be rejected");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("resilience needs a") && stderr.contains("usage:"),
-            "v{v} stderr:\n{stderr}"
-        );
-    }
+    assert_pre_v5_report_is_refused("resilience");
 }
 
 #[test]

@@ -5,27 +5,26 @@
 //! Each rank owns a row block of the SPD matrix (seeded into its NVM) and
 //! the matching segments of `x`, `r`, and `p`; the full `p` is replicated
 //! via an allgather at the start of every superstep, and the two dot
-//! products reduce in rank order. Persistence follows the paper's extended
-//! scheme lifted to partitions (AlgorithmDirected: the iterate segments,
-//! `rho`, and a counter go into a double-buffered NVM ring every
-//! superstep) or coordinated checkpoint/restart (GlobalRestart). A failed
-//! rank's segment reconstruction needs the current `p` — under
-//! AlgorithmDirected the survivors re-send only their segments to the one
-//! failed rank, versus a cluster-wide rollback, re-allgather, and
-//! re-execution under GlobalRestart.
+//! products reduce in rank order. Every superstep hands the iterate
+//! segments `x‖r‖p` and the global scalar `rho` to the kernel's
+//! [`Mechanism`] (see [`crate::persist`]): the paper's extended scheme
+//! lifted to partitions (AlgorithmDirected) or coordinated
+//! checkpoint/restart (GlobalRestart). A failed rank's segment
+//! reconstruction needs the current `p` — under AlgorithmDirected the
+//! survivors re-send only their segments to the one failed rank, versus a
+//! cluster-wide rollback, re-allgather, and re-execution under
+//! GlobalRestart.
 
-use adcc_ckpt::mem::{MemCheckpoint, MemCheckpointLayout};
-use adcc_ckpt::multilevel::{MultilevelCheckpoint, RemoteStore, RemoteTiming};
+use adcc_ckpt::multilevel::RemoteTiming;
 use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::spd::random_spd;
-use adcc_sim::clock::Bucket;
-use adcc_sim::parray::{PArray, PScalar};
-use adcc_sim::system::SystemConfig;
+use adcc_sim::parray::PArray;
+use adcc_sim::system::{MemorySystem, SystemConfig};
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::grid::GridCfg;
 use crate::net::{FaultProfile, NetTiming};
-use crate::sites;
+use crate::persist::{Mechanism, Partition, Partitioned};
 use crate::trial::{CrashInfo, DistKernel, Recovery, RecoveryMode};
 
 /// Problem and mechanism parameters.
@@ -149,25 +148,11 @@ pub struct DistCg {
     q_r: Vec<PArray<f64>>,
     /// Volatile replicated full `p` per rank.
     p_full: Vec<PArray<f64>>,
-    /// NVM double-buffered iterate ring (AlgorithmDirected): `x‖r‖p`
-    /// segments concatenated, one slot per parity.
-    slots: Vec<[PArray<f64>; 2]>,
-    /// NVM persisted `rho` per ring parity (AlgorithmDirected).
-    slot_rho: Vec<PArray<f64>>,
-    /// NVM persisted iteration counters (AlgorithmDirected).
-    counters: Vec<PScalar<u64>>,
-    /// Per-rank checkpoint managers (GlobalRestart).
-    ckpts: Vec<MemCheckpoint>,
-    /// Their persistent layouts.
-    layouts: Vec<MemCheckpointLayout>,
-    /// Volatile `rho` mirror in the checkpoint payload (GlobalRestart).
-    rho_cells: Vec<PArray<f64>>,
-    /// Volatile iterate markers in the checkpoint payload.
-    ck_iters: Vec<PArray<u64>>,
-    /// Checkpoint regions per rank.
-    regions: Vec<Vec<(u64, usize)>>,
-    /// Per-rank remote checkpoint stores (host-side; survive node loss).
-    remotes: Vec<RemoteStore>,
+    /// How the segments and `rho` are made durable and brought back. The
+    /// static matrix block rides to the remote level too: CG re-reads
+    /// `A`'s values from NVM every superstep and a lost node comes back
+    /// with blank NVM.
+    mech: Mechanism,
 }
 
 impl DistCg {
@@ -200,15 +185,7 @@ impl DistCg {
             p_r: Vec::new(),
             q_r: Vec::new(),
             p_full: Vec::new(),
-            slots: Vec::new(),
-            slot_rho: Vec::new(),
-            counters: Vec::new(),
-            ckpts: Vec::new(),
-            layouts: Vec::new(),
-            rho_cells: Vec::new(),
-            ck_iters: Vec::new(),
-            regions: Vec::new(),
-            remotes: vec![RemoteStore::new(); cfg.ranks],
+            mech: Mechanism::new(cfg.mode, cfg.ckpt_period, cfg.remote),
             cfg,
         };
         for rank in 0..prog.cfg.ranks {
@@ -270,94 +247,22 @@ impl DistCg {
         prog.rho = cl.allreduce_sum(&partials);
         // Persist iterate 0 under the configured mechanism.
         for rank in 0..prog.cfg.ranks {
-            let sys = cl.system_mut(rank);
-            match prog.cfg.mode {
-                RecoveryMode::AlgorithmDirected => {
-                    let slots = [
-                        PArray::<f64>::alloc_nvm(sys, 3 * m),
-                        PArray::<f64>::alloc_nvm(sys, 3 * m),
-                    ];
-                    let slot_rho = PArray::<f64>::alloc_nvm(sys, 2);
-                    for j in 0..m {
-                        let x = prog.x_r[rank].get(sys, j);
-                        let r = prog.r_r[rank].get(sys, j);
-                        let p = prog.p_r[rank].get(sys, j);
-                        slots[0].set(sys, j, x);
-                        slots[0].set(sys, m + j, r);
-                        slots[0].set(sys, 2 * m + j, p);
-                    }
-                    slot_rho.set(sys, 0, prog.rho);
-                    slots[0].persist_all(sys);
-                    slot_rho.persist_all(sys);
-                    sys.sfence();
-                    let counter = PScalar::<u64>::alloc_nvm(sys);
-                    counter.set(sys, 0);
-                    counter.persist(sys);
-                    sys.sfence();
-                    prog.slots.push(slots);
-                    prog.slot_rho.push(slot_rho);
-                    prog.counters.push(counter);
-                    prog.ship_remote(cl, rank, 0);
-                }
-                RecoveryMode::GlobalRestart => {
-                    let rho_cell = PArray::<f64>::alloc_dram(sys, 1);
-                    rho_cell.set(sys, 0, prog.rho);
-                    let ck_iter = PArray::<u64>::alloc_dram(sys, 1);
-                    ck_iter.set(sys, 0, 0);
-                    let regions = vec![
-                        (prog.x_r[rank].base(), m * 8),
-                        (prog.r_r[rank].base(), m * 8),
-                        (prog.p_r[rank].base(), m * 8),
-                        (rho_cell.base(), 8),
-                        (ck_iter.base(), 8),
-                    ];
-                    let mut ckpt = MemCheckpoint::new(sys, 3 * m * 8 + 16, false);
-                    ckpt.checkpoint(sys, &regions);
-                    prog.layouts.push(ckpt.layout());
-                    prog.ckpts.push(ckpt);
-                    prog.rho_cells.push(rho_cell);
-                    prog.ck_iters.push(ck_iter);
-                    prog.regions.push(regions);
-                }
-            }
+            let nnz = prog.rowptr[rank][m];
+            let segments = [prog.x_r[rank], prog.r_r[rank], prog.p_r[rank]];
+            let part = Partition {
+                slot_len: 3 * m,
+                volatile: &segments.map(|seg| (seg.base(), m * 8)),
+                statics: &[
+                    (prog.a_vals[rank].base(), nnz * 8),
+                    (prog.a_cols[rank].base(), nnz * 4),
+                ],
+                scalar: Some(prog.rho),
+            };
+            prog.mech.add_rank(cl.system_mut(rank), part, |sys, slot| {
+                store_segments(sys, segments, slot, m)
+            });
         }
         prog
-    }
-
-    /// The NVM regions the remote level snapshots for `rank`: both ring
-    /// slots (`x‖r‖p` each), the per-parity `rho` pair, the counter, and —
-    /// unlike the stencil kernels — the static matrix block, because CG
-    /// re-reads `A`'s values from NVM every superstep and a lost node
-    /// comes back with blank NVM.
-    fn remote_regions(&self, rank: usize) -> Vec<(u64, usize)> {
-        let nnz = *self.rowptr[rank]
-            .last()
-            .expect("rebased row pointer is nonempty");
-        vec![
-            (self.a_vals[rank].base(), nnz * 8),
-            (self.a_cols[rank].base(), nnz * 4),
-            (self.slots[rank][0].base(), 3 * self.m * 8),
-            (self.slots[rank][1].base(), 3 * self.m * 8),
-            (self.slot_rho[rank].base(), 16),
-            (self.counters[rank].addr(), 8),
-        ]
-    }
-
-    /// Ship `rank`'s AlgorithmDirected ring to its remote store at `seq`
-    /// (a no-op without a configured remote level). Shipping at setup and
-    /// after every commit keeps `remote.seq` equal to the crash frontier.
-    fn ship_remote(&mut self, cl: &mut Cluster, rank: usize, seq: u64) {
-        let Some(timing) = self.cfg.remote else {
-            return;
-        };
-        let regions = self.remote_regions(rank);
-        MultilevelCheckpoint::ship_to_remote(
-            cl.system_mut(rank),
-            &regions,
-            &mut self.remotes[rank],
-            timing,
-            seq,
-        );
     }
 
     /// Allgather the `p` segments into every rank's replicated `p_full`,
@@ -422,6 +327,55 @@ impl DistCg {
                     self.p_full[rank].set(sys, src * m + j, *v);
                 }
             }
+        }
+    }
+}
+
+/// Gather one rank's `x‖r‖p` segments into an iterate slot, element by
+/// element (the commit-side copy loop).
+fn store_segments(
+    sys: &mut MemorySystem,
+    [x, r, p]: [PArray<f64>; 3],
+    slot: PArray<f64>,
+    m: usize,
+) {
+    for j in 0..m {
+        let xv = x.get(sys, j);
+        let rv = r.get(sys, j);
+        let pv = p.get(sys, j);
+        slot.set(sys, j, xv);
+        slot.set(sys, m + j, rv);
+        slot.set(sys, 2 * m + j, pv);
+    }
+}
+
+impl Partitioned for DistCg {
+    fn mechanism(&mut self) -> &mut Mechanism {
+        &mut self.mech
+    }
+
+    fn load_slot(&self, sys: &mut MemorySystem, rank: usize, slot: PArray<f64>) {
+        let m = self.m;
+        for j in 0..m {
+            let x = slot.get(sys, j);
+            let r = slot.get(sys, m + j);
+            let pv = slot.get(sys, 2 * m + j);
+            self.x_r[rank].set(sys, j, x);
+            self.r_r[rank].set(sys, j, r);
+            self.p_r[rank].set(sys, j, pv);
+        }
+    }
+
+    fn set_scalar(&mut self, rho: f64) {
+        self.rho = rho;
+    }
+
+    /// The in-flight superstep's replicated `p` was allgathered at its
+    /// start and wiped on the failed rank: survivors re-send their
+    /// segments to it only.
+    fn reconstruct(&mut self, cl: &mut Cluster, rank: usize, assist: bool) {
+        if assist {
+            self.segment_assist(cl, rank);
         }
     }
 }
@@ -497,129 +451,19 @@ impl DistKernel for DistCg {
         self.rho = rho_new;
         // Persist phase for every rank, then END polls.
         for rank in 0..p {
-            let sys = cl.system_mut(rank);
-            match self.cfg.mode {
-                RecoveryMode::AlgorithmDirected => {
-                    let parity = (iter % 2) as usize;
-                    let slot = self.slots[rank][parity];
-                    for j in 0..m {
-                        let x = self.x_r[rank].get(sys, j);
-                        let r = self.r_r[rank].get(sys, j);
-                        let pv = self.p_r[rank].get(sys, j);
-                        slot.set(sys, j, x);
-                        slot.set(sys, m + j, r);
-                        slot.set(sys, 2 * m + j, pv);
-                    }
-                    self.slot_rho[rank].set(sys, parity, self.rho);
-                    slot.persist_all(sys);
-                    self.slot_rho[rank].persist_all(sys);
-                    sys.sfence();
-                    self.counters[rank].set(sys, iter);
-                    self.counters[rank].persist(sys);
-                    sys.sfence();
-                    self.ship_remote(cl, rank, iter);
-                }
-                RecoveryMode::GlobalRestart => {
-                    self.rho_cells[rank].set(sys, 0, self.rho);
-                    if iter.is_multiple_of(self.cfg.ckpt_period) {
-                        self.ck_iters[rank].set(sys, 0, iter);
-                        let regions = self.regions[rank].clone();
-                        self.ckpts[rank].checkpoint(sys, &regions);
-                    }
-                }
-            }
+            let segments = [self.x_r[rank], self.r_r[rank], self.p_r[rank]];
+            self.mech.commit(
+                cl.system_mut(rank),
+                rank,
+                iter,
+                Some(self.rho),
+                |sys, slot| store_segments(sys, segments, slot, m),
+            );
         }
-    }
-
-    /// Coordinated rollback. The checkpoints must agree rank-to-rank
-    /// (iterate and `rho` alike); a rank without a valid level cannot be
-    /// repaired by formula here — the iterate is data-dependent — and the
-    /// setup checkpoint always exists, so that case is a protocol bug.
-    fn restart_rollback(&mut self, cl: &mut Cluster, failed: usize) -> (bool, u64) {
-        self.ckpts[failed] = MemCheckpoint::attach(self.layouts[failed], false);
-        let mut restored: Vec<(u64, f64)> = Vec::with_capacity(self.cfg.ranks);
-        for r in 0..self.cfg.ranks {
-            let sys = cl.system_mut(r);
-            let prev = sys.clock_mut().set_bucket(Bucket::Resume);
-            let got = self.ckpts[r].restore(sys, &self.regions[r]);
-            assert!(got.is_some(), "the setup checkpoint always exists");
-            restored.push((self.ck_iters[r].get(sys, 0), self.rho_cells[r].get(sys, 0)));
-            sys.clock_mut().set_bucket(prev);
-        }
-        let (cc, rho) = restored[0];
-        assert!(
-            restored
-                .iter()
-                .all(|&(i, p)| i == cc && p.to_bits() == rho.to_bits()),
-            "coordinated checkpoints disagree across ranks: {restored:?}"
-        );
-        self.rho = rho;
-        cl.barrier();
-        (false, cc)
     }
 
     fn recover(&mut self, cl: &mut Cluster, crash: CrashInfo) -> Recovery {
-        let frontier = crash.frontier();
-        let remote_restore_bytes = if crash.node_loss {
-            assert!(
-                matches!(self.cfg.mode, RecoveryMode::AlgorithmDirected),
-                "node-loss trials require AlgorithmDirected recovery"
-            );
-            let timing = self
-                .cfg
-                .remote
-                .expect("node-loss trials require a remote level");
-            cl.reboot_rank_lost(crash.rank);
-            let regions = self.remote_regions(crash.rank);
-            let seq = MultilevelCheckpoint::restore_from_remote(
-                cl.system_mut(crash.rank),
-                &regions,
-                &self.remotes[crash.rank],
-                timing,
-            )
-            .expect("the remote level is shipped at setup");
-            debug_assert_eq!(seq, frontier, "the remote ships every commit");
-            self.remotes[crash.rank].bytes() as u64
-        } else {
-            cl.reboot_rank(crash.rank, &crash.image);
-            0
-        };
-        match self.cfg.mode {
-            RecoveryMode::AlgorithmDirected => {
-                let rank = crash.rank;
-                let m = self.m;
-                let sys = cl.system_mut(rank);
-                let prev = sys.clock_mut().set_bucket(Bucket::Detect);
-                let c = self.counters[rank].get(sys);
-                debug_assert_eq!(c, frontier, "extended counter trails the frontier");
-                sys.clock_mut().set_bucket(Bucket::Resume);
-                let parity = (c % 2) as usize;
-                let slot = self.slots[rank][parity];
-                for j in 0..m {
-                    let x = slot.get(sys, j);
-                    let r = slot.get(sys, m + j);
-                    let pv = slot.get(sys, 2 * m + j);
-                    self.x_r[rank].set(sys, j, x);
-                    self.r_r[rank].set(sys, j, r);
-                    self.p_r[rank].set(sys, j, pv);
-                }
-                // `rho` is global state; the failed rank's persisted copy
-                // matches the survivors' volatile one at the frontier.
-                self.rho = self.slot_rho[rank].get(sys, parity);
-                sys.clock_mut().set_bucket(prev);
-                if crash.site.phase == sites::PH_MID {
-                    // The in-flight superstep's replicated `p` was
-                    // allgathered at its start and wiped on the failed
-                    // rank: survivors re-send their segments to it only.
-                    self.segment_assist(cl, rank);
-                }
-                cl.barrier();
-                let mut plan = crate::trial::algorithm_directed_plan(&crash);
-                plan.remote_restore_bytes = remote_restore_bytes;
-                plan
-            }
-            RecoveryMode::GlobalRestart => crate::trial::global_restart_recover(self, cl, &crash),
-        }
+        crate::persist::recover(self, cl, crash)
     }
 
     fn solution(&self, cl: &Cluster) -> Vec<f64> {
@@ -633,37 +477,11 @@ impl DistKernel for DistCg {
         out
     }
 
-    /// Dirty reboot: under AlgorithmDirected, load whatever parity slot
-    /// the raw counter names — no detection pass, no segment assist; the
-    /// global `rho` keeps the survivors' volatile copy. Under
-    /// GlobalRestart nothing is consulted: the segments stay as the reboot
-    /// left them (zeros) and the Krylov recurrence continues on the mixed
-    /// state — exactly the hazard the resilience sweep measures.
+    /// A dirty reboot under GlobalRestart leaves the segments as zeros and
+    /// the Krylov recurrence continues on the mixed state — exactly the
+    /// hazard the resilience sweep measures.
     fn dirty_reboot(&mut self, cl: &mut Cluster, crash: &CrashInfo) -> u64 {
-        let rank = crash.rank;
-        if crash.node_loss {
-            cl.reboot_rank_lost(rank);
-        } else {
-            cl.reboot_rank(rank, &crash.image);
-        }
-        if let RecoveryMode::AlgorithmDirected = self.cfg.mode {
-            let m = self.m;
-            let sys = cl.system_mut(rank);
-            let prev = sys.clock_mut().set_bucket(Bucket::Resume);
-            let c = self.counters[rank].get(sys);
-            let slot = self.slots[rank][(c % 2) as usize];
-            for j in 0..m {
-                let x = slot.get(sys, j);
-                let r = slot.get(sys, m + j);
-                let pv = slot.get(sys, 2 * m + j);
-                self.x_r[rank].set(sys, j, x);
-                self.r_r[rank].set(sys, j, r);
-                self.p_r[rank].set(sys, j, pv);
-            }
-            sys.clock_mut().set_bucket(prev);
-        }
-        cl.barrier();
-        crash.frontier() + 1
+        crate::persist::dirty_reboot(self, cl, crash)
     }
 
     /// `x ‖ r ‖ p` per rank plus the global `rho`: `q` and the replicated
@@ -692,6 +510,7 @@ impl DistKernel for DistCg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sites;
     use crate::trial::run_dist_trial;
     use adcc_sim::crash::{CrashSite, CrashTrigger};
 

@@ -7,28 +7,22 @@
 //! with up to eight neighbors (edges feed the 5-point update; corners are
 //! exchanged too so the halo ring is complete and the decomposition
 //! generalizes past 5-point), averages its block's neighborhoods, then
-//! persists per its mechanism — the same double-buffered-iterate
-//! (AlgorithmDirected) versus coordinated [`MemCheckpoint`]
-//! (GlobalRestart) pair as [`crate::stencil`], but with row/column-sized
-//! halos, so the traffic gap between the two recovery modes is measured
-//! on a genuinely 2-D workload. A `1 × p` grid degenerates to the seed's
-//! row striping with an identical message schedule.
-//!
-//! With a remote level configured, AlgorithmDirected also ships its
-//! slots and counter off-node every commit, so a whole-node loss falls
-//! back to [`MultilevelCheckpoint::restore_from_remote`] and still
-//! recovers exactly.
+//! hands the new iterate to its [`Mechanism`] — the same
+//! double-buffered-iterate (AlgorithmDirected) versus coordinated
+//! checkpoint (GlobalRestart) pair as [`crate::stencil`] (see
+//! [`crate::persist`]), but with row/column-sized halos, so the traffic
+//! gap between the two recovery modes is measured on a genuinely 2-D
+//! workload. A `1 × p` grid degenerates to the seed's row striping with
+//! an identical message schedule.
 
-use adcc_ckpt::mem::{MemCheckpoint, MemCheckpointLayout};
-use adcc_ckpt::multilevel::{MultilevelCheckpoint, RemoteStore, RemoteTiming};
-use adcc_sim::clock::Bucket;
-use adcc_sim::parray::{PArray, PScalar};
+use adcc_ckpt::multilevel::RemoteTiming;
+use adcc_sim::parray::PArray;
 use adcc_sim::system::{MemorySystem, SystemConfig};
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::grid::{Dir, GridCfg};
 use crate::net::{FaultProfile, NetTiming};
-use crate::sites;
+use crate::persist::{Mechanism, Partition, Partitioned};
 use crate::trial::{CrashInfo, DistKernel, Recovery, RecoveryMode};
 
 /// Fixed boundary values: top, bottom, left, right.
@@ -133,20 +127,8 @@ pub struct DistJacobi {
     x: Vec<PArray<f64>>,
     /// Volatile next iterate, `rows_b × cols_b`.
     x_new: Vec<PArray<f64>>,
-    /// NVM double-buffered interior slots (AlgorithmDirected).
-    slots: Vec<[PArray<f64>; 2]>,
-    /// NVM persisted iteration counters (AlgorithmDirected).
-    counters: Vec<PScalar<u64>>,
-    /// Per-rank checkpoint managers (GlobalRestart).
-    ckpts: Vec<MemCheckpoint>,
-    /// Their persistent layouts.
-    layouts: Vec<MemCheckpointLayout>,
-    /// Volatile iterate markers in the checkpoint payload.
-    ck_iters: Vec<PArray<u64>>,
-    /// Checkpoint regions per rank (the whole block + the marker).
-    regions: Vec<Vec<(u64, usize)>>,
-    /// Per-rank remote checkpoint stores (host-side; survive node loss).
-    remotes: Vec<RemoteStore>,
+    /// How the blocks are made durable and brought back.
+    mech: Mechanism,
 }
 
 impl DistJacobi {
@@ -248,97 +230,34 @@ impl DistJacobi {
             cols_b,
             x: Vec::new(),
             x_new: Vec::new(),
-            slots: Vec::new(),
-            counters: Vec::new(),
-            ckpts: Vec::new(),
-            layouts: Vec::new(),
-            ck_iters: Vec::new(),
-            regions: Vec::new(),
-            remotes: vec![RemoteStore::new(); cfg.ranks],
+            mech: Mechanism::new(cfg.mode, cfg.ckpt_period, cfg.remote),
             cfg,
         };
-        let interior = rows_b * cols_b;
         for r in 0..prog.cfg.ranks {
-            let (c, rw) = prog.cfg.grid.coords(r);
             let sys = cl.system_mut(r);
             let x = PArray::<f64>::alloc_dram(sys, (rows_b + 2) * (cols_b + 2));
-            let x_new = PArray::<f64>::alloc_dram(sys, interior);
+            let x_new = PArray::<f64>::alloc_dram(sys, rows_b * cols_b);
             prog.x.push(x);
             prog.x_new.push(x_new);
-            for i in 0..rows_b {
-                for j in 0..cols_b {
-                    x.set(
-                        sys,
-                        prog.idx(i + 1, j + 1),
-                        initial(rw * rows_b + i, c * cols_b + j),
-                    );
-                }
-            }
+            prog.reinit(sys, r);
             prog.set_boundaries(cl, r);
-            let sys = cl.system_mut(r);
-            match prog.cfg.mode {
-                RecoveryMode::AlgorithmDirected => {
-                    let slots = [
-                        PArray::<f64>::alloc_nvm(sys, interior),
-                        PArray::<f64>::alloc_nvm(sys, interior),
-                    ];
-                    for i in 0..rows_b {
-                        for j in 0..cols_b {
-                            let v = x.get(sys, prog.idx(i + 1, j + 1));
-                            slots[0].set(sys, i * cols_b + j, v);
-                        }
+            let part = Partition {
+                slot_len: rows_b * cols_b,
+                volatile: &[(x.base(), x.byte_len())],
+                statics: &[],
+                scalar: None,
+            };
+            let width = cols_b + 2;
+            prog.mech.add_rank(cl.system_mut(r), part, |sys, slot| {
+                for i in 0..rows_b {
+                    for j in 0..cols_b {
+                        let v = x.get(sys, (i + 1) * width + j + 1);
+                        slot.set(sys, i * cols_b + j, v);
                     }
-                    slots[0].persist_all(sys);
-                    sys.sfence();
-                    let counter = PScalar::<u64>::alloc_nvm(sys);
-                    counter.set(sys, 0);
-                    counter.persist(sys);
-                    sys.sfence();
-                    prog.slots.push(slots);
-                    prog.counters.push(counter);
-                    prog.ship_remote(cl, r, 0);
                 }
-                RecoveryMode::GlobalRestart => {
-                    let ck_iter = PArray::<u64>::alloc_dram(sys, 1);
-                    ck_iter.set(sys, 0, 0);
-                    let regions = vec![(x.base(), x.byte_len()), (ck_iter.base(), 8)];
-                    let mut ckpt = MemCheckpoint::new(sys, x.byte_len() + 8, false);
-                    ckpt.checkpoint(sys, &regions);
-                    prog.layouts.push(ckpt.layout());
-                    prog.ckpts.push(ckpt);
-                    prog.ck_iters.push(ck_iter);
-                    prog.regions.push(regions);
-                }
-            }
+            });
         }
         prog
-    }
-
-    /// The failed-rank state the remote level must rebuild: both iterate
-    /// slots plus the persisted counter (AlgorithmDirected).
-    fn remote_regions(&self, r: usize) -> Vec<(u64, usize)> {
-        let bytes = self.rows_b * self.cols_b * 8;
-        vec![
-            (self.slots[r][0].base(), bytes),
-            (self.slots[r][1].base(), bytes),
-            (self.counters[r].addr(), 8),
-        ]
-    }
-
-    /// Ship rank `r`'s slots + counter off-node as checkpoint `seq`, when
-    /// a remote level is configured (no-op otherwise).
-    fn ship_remote(&mut self, cl: &mut Cluster, r: usize, seq: u64) {
-        let Some(timing) = self.cfg.remote else {
-            return;
-        };
-        let regions = self.remote_regions(r);
-        MultilevelCheckpoint::ship_to_remote(
-            cl.system_mut(r),
-            &regions,
-            &mut self.remotes[r],
-            timing,
-            seq,
-        );
     }
 
     /// Exchange the halo ring with every grid neighbor: all sends in rank
@@ -378,12 +297,39 @@ impl DistJacobi {
             }
         }
     }
+}
 
-    /// Reset one rank's block to the (re-derivable) initial profile.
-    fn reinit_rank(&self, cl: &mut Cluster, r: usize) {
+impl Partitioned for DistJacobi {
+    fn mechanism(&mut self) -> &mut Mechanism {
+        &mut self.mech
+    }
+
+    fn load_slot(&self, sys: &mut MemorySystem, rank: usize, slot: PArray<f64>) {
+        for i in 0..self.rows_b {
+            for j in 0..self.cols_b {
+                let v = slot.get(sys, i * self.cols_b + j);
+                self.x[rank].set(sys, self.idx(i + 1, j + 1), v);
+            }
+        }
+    }
+
+    /// Fixed boundary cells are re-derivable; halo cells are not.
+    fn reconstruct(&mut self, cl: &mut Cluster, rank: usize, assist: bool) {
+        self.set_boundaries(cl, rank);
+        if assist {
+            self.halo_assist(cl, rank);
+        }
+    }
+
+    /// The plate's fixed boundary cells are constants of the program
+    /// text; halo cells facing neighbors are refilled by the resumed
+    /// superstep's opening exchange.
+    fn dirty_constants(&self, cl: &mut Cluster, rank: usize) {
+        self.set_boundaries(cl, rank);
+    }
+
+    fn reinit(&self, sys: &mut MemorySystem, r: usize) {
         let (c, rw) = self.cfg.grid.coords(r);
-        let sys = cl.system_mut(r);
-        let prev = sys.clock_mut().set_bucket(Bucket::Resume);
         for i in 0..self.rows_b {
             for j in 0..self.cols_b {
                 self.x[r].set(
@@ -393,9 +339,6 @@ impl DistJacobi {
                 );
             }
         }
-        self.ck_iters[r].set(sys, 0, 0);
-        sys.clock_mut().set_bucket(prev);
-        self.set_boundaries(cl, r);
     }
 }
 
@@ -440,110 +383,18 @@ impl DistKernel for DistJacobi {
                     self.x[r].set(sys, self.idx(i + 1, j + 1), v);
                 }
             }
-            match self.cfg.mode {
-                RecoveryMode::AlgorithmDirected => {
-                    let slot = self.slots[r][(iter % 2) as usize];
-                    for k in 0..rb * cb {
-                        let v = self.x_new[r].get(sys, k);
-                        slot.set(sys, k, v);
-                    }
-                    slot.persist_all(sys);
-                    sys.sfence();
-                    self.counters[r].set(sys, iter);
-                    self.counters[r].persist(sys);
-                    sys.sfence();
-                    self.ship_remote(cl, r, iter);
+            let x_new = self.x_new[r];
+            self.mech.commit(sys, r, iter, None, |sys, slot| {
+                for k in 0..rb * cb {
+                    let v = x_new.get(sys, k);
+                    slot.set(sys, k, v);
                 }
-                RecoveryMode::GlobalRestart => {
-                    if iter.is_multiple_of(self.cfg.ckpt_period) {
-                        self.ck_iters[r].set(sys, 0, iter);
-                        let regions = self.regions[r].clone();
-                        self.ckpts[r].checkpoint(sys, &regions);
-                    }
-                }
-            }
+            });
         }
-    }
-
-    /// Coordinated rollback (shared [`crate::trial::coordinated_restore`]
-    /// pass): any rank without a valid level drags the whole cluster back
-    /// to the re-derivable iterate 0.
-    fn restart_rollback(&mut self, cl: &mut Cluster, failed: usize) -> (bool, u64) {
-        let restored = crate::trial::coordinated_restore(
-            cl,
-            failed,
-            &mut self.ckpts,
-            &self.layouts,
-            &self.regions,
-            &self.ck_iters,
-        );
-        let (detected, cc) = match restored {
-            Some(cc) => (false, cc),
-            None => {
-                for r in 0..self.cfg.ranks {
-                    self.reinit_rank(cl, r);
-                }
-                (true, 0)
-            }
-        };
-        cl.barrier();
-        (detected, cc)
     }
 
     fn recover(&mut self, cl: &mut Cluster, crash: CrashInfo) -> Recovery {
-        let frontier = crash.frontier();
-        let remote_restore_bytes = if crash.node_loss {
-            assert!(
-                matches!(self.cfg.mode, RecoveryMode::AlgorithmDirected),
-                "node-loss trials run the algorithm-directed mechanism"
-            );
-            let timing = self
-                .cfg
-                .remote
-                .expect("node-loss trials require a remote level");
-            cl.reboot_rank_lost(crash.rank);
-            let regions = self.remote_regions(crash.rank);
-            let seq = MultilevelCheckpoint::restore_from_remote(
-                cl.system_mut(crash.rank),
-                &regions,
-                &self.remotes[crash.rank],
-                timing,
-            )
-            .expect("the remote level is shipped at setup");
-            debug_assert_eq!(seq, frontier, "the remote ships every commit");
-            self.remotes[crash.rank].bytes() as u64
-        } else {
-            cl.reboot_rank(crash.rank, &crash.image);
-            0
-        };
-        match self.cfg.mode {
-            RecoveryMode::AlgorithmDirected => {
-                let rank = crash.rank;
-                let sys = cl.system_mut(rank);
-                let prev = sys.clock_mut().set_bucket(Bucket::Detect);
-                let c = self.counters[rank].get(sys);
-                debug_assert_eq!(c, frontier, "extended counter trails the frontier");
-                sys.clock_mut().set_bucket(Bucket::Resume);
-                let slot = self.slots[rank][(c % 2) as usize];
-                for i in 0..self.rows_b {
-                    for j in 0..self.cols_b {
-                        let v = slot.get(sys, i * self.cols_b + j);
-                        self.x[rank].set(sys, self.idx(i + 1, j + 1), v);
-                    }
-                }
-                sys.clock_mut().set_bucket(prev);
-                // Fixed boundary cells are re-derivable; halo cells are not.
-                self.set_boundaries(cl, rank);
-                if crash.site.phase == sites::PH_MID {
-                    self.halo_assist(cl, rank);
-                }
-                cl.barrier();
-                let mut plan = crate::trial::algorithm_directed_plan(&crash);
-                plan.remote_restore_bytes = remote_restore_bytes;
-                plan
-            }
-            RecoveryMode::GlobalRestart => crate::trial::global_restart_recover(self, cl, &crash),
-        }
+        crate::persist::recover(self, cl, crash)
     }
 
     fn solution(&self, cl: &Cluster) -> Vec<f64> {
@@ -558,35 +409,8 @@ impl DistKernel for DistJacobi {
         out
     }
 
-    /// Dirty reboot: under AlgorithmDirected, load whatever parity slot
-    /// the raw counter names — no detection pass, no halo assist. Under
-    /// GlobalRestart the block stays as the reboot left it (zeros). The
-    /// plate's fixed boundary cells are constants of the program text, so
-    /// both modes re-set them; halo cells facing neighbors are refilled by
-    /// the resumed superstep's opening exchange.
     fn dirty_reboot(&mut self, cl: &mut Cluster, crash: &CrashInfo) -> u64 {
-        let rank = crash.rank;
-        if crash.node_loss {
-            cl.reboot_rank_lost(rank);
-        } else {
-            cl.reboot_rank(rank, &crash.image);
-        }
-        if let RecoveryMode::AlgorithmDirected = self.cfg.mode {
-            let sys = cl.system_mut(rank);
-            let prev = sys.clock_mut().set_bucket(Bucket::Resume);
-            let c = self.counters[rank].get(sys);
-            let slot = self.slots[rank][(c % 2) as usize];
-            for i in 0..self.rows_b {
-                for j in 0..self.cols_b {
-                    let v = slot.get(sys, i * self.cols_b + j);
-                    self.x[rank].set(sys, self.idx(i + 1, j + 1), v);
-                }
-            }
-            sys.clock_mut().set_bucket(prev);
-        }
-        self.set_boundaries(cl, rank);
-        cl.barrier();
-        crash.frontier() + 1
+        crate::persist::dirty_reboot(self, cl, crash)
     }
 
     /// The full working block, halo ring included: `x_new` is fully
@@ -648,6 +472,7 @@ pub fn jacobi_host(rows: usize, cols: usize, iters: u64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sites;
     use crate::trial::run_dist_trial;
     use adcc_sim::crash::{CrashSite, CrashTrigger};
 

@@ -44,10 +44,14 @@
 //!   [`adcc_sim::crash::CrashEmulator`]s plus the fabric; send/recv,
 //!   allreduce, barrier, rank crash + reboot-from-image.
 //! * [`trial`] — the shared trial driver: run a kernel forward, inject the
-//!   armed rank crash, recover in either [`trial::RecoveryMode`], measure
-//!   recovery traffic, roll per-rank telemetry into cluster totals.
+//!   armed rank crash, hand it to the kernel's recovery, measure recovery
+//!   traffic, roll per-rank telemetry into cluster totals. No persist code.
+//! * [`persist`] — the one statement of both [`trial::RecoveryMode`]
+//!   protocols: what a commit makes durable in which order, and how a
+//!   failed rank (or a lost node) is brought back from it.
 //! * [`stencil`] / [`jacobi`] / [`cg`] — the distributed kernels:
 //!   halo-exchange 1-D heat, halo-exchange 2-D Jacobi, allreduce CG.
+//!   Arithmetic, exchange/assist and copy loops only.
 
 #![deny(missing_docs)]
 
@@ -56,6 +60,7 @@ pub mod cluster;
 pub mod grid;
 pub mod jacobi;
 pub mod net;
+pub mod persist;
 pub mod stencil;
 pub mod trial;
 

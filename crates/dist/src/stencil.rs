@@ -7,34 +7,27 @@
 //! ordering exactly, and on a 2-D grid every chain hop is still a
 //! physical grid edge. Every superstep each rank updates its chunk from
 //! its own cells plus one halo cell per side (received from the chain
-//! neighbors at the superstep's opening exchange), then persists per its
-//! mechanism:
+//! neighbors at the superstep's opening exchange), then hands the new
+//! iterate to its [`Mechanism`] (see [`crate::persist`] for the two
+//! protocols):
 //!
-//! * **AlgorithmDirected** — the new iterate is written into a
-//!   double-buffered NVM slot pair plus a persisted iteration counter (the
-//!   paper's "naturally consistent data, flushed where the algorithm says
-//!   so", lifted to a partition). Recovery rebuilds the failed rank's
-//!   partition from its own NVM residue; the neighbors re-send the one
-//!   halo cell each that the crash wiped. With a remote level configured,
-//!   the slots + counter are also shipped off-node every commit, so a
-//!   whole-**node** loss (NVM gone too) falls back to
-//!   [`MultilevelCheckpoint::restore_from_remote`] and still recovers
-//!   exactly.
-//! * **GlobalRestart** — a coordinated [`MemCheckpoint`] of the volatile
-//!   partition every `ckpt_period` supersteps. Recovery rolls the whole
-//!   cluster back and re-executes every lost superstep, halo exchanges
-//!   included.
+//! * **AlgorithmDirected** — recovery rebuilds the failed rank's
+//!   partition from its own NVM residue (or, after a whole-node loss, the
+//!   remote level); the neighbors re-send the one halo cell each that the
+//!   crash wiped.
+//! * **GlobalRestart** — recovery rolls the whole cluster back to the
+//!   last coordinated checkpoint and re-executes every lost superstep,
+//!   halo exchanges included.
 
-use adcc_ckpt::mem::{MemCheckpoint, MemCheckpointLayout};
-use adcc_ckpt::multilevel::{MultilevelCheckpoint, RemoteStore, RemoteTiming};
+use adcc_ckpt::multilevel::RemoteTiming;
 use adcc_sim::clock::Bucket;
-use adcc_sim::parray::{PArray, PScalar};
-use adcc_sim::system::SystemConfig;
+use adcc_sim::parray::PArray;
+use adcc_sim::system::{MemorySystem, SystemConfig};
 
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::grid::GridCfg;
 use crate::net::{FaultProfile, NetTiming};
-use crate::sites;
+use crate::persist::{Mechanism, Partition, Partitioned};
 use crate::trial::{CrashInfo, DistKernel, Recovery, RecoveryMode};
 
 /// Fixed boundary value at the left end of the rod.
@@ -137,21 +130,8 @@ pub struct DistStencil {
     x: Vec<PArray<f64>>,
     /// Volatile next iterate, `m` cells.
     x_new: Vec<PArray<f64>>,
-    /// NVM double-buffered iterate slots (AlgorithmDirected).
-    slots: Vec<[PArray<f64>; 2]>,
-    /// NVM persisted iteration counters (AlgorithmDirected).
-    counters: Vec<PScalar<u64>>,
-    /// Per-rank checkpoint managers (GlobalRestart).
-    ckpts: Vec<MemCheckpoint>,
-    /// Their persistent layouts (for post-crash re-attachment).
-    layouts: Vec<MemCheckpointLayout>,
-    /// Volatile iterate markers included in the checkpoint payload.
-    ck_iters: Vec<PArray<u64>>,
-    /// Checkpoint regions per rank.
-    regions: Vec<Vec<(u64, usize)>>,
-    /// Per-rank remote checkpoint stores (host-side: they model storage
-    /// *outside* the node, so they survive node loss by construction).
-    remotes: Vec<RemoteStore>,
+    /// How the partitions are made durable and brought back.
+    mech: Mechanism,
 }
 
 impl DistStencil {
@@ -170,96 +150,45 @@ impl DistStencil {
             m,
             x: Vec::new(),
             x_new: Vec::new(),
-            slots: Vec::new(),
-            counters: Vec::new(),
-            ckpts: Vec::new(),
-            layouts: Vec::new(),
-            ck_iters: Vec::new(),
-            regions: Vec::new(),
-            remotes: vec![RemoteStore::new(); cfg.ranks],
+            mech: Mechanism::new(cfg.mode, cfg.ckpt_period, cfg.remote),
             cfg,
         };
         for r in 0..prog.cfg.ranks {
-            let pos = prog.cfg.grid.chain_pos(r);
             let sys = cl.system_mut(r);
             let x = PArray::<f64>::alloc_dram(sys, m + 2);
             let x_new = PArray::<f64>::alloc_dram(sys, m);
-            for j in 0..m {
-                x.set(sys, j + 1, initial(pos * m + j));
-            }
-            x.set(sys, 0, if pos == 0 { LEFT_B } else { 0.0 });
-            x.set(
-                sys,
-                m + 1,
-                if pos == prog.cfg.ranks - 1 {
-                    RIGHT_B
-                } else {
-                    0.0
-                },
-            );
             prog.x.push(x);
             prog.x_new.push(x_new);
-            match prog.cfg.mode {
-                RecoveryMode::AlgorithmDirected => {
-                    let slots = [
-                        PArray::<f64>::alloc_nvm(sys, m),
-                        PArray::<f64>::alloc_nvm(sys, m),
-                    ];
-                    for j in 0..m {
-                        let v = x.get(sys, j + 1);
-                        slots[0].set(sys, j, v);
-                    }
-                    slots[0].persist_all(sys);
-                    sys.sfence();
-                    let counter = PScalar::<u64>::alloc_nvm(sys);
-                    counter.set(sys, 0);
-                    counter.persist(sys);
-                    sys.sfence();
-                    prog.slots.push(slots);
-                    prog.counters.push(counter);
-                    prog.ship_remote(cl, r, 0);
+            prog.reinit(sys, r);
+            prog.set_rod_ends(sys, r);
+            let part = Partition {
+                slot_len: m,
+                volatile: &[(x.addr(1), m * 8)],
+                statics: &[],
+                scalar: None,
+            };
+            prog.mech.add_rank(sys, part, |sys, slot| {
+                for j in 0..m {
+                    let v = x.get(sys, j + 1);
+                    slot.set(sys, j, v);
                 }
-                RecoveryMode::GlobalRestart => {
-                    let ck_iter = PArray::<u64>::alloc_dram(sys, 1);
-                    ck_iter.set(sys, 0, 0);
-                    let regions = vec![(x.addr(1), m * 8), (ck_iter.base(), 8)];
-                    let mut ckpt = MemCheckpoint::new(sys, m * 8 + 8, false);
-                    ckpt.checkpoint(sys, &regions);
-                    prog.layouts.push(ckpt.layout());
-                    prog.ckpts.push(ckpt);
-                    prog.ck_iters.push(ck_iter);
-                    prog.regions.push(regions);
-                }
-            }
+            });
         }
         prog
     }
 
-    /// The failed-rank state the remote level must be able to rebuild:
-    /// both iterate slots plus the persisted counter (AlgorithmDirected).
-    fn remote_regions(&self, r: usize) -> Vec<(u64, usize)> {
-        vec![
-            (self.slots[r][0].base(), self.m * 8),
-            (self.slots[r][1].base(), self.m * 8),
-            (self.counters[r].addr(), 8),
-        ]
-    }
-
-    /// Ship rank `r`'s slots + counter off-node as checkpoint `seq`, when
-    /// a remote level is configured (no-op otherwise, so default runs are
-    /// byte-identical to pre-remote builds).
-    fn ship_remote(&mut self, cl: &mut Cluster, r: usize, seq: u64) {
-        let Some(timing) = self.cfg.remote else {
-            return;
+    /// Set `r`'s two halo cells to what the program text fixes them at:
+    /// the rod's boundary values on the chain's end ranks, zero elsewhere
+    /// (refilled by the next exchange).
+    fn set_rod_ends(&self, sys: &mut MemorySystem, r: usize) {
+        let pos = self.cfg.grid.chain_pos(r);
+        self.x[r].set(sys, 0, if pos == 0 { LEFT_B } else { 0.0 });
+        let right = if pos == self.cfg.ranks - 1 {
+            RIGHT_B
+        } else {
+            0.0
         };
-        let regions = self.remote_regions(r);
-        MultilevelCheckpoint::ship_to_remote(
-            cl.system_mut(r),
-            &regions,
-            &mut self.remotes[r],
-            timing,
-            seq,
-        );
+        self.x[r].set(sys, self.m + 1, right);
     }
 
     /// Exchange boundary cells into the chain neighbors' halos (fixed rod
@@ -319,17 +248,42 @@ impl DistStencil {
             self.x[rank].set(cl.system_mut(rank), m + 1, RIGHT_B);
         }
     }
+}
 
-    /// Reset one rank's partition to the (re-derivable) initial profile.
-    fn reinit_rank(&self, cl: &mut Cluster, r: usize) {
-        let pos = self.cfg.grid.chain_pos(r);
-        let sys = cl.system_mut(r);
+impl Partitioned for DistStencil {
+    fn mechanism(&mut self) -> &mut Mechanism {
+        &mut self.mech
+    }
+
+    fn load_slot(&self, sys: &mut MemorySystem, rank: usize, slot: PArray<f64>) {
+        for j in 0..self.m {
+            let v = slot.get(sys, j);
+            self.x[rank].set(sys, j + 1, v);
+        }
+    }
+
+    /// The in-flight superstep's halos were exchanged at its start and
+    /// wiped on the failed rank: neighbors re-send.
+    fn reconstruct(&mut self, cl: &mut Cluster, rank: usize, assist: bool) {
+        if assist {
+            self.halo_assist(cl, rank);
+        }
+    }
+
+    /// Only the fixed rod boundary — a constant of the program text, not
+    /// recovered state — is re-set, inside the reboot's resume window.
+    fn dirty_constants(&self, cl: &mut Cluster, rank: usize) {
+        let sys = cl.system_mut(rank);
         let prev = sys.clock_mut().set_bucket(Bucket::Resume);
+        self.set_rod_ends(sys, rank);
+        sys.clock_mut().set_bucket(prev);
+    }
+
+    fn reinit(&self, sys: &mut MemorySystem, r: usize) {
+        let pos = self.cfg.grid.chain_pos(r);
         for j in 0..self.m {
             self.x[r].set(sys, j + 1, initial(pos * self.m + j));
         }
-        self.ck_iters[r].set(sys, 0, 0);
-        sys.clock_mut().set_bucket(prev);
     }
 }
 
@@ -370,111 +324,18 @@ impl DistKernel for DistStencil {
                 let v = self.x_new[r].get(sys, j);
                 self.x[r].set(sys, j + 1, v);
             }
-            match self.cfg.mode {
-                RecoveryMode::AlgorithmDirected => {
-                    let slot = self.slots[r][(iter % 2) as usize];
-                    for j in 0..m {
-                        let v = self.x_new[r].get(sys, j);
-                        slot.set(sys, j, v);
-                    }
-                    slot.persist_all(sys);
-                    sys.sfence();
-                    self.counters[r].set(sys, iter);
-                    self.counters[r].persist(sys);
-                    sys.sfence();
-                    self.ship_remote(cl, r, iter);
+            let x_new = self.x_new[r];
+            self.mech.commit(sys, r, iter, None, |sys, slot| {
+                for j in 0..m {
+                    let v = x_new.get(sys, j);
+                    slot.set(sys, j, v);
                 }
-                RecoveryMode::GlobalRestart => {
-                    if iter.is_multiple_of(self.cfg.ckpt_period) {
-                        self.ck_iters[r].set(sys, 0, iter);
-                        let regions = self.regions[r].clone();
-                        self.ckpts[r].checkpoint(sys, &regions);
-                    }
-                }
-            }
+            });
         }
-    }
-
-    /// Coordinated rollback (shared [`crate::trial::coordinated_restore`]
-    /// pass): any rank without a valid level drags the whole cluster back
-    /// to the re-derivable iterate 0.
-    fn restart_rollback(&mut self, cl: &mut Cluster, failed: usize) -> (bool, u64) {
-        let restored = crate::trial::coordinated_restore(
-            cl,
-            failed,
-            &mut self.ckpts,
-            &self.layouts,
-            &self.regions,
-            &self.ck_iters,
-        );
-        let (detected, cc) = match restored {
-            Some(cc) => (false, cc),
-            None => {
-                for r in 0..self.cfg.ranks {
-                    self.reinit_rank(cl, r);
-                }
-                (true, 0)
-            }
-        };
-        cl.barrier();
-        (detected, cc)
     }
 
     fn recover(&mut self, cl: &mut Cluster, crash: CrashInfo) -> Recovery {
-        let frontier = crash.frontier();
-        let remote_restore_bytes = if crash.node_loss {
-            // The node took its NVM with it: reboot blank and rebuild the
-            // slots + counter from the remote level before the normal
-            // algorithm-directed restore below reads them.
-            assert!(
-                matches!(self.cfg.mode, RecoveryMode::AlgorithmDirected),
-                "node-loss trials run the algorithm-directed mechanism"
-            );
-            let timing = self
-                .cfg
-                .remote
-                .expect("node-loss trials require a remote level");
-            cl.reboot_rank_lost(crash.rank);
-            let regions = self.remote_regions(crash.rank);
-            let seq = MultilevelCheckpoint::restore_from_remote(
-                cl.system_mut(crash.rank),
-                &regions,
-                &self.remotes[crash.rank],
-                timing,
-            )
-            .expect("the remote level is shipped at setup");
-            debug_assert_eq!(seq, frontier, "the remote ships every commit");
-            self.remotes[crash.rank].bytes() as u64
-        } else {
-            cl.reboot_rank(crash.rank, &crash.image);
-            0
-        };
-        match self.cfg.mode {
-            RecoveryMode::AlgorithmDirected => {
-                let rank = crash.rank;
-                let sys = cl.system_mut(rank);
-                let prev = sys.clock_mut().set_bucket(Bucket::Detect);
-                let c = self.counters[rank].get(sys);
-                debug_assert_eq!(c, frontier, "extended counter trails the frontier");
-                sys.clock_mut().set_bucket(Bucket::Resume);
-                let slot = self.slots[rank][(c % 2) as usize];
-                for j in 0..self.m {
-                    let v = slot.get(sys, j);
-                    self.x[rank].set(sys, j + 1, v);
-                }
-                sys.clock_mut().set_bucket(prev);
-                if crash.site.phase == sites::PH_MID {
-                    // The in-flight superstep's halos were exchanged at its
-                    // start and wiped on the failed rank: neighbors re-send.
-                    self.halo_assist(cl, rank);
-                }
-                cl.barrier();
-                let mut plan = crate::trial::algorithm_directed_plan(&crash);
-                plan.remote_restore_bytes = remote_restore_bytes;
-                plan
-            }
-            RecoveryMode::GlobalRestart => crate::trial::global_restart_recover(self, cl, &crash),
-        }
+        crate::persist::recover(self, cl, crash)
     }
 
     fn solution(&self, cl: &Cluster) -> Vec<f64> {
@@ -489,43 +350,8 @@ impl DistKernel for DistStencil {
         out
     }
 
-    /// Dirty reboot: under AlgorithmDirected, load whatever parity slot
-    /// the raw counter names — no detection pass, no frontier
-    /// cross-check, no halo assist. Under GlobalRestart the checkpoint is
-    /// a mechanism and dirty restarts run without one, so the partition
-    /// stays as the reboot left it (zeros); only the fixed rod boundary —
-    /// a constant of the program text, not recovered state — is re-set.
     fn dirty_reboot(&mut self, cl: &mut Cluster, crash: &CrashInfo) -> u64 {
-        let rank = crash.rank;
-        if crash.node_loss {
-            cl.reboot_rank_lost(rank);
-        } else {
-            cl.reboot_rank(rank, &crash.image);
-        }
-        let pos = self.cfg.grid.chain_pos(rank);
-        let sys = cl.system_mut(rank);
-        let prev = sys.clock_mut().set_bucket(Bucket::Resume);
-        if let RecoveryMode::AlgorithmDirected = self.cfg.mode {
-            let c = self.counters[rank].get(sys);
-            let slot = self.slots[rank][(c % 2) as usize];
-            for j in 0..self.m {
-                let v = slot.get(sys, j);
-                self.x[rank].set(sys, j + 1, v);
-            }
-        }
-        self.x[rank].set(sys, 0, if pos == 0 { LEFT_B } else { 0.0 });
-        self.x[rank].set(
-            sys,
-            self.m + 1,
-            if pos == self.cfg.ranks - 1 {
-                RIGHT_B
-            } else {
-                0.0
-            },
-        );
-        sys.clock_mut().set_bucket(prev);
-        cl.barrier();
-        crash.frontier() + 1
+        crate::persist::dirty_reboot(self, cl, crash)
     }
 
     /// The full working iterate, halos included: `x_new` is fully
@@ -564,6 +390,7 @@ pub fn stencil_host(cells: usize, iters: u64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sites;
     use crate::trial::run_dist_trial;
     use adcc_sim::crash::{CrashSite, CrashTrigger};
 

@@ -132,16 +132,11 @@ pub trait DistKernel {
     /// always in rank order.
     fn commit(&mut self, cl: &mut Cluster, iter: u64);
 
-    /// Coordinated rollback of the GlobalRestart mechanism: re-attach the
-    /// `failed` rank's checkpoint area, restore every rank, and return
-    /// `(detected, restored_iterate)` — the iterate must be globally
-    /// agreed (see [`global_restart_recover`], which re-executes from it).
-    fn restart_rollback(&mut self, cl: &mut Cluster, failed: usize) -> (bool, u64);
-
     /// Repair the failure: reboot the rank from its image and bring the
     /// cluster back to the pre-crash frontier under this kernel's
-    /// [`RecoveryMode`]. Everything charged here (and every message sent)
-    /// is the price of recovery.
+    /// [`RecoveryMode`] ([`crate::persist::recover`] is the body).
+    /// Everything charged here (and every message sent) is the price of
+    /// recovery.
     fn recover(&mut self, cl: &mut Cluster, crash: CrashInfo) -> Recovery;
 
     /// Gather the global solution (uncharged peek; classification only).
@@ -163,7 +158,8 @@ pub trait DistKernel {
     /// (always the frontier's successor, with a full opening exchange).
     /// Survivor ranks keep their volatile state untouched. Nothing here
     /// may assert on the state it finds: torn, stale, or blank residue is
-    /// the input, and the classification ladder is the judge.
+    /// the input, and the classification ladder is the judge
+    /// ([`crate::persist::dirty_reboot`] is the body).
     fn dirty_reboot(&mut self, cl: &mut Cluster, crash: &CrashInfo) -> u64;
 }
 
@@ -209,117 +205,6 @@ pub fn run_superstep<K: DistKernel + ?Sized>(
     }
     cl.barrier();
     None
-}
-
-/// The resume plan shared by every kernel's AlgorithmDirected arm: a
-/// mid-superstep crash re-runs the in-flight superstep without its
-/// opening exchange (recovery already reconstructed the failed rank's
-/// halos/segments; the survivors' volatile copies are still valid), an
-/// end-of-superstep crash resumes at the next superstep with a full
-/// exchange. Nothing is lost either way — the restored iterate *is* the
-/// frontier.
-pub fn algorithm_directed_plan(crash: &CrashInfo) -> Recovery {
-    if crash.site.phase == sites::PH_MID {
-        Recovery {
-            detected: false,
-            lost_units: 0,
-            resume_iter: crash.iter,
-            resume_exchange: false,
-            remote_restore_bytes: 0,
-        }
-    } else {
-        Recovery {
-            detected: false,
-            lost_units: 0,
-            resume_iter: crash.iter + 1,
-            resume_exchange: true,
-            remote_restore_bytes: 0,
-        }
-    }
-}
-
-/// The coordinated-restore pass shared by the grid kernels'
-/// [`DistKernel::restart_rollback`]: re-attach the failed rank's
-/// checkpoint area, restore every rank under
-/// [`adcc_sim::clock::Bucket::Resume`], and return the globally agreed
-/// checkpoint iterate — or `None` when any rank lacks a valid level, in
-/// which case the caller must drag the **whole cluster** back to a
-/// re-derivable iterate 0 (a partial rollback would mix iterates).
-/// Panics if the restored iterates disagree: coordinated checkpoints are
-/// taken between the same poll boundaries on every rank, so disagreement
-/// is a protocol bug, never a recoverable state.
-pub fn coordinated_restore(
-    cl: &mut Cluster,
-    failed: usize,
-    ckpts: &mut [adcc_ckpt::mem::MemCheckpoint],
-    layouts: &[adcc_ckpt::mem::MemCheckpointLayout],
-    regions: &[Vec<(u64, usize)>],
-    ck_iters: &[adcc_sim::parray::PArray<u64>],
-) -> Option<u64> {
-    use adcc_sim::clock::Bucket;
-    ckpts[failed] = adcc_ckpt::mem::MemCheckpoint::attach(layouts[failed], false);
-    let mut restored: Vec<Option<u64>> = Vec::with_capacity(cl.ranks());
-    for r in 0..cl.ranks() {
-        let sys = cl.system_mut(r);
-        let prev = sys.clock_mut().set_bucket(Bucket::Resume);
-        let got = ckpts[r]
-            .restore(sys, &regions[r])
-            .map(|_seq| ck_iters[r].get(sys, 0));
-        sys.clock_mut().set_bucket(prev);
-        restored.push(got);
-    }
-    let iters = restored.iter().copied().collect::<Option<Vec<u64>>>()?;
-    assert!(
-        iters.iter().all(|&i| i == iters[0]),
-        "coordinated checkpoints disagree across ranks: {iters:?}"
-    );
-    Some(iters[0])
-}
-
-/// The GlobalRestart arm shared by every kernel: coordinated rollback
-/// (the kernel's [`DistKernel::restart_rollback`] hook), then
-/// cluster-wide re-execution — full exchanges included, which is exactly
-/// the recovery traffic this mode pays — back to the pre-crash frontier.
-///
-/// Re-execution polls the same sites the lost forward window did, so a
-/// *second* armed failure can land mid-recovery. It is recovered
-/// recursively — each armed trigger fires at most once, so the cascade
-/// terminates — and its costs fold into the returned plan.
-pub fn global_restart_recover<K: DistKernel + ?Sized>(
-    kernel: &mut K,
-    cl: &mut Cluster,
-    crash: &CrashInfo,
-) -> Recovery {
-    let frontier = crash.frontier();
-    let ranks = cl.ranks() as u64;
-    let (detected, cc) = kernel.restart_rollback(cl, crash.rank);
-    debug_assert!(cc <= frontier);
-    let mut rec = Recovery {
-        detected,
-        lost_units: (frontier - cc) * ranks,
-        resume_iter: frontier + 1,
-        resume_exchange: true,
-        remote_restore_bytes: 0,
-    };
-    let mut k = cc + 1;
-    let mut exchange = true;
-    while k <= frontier {
-        match run_superstep(kernel, cl, k, exchange) {
-            None => {
-                k += 1;
-                exchange = true;
-            }
-            Some(again) => {
-                let inner = kernel.recover(cl, again);
-                rec.detected |= inner.detected;
-                rec.lost_units += inner.lost_units;
-                rec.remote_restore_bytes += inner.remote_restore_bytes;
-                k = inner.resume_iter;
-                exchange = inner.resume_exchange;
-            }
-        }
-    }
-    rec
 }
 
 /// Outcome facts of one distributed trial, classified by the campaign.
@@ -394,8 +279,8 @@ fn roll_up(probes: &[Probe], cl: &Cluster) -> ExecutionProfile {
 /// Drive one distributed trial: forward supersteps until completion or the
 /// first armed crash, then recovery and resume (`recover_and_resume`) —
 /// which loops, because with a failure *set* armed a second crash can land
-/// in the resumed tail (or, via [`global_restart_recover`], inside recovery
-/// itself). Telemetry probes are passive counter snapshots, so the
+/// in the resumed tail (or, under checkpoint/restart's re-execution, inside
+/// recovery itself — see [`crate::persist`]). Telemetry probes are passive counter snapshots, so the
 /// `telemetry` flag never changes the simulated execution.
 ///
 /// This is the **oracle**: one cluster per failure set, nothing forked,

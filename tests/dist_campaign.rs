@@ -111,16 +111,32 @@ fn dist_and_single_rank_registries_share_one_engine_but_not_bytes() {
 /// runs **one** cluster whatever the passes, and every unit that crashes
 /// is served from an image harvested off that execution: cascades and
 /// node losses included, the dirty sweep included.
+///
+/// The same campaign carries what the chaotic tier is *for* (nightly's
+/// deep run asserts nothing beyond its replay gate): the fabric really
+/// dropped messages and the transport masked them, node-loss units really
+/// restored from the remote level, and every scenario ran the 16-rank
+/// grid preset.
 #[test]
 fn chaotic_dist_chunks_run_one_cluster_each_whatever_the_passes() {
     let cfg = CampaignConfig {
         budget_states: 1500,
         dense_units: 80,
         faults: FaultProfile::Chaotic,
-        telemetry: false,
         ..config(2)
     };
-    for report in [run_campaign(&cfg), run_resilience(&cfg)] {
+    let campaign = run_campaign(&cfg);
+    assert_eq!(campaign.faults, FaultProfile::Chaotic);
+    let t = campaign.telemetry.as_ref().expect("telemetry on");
+    assert!(t.net_dropped > 0 && t.net_retries > 0, "drops masked");
+    assert!(
+        t.remote_restore_bytes > 0,
+        "node-loss units must restore remotely"
+    );
+    for s in &campaign.scenarios {
+        assert_eq!(s.platform, "dist-16rank-grid", "{}", s.name);
+    }
+    for report in [campaign, run_resilience(&cfg)] {
         let m = &report.image_memory;
         assert_eq!(m.executions, 12, "one forward execution per chunk");
         assert_eq!(

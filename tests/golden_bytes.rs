@@ -1,0 +1,112 @@
+//! Byte stability *across commits*. Every other determinism gate compares
+//! two runs of the same tree (reruns, thread counts, batch vs per-trial);
+//! these compare the tree against bytes written by an earlier one, so a
+//! refactor that moves a simulated picosecond fails `cargo test` instead
+//! of a two-checkout `replay --expect` ritual.
+//!
+//! * The three committed cost baselines are the `campaign cost --json`
+//!   emission at budget 500, seed 42 — a pure function of the simulator.
+//! * Six small dist campaigns (the registry whose persist protocol lives
+//!   in `adcc_dist::persist`) are pinned by an FNV-1a-64 digest of their
+//!   canonical string. On a mismatch the canonical string is written
+//!   under `target/golden/` so it can be diffed against the same file
+//!   from a checkout of the last green commit.
+
+use adcc::campaign::cost::CostTable;
+use adcc::campaign::engine::{run_campaign, CampaignConfig};
+use adcc::campaign::run_resilience;
+use adcc::campaign::scenario::Registry;
+use adcc::dist::net::FaultProfile;
+
+#[test]
+fn cost_tables_equal_the_committed_baselines() {
+    for (registry, fixture) in [
+        (Registry::Kernel, "cost-baseline.json"),
+        (Registry::Dist, "cost-baseline-dist.json"),
+        (Registry::Ds, "cost-baseline-ds.json"),
+    ] {
+        let report = run_campaign(&CampaignConfig {
+            registry,
+            telemetry: true,
+            ..CampaignConfig::default()
+        });
+        let path = format!("{}/tests/fixtures/{fixture}", env!("CARGO_MANIFEST_DIR"));
+        let committed = std::fs::read_to_string(&path).expect("committed baseline");
+        assert_eq!(
+            CostTable::from_report(&report).to_string_pretty(),
+            committed,
+            "{fixture}: an intentional cost-model change regenerates it with \
+             `campaign cost --registry {} --budget-states 500 --seed 42 --json --out {path}`",
+            registry.name()
+        );
+    }
+}
+
+fn fnv1a_64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn dist_campaign_bytes_equal_the_pinned_digests() {
+    let mut moved = Vec::new();
+    for (faults, campaign_digest, resilience_digest) in [
+        (
+            FaultProfile::Off,
+            0x8ff9_c2a6_6593_e80b,
+            0x0925_a349_9ada_2239,
+        ),
+        (
+            FaultProfile::Lossy,
+            0xd6ac_5c46_3f9d_8f1a,
+            0x73ba_7564_a545_a89f,
+        ),
+        (
+            FaultProfile::Chaotic,
+            0x215d_8a1e_d6da_6886,
+            0x2dc2_2b11_3a7a_8dcf,
+        ),
+    ] {
+        let cfg = CampaignConfig {
+            budget_states: 300,
+            dense_units: 40,
+            registry: Registry::Dist,
+            faults,
+            ..CampaignConfig::default()
+        };
+        let telemetry = CampaignConfig {
+            telemetry: true,
+            ..cfg.clone()
+        };
+        for (pass, canonical, pinned) in [
+            (
+                "campaign",
+                run_campaign(&telemetry).canonical_string(),
+                campaign_digest,
+            ),
+            (
+                "resilience",
+                run_resilience(&cfg).canonical_string(),
+                resilience_digest,
+            ),
+        ] {
+            let got = fnv1a_64(canonical.as_bytes());
+            if got != pinned {
+                let dir = format!("{}/target/golden", env!("CARGO_MANIFEST_DIR"));
+                std::fs::create_dir_all(&dir).expect("target/ is writable");
+                let path = format!("{dir}/dist-{}-{pass}.json", faults.name());
+                std::fs::write(&path, &canonical).expect("target/ is writable");
+                moved.push(format!(
+                    "{} {pass}: {got:#018x}, pinned {pinned:#018x} — wrote {path}",
+                    faults.name()
+                ));
+            }
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "canonical dist bytes moved:\n{}",
+        moved.join("\n")
+    );
+}

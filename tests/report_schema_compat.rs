@@ -1,23 +1,17 @@
-//! Report-schema compatibility: the committed fixtures for every schema
-//! generation (`adcc-campaign-report/v1` through `/v7`) must stay
-//! parseable by everything `campaign replay`, `campaign merge`, and
-//! `campaign compare` use, and the current telemetry, diagnostics, and
-//! natural-resilience blocks must survive a full JSON round-trip
-//! bit-for-bit.
+//! Report-schema compatibility: the committed fixtures for every accepted
+//! schema generation (`adcc-campaign-report/v5` through `/v7` — the ones
+//! whose header today's engine can re-run) must stay parseable by
+//! everything `campaign replay`, `campaign merge`, and `campaign compare`
+//! use; the current telemetry, diagnostics, and natural-resilience blocks
+//! must survive a full JSON round-trip bit-for-bit; and older generations
+//! are refused by the one parser.
 
 use adcc::campaign::engine::{run_campaign, CampaignConfig};
-use adcc::campaign::report::{
-    compare, CampaignReport, SCHEMA, SCHEMA_V1, SCHEMA_V2, SCHEMA_V3, SCHEMA_V4, SCHEMA_V5,
-    SCHEMA_V6,
-};
+use adcc::campaign::report::{CampaignReport, RERUNNABLE_SCHEMAS, SCHEMA, SCHEMA_V5, SCHEMA_V6};
 use adcc::campaign::resilience::run_resilience;
 use adcc::campaign::scenario::Registry;
 use adcc::dist::net::FaultProfile;
 
-const V1_FIXTURE: &str = include_str!("fixtures/campaign-report-v1.json");
-const V2_FIXTURE: &str = include_str!("fixtures/campaign-report-v2.json");
-const V3_FIXTURE: &str = include_str!("fixtures/campaign-report-v3.json");
-const V4_FIXTURE: &str = include_str!("fixtures/campaign-report-v4.json");
 const V5_FIXTURE: &str = include_str!("fixtures/campaign-report-v5.json");
 const V6_FIXTURE: &str = include_str!("fixtures/campaign-report-v6.json");
 const V7_FIXTURE: &str = include_str!("fixtures/campaign-report-v7.json");
@@ -30,139 +24,6 @@ fn v2_config() -> CampaignConfig {
         telemetry: true,
         ..CampaignConfig::default()
     }
-}
-
-#[test]
-fn v1_fixture_still_parses() {
-    let report = CampaignReport::parse(V1_FIXTURE).expect("v1 fixture must stay readable");
-    assert_eq!(report.seed, 42);
-    assert_eq!(report.budget_states, 26);
-    assert_eq!(report.schedule, "stratified");
-    assert_eq!(report.scenarios.len(), 13, "full registry in the fixture");
-    assert_eq!(report.totals.total(), 26);
-    // v1 predates telemetry: no block anywhere.
-    assert!(report.telemetry.is_none());
-    assert!(report.scenarios.iter().all(|s| s.telemetry.is_none()));
-}
-
-#[test]
-fn v1_fixture_supports_the_compare_workflow() {
-    // `campaign compare OLD NEW` across the schema bump: a v1 baseline
-    // diffed against a fresh v2 run of the same inputs.
-    let old = CampaignReport::parse(V1_FIXTURE).unwrap();
-    let new = run_campaign(&v2_config());
-    let cmp = compare(&old, &new);
-    assert!(
-        !cmp.regression,
-        "same-seed v2 rerun must not regress the v1 baseline: {:?}",
-        cmp.lines
-    );
-}
-
-#[test]
-fn v1_fixture_matches_a_fresh_run_outcome_for_outcome() {
-    // The fixture was produced by this engine; replaying its header inputs
-    // must reproduce its outcomes exactly (the `campaign replay --expect`
-    // guarantee, across the schema bump).
-    let old = CampaignReport::parse(V1_FIXTURE).unwrap();
-    let new = run_campaign(&CampaignConfig {
-        telemetry: false,
-        ..v2_config()
-    });
-    assert_eq!(old.totals, new.totals);
-    for (a, b) in old.scenarios.iter().zip(&new.scenarios) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.outcomes, b.outcomes, "{}", a.name);
-        assert_eq!(a.lost_units_total, b.lost_units_total, "{}", a.name);
-        assert_eq!(a.sim_time_ps_total, b.sim_time_ps_total, "{}", a.name);
-    }
-}
-
-#[test]
-fn v2_fixture_still_parses_without_fabric_keys() {
-    // The v2 generation carried telemetry blocks but predates the fabric
-    // keys (`net_*`, `recovery_net_bytes`); they must default to zero.
-    assert!(V2_FIXTURE.contains(SCHEMA_V2));
-    assert!(!V2_FIXTURE.contains("net_msgs"));
-    let report = CampaignReport::parse(V2_FIXTURE).expect("v2 fixture must stay readable");
-    assert_eq!(report.seed, 42);
-    assert_eq!(report.budget_states, 26);
-    assert_eq!(report.registry, Registry::Kernel);
-    assert!(report.telemetry.is_some());
-    let t = report.telemetry.unwrap();
-    assert!(t.flush_total() > 0, "v2 telemetry carries real counters");
-    assert_eq!(t.net_msgs, 0);
-    assert_eq!(t.recovery_net_bytes, 0);
-    // Replaying the v2 header inputs on today's engine reproduces its
-    // outcomes exactly (the compare workflow across two schema bumps).
-    let new = run_campaign(&v2_config());
-    assert!(!compare(&report, &new).regression);
-    assert_eq!(report.totals, new.totals);
-}
-
-#[test]
-fn v3_fixture_still_parses_and_upgrades_cleanly() {
-    // The v3 generation: dist registry header plus fabric telemetry keys,
-    // but no ds op-replay or undo-log-metadata keys (they default to 0).
-    assert!(V3_FIXTURE.contains(SCHEMA_V3));
-    assert!(!V3_FIXTURE.contains("ds_ops_applied"));
-    let report = CampaignReport::parse(V3_FIXTURE).expect("v3 fixture must stay readable");
-    assert_eq!(
-        report.registry,
-        Registry::Dist,
-        "v3 fixture sweeps the distributed registry"
-    );
-    assert!(report.shard.is_none());
-    let t = report.telemetry.as_ref().expect("v3 fixture telemetry");
-    assert!(t.net_msgs > 0, "dist campaigns record fabric traffic");
-    assert!(t.recovery_net_bytes > 0);
-    assert_eq!(t.ds_ops_applied, 0);
-    // Re-emission upgrades to v4 (adding the zero-valued ds keys) but
-    // changes nothing else: the upgraded document parses back to the
-    // same report, registry header intact.
-    let upgraded = report.to_string_pretty();
-    assert!(upgraded.contains(SCHEMA) && !upgraded.contains(SCHEMA_V3));
-    assert!(upgraded.contains("\"registry\": \"dist\""));
-    let reparsed = CampaignReport::parse(&upgraded).unwrap();
-    assert_eq!(reparsed, report);
-    assert_eq!(reparsed.canonical_string(), report.canonical_string());
-}
-
-#[test]
-fn v4_fixture_still_parses_and_upgrades_cleanly() {
-    // The v4 generation: named registry headers (`ds` here) plus the
-    // op-replay and undo-log-metadata telemetry keys, but no fault-profile
-    // header or `net_dropped`-family keys (they default to off / zero).
-    assert!(V4_FIXTURE.contains(SCHEMA_V4));
-    assert!(!V4_FIXTURE.contains("\"faults\""));
-    assert!(!V4_FIXTURE.contains("net_dropped"));
-    let report = CampaignReport::parse(V4_FIXTURE).expect("v4 fixture must stay readable");
-    assert_eq!(
-        report.registry,
-        Registry::Ds,
-        "v4 fixture sweeps the persistent data-structure registry"
-    );
-    assert!(report.shard.is_none());
-    assert_eq!(report.faults, FaultProfile::Off);
-    let t = report
-        .telemetry
-        .as_ref()
-        .expect("v4 fixture carries telemetry");
-    assert!(t.ds_ops_applied > 0, "ds campaigns count applied ops");
-    assert!(t.ds_ops_replayed > 0, "crash trials replay op suffixes");
-    assert!(t.log_meta_appends > 0, "undo transactions append metadata");
-    assert_eq!(t.net_dropped, 0);
-    assert_eq!(t.net_retries, 0);
-    assert_eq!(t.remote_restore_bytes, 0);
-    // Re-emission upgrades to v5 (adding the zero-valued fault keys, but
-    // no `faults` header — the profile was off) and parses back to the
-    // same report.
-    let upgraded = report.to_string_pretty();
-    assert!(upgraded.contains(SCHEMA) && !upgraded.contains(SCHEMA_V4));
-    assert!(!upgraded.contains("\"faults\""));
-    let reparsed = CampaignReport::parse(&upgraded).unwrap();
-    assert_eq!(reparsed, report);
-    assert_eq!(reparsed.canonical_string(), report.canonical_string());
 }
 
 #[test]
@@ -323,21 +184,18 @@ fn merging_never_fabricates_resilience_blocks() {
 
 #[test]
 fn every_fixture_generation_parses() {
-    for (name, text) in [
-        ("v1", V1_FIXTURE),
-        ("v2", V2_FIXTURE),
-        ("v3", V3_FIXTURE),
-        ("v4", V4_FIXTURE),
-        ("v5", V5_FIXTURE),
-        ("v6", V6_FIXTURE),
-        ("v7", V7_FIXTURE),
-    ] {
+    for (name, text) in [("v5", V5_FIXTURE), ("v6", V6_FIXTURE), ("v7", V7_FIXTURE)] {
         let report = CampaignReport::parse(text)
             .unwrap_or_else(|e| panic!("{name} fixture must parse: {e}"));
         assert!(report.totals.total() > 0, "{name}");
         // Re-emission always upgrades to the current schema string.
         assert!(report.to_string_pretty().contains(SCHEMA), "{name}");
     }
+    // One constant per accepted generation, and nothing older parses.
+    assert_eq!(RERUNNABLE_SCHEMAS, [SCHEMA, SCHEMA_V6, SCHEMA_V5]);
+    let err = CampaignReport::parse(&V5_FIXTURE.replace(SCHEMA_V5, "adcc-campaign-report/v4"))
+        .expect_err("pre-v5 headers name a schedule today's engine cannot re-run");
+    assert!(err.contains("unsupported schema"), "{err}");
 }
 
 #[test]
@@ -346,7 +204,6 @@ fn v2_telemetry_block_roundtrips() {
     assert!(report.telemetry.is_some());
     let text = report.to_string_pretty();
     assert!(text.contains(SCHEMA));
-    assert!(!text.contains(SCHEMA_V1));
     let parsed = CampaignReport::parse(&text).expect("v2 with telemetry parses");
     assert_eq!(parsed, report, "telemetry block survives the round-trip");
     // Emission is deterministic: parse → emit is byte-identical, including
@@ -357,15 +214,17 @@ fn v2_telemetry_block_roundtrips() {
 
 #[test]
 fn v2_without_telemetry_is_v1_shaped() {
-    // A v2 report produced without `--telemetry` differs from v1 only in
-    // the schema string — old tooling fields all present.
+    // The one schema rule: a block the run did not produce is absent from
+    // the document and parses as `None` — a report produced without
+    // `--telemetry` carries no trace of the block.
     let report = run_campaign(&CampaignConfig {
         telemetry: false,
         ..v2_config()
     });
     let text = report.to_string_pretty();
     assert!(!text.contains("\"telemetry\""));
-    let as_v1 = text.replace(SCHEMA, SCHEMA_V1);
-    let parsed = CampaignReport::parse(&as_v1).unwrap();
+    let parsed = CampaignReport::parse(&text).unwrap();
+    assert!(parsed.telemetry.is_none());
+    assert!(parsed.scenarios.iter().all(|s| s.telemetry.is_none()));
     assert_eq!(parsed.canonical_string(), report.canonical_string());
 }
