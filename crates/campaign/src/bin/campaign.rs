@@ -458,7 +458,7 @@ fn print_resilience(o: &mut impl Write, report: &CampaignReport) -> io::Result<(
         "extra/ok"
     )?;
     for s in &report.scenarios {
-        let Some(r) = &s.natural_resilience else {
+        let Some(r) = s.natural_resilience.as_ref() else {
             continue;
         };
         let c = &r.classes;
@@ -672,7 +672,7 @@ fn cmd_resilience(args: &[String]) -> Result<ExitCode, String> {
         .count();
     let (mut trials, mut ok) = (0u64, 0u64);
     for s in &swept.scenarios {
-        if let Some(r) = &s.natural_resilience {
+        if let Some(r) = s.natural_resilience.as_ref() {
             trials += r.trials();
             ok += r.classes.converged_ok();
         }
@@ -807,7 +807,9 @@ fn cmd_cost(args: &[String]) -> Result<ExitCode, String> {
         "save%"
     );
     for s in &report.scenarios {
-        let Some(t) = &s.telemetry else { continue };
+        let Some(t) = s.telemetry.as_ref() else {
+            continue;
+        };
         let (adr, nearpm, eadr) = platform_costs(t);
         let save = if adr == 0 {
             0.0

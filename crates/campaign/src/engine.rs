@@ -8,9 +8,13 @@
 //! state of a harvested batch ([`Harvested::run_next`]): the owner takes its
 //! own jobs, and a worker the task list has nothing left for takes jobs of
 //! batches other workers still own — so a campaign ends when its work does,
-//! not when its longest task does. Every worker holds at most one batch and
-//! runs at most one job at a time, so no more than `threads` forward
-//! executions and `threads` recoveries are alive at once. Job results land
+//! not when its longest task does. The exception is a scenario that
+//! [chains](Scenario::chains): its batch's recover pass is **one** job,
+//! which nobody can take a share of, so its tasks are claimed first and the
+//! rest of the plan fills in around them. Every worker holds at most one
+//! batch and runs at most one job at a time, so no more than `threads`
+//! forward executions and `threads` recoveries (a chain holding two machines,
+//! its pilot and one follower) are alive at once. Job results land
 //! in per-batch slots indexed by poll order, batch outputs in slots indexed
 //! by task, and both merges read their slots in index order: neither the
 //! thread count nor the batch size nor who helped whom can reorder a byte.
@@ -327,13 +331,15 @@ pub(crate) fn run_tasks(
         harvested: Condvar::new(),
     };
     let outputs: Vec<Mutex<Option<PassOutput>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
+    // Plan order, but for the chained tasks, which go first: started last, a
+    // job nobody can help with is the tail everyone waits for. Outputs are
+    // slotted by task, so the order of claims cannot reach a byte.
+    let mut order: Vec<usize> = (0..tasks.len()).collect();
+    order.sort_by_key(|&i| !scenarios[tasks[i].scenario].chains());
     let work = |me: usize| {
-        loop {
-            // The cursor hands out indices and publishes nothing.
-            let i = pool.next_task.fetch_add(1, Ordering::Relaxed);
-            let Some(task) = tasks.get(i) else {
-                break;
-            };
+        // The cursor hands out indices and publishes nothing.
+        while let Some(&i) = order.get(pool.next_task.fetch_add(1, Ordering::Relaxed)) {
+            let task = &tasks[i];
             let s = &scenarios[task.scenario];
             let out = if per_trial {
                 PassOutput {
@@ -384,18 +390,17 @@ pub(crate) fn assemble(
             report.natural_resilience = out
                 .dirty
                 .as_ref()
-                .map(|d| NaturalResilience::from_trials(d.tolerance, &d.trials));
+                .map(|d| NaturalResilience::from_trials(d.tolerance, &d.trials))
+                .into();
             report
         })
         .collect();
     let mut totals = crate::outcome::OutcomeCounts::default();
-    let mut telemetry: Option<ExecutionProfile> = None;
+    let mut telemetry: Option<Box<ExecutionProfile>> = None;
     for r in &scenario_reports {
         totals.merge(&r.outcomes);
-        if let Some(t) = &r.telemetry {
-            telemetry
-                .get_or_insert_with(ExecutionProfile::default)
-                .merge(t);
+        if let Some(t) = r.telemetry.as_ref() {
+            telemetry.get_or_insert_with(Box::default).merge(t);
         }
     }
     CampaignReport {
@@ -485,8 +490,8 @@ fn aggregate(s: &dyn Scenario, dense_units: u64, trials: &[Trial]) -> ScenarioRe
         lost_units_total: lost_total,
         lost_units_max: lost_max,
         sim_time_ps_total: sim_total,
-        telemetry,
-        natural_resilience: None,
+        telemetry: telemetry.into(),
+        natural_resilience: None.into(),
     }
 }
 

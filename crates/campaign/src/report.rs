@@ -47,6 +47,49 @@ pub const SCHEMA_V5: &str = "adcc-campaign-report/v5";
 /// `resilience`).
 pub const RERUNNABLE_SCHEMAS: [&str; 3] = [SCHEMA, SCHEMA_V6, SCHEMA_V5];
 
+/// An optional block of a scenario row, kept out of line: a row without it
+/// holds a pointer, not the block's size, and callers keep whole campaigns
+/// of rows alive. It is read like the `Option<T>` of a `Copy` block it
+/// replaces — through a shared reference, yielding `&T` — because callers
+/// that cannot be edited do exactly that (`s.telemetry.map_or(..)`,
+/// `s.telemetry.unwrap().log_bytes` on a `&ScenarioReport`), which a bare
+/// `Option<Box<T>>` would refuse as a move out of a borrow.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Boxed<T>(Option<Box<T>>);
+
+impl<T> Boxed<T> {
+    /// The block, if present.
+    pub fn as_ref(&self) -> Option<&T> {
+        self.0.as_deref()
+    }
+
+    /// Whether the block is present.
+    pub fn is_some(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// Whether the block is absent.
+    pub fn is_none(&self) -> bool {
+        self.0.is_none()
+    }
+
+    /// `f` of the block, or `default` without one.
+    pub fn map_or<U>(&self, default: U, f: impl FnOnce(&T) -> U) -> U {
+        self.as_ref().map_or(default, f)
+    }
+
+    /// The block; panics without one.
+    pub fn unwrap(&self) -> &T {
+        self.as_ref().expect("the report carries the block")
+    }
+}
+
+impl<T> From<Option<T>> for Boxed<T> {
+    fn from(block: Option<T>) -> Self {
+        Boxed(block.map(Box::new))
+    }
+}
+
 /// Aggregated results for one scenario.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ScenarioReport {
@@ -72,12 +115,12 @@ pub struct ScenarioReport {
     pub sim_time_ps_total: u64,
     /// Forward-execution cost profile summed over trials (present when the
     /// campaign ran with telemetry enabled; the v2 schema's new block).
-    pub telemetry: Option<ExecutionProfile>,
+    pub telemetry: Boxed<ExecutionProfile>,
     /// Dirty-restart sweep aggregate (present when the campaign ran the
     /// resilience sweep; the v7 schema's new block). Scenarios without a
     /// dirty-restart path (e.g. the `ds` op-stream workloads) carry no
     /// block even in a resilience run.
-    pub natural_resilience: Option<NaturalResilience>,
+    pub natural_resilience: Boxed<NaturalResilience>,
 }
 
 /// One persist-order sanitizer finding, flattened to schema-plain
@@ -217,7 +260,7 @@ pub struct CampaignReport {
     /// Campaign-wide outcome histogram.
     pub totals: OutcomeCounts,
     /// Campaign-wide telemetry aggregate (when enabled).
-    pub telemetry: Option<ExecutionProfile>,
+    pub telemetry: Option<Box<ExecutionProfile>>,
     /// Persist-order sanitizer findings (when the campaign ran with the
     /// analyzer attached). Emitted only when present, so plain reports
     /// keep their exact pre-v6 bytes.
@@ -474,7 +517,7 @@ impl CampaignReport {
         // subcommand rejects shard reports), so merged scenarios carry no
         // block.
         for s in &mut scenarios {
-            s.natural_resilience = None;
+            s.natural_resilience = None.into();
         }
         for p in &partials[1..] {
             if p.scenarios.len() != scenarios.len() {
@@ -497,22 +540,20 @@ impl CampaignReport {
                 acc.lost_units_total += s.lost_units_total;
                 acc.lost_units_max = acc.lost_units_max.max(s.lost_units_max);
                 acc.sim_time_ps_total += s.sim_time_ps_total;
-                if let Some(t) = &s.telemetry {
-                    acc.telemetry
-                        .get_or_insert_with(ExecutionProfile::default)
-                        .merge(t);
+                if let Some(t) = s.telemetry.as_ref() {
+                    let mut sum = acc.telemetry.as_ref().copied().unwrap_or_default();
+                    sum.merge(t);
+                    acc.telemetry = Some(sum).into();
                 }
             }
         }
 
         let mut totals = OutcomeCounts::default();
-        let mut telemetry: Option<ExecutionProfile> = None;
+        let mut telemetry: Option<Box<ExecutionProfile>> = None;
         for s in &scenarios {
             totals.merge(&s.outcomes);
-            if let Some(t) = &s.telemetry {
-                telemetry
-                    .get_or_insert_with(ExecutionProfile::default)
-                    .merge(t);
+            if let Some(t) = s.telemetry.as_ref() {
+                telemetry.get_or_insert_with(Box::default).merge(t);
             }
         }
         let mut image_memory = ImageMemorySummary {
@@ -591,10 +632,10 @@ impl CampaignReport {
                 e.push("lost_units_total", Json::Int(s.lost_units_total));
                 e.push("lost_units_max", Json::Int(s.lost_units_max));
                 e.push("sim_time_ps_total", Json::Int(s.sim_time_ps_total));
-                if let Some(t) = &s.telemetry {
+                if let Some(t) = s.telemetry.as_ref() {
                     e.push("telemetry", telemetry_json(t));
                 }
-                if let Some(r) = &s.natural_resilience {
+                if let Some(r) = s.natural_resilience.as_ref() {
                     e.push("natural_resilience", resilience_json(r));
                 }
                 e
@@ -697,11 +738,16 @@ impl CampaignReport {
                     lost_units_total: n("lost_units_total")?,
                     lost_units_max: n("lost_units_max")?,
                     sim_time_ps_total: n("sim_time_ps_total")?,
-                    telemetry: e.get("telemetry").map(telemetry_from_json).transpose()?,
+                    telemetry: e
+                        .get("telemetry")
+                        .map(telemetry_from_json)
+                        .transpose()?
+                        .into(),
                     natural_resilience: e
                         .get("natural_resilience")
                         .map(resilience_from_json)
-                        .transpose()?,
+                        .transpose()?
+                        .into(),
                 })
             })
             .collect::<Result<Vec<_>, String>>()?;
@@ -741,7 +787,10 @@ impl CampaignReport {
                 .transpose()?,
             scenarios,
             totals: OutcomeCounts::from_json(j.get("totals").ok_or("missing totals")?)?,
-            telemetry: j.get("telemetry").map(telemetry_from_json).transpose()?,
+            telemetry: j
+                .get("telemetry")
+                .map(|t| telemetry_from_json(t).map(Box::new))
+                .transpose()?,
             diagnostics: j
                 .get("diagnostics")
                 .map(DiagnosticsBlock::from_json)
@@ -884,8 +933,8 @@ mod tests {
                 lost_units_total: 3,
                 lost_units_max: 2,
                 sim_time_ps_total: 123_456,
-                telemetry: None,
-                natural_resilience: None,
+                telemetry: None.into(),
+                natural_resilience: None.into(),
             }],
             totals: outcomes,
             telemetry: None,
@@ -916,8 +965,8 @@ mod tests {
             dirty_lines_at_crash: 5,
             ..Default::default()
         };
-        r.scenarios[0].telemetry = Some(profile);
-        r.telemetry = Some(profile);
+        r.scenarios[0].telemetry = Some(profile).into();
+        r.telemetry = Some(Box::new(profile));
         r
     }
 
@@ -988,7 +1037,8 @@ mod tests {
                     sim_time_ps: 500,
                 },
             ],
-        ));
+        ))
+        .into();
         let text = r.to_string_pretty();
         assert!(text.contains("\"natural_resilience\""));
         assert!(text.contains("\"converged-wrong\": 1"));
@@ -1012,7 +1062,8 @@ mod tests {
                 extra_units: 0,
                 sim_time_ps: 10,
             }],
-        ));
+        ))
+        .into();
         let text = r.to_string_pretty();
         assert!(text.contains("\"mean_extra_units_milli\": null"));
         let parsed = CampaignReport::parse(&text).unwrap();
@@ -1024,7 +1075,7 @@ mod tests {
     fn parse_rejects_unordered_tolerance_ladders() {
         let mut r = sample();
         r.scenarios[0].natural_resilience =
-            Some(NaturalResilience::new(Tolerance::new(1e-9, 1e-3, 1e3)));
+            Some(NaturalResilience::new(Tolerance::new(1e-9, 1e-3, 1e3))).into();
         let text = r
             .to_string_pretty()
             .replace("\"acceptable\": 0.001", "\"acceptable\": 1000000.0");
@@ -1106,10 +1157,10 @@ mod tests {
             net_reordered: 5,
             net_retries: 9,
             remote_restore_bytes: 2_048,
-            ..r.scenarios[0].telemetry.unwrap()
+            ..*r.scenarios[0].telemetry.unwrap()
         };
-        r.scenarios[0].telemetry = Some(profile);
-        r.telemetry = Some(profile);
+        r.scenarios[0].telemetry = Some(profile).into();
+        r.telemetry = Some(Box::new(profile));
         let text = r.to_string_pretty();
         assert!(text.contains("\"net_dropped\": 9"));
         assert!(text.contains("\"remote_restore_bytes\": 2048"));
@@ -1165,10 +1216,10 @@ mod tests {
             net_bytes: 1_024,
             net_ps: 99_000,
             recovery_net_bytes: 512,
-            ..r.scenarios[0].telemetry.unwrap()
+            ..*r.scenarios[0].telemetry.unwrap()
         };
-        r.scenarios[0].telemetry = Some(profile);
-        r.telemetry = Some(profile);
+        r.scenarios[0].telemetry = Some(profile).into();
+        r.telemetry = Some(Box::new(profile));
         let text = r.to_string_pretty();
         assert!(text.contains("\"recovery_net_bytes\": 512"));
         let parsed = CampaignReport::parse(&text).unwrap();
@@ -1183,10 +1234,10 @@ mod tests {
             log_meta_bytes: 384,
             ds_ops_applied: 96,
             ds_ops_replayed: 64,
-            ..r.scenarios[0].telemetry.unwrap()
+            ..*r.scenarios[0].telemetry.unwrap()
         };
-        r.scenarios[0].telemetry = Some(profile);
-        r.telemetry = Some(profile);
+        r.scenarios[0].telemetry = Some(profile).into();
+        r.telemetry = Some(Box::new(profile));
         let text = r.to_string_pretty();
         assert!(text.contains("\"ds_ops_replayed\": 64"));
         assert!(text.contains("\"log_meta_bytes\": 384"));
@@ -1280,7 +1331,7 @@ mod tests {
         assert!(flush_audit(&sample()).is_empty());
         // Zero flushes with telemetry on: flagged.
         let mut zero = sample_with_telemetry();
-        zero.scenarios[0].telemetry = Some(ExecutionProfile::default());
+        zero.scenarios[0].telemetry = Some(ExecutionProfile::default()).into();
         let lines = flush_audit(&zero);
         assert_eq!(lines.len(), 1);
         assert!(lines[0].contains("cg-extended"));

@@ -462,6 +462,12 @@ pub trait Scenario: Send + Sync {
     fn trigger_of(&self, unit: u64) -> CrashTrigger {
         self.unit_space().trigger_of(unit, |u| self.site_trigger(u))
     }
+    /// Whether a batch's recover pass is **one** job — a chain over its
+    /// crash states that other workers cannot take a share of — rather
+    /// than one job per crash state. The engine starts such batches first.
+    fn chains(&self) -> bool {
+        false
+    }
     /// Inject one crash state, recover, classify. This is the reference
     /// (full-copy) path: one instrumented execution per unit, crash image
     /// via `crash_now`.

@@ -20,7 +20,10 @@
 //!      writes only its own result slot, so any number of threads may take
 //!      jobs from one batch at once; each holds one materialized image, so
 //!      peak memory is flat in the number of crash points and linear in
-//!      the number of workers.
+//!      the number of workers. A workload that [chains](Workload::chains)
+//!      recovers its states *together*: its recover pass is one job, the
+//!      first the cursor hands out, which pulls the states in poll order
+//!      one image at a time; its dirty restarts stay per-state jobs.
 //!   3. [`Batch::finish`] — charge the recovered states to their units in
 //!      poll order, classify the units that ran to completion, run the
 //!      analysis. One thread, once per batch, after every job.
@@ -76,6 +79,9 @@ use crate::scenario::{
 ///   a shared reference to the live mechanism handles (layouts, the
 ///   checkpoint manager), never a unit and never the forward emulator.
 ///   Several recoveries of one batch may run at once.
+/// * [`recover_chain`](Workload::recover_chain) — `recover` for every
+///   crash state of the batch at once, for a workload whose recoveries
+///   share work; the same states out as `recover` would give one by one.
 /// * [`CrashState::charge`] — the recovered state and the unit.
 /// * [`dirty_restart`](Workload::dirty_restart) — the image and the live
 ///   kernel handle; no mechanism is consulted.
@@ -122,6 +128,30 @@ pub(crate) trait Workload: Send + Sync {
         image: &NvmImage,
         profile: Option<ExecutionProfile>,
     ) -> Self::State;
+
+    /// Whether the crash states of one batch are recovered together,
+    /// through [`recover_chain`](Workload::recover_chain). Default: one by
+    /// one, through [`recover`](Workload::recover) — which stays the
+    /// per-unit oracle ([`run_trial`]) either way.
+    fn chains(&self) -> bool {
+        false
+    }
+
+    /// The per-batch recover step of a workload that
+    /// [`chains`](Workload::chains): recover every distinct crash state of
+    /// one forward execution, handed over in poll order, and return one
+    /// [`Workload::State`] per state in that order — each equal to what
+    /// [`recover`](Workload::recover) makes of that state alone. `states`
+    /// materializes an image when it is pulled, so a chain holds as many as
+    /// it has not dropped.
+    fn recover_chain(
+        &self,
+        live: &Self::Live,
+        states: &mut dyn Iterator<Item = HarvestedState>,
+    ) -> Vec<Self::State> {
+        let _ = (live, states);
+        unreachable!("{} does not chain", Workload::name(self))
+    }
 
     /// Classify the completed run (the crash point landed beyond it). The
     /// driver overrides the trial's `unit`.
@@ -184,6 +214,9 @@ impl<W: Workload> Scenario for W {
     fn site_trigger(&self, unit: u64) -> CrashTrigger {
         Workload::site_trigger(self, unit)
     }
+    fn chains(&self) -> bool {
+        Workload::chains(self)
+    }
     fn run_trial(&self, unit: u64, telemetry: bool) -> Trial {
         run_trial(self, unit, telemetry)
     }
@@ -195,6 +228,15 @@ impl<W: Workload> Scenario for W {
     ) -> Box<dyn Harvested + 'a> {
         harvest(self, units, passes, mem)
     }
+}
+
+/// One distinct crash state of a batch, as [`Workload::recover_chain`]
+/// receives it: what [`Workload::recover`] takes, by value.
+pub(crate) struct HarvestedState {
+    pub site: CrashSite,
+    pub image: NvmImage,
+    /// The forward execution's cost up to the crash, when telemetry is on.
+    pub profile: Option<ExecutionProfile>,
 }
 
 /// A recovered crash state: the result of the per-state step.
@@ -303,6 +345,9 @@ struct Batch<'a, W: Workload> {
     w: &'a W,
     units: &'a [u64],
     recover: bool,
+    /// The recover pass is one job for the whole batch, not part of each
+    /// group's job.
+    chained: bool,
     dirty_ref: Option<(Tolerance, Vec<f64>)>,
     regions: Vec<Region>,
     emu: CrashEmulator,
@@ -314,14 +359,15 @@ struct Batch<'a, W: Workload> {
     /// the ordinal of the group's first harvest: log sidecars are per
     /// capture.
     groups: Vec<Range<usize>>,
-    /// The next group nobody has claimed.
+    /// The next job nobody has claimed: the chain first, if there is one,
+    /// then the groups.
     next: AtomicUsize,
     /// Group-indexed results.
-    done: Vec<Mutex<Option<Recovered<W::State>>>>,
+    done: Vec<Mutex<Recovered<W::State>>>,
 }
 
-/// What one crash state's job produced: one entry per requested per-state
-/// pass.
+/// What the jobs made of one crash state: one entry per requested
+/// per-state pass, `None` until the job that owes it has stored it.
 struct Recovered<S> {
     state: Option<S>,
     /// The dirty trial of every unit in the group, but for its `unit`.
@@ -382,6 +428,7 @@ fn harvest<'a, W: Workload>(
         w,
         units,
         recover: passes.recover,
+        chained: passes.recover && w.chains(),
         dirty_ref,
         regions,
         emu,
@@ -390,31 +437,84 @@ fn harvest<'a, W: Workload>(
         probe,
         harvests,
         next: AtomicUsize::new(0),
-        done: groups.iter().map(|_| Mutex::new(None)).collect(),
+        done: groups
+            .iter()
+            .map(|_| {
+                Mutex::new(Recovered {
+                    state: None,
+                    dirty: None,
+                })
+            })
+            .collect(),
         groups,
     })
 }
 
+impl<W: Workload> Batch<'_, W> {
+    /// The forward execution's profile as of `group`'s crash, when
+    /// telemetry is on.
+    fn profile_at(&self, group: &Range<usize>) -> Option<ExecutionProfile> {
+        let h = &self.harvests[group.start];
+        self.probe.as_ref().map(|p| {
+            let at_crash = p
+                .finish_at(&h.at)
+                .with_dirty_lines(h.image.dirty_lines_at_crash());
+            with_log(self.w, &self.live, Some(group.start), at_crash)
+        })
+    }
+
+    /// Store what a job made of group `g`.
+    fn store(&self, g: usize, put: impl FnOnce(&mut Recovered<W::State>)) {
+        put(&mut self.done[g].lock().expect("a job never panics mid-store"));
+    }
+
+    /// The one recover job of a chained batch.
+    fn run_chain(&self) {
+        let mut states = self.groups.iter().map(|group| {
+            let h = &self.harvests[group.start];
+            HarvestedState {
+                site: h.site,
+                image: h.image.materialize(),
+                profile: self.profile_at(group),
+            }
+        });
+        let recovered = self.w.recover_chain(&self.live, &mut states);
+        assert_eq!(
+            recovered.len(),
+            self.groups.len(),
+            "{}: a chain returns one state per crash state",
+            Workload::name(self.w)
+        );
+        for (g, state) in recovered.into_iter().enumerate() {
+            self.store(g, |slot| slot.state = Some(state));
+        }
+    }
+}
+
 impl<W: Workload> Harvested for Batch<'_, W> {
-    /// Step 2, one job: the per-state passes over the next unclaimed poll
-    /// group's machine state.
+    /// Step 2, one job: the chain, or the per-state passes over the next
+    /// unclaimed poll group's machine state.
     fn run_next(&self) -> bool {
         // The claim publishes nothing: what a job reads was written before
         // the batch was shared, what it writes goes through its slot's lock.
-        let g = self.next.fetch_add(1, Ordering::Relaxed);
+        let job = self.next.fetch_add(1, Ordering::Relaxed);
+        let Some(g) = job.checked_sub(usize::from(self.chained)) else {
+            self.run_chain();
+            return true;
+        };
+        // What is left for the groups' own jobs; with nothing, there are none.
+        let recover_here = self.recover && !self.chained;
+        if !recover_here && self.dirty_ref.is_none() {
+            return false;
+        }
         let Some(group) = self.groups.get(g) else {
             return false;
         };
         let h = &self.harvests[group.start];
         let image = h.image.materialize();
-        let state = self.recover.then(|| {
-            let profile = self.probe.as_ref().map(|p| {
-                let at_crash = p
-                    .finish_at(&h.at)
-                    .with_dirty_lines(h.image.dirty_lines_at_crash());
-                with_log(self.w, &self.live, Some(group.start), at_crash)
-            });
-            self.w.recover(&self.live, h.site, &image, profile)
+        let state = recover_here.then(|| {
+            self.w
+                .recover(&self.live, h.site, &image, self.profile_at(group))
         });
         let dirty = self.dirty_ref.as_ref().map(|(tolerance, reference)| {
             let d = self.w.dirty_restart(&self.live, &image);
@@ -425,8 +525,12 @@ impl<W: Workload> Harvested for Batch<'_, W> {
                 sim_time_ps: d.sim_time_ps,
             }
         });
-        *self.done[g].lock().expect("a job never panics mid-store") =
-            Some(Recovered { state, dirty });
+        self.store(g, |slot| {
+            if recover_here {
+                slot.state = state;
+            }
+            slot.dirty = dirty;
+        });
         true
     }
 
@@ -470,19 +574,16 @@ impl<W: Workload> Harvested for Batch<'_, W> {
             Vec::new()
         };
         for (group, out) in groups.into_iter().zip(done) {
-            // An empty slot means the job that claimed the group died (a
+            // A result still owed means the job that claimed it died (a
             // panicking `recover` on a helper thread): fail the batch here
             // rather than report a state nobody classified.
-            let out = out
-                .into_inner()
-                .expect("a job never panics mid-store")
-                .unwrap_or_else(|| {
-                    panic!(
-                        "{}: the job recovering the crash state of unit {} did not finish",
-                        Workload::name(w),
-                        harvests[group.start].unit
-                    )
-                });
+            let out = out.into_inner().expect("a job never panics mid-store");
+            assert!(
+                out.state.is_some() == recover && out.dirty.is_some() == dirty_ref.is_some(),
+                "{}: the job recovering the crash state of unit {} did not finish",
+                Workload::name(w),
+                harvests[group.start].unit
+            );
             for h in &harvests[group] {
                 if let Some(state) = &out.state {
                     trials[slot(h.unit)] = Some(state.charge(h.unit));
@@ -617,6 +718,11 @@ mod tests {
         /// With `meet`: a recovery running on any thread but the one that
         /// ran the forward execution panics.
         helpers_panic: bool,
+        /// Recover each batch's states through one `recover_chain` call.
+        chained: bool,
+        chains_run: Arc<AtomicU64>,
+        /// `chained` of every toy sharing this log, in set-up order.
+        set_up: Arc<Mutex<Vec<bool>>>,
     }
 
     /// The toy's array plus a mechanism log the emulator cannot see, kept
@@ -658,6 +764,7 @@ mod tests {
             CrashTrigger::AtAccessCount(unit)
         }
         fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, ToyLive) {
+            self.set_up.lock().unwrap().push(self.chained);
             let mut emu = CrashEmulator::new(SystemConfig::nvm_only(4096, 1 << 16), trigger);
             let live = ToyLive {
                 a: PArray::<u64>::alloc_nvm(&mut emu, 8),
@@ -702,6 +809,19 @@ mod tests {
                 sim_time_ps: 0,
                 telemetry: profile,
             }
+        }
+        fn chains(&self) -> bool {
+            self.chained
+        }
+        fn recover_chain(
+            &self,
+            live: &ToyLive,
+            states: &mut dyn Iterator<Item = HarvestedState>,
+        ) -> Vec<Classified> {
+            self.chains_run.fetch_add(1, Relaxed);
+            states
+                .map(|s| self.recover(live, s.site, &s.image, s.profile))
+                .collect()
         }
         fn complete(
             &self,
@@ -821,9 +941,7 @@ mod tests {
                 .trials;
             for (b, &unit) in batch.iter().zip(&UNITS) {
                 let t = run_trial(&toy, unit, telemetry);
-                let got = (b.unit, b.outcome, b.lost_units, b.sim_time_ps, b.telemetry);
-                let want = (t.unit, t.outcome, t.lost_units, t.sim_time_ps, t.telemetry);
-                assert_eq!(got, want, "unit {unit} telemetry={telemetry}");
+                assert_eq!(whole(b), whole(&t), "unit {unit} telemetry={telemetry}");
                 assert_eq!(t.telemetry.is_some(), telemetry);
             }
             // Unit 7's trigger never fires: both paths report the clean run.
@@ -838,6 +956,78 @@ mod tests {
                     .collect();
                 assert_eq!(logged, [2, 2, 3, 3, 4, 4, 4]);
             }
+        }
+    }
+
+    /// Everything of a trial, in comparable form.
+    fn whole(t: &Trial) -> (u64, Outcome, u64, u64, Option<ExecutionProfile>) {
+        (t.unit, t.outcome, t.lost_units, t.sim_time_ps, t.telemetry)
+    }
+
+    #[test]
+    fn a_chained_batch_recovers_in_one_job_and_equals_the_unchained_batch() {
+        let fused = Passes::recover(true).and_dirty();
+        let alone = Toy::default().run_passes(&UNITS, fused, &ImageMemory::default());
+        let toy = Toy {
+            chained: true,
+            ..Toy::default()
+        };
+        for (passes, jobs) in [(Passes::recover(true), 1), (fused, 1 + 3)] {
+            let batch = toy.harvest(&UNITS, passes, &ImageMemory::default());
+            let mut ran = 0;
+            while batch.run_next() {
+                ran += 1;
+            }
+            // The chain, then — only if there is a dirty pass left for them
+            // — one job per distinct poll.
+            assert_eq!(ran, jobs);
+            let out = batch.finish();
+            // Telemetry and the log sidecar of each state reached the chain.
+            assert_eq!(
+                out.trials.iter().map(whole).collect::<Vec<_>>(),
+                alone.trials.iter().map(whole).collect::<Vec<_>>()
+            );
+            assert_eq!(out.dirty.is_some(), passes.dirty);
+        }
+        assert_eq!(toy.chains_run.load(Relaxed), 2, "one chain per batch");
+        assert_eq!(toy.recovers.load(Relaxed), 2 * 3);
+        assert_eq!(toy.dirties.load(Relaxed), 3);
+        // Without a recover pass there is nothing to chain.
+        toy.run_passes(
+            &UNITS,
+            Passes::default().and_dirty(),
+            &ImageMemory::default(),
+        );
+        assert_eq!(toy.chains_run.load(Relaxed), 2);
+    }
+
+    #[test]
+    fn chained_tasks_are_claimed_first_and_merged_in_plan_order() {
+        let set_up = Arc::new(Mutex::new(Vec::new()));
+        let toy = |chained| -> Box<dyn Scenario> {
+            Box::new(Toy {
+                chained,
+                set_up: set_up.clone(),
+                ..Toy::default()
+            })
+        };
+        let scenarios = [toy(false), toy(true), toy(false)];
+        let tasks: Vec<Task> = [(0, [1, 2]), (1, [3, 4]), (1, [5, 6]), (2, [3, 7])]
+            .into_iter()
+            .map(|(scenario, units)| Task {
+                scenario,
+                units: units.to_vec(),
+            })
+            .collect();
+        let mem = ImageMemory::default();
+        let out = run_tasks(&scenarios, &tasks, 1, Passes::recover(false), false, &mem);
+        // Both chained tasks ran before either of the others, each group in
+        // plan order...
+        assert_eq!(*set_up.lock().unwrap(), [true, true, false, false]);
+        // ...and every output sits in its task's slot.
+        for (task, out) in tasks.iter().zip(&out) {
+            let units: Vec<u64> = out.trials.iter().map(|t| t.unit).collect();
+            assert_eq!(units, task.units);
         }
     }
 
@@ -882,10 +1072,9 @@ mod tests {
         assert_eq!(recovers.load(Relaxed), 3);
         assert_eq!(dirties.load(Relaxed), 3);
         // Same trials, telemetry and log sidecars included, in unit order.
-        let key = |t: &Trial| (t.unit, t.outcome, t.lost_units, t.sim_time_ps, t.telemetry);
         assert_eq!(
-            shared.trials.iter().map(key).collect::<Vec<_>>(),
-            alone.trials.iter().map(key).collect::<Vec<_>>()
+            shared.trials.iter().map(whole).collect::<Vec<_>>(),
+            alone.trials.iter().map(whole).collect::<Vec<_>>()
         );
         // The toy's dirty step numbers its calls, so only which unit got a
         // dirty trial at all is order-independent.

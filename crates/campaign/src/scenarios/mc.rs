@@ -7,10 +7,16 @@
 //! armed, each `(PH_LOOKUP, i)` poll forks a copy-on-write delta image,
 //! and replay recovery classifies the states streaming — O(run + points ×
 //! recovery) instead of O(points × run).
+//!
+//! `mc-epoch` goes one step further. Its recovery replays to the *end of
+//! the run*, every picosecond of it reported, so a batch's states are
+//! recovered as one [`McSim::recover_chain`]: a replay that reaches a
+//! machine an earlier state's replay already stood on reads the rest of
+//! its clock off that one — O(run + points × a few dozen lookups).
 
 use std::sync::OnceLock;
 
-use adcc_core::mc::sim::{McMode, McSim};
+use adcc_core::mc::sim::{McMode, McRecovery, McSim};
 use adcc_core::mc::{McProblem, XS_CHANNELS};
 use adcc_core::DirtyRestart;
 use adcc_resilience::Tolerance;
@@ -19,7 +25,7 @@ use adcc_sim::image::NvmImage;
 use adcc_sim::system::{MemorySystem, SystemConfig};
 use adcc_telemetry::ExecutionProfile;
 
-use super::harness::{Classified, Workload};
+use super::harness::{Classified, HarvestedState, Workload};
 use super::{trim_dram, verified_completion};
 use crate::scenario::{Kernel, Mechanism, Trial, UnitSpace};
 
@@ -130,6 +136,17 @@ impl McCampaign {
             reference,
         }
     }
+
+    /// Classify one recovery against the reference counts.
+    fn classify(&self, rec: &McRecovery, telemetry: Option<ExecutionProfile>) -> Classified {
+        let total: u64 = rec.counts.iter().sum();
+        // The count-total audit is the mechanism's integrity check: replay
+        // can only ever double-count (evicted counter lines are newer than
+        // the flushed index), so any discrepancy shows up here.
+        let detected = total != LOOKUPS;
+        let matches = rec.counts == self.reference;
+        Classified::from_report(detected, matches, &rec.report, telemetry)
+    }
 }
 
 impl Workload for McCampaign {
@@ -180,13 +197,34 @@ impl Workload for McCampaign {
         telemetry: Option<ExecutionProfile>,
     ) -> Classified {
         let rec = mc.recover_and_resume(image, self.cfg.clone(), site.index + 1);
-        let total: u64 = rec.counts.iter().sum();
-        // The count-total audit is the mechanism's integrity check: replay
-        // can only ever double-count (evicted counter lines are newer than
-        // the flushed index), so any discrepancy shows up here.
-        let detected = total != LOOKUPS;
-        let matches = rec.counts == self.reference;
-        Classified::from_report(detected, matches, &rec.report, telemetry)
+        self.classify(&rec, telemetry)
+    }
+
+    /// Epoch recovery replays every state to the end of the run: the states
+    /// of one execution share that tail.
+    fn chains(&self) -> bool {
+        matches!(self.mode, McMode::Epoch { .. })
+    }
+
+    fn recover_chain(
+        &self,
+        mc: &McSim,
+        states: &mut dyn Iterator<Item = HarvestedState>,
+    ) -> Vec<Classified> {
+        let mut profiles = Vec::new();
+        let chain = mc.recover_chain(
+            &self.cfg,
+            states.map(|s| {
+                profiles.push(s.profile);
+                (s.site.index + 1, s.image)
+            }),
+        );
+        chain
+            .recoveries
+            .iter()
+            .zip(profiles)
+            .map(|(rec, profile)| self.classify(rec, profile))
+            .collect()
     }
 
     fn complete(
@@ -253,6 +291,42 @@ mod tests {
                 h.unit,
                 rec.accesses
             );
+        }
+    }
+
+    /// The same kind of invariant for `mc-epoch`, whose every recovery
+    /// replays to the end of the run: alone, 20 states spread over the run
+    /// simulate ~10 forward runs' worth of accesses between them; chained,
+    /// each simulates the few dozen lookups until it stands where an
+    /// earlier replay stood, and one pilot simulates the run.
+    #[test]
+    fn a_chain_of_epoch_recoveries_simulates_less_than_two_forward_runs() {
+        let s = McCampaign::new_epoch(reference_counts());
+        let units: Vec<u64> = (0..20).map(|k| 25 + 60 * k).collect();
+        let (mut emu, mut mc) = s.setup(CrashTrigger::Never);
+        emu.arm_harvest(units.iter().map(|&u| (s.trigger_of(u), u)));
+        assert!(s.forward(&mut mc, &mut emu).completed().is_some());
+        let forward_run = emu.access_count();
+        let harvests = emu.take_harvests();
+        assert_eq!(harvests.len(), units.len());
+        let chain = mc.recover_chain(
+            &s.cfg,
+            harvests
+                .iter()
+                .map(|h| (h.site.index + 1, h.image.materialize())),
+        );
+        let alone: u64 = chain.recoveries.iter().map(|r| r.accesses).sum();
+        assert!(
+            alone > 8 * forward_run,
+            "{alone} accesses alone, a forward run is {forward_run}"
+        );
+        assert!(
+            chain.simulated_accesses <= 2 * forward_run,
+            "{} accesses simulated, a forward run is {forward_run}",
+            chain.simulated_accesses
+        );
+        for r in &chain.recoveries {
+            assert_eq!(r.counts, s.reference, "epoch recovery is exact");
         }
     }
 }

@@ -17,7 +17,22 @@
 //! per-type tally). A double count the prefix replay introduced stays a
 //! double count, the count-total audit fires exactly as if the tail had been
 //! simulated, and no simulated access is spent on it.
+//!
+//! [`McMode::Epoch`] recovery has no untimed tail: each counter line is
+//! replayed from its own epoch to the **end of the run**, all of it timed.
+//! What it has instead is company. The crash states of one forward
+//! execution replay the same lookups with the same sampled inputs, and the
+//! small caches forget where a replay started within a few dozen lookups —
+//! so a later state's replay soon stands, at some lookup boundary, on a
+//! machine with the [same future](MemorySystem::same_future) as an earlier
+//! state's replay stood on at that boundary. Two equal states of a
+//! deterministic simulator have one future: from there on the later
+//! replay's clock and counts are read off the earlier one instead of
+//! simulated again ([`McSim::recover_chain`]).
 
+use std::borrow::Borrow;
+
+use adcc_sim::clock::SimTime;
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
 use adcc_sim::image::NvmImage;
 use adcc_sim::parray::{PArray, PScalar, Pod};
@@ -304,22 +319,6 @@ impl McSim {
         RunOutcome::Completed(())
     }
 
-    /// Epoch-mode replay: re-execute lookups from each line's own epoch,
-    /// applying only the increments that line missed. Exact by
-    /// construction (each NVM line is a consistent `(counters, epoch)`
-    /// pair).
-    fn replay_epochs(&self, sys: &mut MemorySystem) {
-        let (e_lo, e_hi) = self.epoch_counters.epochs(sys);
-        let start = e_lo.min(e_hi);
-        for i in start..self.lookups {
-            let t = self.one_lookup(sys, i);
-            let line_epoch = if t < EpochCounters::LO { e_lo } else { e_hi };
-            if i >= line_epoch {
-                self.epoch_counters.increment(sys, t, i);
-            }
-        }
-    }
-
     /// Uncharged extraction of the counters (logical values).
     pub fn peek_counts(&self, sys: &MemorySystem) -> [u64; XS_CHANNELS] {
         if matches!(self.mode, McMode::Epoch { .. }) {
@@ -398,33 +397,127 @@ impl McSim {
     /// index (and whatever counter values NVM holds), and re-execute the
     /// remaining lookups with the *same sampled inputs* (counter-based
     /// RNG). `crashed_at` is the lookup the crash interrupted (known to
-    /// the harness), used only for loss accounting.
+    /// the harness), used only for loss accounting. A
+    /// [chain](McSim::recover_chain) of one.
     pub fn recover_and_resume(
         &self,
         image: &NvmImage,
         cfg: SystemConfig,
         crashed_at: u64,
     ) -> McRecovery {
-        let mut sys = MemorySystem::from_image(cfg, image);
-        if matches!(self.mode, McMode::Epoch { .. }) {
-            let t0 = sys.now();
-            let (e_lo, e_hi) = self.epoch_counters.epochs(&mut sys);
-            let resumed_from = e_lo.min(e_hi);
-            let t1 = sys.now();
-            self.replay_epochs(&mut sys);
-            let t2 = sys.now();
-            return McRecovery {
-                resumed_from,
-                counts: self.peek_counts(&sys),
-                report: RecoveryReport {
-                    detect_time: t1 - t0,
-                    resume_time: t2 - t1,
-                    lost_units: crashed_at.saturating_sub(resumed_from),
-                    restart_unit: resumed_from,
-                },
-                accesses: sys.access_count(),
+        self.recover_chain(&cfg, [(crashed_at, image)])
+            .recoveries
+            .pop()
+            .expect("one state in, one recovery out")
+    }
+
+    /// [`McSim::recover_and_resume`] for the crash states of **one forward
+    /// execution**, as `(crashed_at, image)` in the order they were
+    /// captured: the same [`McRecovery`] per state, field for field and
+    /// picosecond for picosecond, for less simulated work. Each image is
+    /// pulled from `states` when its turn comes and only borrowed to boot
+    /// from.
+    ///
+    /// Outside [`McMode::Epoch`] the states are recovered one by one. In
+    /// epoch mode the first state's replay is the **pilot**. Every later
+    /// state boots its own machine and replays from its own line epochs;
+    /// from the first lookup boundary at or past the line epochs of both
+    /// replays — before it they apply different increments — the two
+    /// advance in lockstep, whichever is behind stepping, until
+    /// [`MemorySystem::same_future`] holds between them at one boundary.
+    /// There the follower notes what it spent itself and the pilot's
+    /// reading, and is dropped: the rest of its clock is the rest of the
+    /// pilot's, its final counts are the pilot's. A follower that reaches
+    /// the end unjoined is complete as it stands. So at most two machines
+    /// are alive, and nothing is approximated: a state is joined on the
+    /// full comparison or not at all.
+    pub fn recover_chain<I: Borrow<NvmImage>>(
+        &self,
+        cfg: &SystemConfig,
+        states: impl IntoIterator<Item = (u64, I)>,
+    ) -> McChain {
+        let mut states = states.into_iter();
+        if !matches!(self.mode, McMode::Epoch { .. }) {
+            let recoveries: Vec<McRecovery> = states
+                .map(|(crashed_at, image)| {
+                    self.recover_to_crash_point(image.borrow(), cfg, crashed_at)
+                })
+                .collect();
+            return McChain {
+                simulated_accesses: recoveries.iter().map(|r| r.accesses).sum(),
+                recoveries,
             };
         }
+        let Some((crashed_at, image)) = states.next() else {
+            return McChain::default();
+        };
+        let mut pilot = EpochReplay::boot(self, cfg, image.borrow());
+        drop(image);
+        // The pilot joins itself where it stands.
+        let mut chain = vec![Link {
+            own: pilot.so_far(self, crashed_at),
+            pilot_at: Some(pilot.reading()),
+        }];
+        let mut simulated_accesses = 0;
+        for (crashed_at, image) in states {
+            let mut replay = EpochReplay::boot(self, cfg, image.borrow());
+            drop(image);
+            while replay.next < self.lookups {
+                if replay.next < pilot.next {
+                    replay.step(self);
+                } else if pilot.next < replay.next {
+                    pilot.step(self);
+                } else if replay.next >= replay.own_until().max(pilot.own_until())
+                    && replay.sys.same_future(&pilot.sys)
+                {
+                    break;
+                } else {
+                    replay.step(self);
+                    pilot.step(self);
+                }
+            }
+            simulated_accesses += replay.sys.access_count();
+            chain.push(Link {
+                own: replay.so_far(self, crashed_at),
+                // At the end of the run nothing is left to read off anyone.
+                pilot_at: (replay.next < self.lookups).then(|| pilot.reading()),
+            });
+        }
+        while pilot.next < self.lookups {
+            pilot.step(self);
+        }
+        let (end_time, end_accesses) = pilot.reading();
+        let counts = self.peek_counts(&pilot.sys);
+        let recoveries = chain
+            .into_iter()
+            .map(|Link { own, pilot_at }| match pilot_at {
+                None => own,
+                Some((time, accesses)) => McRecovery {
+                    counts,
+                    report: RecoveryReport {
+                        resume_time: own.report.resume_time + (end_time - time),
+                        ..own.report
+                    },
+                    accesses: own.accesses + (end_accesses - accesses),
+                    ..own
+                },
+            })
+            .collect();
+        McChain {
+            recoveries,
+            simulated_accesses: simulated_accesses + end_accesses,
+        }
+    }
+
+    /// Recovery in the index-flushing modes: re-execute `[flushed index,
+    /// crashed_at)` timed, tally the rest of the run on the host.
+    fn recover_to_crash_point(
+        &self,
+        image: &NvmImage,
+        cfg: &SystemConfig,
+        crashed_at: u64,
+    ) -> McRecovery {
+        let mut sys = MemorySystem::from_image(cfg.clone(), image);
         let t0 = sys.now();
         let resumed_from = self.idx_cell.get(&mut sys);
         let t1 = sys.now();
@@ -450,6 +543,107 @@ impl McSim {
                 restart_unit: resumed_from,
             },
             accesses: emu.access_count(),
+        }
+    }
+}
+
+/// What [`McSim::recover_chain`] came to.
+#[derive(Debug, Clone, Default)]
+pub struct McChain {
+    /// One recovery per crash state, in the order the states were given.
+    pub recoveries: Vec<McRecovery>,
+    /// Element accesses the chain simulated over all its machines. (Each
+    /// recovery's own `accesses` is what recovering that state alone would
+    /// have charged.)
+    pub simulated_accesses: u64,
+}
+
+/// One [`McMode::Epoch`] replay in flight: a machine booted from a crash
+/// image, re-executing lookups from its counter lines' epochs and applying
+/// to each line the increments it missed — exact by construction, each NVM
+/// line being a consistent `(counters, epoch)` pair.
+struct EpochReplay {
+    sys: MemorySystem,
+    /// The epochs of the two counter lines as the image held them.
+    epochs: (u64, u64),
+    /// Lookups `..next` are done: the boundary the machine stands at.
+    next: u64,
+    /// Time spent deciding where to restart.
+    detect_time: SimTime,
+    /// The clock when the timed replay began.
+    resume_began: SimTime,
+}
+
+/// One state of a chain, until the pilot has reached the end of the run.
+struct Link {
+    /// The recovery as of the boundary where the state's own machine
+    /// stopped: final if that is the end of the run.
+    own: McRecovery,
+    /// Where it stopped short: the pilot's clock and access count at the
+    /// boundary where the two machines had the same future. The rest of
+    /// the recovery is the rest of the pilot's.
+    pilot_at: Option<(SimTime, u64)>,
+}
+
+impl EpochReplay {
+    /// Boot `image`, read the line epochs (the detect phase) and stand at
+    /// the earlier one. The timed replay opens by reading both epoch words
+    /// a second time — two charged accesses of every epoch `resume_time`.
+    fn boot(mc: &McSim, cfg: &SystemConfig, image: &NvmImage) -> EpochReplay {
+        let mut sys = MemorySystem::from_image(cfg.clone(), image);
+        let t0 = sys.now();
+        mc.epoch_counters.epochs(&mut sys);
+        let resume_began = sys.now();
+        let epochs = mc.epoch_counters.epochs(&mut sys);
+        EpochReplay {
+            sys,
+            epochs,
+            next: epochs.0.min(epochs.1),
+            detect_time: resume_began - t0,
+            resume_began,
+        }
+    }
+
+    /// The first boundary from which the replay applies every increment,
+    /// like any other replay that far along: the later line epoch.
+    fn own_until(&self) -> u64 {
+        self.epochs.0.max(self.epochs.1)
+    }
+
+    /// The clock and the access count, as a chain notes them at a join.
+    fn reading(&self) -> (SimTime, u64) {
+        (self.sys.now(), self.sys.access_count())
+    }
+
+    /// Re-execute lookup `next`.
+    fn step(&mut self, mc: &McSim) {
+        let i = self.next;
+        let t = mc.one_lookup(&mut self.sys, i);
+        let line_epoch = if t < EpochCounters::LO {
+            self.epochs.0
+        } else {
+            self.epochs.1
+        };
+        if i >= line_epoch {
+            mc.epoch_counters.increment(&mut self.sys, t, i);
+        }
+        self.next += 1;
+    }
+
+    /// The recovery as of this boundary: final once the replay is at the
+    /// end of the run.
+    fn so_far(&self, mc: &McSim, crashed_at: u64) -> McRecovery {
+        let resumed_from = self.epochs.0.min(self.epochs.1);
+        McRecovery {
+            resumed_from,
+            counts: mc.peek_counts(&self.sys),
+            report: RecoveryReport {
+                detect_time: self.detect_time,
+                resume_time: self.sys.now() - self.resume_began,
+                lost_units: crashed_at.saturating_sub(resumed_from),
+                restart_unit: resumed_from,
+            },
+            accesses: self.sys.access_count(),
         }
     }
 }
@@ -537,6 +731,45 @@ mod tests {
                     restart_unit: resumed_from,
                 },
                 accesses,
+            }
+        }
+    }
+
+    impl McSim {
+        /// The differential oracle for the chain: epoch recovery as it was
+        /// before chains — one machine per state, every lookup from the
+        /// line epochs to the end of the run simulated on it.
+        fn recover_epochs_alone(
+            &self,
+            image: &NvmImage,
+            cfg: SystemConfig,
+            crashed_at: u64,
+        ) -> McRecovery {
+            let mut sys = MemorySystem::from_image(cfg, image);
+            let t0 = sys.now();
+            let (e_lo, e_hi) = self.epoch_counters.epochs(&mut sys);
+            let resumed_from = e_lo.min(e_hi);
+            let t1 = sys.now();
+            // The replay proper opens by reading the epochs again.
+            let (e_lo, e_hi) = self.epoch_counters.epochs(&mut sys);
+            for i in e_lo.min(e_hi)..self.lookups {
+                let t = self.one_lookup(&mut sys, i);
+                let line_epoch = if t < EpochCounters::LO { e_lo } else { e_hi };
+                if i >= line_epoch {
+                    self.epoch_counters.increment(&mut sys, t, i);
+                }
+            }
+            let t2 = sys.now();
+            McRecovery {
+                resumed_from,
+                counts: self.peek_counts(&sys),
+                report: RecoveryReport {
+                    detect_time: t1 - t0,
+                    resume_time: t2 - t1,
+                    lost_units: crashed_at.saturating_sub(resumed_from),
+                    restart_unit: resumed_from,
+                },
+                accesses: sys.access_count(),
             }
         }
     }
@@ -632,6 +865,157 @@ mod tests {
         assert_eq!(facts(&tallied), facts(&simulated));
         assert_ne!(tallied.counts, reference.counts, "the poison must show");
         assert_eq!(tallied.counts.iter().sum::<u64>(), lookups);
+    }
+
+    /// Hostile caches for the epoch chain: counter lines are evicted at
+    /// arbitrary times, and a replay forgets its start within a few lookups.
+    fn hostile() -> SystemConfig {
+        SystemConfig::heterogeneous(4 << 10, 16 << 10, 1 << 20)
+    }
+
+    const EPOCH_LOOKUPS: u64 = 96;
+
+    /// One small epoch-mode run under [`hostile`] caches, an image at every
+    /// lookup boundary, and what recovering each alone comes to.
+    fn epoch_run() -> &'static (McSim, Vec<NvmImage>, Vec<McRecovery>) {
+        static RUN: std::sync::OnceLock<(McSim, Vec<NvmImage>, Vec<McRecovery>)> =
+            std::sync::OnceLock::new();
+        RUN.get_or_init(|| {
+            let p = McProblem::generate(36, 32, 11);
+            let mode = McMode::Epoch { interval: 8 };
+            let (mc, images) = images_at_every_lookup(&p, &hostile(), EPOCH_LOOKUPS, mode);
+            let alone = images
+                .iter()
+                .enumerate()
+                .map(|(k, image)| mc.recover_epochs_alone(image, hostile(), k as u64))
+                .collect();
+            (mc, images, alone)
+        })
+    }
+
+    /// Chain the states at `picks` and compare each recovery with the
+    /// oracle's; the chain's simulated accesses.
+    fn chain_equals_alone(
+        mc: &McSim,
+        images: &[NvmImage],
+        alone: &[McRecovery],
+        picks: &[usize],
+    ) -> u64 {
+        let chain = mc.recover_chain(&hostile(), picks.iter().map(|&k| (k as u64, &images[k])));
+        assert_eq!(chain.recoveries.len(), picks.len());
+        for (got, &k) in chain.recoveries.iter().zip(picks) {
+            assert_eq!(facts(got), facts(&alone[k]), "crashed_at {k} of {picks:?}");
+        }
+        chain.simulated_accesses
+    }
+
+    #[test]
+    fn chained_epoch_recovery_equals_recovery_alone_at_every_crash_point() {
+        let (mc, images, alone) = epoch_run();
+        let total = |picks: &[usize]| picks.iter().map(|&k| alone[k].accesses).sum::<u64>();
+        // A chain of one is the recovery alone: one implementation.
+        for (k, image) in images.iter().enumerate() {
+            let got = mc.recover_and_resume(image, hostile(), k as u64);
+            assert_eq!(facts(&got), facts(&alone[k]), "crashed_at {k}");
+        }
+        // Every crash point in one chain: each follower starts a lookup
+        // behind the pilot and catches up with it.
+        let every: Vec<usize> = (0..images.len()).collect();
+        let simulated = chain_equals_alone(mc, images, alone, &every);
+        assert!(
+            2 * simulated < total(&every),
+            "{simulated} accesses simulated, {} alone: nothing joined",
+            total(&every)
+        );
+        // Sparse chains: the pilot is the one behind and is stepped up to
+        // each follower. Crash points near the end never join anything.
+        for stride in [5, 13, 31] {
+            for first in 0..stride {
+                let picks: Vec<usize> = (first..images.len()).step_by(stride).collect();
+                let simulated = chain_equals_alone(mc, images, alone, &picks);
+                assert!(simulated <= total(&picks), "{picks:?}");
+            }
+        }
+        // The order the states come in is a matter of work, not of
+        // results: a pilot from late in the run, followers from before it.
+        let backwards: Vec<usize> = (0..images.len()).rev().step_by(9).collect();
+        chain_equals_alone(mc, images, alone, &backwards);
+    }
+
+    #[test]
+    fn a_follower_that_never_joins_runs_to_the_end_and_is_still_exact() {
+        let (mc, images, alone) = epoch_run();
+        // The second state's image holds other cross sections for the
+        // first nuclide (in the manner of
+        // `tally_reads_the_grids_of_the_image_it_was_handed`): its NVM never
+        // equals the pilot's, so no boundary has the same future.
+        let mut bytes = images[30].prefix().to_vec();
+        for entry in 0..32 * XS_CHANNELS {
+            let at = mc.grids.xs.addr(entry) as usize;
+            let huge = 1e9 * (entry % XS_CHANNELS + 1) as f64;
+            bytes[at..at + 8].copy_from_slice(&huge.to_le_bytes());
+        }
+        let poisoned = NvmImage::new(bytes, images[30].len());
+        let loner = mc.recover_epochs_alone(&poisoned, hostile(), 30);
+        assert_ne!(loner.counts, alone[30].counts, "the poison must show");
+
+        // It comes last: stepping in lockstep with it takes the pilot to the
+        // end of the run, where nobody after it could join any more.
+        let states = [(10, &images[10]), (50, &images[50]), (30, &poisoned)];
+        let chain = mc.recover_chain(&hostile(), states);
+        let want = [&alone[10], &alone[50], &loner];
+        for (got, want) in chain.recoveries.iter().zip(want) {
+            assert_eq!(facts(got), facts(want));
+        }
+        // The pilot and the loner were simulated in full, the state between
+        // them only until it joined the pilot.
+        let in_full = alone[10].accesses + loner.accesses;
+        assert!(chain.simulated_accesses > in_full);
+        assert!(chain.simulated_accesses < in_full + alone[50].accesses);
+    }
+
+    /// The gotcha the chain has to preserve: the timed replay of **every**
+    /// state opens by reading both epoch words a second time. With no
+    /// lookup left to replay, those two cache hits are all a state's
+    /// `resume_time` — per state, not per chain.
+    #[test]
+    fn every_chained_state_rereads_its_epoch_words_inside_the_timed_window() {
+        let (mc, images, _) = epoch_run();
+        let idle = McSim {
+            grids: mc.grids,
+            problem: mc.problem.clone(),
+            macro_xs: mc.macro_xs,
+            counters: mc.counters,
+            idx_cell: mc.idx_cell,
+            epoch_counters: mc.epoch_counters,
+            lookups: 0,
+            seed: mc.seed,
+            mode: mc.mode,
+        };
+        let chain = idle.recover_chain(&hostile(), [(20, &images[20]), (40, &images[40])]);
+        assert_eq!(chain.recoveries.len(), 2);
+        for r in &chain.recoveries {
+            let hit = hostile().timing.cpu_access_ps;
+            assert_eq!(r.report.resume_time.ps(), 2 * hit);
+            assert!(r.report.detect_time.ps() > 2 * hit, "two cold misses");
+            assert_eq!(r.accesses, 4);
+        }
+        assert_eq!(chain.simulated_accesses, 8);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Whatever subset of one run's crash points is chained, in poll
+        /// order, each state's recovery is the one it gets alone.
+        #[test]
+        fn any_chain_of_one_runs_crash_points_equals_recovery_alone(
+            picked in proptest::collection::vec(proptest::prelude::any::<bool>(), 97),
+        ) {
+            let (mc, images, alone) = epoch_run();
+            let picks: Vec<usize> = (0..images.len()).filter(|&k| picked[k]).collect();
+            chain_equals_alone(mc, images, alone, &picks);
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::line::LINE_SIZE;
 
 /// A bump allocator handing out simulated addresses in `[base, end)`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bump {
     next: u64,
     end: u64,

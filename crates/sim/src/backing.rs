@@ -20,10 +20,21 @@ pub(crate) fn read_padded(prefix: &[u8], off: usize, buf: &mut [u8]) {
 
 /// Write `src` at offset `off` of a pool stored as its written `prefix`,
 /// materializing the zero fill up to the end of the write first.
+///
+/// A prefix that has to grow takes an eighth of its capacity as slack, not
+/// the doubling `Vec::resize` would: a machine booted from an image holds
+/// the image's prefix exactly, its first write past it used to double that
+/// allocation, and a campaign keeps several such machines alive per worker.
+/// Growth stays geometric, so a run that extends its pool line by line
+/// still copies O(final size) bytes in total.
 #[inline]
 pub(crate) fn write_growing(prefix: &mut Vec<u8>, off: usize, src: &[u8]) {
     let end = off + src.len();
     if end > prefix.len() {
+        if end > prefix.capacity() {
+            let room = end.max(prefix.capacity() + prefix.capacity() / 8);
+            prefix.reserve_exact(room - prefix.len());
+        }
         prefix.resize(end, 0);
     }
     prefix[off..end].copy_from_slice(src);
@@ -239,6 +250,24 @@ impl Backing {
         self.bytes.extend_from_slice(&prefix[..live]);
     }
 
+    /// Whether no later read, snapshot or crash image can tell this store
+    /// from `other`: same address range, same bytes (one prefix may spell
+    /// out zeros the other leaves implicit), and neither keeps a write
+    /// journal — a journal is an input to delta forks, and it is not
+    /// compared.
+    pub(crate) fn same_future(&self, other: &Self) -> bool {
+        let (short, long) = if self.bytes.len() <= other.bytes.len() {
+            (&self.bytes, &other.bytes)
+        } else {
+            (&other.bytes, &self.bytes)
+        };
+        !self.journaling
+            && !other.journaling
+            && (self.base, self.cap) == (other.base, other.cap)
+            && long[..short.len()] == short[..]
+            && trimmed_len(&long[short.len()..]) == 0
+    }
+
     /// Zero everything (volatile medium lost at crash). Invalidates any
     /// outstanding write journal, like [`Backing::restore`].
     pub fn wipe(&mut self) {
@@ -252,6 +281,28 @@ impl Backing {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_growing_prefix_keeps_an_eighth_of_slack_not_a_doubling() {
+        let mut b = Backing::new(0, 1 << 20);
+        b.restore(&[7; 64 * 1024], 1 << 20);
+        assert_eq!(b.bytes.capacity(), 64 * 1024, "booted exact");
+        // The first line past the image's prefix.
+        b.write_line(1024, &[1; LINE_SIZE]);
+        assert_eq!(b.bytes.len(), 64 * 1024 + LINE_SIZE);
+        assert!(b.bytes.capacity() <= 72 * 1024, "{}", b.bytes.capacity());
+        // Line-by-line growth reallocates a logarithmic number of times.
+        let mut grown = 0;
+        for line in 1025..4096 {
+            let before = b.bytes.capacity();
+            b.write_line(line, &[2; LINE_SIZE]);
+            grown += usize::from(b.bytes.capacity() != before);
+        }
+        assert!(grown <= 12, "{grown} reallocations to quadruple the prefix");
+        // A write far past the end reserves what it needs and no more.
+        b.write_line(8192, &[3; LINE_SIZE]);
+        assert_eq!(b.bytes.capacity(), 8193 * LINE_SIZE);
+    }
 
     #[test]
     fn line_roundtrip() {

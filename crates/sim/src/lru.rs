@@ -354,6 +354,46 @@ impl SetAssocCache {
         dirty
     }
 
+    /// Whether no sequence of operations can tell this cache from `other`:
+    /// same geometry, and every set holds the same lines with the same
+    /// dirty bits and payloads in the same replacement order. Under LRU and
+    /// FIFO the victim is the smallest stamp of a full set, a free way is
+    /// filled before any victim is chosen and new stamps exceed every old
+    /// one — so which way a line sits in and what its stamp reads do not
+    /// matter, only the order of the stamps. Tree-PLRU and random
+    /// replacement do depend on the way; for them this answers `false`
+    /// rather than compare their state. (The tick, the last-hit memory and
+    /// the stamps of invalid slots are not inputs to anything.)
+    pub(crate) fn same_future(&self, other: &Self) -> bool {
+        if (self.sets, self.assoc, self.policy) != (other.sets, other.assoc, other.policy)
+            || !matches!(
+                self.policy,
+                ReplacementPolicy::Lru | ReplacementPolicy::Fifo
+            )
+        {
+            return false;
+        }
+        let older_than = |set: &[Slot], s: &Slot| {
+            set.iter()
+                .filter(|o| o.valid() && o.stamp < s.stamp)
+                .count()
+        };
+        self.slots
+            .chunks_exact(self.assoc)
+            .zip(other.slots.chunks_exact(self.assoc))
+            .all(|(mine, theirs)| {
+                let valid = |set: &[Slot]| set.iter().filter(|s| s.valid()).count();
+                valid(mine) == valid(theirs)
+                    && mine.iter().filter(|s| s.valid()).all(|s| {
+                        theirs.iter().find(|t| t.tag == s.tag).is_some_and(|t| {
+                            t.dirty == s.dirty
+                                && older_than(theirs, t) == older_than(mine, s)
+                                && t.data == s.data
+                        })
+                    })
+            })
+    }
+
     /// Discard all contents without write-back (a crash).
     pub fn clear(&mut self) {
         for slot in self.slots.iter_mut() {

@@ -68,7 +68,7 @@ impl FlushOp {
 }
 
 /// Static configuration of a [`MemorySystem`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SystemConfig {
     /// Geometry of the (unified, last-level) CPU cache.
     pub cpu_cache: CacheConfig,
@@ -911,6 +911,51 @@ impl MemorySystem {
         self.access_count
     }
 
+    /// Whether this machine and `other` have **one future**: any sequence
+    /// of operations applied to both from here on charges the same
+    /// picoseconds to the same buckets, moves every counter by the same
+    /// amount, reads the same values and leaves the same crash images. The
+    /// simulator is deterministic, so that holds exactly when every input
+    /// to a later charge or read is equal, and this compares all of them —
+    /// no hash, no tolerance:
+    ///
+    /// * the configuration, both bump allocators and the clock's current
+    ///   bucket;
+    /// * both caches, set by set, as (line, dirty, payload) in replacement
+    ///   order (see `SetAssocCache::same_future`: exact for LRU and FIFO,
+    ///   `false` for the policies whose victim depends on the way);
+    /// * the NVM and DRAM backing contents;
+    /// * each stream detector, position by position — unless its medium
+    ///   does not prefetch, in which case its answers price nothing
+    ///   ([`MediaTiming::read_cost`](crate::timing::MediaTiming::read_cost)
+    ///   ignores them) and it is not an input.
+    ///
+    /// What it does not compare makes it answer `false`: an attached event
+    /// recorder, a running write journal. What is *not* an input, and may
+    /// differ: the clock's reading, the counters and the access count (only
+    /// their deltas are determined), and which way of its set a line sits
+    /// in. Uncharged; costs one pass over both machines' resident bytes, so
+    /// it belongs between work units, never on an access path.
+    pub fn same_future(&self, other: &Self) -> bool {
+        let t = self.cfg.timing;
+        self.events.is_none()
+            && other.events.is_none()
+            && self.cfg == other.cfg
+            && self.clock.bucket() == other.clock.bucket()
+            && self.nvm_alloc == other.nvm_alloc
+            && self.dram_alloc == other.dram_alloc
+            && (!t.nvm.prefetch || self.nvm_streams.same_future(&other.nvm_streams))
+            && (!t.dram.prefetch || self.dram_streams.same_future(&other.dram_streams))
+            && self.cpu.same_future(&other.cpu)
+            && match (&self.dramc, &other.dramc) {
+                (Some(mine), Some(theirs)) => mine.same_future(theirs),
+                (None, None) => true,
+                _ => false,
+            }
+            && self.nvm.same_future(&other.nvm)
+            && self.dram.same_future(&other.dram)
+    }
+
     /// Count the distinct dirty NVM-homed cache lines currently resident in
     /// the volatile hierarchy (CPU cache and, on the heterogeneous
     /// platform, the DRAM cache). This is the paper's "dirty data in the
@@ -1664,12 +1709,15 @@ mod tests {
         /// Write this many bytes, counting up from the given value.
         Write(At, usize, u8),
         Clflush(At),
+        ClflushOpt(At),
         Clwb(At),
         PersistLine(At),
         /// Batched persist of the NVM lines holding these offsets.
         PersistBatched(Vec<u64>),
         Sfence,
         Drain,
+        /// `crash_fork`: the image a crash here would leave, run untouched.
+        Fork,
         Crash,
     }
 
@@ -1684,13 +1732,55 @@ mod tests {
             8 => (at(), 0usize..=16).prop_map(|(at, len)| Op::Read(at, len)),
             8 => (at(), 0usize..=16, any::<u8>()).prop_map(|(at, len, v)| Op::Write(at, len, v)),
             1 => at().prop_map(Op::Clflush),
+            1 => at().prop_map(Op::ClflushOpt),
             1 => at().prop_map(Op::Clwb),
             1 => at().prop_map(Op::PersistLine),
             1 => prop::collection::vec(0..REGION, 0..6).prop_map(Op::PersistBatched),
             1 => Just(Op::Sfence),
             1 => Just(Op::Drain),
+            1 => Just(Op::Fork),
             1 => Just(Op::Crash),
         ]
+    }
+
+    /// What one op let the program observe.
+    #[derive(Debug, PartialEq)]
+    enum Seen {
+        Nothing,
+        Bytes(Vec<u8>),
+        Image(NvmImage),
+    }
+
+    /// The bytes `Op::Write(_, len, v)` stores.
+    fn payload(len: usize, v: u8) -> Vec<u8> {
+        (0..len as u8).map(|i| v.wrapping_add(i)).collect()
+    }
+
+    /// Run `op` by the public entry points, on regions based at `nvm` and
+    /// `dram`.
+    fn apply(sys: &mut MemorySystem, op: &Op, nvm: u64, dram: u64) -> Seen {
+        let addr = |(in_dram, off): At| if in_dram { dram + off } else { nvm + off };
+        match *op {
+            Op::Read(at, len) => {
+                let mut buf = vec![0u8; len];
+                sys.read_bytes(addr(at), &mut buf);
+                return Seen::Bytes(buf);
+            }
+            Op::Write(at, len, v) => sys.write_bytes(addr(at), &payload(len, v)),
+            Op::Clflush(at) => sys.clflush(addr(at)),
+            Op::ClflushOpt(at) => sys.clflushopt(addr(at)),
+            Op::Clwb(at) => sys.clwb(addr(at)),
+            Op::PersistLine(at) => sys.persist_line(addr(at)),
+            Op::PersistBatched(ref offs) => {
+                let lines: Vec<u64> = offs.iter().map(|&o| line_of(nvm + o)).collect();
+                sys.persist_lines_batched(&lines);
+            }
+            Op::Sfence => sys.sfence(),
+            Op::Drain => sys.drain_dram_cache(),
+            Op::Fork => return Seen::Image(sys.crash_fork()),
+            Op::Crash => return Seen::Image(sys.crash()),
+        }
+        Seen::Nothing
     }
 
     /// Run `ops` through two clones of one system — `fast` by the public
@@ -1708,48 +1798,20 @@ mod tests {
         let mut slow = fast.clone();
         let addr = |(in_dram, off): At| if in_dram { dram + off } else { nvm + off };
         for (k, op) in ops.iter().enumerate() {
-            match *op {
+            let seen = apply(&mut fast, op, nvm, dram);
+            let spanning = match *op {
                 Op::Read(at, len) => {
-                    let (mut a, mut b) = ([0u8; 16], [0xAAu8; 16]);
-                    fast.read_bytes(addr(at), &mut a[..len]);
-                    slow.read_bytes_spanning(addr(at), &mut b[..len]);
-                    prop_assert_eq!(&a[..len], &b[..len], "op {}: {:?}", k, op);
+                    let mut buf = vec![0xAAu8; len];
+                    slow.read_bytes_spanning(addr(at), &mut buf);
+                    Seen::Bytes(buf)
                 }
                 Op::Write(at, len, v) => {
-                    let src: Vec<u8> = (0..len as u8).map(|i| v.wrapping_add(i)).collect();
-                    fast.write_bytes(addr(at), &src);
-                    slow.write_bytes_spanning(addr(at), &src);
+                    slow.write_bytes_spanning(addr(at), &payload(len, v));
+                    Seen::Nothing
                 }
-                Op::Clflush(at) => {
-                    fast.clflush(addr(at));
-                    slow.clflush(addr(at));
-                }
-                Op::Clwb(at) => {
-                    fast.clwb(addr(at));
-                    slow.clwb(addr(at));
-                }
-                Op::PersistLine(at) => {
-                    fast.persist_line(addr(at));
-                    slow.persist_line(addr(at));
-                }
-                Op::PersistBatched(ref offs) => {
-                    let lines: Vec<u64> = offs.iter().map(|&o| line_of(nvm + o)).collect();
-                    fast.persist_lines_batched(&lines);
-                    slow.persist_lines_batched(&lines);
-                }
-                Op::Sfence => {
-                    fast.sfence();
-                    slow.sfence();
-                }
-                Op::Drain => {
-                    fast.drain_dram_cache();
-                    slow.drain_dram_cache();
-                }
-                Op::Crash => {
-                    let (a, b) = (fast.crash(), slow.crash());
-                    prop_assert_eq!(a, b, "op {}", k);
-                }
-            }
+                _ => apply(&mut slow, op, nvm, dram),
+            };
+            prop_assert_eq!(seen, spanning, "op {}: {:?}", k, op);
             prop_assert_eq!(fast.stats(), slow.stats(), "op {}: {:?}", k, op);
             prop_assert_eq!(
                 fast.clock().bucket_totals(),
@@ -1793,6 +1855,300 @@ mod tests {
                 hetero.cpu_cache = hetero.cpu_cache.with_policy(policy);
                 hetero.dram_cache = hetero.dram_cache.map(|c| c.with_policy(policy));
                 access_paths_agree(hetero, &ops)?;
+            }
+        }
+    }
+    // ------------------------------------------------------------------
+    // same_future
+    // ------------------------------------------------------------------
+
+    /// Lines of the op region, its slack line included.
+    const LINES: u64 = REGION / LINE_SIZE as u64 + 1;
+
+    fn tiny_nvm_only() -> SystemConfig {
+        SystemConfig::nvm_only(16 * LINE_SIZE, 1 << 16)
+    }
+
+    fn tiny_hetero() -> SystemConfig {
+        SystemConfig::heterogeneous(16 * LINE_SIZE, 32 * LINE_SIZE, 1 << 16)
+    }
+
+    /// A machine with a history: every region line written (the later ones
+    /// still dirty in cache, the earlier ones evicted), one persisted.
+    /// Returns it with the region's first line number.
+    fn warm(cfg: SystemConfig) -> (MemorySystem, u64) {
+        let mut s = MemorySystem::new(cfg);
+        let a = s.alloc_nvm(LINES as usize * LINE_SIZE);
+        for l in 0..LINES {
+            s.write_bytes(a + l * LINE_SIZE as u64, &[l as u8 + 1; 8]);
+        }
+        s.persist_line(a);
+        (s, line_of(a))
+    }
+
+    #[test]
+    fn one_differing_input_each_breaks_same_future() {
+        let (a, first) = warm(tiny_nvm_only());
+        assert!(a.same_future(&a.clone()));
+        // The last line written, and the line written before it in its set.
+        let (mru, second) = (first + LINES - 1, first + LINES - 3);
+        let differs = |what: &str, change: &dyn Fn(&mut MemorySystem)| {
+            let mut b = a.clone();
+            change(&mut b);
+            assert!(!a.same_future(&b), "{what} went unnoticed");
+            assert!(
+                !b.same_future(&a),
+                "{what} went unnoticed from the other side"
+            );
+        };
+        differs("a dirty bit", &|b| {
+            assert!(b.cpu.clean_line(mru).is_some());
+        });
+        differs("a payload byte", &|b| {
+            b.cpu.lookup(mru).expect("resident").data()[63] ^= 1;
+        });
+        differs("a recency swap", &|b| {
+            assert!(b.cpu.lookup(second).is_some());
+        });
+        differs("an NVM byte", &|b| {
+            b.nvm.write_bytes((first << LINE_SHIFT) + 5, &[0xEE]);
+        });
+        differs("a DRAM byte", &|b| b.dram.write_bytes(DRAM_BASE, &[1]));
+        differs("an NVM stream entry", &|b| {
+            b.nvm_streams.note(9_999);
+        });
+        differs("a DRAM stream entry", &|b| {
+            b.dram_streams.note(9_999);
+        });
+        differs("an allocation", &|b| {
+            b.alloc_nvm(8);
+        });
+        differs("the clock's bucket", &|b| {
+            b.clock_mut().set_bucket(Bucket::Resume);
+        });
+        differs("the flush instruction", &|b| b.cfg.flush_op = FlushOp::Clwb);
+        differs("battery-backed caches", &|b| b.cfg.persistent_caches = true);
+
+        // On the heterogeneous platform the DRAM cache is an input too; the
+        // NVM detector is not — PCM-like NVM does not prefetch, so nothing
+        // is priced by its answers.
+        let (a, first) = warm(tiny_hetero());
+        let mut b = a.clone();
+        b.nvm_streams.note(9_999);
+        assert!(a.same_future(&b));
+        let dramc = b.dramc.as_mut().expect("heterogeneous");
+        assert!(dramc.clean_line(first + 1).is_some(), "evicted dirty");
+        assert!(!a.same_future(&b), "a DRAM-cache dirty bit went unnoticed");
+    }
+
+    #[test]
+    fn what_is_no_input_may_differ() {
+        let (a, first) = warm(tiny_nvm_only());
+        let mut b = a.clone();
+        // The clock's reading, the counters, the access count.
+        b.charge_ps(12_345);
+        b.stats.sfences += 7;
+        b.access_count += 3;
+        // Absolute LRU stamps: re-touching the most recent line moves its
+        // stamp and the tick, not the order.
+        assert!(b.cpu.lookup(first + LINES - 1).is_some());
+        // Zeros the backing store spells out instead of leaving implicit.
+        b.nvm.write_bytes(40_000, &[0; 16]);
+        b.dram.write_bytes(DRAM_BASE + 640, &[0]);
+        assert!(a.same_future(&b) && b.same_future(&a));
+    }
+
+    #[test]
+    fn what_is_not_compared_answers_false() {
+        let (a, _) = warm(tiny_nvm_only());
+        let mut recorded = a.clone();
+        recorded.attach_recorder(crate::events::EventRecorder::new());
+        assert!(!recorded.same_future(&recorded.clone()));
+        let mut journaled = a.clone();
+        journaled.delta_base();
+        assert!(!journaled.same_future(&journaled.clone()));
+        journaled.retire_delta_base();
+        assert!(journaled.same_future(&a));
+        // Way-dependent replacement: not even a clone is vouched for.
+        use crate::policy::ReplacementPolicy;
+        for policy in [ReplacementPolicy::TreePlru, ReplacementPolicy::Random] {
+            let mut cfg = tiny_nvm_only();
+            cfg.cpu_cache = cfg.cpu_cache.with_policy(policy);
+            let (s, _) = warm(cfg);
+            assert!(!s.same_future(&s.clone()), "{policy:?}");
+        }
+        let mut cfg = tiny_nvm_only();
+        cfg.cpu_cache = cfg.cpu_cache.with_policy(ReplacementPolicy::Fifo);
+        let (s, _) = warm(cfg);
+        assert!(s.same_future(&s.clone()));
+    }
+
+    #[test]
+    fn way_placement_is_no_input() {
+        // Lines 0 and 2 share a CPU-cache set; which free way each landed
+        // in depends on who missed first.
+        let fill = |order: [u64; 2]| {
+            let mut s = MemorySystem::new(tiny_hetero());
+            let a = s.alloc_nvm(4 * LINE_SIZE);
+            for l in order.into_iter().chain([0, 2]) {
+                s.read_bytes(a + l * LINE_SIZE as u64, &mut [0u8; 8]);
+            }
+            s
+        };
+        let (a, b) = (fill([0, 2]), fill([2, 0]));
+        let ways = |s: &MemorySystem| s.cpu.iter_resident().map(|r| r.0).collect::<Vec<_>>();
+        assert_ne!(ways(&a), ways(&b), "the fills placed the lines alike");
+        assert!(a.same_future(&b));
+    }
+
+    /// Bring a machine with any history over the op region to the one state
+    /// the region's wash leaves: every line persisted with a fixed value
+    /// (which empties both caches), then rewritten in cache — first in an
+    /// order of the caller's choice (which decides way placement), then
+    /// twice highest line first (which decides the replacement order and, a
+    /// descending sweep continuing no stream, replaces every detector way).
+    /// In between, `detector_turns` stream-less misses that leave nothing
+    /// else behind: a zero written to a far line of the empty cache and
+    /// persisted again turns the NVM detector's replacement position by one.
+    fn wash(sys: &mut MemorySystem, nvm: u64, ascending_first: bool, detector_turns: u64) {
+        let sweep = |sys: &mut MemorySystem, ascending: bool| {
+            for k in 0..LINES {
+                let l = if ascending { k } else { LINES - 1 - k };
+                sys.write_bytes(nvm + l * LINE_SIZE as u64, &[l as u8 | 0x80; LINE_SIZE]);
+            }
+        };
+        sweep(sys, false);
+        sys.persist_range(nvm, LINES as usize * LINE_SIZE);
+        sys.sfence();
+        for turn in 0..detector_turns {
+            let far = nvm + (LINES + 2 * (64 - turn)) * LINE_SIZE as u64;
+            sys.write_bytes(far, &[0]);
+            sys.persist_line(far);
+        }
+        sweep(sys, ascending_first);
+        sweep(sys, false);
+        sweep(sys, false);
+    }
+
+    /// One step off the washed state, each moving a single input: the
+    /// replacement order (a read of line 14, the next victim of the 8-way
+    /// set the even lines share, makes it the last), a dirty bit (`CLWB`
+    /// writes back the bytes NVM already holds, as a repeat of the
+    /// detector's newest stream), a payload byte.
+    const NEAR_MISSES: [Option<Op>; 4] = [
+        Some(Op::Read((false, 14 * LINE_SIZE as u64), 1)),
+        Some(Op::Clwb((false, 0))),
+        Some(Op::Write((false, 9), 1, 0x11)),
+        None,
+    ];
+
+    /// Every counter of `s`, in declaration order.
+    fn counters(s: &MemStats) -> Vec<u64> {
+        // Field names hold no digits.
+        format!("{s:?}")
+            .split(|c: char| !c.is_ascii_digit())
+            .filter_map(|n| n.parse().ok())
+            .collect()
+    }
+
+    /// Two machines with different pasts — boot images, op histories, clock
+    /// readings, way placement — washed into one future, then one op
+    /// suffix on both: every observation and every delta must agree.
+    fn equal_states_have_one_future(
+        cfg: SystemConfig,
+        fills: (u8, u8),
+        histories: (&[Op], &[Op]),
+        suffix: &[Op],
+    ) -> proptest::prelude::TestCaseResult {
+        use proptest::prelude::*;
+        let boot = |fill: u8, history: &[Op], ascending_first: bool| {
+            let bytes = (0..LINES as usize * LINE_SIZE)
+                .map(|i| fill.wrapping_mul(i as u8 | 1))
+                .collect();
+            let image = NvmImage::new(bytes, cfg.nvm_capacity);
+            let mut sys = MemorySystem::from_image(cfg.clone(), &image);
+            let nvm = sys.alloc_nvm(REGION as usize + 16);
+            let dram = sys.alloc_dram(REGION as usize + 16);
+            // Histories stay in NVM: the DRAM-direct region has no wash.
+            for op in history {
+                apply(&mut sys, op, nvm, nvm);
+            }
+            (sys, nvm, dram, ascending_first)
+        };
+        let (mut a, nvm, dram, first) = boot(fills.0, histories.0, false);
+        wash(&mut a, nvm, first, 0);
+        let (b, _, _, first) = boot(fills.1, histories.1, true);
+        // The second machine is the first candidate `same_future` vouches
+        // for, near misses first: vouching for one of those shows in the
+        // suffix. Where NVM prefetches, the detector's replacement position
+        // is an input, and it counts every stream-less miss either past
+        // made: each candidate is tried at every position.
+        let mut b = NEAR_MISSES
+            .iter()
+            .flat_map(|off| (0..16).map(move |turns| (off, turns)))
+            .find_map(|(off, turns)| {
+                let mut b = b.clone();
+                wash(&mut b, nvm, first, turns);
+                if let Some(op) = off {
+                    apply(&mut b, op, nvm, dram);
+                }
+                a.same_future(&b).then_some(b)
+            })
+            .expect("the wash leaves one state");
+
+        let (a0, b0) = (a.counter_snapshot(), b.counter_snapshot());
+        let (a_accesses, b_accesses) = (a.access_count(), b.access_count());
+        for (k, op) in suffix.iter().enumerate() {
+            let (seen_a, seen_b) = (apply(&mut a, op, nvm, dram), apply(&mut b, op, nvm, dram));
+            prop_assert_eq!(seen_a, seen_b, "op {}: {:?}", k, op);
+            let (a1, b1) = (a.counter_snapshot(), b.counter_snapshot());
+            prop_assert_eq!(a1.now_ps - a0.now_ps, b1.now_ps - b0.now_ps, "op {}", k);
+            for bucket in 0..Bucket::COUNT {
+                prop_assert_eq!(
+                    a1.bucket_ps[bucket] - a0.bucket_ps[bucket],
+                    b1.bucket_ps[bucket] - b0.bucket_ps[bucket],
+                    "op {}: {:?}",
+                    k,
+                    Bucket::ALL[bucket]
+                );
+            }
+            let delta = |now: &MemStats, then: &MemStats| -> Vec<u64> {
+                counters(now)
+                    .iter()
+                    .zip(counters(then))
+                    .map(|(n, t)| n - t)
+                    .collect()
+            };
+            prop_assert_eq!(
+                delta(&a1.stats, &a0.stats),
+                delta(&b1.stats, &b0.stats),
+                "op {}: {:?}",
+                k,
+                op
+            );
+            prop_assert_eq!(a.access_count() - a_accesses, b.access_count() - b_accesses);
+        }
+        // Equal states stay equal: the predicate is closed under stepping.
+        prop_assert!(a.same_future(&b));
+        prop_assert_eq!(a.crash(), b.crash());
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// `same_future` promises what the chained MC recovery relies on:
+        /// two machines it calls equal cannot be told apart by anything
+        /// that follows, however differently they got there.
+        #[test]
+        fn machines_with_the_same_future_stay_indistinguishable(
+            fills in (proptest::prelude::any::<u8>(), proptest::prelude::any::<u8>()),
+            history_a in proptest::collection::vec(op_strategy(), 0..80),
+            history_b in proptest::collection::vec(op_strategy(), 0..80),
+            suffix in proptest::collection::vec(op_strategy(), 1..160),
+        ) {
+            for cfg in [tiny_nvm_only(), tiny_hetero()] {
+                equal_states_have_one_future(cfg, fills, (&history_a, &history_b), &suffix)?;
             }
         }
     }

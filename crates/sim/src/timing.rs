@@ -219,6 +219,14 @@ impl StreamDetector {
         false
     }
 
+    /// Whether every later [`StreamDetector::note`] answers the same on
+    /// both detectors. The scan takes the first matching way and the ring
+    /// replaces by position, so a rotated ring is *not* equivalent: the
+    /// comparison is positional.
+    pub(crate) fn same_future(&self, other: &Self) -> bool {
+        self.streams == other.streams && self.next == other.next
+    }
+
     /// Forget all streams (e.g. across a crash).
     pub fn reset(&mut self) {
         *self = StreamDetector::new();

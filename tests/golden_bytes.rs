@@ -11,6 +11,9 @@
 //!   canonical string. On a mismatch the canonical string is written
 //!   under `target/golden/` so it can be diffed against the same file
 //!   from a checkout of the last green commit.
+//! * Three kernel-registry runs — the configs CI and the benchmark's
+//!   `kernel-sweep` / `resilience-sweep` workloads replay — are pinned the
+//!   same way, so "no canonical kernel byte moved" is tier-1 too.
 
 use adcc::campaign::cost::CostTable;
 use adcc::campaign::engine::{run_campaign, CampaignConfig};
@@ -46,6 +49,57 @@ fn fnv1a_64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
+}
+
+/// `Err` naming both digests, after writing `canonical` to
+/// `target/golden/<name>.json`, when its digest is not `pinned`.
+fn check_digest(name: &str, canonical: &str, pinned: u64) -> Result<(), String> {
+    let got = fnv1a_64(canonical.as_bytes());
+    if got == pinned {
+        return Ok(());
+    }
+    let dir = format!("{}/target/golden", env!("CARGO_MANIFEST_DIR"));
+    std::fs::create_dir_all(&dir).expect("target/ is writable");
+    let path = format!("{dir}/{name}.json");
+    std::fs::write(&path, canonical).expect("target/ is writable");
+    Err(format!(
+        "{name}: {got:#018x}, pinned {pinned:#018x} — wrote {path}"
+    ))
+}
+
+#[test]
+fn kernel_campaign_bytes_equal_the_pinned_digests() {
+    let cfg = |budget_states, dense_units, telemetry| CampaignConfig {
+        budget_states,
+        dense_units,
+        telemetry,
+        ..CampaignConfig::default()
+    };
+    let moved: Vec<String> = [
+        (
+            "kernel-260-dense-400",
+            run_campaign(&cfg(260, 400, false)).canonical_string(),
+            0x0fac_b4af_c957_ba98,
+        ),
+        (
+            "kernel-500-telemetry",
+            run_campaign(&cfg(500, 0, true)).canonical_string(),
+            0x2b6b_6753_062d_a8fc,
+        ),
+        (
+            "kernel-resilience-130-dense-400",
+            run_resilience(&cfg(130, 400, false)).canonical_string(),
+            0xd2a6_68f1_acba_ac37,
+        ),
+    ]
+    .into_iter()
+    .filter_map(|(name, canonical, pinned)| check_digest(name, &canonical, pinned).err())
+    .collect();
+    assert!(
+        moved.is_empty(),
+        "canonical kernel bytes moved:\n{}",
+        moved.join("\n")
+    );
 }
 
 #[test]
@@ -91,17 +145,8 @@ fn dist_campaign_bytes_equal_the_pinned_digests() {
                 resilience_digest,
             ),
         ] {
-            let got = fnv1a_64(canonical.as_bytes());
-            if got != pinned {
-                let dir = format!("{}/target/golden", env!("CARGO_MANIFEST_DIR"));
-                std::fs::create_dir_all(&dir).expect("target/ is writable");
-                let path = format!("{dir}/dist-{}-{pass}.json", faults.name());
-                std::fs::write(&path, &canonical).expect("target/ is writable");
-                moved.push(format!(
-                    "{} {pass}: {got:#018x}, pinned {pinned:#018x} — wrote {path}",
-                    faults.name()
-                ));
-            }
+            let name = format!("dist-{}-{pass}", faults.name());
+            moved.extend(check_digest(&name, &canonical, pinned).err());
         }
     }
     assert!(
