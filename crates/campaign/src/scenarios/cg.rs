@@ -1,11 +1,13 @@
 //! CG scenarios: algorithm-directed extension, per-iteration checkpoint,
 //! and PMDK-style undo-log transactions.
 
+use std::sync::Arc;
+
 use adcc_ckpt::manager::CkptManager;
 use adcc_core::cg::{cg_host, sites, ExtendedCg, PlainCg};
 use adcc_core::DirtyRestart;
 use adcc_linalg::csr::CsrMatrix;
-use adcc_linalg::spd::CgClass;
+use adcc_linalg::vecops::max_diff;
 use adcc_pmem::stats::LogStats;
 use adcc_pmem::undo::UndoPool;
 use adcc_resilience::Tolerance;
@@ -15,7 +17,8 @@ use adcc_sim::system::{MemorySystem, SystemConfig};
 use adcc_telemetry::ExecutionProfile;
 
 use super::harness::{Classified, Workload};
-use super::{max_diff, trim_dram, verified_completion};
+use super::iterative::Iterative;
+use super::{phase_trigger, trim_dram, verified_completion, Linear};
 use crate::scenario::{Kernel, Mechanism, Trial, UnitSpace};
 
 const ITERS: usize = 12;
@@ -26,12 +29,8 @@ const PROBLEM_SEED: u64 = 301;
 /// carries ~10k dense points before spilling past the run.
 const DENSE_STRIDE: u64 = 10;
 
-fn problem() -> (CsrMatrix, Vec<f64>, Vec<f64>) {
-    let class = CgClass::TEST;
-    let a = class.matrix(PROBLEM_SEED);
-    let b = class.rhs(&a);
-    let reference = cg_host(&a, &b, ITERS);
-    (a, b, reference)
+pub(crate) fn problem() -> Arc<Linear> {
+    Linear::new(PROBLEM_SEED, |a, b| cg_host(a, b, ITERS))
 }
 
 /// Dirty-restart residual tolerance. Krylov continuation on a torn
@@ -53,21 +52,6 @@ fn config(a: &CsrMatrix) -> SystemConfig {
 // cg-extended
 // ---------------------------------------------------------------------
 
-/// Extended CG with invariant-scan recovery; crash points sweep the four
-/// instrumented statements of every iteration.
-pub struct CgExtended {
-    a: CsrMatrix,
-    b: Vec<f64>,
-    reference: Vec<f64>,
-}
-
-impl CgExtended {
-    pub fn new() -> Self {
-        let (a, b, reference) = problem();
-        CgExtended { a, b, reference }
-    }
-}
-
 const CG_PHASES: [u32; 4] = [
     sites::PH_AFTER_Q,
     sites::PH_AFTER_Z,
@@ -75,74 +59,21 @@ const CG_PHASES: [u32; 4] = [
     sites::PH_LINE10,
 ];
 
-impl Workload for CgExtended {
-    /// The kernel handle and the initial `rho`.
-    type Live = (ExtendedCg, f64);
-    type End = f64;
-    type State = Classified;
-
-    fn name(&self) -> &'static str {
-        "cg-extended"
-    }
-    fn kernel(&self) -> Kernel {
-        Kernel::Cg
-    }
-    fn mechanism(&self) -> Mechanism {
-        Mechanism::Extended
-    }
-    fn unit_space(&self) -> UnitSpace {
-        UnitSpace::new((CG_PHASES.len() * ITERS) as u64, DENSE_STRIDE)
-    }
-
-    fn site_trigger(&self, unit: u64) -> CrashTrigger {
-        let iter = unit / CG_PHASES.len() as u64;
-        let phase = CG_PHASES[(unit % CG_PHASES.len() as u64) as usize];
-        CrashTrigger::AtSite {
-            site: CrashSite::new(phase, iter),
-            occurrence: 1,
-        }
-    }
-
-    fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, Self::Live) {
-        let mut sys = MemorySystem::new(config(&self.a));
-        let live = ExtendedCg::setup(&mut sys, &self.a, &self.b, ITERS);
-        (CrashEmulator::from_system(sys, trigger), live)
-    }
-
-    fn forward(&self, (cg, rho0): &mut Self::Live, emu: &mut CrashEmulator) -> RunOutcome<f64> {
-        cg.run(emu, 0, ITERS, *rho0)
-    }
-
-    fn recover(
-        &self,
-        (cg, _): &Self::Live,
-        _site: CrashSite,
-        image: &NvmImage,
-        profile: Option<ExecutionProfile>,
-    ) -> Classified {
-        let rec = cg.recover_and_resume(image, config(&self.a));
-        let matches = max_diff(&rec.solution.z, &self.reference) < TOL;
-        let detected = rec.restart_from.is_none();
-        Classified::from_report(detected, matches, &rec.report, profile)
-    }
-
-    fn complete(
-        &self,
-        (cg, _): &Self::Live,
-        rho: f64,
-        emu: &CrashEmulator,
-        profile: Option<ExecutionProfile>,
-    ) -> Trial {
-        let sol = cg.peek_solution(emu, rho);
-        verified_completion(max_diff(&sol.z, &self.reference) < TOL, 0, profile)
-    }
-
-    fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
-        Some((dirty_tolerance(), self.reference.clone()))
-    }
-
-    fn dirty_restart(&self, (cg, _): &Self::Live, image: &NvmImage) -> DirtyRestart {
-        cg.dirty_restart(image, config(&self.a))
+/// Extended CG with invariant-scan recovery; crash points sweep the four
+/// instrumented statements of every iteration.
+pub(crate) fn extended(p: &Arc<Linear>) -> impl Workload {
+    let p = p.clone();
+    Iterative {
+        name: "cg-extended",
+        kernel: Kernel::Cg,
+        mechanism: Mechanism::Extended,
+        unit_space: UnitSpace::new((CG_PHASES.len() * ITERS) as u64, DENSE_STRIDE),
+        site_trigger: |unit| phase_trigger(&CG_PHASES, unit),
+        config: config(&p.a),
+        tol: TOL,
+        dirty_tolerance: dirty_tolerance(),
+        reference: p.reference.clone(),
+        setup: move |sys: &mut MemorySystem| ExtendedCg::setup(sys, &p.a, &p.b, ITERS),
     }
 }
 
@@ -153,18 +84,7 @@ impl Workload for CgExtended {
 /// Plain CG with a double-buffered NVM checkpoint every iteration.
 /// Even units crash after the step but before the checkpoint (one
 /// iteration lost); odd units crash right after it (nothing lost).
-pub struct CgCkpt {
-    a: CsrMatrix,
-    b: Vec<f64>,
-    reference: Vec<f64>,
-}
-
-impl CgCkpt {
-    pub fn new() -> Self {
-        let (a, b, reference) = problem();
-        CgCkpt { a, b, reference }
-    }
-}
+pub(crate) struct CgCkpt(pub(crate) Arc<Linear>);
 
 /// What `cg-ckpt` set-up leaves behind.
 pub(crate) struct CkptLive {
@@ -192,21 +112,12 @@ impl Workload for CgCkpt {
     }
 
     fn site_trigger(&self, unit: u64) -> CrashTrigger {
-        let iter = unit / 2;
-        let phase = if unit.is_multiple_of(2) {
-            sites::PH_LINE10
-        } else {
-            sites::PH_ITER_END
-        };
-        CrashTrigger::AtSite {
-            site: CrashSite::new(phase, iter),
-            occurrence: 1,
-        }
+        phase_trigger(&[sites::PH_LINE10, sites::PH_ITER_END], unit)
     }
 
     fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, CkptLive) {
-        let mut sys = MemorySystem::new(config(&self.a));
-        let (cg, rho0) = PlainCg::setup(&mut sys, &self.a, &self.b, ITERS);
+        let mut sys = MemorySystem::new(config(&self.0.a));
+        let (cg, rho0) = PlainCg::setup(&mut sys, &self.0.a, &self.0.b, ITERS);
         let mgr = CkptManager::new_nvm(&mut sys, cg.ckpt_regions(), false);
         let emu = CrashEmulator::from_system(sys, trigger);
         (emu, CkptLive { cg, rho0, mgr })
@@ -224,7 +135,7 @@ impl Workload for CgCkpt {
         profile: Option<ExecutionProfile>,
     ) -> Classified {
         let cg = &live.cg;
-        let sys2 = MemorySystem::from_image(config(&self.a), image);
+        let sys2 = MemorySystem::from_image(config(&self.0.a), image);
         let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
         let t0 = emu2.now();
         let (start, mut rho, restored) =
@@ -238,7 +149,7 @@ impl Workload for CgCkpt {
         // `PH_ITER_END` after it) sit after iteration `index`'s step;
         // completed-but-uncheckpointed iterations are re-executed.
         let lost = (site.index + 1).saturating_sub(start as u64);
-        let matches = max_diff(&cg.peek_solution(&emu2), &self.reference) < TOL;
+        let matches = max_diff(&cg.peek_solution(&emu2), &self.0.reference) < TOL;
         Classified::new(!restored, matches, lost, sim_time_ps, profile)
     }
 
@@ -250,15 +161,15 @@ impl Workload for CgCkpt {
         profile: Option<ExecutionProfile>,
     ) -> Trial {
         let sol = live.cg.peek_solution(emu);
-        verified_completion(max_diff(&sol, &self.reference) < TOL, 0, profile)
+        verified_completion(max_diff(&sol, &self.0.reference) < TOL, 0, profile)
     }
 
     fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
-        Some((dirty_tolerance(), self.reference.clone()))
+        Some((dirty_tolerance(), self.0.reference.to_vec()))
     }
 
     fn dirty_restart(&self, live: &CkptLive, image: &NvmImage) -> DirtyRestart {
-        live.cg.dirty_restart(image, config(&self.a), live.rho0)
+        live.cg.dirty_restart(image, config(&self.0.a), live.rho0)
     }
 }
 
@@ -270,18 +181,7 @@ impl Workload for CgCkpt {
 /// inside and at the end of the transaction. Mirrors
 /// `adcc_core::cg::variants::run_with_pmem` but polls *inside* the
 /// transaction too, so the campaign exercises mid-transaction rollback.
-pub struct CgPmem {
-    a: CsrMatrix,
-    b: Vec<f64>,
-    reference: Vec<f64>,
-}
-
-impl CgPmem {
-    pub fn new() -> Self {
-        let (a, b, reference) = problem();
-        CgPmem { a, b, reference }
-    }
-}
+pub(crate) struct CgPmem(pub(crate) Arc<Linear>);
 
 const PMEM_PHASES: [u32; 4] = [
     sites::PH_AFTER_Z,
@@ -384,17 +284,12 @@ impl Workload for CgPmem {
     }
 
     fn site_trigger(&self, unit: u64) -> CrashTrigger {
-        let iter = unit / PMEM_PHASES.len() as u64;
-        let phase = PMEM_PHASES[(unit % PMEM_PHASES.len() as u64) as usize];
-        CrashTrigger::AtSite {
-            site: CrashSite::new(phase, iter),
-            occurrence: 1,
-        }
+        phase_trigger(&PMEM_PHASES, unit)
     }
 
     fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, PmemLive) {
-        let mut sys = MemorySystem::new(config(&self.a));
-        let (cg, rho0) = PlainCg::setup(&mut sys, &self.a, &self.b, ITERS);
+        let mut sys = MemorySystem::new(config(&self.0.a));
+        let (cg, rho0) = PlainCg::setup(&mut sys, &self.0.a, &self.0.b, ITERS);
         let lines = 3 * (cg.n * 8).div_ceil(64) + 8;
         let pool = UndoPool::new(&mut sys, lines);
         let live = PmemLive {
@@ -425,7 +320,7 @@ impl Workload for CgPmem {
         profile: Option<ExecutionProfile>,
     ) -> Classified {
         let cg = &live.cg;
-        let mut sys2 = MemorySystem::from_image(config(&self.a), image);
+        let mut sys2 = MemorySystem::from_image(config(&self.0.a), image);
         let t0 = sys2.now();
         UndoPool::recover(live.pool.layout(), &mut sys2);
         let committed = cg.iter_cell.get(&mut sys2) as usize;
@@ -445,7 +340,7 @@ impl Workload for CgPmem {
         // `committed == i` (one lost), ITER_END crashes land post-commit
         // with `committed == i + 1` (nothing lost).
         let lost = (site.index + 1).saturating_sub(committed as u64);
-        let matches = max_diff(&cg.peek_solution(&emu2), &self.reference) < TOL;
+        let matches = max_diff(&cg.peek_solution(&emu2), &self.0.reference) < TOL;
         Classified::new(false, matches, lost, sim_time_ps, profile)
     }
 
@@ -457,7 +352,7 @@ impl Workload for CgPmem {
         profile: Option<ExecutionProfile>,
     ) -> Trial {
         let sol = live.cg.peek_solution(emu);
-        verified_completion(max_diff(&sol, &self.reference) < TOL, 0, profile)
+        verified_completion(max_diff(&sol, &self.0.reference) < TOL, 0, profile)
     }
 
     fn log_stats(&self, live: &PmemLive, harvest: Option<usize>) -> Option<LogStats> {
@@ -465,10 +360,10 @@ impl Workload for CgPmem {
     }
 
     fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
-        Some((dirty_tolerance(), self.reference.clone()))
+        Some((dirty_tolerance(), self.0.reference.to_vec()))
     }
 
     fn dirty_restart(&self, live: &PmemLive, image: &NvmImage) -> DirtyRestart {
-        live.cg.dirty_restart(image, config(&self.a), live.rho0)
+        live.cg.dirty_restart(image, config(&self.0.a), live.rho0)
     }
 }

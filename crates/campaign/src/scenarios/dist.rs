@@ -55,10 +55,11 @@ use adcc_dist::trial::{
     reference_run, run_dist_batch, run_dist_trial, BatchPasses, BatchPoint, DistKernel, DistTrial,
     FollowUp, RecoveryMode, ReferenceRun,
 };
+use adcc_linalg::vecops::max_diff;
 use adcc_resilience::{DirtyClass, DirtyTrial, Tolerance};
 use adcc_sim::crash::{CrashSite, CrashTrigger};
 
-use super::{max_diff, verified_completion};
+use super::verified_completion;
 use crate::memstats::ImageMemory;
 use crate::outcome::classify;
 use crate::scenario::{

@@ -47,6 +47,7 @@
 
 use adcc_analyze::{analyze, Region};
 use adcc_core::{DirtyRestart, RecoveryReport};
+use adcc_linalg::vecops::max_diff;
 use adcc_pmem::LogStats;
 use adcc_resilience::{DirtyClass, DirtyTrial, Tolerance};
 use adcc_sim::crash::{poll_groups, CrashEmulator, CrashSite, CrashTrigger, Harvest, RunOutcome};
@@ -632,7 +633,7 @@ impl<W: Workload> Harvested for Batch<'_, W> {
 fn classify_dirty(d: &DirtyRestart, reference: &[f64], tol: &Tolerance) -> DirtyClass {
     match &d.solution {
         None => tol.classify(true, 0.0),
-        Some(sol) => tol.classify(false, super::max_diff(sol, reference)),
+        Some(sol) => tol.classify(false, max_diff(sol, reference)),
     }
 }
 
@@ -1103,7 +1104,7 @@ mod tests {
 
     #[test]
     fn cg_images_hold_a_fraction_of_the_pool() {
-        let w = super::super::cg::CgExtended::new();
+        let w = super::super::cg::extended(&super::super::cg::problem());
         let pool = assert_images_hold_only_the_written_prefix(&w, 128 << 10);
         assert!(pool >= 2 << 20, "{pool}");
     }

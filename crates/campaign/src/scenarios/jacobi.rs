@@ -1,10 +1,12 @@
 //! Jacobi scenarios: algorithm extension and per-iteration checkpoint.
 
+use std::sync::Arc;
+
 use adcc_ckpt::manager::CkptManager;
 use adcc_core::jacobi::{jacobi_host, sites, ExtendedJacobi, PlainJacobi};
 use adcc_core::DirtyRestart;
 use adcc_linalg::csr::CsrMatrix;
-use adcc_linalg::spd::CgClass;
+use adcc_linalg::vecops::max_diff;
 use adcc_resilience::Tolerance;
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
 use adcc_sim::image::NvmImage;
@@ -12,7 +14,8 @@ use adcc_sim::system::{MemorySystem, SystemConfig};
 use adcc_telemetry::ExecutionProfile;
 
 use super::harness::{Classified, Workload};
-use super::{max_diff, trim_dram, verified_completion};
+use super::iterative::Iterative;
+use super::{phase_trigger, trim_dram, verified_completion, Linear};
 use crate::scenario::{Kernel, Mechanism, Trial, UnitSpace};
 
 const ITERS: usize = 12;
@@ -22,12 +25,8 @@ const PROBLEM_SEED: u64 = 303;
 /// ~79k element accesses; an 8-access stride carries ~9.8k points).
 const DENSE_STRIDE: u64 = 8;
 
-fn problem() -> (CsrMatrix, Vec<f64>, Vec<f64>) {
-    let class = CgClass::TEST;
-    let a = class.matrix(PROBLEM_SEED);
-    let b = class.rhs(&a);
-    let reference = jacobi_host(&a, &b, ITERS);
-    (a, b, reference)
+pub(crate) fn problem() -> Arc<Linear> {
+    Linear::new(PROBLEM_SEED, |a, b| jacobi_host(a, b, ITERS))
 }
 
 /// Dirty-restart residual tolerance. Weighted Jacobi is a fixed-point
@@ -47,85 +46,21 @@ fn config(a: &CsrMatrix) -> SystemConfig {
 // jacobi-extended
 // ---------------------------------------------------------------------
 
-/// Extended Jacobi (iterate-history ring) with update-equation recovery.
-pub struct JacobiExtended {
-    a: CsrMatrix,
-    b: Vec<f64>,
-    reference: Vec<f64>,
-}
-
-impl JacobiExtended {
-    pub fn new() -> Self {
-        let (a, b, reference) = problem();
-        JacobiExtended { a, b, reference }
-    }
-}
-
-impl Workload for JacobiExtended {
-    type Live = ExtendedJacobi;
-    type End = ();
-    type State = Classified;
-
-    fn name(&self) -> &'static str {
-        "jacobi-extended"
-    }
-    fn kernel(&self) -> Kernel {
-        Kernel::Jacobi
-    }
-    fn mechanism(&self) -> Mechanism {
-        Mechanism::Extended
-    }
-    fn unit_space(&self) -> UnitSpace {
-        UnitSpace::new(ITERS as u64, DENSE_STRIDE)
-    }
-
-    fn site_trigger(&self, unit: u64) -> CrashTrigger {
-        CrashTrigger::AtSite {
-            site: CrashSite::new(sites::PH_AFTER_X, unit),
-            occurrence: 1,
-        }
-    }
-
-    fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, ExtendedJacobi) {
-        let mut sys = MemorySystem::new(config(&self.a));
-        let jac = ExtendedJacobi::setup(&mut sys, &self.a, &self.b, ITERS);
-        (CrashEmulator::from_system(sys, trigger), jac)
-    }
-
-    fn forward(&self, jac: &mut ExtendedJacobi, emu: &mut CrashEmulator) -> RunOutcome<()> {
-        jac.run(emu, 0, ITERS)
-    }
-
-    fn recover(
-        &self,
-        jac: &ExtendedJacobi,
-        _site: CrashSite,
-        image: &NvmImage,
-        profile: Option<ExecutionProfile>,
-    ) -> Classified {
-        let rec = jac.recover_and_resume(image, config(&self.a));
-        let matches = max_diff(&rec.solution, &self.reference) < TOL;
-        let detected = rec.restart_from.is_none();
-        Classified::from_report(detected, matches, &rec.report, profile)
-    }
-
-    fn complete(
-        &self,
-        jac: &ExtendedJacobi,
-        (): (),
-        emu: &CrashEmulator,
-        profile: Option<ExecutionProfile>,
-    ) -> Trial {
-        let sol = jac.peek_solution(emu);
-        verified_completion(max_diff(&sol, &self.reference) < TOL, 0, profile)
-    }
-
-    fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
-        Some((dirty_tolerance(), self.reference.clone()))
-    }
-
-    fn dirty_restart(&self, jac: &ExtendedJacobi, image: &NvmImage) -> DirtyRestart {
-        jac.dirty_restart(image, config(&self.a))
+/// Extended Jacobi (iterate-history ring) with update-equation recovery;
+/// unit `i` crashes after iteration `i`'s update.
+pub(crate) fn extended(p: &Arc<Linear>) -> impl Workload {
+    let p = p.clone();
+    Iterative {
+        name: "jacobi-extended",
+        kernel: Kernel::Jacobi,
+        mechanism: Mechanism::Extended,
+        unit_space: UnitSpace::new(ITERS as u64, DENSE_STRIDE),
+        site_trigger: |unit| phase_trigger(&[sites::PH_AFTER_X], unit),
+        config: config(&p.a),
+        tol: TOL,
+        dirty_tolerance: dirty_tolerance(),
+        reference: p.reference.clone(),
+        setup: move |sys: &mut MemorySystem| (ExtendedJacobi::setup(sys, &p.a, &p.b, ITERS), ()),
     }
 }
 
@@ -135,18 +70,7 @@ impl Workload for JacobiExtended {
 
 /// Plain Jacobi with a checkpoint of `x` every iteration. Even units
 /// crash before the checkpoint, odd units after it.
-pub struct JacobiCkpt {
-    a: CsrMatrix,
-    b: Vec<f64>,
-    reference: Vec<f64>,
-}
-
-impl JacobiCkpt {
-    pub fn new() -> Self {
-        let (a, b, reference) = problem();
-        JacobiCkpt { a, b, reference }
-    }
-}
+pub(crate) struct JacobiCkpt(pub(crate) Arc<Linear>);
 
 impl Workload for JacobiCkpt {
     type Live = (PlainJacobi, CkptManager);
@@ -167,21 +91,12 @@ impl Workload for JacobiCkpt {
     }
 
     fn site_trigger(&self, unit: u64) -> CrashTrigger {
-        let iter = unit / 2;
-        let phase = if unit.is_multiple_of(2) {
-            sites::PH_AFTER_X
-        } else {
-            sites::PH_ITER_END
-        };
-        CrashTrigger::AtSite {
-            site: CrashSite::new(phase, iter),
-            occurrence: 1,
-        }
+        phase_trigger(&[sites::PH_AFTER_X, sites::PH_ITER_END], unit)
     }
 
     fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, Self::Live) {
-        let mut sys = MemorySystem::new(config(&self.a));
-        let jac = PlainJacobi::setup(&mut sys, &self.a, &self.b, ITERS);
+        let mut sys = MemorySystem::new(config(&self.0.a));
+        let jac = PlainJacobi::setup(&mut sys, &self.0.a, &self.0.b, ITERS);
         let mgr = CkptManager::new_nvm(&mut sys, jac.ckpt_regions(), false);
         (CrashEmulator::from_system(sys, trigger), (jac, mgr))
     }
@@ -197,7 +112,7 @@ impl Workload for JacobiCkpt {
         image: &NvmImage,
         profile: Option<ExecutionProfile>,
     ) -> Classified {
-        let sys2 = MemorySystem::from_image(config(&self.a), image);
+        let sys2 = MemorySystem::from_image(config(&self.0.a), image);
         let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
         let t0 = emu2.now();
         let (start, restored) = adcc_core::jacobi::variants::ckpt_restore(&mut emu2, jac, mgr);
@@ -209,7 +124,7 @@ impl Workload for JacobiCkpt {
         // Both polled sites (`PH_AFTER_X` before the checkpoint,
         // `PH_ITER_END` after it) sit after iteration `index`'s step.
         let lost = (site.index + 1).saturating_sub(start as u64);
-        let matches = max_diff(&jac.peek_solution(&emu2), &self.reference) < TOL;
+        let matches = max_diff(&jac.peek_solution(&emu2), &self.0.reference) < TOL;
         Classified::new(!restored, matches, lost, sim_time_ps, profile)
     }
 
@@ -221,14 +136,14 @@ impl Workload for JacobiCkpt {
         profile: Option<ExecutionProfile>,
     ) -> Trial {
         let sol = jac.peek_solution(emu);
-        verified_completion(max_diff(&sol, &self.reference) < TOL, 0, profile)
+        verified_completion(max_diff(&sol, &self.0.reference) < TOL, 0, profile)
     }
 
     fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
-        Some((dirty_tolerance(), self.reference.clone()))
+        Some((dirty_tolerance(), self.0.reference.to_vec()))
     }
 
     fn dirty_restart(&self, (jac, _): &Self::Live, image: &NvmImage) -> DirtyRestart {
-        jac.dirty_restart(image, config(&self.a))
+        jac.dirty_restart(image, config(&self.0.a))
     }
 }

@@ -1,6 +1,8 @@
 //! Checksum-LU scenarios: ABFT-checksum algorithm extension and per-block
 //! checkpoint.
 
+use std::sync::Arc;
+
 use adcc_ckpt::manager::CkptManager;
 use adcc_core::lu::{dominant_matrix, lu_host, sites, ChecksumLu, LuBlockStatus};
 use adcc_core::DirtyRestart;
@@ -23,6 +25,18 @@ const PROBLEM_SEED: u64 = 304;
 /// issues ~37-39k element accesses; a 4-access stride carries ~9.5k
 /// points).
 const DENSE_STRIDE: u64 = 4;
+
+/// The matrix both LU scenarios factor, with its host factor.
+pub(crate) struct Factored {
+    a: Matrix,
+    reference: Matrix,
+}
+
+pub(crate) fn problem() -> Arc<Factored> {
+    let a = dominant_matrix(N, PROBLEM_SEED);
+    let reference = lu_host(&a);
+    Arc::new(Factored { a, reference })
+}
 
 fn config() -> SystemConfig {
     let cap = 2 * N * (N + 1) * 8 + N * 8 + (2 << 20);
@@ -90,18 +104,7 @@ fn lu_site_trigger(unit: u64) -> CrashTrigger {
 /// Checksum-LU with per-block verification and selective refactoring.
 /// Units below `N` crash after a column; the rest crash at block
 /// boundaries (after the block's checksums persisted).
-pub struct LuExtended {
-    a: Matrix,
-    reference: Matrix,
-}
-
-impl LuExtended {
-    pub fn new() -> Self {
-        let a = dominant_matrix(N, PROBLEM_SEED);
-        let reference = lu_host(&a);
-        LuExtended { a, reference }
-    }
-}
+pub(crate) struct LuExtended(pub(crate) Arc<Factored>);
 
 impl Workload for LuExtended {
     type Live = ChecksumLu;
@@ -127,7 +130,7 @@ impl Workload for LuExtended {
 
     fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, ChecksumLu) {
         let mut sys = MemorySystem::new(config());
-        let lu = ChecksumLu::setup(&mut sys, &self.a, BK);
+        let lu = ChecksumLu::setup(&mut sys, &self.0.a, BK);
         (CrashEmulator::from_system(sys, trigger), lu)
     }
 
@@ -143,7 +146,7 @@ impl Workload for LuExtended {
         profile: Option<ExecutionProfile>,
     ) -> Classified {
         let rec = lu.recover_and_resume(image, config());
-        let matches = factor_matches(&rec.factor, &self.reference);
+        let matches = factor_matches(&rec.factor, &self.0.reference);
         let detected = rec.statuses.contains(&LuBlockStatus::Inconsistent);
         Classified::from_report(detected, matches, &rec.report, profile)
     }
@@ -156,11 +159,11 @@ impl Workload for LuExtended {
         profile: Option<ExecutionProfile>,
     ) -> Trial {
         let factor = lu.peek_factor(emu);
-        verified_completion(factor_matches(&factor, &self.reference), 0, profile)
+        verified_completion(factor_matches(&factor, &self.0.reference), 0, profile)
     }
 
     fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
-        Some((dirty_tolerance(), flat_factor(&self.reference)))
+        Some((dirty_tolerance(), flat_factor(&self.0.reference)))
     }
 
     fn dirty_restart(&self, lu: &ChecksumLu, image: &NvmImage) -> DirtyRestart {
@@ -173,18 +176,9 @@ impl Workload for LuExtended {
 // ---------------------------------------------------------------------
 
 /// Plain blocked LU with a full-factor checkpoint after every block.
-pub struct LuCkpt {
-    a: Matrix,
-    reference: Matrix,
-}
+pub(crate) struct LuCkpt(pub(crate) Arc<Factored>);
 
 impl LuCkpt {
-    pub fn new() -> Self {
-        let a = dominant_matrix(N, PROBLEM_SEED);
-        let reference = lu_host(&a);
-        LuCkpt { a, reference }
-    }
-
     /// The block a crash at `site` abandons: column crashes land in the
     /// column's block (`PH_AFTER_COL`), block-end crashes right after the
     /// block's checkpoint (`PH_BLOCK_END`).
@@ -221,7 +215,7 @@ impl Workload for LuCkpt {
 
     fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, Self::Live) {
         let mut sys = MemorySystem::new(config());
-        let lu = ChecksumLu::setup(&mut sys, &self.a, BK);
+        let lu = ChecksumLu::setup(&mut sys, &self.0.a, BK);
         let regions = adcc_core::lu::variants::lu_ckpt_regions(&lu);
         let mgr = CkptManager::new_nvm(&mut sys, regions, false);
         (CrashEmulator::from_system(sys, trigger), (lu, mgr))
@@ -252,7 +246,7 @@ impl Workload for LuCkpt {
         // Column crashes abandon the in-flight block; block-end crashes
         // land right after the checkpoint.
         let lost = (Self::crashed_block(site) + 1).saturating_sub(start as u64);
-        let matches = factor_matches(&lu.peek_factor(&emu2), &self.reference);
+        let matches = factor_matches(&lu.peek_factor(&emu2), &self.0.reference);
         Classified::new(!restored, matches, lost, sim_time_ps, profile)
     }
 
@@ -264,11 +258,11 @@ impl Workload for LuCkpt {
         profile: Option<ExecutionProfile>,
     ) -> Trial {
         let factor = lu.peek_factor(emu);
-        verified_completion(factor_matches(&factor, &self.reference), 0, profile)
+        verified_completion(factor_matches(&factor, &self.0.reference), 0, profile)
     }
 
     fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
-        Some((dirty_tolerance(), flat_factor(&self.reference)))
+        Some((dirty_tolerance(), flat_factor(&self.0.reference)))
     }
 
     fn dirty_restart(&self, (lu, _): &Self::Live, image: &NvmImage) -> DirtyRestart {

@@ -8,11 +8,17 @@ mod cg;
 mod dist;
 mod ds;
 mod harness;
+mod iterative;
 mod jacobi;
 mod lu;
 mod mc;
 mod stencil;
 
+use std::sync::Arc;
+
+use adcc_linalg::csr::CsrMatrix;
+use adcc_linalg::spd::CgClass;
+use adcc_sim::crash::{CrashSite, CrashTrigger};
 use adcc_sim::system::SystemConfig;
 use adcc_telemetry::ExecutionProfile;
 
@@ -40,22 +46,57 @@ pub fn ds_all() -> Vec<Box<dyn Scenario>> {
 /// appear with at least two mechanisms each (the campaign acceptance
 /// criterion); `crate::scenario::tests` enforces it.
 pub fn all() -> Vec<Box<dyn Scenario>> {
+    // Each family's problem (matrix, right-hand side, host-solved
+    // reference) is built once and shared by its scenarios.
+    let cg = cg::problem();
+    let bicgstab = bicgstab::problem();
+    let jacobi = jacobi::problem();
+    let heat = stencil::reference();
+    let lu = lu::problem();
     let mc_reference = mc::reference_counts();
     vec![
-        Box::new(cg::CgExtended::new()),
-        Box::new(cg::CgCkpt::new()),
-        Box::new(cg::CgPmem::new()),
-        Box::new(bicgstab::BiExtended::new_full()),
-        Box::new(bicgstab::BiExtended::new_windowed()),
-        Box::new(jacobi::JacobiExtended::new()),
-        Box::new(jacobi::JacobiCkpt::new()),
-        Box::new(stencil::StencilExtended::new()),
-        Box::new(stencil::StencilCkpt::new()),
-        Box::new(lu::LuExtended::new()),
-        Box::new(lu::LuCkpt::new()),
+        Box::new(cg::extended(&cg)),
+        Box::new(cg::CgCkpt(cg.clone())),
+        Box::new(cg::CgPmem(cg)),
+        Box::new(bicgstab::extended(&bicgstab, bicgstab::FULL)),
+        Box::new(bicgstab::extended(&bicgstab, bicgstab::WINDOW)),
+        Box::new(jacobi::extended(&jacobi)),
+        Box::new(jacobi::JacobiCkpt(jacobi)),
+        Box::new(stencil::extended(&heat)),
+        Box::new(stencil::StencilCkpt(heat)),
+        Box::new(lu::LuExtended(lu.clone())),
+        Box::new(lu::LuCkpt(lu)),
         Box::new(mc::McCampaign::new_selective(mc_reference)),
         Box::new(mc::McCampaign::new_epoch(mc_reference)),
     ]
+}
+
+/// A `CgClass::TEST` sparse system with its host-solved answer: the
+/// problem of one solver family.
+pub(crate) struct Linear {
+    pub a: CsrMatrix,
+    pub b: Vec<f64>,
+    pub reference: Arc<[f64]>,
+}
+
+impl Linear {
+    pub(crate) fn new(seed: u64, solve: impl Fn(&CsrMatrix, &[f64]) -> Vec<f64>) -> Arc<Linear> {
+        let class = CgClass::TEST;
+        let a = class.matrix(seed);
+        let b = class.rhs(&a);
+        let reference = solve(&a, &b).into();
+        Arc::new(Linear { a, b, reference })
+    }
+}
+
+/// The trigger of a site unit over a per-iteration phase table: unit
+/// `u` crashes at `phases[u % len]` of iteration `u / len`.
+pub(crate) fn phase_trigger(phases: &[u32], unit: u64) -> CrashTrigger {
+    let len = phases.len() as u64;
+    CrashTrigger::AtSite {
+        site: CrashSite::new(phases[(unit % len) as usize], unit / len),
+        occurrence: 1,
+    }
 }
 
 /// Campaign systems only need kilobytes of volatile scratch; the default
@@ -84,31 +125,5 @@ pub(crate) fn verified_completion(
         lost_units: 0,
         sim_time_ps: 0,
         telemetry,
-    }
-}
-
-/// Max elementwise difference — the match criterion shared by the vector
-/// kernels. NaN anywhere is a mismatch (`f64::INFINITY`), never masked:
-/// a NaN-corrupted recovery must classify as silent corruption, not pass.
-pub(crate) fn max_diff(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).fold(0.0, |acc, (x, y)| {
-        let d = (x - y).abs();
-        if d.is_nan() {
-            f64::INFINITY
-        } else {
-            acc.max(d)
-        }
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::max_diff;
-
-    #[test]
-    fn max_diff_propagates_nan_as_mismatch() {
-        assert_eq!(max_diff(&[1.0, 2.0], &[1.0, 2.5]), 0.5);
-        assert_eq!(max_diff(&[1.0, f64::NAN], &[1.0, 2.0]), f64::INFINITY);
-        assert_eq!(max_diff(&[f64::NAN], &[0.0]), f64::INFINITY);
     }
 }

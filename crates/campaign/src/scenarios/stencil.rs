@@ -1,17 +1,21 @@
 //! Heat-stencil scenarios: checksum-ring algorithm extension and
 //! per-sweep checkpoint (with mid-sweep access-count crash points).
 
+use std::sync::Arc;
+
 use adcc_ckpt::manager::CkptManager;
 use adcc_core::stencil::{heat_host, sites, ExtendedStencil, PlainStencil};
 use adcc_core::DirtyRestart;
+use adcc_linalg::vecops::max_diff;
 use adcc_resilience::Tolerance;
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
 use adcc_sim::image::NvmImage;
 use adcc_sim::system::{MemorySystem, SystemConfig};
 use adcc_telemetry::ExecutionProfile;
 
-use super::harness::{Classified, CrashState, Workload};
-use super::{max_diff, trim_dram, verified_completion};
+use super::harness::{CrashState, Workload};
+use super::iterative::Iterative;
+use super::{trim_dram, verified_completion};
 use crate::outcome::classify;
 use crate::scenario::{Kernel, Mechanism, Trial, UnitSpace};
 
@@ -44,8 +48,8 @@ fn config() -> SystemConfig {
     trim_dram(SystemConfig::nvm_only(4 << 10, cap))
 }
 
-fn reference() -> Vec<f64> {
-    heat_host(GRID, GRID, SWEEPS)
+pub(crate) fn reference() -> Arc<[f64]> {
+    heat_host(GRID, GRID, SWEEPS).into()
 }
 
 /// Dirty-restart residual tolerance. Diffusion is self-damping (the
@@ -63,95 +67,40 @@ fn dirty_tolerance() -> Tolerance {
 /// Extended stencil (generation ring + tagged block sums). Even units
 /// crash at a sweep boundary, odd units inside a sweep after one of its
 /// block-sum publishes.
-pub struct StencilExtended {
-    reference: Vec<f64>,
-}
-
-impl StencilExtended {
-    pub fn new() -> Self {
-        StencilExtended {
-            reference: reference(),
-        }
+pub(crate) fn extended(reference: &Arc<[f64]>) -> impl Workload {
+    Iterative {
+        name: "stencil-extended",
+        kernel: Kernel::Stencil,
+        mechanism: Mechanism::Extended,
+        unit_space: UnitSpace::new(2 * SWEEPS as u64, DENSE_STRIDE),
+        site_trigger: extended_site_trigger,
+        config: config(),
+        tol: TOL,
+        dirty_tolerance: dirty_tolerance(),
+        reference: reference.clone(),
+        setup: |sys: &mut MemorySystem| {
+            let st = ExtendedStencil::setup(sys, GRID, GRID, SWEEPS, WINDOW, ROW_BLOCK);
+            debug_assert_eq!(st.blocks() as u64, blocks(), "trigger mapping stale");
+            (st, ())
+        },
     }
 }
 
-impl Workload for StencilExtended {
-    type Live = ExtendedStencil;
-    type End = ();
-    type State = Classified;
-
-    fn name(&self) -> &'static str {
-        "stencil-extended"
-    }
-    fn kernel(&self) -> Kernel {
-        Kernel::Stencil
-    }
-    fn mechanism(&self) -> Mechanism {
-        Mechanism::Extended
-    }
-    fn unit_space(&self) -> UnitSpace {
-        UnitSpace::new(2 * SWEEPS as u64, DENSE_STRIDE)
-    }
-
-    fn site_trigger(&self, unit: u64) -> CrashTrigger {
-        let sweep = unit / 2;
-        if unit.is_multiple_of(2) {
-            CrashTrigger::AtSite {
-                site: CrashSite::new(sites::PH_SWEEP_END, sweep),
-                occurrence: 1,
-            }
-        } else {
-            // The (PH_AFTER_BLOCK, b) site is polled once per sweep, so
-            // the occurrence count selects which sweep to crash in.
-            let block = sweep % blocks();
-            CrashTrigger::AtSite {
-                site: CrashSite::new(sites::PH_AFTER_BLOCK, block),
-                occurrence: sweep as u32 + 1,
-            }
+fn extended_site_trigger(unit: u64) -> CrashTrigger {
+    let sweep = unit / 2;
+    if unit.is_multiple_of(2) {
+        CrashTrigger::AtSite {
+            site: CrashSite::new(sites::PH_SWEEP_END, sweep),
+            occurrence: 1,
         }
-    }
-
-    fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, ExtendedStencil) {
-        let mut sys = MemorySystem::new(config());
-        let st = ExtendedStencil::setup(&mut sys, GRID, GRID, SWEEPS, WINDOW, ROW_BLOCK);
-        debug_assert_eq!(st.blocks() as u64, blocks(), "trigger mapping stale");
-        (CrashEmulator::from_system(sys, trigger), st)
-    }
-
-    fn forward(&self, st: &mut ExtendedStencil, emu: &mut CrashEmulator) -> RunOutcome<()> {
-        st.run(emu, 0, SWEEPS)
-    }
-
-    fn recover(
-        &self,
-        st: &ExtendedStencil,
-        _site: CrashSite,
-        image: &NvmImage,
-        profile: Option<ExecutionProfile>,
-    ) -> Classified {
-        let rec = st.recover_and_resume(image, config());
-        let matches = max_diff(&rec.solution, &self.reference) < TOL;
-        let detected = rec.restart_from.is_none();
-        Classified::from_report(detected, matches, &rec.report, profile)
-    }
-
-    fn complete(
-        &self,
-        st: &ExtendedStencil,
-        (): (),
-        emu: &CrashEmulator,
-        profile: Option<ExecutionProfile>,
-    ) -> Trial {
-        let grid = st.peek_grid(emu, SWEEPS);
-        verified_completion(max_diff(&grid, &self.reference) < TOL, 0, profile)
-    }
-
-    fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
-        Some((dirty_tolerance(), self.reference.clone()))
-    }
-
-    fn dirty_restart(&self, st: &ExtendedStencil, image: &NvmImage) -> DirtyRestart {
-        st.dirty_restart(image, config())
+    } else {
+        // The (PH_AFTER_BLOCK, b) site is polled once per sweep, so
+        // the occurrence count selects which sweep to crash in.
+        let block = sweep % blocks();
+        CrashTrigger::AtSite {
+            site: CrashSite::new(sites::PH_AFTER_BLOCK, block),
+            occurrence: sweep as u32 + 1,
+        }
     }
 }
 
@@ -162,17 +111,9 @@ impl Workload for StencilExtended {
 /// Plain ping-pong stencil with a full-grid checkpoint every sweep.
 /// Units below `SWEEPS` crash at sweep boundaries (right after the
 /// checkpoint); the rest crash mid-sweep on an access-count trigger.
-pub struct StencilCkpt {
-    reference: Vec<f64>,
-}
+pub(crate) struct StencilCkpt(pub(crate) Arc<[f64]>);
 
 impl StencilCkpt {
-    pub fn new() -> Self {
-        StencilCkpt {
-            reference: reference(),
-        }
-    }
-
     /// Re-executed sweeps for a crash at `site`. Legacy access-count units
     /// keep their historical fixed charge of one abandoned sweep; sweep
     /// units (and dense points, which also land on the only polled site,
@@ -276,7 +217,7 @@ impl Workload for StencilCkpt {
             site,
             start,
             restored,
-            matches: max_diff(&st.peek_grid(&emu2, SWEEPS), &self.reference) < TOL,
+            matches: max_diff(&st.peek_grid(&emu2, SWEEPS), &self.0) < TOL,
             sim_time_ps,
             telemetry: profile,
         }
@@ -290,11 +231,11 @@ impl Workload for StencilCkpt {
         profile: Option<ExecutionProfile>,
     ) -> Trial {
         let grid = st.peek_grid(emu, SWEEPS);
-        verified_completion(max_diff(&grid, &self.reference) < TOL, 0, profile)
+        verified_completion(max_diff(&grid, &self.0) < TOL, 0, profile)
     }
 
     fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
-        Some((dirty_tolerance(), self.reference.clone()))
+        Some((dirty_tolerance(), self.0.to_vec()))
     }
 
     fn dirty_restart(&self, (st, _): &Self::Live, image: &NvmImage) -> DirtyRestart {

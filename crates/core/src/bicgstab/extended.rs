@@ -3,14 +3,13 @@
 
 use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::simops::{self, SimCsr};
-use adcc_sim::clock::SimTime;
-use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
+use adcc_sim::crash::{CrashEmulator, CrashSite, RunOutcome};
 use adcc_sim::image::NvmImage;
 use adcc_sim::parray::{PArray, PMatrix, PScalar};
 use adcc_sim::system::{MemorySystem, SystemConfig};
 
 use super::sites;
-use crate::traits::{DirtyRestart, RecoveryReport};
+use crate::iterative::{self, Extended, Recovery};
 
 /// Relative tolerance for the residual identity, scaled by ‖b‖.
 const TOL_RESID: f64 = 1e-6;
@@ -21,17 +20,8 @@ const TOL_DIR: f64 = 1e-6;
 /// Scalar-history row layout: `[alpha, omega, beta, rho_next]`.
 const SCALARS: usize = 4;
 
-/// What recovery did, plus the iterate it produced.
-#[derive(Debug, Clone)]
-pub struct BiRecovery {
-    /// The completed iteration accepted as the restart point
-    /// (`None` = restart from the initial state).
-    pub restart_from: Option<usize>,
-    /// Report in the paper's units.
-    pub report: RecoveryReport,
-    /// The recovered iterate after all `iters` iterations.
-    pub solution: Vec<f64>,
-}
+/// What recovery did, plus the iterate after all `iters` iterations.
+pub type BiRecovery = Recovery<Vec<f64>>;
 
 /// Extended BiCGSTAB state over simulated NVM.
 pub struct ExtendedBiCgStab {
@@ -233,108 +223,61 @@ impl ExtendedBiCgStab {
         err2.is_finite() && ref2 > 0.0 && err2.sqrt() <= TOL_DIR * ref2.sqrt()
     }
 
+    /// Full recovery ([`iterative::recover_and_resume`]).
+    pub fn recover_and_resume(&self, image: &NvmImage, cfg: SystemConfig) -> BiRecovery {
+        iterative::recover_and_resume(self, image, cfg)
+    }
+}
+
+impl Extended for ExtendedBiCgStab {
+    type Carry = f64;
+    type Solution = Vec<f64>;
+
+    fn units(&self) -> usize {
+        self.iters
+    }
+    fn counter(&self) -> PScalar<u64> {
+        self.iter_cell
+    }
     /// Backwards scan for the newest iteration whose `(x, r, p)` triple in
     /// NVM satisfies both invariants.
-    pub fn detect_restart(&self, sys: &mut MemorySystem) -> Option<usize> {
+    fn detect_restart(&self, sys: &mut MemorySystem) -> Option<usize> {
         let crashed = self.iter_cell.get(sys) as usize;
         let norm_b = simops::dot(sys, self.b, self.b).sqrt();
-        let hi = crashed.min(self.iters - 1);
-        let lo = (crashed + 1).saturating_sub(self.window.saturating_sub(1));
-        (lo..=hi)
-            .rev()
+        iterative::candidates(crashed, self.iters, self.window)
             .find(|&j| self.check_residual(sys, j, norm_b) && self.check_direction(sys, j))
     }
 
-    /// Full recovery: detect, rebuild the initial state if needed, resume
-    /// to the crashed iteration, then run to completion.
-    pub fn recover_and_resume(&self, image: &NvmImage, cfg: SystemConfig) -> BiRecovery {
-        let mut sys = MemorySystem::from_image(cfg, image);
-        let crashed = self.iter_cell.get(&mut sys) as usize;
-
-        let t0 = sys.now();
-        let restart_from = self.detect_restart(&mut sys);
-        let t1 = sys.now();
-
-        let (resume_at, rho) = match restart_from {
-            Some(j) => {
-                let rho = self.scalars.get(&mut sys, j, 3);
-                (j + 1, rho)
-            }
+    /// `rho(j+1)` from iteration `j`'s flushed scalar line, or
+    /// `x(0) = 0`, `r(0) = p(0) = b` rebuilt from `b`.
+    fn reenter(&self, sys: &mut MemorySystem, verified: Option<usize>) -> f64 {
+        match verified {
+            Some(j) => self.scalars.get(sys, j, 3),
             None => {
-                // Rebuild x(0) = 0, r(0) = p(0) = b.
                 let x0 = self.x_row(0);
                 let r0 = self.r_row(0);
                 let p0 = self.p_row(0);
                 for k in 0..self.n {
-                    let bv = self.b.get(&mut sys, k);
-                    x0.set(&mut sys, k, 0.0);
-                    r0.set(&mut sys, k, bv);
-                    p0.set(&mut sys, k, bv);
+                    let bv = self.b.get(sys, k);
+                    x0.set(sys, k, 0.0);
+                    r0.set(sys, k, bv);
+                    p0.set(sys, k, bv);
                 }
-                let rho = simops::dot(&mut sys, self.b, self.b);
-                (0, rho)
+                simops::dot(sys, self.b, self.b)
             }
-        };
-
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let back_at_crash = (crashed + 1).min(self.iters).max(resume_at);
-        let rho = self
-            .run(&mut emu, resume_at, back_at_crash, rho)
-            .completed()
-            .expect("trigger is Never");
-        let t2 = emu.now();
-        self.run(&mut emu, back_at_crash, self.iters, rho)
-            .completed()
-            .expect("trigger is Never");
-        let sys = emu.into_system();
-
-        BiRecovery {
-            restart_from,
-            report: RecoveryReport {
-                detect_time: t1 - t0,
-                resume_time: t2 - t1,
-                lost_units: (crashed + 1 - resume_at) as u64,
-                restart_unit: resume_at as u64,
-            },
-            solution: self.peek_solution(&sys),
         }
     }
 
-    /// EasyCrash-style dirty restart: reboot from the raw image, trust the
-    /// surviving `iter_cell` verbatim (no invariant scan), recompute
-    /// `rho = r(c)·r̂` from whatever residual row survived, and run the
-    /// remaining iterations.
-    pub fn dirty_restart(&self, image: &NvmImage, cfg: SystemConfig) -> DirtyRestart {
-        let mut sys = MemorySystem::dirty_reboot(cfg, image);
-        let t0 = sys.now();
-        let c = self.iter_cell.get(&mut sys) as usize;
-        if c >= self.iters {
-            // The loop bound itself rejects a counter past the end.
-            return DirtyRestart::rejected((sys.now() - t0).ps());
-        }
-        // r̂ = b throughout, so the entering rho is r(c)ᵀ b.
-        let rho = simops::dot(&mut sys, self.r_row(c), self.b);
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        self.run(&mut emu, c, self.iters, rho)
-            .completed()
-            .expect("trigger is Never");
-        let sys = emu.into_system();
-        DirtyRestart {
-            solution: Some(self.peek_solution(&sys)),
-            extra_units: (self.iters - c) as u64,
-            sim_time_ps: (sys.now() - t0).ps(),
-        }
+    /// `r̂ = b` throughout, so the entering rho is `r(c)ᵀ b`.
+    fn reenter_dirty(&self, sys: &mut MemorySystem, c: usize) -> f64 {
+        simops::dot(sys, self.r_row(c), self.b)
     }
 
-    /// Average per-iteration simulated time of a crash-free run.
-    pub fn timed_full_run(&self, sys: MemorySystem, rho0: f64) -> (MemorySystem, SimTime) {
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let t0 = emu.now();
-        self.run(&mut emu, 0, self.iters, rho0)
-            .completed()
-            .expect("trigger is Never");
-        let per_iter = SimTime((emu.now() - t0).ps() / self.iters as u64);
-        (emu.into_system(), per_iter)
+    fn run(&self, emu: &mut CrashEmulator, from: usize, to: usize, rho: f64) -> RunOutcome<f64> {
+        ExtendedBiCgStab::run(self, emu, from, to, rho)
+    }
+    fn peek(&self, sys: &MemorySystem, _rho: f64) -> Vec<f64> {
+        self.peek_solution(sys)
     }
 }
 
@@ -343,6 +286,8 @@ mod tests {
     use super::*;
     use crate::bicgstab::plain::bicgstab_host;
     use adcc_linalg::spd::CgClass;
+    use adcc_linalg::vecops::max_diff;
+    use adcc_sim::crash::CrashTrigger;
 
     fn cfg() -> SystemConfig {
         SystemConfig::nvm_only(32 << 10, 64 << 20)
@@ -353,13 +298,6 @@ mod tests {
         let a = class.matrix(95);
         let b = class.rhs(&a);
         (a, b)
-    }
-
-    fn max_diff(a: &[f64], b: &[f64]) -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max)
     }
 
     #[test]

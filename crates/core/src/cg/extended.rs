@@ -13,14 +13,14 @@
 
 use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::simops::{self, SimCsr};
-use adcc_sim::clock::SimTime;
-use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
+use adcc_sim::crash::{CrashEmulator, CrashSite, RunOutcome};
 use adcc_sim::image::NvmImage;
 use adcc_sim::parray::{PArray, PMatrix, PScalar};
 use adcc_sim::system::{MemorySystem, SystemConfig};
 
 use super::sites;
-use crate::traits::{DirtyRestart, RecoveryReport};
+use crate::iterative::{self, Extended, Recovery};
+use crate::traits::DirtyRestart;
 
 /// Relative tolerance for the orthogonality invariant
 /// `|p(j+1)·q(j)| <= TOL_ORTH * ||p|| * ||q||`.
@@ -38,17 +38,15 @@ pub struct CgSolution {
     pub rho: f64,
 }
 
-/// What recovery did, plus the solution it produced.
-#[derive(Debug, Clone)]
-pub struct CgRecovery {
-    /// The completed iteration accepted as the restart point
-    /// (`None` = restart from the initial state).
-    pub restart_from: Option<usize>,
-    /// Report in the paper's units (iterations lost, detect/resume split).
-    pub report: RecoveryReport,
-    /// The recovered solution.
-    pub solution: CgSolution,
+/// The flattened answer: the solution vector.
+impl From<CgSolution> for Vec<f64> {
+    fn from(sol: CgSolution) -> Vec<f64> {
+        sol.z
+    }
 }
+
+/// What recovery did, plus the solution it produced.
+pub type CgRecovery = Recovery<CgSolution>;
 
 /// Extended CG state (Fig. 2): history matrices over simulated NVM.
 ///
@@ -216,12 +214,7 @@ impl ExtendedCg {
         let crashed = self.iter_cell.get(sys) as usize;
         let scratch = PArray::<f64>::alloc_dram(sys, self.n);
         let norm_b = simops::dot(sys, self.b, self.b).sqrt();
-        // With a bounded history ring, iterations older than
-        // `window - 1` back have been overwritten and cannot be
-        // candidates.
-        let hi = crashed.min(self.iters - 1);
-        let lo = (crashed + 1).saturating_sub(self.window.saturating_sub(1));
-        (lo..=hi).rev().find(|&j| {
+        iterative::candidates(crashed, self.iters, self.window).find(|&j| {
             self.check_orthogonality(sys, j) && self.check_residual(sys, j, scratch, norm_b)
         })
     }
@@ -264,108 +257,64 @@ impl ExtendedCg {
         err2.is_finite() && err2.sqrt() <= TOL_RESID * norm_b
     }
 
-    /// Full recovery: boot from the crash image, detect the restart point,
-    /// resume to the crashed iteration (the paper's "resuming computation
-    /// time") and then run to completion.
+    /// Full recovery ([`iterative::recover_and_resume`]).
     pub fn recover_and_resume(&self, image: &NvmImage, cfg: SystemConfig) -> CgRecovery {
-        let mut sys = MemorySystem::from_image(cfg, image);
-        let crashed = self.iter_cell.get(&mut sys) as usize;
+        iterative::recover_and_resume(self, image, cfg)
+    }
 
-        let t0 = sys.now();
-        let restart_from = self.detect_restart(&mut sys);
-        let t1 = sys.now();
+    /// EasyCrash-style dirty restart ([`iterative::dirty_restart`]). The
+    /// Krylov recurrences are *not* self-correcting, so stale rows usually
+    /// end converged-wrong; this is exactly the contrast the
+    /// natural-resilience sweep measures.
+    pub fn dirty_restart(&self, image: &NvmImage, cfg: SystemConfig) -> DirtyRestart {
+        iterative::dirty_restart(self, image, cfg)
+    }
+}
 
-        let (resume_at, rho) = match restart_from {
-            Some(j) => {
-                let r_next = self.r_row(j + 1);
-                let rho = simops::dot(&mut sys, r_next, r_next);
-                (j + 1, rho)
-            }
+impl Extended for ExtendedCg {
+    type Carry = f64;
+    type Solution = CgSolution;
+
+    fn units(&self) -> usize {
+        self.iters
+    }
+    fn counter(&self) -> PScalar<u64> {
+        self.iter_cell
+    }
+    fn detect_restart(&self, sys: &mut MemorySystem) -> Option<usize> {
+        ExtendedCg::detect_restart(self, sys)
+    }
+
+    /// `rho = r(j+1)ᵀ r(j+1)` from the verified residual row, or
+    /// `p(0) = r(0) = b`, `z(0) = 0` rebuilt from `b` (read-only, intact).
+    fn reenter(&self, sys: &mut MemorySystem, verified: Option<usize>) -> f64 {
+        match verified {
+            Some(j) => self.reenter_dirty(sys, j + 1),
             None => {
-                // Restart from the initial state. With a bounded history
-                // ring the iteration-0 rows may have been overwritten, so
-                // rebuild them from b (which is read-only and intact).
                 let p0 = self.p_row(0);
                 let r0 = self.r_row(0);
                 let z0 = self.z_row(0);
                 for k in 0..self.n {
-                    let v = self.b.get(&mut sys, k);
-                    p0.set(&mut sys, k, v);
-                    r0.set(&mut sys, k, v);
-                    z0.set(&mut sys, k, 0.0);
+                    let v = self.b.get(sys, k);
+                    p0.set(sys, k, v);
+                    r0.set(sys, k, v);
+                    z0.set(sys, k, 0.0);
                 }
-                let rho = simops::dot(&mut sys, self.b, self.b);
-                (0, rho)
+                simops::dot(sys, self.b, self.b)
             }
-        };
-
-        // Resume back to the crash point (measured), then continue.
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let back_at_crash = (crashed + 1).min(self.iters).max(resume_at);
-        let rho = self
-            .run(&mut emu, resume_at, back_at_crash, rho)
-            .completed()
-            .expect("trigger is Never");
-        let t2 = emu.now();
-        let rho = self
-            .run(&mut emu, back_at_crash, self.iters, rho)
-            .completed()
-            .expect("trigger is Never");
-        let sys = emu.into_system();
-
-        let lost = (crashed + 1 - resume_at) as u64;
-        CgRecovery {
-            restart_from,
-            report: RecoveryReport {
-                detect_time: t1 - t0,
-                resume_time: t2 - t1,
-                lost_units: lost,
-                restart_unit: resume_at as u64,
-            },
-            solution: self.peek_solution(&sys, rho),
         }
     }
 
-    /// EasyCrash-style dirty restart: reboot from the raw image, trust the
-    /// flushed iteration counter verbatim, recompute `rho` from whatever
-    /// residual row survived, and run to the termination bound — no
-    /// invariant scan, no restart-point search. The Krylov recurrences are
-    /// *not* self-correcting, so stale rows usually end converged-wrong;
-    /// this is exactly the contrast the natural-resilience sweep measures.
-    pub fn dirty_restart(&self, image: &NvmImage, cfg: SystemConfig) -> DirtyRestart {
-        let mut sys = MemorySystem::dirty_reboot(cfg, image);
-        let t0 = sys.now();
-        let c = self.iter_cell.get(&mut sys) as usize;
-        if c >= self.iters {
-            // The loop bound itself rejects a counter past the end.
-            return DirtyRestart::rejected((sys.now() - t0).ps());
-        }
+    fn reenter_dirty(&self, sys: &mut MemorySystem, c: usize) -> f64 {
         let r_c = self.r_row(c);
-        let rho = simops::dot(&mut sys, r_c, r_c);
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let rho = self
-            .run(&mut emu, c, self.iters, rho)
-            .completed()
-            .expect("trigger is Never");
-        let sys = emu.into_system();
-        DirtyRestart {
-            solution: Some(self.peek_solution(&sys, rho).z),
-            extra_units: (self.iters - c) as u64,
-            sim_time_ps: (sys.now() - t0).ps(),
-        }
+        simops::dot(sys, r_c, r_c)
     }
 
-    /// Average per-iteration simulated time of a crash-free run, for the
-    /// paper's normalization (reads the clock around the main loop).
-    pub fn timed_full_run(&self, sys: MemorySystem, rho0: f64) -> (MemorySystem, f64, SimTime) {
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let t0 = emu.now();
-        let rho = self
-            .run(&mut emu, 0, self.iters, rho0)
-            .completed()
-            .expect("trigger is Never");
-        let per_iter = SimTime((emu.now() - t0).ps() / self.iters as u64);
-        (emu.into_system(), rho, per_iter)
+    fn run(&self, emu: &mut CrashEmulator, from: usize, to: usize, rho: f64) -> RunOutcome<f64> {
+        ExtendedCg::run(self, emu, from, to, rho)
+    }
+    fn peek(&self, sys: &MemorySystem, rho: f64) -> CgSolution {
+        self.peek_solution(sys, rho)
     }
 }
 
@@ -373,6 +322,7 @@ impl ExtendedCg {
 mod tests {
     use super::*;
     use adcc_linalg::spd::CgClass;
+    use adcc_linalg::vecops::max_diff;
     use adcc_sim::crash::CrashTrigger;
 
     fn cfg() -> SystemConfig {
@@ -384,13 +334,6 @@ mod tests {
         let a = class.matrix(7);
         let b = class.rhs(&a);
         (a, b)
-    }
-
-    fn max_diff(a: &[f64], b: &[f64]) -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max)
     }
 
     #[test]

@@ -11,30 +11,20 @@
 
 use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::simops::SimCsr;
-use adcc_sim::clock::SimTime;
-use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
+use adcc_sim::crash::{CrashEmulator, CrashSite, RunOutcome};
 use adcc_sim::image::NvmImage;
 use adcc_sim::parray::{PArray, PMatrix, PScalar};
 use adcc_sim::system::{MemorySystem, SystemConfig};
 
 use super::plain::inv_diag;
 use super::{sites, OMEGA};
-use crate::traits::{DirtyRestart, RecoveryReport};
+use crate::iterative::{self, Extended, Recovery};
 
 /// Relative tolerance for the update-equation invariant, scaled by ‖b‖.
 const TOL_UPDATE: f64 = 1e-6;
 
-/// What recovery did, plus the iterate it produced.
-#[derive(Debug, Clone)]
-pub struct JacobiRecovery {
-    /// The completed iteration accepted as the restart point
-    /// (`None` = restart from the initial state).
-    pub restart_from: Option<usize>,
-    /// Report in the paper's units.
-    pub report: RecoveryReport,
-    /// The recovered iterate after all `iters` iterations.
-    pub solution: Vec<f64>,
-}
+/// What recovery did, plus the iterate after all `iters` iterations.
+pub type JacobiRecovery = Recovery<Vec<f64>>;
 
 /// Extended Jacobi state: iterate history over simulated NVM.
 pub struct ExtendedJacobi {
@@ -156,97 +146,50 @@ impl ExtendedJacobi {
         err2.is_finite() && err2.sqrt() <= TOL_UPDATE * norm_b
     }
 
+    /// Full recovery ([`iterative::recover_and_resume`]).
+    pub fn recover_and_resume(&self, image: &NvmImage, cfg: SystemConfig) -> JacobiRecovery {
+        iterative::recover_and_resume(self, image, cfg)
+    }
+}
+
+impl Extended for ExtendedJacobi {
+    type Carry = ();
+    type Solution = Vec<f64>;
+
+    fn units(&self) -> usize {
+        self.iters
+    }
+    fn counter(&self) -> PScalar<u64> {
+        self.iter_cell
+    }
     /// Algorithm-directed restart detection on a post-crash system:
     /// backwards scan for the newest `j` whose `(x(j), x(j+1))` pair in
     /// NVM satisfies the update equation.
-    pub fn detect_restart(&self, sys: &mut MemorySystem) -> Option<usize> {
+    fn detect_restart(&self, sys: &mut MemorySystem) -> Option<usize> {
         let crashed = self.iter_cell.get(sys) as usize;
         let norm_b = adcc_linalg::simops::dot(sys, self.b, self.b).sqrt();
-        let hi = crashed.min(self.iters - 1);
-        // Ring constraint: row (i+1)%w is being overwritten during the
-        // crashed iteration, so candidates older than `window - 2` back
-        // have lost one of their two rows.
-        let lo = (crashed + 1).saturating_sub(self.window.saturating_sub(1));
-        (lo..=hi).rev().find(|&j| self.check_update(sys, j, norm_b))
+        iterative::candidates(crashed, self.iters, self.window)
+            .find(|&j| self.check_update(sys, j, norm_b))
     }
 
-    /// Full recovery: boot from the crash image, detect the restart point,
-    /// resume to the crashed iteration, then run to completion.
-    pub fn recover_and_resume(&self, image: &NvmImage, cfg: SystemConfig) -> JacobiRecovery {
-        let mut sys = MemorySystem::from_image(cfg, image);
-        let crashed = self.iter_cell.get(&mut sys) as usize;
-
-        let t0 = sys.now();
-        let restart_from = self.detect_restart(&mut sys);
-        let t1 = sys.now();
-
-        let resume_at = match restart_from {
-            Some(j) => j + 1,
-            None => {
-                // Rebuild x[0] = 0 (the ring may have overwritten it).
-                let x0 = self.x_row(0);
-                for k in 0..self.n {
-                    x0.set(&mut sys, k, 0.0);
-                }
-                0
+    /// Nothing is carried; a scratch restart rebuilds `x(0) = 0` (the
+    /// ring may have overwritten it).
+    fn reenter(&self, sys: &mut MemorySystem, verified: Option<usize>) {
+        if verified.is_none() {
+            let x0 = self.x_row(0);
+            for k in 0..self.n {
+                x0.set(sys, k, 0.0);
             }
-        };
-
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let back_at_crash = (crashed + 1).min(self.iters).max(resume_at);
-        self.run(&mut emu, resume_at, back_at_crash)
-            .completed()
-            .expect("trigger is Never");
-        let t2 = emu.now();
-        self.run(&mut emu, back_at_crash, self.iters)
-            .completed()
-            .expect("trigger is Never");
-        let sys = emu.into_system();
-
-        JacobiRecovery {
-            restart_from,
-            report: RecoveryReport {
-                detect_time: t1 - t0,
-                resume_time: t2 - t1,
-                lost_units: (crashed + 1 - resume_at) as u64,
-                restart_unit: resume_at as u64,
-            },
-            solution: self.peek_solution(&sys),
         }
     }
 
-    /// EasyCrash-style dirty restart: reboot from the raw image, trust the
-    /// surviving `iter_cell` verbatim (no update-equation scan), and run
-    /// the remaining iterations on whatever ring contents survived.
-    pub fn dirty_restart(&self, image: &NvmImage, cfg: SystemConfig) -> DirtyRestart {
-        let mut sys = MemorySystem::dirty_reboot(cfg, image);
-        let t0 = sys.now();
-        let c = self.iter_cell.get(&mut sys) as usize;
-        if c >= self.iters {
-            // The loop bound itself rejects a counter past the end.
-            return DirtyRestart::rejected((sys.now() - t0).ps());
-        }
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        self.run(&mut emu, c, self.iters)
-            .completed()
-            .expect("trigger is Never");
-        let sys = emu.into_system();
-        DirtyRestart {
-            solution: Some(self.peek_solution(&sys)),
-            extra_units: (self.iters - c) as u64,
-            sim_time_ps: (sys.now() - t0).ps(),
-        }
-    }
+    fn reenter_dirty(&self, _sys: &mut MemorySystem, _c: usize) {}
 
-    /// Average per-iteration simulated time of a crash-free run.
-    pub fn timed_full_run(&self, sys: MemorySystem) -> (MemorySystem, SimTime) {
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let t0 = emu.now();
-        self.run(&mut emu, 0, self.iters)
-            .completed()
-            .expect("trigger is Never");
-        let per_iter = SimTime((emu.now() - t0).ps() / self.iters as u64);
-        (emu.into_system(), per_iter)
+    fn run(&self, emu: &mut CrashEmulator, from: usize, to: usize, (): ()) -> RunOutcome<()> {
+        ExtendedJacobi::run(self, emu, from, to)
+    }
+    fn peek(&self, sys: &MemorySystem, (): ()) -> Vec<f64> {
+        self.peek_solution(sys)
     }
 }
 
@@ -255,6 +198,8 @@ mod tests {
     use super::*;
     use crate::jacobi::plain::jacobi_host;
     use adcc_linalg::spd::CgClass;
+    use adcc_linalg::vecops::max_diff;
+    use adcc_sim::crash::CrashTrigger;
 
     fn cfg() -> SystemConfig {
         SystemConfig::nvm_only(32 << 10, 64 << 20)
@@ -265,13 +210,6 @@ mod tests {
         let a = class.matrix(21);
         let b = class.rhs(&a);
         (a, b)
-    }
-
-    fn max_diff(a: &[f64], b: &[f64]) -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max)
     }
 
     #[test]

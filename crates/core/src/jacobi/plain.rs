@@ -134,14 +134,8 @@ impl PlainJacobi {
 mod tests {
     use super::*;
     use adcc_linalg::spd::CgClass;
+    use adcc_linalg::vecops::max_diff;
     use adcc_sim::system::SystemConfig;
-
-    fn max_diff(a: &[f64], b: &[f64]) -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max)
-    }
 
     #[test]
     fn host_jacobi_converges_on_dominant_spd() {

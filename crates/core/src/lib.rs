@@ -46,6 +46,7 @@
 pub mod abft;
 pub mod bicgstab;
 pub mod cg;
+pub mod iterative;
 pub mod jacobi;
 pub mod lu;
 pub mod mc;

@@ -1,14 +1,13 @@
 //! Extended stencil: generation ring + per-row-block tagged checksums,
 //! with sweep-granular recovery.
 
-use adcc_sim::clock::SimTime;
-use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
+use adcc_sim::crash::{CrashEmulator, CrashSite, RunOutcome};
 use adcc_sim::image::NvmImage;
 use adcc_sim::parray::{PMatrix, PScalar};
 use adcc_sim::system::{MemorySystem, SystemConfig};
 
 use super::{initial_value, sites, ALPHA};
-use crate::traits::{DirtyRestart, RecoveryReport};
+use crate::iterative::{self, Extended, Recovery};
 
 /// How block sums are compared during recovery.
 ///
@@ -32,17 +31,8 @@ pub enum VerifyMode {
     Tolerant(f64),
 }
 
-/// What recovery did, plus the grid it produced.
-#[derive(Debug, Clone)]
-pub struct StencilRecovery {
-    /// The completed sweep accepted as the restart point
-    /// (`None` = restart from the initial condition).
-    pub restart_from: Option<usize>,
-    /// Report in the paper's units (sweeps lost, detect/resume split).
-    pub report: RecoveryReport,
-    /// The recovered final grid (row-major).
-    pub solution: Vec<f64>,
-}
+/// What recovery did, plus the final grid (row-major).
+pub type StencilRecovery = Recovery<Vec<f64>>;
 
 /// Extended stencil state: a ring of sweep generations over simulated NVM.
 pub struct ExtendedStencil {
@@ -226,65 +216,9 @@ impl ExtendedStencil {
         true
     }
 
-    /// Algorithm-directed restart detection: the newest sweep `s` whose
-    /// output generation verifies. `None` = restart from the initial
-    /// condition.
-    pub fn detect_restart(&self, sys: &mut MemorySystem) -> Option<usize> {
-        let crashed = self.sweep_cell.get(sys) as usize;
-        let hi = crashed.min(self.sweeps - 1);
-        // Ring constraint: sweep s's output slot is rewritten at sweep
-        // s + window, so only the last window-1 generations can survive.
-        let lo = (crashed + 1).saturating_sub(self.window - 1);
-        (lo..=hi).rev().find(|&s| self.verify_sweep(sys, s))
-    }
-
-    /// Full recovery: detect, rebuild the initial generation if needed,
-    /// resume to the crashed sweep, then run to completion.
+    /// Full recovery ([`iterative::recover_and_resume`]).
     pub fn recover_and_resume(&self, image: &NvmImage, cfg: SystemConfig) -> StencilRecovery {
-        let mut sys = MemorySystem::from_image(cfg, image);
-        let crashed = self.sweep_cell.get(&mut sys) as usize;
-
-        let t0 = sys.now();
-        let restart_from = self.detect_restart(&mut sys);
-        let t1 = sys.now();
-
-        let resume_at = match restart_from {
-            Some(s) => s + 1,
-            None => {
-                // Rebuild generation 0 from the read-only initial grid
-                // (charged copy — part of the recovery bill).
-                let b0 = self.bufs[0];
-                for r in 0..self.rows {
-                    for c in 0..self.cols {
-                        let v = self.g0.get(&mut sys, r, c);
-                        b0.set(&mut sys, r, c, v);
-                    }
-                }
-                0
-            }
-        };
-
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let back_at_crash = (crashed + 1).min(self.sweeps).max(resume_at);
-        self.run(&mut emu, resume_at, back_at_crash)
-            .completed()
-            .expect("trigger is Never");
-        let t2 = emu.now();
-        self.run(&mut emu, back_at_crash, self.sweeps)
-            .completed()
-            .expect("trigger is Never");
-        let sys = emu.into_system();
-
-        StencilRecovery {
-            restart_from,
-            report: RecoveryReport {
-                detect_time: t1 - t0,
-                resume_time: t2 - t1,
-                lost_units: (crashed + 1 - resume_at) as u64,
-                restart_unit: resume_at as u64,
-            },
-            solution: self.peek_grid(&sys, self.sweeps),
-        }
+        iterative::recover_and_resume(self, image, cfg)
     }
 
     /// Uncharged extraction of the grid after `t` completed sweeps.
@@ -298,39 +232,50 @@ impl ExtendedStencil {
         }
         out
     }
+}
 
-    /// EasyCrash-style dirty restart: reboot from the raw image, trust the
-    /// surviving `sweep_cell` verbatim (no checksum scan), and finish the
-    /// sweeps on whatever ring contents survived.
-    pub fn dirty_restart(&self, image: &NvmImage, cfg: SystemConfig) -> DirtyRestart {
-        let mut sys = MemorySystem::dirty_reboot(cfg, image);
-        let t0 = sys.now();
-        let c = self.sweep_cell.get(&mut sys) as usize;
-        if c >= self.sweeps {
-            // The loop bound itself rejects a counter past the end.
-            return DirtyRestart::rejected((sys.now() - t0).ps());
-        }
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        self.run(&mut emu, c, self.sweeps)
-            .completed()
-            .expect("trigger is Never");
-        let sys = emu.into_system();
-        DirtyRestart {
-            solution: Some(self.peek_grid(&sys, self.sweeps)),
-            extra_units: (self.sweeps - c) as u64,
-            sim_time_ps: (sys.now() - t0).ps(),
+impl Extended for ExtendedStencil {
+    type Carry = ();
+    type Solution = Vec<f64>;
+
+    fn units(&self) -> usize {
+        self.sweeps
+    }
+    fn counter(&self) -> PScalar<u64> {
+        self.sweep_cell
+    }
+    /// Algorithm-directed restart detection: the newest sweep `s` whose
+    /// output generation verifies. `None` = restart from the initial
+    /// condition.
+    fn detect_restart(&self, sys: &mut MemorySystem) -> Option<usize> {
+        let crashed = self.sweep_cell.get(sys) as usize;
+        iterative::candidates(crashed, self.sweeps, self.window)
+            .find(|&s| self.verify_sweep(sys, s))
+    }
+
+    /// Nothing is carried; a scratch restart rebuilds generation 0 from
+    /// the read-only initial grid (a charged copy — part of the recovery
+    /// bill).
+    fn reenter(&self, sys: &mut MemorySystem, verified: Option<usize>) {
+        if verified.is_none() {
+            let b0 = self.bufs[0];
+            for r in 0..self.rows {
+                for c in 0..self.cols {
+                    let v = self.g0.get(sys, r, c);
+                    b0.set(sys, r, c, v);
+                }
+            }
         }
     }
 
-    /// Average per-sweep simulated time of a crash-free run.
-    pub fn timed_full_run(&self, sys: MemorySystem) -> (MemorySystem, SimTime) {
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let t0 = emu.now();
-        self.run(&mut emu, 0, self.sweeps)
-            .completed()
-            .expect("trigger is Never");
-        let per_sweep = SimTime((emu.now() - t0).ps() / self.sweeps as u64);
-        (emu.into_system(), per_sweep)
+    fn reenter_dirty(&self, _sys: &mut MemorySystem, _c: usize) {}
+
+    fn run(&self, emu: &mut CrashEmulator, from: usize, to: usize, (): ()) -> RunOutcome<()> {
+        ExtendedStencil::run(self, emu, from, to)
+    }
+    /// The final grid, row-major.
+    fn peek(&self, sys: &MemorySystem, (): ()) -> Vec<f64> {
+        self.peek_grid(sys, self.sweeps)
     }
 }
 
@@ -338,16 +283,11 @@ impl ExtendedStencil {
 mod tests {
     use super::*;
     use crate::stencil::plain::heat_host;
+    use adcc_linalg::vecops::max_diff;
+    use adcc_sim::crash::CrashTrigger;
 
     fn cfg() -> SystemConfig {
         SystemConfig::nvm_only(8 << 10, 64 << 20)
-    }
-
-    fn max_diff(a: &[f64], b: &[f64]) -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max)
     }
 
     #[test]

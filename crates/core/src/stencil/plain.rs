@@ -141,14 +141,8 @@ impl PlainStencil {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adcc_linalg::vecops::max_diff;
     use adcc_sim::system::SystemConfig;
-
-    fn max_diff(a: &[f64], b: &[f64]) -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max)
-    }
 
     #[test]
     fn host_heat_diffuses_and_conserves_sanity() {

@@ -108,18 +108,12 @@ pub fn run_with_pmem(
 mod tests {
     use super::*;
     use crate::stencil::plain::heat_host;
+    use adcc_linalg::vecops::max_diff;
     use adcc_sim::crash::CrashTrigger;
     use adcc_sim::system::{MemorySystem, SystemConfig};
 
     fn cfg() -> SystemConfig {
         SystemConfig::nvm_only(16 << 10, 64 << 20)
-    }
-
-    fn max_diff(a: &[f64], b: &[f64]) -> f64 {
-        a.iter()
-            .zip(b)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max)
     }
 
     #[test]

@@ -21,7 +21,7 @@ use adcc_sim::policy::ReplacementPolicy;
 use adcc_sim::system::{FlushOp, MemorySystem, SystemConfig};
 
 use crate::ext;
-use crate::fig3::{cg_nvm_capacity, CG_ITERS, CRASH_ITER};
+use crate::fig3::{cg_nvm_capacity, crash_and_recover, CG_ITERS, CRASH_ITER};
 use crate::platform::{Platform, Scale};
 use crate::report::{pct_overhead, Table};
 
@@ -104,18 +104,11 @@ pub fn replacement_policy(scale: Scale) -> Table {
             if let Some(dc) = cfg.dram_cache {
                 cfg.dram_cache = Some(dc.with_policy(policy));
             }
-            let mut sys = MemorySystem::new(cfg.clone());
-            let (cg, rho0) = ExtendedCg::setup(&mut sys, &a, &b, CG_ITERS);
-            let trig = CrashTrigger::AtSite {
-                site: CrashSite::new(cg_sites::PH_LINE10, CRASH_ITER),
-                occurrence: 1,
-            };
-            let mut emu = CrashEmulator::from_system(sys, trig);
-            let image = cg
-                .run(&mut emu, 0, CG_ITERS, rho0)
-                .crashed()
-                .expect("crash trigger must fire");
-            let rec = cg.recover_and_resume(&image, cfg);
+            let rec = crash_and_recover(
+                &cfg,
+                |sys| ExtendedCg::setup(sys, &a, &b, CG_ITERS),
+                CrashSite::new(cg_sites::PH_LINE10, CRASH_ITER),
+            );
             cells.push(rec.report.lost_units.to_string());
         }
         t.row(cells);
@@ -201,18 +194,10 @@ pub fn battery_backed(scale: Scale) -> Table {
             let cfg = Platform::NvmOnly
                 .cg_config(cg_nvm_capacity(&a, CG_ITERS))
                 .with_persistent_caches(battery);
-            let mut sys = MemorySystem::new(cfg.clone());
-            let (cg, rho0) = ExtendedCg::setup(&mut sys, &a, &b, CG_ITERS);
-            let trig = CrashTrigger::AtSite {
-                site: CrashSite::new(cg_sites::PH_LINE10, CRASH_ITER),
-                occurrence: 1,
-            };
-            let mut emu = CrashEmulator::from_system(sys, trig);
-            let image = cg
-                .run(&mut emu, 0, CG_ITERS, rho0)
-                .crashed()
-                .expect("crash trigger must fire");
-            cg.recover_and_resume(&image, cfg).report.lost_units
+            let site = CrashSite::new(cg_sites::PH_LINE10, CRASH_ITER);
+            crash_and_recover(&cfg, |sys| ExtendedCg::setup(sys, &a, &b, CG_ITERS), site)
+                .report
+                .lost_units
         };
         t.row(vec![
             class.name.to_string(),

@@ -6,6 +6,7 @@
 
 use adcc_ckpt::manager::CkptManager;
 use adcc_core::bicgstab::{self, ExtendedBiCgStab};
+use adcc_core::iterative::Extended;
 use adcc_core::jacobi::{self, ExtendedJacobi, PlainJacobi};
 use adcc_core::lu::{self, dominant_matrix, ChecksumLu, LuBlockStatus};
 use adcc_core::stencil::{self, ExtendedStencil, PlainStencil};
@@ -16,6 +17,7 @@ use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger};
 use adcc_sim::system::MemorySystem;
 
 use crate::cases::Case;
+use crate::fig3::recompute_row;
 use crate::platform::{Platform, Scale};
 use crate::report::{pct_overhead, Table};
 
@@ -33,15 +35,24 @@ pub fn jacobi_nvm_capacity(a: &CsrMatrix, iters: usize) -> usize {
 // E1 — Jacobi
 // ---------------------------------------------------------------------
 
-/// E1a: Jacobi recomputation cost vs input class (the Fig. 3 analogue).
-pub fn jacobi_recompute(scale: Scale) -> Table {
+/// A recomputation-cost-vs-input-class table (the Fig. 3 analogue) for a
+/// sparse solver: one [`recompute_row`] per class, crashed at `site`.
+fn class_recompute<K: Extended>(
+    title: &str,
+    note: &str,
+    scale: Scale,
+    seed: u64,
+    capacity: fn(&CsrMatrix, usize) -> usize,
+    setup: impl Fn(&mut MemorySystem, &CsrMatrix, &[f64]) -> (K, K::Carry),
+    site: CrashSite,
+) -> Table {
     let classes: &[CgClass] = if scale.is_quick() {
         &[CgClass::S, CgClass::W]
     } else {
         &CgClass::ALL
     };
     let mut t = Table::new(
-        "E1a — Jacobi recomputation cost vs input class (crash at iteration 15, NVM/DRAM platform)",
+        title,
         &[
             "class",
             "n",
@@ -51,42 +62,33 @@ pub fn jacobi_recompute(scale: Scale) -> Table {
         ],
     );
     for class in classes {
-        let a = class.matrix(1001);
+        let a = class.matrix(seed);
         let b = class.rhs(&a);
-        let cfg = Platform::Hetero.cg_config(jacobi_nvm_capacity(&a, JACOBI_ITERS));
-
-        let mut sys = MemorySystem::new(cfg.clone());
-        let jac = ExtendedJacobi::setup(&mut sys, &a, &b, JACOBI_ITERS);
-        let (_, per_iter) = jac.timed_full_run(sys);
-
-        let mut sys = MemorySystem::new(cfg.clone());
-        let jac = ExtendedJacobi::setup(&mut sys, &a, &b, JACOBI_ITERS);
-        let trig = CrashTrigger::AtSite {
-            site: CrashSite::new(jacobi::sites::PH_AFTER_X, 14),
-            occurrence: 1,
-        };
-        let mut emu = CrashEmulator::from_system(sys, trig);
-        let image = jac
-            .run(&mut emu, 0, JACOBI_ITERS)
-            .crashed()
-            .expect("crash trigger must fire");
-        let rec = jac.recover_and_resume(&image, cfg);
+        let cfg = Platform::Hetero.cg_config(capacity(&a, JACOBI_ITERS));
+        let r = recompute_row(&cfg, |sys| setup(sys, &a, &b), site);
         t.row(vec![
             class.name.to_string(),
             class.n.to_string(),
-            rec.report.lost_units.to_string(),
-            format!(
-                "{:.2}",
-                rec.report.detect_time.ps() as f64 / per_iter.ps() as f64
-            ),
-            format!(
-                "{:.2}",
-                rec.report.resume_time.ps() as f64 / per_iter.ps() as f64
-            ),
+            r.lost_units.to_string(),
+            format!("{:.2}", r.detect_norm),
+            format!("{:.2}", r.resume_norm),
         ]);
     }
-    t.note("Same mechanism as Fig. 3: small classes stay cached and lose everything; large classes lose ~1 iteration.");
+    t.note(note);
     t
+}
+
+/// E1a: Jacobi recomputation cost vs input class (the Fig. 3 analogue).
+pub fn jacobi_recompute(scale: Scale) -> Table {
+    class_recompute(
+        "E1a — Jacobi recomputation cost vs input class (crash at iteration 15, NVM/DRAM platform)",
+        "Same mechanism as Fig. 3: small classes stay cached and lose everything; large classes lose ~1 iteration.",
+        scale,
+        1001,
+        jacobi_nvm_capacity,
+        |sys, a, b| (ExtendedJacobi::setup(sys, a, b, JACOBI_ITERS), ()),
+        CrashSite::new(jacobi::sites::PH_AFTER_X, 14),
+    )
 }
 
 /// E1b: Jacobi runtime under the mechanisms (the Fig. 4 analogue).
@@ -210,54 +212,18 @@ pub fn bicgstab_nvm_capacity(a: &CsrMatrix, iters: usize) -> usize {
 /// E4: BiCGSTAB recomputation cost vs input class — the Fig. 3 analogue
 /// for a nonsymmetric-capable Krylov solver with a two-invariant check.
 pub fn bicgstab_recompute(scale: Scale) -> Table {
-    let classes: &[CgClass] = if scale.is_quick() {
-        &[CgClass::S, CgClass::W]
-    } else {
-        &CgClass::ALL
-    };
-    let iters = JACOBI_ITERS;
-    let mut t = Table::new(
+    class_recompute(
         "E4 — BiCGSTAB recomputation cost vs input class (crash at iteration 15, NVM/DRAM platform)",
-        &["class", "n", "iterations lost", "detect (iters)", "resume (iters)"],
-    );
-    for class in classes {
-        let a = class.matrix(1004);
-        let b = class.rhs(&a);
-        let rho0: f64 = b.iter().map(|v| v * v).sum();
-        let cfg = Platform::Hetero.cg_config(bicgstab_nvm_capacity(&a, iters));
-
-        let mut sys = MemorySystem::new(cfg.clone());
-        let bi = ExtendedBiCgStab::setup(&mut sys, &a, &b, iters);
-        let (_, per_iter) = bi.timed_full_run(sys, rho0);
-
-        let mut sys = MemorySystem::new(cfg.clone());
-        let bi = ExtendedBiCgStab::setup(&mut sys, &a, &b, iters);
-        let trig = CrashTrigger::AtSite {
-            site: CrashSite::new(bicgstab::sites::PH_ITER_END, 14),
-            occurrence: 1,
-        };
-        let mut emu = CrashEmulator::from_system(sys, trig);
-        let image = bi
-            .run(&mut emu, 0, iters, rho0)
-            .crashed()
-            .expect("crash trigger must fire");
-        let rec = bi.recover_and_resume(&image, cfg);
-        t.row(vec![
-            class.name.to_string(),
-            class.n.to_string(),
-            rec.report.lost_units.to_string(),
-            format!(
-                "{:.2}",
-                rec.report.detect_time.ps() as f64 / per_iter.ps() as f64
-            ),
-            format!(
-                "{:.2}",
-                rec.report.resume_time.ps() as f64 / per_iter.ps() as f64
-            ),
-        ]);
-    }
-    t.note("Two SpMVs per candidate (residual identity + direction recurrence) instead of CG's one; the caching-effects shape is unchanged.");
-    t
+        "Two SpMVs per candidate (residual identity + direction recurrence) instead of CG's one; the caching-effects shape is unchanged.",
+        scale,
+        1004,
+        bicgstab_nvm_capacity,
+        |sys, a, b| {
+            let rho0: f64 = b.iter().map(|v| v * v).sum();
+            (ExtendedBiCgStab::setup(sys, a, b, JACOBI_ITERS), rho0)
+        },
+        CrashSite::new(bicgstab::sites::PH_ITER_END, 14),
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -419,36 +385,19 @@ pub fn stencil_recompute(scale: Scale) -> Table {
     );
     for &g in sizes {
         let cfg = Platform::Hetero.stencil_config(stencil_nvm_capacity(g, g, 3));
-        let mut sys = MemorySystem::new(cfg.clone());
-        let st = ExtendedStencil::setup(&mut sys, g, g, STENCIL_SWEEPS, 3, 4);
-        let (_, per_sweep) = st.timed_full_run(sys);
-
-        let mut sys = MemorySystem::new(cfg.clone());
-        let st = ExtendedStencil::setup(&mut sys, g, g, STENCIL_SWEEPS, 3, 4);
-        let trig = CrashTrigger::AtSite {
-            site: CrashSite::new(stencil::sites::PH_SWEEP_END, 10),
-            occurrence: 1,
-        };
-        let mut emu = CrashEmulator::from_system(sys, trig);
-        let image = st
-            .run(&mut emu, 0, STENCIL_SWEEPS)
-            .crashed()
-            .expect("crash trigger must fire");
-        let rec = st.recover_and_resume(&image, cfg);
+        let r = recompute_row(
+            &cfg,
+            |sys| (ExtendedStencil::setup(sys, g, g, STENCIL_SWEEPS, 3, 4), ()),
+            CrashSite::new(stencil::sites::PH_SWEEP_END, 10),
+        );
         t.row(vec![
             format!("{g}x{g}"),
-            rec.report.lost_units.to_string(),
-            rec.restart_from
+            r.lost_units.to_string(),
+            r.restart_from
                 .map(|s| s.to_string())
                 .unwrap_or_else(|| "scratch".into()),
-            format!(
-                "{:.2}",
-                rec.report.detect_time.ps() as f64 / per_sweep.ps() as f64
-            ),
-            format!(
-                "{:.2}",
-                rec.report.resume_time.ps() as f64 / per_sweep.ps() as f64
-            ),
+            format!("{:.2}", r.detect_norm),
+            format!("{:.2}", r.resume_norm),
         ]);
     }
     t.note("Grids larger than the volatile caches lose only the in-flight sweep; cached grids fall back to the initial condition.");

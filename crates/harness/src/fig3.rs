@@ -3,10 +3,11 @@
 //! site — "Line 10 (Figure 2) in the 15th iteration of the main loop".
 
 use adcc_core::cg::{sites, ExtendedCg};
+use adcc_core::iterative::{self, Extended, Recovery};
 use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::spd::CgClass;
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger};
-use adcc_sim::system::MemorySystem;
+use adcc_sim::system::{MemorySystem, SystemConfig};
 
 use crate::platform::{Platform, Scale};
 use crate::report::Table;
@@ -34,37 +35,71 @@ pub struct Fig3Row {
     pub resume_norm: f64,
 }
 
+/// What one crash cost, in units of the crash-free run's average
+/// per-unit time.
+pub(crate) struct Recompute {
+    pub lost_units: u64,
+    pub restart_from: Option<usize>,
+    pub detect_norm: f64,
+    pub resume_norm: f64,
+}
+
+/// Crash a fresh run of the kernel `setup` builds at the first poll of
+/// `site`, and recover it.
+pub(crate) fn crash_and_recover<K: Extended>(
+    cfg: &SystemConfig,
+    setup: impl FnOnce(&mut MemorySystem) -> (K, K::Carry),
+    site: CrashSite,
+) -> Recovery<K::Solution> {
+    let mut sys = MemorySystem::new(cfg.clone());
+    let (k, carry0) = setup(&mut sys);
+    let trig = CrashTrigger::AtSite {
+        site,
+        occurrence: 1,
+    };
+    let mut emu = CrashEmulator::from_system(sys, trig);
+    let image = k
+        .run(&mut emu, 0, k.units(), carry0)
+        .crashed()
+        .expect("crash trigger must fire");
+    iterative::recover_and_resume(&k, &image, cfg.clone())
+}
+
+/// The recomputation experiment on any iterate-history kernel: a
+/// crash-free run for the normalization, then [`crash_and_recover`].
+pub(crate) fn recompute_row<K: Extended>(
+    cfg: &SystemConfig,
+    setup: impl Fn(&mut MemorySystem) -> (K, K::Carry),
+    site: CrashSite,
+) -> Recompute {
+    let mut sys = MemorySystem::new(cfg.clone());
+    let (k, carry0) = setup(&mut sys);
+    let per_unit = iterative::timed_full_run(&k, sys, carry0);
+    let rec = crash_and_recover(cfg, &setup, site);
+    Recompute {
+        lost_units: rec.report.lost_units,
+        restart_from: rec.restart_from,
+        detect_norm: rec.report.detect_time.ps() as f64 / per_unit.ps() as f64,
+        resume_norm: rec.report.resume_time.ps() as f64 / per_unit.ps() as f64,
+    }
+}
+
 /// Run the Fig. 3 experiment for one class on the heterogeneous platform.
 pub fn run_class(class: CgClass, seed: u64) -> Fig3Row {
     let a = class.matrix(seed);
     let b = class.rhs(&a);
     let cfg = Platform::Hetero.cg_config(cg_nvm_capacity(&a, CG_ITERS));
-
-    // Crash-free run: average per-iteration time for normalization.
-    let mut sys = MemorySystem::new(cfg.clone());
-    let (cg, rho0) = ExtendedCg::setup(&mut sys, &a, &b, CG_ITERS);
-    let (_, _, per_iter) = cg.timed_full_run(sys, rho0);
-
-    // Crashed run.
-    let mut sys = MemorySystem::new(cfg.clone());
-    let (cg, rho0) = ExtendedCg::setup(&mut sys, &a, &b, CG_ITERS);
-    let trig = CrashTrigger::AtSite {
-        site: CrashSite::new(sites::PH_LINE10, CRASH_ITER),
-        occurrence: 1,
-    };
-    let mut emu = CrashEmulator::from_system(sys, trig);
-    let image = cg
-        .run(&mut emu, 0, CG_ITERS, rho0)
-        .crashed()
-        .expect("crash trigger must fire");
-    let rec = cg.recover_and_resume(&image, cfg);
-
+    let r = recompute_row(
+        &cfg,
+        |sys| ExtendedCg::setup(sys, &a, &b, CG_ITERS),
+        CrashSite::new(sites::PH_LINE10, CRASH_ITER),
+    );
     Fig3Row {
         class: class.name,
         n: class.n,
-        lost_iterations: rec.report.lost_units,
-        detect_norm: rec.report.detect_time.ps() as f64 / per_iter.ps() as f64,
-        resume_norm: rec.report.resume_time.ps() as f64 / per_iter.ps() as f64,
+        lost_iterations: r.lost_units,
+        detect_norm: r.detect_norm,
+        resume_norm: r.resume_norm,
     }
 }
 

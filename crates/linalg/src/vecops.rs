@@ -49,9 +49,32 @@ pub fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
+/// Max elementwise difference — the match criterion of every vector
+/// answer. NaN anywhere is a mismatch (`f64::INFINITY`), never masked
+/// (`f64::max` drops NaN): a NaN-corrupted recovery must fail the match.
+pub fn max_diff(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).fold(0.0, |acc, (x, y)| {
+        let d = (x - y).abs();
+        if d.is_nan() {
+            f64::INFINITY
+        } else {
+            acc.max(d)
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn max_diff_propagates_nan_as_mismatch() {
+        assert_eq!(max_diff(&[1.0, 2.0], &[1.0, 2.5]), 0.5);
+        assert_eq!(max_diff(&[1.0, f64::NAN], &[1.0, 2.0]), f64::INFINITY);
+        assert_eq!(max_diff(&[f64::NAN], &[0.0]), f64::INFINITY);
+        // An all-NaN recovered iterate fails the match.
+        assert!(max_diff(&[f64::NAN; 4], &[1.0; 4]) >= 1e-9);
+    }
 
     #[test]
     fn dot_basics() {

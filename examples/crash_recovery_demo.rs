@@ -11,13 +11,6 @@ use adcc::harness::report::pct_overhead;
 use adcc::prelude::*;
 use adcc::sim::timing::HddTiming;
 
-fn max_diff(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
-}
-
 fn main() {
     let class = CgClass::A;
     let a = class.matrix(11);

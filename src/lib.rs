@@ -84,6 +84,7 @@ pub mod prelude {
         recover_verify_resume, OpStream, OpStreamCfg, Protection, Structure, Workload, WorkloadCfg,
     };
     pub use adcc_harness::{Case, Platform, Scale};
+    pub use adcc_linalg::vecops::max_diff;
     pub use adcc_linalg::{CgClass, CsrMatrix, Matrix};
     pub use adcc_pmem::{LogStats, PersistentHeap, RedoPool, UndoPool};
     pub use adcc_resilience::{

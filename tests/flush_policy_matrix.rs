@@ -7,13 +7,6 @@ use proptest::prelude::*;
 use adcc::core::cg::cg_host;
 use adcc::prelude::*;
 
-fn max_diff(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
-}
-
 /// persist_range + crash preserves data under every (flush op, policy)
 /// combination, on both platforms.
 #[test]

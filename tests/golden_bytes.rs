@@ -14,12 +14,16 @@
 //! * Three kernel-registry runs — the configs CI and the benchmark's
 //!   `kernel-sweep` / `resilience-sweep` workloads replay — are pinned the
 //!   same way, so "no canonical kernel byte moved" is tier-1 too.
+//! * The recomputation tables of the iterate-history kernels (`repro fig3`,
+//!   `ext-jacobi`, `ext-stencil`, `ext-bicgstab`, each `--quick --csv`) are
+//!   pinned by the digest of what the binary prints.
 
 use adcc::campaign::cost::CostTable;
 use adcc::campaign::engine::{run_campaign, CampaignConfig};
 use adcc::campaign::run_resilience;
 use adcc::campaign::scenario::Registry;
 use adcc::dist::net::FaultProfile;
+use adcc::harness::{ext, fig3, Scale, Table};
 
 #[test]
 fn cost_tables_equal_the_committed_baselines() {
@@ -52,18 +56,18 @@ fn fnv1a_64(bytes: &[u8]) -> u64 {
 }
 
 /// `Err` naming both digests, after writing `canonical` to
-/// `target/golden/<name>.json`, when its digest is not `pinned`.
-fn check_digest(name: &str, canonical: &str, pinned: u64) -> Result<(), String> {
+/// `target/golden/<file>`, when its digest is not `pinned`.
+fn check_digest(file: &str, canonical: &str, pinned: u64) -> Result<(), String> {
     let got = fnv1a_64(canonical.as_bytes());
     if got == pinned {
         return Ok(());
     }
     let dir = format!("{}/target/golden", env!("CARGO_MANIFEST_DIR"));
     std::fs::create_dir_all(&dir).expect("target/ is writable");
-    let path = format!("{dir}/{name}.json");
+    let path = format!("{dir}/{file}");
     std::fs::write(&path, canonical).expect("target/ is writable");
     Err(format!(
-        "{name}: {got:#018x}, pinned {pinned:#018x} — wrote {path}"
+        "{file}: {got:#018x}, pinned {pinned:#018x} — wrote {path}"
     ))
 }
 
@@ -77,17 +81,17 @@ fn kernel_campaign_bytes_equal_the_pinned_digests() {
     };
     let moved: Vec<String> = [
         (
-            "kernel-260-dense-400",
+            "kernel-260-dense-400.json",
             run_campaign(&cfg(260, 400, false)).canonical_string(),
             0x0fac_b4af_c957_ba98,
         ),
         (
-            "kernel-500-telemetry",
+            "kernel-500-telemetry.json",
             run_campaign(&cfg(500, 0, true)).canonical_string(),
             0x2b6b_6753_062d_a8fc,
         ),
         (
-            "kernel-resilience-130-dense-400",
+            "kernel-resilience-130-dense-400.json",
             run_resilience(&cfg(130, 400, false)).canonical_string(),
             0xd2a6_68f1_acba_ac37,
         ),
@@ -98,6 +102,41 @@ fn kernel_campaign_bytes_equal_the_pinned_digests() {
     assert!(
         moved.is_empty(),
         "canonical kernel bytes moved:\n{}",
+        moved.join("\n")
+    );
+}
+
+#[test]
+fn recompute_table_bytes_equal_the_pinned_digests() {
+    let q = Scale::Quick;
+    let moved: Vec<String> = [
+        ("fig3.csv", vec![fig3::run(q)], 0xb107_fbfa_36ce_a12f),
+        (
+            "ext-jacobi.csv",
+            vec![ext::jacobi_recompute(q), ext::jacobi_runtime(q)],
+            0xf96f_e6a1_f171_9fe6,
+        ),
+        (
+            "ext-stencil.csv",
+            vec![ext::stencil_recompute(q), ext::stencil_runtime(q)],
+            0xbc4c_a701_390e_5780,
+        ),
+        (
+            "ext-bicgstab.csv",
+            vec![ext::bicgstab_recompute(q)],
+            0x1aee_eff7_74d3_5dba,
+        ),
+    ]
+    .into_iter()
+    .filter_map(|(file, tables, pinned): (_, Vec<Table>, _)| {
+        // What `repro <figure> --quick --csv` prints: one `println!` a table.
+        let csv: String = tables.iter().map(|t| t.to_csv() + "\n").collect();
+        check_digest(file, &csv, pinned).err()
+    })
+    .collect();
+    assert!(
+        moved.is_empty(),
+        "`repro --quick --csv` bytes moved:\n{}",
         moved.join("\n")
     );
 }
@@ -145,7 +184,7 @@ fn dist_campaign_bytes_equal_the_pinned_digests() {
                 resilience_digest,
             ),
         ] {
-            let name = format!("dist-{}-{pass}", faults.name());
+            let name = format!("dist-{}-{pass}.json", faults.name());
             moved.extend(check_digest(&name, &canonical, pinned).err());
         }
     }

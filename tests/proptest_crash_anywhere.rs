@@ -2,27 +2,32 @@
 //! trigger, which fires at the next instrumented site) must always be
 //! recoverable, and recovery must reproduce the crash-free result.
 
+mod common;
+
 use proptest::prelude::*;
 
 use adcc::core::abft::TwoLoopAbft;
-use adcc::core::cg::{cg_host, ExtendedCg};
+use adcc::core::cg::{cg_host, sites, ExtendedCg};
 use adcc::prelude::*;
+use common::{anywhere, crash_anywhere_recovers};
 
-fn max_diff(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
-}
+const CG_PHASES: [u32; 5] = [
+    sites::PH_AFTER_Q,
+    sites::PH_AFTER_Z,
+    sites::PH_AFTER_R,
+    sites::PH_LINE10,
+    sites::PH_ITER_END,
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Extended CG: crash after a random number of accesses; recovery
-    /// finds a valid restart point and converges to the reference.
+    /// Extended CG: recovery finds a valid restart point and converges to
+    /// the reference. Full history only — a bounded CG ring can verify a
+    /// generation one lap stale (ROADMAP item 1).
     #[test]
     fn cg_recovers_from_any_crash_point(
-        accesses in 5_000u64..250_000,
+        trigger in anywhere(5_000..250_000, &CG_PHASES, 8),
         cache_kb in 2usize..64,
         seed in 0u64..1000,
     ) {
@@ -30,29 +35,14 @@ proptest! {
         let a = class.matrix(seed);
         let b = class.rhs(&a);
         let iters = 8;
-        let reference = cg_host(&a, &b, iters);
-        let cfg = SystemConfig::nvm_only(cache_kb << 10, 64 << 20);
-
-        let mut sys = MemorySystem::new(cfg.clone());
-        let (cg, rho0) = ExtendedCg::setup(&mut sys, &a, &b, iters);
-        let trig = CrashTrigger::AtAccessCount(accesses);
-        let mut emu = CrashEmulator::from_system(sys, trig);
-        match cg.run(&mut emu, 0, iters, rho0) {
-            RunOutcome::Completed(rho) => {
-                // Crash landed beyond the run; still a valid outcome.
-                let sol = cg.peek_solution(&emu, rho);
-                prop_assert!(max_diff(&sol.z, &reference) < 1e-9);
-            }
-            RunOutcome::Crashed(image) => {
-                let rec = cg.recover_and_resume(&image, cfg);
-                prop_assert!(
-                    max_diff(&rec.solution.z, &reference) < 1e-9,
-                    "recovered solution off by {}",
-                    max_diff(&rec.solution.z, &reference)
-                );
-                prop_assert!(rec.report.lost_units <= iters as u64);
-            }
-        }
+        crash_anywhere_recovers(
+            SystemConfig::nvm_only(cache_kb << 10, 64 << 20),
+            trigger,
+            |sys| ExtendedCg::setup(sys, &a, &b, iters),
+            iters + 1,
+            &cg_host(&a, &b, iters),
+            (1e-9, 1e-9),
+        )?;
     }
 
     /// Two-loop ABFT MM: crash after a random number of accesses; the

@@ -1,26 +1,25 @@
 //! Property tests for the extension kernels (DESIGN.md §5a): a crash at
 //! an arbitrary point must always be recoverable, and recovery must
-//! reproduce the crash-free result — for Jacobi, checksum-LU and the heat
-//! stencil, across random cache geometries.
+//! reproduce the crash-free result — for Jacobi, BiCGSTAB and the heat
+//! stencil (instances of `common::crash_anywhere_recovers`) and
+//! checksum-LU, across random cache geometries.
+
+mod common;
 
 use proptest::prelude::*;
 
+use adcc::core::{bicgstab, jacobi, stencil};
 use adcc::prelude::*;
-
-fn max_diff(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
-}
+use common::{anywhere, crash_anywhere_recovers};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
-    /// Extended Jacobi: crash anywhere, recover, match the host reference.
+    /// Extended Jacobi. Full history only — a bounded Jacobi ring can
+    /// verify a pair of iterates one lap stale (ROADMAP item 1).
     #[test]
     fn jacobi_recovers_from_any_crash_point(
-        accesses in 5_000u64..200_000,
+        trigger in anywhere(5_000..200_000, &[jacobi::sites::PH_AFTER_X, jacobi::sites::PH_ITER_END], 8),
         cache_kb in 2usize..64,
         seed in 0u64..1000,
     ) {
@@ -28,27 +27,14 @@ proptest! {
         let a = class.matrix(seed);
         let b = class.rhs(&a);
         let iters = 8;
-        let reference = jacobi_host(&a, &b, iters);
-        let cfg = SystemConfig::nvm_only(cache_kb << 10, 64 << 20);
-
-        let mut sys = MemorySystem::new(cfg.clone());
-        let jac = ExtendedJacobi::setup(&mut sys, &a, &b, iters);
-        let trig = CrashTrigger::AtAccessCount(accesses);
-        let mut emu = CrashEmulator::from_system(sys, trig);
-        match jac.run(&mut emu, 0, iters) {
-            RunOutcome::Completed(()) => {
-                prop_assert!(max_diff(&jac.peek_solution(&emu), &reference) < 1e-10);
-            }
-            RunOutcome::Crashed(image) => {
-                let rec = jac.recover_and_resume(&image, cfg);
-                prop_assert!(
-                    max_diff(&rec.solution, &reference) < 1e-9,
-                    "recovered iterate off by {}",
-                    max_diff(&rec.solution, &reference)
-                );
-                prop_assert!(rec.report.lost_units <= iters as u64);
-            }
-        }
+        crash_anywhere_recovers(
+            SystemConfig::nvm_only(cache_kb << 10, 64 << 20),
+            trigger,
+            |sys| (ExtendedJacobi::setup(sys, &a, &b, iters), ()),
+            iters + 1,
+            &jacobi_host(&a, &b, iters),
+            (1e-10, 1e-9),
+        )?;
     }
 
     /// Checksum-LU: crash anywhere; the recovered factor is the host
@@ -85,71 +71,54 @@ proptest! {
         }
     }
 
-    /// Extended BiCGSTAB: crash anywhere, recover, match the host
-    /// reference (two-invariant detection).
+    /// Extended BiCGSTAB (two-invariant detection), full history
+    /// (`window` 9) and bounded rings: the flushed per-iteration scalars
+    /// tie a verified row to its generation.
     #[test]
     fn bicgstab_recovers_from_any_crash_point(
-        accesses in 5_000u64..250_000,
+        trigger in anywhere(5_000..250_000, &[bicgstab::sites::PH_AFTER_XR, bicgstab::sites::PH_ITER_END], 8),
         cache_kb in 2usize..64,
         seed in 0u64..1000,
+        window in 3usize..=9,
     ) {
         let class = CgClass::TEST;
         let a = class.matrix(seed);
         let b = class.rhs(&a);
         let iters = 8;
-        let reference = bicgstab_host(&a, &b, iters);
         let rho0: f64 = b.iter().map(|v| v * v).sum();
-        let cfg = SystemConfig::nvm_only(cache_kb << 10, 64 << 20);
-
-        let mut sys = MemorySystem::new(cfg.clone());
-        let bi = ExtendedBiCgStab::setup(&mut sys, &a, &b, iters);
-        let trig = CrashTrigger::AtAccessCount(accesses);
-        let mut emu = CrashEmulator::from_system(sys, trig);
-        match bi.run(&mut emu, 0, iters, rho0) {
-            RunOutcome::Completed(_) => {
-                prop_assert!(max_diff(&bi.peek_solution(&emu), &reference) < 1e-9);
-            }
-            RunOutcome::Crashed(image) => {
-                let rec = bi.recover_and_resume(&image, cfg);
-                prop_assert!(
-                    max_diff(&rec.solution, &reference) < 1e-8,
-                    "recovered iterate off by {}",
-                    max_diff(&rec.solution, &reference)
-                );
-                prop_assert!(rec.report.lost_units <= iters as u64);
-            }
-        }
+        crash_anywhere_recovers(
+            SystemConfig::nvm_only(cache_kb << 10, 64 << 20),
+            trigger,
+            |sys| (ExtendedBiCgStab::setup_windowed(sys, &a, &b, iters, window), rho0),
+            window,
+            &bicgstab_host(&a, &b, iters),
+            (1e-9, 1e-8),
+        )?;
     }
 
-    /// Heat stencil (exact verification): crash anywhere; the recovered
-    /// grid is bitwise the crash-free grid.
+    /// Heat stencil (exact verification): the recovered grid is bitwise
+    /// the crash-free grid. A mid-sweep site is `(PH_AFTER_BLOCK, block)`
+    /// at its `sweep + 1`-th poll.
     #[test]
     fn stencil_recovers_from_any_crash_point(
-        accesses in 2_000u64..150_000,
+        trigger in prop_oneof![
+            anywhere(2_000..150_000, &[stencil::sites::PH_SWEEP_END], 9),
+            (0u64..3, 1u32..=9).prop_map(|(block, occurrence)| CrashTrigger::AtSite {
+                site: CrashSite::new(stencil::sites::PH_AFTER_BLOCK, block),
+                occurrence,
+            }),
+        ],
         cache_kb in 2usize..32,
         window in 3usize..5,
     ) {
         let (rows, cols, sweeps) = (14, 14, 9);
-        let reference = heat_host(rows, cols, sweeps);
-        let cfg = SystemConfig::nvm_only(cache_kb << 10, 64 << 20);
-
-        let mut sys = MemorySystem::new(cfg.clone());
-        let st = ExtendedStencil::setup(&mut sys, rows, cols, sweeps, window, 4);
-        let trig = CrashTrigger::AtAccessCount(accesses);
-        let mut emu = CrashEmulator::from_system(sys, trig);
-        match st.run(&mut emu, 0, sweeps) {
-            RunOutcome::Completed(()) => {
-                prop_assert!(max_diff(&st.peek_grid(&emu, sweeps), &reference) == 0.0);
-            }
-            RunOutcome::Crashed(image) => {
-                let rec = st.recover_and_resume(&image, cfg);
-                prop_assert!(
-                    max_diff(&rec.solution, &reference) == 0.0,
-                    "exact-mode recovery must be bitwise, off by {}",
-                    max_diff(&rec.solution, &reference)
-                );
-                prop_assert!(rec.report.lost_units <= sweeps as u64);
-            }
-        }
+        crash_anywhere_recovers(
+            SystemConfig::nvm_only(cache_kb << 10, 64 << 20),
+            trigger,
+            |sys| (ExtendedStencil::setup(sys, rows, cols, sweeps, window, 4), ()),
+            window,
+            &heat_host(rows, cols, sweeps),
+            (0.0, 0.0),
+        )?;
     }
 }

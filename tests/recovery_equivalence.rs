@@ -6,13 +6,6 @@ use adcc::core::cg::{cg_host, sites as cg_sites, ExtendedCg};
 use adcc::core::mc::sites as mc_sites;
 use adcc::prelude::*;
 
-fn max_diff(a: &[f64], b: &[f64]) -> f64 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0, f64::max)
-}
-
 #[test]
 fn cg_recovery_equivalent_at_every_instrumented_site() {
     let class = CgClass::TEST;
