@@ -9,12 +9,14 @@
 //! own jobs, and a worker the task list has nothing left for takes jobs of
 //! batches other workers still own — so a campaign ends when its work does,
 //! not when its longest task does. The exception is a scenario that
-//! [chains](Scenario::chains): its batch's recover pass is **one** job,
-//! which nobody can take a share of, so its tasks are claimed first and the
-//! rest of the plan fills in around them. Every worker holds at most one
-//! batch and runs at most one job at a time, so no more than `threads`
-//! forward executions and `threads` recoveries (a chain holding two machines,
-//! its pilot and one follower) are alive at once. Job results land
+//! [chains](Scenario::chains): each pass over its batch's states is **one**
+//! job — the recover chain, the dirty chain — which nobody can take a share
+//! of, so its tasks are claimed first and the rest of the plan fills in
+//! around them. Every worker holds at most one batch and runs at most one
+//! job at a time, and a batch's forward machine is dropped when its forward
+//! run ends, so no more than `threads` forward executions and `threads`
+//! recoveries (a chain holding two machines, its pilot and one follower) are
+//! alive at once. Job results land
 //! in per-batch slots indexed by poll order, batch outputs in slots indexed
 //! by task, and both merges read their slots in index order: neither the
 //! thread count nor the batch size nor who helped whom can reorder a byte.

@@ -462,9 +462,9 @@ pub trait Scenario: Send + Sync {
     fn trigger_of(&self, unit: u64) -> CrashTrigger {
         self.unit_space().trigger_of(unit, |u| self.site_trigger(u))
     }
-    /// Whether a batch's recover pass is **one** job — a chain over its
-    /// crash states that other workers cannot take a share of — rather
-    /// than one job per crash state. The engine starts such batches first.
+    /// Whether each pass over a batch's crash states is **one** job — a
+    /// chain that other workers cannot take a share of — rather than one
+    /// job per crash state. The engine starts such batches first.
     fn chains(&self) -> bool {
         false
     }

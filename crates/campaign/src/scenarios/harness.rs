@@ -14,19 +14,28 @@
 //!   1. [`harvest`] — arm one harvest point per scheduled unit and run the
 //!      forward execution **once** to completion. One thread, once per
 //!      batch.
-//!   2. [`Batch::run_next`] — one job per *distinct crash state*:
-//!      materialize its image, recover, dirty-restart, whichever were asked
-//!      for. A job reads the batch (`&Live`, the harvests, the probe) and
-//!      writes only its own result slot, so any number of threads may take
-//!      jobs from one batch at once; each holds one materialized image, so
-//!      peak memory is flat in the number of crash points and linear in
-//!      the number of workers. A workload that [chains](Workload::chains)
-//!      recovers its states *together*: its recover pass is one job, the
-//!      first the cursor hands out, which pulls the states in poll order
-//!      one image at a time; its dirty restarts stay per-state jobs.
+//!   2. [`Batch::run_next`] — one job per *distinct crash state*: recover,
+//!      dirty-restart, whichever were asked for, each from an image
+//!      materialized for it and handed over by value. A job reads the batch
+//!      (`&Live`, the harvests, the probe) and writes only its own result
+//!      slot, so any number of threads may take jobs from one batch at
+//!      once; each holds one materialized image, so peak memory is flat in
+//!      the number of crash points and linear in the number of workers. A
+//!      workload that [chains](Workload::chains) takes its states
+//!      *together*: each requested per-state pass is one job — the recover
+//!      chain, then the dirty chain, two jobs of the one cursor, so two
+//!      workers can take one each — which pulls the states in poll order
+//!      one image at a time. Both kinds of job go through the same two
+//!      hooks ([`Workload::recover_chain`],
+//!      [`Workload::dirty_restart_chain`]): a job of one state is a chain
+//!      of one.
 //!   3. [`Batch::finish`] — charge the recovered states to their units in
-//!      poll order, classify the units that ran to completion, run the
-//!      analysis. One thread, once per batch, after every job.
+//!      poll order, add the units that ran to completion, run the analysis.
+//!      One thread, once per batch, after every job.
+//!
+//!   The forward machine does not outlive step 1: what step 3 wants of it
+//!   — the completed run's classification, the event record — is taken
+//!   when the forward run ends.
 //!
 //!   [`Scenario::run_passes`] is those three steps on one thread; the
 //!   engine lets idle workers take step-2 jobs of a batch another worker
@@ -86,6 +95,8 @@ use crate::scenario::{
 /// * [`CrashState::charge`] — the recovered state and the unit.
 /// * [`dirty_restart`](Workload::dirty_restart) — the image and the live
 ///   kernel handle; no mechanism is consulted.
+/// * [`dirty_restart_chain`](Workload::dirty_restart_chain) — what
+///   `recover_chain` is to `recover`.
 pub(crate) trait Workload: Send + Sync {
     /// What set-up leaves behind: the kernel handle plus whatever its
     /// mechanism owns (checkpoint manager, undo pool, log sidecar).
@@ -130,28 +141,32 @@ pub(crate) trait Workload: Send + Sync {
         profile: Option<ExecutionProfile>,
     ) -> Self::State;
 
-    /// Whether the crash states of one batch are recovered together,
-    /// through [`recover_chain`](Workload::recover_chain). Default: one by
-    /// one, through [`recover`](Workload::recover) — which stays the
-    /// per-unit oracle ([`run_trial`]) either way.
+    /// Whether [`recover_chain`](Workload::recover_chain) and
+    /// [`dirty_restart_chain`](Workload::dirty_restart_chain) are handed all
+    /// the crash states of one batch together. Default: one state at a
+    /// time. [`recover`](Workload::recover) stays the per-unit oracle
+    /// ([`run_trial`]) either way.
     fn chains(&self) -> bool {
         false
     }
 
-    /// The per-batch recover step of a workload that
-    /// [`chains`](Workload::chains): recover every distinct crash state of
-    /// one forward execution, handed over in poll order, and return one
-    /// [`Workload::State`] per state in that order — each equal to what
-    /// [`recover`](Workload::recover) makes of that state alone. `states`
-    /// materializes an image when it is pulled, so a chain holds as many as
+    /// The recover step over crash states of one forward execution — all
+    /// of a batch's, in poll order, for a workload that
+    /// [`chains`](Workload::chains), one otherwise: one [`Workload::State`]
+    /// per state in the order given, each equal to what
+    /// [`recover`](Workload::recover) makes of that state alone, which is
+    /// what the default does. A state's image is materialized when it is
+    /// pulled from `states` and handed over by value, so a workload that can
+    /// boot from it without a copy does, and a chain holds as many images as
     /// it has not dropped.
     fn recover_chain(
         &self,
         live: &Self::Live,
         states: &mut dyn Iterator<Item = HarvestedState>,
     ) -> Vec<Self::State> {
-        let _ = (live, states);
-        unreachable!("{} does not chain", Workload::name(self))
+        states
+            .map(|s| self.recover(live, s.site, &s.image, s.profile))
+            .collect()
     }
 
     /// Classify the completed run (the crash point landed beyond it). The
@@ -187,6 +202,21 @@ pub(crate) trait Workload: Send + Sync {
     fn dirty_restart(&self, live: &Self::Live, image: &NvmImage) -> DirtyRestart {
         let _ = (live, image);
         unreachable!("{} declares no dirty reference", Workload::name(self))
+    }
+
+    /// The dirty step over crash states of one forward execution, as
+    /// [`recover_chain`](Workload::recover_chain) is the recover step: one
+    /// [`DirtyRestart`] per image in the order given, each equal to what
+    /// [`dirty_restart`](Workload::dirty_restart) makes of that state alone,
+    /// which is what the default does.
+    fn dirty_restart_chain(
+        &self,
+        live: &Self::Live,
+        images: &mut dyn Iterator<Item = NvmImage>,
+    ) -> Vec<DirtyRestart> {
+        images
+            .map(|image| self.dirty_restart(live, &image))
+            .collect()
     }
 
     /// Protocol regions for the persist-order analyzer. Default empty: no
@@ -346,22 +376,26 @@ struct Batch<'a, W: Workload> {
     w: &'a W,
     units: &'a [u64],
     recover: bool,
-    /// The recover pass is one job for the whole batch, not part of each
-    /// group's job.
+    /// Each per-state pass is one job for the whole batch — a chain over
+    /// its states — not part of each group's job.
     chained: bool,
     dirty_ref: Option<(Tolerance, Vec<f64>)>,
     regions: Vec<Region>,
-    emu: CrashEmulator,
     live: W::Live,
-    end: W::End,
     probe: Option<Probe>,
+    /// The trial of every unit whose trigger never fired, but for its
+    /// `unit`: the completed run, classified before its machine was
+    /// dropped. `None` when every unit fired (or nobody recovers).
+    completed: Option<Trial>,
+    /// The forward execution's event record, when regions were declared.
+    recorded: Option<EventRecorder>,
     harvests: Vec<Harvest>,
     /// Each poll group as its range of `harvests`. The range's start is
     /// the ordinal of the group's first harvest: log sidecars are per
     /// capture.
     groups: Vec<Range<usize>>,
-    /// The next job nobody has claimed: the chain first, if there is one,
-    /// then the groups.
+    /// The next job nobody has claimed: the groups in poll order, or — of a
+    /// chained batch — the chains.
     next: AtomicUsize,
     /// Group-indexed results.
     done: Vec<Mutex<Recovered<W::State>>>,
@@ -425,17 +459,28 @@ fn harvest<'a, W: Workload>(
         })
         .collect();
     record(mem, &emu, base_bytes, &harvests, groups.len() as u64);
+    // The last two things anybody wants of the forward machine; a job boots
+    // its own. Dropped here, it is not held across every job of the batch.
+    let completed = (passes.recover && harvests.len() < units.len()).then(|| {
+        let profile = probe
+            .as_ref()
+            .map(|p| with_log(w, &live, None, p.finish(&emu)));
+        w.complete(&live, end, &emu, profile)
+    });
+    let recorded =
+        (!regions.is_empty()).then(|| emu.system_mut().take_recorder().expect("recorder attached"));
+    drop(emu);
     Box::new(Batch {
         w,
         units,
         recover: passes.recover,
-        chained: passes.recover && w.chains(),
+        chained: w.chains(),
         dirty_ref,
         regions,
-        emu,
         live,
-        end,
         probe,
+        completed,
+        recorded,
         harvests,
         next: AtomicUsize::new(0),
         done: groups
@@ -469,9 +514,38 @@ impl<W: Workload> Batch<'_, W> {
         put(&mut self.done[g].lock().expect("a job never panics mid-store"));
     }
 
-    /// The one recover job of a chained batch.
-    fn run_chain(&self) {
-        let mut states = self.groups.iter().map(|group| {
+    /// The dirty trial of `group`'s units, but for its `unit`.
+    fn dirty_trial(&self, group: &Range<usize>, d: &DirtyRestart) -> Option<DirtyTrial> {
+        let (tolerance, reference) = self.dirty_ref.as_ref()?;
+        Some(DirtyTrial {
+            unit: self.harvests[group.start].unit,
+            class: classify_dirty(d, reference, tolerance),
+            extra_units: d.extra_units,
+            sim_time_ps: d.sim_time_ps,
+        })
+    }
+
+    /// Store what a hook made of the states of `groups`, one result each.
+    fn store_each<T>(
+        &self,
+        groups: Range<usize>,
+        results: Vec<T>,
+        put: impl Fn(&mut Recovered<W::State>, &Range<usize>, T),
+    ) {
+        assert_eq!(
+            results.len(),
+            groups.len(),
+            "{}: a chain returns one result per crash state",
+            Workload::name(self.w)
+        );
+        for (g, result) in groups.zip(results) {
+            self.store(g, |slot| put(slot, &self.groups[g], result));
+        }
+    }
+
+    /// The recover pass over the states of `groups`, together.
+    fn recover_states(&self, groups: Range<usize>) {
+        let mut states = self.groups[groups.clone()].iter().map(|group| {
             let h = &self.harvests[group.start];
             HarvestedState {
                 site: h.site,
@@ -480,58 +554,47 @@ impl<W: Workload> Batch<'_, W> {
             }
         });
         let recovered = self.w.recover_chain(&self.live, &mut states);
-        assert_eq!(
-            recovered.len(),
-            self.groups.len(),
-            "{}: a chain returns one state per crash state",
-            Workload::name(self.w)
-        );
-        for (g, state) in recovered.into_iter().enumerate() {
-            self.store(g, |slot| slot.state = Some(state));
-        }
+        self.store_each(groups, recovered, |slot, _, state| slot.state = Some(state));
+    }
+
+    /// The dirty pass over the states of `groups`, together.
+    fn restart_states(&self, groups: Range<usize>) {
+        let mut images = self.groups[groups.clone()]
+            .iter()
+            .map(|group| self.harvests[group.start].image.materialize());
+        let restarted = self.w.dirty_restart_chain(&self.live, &mut images);
+        self.store_each(groups, restarted, |slot, group, d| {
+            slot.dirty = self.dirty_trial(group, &d)
+        });
     }
 }
 
 impl<W: Workload> Harvested for Batch<'_, W> {
-    /// Step 2, one job: the chain, or the per-state passes over the next
-    /// unclaimed poll group's machine state.
+    /// Step 2, one job: every requested per-state pass over the next
+    /// unclaimed poll group's machine state, or — of a chained batch — the
+    /// next pass over all of them. Either way a pass goes through the
+    /// workload's chain hook, which gets each image by value, materialized
+    /// for it: a job of one state is a chain of one.
     fn run_next(&self) -> bool {
         // The claim publishes nothing: what a job reads was written before
         // the batch was shared, what it writes goes through its slot's lock.
         let job = self.next.fetch_add(1, Ordering::Relaxed);
-        let Some(g) = job.checked_sub(usize::from(self.chained)) else {
-            self.run_chain();
-            return true;
-        };
-        // What is left for the groups' own jobs; with nothing, there are none.
-        let recover_here = self.recover && !self.chained;
-        if !recover_here && self.dirty_ref.is_none() {
+        let passes: [Option<fn(&Self, Range<usize>)>; 2] = [
+            self.recover.then_some(Self::recover_states),
+            self.dirty_ref.is_some().then_some(Self::restart_states),
+        ];
+        let mut passes = passes.into_iter().flatten();
+        let all = 0..self.groups.len();
+        if self.chained {
+            match passes.nth(job) {
+                Some(pass) => pass(self, all),
+                None => return false,
+            }
+        } else if all.contains(&job) {
+            passes.for_each(|pass| pass(self, job..job + 1));
+        } else {
             return false;
         }
-        let Some(group) = self.groups.get(g) else {
-            return false;
-        };
-        let h = &self.harvests[group.start];
-        let image = h.image.materialize();
-        let state = recover_here.then(|| {
-            self.w
-                .recover(&self.live, h.site, &image, self.profile_at(group))
-        });
-        let dirty = self.dirty_ref.as_ref().map(|(tolerance, reference)| {
-            let d = self.w.dirty_restart(&self.live, &image);
-            DirtyTrial {
-                unit: h.unit,
-                class: classify_dirty(&d, reference, tolerance),
-                extra_units: d.extra_units,
-                sim_time_ps: d.sim_time_ps,
-            }
-        });
-        self.store(g, |slot| {
-            if recover_here {
-                slot.state = state;
-            }
-            slot.dirty = dirty;
-        });
         true
     }
 
@@ -544,10 +607,8 @@ impl<W: Workload> Harvested for Batch<'_, W> {
             recover,
             dirty_ref,
             regions,
-            mut emu,
-            live,
-            end,
-            probe,
+            completed,
+            recorded,
             harvests,
             groups,
             done,
@@ -594,18 +655,13 @@ impl<W: Workload> Harvested for Batch<'_, W> {
                 }
             }
         }
-        if trials.iter().any(Option::is_none) {
-            let profile = probe
-                .as_ref()
-                .map(|p| with_log(w, &live, None, p.finish(&emu)));
-            let template = w.complete(&live, end, &emu, profile);
+        if let Some(template) = completed {
             for (t, &unit) in trials.iter_mut().zip(units) {
                 t.get_or_insert(Trial { unit, ..template });
             }
         }
 
-        let analysis = (!regions.is_empty()).then(|| {
-            let rec = emu.system_mut().take_recorder().expect("recorder attached");
+        let analysis = recorded.map(|rec| {
             let mut found = analyze(rec.events(), &regions);
             Analyzed {
                 facts: units
@@ -719,9 +775,14 @@ mod tests {
         /// With `meet`: a recovery running on any thread but the one that
         /// ran the forward execution panics.
         helpers_panic: bool,
-        /// Recover each batch's states through one `recover_chain` call.
+        /// Take each batch's states through one `recover_chain` and one
+        /// `dirty_restart_chain` call. With `meet`, neither returns before
+        /// both have started.
         chained: bool,
         chains_run: Arc<AtomicU64>,
+        dirty_chains_run: Arc<AtomicU64>,
+        /// The dirty chain panics, whichever thread runs it.
+        dirty_chain_panics: bool,
         /// `chained` of every toy sharing this log, in set-up order.
         set_up: Arc<Mutex<Vec<bool>>>,
     }
@@ -734,6 +795,15 @@ mod tests {
         owner: ThreadId,
         polls: u64,
         logs: Vec<LogStats>,
+    }
+
+    impl Toy {
+        /// A chained toy's two chains wait for each other at `meet`.
+        fn meet_in_chain(&self) {
+            if let Some(meet) = self.meet.as_ref().filter(|_| self.chained) {
+                meet.wait();
+            }
+        }
     }
 
     fn polls_passed(polls: u64) -> LogStats {
@@ -798,7 +868,7 @@ mod tests {
             profile: Option<ExecutionProfile>,
         ) -> Classified {
             let earlier = self.recovers.fetch_add(1, Relaxed);
-            if let Some(meet) = self.meet.as_ref().filter(|_| earlier < 2) {
+            if let Some(meet) = self.meet.as_ref().filter(|_| earlier < 2 && !self.chained) {
                 meet.wait();
                 if self.helpers_panic && std::thread::current().id() != live.owner {
                     panic!("toy: a helper's recovery failed");
@@ -820,9 +890,20 @@ mod tests {
             states: &mut dyn Iterator<Item = HarvestedState>,
         ) -> Vec<Classified> {
             self.chains_run.fetch_add(1, Relaxed);
+            self.meet_in_chain();
             states
                 .map(|s| self.recover(live, s.site, &s.image, s.profile))
                 .collect()
+        }
+        fn dirty_restart_chain(
+            &self,
+            live: &ToyLive,
+            images: &mut dyn Iterator<Item = NvmImage>,
+        ) -> Vec<DirtyRestart> {
+            self.dirty_chains_run.fetch_add(1, Relaxed);
+            self.meet_in_chain();
+            assert!(!self.dirty_chain_panics, "toy: the dirty chain failed");
+            images.map(|i| self.dirty_restart(live, &i)).collect()
         }
         fn complete(
             &self,
@@ -973,33 +1054,70 @@ mod tests {
             chained: true,
             ..Toy::default()
         };
-        for (passes, jobs) in [(Passes::recover(true), 1), (fused, 1 + 3)] {
+        let dirty_only = Passes::default().and_dirty();
+        for (passes, jobs) in [(Passes::recover(true), 1), (fused, 2), (dirty_only, 1)] {
             let batch = toy.harvest(&UNITS, passes, &ImageMemory::default());
             let mut ran = 0;
             while batch.run_next() {
                 ran += 1;
             }
-            // The chain, then — only if there is a dirty pass left for them
-            // — one job per distinct poll.
+            // One chain per pass asked for, and no job per distinct poll.
             assert_eq!(ran, jobs);
             let out = batch.finish();
             // Telemetry and the log sidecar of each state reached the chain.
-            assert_eq!(
-                out.trials.iter().map(whole).collect::<Vec<_>>(),
-                alone.trials.iter().map(whole).collect::<Vec<_>>()
-            );
-            assert_eq!(out.dirty.is_some(), passes.dirty);
+            if passes.recover {
+                assert_eq!(
+                    out.trials.iter().map(whole).collect::<Vec<_>>(),
+                    alone.trials.iter().map(whole).collect::<Vec<_>>()
+                );
+            }
+            // The toy numbers its dirty restarts: a chain restarts the
+            // states in poll order, as one thread's per-state jobs do.
+            let dirty = out.dirty.map(|d| extra(&d));
+            assert_eq!(dirty.is_some(), passes.dirty);
+            if let Some(dirty) = dirty {
+                assert_eq!(dirty, extra(alone.dirty.as_ref().unwrap()));
+                toy.dirties.store(0, Relaxed);
+            }
         }
         assert_eq!(toy.chains_run.load(Relaxed), 2, "one chain per batch");
+        assert_eq!(toy.dirty_chains_run.load(Relaxed), 2);
         assert_eq!(toy.recovers.load(Relaxed), 2 * 3);
-        assert_eq!(toy.dirties.load(Relaxed), 3);
-        // Without a recover pass there is nothing to chain.
-        toy.run_passes(
-            &UNITS,
-            Passes::default().and_dirty(),
-            &ImageMemory::default(),
+    }
+
+    #[test]
+    fn the_two_chains_of_a_batch_run_on_a_worker_each() {
+        let passes = Passes::recover(true).and_dirty();
+        let alone = Toy::default().run_passes(&UNITS, passes, &ImageMemory::default());
+        // Neither chain gets past the barrier until the other has started.
+        let toy = Toy {
+            chained: true,
+            meet: Some(Barrier::new(2)),
+            ..Toy::default()
+        };
+        let shared = within_a_minute(move || pooled(toy, passes, &ImageMemory::for_workers(2)));
+        assert_eq!(
+            shared.trials.iter().map(whole).collect::<Vec<_>>(),
+            alone.trials.iter().map(whole).collect::<Vec<_>>()
         );
-        assert_eq!(toy.chains_run.load(Relaxed), 2);
+        assert_eq!(shared.dirty.unwrap().trials, alone.dirty.unwrap().trials);
+    }
+
+    #[test]
+    fn a_dirty_chain_that_panics_fails_the_run_instead_of_hanging_it() {
+        // Both chains are inside the batch, on a worker each, when it fails.
+        let toy = Toy {
+            chained: true,
+            meet: Some(Barrier::new(2)),
+            dirty_chain_panics: true,
+            ..Toy::default()
+        };
+        let outcome = within_a_minute(move || {
+            let passes = Passes::recover(false).and_dirty();
+            std::panic::catch_unwind(|| pooled(toy, passes, &ImageMemory::for_workers(2)))
+                .map(|out| out.trials.len())
+        });
+        assert!(outcome.is_err(), "the dirty chain's panic was swallowed");
     }
 
     #[test]

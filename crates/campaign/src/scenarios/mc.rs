@@ -12,8 +12,14 @@
 //! the run*, every picosecond of it reported, so a batch's states are
 //! recovered as one [`McSim::recover_chain`]: a replay that reaches a
 //! machine an earlier state's replay already stood on reads the rest of
-//! its clock off that one — O(run + points × a few dozen lookups).
+//! its clock off that one — O(run + points × a few dozen lookups). Its
+//! dirty restarts all re-enter at lookup 0 of a cold machine and differ
+//! only in the tallies they run on, which the loop never looks at: they are
+//! one [`McSim::dirty_chain`], at the same cost. (`mc-selective`'s are not:
+//! NVM with DRAM's timing prefetches, so the stream detector is an input,
+//! and a cold restart's never lines up with a warm one's.)
 
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 use adcc_core::mc::sim::{McMode, McRecovery, McSim};
@@ -200,8 +206,9 @@ impl Workload for McCampaign {
         self.classify(&rec, telemetry)
     }
 
-    /// Epoch recovery replays every state to the end of the run: the states
-    /// of one execution share that tail.
+    /// Epoch recovery replays every state to the end of the run, and so
+    /// does every dirty restart: the states of one execution share that
+    /// tail.
     fn chains(&self) -> bool {
         matches!(self.mode, McMode::Epoch { .. })
     }
@@ -216,7 +223,7 @@ impl Workload for McCampaign {
             &self.cfg,
             states.map(|s| {
                 profiles.push(s.profile);
-                (s.site.index + 1, s.image)
+                (s.site.index + 1, Cow::Owned(s.image))
             }),
         );
         chain
@@ -244,6 +251,14 @@ impl Workload for McCampaign {
 
     fn dirty_restart(&self, mc: &McSim, image: &NvmImage) -> DirtyRestart {
         mc.dirty_restart(image, self.cfg.clone())
+    }
+
+    fn dirty_restart_chain(
+        &self,
+        mc: &McSim,
+        images: &mut dyn Iterator<Item = NvmImage>,
+    ) -> Vec<DirtyRestart> {
+        mc.dirty_chain(&self.cfg, images.map(Cow::Owned)).restarts
     }
 }
 
@@ -313,7 +328,7 @@ mod tests {
             &s.cfg,
             harvests
                 .iter()
-                .map(|h| (h.site.index + 1, h.image.materialize())),
+                .map(|h| (h.site.index + 1, Cow::Owned(h.image.materialize()))),
         );
         let alone: u64 = chain.recoveries.iter().map(|r| r.accesses).sum();
         assert!(
@@ -327,6 +342,50 @@ mod tests {
         );
         for r in &chain.recoveries {
             assert_eq!(r.counts, s.reference, "epoch recovery is exact");
+        }
+    }
+
+    /// And for its dirty restarts, which all run the whole loop again: alone,
+    /// ten of them simulate ten forward runs; chained, every follower stands
+    /// where the pilot stood — but for its tallies — a couple of dozen
+    /// lookups in (one that did not would take the pilot to the end with it
+    /// and put the chain past two runs on its own), and is right anyway.
+    #[test]
+    fn a_chain_of_epoch_dirty_restarts_simulates_less_than_two_forward_runs() {
+        let s = McCampaign::new_epoch(reference_counts());
+        for states in [10, 20] {
+            let units: Vec<u64> = (0..states).map(|k| 25 + (1200 / states) * k).collect();
+            let (mut emu, mut mc) = s.setup(CrashTrigger::Never);
+            emu.arm_harvest(units.iter().map(|&u| (s.trigger_of(u), u)));
+            assert!(s.forward(&mut mc, &mut emu).completed().is_some());
+            let forward_run = emu.access_count();
+            let harvests = emu.take_harvests();
+            assert_eq!(harvests.len(), units.len());
+            let chain = mc.dirty_chain(
+                &s.cfg,
+                harvests.iter().map(|h| Cow::Owned(h.image.materialize())),
+            );
+            let mut alone = 0;
+            for (h, chained) in harvests.iter().zip(&chain.restarts) {
+                let one = mc.dirty_chain(&s.cfg, [Cow::Owned(h.image.materialize())]);
+                assert_eq!(
+                    one.restarts,
+                    std::slice::from_ref(chained),
+                    "unit {}",
+                    h.unit
+                );
+                assert_eq!(chained.extra_units, LOOKUPS);
+                alone += one.simulated_accesses;
+            }
+            assert!(
+                alone >= (states - 1) * forward_run,
+                "{states} states: {alone} accesses alone, a forward run is {forward_run}"
+            );
+            assert!(
+                chain.simulated_accesses <= 2 * forward_run,
+                "{states} states: {} accesses simulated, a forward run is {forward_run}",
+                chain.simulated_accesses
+            );
         }
     }
 }

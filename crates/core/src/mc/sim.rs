@@ -29,10 +29,20 @@
 //! deterministic simulator have one future: from there on the later
 //! replay's clock and counts are read off the earlier one instead of
 //! simulated again ([`McSim::recover_chain`]).
+//!
+//! Dirty restarts have the same company, one step removed. A dirty restart
+//! re-enters the forward loop on whatever tallies survived, and the loop
+//! never looks at a tally: it only ever adds one to it. So two restarts of
+//! one execution soon stand on machines that differ in nothing but what
+//! their tally words hold — [one future modulo those
+//! cells](MemorySystem::same_future_modulo) — and from there the later one's
+//! clock is the earlier one's, its tallies the earlier one's shifted by the
+//! difference at that boundary ([`McSim::dirty_chain`]).
 
-use std::borrow::Borrow;
+use std::borrow::Cow;
+use std::ops::Range;
 
-use adcc_sim::clock::SimTime;
+use adcc_sim::clock::{Bucket, SimTime};
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
 use adcc_sim::image::NvmImage;
 use adcc_sim::parray::{PArray, PScalar, Pod};
@@ -335,35 +345,108 @@ impl McSim {
     /// surviving `idx_cell` verbatim, and run the remaining lookups on top
     /// of whatever counter values survived. The tally audit every MC run
     /// ends with (Σ counts = lookups) rejects double- or under-counted
-    /// dirty totals.
+    /// dirty totals. A [chain](McSim::dirty_chain) of one.
     pub fn dirty_restart(&self, image: &NvmImage, cfg: SystemConfig) -> DirtyRestart {
-        let mut sys = MemorySystem::dirty_reboot(cfg, image);
-        let t0 = sys.now();
-        let idx = self.idx_cell.get(&mut sys);
-        if idx > self.lookups {
-            // The loop bound itself rejects a counter past the end.
-            return DirtyRestart::rejected((sys.now() - t0).ps());
-        }
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        self.run(&mut emu, idx, self.lookups)
-            .completed()
-            .expect("trigger is Never");
-        let sys = emu.into_system();
-        let counts = self.peek_counts(&sys);
-        let total: u64 = counts.iter().sum();
-        let extra = self.lookups - idx;
-        let time = (sys.now() - t0).ps();
-        if total != self.lookups {
-            return DirtyRestart {
-                solution: None,
-                extra_units: extra,
-                sim_time_ps: time,
+        self.dirty_chain(&cfg, [Cow::Borrowed(image)])
+            .restarts
+            .pop()
+            .expect("one state in, one restart out")
+    }
+
+    /// [`McSim::dirty_restart`] for the crash states of **one forward
+    /// execution**, in the order they were captured: the same
+    /// [`DirtyRestart`] per state, field for field and picosecond for
+    /// picosecond, for less simulated work. Each image is pulled from
+    /// `images` when its turn comes; an owned one becomes its machine's
+    /// pool, a borrowed one is copied into it.
+    ///
+    /// Every state boots its own machine and reads the loop index; one the
+    /// loop bound rejects is answered there. The first state past that is
+    /// the **pilot**. Every later one advances in lockstep with it,
+    /// whichever is behind stepping one lookup, until the two stand at one
+    /// boundary with [one future modulo](MemorySystem::same_future_modulo)
+    /// the tally words — the only bytes here that the loop reads just to add
+    /// to and that steer no address, branch or charge (the loop index, the
+    /// epoch words, `macro_xs` and the grids are compared like everything
+    /// else; the epoch words steer nothing on this path either, but a word
+    /// this loop *overwrites* equalises by itself). There the follower is
+    /// dropped: the rest of its clock is the rest of the pilot's, and each of
+    /// its tallies ends as far above the pilot's as it stands at the join
+    /// (tallies are only ever `get + 1 -> set`). The count-total audit is
+    /// evaluated on those reconstructed tallies. A follower that reaches the
+    /// end unjoined is complete as it stands. At most two machines are
+    /// alive, and nothing is approximated: a state is joined on the full
+    /// comparison or not at all.
+    pub fn dirty_chain<'a>(
+        &self,
+        cfg: &SystemConfig,
+        images: impl IntoIterator<Item = Cow<'a, NvmImage>>,
+    ) -> DirtyChain {
+        let cells = self.tally_cells();
+        let mut pilot: Option<DirtyRun> = None;
+        let mut links = Vec::new();
+        let mut simulated_accesses = 0;
+        for image in images {
+            let mut run = DirtyRun::boot(self, cfg, image);
+            if run.next > self.lookups {
+                // The loop bound itself rejects a counter past the end.
+                simulated_accesses += run.emu.access_count();
+                links.push(DirtyLink::Rejected(DirtyRestart::rejected(
+                    run.elapsed().ps(),
+                )));
+                continue;
+            }
+            let Some(pilot) = pilot.as_mut() else {
+                // The pilot joins itself where it stands.
+                links.push(run.link(self, Some(&run)));
+                pilot = Some(run);
+                continue;
             };
+            while run.next < self.lookups {
+                if run.next < pilot.next {
+                    run.step(self);
+                } else if pilot.next < run.next {
+                    pilot.step(self);
+                } else if run.emu.same_future_modulo(&pilot.emu, &cells) {
+                    break;
+                } else {
+                    run.step(self);
+                    pilot.step(self);
+                }
+            }
+            simulated_accesses += run.emu.access_count();
+            // At the end of the run nothing is left to read off anyone.
+            links.push(run.link(self, (run.next < self.lookups).then_some(&*pilot)));
         }
-        DirtyRestart {
-            solution: Some(counts.iter().map(|&c| c as f64).collect()),
-            extra_units: extra,
-            sim_time_ps: time,
+        let end = pilot.map(|mut pilot| {
+            while pilot.next < self.lookups {
+                pilot.step(self);
+            }
+            simulated_accesses += pilot.emu.access_count();
+            (pilot.emu.now(), self.peek_counts(&pilot.emu))
+        });
+        DirtyChain {
+            restarts: links
+                .into_iter()
+                .map(|link| link.close(self, end.as_ref()))
+                .collect(),
+            simulated_accesses,
+        }
+    }
+
+    /// The words a run only ever adds one to, as ascending address ranges:
+    /// the five tallies, wherever this mode keeps them.
+    #[allow(clippy::single_range_in_vec_init)] // a list of ranges, here of one
+    fn tally_cells(&self) -> Vec<Range<u64>> {
+        let words = |arr: &PArray<u64>, n: usize| arr.base()..arr.base() + 8 * n as u64;
+        if matches!(self.mode, McMode::Epoch { .. }) {
+            let (lo, hi) = (&self.epoch_counters.lo, &self.epoch_counters.hi);
+            vec![
+                words(lo, EpochCounters::LO),
+                words(hi, XS_CHANNELS - EpochCounters::LO),
+            ]
+        } else {
+            vec![words(&self.counters, XS_CHANNELS)]
         }
     }
 
@@ -405,7 +488,7 @@ impl McSim {
         cfg: SystemConfig,
         crashed_at: u64,
     ) -> McRecovery {
-        self.recover_chain(&cfg, [(crashed_at, image)])
+        self.recover_chain(&cfg, [(crashed_at, Cow::Borrowed(image))])
             .recoveries
             .pop()
             .expect("one state in, one recovery out")
@@ -415,8 +498,8 @@ impl McSim {
     /// execution**, as `(crashed_at, image)` in the order they were
     /// captured: the same [`McRecovery`] per state, field for field and
     /// picosecond for picosecond, for less simulated work. Each image is
-    /// pulled from `states` when its turn comes and only borrowed to boot
-    /// from.
+    /// pulled from `states` when its turn comes; an owned one becomes its
+    /// machine's pool, a borrowed one is copied into it.
     ///
     /// Outside [`McMode::Epoch`] the states are recovered one by one. In
     /// epoch mode the first state's replay is the **pilot**. Every later
@@ -424,24 +507,24 @@ impl McSim {
     /// from the first lookup boundary at or past the line epochs of both
     /// replays — before it they apply different increments — the two
     /// advance in lockstep, whichever is behind stepping, until
-    /// [`MemorySystem::same_future`] holds between them at one boundary.
+    /// [`MemorySystem::same_future`] holds between them at one boundary
+    /// (the `mutant-chain-early-join` feature drops the "at or past" and
+    /// lets them join before it).
     /// There the follower notes what it spent itself and the pilot's
     /// reading, and is dropped: the rest of its clock is the rest of the
     /// pilot's, its final counts are the pilot's. A follower that reaches
     /// the end unjoined is complete as it stands. So at most two machines
     /// are alive, and nothing is approximated: a state is joined on the
     /// full comparison or not at all.
-    pub fn recover_chain<I: Borrow<NvmImage>>(
+    pub fn recover_chain<'a>(
         &self,
         cfg: &SystemConfig,
-        states: impl IntoIterator<Item = (u64, I)>,
+        states: impl IntoIterator<Item = (u64, Cow<'a, NvmImage>)>,
     ) -> McChain {
         let mut states = states.into_iter();
         if !matches!(self.mode, McMode::Epoch { .. }) {
             let recoveries: Vec<McRecovery> = states
-                .map(|(crashed_at, image)| {
-                    self.recover_to_crash_point(image.borrow(), cfg, crashed_at)
-                })
+                .map(|(crashed_at, image)| self.recover_to_crash_point(image, cfg, crashed_at))
                 .collect();
             return McChain {
                 simulated_accesses: recoveries.iter().map(|r| r.accesses).sum(),
@@ -451,8 +534,7 @@ impl McSim {
         let Some((crashed_at, image)) = states.next() else {
             return McChain::default();
         };
-        let mut pilot = EpochReplay::boot(self, cfg, image.borrow());
-        drop(image);
+        let mut pilot = EpochReplay::boot(self, cfg, image);
         // The pilot joins itself where it stands.
         let mut chain = vec![Link {
             own: pilot.so_far(self, crashed_at),
@@ -460,14 +542,14 @@ impl McSim {
         }];
         let mut simulated_accesses = 0;
         for (crashed_at, image) in states {
-            let mut replay = EpochReplay::boot(self, cfg, image.borrow());
-            drop(image);
+            let mut replay = EpochReplay::boot(self, cfg, image);
             while replay.next < self.lookups {
                 if replay.next < pilot.next {
                     replay.step(self);
                 } else if pilot.next < replay.next {
                     pilot.step(self);
-                } else if replay.next >= replay.own_until().max(pilot.own_until())
+                } else if (MUTANT_CHAIN_EARLY_JOIN
+                    || replay.next >= replay.own_until().max(pilot.own_until()))
                     && replay.sys.same_future(&pilot.sys)
                 {
                     break;
@@ -513,11 +595,15 @@ impl McSim {
     /// crashed_at)` timed, tally the rest of the run on the host.
     fn recover_to_crash_point(
         &self,
-        image: &NvmImage,
+        image: Cow<'_, NvmImage>,
         cfg: &SystemConfig,
         crashed_at: u64,
     ) -> McRecovery {
-        let mut sys = MemorySystem::from_image(cfg.clone(), image);
+        // The rest of the run only ever adds one to a counter per lookup:
+        // tally it on the host instead of simulating it untimed — from the
+        // image's own grids, so before the machine takes the image over.
+        let tail = self.tally_tail(&image, crashed_at);
+        let mut sys = boot(cfg, image);
         let t0 = sys.now();
         let resumed_from = self.idx_cell.get(&mut sys);
         let t1 = sys.now();
@@ -527,10 +613,8 @@ impl McSim {
             .completed()
             .expect("trigger is Never");
         let t2 = emu.now();
-        // The rest of the run only ever adds one to a counter per lookup:
-        // tally it on the host instead of simulating it untimed.
         let mut counts = self.peek_counts(&emu);
-        for (c, n) in counts.iter_mut().zip(self.tally_tail(image, crashed_at)) {
+        for (c, n) in counts.iter_mut().zip(tail) {
             *c += n;
         }
         McRecovery {
@@ -556,6 +640,132 @@ pub struct McChain {
     /// recovery's own `accesses` is what recovering that state alone would
     /// have charged.)
     pub simulated_accesses: u64,
+}
+
+/// What [`McSim::dirty_chain`] came to.
+#[derive(Debug, Clone)]
+pub struct DirtyChain {
+    /// One restart per crash state, in the order the states were given.
+    pub restarts: Vec<DirtyRestart>,
+    /// Element accesses the chain simulated over all its machines.
+    pub simulated_accesses: u64,
+}
+
+/// `true` when this build carries the seeded `mutant-chain-early-join` bug
+/// (see [`McSim::recover_chain`]); the mutation suite reads it to know which
+/// verdict to assert.
+#[doc(hidden)]
+pub const MUTANT_CHAIN_EARLY_JOIN: bool = cfg!(feature = "mutant-chain-early-join");
+
+/// A machine over the bytes of `image`, caches cold: an image the chain owns
+/// becomes the pool, one it borrowed is copied into it.
+fn boot(cfg: &SystemConfig, image: Cow<'_, NvmImage>) -> MemorySystem {
+    match image {
+        Cow::Borrowed(image) => MemorySystem::from_image(cfg.clone(), image),
+        Cow::Owned(image) => MemorySystem::from_owned_image(cfg.clone(), image),
+    }
+}
+
+/// One dirty restart in flight: a machine rebooted from a crash image as it
+/// was, running the forward loop on from the loop index the image held.
+struct DirtyRun {
+    emu: CrashEmulator,
+    /// The clock before the loop index was read.
+    began: SimTime,
+    /// The loop index the image held.
+    idx: u64,
+    /// Lookups `..next` are done (or were, the image says): the boundary
+    /// the machine stands at.
+    next: u64,
+}
+
+impl DirtyRun {
+    /// Reboot `image` with no mechanism — the whole continuation is resume
+    /// time — and read the loop index.
+    fn boot(mc: &McSim, cfg: &SystemConfig, image: Cow<'_, NvmImage>) -> DirtyRun {
+        let mut sys = boot(cfg, image);
+        sys.clock_mut().set_bucket(Bucket::Resume);
+        let began = sys.now();
+        let idx = mc.idx_cell.get(&mut sys);
+        DirtyRun {
+            emu: CrashEmulator::from_system(sys, CrashTrigger::Never),
+            began,
+            idx,
+            next: idx,
+        }
+    }
+
+    fn elapsed(&self) -> SimTime {
+        self.emu.now() - self.began
+    }
+
+    /// Run lookup `next` as the forward loop would.
+    fn step(&mut self, mc: &McSim) {
+        mc.run(&mut self.emu, self.next, self.next + 1)
+            .completed()
+            .expect("trigger is Never");
+        self.next += 1;
+    }
+
+    /// The restart as of this boundary, and — where it stops short of the
+    /// end of the run — the reading of the machine `joined` it stops for.
+    fn link(&self, mc: &McSim, joined: Option<&DirtyRun>) -> DirtyLink {
+        DirtyLink::Ran {
+            extra_units: mc.lookups - self.idx,
+            elapsed: self.elapsed(),
+            counts: mc.peek_counts(&self.emu),
+            pilot_at: joined.map(|pilot| (pilot.emu.now(), mc.peek_counts(&pilot.emu))),
+        }
+    }
+}
+
+/// One state of a dirty chain, until the pilot has reached the end of the
+/// run.
+enum DirtyLink {
+    /// Answered at boot: the loop bound rejected the loop index.
+    Rejected(DirtyRestart),
+    /// The restart as of the boundary where the state's own machine
+    /// stopped: final if that is the end of the run.
+    Ran {
+        extra_units: u64,
+        elapsed: SimTime,
+        counts: [u64; XS_CHANNELS],
+        /// Where it stopped short: the pilot's clock and tallies at the
+        /// boundary where the two machines had the same future but for
+        /// their tallies.
+        pilot_at: Option<(SimTime, [u64; XS_CHANNELS])>,
+    },
+}
+
+impl DirtyLink {
+    /// The finished restart, given the pilot's clock and tallies at the end
+    /// of the run: the audit a run ends with, on the tallies this state
+    /// would have ended with.
+    fn close(self, mc: &McSim, end: Option<&(SimTime, [u64; XS_CHANNELS])>) -> DirtyRestart {
+        match self {
+            DirtyLink::Rejected(restart) => restart,
+            DirtyLink::Ran {
+                extra_units,
+                mut elapsed,
+                mut counts,
+                pilot_at,
+            } => {
+                if let Some((at, then)) = pilot_at {
+                    let (end, last) = end.expect("a joined pilot runs to the end");
+                    elapsed += *end - at;
+                    for ((c, last), then) in counts.iter_mut().zip(last).zip(then) {
+                        *c += last - then;
+                    }
+                }
+                let audited = counts.iter().sum::<u64>() == mc.lookups;
+                DirtyRestart {
+                    solution: audited.then(|| counts.iter().map(|&c| c as f64).collect()),
+                    extra_units,
+                    sim_time_ps: elapsed.ps(),
+                }
+            }
+        }
+    }
 }
 
 /// One [`McMode::Epoch`] replay in flight: a machine booted from a crash
@@ -589,8 +799,8 @@ impl EpochReplay {
     /// Boot `image`, read the line epochs (the detect phase) and stand at
     /// the earlier one. The timed replay opens by reading both epoch words
     /// a second time — two charged accesses of every epoch `resume_time`.
-    fn boot(mc: &McSim, cfg: &SystemConfig, image: &NvmImage) -> EpochReplay {
-        let mut sys = MemorySystem::from_image(cfg.clone(), image);
+    fn boot(mc: &McSim, cfg: &SystemConfig, image: Cow<'_, NvmImage>) -> EpochReplay {
+        let mut sys = boot(cfg, image);
         let t0 = sys.now();
         mc.epoch_counters.epochs(&mut sys);
         let resume_began = sys.now();
@@ -735,45 +945,6 @@ mod tests {
         }
     }
 
-    impl McSim {
-        /// The differential oracle for the chain: epoch recovery as it was
-        /// before chains — one machine per state, every lookup from the
-        /// line epochs to the end of the run simulated on it.
-        fn recover_epochs_alone(
-            &self,
-            image: &NvmImage,
-            cfg: SystemConfig,
-            crashed_at: u64,
-        ) -> McRecovery {
-            let mut sys = MemorySystem::from_image(cfg, image);
-            let t0 = sys.now();
-            let (e_lo, e_hi) = self.epoch_counters.epochs(&mut sys);
-            let resumed_from = e_lo.min(e_hi);
-            let t1 = sys.now();
-            // The replay proper opens by reading the epochs again.
-            let (e_lo, e_hi) = self.epoch_counters.epochs(&mut sys);
-            for i in e_lo.min(e_hi)..self.lookups {
-                let t = self.one_lookup(&mut sys, i);
-                let line_epoch = if t < EpochCounters::LO { e_lo } else { e_hi };
-                if i >= line_epoch {
-                    self.epoch_counters.increment(&mut sys, t, i);
-                }
-            }
-            let t2 = sys.now();
-            McRecovery {
-                resumed_from,
-                counts: self.peek_counts(&sys),
-                report: RecoveryReport {
-                    detect_time: t1 - t0,
-                    resume_time: t2 - t1,
-                    lost_units: crashed_at.saturating_sub(resumed_from),
-                    restart_unit: resumed_from,
-                },
-                accesses: sys.access_count(),
-            }
-        }
-    }
-
     /// Everything a recovery reports, in comparable form.
     fn facts(r: &McRecovery) -> (u64, [u64; XS_CHANNELS], u64, u64, u64, u64, u64) {
         (
@@ -876,7 +1047,9 @@ mod tests {
     const EPOCH_LOOKUPS: u64 = 96;
 
     /// One small epoch-mode run under [`hostile`] caches, an image at every
-    /// lookup boundary, and what recovering each alone comes to.
+    /// lookup boundary, and what recovering each alone comes to: the chain
+    /// of one never meets a pilot, so it is the plain simulation, and the
+    /// oracle for every longer chain.
     fn epoch_run() -> &'static (McSim, Vec<NvmImage>, Vec<McRecovery>) {
         static RUN: std::sync::OnceLock<(McSim, Vec<NvmImage>, Vec<McRecovery>)> =
             std::sync::OnceLock::new();
@@ -887,7 +1060,7 @@ mod tests {
             let alone = images
                 .iter()
                 .enumerate()
-                .map(|(k, image)| mc.recover_epochs_alone(image, hostile(), k as u64))
+                .map(|(k, image)| mc.recover_and_resume(image, hostile(), k as u64))
                 .collect();
             (mc, images, alone)
         })
@@ -901,7 +1074,8 @@ mod tests {
         alone: &[McRecovery],
         picks: &[usize],
     ) -> u64 {
-        let chain = mc.recover_chain(&hostile(), picks.iter().map(|&k| (k as u64, &images[k])));
+        let states = picks.iter().map(|&k| (k as u64, Cow::Borrowed(&images[k])));
+        let chain = mc.recover_chain(&hostile(), states);
         assert_eq!(chain.recoveries.len(), picks.len());
         for (got, &k) in chain.recoveries.iter().zip(picks) {
             assert_eq!(facts(got), facts(&alone[k]), "crashed_at {k} of {picks:?}");
@@ -913,11 +1087,6 @@ mod tests {
     fn chained_epoch_recovery_equals_recovery_alone_at_every_crash_point() {
         let (mc, images, alone) = epoch_run();
         let total = |picks: &[usize]| picks.iter().map(|&k| alone[k].accesses).sum::<u64>();
-        // A chain of one is the recovery alone: one implementation.
-        for (k, image) in images.iter().enumerate() {
-            let got = mc.recover_and_resume(image, hostile(), k as u64);
-            assert_eq!(facts(&got), facts(&alone[k]), "crashed_at {k}");
-        }
         // Every crash point in one chain: each follower starts a lookup
         // behind the pilot and catches up with it.
         let every: Vec<usize> = (0..images.len()).collect();
@@ -956,13 +1125,13 @@ mod tests {
             bytes[at..at + 8].copy_from_slice(&huge.to_le_bytes());
         }
         let poisoned = NvmImage::new(bytes, images[30].len());
-        let loner = mc.recover_epochs_alone(&poisoned, hostile(), 30);
+        let loner = mc.recover_and_resume(&poisoned, hostile(), 30);
         assert_ne!(loner.counts, alone[30].counts, "the poison must show");
 
         // It comes last: stepping in lockstep with it takes the pilot to the
         // end of the run, where nobody after it could join any more.
         let states = [(10, &images[10]), (50, &images[50]), (30, &poisoned)];
-        let chain = mc.recover_chain(&hostile(), states);
+        let chain = mc.recover_chain(&hostile(), states.map(|(k, i)| (k, Cow::Borrowed(i))));
         let want = [&alone[10], &alone[50], &loner];
         for (got, want) in chain.recoveries.iter().zip(want) {
             assert_eq!(facts(got), facts(want));
@@ -972,6 +1141,137 @@ mod tests {
         let in_full = alone[10].accesses + loner.accesses;
         assert!(chain.simulated_accesses > in_full);
         assert!(chain.simulated_accesses < in_full + alone[50].accesses);
+    }
+
+    /// `image` with the loop index overwritten.
+    fn with_idx(mc: &McSim, image: &NvmImage, idx: u64) -> NvmImage {
+        let at = mc.idx_cell.addr() as usize;
+        let mut bytes = image.prefix().to_vec();
+        bytes.resize(bytes.len().max(at + 8), 0);
+        bytes[at..at + 8].copy_from_slice(&idx.to_le_bytes());
+        NvmImage::new(bytes, image.len())
+    }
+
+    /// Three dirty restarts of the epoch run, as the commit before chains
+    /// computed them: one the audit accepts, one it rejects, one the loop
+    /// bound rejects (no run writes such an index; the image is forged).
+    #[test]
+    fn a_dirty_chain_of_one_is_the_restart_it_always_was() {
+        let (mc, images, _) = epoch_run();
+        let restart = |solution: Option<[f64; XS_CHANNELS]>, extra_units, sim_time_ps| {
+            let solution = solution.map(Vec::from);
+            DirtyRestart {
+                solution,
+                extra_units,
+                sim_time_ps,
+            }
+        };
+        let counts = [17.0, 20.0, 20.0, 19.0, 20.0];
+        assert_eq!(
+            mc.dirty_restart(&images[1], hostile()),
+            restart(Some(counts), 96, 1_330_445_000)
+        );
+        assert_eq!(
+            mc.dirty_restart(&images[50], hostile()),
+            restart(None, 96, 1_330_445_000)
+        );
+        let past_the_end = with_idx(mc, &images[30], EPOCH_LOOKUPS + 1);
+        assert_eq!(
+            mc.dirty_restart(&past_the_end, hostile()),
+            restart(None, 0, 361_000)
+        );
+    }
+
+    #[test]
+    fn every_dirty_restart_of_a_chain_equals_its_restart_alone() {
+        let p = McProblem::generate(36, 32, 11);
+        let chained = |mc: &McSim, images: &[&NvmImage]| {
+            mc.dirty_chain(&hostile(), images.iter().map(|&i| Cow::Borrowed(i)))
+        };
+        for mode in [
+            McMode::Epoch { interval: 8 },
+            McMode::Selective { interval: 8 },
+            McMode::Basic,
+            McMode::Native,
+        ] {
+            let (mc, mut images) = images_at_every_lookup(&p, &hostile(), EPOCH_LOOKUPS, mode);
+            // Two states the loop bound rejects, one of them first in line:
+            // they are answered at boot and never pilot or join anything.
+            for at in [0, 40] {
+                images.insert(
+                    at,
+                    with_idx(&mc, &images[at], EPOCH_LOOKUPS + 1 + at as u64),
+                );
+            }
+            // The chain of one never meets a pilot: it is the plain
+            // simulation, and the oracle.
+            let alone: Vec<DirtyRestart> = images
+                .iter()
+                .map(|image| mc.dirty_restart(image, hostile()))
+                .collect();
+            for at in [0, 40] {
+                assert_eq!((&alone[at].solution, alone[at].extra_units), (&None, 0));
+            }
+            let any = |want: fn(&DirtyRestart) -> bool| alone.iter().any(want);
+            assert!(any(|d| d.solution.is_some()), "{mode:?}: none accepted");
+            assert!(
+                any(|d| d.extra_units > 0 && d.solution.is_none()),
+                "{mode:?}: no crash point exercised the count audit"
+            );
+
+            let every: Vec<&NvmImage> = images.iter().collect();
+            let chain = chained(&mc, &every);
+            assert_eq!(chain.restarts, alone, "{mode:?}");
+            // In any order and any subset: what joins whom is a matter of
+            // work, not of results.
+            let backwards: Vec<usize> = (0..images.len()).rev().step_by(7).collect();
+            let sparse: Vec<usize> = (3..images.len()).step_by(11).collect();
+            for picks in [backwards, sparse] {
+                let states: Vec<&NvmImage> = picks.iter().map(|&k| &images[k]).collect();
+                let want: Vec<DirtyRestart> = picks.iter().map(|&k| alone[k].clone()).collect();
+                assert_eq!(chained(&mc, &states).restarts, want, "{mode:?} {picks:?}");
+            }
+            // Epoch-mode restarts all re-enter at lookup 0 of a cold
+            // machine: everything after the pilot joins within a few lookups.
+            if matches!(mode, McMode::Epoch { .. }) {
+                let one_run = chained(&mc, &every[1..2]).simulated_accesses;
+                assert!(
+                    chain.simulated_accesses < 2 * one_run * every.len() as u64 / 3,
+                    "{} accesses simulated, {one_run} a run",
+                    chain.simulated_accesses
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_dirty_follower_that_never_joins_runs_to_the_end_and_is_still_exact() {
+        let (mc, images, _) = epoch_run();
+        // As in `a_follower_that_never_joins_runs_to_the_end_and_is_still_exact`:
+        // other cross sections in the second state's NVM, which is compared
+        // like every byte outside the tallies.
+        let mut bytes = images[30].prefix().to_vec();
+        for entry in 0..32 * XS_CHANNELS {
+            let at = mc.grids.xs.addr(entry) as usize;
+            let huge = 1e9 * (entry % XS_CHANNELS + 1) as f64;
+            bytes[at..at + 8].copy_from_slice(&huge.to_le_bytes());
+        }
+        let poisoned = NvmImage::new(bytes, images[30].len());
+        let states = [&images[10], &poisoned, &images[50]];
+        let alone = states.map(|image| mc.dirty_restart(image, hostile()));
+        assert_ne!(
+            alone[1],
+            mc.dirty_restart(&images[30], hostile()),
+            "the poison must show"
+        );
+
+        let chain = mc.dirty_chain(&hostile(), states.map(Cow::Borrowed));
+        assert_eq!(chain.restarts, alone);
+        // Pilot and loner were simulated in full — in lockstep, which took
+        // the pilot to the end of the run, where the state after them could
+        // join nobody any more.
+        let one_run = mc.dirty_chain(&hostile(), [Cow::Borrowed(&images[10])]);
+        assert_eq!(chain.simulated_accesses, 3 * one_run.simulated_accesses);
     }
 
     /// The gotcha the chain has to preserve: the timed replay of **every**
@@ -992,7 +1292,8 @@ mod tests {
             seed: mc.seed,
             mode: mc.mode,
         };
-        let chain = idle.recover_chain(&hostile(), [(20, &images[20]), (40, &images[40])]);
+        let states = [(20, &images[20]), (40, &images[40])];
+        let chain = idle.recover_chain(&hostile(), states.map(|(k, i)| (k, Cow::Borrowed(i))));
         assert_eq!(chain.recoveries.len(), 2);
         for r in &chain.recoveries {
             let hit = hostile().timing.cpu_access_ps;
@@ -1015,6 +1316,27 @@ mod tests {
             let (mc, images, alone) = epoch_run();
             let picks: Vec<usize> = (0..images.len()).filter(|&k| picked[k]).collect();
             chain_equals_alone(mc, images, alone, &picks);
+        }
+
+        /// The same for dirty restarts, in poll order or against it.
+        #[test]
+        fn any_dirty_chain_of_one_runs_crash_points_equals_restarts_alone(
+            picked in proptest::collection::vec(proptest::prelude::any::<bool>(), 97),
+            backwards in proptest::prelude::any::<bool>(),
+        ) {
+            static ALONE: std::sync::OnceLock<Vec<DirtyRestart>> = std::sync::OnceLock::new();
+            let (mc, images, _) = epoch_run();
+            let alone = ALONE.get_or_init(|| {
+                let restart = |image| mc.dirty_restart(image, hostile());
+                images.iter().map(restart).collect()
+            });
+            let mut picks: Vec<usize> = (0..images.len()).filter(|&k| picked[k]).collect();
+            if backwards {
+                picks.reverse();
+            }
+            let chain = mc.dirty_chain(&hostile(), picks.iter().map(|&k| Cow::Borrowed(&images[k])));
+            let want: Vec<&DirtyRestart> = picks.iter().map(|&k| &alone[k]).collect();
+            proptest::prop_assert_eq!(chain.restarts.iter().collect::<Vec<_>>(), want);
         }
     }
 

@@ -4,7 +4,9 @@
 //! it holds when volatile levels are discarded is exactly what a recovery
 //! process can observe.
 
-use crate::line::{LINE_SHIFT, LINE_SIZE};
+use std::ops::Range;
+
+use crate::line::{outside, LINE_SHIFT, LINE_SIZE};
 
 /// Copy `buf.len()` bytes at offset `off` out of a pool stored as its
 /// written `prefix`: bytes past the prefix read as zero. The caller has
@@ -235,9 +237,9 @@ impl Backing {
 
     /// Overwrite the full contents with a snapshot given as its written
     /// `prefix` plus the logical pool length `len` (the rest reads as
-    /// zero). Invalidates any outstanding write journal: the whole store
-    /// changed at once.
-    pub fn restore(&mut self, prefix: &[u8], len: usize) {
+    /// zero). The prefix becomes the store: nothing is copied. Invalidates
+    /// any outstanding write journal: the whole store changed at once.
+    pub fn restore(&mut self, mut prefix: Vec<u8>, len: usize) {
         assert_eq!(len, self.cap, "snapshot size mismatch");
         assert!(prefix.len() <= len, "snapshot prefix longer than the pool");
         self.journal_epoch += 1;
@@ -245,17 +247,17 @@ impl Backing {
         self.journaling = false;
         // Trailing zeros of the prefix carry no data: drop them so the
         // restored store stays as cheap to clone as its live data allows.
-        let live = trimmed_len(prefix);
-        self.bytes.clear();
-        self.bytes.extend_from_slice(&prefix[..live]);
+        prefix.truncate(trimmed_len(&prefix));
+        self.bytes = prefix;
     }
 
     /// Whether no later read, snapshot or crash image can tell this store
-    /// from `other`: same address range, same bytes (one prefix may spell
-    /// out zeros the other leaves implicit), and neither keeps a write
-    /// journal — a journal is an input to delta forks, and it is not
-    /// compared.
-    pub(crate) fn same_future(&self, other: &Self) -> bool {
+    /// from `other`, the bytes of the address ranges `cells` (ascending,
+    /// disjoint) aside: same address range, same bytes outside `cells` (one
+    /// prefix may spell out zeros the other leaves implicit), and neither
+    /// keeps a write journal — a journal is an input to delta forks, and it
+    /// is not compared.
+    pub(crate) fn same_future_modulo(&self, other: &Self, cells: &[Range<u64>]) -> bool {
         let (short, long) = if self.bytes.len() <= other.bytes.len() {
             (&self.bytes, &other.bytes)
         } else {
@@ -264,8 +266,11 @@ impl Backing {
         !self.journaling
             && !other.journaling
             && (self.base, self.cap) == (other.base, other.cap)
-            && long[..short.len()] == short[..]
-            && trimmed_len(&long[short.len()..]) == 0
+            && outside(cells, self.base..self.base + long.len() as u64).all(|gap| {
+                let held = gap.start.min(short.len())..gap.end.min(short.len());
+                long[held.clone()] == short[held.clone()]
+                    && trimmed_len(&long[held.end.max(gap.start)..gap.end]) == 0
+            })
     }
 
     /// Zero everything (volatile medium lost at crash). Invalidates any
@@ -285,7 +290,7 @@ mod tests {
     #[test]
     fn a_growing_prefix_keeps_an_eighth_of_slack_not_a_doubling() {
         let mut b = Backing::new(0, 1 << 20);
-        b.restore(&[7; 64 * 1024], 1 << 20);
+        b.restore(vec![7; 64 * 1024], 1 << 20);
         assert_eq!(b.bytes.capacity(), 64 * 1024, "booted exact");
         // The first line past the image's prefix.
         b.write_line(1024, &[1; LINE_SIZE]);
@@ -302,6 +307,47 @@ mod tests {
         // A write far past the end reserves what it needs and no more.
         b.write_line(8192, &[3; LINE_SIZE]);
         assert_eq!(b.bytes.capacity(), 8193 * LINE_SIZE);
+    }
+
+    #[test]
+    fn stores_compare_by_what_reads_would_see_outside_the_cells() {
+        let store = |bytes: &[u8]| {
+            let mut b = Backing::new(64, 1024);
+            b.restore(bytes.to_vec(), 1024);
+            b
+        };
+        let same = |a: &[u8], b: &[u8], cells: &[Range<u64>]| {
+            let (a, b) = (store(a), store(b));
+            assert_eq!(
+                a.same_future_modulo(&b, cells),
+                b.same_future_modulo(&a, cells)
+            );
+            a.same_future_modulo(&b, cells)
+        };
+        // Cells are addresses: the store starts at 64.
+        let cells = [64 + 4..64 + 6, 64 + 10..64 + 12];
+        assert!(same(&[1, 2, 3], &[1, 2, 3], &[]));
+        assert!(!same(&[1, 2, 3], &[1, 2, 4], &[]));
+        assert!(!same(&[1, 2, 3], &[1, 2, 3, 0, 0, 5], &[]));
+        // Inside a cell anything goes: spelled out on both sides, on one
+        // side only (the other's prefix ends before, inside or between the
+        // cells), or on neither.
+        let long = [1, 2, 3, 0, 7, 7, 0, 0, 0, 0, 9, 9];
+        assert!(same(&long, &[1, 2, 3, 0, 8, 8, 0, 0, 0, 0, 6], &cells));
+        assert!(same(&long, &[1, 2, 3, 0, 8], &cells));
+        assert!(same(&long, &[1, 2, 3], &cells));
+        assert!(same(&long, &[1, 2, 3, 0, 8, 8, 0, 0], &cells));
+        assert!(same(&long[..3], &[1, 2, 3], &cells));
+        // One byte outside them does not.
+        assert!(!same(&long, &[1, 2, 3, 1, 7, 7], &cells));
+        assert!(!same(&long, &[1, 2, 3, 0, 7, 7, 1], &cells));
+        assert!(!same(
+            &long,
+            &[1, 2, 3, 0, 7, 7, 0, 0, 0, 0, 9, 9, 1],
+            &cells
+        ));
+        assert!(!same(&[1, 2, 3, 0, 7, 7, 0, 0, 0, 1], &[1, 2, 3], &cells));
+        assert!(!same(&long, &[1, 2], &cells));
     }
 
     #[test]
@@ -381,7 +427,7 @@ mod tests {
         let snap = b.snapshot();
         let e = b.mark_journal();
         b.write_bytes(0, &[1; 8]);
-        b.restore(&snap, 256);
+        b.restore(snap, 256);
         assert!(b.journal_epoch() > e, "restore bumps the epoch");
         assert!(b.journal_lines().is_empty());
         b.write_bytes(0, &[2; 8]);
@@ -441,7 +487,7 @@ mod tests {
         assert_eq!(snap, [9; 16], "snapshot stops at the last written byte");
         b.wipe();
         assert_eq!(b.read_line(0)[0], 0);
-        b.restore(&snap, 256);
+        b.restore(snap.clone(), 256);
         assert_eq!(b.read_line(0)[..16], [9; 16]);
         assert_eq!(b.read_line(0)[16..], [0; 48], "past the prefix reads zero");
         assert_eq!(b.read_line(3), [0; LINE_SIZE]);
@@ -453,15 +499,15 @@ mod tests {
         let mut b = Backing::new(0, 8192);
         let mut prefix = vec![0u8; 4096];
         prefix[5] = 1;
-        b.restore(&prefix, 8192);
+        b.restore(prefix, 8192);
         assert_eq!(b.snapshot(), [0, 0, 0, 0, 0, 1]);
-        b.restore(&[0; 100], 8192);
+        b.restore(vec![0; 100], 8192);
         assert!(b.snapshot().is_empty());
     }
 
     #[test]
     #[should_panic(expected = "snapshot size mismatch")]
     fn restore_rejects_a_snapshot_of_another_pool_size() {
-        Backing::new(0, 128).restore(&[1; 16], 64);
+        Backing::new(0, 128).restore(vec![1; 16], 64);
     }
 }

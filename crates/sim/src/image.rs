@@ -88,6 +88,12 @@ impl NvmImage {
         &self.prefix
     }
 
+    /// Give up the stored bytes ([`NvmImage::prefix`]) without copying
+    /// them: what a machine booting from an image it owns takes as its pool.
+    pub fn into_prefix(self) -> Vec<u8> {
+        self.prefix
+    }
+
     /// Bytes of host memory the image holds (its prefix), as opposed to
     /// the logical [`NvmImage::len`].
     pub fn resident_bytes(&self) -> u64 {

@@ -51,6 +51,27 @@ pub fn lines_spanned(addr: u64, len: usize) -> u64 {
     line_of(addr + len as u64 - 1) - line_of(addr) + 1
 }
 
+/// The parts of the byte span `span` that no range of `cells` covers, in
+/// address order, as offsets into the span. `cells` must be ascending and
+/// disjoint (a range out of order only shrinks what is left out, never
+/// widens it).
+pub(crate) fn outside(
+    cells: &[std::ops::Range<u64>],
+    span: std::ops::Range<u64>,
+) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    let mut at = span.start;
+    cells
+        .iter()
+        .cloned()
+        .chain(std::iter::once(span.end..span.end))
+        .filter_map(move |cell| {
+            let gap = at..cell.start.min(span.end);
+            at = at.max(cell.end);
+            (gap.start < gap.end)
+                .then(|| (gap.start - span.start) as usize..(gap.end - span.start) as usize)
+        })
+}
+
 /// Converts a line count into a byte count (telemetry helper: dirty-line
 /// residency and flush tallies are kept in lines, reports print bytes).
 #[inline(always)]
@@ -86,6 +107,23 @@ mod tests {
         assert!(!fits_in_line(60, 8));
         assert!(fits_in_line(127, 1));
         assert!(fits_in_line(12345, 0));
+    }
+
+    #[test]
+    fn outside_walks_the_gaps_between_cells() {
+        let gaps = |cells: &[(u64, u64)], span| {
+            let cells: Vec<_> = cells.iter().map(|&(from, to)| from..to).collect();
+            outside(&cells, span)
+                .map(|gap| (gap.start, gap.end))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(gaps(&[], 64..128), [(0, 64)]);
+        assert_eq!(gaps(&[(0, 8), (200, 300)], 64..128), [(0, 64)]);
+        assert_eq!(gaps(&[(64, 80), (96, 120)], 64..128), [(16, 32), (56, 64)]);
+        // Straddling either end, abutting, and covering the whole span.
+        assert_eq!(gaps(&[(60, 70), (70, 72), (120, 130)], 64..128), [(8, 56)]);
+        assert!(gaps(&[(0, 1000)], 64..128).is_empty());
+        assert!(gaps(&[], 64..64).is_empty());
     }
 
     #[test]

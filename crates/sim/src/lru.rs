@@ -7,7 +7,9 @@
 //! the paper's PIN-based emulator observes. Replacement is true LRU within
 //! each set (stamp-based).
 
-use crate::line::LINE_SIZE;
+use std::ops::Range;
+
+use crate::line::{outside, LINE_SHIFT, LINE_SIZE};
 use crate::policy::{PlruBits, ReplacementPolicy, XorShift};
 
 /// Static geometry of a cache.
@@ -354,17 +356,20 @@ impl SetAssocCache {
         dirty
     }
 
-    /// Whether no sequence of operations can tell this cache from `other`:
-    /// same geometry, and every set holds the same lines with the same
-    /// dirty bits and payloads in the same replacement order. Under LRU and
-    /// FIFO the victim is the smallest stamp of a full set, a free way is
-    /// filled before any victim is chosen and new stamps exceed every old
-    /// one — so which way a line sits in and what its stamp reads do not
-    /// matter, only the order of the stamps. Tree-PLRU and random
-    /// replacement do depend on the way; for them this answers `false`
-    /// rather than compare their state. (The tick, the last-hit memory and
-    /// the stamps of invalid slots are not inputs to anything.)
-    pub(crate) fn same_future(&self, other: &Self) -> bool {
+    /// Whether no sequence of operations can tell this cache from `other`,
+    /// the payload bytes of the address ranges `cells` (ascending, disjoint)
+    /// aside: same geometry, and every set holds the same lines with the
+    /// same dirty bits and — outside `cells` — payloads in the same
+    /// replacement order. A cell's line is still compared for residency,
+    /// order and dirtiness. Under LRU and FIFO the victim is the smallest
+    /// stamp of a full set, a free way is filled before any victim is chosen
+    /// and new stamps exceed every old one — so which way a line sits in and
+    /// what its stamp reads do not matter, only the order of the stamps.
+    /// Tree-PLRU and random replacement do depend on the way; for them this
+    /// answers `false` rather than compare their state. (The tick, the
+    /// last-hit memory and the stamps of invalid slots are not inputs to
+    /// anything.)
+    pub(crate) fn same_future_modulo(&self, other: &Self, cells: &[Range<u64>]) -> bool {
         if (self.sets, self.assoc, self.policy) != (other.sets, other.assoc, other.policy)
             || !matches!(
                 self.policy,
@@ -378,6 +383,12 @@ impl SetAssocCache {
                 .filter(|o| o.valid() && o.stamp < s.stamp)
                 .count()
         };
+        let same_payload = |s: &Slot, t: &Slot| {
+            let base = s.tag << LINE_SHIFT;
+            s.data == t.data
+                || outside(cells, base..base + LINE_SIZE as u64)
+                    .all(|gap| s.data[gap.clone()] == t.data[gap])
+        };
         self.slots
             .chunks_exact(self.assoc)
             .zip(other.slots.chunks_exact(self.assoc))
@@ -388,7 +399,7 @@ impl SetAssocCache {
                         theirs.iter().find(|t| t.tag == s.tag).is_some_and(|t| {
                             t.dirty == s.dirty
                                 && older_than(theirs, t) == older_than(mine, s)
-                                && t.data == s.data
+                                && same_payload(s, t)
                         })
                     })
             })
