@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use adcc_ckpt::manager::CkptManager;
+use adcc_core::baseline;
 use adcc_core::cg::{cg_host, sites, ExtendedCg, PlainCg};
 use adcc_core::DirtyRestart;
 use adcc_linalg::csr::CsrMatrix;
@@ -16,6 +16,7 @@ use adcc_sim::image::NvmImage;
 use adcc_sim::system::{MemorySystem, SystemConfig};
 use adcc_telemetry::ExecutionProfile;
 
+use super::baseline::{lost_since, Checkpointed};
 use super::harness::{Classified, Workload};
 use super::iterative::Iterative;
 use super::{phase_trigger, trim_dram, verified_completion, Linear};
@@ -84,92 +85,20 @@ pub(crate) fn extended(p: &Arc<Linear>) -> impl Workload {
 /// Plain CG with a double-buffered NVM checkpoint every iteration.
 /// Even units crash after the step but before the checkpoint (one
 /// iteration lost); odd units crash right after it (nothing lost).
-pub(crate) struct CgCkpt(pub(crate) Arc<Linear>);
-
-/// What `cg-ckpt` set-up leaves behind.
-pub(crate) struct CkptLive {
-    cg: PlainCg,
-    rho0: f64,
-    mgr: CkptManager,
-}
-
-impl Workload for CgCkpt {
-    type Live = CkptLive;
-    type End = f64;
-    type State = Classified;
-
-    fn name(&self) -> &'static str {
-        "cg-ckpt"
-    }
-    fn kernel(&self) -> Kernel {
-        Kernel::Cg
-    }
-    fn mechanism(&self) -> Mechanism {
-        Mechanism::Checkpoint
-    }
-    fn unit_space(&self) -> UnitSpace {
-        UnitSpace::new(2 * ITERS as u64, DENSE_STRIDE)
-    }
-
-    fn site_trigger(&self, unit: u64) -> CrashTrigger {
-        phase_trigger(&[sites::PH_LINE10, sites::PH_ITER_END], unit)
-    }
-
-    fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, CkptLive) {
-        let mut sys = MemorySystem::new(config(&self.0.a));
-        let (cg, rho0) = PlainCg::setup(&mut sys, &self.0.a, &self.0.b, ITERS);
-        let mgr = CkptManager::new_nvm(&mut sys, cg.ckpt_regions(), false);
-        let emu = CrashEmulator::from_system(sys, trigger);
-        (emu, CkptLive { cg, rho0, mgr })
-    }
-
-    fn forward(&self, live: &mut CkptLive, emu: &mut CrashEmulator) -> RunOutcome<f64> {
-        adcc_core::cg::variants::run_with_ckpt(emu, &live.cg, live.rho0, &mut live.mgr)
-    }
-
-    fn recover(
-        &self,
-        live: &CkptLive,
-        site: CrashSite,
-        image: &NvmImage,
-        profile: Option<ExecutionProfile>,
-    ) -> Classified {
-        let cg = &live.cg;
-        let sys2 = MemorySystem::from_image(config(&self.0.a), image);
-        let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
-        let t0 = emu2.now();
-        let (start, mut rho, restored) =
-            adcc_core::cg::variants::ckpt_restore(&mut emu2, cg, live.rho0, &live.mgr);
-        for _ in start..ITERS {
-            rho = cg.step(&mut emu2, rho);
-        }
-        let sim_time_ps = (emu2.now() - t0).ps();
-
-        // Both polled sites (`PH_LINE10` before the checkpoint,
-        // `PH_ITER_END` after it) sit after iteration `index`'s step;
-        // completed-but-uncheckpointed iterations are re-executed.
-        let lost = (site.index + 1).saturating_sub(start as u64);
-        let matches = max_diff(&cg.peek_solution(&emu2), &self.0.reference) < TOL;
-        Classified::new(!restored, matches, lost, sim_time_ps, profile)
-    }
-
-    fn complete(
-        &self,
-        live: &CkptLive,
-        _rho: f64,
-        emu: &CrashEmulator,
-        profile: Option<ExecutionProfile>,
-    ) -> Trial {
-        let sol = live.cg.peek_solution(emu);
-        verified_completion(max_diff(&sol, &self.0.reference) < TOL, 0, profile)
-    }
-
-    fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
-        Some((dirty_tolerance(), self.0.reference.to_vec()))
-    }
-
-    fn dirty_restart(&self, live: &CkptLive, image: &NvmImage) -> DirtyRestart {
-        live.cg.dirty_restart(image, config(&self.0.a), live.rho0)
+pub(crate) fn ckpt(p: &Arc<Linear>) -> impl Workload {
+    let p = p.clone();
+    Checkpointed {
+        name: "cg-ckpt",
+        kernel: Kernel::Cg,
+        unit_space: UnitSpace::new(2 * ITERS as u64, DENSE_STRIDE),
+        site_trigger: |unit| phase_trigger(&[sites::PH_LINE10, sites::PH_ITER_END], unit),
+        config: config(&p.a),
+        tol: TOL,
+        dirty_tolerance: dirty_tolerance(),
+        reference: p.reference.clone(),
+        setup: move |sys: &mut MemorySystem| PlainCg::setup(sys, &p.a, &p.b, ITERS),
+        lost_units: lost_since,
+        dirty_restart: baseline::dirty_restart,
     }
 }
 
@@ -178,9 +107,8 @@ impl Workload for CgCkpt {
 // ---------------------------------------------------------------------
 
 /// Plain CG with every iteration in an undo-log transaction, crash points
-/// inside and at the end of the transaction. Mirrors
-/// `adcc_core::cg::variants::run_with_pmem` but polls *inside* the
-/// transaction too, so the campaign exercises mid-transaction rollback.
+/// inside and at the end of the transaction, so the campaign exercises
+/// mid-transaction rollback.
 pub(crate) struct CgPmem(pub(crate) Arc<Linear>);
 
 const PMEM_PHASES: [u32; 4] = [
@@ -200,74 +128,9 @@ pub(crate) struct PmemLive {
     logs: Vec<LogStats>,
 }
 
-/// Record the undo pool's log counters for every harvest the emulator just
-/// captured (`logs[k]` belongs to harvest `k`). Log state cannot change
-/// between the capturing poll and this call, so the sample is exact.
-fn note_logs(emu: &CrashEmulator, pool: &UndoPool, logs: &mut Vec<LogStats>) {
-    while logs.len() < emu.harvest_count() {
-        logs.push(pool.log_stats());
-    }
-}
-
-impl PmemLive {
-    /// One undo-logged CG iteration with in-transaction crash polls.
-    fn iteration(&mut self, emu: &mut CrashEmulator, i: usize, rho: f64) -> RunOutcome<f64> {
-        let PmemLive { cg, pool, logs, .. } = self;
-        pool.tx_begin(emu);
-        cg.a.spmv(emu, cg.p, cg.q);
-        let pq = adcc_linalg::simops::dot(emu, cg.p, cg.q);
-        let alpha = rho / pq;
-        for j in 0..cg.n {
-            pool.tx_add_range(emu, cg.z.addr(j), 8);
-            let v = cg.z.get(emu, j) + alpha * cg.p.get(emu, j);
-            cg.z.set(emu, j, v);
-        }
-        let crashed = emu.poll(CrashSite::new(sites::PH_AFTER_Z, i as u64));
-        note_logs(emu, pool, logs);
-        if crashed {
-            return RunOutcome::Crashed(emu.crash_now());
-        }
-        for j in 0..cg.n {
-            pool.tx_add_range(emu, cg.r.addr(j), 8);
-            let v = cg.r.get(emu, j) - alpha * cg.q.get(emu, j);
-            cg.r.set(emu, j, v);
-        }
-        let crashed = emu.poll(CrashSite::new(sites::PH_AFTER_R, i as u64));
-        note_logs(emu, pool, logs);
-        if crashed {
-            return RunOutcome::Crashed(emu.crash_now());
-        }
-        emu.charge_flops(4 * cg.n as u64);
-        let rho_new = adcc_linalg::simops::dot(emu, cg.r, cg.r);
-        let beta = rho_new / rho;
-        for j in 0..cg.n {
-            pool.tx_add_range(emu, cg.p.addr(j), 8);
-            let v = cg.r.get(emu, j) + beta * cg.p.get(emu, j);
-            cg.p.set(emu, j, v);
-        }
-        emu.charge_flops(2 * cg.n as u64);
-        let crashed = emu.poll(CrashSite::new(sites::PH_LINE10, i as u64));
-        note_logs(emu, pool, logs);
-        if crashed {
-            return RunOutcome::Crashed(emu.crash_now());
-        }
-        pool.tx_add_range(emu, cg.rho_cell.addr(), 8);
-        pool.tx_add_range(emu, cg.iter_cell.addr(), 8);
-        cg.rho_cell.set(emu, rho_new);
-        cg.iter_cell.set(emu, (i + 1) as u64);
-        pool.tx_commit(emu);
-        let crashed = emu.poll(CrashSite::new(sites::PH_ITER_END, i as u64));
-        note_logs(emu, pool, logs);
-        if crashed {
-            return RunOutcome::Crashed(emu.crash_now());
-        }
-        RunOutcome::Completed(rho_new)
-    }
-}
-
 impl Workload for CgPmem {
     type Live = PmemLive;
-    type End = ();
+    type End = f64;
     type State = Classified;
 
     fn name(&self) -> &'static str {
@@ -290,8 +153,7 @@ impl Workload for CgPmem {
     fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, PmemLive) {
         let mut sys = MemorySystem::new(config(&self.0.a));
         let (cg, rho0) = PlainCg::setup(&mut sys, &self.0.a, &self.0.b, ITERS);
-        let lines = 3 * (cg.n * 8).div_ceil(64) + 8;
-        let pool = UndoPool::new(&mut sys, lines);
+        let pool = baseline::undo_pool(&mut sys, &cg, 8);
         let live = PmemLive {
             cg,
             rho0,
@@ -301,15 +163,23 @@ impl Workload for CgPmem {
         (CrashEmulator::from_system(sys, trigger), live)
     }
 
-    fn forward(&self, live: &mut PmemLive, emu: &mut CrashEmulator) -> RunOutcome<()> {
-        let mut rho = live.rho0;
-        for i in 0..ITERS {
-            match live.iteration(emu, i, rho) {
-                RunOutcome::Completed(r) => rho = r,
-                RunOutcome::Crashed(image) => return RunOutcome::Crashed(image),
+    fn forward(&self, live: &mut PmemLive, emu: &mut CrashEmulator) -> RunOutcome<f64> {
+        let PmemLive {
+            cg,
+            rho0,
+            pool,
+            logs,
+        } = live;
+        // Record the pool's log counters for every harvest a poll just
+        // captured. Log state cannot change between the capturing poll and
+        // the sample, so it is exact.
+        baseline::run_with_pmem(emu, cg, *rho0, pool, 1, |emu, pool, site| {
+            let crashed = emu.poll(site);
+            while logs.len() < emu.harvest_count() {
+                logs.push(pool.log_stats());
             }
-        }
-        RunOutcome::Completed(())
+            crashed
+        })
     }
 
     fn recover(
@@ -322,17 +192,9 @@ impl Workload for CgPmem {
         let cg = &live.cg;
         let mut sys2 = MemorySystem::from_image(config(&self.0.a), image);
         let t0 = sys2.now();
-        UndoPool::recover(live.pool.layout(), &mut sys2);
-        let committed = cg.iter_cell.get(&mut sys2) as usize;
-        let mut rho = if committed == 0 {
-            live.rho0
-        } else {
-            cg.rho_cell.get(&mut sys2)
-        };
+        let (committed, rho) = baseline::pmem_restore(&mut sys2, cg, live.rho0, live.pool.layout());
         let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
-        for _ in committed..ITERS {
-            rho = cg.step(&mut emu2, rho);
-        }
+        baseline::resume(&mut emu2, cg, committed, rho);
         let sim_time_ps = (emu2.now() - t0).ps();
 
         // The in-flight transaction (if any) rolls back and its iteration
@@ -347,7 +209,7 @@ impl Workload for CgPmem {
     fn complete(
         &self,
         live: &PmemLive,
-        (): (),
+        _rho: f64,
         emu: &CrashEmulator,
         profile: Option<ExecutionProfile>,
     ) -> Trial {
@@ -364,6 +226,6 @@ impl Workload for CgPmem {
     }
 
     fn dirty_restart(&self, live: &PmemLive, image: &NvmImage) -> DirtyRestart {
-        live.cg.dirty_restart(image, config(&self.0.a), live.rho0)
+        baseline::dirty_restart(&live.cg, image, config(&self.0.a), live.rho0)
     }
 }

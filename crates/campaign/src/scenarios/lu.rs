@@ -3,9 +3,9 @@
 
 use std::sync::Arc;
 
-use adcc_ckpt::manager::CkptManager;
 use adcc_core::lu::{dominant_matrix, lu_host, sites, ChecksumLu, LuBlockStatus};
 use adcc_core::DirtyRestart;
+use adcc_linalg::vecops::max_diff;
 use adcc_linalg::Matrix;
 use adcc_resilience::Tolerance;
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
@@ -13,6 +13,7 @@ use adcc_sim::image::NvmImage;
 use adcc_sim::system::{MemorySystem, SystemConfig};
 use adcc_telemetry::ExecutionProfile;
 
+use super::baseline::Checkpointed;
 use super::harness::{Classified, Workload};
 use super::{trim_dram, verified_completion};
 use crate::scenario::{Kernel, Mechanism, Trial, UnitSpace};
@@ -55,32 +56,12 @@ fn dirty_tolerance() -> Tolerance {
     Tolerance::new(TOL, 1e-6, 1e6)
 }
 
-/// Row-major flattening of the reference factor, the layout
-/// [`ChecksumLu::dirty_restart`] reports its answer in.
-fn flat_factor(m: &Matrix) -> Vec<f64> {
-    let mut out = Vec::with_capacity(N * N);
-    for i in 0..N {
-        for j in 0..N {
-            out.push(m.get(i, j));
-        }
-    }
-    out
-}
-
-/// NaN-aware factor comparison (`Matrix::max_abs_diff` folds with
-/// `f64::max`, which would silently swallow NaN entries).
+/// Factor comparison over the row-major data, the layout
+/// [`ChecksumLu::dirty_restart`] reports its answer in (`max_diff` is
+/// NaN-aware; `Matrix::max_abs_diff` folds with `f64::max`, which would
+/// silently swallow NaN entries).
 fn factor_matches(got: &Matrix, want: &Matrix) -> bool {
-    let mut max = 0.0f64;
-    for i in 0..want.rows() {
-        for j in 0..want.cols() {
-            let d = (got.get(i, j) - want.get(i, j)).abs();
-            if !d.is_finite() {
-                return false;
-            }
-            max = max.max(d);
-        }
-    }
-    max < TOL
+    max_diff(got.data(), want.data()) < TOL
 }
 
 fn lu_site_trigger(unit: u64) -> CrashTrigger {
@@ -163,7 +144,7 @@ impl Workload for LuExtended {
     }
 
     fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
-        Some((dirty_tolerance(), flat_factor(&self.0.reference)))
+        Some((dirty_tolerance(), self.0.reference.data().to_vec()))
     }
 
     fn dirty_restart(&self, lu: &ChecksumLu, image: &NvmImage) -> DirtyRestart {
@@ -176,96 +157,31 @@ impl Workload for LuExtended {
 // ---------------------------------------------------------------------
 
 /// Plain blocked LU with a full-factor checkpoint after every block.
-pub(crate) struct LuCkpt(pub(crate) Arc<Factored>);
-
-impl LuCkpt {
-    /// The block a crash at `site` abandons: column crashes land in the
-    /// column's block (`PH_AFTER_COL`), block-end crashes right after the
-    /// block's checkpoint (`PH_BLOCK_END`).
-    fn crashed_block(site: CrashSite) -> u64 {
-        if site.phase == sites::PH_AFTER_COL {
-            site.index / BK as u64
-        } else {
-            site.index
-        }
+pub(crate) fn ckpt(p: &Arc<Factored>) -> impl Workload {
+    let p = p.clone();
+    Checkpointed {
+        name: "lu-ckpt",
+        kernel: Kernel::Lu,
+        unit_space: UnitSpace::new(N as u64 + blocks(), DENSE_STRIDE),
+        site_trigger: lu_site_trigger,
+        config: config(),
+        tol: TOL,
+        dirty_tolerance: dirty_tolerance(),
+        reference: p.reference.data().into(),
+        setup: move |sys: &mut MemorySystem| (ChecksumLu::setup(sys, &p.a, BK), ()),
+        lost_units: lost_blocks,
+        // LU re-enters its block loop the way its extended run does.
+        dirty_restart: |lu: &ChecksumLu, image, cfg, ()| lu.dirty_restart(image, cfg),
     }
 }
 
-impl Workload for LuCkpt {
-    type Live = (ChecksumLu, CkptManager);
-    type End = ();
-    type State = Classified;
-
-    fn name(&self) -> &'static str {
-        "lu-ckpt"
-    }
-    fn kernel(&self) -> Kernel {
-        Kernel::Lu
-    }
-    fn mechanism(&self) -> Mechanism {
-        Mechanism::Checkpoint
-    }
-    fn unit_space(&self) -> UnitSpace {
-        UnitSpace::new(N as u64 + blocks(), DENSE_STRIDE)
-    }
-
-    fn site_trigger(&self, unit: u64) -> CrashTrigger {
-        lu_site_trigger(unit)
-    }
-
-    fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, Self::Live) {
-        let mut sys = MemorySystem::new(config());
-        let lu = ChecksumLu::setup(&mut sys, &self.0.a, BK);
-        let regions = adcc_core::lu::variants::lu_ckpt_regions(&lu);
-        let mgr = CkptManager::new_nvm(&mut sys, regions, false);
-        (CrashEmulator::from_system(sys, trigger), (lu, mgr))
-    }
-
-    fn forward(&self, (lu, mgr): &mut Self::Live, emu: &mut CrashEmulator) -> RunOutcome<()> {
-        adcc_core::lu::variants::run_with_ckpt(emu, lu, mgr)
-    }
-
-    fn recover(
-        &self,
-        (lu, mgr): &Self::Live,
-        site: CrashSite,
-        image: &NvmImage,
-        profile: Option<ExecutionProfile>,
-    ) -> Classified {
-        let sys2 = MemorySystem::from_image(config(), image);
-        let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
-        let t0 = emu2.now();
-        let (start, restored) = adcc_core::lu::variants::ckpt_restore(&mut emu2, lu, mgr);
-        for b in start..blocks() as usize {
-            for c in b * BK..((b + 1) * BK).min(N) {
-                lu.process_column(&mut emu2, c);
-            }
-        }
-        let sim_time_ps = (emu2.now() - t0).ps();
-
-        // Column crashes abandon the in-flight block; block-end crashes
-        // land right after the checkpoint.
-        let lost = (Self::crashed_block(site) + 1).saturating_sub(start as u64);
-        let matches = factor_matches(&lu.peek_factor(&emu2), &self.0.reference);
-        Classified::new(!restored, matches, lost, sim_time_ps, profile)
-    }
-
-    fn complete(
-        &self,
-        (lu, _): &Self::Live,
-        (): (),
-        emu: &CrashEmulator,
-        profile: Option<ExecutionProfile>,
-    ) -> Trial {
-        let factor = lu.peek_factor(emu);
-        verified_completion(factor_matches(&factor, &self.0.reference), 0, profile)
-    }
-
-    fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
-        Some((dirty_tolerance(), flat_factor(&self.0.reference)))
-    }
-
-    fn dirty_restart(&self, (lu, _): &Self::Live, image: &NvmImage) -> DirtyRestart {
-        lu.dirty_restart(image, config())
-    }
+/// Column crashes (`PH_AFTER_COL`) abandon the column's in-flight block;
+/// block-end crashes (`PH_BLOCK_END`) land right after its checkpoint.
+fn lost_blocks(_unit: u64, site: CrashSite, start: usize) -> u64 {
+    let crashed = if site.phase == sites::PH_AFTER_COL {
+        site.index / BK as u64
+    } else {
+        site.index
+    };
+    (crashed + 1).saturating_sub(start as u64)
 }

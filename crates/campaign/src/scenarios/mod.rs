@@ -3,6 +3,7 @@
 //! from which the harness derives the [`crate::scenario::Scenario`] impl;
 //! `dist` implements the trait itself over `adcc_dist::trial`.
 
+mod baseline;
 mod bicgstab;
 mod cg;
 mod dist;
@@ -56,16 +57,16 @@ pub fn all() -> Vec<Box<dyn Scenario>> {
     let mc_reference = mc::reference_counts();
     vec![
         Box::new(cg::extended(&cg)),
-        Box::new(cg::CgCkpt(cg.clone())),
+        Box::new(cg::ckpt(&cg)),
         Box::new(cg::CgPmem(cg)),
         Box::new(bicgstab::extended(&bicgstab, bicgstab::FULL)),
         Box::new(bicgstab::extended(&bicgstab, bicgstab::WINDOW)),
         Box::new(jacobi::extended(&jacobi)),
-        Box::new(jacobi::JacobiCkpt(jacobi)),
+        Box::new(jacobi::ckpt(&jacobi)),
         Box::new(stencil::extended(&heat)),
-        Box::new(stencil::StencilCkpt(heat)),
+        Box::new(stencil::ckpt(&heat)),
         Box::new(lu::LuExtended(lu.clone())),
-        Box::new(lu::LuCkpt(lu)),
+        Box::new(lu::ckpt(&lu)),
         Box::new(mc::McCampaign::new_selective(mc_reference)),
         Box::new(mc::McCampaign::new_epoch(mc_reference)),
     ]

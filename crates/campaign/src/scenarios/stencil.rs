@@ -3,21 +3,17 @@
 
 use std::sync::Arc;
 
-use adcc_ckpt::manager::CkptManager;
+use adcc_core::baseline;
 use adcc_core::stencil::{heat_host, sites, ExtendedStencil, PlainStencil};
-use adcc_core::DirtyRestart;
-use adcc_linalg::vecops::max_diff;
 use adcc_resilience::Tolerance;
-use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
-use adcc_sim::image::NvmImage;
+use adcc_sim::crash::{CrashSite, CrashTrigger};
 use adcc_sim::system::{MemorySystem, SystemConfig};
-use adcc_telemetry::ExecutionProfile;
 
-use super::harness::{CrashState, Workload};
+use super::baseline::{lost_since, Checkpointed};
+use super::harness::Workload;
 use super::iterative::Iterative;
-use super::{trim_dram, verified_completion};
-use crate::outcome::classify;
-use crate::scenario::{Kernel, Mechanism, Trial, UnitSpace};
+use super::trim_dram;
+use crate::scenario::{Kernel, Mechanism, UnitSpace};
 
 // A 24×24 grid makes one generation (4.6 KB) overflow the 4 KB CPU cache,
 // so older sweeps actually reach NVM and the extension's verified-restart
@@ -111,134 +107,42 @@ fn extended_site_trigger(unit: u64) -> CrashTrigger {
 /// Plain ping-pong stencil with a full-grid checkpoint every sweep.
 /// Units below `SWEEPS` crash at sweep boundaries (right after the
 /// checkpoint); the rest crash mid-sweep on an access-count trigger.
-pub(crate) struct StencilCkpt(pub(crate) Arc<[f64]>);
-
-impl StencilCkpt {
-    /// Re-executed sweeps for a crash at `site`. Legacy access-count units
-    /// keep their historical fixed charge of one abandoned sweep; sweep
-    /// units (and dense points, which also land on the only polled site,
-    /// `PH_SWEEP_END`) are measured against the restored prefix.
-    fn lost_sweeps(unit: u64, site: CrashSite, start: usize) -> u64 {
-        if (SWEEPS as u64..SWEEPS as u64 + ACCESS_POINTS).contains(&unit) {
-            1
-        } else {
-            (site.index + 1).saturating_sub(start as u64)
-        }
+pub(crate) fn ckpt(reference: &Arc<[f64]>) -> impl Workload {
+    Checkpointed {
+        name: "stencil-ckpt",
+        kernel: Kernel::Stencil,
+        unit_space: UnitSpace::new(SWEEPS as u64 + ACCESS_POINTS, DENSE_STRIDE),
+        site_trigger: ckpt_site_trigger,
+        config: config(),
+        tol: TOL,
+        dirty_tolerance: dirty_tolerance(),
+        reference: reference.clone(),
+        setup: |sys: &mut MemorySystem| (PlainStencil::setup(sys, GRID, GRID, SWEEPS), ()),
+        lost_units: lost_sweeps,
+        dirty_restart: baseline::dirty_restart,
     }
 }
 
-/// One restored-and-resumed `stencil-ckpt` crash state, not yet charged to
-/// a unit. What the restore cost is a fact of the state; what it *lost* is
-/// not (see [`StencilCkpt::lost_sweeps`]), so the state stops short of a
-/// classification.
-pub(crate) struct Resumed {
-    site: CrashSite,
-    /// First sweep the resumed run re-executed.
-    start: usize,
-    restored: bool,
-    matches: bool,
-    sim_time_ps: u64,
-    telemetry: Option<ExecutionProfile>,
-}
-
-impl CrashState for Resumed {
-    /// The one per-unit classification in the registry: a legacy
-    /// access-count unit and a dense unit captured by the same
-    /// `PH_SWEEP_END` poll share this state but not their loss.
-    fn charge(&self, unit: u64) -> Trial {
-        let lost = StencilCkpt::lost_sweeps(unit, self.site, self.start);
-        Trial {
-            unit,
-            outcome: classify(!self.restored, self.matches, lost),
-            lost_units: lost,
-            sim_time_ps: self.sim_time_ps,
-            telemetry: self.telemetry,
+fn ckpt_site_trigger(unit: u64) -> CrashTrigger {
+    if unit < SWEEPS as u64 {
+        CrashTrigger::AtSite {
+            site: CrashSite::new(sites::PH_SWEEP_END, unit),
+            occurrence: 1,
         }
+    } else {
+        CrashTrigger::AtAccessCount(ACCESS_BASE + (unit - SWEEPS as u64) * ACCESS_STRIDE)
     }
 }
 
-impl Workload for StencilCkpt {
-    type Live = (PlainStencil, CkptManager);
-    type End = ();
-    type State = Resumed;
-
-    fn name(&self) -> &'static str {
-        "stencil-ckpt"
-    }
-    fn kernel(&self) -> Kernel {
-        Kernel::Stencil
-    }
-    fn mechanism(&self) -> Mechanism {
-        Mechanism::Checkpoint
-    }
-    fn unit_space(&self) -> UnitSpace {
-        UnitSpace::new(SWEEPS as u64 + ACCESS_POINTS, DENSE_STRIDE)
-    }
-
-    fn site_trigger(&self, unit: u64) -> CrashTrigger {
-        if unit < SWEEPS as u64 {
-            CrashTrigger::AtSite {
-                site: CrashSite::new(sites::PH_SWEEP_END, unit),
-                occurrence: 1,
-            }
-        } else {
-            CrashTrigger::AtAccessCount(ACCESS_BASE + (unit - SWEEPS as u64) * ACCESS_STRIDE)
-        }
-    }
-
-    fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, Self::Live) {
-        let mut sys = MemorySystem::new(config());
-        let st = PlainStencil::setup(&mut sys, GRID, GRID, SWEEPS);
-        let mgr = CkptManager::new_nvm(&mut sys, st.ckpt_regions(), false);
-        (CrashEmulator::from_system(sys, trigger), (st, mgr))
-    }
-
-    fn forward(&self, (st, mgr): &mut Self::Live, emu: &mut CrashEmulator) -> RunOutcome<()> {
-        adcc_core::stencil::variants::run_with_ckpt(emu, st, mgr)
-    }
-
-    fn recover(
-        &self,
-        (st, mgr): &Self::Live,
-        site: CrashSite,
-        image: &NvmImage,
-        profile: Option<ExecutionProfile>,
-    ) -> Resumed {
-        let sys2 = MemorySystem::from_image(config(), image);
-        let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
-        let t0 = emu2.now();
-        let (start, restored) = adcc_core::stencil::variants::ckpt_restore(&mut emu2, st, mgr);
-        for t in start..SWEEPS {
-            st.sweep(&mut emu2, t);
-        }
-        let sim_time_ps = (emu2.now() - t0).ps();
-
-        Resumed {
-            site,
-            start,
-            restored,
-            matches: max_diff(&st.peek_grid(&emu2, SWEEPS), &self.0) < TOL,
-            sim_time_ps,
-            telemetry: profile,
-        }
-    }
-
-    fn complete(
-        &self,
-        (st, _): &Self::Live,
-        (): (),
-        emu: &CrashEmulator,
-        profile: Option<ExecutionProfile>,
-    ) -> Trial {
-        let grid = st.peek_grid(emu, SWEEPS);
-        verified_completion(max_diff(&grid, &self.0) < TOL, 0, profile)
-    }
-
-    fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
-        Some((dirty_tolerance(), self.0.to_vec()))
-    }
-
-    fn dirty_restart(&self, (st, _): &Self::Live, image: &NvmImage) -> DirtyRestart {
-        st.dirty_restart(image, config())
+/// The one per-unit charge in the registry: a legacy access-count unit
+/// keeps its historical fixed charge of one abandoned sweep; sweep units
+/// (and dense points, which land on the same and only polled site,
+/// `PH_SWEEP_END`, and may share its crash state) are measured against
+/// the restored prefix.
+fn lost_sweeps(unit: u64, site: CrashSite, start: usize) -> u64 {
+    if (SWEEPS as u64..SWEEPS as u64 + ACCESS_POINTS).contains(&unit) {
+        1
+    } else {
+        lost_since(unit, site, start)
     }
 }

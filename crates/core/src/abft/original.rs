@@ -88,28 +88,21 @@ impl OriginalAbft {
         }
     }
 
-    /// Run the full Fig. 5 loop, polling the crash emulator after each
-    /// panel. `hook` runs after every panel (checkpoint / transaction
-    /// boundaries for the baseline variants are injected there by the
-    /// variants module).
-    pub fn run(&self, emu: &mut CrashEmulator) -> RunOutcome<()> {
-        self.run_with_hook(emu, |_, _| {})
+    /// Iteration `s` of the Fig. 5 loop: the checksum verification at its
+    /// top (line 2), when enabled, then the panel update.
+    pub fn iteration(&self, sys: &mut MemorySystem, s: usize) {
+        if self.verify_each_iter {
+            let report = verify_full(sys, &self.cf);
+            debug_assert!(report.is_consistent(), "soft error detected mid-run");
+        }
+        self.panel_update(sys, s);
     }
 
-    /// As [`OriginalAbft::run`] but invoking `hook(sys, s)` after panel
-    /// `s` completes.
-    pub fn run_with_hook(
-        &self,
-        emu: &mut CrashEmulator,
-        mut hook: impl FnMut(&mut CrashEmulator, usize),
-    ) -> RunOutcome<()> {
+    /// Run the full Fig. 5 loop, polling the crash emulator after each
+    /// panel.
+    pub fn run(&self, emu: &mut CrashEmulator) -> RunOutcome<()> {
         for s in 0..self.panels() {
-            if self.verify_each_iter {
-                let report = verify_full(emu, &self.cf);
-                debug_assert!(report.is_consistent(), "soft error detected mid-run");
-            }
-            self.panel_update(emu, s);
-            hook(emu, s);
+            self.iteration(emu, s);
             if emu.poll(CrashSite::new(sites::PH_ORIG_ITER, s as u64)) {
                 return RunOutcome::Crashed(emu.crash_now());
             }

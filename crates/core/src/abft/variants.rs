@@ -2,23 +2,30 @@
 //! checkpoint `Cf` at the end of each sub-matrix multiplication, or wrap
 //! each panel update in an undo-log transaction on `Cf` — both sized so
 //! the recomputation cost is one panel, matching the algorithm-directed
-//! scheme.
+//! scheme. What the original loop and its progress cell state of
+//! [`Baseline`]; the loops are [`crate::baseline`]'s.
+
+use std::borrow::Borrow;
 
 use adcc_ckpt::manager::CkptManager;
+use adcc_linalg::dense::Matrix;
 use adcc_pmem::undo::UndoPool;
 use adcc_sim::crash::{CrashEmulator, CrashSite, RunOutcome};
 use adcc_sim::parray::PScalar;
+use adcc_sim::system::MemorySystem;
 
 use super::original::OriginalAbft;
 use super::sites;
+use crate::baseline::{self, Baseline};
 
-/// Persistent panel-progress cell for the checkpoint variant.
+/// Persistent panel-progress cell for the checkpoint and PMEM variants
+/// (the original loop keeps none).
 pub struct MmProgress {
     pub cell: PScalar<u64>,
 }
 
 impl MmProgress {
-    pub fn new(sys: &mut adcc_sim::system::MemorySystem) -> Self {
+    pub fn new(sys: &mut MemorySystem) -> Self {
         MmProgress {
             cell: PScalar::<u64>::alloc_nvm(sys),
         }
@@ -33,6 +40,63 @@ pub fn mm_regions(mm: &OriginalAbft, progress: &MmProgress) -> Vec<(u64, usize)>
     ]
 }
 
+/// The original loop beside its progress cell, owned or borrowed.
+impl<M: Borrow<OriginalAbft>, C: Borrow<MmProgress>> Baseline for (M, C) {
+    type Carry = ();
+    type Answer = Matrix;
+
+    fn units(&self) -> usize {
+        self.0.borrow().panels()
+    }
+
+    fn end_site(&self, s: usize) -> CrashSite {
+        CrashSite::new(sites::PH_ORIG_ITER, s as u64)
+    }
+
+    fn unit(&self, emu: &mut CrashEmulator, s: usize, (): ()) -> RunOutcome<()> {
+        self.0.borrow().iteration(emu, s);
+        RunOutcome::Completed(())
+    }
+
+    fn progress(&self) -> PScalar<u64> {
+        self.1.borrow().cell
+    }
+
+    fn store_carry(&self, _: &mut MemorySystem, (): ()) {}
+
+    fn load_carry(&self, _: &mut MemorySystem) {}
+
+    fn regions(&self) -> Vec<(u64, usize)> {
+        mm_regions(self.0.borrow(), self.1.borrow())
+    }
+
+    /// Clear `Cf`.
+    fn reinit(&self, sys: &mut MemorySystem) {
+        let mm = self.0.borrow();
+        for i in 0..=mm.n {
+            for j in 0..=mm.n {
+                mm.cf.set(sys, i, j, 0.0);
+            }
+        }
+    }
+
+    fn log_lines(&self) -> usize {
+        self.0.borrow().cf.array().byte_len().div_ceil(64)
+    }
+
+    /// "Each submatrix multiplication is a transaction and we enable
+    /// transaction update on the submatrix multiplication result."
+    fn tx_open(&self, sys: &mut MemorySystem, pool: &mut UndoPool, _: usize) {
+        for (addr, len) in self.regions() {
+            pool.tx_add_range(sys, addr, len);
+        }
+    }
+
+    fn peek(&self, sys: &MemorySystem) -> Matrix {
+        self.0.borrow().peek_product(sys)
+    }
+}
+
 /// Run the original ABFT loop, checkpointing `Cf` after every panel.
 pub fn run_with_ckpt(
     emu: &mut CrashEmulator,
@@ -40,179 +104,70 @@ pub fn run_with_ckpt(
     progress: &MmProgress,
     mgr: &mut CkptManager,
 ) -> RunOutcome<()> {
-    for s in 0..mm.panels() {
-        mm.panel_update(emu, s);
-        // Progress counter holds the count of completed panels.
-        progress.cell.set(emu, (s + 1) as u64);
-        mgr.checkpoint(emu);
-        if emu.poll(CrashSite::new(sites::PH_ORIG_ITER, s as u64)) {
-            return RunOutcome::Crashed(emu.crash_now());
-        }
-    }
-    RunOutcome::Completed(())
-}
-
-/// Restore the newest checkpoint and resume. Returns panels re-executed.
-pub fn ckpt_restore_and_resume(
-    emu: &mut CrashEmulator,
-    mm: &OriginalAbft,
-    progress: &MmProgress,
-    mgr: &mut CkptManager,
-) -> u64 {
-    let done = match mgr.restore(emu) {
-        Some(_) => progress.cell.get(emu) as usize,
-        None => {
-            // No checkpoint yet: clear Cf and restart.
-            for i in 0..=mm.n {
-                for j in 0..=mm.n {
-                    mm.cf.set(emu, i, j, 0.0);
-                }
-            }
-            0
-        }
-    };
-    let mut executed = 0u64;
-    for s in done..mm.panels() {
-        mm.panel_update(emu, s);
-        executed += 1;
-    }
-    executed
+    baseline::run_with_ckpt(emu, &(mm, progress), (), mgr, 1)
 }
 
 /// Run the original ABFT loop with each panel update wrapped in an
-/// undo-log transaction on `Cf` (the paper: "each submatrix multiplication
-/// is a transaction and we enable transaction update on the submatrix
-/// multiplication result").
+/// undo-log transaction on `Cf`.
 pub fn run_with_pmem(
     emu: &mut CrashEmulator,
     mm: &OriginalAbft,
     progress: &MmProgress,
     pool: &mut UndoPool,
 ) -> RunOutcome<()> {
-    for s in 0..mm.panels() {
-        pool.tx_begin(emu);
-        pool.tx_add_range(emu, mm.cf.array().base(), mm.cf.array().byte_len());
-        pool.tx_add_range(emu, progress.cell.addr(), 8);
-        mm.panel_update(emu, s);
-        progress.cell.set(emu, (s + 1) as u64);
-        pool.tx_commit(emu);
-        if emu.poll(CrashSite::new(sites::PH_ORIG_ITER, s as u64)) {
-            return RunOutcome::Crashed(emu.crash_now());
-        }
-    }
-    RunOutcome::Completed(())
+    baseline::run_with_pmem(emu, &(mm, progress), (), pool, 1, baseline::poll)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adcc_linalg::dense::Matrix;
+    use crate::baseline::tests::{at, ckpt, native, pmem, run_case};
     use adcc_sim::crash::CrashTrigger;
-    use adcc_sim::system::{MemorySystem, SystemConfig};
+    use adcc_sim::system::SystemConfig;
 
     fn cfg() -> SystemConfig {
         SystemConfig::nvm_only(32 << 10, 64 << 20)
     }
 
+    type Owned = (OriginalAbft, MmProgress);
+
+    fn product<'a>(a: &'a Matrix, b: &'a Matrix) -> impl Fn(&mut MemorySystem) -> (Owned, ()) + 'a {
+        move |sys| {
+            let mm = OriginalAbft::setup(sys, a, b, 4, false);
+            ((mm, MmProgress::new(sys)), ())
+        }
+    }
+
     #[test]
     fn ckpt_crash_restore_computes_exact_product() {
-        let n = 16;
-        let a = Matrix::random(n, n, 31);
-        let b = Matrix::random(n, n, 32);
-        let want = a.mul_naive(&b);
-        let mut sys = MemorySystem::new(cfg());
-        let mm = OriginalAbft::setup(&mut sys, &a, &b, 4, false);
-        let progress = MmProgress::new(&mut sys);
-        let mut mgr = CkptManager::new_nvm(&mut sys, mm_regions(&mm, &progress), false);
-        let trig = CrashTrigger::AtSite {
-            site: CrashSite::new(sites::PH_ORIG_ITER, 2),
-            occurrence: 1,
-        };
-        let mut emu = CrashEmulator::from_system(sys, trig);
-        let image = run_with_ckpt(&mut emu, &mm, &progress, &mut mgr)
-            .crashed()
-            .unwrap();
-        let sys2 = MemorySystem::from_image(cfg(), &image);
-        let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
-        let re = ckpt_restore_and_resume(&mut emu2, &mm, &progress, &mut mgr);
-        assert_eq!(re, 1, "checkpoint should lose at most one panel");
-        assert!(mm.peek_product(&emu2).max_abs_diff(&want) < 1e-9);
+        let a = Matrix::random(16, 16, 31);
+        let b = Matrix::random(16, 16, 32);
+        let ran = run_case(&cfg(), product(&a, &b), ckpt(1), at(sites::PH_ORIG_ITER, 2));
+        assert_eq!(ran.resumed_from, Some(3), "panel 2 was checkpointed");
+        assert!(ran.answer.max_abs_diff(&a.mul_naive(&b)) < 1e-9);
     }
 
     #[test]
     fn pmem_crash_recovers_exact_product() {
-        let n = 16;
-        let a = Matrix::random(n, n, 33);
-        let b = Matrix::random(n, n, 34);
-        let want = a.mul_naive(&b);
-        let mut sys = MemorySystem::new(cfg());
-        let mm = OriginalAbft::setup(&mut sys, &a, &b, 4, false);
-        let progress = MmProgress::new(&mut sys);
-        let lines = ((n + 1) * (n + 1) * 8).div_ceil(64) + 4;
-        let mut pool = UndoPool::new(&mut sys, lines);
-        let layout = pool.layout();
-        let trig = CrashTrigger::AtSite {
-            site: CrashSite::new(sites::PH_ORIG_ITER, 2),
-            occurrence: 1,
-        };
-        let mut emu = CrashEmulator::from_system(sys, trig);
-        let image = run_with_pmem(&mut emu, &mm, &progress, &mut pool)
-            .crashed()
-            .unwrap();
-        let mut sys2 = MemorySystem::from_image(cfg(), &image);
-        UndoPool::recover(layout, &mut sys2);
-        let done = progress.cell.get(&mut sys2) as usize;
-        assert_eq!(done, 3, "crash after panel 2 committed");
-        let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
-        for s in done..mm.panels() {
-            mm.panel_update(&mut emu2, s);
-        }
-        assert!(mm.peek_product(&emu2).max_abs_diff(&want) < 1e-9);
+        let a = Matrix::random(16, 16, 33);
+        let b = Matrix::random(16, 16, 34);
+        let ran = run_case(
+            &cfg(),
+            product(&a, &b),
+            pmem(1, 4),
+            at(sites::PH_ORIG_ITER, 2),
+        );
+        assert_eq!(ran.resumed_from, Some(3), "crash after panel 2 committed");
+        assert!(ran.answer.max_abs_diff(&a.mul_naive(&b)) < 1e-9);
     }
 
     #[test]
     fn pmem_costs_more_than_ckpt_costs_more_than_native() {
-        let n = 16;
-        let k = 4;
-        let a = Matrix::random(n, n, 35);
-        let b = Matrix::random(n, n, 36);
-
-        let time_of = |which: u8| -> u64 {
-            let mut sys = MemorySystem::new(cfg());
-            let mm = OriginalAbft::setup(&mut sys, &a, &b, k, false);
-            let progress = MmProgress::new(&mut sys);
-            match which {
-                0 => {
-                    let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-                    let t0 = emu.now();
-                    mm.run(&mut emu).completed().unwrap();
-                    (emu.now() - t0).ps()
-                }
-                1 => {
-                    let mut mgr = CkptManager::new_nvm(&mut sys, mm_regions(&mm, &progress), false);
-                    let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-                    let t0 = emu.now();
-                    run_with_ckpt(&mut emu, &mm, &progress, &mut mgr)
-                        .completed()
-                        .unwrap();
-                    (emu.now() - t0).ps()
-                }
-                _ => {
-                    let lines = ((n + 1) * (n + 1) * 8).div_ceil(64) + 4;
-                    let mut pool = UndoPool::new(&mut sys, lines);
-                    let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-                    let t0 = emu.now();
-                    run_with_pmem(&mut emu, &mm, &progress, &mut pool)
-                        .completed()
-                        .unwrap();
-                    (emu.now() - t0).ps()
-                }
-            }
-        };
-
-        let native = time_of(0);
-        let ckpt = time_of(1);
-        let pmem = time_of(2);
+        let a = Matrix::random(16, 16, 35);
+        let b = Matrix::random(16, 16, 36);
+        let native = run_case(&cfg(), product(&a, &b), native, CrashTrigger::Never).loop_ps;
+        let ckpt = run_case(&cfg(), product(&a, &b), ckpt(1), CrashTrigger::Never).loop_ps;
+        let pmem = run_case(&cfg(), product(&a, &b), pmem(1, 4), CrashTrigger::Never).loop_ps;
         assert!(ckpt > native, "ckpt {ckpt} !> native {native}");
         assert!(pmem > ckpt, "pmem {pmem} !> ckpt {ckpt}");
     }

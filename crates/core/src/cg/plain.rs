@@ -6,11 +6,8 @@
 
 use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::simops::{self, SimCsr};
-use adcc_sim::image::NvmImage;
 use adcc_sim::parray::{PArray, PScalar};
-use adcc_sim::system::{MemorySystem, SystemConfig};
-
-use crate::traits::DirtyRestart;
+use adcc_sim::system::MemorySystem;
 
 /// Host-side reference CG with x0 = 0; returns the accumulated solution
 /// `z` after exactly `iters` iterations. The arithmetic order matches the
@@ -143,34 +140,6 @@ impl PlainCg {
     /// Uncharged extraction of the current solution.
     pub fn peek_solution(&self, sys: &MemorySystem) -> Vec<f64> {
         (0..self.n).map(|j| self.z.peek(sys, j)).collect()
-    }
-
-    /// EasyCrash-style dirty restart: reboot from the raw image and
-    /// re-enter the loop from the surviving `iter_cell`/`rho_cell` values
-    /// — no checkpoint restore, no undo-log replay. With the vectors
-    /// overwritten in place, whatever mix of iterations survived in NVM
-    /// is what the restart computes on.
-    pub fn dirty_restart(&self, image: &NvmImage, cfg: SystemConfig, rho0: f64) -> DirtyRestart {
-        let mut sys = MemorySystem::dirty_reboot(cfg, image);
-        let t0 = sys.now();
-        let c = self.iter_cell.get(&mut sys) as usize;
-        if c > self.iters {
-            // The loop bound itself rejects a counter past the end.
-            return DirtyRestart::rejected((sys.now() - t0).ps());
-        }
-        let mut rho = if c == 0 {
-            rho0
-        } else {
-            self.rho_cell.get(&mut sys)
-        };
-        for _ in c..self.iters {
-            rho = self.step(&mut sys, rho);
-        }
-        DirtyRestart {
-            solution: Some(self.peek_solution(&sys)),
-            extra_units: (self.iters - c) as u64,
-            sim_time_ps: (sys.now() - t0).ps(),
-        }
     }
 }
 

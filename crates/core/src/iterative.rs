@@ -10,8 +10,9 @@
 //! ([`timed_full_run`]) are written here over those hooks.
 //!
 //! Not every kernel in this crate follows it: LU, ABFT-MM and MC recover
-//! from block statuses, checksums and tallies, and the `Plain*` kernels'
-//! counter means *completed* units (their restart bound is `c > units`).
+//! from block statuses, checksums and tallies, and the plain kernels under
+//! the baseline mechanisms count *completed* units — that convention, and
+//! their loops, are [`crate::baseline`]'s.
 
 use adcc_sim::clock::SimTime;
 use adcc_sim::crash::{CrashEmulator, CrashTrigger, RunOutcome};

@@ -2,12 +2,10 @@
 
 use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::simops::SimCsr;
-use adcc_sim::image::NvmImage;
 use adcc_sim::parray::{PArray, PScalar};
-use adcc_sim::system::{MemorySystem, SystemConfig};
+use adcc_sim::system::MemorySystem;
 
 use super::OMEGA;
-use crate::traits::DirtyRestart;
 
 /// Extract `1 / diag(A)` from a CSR matrix.
 pub fn inv_diag(a: &CsrMatrix) -> Vec<f64> {
@@ -95,38 +93,9 @@ impl PlainJacobi {
         sys.charge_flops(4 * self.n as u64);
     }
 
-    /// The checkpointable critical regions (`x` plus the counter).
-    pub fn ckpt_regions(&self) -> Vec<(u64, usize)> {
-        vec![
-            (self.x.base(), self.x.byte_len()),
-            (self.iter_cell.addr(), 8),
-        ]
-    }
-
     /// Uncharged extraction of the current iterate.
     pub fn peek_solution(&self, sys: &MemorySystem) -> Vec<f64> {
         (0..self.n).map(|j| self.x.peek(sys, j)).collect()
-    }
-
-    /// EasyCrash-style dirty restart: reboot from the raw image and finish
-    /// the loop from the surviving `iter_cell` on the surviving `x` — no
-    /// checkpoint restore, no undo-log replay.
-    pub fn dirty_restart(&self, image: &NvmImage, cfg: SystemConfig) -> DirtyRestart {
-        let mut sys = MemorySystem::dirty_reboot(cfg, image);
-        let t0 = sys.now();
-        let c = self.iter_cell.get(&mut sys) as usize;
-        if c > self.iters {
-            // The loop bound itself rejects a counter past the end.
-            return DirtyRestart::rejected((sys.now() - t0).ps());
-        }
-        for _ in c..self.iters {
-            self.step(&mut sys);
-        }
-        DirtyRestart {
-            solution: Some(self.peek_solution(&sys)),
-            extra_units: (self.iters - c) as u64,
-            sim_time_ps: (sys.now() - t0).ps(),
-        }
     }
 }
 

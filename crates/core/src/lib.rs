@@ -21,9 +21,9 @@
 //!   counters are selectively flushed every 0.01% of lookups; recovery
 //!   restarts from the flushed loop index and replays.
 //!
-//! Every scheme also ships its baselines (checkpointed and
-//! PMEM-transactional variants) so the paper's seven test cases can be
-//! compared on identical workloads.
+//! Every scheme also ships its plain application, and [`baseline`] runs it
+//! natively, checkpointed and PMEM-transactional, so the paper's seven
+//! test cases can be compared on identical workloads.
 //!
 //! ## Extensions beyond the paper (DESIGN.md §5a)
 //!
@@ -44,6 +44,7 @@
 //!   recovery restarts from the newest fully-verified sweep.
 
 pub mod abft;
+pub mod baseline;
 pub mod bicgstab;
 pub mod cg;
 pub mod iterative;

@@ -96,7 +96,7 @@ impl ChecksumLu {
     }
 
     /// Column range of block `b`.
-    fn block_cols(&self, b: usize) -> std::ops::Range<usize> {
+    pub(super) fn block_cols(&self, b: usize) -> std::ops::Range<usize> {
         let lo = b * self.bk;
         lo..(lo + self.bk).min(self.n)
     }
@@ -148,6 +148,20 @@ impl ChecksumLu {
         self.cs_u.set(sys, c, u_sum);
     }
 
+    /// Factor the columns of block `b`, one by one; `true` as soon as the
+    /// `poll` after a column fires.
+    pub(super) fn block_crashes(
+        &self,
+        emu: &mut CrashEmulator,
+        b: usize,
+        mut poll: impl FnMut(&mut CrashEmulator, CrashSite) -> bool,
+    ) -> bool {
+        self.block_cols(b).any(|c| {
+            self.process_column(emu, c);
+            poll(emu, CrashSite::new(sites::PH_AFTER_COL, c as u64))
+        })
+    }
+
     /// Process block `b`: flush the progress counter, factor its columns,
     /// then flush only the checksum entries (the paper's sparse-flush
     /// budget: one line per column for `csL` + the block's `cs_u` lines).
@@ -155,13 +169,10 @@ impl ChecksumLu {
         self.blk_cell.set(emu, b as u64);
         self.blk_cell.persist(emu);
         emu.sfence();
-        let cols = self.block_cols(b);
-        for c in cols.clone() {
-            self.process_column(emu, c);
-            if emu.poll(CrashSite::new(sites::PH_AFTER_COL, c as u64)) {
-                return RunOutcome::Crashed(emu.crash_now());
-            }
+        if self.block_crashes(emu, b, |emu, site| emu.poll(site)) {
+            return RunOutcome::Crashed(emu.crash_now());
         }
+        let cols = self.block_cols(b);
         for c in cols.clone() {
             emu.persist_line(self.f.row(c).addr(self.n));
         }
@@ -285,15 +296,8 @@ impl ChecksumLu {
             sys.persist_range(self.cs_u.addr(cols.start), (cols.end - cols.start) * 8);
             sys.sfence();
         }
-        let m = self.peek_factor(&sys);
-        let mut flat = Vec::with_capacity(self.n * self.n);
-        for i in 0..self.n {
-            for j in 0..self.n {
-                flat.push(m.get(i, j));
-            }
-        }
         DirtyRestart {
-            solution: Some(flat),
+            solution: Some(self.peek_factor(&sys).into()),
             extra_units: (self.blocks() - blk) as u64,
             sim_time_ps: (sys.now() - t0).ps(),
         }

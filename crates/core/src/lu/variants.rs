@@ -1,192 +1,145 @@
-//! LU under the baseline mechanisms: per-block checkpointing and
-//! PMDK-style undo-log transactions, both configured for at-most-one-block
-//! recomputation (the paper's fairness condition).
+//! LU under the baseline mechanisms, one unit per block: what
+//! [`ChecksumLu`] states of [`Baseline`]. The loops are
+//! [`crate::baseline`]'s. (Natively the checksums are still computed — the
+//! ABFT arithmetic is part of the kernel — but nothing is flushed.)
 
-use adcc_ckpt::manager::CkptManager;
+use adcc_linalg::dense::Matrix;
 use adcc_pmem::undo::UndoPool;
 use adcc_sim::crash::{CrashEmulator, CrashSite, RunOutcome};
+use adcc_sim::parray::PScalar;
+use adcc_sim::system::MemorySystem;
 
 use super::checksum_lu::ChecksumLu;
 use super::sites;
+use crate::baseline::{Baseline, Poll};
 
-/// Run the factorization natively (checksums still computed — the ABFT
-/// arithmetic is part of the kernel — but nothing is flushed).
-pub fn run_native(emu: &mut CrashEmulator, lu: &ChecksumLu) -> RunOutcome<()> {
-    for b in 0..lu.blocks() {
-        let cols = b * lu.bk..((b + 1) * lu.bk).min(lu.n);
-        for c in cols {
-            lu.process_column(emu, c);
-            if emu.poll(CrashSite::new(sites::PH_AFTER_COL, c as u64)) {
-                return RunOutcome::Crashed(emu.crash_now());
-            }
-        }
-        if emu.poll(CrashSite::new(sites::PH_BLOCK_END, b as u64)) {
+impl Baseline for ChecksumLu {
+    type Carry = ();
+    type Answer = Matrix;
+
+    fn units(&self) -> usize {
+        self.blocks()
+    }
+
+    fn end_site(&self, b: usize) -> CrashSite {
+        CrashSite::new(sites::PH_BLOCK_END, b as u64)
+    }
+
+    fn unit(&self, emu: &mut CrashEmulator, b: usize, (): ()) -> RunOutcome<()> {
+        if self.block_crashes(emu, b, |emu, site| emu.poll(site)) {
             return RunOutcome::Crashed(emu.crash_now());
         }
+        RunOutcome::Completed(())
     }
-    RunOutcome::Completed(())
-}
 
-/// Run with a full checkpoint of the factor after every block.
-pub fn run_with_ckpt(
-    emu: &mut CrashEmulator,
-    lu: &ChecksumLu,
-    mgr: &mut CkptManager,
-) -> RunOutcome<()> {
-    for b in 0..lu.blocks() {
-        let cols = b * lu.bk..((b + 1) * lu.bk).min(lu.n);
-        for c in cols {
-            lu.process_column(emu, c);
-            if emu.poll(CrashSite::new(sites::PH_AFTER_COL, c as u64)) {
-                return RunOutcome::Crashed(emu.crash_now());
-            }
+    fn progress(&self) -> PScalar<u64> {
+        self.blk_cell
+    }
+
+    fn store_carry(&self, _: &mut MemorySystem, (): ()) {}
+
+    fn load_carry(&self, _: &mut MemorySystem) {}
+
+    /// The whole factor, the `U` digests, and the progress counter.
+    fn regions(&self) -> Vec<(u64, usize)> {
+        vec![
+            (self.f.array().base(), self.f.array().byte_len()),
+            (self.cs_u.base(), self.cs_u.byte_len()),
+            (self.blk_cell.addr(), 8),
+        ]
+    }
+
+    /// Wipe the factor back to zeros.
+    fn reinit(&self, sys: &mut MemorySystem) {
+        let zero = vec![0.0f64; self.n + 1];
+        for j in 0..self.n {
+            self.f.row(j).store_slice(sys, &zero);
         }
-        lu.blk_cell.set(emu, (b + 1) as u64);
-        mgr.checkpoint(emu);
-        if emu.poll(CrashSite::new(sites::PH_BLOCK_END, b as u64)) {
+    }
+
+    fn log_lines(&self) -> usize {
+        self.bk * (self.n + 1)
+    }
+
+    /// Left-looking writes exactly the block, so the transaction's ranges
+    /// are the block's columns (the naive PMDK port).
+    fn tx_open(&self, sys: &mut MemorySystem, pool: &mut UndoPool, b: usize) {
+        for c in self.block_cols(b) {
+            pool.tx_add_range(sys, self.f.row(c).base(), (self.n + 1) * 8);
+            pool.tx_add_range(sys, self.cs_u.addr(c), 8);
+        }
+        pool.tx_add_range(sys, self.blk_cell.addr(), 8);
+    }
+
+    fn unit_logged<P: Poll>(
+        &self,
+        emu: &mut CrashEmulator,
+        pool: &mut UndoPool,
+        b: usize,
+        (): (),
+        poll: &mut P,
+    ) -> RunOutcome<()> {
+        if self.block_crashes(emu, b, |emu, site| poll(emu, pool, site)) {
             return RunOutcome::Crashed(emu.crash_now());
         }
+        RunOutcome::Completed(())
     }
-    RunOutcome::Completed(())
-}
 
-/// Restore from the newest checkpoint, or wipe the factor back to zeros
-/// when none exists yet. Returns `(completed_blocks, restored)`.
-pub fn ckpt_restore(emu: &mut CrashEmulator, lu: &ChecksumLu, mgr: &CkptManager) -> (usize, bool) {
-    match mgr.restore(emu) {
-        Some(_) => (lu.blk_cell.get(emu) as usize, true),
-        None => {
-            // No checkpoint: wipe the factor back to zeros.
-            let zero = vec![0.0f64; lu.n + 1];
-            for j in 0..lu.n {
-                lu.f.row(j).store_slice(emu, &zero);
-            }
-            (0, false)
-        }
+    fn peek(&self, sys: &MemorySystem) -> Matrix {
+        self.peek_factor(sys)
     }
-}
-
-/// Restore from the newest checkpoint and resume. Returns the number of
-/// blocks re-executed.
-pub fn ckpt_restore_and_resume(
-    emu: &mut CrashEmulator,
-    lu: &ChecksumLu,
-    mgr: &mut CkptManager,
-) -> u64 {
-    let (start, _) = ckpt_restore(emu, lu, mgr);
-    let mut executed = 0u64;
-    for b in start..lu.blocks() {
-        let cols = b * lu.bk..((b + 1) * lu.bk).min(lu.n);
-        for c in cols {
-            lu.process_column(emu, c);
-        }
-        executed += 1;
-    }
-    executed
-}
-
-/// The checkpointable regions for the checkpoint variant: the whole
-/// factor, the `U` digests, and the progress counter.
-pub fn lu_ckpt_regions(lu: &ChecksumLu) -> Vec<(u64, usize)> {
-    vec![
-        (lu.f.array().base(), lu.f.array().byte_len()),
-        (lu.cs_u.base(), lu.cs_u.byte_len()),
-        (lu.blk_cell.addr(), 8),
-    ]
-}
-
-/// Run with each block wrapped in an undo-log transaction covering the
-/// block's columns (the naive PMDK port — left-looking writes exactly the
-/// block, so the transaction ranges are the block's columns).
-pub fn run_with_pmem(
-    emu: &mut CrashEmulator,
-    lu: &ChecksumLu,
-    pool: &mut UndoPool,
-) -> RunOutcome<()> {
-    for b in 0..lu.blocks() {
-        let cols = b * lu.bk..((b + 1) * lu.bk).min(lu.n);
-        pool.tx_begin(emu);
-        for c in cols.clone() {
-            pool.tx_add_range(emu, lu.f.row(c).base(), (lu.n + 1) * 8);
-            pool.tx_add_range(emu, lu.cs_u.addr(c), 8);
-        }
-        pool.tx_add_range(emu, lu.blk_cell.addr(), 8);
-        for c in cols {
-            lu.process_column(emu, c);
-        }
-        lu.blk_cell.set(emu, (b + 1) as u64);
-        pool.tx_commit(emu);
-        if emu.poll(CrashSite::new(sites::PH_BLOCK_END, b as u64)) {
-            return RunOutcome::Crashed(emu.crash_now());
-        }
-    }
-    RunOutcome::Completed(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::tests::{at, ckpt, native, pmem, run_case};
     use crate::lu::host::{dominant_matrix, lu_host};
     use adcc_sim::crash::CrashTrigger;
-    use adcc_sim::system::{MemorySystem, SystemConfig};
+    use adcc_sim::system::SystemConfig;
 
     fn cfg() -> SystemConfig {
         SystemConfig::nvm_only(8 << 10, 64 << 20)
     }
 
+    fn blocked(a: &Matrix) -> impl Fn(&mut MemorySystem) -> (ChecksumLu, ()) + '_ {
+        move |sys| (ChecksumLu::setup(sys, a, 4), ())
+    }
+
     #[test]
     fn native_matches_host() {
         let a = dominant_matrix(16, 41);
-        let mut sys = MemorySystem::new(cfg());
-        let lu = ChecksumLu::setup(&mut sys, &a, 4);
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        run_native(&mut emu, &lu).completed().unwrap();
-        assert!(lu.peek_factor(&emu).max_abs_diff(&lu_host(&a)) < 1e-10);
+        let ran = run_case(&cfg(), blocked(&a), native, CrashTrigger::Never);
+        assert!(ran.answer.max_abs_diff(&lu_host(&a)) < 1e-10);
     }
 
     #[test]
     fn ckpt_crash_restores_block_granular() {
         let a = dominant_matrix(16, 42);
-        let mut sys = MemorySystem::new(cfg());
-        let lu = ChecksumLu::setup(&mut sys, &a, 4);
-        let mut mgr = CkptManager::new_nvm(&mut sys, lu_ckpt_regions(&lu), false);
-        let trig = CrashTrigger::AtSite {
-            site: CrashSite::new(sites::PH_AFTER_COL, 9),
-            occurrence: 1,
-        };
-        let mut emu = CrashEmulator::from_system(sys, trig);
-        let image = run_with_ckpt(&mut emu, &lu, &mut mgr).crashed().unwrap();
-        let sys2 = MemorySystem::from_image(cfg(), &image);
-        let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
-        let redone = ckpt_restore_and_resume(&mut emu2, &lu, &mut mgr);
-        assert_eq!(redone, 2, "blocks 2 and 3 re-run after restore at 2");
-        assert!(lu.peek_factor(&emu2).max_abs_diff(&lu_host(&a)) < 1e-10);
+        let ran = run_case(&cfg(), blocked(&a), ckpt(1), at(sites::PH_AFTER_COL, 9));
+        assert_eq!(ran.resumed_from, Some(2), "blocks 2 and 3 re-run");
+        assert!(ran.answer.max_abs_diff(&lu_host(&a)) < 1e-10);
     }
 
     #[test]
     fn pmem_variant_matches_host_and_costs_more() {
         let a = dominant_matrix(16, 43);
-
-        let mut sys = MemorySystem::new(cfg());
-        let lu = ChecksumLu::setup(&mut sys, &a, 4);
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let t0 = emu.now();
-        run_native(&mut emu, &lu).completed().unwrap();
-        let native_time = (emu.now() - t0).ps();
-
-        let mut sys = MemorySystem::new(cfg());
-        let lu = ChecksumLu::setup(&mut sys, &a, 4);
-        let lines = 4 * (lu.n + 1) + 16;
-        let mut pool = UndoPool::new(&mut sys, lines);
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let t0 = emu.now();
-        run_with_pmem(&mut emu, &lu, &mut pool).completed().unwrap();
-        let pmem_time = (emu.now() - t0).ps();
-
-        assert!(lu.peek_factor(&emu).max_abs_diff(&lu_host(&a)) < 1e-10);
+        let plain = run_case(&cfg(), blocked(&a), native, CrashTrigger::Never);
+        let pmem = run_case(&cfg(), blocked(&a), pmem(1, 16), CrashTrigger::Never);
+        assert!(pmem.answer.max_abs_diff(&lu_host(&a)) < 1e-10);
         assert!(
-            pmem_time > native_time,
-            "undo logging must cost more: {pmem_time} vs {native_time}"
+            pmem.loop_ps > plain.loop_ps,
+            "undo logging must cost more: {} vs {}",
+            pmem.loop_ps,
+            plain.loop_ps
         );
+    }
+
+    #[test]
+    fn pmem_crash_mid_block_rolls_the_block_back() {
+        let a = dominant_matrix(16, 44);
+        let ran = run_case(&cfg(), blocked(&a), pmem(1, 16), at(sites::PH_AFTER_COL, 9));
+        assert_eq!(ran.resumed_from, Some(2), "block 2's transaction aborts");
+        assert!(ran.answer.max_abs_diff(&lu_host(&a)) < 1e-10);
     }
 }

@@ -1,11 +1,9 @@
 //! Plain heat stencil: host reference and simulated ping-pong baseline.
 
-use adcc_sim::image::NvmImage;
 use adcc_sim::parray::{PMatrix, PScalar};
-use adcc_sim::system::{MemorySystem, SystemConfig};
+use adcc_sim::system::MemorySystem;
 
 use super::{initial_value, ALPHA};
-use crate::traits::DirtyRestart;
 
 /// Host-side reference: `sweeps` explicit 5-point sweeps of the heat
 /// equation on a `rows × cols` grid with fixed boundary. Returns the final
@@ -94,16 +92,6 @@ impl PlainStencil {
         sys.charge_flops(6 * ((self.rows - 2) * (self.cols - 2)) as u64);
     }
 
-    /// The checkpointable critical regions (both buffers + the counter;
-    /// the ping-pong overwrite makes anything less unsafe).
-    pub fn ckpt_regions(&self) -> Vec<(u64, usize)> {
-        vec![
-            (self.bufs[0].array().base(), self.bufs[0].array().byte_len()),
-            (self.bufs[1].array().base(), self.bufs[1].array().byte_len()),
-            (self.sweep_cell.addr(), 8),
-        ]
-    }
-
     /// Uncharged extraction of the grid after `t` completed sweeps.
     pub fn peek_grid(&self, sys: &MemorySystem, t: usize) -> Vec<f64> {
         let b = self.bufs[t % 2];
@@ -114,27 +102,6 @@ impl PlainStencil {
             }
         }
         out
-    }
-
-    /// EasyCrash-style dirty restart: reboot from the raw image and finish
-    /// the sweeps from the surviving `sweep_cell` on whatever mix of
-    /// generations survived in the ping-pong buffers.
-    pub fn dirty_restart(&self, image: &NvmImage, cfg: SystemConfig) -> DirtyRestart {
-        let mut sys = MemorySystem::dirty_reboot(cfg, image);
-        let t0 = sys.now();
-        let c = self.sweep_cell.get(&mut sys) as usize;
-        if c > self.sweeps {
-            // The loop bound itself rejects a counter past the end.
-            return DirtyRestart::rejected((sys.now() - t0).ps());
-        }
-        for t in c..self.sweeps {
-            self.sweep(&mut sys, t);
-        }
-        DirtyRestart {
-            solution: Some(self.peek_grid(&sys, self.sweeps)),
-            extra_units: (self.sweeps - c) as u64,
-            sim_time_ps: (sys.now() - t0).ps(),
-        }
     }
 }
 

@@ -1,193 +1,136 @@
-//! Stencil under the baseline mechanisms: per-sweep checkpointing and
-//! PMDK-style undo-log transactions.
+//! Stencil under the baseline mechanisms: what [`PlainStencil`] states
+//! of [`Baseline`]. The loops are [`crate::baseline`]'s.
 
-use adcc_ckpt::manager::CkptManager;
 use adcc_pmem::undo::UndoPool;
 use adcc_sim::crash::{CrashEmulator, CrashSite, RunOutcome};
+use adcc_sim::parray::PScalar;
+use adcc_sim::system::MemorySystem;
 
 use super::plain::PlainStencil;
 use super::sites;
+use crate::baseline::Baseline;
 
-/// Run the ping-pong stencil natively.
-pub fn run_native(emu: &mut CrashEmulator, st: &PlainStencil) -> RunOutcome<()> {
-    for t in 0..st.sweeps {
-        st.sweep(emu, t);
-        if emu.poll(CrashSite::new(sites::PH_SWEEP_END, t as u64)) {
-            return RunOutcome::Crashed(emu.crash_now());
-        }
+impl Baseline for PlainStencil {
+    type Carry = ();
+    type Answer = Vec<f64>;
+
+    fn units(&self) -> usize {
+        self.sweeps
     }
-    RunOutcome::Completed(())
-}
 
-/// Run with a full checkpoint (both buffers + counter) after every sweep.
-pub fn run_with_ckpt(
-    emu: &mut CrashEmulator,
-    st: &PlainStencil,
-    mgr: &mut CkptManager,
-) -> RunOutcome<()> {
-    for t in 0..st.sweeps {
-        st.sweep(emu, t);
-        st.sweep_cell.set(emu, (t + 1) as u64);
-        mgr.checkpoint(emu);
-        if emu.poll(CrashSite::new(sites::PH_SWEEP_END, t as u64)) {
-            return RunOutcome::Crashed(emu.crash_now());
-        }
+    fn end_site(&self, t: usize) -> CrashSite {
+        CrashSite::new(sites::PH_SWEEP_END, t as u64)
     }
-    RunOutcome::Completed(())
-}
 
-/// Re-seed both ping-pong buffers from the initial condition (charged —
-/// part of the recovery bill when no checkpoint exists yet).
-pub fn reseed_initial(emu: &mut CrashEmulator, st: &PlainStencil) {
-    for b in &st.bufs {
-        for r in 0..st.rows {
-            for c in 0..st.cols {
-                b.set(emu, r, c, super::initial_value(st.rows, st.cols, r, c));
+    fn unit(&self, emu: &mut CrashEmulator, t: usize, (): ()) -> RunOutcome<()> {
+        self.sweep(emu, t);
+        RunOutcome::Completed(())
+    }
+
+    fn progress(&self) -> PScalar<u64> {
+        self.sweep_cell
+    }
+
+    fn store_carry(&self, _: &mut MemorySystem, (): ()) {}
+
+    fn load_carry(&self, _: &mut MemorySystem) {}
+
+    /// Both buffers + the counter; the ping-pong overwrite makes anything
+    /// less unsafe.
+    fn regions(&self) -> Vec<(u64, usize)> {
+        vec![
+            (self.bufs[0].array().base(), self.bufs[0].array().byte_len()),
+            (self.bufs[1].array().base(), self.bufs[1].array().byte_len()),
+            (self.sweep_cell.addr(), 8),
+        ]
+    }
+
+    /// Re-seed both ping-pong buffers from the initial condition.
+    fn reinit(&self, sys: &mut MemorySystem) {
+        for b in &self.bufs {
+            for r in 0..self.rows {
+                for c in 0..self.cols {
+                    b.set(sys, r, c, super::initial_value(self.rows, self.cols, r, c));
+                }
             }
         }
     }
-}
 
-/// Restore from the newest checkpoint, or re-seed the initial condition
-/// when none exists yet. Returns `(completed_sweeps, restored)`.
-pub fn ckpt_restore(
-    emu: &mut CrashEmulator,
-    st: &PlainStencil,
-    mgr: &CkptManager,
-) -> (usize, bool) {
-    match mgr.restore(emu) {
-        Some(_) => (st.sweep_cell.get(emu) as usize, true),
-        None => {
-            reseed_initial(emu, st);
-            (0, false)
-        }
+    fn log_lines(&self) -> usize {
+        (self.rows * self.cols * 8).div_ceil(64)
     }
-}
 
-/// Restore from the newest checkpoint and resume. Returns the number of
-/// sweeps re-executed.
-pub fn ckpt_restore_and_resume(
-    emu: &mut CrashEmulator,
-    st: &PlainStencil,
-    mgr: &mut CkptManager,
-) -> u64 {
-    let (start, _) = ckpt_restore(emu, st, mgr);
-    let mut executed = 0u64;
-    for t in start..st.sweeps {
-        st.sweep(emu, t);
-        executed += 1;
+    /// The interior of the sweep's destination buffer, row by row (the
+    /// naive PMDK port).
+    fn tx_open(&self, sys: &mut MemorySystem, pool: &mut UndoPool, t: usize) {
+        let dst = self.bufs[(t + 1) % 2];
+        for r in 1..self.rows - 1 {
+            pool.tx_add_range(sys, dst.addr(r, 1), (self.cols - 2) * 8);
+        }
+        pool.tx_add_range(sys, self.sweep_cell.addr(), 8);
     }
-    executed
-}
 
-/// Run with each sweep's destination buffer wrapped in an undo-log
-/// transaction (the naive PMDK port).
-pub fn run_with_pmem(
-    emu: &mut CrashEmulator,
-    st: &PlainStencil,
-    pool: &mut UndoPool,
-) -> RunOutcome<()> {
-    for t in 0..st.sweeps {
-        pool.tx_begin(emu);
-        let dst = st.bufs[(t + 1) % 2];
-        for r in 1..st.rows - 1 {
-            pool.tx_add_range(emu, dst.addr(r, 1), (st.cols - 2) * 8);
-        }
-        pool.tx_add_range(emu, st.sweep_cell.addr(), 8);
-        st.sweep(emu, t);
-        st.sweep_cell.set(emu, (t + 1) as u64);
-        pool.tx_commit(emu);
-        if emu.poll(CrashSite::new(sites::PH_SWEEP_END, t as u64)) {
-            return RunOutcome::Crashed(emu.crash_now());
-        }
+    fn peek(&self, sys: &MemorySystem) -> Vec<f64> {
+        self.peek_grid(sys, self.sweeps)
     }
-    RunOutcome::Completed(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::tests::{at, ckpt, native, pmem, run_case};
     use crate::stencil::plain::heat_host;
     use adcc_linalg::vecops::max_diff;
     use adcc_sim::crash::CrashTrigger;
-    use adcc_sim::system::{MemorySystem, SystemConfig};
+    use adcc_sim::system::SystemConfig;
 
     fn cfg() -> SystemConfig {
         SystemConfig::nvm_only(16 << 10, 64 << 20)
     }
 
+    fn grid(sweeps: usize) -> impl Fn(&mut MemorySystem) -> (PlainStencil, ()) {
+        move |sys| (PlainStencil::setup(sys, 12, 12, sweeps), ())
+    }
+
     #[test]
     fn ckpt_variant_matches_reference_without_crash() {
-        let mut sys = MemorySystem::new(cfg());
-        let st = PlainStencil::setup(&mut sys, 12, 12, 6);
-        let mut mgr = CkptManager::new_nvm(&mut sys, st.ckpt_regions(), false);
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        run_with_ckpt(&mut emu, &st, &mut mgr).completed().unwrap();
-        assert!(max_diff(&st.peek_grid(&emu, 6), &heat_host(12, 12, 6)) < 1e-12);
+        let ran = run_case(&cfg(), grid(6), ckpt(1), CrashTrigger::Never);
+        assert!(max_diff(&ran.answer, &heat_host(12, 12, 6)) < 1e-12);
     }
 
     #[test]
     fn ckpt_crash_restore_loses_at_most_one_sweep() {
-        let mut sys = MemorySystem::new(cfg());
-        let st = PlainStencil::setup(&mut sys, 12, 12, 9);
-        let mut mgr = CkptManager::new_nvm(&mut sys, st.ckpt_regions(), false);
-        let trig = CrashTrigger::AtSite {
-            site: CrashSite::new(sites::PH_SWEEP_END, 5),
-            occurrence: 1,
-        };
-        let mut emu = CrashEmulator::from_system(sys, trig);
-        let image = run_with_ckpt(&mut emu, &st, &mut mgr).crashed().unwrap();
-        let sys2 = MemorySystem::from_image(cfg(), &image);
-        let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
-        let redone = ckpt_restore_and_resume(&mut emu2, &st, &mut mgr);
-        assert_eq!(redone, 3, "restored at sweep 6, reruns 6..9");
-        assert!(max_diff(&st.peek_grid(&emu2, 9), &heat_host(12, 12, 9)) < 1e-12);
+        let ran = run_case(&cfg(), grid(9), ckpt(1), at(sites::PH_SWEEP_END, 5));
+        assert_eq!(
+            ran.resumed_from,
+            Some(6),
+            "restored at sweep 6, reruns 6..9"
+        );
+        assert!(max_diff(&ran.answer, &heat_host(12, 12, 9)) < 1e-12);
     }
 
     #[test]
     fn pmem_variant_matches_reference_and_costs_more() {
-        let mut sys = MemorySystem::new(cfg());
-        let st = PlainStencil::setup(&mut sys, 12, 12, 5);
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let t0 = emu.now();
-        run_native(&mut emu, &st).completed().unwrap();
-        let native_time = (emu.now() - t0).ps();
-
-        let mut sys = MemorySystem::new(cfg());
-        let st = PlainStencil::setup(&mut sys, 12, 12, 5);
-        let lines = 12 * 12 / 8 + 32;
-        let mut pool = UndoPool::new(&mut sys, lines);
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let t0 = emu.now();
-        run_with_pmem(&mut emu, &st, &mut pool).completed().unwrap();
-        let pmem_time = (emu.now() - t0).ps();
-
-        assert!(max_diff(&st.peek_grid(&emu, 5), &heat_host(12, 12, 5)) < 1e-12);
+        let plain = run_case(&cfg(), grid(5), native, CrashTrigger::Never);
+        let pmem = run_case(&cfg(), grid(5), pmem(1, 32), CrashTrigger::Never);
+        assert!(max_diff(&pmem.answer, &heat_host(12, 12, 5)) < 1e-12);
         assert!(
-            pmem_time > native_time,
-            "undo logging must cost more: {pmem_time} vs {native_time}"
+            pmem.loop_ps > plain.loop_ps,
+            "undo logging must cost more: {} vs {}",
+            pmem.loop_ps,
+            plain.loop_ps
         );
     }
 
     #[test]
     fn pmem_crash_recovers_to_committed_sweep() {
-        let mut sys = MemorySystem::new(cfg());
-        let st = PlainStencil::setup(&mut sys, 12, 12, 7);
-        let lines = 12 * 12 / 8 + 32;
-        let mut pool = UndoPool::new(&mut sys, lines);
-        let layout = pool.layout();
-        let trig = CrashTrigger::AtAccessCount(4_000);
-        let mut emu = CrashEmulator::from_system(sys, trig);
-        let image = run_with_pmem(&mut emu, &st, &mut pool)
-            .crashed()
-            .expect("access budget must trigger");
-        let mut sys2 = MemorySystem::from_image(cfg(), &image);
-        UndoPool::recover(layout, &mut sys2);
-        let committed = st.sweep_cell.get(&mut sys2) as usize;
-        let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
-        for t in committed..st.sweeps {
-            st.sweep(&mut emu2, t);
-        }
-        assert!(max_diff(&st.peek_grid(&emu2, 7), &heat_host(12, 12, 7)) < 1e-12);
+        let ran = run_case(
+            &cfg(),
+            grid(7),
+            pmem(1, 32),
+            CrashTrigger::AtAccessCount(4_000),
+        );
+        assert!(ran.resumed_from.is_some(), "access budget must trigger");
+        assert!(max_diff(&ran.answer, &heat_host(12, 12, 7)) < 1e-12);
     }
 }

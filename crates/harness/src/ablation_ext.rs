@@ -10,6 +10,7 @@ use adcc_ckpt::diskless::{DisklessCheckpoint, ParityNode};
 use adcc_ckpt::incremental::IncrementalCheckpoint;
 use adcc_ckpt::mem::MemCheckpoint;
 use adcc_ckpt::multilevel::{MultilevelCheckpoint, RemoteStore, RemoteTiming};
+use adcc_core::baseline::Baseline;
 use adcc_core::cg::{sites as cg_sites, ExtendedCg};
 use adcc_core::lu::{dominant_matrix, ChecksumLu};
 use adcc_core::stencil::{ExtendedStencil, PlainStencil};
@@ -253,7 +254,7 @@ pub fn ckpt_strategies(scale: Scale) -> Table {
     {
         let mut sys = MemorySystem::new(cfg.clone());
         let st = PlainStencil::setup(&mut sys, g, g, sweeps);
-        let regions = st.ckpt_regions();
+        let regions = st.regions();
         let payload: usize = regions.iter().map(|r| r.1).sum();
         let mut ck = MemCheckpoint::new(&mut sys, payload, false);
         let t0 = sys.now();
@@ -278,7 +279,7 @@ pub fn ckpt_strategies(scale: Scale) -> Table {
     {
         let mut sys = MemorySystem::new(cfg.clone());
         let st = PlainStencil::setup(&mut sys, g, g, sweeps);
-        let regions = st.ckpt_regions();
+        let regions = st.regions();
         let mut ck = IncrementalCheckpoint::new(&mut sys, regions, 1024, false);
         let t0 = sys.now();
         let mut ckpt_ps = 0u64;
@@ -305,7 +306,7 @@ pub fn ckpt_strategies(scale: Scale) -> Table {
     {
         let mut sys = MemorySystem::new(cfg.clone());
         let st = PlainStencil::setup(&mut sys, g, g, sweeps);
-        let regions = st.ckpt_regions();
+        let regions = st.regions();
         let payload: usize = regions.iter().map(|r| r.1).sum();
         let mut remote = RemoteStore::new();
         let mut ml =
@@ -332,7 +333,7 @@ pub fn ckpt_strategies(scale: Scale) -> Table {
     {
         let mut sys = MemorySystem::new(cfg.clone());
         let st = PlainStencil::setup(&mut sys, g, g, sweeps);
-        let regions = st.ckpt_regions();
+        let regions = st.regions();
         let payload: usize = regions.iter().map(|r| r.1).sum();
         let mut parity = ParityNode::new();
         let mut dl = DisklessCheckpoint::new(4, payload, RemoteTiming::burst_buffer());

@@ -4,7 +4,6 @@
 //! crash cost (recomputation), and what does the runtime extension cost
 //! (overhead vs the seven-case baselines)?
 
-use adcc_ckpt::manager::CkptManager;
 use adcc_core::bicgstab::{self, ExtendedBiCgStab};
 use adcc_core::iterative::Extended;
 use adcc_core::jacobi::{self, ExtendedJacobi, PlainJacobi};
@@ -12,11 +11,10 @@ use adcc_core::lu::{self, dominant_matrix, ChecksumLu, LuBlockStatus};
 use adcc_core::stencil::{self, ExtendedStencil, PlainStencil};
 use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::spd::CgClass;
-use adcc_pmem::undo::UndoPool;
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger};
 use adcc_sim::system::MemorySystem;
 
-use crate::cases::Case;
+use crate::cases::{seven_case_rows, time_case, Case};
 use crate::fig3::recompute_row;
 use crate::platform::{Platform, Scale};
 use crate::report::{pct_overhead, Table};
@@ -102,77 +100,20 @@ pub fn jacobi_runtime(scale: Scale) -> Table {
     let b = class.rhs(&a);
     let cap = jacobi_nvm_capacity(&a, JACOBI_ITERS);
 
-    let run_case = |case: Case| -> u64 {
-        let cfg = case.platform().cg_config(cap);
-        let mut sys = MemorySystem::new(cfg);
-        match case {
-            Case::AlgoNvm | Case::AlgoNvmDram => {
-                let jac = ExtendedJacobi::setup(&mut sys, &a, &b, JACOBI_ITERS);
-                let t0 = sys.now();
-                let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-                jac.run(&mut emu, 0, JACOBI_ITERS).completed().unwrap();
-                (emu.now() - t0).ps()
-            }
-            Case::Native => {
-                let jac = PlainJacobi::setup(&mut sys, &a, &b, JACOBI_ITERS);
-                let t0 = sys.now();
-                let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-                jacobi::variants::run_native(&mut emu, &jac)
-                    .completed()
-                    .unwrap();
-                (emu.now() - t0).ps()
-            }
-            Case::CkptHdd => {
-                let jac = PlainJacobi::setup(&mut sys, &a, &b, JACOBI_ITERS);
-                let mut mgr = CkptManager::new_hdd(
-                    jac.ckpt_regions(),
-                    adcc_sim::timing::HddTiming::local_disk(),
-                );
-                let t0 = sys.now();
-                let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-                jacobi::variants::run_with_ckpt(&mut emu, &jac, &mut mgr)
-                    .completed()
-                    .unwrap();
-                (emu.now() - t0).ps()
-            }
-            Case::CkptNvm | Case::CkptNvmDram => {
-                let drain = case == Case::CkptNvmDram;
-                let jac = PlainJacobi::setup(&mut sys, &a, &b, JACOBI_ITERS);
-                let mut mgr = CkptManager::new_nvm(&mut sys, jac.ckpt_regions(), drain);
-                let t0 = sys.now();
-                let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-                jacobi::variants::run_with_ckpt(&mut emu, &jac, &mut mgr)
-                    .completed()
-                    .unwrap();
-                (emu.now() - t0).ps()
-            }
-            Case::PmemNvm => {
-                let jac = PlainJacobi::setup(&mut sys, &a, &b, JACOBI_ITERS);
-                let lines = (jac.n * 8).div_ceil(64) + 16;
-                let mut pool = UndoPool::new(&mut sys, lines);
-                let t0 = sys.now();
-                let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-                jacobi::variants::run_with_pmem(&mut emu, &jac, &mut pool)
-                    .completed()
-                    .unwrap();
-                (emu.now() - t0).ps()
-            }
-        }
+    let time_on = |case: Case, platform: Platform| -> u64 {
+        time_case(
+            case,
+            platform,
+            |p| p.cg_config(cap),
+            |sys| (PlainJacobi::setup(sys, &a, &b, JACOBI_ITERS), ()),
+            (1, 16),
+            |sys| {
+                let jac = ExtendedJacobi::setup(sys, &a, &b, JACOBI_ITERS);
+                move |emu| jac.run(emu, 0, JACOBI_ITERS)
+            },
+        )
+        .loop_ps
     };
-
-    let native_nvm = run_case(Case::Native);
-    let native_het = {
-        let cfg = Platform::Hetero.cg_config(cap);
-        let mut sys = MemorySystem::new(cfg);
-        let jac = PlainJacobi::setup(&mut sys, &a, &b, JACOBI_ITERS);
-        let t0 = sys.now();
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        jacobi::variants::run_native(&mut emu, &jac)
-            .completed()
-            .unwrap();
-        (emu.now() - t0).ps()
-    };
-
     let mut t = Table::new(
         format!(
             "E1b — Jacobi runtime with the seven mechanisms (class {})",
@@ -180,20 +121,7 @@ pub fn jacobi_runtime(scale: Scale) -> Table {
         ),
         &["case", "platform", "normalized time", "overhead"],
     );
-    for case in Case::ALL {
-        let ps = run_case(case);
-        let baseline = match case.platform() {
-            Platform::NvmOnly => native_nvm,
-            Platform::Hetero => native_het,
-        };
-        let norm = ps as f64 / baseline as f64;
-        t.row(vec![
-            case.name().to_string(),
-            case.platform().name().to_string(),
-            format!("{norm:.3}"),
-            pct_overhead(norm),
-        ]);
-    }
+    seven_case_rows(&mut t, &[], 3, time_on);
     t.note("The CG ordering carries over: algo ≈ native, ckpt pays copy+flush, pmem pays logging.");
     t
 }
@@ -299,49 +227,21 @@ pub fn lu_runtime(scale: Scale) -> Table {
     let bk = n / 8;
     let a = dominant_matrix(n, 2002);
     let cap = lu_nvm_capacity(n);
-    let cfg = Platform::NvmOnly.lu_config(cap);
-
-    let native = {
-        let mut sys = MemorySystem::new(cfg.clone());
-        let luf = ChecksumLu::setup(&mut sys, &a, bk);
-        let t0 = sys.now();
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        lu::variants::run_native(&mut emu, &luf)
-            .completed()
-            .unwrap();
-        (emu.now() - t0).ps()
+    let time = |case: Case| -> u64 {
+        time_case(
+            case,
+            Platform::NvmOnly,
+            |p| p.lu_config(cap),
+            |sys| (ChecksumLu::setup(sys, &a, bk), ()),
+            (1, 32),
+            |sys| {
+                let luf = ChecksumLu::setup(sys, &a, bk);
+                move |emu| luf.run(emu, 0)
+            },
+        )
+        .loop_ps
     };
-    let algo = {
-        let mut sys = MemorySystem::new(cfg.clone());
-        let luf = ChecksumLu::setup(&mut sys, &a, bk);
-        let t0 = sys.now();
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        luf.run(&mut emu, 0).completed().unwrap();
-        (emu.now() - t0).ps()
-    };
-    let ckpt = {
-        let mut sys = MemorySystem::new(cfg.clone());
-        let luf = ChecksumLu::setup(&mut sys, &a, bk);
-        let mut mgr = CkptManager::new_nvm(&mut sys, lu::variants::lu_ckpt_regions(&luf), false);
-        let t0 = sys.now();
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        lu::variants::run_with_ckpt(&mut emu, &luf, &mut mgr)
-            .completed()
-            .unwrap();
-        (emu.now() - t0).ps()
-    };
-    let pmem = {
-        let mut sys = MemorySystem::new(cfg);
-        let luf = ChecksumLu::setup(&mut sys, &a, bk);
-        let lines = bk * (n + 1) + 32;
-        let mut pool = UndoPool::new(&mut sys, lines);
-        let t0 = sys.now();
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        lu::variants::run_with_pmem(&mut emu, &luf, &mut pool)
-            .completed()
-            .unwrap();
-        (emu.now() - t0).ps()
-    };
+    let native = time(Case::Native);
 
     let mut t = Table::new(
         format!("E2b — checksum-LU runtime by mechanism (n = {n}, k = {bk}, NVM-only)"),
@@ -349,9 +249,9 @@ pub fn lu_runtime(scale: Scale) -> Table {
     );
     for (name, ps) in [
         ("native", native),
-        ("algo (flush checksums only)", algo),
-        ("ckpt per block", ckpt),
-        ("pmem undo-log per block", pmem),
+        ("algo (flush checksums only)", time(Case::AlgoNvm)),
+        ("ckpt per block", time(Case::CkptNvm)),
+        ("pmem undo-log per block", time(Case::PmemNvm)),
     ] {
         let norm = ps as f64 / native as f64;
         t.row(vec![name.into(), format!("{norm:.3}"), pct_overhead(norm)]);
@@ -409,49 +309,21 @@ pub fn stencil_recompute(scale: Scale) -> Table {
 pub fn stencil_runtime(scale: Scale) -> Table {
     let g = if scale.is_quick() { 32 } else { 64 };
     let cap = stencil_nvm_capacity(g, g, 3);
-    let cfg = Platform::NvmOnly.stencil_config(cap);
-
-    let native = {
-        let mut sys = MemorySystem::new(cfg.clone());
-        let st = PlainStencil::setup(&mut sys, g, g, STENCIL_SWEEPS);
-        let t0 = sys.now();
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        stencil::variants::run_native(&mut emu, &st)
-            .completed()
-            .unwrap();
-        (emu.now() - t0).ps()
+    let time = |case: Case| -> u64 {
+        time_case(
+            case,
+            Platform::NvmOnly,
+            |p| p.stencil_config(cap),
+            |sys| (PlainStencil::setup(sys, g, g, STENCIL_SWEEPS), ()),
+            (1, 32),
+            |sys| {
+                let st = ExtendedStencil::setup(sys, g, g, STENCIL_SWEEPS, 3, 4);
+                move |emu| st.run(emu, 0, STENCIL_SWEEPS)
+            },
+        )
+        .loop_ps
     };
-    let algo = {
-        let mut sys = MemorySystem::new(cfg.clone());
-        let st = ExtendedStencil::setup(&mut sys, g, g, STENCIL_SWEEPS, 3, 4);
-        let t0 = sys.now();
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        st.run(&mut emu, 0, STENCIL_SWEEPS).completed().unwrap();
-        (emu.now() - t0).ps()
-    };
-    let ckpt = {
-        let mut sys = MemorySystem::new(cfg.clone());
-        let st = PlainStencil::setup(&mut sys, g, g, STENCIL_SWEEPS);
-        let mut mgr = CkptManager::new_nvm(&mut sys, st.ckpt_regions(), false);
-        let t0 = sys.now();
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        stencil::variants::run_with_ckpt(&mut emu, &st, &mut mgr)
-            .completed()
-            .unwrap();
-        (emu.now() - t0).ps()
-    };
-    let pmem = {
-        let mut sys = MemorySystem::new(cfg);
-        let st = PlainStencil::setup(&mut sys, g, g, STENCIL_SWEEPS);
-        let lines = (g * g * 8).div_ceil(64) + 32;
-        let mut pool = UndoPool::new(&mut sys, lines);
-        let t0 = sys.now();
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        stencil::variants::run_with_pmem(&mut emu, &st, &mut pool)
-            .completed()
-            .unwrap();
-        (emu.now() - t0).ps()
-    };
+    let native = time(Case::Native);
 
     let mut t = Table::new(
         format!("E3b — stencil runtime by mechanism ({g}x{g}, NVM-only)"),
@@ -459,9 +331,9 @@ pub fn stencil_runtime(scale: Scale) -> Table {
     );
     for (name, ps) in [
         ("native (ping-pong)", native),
-        ("algo (ring + tagged block sums)", algo),
-        ("ckpt per sweep", ckpt),
-        ("pmem undo-log per sweep", pmem),
+        ("algo (ring + tagged block sums)", time(Case::AlgoNvm)),
+        ("ckpt per sweep", time(Case::CkptNvm)),
+        ("pmem undo-log per sweep", time(Case::PmemNvm)),
     ] {
         let norm = ps as f64 / native as f64;
         t.row(vec![name.into(), format!("{norm:.3}"), pct_overhead(norm)]);

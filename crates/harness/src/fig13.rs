@@ -1,97 +1,42 @@
 //! Figure 13: MC runtime under the seven test cases (checkpoint /
 //! transaction / flush every 0.01% of lookups), normalized per platform.
 
-use adcc_ckpt::manager::CkptManager;
 use adcc_core::mc::sim::{McMode, McSim};
-use adcc_core::mc::variants::{mc_regions, run_with_ckpt, run_with_pmem};
-use adcc_pmem::undo::UndoPool;
-use adcc_sim::crash::{CrashEmulator, CrashTrigger};
 use adcc_sim::system::MemorySystem;
-use adcc_sim::timing::HddTiming;
 
-use crate::cases::Case;
+use crate::cases::{seven_case_rows, time_case, Case};
 use crate::fig10::McDims;
 use crate::platform::{Platform, Scale};
-use crate::report::{pct_overhead, Table};
+use crate::report::Table;
+
+fn time_on(case: Case, platform: Platform, dims: McDims, seed: u64) -> u64 {
+    let p = dims.problem(seed);
+    let interval = dims.interval();
+    let setup =
+        |sys: &mut MemorySystem, mode| McSim::setup(sys, p.clone(), dims.lookups, seed, mode);
+    time_case(
+        case,
+        platform,
+        |platform| platform.mc_config(dims.nvm_capacity(&p)),
+        |sys| (setup(sys, McMode::Native), ()),
+        // The accumulator, counters and index fill 4 of the pool's 32 lines.
+        (interval.max(1) as usize, 28),
+        |sys| {
+            let mc = setup(sys, McMode::Selective { interval });
+            move |emu| mc.run(emu, 0, dims.lookups)
+        },
+    )
+    .loop_ps
+}
 
 /// Run one case; returns the measured simulated time of the main loop.
 pub fn run_case(case: Case, dims: McDims, seed: u64) -> u64 {
-    let p = dims.problem(seed);
-    let cap = dims.nvm_capacity(&p);
-    let cfg = case.platform().mc_config(cap);
-    let interval = dims.interval();
-    let mut sys = MemorySystem::new(cfg);
-
-    match case {
-        Case::Native => {
-            let mc = McSim::setup(&mut sys, p, dims.lookups, seed, McMode::Native);
-            let t0 = sys.now();
-            let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-            mc.run(&mut emu, 0, dims.lookups).completed().unwrap();
-            (emu.now() - t0).ps()
-        }
-        Case::AlgoNvm | Case::AlgoNvmDram => {
-            let mc = McSim::setup(
-                &mut sys,
-                p,
-                dims.lookups,
-                seed,
-                McMode::Selective { interval },
-            );
-            let t0 = sys.now();
-            let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-            mc.run(&mut emu, 0, dims.lookups).completed().unwrap();
-            (emu.now() - t0).ps()
-        }
-        Case::CkptHdd => {
-            let mc = McSim::setup(&mut sys, p, dims.lookups, seed, McMode::Native);
-            let mut mgr = CkptManager::new_hdd(mc_regions(&mc), HddTiming::local_disk());
-            let t0 = sys.now();
-            let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-            run_with_ckpt(&mut emu, &mc, &mut mgr, interval)
-                .completed()
-                .unwrap();
-            (emu.now() - t0).ps()
-        }
-        Case::CkptNvm | Case::CkptNvmDram => {
-            let drain = case == Case::CkptNvmDram;
-            let mc = McSim::setup(&mut sys, p, dims.lookups, seed, McMode::Native);
-            let mut mgr = CkptManager::new_nvm(&mut sys, mc_regions(&mc), drain);
-            let t0 = sys.now();
-            let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-            run_with_ckpt(&mut emu, &mc, &mut mgr, interval)
-                .completed()
-                .unwrap();
-            (emu.now() - t0).ps()
-        }
-        Case::PmemNvm => {
-            let mc = McSim::setup(&mut sys, p, dims.lookups, seed, McMode::Native);
-            let mut pool = UndoPool::new(&mut sys, 32);
-            let t0 = sys.now();
-            let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-            run_with_pmem(&mut emu, &mc, &mut pool, interval)
-                .completed()
-                .unwrap();
-            (emu.now() - t0).ps()
-        }
-    }
+    time_on(case, case.platform(), dims, seed)
 }
 
 pub fn run(scale: Scale) -> Table {
     let dims = McDims::for_scale(scale);
     let seed = 999;
-    let native_nvm = run_case(Case::Native, dims, seed);
-    let native_het = {
-        let p = dims.problem(seed);
-        let cfg = Platform::Hetero.mc_config(dims.nvm_capacity(&p));
-        let mut sys = MemorySystem::new(cfg);
-        let mc = McSim::setup(&mut sys, p, dims.lookups, seed, McMode::Native);
-        let t0 = sys.now();
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        mc.run(&mut emu, 0, dims.lookups).completed().unwrap();
-        (emu.now() - t0).ps()
-    };
-
     let mut t = Table::new(
         format!(
             "Fig. 13 — MC runtime with the seven mechanisms ({} lookups, state persisted every {} lookups)",
@@ -100,20 +45,9 @@ pub fn run(scale: Scale) -> Table {
         ),
         &["case", "platform", "normalized time", "overhead"],
     );
-    for case in Case::ALL {
-        let ps = run_case(case, dims, seed);
-        let baseline = match case.platform() {
-            Platform::NvmOnly => native_nvm,
-            Platform::Hetero => native_het,
-        };
-        let norm = ps as f64 / baseline as f64;
-        t.row(vec![
-            case.name().to_string(),
-            case.platform().name().to_string(),
-            format!("{norm:.4}"),
-            pct_overhead(norm),
-        ]);
-    }
+    seven_case_rows(&mut t, &[], 4, |case, platform| {
+        time_on(case, platform, dims, seed)
+    });
     t.note("Paper: algorithm-based flushing <=0.05%; NVM-only checkpoint ignorable; NVM/DRAM checkpoint ~13%.");
     t
 }

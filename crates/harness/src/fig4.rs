@@ -1,111 +1,35 @@
 //! Figure 4: CG runtime under the seven test cases, normalized to the
 //! native execution on the respective platform.
 
-use adcc_ckpt::manager::CkptManager;
-use adcc_core::cg::variants::{run_native, run_with_ckpt, run_with_pmem};
 use adcc_core::cg::{ExtendedCg, PlainCg};
 use adcc_linalg::spd::CgClass;
-use adcc_pmem::undo::UndoPool;
-use adcc_sim::clock::Bucket;
-use adcc_sim::crash::{CrashEmulator, CrashTrigger};
-use adcc_sim::system::MemorySystem;
-use adcc_sim::timing::HddTiming;
 
-use crate::cases::Case;
+pub use crate::cases::CaseTime;
+use crate::cases::{seven_case_rows, time_case, Case};
 use crate::fig3::{cg_nvm_capacity, CG_ITERS};
 use crate::platform::{Platform, Scale};
-use crate::report::{pct_overhead, Table};
+use crate::report::Table;
 
-/// Measured main-loop time of one case, plus the copy/flush breakdown
-/// (meaningful for the checkpoint cases).
-#[derive(Debug, Clone, Copy)]
-pub struct CaseTime {
-    pub case: Case,
-    pub loop_ps: u64,
-    pub copy_ps: u64,
-    pub flush_ps: u64,
+fn time_on(case: Case, platform: Platform, class: CgClass, seed: u64) -> CaseTime {
+    let a = class.matrix(seed);
+    let b = class.rhs(&a);
+    time_case(
+        case,
+        platform,
+        |p| p.cg_config(cg_nvm_capacity(&a, CG_ITERS)),
+        |sys| PlainCg::setup(sys, &a, &b, CG_ITERS),
+        (1, 16),
+        |sys| {
+            let (cg, rho0) = ExtendedCg::setup(sys, &a, &b, CG_ITERS);
+            move |emu| cg.run(emu, 0, CG_ITERS, rho0)
+        },
+    )
 }
 
 /// Run one case on the appropriate platform and return the main-loop
 /// simulated time.
 pub fn run_case(case: Case, class: CgClass, seed: u64) -> CaseTime {
-    let a = class.matrix(seed);
-    let b = class.rhs(&a);
-    let cfg = case.platform().cg_config(cg_nvm_capacity(&a, CG_ITERS));
-    let mut sys = MemorySystem::new(cfg);
-
-    let (loop_ps, copy_ps, flush_ps) = match case {
-        Case::AlgoNvm | Case::AlgoNvmDram => {
-            let (cg, rho0) = ExtendedCg::setup(&mut sys, &a, &b, CG_ITERS);
-            let t0 = sys.now();
-            let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-            cg.run(&mut emu, 0, CG_ITERS, rho0).completed().unwrap();
-            let sys = emu.into_system();
-            ((sys.now() - t0).ps(), 0, 0)
-        }
-        Case::Native => {
-            let (cg, rho0) = PlainCg::setup(&mut sys, &a, &b, CG_ITERS);
-            let t0 = sys.now();
-            let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-            run_native(&mut emu, &cg, rho0).completed().unwrap();
-            let sys = emu.into_system();
-            ((sys.now() - t0).ps(), 0, 0)
-        }
-        Case::CkptHdd => {
-            let (cg, rho0) = PlainCg::setup(&mut sys, &a, &b, CG_ITERS);
-            let mut mgr = CkptManager::new_hdd(cg.ckpt_regions(), HddTiming::local_disk());
-            let t0 = sys.now();
-            let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-            run_with_ckpt(&mut emu, &cg, rho0, &mut mgr)
-                .completed()
-                .unwrap();
-            let sys = emu.into_system();
-            (
-                (sys.now() - t0).ps(),
-                sys.clock().bucket_total(Bucket::CkptCopy).ps()
-                    + sys.clock().bucket_total(Bucket::Io).ps(),
-                sys.clock().bucket_total(Bucket::Flush).ps(),
-            )
-        }
-        Case::CkptNvm | Case::CkptNvmDram => {
-            let drain = case == Case::CkptNvmDram;
-            let (cg, rho0) = PlainCg::setup(&mut sys, &a, &b, CG_ITERS);
-            let mut mgr = CkptManager::new_nvm(&mut sys, cg.ckpt_regions(), drain);
-            let t0 = sys.now();
-            let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-            run_with_ckpt(&mut emu, &cg, rho0, &mut mgr)
-                .completed()
-                .unwrap();
-            let sys = emu.into_system();
-            (
-                (sys.now() - t0).ps(),
-                sys.clock().bucket_total(Bucket::CkptCopy).ps(),
-                sys.clock().bucket_total(Bucket::Flush).ps(),
-            )
-        }
-        Case::PmemNvm => {
-            let (cg, rho0) = PlainCg::setup(&mut sys, &a, &b, CG_ITERS);
-            let lines = 3 * (cg.n * 8).div_ceil(64) + 16;
-            let mut pool = UndoPool::new(&mut sys, lines);
-            let t0 = sys.now();
-            let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-            run_with_pmem(&mut emu, &cg, rho0, &mut pool)
-                .completed()
-                .unwrap();
-            let sys = emu.into_system();
-            (
-                (sys.now() - t0).ps(),
-                sys.clock().bucket_total(Bucket::Log).ps(),
-                sys.clock().bucket_total(Bucket::Flush).ps(),
-            )
-        }
-    };
-    CaseTime {
-        case,
-        loop_ps,
-        copy_ps,
-        flush_ps,
-    }
+    time_on(case, case.platform(), class, seed)
 }
 
 /// The class used at each scale.
@@ -121,21 +45,6 @@ pub fn class_for(scale: Scale) -> CgClass {
 pub fn run(scale: Scale) -> Table {
     let class = class_for(scale);
     let seed = 777;
-    let native_nvm = run_case(Case::Native, class, seed).loop_ps;
-    // Native on the heterogeneous platform (normalization baseline for
-    // cases 4 and 7).
-    let native_het = {
-        let a = class.matrix(seed);
-        let b = class.rhs(&a);
-        let cfg = Platform::Hetero.cg_config(cg_nvm_capacity(&a, CG_ITERS));
-        let mut sys = MemorySystem::new(cfg);
-        let (cg, rho0) = PlainCg::setup(&mut sys, &a, &b, CG_ITERS);
-        let t0 = sys.now();
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        run_native(&mut emu, &cg, rho0).completed().unwrap();
-        (emu.now() - t0).ps()
-    };
-
     let mut t = Table::new(
         format!(
             "Fig. 4 — CG runtime with the seven mechanisms (class {}, normalized per platform)",
@@ -143,20 +52,9 @@ pub fn run(scale: Scale) -> Table {
         ),
         &["case", "platform", "normalized time", "overhead"],
     );
-    for case in Case::ALL {
-        let r = run_case(case, class, seed);
-        let baseline = match case.platform() {
-            Platform::NvmOnly => native_nvm,
-            Platform::Hetero => native_het,
-        };
-        let norm = r.loop_ps as f64 / baseline as f64;
-        t.row(vec![
-            case.name().to_string(),
-            case.platform().name().to_string(),
-            format!("{norm:.3}"),
-            pct_overhead(norm),
-        ]);
-    }
+    seven_case_rows(&mut t, &[], 3, |case, platform| {
+        time_on(case, platform, class, seed).loop_ps
+    });
     t.note("Paper: ckpt-hdd +60.4%, ckpt-nvm +4.2%, ckpt-nvm/dram +43.6%, pmem +329%, algo <3%.");
     t
 }

@@ -1,79 +1,39 @@
 //! Figure 8: ABFT-MM runtime under the seven test cases for several rank
 //! sizes, normalized to the native execution on the respective platform.
 
-use adcc_ckpt::manager::CkptManager;
-use adcc_core::abft::variants::{mm_regions, run_with_ckpt, run_with_pmem, MmProgress};
+use adcc_core::abft::variants::MmProgress;
 use adcc_core::abft::{OriginalAbft, TwoLoopAbft};
 use adcc_linalg::dense::Matrix;
-use adcc_pmem::undo::UndoPool;
-use adcc_sim::crash::{CrashEmulator, CrashTrigger};
-use adcc_sim::system::MemorySystem;
-use adcc_sim::timing::HddTiming;
 
-use crate::cases::Case;
+use crate::cases::{seven_case_rows, time_case, Case};
 use crate::fig7::mm_nvm_capacity;
 use crate::platform::{Platform, Scale};
-use crate::report::{pct_overhead, Table};
+use crate::report::Table;
+
+fn time_on(case: Case, platform: Platform, n: usize, k: usize, seed: u64) -> u64 {
+    let a = Matrix::random(n, n, seed);
+    let b = Matrix::random(n, n, seed + 1);
+    time_case(
+        case,
+        platform,
+        |p| p.mm_config(mm_nvm_capacity(n, k)),
+        |sys| {
+            let mm = OriginalAbft::setup(sys, &a, &b, k, false);
+            ((mm, MmProgress::new(sys)), ())
+        },
+        (1, 16),
+        |sys| {
+            let mm = TwoLoopAbft::setup(sys, &a, &b, k);
+            move |emu| mm.run(emu)
+        },
+    )
+    .loop_ps
+}
 
 /// Run one case; returns the measured simulated time of the whole
 /// multiplication.
 pub fn run_case(case: Case, n: usize, k: usize, seed: u64) -> u64 {
-    let a = Matrix::random(n, n, seed);
-    let b = Matrix::random(n, n, seed + 1);
-    let cfg = case.platform().mm_config(mm_nvm_capacity(n, k));
-    let mut sys = MemorySystem::new(cfg);
-
-    match case {
-        Case::AlgoNvm | Case::AlgoNvmDram => {
-            let mm = TwoLoopAbft::setup(&mut sys, &a, &b, k);
-            let t0 = sys.now();
-            let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-            mm.run(&mut emu).completed().unwrap();
-            (emu.now() - t0).ps()
-        }
-        Case::Native => {
-            let mm = OriginalAbft::setup(&mut sys, &a, &b, k, false);
-            let t0 = sys.now();
-            let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-            mm.run(&mut emu).completed().unwrap();
-            (emu.now() - t0).ps()
-        }
-        Case::CkptHdd => {
-            let mm = OriginalAbft::setup(&mut sys, &a, &b, k, false);
-            let progress = MmProgress::new(&mut sys);
-            let mut mgr = CkptManager::new_hdd(mm_regions(&mm, &progress), HddTiming::local_disk());
-            let t0 = sys.now();
-            let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-            run_with_ckpt(&mut emu, &mm, &progress, &mut mgr)
-                .completed()
-                .unwrap();
-            (emu.now() - t0).ps()
-        }
-        Case::CkptNvm | Case::CkptNvmDram => {
-            let drain = case == Case::CkptNvmDram;
-            let mm = OriginalAbft::setup(&mut sys, &a, &b, k, false);
-            let progress = MmProgress::new(&mut sys);
-            let mut mgr = CkptManager::new_nvm(&mut sys, mm_regions(&mm, &progress), drain);
-            let t0 = sys.now();
-            let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-            run_with_ckpt(&mut emu, &mm, &progress, &mut mgr)
-                .completed()
-                .unwrap();
-            (emu.now() - t0).ps()
-        }
-        Case::PmemNvm => {
-            let mm = OriginalAbft::setup(&mut sys, &a, &b, k, false);
-            let progress = MmProgress::new(&mut sys);
-            let lines = ((n + 1) * (n + 1) * 8).div_ceil(64) + 16;
-            let mut pool = UndoPool::new(&mut sys, lines);
-            let t0 = sys.now();
-            let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-            run_with_pmem(&mut emu, &mm, &progress, &mut pool)
-                .completed()
-                .unwrap();
-            (emu.now() - t0).ps()
-        }
-    }
+    time_on(case, case.platform(), n, k, seed)
 }
 
 /// Matrix size and ranks at each scale (the paper: n = 8000 with ranks
@@ -95,33 +55,9 @@ pub fn run(scale: Scale) -> Table {
         &["rank", "case", "platform", "normalized time", "overhead"],
     );
     for &k in ranks {
-        let native_nvm = run_case(Case::Native, n, k, 555);
-        let native_het = {
-            let a = Matrix::random(n, n, 555);
-            let b = Matrix::random(n, n, 556);
-            let cfg = Platform::Hetero.mm_config(mm_nvm_capacity(n, k));
-            let mut sys = MemorySystem::new(cfg);
-            let mm = OriginalAbft::setup(&mut sys, &a, &b, k, false);
-            let t0 = sys.now();
-            let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-            mm.run(&mut emu).completed().unwrap();
-            (emu.now() - t0).ps()
-        };
-        for case in Case::ALL {
-            let ps = run_case(case, n, k, 555);
-            let baseline = match case.platform() {
-                Platform::NvmOnly => native_nvm,
-                Platform::Hetero => native_het,
-            };
-            let norm = ps as f64 / baseline as f64;
-            t.row(vec![
-                k.to_string(),
-                case.name().to_string(),
-                case.platform().name().to_string(),
-                format!("{norm:.3}"),
-                pct_overhead(norm),
-            ]);
-        }
+        seven_case_rows(&mut t, &[k.to_string()], 3, |case, platform| {
+            time_on(case, platform, n, k, 555)
+        });
     }
     t.note("Paper (n=8000): algo <=8.2% at rank 200 falling to 1.3% at rank 1000; NVM ckpt >=21.8% at rank 200; pmem largest.");
     t

@@ -16,6 +16,13 @@ pub struct Matrix {
     data: Vec<f64>,
 }
 
+/// The row-major data.
+impl From<Matrix> for Vec<f64> {
+    fn from(m: Matrix) -> Vec<f64> {
+        m.data
+    }
+}
+
 impl Matrix {
     pub fn zeros(rows: usize, cols: usize) -> Self {
         Matrix {

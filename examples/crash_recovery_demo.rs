@@ -5,7 +5,8 @@
 //! Run with: `cargo run --release --example crash_recovery_demo`
 
 use adcc::ckpt::manager::CkptManager;
-use adcc::core::cg::variants::{ckpt_restore_and_resume, run_native, run_with_ckpt, run_with_pmem};
+use adcc::core::baseline::{self, Mechanism};
+use adcc::core::cg::variants::run_native;
 use adcc::core::cg::{plain::cg_host, sites};
 use adcc::harness::report::pct_overhead;
 use adcc::prelude::*;
@@ -69,75 +70,45 @@ fn main() {
                     rec.solution.z,
                 )
             }
-            Case::Native => {
+            // Cases 1-5 are one experiment: the plain kernel under a
+            // mechanism that runs it forward and, after the crash,
+            // restores where to resume.
+            _ => {
                 let mut sys = MemorySystem::new(cfg.clone());
                 let (cg, rho0) = PlainCg::setup(&mut sys, &a, &b, iters);
-                let t0 = sys.now();
-                let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-                run_native(&mut emu, &cg, rho0).completed().unwrap();
-                let t = (emu.now() - t0).ps();
-                (
-                    t,
-                    "none (restart from scratch)".into(),
-                    cg.peek_solution(&emu),
-                )
-            }
-            Case::CkptHdd | Case::CkptNvm | Case::CkptNvmDram => {
-                let mut sys = MemorySystem::new(cfg.clone());
-                let (cg, rho0) = PlainCg::setup(&mut sys, &a, &b, iters);
-                let mut mgr = match case {
+                let (mut mechanism, how) = match case {
+                    Case::Native => (Mechanism::Native, "none: restart from scratch"),
+                    Case::PmemNvm => {
+                        let pool = baseline::undo_pool(&mut sys, &cg, 16);
+                        (Mechanism::Pmem { pool, period: 1 }, "undo log rolled back")
+                    }
                     Case::CkptHdd => {
-                        CkptManager::new_hdd(cg.ckpt_regions(), HddTiming::local_disk())
+                        let mgr = CkptManager::new_hdd(cg.ckpt_regions(), HddTiming::local_disk());
+                        (
+                            Mechanism::Ckpt { mgr, period: 1 },
+                            "newest checkpoint restored",
+                        )
                     }
                     _ => {
-                        CkptManager::new_nvm(&mut sys, cg.ckpt_regions(), case == Case::CkptNvmDram)
+                        let drain = case == Case::CkptNvmDram;
+                        let mgr = CkptManager::new_nvm(&mut sys, cg.ckpt_regions(), drain);
+                        (
+                            Mechanism::Ckpt { mgr, period: 1 },
+                            "newest checkpoint restored",
+                        )
                     }
                 };
                 let t0 = sys.now();
                 let mut emu = CrashEmulator::from_system(sys, trigger);
-                let image = run_with_ckpt(&mut emu, &cg, rho0, &mut mgr)
-                    .crashed()
-                    .unwrap();
+                let image = mechanism.run(&mut emu, &cg, rho0).crashed().unwrap();
                 let crash_time = (emu.now() - t0).ps();
                 let sys2 = MemorySystem::from_image(cfg, &image);
                 let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
-                let (_, re) = ckpt_restore_and_resume(&mut emu2, &cg, rho0, &mut mgr);
+                let (start, rho, _) = mechanism.restore(&mut emu2, &cg, rho0);
+                baseline::resume(&mut emu2, &cg, start, rho);
                 (
                     crash_time * iters as u64 / 10,
-                    format!(
-                        "restore newest checkpoint, {} iters re-run",
-                        re + 10 - iters as u64
-                    ),
-                    cg.peek_solution(&emu2),
-                )
-            }
-            Case::PmemNvm => {
-                let mut sys = MemorySystem::new(cfg.clone());
-                let (cg, rho0) = PlainCg::setup(&mut sys, &a, &b, iters);
-                let lines = 3 * (cg.n * 8).div_ceil(64) + 16;
-                let mut pool = UndoPool::new(&mut sys, lines);
-                let layout = pool.layout();
-                let t0 = sys.now();
-                let mut emu = CrashEmulator::from_system(sys, trigger);
-                let image = run_with_pmem(&mut emu, &cg, rho0, &mut pool)
-                    .crashed()
-                    .unwrap();
-                let crash_time = (emu.now() - t0).ps();
-                let mut sys2 = MemorySystem::from_image(cfg, &image);
-                let rolled = UndoPool::recover(layout, &mut sys2);
-                let done = cg.iter_cell.get(&mut sys2) as usize;
-                let mut rho = if done == 0 {
-                    rho0
-                } else {
-                    cg.rho_cell.get(&mut sys2)
-                };
-                let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
-                for _ in done..iters {
-                    rho = cg.step(&mut emu2, rho);
-                }
-                (
-                    crash_time * iters as u64 / 10,
-                    format!("undo log rolled back {rolled} lines, resumed at iter {done}"),
+                    format!("{how}, {} iters re-run", 10 - start),
                     cg.peek_solution(&emu2),
                 )
             }
@@ -145,11 +116,7 @@ fn main() {
         let baseline = native_ps[platform_idx(case.platform())];
         let overhead = pct_overhead(loop_ps as f64 / baseline as f64);
         let diff = max_diff(&solution, &reference);
-        assert!(
-            diff < 1e-8 || case == Case::Native,
-            "{}: solution diverged by {diff}",
-            case.name()
-        );
+        assert!(diff < 1e-8, "{}: solution diverged by {diff}", case.name());
         println!(
             "{:<16} {:>9.1} ms {:>10}   {}",
             case.name(),

@@ -1,9 +1,14 @@
-//! The crash-anywhere property of the iterate-history protocol, stated
-//! once over [`Extended`] and instantiated per kernel by the
-//! `proptest_*crash_anywhere` suites.
+//! Properties stated once and instantiated per kernel: the crash-anywhere
+//! property of the iterate-history protocol over [`Extended`]
+//! (`proptest_*crash_anywhere`), the same for the baseline mechanisms over
+//! [`Baseline`] (`proptest_baseline_crash_anywhere`), and the cost
+//! ordering of the seven cases (`seven_cases`, `ext_mechanism_ordering`).
+//! Each suite uses its own subset.
+#![allow(dead_code)]
 
 use proptest::prelude::*;
 
+use adcc::core::baseline::{self, Baseline, Mechanism};
 use adcc::core::iterative::{self, Extended};
 use adcc::prelude::*;
 
@@ -73,4 +78,83 @@ pub fn crash_anywhere_recovers<K: Extended>(
         }
     }
     Ok(())
+}
+
+/// Checkpoint (`true`) or undo-log transaction every `period` units, on the
+/// machine `k` was just set up on.
+pub fn arm<K: Baseline>(ckpt: bool, period: usize, sys: &mut MemorySystem, k: &K) -> Mechanism {
+    if ckpt {
+        let mgr = CkptManager::new_nvm(sys, k.regions(), false);
+        Mechanism::Ckpt { mgr, period }
+    } else {
+        let pool = baseline::undo_pool(sys, k, 64);
+        Mechanism::Pmem { pool, period }
+    }
+}
+
+/// Run the plain kernel `setup` builds under a checkpoint or a transaction
+/// every `period` units, with `trigger` armed. Wherever the crash lands,
+/// restore → resume ends on the native run's answer *bitwise* (the
+/// mechanisms add persistence, not arithmetic), never resumes past the
+/// crashed unit (`unit_of` its site), and loses at most one period.
+pub fn crash_anywhere_restores<K: Baseline>(
+    cfg: SystemConfig,
+    trigger: CrashTrigger,
+    setup: impl Fn(&mut MemorySystem) -> (K, K::Carry),
+    (ckpt, period): (bool, usize),
+    unit_of: impl Fn(&K, CrashSite) -> usize,
+) -> Result<(), TestCaseError>
+where
+    K::Answer: PartialEq + std::fmt::Debug,
+{
+    let mut sys = MemorySystem::new(cfg.clone());
+    let (k, carry0) = setup(&mut sys);
+    let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
+    baseline::run_native(&mut emu, &k, carry0)
+        .completed()
+        .expect("trigger is Never");
+    let reference = k.peek(&emu);
+
+    let mut sys = MemorySystem::new(cfg.clone());
+    let (k, carry0) = setup(&mut sys);
+    let mut mechanism = arm(ckpt, period, &mut sys, &k);
+    let mut emu = CrashEmulator::from_system(sys, trigger);
+    if let RunOutcome::Crashed(image) = mechanism.run(&mut emu, &k, carry0) {
+        let crashed = unit_of(&k, emu.fired_site().expect("crashed"));
+        let sys = MemorySystem::from_image(cfg, &image);
+        emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
+        let (start, carry, restored) = mechanism.restore(&mut emu, &k, carry0);
+        prop_assert!(
+            restored || start == 0,
+            "nothing restored, yet resumed at {start}"
+        );
+        prop_assert!(
+            start <= crashed + 1,
+            "resumed at {start}, past unit {crashed}"
+        );
+        let lost = crashed + 1 - start;
+        prop_assert!(lost <= period, "lost {lost} units, period {period}");
+        baseline::resume(&mut emu, &k, start, carry);
+    }
+    prop_assert_eq!(k.peek(&emu), reference);
+    Ok(())
+}
+
+/// The cost ordering the paper's evaluation is built on, for one family:
+/// `time` of each case of `chain` strictly increases — but for a native run
+/// at its head, which an algorithm-directed run may equal.
+pub fn assert_cost_ordering(family: &str, chain: &[Case], time: impl Fn(Case) -> u64) {
+    let times: Vec<u64> = chain.iter().map(|&case| time(case)).collect();
+    for (i, pair) in times.windows(2).enumerate() {
+        let (lo, hi) = (chain[i], chain[i + 1]);
+        let ordered = pair[0] < pair[1] || (lo == Case::Native && pair[0] == pair[1]);
+        assert!(
+            ordered,
+            "{family}: {} {} !< {} {}",
+            lo.name(),
+            pair[0],
+            hi.name(),
+            pair[1]
+        );
+    }
 }

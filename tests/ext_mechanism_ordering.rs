@@ -1,195 +1,68 @@
 //! Integration: the paper's mechanism cost ordering — native <= algo <
-//! checkpoint < pmem — must hold for every extension kernel, and every
-//! mechanism must produce the same answer.
+//! checkpoint < pmem — must hold for every extension kernel. One check
+//! (`common::assert_cost_ordering`) over `cases::time_case`; that every
+//! mechanism produces the same answer is `mechanism_differential`'s.
 
-use adcc::core::{jacobi, lu, stencil};
+mod common;
+
+use adcc::core::baseline::Baseline;
+use adcc::harness::cases::time_case;
 use adcc::prelude::*;
-use adcc_ckpt::manager::CkptManager;
+use common::assert_cost_ordering;
 
-fn cfg() -> SystemConfig {
-    SystemConfig::nvm_only(8 << 10, 64 << 20)
+const CHAIN: [Case; 4] = [Case::Native, Case::AlgoNvm, Case::CkptNvm, Case::PmemNvm];
+
+/// The NVM-only cases of one family on a machine small enough for its
+/// state to spill: `plain` under the baseline mechanisms, `algo` the
+/// algorithm-directed run.
+fn ordering_holds<K: Baseline, T, R: FnOnce(&mut CrashEmulator) -> RunOutcome<T>>(
+    family: &str,
+    plain: impl Fn(&mut MemorySystem) -> (K, K::Carry),
+    algo: impl Fn(&mut MemorySystem) -> R,
+) {
+    assert_cost_ordering(family, &CHAIN, |case| {
+        let cfg = |_| SystemConfig::nvm_only(8 << 10, 64 << 20);
+        time_case(case, Platform::NvmOnly, cfg, &plain, (1, 32), &algo).loop_ps
+    });
 }
 
 #[test]
 fn jacobi_mechanism_ordering_and_agreement() {
-    let class = CgClass::TEST;
-    let a = class.matrix(201);
-    let b = class.rhs(&a);
-    let iters = 6;
-    let want = jacobi_host(&a, &b, iters);
-    let max_diff = |xs: &[f64]| {
-        xs.iter()
-            .zip(&want)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0f64, f64::max)
-    };
-
-    // Native.
-    let mut sys = MemorySystem::new(cfg());
-    let jac = PlainJacobi::setup(&mut sys, &a, &b, iters);
-    let t0 = sys.now();
-    let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-    jacobi::variants::run_native(&mut emu, &jac)
-        .completed()
-        .unwrap();
-    let native = (emu.now() - t0).ps();
-    assert!(max_diff(&jac.peek_solution(&emu)) < 1e-12);
-
-    // Algorithm-directed.
-    let mut sys = MemorySystem::new(cfg());
-    let ext = ExtendedJacobi::setup(&mut sys, &a, &b, iters);
-    let t0 = sys.now();
-    let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-    ext.run(&mut emu, 0, iters).completed().unwrap();
-    let algo = (emu.now() - t0).ps();
-    assert!(max_diff(&ext.peek_solution(&emu)) < 1e-12);
-
-    // Per-iteration checkpoint.
-    let mut sys = MemorySystem::new(cfg());
-    let jac = PlainJacobi::setup(&mut sys, &a, &b, iters);
-    let mut mgr = CkptManager::new_nvm(&mut sys, jac.ckpt_regions(), false);
-    let t0 = sys.now();
-    let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-    jacobi::variants::run_with_ckpt(&mut emu, &jac, &mut mgr)
-        .completed()
-        .unwrap();
-    let ckpt = (emu.now() - t0).ps();
-    assert!(max_diff(&jac.peek_solution(&emu)) < 1e-12);
-
-    // Per-iteration undo-log transaction.
-    let mut sys = MemorySystem::new(cfg());
-    let jac = PlainJacobi::setup(&mut sys, &a, &b, iters);
-    let lines = (jac.n * 8).div_ceil(64) + 16;
-    let mut pool = UndoPool::new(&mut sys, lines);
-    let t0 = sys.now();
-    let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-    jacobi::variants::run_with_pmem(&mut emu, &jac, &mut pool)
-        .completed()
-        .unwrap();
-    let pmem = (emu.now() - t0).ps();
-    assert!(max_diff(&jac.peek_solution(&emu)) < 1e-12);
-
-    assert!(algo < ckpt, "algo {algo} !< ckpt {ckpt}");
-    assert!(ckpt < pmem, "ckpt {ckpt} !< pmem {pmem}");
-    assert!(native <= algo, "native {native} !<= algo {algo}");
+    let a = CgClass::TEST.matrix(201);
+    let b = CgClass::TEST.rhs(&a);
+    ordering_holds(
+        "jacobi",
+        |sys| (PlainJacobi::setup(sys, &a, &b, 6), ()),
+        |sys| {
+            let ext = ExtendedJacobi::setup(sys, &a, &b, 6);
+            move |emu: &mut CrashEmulator| ext.run(emu, 0, 6)
+        },
+    );
 }
 
 #[test]
 fn lu_mechanism_ordering_and_agreement() {
-    let n = 16;
-    let bk = 4;
-    let a = dominant_matrix(n, 202);
-    let want = lu_host(&a);
-
-    let time_of = |which: &str| -> u64 {
-        let mut sys = MemorySystem::new(cfg());
-        let luf = ChecksumLu::setup(&mut sys, &a, bk);
-        match which {
-            "native" => {
-                let t0 = sys.now();
-                let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-                lu::variants::run_native(&mut emu, &luf)
-                    .completed()
-                    .unwrap();
-                assert!(luf.peek_factor(&emu).max_abs_diff(&want) < 1e-10);
-                (emu.now() - t0).ps()
-            }
-            "algo" => {
-                let t0 = sys.now();
-                let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-                luf.run(&mut emu, 0).completed().unwrap();
-                assert!(luf.peek_factor(&emu).max_abs_diff(&want) < 1e-10);
-                (emu.now() - t0).ps()
-            }
-            "ckpt" => {
-                let mut mgr =
-                    CkptManager::new_nvm(&mut sys, lu::variants::lu_ckpt_regions(&luf), false);
-                let t0 = sys.now();
-                let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-                lu::variants::run_with_ckpt(&mut emu, &luf, &mut mgr)
-                    .completed()
-                    .unwrap();
-                assert!(luf.peek_factor(&emu).max_abs_diff(&want) < 1e-10);
-                (emu.now() - t0).ps()
-            }
-            _ => {
-                let lines = bk * (n + 1) + 32;
-                let mut pool = UndoPool::new(&mut sys, lines);
-                let t0 = sys.now();
-                let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-                lu::variants::run_with_pmem(&mut emu, &luf, &mut pool)
-                    .completed()
-                    .unwrap();
-                assert!(luf.peek_factor(&emu).max_abs_diff(&want) < 1e-10);
-                (emu.now() - t0).ps()
-            }
-        }
-    };
-
-    let native = time_of("native");
-    let algo = time_of("algo");
-    let ckpt = time_of("ckpt");
-    let pmem = time_of("pmem");
-    assert!(native <= algo, "native {native} !<= algo {algo}");
-    assert!(algo < ckpt, "algo {algo} !< ckpt {ckpt}");
-    assert!(ckpt < pmem, "ckpt {ckpt} !< pmem {pmem}");
+    let a = dominant_matrix(16, 202);
+    ordering_holds(
+        "lu",
+        |sys| (ChecksumLu::setup(sys, &a, 4), ()),
+        |sys| {
+            let lu = ChecksumLu::setup(sys, &a, 4);
+            move |emu: &mut CrashEmulator| lu.run(emu, 0)
+        },
+    );
 }
 
 #[test]
 fn stencil_mechanism_ordering_and_agreement() {
-    let (g, sweeps) = (12, 6);
-    let want = heat_host(g, g, sweeps);
-    let max_diff = |xs: &[f64]| {
-        xs.iter()
-            .zip(&want)
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0f64, f64::max)
-    };
-
-    let mut sys = MemorySystem::new(cfg());
-    let st = PlainStencil::setup(&mut sys, g, g, sweeps);
-    let t0 = sys.now();
-    let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-    stencil::variants::run_native(&mut emu, &st)
-        .completed()
-        .unwrap();
-    let native = (emu.now() - t0).ps();
-    assert!(max_diff(&st.peek_grid(&emu, sweeps)) < 1e-12);
-
-    let mut sys = MemorySystem::new(cfg());
-    let ext = ExtendedStencil::setup(&mut sys, g, g, sweeps, 3, 4);
-    let t0 = sys.now();
-    let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-    ext.run(&mut emu, 0, sweeps).completed().unwrap();
-    let algo = (emu.now() - t0).ps();
-    assert!(max_diff(&ext.peek_grid(&emu, sweeps)) < 1e-12);
-
-    let mut sys = MemorySystem::new(cfg());
-    let st = PlainStencil::setup(&mut sys, g, g, sweeps);
-    let mut mgr = CkptManager::new_nvm(&mut sys, st.ckpt_regions(), false);
-    let t0 = sys.now();
-    let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-    stencil::variants::run_with_ckpt(&mut emu, &st, &mut mgr)
-        .completed()
-        .unwrap();
-    let ckpt = (emu.now() - t0).ps();
-    assert!(max_diff(&st.peek_grid(&emu, sweeps)) < 1e-12);
-
-    let mut sys = MemorySystem::new(cfg());
-    let st = PlainStencil::setup(&mut sys, g, g, sweeps);
-    let lines = g * g / 8 + 32;
-    let mut pool = UndoPool::new(&mut sys, lines);
-    let t0 = sys.now();
-    let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-    stencil::variants::run_with_pmem(&mut emu, &st, &mut pool)
-        .completed()
-        .unwrap();
-    let pmem = (emu.now() - t0).ps();
-    assert!(max_diff(&st.peek_grid(&emu, sweeps)) < 1e-12);
-
-    assert!(algo < ckpt, "algo {algo} !< ckpt {ckpt}");
-    assert!(ckpt < pmem, "ckpt {ckpt} !< pmem {pmem}");
-    let _ = native;
+    ordering_holds(
+        "stencil",
+        |sys| (PlainStencil::setup(sys, 12, 12, 6), ()),
+        |sys| {
+            let st = ExtendedStencil::setup(sys, 12, 12, 6, 3, 4);
+            move |emu: &mut CrashEmulator| st.run(emu, 0, 6)
+        },
+    );
 }
 
 #[test]

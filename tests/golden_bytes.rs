@@ -15,15 +15,17 @@
 //!   `kernel-sweep` / `resilience-sweep` workloads replay — are pinned the
 //!   same way, so "no canonical kernel byte moved" is tier-1 too.
 //! * The recomputation tables of the iterate-history kernels (`repro fig3`,
-//!   `ext-jacobi`, `ext-stencil`, `ext-bicgstab`, each `--quick --csv`) are
-//!   pinned by the digest of what the binary prints.
+//!   `ext-jacobi`, `ext-stencil`, `ext-bicgstab`) and the seven-case runtime
+//!   tables over `adcc_core::baseline` (`fig4`, `fig8`, `fig13`, `ext-lu`),
+//!   each `--quick --csv`, are pinned by the digest of what the binary
+//!   prints.
 
 use adcc::campaign::cost::CostTable;
 use adcc::campaign::engine::{run_campaign, CampaignConfig};
 use adcc::campaign::run_resilience;
 use adcc::campaign::scenario::Registry;
 use adcc::dist::net::FaultProfile;
-use adcc::harness::{ext, fig3, Scale, Table};
+use adcc::harness::{ext, fig13, fig3, fig4, fig8, Scale, Table};
 
 #[test]
 fn cost_tables_equal_the_committed_baselines() {
@@ -125,6 +127,14 @@ fn recompute_table_bytes_equal_the_pinned_digests() {
             "ext-bicgstab.csv",
             vec![ext::bicgstab_recompute(q)],
             0x1aee_eff7_74d3_5dba,
+        ),
+        ("fig4.csv", vec![fig4::run(q)], 0x680b_d498_506f_8de7),
+        ("fig8.csv", vec![fig8::run(q)], 0x9b85_a934_2d0f_14a5),
+        ("fig13.csv", vec![fig13::run(q)], 0xbf3b_0acc_0c04_23a2),
+        (
+            "ext-lu.csv",
+            vec![ext::lu_recompute(q), ext::lu_runtime(q)],
+            0x3db2_ba91_2afe_99e5,
         ),
     ]
     .into_iter()

@@ -142,6 +142,7 @@ fn mc_selective_recovery_exact_on_heterogeneous_platform() {
 #[test]
 fn pmem_transactional_cg_recovers_through_undo_log() {
     // Cross-crate: core CG + pmem undo pool + sim crash.
+    use adcc::core::baseline;
     use adcc::core::cg::variants::run_with_pmem;
     let class = CgClass::TEST;
     let a = class.matrix(73);
@@ -151,8 +152,7 @@ fn pmem_transactional_cg_recovers_through_undo_log() {
     let cfg = SystemConfig::nvm_only(16 << 10, 64 << 20);
     let mut sys = MemorySystem::new(cfg.clone());
     let (cg, rho0) = PlainCg::setup(&mut sys, &a, &b, iters);
-    let lines = 3 * (cg.n * 8).div_ceil(64) + 16;
-    let mut pool = UndoPool::new(&mut sys, lines);
+    let mut pool = baseline::undo_pool(&mut sys, &cg, 16);
     let layout = pool.layout();
     let trig = CrashTrigger::AtSite {
         site: CrashSite::new(adcc::core::cg::sites::PH_ITER_END, 3),
@@ -163,16 +163,9 @@ fn pmem_transactional_cg_recovers_through_undo_log() {
         .crashed()
         .unwrap();
     let mut sys2 = MemorySystem::from_image(cfg, &image);
-    UndoPool::recover(layout, &mut sys2);
-    let done = cg.iter_cell.get(&mut sys2) as usize;
-    let mut rho = if done == 0 {
-        rho0
-    } else {
-        cg.rho_cell.get(&mut sys2)
-    };
+    let (done, rho) = baseline::pmem_restore(&mut sys2, &cg, rho0, layout);
+    assert_eq!(done, 4, "iteration 3 committed before its end-site poll");
     let mut emu2 = CrashEmulator::from_system(sys2, CrashTrigger::Never);
-    for _ in done..iters {
-        rho = cg.step(&mut emu2, rho);
-    }
+    baseline::resume(&mut emu2, &cg, done, rho);
     assert!(max_diff(&cg.peek_solution(&emu2), &reference) < 1e-9);
 }
