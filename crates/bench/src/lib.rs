@@ -1,174 +1,4 @@
-//! # adcc-bench — benchmark support
-//!
-//! The Criterion benches live in `benches/`, one per figure of the paper
-//! plus microbenchmarks. This library crate hosts shared helpers: native
-//! (un-simulated) CG/MM kernels with *real* persistence mechanisms, used
-//! by the wall-clock benches to show that the paper's overhead ordering
-//! also holds on the host machine, not just under the simulated clock.
-
-use adcc_linalg::csr::CsrMatrix;
-
-/// Native CG iteration state (host memory).
-pub struct NativeCg {
-    pub a: CsrMatrix,
-    pub b: Vec<f64>,
-    pub p: Vec<f64>,
-    pub q: Vec<f64>,
-    pub r: Vec<f64>,
-    pub z: Vec<f64>,
-    pub rho: f64,
-}
-
-impl NativeCg {
-    pub fn new(a: CsrMatrix, b: Vec<f64>) -> Self {
-        let n = a.n();
-        let rho = b.iter().map(|x| x * x).sum();
-        NativeCg {
-            p: b.clone(),
-            r: b.clone(),
-            z: vec![0.0; n],
-            q: vec![0.0; n],
-            a,
-            b,
-            rho,
-        }
-    }
-
-    /// One iteration (serial host arithmetic, same order as the simulated
-    /// implementations).
-    pub fn step(&mut self) {
-        let n = self.a.n();
-        self.a.spmv(&self.p, &mut self.q);
-        let pq: f64 = self.p.iter().zip(&self.q).map(|(x, y)| x * y).sum();
-        let alpha = self.rho / pq;
-        for j in 0..n {
-            self.z[j] += alpha * self.p[j];
-        }
-        for j in 0..n {
-            self.r[j] -= alpha * self.q[j];
-        }
-        let rho_new: f64 = self.r.iter().map(|x| x * x).sum();
-        let beta = rho_new / self.rho;
-        for j in 0..n {
-            self.p[j] = self.r[j] + beta * self.p[j];
-        }
-        self.rho = rho_new;
-    }
-}
-
-/// The persistence mechanism applied per iteration in the wall-clock
-/// benches — all doing *real* work on the host.
-pub enum NativeMechanism {
-    /// Nothing (native).
-    None,
-    /// memcpy p, r, z into a checkpoint buffer.
-    Checkpoint { buffer: Vec<f64> },
-    /// Undo-log: copy the old values of p, r, z into a log *before* the
-    /// iteration (two passes + bookkeeping, like a PMDK transaction).
-    UndoLog { log: Vec<f64> },
-    /// Algorithm-directed: the extension writes each iteration's vectors
-    /// into preallocated history rows *instead of* overwriting — there is
-    /// no extra data movement, only one cache-line flush (negligible).
-    History,
-}
-
-impl NativeMechanism {
-    pub fn checkpoint(n: usize) -> Self {
-        NativeMechanism::Checkpoint {
-            buffer: vec![0.0; 3 * n],
-        }
-    }
-
-    pub fn undo_log(n: usize) -> Self {
-        NativeMechanism::UndoLog {
-            log: vec![0.0; 3 * n],
-        }
-    }
-
-    pub fn history() -> Self {
-        NativeMechanism::History
-    }
-
-    /// Apply the mechanism around one iteration of `cg`.
-    pub fn run_iteration(&mut self, cg: &mut NativeCg) {
-        let n = cg.a.n();
-        match self {
-            NativeMechanism::None => cg.step(),
-            NativeMechanism::Checkpoint { buffer } => {
-                cg.step();
-                buffer[..n].copy_from_slice(&cg.p);
-                buffer[n..2 * n].copy_from_slice(&cg.r);
-                buffer[2 * n..].copy_from_slice(&cg.z);
-                // A real checkpoint would CLFLUSH here; on a DRAM host the
-                // copy itself is the dominant cost.
-                std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
-            }
-            NativeMechanism::UndoLog { log } => {
-                // Pre-image copy (undo) before the updates, with a fence
-                // per array mimicking persist ordering.
-                log[..n].copy_from_slice(&cg.p);
-                std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
-                log[n..2 * n].copy_from_slice(&cg.r);
-                std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
-                log[2 * n..].copy_from_slice(&cg.z);
-                std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
-                cg.step();
-            }
-            NativeMechanism::History => {
-                cg.step();
-                // One cache-line flush (the iteration counter) is the only
-                // extra work the extension performs per iteration.
-                std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use adcc_linalg::spd::CgClass;
-
-    #[test]
-    fn native_cg_matches_host_reference() {
-        let class = CgClass::TEST;
-        let a = class.matrix(3);
-        let b = class.rhs(&a);
-        let mut cg = NativeCg::new(a.clone(), b.clone());
-        for _ in 0..7 {
-            cg.step();
-        }
-        let want = adcc_core::cg::cg_host(&a, &b, 7);
-        let diff =
-            cg.z.iter()
-                .zip(&want)
-                .map(|(x, y)| (x - y).abs())
-                .fold(0.0, f64::max);
-        assert!(diff < 1e-12);
-    }
-
-    #[test]
-    fn mechanisms_do_not_change_results() {
-        let class = CgClass::TEST;
-        let a = class.matrix(4);
-        let b = class.rhs(&a);
-        let reference = adcc_core::cg::cg_host(&a, &b, 5);
-        for mut mech in [
-            NativeMechanism::None,
-            NativeMechanism::checkpoint(a.n()),
-            NativeMechanism::undo_log(a.n()),
-            NativeMechanism::history(),
-        ] {
-            let mut cg = NativeCg::new(a.clone(), b.clone());
-            for _ in 0..5 {
-                mech.run_iteration(&mut cg);
-            }
-            let diff =
-                cg.z.iter()
-                    .zip(&reference)
-                    .map(|(x, y)| (x - y).abs())
-                    .fold(0.0, f64::max);
-            assert!(diff < 1e-12);
-        }
-    }
-}
+//! Empty on purpose: the frozen `benchmark/Cargo.lock` names `adcc_bench`
+//! and its seven dependency edges, so the package stays until that lockfile
+//! may be regenerated (ROADMAP 5(b)). Figures are measured by `repro` and
+//! by `benchmark/`.

@@ -84,14 +84,14 @@ usage:
   campaign run     [--registry kernel|dist|ds] [--budget-states N]
                    [--seed S] [--threads T]
                    [--schedule stratified|every-k:K|exhaustive:N]
-                   [--dense D] [--max-batch B] [--per-trial]
-                   [--shard I/N] [--faults off|lossy|chaotic]
+                   [--dense D] [--max-batch B] [--shard I/N]
+                   [--faults off|lossy|chaotic]
                    [--telemetry] [--resilience] [--out PATH]
   campaign replay  --seed S [--registry NAME] [--budget-states N]
                    [--threads T] [--schedule SPEC] [--dense D]
-                   [--max-batch B] [--per-trial] [--shard I/N]
-                   [--faults PROFILE] [--telemetry] [--resilience]
-                   [--expect PATH] [--out PATH]
+                   [--max-batch B] [--shard I/N] [--faults PROFILE]
+                   [--telemetry] [--resilience] [--expect PATH]
+                   [--out PATH]
   campaign merge   --out PATH SHARD.json SHARD.json ...
   campaign triage  REPORT.json [--threads T] [--out PATH]
                    [--fail-on-diagnostics]
@@ -110,9 +110,7 @@ undo-logged and unprotected-baseline protection.
 --dense D appends D access-grain crash points per scenario after its
 site-grain space (recorded in the report; replays reproduce it).
 --max-batch B caps crash points harvested per forward execution (batched
-copy-on-write delta images); --per-trial forces the legacy
-one-execution-per-trial full-copy path (same canonical report; the
-reference the batched path is checked against).
+copy-on-write delta images; the canonical report does not depend on it).
 --faults PROFILE (dist registry only) injects seeded fabric faults under
 every cluster's reliable transport: `off` (default) is the faultless
 fabric, `lossy` drops/duplicates/reorders a small fraction of messages,
@@ -145,8 +143,7 @@ classified converged-exact / converged-acceptable / converged-wrong /
 diverged / detected-dirty-again against the crash-free reference. The
 per-scenario aggregate lands in the schema-v7 natural_resilience block;
 scenarios without a dirty-restart path (the ds registry) carry no block.
-Incompatible with --shard and --per-trial (the sweep is batched and
-needs the full schedule).
+Incompatible with --shard (the sweep needs the full schedule).
 resilience re-runs REPORT.json's exact schedule in dirty-restart mode
 (same scheduled crash points, same registry and fault profile) and
 emits the fused v7 report. Needs a v5+ unsharded report.
@@ -222,7 +219,7 @@ fn cmd_run(args: &[String], replay: bool) -> Result<ExitCode, String> {
             "--out",
             "--expect",
         ],
-        &["--telemetry", "--per-trial", "--resilience"],
+        &["--telemetry", "--resilience"],
     )?;
     let expect_path = take_opt(args, "--expect")?;
     if expect_path.is_some() && !replay {
@@ -269,7 +266,6 @@ fn cmd_run(args: &[String], replay: bool) -> Result<ExitCode, String> {
     if let Some(v) = take_opt(args, "--shard")? {
         cfg.shard = Some(parse_shard(&v)?);
     }
-    cfg.per_trial = take_flag(args, "--per-trial");
     // An explicit `--registry` wins over an inherited report value.
     if let Some(v) = take_opt(args, "--registry")? {
         cfg.registry = Registry::parse(&v).map_err(|e| format!("{e}\n{USAGE}"))?;
@@ -293,17 +289,11 @@ fn cmd_run(args: &[String], replay: bool) -> Result<ExitCode, String> {
              sweep needs the full schedule (merged reports drop the block)\n{USAGE}"
         ));
     }
-    if resilience && cfg.per_trial {
-        return Err(format!(
-            "--resilience cannot be combined with --per-trial: the dirty-restart \
-             sweep harvests through the batched delta-image path\n{USAGE}"
-        ));
-    }
     // Resolve the output path up front: a malformed --out must not cost a
     // completed (possibly multi-minute) campaign.
     let out_path = take_opt(args, "--out")?;
-    // Surface incoherent flag combinations (e.g. --shard with --per-trial)
-    // before the campaign spends any time running.
+    // Surface incoherent flag values (e.g. --faults on a registry without
+    // a fabric) before the campaign spends any time running.
     cfg.validate().map_err(|e| format!("{e}\n{USAGE}"))?;
 
     let report = if resilience {
@@ -338,22 +328,30 @@ fn cmd_run(args: &[String], replay: bool) -> Result<ExitCode, String> {
         eprintln!("replay MISMATCH: canonical report differs from the expected file");
         return Ok(ExitCode::FAILURE);
     }
+    Ok(exit_gate(&report))
+}
+
+/// The exit policy of every subcommand that ran or folded a campaign: any
+/// silent-corruption outcome fails it, and so does a telemetry-carrying
+/// report whose flush-based mechanisms recorded zero flushes
+/// ([`flush_audit`]; vacuous without telemetry).
+fn exit_gate(report: &CampaignReport) -> ExitCode {
     if report.silent_corruption_total() > 0 {
         eprintln!(
             "FAIL: {} silent-corruption outcome(s)",
             report.silent_corruption_total()
         );
-        return Ok(ExitCode::FAILURE);
+        return ExitCode::FAILURE;
     }
-    let audit = flush_audit(&report);
+    let audit = flush_audit(report);
     if !audit.is_empty() {
         for line in &audit {
             eprintln!("FLUSH AUDIT: {line}");
         }
         eprintln!("FAIL: flush-based mechanism(s) recorded zero flushes");
-        return Ok(ExitCode::FAILURE);
+        return ExitCode::FAILURE;
     }
-    Ok(ExitCode::SUCCESS)
+    ExitCode::SUCCESS
 }
 
 fn print_summary(o: &mut impl Write, report: &CampaignReport) -> io::Result<()> {
@@ -531,22 +529,7 @@ fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
         print_summary(o, &merged)?;
         writeln!(o, "merged report written to {out}")
     })?;
-    if merged.silent_corruption_total() > 0 {
-        eprintln!(
-            "FAIL: {} silent-corruption outcome(s)",
-            merged.silent_corruption_total()
-        );
-        return Ok(ExitCode::FAILURE);
-    }
-    let audit = flush_audit(&merged);
-    if !audit.is_empty() {
-        for line in &audit {
-            eprintln!("FLUSH AUDIT: {line}");
-        }
-        eprintln!("FAIL: flush-based mechanism(s) recorded zero flushes");
-        return Ok(ExitCode::FAILURE);
-    }
-    Ok(ExitCode::SUCCESS)
+    Ok(exit_gate(&merged))
 }
 
 /// The set-up `triage` and `resilience` share: both re-run a finished
@@ -612,40 +595,47 @@ fn cmd_triage(args: &[String]) -> Result<ExitCode, String> {
         .diagnostics
         .as_ref()
         .expect("triage always analyzes");
-    println!(
-        "triage: seed {} budget {} registry {} — {} failing state(s), {} root cause(s), \
-         {} analyzed scenario(s), {} protocol finding(s)",
-        cfg.seed,
-        cfg.budget_states,
-        cfg.registry.name(),
-        triaged.failing_states,
-        triaged.root_causes.len(),
-        diags.analyzed.len(),
-        diags.findings.len(),
-    );
-    for c in &triaged.root_causes {
-        println!(
-            "  [{:>4} states] {}/{}: {} (units {}..{}, events {}..{})",
-            c.states,
-            c.mechanism,
-            c.category,
-            c.invariant,
-            c.unit_window.0,
-            c.unit_window.1,
-            c.event_window.0,
-            c.event_window.1,
-        );
+    if let Some(out) = &out_path {
+        std::fs::write(out, triaged.to_string_pretty())
+            .map_err(|e| format!("cannot write {out}: {e}"))?;
     }
+    to_stdout(|o| {
+        writeln!(
+            o,
+            "triage: seed {} budget {} registry {} — {} failing state(s), {} root cause(s), \
+             {} analyzed scenario(s), {} protocol finding(s)",
+            cfg.seed,
+            cfg.budget_states,
+            cfg.registry.name(),
+            triaged.failing_states,
+            triaged.root_causes.len(),
+            diags.analyzed.len(),
+            diags.findings.len(),
+        )?;
+        for c in &triaged.root_causes {
+            writeln!(
+                o,
+                "  [{:>4} states] {}/{}: {} (units {}..{}, events {}..{})",
+                c.states,
+                c.mechanism,
+                c.category,
+                c.invariant,
+                c.unit_window.0,
+                c.unit_window.1,
+                c.event_window.0,
+                c.event_window.1,
+            )?;
+        }
+        if let Some(out) = &out_path {
+            writeln!(o, "triage report written to {out}")?;
+        }
+        Ok(())
+    })?;
     for f in &diags.findings {
         eprintln!(
             "PROTOCOL FINDING: {} {} at {} line {} (events {}..{}, epoch {})",
             f.scenario, f.category, f.region, f.line, f.first_event, f.last_event, f.epoch
         );
-    }
-    if let Some(out) = out_path {
-        std::fs::write(&out, triaged.to_string_pretty())
-            .map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("triage report written to {out}");
     }
     if take_flag(args, "--fail-on-diagnostics") && !diags.findings.is_empty() {
         eprintln!(
@@ -700,14 +690,7 @@ fn cmd_resilience(args: &[String]) -> Result<ExitCode, String> {
         }
         Ok(())
     })?;
-    if swept.silent_corruption_total() > 0 {
-        eprintln!(
-            "FAIL: {} silent-corruption outcome(s)",
-            swept.silent_corruption_total()
-        );
-        return Ok(ExitCode::FAILURE);
-    }
-    Ok(ExitCode::SUCCESS)
+    Ok(exit_gate(&swept))
 }
 
 fn cmd_compare(args: &[String]) -> Result<ExitCode, String> {
@@ -721,9 +704,7 @@ fn cmd_compare(args: &[String]) -> Result<ExitCode, String> {
     let old = read(old_path)?;
     let new = read(new_path)?;
     let cmp = compare(&old, &new);
-    for line in &cmp.lines {
-        println!("{line}");
-    }
+    to_stdout(|o| cmp.lines.iter().try_for_each(|line| writeln!(o, "{line}")))?;
     if cmp.regression {
         eprintln!("REGRESSION: see lines above");
         return Ok(ExitCode::FAILURE);
@@ -771,28 +752,44 @@ fn cmd_cost(args: &[String]) -> Result<ExitCode, String> {
     let out_path = take_opt(args, "--out")?;
 
     let report = run_campaign(&cfg);
-    if json {
-        // Machine-readable table: schema-versioned, byte-stable, made for
-        // CI diffing (see `adcc_campaign::cost`). Falls through to the
-        // shared silent-corruption gate below.
-        let doc = CostTable::from_report(&report).to_string_pretty();
-        match &out_path {
-            Some(out) => {
-                std::fs::write(out, &doc).map_err(|e| format!("cannot write {out}: {e}"))?;
-                println!("cost table written to {out}");
-            }
-            None => println!("{doc}"),
+    // What `--out` takes, or stdout under a bare `--json`: the
+    // schema-versioned, byte-stable table made for CI diffing (see
+    // `adcc_campaign::cost`), or the telemetry report behind the text table.
+    let doc = || {
+        if json {
+            CostTable::from_report(&report).to_string_pretty()
+        } else {
+            report.to_string_pretty()
         }
-        return finish_cost(&report);
+    };
+    if let Some(out) = &out_path {
+        std::fs::write(out, doc()).map_err(|e| format!("cannot write {out}: {e}"))?;
     }
-    println!(
+    to_stdout(|o| {
+        if !json {
+            print_cost_table(o, &report)?;
+        }
+        match &out_path {
+            Some(out) if json => writeln!(o, "cost table written to {out}"),
+            Some(out) => writeln!(o, "report written to {out}"),
+            None if json => writeln!(o, "{}", doc()),
+            None => Ok(()),
+        }
+    })?;
+    Ok(exit_gate(&report))
+}
+
+fn print_cost_table(o: &mut impl Write, report: &CampaignReport) -> io::Result<()> {
+    writeln!(
+        o,
         "cost model: seed {} budget {} schedule {} ({} scenarios)",
         report.seed,
         report.budget_states,
         report.schedule,
         report.scenarios.len()
-    );
-    println!(
+    )?;
+    writeln!(
+        o,
         "{:<30} {:>6} {:>8} {:>7} {:>9} {:>10} {:>10} {:>10} {:>10} {:>10} {:>6}",
         "scenario",
         "trials",
@@ -805,7 +802,7 @@ fn cmd_cost(args: &[String]) -> Result<ExitCode, String> {
         "nearpm ms",
         "eadr ms",
         "save%"
-    );
+    )?;
     for s in &report.scenarios {
         let Some(t) = s.telemetry.as_ref() else {
             continue;
@@ -816,7 +813,8 @@ fn cmd_cost(args: &[String]) -> Result<ExitCode, String> {
         } else {
             (adr - eadr) as f64 * 100.0 / adr as f64
         };
-        println!(
+        writeln!(
+            o,
             "{:<30} {:>6} {:>8} {:>7} {:>9.1} {:>10} {:>10.1} {:>10.3} {:>10.3} {:>10.3} {:>6.1}",
             s.name,
             s.trials,
@@ -829,11 +827,12 @@ fn cmd_cost(args: &[String]) -> Result<ExitCode, String> {
             nearpm as f64 / 1e9,
             eadr as f64 / 1e9,
             save,
-        );
+        )?;
     }
     if let Some(t) = &report.telemetry {
         let (adr, nearpm, eadr) = platform_costs(t);
-        println!(
+        writeln!(
+            o,
             "{:<30} {:>6} {:>8} {:>7} {:>9.1} {:>10} {:>10} {:>10.3} {:>10.3} {:>10.3} {:>6.1}",
             "TOTAL",
             report.totals.total(),
@@ -850,25 +849,7 @@ fn cmd_cost(args: &[String]) -> Result<ExitCode, String> {
             } else {
                 (adr - eadr) as f64 * 100.0 / adr as f64
             },
-        );
+        )?;
     }
-    if let Some(out) = out_path {
-        std::fs::write(&out, report.to_string_pretty())
-            .map_err(|e| format!("cannot write {out}: {e}"))?;
-        println!("report written to {out}");
-    }
-    finish_cost(&report)
-}
-
-/// The `cost` exit policy shared by the text and `--json` paths: any
-/// silent-corruption outcome fails the run.
-fn finish_cost(report: &CampaignReport) -> Result<ExitCode, String> {
-    if report.silent_corruption_total() > 0 {
-        eprintln!(
-            "FAIL: {} silent-corruption outcome(s)",
-            report.silent_corruption_total()
-        );
-        return Ok(ExitCode::FAILURE);
-    }
-    Ok(ExitCode::SUCCESS)
+    Ok(())
 }

@@ -31,12 +31,12 @@ use adcc_telemetry::ExecutionProfile;
 
 use crate::memstats::ImageMemory;
 use crate::report::{CampaignReport, DiagnosticsBlock, ScenarioReport};
-use crate::scenario::{Harvested, PassOutput, Passes, Registry, Scenario, Trial};
+use crate::scenario::{Harvested, PassOutput, Passes, Registry, Scenario, Trial, Whole};
 use crate::schedule::Schedule;
 
 /// Campaign inputs. `(seed, budget_states, schedule, dense_units)` fully
-/// determine the canonical report; `threads`, `max_batch`, and
-/// `per_trial` only affect wall-clock and memory.
+/// determine the canonical report; `threads` and `max_batch` only affect
+/// wall-clock and memory.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Seed driving every stochastic schedule decision.
@@ -49,27 +49,22 @@ pub struct CampaignConfig {
     pub schedule: Schedule,
     /// Worker OS threads; `0` picks the host parallelism.
     pub threads: usize,
-    /// Capture a per-trial [`ExecutionProfile`] (flushes, fences, log
+    /// Capture every trial's [`ExecutionProfile`] (flushes, fences, log
     /// traffic, dirty residency) and embed the per-scenario aggregate in
-    /// the report (`adcc-campaign-report/v2` telemetry block). Probes are
-    /// passive, so outcomes are identical either way.
+    /// the report's telemetry block. Probes are passive, so outcomes are
+    /// identical either way.
     pub telemetry: bool,
     /// Extra access-grain (dense) crash points appended after each
     /// scenario's site-grain unit space, subdividing the crash-point
     /// space below statement granularity (see
-    /// [`Scenario::dense_stride`]). `0` keeps the legacy unit space — and
-    /// the legacy report bytes. Recorded in the canonical report when
+    /// [`Scenario::dense_stride`]). `0` keeps the site-grain unit space —
+    /// and its report bytes. Recorded in the canonical report when
     /// nonzero, so replays reproduce it.
     pub dense_units: u64,
     /// Crash points harvested per forward execution in the batched
     /// delta-image pass. Larger batches amortize the forward execution
     /// over more states; smaller ones parallelize better.
     pub max_batch: u64,
-    /// Force the legacy path: one instrumented execution and one full
-    /// `NvmImage` copy per trial. The canonical report is byte-identical
-    /// either way (the delta-equivalence suite enforces it); this is the
-    /// reference path CI's whole-campaign equivalence gates replay.
-    pub per_trial: bool,
     /// Which named scenario registry to sweep (`--registry <name>`):
     /// the default compute-kernel registry, the distributed
     /// (`adcc::dist`) one, or the persistent data-structure (`adcc::ds`)
@@ -101,7 +96,6 @@ impl Default for CampaignConfig {
             telemetry: false,
             dense_units: 0,
             max_batch: 128,
-            per_trial: false,
             registry: Registry::Kernel,
             shard: None,
             faults: FaultProfile::Off,
@@ -110,17 +104,11 @@ impl Default for CampaignConfig {
 }
 
 impl CampaignConfig {
-    /// Check the config for incoherent combinations (e.g. sharding a
-    /// per-trial run) before the engine sees them; errors name the
-    /// offending flag combination exactly as the CLI reports it.
+    /// Check the config for incoherent values (a shard index past its
+    /// count, a fault profile on a registry without a fabric) before the
+    /// engine sees them; errors name the offending flag exactly as the CLI
+    /// reports it.
     pub fn validate(&self) -> Result<(), String> {
-        if self.shard.is_some() && self.per_trial {
-            return Err(
-                "--shard cannot be combined with --per-trial: shards partition the \
-                 batched plan, which the per-trial path bypasses"
-                    .to_string(),
-            );
-        }
         if let Some((shard, of)) = self.shard {
             if of == 0 || shard >= of {
                 return Err(format!("shard index {shard} out of range for {of} shards"));
@@ -140,8 +128,7 @@ impl CampaignConfig {
 }
 
 /// One forward execution's worth of work: a scenario index plus the crash
-/// points it evaluates. The batched pass chunks each scenario's points into
-/// `max_batch`-sized tasks; the per-trial path gets one task per point.
+/// points it evaluates, a `max_batch`-sized chunk of the scenario's plan.
 pub(crate) struct Task {
     pub(crate) scenario: usize,
     pub(crate) units: Vec<u64>,
@@ -161,23 +148,18 @@ pub(crate) struct Driven {
 }
 
 /// Plan → chunk → pool → task-ordered merge, the loop every engine entry
-/// point shares. `passes` is what each batch task asks its scenario for;
-/// `per_trial` replaces the batch tasks by one [`Scenario::run_trial`] per
-/// point (the recover pass only — the reference path has no other).
+/// point shares. `passes` is what each task asks its scenario for, and
+/// `harvest` how.
 ///
 /// Trials are pure functions of `(scenario, unit)` — every forward
 /// execution and every recovery owns its own `MemorySystem`, so the
 /// single-clock simulator is never shared — and [`run_tasks`] returns
 /// outputs in task order, so neither the thread count nor the batch size
 /// can reorder anything.
-pub(crate) fn drive(cfg: &CampaignConfig, passes: Passes, per_trial: bool) -> Driven {
+pub(crate) fn drive(cfg: &CampaignConfig, passes: Passes, harvest: Harvest) -> Driven {
     let start = Instant::now();
     let scenarios = cfg.registry.scenarios_with(cfg.faults);
-    let chunk = if per_trial {
-        1
-    } else {
-        cfg.max_batch.max(1) as usize
-    };
+    let chunk = cfg.max_batch.max(1) as usize;
     let tasks: Vec<Task> = plan(cfg, &scenarios)
         .iter()
         .enumerate()
@@ -195,7 +177,7 @@ pub(crate) fn drive(cfg: &CampaignConfig, passes: Passes, per_trial: bool) -> Dr
         .expect("thread pool")
         .current_num_threads();
     let mem = ImageMemory::for_workers(threads);
-    let results = run_tasks(&scenarios, &tasks, threads, passes, per_trial, &mem);
+    let results = run_tasks(&scenarios, &tasks, threads, passes, harvest, &mem);
 
     let mut outputs: Vec<PassOutput> = scenarios.iter().map(|_| PassOutput::default()).collect();
     for (task, out) in tasks.iter().zip(results) {
@@ -208,6 +190,32 @@ pub(crate) fn drive(cfg: &CampaignConfig, passes: Passes, per_trial: bool) -> Dr
         threads: threads as u64,
         start,
     }
+}
+
+/// How a task's units become a batch: [`Scenario::harvest`], or the
+/// oracle's [`one_by_one`].
+pub(crate) type Harvest = for<'a> fn(
+    &'a (dyn Scenario + 'static),
+    &'a [u64],
+    Passes,
+    &ImageMemory,
+) -> Box<dyn Harvested + 'a>;
+
+/// Each unit through [`Scenario::run_trial`]: nothing harvested, no job to
+/// share, so the batch comes back [`Whole`].
+fn one_by_one<'a>(
+    s: &'a (dyn Scenario + 'static),
+    units: &'a [u64],
+    passes: Passes,
+    _: &ImageMemory,
+) -> Box<dyn Harvested + 'a> {
+    Box::new(Whole(PassOutput {
+        trials: units
+            .iter()
+            .map(|&unit| s.run_trial(unit, passes.telemetry))
+            .collect(),
+        ..PassOutput::default()
+    }))
 }
 
 /// What the workers of one [`run_tasks`] call share.
@@ -315,21 +323,17 @@ pub(crate) fn run_tasks(
     tasks: &[Task],
     threads: usize,
     passes: Passes,
-    per_trial: bool,
+    harvest: Harvest,
     mem: &ImageMemory,
 ) -> Vec<PassOutput> {
-    // A per-trial task has no jobs to share, and no batch has more jobs
-    // than units: more workers than that would only ever wait.
-    let most = if per_trial {
-        tasks.len()
-    } else {
-        tasks.iter().map(|t| t.units.len()).sum()
-    };
+    // No batch has more jobs than units: more workers than that would only
+    // ever wait.
+    let most: usize = tasks.iter().map(|t| t.units.len()).sum();
     let workers = threads.min(most).max(1);
     let pool = Pool {
         owned: (0..workers).map(|_| RwLock::new(None)).collect(),
         next_task: AtomicUsize::new(0),
-        unharvested: Mutex::new(if per_trial { 0 } else { tasks.len() }),
+        unharvested: Mutex::new(tasks.len()),
         harvested: Condvar::new(),
     };
     let outputs: Vec<Mutex<Option<PassOutput>>> = tasks.iter().map(|_| Mutex::new(None)).collect();
@@ -342,15 +346,8 @@ pub(crate) fn run_tasks(
         // The cursor hands out indices and publishes nothing.
         while let Some(&i) = order.get(pool.next_task.fetch_add(1, Ordering::Relaxed)) {
             let task = &tasks[i];
-            let s = &scenarios[task.scenario];
-            let out = if per_trial {
-                PassOutput {
-                    trials: vec![s.run_trial(task.units[0], passes.telemetry)],
-                    ..PassOutput::default()
-                }
-            } else {
-                pool.run_batch(me, || s.harvest(&task.units, passes, mem))
-            };
+            let s = scenarios[task.scenario].as_ref();
+            let out = pool.run_batch(me, || harvest(s, &task.units, passes, mem));
             *lock(&outputs[i]) = Some(out);
         }
         pool.help(me);
@@ -424,10 +421,24 @@ pub(crate) fn assemble(
 }
 
 /// Run a full campaign. Deterministic in `(seed, budget_states,
-/// schedule, dense_units)`; the thread count, the batch size and
-/// `per_trial` only affect wall-clock and memory.
+/// schedule, dense_units)`; the thread count and the batch size only
+/// affect wall-clock and memory.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
-    let driven = drive(cfg, Passes::recover(cfg.telemetry), cfg.per_trial);
+    let driven = drive(cfg, Passes::recover(cfg.telemetry), Scenario::harvest);
+    assemble(cfg, driven, None)
+}
+
+/// The oracle [`run_campaign`] is judged against: the same plan with every
+/// unit evaluated alone by [`Scenario::run_trial`] — its own instrumented
+/// execution, its own crash, its own full image. Same canonical report,
+/// byte for byte (`tests/delta_equivalence.rs`); ~5 ms per kernel state.
+#[doc(hidden)]
+pub fn run_per_trial(cfg: &CampaignConfig) -> CampaignReport {
+    let one = CampaignConfig {
+        max_batch: 1,
+        ..cfg.clone()
+    };
+    let driven = drive(&one, Passes::recover(cfg.telemetry), one_by_one);
     assemble(cfg, driven, None)
 }
 
@@ -522,16 +533,6 @@ mod tests {
 
     #[test]
     fn validate_rejects_incoherent_flag_combinations() {
-        let err = CampaignConfig {
-            per_trial: true,
-            shard: Some((0, 2)),
-            ..CampaignConfig::default()
-        }
-        .validate()
-        .unwrap_err();
-        assert!(err.contains("--shard"), "{err}");
-        assert!(err.contains("--per-trial"), "{err}");
-
         let cfg = |shard, max_batch| CampaignConfig {
             registry: Registry::Ds,
             shard,

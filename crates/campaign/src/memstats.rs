@@ -1,9 +1,10 @@
 //! Crash-image memory accounting for the copy-on-write campaign path.
 //!
-//! The legacy engine materialized a dense `NvmImage` (an O(pool-size) byte
-//! copy) per crash state; the delta engine stores one shared base per
-//! forward execution plus O(dirty-lines) per state, and every image —
-//! base, delta or materialized — holds only the pool's written prefix.
+//! The per-trial oracle (`Scenario::run_trial`) materializes a dense
+//! `NvmImage` (an O(pool-size) byte copy) per crash state; the engine
+//! stores one shared base per forward execution plus O(dirty-lines) per
+//! state, and every image — base, delta or materialized — holds only the
+//! pool's written prefix.
 //! This module counts both sides so reports and benches can show them
 //! side by side: `base_bytes`, `delta_bytes` and `peak_live_bytes` are
 //! **resident** bytes (what the harness actually held), `full_copy_bytes`

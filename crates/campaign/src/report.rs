@@ -281,35 +281,9 @@ pub struct CampaignReport {
 fn telemetry_json(t: &ExecutionProfile) -> Json {
     let (adr, eadr) = adr_eadr_costs(t);
     let mut j = Json::obj();
-    j.push("clflushes", Json::Int(t.clflushes));
-    j.push("clflushopts", Json::Int(t.clflushopts));
-    j.push("clwbs", Json::Int(t.clwbs));
-    j.push("sfences", Json::Int(t.sfences));
-    j.push("epoch_barriers", Json::Int(t.epoch_barriers));
-    j.push("nvm_line_reads", Json::Int(t.nvm_line_reads));
-    j.push("nvm_line_writes", Json::Int(t.nvm_line_writes));
-    j.push("accesses", Json::Int(t.accesses));
-    j.push("flush_ps", Json::Int(t.flush_ps));
-    j.push("fence_ps", Json::Int(t.fence_ps));
-    j.push("log_ps", Json::Int(t.log_ps));
-    j.push("ckpt_copy_ps", Json::Int(t.ckpt_copy_ps));
-    j.push("sim_time_ps", Json::Int(t.sim_time_ps));
-    j.push("log_appends", Json::Int(t.log_appends));
-    j.push("log_bytes", Json::Int(t.log_bytes));
-    j.push("dirty_lines_at_crash", Json::Int(t.dirty_lines_at_crash));
-    j.push("net_msgs", Json::Int(t.net_msgs));
-    j.push("net_bytes", Json::Int(t.net_bytes));
-    j.push("net_ps", Json::Int(t.net_ps));
-    j.push("recovery_net_bytes", Json::Int(t.recovery_net_bytes));
-    j.push("log_meta_appends", Json::Int(t.log_meta_appends));
-    j.push("log_meta_bytes", Json::Int(t.log_meta_bytes));
-    j.push("ds_ops_applied", Json::Int(t.ds_ops_applied));
-    j.push("ds_ops_replayed", Json::Int(t.ds_ops_replayed));
-    j.push("net_dropped", Json::Int(t.net_dropped));
-    j.push("net_duplicated", Json::Int(t.net_duplicated));
-    j.push("net_reordered", Json::Int(t.net_reordered));
-    j.push("net_retries", Json::Int(t.net_retries));
-    j.push("remote_restore_bytes", Json::Int(t.remote_restore_bytes));
+    for (name, value) in t.counters() {
+        j.push(name, Json::Int(value));
+    }
     j.push(
         "consistency_window_ps",
         Json::Int(t.consistency_window_ps()),
@@ -323,41 +297,10 @@ fn telemetry_json(t: &ExecutionProfile) -> Json {
 /// Parse a telemetry block emitted by [`telemetry_json`] (derived fields
 /// are ignored; they are recomputed at emission).
 fn telemetry_from_json(j: &Json) -> Result<ExecutionProfile, String> {
-    let n = |key: &str| -> Result<u64, String> {
+    ExecutionProfile::from_counters(|key| {
         j.get(key)
             .and_then(Json::as_u64)
             .ok_or_else(|| format!("telemetry missing {key}"))
-    };
-    Ok(ExecutionProfile {
-        clflushes: n("clflushes")?,
-        clflushopts: n("clflushopts")?,
-        clwbs: n("clwbs")?,
-        sfences: n("sfences")?,
-        epoch_barriers: n("epoch_barriers")?,
-        nvm_line_reads: n("nvm_line_reads")?,
-        nvm_line_writes: n("nvm_line_writes")?,
-        accesses: n("accesses")?,
-        flush_ps: n("flush_ps")?,
-        fence_ps: n("fence_ps")?,
-        log_ps: n("log_ps")?,
-        ckpt_copy_ps: n("ckpt_copy_ps")?,
-        sim_time_ps: n("sim_time_ps")?,
-        log_appends: n("log_appends")?,
-        log_bytes: n("log_bytes")?,
-        dirty_lines_at_crash: n("dirty_lines_at_crash")?,
-        net_msgs: n("net_msgs")?,
-        net_bytes: n("net_bytes")?,
-        net_ps: n("net_ps")?,
-        recovery_net_bytes: n("recovery_net_bytes")?,
-        log_meta_appends: n("log_meta_appends")?,
-        log_meta_bytes: n("log_meta_bytes")?,
-        ds_ops_applied: n("ds_ops_applied")?,
-        ds_ops_replayed: n("ds_ops_replayed")?,
-        net_dropped: n("net_dropped")?,
-        net_duplicated: n("net_duplicated")?,
-        net_reordered: n("net_reordered")?,
-        net_retries: n("net_retries")?,
-        remote_restore_bytes: n("remote_restore_bytes")?,
     })
 }
 
@@ -1257,6 +1200,32 @@ mod tests {
         assert_eq!(parsed, r);
         // Derived fields are recomputed, so re-emission is byte-identical.
         assert_eq!(parsed.to_string_pretty(), text);
+    }
+
+    /// Counter *i* of `adcc_telemetry::profile`'s table holds *i* + 1: all
+    /// 29 are emitted ahead of the four derived keys, first and last where
+    /// every report on disk has them, and parse back into the same profile.
+    #[test]
+    fn every_profile_counter_is_emitted_and_parsed_back() {
+        let mut next = 0;
+        let profile = ExecutionProfile::from_counters(|_| {
+            next += 1;
+            Ok::<u64, ()>(next)
+        })
+        .unwrap();
+        let emitted = telemetry_json(&profile);
+        let Json::Obj(fields) = &emitted else {
+            panic!("telemetry is an object");
+        };
+        let counters: Vec<(&str, u64)> = fields[..fields.len() - 4]
+            .iter()
+            .map(|(key, value)| (key.as_str(), value.as_u64().unwrap()))
+            .collect();
+        assert_eq!(counters, profile.counters().collect::<Vec<_>>());
+        assert_eq!(counters.len(), 29);
+        assert_eq!(counters[0], ("clflushes", 1));
+        assert_eq!(counters[28], ("remote_restore_bytes", 29));
+        assert_eq!(telemetry_from_json(&emitted), Ok(profile));
     }
 
     #[test]

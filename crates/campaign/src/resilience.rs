@@ -24,7 +24,7 @@
 
 use crate::engine::{assemble, drive, CampaignConfig};
 use crate::report::CampaignReport;
-use crate::scenario::Passes;
+use crate::scenario::{Passes, Scenario};
 
 /// Run the campaign described by `cfg` with the dirty-restart sweep
 /// fused in: every batch task asks its scenario for the recover and the
@@ -35,7 +35,7 @@ use crate::scenario::Passes;
 /// count only affects wall-clock.
 pub fn run_resilience(cfg: &CampaignConfig) -> CampaignReport {
     let passes = Passes::recover(cfg.telemetry).and_dirty();
-    assemble(cfg, drive(cfg, passes, false), None)
+    assemble(cfg, drive(cfg, passes, Scenario::harvest), None)
 }
 
 #[cfg(test)]

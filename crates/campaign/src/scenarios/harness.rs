@@ -1139,7 +1139,14 @@ mod tests {
             })
             .collect();
         let mem = ImageMemory::default();
-        let out = run_tasks(&scenarios, &tasks, 1, Passes::recover(false), false, &mem);
+        let out = run_tasks(
+            &scenarios,
+            &tasks,
+            1,
+            Passes::recover(false),
+            Scenario::harvest,
+            &mem,
+        );
         // Both chained tasks ran before either of the others, each group in
         // plan order...
         assert_eq!(*set_up.lock().unwrap(), [true, true, false, false]);
@@ -1157,7 +1164,7 @@ mod tests {
             scenario: 0,
             units: UNITS.to_vec(),
         }];
-        let mut out = run_tasks(&scenarios, &tasks, 2, passes, false, mem);
+        let mut out = run_tasks(&scenarios, &tasks, 2, passes, Scenario::harvest, mem);
         out.pop().expect("one task")
     }
 

@@ -29,7 +29,7 @@ use crate::engine::{assemble, drive, CampaignConfig};
 use crate::json::Json;
 use crate::outcome::Outcome;
 use crate::report::{CampaignReport, DiagnosticRecord, DiagnosticsBlock};
-use crate::scenario::Passes;
+use crate::scenario::{Passes, Scenario};
 
 /// Triage document format identifier.
 pub const TRIAGE_SCHEMA: &str = "adcc-triage-report/v1";
@@ -112,7 +112,7 @@ impl TriageReport {
 /// Deterministic in the config's canonical inputs; the thread count only
 /// affects wall-clock.
 pub fn run_triage(cfg: &CampaignConfig) -> TriageReport {
-    let driven = drive(cfg, Passes::recover(false).and_analyze(), false);
+    let driven = drive(cfg, Passes::recover(false).and_analyze(), Scenario::harvest);
 
     // Protocol findings repeat once per chunk (each chunk is its own
     // forward execution over the same deterministic op stream): dedupe by

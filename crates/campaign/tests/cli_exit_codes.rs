@@ -39,6 +39,10 @@ fn unknown_flags_exit_nonzero_with_usage_on_stderr() {
             "{sub} stderr:\n{stderr}"
         );
     }
+    // The per-trial oracle is a library function (`engine::run_per_trial`),
+    // not a flag.
+    assert_usage_failure(&["run", "--budget-states", "2", "--per-trial"]);
+    assert_usage_failure(&["replay", "--seed", "1", "--per-trial"]);
 }
 
 #[test]
@@ -135,26 +139,6 @@ fn every_fault_profile_runs_the_dist_registry_clean() {
 }
 
 #[test]
-fn incoherent_flag_combinations_exit_nonzero_with_usage() {
-    // --shard partitions the batched plan; --per-trial bypasses it. The
-    // builder-level validation must surface before any trial runs.
-    let out = campaign(&[
-        "run",
-        "--budget-states",
-        "2",
-        "--shard",
-        "0/2",
-        "--per-trial",
-    ]);
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("--shard") && stderr.contains("--per-trial") && stderr.contains("usage:"),
-        "stderr:\n{stderr}"
-    );
-}
-
-#[test]
 fn registry_flag_runs_clean_and_the_dist_alias_is_gone() {
     let out = campaign(&[
         "run",
@@ -243,36 +227,43 @@ fn value_flags_without_values_exit_nonzero() {
 #[test]
 fn a_closed_stdout_is_a_quiet_exit_zero_and_keeps_the_report() {
     // `campaign run … --out r.json | head -1`: the reader is gone before
-    // the summary is printed. The report must already be on disk and the
-    // broken pipe must not turn a clean campaign into a failure.
+    // the summary is printed. The document must already be on disk and the
+    // broken pipe must not turn a clean command into a failure — `run`,
+    // and the two that print a table before their `--out` line.
     let dir = std::env::temp_dir().join("adcc-closed-stdout");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("report.json").to_string_lossy().into_owned();
-    let _ = std::fs::remove_file(&path);
-    let mut child = Command::new(env!("CARGO_BIN_EXE_campaign"))
-        .args([
-            "run",
-            "--budget-states",
-            "8",
-            "--seed",
-            "3",
-            "--threads",
-            "2",
-        ])
-        .args(["--out", &path])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn campaign binary");
-    // Close the read end before the child prints anything.
-    drop(child.stdout.take());
-    let out = child.wait_with_output().expect("wait for campaign binary");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(0), "stderr:\n{stderr}");
-    assert!(stderr.is_empty(), "stderr:\n{stderr}");
-    let doc = std::fs::read_to_string(&path).expect("report written before printing");
-    let report = adcc_campaign::report::CampaignReport::parse(&doc).expect("report parses");
-    assert_eq!(report.totals.total(), 8);
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (report, triage, cost) = (path("report.json"), path("triage.json"), path("cost.json"));
+    let campaign = ["--budget-states", "8", "--seed", "3", "--threads", "2"];
+    let run = [&["run"][..], &campaign, &["--out", &report]].concat();
+    let cost_args = [&["cost"][..], &campaign, &["--out", &cost]].concat();
+    for (args, out_path) in [
+        (run, &report),
+        (vec!["triage", &report, "--out", &triage], &triage),
+        (cost_args, &cost),
+    ] {
+        let _ = std::fs::remove_file(out_path);
+        let mut child = Command::new(env!("CARGO_BIN_EXE_campaign"))
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn campaign binary");
+        // Close the read end before the child prints anything.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("wait for campaign binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?} stderr:\n{stderr}");
+        assert!(stderr.is_empty(), "{args:?} stderr:\n{stderr}");
+        let doc = std::fs::read_to_string(out_path).expect("document written before printing");
+        if out_path == &triage {
+            assert!(doc.contains(adcc_campaign::triage::TRIAGE_SCHEMA), "{doc}");
+            adcc_campaign::json::Json::parse(&doc).expect("triage document parses");
+        } else {
+            let parsed = adcc_campaign::report::CampaignReport::parse(&doc).expect("parses");
+            assert_eq!(parsed.totals.total(), 8, "{args:?}");
+        }
+    }
 }
 
 /// Run a tiny sharded campaign into `dir`, returning the report path.

@@ -2,7 +2,7 @@
 //! — "zero silent corruption", batch ≡ `run_trial` — must be able to fire
 //! on it.
 //!
-//! Three seeded mutants, one cargo feature each:
+//! Four seeded mutants, one cargo feature each:
 //!
 //! - `adcc_core/mutant-trust-counter`, in the one skeleton all five
 //!   `*-extended` iterate-history scenarios recover through:
@@ -29,6 +29,18 @@
 //!   or before it — `same_future` compares those bytes, and already refuses
 //!   every join the guard refuses. The guard is a pre-filter that saves the
 //!   comparison, not a second condition (ROADMAP item 1).
+//! - `adcc_dist/mutant-publish-first`, in the one commit all three
+//!   `dist-*-local` scenarios publish through: `persist::Mechanism::commit`
+//!   runs `publish` (counter → fence → off-node shipment) *before* it
+//!   persists the payload the counter names. **Killed** at module level
+//!   (`persist`'s publish-order test) and by the chaotic campaign, whose
+//!   node-loss units restore from a remote level that was shipped the new
+//!   counter with the old payload (8 silent of 400). **Survives** the
+//!   faultless campaign, byte for byte: every dist poll sits at `PH_MID` or
+//!   `PH_END`, none between the two halves of a commit, so no harvested
+//!   crash state can see their order — a coverage hole (ROADMAP item 7),
+//!   and the same mutant with the shipment left last survives the
+//!   exhaustive chaotic space too.
 //!
 //! No default build enables any; the nightly `mutants` job runs this file
 //! clean and once per feature:
@@ -38,6 +50,7 @@
 //! cargo test --release -p adcc_campaign --features adcc_core/mutant-trust-counter --test protocol_mutants
 //! cargo test --release -p adcc_campaign --features adcc_core/mutant-ckpt-stale-counter --test protocol_mutants
 //! cargo test --release -p adcc_campaign --features adcc_core/mutant-chain-early-join --test protocol_mutants
+//! cargo test --release -p adcc_campaign --features adcc_dist/mutant-publish-first --test protocol_mutants
 //! ```
 //!
 //! A scenario whose histogram does not move under a mutant, or moves
@@ -45,10 +58,13 @@
 //! resilience, an oracle hole, an equivalent mutant) in ROADMAP item 1 —
 //! not a row to delete from [`CLEAN`].
 
-use adcc_campaign::{run_campaign, CampaignConfig, CampaignReport, OutcomeCounts};
+use adcc_campaign::engine::run_per_trial;
+use adcc_campaign::{run_campaign, CampaignConfig, CampaignReport, OutcomeCounts, Registry};
 use adcc_core::baseline::MUTANT_CKPT_STALE_COUNTER;
 use adcc_core::iterative::MUTANT_TRUST_COUNTER;
 use adcc_core::mc::sim::MUTANT_CHAIN_EARLY_JOIN;
+use adcc_dist::net::FaultProfile;
+use adcc_dist::persist::MUTANT_PUBLISH_FIRST;
 
 /// A scenario's outcome histogram: `[exact, recomputed, detected, clean,
 /// silent]`.
@@ -103,6 +119,48 @@ fn moved_by_the_mutant() -> &'static [(&'static str, Histogram)] {
     }
 }
 
+/// The three `dist-*-local` scenarios `Mechanism::commit`'s `Local` arm sits
+/// under, at [`dist_config`]: clean-tree histograms on the faultless fabric
+/// (which `mutant-publish-first` does not move) and on the chaotic tier,
+/// then the chaotic histogram under the mutant — its node-loss kills.
+const DIST_LOCAL: [(&str, Histogram, Histogram, Histogram); 3] = [
+    (
+        "dist-stencil-local",
+        [84, 0, 0, 0, 0],
+        [67, 0, 0, 0, 0],
+        [64, 0, 0, 0, 3],
+    ),
+    (
+        "dist-jacobi-local",
+        [83, 0, 0, 0, 0],
+        [67, 0, 0, 0, 0],
+        [65, 0, 0, 0, 2],
+    ),
+    (
+        "dist-cg-local",
+        [83, 0, 0, 0, 0],
+        [66, 0, 0, 0, 0],
+        [63, 0, 0, 0, 3],
+    ),
+];
+
+/// The dist campaigns CI smokes, seed 42: 500 states / 20 dense units on
+/// the faultless fabric, 400 / 40 on the chaotic 16-rank grids.
+fn dist_config(faults: FaultProfile) -> CampaignConfig {
+    let (budget_states, dense_units) = match faults {
+        FaultProfile::Chaotic => (400, 40),
+        _ => (500, 20),
+    };
+    CampaignConfig {
+        budget_states,
+        dense_units,
+        seed: 42,
+        registry: Registry::Dist,
+        faults,
+        ..CampaignConfig::default()
+    }
+}
+
 /// The kernel campaign CI replays: 260 states, 400 dense units, seed 42.
 fn config() -> CampaignConfig {
     CampaignConfig {
@@ -118,7 +176,7 @@ fn histogram(report: &CampaignReport, scenario: &str) -> Histogram {
         .scenarios
         .iter()
         .find(|s| s.name == scenario)
-        .unwrap_or_else(|| panic!("{scenario} is not in the kernel registry"));
+        .unwrap_or_else(|| panic!("{scenario} is not in the report's registry"));
     let OutcomeCounts {
         recovered_exact,
         recovered_recomputed,
@@ -162,6 +220,30 @@ fn the_hard_gate_fires_exactly_when_recovery_trusts_the_counter() {
     );
 }
 
+/// `mutant-publish-first` against the dist campaign's hard gate: killed on
+/// the chaotic tier, through the node-loss units alone (the `-restart`
+/// scenarios commit through the other arm and stay silent-free); a survivor
+/// on the faultless fabric, where no poll separates payload from publish.
+#[test]
+fn a_swapped_publish_order_is_seen_through_the_remote_level_only() {
+    let off = run_campaign(&dist_config(FaultProfile::Off));
+    let chaotic = run_campaign(&dist_config(FaultProfile::Chaotic));
+    let mut kills = 0;
+    for (name, clean_off, clean_chaotic, mutant_chaotic) in DIST_LOCAL {
+        assert_eq!(histogram(&off, name), clean_off, "{name}, faults off");
+        let want = if MUTANT_PUBLISH_FIRST {
+            mutant_chaotic
+        } else {
+            clean_chaotic
+        };
+        assert_eq!(histogram(&chaotic, name), want, "{name}, chaotic");
+        kills += want[4];
+    }
+    assert_eq!(off.silent_corruption_total(), 0, "the recorded survivor");
+    assert_eq!(chaotic.silent_corruption_total(), kills);
+    assert_eq!(kills > 0, MUTANT_PUBLISH_FIRST);
+}
+
 /// Batch and per-trial both recover through the one iterate-history
 /// skeleton and run forward through the one checkpoint loop, so the
 /// batch-vs-`run_trial` gate holds with `mutant-trust-counter` or
@@ -169,17 +251,20 @@ fn the_hard_gate_fires_exactly_when_recovery_trusts_the_counter() {
 /// kind: it reaches the batch side only (`run_trial` recovers `mc-epoch`
 /// through a chain of one, which meets no pilot), so this comparison is the
 /// gate that would kill it — and, the mutant being equivalent, does not.
+/// Both dist paths commit through the one `Mechanism::commit`, so they agree
+/// under `mutant-publish-first` too, kills included.
 #[test]
 fn batch_and_per_trial_agree_either_way() {
-    let batch = run_campaign(&config());
-    let per_trial = run_campaign(&CampaignConfig {
-        per_trial: true,
-        ..config()
-    });
-    assert_eq!(
-        batch.canonical_string(),
-        per_trial.canonical_string(),
-        "mutant-chain-early-join: {MUTANT_CHAIN_EARLY_JOIN} — if on, it no longer \
-         survives: record the kill in ROADMAP item 1 and in this file's header"
-    );
+    for cfg in [
+        config(),
+        dist_config(FaultProfile::Off),
+        dist_config(FaultProfile::Chaotic),
+    ] {
+        assert_eq!(
+            run_campaign(&cfg).canonical_string(),
+            run_per_trial(&cfg).canonical_string(),
+            "{cfg:?}; mutant-chain-early-join: {MUTANT_CHAIN_EARLY_JOIN} — if on, it no \
+             longer survives: record the kill in ROADMAP item 1 and in this file's header"
+        );
+    }
 }

@@ -56,6 +56,13 @@ use crate::cluster::Cluster;
 use crate::sites;
 use crate::trial::{run_superstep, CrashInfo, DistKernel, Recovery, RecoveryMode};
 
+/// `true` when this build carries the seeded `mutant-publish-first` bug:
+/// [`Mechanism::commit`] publishes the counter (and ships off-node) *before*
+/// it persists the payload the counter names. The mutation suites read it
+/// to know which verdict to assert.
+#[doc(hidden)]
+pub const MUTANT_PUBLISH_FIRST: bool = cfg!(feature = "mutant-publish-first");
+
 /// What one rank hands the mechanism at setup.
 pub struct Partition<'a> {
     /// `f64` elements of one iterate slot ([`Local`]).
@@ -339,8 +346,13 @@ impl Mechanism {
                     scalar: pair,
                     ..
                 } = local.cells[rank];
+                if MUTANT_PUBLISH_FIRST {
+                    local.publish(sys, rank, iter);
+                }
                 persist_payload(sys, (slots, pair), iter, scalar, fill);
-                local.publish(sys, rank, iter);
+                if !MUTANT_PUBLISH_FIRST {
+                    local.publish(sys, rank, iter);
+                }
             }
             Mechanism::Restart(restart) => {
                 let Coordinated {
@@ -649,13 +661,18 @@ mod tests {
         let counter_flushes = seq_of(&|k| k == EventKind::Flush { line: counter_line });
         assert_eq!(fences.len(), 2, "payload fence, counter fence: {events:?}");
         assert_eq!(slot_flushes.len(), slot_lines.count(), "every slot line");
-        assert!(slot_flushes.iter().all(|&s| s < fences[0]));
         assert_eq!(counter_stores.len(), 1);
-        assert!(
-            fences[0] < counter_stores[0],
-            "counter published after the payload fence"
-        );
         assert_eq!(counter_flushes.len(), 1);
+        let payload_fenced_first =
+            slot_flushes.iter().all(|&s| s < fences[0]) && fences[0] < counter_stores[0];
+        assert_eq!(
+            payload_fenced_first, !MUTANT_PUBLISH_FIRST,
+            "counter published after the payload fence, unless seeded otherwise: {events:?}"
+        );
+        if MUTANT_PUBLISH_FIRST {
+            // Killed here; the read order below is not the mutant's.
+            return;
+        }
         assert!(counter_stores[0] < counter_flushes[0] && counter_flushes[0] < fences[1]);
 
         // Crash rank 0 at the end of superstep 3 and recover it.

@@ -62,22 +62,16 @@ impl Probe {
             log_ps: bucket(Bucket::Log),
             ckpt_copy_ps: bucket(Bucket::CkptCopy),
             sim_time_ps: end.now_ps - self.at.now_ps,
-            log_appends: 0,
-            log_bytes: 0,
-            dirty_lines_at_crash: 0,
             net_msgs: now.net_msgs_sent - start.net_msgs_sent,
             net_bytes: now.net_bytes_sent - start.net_bytes_sent,
             net_ps: bucket(Bucket::Network),
-            recovery_net_bytes: 0,
-            log_meta_appends: 0,
-            log_meta_bytes: 0,
-            ds_ops_applied: 0,
-            ds_ops_replayed: 0,
             net_dropped: now.net_dropped - start.net_dropped,
             net_duplicated: now.net_duplicated - start.net_duplicated,
             net_reordered: now.net_reordered - start.net_reordered,
             net_retries: now.net_retries - start.net_retries,
-            remote_restore_bytes: 0,
+            // The log, dirty-residency, recovery-traffic and ds op counters
+            // are the trial drivers' to attach (`with_*`).
+            ..ExecutionProfile::default()
         }
     }
 }

@@ -10,93 +10,128 @@ use adcc_pmem::stats::LogStats;
 use adcc_sim::image::NvmImage;
 use serde::Serialize;
 
-/// Counters and attributed time for one instrumented execution window
-/// (typically: scenario setup → crash, or setup → completion).
-///
-/// Produced by [`crate::probe::Probe::finish`]; aggregated per scenario by
-/// field-wise [`ExecutionProfile::merge`]. The derived metrics —
-/// [`ExecutionProfile::flush_total`],
-/// [`ExecutionProfile::consistency_window_ps`],
-/// [`ExecutionProfile::dirty_bytes_at_crash`] — are the paper's §IV
-/// measurements: flush volume per iteration, the consistency window each
-/// algorithm naturally provides, and dirty-data residency at crash.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
-pub struct ExecutionProfile {
+/// Declares [`ExecutionProfile`] from the one table of its counters, in
+/// report emission order: the struct, [`ExecutionProfile::merge`],
+/// [`ExecutionProfile::counters`] (what the report emits) and
+/// [`ExecutionProfile::from_counters`] (what it parses) all expand from the
+/// same list, so a counter cannot reach some of them and miss another.
+macro_rules! execution_profile {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Counters and attributed time for one instrumented execution window
+        /// (typically: scenario setup → crash, or setup → completion).
+        ///
+        /// Produced by [`crate::probe::Probe::finish`]; aggregated per scenario by
+        /// field-wise [`ExecutionProfile::merge`]. The derived metrics —
+        /// [`ExecutionProfile::flush_total`],
+        /// [`ExecutionProfile::consistency_window_ps`],
+        /// [`ExecutionProfile::dirty_bytes_at_crash`] — are the paper's §IV
+        /// measurements: flush volume per iteration, the consistency window each
+        /// algorithm naturally provides, and dirty-data residency at crash.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+        pub struct ExecutionProfile {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl ExecutionProfile {
+            /// Every counter as `(name, value)`, in report emission order.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$((stringify!($name), self.$name),)*].into_iter()
+            }
+
+            /// Build a profile by asking `get` for every counter by name;
+            /// the first error wins.
+            pub fn from_counters<E>(
+                mut get: impl FnMut(&'static str) -> Result<u64, E>,
+            ) -> Result<Self, E> {
+                Ok(ExecutionProfile {
+                    $($name: get(stringify!($name))?,)*
+                })
+            }
+
+            /// Field-wise accumulation (per-scenario aggregation over trials).
+            pub fn merge(&mut self, other: &ExecutionProfile) {
+                $(self.$name += other.$name;)*
+            }
+        }
+    };
+}
+
+execution_profile! {
     /// `CLFLUSH` instructions executed in the window.
-    pub clflushes: u64,
+    clflushes,
     /// `CLFLUSHOPT` instructions executed in the window.
-    pub clflushopts: u64,
+    clflushopts,
     /// `CLWB` instructions executed in the window.
-    pub clwbs: u64,
+    clwbs,
     /// `SFENCE` persist barriers executed in the window.
-    pub sfences: u64,
+    sfences,
     /// Batched epoch persist barriers executed in the window.
-    pub epoch_barriers: u64,
+    epoch_barriers,
     /// Lines read from the NVM medium.
-    pub nvm_line_reads: u64,
+    nvm_line_reads,
     /// Lines written to the NVM medium.
-    pub nvm_line_writes: u64,
+    nvm_line_writes,
     /// Element-level accesses issued by the program.
-    pub accesses: u64,
+    accesses,
     /// Simulated picoseconds attributed to cache flushing.
-    pub flush_ps: u64,
+    flush_ps,
     /// Simulated picoseconds attributed to persist barriers.
-    pub fence_ps: u64,
+    fence_ps,
     /// Simulated picoseconds attributed to undo/redo-log traffic.
-    pub log_ps: u64,
+    log_ps,
     /// Simulated picoseconds attributed to checkpoint data copying.
-    pub ckpt_copy_ps: u64,
+    ckpt_copy_ps,
     /// Total simulated picoseconds elapsed in the window.
-    pub sim_time_ps: u64,
+    sim_time_ps,
     /// Transaction-log entries appended (undo snapshots / redo stagings).
-    pub log_appends: u64,
+    log_appends,
     /// Transaction-log payload bytes written.
-    pub log_bytes: u64,
+    log_bytes,
     /// Distinct dirty NVM-homed cache lines resident in volatile levels at
     /// the crash instant (zero for runs that completed without crashing).
-    pub dirty_lines_at_crash: u64,
+    dirty_lines_at_crash,
     /// Fabric messages sent in the window (multi-rank executions; zero for
     /// single-rank runs).
-    pub net_msgs: u64,
+    net_msgs,
     /// Fabric payload bytes sent in the window.
-    pub net_bytes: u64,
+    net_bytes,
     /// Simulated picoseconds attributed to the network fabric (transfers
     /// and synchronization waits).
-    pub net_ps: u64,
+    net_ps,
     /// Fabric payload bytes spent getting the cluster back to its pre-crash
     /// frontier — the recovery-traffic cost the dist campaign compares
     /// between global restart and algorithm-directed local recovery. Filled
     /// by the dist trial driver, not by probes.
-    pub recovery_net_bytes: u64,
+    recovery_net_bytes,
     /// Transaction-log entries attributed to structure *metadata*
     /// (persistent-allocator free-list words, directory slots) — the
     /// `adcc_ds` allocator's bookkeeping traffic, separated from payload
     /// snapshots. Zero for kernel and dist executions.
-    pub log_meta_appends: u64,
+    log_meta_appends,
     /// Transaction-log payload bytes attributed to structure metadata.
-    pub log_meta_bytes: u64,
+    log_meta_bytes,
     /// Data-structure operations durably applied when the window closed
     /// (the committed op-stream prefix a crash left behind; the full
     /// stream for completed runs). Filled by the ds trial driver.
-    pub ds_ops_applied: u64,
+    ds_ops_applied,
     /// Data-structure operations re-executed against the recovered
     /// structure to reach the end of the op stream (zero for completed
     /// runs). Filled by the ds trial driver.
-    pub ds_ops_replayed: u64,
+    ds_ops_replayed,
     /// Fabric send attempts lost to injected faults in the window (each
     /// implies a retransmission; zero on reliable fabrics).
-    pub net_dropped: u64,
+    net_dropped,
     /// Fabric messages spuriously duplicated by injected faults.
-    pub net_duplicated: u64,
+    net_duplicated,
     /// Fabric messages delivered out of their nominal order by injected
     /// faults (resequenced by the transport before the program saw them).
-    pub net_reordered: u64,
+    net_reordered,
     /// Retransmissions performed to mask dropped attempts.
-    pub net_retries: u64,
+    net_retries,
     /// Payload bytes pulled from a remote checkpoint store to rebuild a
     /// rank whose local NVM image was unrecoverable (node loss). Filled by
     /// the dist trial driver, not by probes.
-    pub remote_restore_bytes: u64,
+    remote_restore_bytes,
 }
 
 impl ExecutionProfile {
@@ -180,39 +215,6 @@ impl ExecutionProfile {
         self.remote_restore_bytes = bytes;
         self
     }
-
-    /// Field-wise accumulation (per-scenario aggregation over trials).
-    pub fn merge(&mut self, other: &ExecutionProfile) {
-        self.clflushes += other.clflushes;
-        self.clflushopts += other.clflushopts;
-        self.clwbs += other.clwbs;
-        self.sfences += other.sfences;
-        self.epoch_barriers += other.epoch_barriers;
-        self.nvm_line_reads += other.nvm_line_reads;
-        self.nvm_line_writes += other.nvm_line_writes;
-        self.accesses += other.accesses;
-        self.flush_ps += other.flush_ps;
-        self.fence_ps += other.fence_ps;
-        self.log_ps += other.log_ps;
-        self.ckpt_copy_ps += other.ckpt_copy_ps;
-        self.sim_time_ps += other.sim_time_ps;
-        self.log_appends += other.log_appends;
-        self.log_bytes += other.log_bytes;
-        self.dirty_lines_at_crash += other.dirty_lines_at_crash;
-        self.net_msgs += other.net_msgs;
-        self.net_bytes += other.net_bytes;
-        self.net_ps += other.net_ps;
-        self.recovery_net_bytes += other.recovery_net_bytes;
-        self.log_meta_appends += other.log_meta_appends;
-        self.log_meta_bytes += other.log_meta_bytes;
-        self.ds_ops_applied += other.ds_ops_applied;
-        self.ds_ops_replayed += other.ds_ops_replayed;
-        self.net_dropped += other.net_dropped;
-        self.net_duplicated += other.net_duplicated;
-        self.net_reordered += other.net_reordered;
-        self.net_retries += other.net_retries;
-        self.remote_restore_bytes += other.remote_restore_bytes;
-    }
 }
 
 #[cfg(test)]
@@ -249,46 +251,23 @@ mod tests {
         assert_eq!(p.dirty_data_rate_ppm(), 0, "nothing written");
     }
 
+    /// Counter *i* of the table holds *i* + 1: all 29 are built in table
+    /// order, doubled by `merge` and listed by `counters` at their own
+    /// position; the first and last fields pin which end is which. (A field
+    /// cannot be in the struct and miss the table: the struct expands from
+    /// it. `adcc_campaign::report` emits and re-parses the same profile.)
     #[test]
     fn merge_accumulates_every_field() {
-        let mut a = ExecutionProfile {
-            clflushes: 1,
-            sfences: 2,
-            log_bytes: 3,
-            dirty_lines_at_crash: 4,
-            net_msgs: 5,
-            net_bytes: 6,
-            net_ps: 7,
-            recovery_net_bytes: 8,
-            log_meta_appends: 9,
-            log_meta_bytes: 10,
-            ds_ops_applied: 11,
-            ds_ops_replayed: 12,
-            net_dropped: 13,
-            net_duplicated: 14,
-            net_reordered: 15,
-            net_retries: 16,
-            remote_restore_bytes: 17,
-            ..Default::default()
-        };
-        let b = a;
-        a.merge(&b);
-        assert_eq!(a.clflushes, 2);
-        assert_eq!(a.sfences, 4);
-        assert_eq!(a.log_bytes, 6);
-        assert_eq!(a.dirty_lines_at_crash, 8);
-        assert_eq!(a.net_msgs, 10);
-        assert_eq!(a.net_bytes, 12);
-        assert_eq!(a.net_ps, 14);
-        assert_eq!(a.recovery_net_bytes, 16);
-        assert_eq!(a.log_meta_appends, 18);
-        assert_eq!(a.log_meta_bytes, 20);
-        assert_eq!(a.ds_ops_applied, 22);
-        assert_eq!(a.ds_ops_replayed, 24);
-        assert_eq!(a.net_dropped, 26);
-        assert_eq!(a.net_duplicated, 28);
-        assert_eq!(a.net_reordered, 30);
-        assert_eq!(a.net_retries, 32);
-        assert_eq!(a.remote_restore_bytes, 34);
+        let mut next = 0;
+        let mut p = ExecutionProfile::from_counters(|_| {
+            next += 1;
+            Ok::<u64, ()>(next)
+        })
+        .unwrap();
+        assert_eq!((p.clflushes, p.remote_restore_bytes), (1, 29));
+        let same = p;
+        p.merge(&same);
+        let doubled: Vec<u64> = p.counters().map(|(_, value)| value).collect();
+        assert_eq!(doubled, (1..=29).map(|i| 2 * i).collect::<Vec<u64>>());
     }
 }

@@ -1,5 +1,7 @@
 //! Delta-vs-full equivalence: the copy-on-write crash-image path must be
-//! indistinguishable from the legacy full-copy path.
+//! indistinguishable from the per-trial oracle (`Scenario::run_trial`, one
+//! execution and one full image per unit; `engine::run_per_trial` for a
+//! whole campaign).
 //!
 //! Three layers of proof:
 //!
@@ -19,9 +21,10 @@
 //!    execution, never a result.
 //! 3. **Report level**: whole campaigns are byte-identical in canonical
 //!    form under both code paths, across 1 and 8 worker threads, dense
-//!    units included.
+//!    units included — and, `#[ignore]`d for release runs, at the configs
+//!    CI's smoke and nightly's deep campaigns run.
 
-use adcc::campaign::engine::{run_campaign, CampaignConfig};
+use adcc::campaign::engine::{run_campaign, run_per_trial, CampaignConfig};
 use adcc::campaign::memstats::ImageMemory;
 use adcc::campaign::scenario::{Mechanism, Passes, Registry, Scenario};
 use adcc::dist::cluster::{Cluster, RankFailure};
@@ -456,74 +459,46 @@ fn every_ds_scenario_batches_identically_to_per_trial() {
     }
 }
 
-/// The report-level ds gate: whole persistent data-structure campaigns
-/// are byte-identical in canonical form between the batched delta path
-/// and the legacy per-trial path, across 1 and 8 worker threads.
-#[test]
-fn ds_campaign_reports_byte_identical_across_code_paths_and_threads() {
-    let ds_config = |threads: usize, per_trial: bool| CampaignConfig {
-        seed: 42,
-        budget_states: 48,
+/// Whole campaigns are byte-identical in canonical form between the
+/// batched engine and the per-trial oracle, each at 1 and 8 worker
+/// threads; only host facts (the oracle harvests no image) differ.
+fn assert_code_paths_and_threads_agree(registry: Registry, budget_states: u64) {
+    let cfg = |threads| CampaignConfig {
         threads,
-        telemetry: true,
-        per_trial,
-        registry: Registry::Ds,
-        ..CampaignConfig::default()
+        ..config(registry, budget_states, 0)
     };
-    let batch1 = run_campaign(&ds_config(1, false));
-    let batch8 = run_campaign(&ds_config(8, false));
-    let legacy1 = run_campaign(&ds_config(1, true));
-    let legacy8 = run_campaign(&ds_config(8, true));
+    let batch1 = run_campaign(&cfg(1));
     let canonical = batch1.canonical_string();
-    assert!(canonical.contains("\"registry\": \"ds\""));
+    assert_eq!(batch1.registry, registry);
     assert_eq!(
         canonical,
-        batch8.canonical_string(),
+        run_campaign(&cfg(8)).canonical_string(),
         "batch, 1 vs 8 threads"
     );
-    assert_eq!(canonical, legacy1.canonical_string(), "batch vs per-trial");
+    let oracle1 = run_per_trial(&cfg(1));
+    assert_eq!(canonical, oracle1.canonical_string(), "batch vs per-trial");
     assert_eq!(
         canonical,
-        legacy8.canonical_string(),
+        run_per_trial(&cfg(8)).canonical_string(),
         "per-trial, 8 threads"
     );
     assert!(batch1.image_memory.images > 0);
-    assert_eq!(legacy1.image_memory.images, 0);
+    assert_eq!(oracle1.image_memory.images, 0);
 }
 
-/// The report-level dist gate: whole distributed campaigns are
-/// byte-identical in canonical form between the batched harvest path and
-/// the legacy per-trial path, across 1 and 8 worker threads.
+#[test]
+fn ds_campaign_reports_byte_identical_across_code_paths_and_threads() {
+    assert_code_paths_and_threads_agree(Registry::Ds, 48);
+}
+
 #[test]
 fn dist_campaign_reports_byte_identical_across_code_paths_and_threads() {
-    let dist_config = |threads: usize, per_trial: bool| CampaignConfig {
-        seed: 42,
-        budget_states: 48,
-        threads,
-        telemetry: true,
-        per_trial,
-        registry: Registry::Dist,
-        ..CampaignConfig::default()
-    };
-    let batch1 = run_campaign(&dist_config(1, false));
-    let batch8 = run_campaign(&dist_config(8, false));
-    let legacy1 = run_campaign(&dist_config(1, true));
-    let legacy8 = run_campaign(&dist_config(8, true));
-    let canonical = batch1.canonical_string();
-    assert!(canonical.contains("\"registry\": \"dist\""));
-    assert_eq!(
-        canonical,
-        batch8.canonical_string(),
-        "batch, 1 vs 8 threads"
-    );
-    assert_eq!(canonical, legacy1.canonical_string(), "batch vs per-trial");
-    assert_eq!(
-        canonical,
-        legacy8.canonical_string(),
-        "per-trial, 8 threads"
-    );
-    assert!(batch1.image_memory.images > 0);
-    assert_eq!(legacy1.image_memory.images, 0);
+    assert_code_paths_and_threads_agree(Registry::Dist, 48);
+}
+
+#[test]
+fn campaign_reports_byte_identical_across_code_paths_and_threads() {
+    assert_code_paths_and_threads_agree(Registry::Kernel, 120);
 }
 
 /// Sharded campaigns tile the schedule: merging the complete shard set
@@ -564,47 +539,29 @@ fn shard_merge_reproduces_the_unsharded_report() {
     }
 }
 
-fn config(threads: usize, per_trial: bool, dense: u64) -> CampaignConfig {
+/// Seed 42 with telemetry, as every CI campaign runs.
+fn config(registry: Registry, budget_states: u64, dense_units: u64) -> CampaignConfig {
     CampaignConfig {
         seed: 42,
-        budget_states: 120,
-        threads,
+        budget_states,
         telemetry: true,
-        dense_units: dense,
-        per_trial,
+        dense_units,
+        registry,
         ..CampaignConfig::default()
     }
 }
 
 #[test]
-fn campaign_reports_byte_identical_across_code_paths_and_threads() {
-    let batch1 = run_campaign(&config(1, false, 0));
-    let batch8 = run_campaign(&config(8, false, 0));
-    let legacy1 = run_campaign(&config(1, true, 0));
-    let legacy8 = run_campaign(&config(8, true, 0));
-    let canonical = batch1.canonical_string();
-    assert_eq!(
-        canonical,
-        batch8.canonical_string(),
-        "delta, 1 vs 8 threads"
-    );
-    assert_eq!(canonical, legacy1.canonical_string(), "delta vs per-trial");
-    assert_eq!(
-        canonical,
-        legacy8.canonical_string(),
-        "per-trial, 8 threads"
-    );
-    // The delta path recorded image-memory accounting; the legacy path
-    // records none — only host facts may differ.
-    assert!(batch1.image_memory.images > 0);
-    assert_eq!(legacy1.image_memory.images, 0);
-}
-
-#[test]
 fn dense_campaigns_are_equivalent_and_replayable_too() {
-    let batch = run_campaign(&config(4, false, 40));
-    let legacy = run_campaign(&config(4, true, 40));
-    assert_eq!(batch.canonical_string(), legacy.canonical_string());
+    let cfg = CampaignConfig {
+        threads: 4,
+        ..config(Registry::Kernel, 120, 40)
+    };
+    let batch = run_campaign(&cfg);
+    assert_eq!(
+        batch.canonical_string(),
+        run_per_trial(&cfg).canonical_string()
+    );
     assert_eq!(batch.dense_units, 40);
     // The dense extension is recorded in the canonical form, so a replay
     // (which parses it back) reproduces the same crash-point space.
@@ -615,13 +572,73 @@ fn dense_campaigns_are_equivalent_and_replayable_too() {
 
 #[test]
 fn batch_chunking_does_not_change_the_report() {
-    let a = run_campaign(&CampaignConfig {
-        max_batch: 7,
-        ..config(2, false, 0)
+    let chunked = |max_batch| {
+        run_campaign(&CampaignConfig {
+            threads: 2,
+            max_batch,
+            ..config(Registry::Kernel, 120, 0)
+        })
+    };
+    assert_eq!(
+        chunked(7).canonical_string(),
+        chunked(1024).canonical_string()
+    );
+}
+
+/// The whole-campaign gates at the configs CI's smoke and nightly's deep
+/// campaigns run: the engine's report equals the oracle's, byte for byte.
+/// `#[ignore]`d because the oracle pays one instrumented execution per unit
+/// (~5 ms per kernel state in release, far more in a debug tier-1 run);
+/// the `campaign` job runs the `smoke_` three, nightly the `deep_` two:
+///
+/// ```text
+/// cargo test --release --test delta_equivalence -- --ignored smoke_
+/// cargo test --release --test delta_equivalence -- --ignored deep_
+/// ```
+fn assert_equals_the_per_trial_oracle(cfg: CampaignConfig) {
+    assert_eq!(
+        run_campaign(&cfg).canonical_string(),
+        run_per_trial(&cfg).canonical_string()
+    );
+}
+
+/// Site-grain only: no two units share a poll.
+#[test]
+#[ignore = "release-mode gate; see assert_equals_the_per_trial_oracle"]
+fn smoke_kernel_500_equals_the_per_trial_oracle() {
+    assert_equals_the_per_trial_oracle(config(Registry::Kernel, 500, 0));
+}
+
+/// Dense: most of the 1300 units are charged from a crash state another
+/// unit already recovered, and the oracle must still agree unit for unit —
+/// `stencil-ckpt`'s per-unit loss accounting included.
+#[test]
+#[ignore = "release-mode gate; see assert_equals_the_per_trial_oracle"]
+fn smoke_kernel_1300_dense_400_equals_the_per_trial_oracle() {
+    assert_equals_the_per_trial_oracle(config(Registry::Kernel, 1300, 400));
+}
+
+/// The 16-rank grid presets: cascades and node losses armed on the
+/// replay's fork against one dedicated cluster per unit.
+#[test]
+#[ignore = "release-mode gate; see assert_equals_the_per_trial_oracle"]
+fn smoke_dist_chaotic_400_dense_40_equals_the_per_trial_oracle() {
+    assert_equals_the_per_trial_oracle(CampaignConfig {
+        faults: FaultProfile::Chaotic,
+        ..config(Registry::Dist, 400, 40)
     });
-    let b = run_campaign(&CampaignConfig {
-        max_batch: 1024,
-        ..config(2, false, 0)
-    });
-    assert_eq!(a.canonical_string(), b.canonical_string());
+}
+
+/// The exhaustive dist space (2400 units; the budget exhausts it).
+#[test]
+#[ignore = "release-mode gate; see assert_equals_the_per_trial_oracle"]
+fn deep_dist_4000_dense_320_equals_the_per_trial_oracle() {
+    assert_equals_the_per_trial_oracle(config(Registry::Dist, 4000, 320));
+}
+
+/// The exhaustive ds space (4 × 680 units).
+#[test]
+#[ignore = "release-mode gate; see assert_equals_the_per_trial_oracle"]
+fn deep_ds_3000_dense_200_equals_the_per_trial_oracle() {
+    assert_equals_the_per_trial_oracle(config(Registry::Ds, 3000, 200));
 }
