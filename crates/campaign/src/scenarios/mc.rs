@@ -227,7 +227,7 @@ impl Workload for McCampaign {
             }),
         );
         chain
-            .recoveries
+            .answers
             .iter()
             .zip(profiles)
             .map(|(rec, profile)| self.classify(rec, profile))
@@ -258,7 +258,7 @@ impl Workload for McCampaign {
         mc: &McSim,
         images: &mut dyn Iterator<Item = NvmImage>,
     ) -> Vec<DirtyRestart> {
-        mc.dirty_chain(&self.cfg, images.map(Cow::Owned)).restarts
+        mc.dirty_chain(&self.cfg, images.map(Cow::Owned)).answers
     }
 }
 
@@ -309,6 +309,38 @@ mod tests {
         }
     }
 
+    /// What `McMode::Epoch`'s periodic flush is for: "the periodic flush
+    /// only bounds the replay distance". It persists both counter lines
+    /// every `INTERVAL` lookups, so wherever the crash lands, each line's
+    /// NVM epoch is at most an interval (plus the few lookups since the
+    /// line's last update) behind it. On this run the clean tree replays at
+    /// most 65 lookups over all 1 200 site crash points; without the flush
+    /// (`adcc_core/mutant-epoch-no-flush`) only natural eviction bounds it,
+    /// and 52 of them replay more than the bound, up to 132.
+    #[test]
+    fn epoch_recovery_replays_about_one_interval_wherever_the_crash_lands() {
+        let s = McCampaign::new_epoch(reference_counts());
+        let (mut emu, mut mc) = s.setup(CrashTrigger::Never);
+        emu.arm_harvest((0..LOOKUPS).map(|u| (s.trigger_of(u), u)));
+        assert!(s.forward(&mut mc, &mut emu).completed().is_some());
+        let harvests = emu.take_harvests();
+        assert_eq!(harvests.len() as u64, LOOKUPS);
+        let chain = mc.recover_chain(
+            &s.cfg,
+            harvests
+                .iter()
+                .map(|h| (h.site.index + 1, Cow::Owned(h.image.materialize()))),
+        );
+        for (h, r) in harvests.iter().zip(&chain.answers) {
+            assert!(
+                r.report.lost_units <= INTERVAL + INTERVAL / 4,
+                "unit {}: {} lookups replayed, the flush interval is {INTERVAL}",
+                h.unit,
+                r.report.lost_units
+            );
+        }
+    }
+
     /// The same kind of invariant for `mc-epoch`, whose every recovery
     /// replays to the end of the run: alone, 20 states spread over the run
     /// simulate ~10 forward runs' worth of accesses between them; chained,
@@ -330,7 +362,7 @@ mod tests {
                 .iter()
                 .map(|h| (h.site.index + 1, Cow::Owned(h.image.materialize()))),
         );
-        let alone: u64 = chain.recoveries.iter().map(|r| r.accesses).sum();
+        let alone: u64 = chain.answers.iter().map(|r| r.accesses).sum();
         assert!(
             alone > 8 * forward_run,
             "{alone} accesses alone, a forward run is {forward_run}"
@@ -340,7 +372,9 @@ mod tests {
             "{} accesses simulated, a forward run is {forward_run}",
             chain.simulated_accesses
         );
-        for r in &chain.recoveries {
+        // Exact: the followers join at the boundaries they always joined at.
+        assert_eq!(chain.simulated_accesses, 645_468);
+        for r in &chain.answers {
             assert_eq!(r.counts, s.reference, "epoch recovery is exact");
         }
     }
@@ -353,7 +387,7 @@ mod tests {
     #[test]
     fn a_chain_of_epoch_dirty_restarts_simulates_less_than_two_forward_runs() {
         let s = McCampaign::new_epoch(reference_counts());
-        for states in [10, 20] {
+        for (states, simulated) in [(10, 508_142), (20, 578_442)] {
             let units: Vec<u64> = (0..states).map(|k| 25 + (1200 / states) * k).collect();
             let (mut emu, mut mc) = s.setup(CrashTrigger::Never);
             emu.arm_harvest(units.iter().map(|&u| (s.trigger_of(u), u)));
@@ -366,10 +400,10 @@ mod tests {
                 harvests.iter().map(|h| Cow::Owned(h.image.materialize())),
             );
             let mut alone = 0;
-            for (h, chained) in harvests.iter().zip(&chain.restarts) {
+            for (h, chained) in harvests.iter().zip(&chain.answers) {
                 let one = mc.dirty_chain(&s.cfg, [Cow::Owned(h.image.materialize())]);
                 assert_eq!(
-                    one.restarts,
+                    one.answers,
                     std::slice::from_ref(chained),
                     "unit {}",
                     h.unit
@@ -386,6 +420,7 @@ mod tests {
                 "{states} states: {} accesses simulated, a forward run is {forward_run}",
                 chain.simulated_accesses
             );
+            assert_eq!(chain.simulated_accesses, simulated, "{states} states");
         }
     }
 }

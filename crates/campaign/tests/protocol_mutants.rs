@@ -2,7 +2,7 @@
 //! — "zero silent corruption", batch ≡ `run_trial` — must be able to fire
 //! on it.
 //!
-//! Four seeded mutants, one cargo feature each:
+//! Five seeded mutants, one cargo feature each:
 //!
 //! - `adcc_core/mutant-trust-counter`, in the one skeleton all five
 //!   `*-extended` iterate-history scenarios recover through:
@@ -29,6 +29,13 @@
 //!   or before it — `same_future` compares those bytes, and already refuses
 //!   every join the guard refuses. The guard is a pre-filter that saves the
 //!   comparison, not a second condition (ROADMAP item 1).
+//! - `adcc_core/mutant-epoch-no-flush`, in `mc-epoch`'s forward loop:
+//!   `McMode::Epoch` never runs its periodic counter-line flush.
+//!   **Killed** by `scenarios::mc`'s replay-distance bound (52 of 1 200
+//!   crash points replay more than 80 lookups); **survives** this campaign's
+//!   outcome histogram, and for a reason: epoch recovery is exact from
+//!   whatever `(counters, epoch)` pair NVM holds, so the flush only bounds
+//!   how far it replays. What moves is `lost_units_total`, 308 → 421.
 //! - `adcc_dist/mutant-publish-first`, in the one commit all three
 //!   `dist-*-local` scenarios publish through: `persist::Mechanism::commit`
 //!   runs `publish` (counter → fence → off-node shipment) *before* it
@@ -50,6 +57,7 @@
 //! cargo test --release -p adcc_campaign --features adcc_core/mutant-trust-counter --test protocol_mutants
 //! cargo test --release -p adcc_campaign --features adcc_core/mutant-ckpt-stale-counter --test protocol_mutants
 //! cargo test --release -p adcc_campaign --features adcc_core/mutant-chain-early-join --test protocol_mutants
+//! cargo test --release -p adcc_campaign --features adcc_core/mutant-epoch-no-flush --test protocol_mutants
 //! cargo test --release -p adcc_campaign --features adcc_dist/mutant-publish-first --test protocol_mutants
 //! ```
 //!
@@ -59,10 +67,12 @@
 //! not a row to delete from [`CLEAN`].
 
 use adcc_campaign::engine::run_per_trial;
-use adcc_campaign::{run_campaign, CampaignConfig, CampaignReport, OutcomeCounts, Registry};
+use adcc_campaign::{
+    run_campaign, CampaignConfig, CampaignReport, OutcomeCounts, Registry, ScenarioReport,
+};
 use adcc_core::baseline::MUTANT_CKPT_STALE_COUNTER;
 use adcc_core::iterative::MUTANT_TRUST_COUNTER;
-use adcc_core::mc::sim::MUTANT_CHAIN_EARLY_JOIN;
+use adcc_core::mc::sim::{MUTANT_CHAIN_EARLY_JOIN, MUTANT_EPOCH_NO_FLUSH};
 use adcc_dist::net::FaultProfile;
 use adcc_dist::persist::MUTANT_PUBLISH_FIRST;
 
@@ -74,6 +84,7 @@ type Histogram = [u64; 5];
 /// through `adcc_core::iterative`, the four that run forward through
 /// `baseline::run_with_ckpt`, the one that recovers through
 /// `McSim::recover_chain` — with their clean-tree histograms at [`config`].
+/// `mutant-epoch-no-flush` moves none of them: see [`EPOCH_LOST_UNITS`].
 const CLEAN: [(&str, Histogram); 10] = [
     ("cg-extended", [0, 1, 19, 0, 0]),
     ("bicgstab-extended", [0, 1, 19, 0, 0]),
@@ -107,8 +118,14 @@ const CKPT_STALE_COUNTER: [(&str, Histogram); 4] = [
     ("lu-ckpt", [0, 7, 13, 0, 0]),
 ];
 
+/// `mc-epoch`'s `lost_units_total` at [`config`], clean and under
+/// `mutant-epoch-no-flush`: the survivor's one visible effect. Recovery
+/// stays exact (the histogram is [`CLEAN`]'s), it only replays further.
+const EPOCH_LOST_UNITS: (&str, u64, u64) = ("mc-epoch", 308, 421);
+
 /// The histograms the mutant compiled into this build moves
-/// (`mutant-chain-early-join`, an equivalent mutant, moves none).
+/// (`mutant-chain-early-join`, an equivalent mutant, and
+/// `mutant-epoch-no-flush`, a survivor, move none).
 fn moved_by_the_mutant() -> &'static [(&'static str, Histogram)] {
     if MUTANT_TRUST_COUNTER {
         &TRUST_COUNTER
@@ -171,19 +188,22 @@ fn config() -> CampaignConfig {
     }
 }
 
-fn histogram(report: &CampaignReport, scenario: &str) -> Histogram {
-    let s = report
+fn scenario<'a>(report: &'a CampaignReport, name: &str) -> &'a ScenarioReport {
+    report
         .scenarios
         .iter()
-        .find(|s| s.name == scenario)
-        .unwrap_or_else(|| panic!("{scenario} is not in the report's registry"));
+        .find(|s| s.name == name)
+        .unwrap_or_else(|| panic!("{name} is not in the report's registry"))
+}
+
+fn histogram(report: &CampaignReport, name: &str) -> Histogram {
     let OutcomeCounts {
         recovered_exact,
         recovered_recomputed,
         detected_dirty,
         completed_clean,
         silent_corruption,
-    } = s.outcomes;
+    } = scenario(report, name).outcomes;
     [
         recovered_exact,
         recovered_recomputed,
@@ -207,6 +227,13 @@ fn the_hard_gate_fires_exactly_when_recovery_trusts_the_counter() {
             .map_or(clean, |m| m.1);
         assert_eq!(histogram(&report, name), want, "{name}");
     }
+    let (name, clean, no_flush) = EPOCH_LOST_UNITS;
+    let want = if MUTANT_EPOCH_NO_FLUSH {
+        no_flush
+    } else {
+        clean
+    };
+    assert_eq!(scenario(&report, name).lost_units_total, want, "{name}");
     let kills: u64 = moved.iter().map(|(_, h)| h[4]).sum();
     assert_eq!(
         report.silent_corruption_total(),

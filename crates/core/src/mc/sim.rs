@@ -20,24 +20,25 @@
 //!
 //! [`McMode::Epoch`] recovery has no untimed tail: each counter line is
 //! replayed from its own epoch to the **end of the run**, all of it timed.
-//! What it has instead is company. The crash states of one forward
-//! execution replay the same lookups with the same sampled inputs, and the
-//! small caches forget where a replay started within a few dozen lookups —
-//! so a later state's replay soon stands, at some lookup boundary, on a
-//! machine with the [same future](MemorySystem::same_future) as an earlier
-//! state's replay stood on at that boundary. Two equal states of a
-//! deterministic simulator have one future: from there on the later
-//! replay's clock and counts are read off the earlier one instead of
-//! simulated again ([`McSim::recover_chain`]).
+//! A dirty restart re-enters the forward loop and runs it to the end too.
+//! What both have instead is company: the crash states of one forward
+//! execution run the same lookups with the same sampled inputs, and the
+//! small caches forget where a machine started within a few dozen lookups.
+//! One private lockstep driver (`McSim::lockstep`) takes such states in
+//! turn: the first running one is the **pilot**, and every later one steps
+//! beside it until a join predicate holds at one lookup boundary; from
+//! there its clock, tallies and accesses are its own at the join plus what
+//! the pilot did after it. The two kinds of replay differ only in how they
+//! boot, how they step and which predicate they join on:
 //!
-//! Dirty restarts have the same company, one step removed. A dirty restart
-//! re-enters the forward loop on whatever tallies survived, and the loop
-//! never looks at a tally: it only ever adds one to it. So two restarts of
-//! one execution soon stand on machines that differ in nothing but what
-//! their tally words hold — [one future modulo those
-//! cells](MemorySystem::same_future_modulo) — and from there the later one's
-//! clock is the earlier one's, its tallies the earlier one's shifted by the
-//! difference at that boundary ([`McSim::dirty_chain`]).
+//! * **epoch recovery** ([`McSim::recover_chain`]) joins where the two
+//!   machines have the [same future](MemorySystem::same_future) — two equal
+//!   states of a deterministic simulator have one future, so the tallies
+//!   are the pilot's;
+//! * **dirty restart** ([`McSim::dirty_chain`]) joins where they have [one
+//!   future modulo the tally cells](MemorySystem::same_future_modulo) — the
+//!   loop never looks at a tally, it only adds one to it, so each tally
+//!   keeps the difference it had at the join.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -163,6 +164,7 @@ impl EpochCounters {
 }
 
 /// The MC simulation state over simulated memory.
+#[derive(Clone)]
 pub struct McSim {
     pub grids: SimMcGrids,
     pub problem: McProblem,
@@ -317,7 +319,7 @@ impl McSim {
                     self.flush_state(emu);
                 }
                 McMode::Epoch { interval } => {
-                    if (i + 1) % interval.max(1) == 0 {
+                    if (i + 1) % interval.max(1) == 0 && !MUTANT_EPOCH_NO_FLUSH {
                         self.epoch_counters.flush(emu);
                     }
                 }
@@ -348,7 +350,7 @@ impl McSim {
     /// dirty totals. A [chain](McSim::dirty_chain) of one.
     pub fn dirty_restart(&self, image: &NvmImage, cfg: SystemConfig) -> DirtyRestart {
         self.dirty_chain(&cfg, [Cow::Borrowed(image)])
-            .restarts
+            .answers
             .pop()
             .expect("one state in, one restart out")
     }
@@ -360,78 +362,30 @@ impl McSim {
     /// `images` when its turn comes; an owned one becomes its machine's
     /// pool, a borrowed one is copied into it.
     ///
-    /// Every state boots its own machine and reads the loop index; one the
-    /// loop bound rejects is answered there. The first state past that is
-    /// the **pilot**. Every later one advances in lockstep with it,
-    /// whichever is behind stepping one lookup, until the two stand at one
-    /// boundary with [one future modulo](MemorySystem::same_future_modulo)
+    /// Each state boots its machine and reads the loop index; one the loop
+    /// bound rejects stands past the end and is answered there. The rest go
+    /// through the lockstep driver (see the module docs), joining where the
+    /// two machines have [one future modulo](MemorySystem::same_future_modulo)
     /// the tally words — the only bytes here that the loop reads just to add
     /// to and that steer no address, branch or charge (the loop index, the
     /// epoch words, `macro_xs` and the grids are compared like everything
     /// else; the epoch words steer nothing on this path either, but a word
-    /// this loop *overwrites* equalises by itself). There the follower is
-    /// dropped: the rest of its clock is the rest of the pilot's, and each of
-    /// its tallies ends as far above the pilot's as it stands at the join
-    /// (tallies are only ever `get + 1 -> set`). The count-total audit is
-    /// evaluated on those reconstructed tallies. A follower that reaches the
-    /// end unjoined is complete as it stands. At most two machines are
-    /// alive, and nothing is approximated: a state is joined on the full
-    /// comparison or not at all.
+    /// this loop *overwrites* equalises by itself). A joined restart's
+    /// tallies end as far above the pilot's as they stood at the join
+    /// (tallies are only ever `get + 1 -> set`), and the count-total audit is
+    /// evaluated on those.
     pub fn dirty_chain<'a>(
         &self,
         cfg: &SystemConfig,
         images: impl IntoIterator<Item = Cow<'a, NvmImage>>,
-    ) -> DirtyChain {
+    ) -> Chain<DirtyRestart> {
         let cells = self.tally_cells();
-        let mut pilot: Option<DirtyRun> = None;
-        let mut links = Vec::new();
-        let mut simulated_accesses = 0;
-        for image in images {
-            let mut run = DirtyRun::boot(self, cfg, image);
-            if run.next > self.lookups {
-                // The loop bound itself rejects a counter past the end.
-                simulated_accesses += run.emu.access_count();
-                links.push(DirtyLink::Rejected(DirtyRestart::rejected(
-                    run.elapsed().ps(),
-                )));
-                continue;
-            }
-            let Some(pilot) = pilot.as_mut() else {
-                // The pilot joins itself where it stands.
-                links.push(run.link(self, Some(&run)));
-                pilot = Some(run);
-                continue;
-            };
-            while run.next < self.lookups {
-                if run.next < pilot.next {
-                    run.step(self);
-                } else if pilot.next < run.next {
-                    pilot.step(self);
-                } else if run.emu.same_future_modulo(&pilot.emu, &cells) {
-                    break;
-                } else {
-                    run.step(self);
-                    pilot.step(self);
-                }
-            }
-            simulated_accesses += run.emu.access_count();
-            // At the end of the run nothing is left to read off anyone.
-            links.push(run.link(self, (run.next < self.lookups).then_some(&*pilot)));
-        }
-        let end = pilot.map(|mut pilot| {
-            while pilot.next < self.lookups {
-                pilot.step(self);
-            }
-            simulated_accesses += pilot.emu.access_count();
-            (pilot.emu.now(), self.peek_counts(&pilot.emu))
-        });
-        DirtyChain {
-            restarts: links
+        self.lockstep(
+            images
                 .into_iter()
-                .map(|link| link.close(self, end.as_ref()))
-                .collect(),
-            simulated_accesses,
-        }
+                .map(|image| DirtyReentry::boot(self, cfg, image)),
+            |follower, pilot| follower.emu.same_future_modulo(&pilot.emu, &cells),
+        )
     }
 
     /// The words a run only ever adds one to, as ascending address ranges:
@@ -463,15 +417,8 @@ impl McSim {
         new_seed: u64,
     ) -> McRecovery {
         let reseeded = McSim {
-            grids: self.grids,
-            problem: self.problem.clone(),
-            macro_xs: self.macro_xs,
-            counters: self.counters,
-            idx_cell: self.idx_cell,
-            epoch_counters: self.epoch_counters,
-            lookups: self.lookups,
             seed: new_seed,
-            mode: self.mode,
+            ..self.clone()
         };
         reseeded.recover_and_resume(image, cfg, crashed_at)
     }
@@ -489,7 +436,7 @@ impl McSim {
         crashed_at: u64,
     ) -> McRecovery {
         self.recover_chain(&cfg, [(crashed_at, Cow::Borrowed(image))])
-            .recoveries
+            .answers
             .pop()
             .expect("one state in, one recovery out")
     }
@@ -502,92 +449,117 @@ impl McSim {
     /// machine's pool, a borrowed one is copied into it.
     ///
     /// Outside [`McMode::Epoch`] the states are recovered one by one. In
-    /// epoch mode the first state's replay is the **pilot**. Every later
-    /// state boots its own machine and replays from its own line epochs;
-    /// from the first lookup boundary at or past the line epochs of both
-    /// replays — before it they apply different increments — the two
-    /// advance in lockstep, whichever is behind stepping, until
-    /// [`MemorySystem::same_future`] holds between them at one boundary
-    /// (the `mutant-chain-early-join` feature drops the "at or past" and
-    /// lets them join before it).
-    /// There the follower notes what it spent itself and the pilot's
-    /// reading, and is dropped: the rest of its clock is the rest of the
-    /// pilot's, its final counts are the pilot's. A follower that reaches
-    /// the end unjoined is complete as it stands. So at most two machines
-    /// are alive, and nothing is approximated: a state is joined on the
-    /// full comparison or not at all.
+    /// epoch mode each state boots its machine and replays from its own line
+    /// epochs, through the lockstep driver (see the module docs), joining
+    /// where [`MemorySystem::same_future`] holds between the two machines.
+    /// A joined recovery's counts are the pilot's.
     pub fn recover_chain<'a>(
         &self,
         cfg: &SystemConfig,
         states: impl IntoIterator<Item = (u64, Cow<'a, NvmImage>)>,
-    ) -> McChain {
-        let mut states = states.into_iter();
+    ) -> Chain<McRecovery> {
+        let states = states.into_iter();
         if !matches!(self.mode, McMode::Epoch { .. }) {
-            let recoveries: Vec<McRecovery> = states
+            let answers: Vec<McRecovery> = states
                 .map(|(crashed_at, image)| self.recover_to_crash_point(image, cfg, crashed_at))
                 .collect();
-            return McChain {
-                simulated_accesses: recoveries.iter().map(|r| r.accesses).sum(),
-                recoveries,
+            return Chain {
+                simulated_accesses: answers.iter().map(|r| r.accesses).sum(),
+                answers,
             };
         }
-        let Some((crashed_at, image)) = states.next() else {
-            return McChain::default();
-        };
-        let mut pilot = EpochReplay::boot(self, cfg, image);
-        // The pilot joins itself where it stands.
-        let mut chain = vec![Link {
-            own: pilot.so_far(self, crashed_at),
-            pilot_at: Some(pilot.reading()),
-        }];
+        self.lockstep(
+            states.map(|(crashed_at, image)| EpochRecovery::boot(self, cfg, crashed_at, image)),
+            |follower, pilot| {
+                // A pre-filter, not a second condition: before the later
+                // line epoch of either replay the two apply different
+                // increments, but each line holds its own epoch word — past
+                // the boundary in a replay that has not reached it, at or
+                // before it in one that has — so `same_future` refuses those
+                // boundaries by itself. The guard only saves the comparison
+                // (`mutant-chain-early-join` drops it).
+                (MUTANT_CHAIN_EARLY_JOIN
+                    || follower.next >= follower.kind.own_until().max(pilot.kind.own_until()))
+                    && follower.emu.same_future(&pilot.emu)
+            },
+        )
+    }
+
+    /// The one lockstep driver behind [`McSim::recover_chain`] and
+    /// [`McSim::dirty_chain`]. `replays` yields the chain's states, each
+    /// booted when its turn comes; `joins(follower, pilot)` is the kind's
+    /// join predicate, asked only where both stand at one boundary.
+    ///
+    /// A state that stands past the end of the run at boot — a loop index
+    /// the loop bound rejects — is answered there and joins nothing. The
+    /// first other state is the **pilot**, joined to itself where it stands.
+    /// Every later one advances in lockstep with it, whichever is behind
+    /// stepping one lookup, until `joins` holds; there it notes its own
+    /// [`Reading`] and the pilot's, and is dropped. One that reaches the end
+    /// of the run unjoined is complete as it stands. Once the pilot has run
+    /// to the end, every joined state adds (pilot's end − pilot's reading at
+    /// its join) to its own reading — for an exact join the tallies' share
+    /// of that is zero — and its kind turns the result into its answer. At
+    /// most two machines are alive, and nothing is approximated: a state is
+    /// joined on the full predicate or not at all.
+    fn lockstep<K: ReplayKind>(
+        &self,
+        replays: impl Iterator<Item = Replay<K>>,
+        joins: impl Fn(&Replay<K>, &Replay<K>) -> bool,
+    ) -> Chain<K::Answer> {
+        let mut pilot: Option<Replay<K>> = None;
+        let mut stopped = Vec::new();
         let mut simulated_accesses = 0;
-        for (crashed_at, image) in states {
-            let mut replay = EpochReplay::boot(self, cfg, image);
-            while replay.next < self.lookups {
-                if replay.next < pilot.next {
-                    replay.step(self);
-                } else if pilot.next < replay.next {
-                    pilot.step(self);
-                } else if (MUTANT_CHAIN_EARLY_JOIN
-                    || replay.next >= replay.own_until().max(pilot.own_until()))
-                    && replay.sys.same_future(&pilot.sys)
-                {
-                    break;
-                } else {
-                    replay.step(self);
-                    pilot.step(self);
+        for mut run in replays {
+            let pilot_at = if run.next > self.lookups {
+                // Answered at boot: the loop bound rejects it.
+                None
+            } else if let Some(pilot) = pilot.as_mut() {
+                while run.next < self.lookups {
+                    if run.next < pilot.next {
+                        run.step(self);
+                    } else if pilot.next < run.next {
+                        pilot.step(self);
+                    } else if joins(&run, pilot) {
+                        break;
+                    } else {
+                        run.step(self);
+                        pilot.step(self);
+                    }
                 }
-            }
-            simulated_accesses += replay.sys.access_count();
-            chain.push(Link {
-                own: replay.so_far(self, crashed_at),
                 // At the end of the run nothing is left to read off anyone.
-                pilot_at: (replay.next < self.lookups).then(|| pilot.reading()),
+                (run.next < self.lookups).then(|| pilot.reading(self))
+            } else {
+                // The pilot joins itself where it stands.
+                let at = run.reading(self);
+                stopped.push(Stopped {
+                    kind: run.kind,
+                    own: at,
+                    pilot_at: Some(at),
+                });
+                pilot = Some(run);
+                continue;
+            };
+            simulated_accesses += run.emu.access_count();
+            stopped.push(Stopped {
+                kind: run.kind,
+                own: run.reading(self),
+                pilot_at,
             });
         }
-        while pilot.next < self.lookups {
-            pilot.step(self);
-        }
-        let (end_time, end_accesses) = pilot.reading();
-        let counts = self.peek_counts(&pilot.sys);
-        let recoveries = chain
-            .into_iter()
-            .map(|Link { own, pilot_at }| match pilot_at {
-                None => own,
-                Some((time, accesses)) => McRecovery {
-                    counts,
-                    report: RecoveryReport {
-                        resume_time: own.report.resume_time + (end_time - time),
-                        ..own.report
-                    },
-                    accesses: own.accesses + (end_accesses - accesses),
-                    ..own
-                },
-            })
-            .collect();
-        McChain {
-            recoveries,
-            simulated_accesses: simulated_accesses + end_accesses,
+        let end = pilot.map(|mut pilot| {
+            while pilot.next < self.lookups {
+                pilot.step(self);
+            }
+            simulated_accesses += pilot.emu.access_count();
+            pilot.reading(self)
+        });
+        Chain {
+            answers: stopped
+                .into_iter()
+                .map(|state| state.close(self, end.as_ref()))
+                .collect(),
+            simulated_accesses,
         }
     }
 
@@ -631,23 +603,14 @@ impl McSim {
     }
 }
 
-/// What [`McSim::recover_chain`] came to.
-#[derive(Debug, Clone, Default)]
-pub struct McChain {
-    /// One recovery per crash state, in the order the states were given.
-    pub recoveries: Vec<McRecovery>,
+/// What [`McSim::recover_chain`] or [`McSim::dirty_chain`] came to.
+#[derive(Debug, Clone)]
+pub struct Chain<T> {
+    /// One answer per crash state, in the order the states were given.
+    pub answers: Vec<T>,
     /// Element accesses the chain simulated over all its machines. (Each
     /// recovery's own `accesses` is what recovering that state alone would
     /// have charged.)
-    pub simulated_accesses: u64,
-}
-
-/// What [`McSim::dirty_chain`] came to.
-#[derive(Debug, Clone)]
-pub struct DirtyChain {
-    /// One restart per crash state, in the order the states were given.
-    pub restarts: Vec<DirtyRestart>,
-    /// Element accesses the chain simulated over all its machines.
     pub simulated_accesses: u64,
 }
 
@@ -656,6 +619,12 @@ pub struct DirtyChain {
 /// verdict to assert.
 #[doc(hidden)]
 pub const MUTANT_CHAIN_EARLY_JOIN: bool = cfg!(feature = "mutant-chain-early-join");
+
+/// `true` when this build carries the seeded `mutant-epoch-no-flush` bug:
+/// [`McMode::Epoch`] never runs its periodic counter-line flush, so a
+/// recovery's replay distance is bounded by natural eviction alone.
+#[doc(hidden)]
+pub const MUTANT_EPOCH_NO_FLUSH: bool = cfg!(feature = "mutant-epoch-no-flush");
 
 /// A machine over the bytes of `image`, caches cold: an image the chain owns
 /// becomes the pool, one it borrowed is copied into it.
@@ -666,152 +635,133 @@ fn boot(cfg: &SystemConfig, image: Cow<'_, NvmImage>) -> MemorySystem {
     }
 }
 
-/// One dirty restart in flight: a machine rebooted from a crash image as it
-/// was, running the forward loop on from the loop index the image held.
-struct DirtyRun {
-    emu: CrashEmulator,
-    /// The clock before the loop index was read.
-    began: SimTime,
-    /// The loop index the image held.
-    idx: u64,
-    /// Lookups `..next` are done (or were, the image says): the boundary
-    /// the machine stands at.
-    next: u64,
+/// A machine's clock, tallies and access count, as a chain reads them at a
+/// lookup boundary.
+#[derive(Clone, Copy)]
+struct Reading {
+    time: SimTime,
+    counts: [u64; XS_CHANNELS],
+    accesses: u64,
 }
 
-impl DirtyRun {
-    /// Reboot `image` with no mechanism — the whole continuation is resume
-    /// time — and read the loop index.
-    fn boot(mc: &McSim, cfg: &SystemConfig, image: Cow<'_, NvmImage>) -> DirtyRun {
-        let mut sys = boot(cfg, image);
-        sys.clock_mut().set_bucket(Bucket::Resume);
-        let began = sys.now();
-        let idx = mc.idx_cell.get(&mut sys);
-        DirtyRun {
+impl Reading {
+    /// This reading moved on by what the pilot did from `at` to `end`.
+    fn advanced(mut self, at: &Reading, end: &Reading) -> Reading {
+        self.time += end.time - at.time;
+        self.accesses += end.accesses - at.accesses;
+        for ((c, end), at) in self.counts.iter_mut().zip(end.counts).zip(at.counts) {
+            *c += end - at;
+        }
+        self
+    }
+}
+
+/// What a kind of replay supplies to the lockstep driver besides its boot
+/// and its join predicate.
+trait ReplayKind: Copy {
+    type Answer;
+
+    /// Run lookup `i` on `emu`.
+    fn step(&self, mc: &McSim, emu: &mut CrashEmulator, i: u64);
+
+    /// The state's answer, given its machine's reading where its run ended
+    /// — advanced by the pilot's if it joined one.
+    fn answer(self, mc: &McSim, end: Reading) -> Self::Answer;
+}
+
+/// One state of a chain in flight: its machine, the boundary the machine
+/// stands at, and what its kind keeps besides.
+struct Replay<K> {
+    emu: CrashEmulator,
+    /// Lookups `..next` are done (or were, the image says).
+    next: u64,
+    kind: K,
+}
+
+impl<K: ReplayKind> Replay<K> {
+    fn new(sys: MemorySystem, next: u64, kind: K) -> Self {
+        Replay {
             emu: CrashEmulator::from_system(sys, CrashTrigger::Never),
-            began,
-            idx,
-            next: idx,
+            next,
+            kind,
         }
     }
 
-    fn elapsed(&self) -> SimTime {
-        self.emu.now() - self.began
-    }
-
-    /// Run lookup `next` as the forward loop would.
     fn step(&mut self, mc: &McSim) {
-        mc.run(&mut self.emu, self.next, self.next + 1)
-            .completed()
-            .expect("trigger is Never");
+        self.kind.step(mc, &mut self.emu, self.next);
         self.next += 1;
     }
 
-    /// The restart as of this boundary, and — where it stops short of the
-    /// end of the run — the reading of the machine `joined` it stops for.
-    fn link(&self, mc: &McSim, joined: Option<&DirtyRun>) -> DirtyLink {
-        DirtyLink::Ran {
-            extra_units: mc.lookups - self.idx,
-            elapsed: self.elapsed(),
+    fn reading(&self, mc: &McSim) -> Reading {
+        Reading {
+            time: self.emu.now(),
             counts: mc.peek_counts(&self.emu),
-            pilot_at: joined.map(|pilot| (pilot.emu.now(), mc.peek_counts(&pilot.emu))),
+            accesses: self.emu.access_count(),
         }
     }
 }
 
-/// One state of a dirty chain, until the pilot has reached the end of the
-/// run.
-enum DirtyLink {
-    /// Answered at boot: the loop bound rejected the loop index.
-    Rejected(DirtyRestart),
-    /// The restart as of the boundary where the state's own machine
-    /// stopped: final if that is the end of the run.
-    Ran {
-        extra_units: u64,
-        elapsed: SimTime,
-        counts: [u64; XS_CHANNELS],
-        /// Where it stopped short: the pilot's clock and tallies at the
-        /// boundary where the two machines had the same future but for
-        /// their tallies.
-        pilot_at: Option<(SimTime, [u64; XS_CHANNELS])>,
-    },
+/// One state of a chain where its own machine stopped, until the pilot has
+/// reached the end of the run.
+struct Stopped<K> {
+    kind: K,
+    /// Its machine's reading where it stopped: final unless it joined.
+    own: Reading,
+    /// Where it joined: the pilot's reading at that boundary.
+    pilot_at: Option<Reading>,
 }
 
-impl DirtyLink {
-    /// The finished restart, given the pilot's clock and tallies at the end
-    /// of the run: the audit a run ends with, on the tallies this state
-    /// would have ended with.
-    fn close(self, mc: &McSim, end: Option<&(SimTime, [u64; XS_CHANNELS])>) -> DirtyRestart {
-        match self {
-            DirtyLink::Rejected(restart) => restart,
-            DirtyLink::Ran {
-                extra_units,
-                mut elapsed,
-                mut counts,
-                pilot_at,
-            } => {
-                if let Some((at, then)) = pilot_at {
-                    let (end, last) = end.expect("a joined pilot runs to the end");
-                    elapsed += *end - at;
-                    for ((c, last), then) in counts.iter_mut().zip(last).zip(then) {
-                        *c += last - then;
-                    }
-                }
-                let audited = counts.iter().sum::<u64>() == mc.lookups;
-                DirtyRestart {
-                    solution: audited.then(|| counts.iter().map(|&c| c as f64).collect()),
-                    extra_units,
-                    sim_time_ps: elapsed.ps(),
-                }
+impl<K: ReplayKind> Stopped<K> {
+    /// The answer, given the pilot's reading at the end of the run.
+    fn close(self, mc: &McSim, end: Option<&Reading>) -> K::Answer {
+        let reading = match self.pilot_at {
+            None => self.own,
+            Some(at) => {
+                let end = end.expect("a joined pilot runs to the end");
+                self.own.advanced(&at, end)
             }
-        }
+        };
+        self.kind.answer(mc, reading)
     }
 }
 
-/// One [`McMode::Epoch`] replay in flight: a machine booted from a crash
-/// image, re-executing lookups from its counter lines' epochs and applying
-/// to each line the increments it missed — exact by construction, each NVM
-/// line being a consistent `(counters, epoch)` pair.
-struct EpochReplay {
-    sys: MemorySystem,
+/// [`McMode::Epoch`] recovery: re-execute lookups from the counter lines'
+/// epochs, applying to each line the increments it missed — exact by
+/// construction, each NVM line being a consistent `(counters, epoch)` pair.
+#[derive(Clone, Copy)]
+struct EpochRecovery {
     /// The epochs of the two counter lines as the image held them.
     epochs: (u64, u64),
-    /// Lookups `..next` are done: the boundary the machine stands at.
-    next: u64,
+    /// The lookup the crash interrupted, for loss accounting.
+    crashed_at: u64,
     /// Time spent deciding where to restart.
     detect_time: SimTime,
     /// The clock when the timed replay began.
     resume_began: SimTime,
 }
 
-/// One state of a chain, until the pilot has reached the end of the run.
-struct Link {
-    /// The recovery as of the boundary where the state's own machine
-    /// stopped: final if that is the end of the run.
-    own: McRecovery,
-    /// Where it stopped short: the pilot's clock and access count at the
-    /// boundary where the two machines had the same future. The rest of
-    /// the recovery is the rest of the pilot's.
-    pilot_at: Option<(SimTime, u64)>,
-}
-
-impl EpochReplay {
+impl EpochRecovery {
     /// Boot `image`, read the line epochs (the detect phase) and stand at
     /// the earlier one. The timed replay opens by reading both epoch words
     /// a second time — two charged accesses of every epoch `resume_time`.
-    fn boot(mc: &McSim, cfg: &SystemConfig, image: Cow<'_, NvmImage>) -> EpochReplay {
+    fn boot(
+        mc: &McSim,
+        cfg: &SystemConfig,
+        crashed_at: u64,
+        image: Cow<'_, NvmImage>,
+    ) -> Replay<Self> {
         let mut sys = boot(cfg, image);
         let t0 = sys.now();
         mc.epoch_counters.epochs(&mut sys);
         let resume_began = sys.now();
         let epochs = mc.epoch_counters.epochs(&mut sys);
-        EpochReplay {
-            sys,
+        let kind = EpochRecovery {
             epochs,
-            next: epochs.0.min(epochs.1),
+            crashed_at,
             detect_time: resume_began - t0,
             resume_began,
-        }
+        };
+        Replay::new(sys, epochs.0.min(epochs.1), kind)
     }
 
     /// The first boundary from which the replay applies every increment,
@@ -819,41 +769,79 @@ impl EpochReplay {
     fn own_until(&self) -> u64 {
         self.epochs.0.max(self.epochs.1)
     }
+}
 
-    /// The clock and the access count, as a chain notes them at a join.
-    fn reading(&self) -> (SimTime, u64) {
-        (self.sys.now(), self.sys.access_count())
-    }
+impl ReplayKind for EpochRecovery {
+    type Answer = McRecovery;
 
-    /// Re-execute lookup `next`.
-    fn step(&mut self, mc: &McSim) {
-        let i = self.next;
-        let t = mc.one_lookup(&mut self.sys, i);
+    fn step(&self, mc: &McSim, emu: &mut CrashEmulator, i: u64) {
+        let t = mc.one_lookup(emu, i);
         let line_epoch = if t < EpochCounters::LO {
             self.epochs.0
         } else {
             self.epochs.1
         };
         if i >= line_epoch {
-            mc.epoch_counters.increment(&mut self.sys, t, i);
+            mc.epoch_counters.increment(emu, t, i);
         }
-        self.next += 1;
     }
 
-    /// The recovery as of this boundary: final once the replay is at the
-    /// end of the run.
-    fn so_far(&self, mc: &McSim, crashed_at: u64) -> McRecovery {
+    fn answer(self, _: &McSim, end: Reading) -> McRecovery {
         let resumed_from = self.epochs.0.min(self.epochs.1);
         McRecovery {
             resumed_from,
-            counts: mc.peek_counts(&self.sys),
+            counts: end.counts,
             report: RecoveryReport {
                 detect_time: self.detect_time,
-                resume_time: self.sys.now() - self.resume_began,
-                lost_units: crashed_at.saturating_sub(resumed_from),
+                resume_time: end.time - self.resume_began,
+                lost_units: self.crashed_at.saturating_sub(resumed_from),
                 restart_unit: resumed_from,
             },
-            accesses: self.sys.access_count(),
+            accesses: end.accesses,
+        }
+    }
+}
+
+/// A dirty restart: the machine rebooted from a crash image as it was, with
+/// no mechanism — the whole continuation is resume time — running the
+/// forward loop on from the loop index the image held.
+#[derive(Clone, Copy)]
+struct DirtyReentry {
+    /// The clock before the loop index was read.
+    began: SimTime,
+    /// The loop index the image held.
+    idx: u64,
+}
+
+impl DirtyReentry {
+    fn boot(mc: &McSim, cfg: &SystemConfig, image: Cow<'_, NvmImage>) -> Replay<Self> {
+        let mut sys = boot(cfg, image);
+        sys.clock_mut().set_bucket(Bucket::Resume);
+        let began = sys.now();
+        let idx = mc.idx_cell.get(&mut sys);
+        Replay::new(sys, idx, DirtyReentry { began, idx })
+    }
+}
+
+impl ReplayKind for DirtyReentry {
+    type Answer = DirtyRestart;
+
+    fn step(&self, mc: &McSim, emu: &mut CrashEmulator, i: u64) {
+        mc.run(emu, i, i + 1).completed().expect("trigger is Never");
+    }
+
+    /// The audit a run ends with, on the tallies this state ends with.
+    fn answer(self, mc: &McSim, end: Reading) -> DirtyRestart {
+        let sim_time_ps = (end.time - self.began).ps();
+        if self.idx > mc.lookups {
+            // The loop bound itself rejects a counter past the end.
+            return DirtyRestart::rejected(sim_time_ps);
+        }
+        let audited = end.counts.iter().sum::<u64>() == mc.lookups;
+        DirtyRestart {
+            solution: audited.then(|| end.counts.iter().map(|&c| c as f64).collect()),
+            extra_units: mc.lookups - self.idx,
+            sim_time_ps,
         }
     }
 }
@@ -1076,8 +1064,8 @@ mod tests {
     ) -> u64 {
         let states = picks.iter().map(|&k| (k as u64, Cow::Borrowed(&images[k])));
         let chain = mc.recover_chain(&hostile(), states);
-        assert_eq!(chain.recoveries.len(), picks.len());
-        for (got, &k) in chain.recoveries.iter().zip(picks) {
+        assert_eq!(chain.answers.len(), picks.len());
+        for (got, &k) in chain.answers.iter().zip(picks) {
             assert_eq!(facts(got), facts(&alone[k]), "crashed_at {k} of {picks:?}");
         }
         chain.simulated_accesses
@@ -1133,7 +1121,7 @@ mod tests {
         let states = [(10, &images[10]), (50, &images[50]), (30, &poisoned)];
         let chain = mc.recover_chain(&hostile(), states.map(|(k, i)| (k, Cow::Borrowed(i))));
         let want = [&alone[10], &alone[50], &loner];
-        for (got, want) in chain.recoveries.iter().zip(want) {
+        for (got, want) in chain.answers.iter().zip(want) {
             assert_eq!(facts(got), facts(want));
         }
         // The pilot and the loner were simulated in full, the state between
@@ -1221,7 +1209,7 @@ mod tests {
 
             let every: Vec<&NvmImage> = images.iter().collect();
             let chain = chained(&mc, &every);
-            assert_eq!(chain.restarts, alone, "{mode:?}");
+            assert_eq!(chain.answers, alone, "{mode:?}");
             // In any order and any subset: what joins whom is a matter of
             // work, not of results.
             let backwards: Vec<usize> = (0..images.len()).rev().step_by(7).collect();
@@ -1229,7 +1217,7 @@ mod tests {
             for picks in [backwards, sparse] {
                 let states: Vec<&NvmImage> = picks.iter().map(|&k| &images[k]).collect();
                 let want: Vec<DirtyRestart> = picks.iter().map(|&k| alone[k].clone()).collect();
-                assert_eq!(chained(&mc, &states).restarts, want, "{mode:?} {picks:?}");
+                assert_eq!(chained(&mc, &states).answers, want, "{mode:?} {picks:?}");
             }
             // Epoch-mode restarts all re-enter at lookup 0 of a cold
             // machine: everything after the pilot joins within a few lookups.
@@ -1266,7 +1254,7 @@ mod tests {
         );
 
         let chain = mc.dirty_chain(&hostile(), states.map(Cow::Borrowed));
-        assert_eq!(chain.restarts, alone);
+        assert_eq!(chain.answers, alone);
         // Pilot and loner were simulated in full — in lockstep, which took
         // the pilot to the end of the run, where the state after them could
         // join nobody any more.
@@ -1282,20 +1270,13 @@ mod tests {
     fn every_chained_state_rereads_its_epoch_words_inside_the_timed_window() {
         let (mc, images, _) = epoch_run();
         let idle = McSim {
-            grids: mc.grids,
-            problem: mc.problem.clone(),
-            macro_xs: mc.macro_xs,
-            counters: mc.counters,
-            idx_cell: mc.idx_cell,
-            epoch_counters: mc.epoch_counters,
             lookups: 0,
-            seed: mc.seed,
-            mode: mc.mode,
+            ..mc.clone()
         };
         let states = [(20, &images[20]), (40, &images[40])];
         let chain = idle.recover_chain(&hostile(), states.map(|(k, i)| (k, Cow::Borrowed(i))));
-        assert_eq!(chain.recoveries.len(), 2);
-        for r in &chain.recoveries {
+        assert_eq!(chain.answers.len(), 2);
+        for r in &chain.answers {
             let hit = hostile().timing.cpu_access_ps;
             assert_eq!(r.report.resume_time.ps(), 2 * hit);
             assert!(r.report.detect_time.ps() > 2 * hit, "two cold misses");
@@ -1336,7 +1317,7 @@ mod tests {
             }
             let chain = mc.dirty_chain(&hostile(), picks.iter().map(|&k| Cow::Borrowed(&images[k])));
             let want: Vec<&DirtyRestart> = picks.iter().map(|&k| &alone[k]).collect();
-            proptest::prop_assert_eq!(chain.restarts.iter().collect::<Vec<_>>(), want);
+            proptest::prop_assert_eq!(chain.answers.iter().collect::<Vec<_>>(), want);
         }
     }
 
