@@ -226,11 +226,13 @@ impl Cluster {
     }
 
     /// Fork the live cluster for a recovery replay: every rank's machine
-    /// is cloned wholesale (caches, clocks, counters, volatile and
-    /// persistent memory) into a fresh emulator with no trigger, and the
-    /// fabric is cloned with its queues and jitter sequence. The fork
-    /// observes exactly what the live cluster would if a rank died at this
-    /// instant — survivors' volatile state included.
+    /// is cloned (clock, counters, volatile and persistent memory, and each
+    /// cache's directory plus the payloads it has filled — see
+    /// [`MemorySystem`]) into a fresh emulator with no trigger, and the
+    /// fabric is cloned with its in-flight messages and jitter sequence. The
+    /// fork observes exactly what the live cluster would if a rank died at
+    /// this instant — survivors' volatile state included — and costs what
+    /// the ranks hold, not what their caches could hold.
     pub fn fork(&self) -> Cluster {
         self.fork_armed(&[])
     }
@@ -240,28 +242,30 @@ impl Cluster {
     /// so a replay of one harvested failure can be felled again while it
     /// recovers or resumes — the rest of a cascade. A fresh emulator has
     /// counted no polls: the caller discounts an `AtSite` occurrence by the
-    /// polls of that site the live run already made on that rank.
+    /// polls of that site the live run already made on that rank. At most
+    /// one failure per rank, as in [`Cluster::new_multi`].
     pub fn fork_armed(&self, pending: &[RankFailure]) -> Cluster {
         let mut node_loss = self.node_loss.clone();
+        let mut triggers = vec![CrashTrigger::Never; self.cfg.ranks];
         for f in pending {
             assert!(
                 f.rank < self.cfg.ranks,
                 "crash rank {} out of range",
                 f.rank
             );
+            assert!(
+                matches!(triggers[f.rank], CrashTrigger::Never),
+                "rank {} armed twice",
+                f.rank
+            );
+            triggers[f.rank] = f.trigger;
             node_loss[f.rank] = f.node_loss;
         }
         let emus = self
             .emus
             .iter()
-            .enumerate()
-            .map(|(rank, e)| {
-                let trigger = pending
-                    .iter()
-                    .find(|f| f.rank == rank)
-                    .map_or(CrashTrigger::Never, |f| f.trigger);
-                CrashEmulator::from_system(e.system().clone(), trigger)
-            })
+            .zip(triggers)
+            .map(|(e, trigger)| CrashEmulator::from_system(e.system().clone(), trigger))
             .collect();
         Cluster {
             cfg: self.cfg.clone(),
@@ -508,6 +512,19 @@ mod tests {
         assert!(!fork.poll(1, site));
         assert!(fork.poll(2, site));
         assert!(!fork.armed_pending(), "a fired trigger is spent");
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 2 armed twice")]
+    fn an_armed_fork_refuses_two_failures_on_one_rank() {
+        let trigger = |step| CrashTrigger::AtSite {
+            site: CrashSite::new(crate::sites::PH_MID, step),
+            occurrence: 1,
+        };
+        let _ = Cluster::new(cfg(), None).fork_armed(&[
+            RankFailure::crash(2, trigger(1)),
+            RankFailure::node_loss(2, trigger(3)),
+        ]);
     }
 
     #[test]

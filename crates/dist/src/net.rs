@@ -230,11 +230,13 @@ struct Queued {
 
 /// The seedable FIFO message fabric between `ranks` peers.
 ///
-/// Cloning copies the queues, traffic counters, and — critically — the
-/// global message sequence number, so a cloned fabric draws the exact same
-/// seeded jitter *and fault sequence* for its next message as the original
-/// would have.
-#[derive(Debug, Clone)]
+/// Cloning copies the pending messages, traffic counters, and — critically
+/// — the global message sequence number, so a cloned fabric draws the exact
+/// same seeded jitter *and fault sequence* for its next message as the
+/// original would have. An empty queue is created empty, not cloned: at a
+/// superstep boundary nearly all `ranks²` of them are, so a fork costs the
+/// messages in flight.
+#[derive(Debug)]
 pub struct Fabric {
     ranks: usize,
     timing: NetTiming,
@@ -245,6 +247,23 @@ pub struct Fabric {
     /// Global message sequence number (jitter/fault decorrelation).
     seq: u64,
     traffic: NetTraffic,
+}
+
+impl Clone for Fabric {
+    fn clone(&self) -> Self {
+        let queues = self
+            .queues
+            .iter()
+            .map(|q| {
+                if q.is_empty() {
+                    VecDeque::new()
+                } else {
+                    q.clone()
+                }
+            })
+            .collect();
+        Fabric { queues, ..*self }
+    }
 }
 
 impl Fabric {
@@ -452,6 +471,39 @@ mod tests {
         let mut f = Fabric::new(2, NetTiming::cluster_2017(), 0);
         let mut b = sys();
         let _ = f.recv(&mut b, 0, 1);
+    }
+
+    #[test]
+    fn a_clone_with_messages_in_flight_delivers_what_the_original_does() {
+        let plan = FaultProfile::Chaotic.plan(5);
+        let mut f = Fabric::with_faults(4, NetTiming::cluster_2017(), 7, plan);
+        let mut sender = sys();
+        // Three of the sixteen queues hold messages; the rest stay empty.
+        for (src, dst, n) in [(0, 1, 3), (2, 3, 1), (3, 0, 2)] {
+            for i in 0..n {
+                let v = (10 * src + dst + i) as f64;
+                f.send(&mut sender, src, dst, encode_f64s(&[v, -v, v]));
+            }
+        }
+        let fork = f.clone();
+        assert_eq!((fork.pending(), fork.traffic()), (f.pending(), f.traffic()));
+        // Each side sends on a queue in flight and an empty one, then
+        // drains every queue: same bytes, same charges on both ends.
+        let run = |mut f: Fabric| {
+            let (mut a, mut b) = (sys(), sys());
+            f.send(&mut a, 0, 1, encode_f64s(&[9.0]));
+            f.send(&mut a, 1, 2, encode_f64s(&[8.0, 7.0]));
+            let mut got = Vec::new();
+            for (src, dst, n) in [(0, 1, 4), (1, 2, 1), (2, 3, 1), (3, 0, 2)] {
+                for _ in 0..n {
+                    got.push(f.recv(&mut b, src, dst));
+                }
+            }
+            assert_eq!(f.pending(), 0);
+            let charged = |s: &MemorySystem| (s.now().ps(), s.clock().bucket_totals(), *s.stats());
+            (got, charged(&a), charged(&b), f.traffic())
+        };
+        assert_eq!(run(fork), run(f));
     }
 
     #[test]

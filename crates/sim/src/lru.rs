@@ -4,8 +4,20 @@
 //! This is the core of the crash emulator: because each resident line holds
 //! real bytes, the NVM backing store only sees values at eviction or
 //! explicit flush time — exactly the divergence between caches and NVM that
-//! the paper's PIN-based emulator observes. Replacement is true LRU within
-//! each set (stamp-based).
+//! the paper's PIN-based emulator observes. Each set picks its victims by
+//! one of four [`ReplacementPolicy`]s (LRU unless configured otherwise).
+//!
+//! The cache is a compact **directory** plus a **payload arena**. A
+//! directory slot is 24 bytes — tag, replacement stamp, dirty bit and the
+//! index of its payload — so an 8-way tag scan reads 192 bytes. Payloads
+//! are handed out in first-fill order: the first time a slot is filled it
+//! takes the next arena entry, and it keeps that entry across eviction,
+//! `remove` and `clean_line`; `clear` (a crash) empties the arena. The
+//! arena therefore holds one payload per slot filled since the last
+//! `clear`, never more than [`SetAssocCache::capacity_lines`], and a clone
+//! copies the directory plus the payloads of the slots filled so far — not
+//! one payload per slot the cache could hold. A new cache allocates only
+//! the directory; the arena grows as slots are first filled.
 
 use std::ops::Range;
 
@@ -63,32 +75,44 @@ impl CacheConfig {
     }
 }
 
-/// One cache line slot.
-#[derive(Clone)]
+/// One directory entry: a line slot without its payload.
+#[derive(Clone, Copy)]
 struct Slot {
     /// Full line number (address >> 6); `u64::MAX` marks an invalid slot.
     tag: u64,
-    /// LRU stamp; larger is more recent.
+    /// Replacement stamp (LRU: last touch, FIFO: fill); larger is more
+    /// recent.
     stamp: u64,
+    /// Index of the slot's payload in the arena; `Slot::NO_PAYLOAD` until
+    /// the slot is first filled.
+    payload: u32,
     dirty: bool,
-    data: [u8; LINE_SIZE],
 }
 
 impl Slot {
     const INVALID: u64 = u64::MAX;
+    const NO_PAYLOAD: u32 = u32::MAX;
 
-    fn invalid() -> Self {
-        Slot {
-            tag: Slot::INVALID,
-            stamp: 0,
-            dirty: false,
-            data: [0; LINE_SIZE],
-        }
-    }
+    /// A slot never filled since construction or the last `clear`.
+    const EMPTY: Slot = Slot {
+        tag: Slot::INVALID,
+        stamp: 0,
+        payload: Slot::NO_PAYLOAD,
+        dirty: false,
+    };
 
     #[inline]
     fn valid(&self) -> bool {
         self.tag != Slot::INVALID
+    }
+
+    /// The slot's line as it leaves the cache (or is written back).
+    fn victim(&self, arena: &[[u8; LINE_SIZE]]) -> Victim {
+        Victim {
+            line: self.tag,
+            dirty: self.dirty,
+            data: arena[self.payload as usize],
+        }
     }
 }
 
@@ -104,12 +128,19 @@ pub struct Victim {
 }
 
 /// Set-associative write-back cache with data payloads.
+///
+/// Cloning copies the directory and the arena's payloads — one per slot
+/// filled since construction or the last [`SetAssocCache::clear`] — so a
+/// clone costs what the cache has held, not what it could hold.
 #[derive(Clone)]
 pub struct SetAssocCache {
     sets: usize,
     assoc: usize,
     set_mask: u64,
+    /// The directory, `assoc` slots per set.
     slots: Box<[Slot]>,
+    /// Line payloads in first-fill order, indexed by `Slot::payload`.
+    arena: Vec<[u8; LINE_SIZE]>,
     tick: u64,
     policy: ReplacementPolicy,
     /// One tree-PLRU bit field per set (only used by `TreePlru`).
@@ -137,11 +168,17 @@ impl SetAssocCache {
         } else {
             cfg.policy
         };
+        let lines = sets * assoc;
+        assert!(
+            lines < Slot::NO_PAYLOAD as usize,
+            "{lines} line slots overflow the payload index"
+        );
         SetAssocCache {
             sets,
             assoc,
             set_mask: sets as u64 - 1,
-            slots: vec![Slot::invalid(); sets * assoc].into_boxed_slice(),
+            slots: vec![Slot::EMPTY; lines].into_boxed_slice(),
+            arena: Vec::new(),
             tick: 0,
             policy,
             plru: vec![PlruBits::default(); sets].into_boxed_slice(),
@@ -203,17 +240,19 @@ impl SetAssocCache {
     /// tick.
     #[inline]
     fn hit(&mut self, line: u64, idx: usize) -> LineRef<'_> {
+        let slot = &mut self.slots[idx];
         match self.policy {
-            ReplacementPolicy::Lru => self.slots[idx].stamp = self.tick,
+            ReplacementPolicy::Lru => slot.stamp = self.tick,
             // FIFO and Random ignore re-references.
             ReplacementPolicy::Fifo | ReplacementPolicy::Random => {}
             ReplacementPolicy::TreePlru => {
-                let set = self.set_index(line);
+                let set = (line & self.set_mask) as usize;
                 self.plru[set].touch(self.assoc, idx - set * self.assoc);
             }
         }
         LineRef {
-            slot: &mut self.slots[idx],
+            dirty: &mut slot.dirty,
+            data: &mut self.arena[slot.payload as usize],
         }
     }
 
@@ -257,20 +296,20 @@ impl SetAssocCache {
         };
 
         let slot = &mut self.slots[range][victim_way];
-        let victim = if slot.valid() {
-            Some(Victim {
-                line: slot.tag,
-                dirty: slot.dirty,
-                data: slot.data,
-            })
+        let victim = slot.valid().then(|| slot.victim(&self.arena));
+        if slot.payload == Slot::NO_PAYLOAD {
+            // First fill of this slot: the next arena entry is its own.
+            debug_assert!(self.arena.len() < self.sets * assoc, "arena overflow");
+            slot.payload = self.arena.len() as u32;
+            self.arena.push(data);
         } else {
-            None
-        };
+            self.arena[slot.payload as usize] = data;
+        }
         *slot = Slot {
             tag: line,
             stamp: tick,
             dirty,
-            data,
+            ..*slot
         };
         if policy == ReplacementPolicy::TreePlru {
             self.plru[set].touch(assoc, victim_way);
@@ -283,19 +322,14 @@ impl SetAssocCache {
     pub fn remove(&mut self, line: u64) -> Option<Victim> {
         self.last_line = Slot::INVALID;
         let range = self.set_range(line);
-        let slots = &mut self.slots[range];
-        for slot in slots.iter_mut() {
-            if slot.tag == line {
-                let v = Victim {
-                    line: slot.tag,
-                    dirty: slot.dirty,
-                    data: slot.data,
-                };
-                *slot = Slot::invalid();
-                return Some(v);
-            }
-        }
-        None
+        let slot = self.slots[range].iter_mut().find(|s| s.tag == line)?;
+        let v = slot.victim(&self.arena);
+        // The slot keeps its payload entry for its next fill.
+        *slot = Slot {
+            payload: slot.payload,
+            ..Slot::EMPTY
+        };
+        Some(v)
     }
 
     /// `CLWB` semantics: if `line` is resident and dirty, mark it clean and
@@ -303,20 +337,14 @@ impl SetAssocCache {
     /// `None` if the line is absent or already clean.
     pub fn clean_line(&mut self, line: u64) -> Option<Victim> {
         let range = self.set_range(line);
-        for slot in self.slots[range].iter_mut() {
-            if slot.tag == line {
-                if !slot.dirty {
-                    return None;
-                }
-                slot.dirty = false;
-                return Some(Victim {
-                    line: slot.tag,
-                    dirty: true,
-                    data: slot.data,
-                });
-            }
-        }
-        None
+        let slot = self.slots[range]
+            .iter_mut()
+            .find(|s| s.tag == line && s.dirty)?;
+        slot.dirty = false;
+        Some(Victim {
+            dirty: true,
+            ..slot.victim(&self.arena)
+        })
     }
 
     /// Non-mutating lookup (does not touch LRU state): the line's payload
@@ -326,7 +354,22 @@ impl SetAssocCache {
         self.slots[range]
             .iter()
             .find(|s| s.tag == line)
-            .map(|s| &s.data)
+            .map(|s| self.payload(s))
+    }
+
+    /// The payload of a filled slot.
+    #[inline]
+    fn payload(&self, slot: &Slot) -> &[u8; LINE_SIZE] {
+        &self.arena[slot.payload as usize]
+    }
+
+    /// Iterate over all resident lines as `(line, dirty)`: the directory
+    /// alone, for callers that read no payload.
+    pub fn iter_lines(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
+        self.slots
+            .iter()
+            .filter(|s| s.valid())
+            .map(|s| (s.tag, s.dirty))
     }
 
     /// Iterate over all resident lines as `(line, dirty, &data)`.
@@ -334,7 +377,7 @@ impl SetAssocCache {
         self.slots
             .iter()
             .filter(|s| s.valid())
-            .map(|s| (s.tag, s.dirty, &s.data))
+            .map(|s| (s.tag, s.dirty, self.payload(s)))
     }
 
     /// Mark every resident line clean and return the formerly-dirty ones
@@ -343,11 +386,7 @@ impl SetAssocCache {
         let mut dirty = Vec::new();
         for slot in self.slots.iter_mut() {
             if slot.valid() && slot.dirty {
-                dirty.push(Victim {
-                    line: slot.tag,
-                    dirty: true,
-                    data: slot.data,
-                });
+                dirty.push(slot.victim(&self.arena));
                 slot.dirty = false;
             }
         }
@@ -367,8 +406,8 @@ impl SetAssocCache {
     /// what its stamp reads do not matter, only the order of the stamps.
     /// Tree-PLRU and random replacement do depend on the way; for them this
     /// answers `false` rather than compare their state. (The tick, the
-    /// last-hit memory and the stamps of invalid slots are not inputs to
-    /// anything.)
+    /// last-hit memory, the stamps of invalid slots and which arena entry
+    /// holds a payload are not inputs to anything.)
     pub(crate) fn same_future_modulo(&self, other: &Self, cells: &[Range<u64>]) -> bool {
         if (self.sets, self.assoc, self.policy) != (other.sets, other.assoc, other.policy)
             || !matches!(
@@ -384,10 +423,11 @@ impl SetAssocCache {
                 .count()
         };
         let same_payload = |s: &Slot, t: &Slot| {
+            let (mine, theirs) = (self.payload(s), other.payload(t));
             let base = s.tag << LINE_SHIFT;
-            s.data == t.data
+            mine == theirs
                 || outside(cells, base..base + LINE_SIZE as u64)
-                    .all(|gap| s.data[gap.clone()] == t.data[gap])
+                    .all(|gap| mine[gap.clone()] == theirs[gap])
         };
         self.slots
             .chunks_exact(self.assoc)
@@ -407,9 +447,8 @@ impl SetAssocCache {
 
     /// Discard all contents without write-back (a crash).
     pub fn clear(&mut self) {
-        for slot in self.slots.iter_mut() {
-            *slot = Slot::invalid();
-        }
+        self.slots.fill(Slot::EMPTY);
+        self.arena.clear();
         for bits in self.plru.iter_mut() {
             *bits = PlruBits::default();
         }
@@ -418,34 +457,36 @@ impl SetAssocCache {
     }
 }
 
-/// Mutable view of a resident cache line.
+/// Mutable view of a resident cache line: its directory entry's dirty bit
+/// and its arena payload.
 pub struct LineRef<'a> {
-    slot: &'a mut Slot,
+    dirty: &'a mut bool,
+    data: &'a mut [u8; LINE_SIZE],
 }
 
 impl LineRef<'_> {
     /// The line's payload.
     #[inline]
     pub fn data(&mut self) -> &mut [u8; LINE_SIZE] {
-        &mut self.slot.data
+        self.data
     }
 
     /// Read-only payload access.
     #[inline]
     pub fn data_ref(&self) -> &[u8; LINE_SIZE] {
-        &self.slot.data
+        self.data
     }
 
     /// Mark the line dirty (after a store).
     #[inline]
     pub fn mark_dirty(&mut self) {
-        self.slot.dirty = true;
+        *self.dirty = true;
     }
 
     /// Whether the line is dirty.
     #[inline]
     pub fn dirty(&self) -> bool {
-        self.slot.dirty
+        *self.dirty
     }
 }
 
@@ -609,7 +650,10 @@ mod tests {
             c.tick,
             c.slots
                 .iter()
-                .map(|s| (s.tag, s.stamp, s.dirty, s.data[0]))
+                .map(|s| {
+                    let first = if s.valid() { c.payload(s)[0] } else { 0 };
+                    (s.tag, s.stamp, s.dirty, first)
+                })
                 .collect(),
             c.plru.iter().map(|b| b.0).collect(),
             format!("{:?}", c.rng),
@@ -697,6 +741,60 @@ mod tests {
                     replacement_state(&scan),
                     "{policy:?} step {step}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn the_arena_holds_one_payload_per_filled_slot() {
+        use std::collections::{BTreeMap, BTreeSet};
+        for policy in ReplacementPolicy::ALL {
+            // 2 sets x 4 ways over 24 lines: fills, evictions, flushes that
+            // free a slot, refills that reuse its payload, and crashes.
+            let cfg = CacheConfig::new(8 * LINE_SIZE, 4).with_policy(policy);
+            let mut c = SetAssocCache::new(cfg);
+            // What the cache must hold, and which slots it has filled since
+            // the last crash, kept from outside.
+            let mut model: BTreeMap<u64, [u8; LINE_SIZE]> = BTreeMap::new();
+            let mut filled = BTreeSet::new();
+            let mut rng = XorShift::new(11);
+            for step in 0..5_000u64 {
+                let line = rng.below(24) as u64;
+                match rng.below(16) {
+                    0 => {
+                        let v = c.remove(line);
+                        assert_eq!(v.map(|v| v.data), model.remove(&line));
+                    }
+                    1 => {
+                        if let Some(v) = c.clean_line(line) {
+                            assert_eq!(Some(&v.data), model.get(&line));
+                        }
+                    }
+                    2 if step % 7 == 0 => {
+                        c.clear();
+                        model.clear();
+                        filled.clear();
+                    }
+                    _ => match c.lookup(line).map(|r| *r.data_ref()) {
+                        Some(hit) => assert_eq!(Some(&hit), model.get(&line)),
+                        None => {
+                            let payload = data(step as u8);
+                            if let Some(v) = c.insert(line, payload, step % 2 == 0) {
+                                assert_eq!(Some(v.data), model.remove(&v.line));
+                            }
+                            model.insert(line, payload);
+                            filled.insert(c.slots.iter().position(|s| s.tag == line));
+                        }
+                    },
+                }
+                let what = format!("{policy:?} step {step}");
+                assert!(c.arena.len() <= c.capacity_lines(), "{what}");
+                assert_eq!(c.arena.len(), filled.len(), "{what}");
+                let fork = c.clone();
+                assert_eq!(fork.arena.len(), filled.len(), "{what}: a clone copies");
+                let held: BTreeMap<u64, [u8; LINE_SIZE]> =
+                    fork.iter_resident().map(|(l, _, d)| (l, *d)).collect();
+                assert_eq!(held, model, "{what}");
             }
         }
     }

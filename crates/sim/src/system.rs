@@ -199,11 +199,14 @@ impl std::fmt::Debug for DeltaBase {
 
 /// The simulated memory system.
 ///
-/// Cloning copies the whole machine — caches with their payloads and LRU
-/// state, backing stores, clock, counters, stream detectors — so a clone
-/// continues bit-identically to the original. Cluster-level crash-state
-/// harvesting forks per-rank systems this way to replay recovery from a
-/// mid-execution boundary.
+/// Cloning copies the whole machine — each cache's directory (tags, dirty
+/// bits, replacement state) and the payloads it has filled, the backing
+/// stores' written prefixes, clock, counters, stream detectors — so a clone
+/// continues bit-identically to the original and independently of it. A
+/// clone costs what the machine holds, not what it could: a cache copies
+/// one 64-byte payload per slot it has filled since the last crash (see
+/// [`crate::lru`]). Cluster-level crash-state harvesting forks per-rank
+/// systems this way to replay recovery from a mid-execution boundary.
 #[derive(Clone)]
 pub struct MemorySystem {
     cfg: SystemConfig,
@@ -998,10 +1001,10 @@ impl MemorySystem {
     pub fn dirty_nvm_lines(&self) -> u64 {
         let mut lines: Vec<u64> = self
             .cpu
-            .iter_resident()
-            .chain(self.dramc.iter().flat_map(|dc| dc.iter_resident()))
-            .filter(|&(line, dirty, _)| dirty && !is_dram_addr(line << LINE_SHIFT))
-            .map(|(line, _, _)| line)
+            .iter_lines()
+            .chain(self.dramc.iter().flat_map(|dc| dc.iter_lines()))
+            .filter(|&(line, dirty)| dirty && !is_dram_addr(line << LINE_SHIFT))
+            .map(|(line, _)| line)
             .collect();
         lines.sort_unstable();
         lines.dedup();
@@ -2085,7 +2088,7 @@ mod tests {
             s
         };
         let (a, b) = (fill([0, 2]), fill([2, 0]));
-        let ways = |s: &MemorySystem| s.cpu.iter_resident().map(|r| r.0).collect::<Vec<_>>();
+        let ways = |s: &MemorySystem| s.cpu.iter_lines().map(|r| r.0).collect::<Vec<_>>();
         assert_ne!(ways(&a), ways(&b), "the fills placed the lines alike");
         assert!(a.same_future(&b));
     }
@@ -2339,6 +2342,70 @@ mod tests {
         Ok(())
     }
 
+    /// Run `prefix` on a machine and on a control, fork the machine twice,
+    /// then step on, op by op: the machine, the first fork and the control
+    /// run `suffix`, the second fork runs `other`. The three on `suffix`
+    /// must observe, count and charge alike throughout and crash to one
+    /// image — the fork is exact, and the second fork's writes, flushes
+    /// and crashes never reach the machine it was cloned from.
+    fn forks_are_exact_and_independent(
+        cfg: SystemConfig,
+        prefix: &[Op],
+        suffix: &[Op],
+        other: &[Op],
+    ) -> proptest::prelude::TestCaseResult {
+        use proptest::prelude::*;
+        let boot = || {
+            let mut sys = MemorySystem::new(cfg.clone());
+            let nvm = sys.alloc_nvm(REGION as usize + 16);
+            let dram = sys.alloc_dram(REGION as usize + 16);
+            (sys, nvm, dram)
+        };
+        let (mut original, nvm, dram) = boot();
+        let (mut control, ..) = boot();
+        for op in prefix {
+            apply(&mut original, op, nvm, dram);
+            apply(&mut control, op, nvm, dram);
+        }
+        let mut fork = original.clone();
+        let mut stray = original.clone();
+        let charged = |s: &MemorySystem| {
+            (
+                s.now(),
+                s.clock().bucket_totals(),
+                *s.stats(),
+                s.access_count(),
+            )
+        };
+        for k in 0..suffix.len().max(other.len()) {
+            if let Some(op) = other.get(k) {
+                apply(&mut stray, op, nvm, dram);
+            }
+            let Some(op) = suffix.get(k) else { continue };
+            let seen = apply(&mut original, op, nvm, dram);
+            prop_assert_eq!(
+                &seen,
+                &apply(&mut fork, op, nvm, dram),
+                "op {}: {:?}",
+                k,
+                op
+            );
+            prop_assert_eq!(
+                &seen,
+                &apply(&mut control, op, nvm, dram),
+                "op {}: {:?}",
+                k,
+                op
+            );
+            prop_assert_eq!(charged(&original), charged(&fork), "op {}: {:?}", k, op);
+            prop_assert_eq!(charged(&original), charged(&control), "op {}: {:?}", k, op);
+        }
+        let image = original.crash();
+        prop_assert_eq!(&image, &fork.crash());
+        prop_assert_eq!(&image, &control.crash());
+        Ok(())
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
@@ -2355,6 +2422,26 @@ mod tests {
             for cfg in [tiny_nvm_only(), tiny_hetero()] {
                 let histories = (&history_a[..], &history_b[..]);
                 equal_states_have_one_future(cfg, fills, histories, &suffix, &[], ((0, 0), (0, 0)))?;
+            }
+        }
+
+        /// A clone is a fork: it runs exactly as the original does, and
+        /// nothing it runs reaches the original — on both platforms under
+        /// every replacement policy, through flushes, persists and crashes
+        /// that free slots the next miss refills.
+        #[test]
+        fn forked_machines_run_exactly_and_independently(
+            prefix in proptest::collection::vec(op_strategy(), 0..80),
+            suffix in proptest::collection::vec(op_strategy(), 1..160),
+            other in proptest::collection::vec(op_strategy(), 1..160),
+        ) {
+            use crate::policy::ReplacementPolicy;
+            for policy in ReplacementPolicy::ALL {
+                for mut cfg in [tiny_nvm_only(), tiny_hetero()] {
+                    cfg.cpu_cache = cfg.cpu_cache.with_policy(policy);
+                    cfg.dram_cache = cfg.dram_cache.map(|c| c.with_policy(policy));
+                    forks_are_exact_and_independent(cfg, &prefix, &suffix, &other)?;
+                }
             }
         }
 
