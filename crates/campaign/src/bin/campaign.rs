@@ -1,7 +1,7 @@
 //! The `campaign` CLI: run crash-injection campaigns, replay them from a
-//! seed, re-run them under the analyzer or the dirty-restart sweep, diff
-//! two reports, and price them under the cost models. (Throughput is
-//! measured from outside, by `benchmark/run.sh`.)
+//! seed, re-run them under the analyzer, diff two reports, and price them
+//! under the cost models. (Throughput is measured from outside, by
+//! `benchmark/run.sh`.)
 //!
 //! ```text
 //! campaign run     [--registry kernel|dist|ds] [--budget-states N]
@@ -11,7 +11,6 @@
 //! campaign replay  --seed S [--registry NAME] [--budget-states N]
 //!                  [--threads T] [--schedule SPEC] [--telemetry]
 //!                  [--expect PATH]
-//! campaign resilience REPORT.json [--threads T] [--out PATH]
 //! campaign compare OLD.json NEW.json
 //! campaign cost    [--budget-states N] [--seed S] [--threads T]
 //!                  [--schedule SPEC] [--out PATH]
@@ -20,9 +19,10 @@
 //! `--telemetry` embeds per-scenario flush/fence/log/dirty-residency
 //! aggregates in the report; `campaign cost` runs a telemetry campaign
 //! and prints the per-scenario cost table under the ADR, NearPM, and
-//! eADR cost models. `--resilience` (and the `resilience` subcommand)
-//! fuses the EasyCrash-style dirty-restart sweep into the campaign,
-//! adding per-scenario `natural_resilience` blocks to the report.
+//! eADR cost models. `--resilience` fuses the EasyCrash-style
+//! dirty-restart sweep into the campaign, adding per-scenario
+//! `natural_resilience` blocks to the report; `replay --expect` of such a
+//! report re-runs the sweep.
 //!
 //! Exit codes: `run` fails (1) on any silent-corruption outcome and — with
 //! `--telemetry` — on a flush-based scenario recording zero flushes,
@@ -49,7 +49,6 @@ fn main() -> ExitCode {
         Some("replay") => cmd_run(&args[1..], true),
         Some("merge") => cmd_merge(&args[1..]),
         Some("triage") => cmd_triage(&args[1..]),
-        Some("resilience") => cmd_resilience(&args[1..]),
         Some("compare") => cmd_compare(&args[1..]),
         Some("cost") => cmd_cost(&args[1..]),
         Some("--help") | Some("-h") | None => {
@@ -95,7 +94,6 @@ usage:
   campaign merge   --out PATH SHARD.json SHARD.json ...
   campaign triage  REPORT.json [--threads T] [--out PATH]
                    [--fail-on-diagnostics]
-  campaign resilience REPORT.json [--threads T] [--out PATH]
   campaign compare OLD.json NEW.json
   campaign cost    [--budget-states N] [--seed S] [--threads T]
                    [--schedule SPEC] [--registry NAME] [--json] [--out PATH]
@@ -144,9 +142,6 @@ diverged / detected-dirty-again against the crash-free reference. The
 per-scenario aggregate lands in the schema-v7 natural_resilience block;
 scenarios without a dirty-restart path (the ds registry) carry no block.
 Incompatible with --shard (the sweep needs the full schedule).
-resilience re-runs REPORT.json's exact schedule in dirty-restart mode
-(same scheduled crash points, same registry and fault profile) and
-emits the fused v7 report. Needs a v5+ unsharded report.
 ";
 
 /// Pull `--flag value` out of an option list.
@@ -225,24 +220,13 @@ fn cmd_run(args: &[String], replay: bool) -> Result<ExitCode, String> {
     if expect_path.is_some() && !replay {
         return Err("--expect is a replay option".into());
     }
-    let expected = expect_path
-        .map(|p| {
-            let text = std::fs::read_to_string(&p).map_err(|e| format!("cannot read {p}: {e}"))?;
-            CampaignReport::parse(&text).map_err(|e| format!("{p}: {e}"))
-        })
-        .transpose()?;
+    let expected = expect_path.map(|p| read_report(&p)).transpose()?;
 
-    let mut cfg = CampaignConfig::default();
     // A replay inherits the expected report's inputs; explicit flags win.
-    if let Some(exp) = &expected {
-        cfg.seed = exp.seed;
-        cfg.budget_states = exp.budget_states;
-        cfg.schedule = Schedule::parse(&exp.schedule)?;
-        cfg.dense_units = exp.dense_units;
-        cfg.registry = exp.registry;
-        cfg.shard = exp.shard;
-        cfg.faults = exp.faults;
-    }
+    let mut cfg = match &expected {
+        Some(exp) => config_of(exp)?,
+        None => CampaignConfig::default(),
+    };
     if let Some(v) = take_opt(args, "--seed")? {
         cfg.seed = parse_u64(&v, "seed")?;
     } else if replay && expected.is_none() {
@@ -517,10 +501,7 @@ fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
     }
     let partials = paths
         .iter()
-        .map(|p| {
-            let text = std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?;
-            CampaignReport::parse(&text).map_err(|e| format!("{p}: {e}"))
-        })
+        .map(|p| read_report(p))
         .collect::<Result<Vec<_>, String>>()?;
     let merged = CampaignReport::merge_shards(&partials)?;
     std::fs::write(&out, merged.to_string_pretty())
@@ -532,53 +513,26 @@ fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
     Ok(exit_gate(&merged))
 }
 
-/// The set-up `triage` and `resilience` share: both re-run a finished
-/// report's exact schedule, so both read `REPORT.json` off the front of
-/// `args` (anything [`CampaignReport::parse`] accepts can be re-run),
-/// refuse shard reports (they need the full schedule; `verb` names what
-/// cannot be done to a shard), and rebuild the report's
-/// [`CampaignConfig`] with `--threads` applied. Returns the config and the
-/// `--out` path.
-fn rerun_config(
-    sub: &str,
-    verb: &str,
-    args: &[String],
-    bool_flags: &[&str],
-) -> Result<(CampaignConfig, Option<String>), String> {
-    let (path, rest) = match args.split_first() {
-        Some((p, rest)) if !p.starts_with("--") => (p, rest),
-        _ => {
-            // Surface an unknown option before complaining about the
-            // missing positional, so typo'd flags get the right message.
-            check_known_flags(args, &["--threads", "--out"], bool_flags)?;
-            return Err(format!("{sub} needs a report path\n{USAGE}"));
-        }
-    };
-    check_known_flags(rest, &["--threads", "--out"], bool_flags)?;
+/// Read and parse a report file; anything [`CampaignReport::parse`]
+/// accepts.
+fn read_report(path: &str) -> Result<CampaignReport, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let report = CampaignReport::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    if report.shard.is_some() {
-        return Err(format!(
-            "{path}: cannot {verb} a shard report — merge the full set first \
-             (campaign merge)\n{USAGE}"
-        ));
-    }
+    CampaignReport::parse(&text).map_err(|e| format!("{path}: {e}"))
+}
 
-    let mut cfg = CampaignConfig {
+/// The config that reproduces `report`: the campaign inputs its header
+/// records. `replay --expect` and `triage` both re-run a report from it.
+fn config_of(report: &CampaignReport) -> Result<CampaignConfig, String> {
+    Ok(CampaignConfig {
         seed: report.seed,
         budget_states: report.budget_states,
         schedule: Schedule::parse(&report.schedule)?,
         dense_units: report.dense_units,
         registry: report.registry,
+        shard: report.shard,
         faults: report.faults,
         ..CampaignConfig::default()
-    };
-    if let Some(v) = take_opt(rest, "--threads")? {
-        cfg.threads = parse_u64(&v, "threads")? as usize;
-    }
-    let out_path = take_opt(rest, "--out")?;
-    cfg.validate().map_err(|e| format!("{e}\n{USAGE}"))?;
-    Ok((cfg, out_path))
+    })
 }
 
 /// Re-run a report's exact schedule under the persist-order analyzer and
@@ -587,7 +541,30 @@ fn rerun_config(
 /// reports (triage needs the full schedule). `--fail-on-diagnostics` is
 /// the CI clean-tree gate: any protocol finding exits nonzero.
 fn cmd_triage(args: &[String]) -> Result<ExitCode, String> {
-    let (cfg, out_path) = rerun_config("triage", "triage", args, &["--fail-on-diagnostics"])?;
+    let (value_flags, bool_flags) = (["--threads", "--out"], ["--fail-on-diagnostics"]);
+    let (path, rest) = match args.split_first() {
+        Some((p, rest)) if !p.starts_with("--") => (p, rest),
+        _ => {
+            // Surface an unknown option before complaining about the
+            // missing positional, so typo'd flags get the right message.
+            check_known_flags(args, &value_flags, &bool_flags)?;
+            return Err(format!("triage needs a report path\n{USAGE}"));
+        }
+    };
+    check_known_flags(rest, &value_flags, &bool_flags)?;
+    let report = read_report(path)?;
+    if report.shard.is_some() {
+        return Err(format!(
+            "{path}: cannot triage a shard report — merge the full set first \
+             (campaign merge)\n{USAGE}"
+        ));
+    }
+    let mut cfg = config_of(&report)?;
+    if let Some(v) = take_opt(rest, "--threads")? {
+        cfg.threads = parse_u64(&v, "threads")? as usize;
+    }
+    let out_path = take_opt(rest, "--out")?;
+    cfg.validate().map_err(|e| format!("{e}\n{USAGE}"))?;
 
     let triaged = run_triage(&cfg);
     let diags = triaged
@@ -647,62 +624,12 @@ fn cmd_triage(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Re-run a report's exact schedule with the dirty-restart sweep fused in
-/// and emit the schema-v7 report with per-scenario natural_resilience
-/// blocks. Rejects pre-v5 schemas (their unit spaces predate the batched
-/// scenarios) and shard reports (the sweep needs the full schedule).
-fn cmd_resilience(args: &[String]) -> Result<ExitCode, String> {
-    let (cfg, out_path) = rerun_config("resilience", "sweep", args, &[])?;
-
-    let swept = run_resilience(&cfg);
-    let swept_scenarios = swept
-        .scenarios
-        .iter()
-        .filter(|s| s.natural_resilience.is_some())
-        .count();
-    let (mut trials, mut ok) = (0u64, 0u64);
-    for s in &swept.scenarios {
-        if let Some(r) = s.natural_resilience.as_ref() {
-            trials += r.trials();
-            ok += r.classes.converged_ok();
-        }
-    }
-    if let Some(out) = &out_path {
-        std::fs::write(out, swept.to_string_pretty())
-            .map_err(|e| format!("cannot write {out}: {e}"))?;
-    }
-    to_stdout(|o| {
-        writeln!(
-            o,
-            "resilience: seed {} budget {} registry {} — {} of {} scenario(s) swept, \
-             {} dirty restart(s), {} converged ok",
-            cfg.seed,
-            cfg.budget_states,
-            cfg.registry.name(),
-            swept_scenarios,
-            swept.scenarios.len(),
-            trials,
-            ok,
-        )?;
-        print_resilience(o, &swept)?;
-        if let Some(out) = &out_path {
-            writeln!(o, "resilience report written to {out}")?;
-        }
-        Ok(())
-    })?;
-    Ok(exit_gate(&swept))
-}
-
 fn cmd_compare(args: &[String]) -> Result<ExitCode, String> {
     let [old_path, new_path] = args else {
         return Err(format!("compare takes exactly two report paths\n{USAGE}"));
     };
-    let read = |p: &String| -> Result<CampaignReport, String> {
-        let text = std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"))?;
-        CampaignReport::parse(&text).map_err(|e| format!("{p}: {e}"))
-    };
-    let old = read(old_path)?;
-    let new = read(new_path)?;
+    let old = read_report(old_path)?;
+    let new = read_report(new_path)?;
     let cmp = compare(&old, &new);
     to_stdout(|o| cmp.lines.iter().try_for_each(|line| writeln!(o, "{line}")))?;
     if cmp.regression {

@@ -57,7 +57,7 @@ pub struct CampaignConfig {
     /// Extra access-grain (dense) crash points appended after each
     /// scenario's site-grain unit space, subdividing the crash-point
     /// space below statement granularity (see
-    /// [`Scenario::dense_stride`]). `0` keeps the site-grain unit space —
+    /// [`crate::scenario::UnitSpace::dense_stride`]). `0` keeps the site-grain unit space —
     /// and its report bytes. Recorded in the canonical report when
     /// nonzero, so replays reproduce it.
     pub dense_units: u64,
@@ -492,12 +492,13 @@ fn aggregate(s: &dyn Scenario, dense_units: u64, trials: &[Trial]) -> ScenarioRe
                 .merge(profile);
         }
     }
+    let info = s.info();
     ScenarioReport {
-        name: s.name().to_string(),
-        kernel: s.kernel().name().to_string(),
-        mechanism: s.mechanism().name().to_string(),
-        platform: s.platform_name().to_string(),
-        total_units: s.total_units() + dense_units,
+        name: info.name.to_string(),
+        kernel: info.kernel.name().to_string(),
+        mechanism: info.mechanism.name().to_string(),
+        platform: info.platform.to_string(),
+        total_units: info.unit_space.sites + dense_units,
         trials: trials.len() as u64,
         outcomes,
         lost_units_total: lost_total,

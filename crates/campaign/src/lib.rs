@@ -79,7 +79,7 @@ pub use report::{
 pub use resilience::run_resilience;
 pub use scenario::{
     Analyzed, AnalyzedBatch, AnalyzedTrial, Kernel, Mechanism, PassOutput, Passes, Registry,
-    ResilienceBatch, Scenario, Trial, UnitSpace,
+    ResilienceBatch, Scenario, ScenarioInfo, Trial, UnitSpace,
 };
 pub use schedule::Schedule;
 pub use triage::{run_triage, TriageReport};

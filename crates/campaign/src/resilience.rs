@@ -1,11 +1,11 @@
 //! EasyCrash-style natural-resilience sweep over a campaign schedule.
 //!
-//! `run_resilience` is the fused engine behind `campaign run --resilience`
-//! and `campaign resilience REPORT.json`: it re-runs the campaign's exact
-//! schedule through the plain recovery machinery (so the report's outcome
-//! section matches a plain run byte-for-byte) and, for every scenario
-//! with a dirty-restart step ([`crate::scenario::Passes::dirty`]), reboots
-//! each harvested crash image from the raw dirty NVM state with **no**
+//! `run_resilience` is the fused engine behind `campaign run --resilience`:
+//! it runs the campaign's schedule through the plain recovery machinery
+//! (so the report's outcome section matches a plain run byte-for-byte)
+//! and, for every scenario with a dirty-restart step
+//! ([`crate::scenario::Passes::dirty`]), reboots each harvested crash
+//! image from the raw dirty NVM state with **no**
 //! consistency mechanism — no undo replay, no checkpoint rollback, no
 //! invariant scan — runs it to the scenario's natural termination bound,
 //! and classifies the answer on the five-way
@@ -96,8 +96,8 @@ mod tests {
         assert!(!fused.canonical_string().contains("natural_resilience"));
     }
 
-    /// The PR tier's resilience gate (`campaign resilience` over the
-    /// kernel smoke report: seed 42, 500 states), asserted on the library.
+    /// The PR tier's resilience gate (`campaign run --resilience` at the
+    /// kernel smoke config: seed 42, 500 states), asserted on the library.
     #[test]
     fn iterative_kernels_show_the_easycrash_contrast() {
         // The paper's natural-consistency claim: iterative solvers absorb
@@ -129,8 +129,8 @@ mod tests {
         }
     }
 
-    /// The same contrast on the dist registry (nightly sweeps the
-    /// exhaustive space through `campaign resilience`; this is the gate):
+    /// The same contrast on the dist registry (nightly sweeps a deep dist
+    /// campaign with `campaign run --resilience`; this is the gate):
     /// the algorithm-directed protocol's NVM residue *is* the frontier
     /// iterate, so every dirty reboot of a `-local` scenario converges
     /// exactly, while a `-restart` scenario rebooted without its

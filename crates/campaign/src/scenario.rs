@@ -32,19 +32,6 @@ pub enum Kernel {
 }
 
 impl Kernel {
-    /// Every kernel family, in registry order (compute kernels first,
-    /// then the persistent data-structure workloads).
-    pub const ALL: [Kernel; 8] = [
-        Kernel::Cg,
-        Kernel::BiCgStab,
-        Kernel::Jacobi,
-        Kernel::Stencil,
-        Kernel::Lu,
-        Kernel::Mc,
-        Kernel::Queue,
-        Kernel::Hash,
-    ];
-
     /// The compute-kernel families covered by the default (`kernel`)
     /// registry.
     pub const COMPUTE: [Kernel; 6] = [
@@ -106,12 +93,10 @@ impl Mechanism {
     }
 }
 
-/// A named scenario registry the campaign engine can sweep.
-///
-/// Replaces the old `CampaignConfig.dist: bool` toggle: registries are an
-/// open set selected by name (`campaign run --registry <name>`), and the
-/// selected registry is part of the report format — reports carry a
-/// `registry` header whenever a non-default registry produced them.
+/// A named scenario registry the campaign engine can sweep, selected by
+/// name (`campaign run --registry <name>`). The selected registry is part
+/// of the report format: reports carry a `registry` header whenever a
+/// non-default registry produced them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize)]
 pub enum Registry {
     /// The default single-node compute-kernel registry.
@@ -159,8 +144,8 @@ impl Registry {
     pub fn scenarios_with(self, faults: FaultProfile) -> Vec<Box<dyn Scenario>> {
         match self {
             Registry::Kernel => scenarios::all(),
-            Registry::Dist => scenarios::dist_all_with(faults),
-            Registry::Ds => scenarios::ds_all(),
+            Registry::Dist => scenarios::dist::all_with(faults),
+            Registry::Ds => scenarios::ds::all(),
         }
     }
 
@@ -351,10 +336,6 @@ pub struct Trial {
 /// A scenario's crash-point unit space: how many site-grain units it
 /// enumerates and how densely the access-grain tail subdivides beyond
 /// them.
-///
-/// Extracted from the old `total_units`/`dense_stride`/`trigger_of`
-/// method cluster so schedules, shard planners and scenario impls share
-/// one description of the unit geometry instead of re-deriving it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnitSpace {
     /// Number of site-grain units (`0..sites` map to instrumented sites).
@@ -364,9 +345,6 @@ pub struct UnitSpace {
 }
 
 impl UnitSpace {
-    /// Default dense spacing for scenarios that don't tune it.
-    pub const DEFAULT_DENSE_STRIDE: u64 = 2_000;
-
     /// A unit space with `sites` site-grain points and the given dense
     /// spacing.
     pub const fn new(sites: u64, dense_stride: u64) -> UnitSpace {
@@ -376,30 +354,48 @@ impl UnitSpace {
         }
     }
 
-    /// A unit space with the default dense spacing.
-    pub const fn site_grain(sites: u64) -> UnitSpace {
-        UnitSpace::new(sites, UnitSpace::DEFAULT_DENSE_STRIDE)
-    }
-
-    /// Is `unit` in the dense (access-grain) tail?
-    pub fn is_dense(&self, unit: u64) -> bool {
-        unit >= self.sites
-    }
-
-    /// Access-count threshold of dense unit `unit` (`unit >= sites`).
-    pub fn dense_access_count(&self, unit: u64) -> u64 {
-        debug_assert!(self.is_dense(unit));
-        (unit - self.sites + 1) * self.dense_stride
-    }
-
     /// Crash trigger for any unit: site-grain units resolve through
-    /// `site`, dense units crash at the first poll past their access
-    /// threshold.
+    /// `site`, dense unit `sites + d` crashes at the first poll past
+    /// `(d + 1) * dense_stride` element accesses.
     pub fn trigger_of(&self, unit: u64, site: impl FnOnce(u64) -> CrashTrigger) -> CrashTrigger {
         if unit < self.sites {
             site(unit)
         } else {
-            CrashTrigger::AtAccessCount(self.dense_access_count(unit))
+            CrashTrigger::AtAccessCount((unit - self.sites + 1) * self.dense_stride)
+        }
+    }
+}
+
+/// Who a scenario is: the facts its report row states about it, fixed
+/// when the scenario is built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScenarioInfo {
+    /// Unique scenario name (report key).
+    pub name: &'static str,
+    /// Kernel family under test.
+    pub kernel: Kernel,
+    /// Persistence mechanism under test.
+    pub mechanism: Mechanism,
+    /// Platform preset name (report metadata).
+    pub platform: &'static str,
+    /// The scenario's crash-point geometry.
+    pub unit_space: UnitSpace,
+}
+
+impl ScenarioInfo {
+    /// A scenario on the default `nvm-only` platform.
+    pub const fn new(
+        name: &'static str,
+        kernel: Kernel,
+        mechanism: Mechanism,
+        unit_space: UnitSpace,
+    ) -> ScenarioInfo {
+        ScenarioInfo {
+            name,
+            kernel,
+            mechanism,
+            platform: "nvm-only",
+            unit_space,
         }
     }
 }
@@ -415,8 +411,8 @@ impl UnitSpace {
 ///
 /// ## Unit space
 ///
-/// A scenario describes its crash-point geometry with one [`UnitSpace`]:
-/// units `0..sites` are **site-grain** crash points, each mapping to an
+/// A scenario describes its crash-point geometry with the [`UnitSpace`] of
+/// its [`ScenarioInfo`]: units `0..sites` are **site-grain** crash points, each mapping to an
 /// instrumented crash site via [`Scenario::site_trigger`]. Units at or
 /// above `sites` are **dense** (access-grain) points the engine can
 /// append on demand: unit `sites + d` crashes at the first poll after
@@ -436,31 +432,23 @@ impl UnitSpace {
 /// this): the forward execution is deterministic, so its state at a crash
 /// point's poll equals the state of an individual run crashed there.
 pub trait Scenario: Send + Sync {
+    /// Who this scenario is.
+    fn info(&self) -> &ScenarioInfo;
     /// Unique scenario name (report key).
-    fn name(&self) -> &'static str;
-    /// Kernel family under test.
-    fn kernel(&self) -> Kernel;
-    /// Persistence mechanism under test.
-    fn mechanism(&self) -> Mechanism;
-    /// Platform preset name (report metadata).
-    fn platform_name(&self) -> &'static str {
-        "nvm-only"
+    fn name(&self) -> &'static str {
+        self.info().name
     }
-    /// The scenario's crash-point geometry.
-    fn unit_space(&self) -> UnitSpace;
     /// Size of the site-grain crash-point space.
     fn total_units(&self) -> u64 {
-        self.unit_space().sites
+        self.info().unit_space.sites
     }
     /// Crash trigger for a site-grain unit (`unit < total_units`).
     fn site_trigger(&self, unit: u64) -> CrashTrigger;
-    /// Access-count spacing between dense (access-grain) crash points.
-    fn dense_stride(&self) -> u64 {
-        self.unit_space().dense_stride
-    }
     /// Crash trigger for any unit, dense units included.
     fn trigger_of(&self, unit: u64) -> CrashTrigger {
-        self.unit_space().trigger_of(unit, |u| self.site_trigger(u))
+        self.info()
+            .unit_space
+            .trigger_of(unit, |u| self.site_trigger(u))
     }
     /// Whether each pass over a batch's crash states is **one** job — a
     /// chain that other workers cannot take a share of — rather than one
@@ -545,18 +533,25 @@ pub trait Scenario: Send + Sync {
 mod tests {
     use super::*;
 
+    /// The mechanisms `kernel` runs under in `reg`, in registry order.
+    fn mechanisms(reg: &[Box<dyn Scenario>], kernel: Kernel) -> Vec<&'static str> {
+        reg.iter()
+            .map(|s| s.info())
+            .filter(|i| i.kernel == kernel)
+            .map(|i| i.mechanism.name())
+            .collect()
+    }
+
     #[test]
     fn registry_covers_every_compute_kernel_with_two_mechanisms() {
         let reg = Registry::Kernel.scenarios();
         for kernel in Kernel::COMPUTE {
-            let mechanisms: std::collections::BTreeSet<&str> = reg
-                .iter()
-                .filter(|s| s.kernel() == kernel)
-                .map(|s| s.mechanism().name())
-                .collect();
+            let mut found = mechanisms(&reg, kernel);
+            found.sort_unstable();
+            found.dedup();
             assert!(
-                mechanisms.len() >= 2,
-                "kernel {} has only {mechanisms:?}",
+                found.len() >= 2,
+                "kernel {} has only {found:?}",
                 kernel.name()
             );
         }
@@ -590,11 +585,13 @@ mod tests {
     #[test]
     fn unit_space_maps_site_and_dense_units() {
         let space = UnitSpace::new(4, 100);
-        assert!(!space.is_dense(3));
-        assert!(space.is_dense(4));
         assert_eq!(
             space.trigger_of(2, CrashTrigger::AtSimTimePs),
             CrashTrigger::AtSimTimePs(2)
+        );
+        assert_eq!(
+            space.trigger_of(4, CrashTrigger::AtSimTimePs),
+            CrashTrigger::AtAccessCount(100)
         );
         assert_eq!(
             space.trigger_of(5, CrashTrigger::AtSimTimePs),
@@ -607,21 +604,16 @@ mod tests {
         let reg = Registry::Dist.scenarios();
         assert_eq!(reg.len(), 6);
         for kernel in [Kernel::Stencil, Kernel::Jacobi, Kernel::Cg] {
-            let mechanisms: Vec<&str> = reg
-                .iter()
-                .filter(|s| s.kernel() == kernel)
-                .map(|s| s.mechanism().name())
-                .collect();
             assert_eq!(
-                mechanisms,
-                vec!["extended", "checkpoint"],
+                mechanisms(&reg, kernel),
+                ["extended", "checkpoint"],
                 "kernel {} missing a recovery mode",
                 kernel.name()
             );
         }
         for s in &reg {
             assert!(s.name().starts_with("dist-"), "{}", s.name());
-            assert_eq!(s.platform_name(), "dist-4rank");
+            assert_eq!(s.info().platform, "dist-4rank");
             assert!(s.total_units() > 0);
         }
     }
@@ -631,14 +623,9 @@ mod tests {
         let reg = Registry::Ds.scenarios();
         assert_eq!(reg.len(), 4);
         for kernel in [Kernel::Queue, Kernel::Hash] {
-            let mechanisms: Vec<&str> = reg
-                .iter()
-                .filter(|s| s.kernel() == kernel)
-                .map(|s| s.mechanism().name())
-                .collect();
             assert_eq!(
-                mechanisms,
-                vec!["pmem", "baseline"],
+                mechanisms(&reg, kernel),
+                ["pmem", "baseline"],
                 "kernel {} missing a protection mode",
                 kernel.name()
             );

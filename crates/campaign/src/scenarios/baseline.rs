@@ -19,7 +19,7 @@ use adcc_telemetry::ExecutionProfile;
 use super::harness::{CrashState, Workload};
 use super::verified_completion;
 use crate::outcome::classify;
-use crate::scenario::{Kernel, Mechanism, Trial, UnitSpace};
+use crate::scenario::{ScenarioInfo, Trial};
 
 /// Units re-executed by a crash at `site` charged to `unit`, given the
 /// unit the restored run resumed at.
@@ -33,9 +33,7 @@ pub(crate) fn lost_since(_unit: u64, site: CrashSite, start: usize) -> u64 {
 
 /// What one `*-ckpt` scenario states beyond its kernel.
 pub(crate) struct Checkpointed<K: Baseline, F> {
-    pub name: &'static str,
-    pub kernel: Kernel,
-    pub unit_space: UnitSpace,
+    pub info: ScenarioInfo,
     pub site_trigger: fn(u64) -> CrashTrigger,
     pub config: SystemConfig,
     /// Max elementwise difference below which an answer matches.
@@ -100,17 +98,8 @@ where
     type End = K::Carry;
     type State = Resumed;
 
-    fn name(&self) -> &'static str {
-        self.name
-    }
-    fn kernel(&self) -> Kernel {
-        self.kernel
-    }
-    fn mechanism(&self) -> Mechanism {
-        Mechanism::Checkpoint
-    }
-    fn unit_space(&self) -> UnitSpace {
-        self.unit_space
+    fn info(&self) -> &ScenarioInfo {
+        &self.info
     }
     fn site_trigger(&self, unit: u64) -> CrashTrigger {
         (self.site_trigger)(unit)

@@ -10,7 +10,7 @@ use adcc_sim::system::{MemorySystem, SystemConfig};
 use super::harness::Workload;
 use super::iterative::Iterative;
 use super::{phase_trigger, trim_dram, Linear};
-use crate::scenario::{Kernel, Mechanism, UnitSpace};
+use crate::scenario::{Kernel, Mechanism, ScenarioInfo, UnitSpace};
 
 const ITERS: usize = 10;
 /// The paper-style full history.
@@ -55,10 +55,12 @@ pub(crate) fn extended(p: &Arc<Linear>, window: usize) -> impl Workload {
     };
     let rho0: f64 = p.b.iter().map(|v| v * v).sum();
     Iterative {
-        name,
-        kernel: Kernel::BiCgStab,
-        mechanism,
-        unit_space: UnitSpace::new((BI_PHASES.len() * ITERS) as u64, DENSE_STRIDE),
+        info: ScenarioInfo::new(
+            name,
+            Kernel::BiCgStab,
+            mechanism,
+            UnitSpace::new((BI_PHASES.len() * ITERS) as u64, DENSE_STRIDE),
+        ),
         site_trigger: |unit| phase_trigger(&BI_PHASES, unit),
         config: config(&p),
         tol: TOL,

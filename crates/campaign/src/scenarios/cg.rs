@@ -20,7 +20,7 @@ use super::baseline::{lost_since, Checkpointed};
 use super::harness::{Classified, Workload};
 use super::iterative::Iterative;
 use super::{phase_trigger, trim_dram, verified_completion, Linear};
-use crate::scenario::{Kernel, Mechanism, Trial, UnitSpace};
+use crate::scenario::{Kernel, Mechanism, ScenarioInfo, Trial, UnitSpace};
 
 const ITERS: usize = 12;
 const TOL: f64 = 1e-9;
@@ -65,10 +65,12 @@ const CG_PHASES: [u32; 4] = [
 pub(crate) fn extended(p: &Arc<Linear>) -> impl Workload {
     let p = p.clone();
     Iterative {
-        name: "cg-extended",
-        kernel: Kernel::Cg,
-        mechanism: Mechanism::Extended,
-        unit_space: UnitSpace::new((CG_PHASES.len() * ITERS) as u64, DENSE_STRIDE),
+        info: ScenarioInfo::new(
+            "cg-extended",
+            Kernel::Cg,
+            Mechanism::Extended,
+            UnitSpace::new((CG_PHASES.len() * ITERS) as u64, DENSE_STRIDE),
+        ),
         site_trigger: |unit| phase_trigger(&CG_PHASES, unit),
         config: config(&p.a),
         tol: TOL,
@@ -88,9 +90,12 @@ pub(crate) fn extended(p: &Arc<Linear>) -> impl Workload {
 pub(crate) fn ckpt(p: &Arc<Linear>) -> impl Workload {
     let p = p.clone();
     Checkpointed {
-        name: "cg-ckpt",
-        kernel: Kernel::Cg,
-        unit_space: UnitSpace::new(2 * ITERS as u64, DENSE_STRIDE),
+        info: ScenarioInfo::new(
+            "cg-ckpt",
+            Kernel::Cg,
+            Mechanism::Checkpoint,
+            UnitSpace::new(2 * ITERS as u64, DENSE_STRIDE),
+        ),
         site_trigger: |unit| phase_trigger(&[sites::PH_LINE10, sites::PH_ITER_END], unit),
         config: config(&p.a),
         tol: TOL,
@@ -133,19 +138,15 @@ impl Workload for CgPmem {
     type End = f64;
     type State = Classified;
 
-    fn name(&self) -> &'static str {
-        "cg-pmem"
+    fn info(&self) -> &ScenarioInfo {
+        const INFO: ScenarioInfo = ScenarioInfo::new(
+            "cg-pmem",
+            Kernel::Cg,
+            Mechanism::Pmem,
+            UnitSpace::new((PMEM_PHASES.len() * ITERS) as u64, DENSE_STRIDE),
+        );
+        &INFO
     }
-    fn kernel(&self) -> Kernel {
-        Kernel::Cg
-    }
-    fn mechanism(&self) -> Mechanism {
-        Mechanism::Pmem
-    }
-    fn unit_space(&self) -> UnitSpace {
-        UnitSpace::new((PMEM_PHASES.len() * ITERS) as u64, DENSE_STRIDE)
-    }
-
     fn site_trigger(&self, unit: u64) -> CrashTrigger {
         phase_trigger(&PMEM_PHASES, unit)
     }

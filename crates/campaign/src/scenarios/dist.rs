@@ -43,7 +43,7 @@
 //! against.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use adcc_dist::cg::{CgConfig, DistCg};
 use adcc_dist::cluster::{Cluster, RankFailure};
@@ -56,172 +56,128 @@ use adcc_dist::trial::{
     FollowUp, RecoveryMode, ReferenceRun,
 };
 use adcc_linalg::vecops::max_diff;
-use adcc_resilience::{DirtyClass, DirtyTrial, Tolerance};
+use adcc_resilience::{DirtyTrial, Tolerance};
 use adcc_sim::crash::{CrashSite, CrashTrigger};
 
-use super::verified_completion;
+use super::{never_crashed, verified_completion};
 use crate::memstats::ImageMemory;
 use crate::outcome::classify;
 use crate::scenario::{
-    Harvested, Kernel, Mechanism, PassOutput, Passes, ResilienceBatch, Scenario, Trial, UnitSpace,
-    Whole,
+    Harvested, Kernel, Mechanism, PassOutput, Passes, ResilienceBatch, Scenario, ScenarioInfo,
+    Trial, UnitSpace, Whole,
 };
 
 const TOL: f64 = 1e-9;
 
-/// One distributed kernel family: how to name it and build a fresh
-/// cluster + program for one trial, under one fabric fault profile.
-trait DistSpec: Send + Sync {
-    type K: DistKernel + Clone;
-    fn kernel(&self) -> Kernel;
-    fn name(&self, mode: RecoveryMode) -> &'static str;
-    fn faults(&self) -> FaultProfile;
-    fn ranks(&self) -> u64;
-    fn iters(&self) -> u64;
+/// Builds a fresh cluster + program for one execution under one recovery
+/// mode, with a failure set armed.
+type Build<K> = dyn Fn(RecoveryMode, &[RankFailure]) -> (Cluster, K) + Send + Sync;
+
+/// One distributed kernel family under one fabric fault profile: what its
+/// local-recovery and global-restart scenarios share. Families differ
+/// only in these constants and in the set-up call behind `build`.
+struct DistFamily<K> {
+    kernel: Kernel,
+    /// Scenario names under local recovery, then under global restart.
+    names: [&'static str; 2],
+    faults: FaultProfile,
+    ranks: u64,
+    iters: u64,
     /// Access-count spacing of dense crash points per rank (calibrated to
     /// the kernel's measured crash-free per-rank access count).
-    fn dense_stride(&self) -> u64;
+    dense_stride: u64,
     /// Residual tolerance the resilience sweep classifies dirty
     /// continuations against.
-    fn dirty_tolerance(&self) -> Tolerance;
-    fn build(&self, mode: RecoveryMode, failures: &[RankFailure]) -> (Cluster, Self::K);
+    dirty_tolerance: Tolerance,
+    build: Arc<Build<K>>,
 }
 
-struct StencilSpec {
-    faults: FaultProfile,
-}
-
-impl DistSpec for StencilSpec {
-    type K = DistStencil;
-    fn kernel(&self) -> Kernel {
-        Kernel::Stencil
-    }
-    fn name(&self, mode: RecoveryMode) -> &'static str {
-        match mode {
-            RecoveryMode::AlgorithmDirected => "dist-stencil-local",
-            RecoveryMode::GlobalRestart => "dist-stencil-restart",
+impl<K> Clone for DistFamily<K> {
+    fn clone(&self) -> Self {
+        DistFamily {
+            build: self.build.clone(),
+            ..*self
         }
     }
-    fn faults(&self) -> FaultProfile {
-        self.faults
-    }
-    fn ranks(&self) -> u64 {
-        StencilConfig::campaign_for(RecoveryMode::AlgorithmDirected, self.faults).ranks as u64
-    }
-    fn iters(&self) -> u64 {
-        StencilConfig::campaign_for(RecoveryMode::AlgorithmDirected, self.faults).iters
-    }
-    fn dense_stride(&self) -> u64 {
-        // ~5.4k crash-free accesses per rank.
-        100
-    }
-    fn dirty_tolerance(&self) -> Tolerance {
-        // The explicit diffusion update is contractive, so a dirty block
-        // heals toward the reference; 1e-3 on a unit-scale rod accepts a
-        // visibly-healed plate without waving through a cold one.
-        Tolerance::new(TOL, 1e-3, 1e3)
-    }
-    fn build(&self, mode: RecoveryMode, failures: &[RankFailure]) -> (Cluster, DistStencil) {
-        let cfg = StencilConfig::campaign_for(mode, self.faults);
-        let mut cl = Cluster::new_multi(cfg.cluster(), failures);
-        let prog = DistStencil::setup(&mut cl, cfg);
-        (cl, prog)
-    }
 }
 
-struct JacobiSpec {
-    faults: FaultProfile,
-}
-
-impl DistSpec for JacobiSpec {
-    type K = DistJacobi;
-    fn kernel(&self) -> Kernel {
-        Kernel::Jacobi
-    }
-    fn name(&self, mode: RecoveryMode) -> &'static str {
-        match mode {
-            RecoveryMode::AlgorithmDirected => "dist-jacobi-local",
-            RecoveryMode::GlobalRestart => "dist-jacobi-restart",
+impl DistFamily<DistStencil> {
+    fn stencil(faults: FaultProfile) -> Self {
+        let cfg = StencilConfig::campaign_for(RecoveryMode::AlgorithmDirected, faults);
+        DistFamily {
+            kernel: Kernel::Stencil,
+            names: ["dist-stencil-local", "dist-stencil-restart"],
+            faults,
+            ranks: cfg.ranks as u64,
+            iters: cfg.iters,
+            // ~5.4k crash-free accesses per rank.
+            dense_stride: 100,
+            // The explicit diffusion update is contractive, so a dirty block
+            // heals toward the reference; 1e-3 on a unit-scale rod accepts a
+            // visibly-healed plate without waving through a cold one.
+            dirty_tolerance: Tolerance::new(TOL, 1e-3, 1e3),
+            build: Arc::new(move |mode, failures| {
+                let cfg = StencilConfig::campaign_for(mode, faults);
+                let mut cl = Cluster::new_multi(cfg.cluster(), failures);
+                let prog = DistStencil::setup(&mut cl, cfg);
+                (cl, prog)
+            }),
         }
     }
-    fn faults(&self) -> FaultProfile {
-        self.faults
-    }
-    fn ranks(&self) -> u64 {
-        JacobiConfig::campaign_for(RecoveryMode::AlgorithmDirected, self.faults).ranks as u64
-    }
-    fn iters(&self) -> u64 {
-        JacobiConfig::campaign_for(RecoveryMode::AlgorithmDirected, self.faults).iters
-    }
-    fn dense_stride(&self) -> u64 {
-        // ~9.7k crash-free accesses per rank.
-        150
-    }
-    fn dirty_tolerance(&self) -> Tolerance {
-        // Jacobi smoothing contracts faster than the 1-D rod (four
-        // neighbors average in), so a slightly looser acceptable band
-        // still tells healed blocks from cold ones.
-        Tolerance::new(TOL, 1e-2, 1e3)
-    }
-    fn build(&self, mode: RecoveryMode, failures: &[RankFailure]) -> (Cluster, DistJacobi) {
-        let cfg = JacobiConfig::campaign_for(mode, self.faults);
-        let mut cl = Cluster::new_multi(cfg.cluster(), failures);
-        let prog = DistJacobi::setup(&mut cl, cfg);
-        (cl, prog)
+}
+
+impl DistFamily<DistJacobi> {
+    fn jacobi(faults: FaultProfile) -> Self {
+        let cfg = JacobiConfig::campaign_for(RecoveryMode::AlgorithmDirected, faults);
+        DistFamily {
+            kernel: Kernel::Jacobi,
+            names: ["dist-jacobi-local", "dist-jacobi-restart"],
+            faults,
+            ranks: cfg.ranks as u64,
+            iters: cfg.iters,
+            // ~9.7k crash-free accesses per rank.
+            dense_stride: 150,
+            // Jacobi smoothing contracts faster than the 1-D rod (four
+            // neighbors average in), so a slightly looser acceptable band
+            // still tells healed blocks from cold ones.
+            dirty_tolerance: Tolerance::new(TOL, 1e-2, 1e3),
+            build: Arc::new(move |mode, failures| {
+                let cfg = JacobiConfig::campaign_for(mode, faults);
+                let mut cl = Cluster::new_multi(cfg.cluster(), failures);
+                let prog = DistJacobi::setup(&mut cl, cfg);
+                (cl, prog)
+            }),
+        }
     }
 }
 
-/// Caches the host-side SPD problem: it is a pure function of the fixed
-/// config (the fault profile changes ranks, never the matrix), and
-/// rebuilding it per trial would dominate dist-CG setup.
-struct CgSpec {
-    faults: FaultProfile,
-    a: adcc_linalg::csr::CsrMatrix,
-    b: Vec<f64>,
-}
-
-impl CgSpec {
-    fn new(faults: FaultProfile) -> Self {
+impl DistFamily<DistCg> {
+    /// The host-side SPD problem is built here, once, and shared by both
+    /// scenarios' clusters: it is a pure function of the fixed config (the
+    /// fault profile changes ranks, never the matrix), and rebuilding it per
+    /// execution would dominate dist-CG setup.
+    fn cg(faults: FaultProfile) -> Self {
+        let cfg = CgConfig::campaign_for(RecoveryMode::AlgorithmDirected, faults);
         let (a, b) = CgConfig::campaign(RecoveryMode::AlgorithmDirected).problem();
-        CgSpec { faults, a, b }
-    }
-}
-
-impl DistSpec for CgSpec {
-    type K = DistCg;
-    fn kernel(&self) -> Kernel {
-        Kernel::Cg
-    }
-    fn name(&self, mode: RecoveryMode) -> &'static str {
-        match mode {
-            RecoveryMode::AlgorithmDirected => "dist-cg-local",
-            RecoveryMode::GlobalRestart => "dist-cg-restart",
+        DistFamily {
+            kernel: Kernel::Cg,
+            names: ["dist-cg-local", "dist-cg-restart"],
+            faults,
+            ranks: cfg.ranks as u64,
+            iters: cfg.iters,
+            // ~15k crash-free accesses per rank.
+            dense_stride: 250,
+            // The Krylov recurrence has no self-correction: a dirty segment
+            // either resumes from naturally-consistent residue (exact) or
+            // derails, so the acceptable band mostly documents the cliff.
+            dirty_tolerance: Tolerance::new(TOL, 1e-4, 1e3),
+            build: Arc::new(move |mode, failures| {
+                let cfg = CgConfig::campaign_for(mode, faults);
+                let mut cl = Cluster::new_multi(cfg.cluster(), failures);
+                let prog = DistCg::setup_with_problem(&mut cl, cfg, &a, &b);
+                (cl, prog)
+            }),
         }
-    }
-    fn faults(&self) -> FaultProfile {
-        self.faults
-    }
-    fn ranks(&self) -> u64 {
-        CgConfig::campaign_for(RecoveryMode::AlgorithmDirected, self.faults).ranks as u64
-    }
-    fn iters(&self) -> u64 {
-        CgConfig::campaign_for(RecoveryMode::AlgorithmDirected, self.faults).iters
-    }
-    fn dense_stride(&self) -> u64 {
-        // ~15k crash-free accesses per rank.
-        250
-    }
-    fn dirty_tolerance(&self) -> Tolerance {
-        // The Krylov recurrence has no self-correction: a dirty segment
-        // either resumes from naturally-consistent residue (exact) or
-        // derails, so the acceptable band mostly documents the cliff.
-        Tolerance::new(TOL, 1e-4, 1e3)
-    }
-    fn build(&self, mode: RecoveryMode, failures: &[RankFailure]) -> (Cluster, DistCg) {
-        let cfg = CgConfig::campaign_for(mode, self.faults);
-        let mut cl = Cluster::new_multi(cfg.cluster(), failures);
-        let prog = DistCg::setup_with_problem(&mut cl, cfg, &self.a, &self.b);
-        (cl, prog)
     }
 }
 
@@ -261,9 +217,12 @@ fn at_site(phase: u32, iter: u64, occurrence: u32) -> CrashTrigger {
 
 /// A distributed scenario: one kernel family under one recovery mode,
 /// classified against its own crash-free cluster run.
-struct Dist<S: DistSpec> {
-    spec: S,
+struct Dist<K> {
+    family: DistFamily<K>,
     mode: RecoveryMode,
+    info: ScenarioInfo,
+    /// Site-grain block sizes `(singleton, cascade, node_loss)`.
+    blocks: (u64, u64, u64),
     /// The crash-free cluster execution, looked up on first use (see
     /// [`cached_reference`]) and then shared by every trial of this
     /// scenario: per-trial classification needs its solution, the batch
@@ -296,19 +255,51 @@ fn cached_reference(
     cell.get_or_init(run)
 }
 
-impl<S: DistSpec> Dist<S> {
-    fn new(spec: S, mode: RecoveryMode) -> Self {
+impl<K: DistKernel> Dist<K> {
+    fn new(family: DistFamily<K>, mode: RecoveryMode) -> Self {
+        let (name, mechanism) = match mode {
+            RecoveryMode::AlgorithmDirected => (family.names[0], Mechanism::Extended),
+            RecoveryMode::GlobalRestart => (family.names[1], Mechanism::Checkpoint),
+        };
+        let chaotic = family.faults == FaultProfile::Chaotic;
+        // Node-loss units restore from the remote checkpoint level: only the
+        // chaotic profile configures one, and only local recovery uses it.
+        let node_loss = chaotic && mechanism == Mechanism::Extended;
+        let ranks = family.ranks;
+        let blocks = (
+            ranks * family.iters * 2,
+            2 * ranks,
+            if node_loss { ranks } else { 0 },
+        );
+        let info = ScenarioInfo {
+            name,
+            kernel: family.kernel,
+            mechanism,
+            platform: if chaotic {
+                "dist-16rank-grid"
+            } else {
+                "dist-4rank"
+            },
+            unit_space: UnitSpace::new(blocks.0 + blocks.1 + blocks.2, family.dense_stride),
+        };
         Dist {
-            spec,
+            family,
             mode,
+            info,
+            blocks,
             reference: OnceLock::new(),
         }
     }
 
+    /// A fresh cluster + program with `failures` armed.
+    fn build(&self, failures: &[RankFailure]) -> (Cluster, K) {
+        (self.family.build)(self.mode, failures)
+    }
+
     fn reference(&self) -> &'static ReferenceRun {
         self.reference.get_or_init(|| {
-            cached_reference(self.spec.name(self.mode), self.spec.faults(), || {
-                let (mut cl, mut kernel) = self.spec.build(self.mode, &[]);
+            cached_reference(self.info.name, self.family.faults, || {
+                let (mut cl, mut kernel) = self.build(&[]);
                 reference_run(&mut cl, &mut kernel)
             })
         })
@@ -332,24 +323,6 @@ impl<S: DistSpec> Dist<S> {
         }
     }
 
-    /// Does this scenario enumerate node-loss units? Only the chaotic
-    /// profile configures the remote checkpoint level they restore from,
-    /// and only AlgorithmDirected recovery can use it.
-    fn has_node_loss(&self) -> bool {
-        self.spec.faults() == FaultProfile::Chaotic
-            && matches!(self.mode, RecoveryMode::AlgorithmDirected)
-    }
-
-    /// Site-grain block sizes `(singleton, cascade, node_loss)`.
-    fn blocks(&self) -> (u64, u64, u64) {
-        let ranks = self.spec.ranks();
-        (
-            ranks * self.spec.iters() * 2,
-            2 * ranks,
-            if self.has_node_loss() { ranks } else { 0 },
-        )
-    }
-
     /// The second failure of a cascade led by a `PH_MID` crash on `rank1`
     /// at `iter1`: the next rank up, armed to fire while the cluster is
     /// still digesting the first crash.
@@ -365,7 +338,7 @@ impl<S: DistSpec> Dist<S> {
     ///   frontier (`iter1 - 1`), so that superstep's MID poll recurs
     ///   *inside* recovery — the second occurrence lands mid-rollback.
     fn cascade_second(&self, rank1: usize, iter1: u64) -> RankFailure {
-        let ranks = self.spec.ranks() as usize;
+        let ranks = self.family.ranks as usize;
         let rank2 = (rank1 + 1) % ranks;
         let repolled_occurrence = if rank2 < rank1 { 2 } else { 1 };
         match self.mode {
@@ -384,9 +357,8 @@ impl<S: DistSpec> Dist<S> {
 
     /// Decode a scheduled unit into the failure set to arm.
     fn decode(&self, unit: u64) -> UnitKind {
-        let ranks = self.spec.ranks();
-        let iters = self.spec.iters();
-        let (a, b, c) = self.blocks();
+        let (ranks, iters) = (self.family.ranks, self.family.iters);
+        let (a, b, c) = self.blocks;
         if unit < a {
             let rank = (unit % ranks) as usize;
             let rest = unit / ranks;
@@ -420,7 +392,7 @@ impl<S: DistSpec> Dist<S> {
             let rank = (d % ranks) as usize;
             UnitKind::Dense(RankFailure::crash(
                 rank,
-                CrashTrigger::AtAccessCount((d / ranks + 1) * self.dense_stride()),
+                CrashTrigger::AtAccessCount((d / ranks + 1) * self.family.dense_stride),
             ))
         }
     }
@@ -432,28 +404,9 @@ impl<S: DistSpec> Dist<S> {
     }
 }
 
-impl<S: DistSpec> Scenario for Dist<S> {
-    fn name(&self) -> &'static str {
-        self.spec.name(self.mode)
-    }
-    fn kernel(&self) -> Kernel {
-        self.spec.kernel()
-    }
-    fn mechanism(&self) -> Mechanism {
-        match self.mode {
-            RecoveryMode::AlgorithmDirected => Mechanism::Extended,
-            RecoveryMode::GlobalRestart => Mechanism::Checkpoint,
-        }
-    }
-    fn platform_name(&self) -> &'static str {
-        match self.spec.faults() {
-            FaultProfile::Chaotic => "dist-16rank-grid",
-            _ => "dist-4rank",
-        }
-    }
-    fn unit_space(&self) -> UnitSpace {
-        let (a, b, c) = self.blocks();
-        UnitSpace::new(a + b + c, self.spec.dense_stride())
+impl<K: DistKernel + Clone + 'static> Scenario for Dist<K> {
+    fn info(&self) -> &ScenarioInfo {
+        &self.info
     }
     fn site_trigger(&self, unit: u64) -> CrashTrigger {
         self.trigger_of(unit)
@@ -467,7 +420,7 @@ impl<S: DistSpec> Scenario for Dist<S> {
     /// The oracle: one dedicated cluster with the unit's whole failure set
     /// armed, run forward, recovered and resumed to the last superstep.
     fn run_trial(&self, unit: u64, telemetry: bool) -> Trial {
-        let (mut cl, mut kernel) = self.spec.build(self.mode, &self.failure_set(unit));
+        let (mut cl, mut kernel) = self.build(&self.failure_set(unit));
         let t = run_dist_trial(&mut cl, &mut kernel, telemetry);
         self.classify_dist(unit, t)
     }
@@ -492,9 +445,9 @@ impl<S: DistSpec> Scenario for Dist<S> {
         passes: Passes,
         mem: &ImageMemory,
     ) -> Box<dyn Harvested + 'a> {
-        let mut out = PassOutput::default();
+        debug_assert!(units.windows(2).all(|w| w[0] < w[1]), "units unsorted");
         if !(passes.recover || passes.dirty) {
-            return Box::new(Whole(out));
+            return Box::new(Whole(PassOutput::default()));
         }
         let points: Vec<BatchPoint> = units
             .iter()
@@ -511,7 +464,7 @@ impl<S: DistSpec> Scenario for Dist<S> {
                 }
             })
             .collect();
-        let (mut cl, mut kernel) = self.spec.build(self.mode, &[]);
+        let (mut cl, mut kernel) = self.build(&[]);
         let (replays, stats) = run_dist_batch(
             &mut cl,
             &mut kernel,
@@ -532,79 +485,72 @@ impl<S: DistSpec> Scenario for Dist<S> {
             stats.pool_bytes,
         );
 
-        let tolerance = self.spec.dirty_tolerance();
-        let mut trials: HashMap<u64, Trial> = HashMap::with_capacity(units.len());
-        let mut dirty: HashMap<u64, DirtyTrial> = HashMap::with_capacity(units.len());
+        // Each replay's units go to their schedule slots, as the kernel
+        // batch's merge places them.
+        let slot = |unit: u64| {
+            units
+                .binary_search(&unit)
+                .expect("replayed unit was scheduled")
+        };
+        let mut trials: Vec<Option<Trial>> =
+            vec![None; if passes.recover { units.len() } else { 0 }];
+        let mut dirty: Vec<DirtyTrial> = if passes.dirty {
+            units.iter().map(|&unit| never_crashed(unit)).collect()
+        } else {
+            Vec::new()
+        };
         for replay in replays {
             if let Some(t) = replay.trial {
                 let t = self.classify_dist(replay.units[0], t);
-                trials.extend(replay.units.iter().map(|&unit| (unit, Trial { unit, ..t })));
+                for &unit in &replay.units {
+                    trials[slot(unit)] = Some(Trial { unit, ..t });
+                }
             }
             if let Some(d) = replay.dirty {
                 let diff = max_diff(&d.solution, &self.reference().solution);
-                let class = tolerance.classify(false, diff);
-                dirty.extend(replay.units.iter().map(|&unit| {
-                    let t = DirtyTrial {
+                let class = self.family.dirty_tolerance.classify(false, diff);
+                for &unit in &replay.units {
+                    dirty[slot(unit)] = DirtyTrial {
                         unit,
                         class,
                         extra_units: 0,
                         sim_time_ps: d.sim_time_ps,
                     };
-                    (unit, t)
-                }));
+                }
             }
         }
-        if passes.recover {
-            out.trials = units
-                .iter()
-                .map(|u| trials.remove(u).expect("batch covered every unit"))
-                .collect();
-        }
-        if passes.dirty {
-            let trials = units
-                .iter()
-                .map(|&unit| {
-                    dirty.remove(&unit).unwrap_or(DirtyTrial {
-                        unit,
-                        class: DirtyClass::ConvergedExact,
-                        extra_units: 0,
-                        sim_time_ps: 0,
-                    })
-                })
-                .collect();
-            out.dirty = Some(ResilienceBatch { trials, tolerance });
-        }
-        Box::new(Whole(out))
+        Box::new(Whole(PassOutput {
+            trials: trials.into_iter().flatten().collect(),
+            dirty: passes.dirty.then_some(ResilienceBatch {
+                trials: dirty,
+                tolerance: self.family.dirty_tolerance,
+            }),
+            analysis: None,
+        }))
     }
 }
 
-/// Every distributed scenario under one fabric fault profile, in report
-/// order: each kernel family under algorithm-directed local recovery and
-/// global checkpoint restart.
+/// Every distributed scenario (the `dist` registry) under one fabric fault
+/// profile, in report order: three kernel families, each under
+/// algorithm-directed local recovery and global checkpoint restart. The
+/// chaotic profile swaps every cluster to the 16-rank 2-D grid presets
+/// with a remote checkpoint level and appends node-loss units to the
+/// local-recovery scenarios.
 pub fn all_with(faults: FaultProfile) -> Vec<Box<dyn Scenario>> {
-    vec![
-        Box::new(Dist::new(
-            StencilSpec { faults },
-            RecoveryMode::AlgorithmDirected,
-        )),
-        Box::new(Dist::new(
-            StencilSpec { faults },
-            RecoveryMode::GlobalRestart,
-        )),
-        Box::new(Dist::new(
-            JacobiSpec { faults },
-            RecoveryMode::AlgorithmDirected,
-        )),
-        Box::new(Dist::new(
-            JacobiSpec { faults },
-            RecoveryMode::GlobalRestart,
-        )),
-        Box::new(Dist::new(
-            CgSpec::new(faults),
-            RecoveryMode::AlgorithmDirected,
-        )),
-        Box::new(Dist::new(CgSpec::new(faults), RecoveryMode::GlobalRestart)),
+    fn both<K: DistKernel + Clone + 'static>(family: DistFamily<K>) -> [Box<dyn Scenario>; 2] {
+        [
+            Box::new(Dist::new(family.clone(), RecoveryMode::AlgorithmDirected)),
+            Box::new(Dist::new(family, RecoveryMode::GlobalRestart)),
+        ]
+    }
+    [
+        both(DistFamily::stencil(faults)),
+        both(DistFamily::jacobi(faults)),
+        both(DistFamily::cg(faults)),
     ]
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 #[cfg(test)]
@@ -613,19 +559,14 @@ mod tests {
     use crate::outcome::Outcome;
     use adcc_dist::trial::run_dist_dirty_trial;
 
-    fn stencil(mode: RecoveryMode) -> Dist<StencilSpec> {
-        Dist::new(
-            StencilSpec {
-                faults: FaultProfile::Off,
-            },
-            mode,
-        )
+    fn stencil(mode: RecoveryMode) -> Dist<DistStencil> {
+        Dist::new(DistFamily::stencil(FaultProfile::Off), mode)
     }
 
     #[test]
     fn unit_decode_interleaves_ranks_then_supersteps() {
         let s = stencil(RecoveryMode::AlgorithmDirected);
-        let ranks = s.spec.ranks();
+        let ranks = s.family.ranks;
         // Units 0..ranks are the MID polls of superstep 1, one per rank.
         for u in 0..ranks {
             let UnitKind::Single(f) = s.decode(u) else {
@@ -652,9 +593,8 @@ mod tests {
     #[test]
     fn cascade_units_stagger_a_second_crash_onto_the_next_rank() {
         let s = stencil(RecoveryMode::AlgorithmDirected);
-        let ranks = s.spec.ranks();
-        let iters = s.spec.iters();
-        let (a, b, _) = s.blocks();
+        let (ranks, iters) = (s.family.ranks, s.family.iters);
+        let (a, b, _) = s.blocks;
         assert_eq!(b, 2 * ranks);
         // First cascade variant: mid-run crash.
         let UnitKind::Cascade(first, second) = s.decode(a) else {
@@ -685,37 +625,28 @@ mod tests {
     #[test]
     fn node_loss_units_exist_only_under_chaotic_local_recovery() {
         let off = stencil(RecoveryMode::AlgorithmDirected);
-        assert_eq!(off.blocks().2, 0);
-        let chaotic = Dist::new(
-            StencilSpec {
-                faults: FaultProfile::Chaotic,
-            },
-            RecoveryMode::AlgorithmDirected,
-        );
-        let ranks = chaotic.spec.ranks();
+        assert_eq!(off.blocks.2, 0);
+        let family = DistFamily::stencil(FaultProfile::Chaotic);
+        let chaotic = Dist::new(family.clone(), RecoveryMode::AlgorithmDirected);
+        let ranks = chaotic.family.ranks;
         assert_eq!(ranks, 16, "chaotic tier runs the 4x4 grid");
-        assert_eq!(chaotic.blocks().2, ranks);
-        assert_eq!(chaotic.platform_name(), "dist-16rank-grid");
-        let (a, b, _) = chaotic.blocks();
+        assert_eq!(chaotic.blocks.2, ranks);
+        assert_eq!(chaotic.info.platform, "dist-16rank-grid");
+        let (a, b, _) = chaotic.blocks;
         let UnitKind::NodeLoss(f) = chaotic.decode(a + b + 3) else {
             panic!("should be node loss");
         };
         assert_eq!(f.rank, 3);
         assert!(f.node_loss);
         // GlobalRestart cannot use the remote level: no node-loss block.
-        let restart = Dist::new(
-            StencilSpec {
-                faults: FaultProfile::Chaotic,
-            },
-            RecoveryMode::GlobalRestart,
-        );
-        assert_eq!(restart.blocks().2, 0);
+        let restart = Dist::new(family, RecoveryMode::GlobalRestart);
+        assert_eq!(restart.blocks.2, 0);
     }
 
     #[test]
     fn every_site_unit_of_one_superstep_recovers_exactly_under_local() {
         let s = stencil(RecoveryMode::AlgorithmDirected);
-        let ranks = s.spec.ranks();
+        let ranks = s.family.ranks;
         // Superstep 4's MID and END units across all ranks.
         for u in (3 * 2 * ranks)..(4 * 2 * ranks) {
             let t = s.run_trial(u, false);
@@ -727,7 +658,7 @@ mod tests {
     fn cascade_units_recover_or_detect_under_both_modes() {
         for mode in [RecoveryMode::AlgorithmDirected, RecoveryMode::GlobalRestart] {
             let s = stencil(mode);
-            let (a, b, _) = s.blocks();
+            let (a, b, _) = s.blocks;
             for u in [a, a + 1, a + b - 1] {
                 let t = s.run_trial(u, false);
                 assert!(
@@ -747,12 +678,10 @@ mod tests {
     #[test]
     fn restart_units_recover_by_recomputation_between_checkpoints() {
         let s = Dist::new(
-            JacobiSpec {
-                faults: FaultProfile::Off,
-            },
+            DistFamily::jacobi(FaultProfile::Off),
             RecoveryMode::GlobalRestart,
         );
-        let ranks = s.spec.ranks();
+        let ranks = s.family.ranks;
         // Superstep 5 MID (frontier 4, checkpoint 3): one superstep of
         // cluster-wide re-execution.
         let unit = (5 - 1) * 2 * ranks;
@@ -766,22 +695,20 @@ mod tests {
     #[test]
     fn dense_units_past_the_run_complete_clean() {
         let s = Dist::new(
-            CgSpec::new(FaultProfile::Off),
+            DistFamily::cg(FaultProfile::Off),
             RecoveryMode::AlgorithmDirected,
         );
-        let t = s.run_trial(s.total_units() + 100 * s.spec.ranks(), false);
+        let t = s.run_trial(s.total_units() + 100 * s.family.ranks, false);
         assert_eq!(t.outcome, Outcome::CompletedClean);
     }
 
     #[test]
     fn node_loss_units_restore_from_the_remote_level_exactly() {
         let s = Dist::new(
-            JacobiSpec {
-                faults: FaultProfile::Chaotic,
-            },
+            DistFamily::jacobi(FaultProfile::Chaotic),
             RecoveryMode::AlgorithmDirected,
         );
-        let (a, b, c) = s.blocks();
+        let (a, b, c) = s.blocks;
         assert!(c > 0);
         let t = s.run_trial(a + b + 1, true);
         assert_eq!(t.outcome, Outcome::RecoveredExact);
@@ -792,37 +719,21 @@ mod tests {
 
     #[test]
     fn the_reference_run_executes_once_per_process() {
-        let first = Dist::new(
-            JacobiSpec {
-                faults: FaultProfile::Lossy,
-            },
-            RecoveryMode::GlobalRestart,
-        );
-        let rebuilt = Dist::new(
-            JacobiSpec {
-                faults: FaultProfile::Lossy,
-            },
-            RecoveryMode::GlobalRestart,
-        );
+        let lossy = || DistFamily::jacobi(FaultProfile::Lossy);
+        let first = Dist::new(lossy(), RecoveryMode::GlobalRestart);
+        let rebuilt = Dist::new(lossy(), RecoveryMode::GlobalRestart);
         // A second registry build is handed the first one's run — the same
         // allocation, so no cluster was executed for it...
         assert!(std::ptr::eq(first.reference(), rebuilt.reference()));
         // ...and it is bit for bit what a fresh execution would produce.
-        let (mut cl, mut kernel) = rebuilt.spec.build(rebuilt.mode, &[]);
+        let (mut cl, mut kernel) = rebuilt.build(&[]);
         let fresh = reference_run(&mut cl, &mut kernel);
         assert!(fresh == *rebuilt.reference());
         // The key is (kernel family, recovery mode, fault profile).
         for other in [
+            Dist::new(lossy(), RecoveryMode::AlgorithmDirected),
             Dist::new(
-                JacobiSpec {
-                    faults: FaultProfile::Lossy,
-                },
-                RecoveryMode::AlgorithmDirected,
-            ),
-            Dist::new(
-                JacobiSpec {
-                    faults: FaultProfile::Off,
-                },
+                DistFamily::jacobi(FaultProfile::Off),
                 RecoveryMode::GlobalRestart,
             ),
         ] {
@@ -832,17 +743,17 @@ mod tests {
 
     /// The dirty pass's oracle: one dedicated cluster with the unit's
     /// whole failure set armed, rebooted dirty at every crash.
-    fn dirty_oracle<S: DistSpec>(s: &Dist<S>, unit: u64) -> DirtyTrial {
-        let (mut cl, mut kernel) = s.spec.build(s.mode, &s.failure_set(unit));
-        let rebooted = run_dist_dirty_trial(&mut cl, &mut kernel);
+    fn dirty_oracle<K: DistKernel>(s: &Dist<K>, unit: u64) -> DirtyTrial {
+        let (mut cl, mut kernel) = s.build(&s.failure_set(unit));
+        let Some(d) = run_dist_dirty_trial(&mut cl, &mut kernel) else {
+            return never_crashed(unit);
+        };
+        let diff = max_diff(&d.solution, &s.reference().solution);
         DirtyTrial {
             unit,
-            class: rebooted.as_ref().map_or(DirtyClass::ConvergedExact, |d| {
-                let diff = max_diff(&d.solution, &s.reference().solution);
-                s.spec.dirty_tolerance().classify(false, diff)
-            }),
+            class: s.family.dirty_tolerance.classify(false, diff),
             extra_units: 0,
-            sim_time_ps: rebooted.map_or(0, |d| d.sim_time_ps),
+            sim_time_ps: d.sim_time_ps,
         }
     }
 
@@ -850,10 +761,13 @@ mod tests {
     /// the singletons that share a poll with a cascade leader and with a
     /// node loss: one cluster, one forward execution, and a dirty trial
     /// per unit equal to the per-trial oracle's.
-    fn dirty_failure_sets_match_the_oracle<S: DistSpec>(spec: S, mode: RecoveryMode) {
-        let s = Dist::new(spec, mode);
-        let (ranks, iters) = (s.spec.ranks(), s.spec.iters());
-        let (a, b, c) = s.blocks();
+    fn dirty_failure_sets_match_the_oracle<K: DistKernel + Clone + 'static>(
+        family: DistFamily<K>,
+        mode: RecoveryMode,
+    ) {
+        let s = Dist::new(family, mode);
+        let (ranks, iters) = (s.family.ranks, s.family.iters);
+        let (a, b, c) = s.blocks;
         let mid = (iters / 2).max(1);
         let mut units = vec![(mid - 1) * 2 * ranks + 3, ((mid - 1) * 2 + 1) * ranks + 3];
         units.extend(a..a + b + c);
@@ -871,9 +785,9 @@ mod tests {
     fn dirty_pass_of_every_failure_set_unit_equals_the_per_trial_oracle() {
         let faults = FaultProfile::Chaotic;
         for mode in [RecoveryMode::AlgorithmDirected, RecoveryMode::GlobalRestart] {
-            dirty_failure_sets_match_the_oracle(StencilSpec { faults }, mode);
-            dirty_failure_sets_match_the_oracle(JacobiSpec { faults }, mode);
-            dirty_failure_sets_match_the_oracle(CgSpec::new(faults), mode);
+            dirty_failure_sets_match_the_oracle(DistFamily::stencil(faults), mode);
+            dirty_failure_sets_match_the_oracle(DistFamily::jacobi(faults), mode);
+            dirty_failure_sets_match_the_oracle(DistFamily::cg(faults), mode);
         }
     }
 }

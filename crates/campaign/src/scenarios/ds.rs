@@ -36,7 +36,7 @@ use adcc_telemetry::ExecutionProfile;
 
 use super::harness::{Classified, Workload};
 use super::verified_completion;
-use crate::scenario::{Kernel, Mechanism, Scenario, Trial, UnitSpace};
+use crate::scenario::{Kernel, Mechanism, Scenario, ScenarioInfo, Trial, UnitSpace};
 
 /// The three always-polled phases of one op, in poll order.
 const SITE_PHASES: [u32; 3] = [PH_DS_PREP, PH_DS_MUT, PH_DS_COMMIT];
@@ -48,16 +48,16 @@ const DENSE_STRIDE: u64 = 200;
 
 /// One ds structure × protection pair.
 pub(crate) struct DsScenario {
-    name: &'static str,
-    kernel: Kernel,
-    mechanism: Mechanism,
+    info: ScenarioInfo,
     cfg: WorkloadCfg,
     stream: OpStream,
     layout: DsLayout,
 }
 
-/// Every ds scenario, in report order.
-pub(super) fn all() -> Vec<Box<dyn Scenario>> {
+/// Every persistent data-structure scenario (the `ds` registry), in
+/// report order: MSC queue and open-addressing hash table, each under
+/// undo-logged (`pmem`) and unprotected-baseline protection.
+pub(crate) fn all() -> Vec<Box<dyn Scenario>> {
     vec![
         Box::new(DsScenario::new(
             "ds-queue-undo",
@@ -105,16 +105,17 @@ impl DsScenario {
         // persistent layout; compute it once on a scratch system.
         let mut sys = MemorySystem::new(cfg.system());
         let layout = DsWorkload::setup(&mut sys, cfg).layout();
+        let kernel = match structure {
+            Structure::Queue => Kernel::Queue,
+            Structure::Hash => Kernel::Hash,
+        };
+        let mechanism = match protection {
+            Protection::Undo => Mechanism::Pmem,
+            Protection::Baseline => Mechanism::Baseline,
+        };
+        let sites = SITE_PHASES.len() as u64 * stream.len();
         DsScenario {
-            name,
-            kernel: match structure {
-                Structure::Queue => Kernel::Queue,
-                Structure::Hash => Kernel::Hash,
-            },
-            mechanism: match protection {
-                Protection::Undo => Mechanism::Pmem,
-                Protection::Baseline => Mechanism::Baseline,
-            },
+            info: ScenarioInfo::new(name, kernel, mechanism, UnitSpace::new(sites, DENSE_STRIDE)),
             cfg,
             stream,
             layout,
@@ -136,19 +137,9 @@ impl Workload for DsScenario {
     type End = bool;
     type State = Classified;
 
-    fn name(&self) -> &'static str {
-        self.name
+    fn info(&self) -> &ScenarioInfo {
+        &self.info
     }
-    fn kernel(&self) -> Kernel {
-        self.kernel
-    }
-    fn mechanism(&self) -> Mechanism {
-        self.mechanism
-    }
-    fn unit_space(&self) -> UnitSpace {
-        UnitSpace::new(SITE_PHASES.len() as u64 * self.stream.len(), DENSE_STRIDE)
-    }
-
     fn site_trigger(&self, unit: u64) -> CrashTrigger {
         let seq = unit / SITE_PHASES.len() as u64 + 1;
         let phase = SITE_PHASES[(unit % SITE_PHASES.len() as u64) as usize];
@@ -232,7 +223,7 @@ impl Workload for DsScenario {
     /// mutant tests in `crates/ds/tests/analyzer_mutants.rs` cover that
     /// category instead).
     fn regions(&self) -> Vec<Region> {
-        let checks = match self.mechanism {
+        let checks = match self.info.mechanism {
             Mechanism::Pmem => Checks {
                 redundant_flush: false,
                 ..Checks::ALL
@@ -246,7 +237,7 @@ impl Workload for DsScenario {
         let region = |name: &str, addr: u64, len: usize, role: Role, group: u32| {
             Region::from_range(name, addr, len, role, group, checks)
         };
-        let mut regions = match self.kernel {
+        let mut regions = match self.info.kernel {
             Kernel::Queue => vec![region(
                 "ds/queue-ctrl",
                 l.queue_ctrl,

@@ -69,11 +69,11 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use super::never_crashed;
 use crate::memstats::ImageMemory;
 use crate::outcome::{classify, Outcome};
 use crate::scenario::{
-    Analyzed, Harvested, Kernel, Mechanism, PassOutput, Passes, ResilienceBatch, Scenario, Trial,
-    UnitSpace, Whole,
+    Analyzed, Harvested, PassOutput, Passes, ResilienceBatch, Scenario, ScenarioInfo, Trial, Whole,
 };
 
 /// One kernel or data-structure workload under one persistence mechanism,
@@ -108,18 +108,8 @@ pub(crate) trait Workload: Send + Sync {
     /// function of the state alone.
     type State: CrashState + Send;
 
-    /// Unique scenario name (report key).
-    fn name(&self) -> &'static str;
-    /// Kernel family under test.
-    fn kernel(&self) -> Kernel;
-    /// Persistence mechanism under test.
-    fn mechanism(&self) -> Mechanism;
-    /// Platform preset name (report metadata).
-    fn platform_name(&self) -> &'static str {
-        "nvm-only"
-    }
-    /// The scenario's crash-point geometry.
-    fn unit_space(&self) -> UnitSpace;
+    /// Who this scenario is.
+    fn info(&self) -> &ScenarioInfo;
     /// Crash trigger for a site-grain unit.
     fn site_trigger(&self, unit: u64) -> CrashTrigger;
 
@@ -201,7 +191,7 @@ pub(crate) trait Workload: Send + Sync {
     /// [`dirty_reference`](Workload::dirty_reference) is `Some`.
     fn dirty_restart(&self, live: &Self::Live, image: &NvmImage) -> DirtyRestart {
         let _ = (live, image);
-        unreachable!("{} declares no dirty reference", Workload::name(self))
+        unreachable!("{} declares no dirty reference", Workload::info(self).name)
     }
 
     /// The dirty step over crash states of one forward execution, as
@@ -227,20 +217,8 @@ pub(crate) trait Workload: Send + Sync {
 }
 
 impl<W: Workload> Scenario for W {
-    fn name(&self) -> &'static str {
-        Workload::name(self)
-    }
-    fn kernel(&self) -> Kernel {
-        Workload::kernel(self)
-    }
-    fn mechanism(&self) -> Mechanism {
-        Workload::mechanism(self)
-    }
-    fn platform_name(&self) -> &'static str {
-        Workload::platform_name(self)
-    }
-    fn unit_space(&self) -> UnitSpace {
-        Workload::unit_space(self)
+    fn info(&self) -> &ScenarioInfo {
+        Workload::info(self)
     }
     fn site_trigger(&self, unit: u64) -> CrashTrigger {
         Workload::site_trigger(self, unit)
@@ -536,7 +514,7 @@ impl<W: Workload> Batch<'_, W> {
             results.len(),
             groups.len(),
             "{}: a chain returns one result per crash state",
-            Workload::name(self.w)
+            Workload::info(self.w).name
         );
         for (g, result) in groups.zip(results) {
             self.store(g, |slot| put(slot, &self.groups[g], result));
@@ -620,18 +598,8 @@ impl<W: Workload> Harvested for Batch<'_, W> {
                 .expect("harvested unit was scheduled")
         };
         let mut trials: Vec<Option<Trial>> = vec![None; if recover { units.len() } else { 0 }];
-        // A unit whose trigger never fires completed cleanly: nothing was
-        // lost, nothing rebooted — converged-exact at zero extra work.
         let mut dirty: Vec<DirtyTrial> = if dirty_ref.is_some() {
-            units
-                .iter()
-                .map(|&unit| DirtyTrial {
-                    unit,
-                    class: DirtyClass::ConvergedExact,
-                    extra_units: 0,
-                    sim_time_ps: 0,
-                })
-                .collect()
+            units.iter().map(|&unit| never_crashed(unit)).collect()
         } else {
             Vec::new()
         };
@@ -643,7 +611,7 @@ impl<W: Workload> Harvested for Batch<'_, W> {
             assert!(
                 out.state.is_some() == recover && out.dirty.is_some() == dirty_ref.is_some(),
                 "{}: the job recovering the crash state of unit {} did not finish",
-                Workload::name(w),
+                Workload::info(w).name,
                 harvests[group.start].unit
             );
             for h in &harvests[group] {
@@ -755,6 +723,7 @@ pub(crate) fn assert_images_hold_only_the_written_prefix<W: Workload>(
 mod tests {
     use super::*;
     use crate::engine::{run_tasks, Task};
+    use crate::scenario::{Kernel, Mechanism, UnitSpace};
     use adcc_sim::parray::PArray;
     use adcc_sim::system::SystemConfig;
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -819,17 +788,10 @@ mod tests {
         /// `lost_units` carries the crash site's poll index.
         type State = Classified;
 
-        fn name(&self) -> &'static str {
-            "toy"
-        }
-        fn kernel(&self) -> Kernel {
-            Kernel::Cg
-        }
-        fn mechanism(&self) -> Mechanism {
-            Mechanism::Extended
-        }
-        fn unit_space(&self) -> UnitSpace {
-            UnitSpace::site_grain(8)
+        fn info(&self) -> &ScenarioInfo {
+            const TOY: ScenarioInfo =
+                ScenarioInfo::new("toy", Kernel::Cg, Mechanism::Extended, UnitSpace::new(8, 2));
+            &TOY
         }
         fn site_trigger(&self, unit: u64) -> CrashTrigger {
             CrashTrigger::AtAccessCount(unit)

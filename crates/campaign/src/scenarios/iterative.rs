@@ -16,14 +16,11 @@ use adcc_telemetry::ExecutionProfile;
 
 use super::harness::{Classified, Workload};
 use super::verified_completion;
-use crate::scenario::{Kernel, Mechanism, Trial, UnitSpace};
+use crate::scenario::{ScenarioInfo, Trial};
 
 /// What one `*-extended` scenario states beyond its kernel.
 pub(crate) struct Iterative<F> {
-    pub name: &'static str,
-    pub kernel: Kernel,
-    pub mechanism: Mechanism,
-    pub unit_space: UnitSpace,
+    pub info: ScenarioInfo,
     pub site_trigger: fn(u64) -> CrashTrigger,
     pub config: SystemConfig,
     /// Max elementwise difference below which an answer matches.
@@ -52,17 +49,8 @@ where
     type End = K::Carry;
     type State = Classified;
 
-    fn name(&self) -> &'static str {
-        self.name
-    }
-    fn kernel(&self) -> Kernel {
-        self.kernel
-    }
-    fn mechanism(&self) -> Mechanism {
-        self.mechanism
-    }
-    fn unit_space(&self) -> UnitSpace {
-        self.unit_space
+    fn info(&self) -> &ScenarioInfo {
+        &self.info
     }
     fn site_trigger(&self, unit: u64) -> CrashTrigger {
         (self.site_trigger)(unit)

@@ -12,7 +12,7 @@ use super::baseline::{lost_since, Checkpointed};
 use super::harness::Workload;
 use super::iterative::Iterative;
 use super::{phase_trigger, trim_dram, Linear};
-use crate::scenario::{Kernel, Mechanism, UnitSpace};
+use crate::scenario::{Kernel, Mechanism, ScenarioInfo, UnitSpace};
 
 const ITERS: usize = 12;
 const TOL: f64 = 1e-9;
@@ -47,10 +47,12 @@ fn config(a: &CsrMatrix) -> SystemConfig {
 pub(crate) fn extended(p: &Arc<Linear>) -> impl Workload {
     let p = p.clone();
     Iterative {
-        name: "jacobi-extended",
-        kernel: Kernel::Jacobi,
-        mechanism: Mechanism::Extended,
-        unit_space: UnitSpace::new(ITERS as u64, DENSE_STRIDE),
+        info: ScenarioInfo::new(
+            "jacobi-extended",
+            Kernel::Jacobi,
+            Mechanism::Extended,
+            UnitSpace::new(ITERS as u64, DENSE_STRIDE),
+        ),
         site_trigger: |unit| phase_trigger(&[sites::PH_AFTER_X], unit),
         config: config(&p.a),
         tol: TOL,
@@ -69,9 +71,12 @@ pub(crate) fn extended(p: &Arc<Linear>) -> impl Workload {
 pub(crate) fn ckpt(p: &Arc<Linear>) -> impl Workload {
     let p = p.clone();
     Checkpointed {
-        name: "jacobi-ckpt",
-        kernel: Kernel::Jacobi,
-        unit_space: UnitSpace::new(2 * ITERS as u64, DENSE_STRIDE),
+        info: ScenarioInfo::new(
+            "jacobi-ckpt",
+            Kernel::Jacobi,
+            Mechanism::Checkpoint,
+            UnitSpace::new(2 * ITERS as u64, DENSE_STRIDE),
+        ),
         site_trigger: |unit| phase_trigger(&[sites::PH_AFTER_X, sites::PH_ITER_END], unit),
         config: config(&p.a),
         tol: TOL,

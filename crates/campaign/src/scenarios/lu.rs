@@ -16,7 +16,7 @@ use adcc_telemetry::ExecutionProfile;
 use super::baseline::Checkpointed;
 use super::harness::{Classified, Workload};
 use super::{trim_dram, verified_completion};
-use crate::scenario::{Kernel, Mechanism, Trial, UnitSpace};
+use crate::scenario::{Kernel, Mechanism, ScenarioInfo, Trial, UnitSpace};
 
 const N: usize = 32;
 const BK: usize = 4;
@@ -44,9 +44,8 @@ fn config() -> SystemConfig {
     trim_dram(SystemConfig::nvm_only(8 << 10, cap))
 }
 
-fn blocks() -> u64 {
-    N.div_ceil(BK) as u64
-}
+/// A crash point after every column, then one at every block's end.
+const UNIT_SPACE: UnitSpace = UnitSpace::new((N + N.div_ceil(BK)) as u64, DENSE_STRIDE);
 
 /// Dirty-restart residual tolerance. Elimination has no damping at all —
 /// a torn column poisons every later column it eliminates into — so a
@@ -92,19 +91,11 @@ impl Workload for LuExtended {
     type End = ();
     type State = Classified;
 
-    fn name(&self) -> &'static str {
-        "lu-extended"
+    fn info(&self) -> &ScenarioInfo {
+        const INFO: ScenarioInfo =
+            ScenarioInfo::new("lu-extended", Kernel::Lu, Mechanism::Extended, UNIT_SPACE);
+        &INFO
     }
-    fn kernel(&self) -> Kernel {
-        Kernel::Lu
-    }
-    fn mechanism(&self) -> Mechanism {
-        Mechanism::Extended
-    }
-    fn unit_space(&self) -> UnitSpace {
-        UnitSpace::new(N as u64 + blocks(), DENSE_STRIDE)
-    }
-
     fn site_trigger(&self, unit: u64) -> CrashTrigger {
         lu_site_trigger(unit)
     }
@@ -160,9 +151,7 @@ impl Workload for LuExtended {
 pub(crate) fn ckpt(p: &Arc<Factored>) -> impl Workload {
     let p = p.clone();
     Checkpointed {
-        name: "lu-ckpt",
-        kernel: Kernel::Lu,
-        unit_space: UnitSpace::new(N as u64 + blocks(), DENSE_STRIDE),
+        info: ScenarioInfo::new("lu-ckpt", Kernel::Lu, Mechanism::Checkpoint, UNIT_SPACE),
         site_trigger: lu_site_trigger,
         config: config(),
         tol: TOL,

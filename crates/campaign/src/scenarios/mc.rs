@@ -33,7 +33,7 @@ use adcc_telemetry::ExecutionProfile;
 
 use super::harness::{Classified, HarvestedState, Workload};
 use super::{trim_dram, verified_completion};
-use crate::scenario::{Kernel, Mechanism, Trial, UnitSpace};
+use crate::scenario::{Kernel, Mechanism, ScenarioInfo, Trial, UnitSpace};
 
 const LOOKUPS: u64 = 1_200;
 const INTERVAL: u64 = 64;
@@ -43,6 +43,8 @@ const PROBLEM_SEED: u64 = 305;
 /// issues ~444k element accesses; a 48-access stride carries ~9.2k
 /// points).
 const DENSE_STRIDE: u64 = 48;
+/// One crash point after every lookup.
+const UNIT_SPACE: UnitSpace = UnitSpace::new(LOOKUPS, DENSE_STRIDE);
 
 /// Dirty-restart tolerance: tallies are integers, so the only acceptable
 /// answer is the exact reference — everything the count-total audit does
@@ -56,9 +58,7 @@ pub struct McCampaign {
     problem: McProblem,
     mode: McMode,
     cfg: SystemConfig,
-    platform: &'static str,
-    name: &'static str,
-    mechanism: Mechanism,
+    info: ScenarioInfo,
     reference: [u64; XS_CHANNELS],
 }
 
@@ -122,9 +122,7 @@ impl McCampaign {
             cfg: selective_config(problem.grid_bytes()),
             problem,
             mode: McMode::Selective { interval: INTERVAL },
-            platform: "nvm-only",
-            name: "mc-selective",
-            mechanism: Mechanism::Selective,
+            info: ScenarioInfo::new("mc-selective", Kernel::Mc, Mechanism::Selective, UNIT_SPACE),
             reference,
         }
     }
@@ -136,9 +134,10 @@ impl McCampaign {
             cfg: epoch_config(problem.grid_bytes()),
             problem,
             mode: McMode::Epoch { interval: INTERVAL },
-            platform: "hetero",
-            name: "mc-epoch",
-            mechanism: Mechanism::Epoch,
+            info: ScenarioInfo {
+                platform: "hetero",
+                ..ScenarioInfo::new("mc-epoch", Kernel::Mc, Mechanism::Epoch, UNIT_SPACE)
+            },
             reference,
         }
     }
@@ -160,22 +159,9 @@ impl Workload for McCampaign {
     type End = ();
     type State = Classified;
 
-    fn name(&self) -> &'static str {
-        self.name
+    fn info(&self) -> &ScenarioInfo {
+        &self.info
     }
-    fn kernel(&self) -> Kernel {
-        Kernel::Mc
-    }
-    fn mechanism(&self) -> Mechanism {
-        self.mechanism
-    }
-    fn platform_name(&self) -> &'static str {
-        self.platform
-    }
-    fn unit_space(&self) -> UnitSpace {
-        UnitSpace::new(LOOKUPS, DENSE_STRIDE)
-    }
-
     fn site_trigger(&self, unit: u64) -> CrashTrigger {
         CrashTrigger::AtSite {
             site: CrashSite::new(adcc_core::mc::sites::PH_LOOKUP, unit),
@@ -274,9 +260,14 @@ mod tests {
             McCampaign::new_selective(reference),
             McCampaign::new_epoch(reference),
         ] {
-            assert_eq!(s.reference, reference, "{}", s.name);
+            assert_eq!(s.reference, reference, "{}", s.info.name);
             // Still what the scenario would have computed for itself.
-            assert_eq!(native_counts(&s.problem, &s.cfg), reference, "{}", s.name);
+            assert_eq!(
+                native_counts(&s.problem, &s.cfg),
+                reference,
+                "{}",
+                s.info.name
+            );
         }
     }
 

@@ -6,8 +6,8 @@
 mod baseline;
 mod bicgstab;
 mod cg;
-mod dist;
-mod ds;
+pub(crate) mod dist;
+pub(crate) mod ds;
 mod harness;
 mod iterative;
 mod jacobi;
@@ -19,29 +19,13 @@ use std::sync::Arc;
 
 use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::spd::CgClass;
+use adcc_resilience::{DirtyClass, DirtyTrial};
 use adcc_sim::crash::{CrashSite, CrashTrigger};
 use adcc_sim::system::SystemConfig;
 use adcc_telemetry::ExecutionProfile;
 
 use crate::outcome::Outcome;
 use crate::scenario::{Scenario, Trial};
-
-/// Every distributed scenario (the `dist` registry), in report order —
-/// three kernel families × two recovery modes over a 4-rank cluster —
-/// under a fabric fault profile (`campaign run --registry dist --faults
-/// <profile>`): the chaotic tier swaps every cluster to the 16-rank 2-D
-/// grid presets with a remote checkpoint level and appends node-loss
-/// units to the local-recovery scenarios.
-pub fn dist_all_with(faults: adcc_dist::net::FaultProfile) -> Vec<Box<dyn Scenario>> {
-    dist::all_with(faults)
-}
-
-/// Every persistent data-structure scenario (the `ds` registry), in
-/// report order: MSC queue and open-addressing hash table, each under
-/// undo-logged (`pmem`) and unprotected-baseline protection.
-pub fn ds_all() -> Vec<Box<dyn Scenario>> {
-    ds::all()
-}
 
 /// Every registered scenario, in report order. All six kernel families
 /// appear with at least two mechanisms each (the campaign acceptance
@@ -106,6 +90,18 @@ pub(crate) fn phase_trigger(phases: &[u32], unit: u64) -> CrashTrigger {
 pub(crate) fn trim_dram(mut cfg: SystemConfig) -> SystemConfig {
     cfg.dram_capacity = 2 << 20;
     cfg
+}
+
+/// The dirty trial of a unit whose trigger never fired: the run completed
+/// cleanly, nothing was lost or rebooted — converged-exact at zero extra
+/// work.
+pub(crate) fn never_crashed(unit: u64) -> DirtyTrial {
+    DirtyTrial {
+        unit,
+        class: DirtyClass::ConvergedExact,
+        extra_units: 0,
+        sim_time_ps: 0,
+    }
 }
 
 /// The shared completion classification: the crash point landed beyond

@@ -13,7 +13,7 @@ use super::baseline::{lost_since, Checkpointed};
 use super::harness::Workload;
 use super::iterative::Iterative;
 use super::trim_dram;
-use crate::scenario::{Kernel, Mechanism, UnitSpace};
+use crate::scenario::{Kernel, Mechanism, ScenarioInfo, UnitSpace};
 
 // A 24×24 grid makes one generation (4.6 KB) overflow the 4 KB CPU cache,
 // so older sweeps actually reach NVM and the extension's verified-restart
@@ -65,10 +65,12 @@ fn dirty_tolerance() -> Tolerance {
 /// block-sum publishes.
 pub(crate) fn extended(reference: &Arc<[f64]>) -> impl Workload {
     Iterative {
-        name: "stencil-extended",
-        kernel: Kernel::Stencil,
-        mechanism: Mechanism::Extended,
-        unit_space: UnitSpace::new(2 * SWEEPS as u64, DENSE_STRIDE),
+        info: ScenarioInfo::new(
+            "stencil-extended",
+            Kernel::Stencil,
+            Mechanism::Extended,
+            UnitSpace::new(2 * SWEEPS as u64, DENSE_STRIDE),
+        ),
         site_trigger: extended_site_trigger,
         config: config(),
         tol: TOL,
@@ -109,9 +111,12 @@ fn extended_site_trigger(unit: u64) -> CrashTrigger {
 /// checkpoint); the rest crash mid-sweep on an access-count trigger.
 pub(crate) fn ckpt(reference: &Arc<[f64]>) -> impl Workload {
     Checkpointed {
-        name: "stencil-ckpt",
-        kernel: Kernel::Stencil,
-        unit_space: UnitSpace::new(SWEEPS as u64 + ACCESS_POINTS, DENSE_STRIDE),
+        info: ScenarioInfo::new(
+            "stencil-ckpt",
+            Kernel::Stencil,
+            Mechanism::Checkpoint,
+            UnitSpace::new(SWEEPS as u64 + ACCESS_POINTS, DENSE_STRIDE),
+        ),
         site_trigger: ckpt_site_trigger,
         config: config(),
         tol: TOL,

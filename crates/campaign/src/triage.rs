@@ -148,7 +148,7 @@ pub fn run_triage(cfg: &CampaignConfig) -> TriageReport {
         for (i, t) in out.trials.iter().enumerate() {
             digests.push(TrialDigest {
                 scenario: s.name().to_string(),
-                mechanism: s.mechanism().name().to_string(),
+                mechanism: s.info().mechanism.name().to_string(),
                 unit: t.unit,
                 outcome: t.outcome.name().to_string(),
                 failed: failed(t.outcome),

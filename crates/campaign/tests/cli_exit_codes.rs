@@ -30,7 +30,7 @@ fn assert_usage_failure(args: &[&str]) {
 
 #[test]
 fn unknown_flags_exit_nonzero_with_usage_on_stderr() {
-    for sub in ["run", "replay", "cost", "triage", "resilience"] {
+    for sub in ["run", "replay", "cost", "triage"] {
         let out = campaign(&[sub, "--bogus-flag"]);
         assert_eq!(out.status.code(), Some(1), "{sub} --bogus-flag");
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -178,15 +178,18 @@ fn unknown_subcommand_exits_nonzero_with_usage() {
         stderr.contains(adcc_campaign::cost::COST_SCHEMA),
         "usage names the cost-table generation `cost --json` emits:\n{stderr}"
     );
-    // `campaign bench` is gone (benchmark/run.sh measures throughput from
-    // outside): the name gets the same treatment as any other typo.
-    let out = campaign(&["bench"]);
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("unknown subcommand \"bench\"") && stderr.contains("usage:"),
-        "stderr:\n{stderr}"
-    );
+    // Neither `bench` (benchmark/run.sh measures throughput from outside)
+    // nor `resilience` (`run --resilience` is the one dirty-restart sweep)
+    // is a subcommand: their names get the same treatment as any typo.
+    for gone in ["bench", "resilience"] {
+        let out = campaign(&[gone, "report.json"]);
+        assert_eq!(out.status.code(), Some(1), "{gone}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown subcommand \"{gone}\"")) && stderr.contains("usage:"),
+            "stderr:\n{stderr}"
+        );
+    }
 }
 
 #[test]
@@ -379,26 +382,22 @@ fn triage_usage_errors_exit_nonzero() {
     assert!(stderr.contains("cannot read"), "stderr:\n{stderr}");
 }
 
-fn assert_pre_v5_report_is_refused(sub: &str) {
-    let dir = std::env::temp_dir().join(format!("adcc-{sub}-pre-v5"));
+#[test]
+fn triage_rejects_pre_v5_schema_generations() {
+    // A pre-v5 header names a schedule today's unit spaces cannot
+    // reproduce: the one parser refuses it, and triage says so rather
+    // than re-run the wrong schedule.
+    let dir = std::env::temp_dir().join("adcc-triage-pre-v5");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("v4.json");
     std::fs::write(&path, r#"{"schema": "adcc-campaign-report/v4"}"#).unwrap();
-    let out = campaign(&[sub, path.to_str().unwrap()]);
+    let out = campaign(&["triage", path.to_str().unwrap()]);
     assert_eq!(out.status.code(), Some(1), "v4 must be rejected");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("unsupported schema \"adcc-campaign-report/v4\""),
         "stderr:\n{stderr}"
     );
-}
-
-#[test]
-fn triage_rejects_pre_v5_schema_generations() {
-    // A pre-v5 header names a schedule today's unit spaces cannot
-    // reproduce: the one parser refuses it, and triage says so rather
-    // than re-run the wrong schedule.
-    assert_pre_v5_report_is_refused("triage");
     // The accepted generations span every schema since the batched unit
     // spaces landed: a v6 report still triages clean after the v7 bump.
     let path = fixture("campaign-report-v6.json");
@@ -479,40 +478,6 @@ fn triage_of_a_clean_ds_run_exits_zero_even_failing_on_diagnostics() {
 }
 
 #[test]
-fn resilience_usage_errors_exit_nonzero() {
-    // No report path, unknown flags, and flag-without-path all exit 1
-    // with usage on stderr (the triage contract, mirrored).
-    assert_usage_failure(&["resilience"]);
-    assert_usage_failure(&["resilience", "--threads", "2"]);
-    let path = fixture("campaign-report-v7.json");
-    assert_usage_failure(&["resilience", &path, "--bogus"]);
-    // A missing report file is a read error, not a usage error.
-    let out = campaign(&["resilience", "/nonexistent/report.json"]);
-    assert_eq!(out.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("cannot read"), "stderr:\n{stderr}");
-}
-
-#[test]
-fn resilience_rejects_pre_v5_schema_generations() {
-    assert_pre_v5_report_is_refused("resilience");
-}
-
-#[test]
-fn resilience_rejects_unmerged_shard_reports() {
-    let dir = std::env::temp_dir().join("adcc-resilience-exitcodes");
-    std::fs::create_dir_all(&dir).unwrap();
-    let shard = run_shard(&dir, "0/2", "12");
-    let out = campaign(&["resilience", &shard]);
-    assert_eq!(out.status.code(), Some(1), "shard reports must be rejected");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("shard") && stderr.contains("merge"),
-        "stderr:\n{stderr}"
-    );
-}
-
-#[test]
 fn resilience_and_shard_flags_are_mutually_exclusive_on_run() {
     let out = campaign(&[
         "run",
@@ -534,29 +499,18 @@ fn resilience_and_shard_flags_are_mutually_exclusive_on_run() {
 fn resilience_of_a_clean_kernel_run_exits_zero_and_writes_the_sweep() {
     let dir = std::env::temp_dir().join("adcc-resilience-exitcodes");
     std::fs::create_dir_all(&dir).unwrap();
-    let report = dir.join("kernel-clean.json").to_string_lossy().into_owned();
-    let out = campaign(&[
-        "run",
-        "--budget-states",
-        "6",
-        "--seed",
-        "7",
-        "--threads",
-        "2",
-        "--out",
-        &report,
-    ]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let swept_out = dir
+    let swept = dir
         .join("kernel-clean-swept.json")
         .to_string_lossy()
         .into_owned();
-    let out = campaign(&["resilience", &report, "--threads", "2", "--out", &swept_out]);
+    let campaign_args = ["--budget-states", "6", "--seed", "7", "--threads", "2"];
+    let out = campaign(
+        &[
+            &["run", "--resilience", "--out", &swept][..],
+            &campaign_args,
+        ]
+        .concat(),
+    );
     assert_eq!(
         out.status.code(),
         Some(0),
@@ -564,10 +518,15 @@ fn resilience_of_a_clean_kernel_run_exits_zero_and_writes_the_sweep() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("dirty restart(s)"), "stdout:\n{stdout}");
-    let doc = std::fs::read_to_string(&swept_out).unwrap();
+    assert!(stdout.contains("natural resilience"), "stdout:\n{stdout}");
+    let doc = std::fs::read_to_string(&swept).unwrap();
     assert!(doc.contains("adcc-campaign-report/v7"));
     assert!(doc.contains("\"natural_resilience\""));
+    // Replaying the swept report inherits the sweep from its blocks.
+    let out = campaign(&["replay", "--expect", &swept]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stdout:\n{stdout}");
+    assert!(stdout.contains("replay OK"), "stdout:\n{stdout}");
 }
 
 #[test]

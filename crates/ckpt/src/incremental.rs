@@ -175,26 +175,6 @@ impl IncrementalCheckpoint {
         self.pages
     }
 
-    /// Dirty pages pending for the next checkpoint (next target slot).
-    pub fn pages_dirty(&self) -> usize {
-        let target = self.next_target_hint();
-        self.dirty[target].iter().filter(|&&d| d).count()
-    }
-
-    fn next_target_hint(&self) -> usize {
-        // Without charged header reads we cannot know the target for sure;
-        // the two bitmaps only diverge between checkpoints, and the
-        // "pending" count is a diagnostic, so slot 0 is a fine hint before
-        // any checkpoint has happened.
-        if self.dirty[0].iter().filter(|&&d| d).count()
-            <= self.dirty[1].iter().filter(|&&d| d).count()
-        {
-            0
-        } else {
-            1
-        }
-    }
-
     /// Report that the application wrote `[addr, addr + len)`. Ranges
     /// outside the registered regions are ignored.
     pub fn mark_dirty(&mut self, addr: u64, len: usize) {

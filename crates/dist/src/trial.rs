@@ -195,14 +195,29 @@ pub fn run_superstep<K: DistKernel + ?Sized>(
     iter: u64,
     exchange: bool,
 ) -> Option<CrashInfo> {
+    superstep_with(kernel, cl, iter, exchange, |_, _, _| {})
+}
+
+/// [`run_superstep`] with `after_poll` called after each poll boundary
+/// where nothing fired, before the superstep goes on: the batch driver
+/// drains the crash states the boundary harvested there.
+fn superstep_with<K: DistKernel + ?Sized>(
+    kernel: &mut K,
+    cl: &mut Cluster,
+    iter: u64,
+    exchange: bool,
+    mut after_poll: impl FnMut(&mut Cluster, &K, u32),
+) -> Option<CrashInfo> {
     kernel.compute(cl, iter, exchange);
     if let Some(crash) = poll_phase(cl, sites::PH_MID, iter) {
         return Some(crash);
     }
+    after_poll(cl, kernel, sites::PH_MID);
     kernel.commit(cl, iter);
     if let Some(crash) = poll_phase(cl, sites::PH_END, iter) {
         return Some(crash);
     }
+    after_poll(cl, kernel, sites::PH_END);
     cl.barrier();
     None
 }
@@ -592,11 +607,16 @@ pub fn run_dist_batch<K: DistKernel + Clone>(
 
     let mut out: Vec<BatchReplay> = Vec::with_capacity(points.len());
     for iter in 1..=kernel.iters() {
-        kernel.compute(cl, iter, true);
-        drain.poll_and_replay(cl, kernel, sites::PH_MID, iter, &mut out, &mut stats);
-        kernel.commit(cl, iter);
-        drain.poll_and_replay(cl, kernel, sites::PH_END, iter, &mut out, &mut stats);
-        cl.barrier();
+        let fired = superstep_with(kernel, cl, iter, true, |cl, kernel, phase| {
+            drain.replay_boundary(
+                cl,
+                kernel,
+                CrashSite::new(phase, iter),
+                &mut out,
+                &mut stats,
+            );
+        });
+        debug_assert!(fired.is_none(), "harvest plans capture instead of crashing");
     }
 
     // Points that never fired complete clean, exactly as their per-trial
@@ -631,22 +651,18 @@ struct Drain<'a> {
 }
 
 impl Drain<'_> {
-    /// Poll one phase boundary, drain the crash states it captured and
+    /// Drain the crash states the poll boundary at `site` captured and
     /// replay each distinct machine state ([`poll_groups`]; each boundary
     /// polls a rank once, so a rank's drain is a single group) once per
     /// distinct follow-up among its units.
-    fn poll_and_replay<K: DistKernel + Clone>(
+    fn replay_boundary<K: DistKernel + Clone>(
         &self,
         cl: &mut Cluster,
         kernel: &K,
-        phase: u32,
-        iter: u64,
+        site: CrashSite,
         out: &mut Vec<BatchReplay>,
         stats: &mut BatchStats,
     ) {
-        let fired = poll_phase(cl, phase, iter);
-        debug_assert!(fired.is_none(), "harvest plans capture instead of crashing");
-        let site = CrashSite::new(phase, iter);
         for rank in 0..cl.ranks() {
             let harvests = cl.drain_harvests(rank);
             debug_assert!(harvests.iter().all(|h| h.site == site));

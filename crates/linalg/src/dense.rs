@@ -58,10 +58,6 @@ impl Matrix {
         &self.data
     }
 
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f64 {
         debug_assert!(r < self.rows && c < self.cols);

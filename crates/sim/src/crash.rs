@@ -306,14 +306,6 @@ impl CrashEmulator {
         self.sys.crash()
     }
 
-    /// Fork the crash image at the current point without crashing: the
-    /// exact image [`CrashEmulator::crash_now`] would return, but the run
-    /// keeps going (see [`MemorySystem::crash_fork`]). Campaign engines
-    /// use this to harvest many crash states from one execution.
-    pub fn fork_image(&self) -> NvmImage {
-        self.sys.crash_fork()
-    }
-
     /// Consume the emulator, returning the underlying system (run completed
     /// without a crash).
     pub fn into_system(self) -> MemorySystem {
@@ -488,7 +480,7 @@ mod tests {
         a.set(&mut e, 0, 1);
         a.persist_all(&mut e);
         a.set(&mut e, 1, 2); // stranded in cache
-        let fork = e.fork_image();
+        let fork = e.system().crash_fork();
         // The run continues unharmed...
         assert_eq!(a.get(&mut e, 1), 2);
         // ...and the fork equals the real crash image taken at that point.

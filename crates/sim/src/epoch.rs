@@ -91,13 +91,6 @@ impl EpochPersist {
     }
 }
 
-/// Convenience: persist `[addr, addr + len)` as a single epoch.
-pub fn persist_range_epoch(sys: &mut MemorySystem, addr: u64, len: usize) {
-    let mut e = EpochPersist::new();
-    e.note_range(addr, len);
-    e.barrier(sys);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

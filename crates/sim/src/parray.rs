@@ -167,11 +167,6 @@ impl<T: Pod> PArray<T> {
         T::from_bytes(&buf)
     }
 
-    /// Flush all lines of this array from the CPU cache.
-    pub fn flush_all(&self, sys: &mut MemorySystem) {
-        sys.flush_range(self.base, self.byte_len());
-    }
-
     /// Persist all lines of this array to NVM.
     pub fn persist_all(&self, sys: &mut MemorySystem) {
         sys.persist_range(self.base, self.byte_len());
@@ -275,12 +270,6 @@ impl<T: Pod> PMatrix<T> {
             rows,
             cols,
         }
-    }
-
-    /// View an existing array as a row-major matrix.
-    pub fn from_array(data: PArray<T>, rows: usize, cols: usize) -> Self {
-        assert_eq!(data.len(), rows * cols);
-        PMatrix { data, rows, cols }
     }
 
     #[inline]

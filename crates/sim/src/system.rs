@@ -83,7 +83,7 @@ pub struct SystemConfig {
     /// Capacity of the volatile DRAM-direct region in bytes.
     pub dram_capacity: usize,
     /// Instruction used by [`MemorySystem::flush_line`] and the
-    /// `flush_range`/`persist_*` helpers built on it.
+    /// `persist_*` helpers built on it.
     pub flush_op: FlushOp,
     /// Kiln/whole-system-persistence ablation: caches in front of NVM are
     /// battery-backed, so a crash drains dirty NVM-homed lines instead of
@@ -628,19 +628,6 @@ impl MemorySystem {
             FlushOp::Clflush => self.clflush(addr),
             FlushOp::ClflushOpt => self.clflushopt(addr),
             FlushOp::Clwb => self.clwb(addr),
-        }
-    }
-
-    /// Flush every line of `[addr, addr + len)` from the CPU cache using
-    /// the configured [`FlushOp`].
-    pub fn flush_range(&mut self, addr: u64, len: usize) {
-        if len == 0 {
-            return;
-        }
-        let first = line_of(addr);
-        let last = line_of(addr + len as u64 - 1);
-        for line in first..=last {
-            self.flush_line(line << LINE_SHIFT);
         }
     }
 

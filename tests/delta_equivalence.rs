@@ -272,7 +272,7 @@ fn every_dist_scenario_batches_identically_to_per_trial() {
 /// `ranks` node losses where the scenario has them.
 fn chaotic_failure_set_units(s: &dyn Scenario) -> Vec<u64> {
     const RANKS: u64 = 16;
-    let node_loss = if s.mechanism() == Mechanism::Extended {
+    let node_loss = if s.info().mechanism == Mechanism::Extended {
         RANKS
     } else {
         0

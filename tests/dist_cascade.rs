@@ -35,12 +35,12 @@ fn ranks_under(faults: FaultProfile) -> u64 {
 fn cascade_block(scenario: &dyn Scenario, faults: FaultProfile) -> (u64, u64) {
     let ranks = ranks_under(faults);
     let node_loss =
-        if faults == FaultProfile::Chaotic && scenario.mechanism() == Mechanism::Extended {
+        if faults == FaultProfile::Chaotic && scenario.info().mechanism == Mechanism::Extended {
             ranks
         } else {
             0
         };
-    let sites = scenario.unit_space().sites;
+    let sites = scenario.total_units();
     (sites - node_loss - 2 * ranks, sites - node_loss)
 }
 
@@ -86,7 +86,7 @@ fn cascades_survive_the_chaotic_grid_tier() {
             "{}: 2 variants x 16 ranks",
             scenario.name()
         );
-        assert_eq!(scenario.platform_name(), "dist-16rank-grid");
+        assert_eq!(scenario.info().platform, "dist-16rank-grid");
         for unit in [start, (start + end) / 2, end - 1] {
             let trial = scenario.run_trial(unit, true);
             assert!(

@@ -14,6 +14,12 @@
 //! * Three kernel-registry runs — the configs CI and the benchmark's
 //!   `kernel-sweep` / `resilience-sweep` workloads replay — are pinned the
 //!   same way, so "no canonical kernel byte moved" is tier-1 too.
+//! * The `ds-sweep` config (ds registry, budget 1200) is pinned the same
+//!   way, and so is the `campaign triage` document of that run — the ds
+//!   registry is the only one with analyzer regions.
+//! * Every pinned campaign also pins its host-independent work counters:
+//!   forward executions, harvested images and distinct crash states, so
+//!   "same executions, same harvested states" is a test too.
 //! * The recomputation tables of the iterate-history kernels (`repro fig3`,
 //!   `ext-jacobi`, `ext-stencil`, `ext-bicgstab`) and the seven-case runtime
 //!   tables over `adcc_core::baseline` (`fig4`, `fig8`, `fig13`, `ext-lu`),
@@ -22,17 +28,21 @@
 
 use adcc::campaign::cost::CostTable;
 use adcc::campaign::engine::{run_campaign, CampaignConfig};
-use adcc::campaign::run_resilience;
 use adcc::campaign::scenario::Registry;
+use adcc::campaign::{run_resilience, run_triage, CampaignReport};
 use adcc::dist::net::FaultProfile;
 use adcc::harness::{ext, fig13, fig3, fig4, fig8, Scale, Table};
 
 #[test]
 fn cost_tables_equal_the_committed_baselines() {
-    for (registry, fixture) in [
-        (Registry::Kernel, "cost-baseline.json"),
-        (Registry::Dist, "cost-baseline-dist.json"),
-        (Registry::Ds, "cost-baseline-ds.json"),
+    for (registry, fixture, work) in [
+        (Registry::Kernel, "cost-baseline.json", (13, 366, Some(360))),
+        (
+            Registry::Dist,
+            "cost-baseline-dist.json",
+            (6, 500, Some(464)),
+        ),
+        (Registry::Ds, "cost-baseline-ds.json", (4, 500, Some(500))),
     ] {
         let report = run_campaign(&CampaignConfig {
             registry,
@@ -48,7 +58,17 @@ fn cost_tables_equal_the_committed_baselines() {
              `campaign cost --registry {} --budget-states 500 --seed 42 --json --out {path}`",
             registry.name()
         );
+        assert_eq!(work_of(&report), work, "{fixture}: work counters moved");
     }
+}
+
+/// Forward executions, harvested images and distinct crash states: the
+/// host-independent work counters of a campaign's `image_memory` block.
+type Work = (u64, u64, Option<u64>);
+
+fn work_of(report: &CampaignReport) -> Work {
+    let m = &report.image_memory;
+    (m.executions, m.images, m.distinct_states)
 }
 
 fn fnv1a_64(bytes: &[u8]) -> u64 {
@@ -73,6 +93,22 @@ fn check_digest(file: &str, canonical: &str, pinned: u64) -> Result<(), String> 
     ))
 }
 
+/// [`check_digest`] of `report`'s canonical string, then its [`Work`]
+/// counters against `work`: every way it moved.
+fn check_report(file: &str, report: &CampaignReport, pinned: u64, work: Work) -> Vec<String> {
+    let mut moved: Vec<String> = check_digest(file, &report.canonical_string(), pinned)
+        .err()
+        .into_iter()
+        .collect();
+    if work_of(report) != work {
+        moved.push(format!(
+            "{file}: (executions, images, distinct_states) {:?}, pinned {work:?}",
+            work_of(report)
+        ));
+    }
+    moved
+}
+
 #[test]
 fn kernel_campaign_bytes_equal_the_pinned_digests() {
     let cfg = |budget_states, dense_units, telemetry| CampaignConfig {
@@ -84,22 +120,25 @@ fn kernel_campaign_bytes_equal_the_pinned_digests() {
     let moved: Vec<String> = [
         (
             "kernel-260-dense-400.json",
-            run_campaign(&cfg(260, 400, false)).canonical_string(),
+            run_campaign(&cfg(260, 400, false)),
             0x0fac_b4af_c957_ba98,
+            (13, 260, Some(75)),
         ),
         (
             "kernel-500-telemetry.json",
-            run_campaign(&cfg(500, 0, true)).canonical_string(),
+            run_campaign(&cfg(500, 0, true)),
             0x2b6b_6753_062d_a8fc,
+            (13, 366, Some(360)),
         ),
         (
             "kernel-resilience-130-dense-400.json",
-            run_resilience(&cfg(130, 400, false)).canonical_string(),
+            run_resilience(&cfg(130, 400, false)),
             0xd2a6_68f1_acba_ac37,
+            (13, 130, Some(47)),
         ),
     ]
     .into_iter()
-    .filter_map(|(name, canonical, pinned)| check_digest(name, &canonical, pinned).err())
+    .flat_map(|(name, report, pinned, work)| check_report(name, &report, pinned, work))
     .collect();
     assert!(
         moved.is_empty(),
@@ -154,21 +193,25 @@ fn recompute_table_bytes_equal_the_pinned_digests() {
 #[test]
 fn dist_campaign_bytes_equal_the_pinned_digests() {
     let mut moved = Vec::new();
-    for (faults, campaign_digest, resilience_digest) in [
+    // Both passes of a config harvest the same states.
+    for (faults, campaign_digest, resilience_digest, work) in [
         (
             FaultProfile::Off,
             0x8ff9_c2a6_6593_e80b,
             0x0925_a349_9ada_2239,
+            (6, 300, Some(237)),
         ),
         (
             FaultProfile::Lossy,
             0xd6ac_5c46_3f9d_8f1a,
             0x73ba_7564_a545_a89f,
+            (6, 300, Some(237)),
         ),
         (
             FaultProfile::Chaotic,
             0x215d_8a1e_d6da_6886,
             0x2dc2_2b11_3a7a_8dcf,
+            (6, 300, Some(293)),
         ),
     ] {
         let cfg = CampaignConfig {
@@ -182,25 +225,39 @@ fn dist_campaign_bytes_equal_the_pinned_digests() {
             telemetry: true,
             ..cfg.clone()
         };
-        for (pass, canonical, pinned) in [
-            (
-                "campaign",
-                run_campaign(&telemetry).canonical_string(),
-                campaign_digest,
-            ),
-            (
-                "resilience",
-                run_resilience(&cfg).canonical_string(),
-                resilience_digest,
-            ),
+        for (pass, report, pinned) in [
+            ("campaign", run_campaign(&telemetry), campaign_digest),
+            ("resilience", run_resilience(&cfg), resilience_digest),
         ] {
             let name = format!("dist-{}-{pass}.json", faults.name());
-            moved.extend(check_digest(&name, &canonical, pinned).err());
+            moved.extend(check_report(&name, &report, pinned, work));
         }
     }
     assert!(
         moved.is_empty(),
         "canonical dist bytes moved:\n{}",
+        moved.join("\n")
+    );
+}
+
+#[test]
+fn ds_campaign_and_triage_bytes_equal_the_pinned_digests() {
+    let cfg = CampaignConfig {
+        budget_states: 1200,
+        registry: Registry::Ds,
+        ..CampaignConfig::default()
+    };
+    let mut moved = check_report(
+        "ds-1200.json",
+        &run_campaign(&cfg),
+        0x9f09_631e_67f1_732c,
+        (12, 1200, Some(1200)),
+    );
+    let triage = run_triage(&cfg).to_string_pretty();
+    moved.extend(check_digest("ds-1200-triage.json", &triage, 0xcd7f_b0ce_a9c7_435c).err());
+    assert!(
+        moved.is_empty(),
+        "canonical ds bytes moved:\n{}",
         moved.join("\n")
     );
 }
