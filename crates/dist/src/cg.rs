@@ -270,12 +270,15 @@ impl DistCg {
     fn allgather_p(&mut self, cl: &mut Cluster) {
         let p = self.cfg.ranks;
         let m = self.m;
+        // Each rank reads its segment once and sends it to every peer.
+        let mut seg = Vec::with_capacity(m);
         for rank in 0..p {
             let sys = cl.system_mut(rank);
-            let seg: Vec<f64> = (0..m).map(|j| self.p_r[rank].get(sys, j)).collect();
+            seg.clear();
+            seg.extend((0..m).map(|j| self.p_r[rank].get(sys, j)));
             for dst in 0..p {
                 if dst != rank {
-                    cl.send(rank, dst, &seg);
+                    cl.send_with(rank, dst, |_, out| out.extend_from_slice(&seg));
                 }
             }
         }
@@ -288,15 +291,21 @@ impl DistCg {
                         self.p_full[dst].set(sys, dst * m + j, v);
                     }
                 } else {
-                    let seg = cl.recv(src, dst);
-                    let sys = cl.system_mut(dst);
-                    for (j, v) in seg.iter().enumerate() {
-                        self.p_full[dst].set(sys, src * m + j, *v);
-                    }
+                    self.recv_segment(cl, src, dst);
                 }
             }
         }
         cl.barrier();
+    }
+
+    /// Receive `src`'s `p` segment into `dst`'s replicated `p_full`.
+    fn recv_segment(&self, cl: &mut Cluster, src: usize, dst: usize) {
+        let (full, m) = (self.p_full[dst], self.m);
+        cl.recv_with(src, dst, |sys, seg| {
+            for (j, &v) in seg.iter().enumerate() {
+                full.set(sys, src * m + j, v);
+            }
+        });
     }
 
     /// Segment-assisted reconstruction: every survivor re-sends its `p`
@@ -309,9 +318,10 @@ impl DistCg {
             if src == rank {
                 continue;
             }
-            let sys = cl.system_mut(src);
-            let seg: Vec<f64> = (0..m).map(|j| self.p_r[src].get(sys, j)).collect();
-            cl.send(src, rank, &seg);
+            let p_src = self.p_r[src];
+            cl.send_with(src, rank, |sys, out| {
+                out.extend((0..m).map(|j| p_src.get(sys, j)));
+            });
         }
         for src in 0..p {
             if src == rank {
@@ -321,11 +331,7 @@ impl DistCg {
                     self.p_full[rank].set(sys, rank * m + j, v);
                 }
             } else {
-                let seg = cl.recv(src, rank);
-                let sys = cl.system_mut(rank);
-                for (j, v) in seg.iter().enumerate() {
-                    self.p_full[rank].set(sys, src * m + j, *v);
-                }
+                self.recv_segment(cl, src, rank);
             }
         }
     }

@@ -22,7 +22,7 @@ use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, Harvest};
 use adcc_sim::image::NvmImage;
 use adcc_sim::system::{DeltaBase, MemorySystem, SystemConfig};
 
-use crate::net::{decode_f64s, encode_f64s, Fabric, FaultPlan, NetTiming, NetTraffic};
+use crate::net::{Fabric, FaultPlan, NetTiming, NetTraffic};
 
 /// Static configuration of a [`Cluster`].
 #[derive(Debug, Clone)]
@@ -286,16 +286,29 @@ impl Cluster {
             .any(|e| !e.fired() && !matches!(e.trigger(), CrashTrigger::Never))
     }
 
-    /// Send a vector of `f64`s from `src` to `dst`.
-    pub fn send(&mut self, src: usize, dst: usize, vals: &[f64]) {
+    /// Send one message from `src` to `dst`: `fill` appends the values it
+    /// reads on the sender's system straight into the fabric, which then
+    /// charges the transfer ([`Fabric::send_with`]).
+    pub fn send_with(
+        &mut self,
+        src: usize,
+        dst: usize,
+        fill: impl FnOnce(&mut MemorySystem, &mut Vec<f64>),
+    ) {
         self.fabric
-            .send(self.emus[src].system_mut(), src, dst, encode_f64s(vals));
+            .send_with(self.emus[src].system_mut(), src, dst, fill);
     }
 
-    /// Receive the oldest pending vector from `src` at `dst`.
-    pub fn recv(&mut self, src: usize, dst: usize) -> Vec<f64> {
-        let bytes = self.fabric.recv(self.emus[dst].system_mut(), src, dst);
-        decode_f64s(&bytes)
+    /// Receive the oldest pending message from `src` at `dst`: `f` gets the
+    /// receiver's system and the values in place ([`Fabric::recv_with`]).
+    pub fn recv_with<R>(
+        &mut self,
+        src: usize,
+        dst: usize,
+        f: impl FnOnce(&mut MemorySystem, &[f64]) -> R,
+    ) -> R {
+        self.fabric
+            .recv_with(self.emus[dst].system_mut(), src, dst, f)
     }
 
     /// Synchronize all rank clocks to the cluster frontier, charging each
@@ -319,16 +332,16 @@ impl Cluster {
         assert_eq!(contributions.len(), self.ranks(), "one value per rank");
         let mut sum = contributions[0];
         for r in 1..self.ranks() {
-            self.send(r, 0, &contributions[r..=r]);
+            self.send_with(r, 0, |_, out| out.push(contributions[r]));
         }
         for r in 1..self.ranks() {
-            sum += self.recv(r, 0)[0];
+            sum += self.recv_with(r, 0, |_, v| v[0]);
         }
         for r in 1..self.ranks() {
-            self.send(0, r, &[sum]);
+            self.send_with(0, r, |_, out| out.push(sum));
         }
         for r in 1..self.ranks() {
-            let got = self.recv(0, r)[0];
+            let got = self.recv_with(0, r, |_, v| v[0]);
             debug_assert_eq!(got.to_bits(), sum.to_bits());
         }
         self.barrier();

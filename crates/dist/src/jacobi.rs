@@ -136,44 +136,47 @@ impl DistJacobi {
         i * (self.cols_b + 2) + j
     }
 
-    /// The cells rank `r` sends towards direction `d`: its interior
-    /// boundary row/column/corner on that side.
-    fn face_segment(&self, sys: &mut MemorySystem, r: usize, d: Dir) -> Vec<f64> {
+    /// Side `d` of a block as a `(first, step, len)` walk over `x`: the
+    /// interior boundary row/column/corner a rank sends towards `d`, or —
+    /// with `halo` — the halo cells it fills from its `d` neighbor, in the
+    /// same cell order.
+    fn side(&self, d: Dir, halo: bool) -> (usize, usize, usize) {
         let (rb, cb) = (self.rows_b, self.cols_b);
-        let cells: Vec<(usize, usize)> = match d {
-            Dir::North => (1..=cb).map(|j| (1, j)).collect(),
-            Dir::South => (1..=cb).map(|j| (rb, j)).collect(),
-            Dir::West => (1..=rb).map(|i| (i, 1)).collect(),
-            Dir::East => (1..=rb).map(|i| (i, cb)).collect(),
-            Dir::NorthWest => vec![(1, 1)],
-            Dir::NorthEast => vec![(1, cb)],
-            Dir::SouthWest => vec![(rb, 1)],
-            Dir::SouthEast => vec![(rb, cb)],
-        };
-        cells
-            .into_iter()
-            .map(|(i, j)| self.x[r].get(sys, self.idx(i, j)))
-            .collect()
+        let out = usize::from(halo);
+        let (top, bottom, left, right) = (1 - out, rb + out, 1 - out, cb + out);
+        let width = cb + 2;
+        match d {
+            Dir::North => (self.idx(top, 1), 1, cb),
+            Dir::South => (self.idx(bottom, 1), 1, cb),
+            Dir::West => (self.idx(1, left), width, rb),
+            Dir::East => (self.idx(1, right), width, rb),
+            Dir::NorthWest => (self.idx(top, left), 1, 1),
+            Dir::NorthEast => (self.idx(top, right), 1, 1),
+            Dir::SouthWest => (self.idx(bottom, left), 1, 1),
+            Dir::SouthEast => (self.idx(bottom, right), 1, 1),
+        }
     }
 
-    /// Write the segment received from rank `r`'s `d` neighbor into its
-    /// halo ring on side `d`.
-    fn fill_halo(&self, sys: &mut MemorySystem, r: usize, d: Dir, vals: &[f64]) {
-        let (rb, cb) = (self.rows_b, self.cols_b);
-        let cells: Vec<(usize, usize)> = match d {
-            Dir::North => (1..=cb).map(|j| (0, j)).collect(),
-            Dir::South => (1..=cb).map(|j| (rb + 1, j)).collect(),
-            Dir::West => (1..=rb).map(|i| (i, 0)).collect(),
-            Dir::East => (1..=rb).map(|i| (i, cb + 1)).collect(),
-            Dir::NorthWest => vec![(0, 0)],
-            Dir::NorthEast => vec![(0, cb + 1)],
-            Dir::SouthWest => vec![(rb + 1, 0)],
-            Dir::SouthEast => vec![(rb + 1, cb + 1)],
-        };
-        debug_assert_eq!(cells.len(), vals.len());
-        for ((i, j), v) in cells.into_iter().zip(vals) {
-            self.x[r].set(sys, self.idx(i, j), *v);
-        }
+    /// Send rank `r`'s face towards direction `d` to that neighbor, `n`.
+    fn send_face(&self, cl: &mut Cluster, r: usize, d: Dir, n: usize) {
+        let (first, step, len) = self.side(d, false);
+        let x = self.x[r];
+        cl.send_with(r, n, |sys, out| {
+            out.extend((0..len).map(|k| x.get(sys, first + k * step)));
+        });
+    }
+
+    /// Receive into rank `r`'s halo ring on side `d` from that neighbor,
+    /// `n`.
+    fn recv_halo(&self, cl: &mut Cluster, r: usize, d: Dir, n: usize) {
+        let (first, step, len) = self.side(d, true);
+        let x = self.x[r];
+        cl.recv_with(n, r, |sys, vals| {
+            debug_assert_eq!(vals.len(), len);
+            for (k, &v) in vals.iter().enumerate() {
+                x.set(sys, first + k * step, v);
+            }
+        });
     }
 
     /// Reset one rank's fixed boundary cells: the halo sides that face the
@@ -268,16 +271,14 @@ impl DistJacobi {
         for r in 0..p {
             for d in Dir::ALL {
                 if let Some(n) = self.cfg.grid.neighbor(r, d) {
-                    let seg = self.face_segment(cl.system_mut(r), r, d);
-                    cl.send(r, n, &seg);
+                    self.send_face(cl, r, d, n);
                 }
             }
         }
         for r in 0..p {
             for d in Dir::ALL {
                 if let Some(n) = self.cfg.grid.neighbor(r, d) {
-                    let vals = cl.recv(n, r);
-                    self.fill_halo(cl.system_mut(r), r, d, &vals);
+                    self.recv_halo(cl, r, d, n);
                 }
             }
         }
@@ -290,10 +291,8 @@ impl DistJacobi {
     fn halo_assist(&mut self, cl: &mut Cluster, rank: usize) {
         for d in Dir::ALL {
             if let Some(n) = self.cfg.grid.neighbor(rank, d) {
-                let seg = self.face_segment(cl.system_mut(n), n, d.opposite());
-                cl.send(n, rank, &seg);
-                let vals = cl.recv(n, rank);
-                self.fill_halo(cl.system_mut(rank), rank, d, &vals);
+                self.send_face(cl, n, d.opposite(), rank);
+                self.recv_halo(cl, rank, d, n);
             }
         }
     }

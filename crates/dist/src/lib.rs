@@ -41,7 +41,7 @@
 //! * [`net`] — [`net::NetTiming`] and the FIFO [`net::Fabric`] with
 //!   traffic accounting.
 //! * [`cluster`] — [`cluster::Cluster`]: N per-rank
-//!   [`adcc_sim::crash::CrashEmulator`]s plus the fabric; send/recv,
+//!   [`adcc_sim::crash::CrashEmulator`]s plus the fabric; `send_with`/`recv_with`,
 //!   allreduce, barrier, rank crash + reboot-from-image.
 //! * [`trial`] — the shared trial driver: run a kernel forward, inject the
 //!   armed rank crash, hand it to the kernel's recovery, measure recovery

@@ -1,14 +1,16 @@
-//! The message fabric: FIFO queues between ranks, a timing model,
+//! The message fabric: FIFO delivery between ranks, a timing model,
 //! deterministic (seeded) latency jitter, and a seeded adversarial
 //! [`FaultPlan`].
 //!
-//! The fabric never touches payload semantics — it moves byte vectors and
+//! The fabric never touches payload semantics — it moves `f64` values and
 //! charges simulated network time on the *sending* rank's clock (transfer)
 //! and the *receiving* rank's clock (delivery latency), both into
-//! [`adcc_sim::clock::Bucket::Network`]. Queues are FIFO per `(src, dst)` pair and all
-//! cluster code issues sends/recvs in rank order, which is what makes
-//! message matching — and therefore every distributed trial —
-//! deterministic.
+//! [`adcc_sim::clock::Bucket::Network`]. Delivery is FIFO per `(src, dst)`
+//! pair and all cluster code issues sends/recvs in rank order, which is
+//! what makes message matching — and therefore every distributed trial —
+//! deterministic. Messages in flight live in one arena per fabric, reset
+//! whenever the fabric drains, so a warm fabric allocates nothing per
+//! message.
 //!
 //! Faults are modeled as an unreliable physical layer under a reliable
 //! transport: every perturbation (loss, duplication, reordering) is drawn
@@ -19,8 +21,6 @@
 //! so a faulted cluster computes the same solution on a perturbed
 //! timeline, every trial stays replayable, and `Fabric::clone` preserves
 //! the perturbation sequence exactly.
-
-use std::collections::VecDeque;
 
 use adcc_sim::system::MemorySystem;
 
@@ -186,18 +186,46 @@ impl FaultProfile {
     }
 }
 
-/// One seeded fault draw: FNV-1a over `(seed, src, dst, seq, salt)`,
-/// reduced to parts-per-million. Deliberately separate from the jitter
-/// hash so enabling faults never re-rolls the jitter sequence.
-fn fault_draw(seed: u64, src: usize, dst: usize, seq: u64, salt: u64) -> u32 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
-    for word in [src as u64, dst as u64, seq, salt] {
-        for b in word.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+/// FNV-1a's 64-bit offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a's 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME^k` for `k` in `0..=8`. XOR with a zero byte is the
+/// identity, so hashing `k` zero bytes is one multiply by `FNV_PRIME^k`.
+const PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < pow.len() {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
     }
-    (h % 1_000_000) as u32
+    pow
+};
+
+/// FNV-1a over the eight little-endian bytes of `word`, continuing from
+/// `h`. The zero bytes above the word's highest nonzero byte fold into one
+/// multiply, so a small word hashes in `1 + significant bytes` steps and
+/// gives the byte loop's exact bits.
+#[inline]
+fn fnv_word(mut h: u64, mut word: u64) -> u64 {
+    let mut zeros = 8;
+    while word != 0 {
+        h ^= word & 0xff;
+        h = h.wrapping_mul(FNV_PRIME);
+        word >>= 8;
+        zeros -= 1;
+    }
+    h.wrapping_mul(PRIME_POW[zeros])
+}
+
+/// The FNV-1a state after `(seed, src, dst, seq)`: a message's jitter is
+/// this state reduced, and each of its fault draws hashes one salt on top.
+#[inline]
+fn message_hash(seed: u64, src: usize, dst: usize, seq: u64) -> u64 {
+    [src as u64, dst as u64, seq]
+        .into_iter()
+        .fold(FNV_OFFSET ^ seed, fnv_word)
 }
 
 /// Cumulative fabric traffic. Trial drivers snapshot it around the
@@ -220,30 +248,48 @@ impl NetTraffic {
     }
 }
 
-/// One queued message: the payload plus the resequencing delay its
-/// delivery owes to an injected reorder fault.
-#[derive(Debug, Clone)]
-struct Queued {
-    payload: Vec<u8>,
+/// End of a pair's message list.
+const NIL: u32 = u32::MAX;
+
+/// One message in flight: its values' span in the value arena, the
+/// resequencing delay its delivery owes to an injected reorder fault, and
+/// the next message of its `(src, dst)` pair.
+#[derive(Debug, Clone, Copy)]
+struct Msg {
+    start: u32,
+    len: u32,
     reorder_ps: u64,
+    next: u32,
 }
 
 /// The seedable FIFO message fabric between `ranks` peers.
 ///
-/// Cloning copies the pending messages, traffic counters, and — critically
-/// — the global message sequence number, so a cloned fabric draws the exact
-/// same seeded jitter *and fault sequence* for its next message as the
-/// original would have. An empty queue is created empty, not cloned: at a
-/// superstep boundary nearly all `ranks²` of them are, so a fork costs the
-/// messages in flight.
+/// Messages in flight live in two arenas — headers and one `f64` value
+/// vector — linked per `(src, dst)` pair from a `(head, tail)` table. The
+/// first send after the fabric drains clears both arenas and keeps their
+/// capacity, so a warm fabric allocates nothing per message.
+///
+/// Cloning copies the pair table, traffic counters, and — critically — the
+/// global message sequence number, so a cloned fabric draws the exact same
+/// seeded jitter *and fault sequence* for its next message as the original
+/// would have. The arenas are copied only while messages are in flight; at
+/// a superstep boundary the fabric is drained, so a fork copies the table
+/// and gets empty arenas as large as the original's.
 #[derive(Debug)]
 pub struct Fabric {
     ranks: usize,
     timing: NetTiming,
     seed: u64,
     faults: FaultPlan,
-    /// FIFO queue per `(src, dst)` pair, indexed `src * ranks + dst`.
-    queues: Vec<VecDeque<Queued>>,
+    /// `(head, tail)` message index per `(src, dst)` pair, indexed
+    /// `src * ranks + dst`; [`NIL`] when the pair has nothing in flight.
+    pairs: Vec<(u32, u32)>,
+    /// Message headers since the fabric last drained, in send order.
+    msgs: Vec<Msg>,
+    /// Their payload values, in send order.
+    vals: Vec<f64>,
+    /// Messages sent but not yet received.
+    in_flight: usize,
     /// Global message sequence number (jitter/fault decorrelation).
     seq: u64,
     traffic: NetTraffic,
@@ -251,18 +297,22 @@ pub struct Fabric {
 
 impl Clone for Fabric {
     fn clone(&self) -> Self {
-        let queues = self
-            .queues
-            .iter()
-            .map(|q| {
-                if q.is_empty() {
-                    VecDeque::new()
-                } else {
-                    q.clone()
-                }
-            })
-            .collect();
-        Fabric { queues, ..*self }
+        let (msgs, vals) = if self.in_flight == 0 {
+            // Empty, but as warm as the original: a replay on the clone
+            // sends what the original's supersteps sent.
+            (
+                Vec::with_capacity(self.msgs.capacity()),
+                Vec::with_capacity(self.vals.capacity()),
+            )
+        } else {
+            (self.msgs.clone(), self.vals.clone())
+        };
+        Fabric {
+            pairs: self.pairs.clone(),
+            msgs,
+            vals,
+            ..*self
+        }
     }
 }
 
@@ -281,25 +331,13 @@ impl Fabric {
             timing,
             seed,
             faults,
-            queues: (0..ranks * ranks).map(|_| VecDeque::new()).collect(),
+            pairs: vec![(NIL, NIL); ranks * ranks],
+            msgs: Vec::new(),
+            vals: Vec::new(),
+            in_flight: 0,
             seq: 0,
             traffic: NetTraffic::default(),
         }
-    }
-
-    /// The fabric's fault plan.
-    pub fn faults(&self) -> FaultPlan {
-        self.faults
-    }
-
-    /// Number of ranks on the fabric.
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-
-    /// The fabric's timing model.
-    pub fn timing(&self) -> NetTiming {
-        self.timing
     }
 
     /// Cumulative traffic since construction.
@@ -307,44 +345,51 @@ impl Fabric {
         self.traffic
     }
 
-    /// Messages enqueued but not yet received.
+    /// Messages sent but not yet received.
     pub fn pending(&self) -> usize {
-        self.queues.iter().map(VecDeque::len).sum()
+        self.in_flight
     }
 
-    /// Seeded per-message jitter: an FNV-1a hash of
-    /// `(seed, src, dst, seq)` reduced to `[0, jitter_ps]`.
-    fn jitter(&self, src: usize, dst: usize) -> u64 {
-        if self.timing.jitter_ps == 0 {
-            return 0;
-        }
-        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ self.seed;
-        for word in [src as u64, dst as u64, self.seq] {
-            for b in word.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        }
-        h % (self.timing.jitter_ps + 1)
-    }
-
-    /// Send `payload` from `src` to `dst`: charge the transfer (plus
-    /// seeded jitter) on the sender's clock, apply the fault plan, enqueue
-    /// the bytes. The buffer is taken by value and queued as is — the
-    /// sender encoded it for this message, so the fabric never copies it.
-    /// Faults perturb only clocks and counters — the logical
-    /// [`NetTraffic`] records exactly one message per send, so
-    /// recovery-traffic comparisons are unaffected by the profile.
-    pub fn send(&mut self, src_sys: &mut MemorySystem, src: usize, dst: usize, payload: Vec<u8>) {
+    /// Send one message from `src` to `dst`: `fill` appends the payload
+    /// values — read on the sender's system — straight into the arena;
+    /// then the transfer (plus seeded jitter) of 8 bytes per value is
+    /// charged on the sender's clock and the fault plan applied. Faults
+    /// perturb only clocks and counters — the logical [`NetTraffic`]
+    /// records exactly one message per send, so recovery-traffic
+    /// comparisons are unaffected by the profile.
+    pub fn send_with(
+        &mut self,
+        src_sys: &mut MemorySystem,
+        src: usize,
+        dst: usize,
+        fill: impl FnOnce(&mut MemorySystem, &mut Vec<f64>),
+    ) {
         assert!(src < self.ranks && dst < self.ranks, "rank out of range");
         assert_ne!(src, dst, "self-sends are a cluster bug");
-        let bytes = payload.len() as u64;
+        if self.in_flight == 0 {
+            self.msgs.clear();
+            self.vals.clear();
+        }
+        let start = self.vals.len();
+        fill(src_sys, &mut self.vals);
+        let len = self
+            .vals
+            .len()
+            .checked_sub(start)
+            .expect("a send fill only appends");
+        let bytes = 8 * len as u64;
         let transfer = self.timing.transfer_cost_ps(bytes);
-        src_sys.charge_net_send(bytes, transfer + self.jitter(src, dst));
+        let jitter = if self.timing.jitter_ps == 0 {
+            0
+        } else {
+            message_hash(self.seed, src, dst, self.seq) % (self.timing.jitter_ps + 1)
+        };
+        src_sys.charge_net_send(bytes, transfer + jitter);
         let mut reorder_ps = 0;
         if self.faults.is_active() {
             let f = self.faults;
-            let draw = |salt: u64| fault_draw(f.seed, src, dst, self.seq, salt);
+            let h = message_hash(f.seed, src, dst, self.seq);
+            let draw = |salt: u64| (fnv_word(h, salt) % 1_000_000) as u32;
             // Lost attempts: each costs a timeout plus a retransmission,
             // bounded by `max_retries` (the attempt after the last retry
             // always succeeds, so a barrier can never deadlock).
@@ -360,10 +405,21 @@ impl Fabric {
                 src_sys.charge_net_faults(dropped, duplicated, reordered, dropped, extra);
             }
         }
-        self.queues[src * self.ranks + dst].push_back(Queued {
-            payload,
+        let id = u32::try_from(self.msgs.len()).expect("message arena index fits in u32");
+        self.msgs.push(Msg {
+            start: u32::try_from(start).expect("value arena index fits in u32"),
+            len: u32::try_from(len).expect("message length fits in u32"),
             reorder_ps,
+            next: NIL,
         });
+        let pair = &mut self.pairs[src * self.ranks + dst];
+        if pair.1 == NIL {
+            pair.0 = id;
+        } else {
+            self.msgs[pair.1 as usize].next = id;
+        }
+        pair.1 = id;
+        self.in_flight += 1;
         self.seq += 1;
         self.traffic.msgs += 1;
         self.traffic.bytes += bytes;
@@ -371,35 +427,33 @@ impl Fabric {
 
     /// Receive the oldest pending message from `src` at `dst`: charge the
     /// delivery latency (plus any fault-injected resequencing delay) on
-    /// the receiver's clock, dequeue the bytes.
+    /// the receiver's clock, then hand the receiver's system and the
+    /// payload values — read in place, never copied — to `f`.
     /// Panics if no message is pending — cluster code always sends before
-    /// it receives within a phase, so an empty queue is a protocol bug.
-    pub fn recv(&mut self, dst_sys: &mut MemorySystem, src: usize, dst: usize) -> Vec<u8> {
+    /// it receives within a phase, so an empty pair is a protocol bug.
+    pub fn recv_with<R>(
+        &mut self,
+        dst_sys: &mut MemorySystem,
+        src: usize,
+        dst: usize,
+        f: impl FnOnce(&mut MemorySystem, &[f64]) -> R,
+    ) -> R {
         assert!(src < self.ranks && dst < self.ranks, "rank out of range");
-        let q = self.queues[src * self.ranks + dst]
-            .pop_front()
-            .expect("recv with no pending message (send/recv order broken)");
-        dst_sys.charge_net_wait(self.timing.latency_ps + q.reorder_ps);
-        q.payload
+        let pair = &mut self.pairs[src * self.ranks + dst];
+        assert!(
+            pair.0 != NIL,
+            "recv with no pending message (send/recv order broken)"
+        );
+        let msg = self.msgs[pair.0 as usize];
+        pair.0 = msg.next;
+        if msg.next == NIL {
+            pair.1 = NIL;
+        }
+        self.in_flight -= 1;
+        dst_sys.charge_net_wait(self.timing.latency_ps + msg.reorder_ps);
+        let start = msg.start as usize;
+        f(dst_sys, &self.vals[start..start + msg.len as usize])
     }
-}
-
-/// Encode a slice of `f64`s as little-endian payload bytes.
-pub fn encode_f64s(vals: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(vals.len() * 8);
-    for v in vals {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Decode a payload produced by [`encode_f64s`].
-pub fn decode_f64s(bytes: &[u8]) -> Vec<f64> {
-    assert!(bytes.len().is_multiple_of(8), "payload not a f64 vector");
-    bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect()
 }
 
 #[cfg(test)]
@@ -407,9 +461,144 @@ mod tests {
     use super::*;
     use adcc_sim::clock::Bucket;
     use adcc_sim::system::SystemConfig;
+    use proptest::prelude::*;
 
     fn sys() -> MemorySystem {
         MemorySystem::new(SystemConfig::nvm_only(4096, 1 << 16))
+    }
+
+    fn send(f: &mut Fabric, sys: &mut MemorySystem, src: usize, dst: usize, vals: &[f64]) {
+        f.send_with(sys, src, dst, |_, out| out.extend_from_slice(vals));
+    }
+
+    fn recv(f: &mut Fabric, sys: &mut MemorySystem, src: usize, dst: usize) -> Vec<f64> {
+        f.recv_with(sys, src, dst, |_, vals| vals.to_vec())
+    }
+
+    /// The byte-at-a-time FNV-1a over little-endian words, seeded by XOR
+    /// into the offset basis: the oracle the folded hash must equal.
+    fn fnv_bytes(seed: u64, words: &[u64]) -> u64 {
+        let mut h = FNV_OFFSET ^ seed;
+        for word in words {
+            for b in word.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+        }
+        h
+    }
+
+    /// What one send of `bytes` must charge by the oracle: the sender's
+    /// network picoseconds, its `(dropped, duplicated, reordered)`
+    /// counters, and the receiver's resequencing delay.
+    fn oracle_send(
+        timing: NetTiming,
+        seed: u64,
+        f: FaultPlan,
+        [src, dst, seq]: [u64; 3],
+        bytes: u64,
+    ) -> (u64, (u64, u64, u64), u64) {
+        let transfer = timing.transfer_cost_ps(bytes);
+        let jitter = fnv_bytes(seed, &[src, dst, seq]) % (timing.jitter_ps + 1);
+        let draw = |salt: u64| (fnv_bytes(f.seed, &[src, dst, seq, salt]) % 1_000_000) as u32;
+        let mut dropped = 0u64;
+        while dropped < f.max_retries as u64 && draw(0x10 + dropped) < f.drop_ppm {
+            dropped += 1;
+        }
+        let duplicated = u64::from(draw(0x01) < f.dup_ppm);
+        let reordered = u64::from(draw(0x02) < f.reorder_ppm);
+        let extra = dropped * (f.timeout_ps + transfer) + duplicated * transfer;
+        (
+            transfer + jitter + extra,
+            (dropped, duplicated, reordered),
+            reordered * f.reorder_ps,
+        )
+    }
+
+    #[test]
+    fn the_folded_word_hash_is_the_byte_loop() {
+        let words = [
+            0,
+            1,
+            0xff,
+            0x100,
+            u64::MAX,
+            1 << 63,
+            0x0100_0000_0000_0001,
+            0x00ff_0000_ff00_00ff,
+            0x0000_0001_0000_0000,
+            0x8000_0000_0000_00ff,
+        ];
+        for h in [FNV_OFFSET, 0, u64::MAX, FNV_OFFSET ^ 0xdead_beef] {
+            for w in words {
+                assert_eq!(
+                    fnv_word(h, w),
+                    fnv_bytes(h ^ FNV_OFFSET, &[w]),
+                    "{h:#x} {w:#x}"
+                );
+            }
+        }
+        // Eight zero bytes hashed from state 1.
+        assert_eq!(PRIME_POW[8], fnv_bytes(FNV_OFFSET ^ 1, &[0]));
+        assert_eq!(message_hash(7, 3, 15, 0), fnv_bytes(7, &[3, 15, 0]));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The folded hash equals the byte loop on random words (shifted
+        /// down so every significant-byte count shows up, and with an
+        /// interior byte cleared), and every jitter and fault draw equals
+        /// the oracle's for random `(seed, src, dst, seq, salt)`.
+        #[test]
+        fn folded_draws_equal_the_byte_loop_oracle(
+            h in any::<u64>(),
+            word in any::<u64>(),
+            shift in 0u32..64,
+            seed in any::<u64>(),
+            (src, dst) in (0usize..64, 0usize..64),
+            seq in any::<u64>(),
+            salt in 0u64..0x20,
+        ) {
+            for w in [word, word >> shift, word & !(0xff << (shift / 8 * 8))] {
+                prop_assert_eq!(fnv_word(h, w), fnv_bytes(h ^ FNV_OFFSET, &[w]));
+            }
+            let words = [src as u64, dst as u64, seq];
+            let prefix = message_hash(seed, src, dst, seq);
+            prop_assert_eq!(prefix, fnv_bytes(seed, &words));
+            prop_assert_eq!(
+                fnv_word(prefix, salt),
+                fnv_bytes(seed, &[words[0], words[1], seq, salt])
+            );
+        }
+
+        /// Every charge a send makes — jitter, drops, duplicates, reorders,
+        /// and the receiver's resequencing delay — is the oracle's.
+        #[test]
+        fn every_send_charges_what_the_byte_loop_oracle_draws(
+            seed in any::<u64>(),
+            fault_seed in any::<u64>(),
+            sends in proptest::collection::vec((0usize..4, 1usize..4, 0usize..6), 1..24),
+        ) {
+            let timing = NetTiming::cluster_2017();
+            let plan = FaultProfile::Chaotic.plan(fault_seed);
+            let mut f = Fabric::with_faults(4, timing, seed, plan);
+            for (seq, &(src, hop, len)) in sends.iter().enumerate() {
+                let dst = (src + hop) % 4;
+                let (mut a, mut b) = (sys(), sys());
+                send(&mut f, &mut a, src, dst, &vec![1.0; len]);
+                let _ = recv(&mut f, &mut b, src, dst);
+                let at = [src as u64, dst as u64, seq as u64];
+                let (sent_ps, faults, reorder_ps) = oracle_send(timing, seed, plan, at, 8 * len as u64);
+                let s = a.stats();
+                prop_assert_eq!(a.clock().bucket_total(Bucket::Network).ps(), sent_ps);
+                prop_assert_eq!((s.net_dropped, s.net_duplicated, s.net_reordered), faults);
+                prop_assert_eq!(
+                    b.clock().bucket_total(Bucket::Network).ps(),
+                    timing.latency_ps + reorder_ps
+                );
+            }
+        }
     }
 
     #[test]
@@ -417,13 +606,19 @@ mod tests {
         let mut f = Fabric::new(2, NetTiming::cluster_2017(), 7);
         let mut a = sys();
         let mut b = sys();
-        f.send(&mut a, 0, 1, encode_f64s(&[1.5, 2.5]));
-        f.send(&mut a, 0, 1, encode_f64s(&[3.5]));
+        send(&mut f, &mut a, 0, 1, &[1.5, 2.5]);
+        send(&mut f, &mut a, 0, 1, &[3.5]);
         assert_eq!(f.pending(), 2);
-        assert_eq!(decode_f64s(&f.recv(&mut b, 0, 1)), vec![1.5, 2.5]);
-        assert_eq!(decode_f64s(&f.recv(&mut b, 0, 1)), vec![3.5]);
+        assert_eq!(recv(&mut f, &mut b, 0, 1), vec![1.5, 2.5]);
+        assert_eq!(recv(&mut f, &mut b, 0, 1), vec![3.5]);
         assert_eq!(f.pending(), 0);
-        assert_eq!(f.traffic(), NetTraffic { msgs: 2, bytes: 24 });
+        assert_eq!(
+            f.traffic(),
+            NetTraffic {
+                msgs: 2,
+                bytes: 8 * 3
+            }
+        );
     }
 
     #[test]
@@ -432,12 +627,12 @@ mod tests {
         let mut f = Fabric::new(2, t, 0);
         let mut a = sys();
         let mut b = sys();
-        f.send(&mut a, 0, 1, vec![0u8; 100]);
-        let _ = f.recv(&mut b, 0, 1);
+        send(&mut f, &mut a, 0, 1, &[0.0; 12]);
+        let _ = recv(&mut f, &mut b, 0, 1);
         let sent = a.clock().bucket_total(Bucket::Network).ps();
-        assert!(sent >= t.transfer_cost_ps(100), "{sent}");
+        assert!(sent >= t.transfer_cost_ps(8 * 12), "{sent}");
         assert_eq!(a.stats().net_msgs_sent, 1);
-        assert_eq!(a.stats().net_bytes_sent, 100);
+        assert_eq!(a.stats().net_bytes_sent, 8 * 12);
         assert_eq!(b.clock().bucket_total(Bucket::Network).ps(), t.latency_ps);
         assert_eq!(b.stats().net_msgs_sent, 0, "receives do not count as sends");
     }
@@ -453,7 +648,7 @@ mod tests {
             (0..8)
                 .map(|_| {
                     let mut a = sys();
-                    f.send(&mut a, 0, 1, vec![0u8; 8]);
+                    send(&mut f, &mut a, 0, 1, &[0.0]);
                     a.clock().bucket_total(Bucket::Network).ps()
                 })
                 .collect()
@@ -470,7 +665,7 @@ mod tests {
     fn recv_without_send_panics() {
         let mut f = Fabric::new(2, NetTiming::cluster_2017(), 0);
         let mut b = sys();
-        let _ = f.recv(&mut b, 0, 1);
+        let _ = recv(&mut f, &mut b, 0, 1);
     }
 
     #[test]
@@ -478,25 +673,25 @@ mod tests {
         let plan = FaultProfile::Chaotic.plan(5);
         let mut f = Fabric::with_faults(4, NetTiming::cluster_2017(), 7, plan);
         let mut sender = sys();
-        // Three of the sixteen queues hold messages; the rest stay empty.
+        // Three of the sixteen pairs hold messages; the rest stay empty.
         for (src, dst, n) in [(0, 1, 3), (2, 3, 1), (3, 0, 2)] {
             for i in 0..n {
                 let v = (10 * src + dst + i) as f64;
-                f.send(&mut sender, src, dst, encode_f64s(&[v, -v, v]));
+                send(&mut f, &mut sender, src, dst, &[v, -v, v]);
             }
         }
         let fork = f.clone();
         assert_eq!((fork.pending(), fork.traffic()), (f.pending(), f.traffic()));
-        // Each side sends on a queue in flight and an empty one, then
-        // drains every queue: same bytes, same charges on both ends.
+        // Each side sends on a pair in flight and an empty one, then
+        // drains every pair: same values, same charges on both ends.
         let run = |mut f: Fabric| {
             let (mut a, mut b) = (sys(), sys());
-            f.send(&mut a, 0, 1, encode_f64s(&[9.0]));
-            f.send(&mut a, 1, 2, encode_f64s(&[8.0, 7.0]));
+            send(&mut f, &mut a, 0, 1, &[9.0]);
+            send(&mut f, &mut a, 1, 2, &[8.0, 7.0]);
             let mut got = Vec::new();
             for (src, dst, n) in [(0, 1, 4), (1, 2, 1), (2, 3, 1), (3, 0, 2)] {
                 for _ in 0..n {
-                    got.push(f.recv(&mut b, src, dst));
+                    got.push(recv(&mut f, &mut b, src, dst));
                 }
             }
             assert_eq!(f.pending(), 0);
@@ -504,6 +699,41 @@ mod tests {
             (got, charged(&a), charged(&b), f.traffic())
         };
         assert_eq!(run(fork), run(f));
+    }
+
+    #[test]
+    fn a_drained_fabric_reuses_its_arenas() {
+        let mut f = Fabric::new(3, NetTiming::cluster_2017(), 1);
+        let (mut a, mut b) = (sys(), sys());
+        send(&mut f, &mut a, 0, 1, &[1.0, 2.0, 3.0]);
+        send(&mut f, &mut a, 2, 1, &[4.0]);
+        assert_eq!(recv(&mut f, &mut b, 2, 1), vec![4.0]);
+        // One message still in flight: the next send appends behind it.
+        send(&mut f, &mut a, 0, 1, &[5.0]);
+        assert_eq!((f.msgs.len(), f.vals.len()), (3, 5));
+        assert_eq!(recv(&mut f, &mut b, 0, 1), vec![1.0, 2.0, 3.0]);
+        assert_eq!(recv(&mut f, &mut b, 0, 1), vec![5.0]);
+        assert_eq!(f.pending(), 0);
+        let capacity = (f.msgs.capacity(), f.vals.capacity());
+        let fork = f.clone();
+        assert_eq!(
+            (fork.msgs.len(), fork.vals.len()),
+            (0, 0),
+            "nothing in flight"
+        );
+        assert_eq!(
+            (fork.msgs.capacity(), fork.vals.capacity()),
+            capacity,
+            "as warm"
+        );
+        send(&mut f, &mut a, 1, 0, &[6.0]);
+        assert_eq!(
+            (f.msgs.len(), f.vals.len()),
+            (1, 1),
+            "drained: arenas reset"
+        );
+        assert_eq!((f.msgs.capacity(), f.vals.capacity()), capacity);
+        assert_eq!(recv(&mut f, &mut b, 1, 0), vec![6.0]);
     }
 
     #[test]
@@ -525,10 +755,10 @@ mod tests {
         let mut b = sys();
         let payloads: Vec<Vec<f64>> = (0..64).map(|i| vec![i as f64, -(i as f64)]).collect();
         for p in &payloads {
-            f.send(&mut a, 0, 1, encode_f64s(p));
+            send(&mut f, &mut a, 0, 1, p);
         }
         for p in &payloads {
-            assert_eq!(decode_f64s(&f.recv(&mut b, 0, 1)), *p, "content intact");
+            assert_eq!(recv(&mut f, &mut b, 0, 1), *p, "content intact");
         }
         let s = a.stats();
         assert!(s.net_dropped > 0, "chaotic plan drops over 64 messages");
@@ -552,8 +782,8 @@ mod tests {
             let mut a = sys();
             let mut b = sys();
             for i in 0..32 {
-                f.send(&mut a, 0, 1, encode_f64s(&[i as f64]));
-                let _ = f.recv(&mut b, 0, 1);
+                send(&mut f, &mut a, 0, 1, &[i as f64]);
+                let _ = recv(&mut f, &mut b, 0, 1);
             }
             (
                 a.clock().bucket_total(Bucket::Network).ps(),
@@ -577,7 +807,7 @@ mod tests {
             let mut a = sys();
             (0..8)
                 .map(|_| {
-                    f.send(&mut a, 0, 1, vec![0u8; 8]);
+                    send(&mut f, &mut a, 0, 1, &[0.0]);
                     a.clock().bucket_total(Bucket::Network).ps()
                 })
                 .collect::<Vec<_>>()

@@ -201,21 +201,21 @@ impl DistStencil {
             let left = self.x[r].get(sys, 1);
             let right = self.x[r].get(sys, m);
             if let Some(prev) = self.cfg.grid.chain_prev(r) {
-                cl.send(r, prev, &[left]);
+                cl.send_with(r, prev, |_, out| out.push(left));
             }
             if let Some(next) = self.cfg.grid.chain_next(r) {
-                cl.send(r, next, &[right]);
+                cl.send_with(r, next, |_, out| out.push(right));
             }
         }
         for r in 0..p {
             if let Some(prev) = self.cfg.grid.chain_prev(r) {
-                let v = cl.recv(prev, r)[0];
+                let v = cl.recv_with(prev, r, |_, v| v[0]);
                 self.x[r].set(cl.system_mut(r), 0, v);
             } else {
                 self.x[r].set(cl.system_mut(r), 0, LEFT_B);
             }
             if let Some(next) = self.cfg.grid.chain_next(r) {
-                let v = cl.recv(next, r)[0];
+                let v = cl.recv_with(next, r, |_, v| v[0]);
                 self.x[r].set(cl.system_mut(r), m + 1, v);
             } else {
                 self.x[r].set(cl.system_mut(r), m + 1, RIGHT_B);
@@ -232,8 +232,8 @@ impl DistStencil {
         if let Some(prev) = self.cfg.grid.chain_prev(rank) {
             let sys = cl.system_mut(prev);
             let v = self.x[prev].get(sys, m);
-            cl.send(prev, rank, &[v]);
-            let v = cl.recv(prev, rank)[0];
+            cl.send_with(prev, rank, |_, out| out.push(v));
+            let v = cl.recv_with(prev, rank, |_, v| v[0]);
             self.x[rank].set(cl.system_mut(rank), 0, v);
         } else {
             self.x[rank].set(cl.system_mut(rank), 0, LEFT_B);
@@ -241,8 +241,8 @@ impl DistStencil {
         if let Some(next) = self.cfg.grid.chain_next(rank) {
             let sys = cl.system_mut(next);
             let v = self.x[next].get(sys, 1);
-            cl.send(next, rank, &[v]);
-            let v = cl.recv(next, rank)[0];
+            cl.send_with(next, rank, |_, out| out.push(v));
+            let v = cl.recv_with(next, rank, |_, v| v[0]);
             self.x[rank].set(cl.system_mut(rank), m + 1, v);
         } else {
             self.x[rank].set(cl.system_mut(rank), m + 1, RIGHT_B);

@@ -1,11 +1,12 @@
 //! Fabric fault-injection properties: the adversarial physical layer of
 //! [`adcc::dist::net::Fabric`] must stay deterministic, payload-safe, and
-//! deadlock-free under every seeded fault plan.
+//! deadlock-free under every seeded fault plan, and its in-flight arena
+//! must deliver exactly what per-pair FIFO queues would.
 //!
-//! Three layers:
+//! Four layers:
 //!
 //! 1. The fault sequence is a pure function of the plan: two fabrics built
-//!    from the same config produce byte-identical delivery traces — same
+//!    from the same config produce identical delivery traces — same
 //!    payloads, same sender/receiver clocks, same fault counters — and the
 //!    payload stream is identical to a reliable fabric's (faults perturb
 //!    only clocks and counters, never content or order).
@@ -16,11 +17,18 @@
 //! 3. `Fabric::clone` — the harvest-fork path — preserves the perturbation
 //!    sequence: a fork taken mid-stream draws exactly the faults the
 //!    original draws for every subsequent message.
+//! 4. The arena is per-pair FIFO queues: random interleavings of sends and
+//!    receives over many pairs at once, with a `clone()` taken mid-flight,
+//!    give the same deliveries, both-end charges and fault counters as a
+//!    model holding one `VecDeque` per pair and drawing every fault with
+//!    the byte-at-a-time FNV-1a.
+
+use std::collections::VecDeque;
 
 use proptest::prelude::*;
 
 use adcc::dist::cluster::{Cluster, ClusterConfig};
-use adcc::dist::net::{Fabric, FaultPlan, NetTiming};
+use adcc::dist::net::{Fabric, FaultPlan, FaultProfile, NetTiming};
 use adcc::sim::system::{MemorySystem, SystemConfig};
 
 fn cfg() -> SystemConfig {
@@ -28,6 +36,13 @@ fn cfg() -> SystemConfig {
 }
 
 const RANKS: usize = 3;
+
+/// Jitter seed of every fabric here.
+const SEED: u64 = 7;
+
+fn systems(ranks: usize) -> Vec<MemorySystem> {
+    (0..ranks).map(|_| MemorySystem::new(cfg())).collect()
+}
 
 /// An arbitrary active fault plan, spanning mild loss up to past-chaotic
 /// rates. `max_retries >= 1` keeps the retry bound meaningful.
@@ -53,37 +68,32 @@ fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
 }
 
 /// A random message pattern over `RANKS` peers: `(src, hop, len)` tuples
-/// where `dst = (src + hop) % RANKS` can never self-send.
+/// where `dst = (src + hop) % RANKS` can never self-send, each message
+/// carrying 1–6 values.
 fn pattern_strategy() -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
-    proptest::collection::vec((0..RANKS, 1..RANKS, 1usize..=48), 1..40)
+    proptest::collection::vec((0..RANKS, 1..RANKS, 1usize..=6), 1..40)
+}
+
+/// Message `i`'s payload: `len` values no other message carries.
+fn payload(i: usize, len: usize) -> Vec<f64> {
+    (0..len).map(|k| (8 * i + k) as f64 + 0.5).collect()
+}
+
+fn send(fabric: &mut Fabric, sys: &mut MemorySystem, src: usize, dst: usize, vals: &[f64]) {
+    fabric.send_with(sys, src, dst, |_, out| out.extend_from_slice(vals));
+}
+
+fn recv(fabric: &mut Fabric, sys: &mut MemorySystem, src: usize, dst: usize) -> Vec<f64> {
+    fabric.recv_with(sys, src, dst, |_, vals| vals.to_vec())
 }
 
 /// One delivery record: sender clock after the send, receiver clock after
-/// the delivery, and the delivered bytes.
-type Trace = Vec<(u64, u64, Vec<u8>)>;
+/// the delivery, and the delivered values.
+type Trace = Vec<(u64, u64, Vec<f64>)>;
 
-/// Drive `pattern` through a fresh fabric under `faults`, delivering each
-/// message immediately, and return the full trace plus the per-rank fault
-/// counters `(dropped, duplicated, reordered, retries)`.
-fn run_pattern(
-    faults: FaultPlan,
-    pattern: &[(usize, usize, usize)],
-) -> (Trace, Vec<(u64, u64, u64, u64)>) {
-    let mut fabric = Fabric::with_faults(RANKS, NetTiming::cluster_2017(), 7, faults);
-    let mut systems: Vec<MemorySystem> = (0..RANKS).map(|_| MemorySystem::new(cfg())).collect();
-    let trace = pattern
-        .iter()
-        .enumerate()
-        .map(|(i, &(src, hop, len))| {
-            let dst = (src + hop) % RANKS;
-            let payload = vec![(i % 251) as u8; len];
-            fabric.send(&mut systems[src], src, dst, payload);
-            let sent_ps = systems[src].now().ps();
-            let got = fabric.recv(&mut systems[dst], src, dst);
-            (sent_ps, systems[dst].now().ps(), got)
-        })
-        .collect();
-    let counters = systems
+/// Each rank's fault counters `(dropped, duplicated, reordered, retries)`.
+fn counters(systems: &[MemorySystem]) -> Vec<(u64, u64, u64, u64)> {
+    systems
         .iter()
         .map(|s| {
             let st = s.stats();
@@ -94,8 +104,190 @@ fn run_pattern(
                 st.net_retries,
             )
         })
+        .collect()
+}
+
+/// Drive `pattern` through `fabric`, charging fresh memory systems and
+/// delivering each message immediately; the full trace plus the per-rank
+/// fault counters.
+fn run_on(
+    fabric: &mut Fabric,
+    pattern: &[(usize, usize, usize)],
+) -> (Trace, Vec<(u64, u64, u64, u64)>) {
+    let mut systems = systems(RANKS);
+    let trace = pattern
+        .iter()
+        .enumerate()
+        .map(|(i, &(src, hop, len))| {
+            let dst = (src + hop) % RANKS;
+            send(fabric, &mut systems[src], src, dst, &payload(i, len));
+            let sent_ps = systems[src].now().ps();
+            let got = recv(fabric, &mut systems[dst], src, dst);
+            (sent_ps, systems[dst].now().ps(), got)
+        })
         .collect();
-    (trace, counters)
+    (trace, counters(&systems))
+}
+
+/// [`run_on`] a fresh fabric under `faults`.
+fn run_pattern(
+    faults: FaultPlan,
+    pattern: &[(usize, usize, usize)],
+) -> (Trace, Vec<(u64, u64, u64, u64)>) {
+    run_on(
+        &mut Fabric::with_faults(RANKS, NetTiming::cluster_2017(), SEED, faults),
+        pattern,
+    )
+}
+
+/// Byte-at-a-time FNV-1a over little-endian words, seeded by XOR into the
+/// offset basis: the fabric's draws, computed the slow way.
+fn fnv(seed: u64, words: &[u64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
+    for word in words {
+        for b in word.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The reference fabric: one `VecDeque` per `(src, dst)` pair, each send
+/// and delivery charged from the byte-loop draws.
+#[derive(Clone)]
+struct QueueModel {
+    ranks: usize,
+    faults: FaultPlan,
+    queues: Vec<VecDeque<(Vec<f64>, u64)>>,
+    seq: u64,
+}
+
+impl QueueModel {
+    fn new(ranks: usize, faults: FaultPlan) -> Self {
+        QueueModel {
+            ranks,
+            faults,
+            queues: vec![VecDeque::new(); ranks * ranks],
+            seq: 0,
+        }
+    }
+
+    fn send(&mut self, sys: &mut MemorySystem, src: usize, dst: usize, vals: Vec<f64>) {
+        let t = NetTiming::cluster_2017();
+        let bytes = 8 * vals.len() as u64;
+        let transfer = t.transfer_cost_ps(bytes);
+        let at = [src as u64, dst as u64, self.seq];
+        sys.charge_net_send(bytes, transfer + fnv(SEED, &at) % (t.jitter_ps + 1));
+        let f = self.faults;
+        let draw = |salt: u64| (fnv(f.seed, &[at[0], at[1], at[2], salt]) % 1_000_000) as u32;
+        let mut dropped = 0u64;
+        while dropped < f.max_retries as u64 && draw(0x10 + dropped) < f.drop_ppm {
+            dropped += 1;
+        }
+        let duplicated = u64::from(draw(0x01) < f.dup_ppm);
+        let reordered = u64::from(draw(0x02) < f.reorder_ppm);
+        if dropped + duplicated + reordered > 0 {
+            let extra = dropped * (f.timeout_ps + transfer) + duplicated * transfer;
+            sys.charge_net_faults(dropped, duplicated, reordered, dropped, extra);
+        }
+        self.queues[src * self.ranks + dst].push_back((vals, reordered * f.reorder_ps));
+        self.seq += 1;
+    }
+
+    fn recv(&mut self, sys: &mut MemorySystem, src: usize, dst: usize) -> Vec<f64> {
+        let (vals, reorder_ps) = self.queues[src * self.ranks + dst]
+            .pop_front()
+            .expect("the model only receives on a pair it holds messages for");
+        sys.charge_net_wait(NetTiming::cluster_2017().latency_ps + reorder_ps);
+        vals
+    }
+
+    /// Pairs holding messages, as `(src, dst)`, in pair order.
+    fn busy(&self) -> Vec<(usize, usize)> {
+        (0..self.queues.len())
+            .filter(|&p| !self.queues[p].is_empty())
+            .map(|p| (p / self.ranks, p % self.ranks))
+            .collect()
+    }
+}
+
+/// One side of the arena-vs-queues comparison: the fabric and the model,
+/// each charging its own copy of the ranks' memory systems.
+#[derive(Clone)]
+struct Lockstep {
+    fabric: Fabric,
+    on_fabric: Vec<MemorySystem>,
+    model: QueueModel,
+    on_model: Vec<MemorySystem>,
+}
+
+/// Ranks of the arena-vs-queues property: twelve pairs, many in flight at
+/// once.
+const WIDE: usize = 4;
+
+impl Lockstep {
+    fn new(faults: FaultPlan) -> Self {
+        Lockstep {
+            fabric: Fabric::with_faults(WIDE, NetTiming::cluster_2017(), SEED, faults),
+            on_fabric: systems(WIDE),
+            model: QueueModel::new(WIDE, faults),
+            on_model: systems(WIDE),
+        }
+    }
+
+    /// Deliver the oldest message of `(src, dst)` on both sides.
+    fn recv(&mut self, src: usize, dst: usize) -> Result<(), TestCaseError> {
+        let got = recv(&mut self.fabric, &mut self.on_fabric[dst], src, dst);
+        let want = self.model.recv(&mut self.on_model[dst], src, dst);
+        prop_assert_eq!(got, want, "delivery on {}->{}", src, dst);
+        Ok(())
+    }
+
+    /// Apply `ops` on both sides: a `kind` below 2 sends message `id` with
+    /// `len` values from `src` to `src + hop`; kind 2 receives on the
+    /// busy pair `pick` selects (a send when no pair is busy).
+    fn run(
+        &mut self,
+        ops: &[(usize, usize, usize, usize)],
+        first_id: usize,
+    ) -> Result<(), TestCaseError> {
+        for (i, &(kind, src, hop, len)) in ops.iter().enumerate() {
+            let busy = self.model.busy();
+            if kind == 2 && !busy.is_empty() {
+                let (s, d) = busy[(src * WIDE + hop) % busy.len()];
+                self.recv(s, d)?;
+            } else {
+                let dst = (src + hop) % WIDE;
+                let vals = payload(first_id + i, len);
+                send(&mut self.fabric, &mut self.on_fabric[src], src, dst, &vals);
+                self.model.send(&mut self.on_model[src], src, dst, vals);
+            }
+            let in_flight: usize = self.model.queues.iter().map(VecDeque::len).sum();
+            prop_assert_eq!(self.fabric.pending(), in_flight);
+        }
+        Ok(())
+    }
+
+    /// Drain every pair, then compare both sides' clocks and counters.
+    fn finish(mut self) -> Result<Vec<(u64, u64)>, TestCaseError> {
+        for (src, dst) in self.model.busy() {
+            while !self.model.queues[src * WIDE + dst].is_empty() {
+                self.recv(src, dst)?;
+            }
+        }
+        prop_assert_eq!(self.fabric.pending(), 0);
+        for (a, b) in self.on_fabric.iter().zip(&self.on_model) {
+            prop_assert_eq!(a.now().ps(), b.now().ps());
+            prop_assert_eq!(a.clock().bucket_totals(), b.clock().bucket_totals());
+            prop_assert_eq!(*a.stats(), *b.stats());
+        }
+        Ok(self
+            .on_fabric
+            .iter()
+            .map(|s| (s.now().ps(), s.stats().net_dropped))
+            .collect())
+    }
 }
 
 proptest! {
@@ -117,7 +309,7 @@ proptest! {
         let (reliable, reliable_counters) = run_pattern(FaultPlan::none(), &pattern);
         prop_assert_eq!(trace_a.len(), reliable.len());
         for ((_, _, faulty), (_, _, clean)) in trace_a.iter().zip(&reliable) {
-            prop_assert_eq!(faulty, clean, "faults must never touch payload bytes");
+            prop_assert_eq!(faulty, clean, "faults must never touch payload values");
         }
         for &(d, dup, re, ret) in &reliable_counters {
             prop_assert_eq!((d, dup, re, ret), (0, 0, 0, 0));
@@ -144,7 +336,7 @@ proptest! {
                 sys: cfg(),
                 net: NetTiming::cluster_2017(),
                 net_seed: seed,
-                faults: adcc::dist::net::FaultProfile::Chaotic.plan(seed ^ 0xd15f),
+                faults: FaultProfile::Chaotic.plan(seed ^ 0xd15f),
             },
             None,
         );
@@ -177,43 +369,34 @@ proptest! {
         // then charge the identical suffix to *fresh* memory systems on
         // both sides: any divergence in clocks or counters can only come
         // from the fabric's internal sequence state.
-        let mut original = Fabric::with_faults(RANKS, NetTiming::cluster_2017(), 7, faults);
-        let mut warm: Vec<MemorySystem> = (0..RANKS).map(|_| MemorySystem::new(cfg())).collect();
-        for (i, &(src, hop, len)) in prefix.iter().enumerate() {
-            let dst = (src + hop) % RANKS;
-            original.send(&mut warm[src], src, dst, vec![(i % 251) as u8; len]);
-            original.recv(&mut warm[dst], src, dst);
-        }
+        let mut original = Fabric::with_faults(RANKS, NetTiming::cluster_2017(), SEED, faults);
+        let _ = run_on(&mut original, &prefix);
         let mut forked = original.clone();
         prop_assert_eq!(forked.traffic(), original.traffic());
-
-        let run_suffix = |fabric: &mut Fabric| -> (Trace, Vec<(u64, u64, u64, u64)>) {
-            let mut fresh: Vec<MemorySystem> =
-                (0..RANKS).map(|_| MemorySystem::new(cfg())).collect();
-            let trace = suffix
-                .iter()
-                .enumerate()
-                .map(|(i, &(src, hop, len))| {
-                    let dst = (src + hop) % RANKS;
-                    let payload = vec![(i % 249) as u8; len];
-                    fabric.send(&mut fresh[src], src, dst, payload);
-                    let sent_ps = fresh[src].now().ps();
-                    let got = fabric.recv(&mut fresh[dst], src, dst);
-                    (sent_ps, fresh[dst].now().ps(), got)
-                })
-                .collect();
-            let counters = fresh
-                .iter()
-                .map(|s| {
-                    let st = s.stats();
-                    (st.net_dropped, st.net_duplicated, st.net_reordered, st.net_retries)
-                })
-                .collect();
-            (trace, counters)
-        };
-        let on_original = run_suffix(&mut original);
-        let on_fork = run_suffix(&mut forked);
+        let on_original = run_on(&mut original, &suffix);
+        let on_fork = run_on(&mut forked, &suffix);
         prop_assert_eq!(&on_original.0, &on_fork.0, "fork must replay the same trace");
         prop_assert_eq!(&on_original.1, &on_fork.1, "fork must draw the same faults");
+    }
+
+    #[test]
+    fn the_arena_delivers_what_per_pair_queues_do(
+        faults in plan_strategy(),
+        ops in proptest::collection::vec((0usize..3, 0..WIDE, 1..WIDE, 1usize..=6), 1..80),
+        cut in 0usize..80,
+    ) {
+        // Many pairs in flight at once; at `cut` both sides are cloned
+        // mid-flight — fabric, model and the systems they charge — and
+        // original and clone each run the rest and drain.
+        let cut = cut.min(ops.len());
+        let mut live = Lockstep::new(faults);
+        live.run(&ops[..cut], 0)?;
+        let fork = live.clone();
+        let mut sides = Vec::new();
+        for mut side in [live, fork] {
+            side.run(&ops[cut..], cut)?;
+            sides.push(side.finish()?);
+        }
+        prop_assert_eq!(&sides[0], &sides[1], "a mid-flight clone runs as its original");
     }
 }
