@@ -1,28 +1,8 @@
 //! The `campaign` CLI: run crash-injection campaigns, replay them from a
-//! seed, re-run them under the analyzer, diff two reports, and price them
-//! under the cost models. (Throughput is measured from outside, by
-//! `benchmark/run.sh`.)
-//!
-//! ```text
-//! campaign run     [--registry kernel|dist|ds] [--budget-states N]
-//!                  [--seed S] [--threads T]
-//!                  [--schedule stratified|every-k:K|exhaustive:N]
-//!                  [--telemetry] [--resilience] [--out PATH]
-//! campaign replay  --seed S [--registry NAME] [--budget-states N]
-//!                  [--threads T] [--schedule SPEC] [--telemetry]
-//!                  [--expect PATH]
-//! campaign compare OLD.json NEW.json
-//! campaign cost    [--budget-states N] [--seed S] [--threads T]
-//!                  [--schedule SPEC] [--out PATH]
-//! ```
-//!
-//! `--telemetry` embeds per-scenario flush/fence/log/dirty-residency
-//! aggregates in the report; `campaign cost` runs a telemetry campaign
-//! and prints the per-scenario cost table under the ADR, NearPM, and
-//! eADR cost models. `--resilience` fuses the EasyCrash-style
-//! dirty-restart sweep into the campaign, adding per-scenario
-//! `natural_resilience` blocks to the report; `replay --expect` of such a
-//! report re-runs the sweep.
+//! seed, merge shards, re-run them under the analyzer, diff two reports,
+//! and price them under the cost models. (Throughput is measured from
+//! outside, by `benchmark/run.sh`.) The subcommands and their flags are
+//! listed once, in [`USAGE_TEXT`], which `campaign --help` prints.
 //!
 //! Exit codes: `run` fails (1) on any silent-corruption outcome and — with
 //! `--telemetry` — on a flush-based scenario recording zero flushes,
@@ -245,7 +225,7 @@ fn cmd_run(args: &[String], replay: bool) -> Result<ExitCode, String> {
         cfg.dense_units = parse_u64(&v, "dense")?;
     }
     if let Some(v) = take_opt(args, "--max-batch")? {
-        cfg.max_batch = parse_u64(&v, "max-batch")?.max(1);
+        cfg.max_batch = parse_u64(&v, "max-batch")?;
     }
     if let Some(v) = take_opt(args, "--shard")? {
         cfg.shard = Some(parse_shard(&v)?);

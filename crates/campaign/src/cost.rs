@@ -2,10 +2,9 @@
 //!
 //! The human-readable cost table prints per-scenario flush/fence/log
 //! volume and the modeled ADR/NearPM/eADR prices; this module emits the same
-//! rows as a schema-versioned JSON document so CI can *diff* cost-model
-//! outputs instead of scraping a text table. Parsing and emission
-//! round-trip byte-for-byte (insertion-ordered objects, exact integers),
-//! the same replayability contract campaign reports carry.
+//! rows as a schema-versioned JSON document (insertion-ordered objects,
+//! exact integers) so CI can *diff* cost-model outputs against committed
+//! baselines instead of scraping a text table.
 
 use adcc_telemetry::platform_costs;
 
@@ -15,7 +14,7 @@ use crate::report::CampaignReport;
 /// Cost-table document schema (bump on breaking changes).
 ///
 /// v2 added the `nearpm_cost_ps` column (near-data persistence preset)
-/// between the ADR and eADR prices. It is the only generation parsed.
+/// between the ADR and eADR prices.
 pub const COST_SCHEMA: &str = "adcc-cost-table/v2";
 
 /// One scenario's cost row (or the campaign total).
@@ -60,30 +59,6 @@ impl CostRow {
         j.push("nearpm_cost_ps", Json::Int(self.nearpm_cost_ps));
         j.push("eadr_cost_ps", Json::Int(self.eadr_cost_ps));
         j
-    }
-
-    fn from_json(j: &Json) -> Result<CostRow, String> {
-        let n = |key: &str| -> Result<u64, String> {
-            j.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("cost row missing {key}"))
-        };
-        Ok(CostRow {
-            name: j
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("cost row missing name")?
-                .to_string(),
-            trials: n("trials")?,
-            flushes: n("flushes")?,
-            sfences: n("sfences")?,
-            log_bytes: n("log_bytes")?,
-            dirty_bytes: n("dirty_bytes")?,
-            consistency_window_ps: n("consistency_window_ps")?,
-            adr_cost_ps: n("adr_cost_ps")?,
-            nearpm_cost_ps: n("nearpm_cost_ps")?,
-            eadr_cost_ps: n("eadr_cost_ps")?,
-        })
     }
 }
 
@@ -155,42 +130,6 @@ impl CostTable {
         }
         j.pretty()
     }
-
-    /// Parse a document produced by [`CostTable::to_string_pretty`].
-    pub fn parse(text: &str) -> Result<CostTable, String> {
-        let j = Json::parse(text)?;
-        let schema = j
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or("missing schema")?;
-        if schema != COST_SCHEMA {
-            return Err(format!(
-                "unsupported schema {schema:?} (want {COST_SCHEMA:?})"
-            ));
-        }
-        let n = |key: &str| -> Result<u64, String> {
-            j.get(key)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing {key}"))
-        };
-        Ok(CostTable {
-            seed: n("seed")?,
-            budget_states: n("budget_states")?,
-            schedule: j
-                .get("schedule")
-                .and_then(Json::as_str)
-                .ok_or("missing schedule")?
-                .to_string(),
-            rows: j
-                .get("scenarios")
-                .and_then(Json::as_arr)
-                .ok_or("missing scenarios")?
-                .iter()
-                .map(CostRow::from_json)
-                .collect::<Result<Vec<_>, String>>()?,
-            total: j.get("total").map(CostRow::from_json).transpose()?,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -213,10 +152,6 @@ mod tests {
             total.adr_cost_ps >= total.nearpm_cost_ps && total.nearpm_cost_ps >= total.eadr_cost_ps,
             "presets must price in ADR >= NearPM >= eADR order"
         );
-        let text = table.to_string_pretty();
-        let parsed = CostTable::parse(&text).unwrap();
-        assert_eq!(parsed, table);
-        assert_eq!(parsed.to_string_pretty(), text, "emit∘parse is identity");
     }
 
     #[test]
@@ -230,15 +165,5 @@ mod tests {
         let table = CostTable::from_report(&report);
         assert!(table.rows.is_empty());
         assert!(table.total.is_none());
-        // Still a valid, parseable document.
-        assert_eq!(CostTable::parse(&table.to_string_pretty()).unwrap(), table);
-    }
-
-    #[test]
-    fn parse_rejects_other_schemas() {
-        for other in ["adcc-cost-table/v1", "adcc-cost-table/v3"] {
-            let err = CostTable::parse(&format!(r#"{{"schema": "{other}"}}"#)).unwrap_err();
-            assert!(err.contains("unsupported schema"), "{other}: {err}");
-        }
     }
 }

@@ -43,8 +43,7 @@ pub const SCHEMA_V6: &str = "adcc-campaign-report/v6";
 pub const SCHEMA_V5: &str = "adcc-campaign-report/v5";
 
 /// Every generation [`CampaignReport::parse`] accepts, newest first — all
-/// of them re-runnable (`campaign replay --expect`, `triage`,
-/// `resilience`).
+/// of them re-runnable (`campaign replay --expect`, `campaign triage`).
 pub const RERUNNABLE_SCHEMAS: [&str; 3] = [SCHEMA, SCHEMA_V6, SCHEMA_V5];
 
 /// An optional block of a scenario row, kept out of line: a row without it
@@ -456,9 +455,9 @@ impl CampaignReport {
         }
 
         let mut scenarios: Vec<ScenarioReport> = first.scenarios.clone();
-        // Sharded runs never carry a resilience sweep (the `resilience`
-        // subcommand rejects shard reports), so merged scenarios carry no
-        // block.
+        // Sharded runs never carry a resilience sweep (`campaign run`
+        // refuses `--resilience` with `--shard`), so merged scenarios carry
+        // no block.
         for s in &mut scenarios {
             s.natural_resilience = None.into();
         }

@@ -1,12 +1,13 @@
 //! The scenario registry: every workload × persistence-mechanism pair the
 //! campaign engine can inject crashes into.
 
+use adcc_core::RecoveryReport;
 use adcc_dist::net::FaultProfile;
 use adcc_sim::crash::CrashTrigger;
 use adcc_telemetry::ExecutionProfile;
 
 use crate::memstats::ImageMemory;
-use crate::outcome::Outcome;
+use crate::outcome::{classify, Outcome};
 use crate::scenarios;
 
 /// Kernel family (the paper's three workloads plus the extension kernels
@@ -296,7 +297,7 @@ pub trait Harvested: Send + Sync {
     /// `false` once every state is claimed. Safe to call concurrently.
     fn run_next(&self) -> bool;
 
-    /// The merge: charge every recovered state to its units, classify the
+    /// The merge: stamp every state's verdict onto its units, classify the
     /// units that ran to completion, run the analysis. Call once every
     /// [`Harvested::run_next`] call has returned, `false` included.
     fn finish(self: Box<Self>) -> PassOutput;
@@ -331,6 +332,64 @@ pub struct Trial {
     /// flushes, fences, log traffic, dirty residency. Present when the
     /// campaign ran with telemetry enabled.
     pub telemetry: Option<ExecutionProfile>,
+}
+
+/// The verdict on one crash state: a [`Trial`] without its `unit`. Every
+/// unit whose trigger fired at the state's poll gets the same verdict,
+/// stamped with [`Classified::trial`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Classified {
+    pub outcome: Outcome,
+    pub lost_units: u64,
+    pub sim_time_ps: u64,
+    pub telemetry: Option<ExecutionProfile>,
+}
+
+impl Classified {
+    /// Classify a recovery that re-executed `lost_units` work units in
+    /// `sim_time_ps` of simulated detect + resume time.
+    pub(crate) fn new(
+        detected: bool,
+        matches: bool,
+        lost_units: u64,
+        sim_time_ps: u64,
+        telemetry: Option<ExecutionProfile>,
+    ) -> Classified {
+        Classified {
+            outcome: classify(detected, matches, lost_units),
+            lost_units,
+            sim_time_ps,
+            telemetry,
+        }
+    }
+
+    /// Classify a recovery the kernel itself measured (the
+    /// algorithm-directed `recover_and_resume` paths).
+    pub(crate) fn from_report(
+        detected: bool,
+        matches: bool,
+        report: &RecoveryReport,
+        telemetry: Option<ExecutionProfile>,
+    ) -> Classified {
+        Classified::new(
+            detected,
+            matches,
+            report.lost_units,
+            report.total().ps(),
+            telemetry,
+        )
+    }
+
+    /// This verdict as the trial of `unit`.
+    pub(crate) fn trial(self, unit: u64) -> Trial {
+        Trial {
+            unit,
+            outcome: self.outcome,
+            lost_units: self.lost_units,
+            sim_time_ps: self.sim_time_ps,
+            telemetry: self.telemetry,
+        }
+    }
 }
 
 /// A scenario's crash-point unit space: how many site-grain units it

@@ -16,18 +16,17 @@ use adcc_sim::image::NvmImage;
 use adcc_sim::system::{MemorySystem, SystemConfig};
 use adcc_telemetry::ExecutionProfile;
 
-use super::harness::{CrashState, Workload};
+use super::harness::Workload;
 use super::verified_completion;
-use crate::outcome::classify;
-use crate::scenario::{ScenarioInfo, Trial};
+use crate::scenario::{Classified, ScenarioInfo};
 
-/// Units re-executed by a crash at `site` charged to `unit`, given the
-/// unit the restored run resumed at.
-pub(crate) type LostUnits = fn(unit: u64, site: CrashSite, start: usize) -> u64;
+/// Units re-executed by a crash at `site`, given the unit the restored run
+/// resumed at.
+pub(crate) type LostUnits = fn(site: CrashSite, start: usize) -> u64;
 
 /// The common charge: every polled site of unit `index` sits after its
 /// work, so completed-but-uncheckpointed units are re-executed.
-pub(crate) fn lost_since(_unit: u64, site: CrashSite, start: usize) -> u64 {
+pub(crate) fn lost_since(site: CrashSite, start: usize) -> u64 {
     (site.index + 1).saturating_sub(start as u64)
 }
 
@@ -59,34 +58,6 @@ where
     }
 }
 
-/// One restored-and-resumed crash state, not yet charged to a unit. What
-/// the restore cost is a fact of the state; what it *lost* may not be
-/// (`stencil-ckpt`'s access-count units), so the state stops short of a
-/// classification.
-pub(crate) struct Resumed {
-    site: CrashSite,
-    /// First unit the resumed run re-executed.
-    start: usize,
-    restored: bool,
-    matches: bool,
-    sim_time_ps: u64,
-    telemetry: Option<ExecutionProfile>,
-    lost_units: LostUnits,
-}
-
-impl CrashState for Resumed {
-    fn charge(&self, unit: u64) -> Trial {
-        let lost = (self.lost_units)(unit, self.site, self.start);
-        Trial {
-            unit,
-            outcome: classify(!self.restored, self.matches, lost),
-            lost_units: lost,
-            sim_time_ps: self.sim_time_ps,
-            telemetry: self.telemetry,
-        }
-    }
-}
-
 impl<K, F> Workload for Checkpointed<K, F>
 where
     K: Baseline + Send + Sync,
@@ -96,7 +67,6 @@ where
 {
     type Live = (K, K::Carry, baseline::Mechanism);
     type End = K::Carry;
-    type State = Resumed;
 
     fn info(&self) -> &ScenarioInfo {
         &self.info
@@ -130,21 +100,19 @@ where
         site: CrashSite,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,
-    ) -> Resumed {
+    ) -> Classified {
         let sys = MemorySystem::from_image(self.config.clone(), image);
         let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
         let t0 = emu.now();
         let (start, carry, restored) = mechanism.restore(&mut emu, k, *carry0);
         baseline::resume(&mut emu, k, start, carry);
-        Resumed {
-            site,
-            start,
-            restored,
-            matches: self.matches(k, &emu),
-            sim_time_ps: (emu.now() - t0).ps(),
-            telemetry: profile,
-            lost_units: self.lost_units,
-        }
+        Classified::new(
+            !restored,
+            self.matches(k, &emu),
+            (self.lost_units)(site, start),
+            (emu.now() - t0).ps(),
+            profile,
+        )
     }
 
     fn complete(
@@ -153,8 +121,8 @@ where
         _carry: K::Carry,
         emu: &CrashEmulator,
         profile: Option<ExecutionProfile>,
-    ) -> Trial {
-        verified_completion(self.matches(k, emu), 0, profile)
+    ) -> Classified {
+        verified_completion(self.matches(k, emu), profile)
     }
 
     fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {

@@ -17,10 +17,10 @@ use adcc_sim::system::{MemorySystem, SystemConfig};
 use adcc_telemetry::ExecutionProfile;
 
 use super::baseline::{lost_since, Checkpointed};
-use super::harness::{Classified, Workload};
+use super::harness::Workload;
 use super::iterative::Iterative;
 use super::{phase_trigger, trim_dram, verified_completion, Linear};
-use crate::scenario::{Kernel, Mechanism, ScenarioInfo, Trial, UnitSpace};
+use crate::scenario::{Classified, Kernel, Mechanism, ScenarioInfo, UnitSpace};
 
 const ITERS: usize = 12;
 const TOL: f64 = 1e-9;
@@ -136,7 +136,6 @@ pub(crate) struct PmemLive {
 impl Workload for CgPmem {
     type Live = PmemLive;
     type End = f64;
-    type State = Classified;
 
     fn info(&self) -> &ScenarioInfo {
         const INFO: ScenarioInfo = ScenarioInfo::new(
@@ -213,9 +212,9 @@ impl Workload for CgPmem {
         _rho: f64,
         emu: &CrashEmulator,
         profile: Option<ExecutionProfile>,
-    ) -> Trial {
+    ) -> Classified {
         let sol = live.cg.peek_solution(emu);
-        verified_completion(max_diff(&sol, &self.0.reference) < TOL, 0, profile)
+        verified_completion(max_diff(&sol, &self.0.reference) < TOL, profile)
     }
 
     fn log_stats(&self, live: &PmemLive, harvest: Option<usize>) -> Option<LogStats> {

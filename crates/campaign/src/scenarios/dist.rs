@@ -52,19 +52,18 @@ use adcc_dist::net::FaultProfile;
 use adcc_dist::sites;
 use adcc_dist::stencil::{DistStencil, StencilConfig};
 use adcc_dist::trial::{
-    reference_run, run_dist_batch, run_dist_trial, BatchPasses, BatchPoint, DistKernel, DistTrial,
-    FollowUp, RecoveryMode, ReferenceRun,
+    reference_run, run_dist_batch, run_dist_trial, BatchPasses, BatchPoint, DirtyReboot,
+    DistKernel, DistTrial, FollowUp, RecoveryMode, ReferenceRun,
 };
 use adcc_linalg::vecops::max_diff;
 use adcc_resilience::{DirtyTrial, Tolerance};
 use adcc_sim::crash::{CrashSite, CrashTrigger};
 
-use super::{never_crashed, verified_completion};
+use super::{merge, verified_completion, StateResult};
 use crate::memstats::ImageMemory;
-use crate::outcome::classify;
 use crate::scenario::{
-    Harvested, Kernel, Mechanism, PassOutput, Passes, ResilienceBatch, Scenario, ScenarioInfo,
-    Trial, UnitSpace, Whole,
+    Classified, Harvested, Kernel, Mechanism, PassOutput, Passes, Scenario, ScenarioInfo, Trial,
+    UnitSpace, Whole,
 };
 
 const TOL: f64 = 1e-9;
@@ -309,17 +308,22 @@ impl<K: DistKernel> Dist<K> {
     /// single classification path both [`Scenario::run_trial`] and the
     /// recover pass of [`Scenario::harvest`] go through (the latter once
     /// per replay: every unit a replay answers for gets the same verdict).
-    fn classify_dist(&self, unit: u64, t: DistTrial) -> Trial {
+    fn classify_dist(&self, t: DistTrial) -> Classified {
         let matches = max_diff(&t.solution, &self.reference().solution) < TOL;
         if t.completed_clean {
-            return verified_completion(matches, unit, t.profile);
+            return verified_completion(matches, t.profile);
         }
-        Trial {
+        Classified::new(t.detected, matches, t.lost_units, t.sim_time_ps, t.profile)
+    }
+
+    /// The dirty trial of `unit`, whose crash state rebooted dirty to `d`.
+    fn dirty_trial(&self, unit: u64, d: &DirtyReboot) -> DirtyTrial {
+        let diff = max_diff(&d.solution, &self.reference().solution);
+        DirtyTrial {
             unit,
-            outcome: classify(t.detected, matches, t.lost_units),
-            lost_units: t.lost_units,
-            sim_time_ps: t.sim_time_ps,
-            telemetry: t.profile,
+            class: self.family.dirty_tolerance.classify(false, diff),
+            extra_units: 0,
+            sim_time_ps: d.sim_time_ps,
         }
     }
 
@@ -422,7 +426,7 @@ impl<K: DistKernel + Clone + 'static> Scenario for Dist<K> {
     fn run_trial(&self, unit: u64, telemetry: bool) -> Trial {
         let (mut cl, mut kernel) = self.build(&self.failure_set(unit));
         let t = run_dist_trial(&mut cl, &mut kernel, telemetry);
-        self.classify_dist(unit, t)
+        self.classify_dist(t).trial(unit)
     }
 
     /// One forward cluster execution serves every unit and every pass:
@@ -485,48 +489,13 @@ impl<K: DistKernel + Clone + 'static> Scenario for Dist<K> {
             stats.pool_bytes,
         );
 
-        // Each replay's units go to their schedule slots, as the kernel
-        // batch's merge places them.
-        let slot = |unit: u64| {
-            units
-                .binary_search(&unit)
-                .expect("replayed unit was scheduled")
-        };
-        let mut trials: Vec<Option<Trial>> =
-            vec![None; if passes.recover { units.len() } else { 0 }];
-        let mut dirty: Vec<DirtyTrial> = if passes.dirty {
-            units.iter().map(|&unit| never_crashed(unit)).collect()
-        } else {
-            Vec::new()
-        };
-        for replay in replays {
-            if let Some(t) = replay.trial {
-                let t = self.classify_dist(replay.units[0], t);
-                for &unit in &replay.units {
-                    trials[slot(unit)] = Some(Trial { unit, ..t });
-                }
-            }
-            if let Some(d) = replay.dirty {
-                let diff = max_diff(&d.solution, &self.reference().solution);
-                let class = self.family.dirty_tolerance.classify(false, diff);
-                for &unit in &replay.units {
-                    dirty[slot(unit)] = DirtyTrial {
-                        unit,
-                        class,
-                        extra_units: 0,
-                        sim_time_ps: d.sim_time_ps,
-                    };
-                }
-            }
-        }
-        Box::new(Whole(PassOutput {
-            trials: trials.into_iter().flatten().collect(),
-            dirty: passes.dirty.then_some(ResilienceBatch {
-                trials: dirty,
-                tolerance: self.family.dirty_tolerance,
-            }),
-            analysis: None,
-        }))
+        let states = replays.into_iter().map(|replay| StateResult {
+            verdict: replay.trial.map(|t| self.classify_dist(t)),
+            dirty: replay.dirty.map(|d| self.dirty_trial(replay.units[0], &d)),
+            units: replay.units,
+        });
+        let tolerance = passes.dirty.then_some(self.family.dirty_tolerance);
+        Box::new(Whole(merge(units, passes.recover, tolerance, states, None)))
     }
 }
 
@@ -745,15 +714,9 @@ mod tests {
     /// whole failure set armed, rebooted dirty at every crash.
     fn dirty_oracle<K: DistKernel>(s: &Dist<K>, unit: u64) -> DirtyTrial {
         let (mut cl, mut kernel) = s.build(&s.failure_set(unit));
-        let Some(d) = run_dist_dirty_trial(&mut cl, &mut kernel) else {
-            return never_crashed(unit);
-        };
-        let diff = max_diff(&d.solution, &s.reference().solution);
-        DirtyTrial {
-            unit,
-            class: s.family.dirty_tolerance.classify(false, diff),
-            extra_units: 0,
-            sim_time_ps: d.sim_time_ps,
+        match run_dist_dirty_trial(&mut cl, &mut kernel) {
+            Some(d) => s.dirty_trial(unit, &d),
+            None => super::super::never_crashed(unit),
         }
     }
 

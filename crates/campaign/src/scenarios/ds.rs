@@ -34,9 +34,9 @@ use adcc_sim::line::LINE_SIZE;
 use adcc_sim::system::MemorySystem;
 use adcc_telemetry::ExecutionProfile;
 
-use super::harness::{Classified, Workload};
+use super::harness::Workload;
 use super::verified_completion;
-use crate::scenario::{Kernel, Mechanism, Scenario, ScenarioInfo, Trial, UnitSpace};
+use crate::scenario::{Classified, Kernel, Mechanism, Scenario, ScenarioInfo, UnitSpace};
 
 /// The three always-polled phases of one op, in poll order.
 const SITE_PHASES: [u32; 3] = [PH_DS_PREP, PH_DS_MUT, PH_DS_COMMIT];
@@ -135,7 +135,6 @@ impl Workload for DsScenario {
     type Live = DsLive;
     /// Whether the completed structure matches the host oracle.
     type End = bool;
-    type State = Classified;
 
     fn info(&self) -> &ScenarioInfo {
         &self.info
@@ -197,9 +196,9 @@ impl Workload for DsScenario {
         matches: bool,
         _emu: &CrashEmulator,
         profile: Option<ExecutionProfile>,
-    ) -> Trial {
+    ) -> Classified {
         let profile = profile.map(|p| p.with_ds_ops(self.stream.len(), 0));
-        verified_completion(matches, 0, profile)
+        verified_completion(matches, profile)
     }
 
     fn log_stats(&self, live: &DsLive, harvest: Option<usize>) -> Option<LogStats> {

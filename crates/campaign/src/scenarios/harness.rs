@@ -3,9 +3,9 @@
 //! The experiment is always the same: crash a workload at a point, recover
 //! from what NVM holds, compare with the crash-free answer. A scenario
 //! states its half of that **once**, as the hooks of [`Workload`] — set-up,
-//! forward run, per-state recovery, per-unit charge, completion check, and
-//! optionally a dirty-restart step and protocol regions — and this module
-//! derives every way of running it:
+//! forward run, per-state recovery, completion check, and optionally a
+//! dirty-restart step and protocol regions — and this module derives every
+//! way of running it:
 //!
 //! * [`run_trial`], the per-unit reference: arm the unit's real trigger,
 //!   run until it fires, recover from the `crash_now` full-copy image. The
@@ -29,9 +29,9 @@
 //!      hooks ([`Workload::recover_chain`],
 //!      [`Workload::dirty_restart_chain`]): a job of one state is a chain
 //!      of one.
-//!   3. [`Batch::finish`] — charge the recovered states to their units in
-//!      poll order, add the units that ran to completion, run the analysis.
-//!      One thread, once per batch, after every job.
+//!   3. [`Batch::finish`] — [`merge`](super::merge) the states' verdicts
+//!      onto their units, add the units that ran to completion, run the
+//!      analysis. One thread, once per batch, after every job.
 //!
 //!   The forward machine does not outlive step 1: what step 3 wants of it
 //!   — the completed run's classification, the event record — is taken
@@ -47,15 +47,14 @@
 //! hooks ([`Workload::recover`], [`Workload::dirty_restart`]) therefore run
 //! once per poll group, take the live handles by shared reference and have
 //! no unit in their signature, so they can neither make the result depend
-//! on a unit nor on which job ran first; [`CrashState::charge`] turns a
-//! recovered state into the `Trial` of each unit in the group and must be
-//! cheap.
+//! on a unit nor on which job ran first. What they return is a verdict on
+//! the state — a [`Classified`] — that every unit of the group shares.
 //!
 //! Hooks are resolved by monomorphization (`impl<W: Workload> Scenario for
 //! W`): no boxed closure sits on a per-state path.
 
 use adcc_analyze::{analyze, Region};
-use adcc_core::{DirtyRestart, RecoveryReport};
+use adcc_core::DirtyRestart;
 use adcc_linalg::vecops::max_diff;
 use adcc_pmem::LogStats;
 use adcc_resilience::{DirtyClass, DirtyTrial, Tolerance};
@@ -69,11 +68,10 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use super::never_crashed;
+use super::{merge, StateResult};
 use crate::memstats::ImageMemory;
-use crate::outcome::{classify, Outcome};
 use crate::scenario::{
-    Analyzed, Harvested, PassOutput, Passes, ResilienceBatch, Scenario, ScenarioInfo, Trial, Whole,
+    Analyzed, Classified, Harvested, PassOutput, Passes, Scenario, ScenarioInfo, Trial, Whole,
 };
 
 /// One kernel or data-structure workload under one persistence mechanism,
@@ -91,8 +89,7 @@ use crate::scenario::{
 ///   Several recoveries of one batch may run at once.
 /// * [`recover_chain`](Workload::recover_chain) — `recover` for every
 ///   crash state of the batch at once, for a workload whose recoveries
-///   share work; the same states out as `recover` would give one by one.
-/// * [`CrashState::charge`] — the recovered state and the unit.
+///   share work; the same verdicts out as `recover` would give one by one.
 /// * [`dirty_restart`](Workload::dirty_restart) — the image and the live
 ///   kernel handle; no mechanism is consulted.
 /// * [`dirty_restart_chain`](Workload::dirty_restart_chain) — what
@@ -103,10 +100,6 @@ pub(crate) trait Workload: Send + Sync {
     type Live: Send + Sync;
     /// Completion context of the forward run (e.g. CG's final `rho`).
     type End: Send + Sync;
-    /// What recovering one crash state came to, before it is charged to a
-    /// unit — [`Classified`] for every scenario whose classification is a
-    /// function of the state alone.
-    type State: CrashState + Send;
 
     /// Who this scenario is.
     fn info(&self) -> &ScenarioInfo;
@@ -129,7 +122,7 @@ pub(crate) trait Workload: Send + Sync {
         site: CrashSite,
         image: &NvmImage,
         profile: Option<ExecutionProfile>,
-    ) -> Self::State;
+    ) -> Classified;
 
     /// Whether [`recover_chain`](Workload::recover_chain) and
     /// [`dirty_restart_chain`](Workload::dirty_restart_chain) are handed all
@@ -142,8 +135,8 @@ pub(crate) trait Workload: Send + Sync {
 
     /// The recover step over crash states of one forward execution — all
     /// of a batch's, in poll order, for a workload that
-    /// [`chains`](Workload::chains), one otherwise: one [`Workload::State`]
-    /// per state in the order given, each equal to what
+    /// [`chains`](Workload::chains), one otherwise: one verdict per state in
+    /// the order given, each equal to what
     /// [`recover`](Workload::recover) makes of that state alone, which is
     /// what the default does. A state's image is materialized when it is
     /// pulled from `states` and handed over by value, so a workload that can
@@ -153,21 +146,21 @@ pub(crate) trait Workload: Send + Sync {
         &self,
         live: &Self::Live,
         states: &mut dyn Iterator<Item = HarvestedState>,
-    ) -> Vec<Self::State> {
+    ) -> Vec<Classified> {
         states
             .map(|s| self.recover(live, s.site, &s.image, s.profile))
             .collect()
     }
 
-    /// Classify the completed run (the crash point landed beyond it). The
-    /// driver overrides the trial's `unit`.
+    /// Classify the completed run (the crash point landed beyond it): the
+    /// verdict of every unit whose trigger never fired.
     fn complete(
         &self,
         live: &Self::Live,
         end: Self::End,
         emu: &CrashEmulator,
         profile: Option<ExecutionProfile>,
-    ) -> Trial;
+    ) -> Classified;
 
     /// Mechanism log counters the emulator cannot see, folded into every
     /// telemetry profile: as of harvest ordinal `harvest`'s instant, or —
@@ -248,71 +241,6 @@ pub(crate) struct HarvestedState {
     pub profile: Option<ExecutionProfile>,
 }
 
-/// A recovered crash state: the result of the per-state step.
-pub(crate) trait CrashState {
-    /// The per-unit step: the trial of `unit`, one of the units that
-    /// crashed in this state.
-    fn charge(&self, unit: u64) -> Trial;
-}
-
-/// What recovering one crash state came to, before it is charged to a
-/// unit: a [`Trial`] minus its `unit`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Classified {
-    pub outcome: Outcome,
-    pub lost_units: u64,
-    pub sim_time_ps: u64,
-    pub telemetry: Option<ExecutionProfile>,
-}
-
-impl Classified {
-    /// Classify a recovery that re-executed `lost_units` work units in
-    /// `sim_time_ps` of simulated detect + resume time.
-    pub(crate) fn new(
-        detected: bool,
-        matches: bool,
-        lost_units: u64,
-        sim_time_ps: u64,
-        telemetry: Option<ExecutionProfile>,
-    ) -> Classified {
-        Classified {
-            outcome: classify(detected, matches, lost_units),
-            lost_units,
-            sim_time_ps,
-            telemetry,
-        }
-    }
-
-    /// Classify a recovery the kernel itself measured (the
-    /// algorithm-directed `recover_and_resume` paths).
-    pub(crate) fn from_report(
-        detected: bool,
-        matches: bool,
-        report: &RecoveryReport,
-        telemetry: Option<ExecutionProfile>,
-    ) -> Classified {
-        Classified::new(
-            detected,
-            matches,
-            report.lost_units,
-            report.total().ps(),
-            telemetry,
-        )
-    }
-}
-
-impl CrashState for Classified {
-    fn charge(&self, unit: u64) -> Trial {
-        Trial {
-            unit,
-            outcome: self.outcome,
-            lost_units: self.lost_units,
-            sim_time_ps: self.sim_time_ps,
-            telemetry: self.telemetry,
-        }
-    }
-}
-
 /// `profile` plus the mechanism's log counters, where it keeps any.
 fn with_log<W: Workload>(
     w: &W,
@@ -334,16 +262,13 @@ pub(crate) fn run_trial<W: Workload>(w: &W, unit: u64, telemetry: bool) -> Trial
     match w.forward(&mut live, &mut emu) {
         RunOutcome::Completed(end) => {
             let profile = probe.map(|p| with_log(w, &live, None, p.finish(&emu)));
-            Trial {
-                unit,
-                ..w.complete(&live, end, &emu, profile)
-            }
+            w.complete(&live, end, &emu, profile).trial(unit)
         }
         RunOutcome::Crashed(image) => {
             let profile =
                 probe.map(|p| with_log(w, &live, None, p.finish(&emu).with_image(&image)));
             let site = emu.fired_site().expect("crashed");
-            w.recover(&live, site, &image, profile).charge(unit)
+            w.recover(&live, site, &image, profile).trial(unit)
         }
     }
 }
@@ -361,10 +286,10 @@ struct Batch<'a, W: Workload> {
     regions: Vec<Region>,
     live: W::Live,
     probe: Option<Probe>,
-    /// The trial of every unit whose trigger never fired, but for its
-    /// `unit`: the completed run, classified before its machine was
-    /// dropped. `None` when every unit fired (or nobody recovers).
-    completed: Option<Trial>,
+    /// The verdict of every unit whose trigger never fired: the completed
+    /// run, classified before its machine was dropped. `None` when every
+    /// unit fired (or nobody recovers).
+    completed: Option<Classified>,
     /// The forward execution's event record, when regions were declared.
     recorded: Option<EventRecorder>,
     harvests: Vec<Harvest>,
@@ -376,13 +301,14 @@ struct Batch<'a, W: Workload> {
     /// chained batch — the chains.
     next: AtomicUsize,
     /// Group-indexed results.
-    done: Vec<Mutex<Recovered<W::State>>>,
+    done: Vec<Mutex<Recovered>>,
 }
 
 /// What the jobs made of one crash state: one entry per requested
 /// per-state pass, `None` until the job that owes it has stored it.
-struct Recovered<S> {
-    state: Option<S>,
+#[derive(Default)]
+struct Recovered {
+    verdict: Option<Classified>,
     /// The dirty trial of every unit in the group, but for its `unit`.
     dirty: Option<DirtyTrial>,
 }
@@ -461,15 +387,7 @@ fn harvest<'a, W: Workload>(
         recorded,
         harvests,
         next: AtomicUsize::new(0),
-        done: groups
-            .iter()
-            .map(|_| {
-                Mutex::new(Recovered {
-                    state: None,
-                    dirty: None,
-                })
-            })
-            .collect(),
+        done: groups.iter().map(|_| Mutex::default()).collect(),
         groups,
     })
 }
@@ -488,7 +406,7 @@ impl<W: Workload> Batch<'_, W> {
     }
 
     /// Store what a job made of group `g`.
-    fn store(&self, g: usize, put: impl FnOnce(&mut Recovered<W::State>)) {
+    fn store(&self, g: usize, put: impl FnOnce(&mut Recovered)) {
         put(&mut self.done[g].lock().expect("a job never panics mid-store"));
     }
 
@@ -508,7 +426,7 @@ impl<W: Workload> Batch<'_, W> {
         &self,
         groups: Range<usize>,
         results: Vec<T>,
-        put: impl Fn(&mut Recovered<W::State>, &Range<usize>, T),
+        put: impl Fn(&mut Recovered, &Range<usize>, T),
     ) {
         assert_eq!(
             results.len(),
@@ -532,7 +450,7 @@ impl<W: Workload> Batch<'_, W> {
             }
         });
         let recovered = self.w.recover_chain(&self.live, &mut states);
-        self.store_each(groups, recovered, |slot, _, state| slot.state = Some(state));
+        self.store_each(groups, recovered, |slot, _, v| slot.verdict = Some(v));
     }
 
     /// The dirty pass over the states of `groups`, together.
@@ -592,43 +510,24 @@ impl<W: Workload> Harvested for Batch<'_, W> {
             done,
             ..
         } = *self;
-        let slot = |unit: u64| {
-            units
-                .binary_search(&unit)
-                .expect("harvested unit was scheduled")
-        };
-        let mut trials: Vec<Option<Trial>> = vec![None; if recover { units.len() } else { 0 }];
-        let mut dirty: Vec<DirtyTrial> = if dirty_ref.is_some() {
-            units.iter().map(|&unit| never_crashed(unit)).collect()
-        } else {
-            Vec::new()
-        };
-        for (group, out) in groups.into_iter().zip(done) {
+        let tolerance = dirty_ref.map(|(tolerance, _)| tolerance);
+        let states = groups.into_iter().zip(done).map(|(group, out)| {
             // A result still owed means the job that claimed it died (a
             // panicking `recover` on a helper thread): fail the batch here
             // rather than report a state nobody classified.
             let out = out.into_inner().expect("a job never panics mid-store");
             assert!(
-                out.state.is_some() == recover && out.dirty.is_some() == dirty_ref.is_some(),
+                out.verdict.is_some() == recover && out.dirty.is_some() == tolerance.is_some(),
                 "{}: the job recovering the crash state of unit {} did not finish",
                 Workload::info(w).name,
                 harvests[group.start].unit
             );
-            for h in &harvests[group] {
-                if let Some(state) = &out.state {
-                    trials[slot(h.unit)] = Some(state.charge(h.unit));
-                }
-                if let Some(d) = out.dirty {
-                    dirty[slot(h.unit)] = DirtyTrial { unit: h.unit, ..d };
-                }
+            StateResult {
+                units: harvests[group].iter().map(|h| h.unit),
+                verdict: out.verdict,
+                dirty: out.dirty,
             }
-        }
-        if let Some(template) = completed {
-            for (t, &unit) in trials.iter_mut().zip(units) {
-                t.get_or_insert(Trial { unit, ..template });
-            }
-        }
-
+        });
         let analysis = recorded.map(|rec| {
             let mut found = analyze(rec.events(), &regions);
             Analyzed {
@@ -640,12 +539,8 @@ impl<W: Workload> Harvested for Batch<'_, W> {
             }
         });
         PassOutput {
-            trials: trials.into_iter().flatten().collect(),
-            dirty: dirty_ref.map(|(tolerance, _)| ResilienceBatch {
-                trials: dirty,
-                tolerance,
-            }),
             analysis,
+            ..merge(units, recover, tolerance, states, completed)
         }
     }
 }
@@ -723,7 +618,8 @@ pub(crate) fn assert_images_hold_only_the_written_prefix<W: Workload>(
 mod tests {
     use super::*;
     use crate::engine::{run_tasks, Task};
-    use crate::scenario::{Kernel, Mechanism, UnitSpace};
+    use crate::outcome::Outcome;
+    use crate::scenario::{Kernel, Mechanism, ResilienceBatch, UnitSpace};
     use adcc_sim::parray::PArray;
     use adcc_sim::system::SystemConfig;
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -785,8 +681,6 @@ mod tests {
     impl Workload for Toy {
         type Live = ToyLive;
         type End = ();
-        /// `lost_units` carries the crash site's poll index.
-        type State = Classified;
 
         fn info(&self) -> &ScenarioInfo {
             const TOY: ScenarioInfo =
@@ -829,6 +723,7 @@ mod tests {
             _image: &NvmImage,
             profile: Option<ExecutionProfile>,
         ) -> Classified {
+            // `lost_units` carries the crash site's poll index.
             let earlier = self.recovers.fetch_add(1, Relaxed);
             if let Some(meet) = self.meet.as_ref().filter(|_| earlier < 2 && !self.chained) {
                 meet.wait();
@@ -873,8 +768,8 @@ mod tests {
             (): (),
             _e: &CrashEmulator,
             profile: Option<ExecutionProfile>,
-        ) -> Trial {
-            super::super::verified_completion(true, 0, profile)
+        ) -> Classified {
+            super::super::verified_completion(true, profile)
         }
         fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
             Some((Tolerance::exact_only(0.0), vec![0.0]))

@@ -14,9 +14,9 @@ use adcc_sim::image::NvmImage;
 use adcc_sim::system::{MemorySystem, SystemConfig};
 use adcc_telemetry::ExecutionProfile;
 
-use super::harness::{Classified, Workload};
+use super::harness::Workload;
 use super::verified_completion;
-use crate::scenario::{ScenarioInfo, Trial};
+use crate::scenario::{Classified, ScenarioInfo};
 
 /// What one `*-extended` scenario states beyond its kernel.
 pub(crate) struct Iterative<F> {
@@ -47,7 +47,6 @@ where
 {
     type Live = (K, K::Carry);
     type End = K::Carry;
-    type State = Classified;
 
     fn info(&self) -> &ScenarioInfo {
         &self.info
@@ -88,8 +87,8 @@ where
         carry: K::Carry,
         emu: &CrashEmulator,
         profile: Option<ExecutionProfile>,
-    ) -> Trial {
-        verified_completion(self.matches(k.peek(emu, carry)), 0, profile)
+    ) -> Classified {
+        verified_completion(self.matches(k.peek(emu, carry)), profile)
     }
 
     fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {

@@ -14,9 +14,9 @@ use adcc_sim::system::{MemorySystem, SystemConfig};
 use adcc_telemetry::ExecutionProfile;
 
 use super::baseline::Checkpointed;
-use super::harness::{Classified, Workload};
+use super::harness::Workload;
 use super::{trim_dram, verified_completion};
-use crate::scenario::{Kernel, Mechanism, ScenarioInfo, Trial, UnitSpace};
+use crate::scenario::{Classified, Kernel, Mechanism, ScenarioInfo, UnitSpace};
 
 const N: usize = 32;
 const BK: usize = 4;
@@ -89,7 +89,6 @@ pub(crate) struct LuExtended(pub(crate) Arc<Factored>);
 impl Workload for LuExtended {
     type Live = ChecksumLu;
     type End = ();
-    type State = Classified;
 
     fn info(&self) -> &ScenarioInfo {
         const INFO: ScenarioInfo =
@@ -129,9 +128,9 @@ impl Workload for LuExtended {
         (): (),
         emu: &CrashEmulator,
         profile: Option<ExecutionProfile>,
-    ) -> Trial {
+    ) -> Classified {
         let factor = lu.peek_factor(emu);
-        verified_completion(factor_matches(&factor, &self.0.reference), 0, profile)
+        verified_completion(factor_matches(&factor, &self.0.reference), profile)
     }
 
     fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
@@ -166,7 +165,7 @@ pub(crate) fn ckpt(p: &Arc<Factored>) -> impl Workload {
 
 /// Column crashes (`PH_AFTER_COL`) abandon the column's in-flight block;
 /// block-end crashes (`PH_BLOCK_END`) land right after its checkpoint.
-fn lost_blocks(_unit: u64, site: CrashSite, start: usize) -> u64 {
+fn lost_blocks(site: CrashSite, start: usize) -> u64 {
     let crashed = if site.phase == sites::PH_AFTER_COL {
         site.index / BK as u64
     } else {

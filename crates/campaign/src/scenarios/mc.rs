@@ -31,9 +31,9 @@ use adcc_sim::image::NvmImage;
 use adcc_sim::system::{MemorySystem, SystemConfig};
 use adcc_telemetry::ExecutionProfile;
 
-use super::harness::{Classified, HarvestedState, Workload};
+use super::harness::{HarvestedState, Workload};
 use super::{trim_dram, verified_completion};
-use crate::scenario::{Kernel, Mechanism, ScenarioInfo, Trial, UnitSpace};
+use crate::scenario::{Classified, Kernel, Mechanism, ScenarioInfo, UnitSpace};
 
 const LOOKUPS: u64 = 1_200;
 const INTERVAL: u64 = 64;
@@ -157,7 +157,6 @@ impl McCampaign {
 impl Workload for McCampaign {
     type Live = McSim;
     type End = ();
-    type State = Classified;
 
     fn info(&self) -> &ScenarioInfo {
         &self.info
@@ -226,8 +225,8 @@ impl Workload for McCampaign {
         (): (),
         emu: &CrashEmulator,
         profile: Option<ExecutionProfile>,
-    ) -> Trial {
-        verified_completion(mc.peek_counts(emu) == self.reference, 0, profile)
+    ) -> Classified {
+        verified_completion(mc.peek_counts(emu) == self.reference, profile)
     }
 
     fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {

@@ -19,13 +19,13 @@ use std::sync::Arc;
 
 use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::spd::CgClass;
-use adcc_resilience::{DirtyClass, DirtyTrial};
+use adcc_resilience::{DirtyClass, DirtyTrial, Tolerance};
 use adcc_sim::crash::{CrashSite, CrashTrigger};
 use adcc_sim::system::SystemConfig;
 use adcc_telemetry::ExecutionProfile;
 
 use crate::outcome::Outcome;
-use crate::scenario::{Scenario, Trial};
+use crate::scenario::{Classified, PassOutput, ResilienceBatch, Scenario};
 
 /// Every registered scenario, in report order. All six kernel families
 /// appear with at least two mechanisms each (the campaign acceptance
@@ -109,11 +109,9 @@ pub(crate) fn never_crashed(unit: u64) -> DirtyTrial {
 /// result against the reference and report it.
 pub(crate) fn verified_completion(
     matches: bool,
-    unit: u64,
     telemetry: Option<ExecutionProfile>,
-) -> Trial {
-    Trial {
-        unit,
+) -> Classified {
+    Classified {
         outcome: if matches {
             Outcome::CompletedClean
         } else {
@@ -122,5 +120,64 @@ pub(crate) fn verified_completion(
         lost_units: 0,
         sim_time_ps: 0,
         telemetry,
+    }
+}
+
+/// What the per-state passes made of one distinct crash state of a batch:
+/// the units whose triggers fired at it, its verdict when the recover pass
+/// ran, and its dirty trial — stamped with any one of `units` — when the
+/// dirty pass ran.
+pub(crate) struct StateResult<U> {
+    pub units: U,
+    pub verdict: Option<Classified>,
+    pub dirty: Option<DirtyTrial>,
+}
+
+/// The one merge of a batch (`units` sorted, distinct): each state's
+/// verdict and dirty trial stamped onto each of its units, in schedule
+/// order. A unit no state names never fired: its trial is `completed`'s
+/// verdict, its dirty trial [`never_crashed`]. `recover` and `dirty` say
+/// which passes ran; the analysis is the caller's.
+pub(crate) fn merge<U: IntoIterator<Item = u64>>(
+    units: &[u64],
+    recover: bool,
+    dirty: Option<Tolerance>,
+    states: impl IntoIterator<Item = StateResult<U>>,
+    completed: Option<Classified>,
+) -> PassOutput {
+    let mut verdicts: Vec<Option<Classified>> = vec![None; if recover { units.len() } else { 0 }];
+    let mut dirty_trials: Vec<DirtyTrial> = match dirty {
+        Some(_) => units.iter().map(|&unit| never_crashed(unit)).collect(),
+        None => Vec::new(),
+    };
+    for state in states {
+        for unit in state.units {
+            let slot = units
+                .binary_search(&unit)
+                .expect("a crashed unit was scheduled");
+            if let Some(verdict) = state.verdict {
+                verdicts[slot] = Some(verdict);
+            }
+            if let Some(d) = state.dirty {
+                dirty_trials[slot] = DirtyTrial { unit, ..d };
+            }
+        }
+    }
+    PassOutput {
+        trials: units
+            .iter()
+            .zip(verdicts)
+            .map(|(&unit, verdict)| {
+                verdict
+                    .or(completed)
+                    .expect("a unit that never crashed has the completion verdict")
+                    .trial(unit)
+            })
+            .collect(),
+        dirty: dirty.map(|tolerance| ResilienceBatch {
+            trials: dirty_trials,
+            tolerance,
+        }),
+        analysis: None,
     }
 }

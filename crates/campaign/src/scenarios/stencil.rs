@@ -123,7 +123,7 @@ pub(crate) fn ckpt(reference: &Arc<[f64]>) -> impl Workload {
         dirty_tolerance: dirty_tolerance(),
         reference: reference.clone(),
         setup: |sys: &mut MemorySystem| (PlainStencil::setup(sys, GRID, GRID, SWEEPS), ()),
-        lost_units: lost_sweeps,
+        lost_units: lost_since,
         dirty_restart: baseline::dirty_restart,
     }
 }
@@ -136,18 +136,5 @@ fn ckpt_site_trigger(unit: u64) -> CrashTrigger {
         }
     } else {
         CrashTrigger::AtAccessCount(ACCESS_BASE + (unit - SWEEPS as u64) * ACCESS_STRIDE)
-    }
-}
-
-/// The one per-unit charge in the registry: a legacy access-count unit
-/// keeps its historical fixed charge of one abandoned sweep; sweep units
-/// (and dense points, which land on the same and only polled site,
-/// `PH_SWEEP_END`, and may share its crash state) are measured against
-/// the restored prefix.
-fn lost_sweeps(unit: u64, site: CrashSite, start: usize) -> u64 {
-    if (SWEEPS as u64..SWEEPS as u64 + ACCESS_POINTS).contains(&unit) {
-        1
-    } else {
-        lost_since(unit, site, start)
     }
 }

@@ -362,6 +362,27 @@ fn bad_shard_specs_exit_nonzero() {
     }
 }
 
+#[test]
+fn a_zero_max_batch_exits_nonzero_with_usage() {
+    for sub in ["run", "replay"] {
+        let args = [
+            sub,
+            "--seed",
+            "42",
+            "--budget-states",
+            "2",
+            "--max-batch",
+            "0",
+        ];
+        assert_usage_failure(&args);
+        let stderr = String::from_utf8_lossy(&campaign(&args).stderr).into_owned();
+        assert!(
+            stderr.contains("--max-batch must be at least 1"),
+            "{sub}:\n{stderr}"
+        );
+    }
+}
+
 /// Workspace-root schema fixture path (tests run from the crate dir).
 fn fixture(name: &str) -> String {
     format!("{}/../../tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))

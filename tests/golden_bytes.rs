@@ -121,13 +121,13 @@ fn kernel_campaign_bytes_equal_the_pinned_digests() {
         (
             "kernel-260-dense-400.json",
             run_campaign(&cfg(260, 400, false)),
-            0x0fac_b4af_c957_ba98,
+            0xb9fb_aad5_b046_e6bc,
             (13, 260, Some(75)),
         ),
         (
             "kernel-500-telemetry.json",
             run_campaign(&cfg(500, 0, true)),
-            0x2b6b_6753_062d_a8fc,
+            0xa1b3_6eab_791d_b90a,
             (13, 366, Some(360)),
         ),
         (
