@@ -15,6 +15,8 @@
 //! cluster-wide rollback, re-allgather, and re-execution under
 //! GlobalRestart.
 
+use std::sync::Arc;
+
 use adcc_ckpt::multilevel::RemoteTiming;
 use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::spd::random_spd;
@@ -128,8 +130,9 @@ pub struct DistCg {
     /// Rows (and vector elements) per rank.
     m: usize,
     /// Host copy of each rank's local row pointer (structure metadata;
-    /// matrix *values* are read charged from NVM every iteration).
-    rowptr: Vec<Vec<usize>>,
+    /// matrix *values* are read charged from NVM every iteration). Fixed
+    /// at setup, so clones share it.
+    rowptr: Arc<Vec<Vec<usize>>>,
     /// Current `rho` (every rank holds the same value after the setup and
     /// each superstep's allreduce; recovery re-reads it from NVM/ckpt).
     rho: f64,
@@ -175,7 +178,7 @@ impl DistCg {
         let m = cfg.n / cfg.ranks;
         let mut prog = DistCg {
             m,
-            rowptr: Vec::new(),
+            rowptr: Arc::default(),
             rho: 0.0,
             pq: Vec::new(),
             a_vals: Vec::new(),
@@ -222,7 +225,7 @@ impl DistCg {
                 r_r.set(sys, j, bv);
                 p_r.set(sys, j, bv);
             }
-            prog.rowptr.push(local_ptr);
+            Arc::make_mut(&mut prog.rowptr).push(local_ptr);
             prog.a_vals.push(a_vals);
             prog.a_cols.push(a_cols);
             prog.x_r.push(x_r);
@@ -475,10 +478,7 @@ impl DistKernel for DistCg {
     fn solution(&self, cl: &Cluster) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.cfg.n);
         for rank in 0..self.cfg.ranks {
-            let sys = cl.system(rank);
-            for j in 0..self.m {
-                out.push(self.x_r[rank].peek(sys, j));
-            }
+            self.x_r[rank].peek_into(cl.system(rank), 0..self.m, &mut out);
         }
         out
     }
@@ -498,14 +498,8 @@ impl DistKernel for DistCg {
         let mut out = Vec::with_capacity(self.cfg.ranks * 3 * self.m + 1);
         for rank in 0..self.cfg.ranks {
             let sys = cl.system(rank);
-            for j in 0..self.m {
-                out.push(self.x_r[rank].peek(sys, j));
-            }
-            for j in 0..self.m {
-                out.push(self.r_r[rank].peek(sys, j));
-            }
-            for j in 0..self.m {
-                out.push(self.p_r[rank].peek(sys, j));
+            for seg in [self.x_r[rank], self.r_r[rank], self.p_r[rank]] {
+                seg.peek_into(sys, 0..self.m, &mut out);
             }
         }
         out.push(self.rho);

@@ -100,28 +100,37 @@ impl Cluster {
     /// rather than fire together). At most one failure per rank.
     pub fn new_multi(cfg: ClusterConfig, failures: &[RankFailure]) -> Self {
         assert!(cfg.ranks >= 2, "a cluster needs at least two ranks");
-        let mut triggers = vec![CrashTrigger::Never; cfg.ranks];
-        let mut node_loss = vec![false; cfg.ranks];
+        let mut cl = Cluster {
+            emus: (0..cfg.ranks)
+                .map(|_| CrashEmulator::new(cfg.sys.clone(), CrashTrigger::Never))
+                .collect(),
+            fabric: Fabric::with_faults(cfg.ranks, cfg.net, cfg.net_seed, cfg.faults),
+            node_loss: vec![false; cfg.ranks],
+            cfg,
+        };
+        cl.arm(failures);
+        cl
+    }
+
+    /// Arm a failure set on a cluster none of whose ranks is armed yet:
+    /// each listed rank gets its trigger and node-loss flag. The one place
+    /// a set is validated — at most one failure per rank, every rank in
+    /// range — for cold clusters and forks alike.
+    fn arm(&mut self, failures: &[RankFailure]) {
         for f in failures {
-            assert!(f.rank < cfg.ranks, "crash rank {} out of range", f.rank);
             assert!(
-                matches!(triggers[f.rank], CrashTrigger::Never),
+                f.rank < self.cfg.ranks,
+                "crash rank {} out of range",
+                f.rank
+            );
+            let emu = &mut self.emus[f.rank];
+            assert!(
+                matches!(emu.trigger(), CrashTrigger::Never),
                 "rank {} armed twice",
                 f.rank
             );
-            triggers[f.rank] = f.trigger;
-            node_loss[f.rank] = f.node_loss;
-        }
-        let emus = triggers
-            .iter()
-            .map(|&t| CrashEmulator::new(cfg.sys.clone(), t))
-            .collect();
-        let fabric = Fabric::with_faults(cfg.ranks, cfg.net, cfg.net_seed, cfg.faults);
-        Cluster {
-            cfg,
-            emus,
-            fabric,
-            node_loss,
+            emu.arm(f.trigger);
+            self.node_loss[f.rank] = f.node_loss;
         }
     }
 
@@ -245,34 +254,46 @@ impl Cluster {
     /// polls of that site the live run already made on that rank. At most
     /// one failure per rank, as in [`Cluster::new_multi`].
     pub fn fork_armed(&self, pending: &[RankFailure]) -> Cluster {
-        let mut node_loss = self.node_loss.clone();
-        let mut triggers = vec![CrashTrigger::Never; self.cfg.ranks];
-        for f in pending {
-            assert!(
-                f.rank < self.cfg.ranks,
-                "crash rank {} out of range",
-                f.rank
-            );
-            assert!(
-                matches!(triggers[f.rank], CrashTrigger::Never),
-                "rank {} armed twice",
-                f.rank
-            );
-            triggers[f.rank] = f.trigger;
-            node_loss[f.rank] = f.node_loss;
-        }
-        let emus = self
-            .emus
-            .iter()
-            .zip(triggers)
-            .map(|(e, trigger)| CrashEmulator::from_system(e.system().clone(), trigger))
-            .collect();
-        Cluster {
+        // A shell with no ranks: the one copy path fills it.
+        let mut fork = Cluster {
             cfg: self.cfg.clone(),
-            emus,
+            emus: Vec::with_capacity(self.emus.len()),
             fabric: self.fabric.clone(),
+            node_loss: Vec::new(),
+        };
+        self.fork_armed_into(pending, &mut fork);
+        fork
+    }
+
+    /// [`Cluster::fork_armed`] into an existing cluster: `into` ends up
+    /// exactly as the fork would be, whatever it held or did before —
+    /// rebooted ranks, fired or pending triggers, messages in flight — but
+    /// its machines, caches and fabric are overwritten in place
+    /// ([`Clone::clone_from`]; ranks it lacks are cloned), so a batch that
+    /// replays every crash state on one spare cluster allocates only where
+    /// a state holds more than the spare ever did.
+    pub fn fork_armed_into(&self, pending: &[RankFailure], into: &mut Cluster) {
+        // Exhaustive, so a new field cannot be left stale in the spare.
+        let Cluster {
+            cfg,
+            emus,
+            fabric,
             node_loss,
+        } = self;
+        into.cfg.clone_from(cfg);
+        into.emus.truncate(emus.len());
+        for (to, from) in into.emus.iter_mut().zip(emus) {
+            to.reset_from(from.system());
         }
+        let have = into.emus.len();
+        into.emus.extend(
+            emus[have..]
+                .iter()
+                .map(|e| CrashEmulator::from_system(e.system().clone(), CrashTrigger::Never)),
+        );
+        into.fabric.clone_from(fabric);
+        into.node_loss.clone_from(node_loss);
+        into.arm(pending);
     }
 
     /// Whether any rank still carries an armed trigger that has not fired.

@@ -399,10 +399,11 @@ impl DistKernel for DistJacobi {
     fn solution(&self, cl: &Cluster) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.cfg.rows * self.cfg.cols);
         for gi in 0..self.cfg.rows {
-            for gj in 0..self.cfg.cols {
-                let r = self.cfg.grid.rank_at(gj / self.cols_b, gi / self.rows_b);
-                let sys = cl.system(r);
-                out.push(self.x[r].peek(sys, self.idx(gi % self.rows_b + 1, gj % self.cols_b + 1)));
+            // Each block's interior row is contiguous in its `x`.
+            for bj in 0..self.cfg.grid.px {
+                let r = self.cfg.grid.rank_at(bj, gi / self.rows_b);
+                let first = self.idx(gi % self.rows_b + 1, 1);
+                self.x[r].peek_into(cl.system(r), first..first + self.cols_b, &mut out);
             }
         }
         out
@@ -419,10 +420,7 @@ impl DistKernel for DistJacobi {
         let cells = (self.rows_b + 2) * (self.cols_b + 2);
         let mut out = Vec::with_capacity(self.cfg.ranks * cells);
         for r in 0..self.cfg.ranks {
-            let sys = cl.system(r);
-            for k in 0..cells {
-                out.push(self.x[r].peek(sys, k));
-            }
+            self.x[r].peek_into(cl.system(r), 0..cells, &mut out);
         }
         out
     }

@@ -274,7 +274,9 @@ struct Msg {
 /// seeded jitter *and fault sequence* for its next message as the original
 /// would have. The arenas are copied only while messages are in flight; at
 /// a superstep boundary the fabric is drained, so a fork copies the table
-/// and gets empty arenas as large as the original's.
+/// and gets empty arenas as large as the original's. [`Clone::clone_from`]
+/// copies into the target's own table and arenas, so a recycled fabric
+/// allocates nothing once its arenas are as large as the source's traffic.
 #[derive(Debug)]
 pub struct Fabric {
     ranks: usize,
@@ -297,22 +299,49 @@ pub struct Fabric {
 
 impl Clone for Fabric {
     fn clone(&self) -> Self {
-        let (msgs, vals) = if self.in_flight == 0 {
-            // Empty, but as warm as the original: a replay on the clone
-            // sends what the original's supersteps sent.
-            (
-                Vec::with_capacity(self.msgs.capacity()),
-                Vec::with_capacity(self.vals.capacity()),
-            )
-        } else {
-            (self.msgs.clone(), self.vals.clone())
+        // Arenas as warm as the original's: a replay on the clone sends
+        // what the original's supersteps sent.
+        let mut fork = Fabric {
+            pairs: Vec::with_capacity(self.pairs.len()),
+            msgs: Vec::with_capacity(self.msgs.capacity()),
+            vals: Vec::with_capacity(self.vals.capacity()),
+            ..*self
         };
-        Fabric {
-            pairs: self.pairs.clone(),
+        fork.clone_from(self);
+        fork
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        // Exhaustive, so a new field cannot be left stale in a recycled
+        // fabric.
+        let Fabric {
+            ranks,
+            timing,
+            seed,
+            faults,
+            pairs,
             msgs,
             vals,
-            ..*self
+            in_flight,
+            seq,
+            traffic,
+        } = source;
+        self.ranks = *ranks;
+        self.timing = *timing;
+        self.seed = *seed;
+        self.faults = *faults;
+        self.pairs.clone_from(pairs);
+        if *in_flight == 0 {
+            // A drained fabric's arenas are dead: its next send clears them.
+            self.msgs.clear();
+            self.vals.clear();
+        } else {
+            self.msgs.clone_from(msgs);
+            self.vals.clone_from(vals);
         }
+        self.in_flight = *in_flight;
+        self.seq = *seq;
+        self.traffic = *traffic;
     }
 }
 

@@ -134,7 +134,8 @@ struct Coordinated {
     ckpt: MemCheckpoint,
     /// For re-attachment after the rank's process died.
     layout: MemCheckpointLayout,
-    regions: Vec<(u64, usize)>,
+    /// Fixed at setup, so kernel clones share it.
+    regions: Arc<[(u64, usize)]>,
     scalar: Option<PArray<f64>>,
     /// Volatile iterate marker, part of the checkpoint payload.
     marker: PArray<u64>,
@@ -318,7 +319,7 @@ impl Mechanism {
                 restart.ranks.push(Coordinated {
                     layout: ckpt.layout(),
                     ckpt,
-                    regions,
+                    regions: regions.into(),
                     scalar,
                     marker,
                 });

@@ -342,10 +342,7 @@ impl DistKernel for DistStencil {
         let mut out = Vec::with_capacity(self.cfg.cells);
         for pos in 0..self.cfg.ranks {
             let r = self.cfg.grid.chain_rank(pos);
-            let sys = cl.system(r);
-            for j in 0..self.m {
-                out.push(self.x[r].peek(sys, j + 1));
-            }
+            self.x[r].peek_into(cl.system(r), 1..self.m + 1, &mut out);
         }
         out
     }
@@ -361,10 +358,7 @@ impl DistKernel for DistStencil {
     fn resume_state(&self, cl: &Cluster) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.cfg.ranks * (self.m + 2));
         for r in 0..self.cfg.ranks {
-            let sys = cl.system(r);
-            for j in 0..self.m + 2 {
-                out.push(self.x[r].peek(sys, j));
-            }
+            self.x[r].peek_into(cl.system(r), 0..self.m + 2, &mut out);
         }
         out
     }

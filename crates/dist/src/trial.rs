@@ -355,7 +355,11 @@ fn recover_and_resume<K: DistKernel>(
         reference.is_some_and(|r| {
             boundary >= 1
                 && !cl.armed_pending()
-                && resume_state_bits(kernel, cl) == r.states[boundary as usize]
+                && kernel
+                    .resume_state(cl)
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .eq(r.states[boundary as usize].iter().copied())
         })
     };
     let iters = kernel.iters();
@@ -428,14 +432,6 @@ pub struct ReferenceRun {
     states: Vec<Vec<u64>>,
 }
 
-fn resume_state_bits<K: DistKernel + ?Sized>(kernel: &K, cl: &Cluster) -> Vec<u64> {
-    kernel
-        .resume_state(cl)
-        .iter()
-        .map(|v| v.to_bits())
-        .collect()
-}
-
 /// Execute the scenario crash-free and record the resume state at every
 /// superstep boundary. The cluster and kernel must be freshly built (no
 /// triggers armed).
@@ -446,7 +442,13 @@ pub fn reference_run<K: DistKernel>(cl: &mut Cluster, kernel: &mut K) -> Referen
     for iter in 1..=iters {
         let crash = run_superstep(kernel, cl, iter, true);
         debug_assert!(crash.is_none(), "reference runs are crash-free");
-        states.push(resume_state_bits(kernel, cl));
+        states.push(
+            kernel
+                .resume_state(cl)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect(),
+        );
     }
     ReferenceRun {
         solution: kernel.solution(cl),
@@ -594,7 +596,8 @@ pub fn run_dist_batch<K: DistKernel + Clone>(
         }
     }
     let probes = (passes.recover && passes.telemetry).then(|| attach_probes(cl));
-    let drain = Drain {
+    let mut drain = Drain {
+        spare: None,
         follows: points
             .iter()
             .filter(|p| p.follow != FollowUp::default())
@@ -643,6 +646,10 @@ pub fn run_dist_batch<K: DistKernel + Clone>(
 
 /// What every drain of one batch execution shares.
 struct Drain<'a> {
+    /// The cluster every replay runs on: the first fork of the batch
+    /// allocates it, every later one overwrites it in place
+    /// ([`Cluster::fork_armed_into`]).
+    spare: Option<Cluster>,
     /// The non-default follow-ups, by unit.
     follows: HashMap<u64, FollowUp>,
     probes: Option<&'a [Probe]>,
@@ -656,7 +663,7 @@ impl Drain<'_> {
     /// polls a rank once, so a rank's drain is a single group) once per
     /// distinct follow-up among its units.
     fn replay_boundary<K: DistKernel + Clone>(
-        &self,
+        &mut self,
         cl: &mut Cluster,
         kernel: &K,
         site: CrashSite,
@@ -689,15 +696,17 @@ impl Drain<'_> {
     /// drive it exactly as the per-trial drivers would from the same
     /// instant: [`recover_and_resume`] as [`run_dist_trial`] does,
     /// [`dirty_continuation`] as [`run_dist_dirty_trial`] does. A fork
-    /// clones the systems and the fabric with its jitter sequence, so a
+    /// copies the systems and the fabric with its jitter sequence, so a
     /// replay sees the survivors' volatile state — which neighbor-assisted
     /// reconstruction reads — and the same message timing the per-trial
-    /// run would; the unit's second failure, if any, is armed on it. The
-    /// forward profile is read from the live probes at the drain boundary:
-    /// nothing is charged between a poll and its drain, so the live
-    /// counters *are* the crash-instant counters.
+    /// run would; the unit's second failure, if any, is armed on it. Every
+    /// fork lands in the batch's one spare cluster, so what an earlier
+    /// replay left there is overwritten, never inherited. The forward
+    /// profile is read from the live probes at the drain boundary: nothing
+    /// is charged between a poll and its drain, so the live counters *are*
+    /// the crash-instant counters.
     fn replay<K: DistKernel + Clone>(
-        &self,
+        &mut self,
         cl: &Cluster,
         kernel: &K,
         rank: usize,
@@ -707,7 +716,6 @@ impl Drain<'_> {
         let armed = follow
             .second
             .map(|second| arm_on_fork(second, h.unit, rank, h.site));
-        let fork = || (cl.fork_armed(armed.as_slice()), kernel.clone());
         let crash = CrashInfo {
             rank,
             iter: h.site.index,
@@ -716,16 +724,22 @@ impl Drain<'_> {
             node_loss: follow.node_loss,
         };
         let dirty = self.passes.dirty.then(|| {
-            let (mut cl, mut kernel) = fork();
-            dirty_continuation(&mut cl, &mut kernel, &crash)
+            let fork = fork_into(&mut self.spare, cl, armed.as_slice());
+            dirty_continuation(fork, &mut kernel.clone(), &crash)
         });
         let trial = self.passes.recover.then(|| {
             let dirty_lines = crash.image.dirty_lines_at_crash();
             let forward = self
                 .probes
                 .map(|p| roll_up(p, cl).with_dirty_lines(dirty_lines));
-            let (mut cl, mut kernel) = fork();
-            recover_and_resume(&mut cl, &mut kernel, crash, forward, Some(self.reference))
+            let fork = fork_into(&mut self.spare, cl, armed.as_slice());
+            recover_and_resume(
+                fork,
+                &mut kernel.clone(),
+                crash,
+                forward,
+                Some(self.reference),
+            )
         });
         BatchReplay {
             units: vec![h.unit],
@@ -734,6 +748,20 @@ impl Drain<'_> {
             dirty,
         }
     }
+}
+
+/// Fork `cl` with `pending` armed into the batch's spare cluster, building
+/// the spare on first use.
+fn fork_into<'s>(
+    spare: &'s mut Option<Cluster>,
+    cl: &Cluster,
+    pending: &[RankFailure],
+) -> &'s mut Cluster {
+    match spare {
+        Some(into) => cl.fork_armed_into(pending, into),
+        None => *spare = Some(cl.fork_armed(pending)),
+    }
+    spare.as_mut().expect("the spare was just filled")
 }
 
 /// The second failure of a unit as a fork taken at the first failure's
@@ -893,6 +921,74 @@ mod tests {
     fn a_follow_up_that_is_not_a_site_trigger_panics_naming_the_unit() {
         let second = RankFailure::crash(0, CrashTrigger::AtAccessCount(10));
         arm_on_fork(second, 78, 3, CrashSite::new(sites::PH_MID, 4));
+    }
+
+    /// Everything about a cluster a replay can observe or report: per
+    /// rank clock, buckets, counters and resume state; the fabric's
+    /// traffic; the armed flags.
+    fn observable(cl: &Cluster, kernel: &DistStencil) -> impl PartialEq + std::fmt::Debug {
+        let ranks: Vec<_> = (0..cl.ranks())
+            .map(|r| {
+                let s = cl.system(r);
+                let counters = (s.now(), s.clock().bucket_totals(), *s.stats());
+                (counters, s.access_count(), cl.node_loss(r))
+            })
+            .collect();
+        let state: Vec<u64> = kernel
+            .resume_state(cl)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        (ranks, state, cl.traffic(), cl.armed_pending())
+    }
+
+    #[test]
+    fn a_recycled_spare_replays_exactly_as_a_fresh_fork() {
+        let reference = {
+            let (mut cl, mut kernel) = build(&[]);
+            reference_run(&mut cl, &mut kernel)
+        };
+        let first = RankFailure::crash(1, at_site(sites::PH_END, 3, 1));
+        let (mut live, mut kernel) = build(&[first]);
+        let crash = forward_to_first_crash(&mut live, &mut kernel).expect("armed");
+        let copy = || CrashInfo {
+            image: crash.image.clone(),
+            ..crash
+        };
+        // A spare with a past: it carried another failure set (a node loss
+        // still pending on rank 2, a crash on rank 3 that fired), rebooted
+        // two ranks, ran the tail — its clocks, fabric sequence and traffic
+        // all ahead of the live run — and was left with a message in
+        // flight.
+        let mut spare = live.fork_armed(&[
+            RankFailure::node_loss(2, at_site(sites::PH_MID, kernel.iters() + 1, 1)),
+            RankFailure::crash(3, at_site(sites::PH_MID, 5, 1)),
+        ]);
+        recover_and_resume(&mut spare, &mut kernel.clone(), copy(), None, None);
+        assert!(spare.armed_pending() && spare.node_loss(2));
+        assert!(spare.max_now_ps() > live.max_now_ps());
+        spare.send_with(0, 1, |_, out| out.extend([1.0, 2.0, 3.0]));
+
+        let second = [RankFailure::crash(0, at_site(sites::PH_MID, 5, 1))];
+        live.fork_armed_into(&second, &mut spare);
+        let mut fresh = live.fork_armed(&second);
+        assert_eq!(observable(&spare, &kernel), observable(&fresh, &kernel));
+        let replay = |cl: &mut Cluster| {
+            let mut kernel = kernel.clone();
+            let t = recover_and_resume(cl, &mut kernel, copy(), None, Some(&reference));
+            (t, observable(cl, &kernel))
+        };
+        assert_eq!(replay(&mut spare), replay(&mut fresh));
+
+        // And once more for a dirty reboot on the spare the recovery left.
+        live.fork_armed_into(&second, &mut spare);
+        let mut fresh = live.fork_armed(&second);
+        let dirty = |cl: &mut Cluster| {
+            let mut kernel = kernel.clone();
+            let d = dirty_continuation(cl, &mut kernel, &crash);
+            (d, observable(cl, &kernel))
+        };
+        assert_eq!(dirty(&mut spare), dirty(&mut fresh));
     }
 
     #[test]

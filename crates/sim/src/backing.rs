@@ -69,7 +69,8 @@ pub(crate) fn trimmed_len(bytes: &[u8]) -> usize {
 /// zero. A simulated pool is typically far larger than the data living in
 /// it, so this keeps [`Clone`] — the engine of cluster forks in batched
 /// crash replays — O(live data) instead of O(pool capacity).
-#[derive(Clone)]
+/// [`Clone::clone_from`] copies into the target's own buffers, so a
+/// recycled store whose buffers are large enough allocates nothing.
 pub struct Backing {
     base: u64,
     /// The written prefix of the pool; offsets beyond `bytes.len()` (up to
@@ -88,6 +89,39 @@ pub struct Backing {
     /// Distinct lines written since the last mark (unsorted).
     journal: Vec<u64>,
     journaling: bool,
+}
+
+impl Clone for Backing {
+    fn clone(&self) -> Self {
+        Backing {
+            bytes: self.bytes.clone(),
+            line_mark: self.line_mark.clone(),
+            journal: self.journal.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        // Exhaustive, so a new field cannot be left stale in a recycled
+        // store; `Vec::clone_from` truncates, so a longer prefix, mark
+        // table or journal in the target never survives.
+        let Backing {
+            base,
+            bytes,
+            cap,
+            journal_epoch,
+            line_mark,
+            journal,
+            journaling,
+        } = source;
+        self.base = *base;
+        self.bytes.clone_from(bytes);
+        self.cap = *cap;
+        self.journal_epoch = *journal_epoch;
+        self.line_mark.clone_from(line_mark);
+        self.journal.clone_from(journal);
+        self.journaling = *journaling;
+    }
 }
 
 impl Backing {

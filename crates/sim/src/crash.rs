@@ -144,6 +144,38 @@ impl CrashEmulator {
         }
     }
 
+    /// An unarmed [`CrashEmulator::from_system`] over a copy of `sys`, in
+    /// place: the system is copied into this emulator's own buffers
+    /// ([`Clone::clone_from`]), the trigger is [`CrashTrigger::Never`] with
+    /// no poll counted, and any harvest plan is dropped.
+    pub fn reset_from(&mut self, sys: &MemorySystem) {
+        // Exhaustive, so a new field cannot be left stale in a recycled
+        // emulator.
+        let CrashEmulator {
+            sys: own,
+            trigger: armed,
+            site_hits,
+            fired,
+            fired_site,
+            harvest,
+        } = self;
+        own.clone_from(sys);
+        *armed = CrashTrigger::Never;
+        *site_hits = 0;
+        *fired = false;
+        *fired_site = None;
+        *harvest = None;
+    }
+
+    /// Replace the trigger, as if the emulator had been built with it: no
+    /// poll of it is counted yet and nothing has fired.
+    pub fn arm(&mut self, trigger: CrashTrigger) {
+        self.trigger = trigger;
+        self.site_hits = 0;
+        self.fired = false;
+        self.fired_site = None;
+    }
+
     /// The trigger this emulator is armed with.
     pub fn trigger(&self) -> CrashTrigger {
         self.trigger

@@ -132,7 +132,8 @@ pub struct Victim {
 /// Cloning copies the directory and the arena's payloads — one per slot
 /// filled since construction or the last [`SetAssocCache::clear`] — so a
 /// clone costs what the cache has held, not what it could hold.
-#[derive(Clone)]
+/// [`Clone::clone_from`] copies into the target's own buffers, so a
+/// recycled cache of the same geometry allocates nothing.
 pub struct SetAssocCache {
     sets: usize,
     assoc: usize,
@@ -154,6 +155,46 @@ pub struct SetAssocCache {
     /// (`insert`, `remove`, `clear`) forgets it.
     last_line: u64,
     last_slot: usize,
+}
+
+impl Clone for SetAssocCache {
+    fn clone(&self) -> Self {
+        SetAssocCache {
+            slots: self.slots.clone(),
+            arena: self.arena.clone(),
+            plru: self.plru.clone(),
+            ..*self
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        // Exhaustive, so a new field cannot be left stale in a recycled
+        // cache.
+        let SetAssocCache {
+            sets,
+            assoc,
+            set_mask,
+            slots,
+            arena,
+            tick,
+            policy,
+            plru,
+            rng,
+            last_line,
+            last_slot,
+        } = source;
+        self.sets = *sets;
+        self.assoc = *assoc;
+        self.set_mask = *set_mask;
+        self.slots.clone_from(slots);
+        self.arena.clone_from(arena);
+        self.tick = *tick;
+        self.policy = *policy;
+        self.plru.clone_from(plru);
+        self.rng = *rng;
+        self.last_line = *last_line;
+        self.last_slot = *last_slot;
+    }
 }
 
 impl SetAssocCache {

@@ -8,7 +8,9 @@
 //! address NVM directly.
 
 use std::marker::PhantomData;
+use std::ops::Range;
 
+use crate::line::LINE_SIZE;
 use crate::system::MemorySystem;
 
 /// Plain-old-data element types that can live in simulated memory.
@@ -165,6 +167,34 @@ impl<T: Pod> PArray<T> {
         let mut buf = [0u8; 16];
         sys.peek_bytes(self.addr(i), &mut buf[..T::SIZE]);
         T::from_bytes(&buf)
+    }
+
+    /// Uncharged logical peek of the elements in `range`, appended to
+    /// `out` in order: exactly what [`PArray::peek`] of each returns, but
+    /// gathered a line at a time — [`MemorySystem::peek_bytes`] probes each
+    /// line once — rather than one probe and line copy per element.
+    pub fn peek_into(&self, sys: &MemorySystem, range: Range<usize>, out: &mut Vec<T>) {
+        assert!(
+            range.start <= range.end && range.end <= self.len,
+            "peek range {range:?} out of bounds {}",
+            self.len
+        );
+        // Each chunk ends at a `CHUNK`-aligned address (or just past it,
+        // for an element straddling it), so no line is probed twice unless
+        // an element straddles a chunk boundary.
+        const CHUNK: usize = 8 * LINE_SIZE;
+        let mut buf = [0u8; CHUNK + 16];
+        out.reserve(range.len());
+        let mut i = range.start;
+        while i < range.end {
+            let addr = self.addr_unchecked(i);
+            let room = CHUNK - (addr % CHUNK as u64) as usize;
+            let n = room.div_ceil(T::SIZE).min(range.end - i);
+            let bytes = &mut buf[..n * T::SIZE];
+            sys.peek_bytes(addr, bytes);
+            out.extend(bytes.chunks_exact(T::SIZE).map(T::from_bytes));
+            i += n;
+        }
     }
 
     /// Persist all lines of this array to NVM.
@@ -416,6 +446,98 @@ mod tests {
         let row = m.row(1);
         assert_eq!(row.get(&mut s, 2), 7.0);
         assert_eq!(m.addr(1, 2), m.array().addr(6));
+    }
+
+    /// Bytes of each region the bulk-peek property addresses: twelve and a
+    /// bit lines, so a range crosses line and gather-chunk boundaries.
+    const SPAN: usize = 12 * LINE_SIZE + 8;
+
+    /// One step of the bulk-peek property's history: a charged write of
+    /// `len` copies of a byte, a persist or a CLFLUSH of one line, or a
+    /// charged read that pulls a line in clean — at a byte offset of the
+    /// NVM (`false`) or DRAM-homed (`true`) region.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Write(bool, usize, u8, usize),
+        Persist(bool, usize),
+        Clflush(bool, usize),
+        Read(bool, usize),
+    }
+
+    fn step_strategy() -> impl proptest::strategy::Strategy<Value = Step> {
+        use proptest::prelude::*;
+        prop_oneof![
+            6 => (any::<bool>(), 0..SPAN, any::<u8>(), 1usize..=24)
+                .prop_map(|(d, off, v, len)| Step::Write(d, off, v, len)),
+            1 => (any::<bool>(), 0..SPAN).prop_map(|(d, off)| Step::Persist(d, off)),
+            1 => (any::<bool>(), 0..SPAN).prop_map(|(d, off)| Step::Clflush(d, off)),
+            2 => (any::<bool>(), 0..SPAN).prop_map(|(d, off)| Step::Read(d, off)),
+        ]
+    }
+
+    /// `a.peek_into(range)` appends exactly `a.peek(i)` for `i` in each
+    /// range, ends clamped to the array.
+    fn gathers_match<T: Pod + PartialEq + std::fmt::Debug>(
+        sys: &MemorySystem,
+        base: u64,
+        ranges: &[(usize, usize)],
+    ) -> proptest::prelude::TestCaseResult {
+        let a = PArray::<T>::new(base, SPAN / T::SIZE);
+        for &(x, y) in ranges.iter().chain([(0, usize::MAX)].iter()) {
+            let (lo, hi) = (x.min(y).min(a.len()), x.max(y).min(a.len()));
+            let mut got = vec![T::default()];
+            a.peek_into(sys, lo..hi, &mut got);
+            let want: Vec<T> = std::iter::once(T::default())
+                .chain((lo..hi).map(|i| a.peek(sys, i)))
+                .collect();
+            proptest::prop_assert_eq!(got, want, "{}..{} at {:#x}", lo, hi, base);
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The line-granular gather reads what per-element peeks read,
+        /// wherever the bytes sit — dirty in the CPU cache, only in the
+        /// DRAM cache (heterogeneous platform), written back, in a
+        /// DRAM-homed array — for element types of 1 to 8 bytes at any
+        /// offset into a line, so elements straddle lines and ranges
+        /// straddle gather chunks.
+        #[test]
+        fn a_bulk_peek_reads_what_element_peeks_read(
+            offsets in (0usize..LINE_SIZE, 0usize..LINE_SIZE),
+            steps in proptest::collection::vec(step_strategy(), 0..120),
+            ranges in proptest::collection::vec((0usize..SPAN, 0usize..SPAN), 1..6),
+        ) {
+            for cfg in [
+                SystemConfig::nvm_only(8 * LINE_SIZE, 1 << 16),
+                SystemConfig::heterogeneous(8 * LINE_SIZE, 16 * LINE_SIZE, 1 << 16),
+            ] {
+                let mut s = MemorySystem::new(cfg);
+                let nvm = s.alloc_nvm_at_line_offset(SPAN, offsets.0);
+                let dram = s.alloc_dram(SPAN + LINE_SIZE) + offsets.1 as u64;
+                let at = |in_dram: bool, off: usize| if in_dram { dram } else { nvm } + off as u64;
+                for step in &steps {
+                    match *step {
+                        Step::Write(d, off, v, len) => {
+                            let len = len.min(SPAN - off);
+                            s.write_bytes(at(d, off), &vec![v; len]);
+                        }
+                        Step::Persist(d, off) => s.persist_line(at(d, off)),
+                        Step::Clflush(d, off) => s.clflush(at(d, off)),
+                        Step::Read(d, off) => s.read_bytes(at(d, off), &mut [0u8; 1]),
+                    }
+                }
+                for base in [nvm, dram] {
+                    gathers_match::<u8>(&s, base, &ranges)?;
+                    gathers_match::<u16>(&s, base, &ranges)?;
+                    gathers_match::<u32>(&s, base, &ranges)?;
+                    gathers_match::<u64>(&s, base, &ranges)?;
+                    gathers_match::<i64>(&s, base, &ranges)?;
+                }
+            }
+        }
     }
 
     #[test]

@@ -207,7 +207,9 @@ impl std::fmt::Debug for DeltaBase {
 /// one 64-byte payload per slot it has filled since the last crash (see
 /// [`crate::lru`]). Cluster-level crash-state harvesting forks per-rank
 /// systems this way to replay recovery from a mid-execution boundary.
-#[derive(Clone)]
+/// [`Clone::clone_from`] copies into the target's own caches and backing
+/// stores, so a recycled system allocates only where the source holds more
+/// than the target ever did.
 pub struct MemorySystem {
     cfg: SystemConfig,
     cpu: SetAssocCache,
@@ -222,6 +224,59 @@ pub struct MemorySystem {
     dram_streams: StreamDetector,
     access_count: u64,
     events: Option<Box<crate::events::EventRecorder>>,
+}
+
+impl Clone for MemorySystem {
+    fn clone(&self) -> Self {
+        MemorySystem {
+            cfg: self.cfg.clone(),
+            cpu: self.cpu.clone(),
+            dramc: self.dramc.clone(),
+            nvm: self.nvm.clone(),
+            dram: self.dram.clone(),
+            nvm_alloc: self.nvm_alloc.clone(),
+            dram_alloc: self.dram_alloc.clone(),
+            clock: self.clock.clone(),
+            stats: self.stats,
+            nvm_streams: self.nvm_streams.clone(),
+            dram_streams: self.dram_streams.clone(),
+            access_count: self.access_count,
+            events: self.events.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        // Exhaustive, so a new field cannot be left stale in a recycled
+        // system.
+        let MemorySystem {
+            cfg,
+            cpu,
+            dramc,
+            nvm,
+            dram,
+            nvm_alloc,
+            dram_alloc,
+            clock,
+            stats,
+            nvm_streams,
+            dram_streams,
+            access_count,
+            events,
+        } = source;
+        self.cfg.clone_from(cfg);
+        self.cpu.clone_from(cpu);
+        self.dramc.clone_from(dramc);
+        self.nvm.clone_from(nvm);
+        self.dram.clone_from(dram);
+        self.nvm_alloc.clone_from(nvm_alloc);
+        self.dram_alloc.clone_from(dram_alloc);
+        self.clock.clone_from(clock);
+        self.stats = *stats;
+        self.nvm_streams.clone_from(nvm_streams);
+        self.dram_streams.clone_from(dram_streams);
+        self.access_count = *access_count;
+        self.events.clone_from(events);
+    }
 }
 
 impl MemorySystem {
@@ -2393,6 +2448,85 @@ mod tests {
         Ok(())
     }
 
+    /// Run `prefix` on a machine — with a delta base taken halfway when
+    /// `journaled` — then copy it twice: into a fresh clone, and by
+    /// `clone_from` into a spare with a history of its own. The spare ran
+    /// `spare_ops` on regions past the machine's and on the machine's own
+    /// (a longer backing prefix, more cache slots filled) under a journal
+    /// of the same epoch as the machine's or a later one (`spare_bases`
+    /// bases taken), so a stale prefix byte, arena entry, line mark, journal
+    /// entry, epoch, tick or stream left behind would show. From the copy
+    /// on, the spare and the clone run `suffix` op by op and must observe,
+    /// count, charge, journal and crash alike.
+    fn recycled_copies_equal_fresh_clones(
+        cfg: SystemConfig,
+        journaled: bool,
+        (spare_bases, spare_ops): (u8, &[Op]),
+        prefix: &[Op],
+        suffix: &[Op],
+    ) -> proptest::prelude::TestCaseResult {
+        use proptest::prelude::*;
+        let boot = || {
+            let mut sys = MemorySystem::new(cfg.clone());
+            let nvm = sys.alloc_nvm(REGION as usize + 16);
+            let dram = sys.alloc_dram(REGION as usize + 16);
+            (sys, nvm, dram)
+        };
+        let (mut original, nvm, dram) = boot();
+        let (early, late) = prefix.split_at(prefix.len() / 2);
+        for op in early {
+            apply(&mut original, op, nvm, dram);
+        }
+        let base = journaled.then(|| original.delta_base());
+        for op in late {
+            apply(&mut original, op, nvm, dram);
+        }
+        let (mut spare, ..) = boot();
+        let far_nvm = spare.alloc_nvm(REGION as usize + 16);
+        let far_dram = spare.alloc_dram(REGION as usize + 16);
+        for _ in 0..spare_bases {
+            let _ = spare.delta_base();
+        }
+        spare.write_bytes(far_nvm + REGION, &[0xEE; 16]);
+        for op in spare_ops {
+            apply(&mut spare, op, far_nvm, far_dram);
+            apply(&mut spare, op, nvm, dram);
+        }
+        spare.clone_from(&original);
+        let mut fresh = original.clone();
+        let charged = |s: &MemorySystem| {
+            (
+                s.now(),
+                s.clock().bucket_totals(),
+                s.clock().bucket(),
+                *s.stats(),
+                s.access_count(),
+            )
+        };
+        prop_assert_eq!(charged(&spare), charged(&fresh));
+        for (k, op) in suffix.iter().enumerate() {
+            prop_assert_eq!(
+                apply(&mut spare, op, nvm, dram),
+                apply(&mut fresh, op, nvm, dram),
+                "op {}: {:?}",
+                k,
+                op
+            );
+            prop_assert_eq!(charged(&spare), charged(&fresh), "op {}: {:?}", k, op);
+        }
+        if let Some(base) = &base {
+            prop_assert_eq!(
+                spare.crash_fork_delta(base).materialize(),
+                fresh.crash_fork_delta(base).materialize()
+            );
+        }
+        // The allocators too: the next allocation lands at one address.
+        prop_assert_eq!(spare.alloc_nvm(8), fresh.alloc_nvm(8));
+        prop_assert_eq!(spare.alloc_dram(8), fresh.alloc_dram(8));
+        prop_assert_eq!(spare.crash(), fresh.crash());
+        Ok(())
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
@@ -2428,6 +2562,30 @@ mod tests {
                     cfg.cpu_cache = cfg.cpu_cache.with_policy(policy);
                     cfg.dram_cache = cfg.dram_cache.map(|c| c.with_policy(policy));
                     forks_are_exact_and_independent(cfg, &prefix, &suffix, &other)?;
+                }
+            }
+        }
+
+        /// A recycled machine is a fresh clone: `clone_from` into a spare
+        /// that held more — a longer backing prefix, a bigger arena, a
+        /// running journal — runs exactly as `clone` does, on both
+        /// platforms under every replacement policy, with and without a
+        /// journal on the source.
+        #[test]
+        fn recycled_machines_run_exactly_as_fresh_clones(
+            journaled in proptest::prelude::any::<bool>(),
+            spare_bases in 1u8..=2,
+            prefix in proptest::collection::vec(op_strategy(), 0..80),
+            spare_ops in proptest::collection::vec(op_strategy(), 0..40),
+            suffix in proptest::collection::vec(op_strategy(), 1..160),
+        ) {
+            use crate::policy::ReplacementPolicy;
+            for policy in ReplacementPolicy::ALL {
+                for mut cfg in [tiny_nvm_only(), tiny_hetero()] {
+                    cfg.cpu_cache = cfg.cpu_cache.with_policy(policy);
+                    cfg.dram_cache = cfg.dram_cache.map(|c| c.with_policy(policy));
+                    let spare = (spare_bases, &spare_ops[..]);
+                    recycled_copies_equal_fresh_clones(cfg, journaled, spare, &prefix, &suffix)?;
                 }
             }
         }

@@ -3,7 +3,7 @@
 //!
 //! A counting global allocator pins how many heap allocations one chaotic
 //! dist crash state costs, and that a warm fabric send/receive round trip
-//! costs none. The count is thread-local, so tests running in parallel
+//! and a fork into a warm spare cluster cost none. The count is thread-local, so tests running in parallel
 //! cannot pollute it; the campaign runs at `threads: 1`, which drives every
 //! task on the calling thread.
 
@@ -13,7 +13,11 @@ use std::cell::Cell;
 use adcc::campaign::engine::{run_campaign, CampaignConfig};
 use adcc::campaign::scenario::Registry;
 use adcc::campaign::schedule::Schedule;
+use adcc::dist::cluster::RankFailure;
 use adcc::dist::net::{Fabric, FaultProfile, NetTiming};
+use adcc::dist::stencil::{DistStencil, StencilConfig};
+use adcc::dist::trial::{run_superstep, DistKernel, RecoveryMode};
+use adcc::sim::crash::{CrashSite, CrashTrigger};
 use adcc::sim::system::{MemorySystem, SystemConfig};
 
 /// Counts the allocations and reallocations of the calling thread.
@@ -63,8 +67,10 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
 /// Allocations (and reallocations) per crash state of the chaotic campaign
 /// below, rounded up: 477 while every message allocated its encoded
 /// buffer, its queue slot and its decoded copy; 166 with the fabric's
-/// in-flight arena. A change that allocates more per state fails here.
-const BUDGET_PER_STATE: u64 = 166;
+/// in-flight arena; 55 once every replay of a batch forks into one spare
+/// cluster and resume states are gathered a line at a time. A change that
+/// allocates more per state fails here.
+const BUDGET_PER_STATE: u64 = 55;
 
 fn chaotic(seed: u64) -> CampaignConfig {
     CampaignConfig {
@@ -125,4 +131,30 @@ fn a_warm_fabric_round_trip_allocates_nothing() {
         }
     });
     assert_eq!(n, 0, "a warm fabric allocates nothing per message");
+}
+
+#[test]
+fn a_recycled_fork_allocates_nothing() {
+    let cfg = StencilConfig::campaign_for(RecoveryMode::AlgorithmDirected, FaultProfile::Chaotic);
+    let mut live = adcc::dist::Cluster::new(cfg.cluster(), None);
+    let mut kernel = DistStencil::setup(&mut live, cfg);
+    for iter in 1..=3 {
+        assert!(run_superstep(&mut kernel, &mut live, iter, true).is_none());
+    }
+    let armed = [RankFailure::node_loss(
+        5,
+        CrashTrigger::AtSite {
+            site: CrashSite::new(adcc::dist::sites::PH_MID, 6),
+            occurrence: 1,
+        },
+    )];
+    // The spare replays a superstep of its own, then takes one fork: from
+    // then on it holds everything a fork of this instant needs.
+    let mut spare = live.fork();
+    assert!(run_superstep(&mut kernel.clone(), &mut spare, 4, true).is_none());
+    live.fork_armed_into(&armed, &mut spare);
+    let ((), n) = allocations(|| live.fork_armed_into(&armed, &mut spare));
+    assert_eq!(n, 0, "a fork into a warm spare allocates nothing");
+    assert!(spare.armed_pending() && spare.node_loss(5));
+    assert!(kernel.iters() > 6, "the armed site lies ahead");
 }
