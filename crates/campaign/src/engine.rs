@@ -171,11 +171,10 @@ pub(crate) fn drive(cfg: &CampaignConfig, passes: Passes, harvest: Harvest) -> D
         })
         .collect();
 
-    let threads = rayon::ThreadPoolBuilder::new()
-        .num_threads(cfg.threads)
-        .build()
-        .expect("thread pool")
-        .current_num_threads();
+    let threads = match cfg.threads {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    };
     let mem = ImageMemory::for_workers(threads);
     let results = run_tasks(&scenarios, &tasks, threads, passes, harvest, &mem);
 
@@ -532,6 +531,21 @@ mod tests {
         assert_eq!(a.totals.total(), 13);
     }
 
+    /// `threads: 0` takes the host's parallelism, any other count as given.
+    #[test]
+    fn zero_threads_resolves_to_the_host_parallelism() {
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for (asked, want) in [(0, host), (3, 3)] {
+            let cfg = CampaignConfig {
+                registry: Registry::Ds,
+                budget_states: 4,
+                threads: asked,
+                ..CampaignConfig::default()
+            };
+            assert_eq!(run_campaign(&cfg).threads, want as u64);
+        }
+    }
+
     #[test]
     fn validate_rejects_incoherent_flag_combinations() {
         let cfg = |shard, max_batch| CampaignConfig {
@@ -587,7 +601,7 @@ mod tests {
         }
     }
 
-    /// ROADMAP 2(d): the fused sweep asks for recover + dirty in one call,
+    /// The fused resilience sweep asks for recover + dirty in one call,
     /// so a kernel chunk runs forward once — same executions and images as
     /// the plain campaign of that config, not twice as many.
     #[test]

@@ -1,11 +1,10 @@
 //! Minimal JSON tree, writer, and parser for campaign reports.
 //!
-//! The vendored `serde` stub is marker-only (no registry access, see
-//! `vendor/README.md`), so reports are serialized through this module
-//! instead. Report types still carry `#[derive(Serialize)]` tags, so
-//! swapping the real serde/serde_json back in stays a `Cargo.toml`-level
-//! change. Object keys keep insertion order and integers are kept exact
-//! (`u64`), which is what makes reports byte-for-byte reproducible.
+//! Reports are serialized through this module alone: the vendored `serde`
+//! is an empty husk kept only because the frozen `benchmark/Cargo.lock`
+//! names it (see `vendor/README.md`). Object keys keep insertion order and
+//! integers are kept exact (`u64`), which is what makes reports
+//! byte-for-byte reproducible.
 
 use std::fmt::Write as _;
 

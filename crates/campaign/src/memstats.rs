@@ -18,8 +18,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::Serialize;
-
 /// Shared (thread-safe) accumulator the engine hands to every batched
 /// execution. Sums and maxima are order-independent, so the totals are
 /// deterministic regardless of worker interleaving.
@@ -105,7 +103,7 @@ impl ImageMemory {
 }
 
 /// Aggregated crash-image memory facts for one campaign run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ImageMemorySummary {
     /// Batched forward executions run.
     pub executions: u64,

@@ -1,7 +1,5 @@
 //! Outcome classification for one injected crash state.
 
-use serde::Serialize;
-
 use crate::json::Json;
 
 /// What happened to one crash state after recovery was attempted.
@@ -9,7 +7,7 @@ use crate::json::Json;
 /// The classification question order matters and mirrors how a real
 /// campaign triages: did the mechanism's own detector fire, is the final
 /// answer right, and how much work was re-executed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Outcome {
     /// Recovery produced the reference result with zero re-executed work
     /// units (the crash landed on a fully persisted boundary).
@@ -59,6 +57,11 @@ impl Outcome {
 /// * `matches_reference` — the final result equals the crash-free
 ///   reference within the scenario's tolerance.
 /// * `lost_units` — work units re-executed by recovery.
+///
+/// The detector is asked first: a flagged wrong answer is `detected_dirty`.
+/// Answer-first would turn no ds or dist state silent, but 32 of the kernel
+/// smoke run's 500 (seed 42), all `mc-selective`: its audit-then-reseed
+/// recovery is statistically equivalent to the reference, not bitwise.
 pub fn classify(detected_dirty: bool, matches_reference: bool, lost_units: u64) -> Outcome {
     if detected_dirty {
         Outcome::DetectedDirty
@@ -72,7 +75,7 @@ pub fn classify(detected_dirty: bool, matches_reference: bool, lost_units: u64) 
 }
 
 /// Outcome histogram (one per scenario, plus the campaign total).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OutcomeCounts {
     /// Trials classified [`Outcome::RecoveredExact`].
     pub recovered_exact: u64,

@@ -18,7 +18,6 @@
 use adcc_dist::net::FaultProfile;
 use adcc_resilience::{DirtyClass, DirtyClassCounts, NaturalResilience, Tolerance};
 use adcc_telemetry::{adr_eadr_costs, ExecutionProfile};
-use serde::Serialize;
 
 use crate::json::Json;
 use crate::memstats::ImageMemorySummary;
@@ -90,7 +89,7 @@ impl<T> From<Option<T>> for Boxed<T> {
 }
 
 /// Aggregated results for one scenario.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioReport {
     /// Unique scenario name.
     pub name: String,
@@ -126,7 +125,7 @@ pub struct ScenarioReport {
 /// fields (the category is its stable kebab-case name, e.g.
 /// `"unpersisted-store"`; event indices refer to the scenario's recorded
 /// event stream for the named crash unit sweep).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiagnosticRecord {
     /// Scenario the finding came from.
     pub scenario: String,
@@ -148,7 +147,7 @@ pub struct DiagnosticRecord {
 /// and every protocol finding the sanitizer raised. A clean tree emits
 /// the block with an empty `findings` array, so CI can distinguish
 /// "analyzed and clean" from "not analyzed".
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DiagnosticsBlock {
     /// Names of the scenarios swept with the analyzer attached.
     pub analyzed: Vec<String>,
@@ -227,7 +226,7 @@ impl DiagnosticsBlock {
 }
 
 /// One full campaign run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
     /// Seed the schedule was derived from.
     pub seed: u64,

@@ -98,7 +98,7 @@ impl Mechanism {
 /// name (`campaign run --registry <name>`). The selected registry is part
 /// of the report format: reports carry a `registry` header whenever a
 /// non-default registry produced them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Registry {
     /// The default single-node compute-kernel registry.
     #[default]

@@ -18,7 +18,7 @@
 //!   answer right: a ping-pong sweep reads the buffer it does not write,
 //!   a left-looking block is rebuilt from the pristine input, so
 //!   re-running either is idempotent — natural resilience, not an oracle
-//!   hole (their dirty restarts converge exactly; ROADMAP item 1).
+//!   hole (their dirty restarts converge exactly).
 //! - `adcc_core/mutant-chain-early-join`, in `mc-epoch`'s batch recovery:
 //!   `McSim::recover_chain` drops its line-epoch guard, so a replay may
 //!   join the pilot before both apply every increment. **Survives**, here
@@ -28,7 +28,7 @@
 //!   word past the boundary it stands at, and one that has holds a word at
 //!   or before it — `same_future` compares those bytes, and already refuses
 //!   every join the guard refuses. The guard is a pre-filter that saves the
-//!   comparison, not a second condition (ROADMAP item 1).
+//!   comparison, not a second condition.
 //! - `adcc_core/mutant-epoch-no-flush`, in `mc-epoch`'s forward loop:
 //!   `McMode::Epoch` never runs its periodic counter-line flush.
 //!   **Killed** by `scenarios::mc`'s replay-distance bound (52 of 1 200
@@ -45,9 +45,9 @@
 //!   counter with the old payload (8 silent of 400). **Survives** the
 //!   faultless campaign, byte for byte: every dist poll sits at `PH_MID` or
 //!   `PH_END`, none between the two halves of a commit, so no harvested
-//!   crash state can see their order — a coverage hole (ROADMAP item 7),
-//!   and the same mutant with the shipment left last survives the
-//!   exhaustive chaotic space too.
+//!   crash state can see their order — a coverage hole, and the same
+//!   mutant with the shipment left last survives the exhaustive chaotic
+//!   space too.
 //!
 //! No default build enables any; the nightly `mutants` job runs this file
 //! clean and once per feature:
@@ -63,7 +63,7 @@
 //!
 //! A scenario whose histogram does not move under a mutant, or moves
 //! without a silent corruption, is a survivor to explain (natural
-//! resilience, an oracle hole, an equivalent mutant) in ROADMAP item 1 —
+//! resilience, an oracle hole, an equivalent mutant) in ROADMAP's scoreboard —
 //! not a row to delete from [`CLEAN`].
 
 use adcc_campaign::engine::run_per_trial;
@@ -291,7 +291,7 @@ fn batch_and_per_trial_agree_either_way() {
             run_campaign(&cfg).canonical_string(),
             run_per_trial(&cfg).canonical_string(),
             "{cfg:?}; mutant-chain-early-join: {MUTANT_CHAIN_EARLY_JOIN} — if on, it no \
-             longer survives: record the kill in ROADMAP item 1 and in this file's header"
+             longer survives: record the kill in ROADMAP's scoreboard and in this file's header"
         );
     }
 }

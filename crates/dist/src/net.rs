@@ -117,7 +117,7 @@ impl Default for FaultPlan {
 pub const FAULT_SEED_SALT: u64 = 0xfa17_0000_5a17_0bad;
 
 /// Named fault-plan presets, the `campaign run --faults PROFILE` knob.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FaultProfile {
     /// Reliable fabric (the default; byte-compatible with pre-fault runs).
     #[default]

@@ -76,6 +76,9 @@ impl PQueue {
         self.ctrl.set(sys, TAIL + 1, 0);
         self.ctrl.persist_all(sys);
         sys.persist_line(alloc.block_addr(s));
+        // The sentinel left the free list: persist that before op 1 runs.
+        sys.persist_line(alloc.head_addr());
+        sys.persist_line(alloc.next_addr(s));
         sys.sfence();
     }
 

@@ -908,6 +908,35 @@ mod tests {
         }
     }
 
+    /// Every site-grain crash state of the four configurations recovers
+    /// the oracle's answer. `PQueue::init` once left the allocator's head
+    /// line dirty, so a crash before op 1 committed reused the sentinel.
+    #[test]
+    fn every_site_state_recovers_the_oracle_answer() {
+        let phases = [PH_DS_PREP, PH_DS_MUT, PH_DS_COMMIT];
+        for p in [Protection::Undo, Protection::Baseline] {
+            for cfg in [WorkloadCfg::queue, WorkloadCfg::hash].map(|c| c(p, Default::default())) {
+                let stream = OpStream::generate(cfg.stream);
+                let mut emu = CrashEmulator::new(cfg.system(), CrashTrigger::Never);
+                let mut w = Workload::setup(emu.system_mut(), cfg);
+                emu.arm_harvest((0..3 * stream.len()).map(|u| {
+                    let (phase, index) = (phases[(u % 3) as usize], u / 3 + 1);
+                    (CrashTrigger::AtPhaseIndex { phase, index }, u)
+                }));
+                for op in stream.ops() {
+                    assert!(w.apply_op(&mut emu, op, None).completed().is_some());
+                }
+                let harvests = emu.take_harvests();
+                assert_eq!(harvests.len() as u64, 3 * stream.len());
+                for h in harvests {
+                    let img = h.image.materialize();
+                    let r = recover_verify_resume(cfg, w.layout(), cfg.system(), &img, &stream);
+                    assert!(r.matches, "{cfg:?} unit {}: {r:?}", h.unit);
+                }
+            }
+        }
+    }
+
     #[test]
     fn recovery_is_a_pure_function_of_the_image() {
         let cfg = WorkloadCfg::queue(Protection::Undo, OpStreamCfg::default());

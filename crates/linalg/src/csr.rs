@@ -1,7 +1,5 @@
 //! Compressed sparse row matrices and SpMV.
 
-use rayon::prelude::*;
-
 /// A square sparse matrix in CSR format.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMatrix {
@@ -81,19 +79,6 @@ impl CsrMatrix {
         }
     }
 
-    /// y = A x (rayon row-parallel; used by the native baselines).
-    pub fn spmv_par(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n);
-        assert_eq!(y.len(), self.n);
-        y.par_iter_mut().enumerate().for_each(|(i, yi)| {
-            let mut acc = 0.0;
-            for k in self.row_ptr[i]..self.row_ptr[i + 1] {
-                acc += self.vals[k] * x[self.col_idx[k] as usize];
-            }
-            *yi = acc;
-        });
-    }
-
     /// Whether the stored pattern and values are symmetric (within `tol`).
     pub fn is_symmetric(&self, tol: f64) -> bool {
         for i in 0..self.n {
@@ -159,9 +144,6 @@ mod tests {
         let mut y = [0.0; 3];
         m.spmv(&x, &mut y);
         assert_eq!(y, [4.0, 7.0, 12.0]);
-        let mut yp = [0.0; 3];
-        m.spmv_par(&x, &mut yp);
-        assert_eq!(y, yp);
     }
 
     #[test]

@@ -2,11 +2,10 @@
 //!
 //! The native ground truth for the ABFT matrix-multiplication experiments:
 //! `C = A × B` via rank-k panel updates (the paper's Fig. 5 loop
-//! structure), rayon-parallel over row blocks.
+//! structure), one output row at a time.
 
 use rand::prelude::*;
 use rand::rngs::StdRng;
-use rayon::prelude::*;
 
 /// A dense row-major f64 matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,7 +87,7 @@ impl Matrix {
         out
     }
 
-    /// Blocked rank-k multiplication, rayon-parallel over rows:
+    /// Blocked rank-k multiplication, one output row at a time:
     /// `C += A(:, s:s+k) × B(s:s+k, :)` for each panel `s`.
     pub fn mul_blocked(&self, other: &Matrix, rank: usize) -> Matrix {
         assert_eq!(self.cols, other.rows);
@@ -99,26 +98,23 @@ impl Matrix {
         let mut out = Matrix::zeros(m, n);
         let a = &self.data;
         let b = &other.data;
-        out.data
-            .par_chunks_mut(n)
-            .enumerate()
-            .for_each(|(i, crow)| {
-                let mut s = 0;
-                while s < kk {
-                    let send = (s + rank).min(kk);
-                    for l in s..send {
-                        let av = a[i * kk + l];
-                        if av == 0.0 {
-                            continue;
-                        }
-                        let brow = &b[l * n..(l + 1) * n];
-                        for (cj, bj) in crow.iter_mut().zip(brow) {
-                            *cj += av * bj;
-                        }
+        for (i, crow) in out.data.chunks_mut(n).enumerate() {
+            let mut s = 0;
+            while s < kk {
+                let send = (s + rank).min(kk);
+                for l in s..send {
+                    let av = a[i * kk + l];
+                    if av == 0.0 {
+                        continue;
                     }
-                    s = send;
+                    let brow = &b[l * n..(l + 1) * n];
+                    for (cj, bj) in crow.iter_mut().zip(brow) {
+                        *cj += av * bj;
+                    }
                 }
-            });
+                s = send;
+            }
+        }
         out
     }
 

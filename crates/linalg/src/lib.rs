@@ -5,8 +5,8 @@
 //! multiplication for ABFT-MM, and vector primitives. Everything exists in
 //! two forms:
 //!
-//! * **native** — plain Rust over host slices, rayon-parallel where it
-//!   pays (used by wall-clock Criterion benches and as ground truth), and
+//! * **native** — plain sequential Rust over host slices (the ground
+//!   truth), and
 //! * **simulated** — the same math expressed over [`adcc_sim`] persistent
 //!   arrays, so every element access goes through the crash emulator's
 //!   cache hierarchy and timing model.

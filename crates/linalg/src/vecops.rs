@@ -1,31 +1,16 @@
-//! Native vector primitives (serial below a threshold, rayon above).
-
-use rayon::prelude::*;
-
-/// Length above which rayon parallelism pays for element-wise kernels.
-const PAR_THRESHOLD: usize = 16_384;
+//! Native vector primitives over host slices.
 
 /// Dot product.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len());
-    if a.len() >= PAR_THRESHOLD {
-        a.par_iter().zip(b).map(|(x, y)| x * y).sum()
-    } else {
-        a.iter().zip(b).map(|(x, y)| x * y).sum()
-    }
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 /// y += alpha * x.
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len());
-    if x.len() >= PAR_THRESHOLD {
-        y.par_iter_mut()
-            .zip(x)
-            .for_each(|(yi, xi)| *yi += alpha * xi);
-    } else {
-        for (yi, xi) in y.iter_mut().zip(x) {
-            *yi += alpha * xi;
-        }
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi += alpha * xi;
     }
 }
 
@@ -33,14 +18,8 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
 pub fn xpby(x: &[f64], beta: f64, y: &[f64], out: &mut [f64]) {
     assert_eq!(x.len(), y.len());
     assert_eq!(x.len(), out.len());
-    if x.len() >= PAR_THRESHOLD {
-        out.par_iter_mut()
-            .zip(x.par_iter().zip(y))
-            .for_each(|(o, (xi, yi))| *o = xi + beta * yi);
-    } else {
-        for i in 0..x.len() {
-            out[i] = x[i] + beta * y[i];
-        }
+    for i in 0..x.len() {
+        out[i] = x[i] + beta * y[i];
     }
 }
 
@@ -93,15 +72,6 @@ mod tests {
         let mut out = vec![0.0; 2];
         xpby(&[1.0, 2.0], 3.0, &[1.0, 1.0], &mut out);
         assert_eq!(out, vec![4.0, 5.0]);
-    }
-
-    #[test]
-    fn parallel_path_matches_serial() {
-        let n = PAR_THRESHOLD + 17;
-        let a: Vec<f64> = (0..n).map(|i| (i % 13) as f64).collect();
-        let b: Vec<f64> = (0..n).map(|i| (i % 7) as f64).collect();
-        let serial: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-        assert!((dot(&a, &b) - serial).abs() < 1e-6 * serial.abs().max(1.0));
     }
 
     #[test]

@@ -34,24 +34,6 @@ proptest! {
         }
     }
 
-    /// Parallel SpMV agrees with serial SpMV.
-    #[test]
-    fn spmv_par_matches_serial(
-        n in 4usize..120,
-        extras in 1usize..6,
-        seed in 0u64..1000,
-    ) {
-        let a = random_spd(n, extras, seed);
-        let x: Vec<f64> = (0..n).map(|i| ((i * 37 + 5) % 11) as f64 - 5.0).collect();
-        let mut y1 = vec![0.0; n];
-        let mut y2 = vec![0.0; n];
-        a.spmv(&x, &mut y1);
-        a.spmv_par(&x, &mut y2);
-        for i in 0..n {
-            prop_assert!((y1[i] - y2[i]).abs() < 1e-12);
-        }
-    }
-
     /// CSR from shuffled triplets equals CSR from sorted triplets.
     #[test]
     fn csr_construction_is_order_independent(

@@ -6,10 +6,8 @@
 //! log entries and bytes a mechanism wrote, next to the flush and fence
 //! tallies the simulator keeps in `adcc_sim::stats::MemStats`.
 
-use serde::Serialize;
-
 /// Counters for one transaction pool's log traffic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LogStats {
     /// Log entries appended (undo pre-image snapshots or redo stagings).
     pub appends: u64,

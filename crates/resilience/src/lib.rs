@@ -25,15 +25,13 @@
 //! (`adcc_core`, `adcc_dist`); the campaign engine feeds their results
 //! through this crate so every scenario is scored on the same ladder.
 
-use serde::Serialize;
-
 /// Outcome of one dirty restart, in classification-priority order.
 ///
 /// The ladder is applied top to bottom: an application-level audit firing
 /// beats everything (the restart never produced an answer), divergence
 /// beats any residual comparison, and only then is the answer's distance
 /// to the crash-free reference binned by the scenario's tolerances.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DirtyClass {
     /// The restarted run reproduced the reference answer within the
     /// scenario's exact tolerance (usually the match tolerance the
@@ -94,7 +92,7 @@ impl DirtyClass {
 /// All three bounds compare the restarted run's answer to the crash-free
 /// reference in the scenario's own metric (max absolute difference for
 /// the solver kernels).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tolerance {
     /// At or below this the answer counts as exact (reference-equal).
     pub exact: f64,
@@ -150,7 +148,7 @@ impl Tolerance {
 }
 
 /// One classified dirty restart.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DirtyTrial {
     /// The campaign unit (crash point) this restart rebooted from.
     pub unit: u64,
@@ -165,7 +163,7 @@ pub struct DirtyTrial {
 }
 
 /// Histogram over [`DirtyClass`] (one per scenario, plus campaign total).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DirtyClassCounts {
     /// Trials classified [`DirtyClass::ConvergedExact`].
     pub converged_exact: u64,
@@ -227,7 +225,7 @@ impl DirtyClassCounts {
 
 /// Per-scenario natural-resilience aggregate: the `natural_resilience`
 /// block of report schema v7.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NaturalResilience {
     /// The tolerance ladder every trial was scored with.
     pub tolerance: Tolerance,

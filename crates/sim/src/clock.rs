@@ -9,10 +9,8 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::Serialize;
-
 /// A point in (or duration of) simulated time, in picoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default, Hash)]
 pub struct SimTime(pub u64);
 
 impl SimTime {
@@ -96,7 +94,7 @@ impl fmt::Display for SimTime {
 
 /// Cost attribution buckets. Every charge lands in exactly one bucket (the
 /// one currently selected on the clock).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Bucket {
     /// Arithmetic (FLOPs and integer ops charged by the application).

@@ -1,9 +1,7 @@
 //! Event counters for the simulated memory hierarchy.
 
-use serde::Serialize;
-
 /// Counters for one cache level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LevelStats {
     /// Lookups that found the line resident.
     pub hits: u64,
@@ -28,7 +26,7 @@ impl LevelStats {
 }
 
 /// Counters for the whole memory system.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemStats {
     /// CPU cache level.
     pub cpu: LevelStats,

@@ -18,10 +18,8 @@
 //! * **Fences.** Persist ordering (`SFENCE` after `CLFLUSH`) stalls the
 //!   pipeline; logging approaches issue them per-range and pay dearly.
 
-use serde::Serialize;
-
 /// Timing parameters of one memory medium (DRAM or an NVM technology).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MediaTiming {
     /// Access latency for a read miss, in picoseconds.
     pub read_lat_ps: u64,
@@ -90,7 +88,7 @@ impl MediaTiming {
 
 /// Timing parameters of the rotating-disk checkpoint target (paper test
 /// case 2: "checkpoint based on a local hard drive").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HddTiming {
     /// Positioning (seek + rotational) latency charged once per checkpoint
     /// write, in picoseconds.
@@ -117,7 +115,7 @@ impl HddTiming {
 }
 
 /// Full platform cost table used by [`crate::system::MemorySystem`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlatformTiming {
     /// Cost charged for every element access (address generation + L1
     /// pipeline), in picoseconds.

@@ -8,7 +8,6 @@
 
 use adcc_pmem::stats::LogStats;
 use adcc_sim::image::NvmImage;
-use serde::Serialize;
 
 /// Declares [`ExecutionProfile`] from the one table of its counters, in
 /// report emission order: the struct, [`ExecutionProfile::merge`],
@@ -27,7 +26,7 @@ macro_rules! execution_profile {
         /// [`ExecutionProfile::dirty_bytes_at_crash`] — are the paper's §IV
         /// measurements: flush volume per iteration, the consistency window each
         /// algorithm naturally provides, and dirty-data residency at crash.
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
         pub struct ExecutionProfile {
             $($(#[$doc])* pub $name: u64,)*
         }

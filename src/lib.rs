@@ -12,7 +12,7 @@
 //! | [`analyze`] | persist-order sanitizer + WITCHER-style triage: happens-before-persist checking over recorded event streams (unpersisted stores, missing fences, redundant flushes, ordering races), invariant inference from passing trials, root-cause clustering of failing crash states |
 //! | [`pmem`] | PMDK-style persistent heap + undo/redo-log transactions (the paper's Intel-PMEM baseline) |
 //! | [`ckpt`] | checkpoint/restart: double-buffered NVM slots, HDD model, page-incremental, two-level local+remote, diskless N+1 parity |
-//! | [`linalg`] | CSR/SPD sparse and dense blocked linear algebra, native (rayon) and simulated |
+//! | [`linalg`] | CSR/SPD sparse and dense blocked linear algebra, native and simulated |
 //! | [`core`] | the paper's contribution — algorithm-directed CG, ABFT-MM and MC — plus four extension kernels (Jacobi, BiCGSTAB, checksum-LU, heat stencil) |
 //! | [`harness`] | platforms, the seven test cases, a runner per evaluation figure, extension tables, substrate ablations |
 //! | [`campaign`] | deterministic, seedable crash-injection campaign engine: named scenario registries (`kernel`, `dist`, `ds` — selected with `--registry`), crash-point schedules, parallel fan-out, JSON reports, the `campaign` CLI |

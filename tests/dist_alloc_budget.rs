@@ -1,5 +1,5 @@
-//! Allocation budget of the dist message path (ROADMAP item 6(a)'s pattern:
-//! an exact, host-independent work counter as a tier-1 gate).
+//! Allocation budget of the dist message path: an exact, host-independent
+//! work counter as a tier-1 gate.
 //!
 //! A counting global allocator pins how many heap allocations one chaotic
 //! dist crash state costs, and that a warm fabric send/receive round trip

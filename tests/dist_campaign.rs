@@ -105,7 +105,7 @@ fn dist_and_single_rank_registries_share_one_engine_but_not_bytes() {
     assert_eq!(t.recovery_net_bytes, 0);
 }
 
-/// Work counters, exact (ROADMAP item 5's pattern): a perf regression on
+/// Work counters, exact: a perf regression on
 /// the dist registry fails here, not in a noisy timing. At the chaotic
 /// smoke config every chunk — six scenarios, two chunks each — builds and
 /// runs **one** cluster whatever the passes, and every unit that crashes

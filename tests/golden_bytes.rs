@@ -250,11 +250,11 @@ fn ds_campaign_and_triage_bytes_equal_the_pinned_digests() {
     let mut moved = check_report(
         "ds-1200.json",
         &run_campaign(&cfg),
-        0x9f09_631e_67f1_732c,
+        0x9460_b86c_121d_b3a7,
         (12, 1200, Some(1200)),
     );
     let triage = run_triage(&cfg).to_string_pretty();
-    moved.extend(check_digest("ds-1200-triage.json", &triage, 0xcd7f_b0ce_a9c7_435c).err());
+    moved.extend(check_digest("ds-1200-triage.json", &triage, 0xfe8a_2d51_c53f_77e2).err());
     assert!(
         moved.is_empty(),
         "canonical ds bytes moved:\n{}",

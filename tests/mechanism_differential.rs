@@ -1,4 +1,4 @@
-//! The cross-mechanism differential oracle (ROADMAP item 1(c), first row):
+//! The cross-mechanism differential oracle:
 //! same kernel, same problem seed ⇒ the same completed answer. Native,
 //! checkpoint and undo-log runs of a plain kernel share their arithmetic
 //! and differ only in what they persist, so their answers are equal *bit

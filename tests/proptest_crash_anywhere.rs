@@ -24,7 +24,7 @@ proptest! {
 
     /// Extended CG: recovery finds a valid restart point and converges to
     /// the reference. Full history only — a bounded CG ring can verify a
-    /// generation one lap stale (ROADMAP item 1).
+    /// generation one lap stale (ROADMAP's ring hole).
     #[test]
     fn cg_recovers_from_any_crash_point(
         trigger in anywhere(5_000..250_000, &CG_PHASES, 8),

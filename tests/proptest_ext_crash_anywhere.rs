@@ -16,7 +16,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// Extended Jacobi. Full history only — a bounded Jacobi ring can
-    /// verify a pair of iterates one lap stale (ROADMAP item 1).
+    /// verify a pair of iterates one lap stale (ROADMAP's ring hole).
     #[test]
     fn jacobi_recovers_from_any_crash_point(
         trigger in anywhere(5_000..200_000, &[jacobi::sites::PH_AFTER_X, jacobi::sites::PH_ITER_END], 8),
