@@ -62,6 +62,11 @@ impl Outcome {
 /// Answer-first would turn no ds or dist state silent, but 32 of the kernel
 /// smoke run's 500 (seed 42), all `mc-selective`: its audit-then-reseed
 /// recovery is statistically equivalent to the reference, not bitwise.
+/// Nor can the campaign change that verdict alone: the frozen benchmark's
+/// `McSelectiveReplica` classifies through this function (`detected =
+/// total != LOOKUPS`, `matches = counts == reference`), and its traced
+/// pass fails a replica whose trials differ from `run_batch` in outcome,
+/// lost units or sim time.
 pub fn classify(detected_dirty: bool, matches_reference: bool, lost_units: u64) -> Outcome {
     if detected_dirty {
         Outcome::DetectedDirty

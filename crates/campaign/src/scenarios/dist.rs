@@ -45,12 +45,13 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use adcc_dist::cg::{CgConfig, DistCg};
+use adcc_dist::cg::{DistCg, Spd};
 use adcc_dist::cluster::{Cluster, RankFailure};
-use adcc_dist::jacobi::{DistJacobi, JacobiConfig};
+use adcc_dist::jacobi::DistJacobi;
 use adcc_dist::net::FaultProfile;
+use adcc_dist::preset::{DistConfig, Shape};
 use adcc_dist::sites;
-use adcc_dist::stencil::{DistStencil, StencilConfig};
+use adcc_dist::stencil::DistStencil;
 use adcc_dist::trial::{
     reference_run, run_dist_batch, run_dist_trial, BatchPasses, BatchPoint, DirtyReboot,
     DistKernel, DistTrial, FollowUp, RecoveryMode, ReferenceRun,
@@ -73,8 +74,8 @@ const TOL: f64 = 1e-9;
 type Build<K> = dyn Fn(RecoveryMode, &[RankFailure]) -> (Cluster, K) + Send + Sync;
 
 /// One distributed kernel family under one fabric fault profile: what its
-/// local-recovery and global-restart scenarios share. Families differ
-/// only in these constants and in the set-up call behind `build`.
+/// local-recovery and global-restart scenarios share.
+#[derive(Clone)]
 struct DistFamily<K> {
     kernel: Kernel,
     /// Scenario names under local recovery, then under global restart.
@@ -91,92 +92,86 @@ struct DistFamily<K> {
     build: Arc<Build<K>>,
 }
 
-impl<K> Clone for DistFamily<K> {
-    fn clone(&self) -> Self {
+impl<K> DistFamily<K> {
+    /// The family of `P`'s campaign preset under `faults`: every execution
+    /// sets `setup` up on a cluster built from the preset of its mode.
+    fn new<P: Shape + 'static>(
+        kernel: Kernel,
+        names: [&'static str; 2],
+        faults: FaultProfile,
+        dense_stride: u64,
+        dirty_tolerance: Tolerance,
+        setup: impl Fn(&mut Cluster, DistConfig<P>) -> K + Send + Sync + 'static,
+    ) -> Self {
+        let preset = DistConfig::<P>::campaign_for(RecoveryMode::AlgorithmDirected, faults);
         DistFamily {
-            build: self.build.clone(),
-            ..*self
+            kernel,
+            names,
+            faults,
+            ranks: preset.ranks as u64,
+            iters: preset.iters,
+            dense_stride,
+            dirty_tolerance,
+            build: Arc::new(move |mode, failures| {
+                DistConfig::campaign_for(mode, faults).launch(failures, &setup)
+            }),
         }
     }
 }
 
 impl DistFamily<DistStencil> {
     fn stencil(faults: FaultProfile) -> Self {
-        let cfg = StencilConfig::campaign_for(RecoveryMode::AlgorithmDirected, faults);
-        DistFamily {
-            kernel: Kernel::Stencil,
-            names: ["dist-stencil-local", "dist-stencil-restart"],
+        DistFamily::new(
+            Kernel::Stencil,
+            ["dist-stencil-local", "dist-stencil-restart"],
             faults,
-            ranks: cfg.ranks as u64,
-            iters: cfg.iters,
             // ~5.4k crash-free accesses per rank.
-            dense_stride: 100,
+            100,
             // The explicit diffusion update is contractive, so a dirty block
             // heals toward the reference; 1e-3 on a unit-scale rod accepts a
             // visibly-healed plate without waving through a cold one.
-            dirty_tolerance: Tolerance::new(TOL, 1e-3, 1e3),
-            build: Arc::new(move |mode, failures| {
-                let cfg = StencilConfig::campaign_for(mode, faults);
-                let mut cl = Cluster::new_multi(cfg.cluster(), failures);
-                let prog = DistStencil::setup(&mut cl, cfg);
-                (cl, prog)
-            }),
-        }
+            Tolerance::new(TOL, 1e-3, 1e3),
+            DistStencil::setup,
+        )
     }
 }
 
 impl DistFamily<DistJacobi> {
     fn jacobi(faults: FaultProfile) -> Self {
-        let cfg = JacobiConfig::campaign_for(RecoveryMode::AlgorithmDirected, faults);
-        DistFamily {
-            kernel: Kernel::Jacobi,
-            names: ["dist-jacobi-local", "dist-jacobi-restart"],
+        DistFamily::new(
+            Kernel::Jacobi,
+            ["dist-jacobi-local", "dist-jacobi-restart"],
             faults,
-            ranks: cfg.ranks as u64,
-            iters: cfg.iters,
             // ~9.7k crash-free accesses per rank.
-            dense_stride: 150,
+            150,
             // Jacobi smoothing contracts faster than the 1-D rod (four
             // neighbors average in), so a slightly looser acceptable band
             // still tells healed blocks from cold ones.
-            dirty_tolerance: Tolerance::new(TOL, 1e-2, 1e3),
-            build: Arc::new(move |mode, failures| {
-                let cfg = JacobiConfig::campaign_for(mode, faults);
-                let mut cl = Cluster::new_multi(cfg.cluster(), failures);
-                let prog = DistJacobi::setup(&mut cl, cfg);
-                (cl, prog)
-            }),
-        }
+            Tolerance::new(TOL, 1e-2, 1e3),
+            DistJacobi::setup,
+        )
     }
 }
 
 impl DistFamily<DistCg> {
     /// The host-side SPD problem is built here, once, and shared by both
-    /// scenarios' clusters: it is a pure function of the fixed config (the
+    /// scenarios' clusters: it is a pure function of the fixed shape (the
     /// fault profile changes ranks, never the matrix), and rebuilding it per
     /// execution would dominate dist-CG setup.
     fn cg(faults: FaultProfile) -> Self {
-        let cfg = CgConfig::campaign_for(RecoveryMode::AlgorithmDirected, faults);
-        let (a, b) = CgConfig::campaign(RecoveryMode::AlgorithmDirected).problem();
-        DistFamily {
-            kernel: Kernel::Cg,
-            names: ["dist-cg-local", "dist-cg-restart"],
+        let (a, b) = Spd::CAMPAIGN.problem();
+        DistFamily::new(
+            Kernel::Cg,
+            ["dist-cg-local", "dist-cg-restart"],
             faults,
-            ranks: cfg.ranks as u64,
-            iters: cfg.iters,
             // ~15k crash-free accesses per rank.
-            dense_stride: 250,
+            250,
             // The Krylov recurrence has no self-correction: a dirty segment
             // either resumes from naturally-consistent residue (exact) or
             // derails, so the acceptable band mostly documents the cliff.
-            dirty_tolerance: Tolerance::new(TOL, 1e-4, 1e3),
-            build: Arc::new(move |mode, failures| {
-                let cfg = CgConfig::campaign_for(mode, faults);
-                let mut cl = Cluster::new_multi(cfg.cluster(), failures);
-                let prog = DistCg::setup_with_problem(&mut cl, cfg, &a, &b);
-                (cl, prog)
-            }),
-        }
+            Tolerance::new(TOL, 1e-4, 1e3),
+            move |cl: &mut Cluster, cfg| DistCg::setup_with_problem(cl, cfg, &a, &b),
+        )
     }
 }
 
@@ -646,10 +641,8 @@ mod tests {
 
     #[test]
     fn restart_units_recover_by_recomputation_between_checkpoints() {
-        let s = Dist::new(
-            DistFamily::jacobi(FaultProfile::Off),
-            RecoveryMode::GlobalRestart,
-        );
+        let family = DistFamily::jacobi(FaultProfile::Off);
+        let s = Dist::new(family, RecoveryMode::GlobalRestart);
         let ranks = s.family.ranks;
         // Superstep 5 MID (frontier 4, checkpoint 3): one superstep of
         // cluster-wide re-execution.
@@ -663,20 +656,16 @@ mod tests {
 
     #[test]
     fn dense_units_past_the_run_complete_clean() {
-        let s = Dist::new(
-            DistFamily::cg(FaultProfile::Off),
-            RecoveryMode::AlgorithmDirected,
-        );
+        let family = DistFamily::cg(FaultProfile::Off);
+        let s = Dist::new(family, RecoveryMode::AlgorithmDirected);
         let t = s.run_trial(s.total_units() + 100 * s.family.ranks, false);
         assert_eq!(t.outcome, Outcome::CompletedClean);
     }
 
     #[test]
     fn node_loss_units_restore_from_the_remote_level_exactly() {
-        let s = Dist::new(
-            DistFamily::jacobi(FaultProfile::Chaotic),
-            RecoveryMode::AlgorithmDirected,
-        );
+        let family = DistFamily::jacobi(FaultProfile::Chaotic);
+        let s = Dist::new(family, RecoveryMode::AlgorithmDirected);
         let (a, b, c) = s.blocks;
         assert!(c > 0);
         let t = s.run_trial(a + b + 1, true);

@@ -17,109 +17,53 @@
 
 use std::sync::Arc;
 
-use adcc_ckpt::multilevel::RemoteTiming;
 use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::spd::random_spd;
 use adcc_sim::parray::PArray;
-use adcc_sim::system::{MemorySystem, SystemConfig};
+use adcc_sim::system::MemorySystem;
 
-use crate::cluster::{Cluster, ClusterConfig};
-use crate::grid::GridCfg;
-use crate::net::{FaultProfile, NetTiming};
-use crate::persist::{Mechanism, Partition, Partitioned};
-use crate::trial::{CrashInfo, DistKernel, Recovery, RecoveryMode};
+use crate::cluster::Cluster;
+use crate::persist::{Mechanism, Partition};
+use crate::preset::{DistConfig, Shape};
+use crate::trial::DistKernel;
 
-/// Problem and mechanism parameters.
-#[derive(Debug, Clone)]
-pub struct CgConfig {
-    /// Number of ranks.
-    pub ranks: usize,
-    /// CG iterations (supersteps).
-    pub iters: u64,
+/// The SPD problem. CG's collectives are all-to-all, so the process grid
+/// only sizes the rank count.
+#[derive(Debug, Clone, Copy)]
+pub struct Spd {
     /// Matrix dimension (must divide evenly by `ranks`).
     pub n: usize,
-    /// Random off-diagonal entries per row of the SPD problem.
+    /// Random off-diagonal entries per row.
     pub extras_per_row: usize,
-    /// SPD problem seed.
-    pub problem_seed: u64,
-    /// Persistence mechanism and recovery mode.
-    pub mode: RecoveryMode,
-    /// Checkpoint period of the GlobalRestart mechanism, in supersteps.
-    pub ckpt_period: u64,
-    /// Fabric jitter seed.
-    pub net_seed: u64,
-    /// Process-grid topology (CG's collectives are all-to-all, so the
-    /// grid only sizes the rank count; must cover exactly `ranks`).
-    pub grid: GridCfg,
-    /// Fabric fault profile injected under the reliable transport.
-    pub faults: FaultProfile,
-    /// Remote checkpoint level for node-loss recovery.
-    pub remote: Option<RemoteTiming>,
+    /// Problem seed.
+    pub seed: u64,
 }
 
-impl CgConfig {
-    /// The campaign preset: 4 ranks, 10 iterations, n = 96.
-    pub fn campaign(mode: RecoveryMode) -> Self {
-        CgConfig {
-            ranks: 4,
-            iters: 10,
-            n: 96,
-            extras_per_row: 4,
-            problem_seed: 515,
-            mode,
-            ckpt_period: 3,
-            net_seed: 0xd157_0003,
-            grid: GridCfg::chain(4),
-            faults: FaultProfile::Off,
-            remote: None,
-        }
-    }
-
-    /// The campaign preset for a fault profile: the chaotic tier runs 16
-    /// ranks (4x4 grid) on the same n = 96 problem, with a remote
-    /// checkpoint level.
-    pub fn campaign_for(mode: RecoveryMode, faults: FaultProfile) -> Self {
-        match faults {
-            FaultProfile::Chaotic => CgConfig {
-                ranks: 16,
-                grid: GridCfg::grid(4, 4),
-                remote: Some(RemoteTiming::burst_buffer()),
-                faults,
-                ..CgConfig::campaign(mode)
-            },
-            _ => CgConfig {
-                faults,
-                ..CgConfig::campaign(mode)
-            },
-        }
-    }
-
-    /// The matching cluster configuration.
-    pub fn cluster(&self) -> ClusterConfig {
-        let mut sys = SystemConfig::nvm_only(16 << 10, 128 << 10);
-        sys.dram_capacity = 512 << 10;
-        ClusterConfig {
-            ranks: self.ranks,
-            sys,
-            net: NetTiming::cluster_2017(),
-            net_seed: self.net_seed,
-            faults: self
-                .faults
-                .plan(self.net_seed ^ crate::net::FAULT_SEED_SALT),
-        }
-    }
-
-    /// The host-side SPD problem this config describes: the matrix and
-    /// `b = A·1`. Pure function of the config — campaign scenarios build
-    /// it once and share it across every trial's cluster setup.
+impl Spd {
+    /// The host-side problem: the matrix and `b = A·1`. Pure function of
+    /// the shape — campaign scenarios build it once and share it across
+    /// every trial's cluster setup.
     pub fn problem(&self) -> (CsrMatrix, Vec<f64>) {
-        let a = random_spd(self.n, self.extras_per_row, self.problem_seed);
+        let a = random_spd(self.n, self.extras_per_row, self.seed);
         let ones = vec![1.0; self.n];
         let mut b = vec![0.0; self.n];
         a.spmv(&ones, &mut b);
         (a, b)
     }
 }
+
+impl Shape for Spd {
+    const CAMPAIGN: Spd = Spd {
+        n: 96,
+        extras_per_row: 4,
+        seed: 515,
+    };
+    const NET_SEED: u64 = 0xd157_0003;
+    const POOLS: (usize, usize) = (128 << 10, 512 << 10);
+}
+
+/// Problem and mechanism parameters of the distributed CG solve.
+pub type CgConfig = DistConfig<Spd>;
 
 /// The distributed CG program. Cloning copies only the handles and
 /// host-side bookkeeping (`rho` and the in-flight `pq` partials included)
@@ -162,7 +106,7 @@ impl DistCg {
     /// Allocate and initialize the program, deriving the host problem
     /// from the config (see [`DistCg::setup_with_problem`] to share one).
     pub fn setup(cl: &mut Cluster, cfg: CgConfig) -> Self {
-        let (a, b) = cfg.problem();
+        let (a, b) = cfg.shape.problem();
         Self::setup_with_problem(cl, cfg, &a, &b)
     }
 
@@ -171,11 +115,10 @@ impl DistCg {
     /// start from `x = 0, r = p = b`, compute `rho₀` with a charged
     /// allreduce, persist iterate 0.
     pub fn setup_with_problem(cl: &mut Cluster, cfg: CgConfig, a: &CsrMatrix, b: &[f64]) -> Self {
-        assert!(cfg.n.is_multiple_of(cfg.ranks), "n must split evenly");
-        assert_eq!(cl.ranks(), cfg.ranks, "cluster/config rank mismatch");
-        assert_eq!(a.n(), cfg.n, "problem/config dimension mismatch");
-        cfg.grid.validate(cfg.ranks);
-        let m = cfg.n / cfg.ranks;
+        let n = cfg.shape.n;
+        assert!(n.is_multiple_of(cfg.ranks), "n must split evenly");
+        assert_eq!(a.n(), n, "problem/config dimension mismatch");
+        let m = n / cfg.ranks;
         let mut prog = DistCg {
             m,
             rowptr: Arc::default(),
@@ -188,7 +131,7 @@ impl DistCg {
             p_r: Vec::new(),
             q_r: Vec::new(),
             p_full: Vec::new(),
-            mech: Mechanism::new(cfg.mode, cfg.ckpt_period, cfg.remote),
+            mech: cfg.mechanism(cl),
             cfg,
         };
         for rank in 0..prog.cfg.ranks {
@@ -218,7 +161,7 @@ impl DistCg {
             let r_r = PArray::<f64>::alloc_dram(sys, m);
             let p_r = PArray::<f64>::alloc_dram(sys, m);
             let q_r = PArray::<f64>::alloc_dram(sys, m);
-            let p_full = PArray::<f64>::alloc_dram(sys, prog.cfg.n);
+            let p_full = PArray::<f64>::alloc_dram(sys, n);
             for j in 0..m {
                 let bv = b_seg.get(sys, j);
                 x_r.set(sys, j, 0.0);
@@ -358,37 +301,6 @@ fn store_segments(
     }
 }
 
-impl Partitioned for DistCg {
-    fn mechanism(&mut self) -> &mut Mechanism {
-        &mut self.mech
-    }
-
-    fn load_slot(&self, sys: &mut MemorySystem, rank: usize, slot: PArray<f64>) {
-        let m = self.m;
-        for j in 0..m {
-            let x = slot.get(sys, j);
-            let r = slot.get(sys, m + j);
-            let pv = slot.get(sys, 2 * m + j);
-            self.x_r[rank].set(sys, j, x);
-            self.r_r[rank].set(sys, j, r);
-            self.p_r[rank].set(sys, j, pv);
-        }
-    }
-
-    fn set_scalar(&mut self, rho: f64) {
-        self.rho = rho;
-    }
-
-    /// The in-flight superstep's replicated `p` was allgathered at its
-    /// start and wiped on the failed rank: survivors re-send their
-    /// segments to it only.
-    fn reconstruct(&mut self, cl: &mut Cluster, rank: usize, assist: bool) {
-        if assist {
-            self.segment_assist(cl, rank);
-        }
-    }
-}
-
 impl DistKernel for DistCg {
     fn iters(&self) -> u64 {
         self.cfg.iters
@@ -471,23 +383,12 @@ impl DistKernel for DistCg {
         }
     }
 
-    fn recover(&mut self, cl: &mut Cluster, crash: CrashInfo) -> Recovery {
-        crate::persist::recover(self, cl, crash)
-    }
-
     fn solution(&self, cl: &Cluster) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.cfg.n);
+        let mut out = Vec::with_capacity(self.cfg.shape.n);
         for rank in 0..self.cfg.ranks {
             self.x_r[rank].peek_into(cl.system(rank), 0..self.m, &mut out);
         }
         out
-    }
-
-    /// A dirty reboot under GlobalRestart leaves the segments as zeros and
-    /// the Krylov recurrence continues on the mixed state — exactly the
-    /// hazard the resilience sweep measures.
-    fn dirty_reboot(&mut self, cl: &mut Cluster, crash: &CrashInfo) -> u64 {
-        crate::persist::dirty_reboot(self, cl, crash)
     }
 
     /// `x ‖ r ‖ p` per rank plus the global `rho`: `q` and the replicated
@@ -505,39 +406,49 @@ impl DistKernel for DistCg {
         out.push(self.rho);
         out
     }
+
+    fn mechanism(&mut self) -> &mut Mechanism {
+        &mut self.mech
+    }
+
+    fn load_slot(&self, sys: &mut MemorySystem, rank: usize, slot: PArray<f64>) {
+        let m = self.m;
+        for j in 0..m {
+            let x = slot.get(sys, j);
+            let r = slot.get(sys, m + j);
+            let pv = slot.get(sys, 2 * m + j);
+            self.x_r[rank].set(sys, j, x);
+            self.r_r[rank].set(sys, j, r);
+            self.p_r[rank].set(sys, j, pv);
+        }
+    }
+
+    fn set_scalar(&mut self, rho: f64) {
+        self.rho = rho;
+    }
+
+    /// The in-flight superstep's replicated `p` was allgathered at its
+    /// start and wiped on the failed rank: survivors re-send their
+    /// segments to it only.
+    fn reconstruct(&mut self, cl: &mut Cluster, rank: usize, assist: bool) {
+        if assist {
+            self.segment_assist(cl, rank);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::preset::tests::{
+        crash_at, node_loss_recovers_exactly, restart_costs_more_than_local, run, spd,
+    };
     use crate::sites;
-    use crate::trial::run_dist_trial;
-    use adcc_sim::crash::{CrashSite, CrashTrigger};
-
-    fn config(mode: RecoveryMode) -> CgConfig {
-        CgConfig {
-            n: 48,
-            ..CgConfig::campaign(mode)
-        }
-    }
-
-    fn run(crash: Option<(usize, CrashTrigger)>, mode: RecoveryMode) -> crate::trial::DistTrial {
-        let cfg = config(mode);
-        let mut cl = Cluster::new(cfg.cluster(), crash);
-        let mut prog = DistCg::setup(&mut cl, cfg);
-        run_dist_trial(&mut cl, &mut prog, true)
-    }
-
-    fn site_trigger(phase: u32, iter: u64) -> CrashTrigger {
-        CrashTrigger::AtSite {
-            site: CrashSite::new(phase, iter),
-            occurrence: 1,
-        }
-    }
+    use crate::trial::RecoveryMode;
 
     #[test]
     fn crash_free_run_converges_toward_ones() {
-        let trial = run(None, RecoveryMode::AlgorithmDirected);
+        let trial = run(spd(RecoveryMode::AlgorithmDirected), DistCg::setup, &[]);
         assert!(trial.completed_clean);
         // b = A·1, so CG heads for the all-ones vector.
         let err = trial
@@ -551,9 +462,9 @@ mod tests {
     #[test]
     fn both_recovery_modes_reproduce_the_crash_free_solution_bitwise() {
         for mode in [RecoveryMode::AlgorithmDirected, RecoveryMode::GlobalRestart] {
-            let reference = run(None, mode).solution;
+            let reference = run(spd(mode), DistCg::setup, &[]).solution;
             for (rank, phase, iter) in [(1, sites::PH_MID, 6), (2, sites::PH_END, 3)] {
-                let trial = run(Some((rank, site_trigger(phase, iter))), mode);
+                let trial = run(spd(mode), DistCg::setup, &[crash_at(rank, phase, iter)]);
                 assert!(!trial.completed_clean);
                 assert_eq!(
                     trial.solution, reference,
@@ -565,45 +476,11 @@ mod tests {
 
     #[test]
     fn node_loss_recovers_exactly_from_the_remote_level() {
-        let cfg = CgConfig {
-            remote: Some(RemoteTiming::burst_buffer()),
-            ..config(RecoveryMode::AlgorithmDirected)
-        };
-        let reference = {
-            let ref_cfg = cfg.clone();
-            let mut cl = Cluster::new(ref_cfg.cluster(), None);
-            let mut prog = DistCg::setup(&mut cl, ref_cfg);
-            run_dist_trial(&mut cl, &mut prog, true).solution
-        };
-        for (rank, phase, iter) in [(1, sites::PH_END, 7), (2, sites::PH_MID, 4)] {
-            let failure = crate::cluster::RankFailure::node_loss(rank, site_trigger(phase, iter));
-            let mut cl = Cluster::new_multi(cfg.cluster(), &[failure]);
-            let mut prog = DistCg::setup(&mut cl, cfg.clone());
-            let trial = run_dist_trial(&mut cl, &mut prog, true);
-            assert!(!trial.completed_clean);
-            assert_eq!(trial.solution, reference, "rank {rank} iter {iter}");
-            assert_eq!(trial.lost_units, 0, "node loss stays local-recoverable");
-            assert!(trial.remote_restore_bytes > 0, "the remote level was read");
-        }
+        node_loss_recovers_exactly(spd(RecoveryMode::AlgorithmDirected), DistCg::setup);
     }
 
     #[test]
     fn local_recovery_sends_a_fraction_of_restart_traffic() {
-        let local = run(
-            Some((1, site_trigger(sites::PH_MID, 8))),
-            RecoveryMode::AlgorithmDirected,
-        );
-        let restart = run(
-            Some((1, site_trigger(sites::PH_MID, 8))),
-            RecoveryMode::GlobalRestart,
-        );
-        assert_eq!(local.lost_units, 0);
-        assert!(restart.lost_units > 0);
-        assert!(
-            restart.recovery_net_bytes > 2 * local.recovery_net_bytes,
-            "restart {} !>> local {}",
-            restart.recovery_net_bytes,
-            local.recovery_net_bytes
-        );
+        restart_costs_more_than_local(spd, DistCg::setup);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! ## Lifecycle
 //!
-//! 1. [`Cluster::new`] builds one cold [`MemorySystem`] per rank (each
-//!    with its own clock, caches, and NVM pool) and arms at most one rank
-//!    with a crash trigger — rank-granular injection.
+//! 1. [`Cluster::new_multi`] builds one cold [`MemorySystem`] per rank
+//!    (each with its own clock, caches, and NVM pool) and arms a failure
+//!    set, at most one crash trigger per rank — rank-granular injection.
 //! 2. Kernels drive the ranks in **rank order** through BSP supersteps,
 //!    polling instrumented sites on every rank; a fired poll crashes that
 //!    rank only ([`Cluster::crash_rank`] returns its NVM image, volatile
@@ -84,20 +84,10 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Build a cold cluster. `crash` arms one rank with a trigger; every
-    /// other rank (or all of them, when `crash` is `None`) runs with
-    /// [`CrashTrigger::Never`].
-    pub fn new(cfg: ClusterConfig, crash: Option<(usize, CrashTrigger)>) -> Self {
-        let failures: Vec<RankFailure> = crash
-            .into_iter()
-            .map(|(rank, trigger)| RankFailure::crash(rank, trigger))
-            .collect();
-        Cluster::new_multi(cfg, &failures)
-    }
-
     /// Build a cold cluster with a failure *set*: each entry arms its rank
     /// with a trigger (staggered sites make the failures cascade mid-trial
-    /// rather than fire together). At most one failure per rank.
+    /// rather than fire together); every other rank runs with
+    /// [`CrashTrigger::Never`]. At most one failure per rank.
     pub fn new_multi(cfg: ClusterConfig, failures: &[RankFailure]) -> Self {
         assert!(cfg.ranks >= 2, "a cluster needs at least two ranks");
         let mut cl = Cluster {
@@ -402,7 +392,7 @@ mod tests {
 
     #[test]
     fn allreduce_sums_in_rank_order_and_syncs_clocks() {
-        let mut cl = Cluster::new(cfg(), None);
+        let mut cl = Cluster::new_multi(cfg(), &[]);
         let sum = cl.allreduce_sum(&[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(sum, 10.0);
         let frontier = cl.max_now_ps();
@@ -414,7 +404,7 @@ mod tests {
 
     #[test]
     fn crash_hits_one_rank_only_and_reboot_restores_nvm() {
-        let mut cl = Cluster::new(cfg(), None);
+        let mut cl = Cluster::new_multi(cfg(), &[]);
         let arrays: Vec<PArray<u64>> = (0..4)
             .map(|r| {
                 let a = PArray::<u64>::alloc_nvm(cl.system_mut(r), 8);
@@ -443,7 +433,7 @@ mod tests {
 
     #[test]
     fn reboot_aligns_the_rank_clock_to_the_frontier() {
-        let mut cl = Cluster::new(cfg(), None);
+        let mut cl = Cluster::new_multi(cfg(), &[]);
         // Advance rank 0 far ahead.
         let a = PArray::<u64>::alloc_nvm(cl.system_mut(0), 64);
         a.fill(cl.system_mut(0), 5);
@@ -458,7 +448,7 @@ mod tests {
 
     #[test]
     fn double_reboot_aligns_to_the_survivors_frontier_not_the_stale_clock() {
-        let mut cl = Cluster::new(cfg(), None);
+        let mut cl = Cluster::new_multi(cfg(), &[]);
         // First crash + reboot of rank 1.
         let image = cl.crash_rank(1);
         cl.reboot_rank(1, &image);
@@ -482,7 +472,7 @@ mod tests {
 
     #[test]
     fn lost_node_reboots_blank_at_the_survivors_frontier() {
-        let mut cl = Cluster::new(cfg(), None);
+        let mut cl = Cluster::new_multi(cfg(), &[]);
         let a = PArray::<u64>::alloc_nvm(cl.system_mut(1), 8);
         a.store_slice(cl.system_mut(1), &[7; 8]);
         a.persist_all(cl.system_mut(1));
@@ -532,7 +522,7 @@ mod tests {
             site,
             occurrence: 1,
         };
-        let live = Cluster::new(cfg(), None);
+        let live = Cluster::new_multi(cfg(), &[]);
         assert!(!live.armed_pending() && !live.fork().armed_pending());
         let mut fork = live.fork_armed(&[RankFailure::node_loss(2, trigger)]);
         assert!(fork.armed_pending(), "rank 2 is still to fall");
@@ -555,7 +545,7 @@ mod tests {
             site: CrashSite::new(crate::sites::PH_MID, step),
             occurrence: 1,
         };
-        let _ = Cluster::new(cfg(), None).fork_armed(&[
+        let _ = Cluster::new_multi(cfg(), &[]).fork_armed(&[
             RankFailure::crash(2, trigger(1)),
             RankFailure::node_loss(2, trigger(3)),
         ]);
@@ -568,7 +558,7 @@ mod tests {
             site,
             occurrence: 1,
         };
-        let mut fork = Cluster::new(cfg(), None).fork_armed(&[RankFailure::crash(1, trigger)]);
+        let mut fork = Cluster::new_multi(cfg(), &[]).fork_armed(&[RankFailure::crash(1, trigger)]);
         assert!(fork.armed_pending());
         // The rank comes back as a fresh process, exactly as on the
         // per-trial path: no trigger survives a reboot.
@@ -581,16 +571,11 @@ mod tests {
     #[test]
     fn armed_trigger_fires_on_the_armed_rank_only() {
         let site = CrashSite::new(crate::sites::PH_MID, 3);
-        let mut cl = Cluster::new(
-            cfg(),
-            Some((
-                1,
-                CrashTrigger::AtSite {
-                    site,
-                    occurrence: 1,
-                },
-            )),
-        );
+        let trigger = CrashTrigger::AtSite {
+            site,
+            occurrence: 1,
+        };
+        let mut cl = Cluster::new_multi(cfg(), &[RankFailure::crash(1, trigger)]);
         assert!(!cl.poll(0, site));
         assert!(!cl.poll(2, site));
         assert!(cl.poll(1, site));

@@ -1,6 +1,6 @@
 //! Distributed 2-D Jacobi (5-point Laplace smoothing): block
-//! decomposition over a [`GridCfg`] process grid with edge-and-corner
-//! halo exchange, under both recovery modes.
+//! decomposition over a [`crate::grid::GridCfg`] process grid with
+//! edge-and-corner halo exchange, under both recovery modes.
 //!
 //! The plate's interior (`rows × cols`) is split into `py × px` blocks;
 //! every superstep each rank exchanges the halo ring around its block
@@ -15,15 +15,14 @@
 //! workload. A `1 × p` grid degenerates to the seed's row striping with
 //! an identical message schedule.
 
-use adcc_ckpt::multilevel::RemoteTiming;
 use adcc_sim::parray::PArray;
-use adcc_sim::system::{MemorySystem, SystemConfig};
+use adcc_sim::system::MemorySystem;
 
-use crate::cluster::{Cluster, ClusterConfig};
-use crate::grid::{Dir, GridCfg};
-use crate::net::{FaultProfile, NetTiming};
-use crate::persist::{Mechanism, Partition, Partitioned};
-use crate::trial::{CrashInfo, DistKernel, Recovery, RecoveryMode};
+use crate::cluster::Cluster;
+use crate::grid::Dir;
+use crate::persist::{Mechanism, Partition};
+use crate::preset::{DistConfig, Shape};
+use crate::trial::DistKernel;
 
 /// Fixed boundary values: top, bottom, left, right.
 const TOP_B: f64 = 1.0;
@@ -31,81 +30,23 @@ const BOT_B: f64 = 0.0;
 const LEFT_B: f64 = 0.75;
 const RIGHT_B: f64 = 0.25;
 
-/// Problem and mechanism parameters.
-#[derive(Debug, Clone)]
-pub struct JacobiConfig {
-    /// Number of ranks.
-    pub ranks: usize,
-    /// Supersteps.
-    pub iters: u64,
+/// The plate's interior.
+#[derive(Debug, Clone, Copy)]
+pub struct Plate {
     /// Interior rows (must divide evenly by the grid's `py`).
     pub rows: usize,
     /// Interior columns (must divide evenly by the grid's `px`).
     pub cols: usize,
-    /// Persistence mechanism and recovery mode.
-    pub mode: RecoveryMode,
-    /// Checkpoint period of the GlobalRestart mechanism, in supersteps.
-    pub ckpt_period: u64,
-    /// Fabric jitter seed.
-    pub net_seed: u64,
-    /// Process-grid topology (must cover exactly `ranks`).
-    pub grid: GridCfg,
-    /// Fabric fault profile injected under the reliable transport.
-    pub faults: FaultProfile,
-    /// Remote checkpoint level for node-loss recovery.
-    pub remote: Option<RemoteTiming>,
 }
 
-impl JacobiConfig {
-    /// The campaign preset: 4 ranks (row stripes), 10 supersteps, 16×24.
-    pub fn campaign(mode: RecoveryMode) -> Self {
-        JacobiConfig {
-            ranks: 4,
-            iters: 10,
-            rows: 16,
-            cols: 24,
-            mode,
-            ckpt_period: 3,
-            net_seed: 0xd157_0002,
-            grid: GridCfg::chain(4),
-            faults: FaultProfile::Off,
-            remote: None,
-        }
-    }
-
-    /// The campaign preset for a fault profile: the chaotic tier runs a
-    /// 16-rank 4x4 block grid with a remote checkpoint level.
-    pub fn campaign_for(mode: RecoveryMode, faults: FaultProfile) -> Self {
-        match faults {
-            FaultProfile::Chaotic => JacobiConfig {
-                ranks: 16,
-                grid: GridCfg::grid(4, 4),
-                remote: Some(RemoteTiming::burst_buffer()),
-                faults,
-                ..JacobiConfig::campaign(mode)
-            },
-            _ => JacobiConfig {
-                faults,
-                ..JacobiConfig::campaign(mode)
-            },
-        }
-    }
-
-    /// The matching cluster configuration.
-    pub fn cluster(&self) -> ClusterConfig {
-        let mut sys = SystemConfig::nvm_only(16 << 10, 128 << 10);
-        sys.dram_capacity = 512 << 10;
-        ClusterConfig {
-            ranks: self.ranks,
-            sys,
-            net: NetTiming::cluster_2017(),
-            net_seed: self.net_seed,
-            faults: self
-                .faults
-                .plan(self.net_seed ^ crate::net::FAULT_SEED_SALT),
-        }
-    }
+impl Shape for Plate {
+    const CAMPAIGN: Plate = Plate { rows: 16, cols: 24 };
+    const NET_SEED: u64 = 0xd157_0002;
+    const POOLS: (usize, usize) = (128 << 10, 512 << 10);
 }
+
+/// Problem and mechanism parameters of the distributed Jacobi sweep.
+pub type JacobiConfig = DistConfig<Plate>;
 
 /// Deterministic initial interior value.
 fn initial(global_row: usize, col: usize) -> f64 {
@@ -216,24 +157,24 @@ impl DistJacobi {
 
     /// Allocate and initialize the program on a fresh cluster.
     pub fn setup(cl: &mut Cluster, cfg: JacobiConfig) -> Self {
-        assert_eq!(cl.ranks(), cfg.ranks, "cluster/config rank mismatch");
-        cfg.grid.validate(cfg.ranks);
+        let mech = cfg.mechanism(cl);
+        let Plate { rows, cols } = cfg.shape;
         assert!(
-            cfg.rows.is_multiple_of(cfg.grid.py),
+            rows.is_multiple_of(cfg.grid.py),
             "rows must split evenly over grid rows"
         );
         assert!(
-            cfg.cols.is_multiple_of(cfg.grid.px),
+            cols.is_multiple_of(cfg.grid.px),
             "cols must split evenly over grid columns"
         );
-        let rows_b = cfg.rows / cfg.grid.py;
-        let cols_b = cfg.cols / cfg.grid.px;
+        let rows_b = rows / cfg.grid.py;
+        let cols_b = cols / cfg.grid.px;
         let mut prog = DistJacobi {
             rows_b,
             cols_b,
             x: Vec::new(),
             x_new: Vec::new(),
-            mech: Mechanism::new(cfg.mode, cfg.ckpt_period, cfg.remote),
+            mech,
             cfg,
         };
         for r in 0..prog.cfg.ranks {
@@ -298,49 +239,6 @@ impl DistJacobi {
     }
 }
 
-impl Partitioned for DistJacobi {
-    fn mechanism(&mut self) -> &mut Mechanism {
-        &mut self.mech
-    }
-
-    fn load_slot(&self, sys: &mut MemorySystem, rank: usize, slot: PArray<f64>) {
-        for i in 0..self.rows_b {
-            for j in 0..self.cols_b {
-                let v = slot.get(sys, i * self.cols_b + j);
-                self.x[rank].set(sys, self.idx(i + 1, j + 1), v);
-            }
-        }
-    }
-
-    /// Fixed boundary cells are re-derivable; halo cells are not.
-    fn reconstruct(&mut self, cl: &mut Cluster, rank: usize, assist: bool) {
-        self.set_boundaries(cl, rank);
-        if assist {
-            self.halo_assist(cl, rank);
-        }
-    }
-
-    /// The plate's fixed boundary cells are constants of the program
-    /// text; halo cells facing neighbors are refilled by the resumed
-    /// superstep's opening exchange.
-    fn dirty_constants(&self, cl: &mut Cluster, rank: usize) {
-        self.set_boundaries(cl, rank);
-    }
-
-    fn reinit(&self, sys: &mut MemorySystem, r: usize) {
-        let (c, rw) = self.cfg.grid.coords(r);
-        for i in 0..self.rows_b {
-            for j in 0..self.cols_b {
-                self.x[r].set(
-                    sys,
-                    self.idx(i + 1, j + 1),
-                    initial(rw * self.rows_b + i, c * self.cols_b + j),
-                );
-            }
-        }
-    }
-}
-
 impl DistKernel for DistJacobi {
     fn iters(&self) -> u64 {
         self.cfg.iters
@@ -392,13 +290,9 @@ impl DistKernel for DistJacobi {
         }
     }
 
-    fn recover(&mut self, cl: &mut Cluster, crash: CrashInfo) -> Recovery {
-        crate::persist::recover(self, cl, crash)
-    }
-
     fn solution(&self, cl: &Cluster) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.cfg.rows * self.cfg.cols);
-        for gi in 0..self.cfg.rows {
+        let mut out = Vec::with_capacity(self.cfg.shape.rows * self.cfg.shape.cols);
+        for gi in 0..self.cfg.shape.rows {
             // Each block's interior row is contiguous in its `x`.
             for bj in 0..self.cfg.grid.px {
                 let r = self.cfg.grid.rank_at(bj, gi / self.rows_b);
@@ -407,10 +301,6 @@ impl DistKernel for DistJacobi {
             }
         }
         out
-    }
-
-    fn dirty_reboot(&mut self, cl: &mut Cluster, crash: &CrashInfo) -> u64 {
-        crate::persist::dirty_reboot(self, cl, crash)
     }
 
     /// The full working block, halo ring included: `x_new` is fully
@@ -423,6 +313,47 @@ impl DistKernel for DistJacobi {
             self.x[r].peek_into(cl.system(r), 0..cells, &mut out);
         }
         out
+    }
+
+    fn mechanism(&mut self) -> &mut Mechanism {
+        &mut self.mech
+    }
+
+    fn load_slot(&self, sys: &mut MemorySystem, rank: usize, slot: PArray<f64>) {
+        for i in 0..self.rows_b {
+            for j in 0..self.cols_b {
+                let v = slot.get(sys, i * self.cols_b + j);
+                self.x[rank].set(sys, self.idx(i + 1, j + 1), v);
+            }
+        }
+    }
+
+    /// Fixed boundary cells are re-derivable; halo cells are not.
+    fn reconstruct(&mut self, cl: &mut Cluster, rank: usize, assist: bool) {
+        self.set_boundaries(cl, rank);
+        if assist {
+            self.halo_assist(cl, rank);
+        }
+    }
+
+    /// The plate's fixed boundary cells are constants of the program
+    /// text; halo cells facing neighbors are refilled by the resumed
+    /// superstep's opening exchange.
+    fn dirty_constants(&self, cl: &mut Cluster, rank: usize) {
+        self.set_boundaries(cl, rank);
+    }
+
+    fn reinit(&self, sys: &mut MemorySystem, r: usize) {
+        let (c, rw) = self.cfg.grid.coords(r);
+        for i in 0..self.rows_b {
+            for j in 0..self.cols_b {
+                self.x[r].set(
+                    sys,
+                    self.idx(i + 1, j + 1),
+                    initial(rw * self.rows_b + i, c * self.cols_b + j),
+                );
+            }
+        }
     }
 }
 
@@ -469,46 +400,26 @@ pub fn jacobi_host(rows: usize, cols: usize, iters: u64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::RankFailure;
+    use crate::grid::GridCfg;
+    use crate::net::FaultProfile;
+    use crate::preset::tests::{
+        crash_at, node_loss_recovers_exactly, plate, restart_costs_more_than_local, run,
+    };
     use crate::sites;
-    use crate::trial::run_dist_trial;
-    use adcc_sim::crash::{CrashSite, CrashTrigger};
+    use crate::trial::RecoveryMode;
+    use adcc_sim::crash::CrashTrigger;
 
-    fn run(crash: Option<(usize, CrashTrigger)>, mode: RecoveryMode) -> crate::trial::DistTrial {
-        let cfg = JacobiConfig {
-            rows: 8,
-            cols: 12,
-            ..JacobiConfig::campaign(mode)
-        };
-        let mut cl = Cluster::new(cfg.cluster(), crash);
-        let mut prog = DistJacobi::setup(&mut cl, cfg);
-        run_dist_trial(&mut cl, &mut prog, true)
-    }
-
-    fn run_grid(
-        crash: Option<(usize, CrashTrigger)>,
-        mode: RecoveryMode,
-    ) -> crate::trial::DistTrial {
-        let cfg = JacobiConfig {
-            rows: 8,
-            cols: 12,
+    fn grid(mode: RecoveryMode) -> JacobiConfig {
+        JacobiConfig {
             grid: GridCfg::grid(2, 2),
-            ..JacobiConfig::campaign(mode)
-        };
-        let mut cl = Cluster::new(cfg.cluster(), crash);
-        let mut prog = DistJacobi::setup(&mut cl, cfg);
-        run_dist_trial(&mut cl, &mut prog, true)
-    }
-
-    fn site_trigger(phase: u32, iter: u64) -> CrashTrigger {
-        CrashTrigger::AtSite {
-            site: CrashSite::new(phase, iter),
-            occurrence: 1,
+            ..plate(mode)
         }
     }
 
     #[test]
     fn crash_free_run_matches_the_serial_host_bitwise() {
-        let trial = run(None, RecoveryMode::GlobalRestart);
+        let trial = run(plate(RecoveryMode::GlobalRestart), DistJacobi::setup, &[]);
         assert!(trial.completed_clean);
         assert_eq!(trial.solution, jacobi_host(8, 12, 10));
     }
@@ -518,7 +429,11 @@ mod tests {
         // A 2x2 block grid exchanges edges *and* corners; the update
         // arithmetic is unchanged, so the solution bits are the striped
         // run's exactly.
-        let trial = run_grid(None, RecoveryMode::AlgorithmDirected);
+        let trial = run(
+            grid(RecoveryMode::AlgorithmDirected),
+            DistJacobi::setup,
+            &[],
+        );
         assert!(trial.completed_clean);
         assert_eq!(trial.solution, jacobi_host(8, 12, 10));
     }
@@ -529,7 +444,11 @@ mod tests {
         for mode in [RecoveryMode::AlgorithmDirected, RecoveryMode::GlobalRestart] {
             // Rank 3 is the interior-corner block (1,1) of the 2x2 grid.
             for (rank, phase, iter) in [(3, sites::PH_MID, 5), (0, sites::PH_END, 9)] {
-                let trial = run_grid(Some((rank, site_trigger(phase, iter))), mode);
+                let trial = run(
+                    grid(mode),
+                    DistJacobi::setup,
+                    &[crash_at(rank, phase, iter)],
+                );
                 assert!(!trial.completed_clean);
                 assert_eq!(
                     trial.solution, reference,
@@ -544,9 +463,7 @@ mod tests {
         let cfg =
             JacobiConfig::campaign_for(RecoveryMode::AlgorithmDirected, FaultProfile::Chaotic);
         assert_eq!((cfg.ranks, cfg.grid.px, cfg.grid.py), (16, 4, 4));
-        let mut cl = Cluster::new(cfg.cluster(), None);
-        let mut prog = DistJacobi::setup(&mut cl, cfg);
-        let trial = run_dist_trial(&mut cl, &mut prog, true);
+        let trial = run(cfg, DistJacobi::setup, &[]);
         assert!(trial.completed_clean);
         assert_eq!(trial.solution, jacobi_host(16, 24, 10));
         let p = trial.profile.expect("telemetry on");
@@ -554,50 +471,27 @@ mod tests {
     }
 
     #[test]
-    fn node_loss_recovers_exactly_from_the_remote_level() {
-        use crate::cluster::RankFailure;
-        let cfg = JacobiConfig {
-            rows: 8,
-            cols: 12,
-            grid: GridCfg::grid(2, 2),
-            remote: Some(RemoteTiming::burst_buffer()),
-            ..JacobiConfig::campaign(RecoveryMode::AlgorithmDirected)
-        };
-        let reference = jacobi_host(8, 12, 10);
-        let failure = RankFailure::node_loss(2, site_trigger(sites::PH_END, 6));
-        let mut cl = Cluster::new_multi(cfg.cluster(), &[failure]);
-        let mut prog = DistJacobi::setup(&mut cl, cfg);
-        let trial = run_dist_trial(&mut cl, &mut prog, true);
-        assert!(!trial.completed_clean);
-        assert_eq!(trial.solution, reference);
-        assert_eq!(trial.lost_units, 0);
-        assert!(trial.remote_restore_bytes > 0);
-    }
-
-    #[test]
     fn access_count_triggers_land_on_poll_boundaries_and_recover() {
         let reference = jacobi_host(8, 12, 10);
         // A crash-free run of this size issues ~2.6k accesses per rank.
+        let failure = RankFailure::crash(2, CrashTrigger::AtAccessCount(1_500));
         let trial = run(
-            Some((2, CrashTrigger::AtAccessCount(1_500))),
-            RecoveryMode::AlgorithmDirected,
+            plate(RecoveryMode::AlgorithmDirected),
+            DistJacobi::setup,
+            &[failure],
         );
         assert!(!trial.completed_clean, "threshold lands inside the run");
         assert_eq!(trial.solution, reference);
     }
 
     #[test]
+    fn node_loss_recovers_exactly_from_the_remote_level() {
+        node_loss_recovers_exactly(plate(RecoveryMode::AlgorithmDirected), DistJacobi::setup);
+        node_loss_recovers_exactly(grid(RecoveryMode::AlgorithmDirected), DistJacobi::setup);
+    }
+
+    #[test]
     fn restart_loses_cluster_wide_work_and_more_traffic() {
-        let local = run(
-            Some((2, site_trigger(sites::PH_MID, 8))),
-            RecoveryMode::AlgorithmDirected,
-        );
-        let restart = run(
-            Some((2, site_trigger(sites::PH_MID, 8))),
-            RecoveryMode::GlobalRestart,
-        );
-        assert_eq!(local.lost_units, 0);
-        assert_eq!(restart.lost_units, 4, "frontier 7, checkpoint 6, 4 ranks");
-        assert!(restart.recovery_net_bytes > local.recovery_net_bytes);
+        restart_costs_more_than_local(plate, DistJacobi::setup);
     }
 }

@@ -49,6 +49,8 @@
 //! * [`persist`] — the one statement of both [`trial::RecoveryMode`]
 //!   protocols: what a commit makes durable in which order, and how a
 //!   failed rank (or a lost node) is brought back from it.
+//! * [`preset`] — [`preset::DistConfig`], the run preset every kernel
+//!   shares, around the kernel's problem [`preset::Shape`].
 //! * [`stencil`] / [`jacobi`] / [`cg`] — the distributed kernels:
 //!   halo-exchange 1-D heat, halo-exchange 2-D Jacobi, allreduce CG.
 //!   Arithmetic, exchange/assist and copy loops only.
@@ -61,11 +63,13 @@ pub mod grid;
 pub mod jacobi;
 pub mod net;
 pub mod persist;
+pub mod preset;
 pub mod stencil;
 pub mod trial;
 
 pub use cluster::{Cluster, ClusterConfig};
 pub use net::{Fabric, NetTiming, NetTraffic};
+pub use preset::{DistConfig, Shape};
 pub use trial::{
     poll_phase, reference_run, run_dist_batch, run_dist_trial, run_superstep, BatchPasses,
     BatchPoint, BatchReplay, BatchStats, CrashInfo, DistKernel, DistTrial, FollowUp, Recovery,

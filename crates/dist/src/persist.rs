@@ -20,9 +20,10 @@
 //!
 //! A kernel owns arithmetic, exchange and its copy loops; it hands the
 //! loops to the mechanism as closures ([`Mechanism::add_rank`],
-//! [`Mechanism::commit`]) and hooks ([`Partitioned`]). [`recover`] and
-//! [`dirty_reboot`] are the bodies of [`DistKernel::recover`] and
-//! [`DistKernel::dirty_reboot`] for every kernel.
+//! [`Mechanism::commit`]) and the mechanism hooks of [`DistKernel`]
+//! ([`DistKernel::mechanism`], [`DistKernel::load_slot`] and the rest).
+//! [`recover`] and [`dirty_reboot`] are the provided bodies of
+//! [`DistKernel::recover`] and [`DistKernel::dirty_reboot`].
 //!
 //! ## Invariants (each one is canonical bytes — simulated time, telemetry)
 //!
@@ -37,7 +38,7 @@
 //!    checkpoint supersteps, and reads it back inside the rollback's
 //!    `Resume` window right after the marker.
 //! 5. A dirty reboot's counter read is `Resume`, not `Detect`; constants
-//!    of the program text ([`Partitioned::dirty_constants`]) are re-set
+//!    of the program text ([`DistKernel::dirty_constants`]) are re-set
 //!    after the load, each kernel choosing its own bucket.
 //! 6. Remote regions are `[statics…, slot 0, slot 1, scalar pair,
 //!    counter]`, in that order.
@@ -76,36 +77,6 @@ pub struct Partition<'a> {
     pub statics: &'a [(u64, usize)],
     /// A global scalar carried with the iterate (CG's `rho`), at iterate 0.
     pub scalar: Option<f64>,
-}
-
-/// The hooks a kernel lends the mechanism.
-pub trait Partitioned: DistKernel {
-    /// The kernel's mechanism.
-    fn mechanism(&mut self) -> &mut Mechanism;
-
-    /// Copy a persisted iterate slot into `rank`'s volatile working set
-    /// (charged; the restore-side copy loop).
-    fn load_slot(&self, sys: &mut MemorySystem, rank: usize, slot: PArray<f64>);
-
-    /// Install the restored global scalar (kernels that carry one).
-    fn set_scalar(&mut self, _value: f64) {}
-
-    /// Rebuild what `rank`'s restored iterate does not hold: re-derivable
-    /// boundary cells always, and — when `assist` — the halos/segments of
-    /// the in-flight superstep, re-sent by the survivors.
-    fn reconstruct(&mut self, cl: &mut Cluster, rank: usize, assist: bool);
-
-    /// Re-set the constants of the program text a dirty reboot wiped
-    /// (fixed boundary values — not recovered state).
-    fn dirty_constants(&self, _cl: &mut Cluster, _rank: usize) {}
-
-    /// Reset `rank`'s interior to the re-derivable iterate 0 (charged),
-    /// for a rollback that found no valid checkpoint. Kernels whose
-    /// iterate is data-dependent cannot, and need not: the setup
-    /// checkpoint is taken before the first poll.
-    fn reinit(&self, _sys: &mut MemorySystem, _rank: usize) {
-        panic!("the setup checkpoint always exists");
-    }
 }
 
 /// One rank's [`Local`] handles.
@@ -381,7 +352,7 @@ impl Mechanism {
 /// [`Bucket::Detect`] and installs the slot's scalar; a `dirty` reboot has
 /// no detection pass — the read is `Resume` too — and keeps the
 /// survivors' scalar. Returns the counter.
-fn load_named_slot<K: Partitioned>(
+fn load_named_slot<K: DistKernel + ?Sized>(
     kernel: &mut K,
     sys: &mut MemorySystem,
     rank: usize,
@@ -411,7 +382,11 @@ fn load_named_slot<K: Partitioned>(
 /// The body of [`DistKernel::recover`]: reboot the rank (from the remote
 /// level when its node is gone) and bring the cluster back to the
 /// pre-crash frontier under the kernel's mechanism.
-pub fn recover<K: Partitioned>(kernel: &mut K, cl: &mut Cluster, crash: CrashInfo) -> Recovery {
+pub fn recover<K: DistKernel + ?Sized>(
+    kernel: &mut K,
+    cl: &mut Cluster,
+    crash: CrashInfo,
+) -> Recovery {
     let frontier = crash.frontier();
     let rank = crash.rank;
     let remote_restore_bytes = match kernel.mechanism() {
@@ -457,7 +432,7 @@ pub fn recover<K: Partitioned>(kernel: &mut K, cl: &mut Cluster, crash: CrashInf
 /// *second* armed failure can land mid-recovery. It is recovered
 /// recursively — each armed trigger fires at most once, so the cascade
 /// terminates — and its costs fold into the returned plan.
-fn restart_recover<K: Partitioned>(
+fn restart_recover<K: DistKernel + ?Sized>(
     kernel: &mut K,
     cl: &mut Cluster,
     crash: &CrashInfo,
@@ -494,7 +469,7 @@ fn restart_recover<K: Partitioned>(
     rec
 }
 
-fn restart_of<K: Partitioned>(kernel: &mut K) -> &mut Restart {
+fn restart_of<K: DistKernel + ?Sized>(kernel: &mut K) -> &mut Restart {
     match kernel.mechanism() {
         Mechanism::Restart(restart) => restart,
         Mechanism::Local(_) => unreachable!("rollback is the checkpoint/restart arm"),
@@ -504,7 +479,11 @@ fn restart_of<K: Partitioned>(kernel: &mut K) -> &mut Restart {
 /// Coordinated rollback: `(detected, restored_iterate)`. Any rank without
 /// a valid level drags the whole cluster back to iterate 0 and reports
 /// the state as detected-dirty.
-fn rollback<K: Partitioned>(kernel: &mut K, cl: &mut Cluster, failed: usize) -> (bool, u64) {
+fn rollback<K: DistKernel + ?Sized>(
+    kernel: &mut K,
+    cl: &mut Cluster,
+    failed: usize,
+) -> (bool, u64) {
     let rolled = match restart_of(kernel).restore_all(cl, failed) {
         Some((iter, scalar)) => {
             if let Some(value) = scalar {
@@ -535,7 +514,11 @@ fn rollback<K: Partitioned>(kernel: &mut K, cl: &mut Cluster, failed: usize) -> 
 /// global scalar keeps the survivors' volatile copy. Under [`Restart`]
 /// the checkpoint *is* the mechanism, so nothing is consulted and the
 /// partition stays as the reboot left it (zeros).
-pub fn dirty_reboot<K: Partitioned>(kernel: &mut K, cl: &mut Cluster, crash: &CrashInfo) -> u64 {
+pub fn dirty_reboot<K: DistKernel + ?Sized>(
+    kernel: &mut K,
+    cl: &mut Cluster,
+    crash: &CrashInfo,
+) -> u64 {
     let rank = crash.rank;
     if crash.node_loss {
         cl.reboot_rank_lost(rank);
@@ -554,24 +537,23 @@ pub fn dirty_reboot<K: Partitioned>(kernel: &mut K, cl: &mut Cluster, crash: &Cr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::RankFailure;
     use crate::grid::GridCfg;
-    use crate::stencil::{DistStencil, StencilConfig};
+    use crate::stencil::{DistStencil, Rod, StencilConfig};
     use crate::trial::poll_phase;
     use adcc_sim::crash::{CrashSite, CrashTrigger};
     use adcc_sim::events::{EventKind, EventRecorder};
     use adcc_sim::line::line_of;
     use std::cell::Cell;
 
-    fn two_rank_stencil(crash: Option<(usize, CrashTrigger)>) -> (Cluster, DistStencil) {
+    fn two_rank_stencil(failures: &[RankFailure]) -> (Cluster, DistStencil) {
         let cfg = StencilConfig {
             ranks: 2,
-            cells: 64,
             grid: GridCfg::chain(2),
+            shape: Rod { cells: 64 },
             ..StencilConfig::campaign(RecoveryMode::AlgorithmDirected)
         };
-        let mut cl = Cluster::new(cfg.cluster(), crash);
-        let kernel = DistStencil::setup(&mut cl, cfg);
-        (cl, kernel)
+        cfg.launch(failures, DistStencil::setup)
     }
 
     fn cells_of(kernel: &mut DistStencil, rank: usize) -> Cells {
@@ -599,21 +581,12 @@ mod tests {
         fn commit(&mut self, cl: &mut Cluster, iter: u64) {
             self.inner.commit(cl, iter)
         }
-        fn recover(&mut self, cl: &mut Cluster, crash: CrashInfo) -> Recovery {
-            recover(self, cl, crash)
-        }
         fn solution(&self, cl: &Cluster) -> Vec<f64> {
             self.inner.solution(cl)
         }
         fn resume_state(&self, cl: &Cluster) -> Vec<f64> {
             self.inner.resume_state(cl)
         }
-        fn dirty_reboot(&mut self, cl: &mut Cluster, crash: &CrashInfo) -> u64 {
-            dirty_reboot(self, cl, crash)
-        }
-    }
-
-    impl Partitioned for Watched {
         fn mechanism(&mut self) -> &mut Mechanism {
             self.inner.mechanism()
         }
@@ -634,7 +607,7 @@ mod tests {
     /// counter before any slot line.
     #[test]
     fn a_commit_publishes_payload_then_counter_and_recovery_reads_them_in_that_order() {
-        let (mut cl, mut kernel) = two_rank_stencil(None);
+        let (mut cl, mut kernel) = two_rank_stencil(&[]);
         let cells = cells_of(&mut kernel, 0);
         kernel.compute(&mut cl, 1, true);
         let slot = cells.slots[1];
@@ -682,7 +655,7 @@ mod tests {
             site,
             occurrence: 1,
         };
-        let (mut cl, inner) = two_rank_stencil(Some((0, trigger)));
+        let (mut cl, inner) = two_rank_stencil(&[RankFailure::crash(0, trigger)]);
         let mut kernel = Watched {
             inner,
             at_load: Cell::new(None),

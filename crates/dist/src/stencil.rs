@@ -3,13 +3,13 @@
 //!
 //! A rod of `cells` points is split into `ranks` equal chunks, owned in
 //! **boustrophedon chain order** over the process grid
-//! ([`GridCfg::chain_pos`]): on a 1-column grid this is the seed's rank
-//! ordering exactly, and on a 2-D grid every chain hop is still a
-//! physical grid edge. Every superstep each rank updates its chunk from
-//! its own cells plus one halo cell per side (received from the chain
-//! neighbors at the superstep's opening exchange), then hands the new
-//! iterate to its [`Mechanism`] (see [`crate::persist`] for the two
-//! protocols):
+//! ([`crate::grid::GridCfg::chain_pos`]): on a 1-column grid this is the
+//! seed's rank ordering exactly, and on a 2-D grid every chain hop is
+//! still a physical grid edge. Every superstep each rank updates its
+//! chunk from its own cells plus one halo cell per side (received from
+//! the chain neighbors at the superstep's opening exchange), then hands
+//! the new iterate to its [`Mechanism`] (see [`crate::persist`] for the
+//! two protocols):
 //!
 //! * **AlgorithmDirected** — recovery rebuilds the failed rank's
 //!   partition from its own NVM residue (or, after a whole-node loss, the
@@ -19,16 +19,14 @@
 //!   last coordinated checkpoint and re-executes every lost superstep,
 //!   halo exchanges included.
 
-use adcc_ckpt::multilevel::RemoteTiming;
 use adcc_sim::clock::Bucket;
 use adcc_sim::parray::PArray;
-use adcc_sim::system::{MemorySystem, SystemConfig};
+use adcc_sim::system::MemorySystem;
 
-use crate::cluster::{Cluster, ClusterConfig};
-use crate::grid::GridCfg;
-use crate::net::{FaultProfile, NetTiming};
-use crate::persist::{Mechanism, Partition, Partitioned};
-use crate::trial::{CrashInfo, DistKernel, Recovery, RecoveryMode};
+use crate::cluster::Cluster;
+use crate::persist::{Mechanism, Partition};
+use crate::preset::{DistConfig, Shape};
+use crate::trial::DistKernel;
 
 /// Fixed boundary value at the left end of the rod.
 const LEFT_B: f64 = 1.0;
@@ -37,80 +35,21 @@ const RIGHT_B: f64 = 0.0;
 /// Diffusion coefficient (stable for the 3-point explicit scheme).
 const K_DIFF: f64 = 0.1;
 
-/// Problem and mechanism parameters.
-#[derive(Debug, Clone)]
-pub struct StencilConfig {
-    /// Number of ranks.
-    pub ranks: usize,
-    /// Supersteps.
-    pub iters: u64,
+/// The rod.
+#[derive(Debug, Clone, Copy)]
+pub struct Rod {
     /// Rod cells (must divide evenly by `ranks`).
     pub cells: usize,
-    /// Persistence mechanism and recovery mode.
-    pub mode: RecoveryMode,
-    /// Checkpoint period of the GlobalRestart mechanism, in supersteps.
-    pub ckpt_period: u64,
-    /// Fabric jitter seed.
-    pub net_seed: u64,
-    /// Process-grid topology (must cover exactly `ranks`).
-    pub grid: GridCfg,
-    /// Fabric fault profile injected under the reliable transport.
-    pub faults: FaultProfile,
-    /// Remote checkpoint level for node-loss recovery (AlgorithmDirected
-    /// ships its slots + counter off-node every commit when set).
-    pub remote: Option<RemoteTiming>,
 }
 
-impl StencilConfig {
-    /// The campaign preset: 4 ranks (chain), 10 supersteps, 256 cells.
-    pub fn campaign(mode: RecoveryMode) -> Self {
-        StencilConfig {
-            ranks: 4,
-            iters: 10,
-            cells: 256,
-            mode,
-            ckpt_period: 3,
-            net_seed: 0xd157,
-            grid: GridCfg::chain(4),
-            faults: FaultProfile::Off,
-            remote: None,
-        }
-    }
-
-    /// The campaign preset for a fault profile: the chaotic tier moves to
-    /// a 16-rank 4x4 grid with a remote checkpoint level (node-loss
-    /// trials need it); the other tiers keep the 4-rank chain.
-    pub fn campaign_for(mode: RecoveryMode, faults: FaultProfile) -> Self {
-        match faults {
-            FaultProfile::Chaotic => StencilConfig {
-                ranks: 16,
-                grid: GridCfg::grid(4, 4),
-                remote: Some(RemoteTiming::burst_buffer()),
-                faults,
-                ..StencilConfig::campaign(mode)
-            },
-            _ => StencilConfig {
-                faults,
-                ..StencilConfig::campaign(mode)
-            },
-        }
-    }
-
-    /// The matching cluster configuration (per-rank pool sizes included).
-    pub fn cluster(&self) -> ClusterConfig {
-        let mut sys = SystemConfig::nvm_only(16 << 10, 64 << 10);
-        sys.dram_capacity = 256 << 10;
-        ClusterConfig {
-            ranks: self.ranks,
-            sys,
-            net: NetTiming::cluster_2017(),
-            net_seed: self.net_seed,
-            faults: self
-                .faults
-                .plan(self.net_seed ^ crate::net::FAULT_SEED_SALT),
-        }
-    }
+impl Shape for Rod {
+    const CAMPAIGN: Rod = Rod { cells: 256 };
+    const NET_SEED: u64 = 0xd157;
+    const POOLS: (usize, usize) = (64 << 10, 256 << 10);
 }
+
+/// Problem and mechanism parameters of the distributed stencil.
+pub type StencilConfig = DistConfig<Rod>;
 
 /// Deterministic initial temperature profile.
 fn initial(global_cell: usize) -> f64 {
@@ -139,18 +78,14 @@ impl DistStencil {
     /// initial profile, persist iterate 0 (AlgorithmDirected) or take the
     /// setup checkpoint (GlobalRestart).
     pub fn setup(cl: &mut Cluster, cfg: StencilConfig) -> Self {
-        assert!(
-            cfg.cells.is_multiple_of(cfg.ranks),
-            "cells must split evenly"
-        );
-        assert_eq!(cl.ranks(), cfg.ranks, "cluster/config rank mismatch");
-        cfg.grid.validate(cfg.ranks);
-        let m = cfg.cells / cfg.ranks;
+        let cells = cfg.shape.cells;
+        assert!(cells.is_multiple_of(cfg.ranks), "cells must split evenly");
+        let m = cells / cfg.ranks;
         let mut prog = DistStencil {
             m,
             x: Vec::new(),
             x_new: Vec::new(),
-            mech: Mechanism::new(cfg.mode, cfg.ckpt_period, cfg.remote),
+            mech: cfg.mechanism(cl),
             cfg,
         };
         for r in 0..prog.cfg.ranks {
@@ -250,43 +185,6 @@ impl DistStencil {
     }
 }
 
-impl Partitioned for DistStencil {
-    fn mechanism(&mut self) -> &mut Mechanism {
-        &mut self.mech
-    }
-
-    fn load_slot(&self, sys: &mut MemorySystem, rank: usize, slot: PArray<f64>) {
-        for j in 0..self.m {
-            let v = slot.get(sys, j);
-            self.x[rank].set(sys, j + 1, v);
-        }
-    }
-
-    /// The in-flight superstep's halos were exchanged at its start and
-    /// wiped on the failed rank: neighbors re-send.
-    fn reconstruct(&mut self, cl: &mut Cluster, rank: usize, assist: bool) {
-        if assist {
-            self.halo_assist(cl, rank);
-        }
-    }
-
-    /// Only the fixed rod boundary — a constant of the program text, not
-    /// recovered state — is re-set, inside the reboot's resume window.
-    fn dirty_constants(&self, cl: &mut Cluster, rank: usize) {
-        let sys = cl.system_mut(rank);
-        let prev = sys.clock_mut().set_bucket(Bucket::Resume);
-        self.set_rod_ends(sys, rank);
-        sys.clock_mut().set_bucket(prev);
-    }
-
-    fn reinit(&self, sys: &mut MemorySystem, r: usize) {
-        let pos = self.cfg.grid.chain_pos(r);
-        for j in 0..self.m {
-            self.x[r].set(sys, j + 1, initial(pos * self.m + j));
-        }
-    }
-}
-
 impl DistKernel for DistStencil {
     fn iters(&self) -> u64 {
         self.cfg.iters
@@ -334,21 +232,13 @@ impl DistKernel for DistStencil {
         }
     }
 
-    fn recover(&mut self, cl: &mut Cluster, crash: CrashInfo) -> Recovery {
-        crate::persist::recover(self, cl, crash)
-    }
-
     fn solution(&self, cl: &Cluster) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.cfg.cells);
+        let mut out = Vec::with_capacity(self.cfg.shape.cells);
         for pos in 0..self.cfg.ranks {
             let r = self.cfg.grid.chain_rank(pos);
             self.x[r].peek_into(cl.system(r), 1..self.m + 1, &mut out);
         }
         out
-    }
-
-    fn dirty_reboot(&mut self, cl: &mut Cluster, crash: &CrashInfo) -> u64 {
-        crate::persist::dirty_reboot(self, cl, crash)
     }
 
     /// The full working iterate, halos included: `x_new` is fully
@@ -361,6 +251,41 @@ impl DistKernel for DistStencil {
             self.x[r].peek_into(cl.system(r), 0..self.m + 2, &mut out);
         }
         out
+    }
+
+    fn mechanism(&mut self) -> &mut Mechanism {
+        &mut self.mech
+    }
+
+    fn load_slot(&self, sys: &mut MemorySystem, rank: usize, slot: PArray<f64>) {
+        for j in 0..self.m {
+            let v = slot.get(sys, j);
+            self.x[rank].set(sys, j + 1, v);
+        }
+    }
+
+    /// The in-flight superstep's halos were exchanged at its start and
+    /// wiped on the failed rank: neighbors re-send.
+    fn reconstruct(&mut self, cl: &mut Cluster, rank: usize, assist: bool) {
+        if assist {
+            self.halo_assist(cl, rank);
+        }
+    }
+
+    /// Only the fixed rod boundary — a constant of the program text, not
+    /// recovered state — is re-set, inside the reboot's resume window.
+    fn dirty_constants(&self, cl: &mut Cluster, rank: usize) {
+        let sys = cl.system_mut(rank);
+        let prev = sys.clock_mut().set_bucket(Bucket::Resume);
+        self.set_rod_ends(sys, rank);
+        sys.clock_mut().set_bucket(prev);
+    }
+
+    fn reinit(&self, sys: &mut MemorySystem, r: usize) {
+        let pos = self.cfg.grid.chain_pos(r);
+        for j in 0..self.m {
+            self.x[r].set(sys, j + 1, initial(pos * self.m + j));
+        }
     }
 }
 
@@ -384,45 +309,38 @@ pub fn stencil_host(cells: usize, iters: u64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::GridCfg;
+    use crate::net::FaultProfile;
+    use crate::preset::tests::{
+        crash_at, node_loss_recovers_exactly, restart_costs_more_than_local, rod, run,
+    };
     use crate::sites;
-    use crate::trial::run_dist_trial;
-    use adcc_sim::crash::{CrashSite, CrashTrigger};
-
-    fn run(crash: Option<(usize, CrashTrigger)>, mode: RecoveryMode) -> crate::trial::DistTrial {
-        let cfg = StencilConfig {
-            cells: 64,
-            ..StencilConfig::campaign(mode)
-        };
-        let mut cl = Cluster::new(cfg.cluster(), crash);
-        let mut prog = DistStencil::setup(&mut cl, cfg);
-        run_dist_trial(&mut cl, &mut prog, true)
-    }
-
-    fn site_trigger(phase: u32, iter: u64) -> CrashTrigger {
-        CrashTrigger::AtSite {
-            site: CrashSite::new(phase, iter),
-            occurrence: 1,
-        }
-    }
+    use crate::trial::RecoveryMode;
 
     #[test]
     fn crash_free_run_matches_the_serial_host_bitwise() {
-        let trial = run(None, RecoveryMode::AlgorithmDirected);
+        let trial = run(
+            rod(RecoveryMode::AlgorithmDirected),
+            DistStencil::setup,
+            &[],
+        );
         assert!(trial.completed_clean);
         assert_eq!(trial.solution, stencil_host(64, 10));
     }
 
     #[test]
     fn local_recovery_reproduces_the_crash_free_solution() {
-        let reference = run(None, RecoveryMode::AlgorithmDirected).solution;
+        let cfg = rod(RecoveryMode::AlgorithmDirected);
+        let reference = run(cfg.clone(), DistStencil::setup, &[]).solution;
         for (rank, phase, iter) in [
             (1, sites::PH_MID, 4),
             (0, sites::PH_END, 7),
             (3, sites::PH_MID, 1),
         ] {
             let trial = run(
-                Some((rank, site_trigger(phase, iter))),
-                RecoveryMode::AlgorithmDirected,
+                cfg.clone(),
+                DistStencil::setup,
+                &[crash_at(rank, phase, iter)],
             );
             assert!(!trial.completed_clean);
             assert_eq!(
@@ -435,11 +353,9 @@ mod tests {
 
     #[test]
     fn global_restart_reproduces_the_solution_but_loses_work() {
-        let reference = run(None, RecoveryMode::GlobalRestart).solution;
-        let trial = run(
-            Some((2, site_trigger(sites::PH_MID, 8))),
-            RecoveryMode::GlobalRestart,
-        );
+        let cfg = rod(RecoveryMode::GlobalRestart);
+        let reference = run(cfg.clone(), DistStencil::setup, &[]).solution;
+        let trial = run(cfg, DistStencil::setup, &[crash_at(2, sites::PH_MID, 8)]);
         assert_eq!(trial.solution, reference);
         // Crash in superstep 8 (frontier 7), last checkpoint at 6: the
         // whole cluster re-executed superstep 7.
@@ -454,13 +370,10 @@ mod tests {
         // the 1-D rod's exactly.
         let cfg = StencilConfig {
             ranks: 8,
-            cells: 64,
             grid: GridCfg::grid(4, 2),
-            ..StencilConfig::campaign(RecoveryMode::AlgorithmDirected)
+            ..rod(RecoveryMode::AlgorithmDirected)
         };
-        let mut cl = Cluster::new(cfg.cluster(), None);
-        let mut prog = DistStencil::setup(&mut cl, cfg);
-        let trial = run_dist_trial(&mut cl, &mut prog, false);
+        let trial = run(cfg, DistStencil::setup, &[]);
         assert!(trial.completed_clean);
         assert_eq!(trial.solution, stencil_host(64, 10));
     }
@@ -468,13 +381,11 @@ mod tests {
     #[test]
     fn chaotic_fabric_perturbs_time_but_never_the_solution() {
         let cfg = StencilConfig {
-            cells: 64,
+            shape: Rod { cells: 64 },
             ..StencilConfig::campaign_for(RecoveryMode::AlgorithmDirected, FaultProfile::Chaotic)
         };
         assert_eq!(cfg.ranks, 16, "chaotic tier runs the 16-rank grid");
-        let mut cl = Cluster::new(cfg.cluster(), None);
-        let mut prog = DistStencil::setup(&mut cl, cfg);
-        let trial = run_dist_trial(&mut cl, &mut prog, true);
+        let trial = run(cfg, DistStencil::setup, &[]);
         assert!(trial.completed_clean);
         assert_eq!(trial.solution, stencil_host(64, 10));
         let p = trial.profile.expect("telemetry on");
@@ -483,52 +394,11 @@ mod tests {
 
     #[test]
     fn node_loss_recovers_exactly_from_the_remote_level() {
-        use crate::cluster::RankFailure;
-        let cfg = StencilConfig {
-            cells: 64,
-            remote: Some(adcc_ckpt::multilevel::RemoteTiming::burst_buffer()),
-            ..StencilConfig::campaign(RecoveryMode::AlgorithmDirected)
-        };
-        let reference = stencil_host(64, 10);
-        for (rank, phase, iter) in [(1, sites::PH_END, 7), (2, sites::PH_MID, 4)] {
-            let failure = RankFailure::node_loss(rank, site_trigger(phase, iter));
-            let mut cl = Cluster::new_multi(cfg.cluster(), &[failure]);
-            let mut prog = DistStencil::setup(&mut cl, cfg.clone());
-            let trial = run_dist_trial(&mut cl, &mut prog, true);
-            assert!(!trial.completed_clean);
-            assert_eq!(trial.solution, reference, "rank {rank} iter {iter}");
-            assert_eq!(trial.lost_units, 0, "the remote ships every commit");
-            assert!(
-                trial.remote_restore_bytes > 0,
-                "recovery pulled the remote payload"
-            );
-            let p = trial.profile.expect("telemetry on");
-            assert_eq!(p.remote_restore_bytes, trial.remote_restore_bytes);
-        }
+        node_loss_recovers_exactly(rod(RecoveryMode::AlgorithmDirected), DistStencil::setup);
     }
 
     #[test]
     fn restart_recovery_traffic_dwarfs_local_recovery_traffic() {
-        let local = run(
-            Some((1, site_trigger(sites::PH_MID, 8))),
-            RecoveryMode::AlgorithmDirected,
-        );
-        let restart = run(
-            Some((1, site_trigger(sites::PH_MID, 8))),
-            RecoveryMode::GlobalRestart,
-        );
-        assert!(local.recovery_net_bytes > 0, "neighbors assisted");
-        assert!(
-            restart.recovery_net_bytes > 2 * local.recovery_net_bytes,
-            "restart {} !>> local {}",
-            restart.recovery_net_bytes,
-            local.recovery_net_bytes
-        );
-        let p = local.profile.expect("telemetry on");
-        assert_eq!(p.recovery_net_bytes, local.recovery_net_bytes);
-        assert!(
-            p.net_msgs > 0 && p.net_ps > 0,
-            "forward fabric use measured"
-        );
+        restart_costs_more_than_local(rod, DistStencil::setup);
     }
 }

@@ -28,9 +28,12 @@ use std::collections::HashMap;
 
 use adcc_sim::crash::{poll_groups, CrashSite, CrashTrigger, Harvest};
 use adcc_sim::image::NvmImage;
+use adcc_sim::parray::PArray;
+use adcc_sim::system::MemorySystem;
 use adcc_telemetry::{ExecutionProfile, Probe};
 
 use crate::cluster::{Cluster, RankFailure};
+use crate::persist::{self, Mechanism};
 use crate::sites;
 
 /// How a rank failure is repaired.
@@ -111,10 +114,15 @@ pub struct Recovery {
 /// step it through BSP supersteps and hand rank failures back to it.
 ///
 /// A superstep is split in two halves around the shared poll boundaries
-/// (see [`run_superstep`], the only driver of the halves): the kernel no
-/// longer owns its poll loops, so the per-trial path, the batch-harvest
-/// path, and global-restart re-execution all poll identically by
-/// construction.
+/// (see [`run_superstep`], the only driver of the halves): the kernel
+/// owns no poll loop, so the per-trial path, the batch-harvest path, and
+/// global-restart re-execution all poll identically by construction.
+///
+/// Recovery is not the kernel's: [`DistKernel::recover`] and
+/// [`DistKernel::dirty_reboot`] are provided by [`crate::persist`], which
+/// drives the kernel's [`Mechanism`] through the hooks below
+/// ([`DistKernel::mechanism`] to [`DistKernel::reinit`]). A kernel owns
+/// its arithmetic, its exchanges and its copy loops.
 pub trait DistKernel {
     /// Supersteps in a full run (1-based loop `1..=iters`).
     fn iters(&self) -> u64;
@@ -132,13 +140,6 @@ pub trait DistKernel {
     /// always in rank order.
     fn commit(&mut self, cl: &mut Cluster, iter: u64);
 
-    /// Repair the failure: reboot the rank from its image and bring the
-    /// cluster back to the pre-crash frontier under this kernel's
-    /// [`RecoveryMode`] ([`crate::persist::recover`] is the body).
-    /// Everything charged here (and every message sent) is the price of
-    /// recovery.
-    fn recover(&mut self, cl: &mut Cluster, crash: CrashInfo) -> Recovery;
-
     /// Gather the global solution (uncharged peek; classification only).
     fn solution(&self, cl: &Cluster) -> Vec<f64>;
 
@@ -150,6 +151,14 @@ pub trait DistKernel {
     /// (and `tests/delta_equivalence.rs` pins against the per-trial path).
     fn resume_state(&self, cl: &Cluster) -> Vec<f64>;
 
+    /// Repair the failure: reboot the rank from its image and bring the
+    /// cluster back to the pre-crash frontier under this kernel's
+    /// [`RecoveryMode`] ([`crate::persist::recover`]). Everything charged
+    /// here (and every message sent) is the price of recovery.
+    fn recover(&mut self, cl: &mut Cluster, crash: CrashInfo) -> Recovery {
+        persist::recover(self, cl, crash)
+    }
+
     /// EasyCrash-style dirty reboot: bring the crashed rank back from its
     /// raw NVM image with **no** recovery mechanism — no checkpoint
     /// rollback, no detection pass, no neighbor-assisted reconstruction —
@@ -159,8 +168,37 @@ pub trait DistKernel {
     /// Survivor ranks keep their volatile state untouched. Nothing here
     /// may assert on the state it finds: torn, stale, or blank residue is
     /// the input, and the classification ladder is the judge
-    /// ([`crate::persist::dirty_reboot`] is the body).
-    fn dirty_reboot(&mut self, cl: &mut Cluster, crash: &CrashInfo) -> u64;
+    /// ([`crate::persist::dirty_reboot`]).
+    fn dirty_reboot(&mut self, cl: &mut Cluster, crash: &CrashInfo) -> u64 {
+        persist::dirty_reboot(self, cl, crash)
+    }
+
+    /// The kernel's mechanism.
+    fn mechanism(&mut self) -> &mut Mechanism;
+
+    /// Copy a persisted iterate slot into `rank`'s volatile working set
+    /// (charged; the restore-side copy loop).
+    fn load_slot(&self, sys: &mut MemorySystem, rank: usize, slot: PArray<f64>);
+
+    /// Install the restored global scalar (kernels that carry one).
+    fn set_scalar(&mut self, _value: f64) {}
+
+    /// Rebuild what `rank`'s restored iterate does not hold: re-derivable
+    /// boundary cells always, and — when `assist` — the halos/segments of
+    /// the in-flight superstep, re-sent by the survivors.
+    fn reconstruct(&mut self, cl: &mut Cluster, rank: usize, assist: bool);
+
+    /// Re-set the constants of the program text a dirty reboot wiped
+    /// (fixed boundary values — not recovered state).
+    fn dirty_constants(&self, _cl: &mut Cluster, _rank: usize) {}
+
+    /// Reset `rank`'s interior to the re-derivable iterate 0 (charged),
+    /// for a rollback that found no valid checkpoint. Kernels whose
+    /// iterate is data-dependent cannot, and need not: the setup
+    /// checkpoint is taken before the first poll.
+    fn reinit(&self, _sys: &mut MemorySystem, _rank: usize) {
+        panic!("the setup checkpoint always exists");
+    }
 }
 
 /// Poll one phase boundary on every rank, in rank order, returning the
@@ -860,7 +898,7 @@ pub fn run_dist_dirty_trial<K: DistKernel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stencil::{DistStencil, StencilConfig};
+    use crate::stencil::{DistStencil, Rod, StencilConfig};
 
     fn at_site(phase: u32, iter: u64, occurrence: u32) -> CrashTrigger {
         CrashTrigger::AtSite {
@@ -871,12 +909,10 @@ mod tests {
 
     fn build(failures: &[RankFailure]) -> (Cluster, DistStencil) {
         let cfg = StencilConfig {
-            cells: 64,
+            shape: Rod { cells: 64 },
             ..StencilConfig::campaign(RecoveryMode::AlgorithmDirected)
         };
-        let mut cl = Cluster::new_multi(cfg.cluster(), failures);
-        let prog = DistStencil::setup(&mut cl, cfg);
-        (cl, prog)
+        cfg.launch(failures, DistStencil::setup)
     }
 
     #[test]

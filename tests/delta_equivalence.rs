@@ -27,7 +27,7 @@
 use adcc::campaign::engine::{run_campaign, run_per_trial, CampaignConfig};
 use adcc::campaign::memstats::ImageMemory;
 use adcc::campaign::scenario::{Mechanism, Passes, Registry, Scenario};
-use adcc::dist::cluster::{Cluster, RankFailure};
+use adcc::dist::cluster::RankFailure;
 use adcc::dist::jacobi::{DistJacobi, JacobiConfig};
 use adcc::dist::net::FaultProfile;
 use adcc::dist::trial::{
@@ -355,11 +355,7 @@ fn chaotic_failure_sets_batch_identically_to_per_trial() {
 #[test]
 fn failure_sets_sharing_one_harvested_poll_get_a_replay_each() {
     let cfg = JacobiConfig::campaign_for(RecoveryMode::AlgorithmDirected, FaultProfile::Chaotic);
-    let build = |failures: &[RankFailure]| {
-        let mut cl = Cluster::new_multi(cfg.cluster(), failures);
-        let kernel = DistJacobi::setup(&mut cl, cfg.clone());
-        (cl, kernel)
-    };
+    let build = |failures: &[RankFailure]| cfg.clone().launch(failures, DistJacobi::setup);
     let reference = {
         let (mut cl, mut kernel) = build(&[]);
         reference_run(&mut cl, &mut kernel)

@@ -136,8 +136,7 @@ fn a_warm_fabric_round_trip_allocates_nothing() {
 #[test]
 fn a_recycled_fork_allocates_nothing() {
     let cfg = StencilConfig::campaign_for(RecoveryMode::AlgorithmDirected, FaultProfile::Chaotic);
-    let mut live = adcc::dist::Cluster::new(cfg.cluster(), None);
-    let mut kernel = DistStencil::setup(&mut live, cfg);
+    let (mut live, mut kernel) = cfg.launch(&[], DistStencil::setup);
     for iter in 1..=3 {
         assert!(run_superstep(&mut kernel, &mut live, iter, true).is_none());
     }

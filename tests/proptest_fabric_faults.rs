@@ -330,7 +330,7 @@ proptest! {
         // reordering. `allreduce_sum` recv-panics on any undelivered
         // message, so mere completion is the no-deadlock proof; the value
         // and clock checks pin that the collective stayed correct.
-        let mut cl = Cluster::new(
+        let mut cl = Cluster::new_multi(
             ClusterConfig {
                 ranks: 4,
                 sys: cfg(),
@@ -338,7 +338,7 @@ proptest! {
                 net_seed: seed,
                 faults: FaultProfile::Chaotic.plan(seed ^ 0xd15f),
             },
-            None,
+            &[],
         );
         for round in 0..rounds {
             let contributions: Vec<f64> =

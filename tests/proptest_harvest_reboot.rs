@@ -18,7 +18,7 @@
 
 use proptest::prelude::*;
 
-use adcc::dist::cluster::{Cluster, ClusterConfig};
+use adcc::dist::cluster::{Cluster, ClusterConfig, RankFailure};
 use adcc::dist::net::NetTiming;
 use adcc::sim::clock::Bucket;
 use adcc::sim::crash::{CrashEmulator, CrashSite, CrashTrigger};
@@ -180,13 +180,13 @@ fn reboot_rank_aligns_identically_for_crash_and_materialized_harvest_images() {
     };
 
     // Per-trial: rank 1 crashes at the second mid-superstep boundary.
-    let mut per = Cluster::new(cluster_cfg(), Some((armed, trigger)));
+    let mut per = Cluster::new_multi(cluster_cfg(), &[RankFailure::crash(armed, trigger)]);
     let (per_arrays, per_image) = drive_cluster(&mut per, armed);
     let per_image = per_image.expect("trigger fired");
 
     // Batch: same execution with a harvest plan; the poll captures
     // instead of crashing, and the drain at the boundary materializes.
-    let mut batch = Cluster::new(cluster_cfg(), None);
+    let mut batch = Cluster::new_multi(cluster_cfg(), &[]);
     batch.arm_harvest(armed, [(trigger, 7u64)]);
     let arrays: Vec<PArray<u64>> = (0..batch.ranks())
         .map(|r| PArray::<u64>::alloc_nvm(batch.system_mut(r), 16))
