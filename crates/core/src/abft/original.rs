@@ -6,7 +6,7 @@
 
 use adcc_linalg::dense::Matrix;
 use adcc_sim::crash::{CrashEmulator, CrashSite, RunOutcome};
-use adcc_sim::parray::PMatrix;
+use adcc_sim::parray::{load_span, PMatrix};
 use adcc_sim::system::MemorySystem;
 
 use super::checksum::{encode_ac, encode_br, verify_full};
@@ -72,19 +72,13 @@ impl OriginalAbft {
         let base = s * k;
         let mut row = vec![0.0f64; n + 1];
         for i in 0..=n {
-            for (j, r) in row.iter_mut().enumerate() {
-                *r = self.cf.get(sys, i, j);
-            }
+            load_span(sys, [self.cf.row(i)], |j, [c]| row[j] = c);
             for l in 0..k {
                 let a = self.ac.get(sys, i, base + l);
-                for (j, r) in row.iter_mut().enumerate() {
-                    *r += a * self.br.get(sys, base + l, j);
-                }
+                load_span(sys, [self.br.row(base + l)], |j, [b]| row[j] += a * b);
             }
             sys.charge_flops((2 * k * (n + 1)) as u64);
-            for (j, r) in row.iter().enumerate() {
-                self.cf.set(sys, i, j, *r);
-            }
+            self.cf.row(i).store_span(sys, |j| row[j]);
         }
     }
 

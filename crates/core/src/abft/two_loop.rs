@@ -7,7 +7,7 @@ use adcc_linalg::dense::Matrix;
 use adcc_sim::clock::SimTime;
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
 use adcc_sim::image::NvmImage;
-use adcc_sim::parray::{PMatrix, PScalar};
+use adcc_sim::parray::{load_span, PMatrix, PScalar};
 use adcc_sim::system::{MemorySystem, SystemConfig};
 
 use super::checksum::{correct_single, encode_ac, encode_br, verify_full, verify_rows};
@@ -134,14 +134,10 @@ impl TwoLoopAbft {
             row.fill(0.0);
             for l in 0..k {
                 let a = self.ac.get(sys, i, base + l);
-                for (j, r) in row.iter_mut().enumerate() {
-                    *r += a * self.br.get(sys, base + l, j);
-                }
+                load_span(sys, [self.br.row(base + l)], |j, [b]| row[j] += a * b);
             }
             sys.charge_flops((2 * k * (n + 1)) as u64);
-            for (j, r) in row.iter().enumerate() {
-                ct.set(sys, i, j, *r);
-            }
+            ct.row(i).store_span(sys, |j| row[j]);
         }
     }
 
@@ -171,14 +167,10 @@ impl TwoLoopAbft {
             row.fill(0.0);
             for l in 0..k {
                 let a = self.ac.get(sys, i, base + l);
-                for (j, r) in row.iter_mut().enumerate() {
-                    *r += a * self.br.get(sys, base + l, j);
-                }
+                load_span(sys, [self.br.row(base + l)], |j, [b]| row[j] += a * b);
             }
             sys.charge_flops((2 * k * (n + 1)) as u64);
-            for (j, r) in row.iter().enumerate() {
-                ct.set(sys, i, j, *r);
-            }
+            ct.row(i).store_span(sys, |j| row[j]);
         }
     }
 
@@ -190,14 +182,10 @@ impl TwoLoopAbft {
         for i in self.block_rows(blk) {
             row.fill(0.0);
             for ct in &self.ctemps {
-                for (j, r) in row.iter_mut().enumerate() {
-                    *r += ct.get(sys, i, j);
-                }
+                load_span(sys, [ct.row(i)], |j, [c]| row[j] += c);
             }
             sys.charge_flops((s_blocks * (n + 1)) as u64);
-            for (j, r) in row.iter().enumerate() {
-                self.ctemp.set(sys, i, j, *r);
-            }
+            self.ctemp.row(i).store_span(sys, |j| row[j]);
         }
     }
 

@@ -5,7 +5,7 @@ use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::simops::{self, SimCsr};
 use adcc_sim::crash::{CrashEmulator, CrashSite, RunOutcome};
 use adcc_sim::image::NvmImage;
-use adcc_sim::parray::{PArray, PMatrix, PScalar};
+use adcc_sim::parray::{map_span, PArray, PMatrix, PScalar};
 use adcc_sim::system::{MemorySystem, SystemConfig};
 
 use super::sites;
@@ -137,10 +137,9 @@ impl ExtendedBiCgStab {
             self.a.spmv(emu, self.s, self.t);
             let omega = simops::dot(emu, self.t, self.s) / simops::dot(emu, self.t, self.t);
             // x(i+1) = x + alpha p + omega s
-            for j in 0..self.n {
-                let val = x_i.get(emu, j) + alpha * p_i.get(emu, j) + omega * self.s.get(emu, j);
-                x_next.set(emu, j, val);
-            }
+            map_span(emu, [x_i, p_i, self.s], x_next, |_, [x, p, s]| {
+                x + alpha * p + omega * s
+            });
             emu.charge_flops(4 * self.n as u64);
             // r(i+1) = s - omega t
             simops::xpby(emu, self.s, -omega, self.t, r_next);
@@ -150,11 +149,9 @@ impl ExtendedBiCgStab {
             let rho_new = simops::dot(emu, r_next, self.b);
             let beta = (rho_new / rho) * (alpha / omega);
             // p(i+1) = r(i+1) + beta (p - omega v)
-            for j in 0..self.n {
-                let val =
-                    r_next.get(emu, j) + beta * (p_i.get(emu, j) - omega * self.v.get(emu, j));
-                p_next.set(emu, j, val);
-            }
+            map_span(emu, [r_next, p_i, self.v], p_next, |_, [r, p, v]| {
+                r + beta * (p - omega * v)
+            });
             emu.charge_flops(4 * self.n as u64);
 
             // Publish this iteration's scalars and flush their line — the

@@ -6,7 +6,7 @@
 
 use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::simops::{self, SimCsr};
-use adcc_sim::parray::{PArray, PScalar};
+use adcc_sim::parray::{map_span, PArray, PScalar};
 use adcc_sim::system::MemorySystem;
 
 /// Host-side reference CG with x0 = 0; returns the accumulated solution
@@ -106,21 +106,12 @@ impl PlainCg {
         let pq = simops::dot(sys, self.p, self.q);
         let alpha = rho / pq;
         // z += alpha p ; r -= alpha q (in place).
-        for j in 0..self.n {
-            let v = self.z.get(sys, j) + alpha * self.p.get(sys, j);
-            self.z.set(sys, j, v);
-        }
-        for j in 0..self.n {
-            let v = self.r.get(sys, j) - alpha * self.q.get(sys, j);
-            self.r.set(sys, j, v);
-        }
+        map_span(sys, [self.z, self.p], self.z, |_, [z, p]| z + alpha * p);
+        map_span(sys, [self.r, self.q], self.r, |_, [r, q]| r - alpha * q);
         sys.charge_flops(4 * self.n as u64);
         let rho_new = simops::dot(sys, self.r, self.r);
         let beta = rho_new / rho;
-        for j in 0..self.n {
-            let v = self.r.get(sys, j) + beta * self.p.get(sys, j);
-            self.p.set(sys, j, v);
-        }
+        map_span(sys, [self.r, self.p], self.p, |_, [r, p]| r + beta * p);
         sys.charge_flops(2 * self.n as u64);
         rho_new
     }

@@ -9,6 +9,7 @@
 //!   counterpart).
 
 use adcc_core::mc::sim::{McMode, McSim};
+use adcc_linalg::spd::CgClass;
 use adcc_pmem::redo::RedoPool;
 use adcc_pmem::undo::UndoPool;
 use adcc_sim::crash::{CrashEmulator, CrashTrigger};
@@ -25,9 +26,14 @@ use crate::report::Table;
 /// Checkpoint-overhead breakdown on the heterogeneous platform (Fig. 4's
 /// text): share of copy vs flush in the total persistence overhead.
 pub fn ckpt_breakdown(scale: Scale) -> Table {
-    let class = fig4::class_for(scale);
-    let native = fig4::run_case(Case::Native, class, 41);
-    let hetero = fig4::run_case(Case::CkptNvmDram, class, 41);
+    breakdown(fig4::class_for(scale), 41)
+}
+
+/// [`ckpt_breakdown`] of one CG class: the overhead is the NVM/DRAM
+/// checkpoint run over the native run on the same platform.
+fn breakdown(class: CgClass, seed: u64) -> Table {
+    let native = fig4::time_on(Case::Native, Platform::Hetero, class, seed);
+    let hetero = fig4::time_on(Case::CkptNvmDram, Platform::Hetero, class, seed);
     let overhead = hetero.loop_ps.saturating_sub(native.loop_ps).max(1);
     let copy_share = hetero.copy_ps as f64 / (hetero.copy_ps + hetero.flush_ps).max(1) as f64;
 
@@ -210,6 +216,26 @@ pub fn run(scale: Scale) -> Vec<Table> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn checkpoint_overhead_is_over_native_on_the_same_platform() {
+        let class = CgClass::TEST;
+        let on = |case| fig4::time_on(case, Platform::Hetero, class, 41).loop_ps;
+        let overhead = on(Case::CkptNvmDram) - on(Case::Native);
+        let note = format!(
+            "Total checkpoint overhead: {:.2} ms over native.",
+            overhead as f64 / 1e9
+        );
+        let t = breakdown(class, 41);
+        assert!(
+            t.notes.iter().any(|n| n.starts_with(&note)),
+            "{:?}",
+            t.notes
+        );
+        // The NVM-only native run is a different platform's baseline.
+        let nvm_only = fig4::time_on(Case::Native, Platform::NvmOnly, class, 41).loop_ps;
+        assert_ne!(nvm_only, on(Case::Native));
+    }
 
     #[test]
     fn undo_redo_table_has_two_rows() {

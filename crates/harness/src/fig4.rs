@@ -10,7 +10,8 @@ use crate::fig3::{cg_nvm_capacity, CG_ITERS};
 use crate::platform::{Platform, Scale};
 use crate::report::Table;
 
-fn time_on(case: Case, platform: Platform, class: CgClass, seed: u64) -> CaseTime {
+/// Run one case on `platform` and return the main-loop simulated time.
+pub fn time_on(case: Case, platform: Platform, class: CgClass, seed: u64) -> CaseTime {
     let a = class.matrix(seed);
     let b = class.rhs(&a);
     time_case(

@@ -2,7 +2,7 @@
 //! goes through the crash emulator's cache hierarchy, and arithmetic
 //! charges FLOPs on the simulated clock.
 
-use adcc_sim::parray::PArray;
+use adcc_sim::parray::{gather_span, load_span, map_span, PArray};
 use adcc_sim::system::MemorySystem;
 
 use crate::csr::CsrMatrix;
@@ -55,11 +55,9 @@ impl SimCsr {
         for i in 0..self.n {
             let end = self.row_ptr.get(sys, i + 1) as usize;
             let mut acc = 0.0;
-            for k in start..end {
-                let j = self.col_idx.get(sys, k) as usize;
-                let v = self.vals.get(sys, k);
-                acc += v * x.get(sys, j);
-            }
+            gather_span(sys, self.col_idx, self.vals, start..end, |sys, j, v| {
+                acc += v * x.get(sys, j as usize);
+            });
             sys.charge_flops(2 * (end - start) as u64);
             y.set(sys, i, acc);
             start = end;
@@ -69,33 +67,21 @@ impl SimCsr {
 
 /// Dot product over simulated arrays.
 pub fn dot(sys: &mut MemorySystem, a: PArray<f64>, b: PArray<f64>) -> f64 {
-    assert_eq!(a.len(), b.len());
     let mut acc = 0.0;
-    for i in 0..a.len() {
-        acc += a.get(sys, i) * b.get(sys, i);
-    }
+    load_span(sys, [a, b], |_, [x, y]| acc += x * y);
     sys.charge_flops(2 * a.len() as u64);
     acc
 }
 
 /// out = x + beta * y over simulated arrays.
 pub fn xpby(sys: &mut MemorySystem, x: PArray<f64>, beta: f64, y: PArray<f64>, out: PArray<f64>) {
-    assert_eq!(x.len(), y.len());
-    assert_eq!(x.len(), out.len());
-    for i in 0..x.len() {
-        let v = x.get(sys, i) + beta * y.get(sys, i);
-        out.set(sys, i, v);
-    }
+    map_span(sys, [x, y], out, |_, [x, y]| x + beta * y);
     sys.charge_flops(2 * x.len() as u64);
 }
 
 /// Copy between simulated arrays.
 pub fn copy(sys: &mut MemorySystem, src: PArray<f64>, dst: PArray<f64>) {
-    assert_eq!(src.len(), dst.len());
-    for i in 0..src.len() {
-        let v = src.get(sys, i);
-        dst.set(sys, i, v);
-    }
+    map_span(sys, [src], dst, |_, [v]| v);
 }
 
 #[cfg(test)]

@@ -297,6 +297,77 @@ impl SetAssocCache {
         }
     }
 
+    /// The slot holding `line`, if resident, found without touching
+    /// anything: the last-hit memory when it names `line`, else a tag scan.
+    #[inline]
+    pub(crate) fn slot_of(&self, line: u64) -> Option<usize> {
+        if line == self.last_line {
+            return Some(self.last_slot);
+        }
+        let range = self.set_range(line);
+        let way = self.slots[range.clone()]
+            .iter()
+            .position(|s| s.tag == line)?;
+        Some(range.start + way)
+    }
+
+    /// Whether `slots[slot]` holds `line`.
+    #[inline]
+    pub(crate) fn holds(&self, slot: usize, line: u64) -> bool {
+        self.slots[slot].tag == line
+    }
+
+    /// A hit on `line`, which sits in `slots[slot]`: [`Self::lookup`]'s hit
+    /// without the tag check.
+    #[inline]
+    pub(crate) fn touch(&mut self, line: u64, slot: usize) -> LineRef<'_> {
+        debug_assert!(self.holds(slot, line), "line {line:#x} not in slot {slot}");
+        self.tick += 1;
+        self.hit(line, slot)
+    }
+
+    /// A line-chunk of hits in closed form: what `rounds` passes of
+    /// [`Self::lookup`] over the lines of `loads` and then `store`, each
+    /// resident in its given slot, leave — the store's slot dirty. An LRU
+    /// stamp is the tick of its slot's last touch, FIFO and Random ignore
+    /// hits, and a tree-PLRU touch sets its path's bits from the way alone:
+    /// passes repeated leave what the last one leaves, so only it is
+    /// written.
+    #[inline]
+    pub(crate) fn close_hits(
+        &mut self,
+        loads: &[(u64, usize)],
+        store: Option<(u64, usize)>,
+        rounds: u64,
+    ) {
+        let touched = loads.iter().chain(&store);
+        self.tick += (loads.len() + store.is_some() as usize) as u64 * rounds;
+        match self.policy {
+            ReplacementPolicy::Lru => {
+                let first = self.tick + 1 - (loads.len() + store.is_some() as usize) as u64;
+                for (i, &(_, slot)) in touched.enumerate() {
+                    self.slots[slot].stamp = first + i as u64;
+                }
+            }
+            ReplacementPolicy::Fifo | ReplacementPolicy::Random => {}
+            ReplacementPolicy::TreePlru => {
+                for &(line, slot) in touched {
+                    let set = self.set_index(line);
+                    self.plru[set].touch(self.assoc, slot - set * self.assoc);
+                }
+            }
+        }
+        if let Some((_, slot)) = store {
+            self.slots[slot].dirty = true;
+        }
+    }
+
+    /// The payload of the filled slot `slot`, touching nothing.
+    #[inline]
+    pub(crate) fn slot_data(&mut self, slot: usize) -> &mut [u8; LINE_SIZE] {
+        &mut self.arena[self.slots[slot].payload as usize]
+    }
+
     /// Insert `line` with `data`, evicting the set's policy victim if the
     /// set is full. The line must not already be resident (callers look up
     /// first).
@@ -783,6 +854,76 @@ mod tests {
                     "{policy:?} step {step}"
                 );
             }
+        }
+    }
+
+    /// `close_hits` against the lookups it stands for, and two mutants of
+    /// it — one that skips the hit bookkeeping (LRU stamps, tree-PLRU
+    /// bits), one that leaves the store clean — which the same comparison
+    /// must tell apart from the lookups.
+    #[test]
+    fn closed_hits_leave_what_lookups_leave() {
+        for policy in ReplacementPolicy::ALL {
+            // 2 sets x 4 ways over 12 lines, so touched lines share sets.
+            let cfg = CacheConfig::new(8 * LINE_SIZE, 4).with_policy(policy);
+            let mut c = SetAssocCache::new(cfg);
+            let mut rng = XorShift::new(5);
+            let (mut stamp_caught, mut dirty_caught) = (0, 0);
+            for step in 0..2_000u64 {
+                let line = rng.below(12) as u64;
+                if c.lookup(line).is_none() {
+                    c.insert(line, data(step as u8), false);
+                }
+                // One to three resident lines, repeats allowed, and maybe
+                // a store to the last of them.
+                let resident: Vec<u64> = c.iter_lines().map(|(l, _)| l).collect();
+                let touched: Vec<(u64, usize)> = (0..1 + rng.below(3))
+                    .map(|_| resident[rng.below(resident.len())])
+                    .map(|l| (l, c.slot_of(l).expect("resident")))
+                    .collect();
+                let store = (rng.below(2) == 0).then(|| touched[touched.len() - 1]);
+                let loads = &touched[..touched.len() - store.is_some() as usize];
+                let rounds = 1 + rng.below(8) as u64;
+
+                let mut model = c.clone();
+                for _ in 0..rounds {
+                    for &(l, _) in loads {
+                        model.lookup(l).expect("resident");
+                    }
+                    if let Some((l, _)) = store {
+                        model.lookup(l).expect("resident").mark_dirty();
+                    }
+                }
+                let before = c.clone();
+                c.close_hits(loads, store, rounds);
+                let what = format!("{policy:?} step {step}");
+                assert_eq!(replacement_state(&c), replacement_state(&model), "{what}");
+
+                let mut no_stamp = c.clone();
+                for &(_, slot) in &touched {
+                    no_stamp.slots[slot].stamp = before.slots[slot].stamp;
+                }
+                no_stamp.plru.clone_from(&before.plru);
+                if replacement_state(&no_stamp) != replacement_state(&model) {
+                    stamp_caught += 1;
+                }
+                if let Some((_, slot)) = store.filter(|&(_, s)| !before.slots[s].dirty) {
+                    let mut no_dirty = c.clone();
+                    no_dirty.slots[slot].dirty = false;
+                    assert_ne!(
+                        replacement_state(&no_dirty),
+                        replacement_state(&model),
+                        "{what}: a clean store"
+                    );
+                    dirty_caught += 1;
+                }
+                c = model;
+            }
+            // FIFO and Random keep nothing on a hit.
+            let stamps_matter =
+                matches!(policy, ReplacementPolicy::Lru | ReplacementPolicy::TreePlru);
+            assert_eq!(stamp_caught > 0, stamps_matter, "{policy:?}");
+            assert!(dirty_caught > 0, "{policy:?}");
         }
     }
 

@@ -133,22 +133,27 @@ impl<T: Pod> PArray<T> {
 
     /// Charged fill of the whole array.
     pub fn fill(&self, sys: &mut MemorySystem, v: T) {
-        for i in 0..self.len {
-            self.set(sys, i, v);
-        }
+        self.store_span(sys, |_| v);
     }
 
     /// Charged bulk store from a host slice.
     pub fn store_slice(&self, sys: &mut MemorySystem, src: &[T]) {
         assert_eq!(src.len(), self.len, "slice length mismatch");
-        for (i, v) in src.iter().enumerate() {
-            self.set(sys, i, *v);
-        }
+        self.store_span(sys, |i| src[i]);
     }
 
     /// Charged bulk load into a host vector.
     pub fn load_vec(&self, sys: &mut MemorySystem) -> Vec<T> {
-        (0..self.len).map(|i| self.get(sys, i)).collect()
+        let mut out = Vec::with_capacity(self.len);
+        load_span(sys, [*self], |_, [v]| out.push(v));
+        out
+    }
+
+    /// Charged `self[i] = f(i)` for every `i` in order: what
+    /// [`PArray::set`] in a loop charges and leaves, paid per line (see
+    /// [`map_span`]).
+    pub fn store_span(&self, sys: &mut MemorySystem, mut f: impl FnMut(usize) -> T) {
+        sys.span([], Some(self.base), self.len, |i, []| f(i));
     }
 
     /// Uncharged initialization directly into the backing store ("input
@@ -212,6 +217,69 @@ impl<T: Pod> PArray<T> {
     fn addr_unchecked(&self, i: usize) -> u64 {
         self.base + (i * T::SIZE) as u64
     }
+}
+
+/// The equal length of a span's arrays.
+fn span_len<T: Pod>(arrays: &[PArray<T>]) -> usize {
+    let n = arrays.first().map_or(0, PArray::len);
+    assert!(
+        arrays.iter().all(|a| a.len() == n),
+        "span arrays differ in length"
+    );
+    n
+}
+
+/// Charged `f(i, [ins[0][i], ..])` for every `i` in order: what
+/// [`PArray::get`] of each array in turn, in a loop, charges and leaves,
+/// paid per line (see [`map_span`]). The arrays may alias.
+pub fn load_span<T: Pod, const L: usize>(
+    sys: &mut MemorySystem,
+    ins: [PArray<T>; L],
+    mut f: impl FnMut(usize, [T; L]),
+) {
+    let n = span_len(&ins);
+    sys.span(ins.map(|a| a.base), None, n, |i, got| {
+        f(i, got);
+        T::default()
+    });
+}
+
+/// Charged `out[i] = f(i, [ins[0][i], ..])` for every `i` in order: the
+/// loads in array order, then the store — exactly the charges, counters,
+/// cache state and bytes of that loop over [`PArray::get`] and
+/// [`PArray::set`], paid per line: `MemorySystem`'s span walk charges a
+/// line-chunk whose lines are all resident as hits in closed form, and
+/// otherwise sends the chunk's first element down the element path. `out`
+/// may alias an input.
+pub fn map_span<T: Pod, const L: usize>(
+    sys: &mut MemorySystem,
+    ins: [PArray<T>; L],
+    out: PArray<T>,
+    f: impl FnMut(usize, [T; L]) -> T,
+) {
+    let n = span_len(&ins);
+    assert_eq!(out.len(), n, "span arrays differ in length");
+    sys.span(ins.map(|a| a.base), Some(out.base), n, f);
+}
+
+/// Charged loads of `a[k]` then `b[k]` for every `k` in `range`, in
+/// order, each pair handed to `f` — which may make charged accesses of its
+/// own, such as a gather through an index loaded here. Charges and leaves
+/// what the element loop does; the streamed loads' counters and clock
+/// charge land when the span returns, so `f` must not read them (see
+/// `MemorySystem`'s `span_gather`).
+pub fn gather_span<A: Pod, B: Pod>(
+    sys: &mut MemorySystem,
+    a: PArray<A>,
+    b: PArray<B>,
+    range: Range<usize>,
+    f: impl FnMut(&mut MemorySystem, A, B),
+) {
+    let (a, b) = (
+        a.slice(range.start, range.len()),
+        b.slice(range.start, range.len()),
+    );
+    sys.span_gather((a.base, b.base), range.len(), f);
 }
 
 /// A single typed cell in simulated memory (e.g. the iteration counter the

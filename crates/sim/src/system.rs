@@ -26,6 +26,7 @@ use crate::clock::{Bucket, SimClock, SimTime};
 use crate::image::{DeltaImage, NvmImage};
 use crate::line::{is_dram_addr, line_of, offset_in_line, DRAM_BASE, LINE_SHIFT, LINE_SIZE};
 use crate::lru::{CacheConfig, SetAssocCache, Victim};
+use crate::parray::Pod;
 use crate::stats::MemStats;
 use crate::timing::{PlatformTiming, StreamDetector};
 
@@ -517,6 +518,244 @@ impl MemorySystem {
             });
             done += take;
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Charged spans: a line-chunk of hits in closed form
+    // ------------------------------------------------------------------
+
+    /// The element loop
+    ///
+    /// ```text
+    /// for i in 0..n {
+    ///     v = f(i, [read loads[0] element i, .., read loads[L-1] element i]);
+    ///     write v to store element i, if there is a store array;
+    /// }
+    /// ```
+    ///
+    /// over arrays of `T` at the base addresses `loads` and `store`,
+    /// leaving every charge, counter, byte and bit of cache state that loop
+    /// leaves, but paying per line rather than per element. The walk goes
+    /// one line-chunk at a time: the `m` elements from `i` on for which
+    /// every array stays in the line holding its element `i`. If each of
+    /// those `k` lines is resident in the CPU cache, all `m·k` touches of
+    /// the chunk are hits on known slots. Their bytes move on copies of the
+    /// lines (one copy per slot, so an input aliasing the output reads what
+    /// the loop has written; the stored line goes back to its slot, dirty),
+    /// and they are charged in closed form: the counters and one clock
+    /// charge in the current bucket, the cache tick, and the replacement
+    /// bookkeeping of the last round of touches alone, which is all that
+    /// rounds of hits repeated leave (`SetAssocCache::close_hits`).
+    /// Otherwise element `i` takes the element path — so every miss, its
+    /// write-back, the DRAM cache and the stream detectors stay exact by
+    /// construction — and the walk goes on from `i + 1`. The element path
+    /// also takes every element that straddles a line, and all of them
+    /// while a recorder is attached (it sees one store event per write).
+    /// Crash triggers are evaluated only at a poll, so none falls inside a
+    /// span.
+    pub(crate) fn span<T: Pod, const L: usize>(
+        &mut self,
+        loads: [u64; L],
+        store: Option<u64>,
+        n: usize,
+        mut f: impl FnMut(usize, [T; L]) -> T,
+    ) {
+        let at = |base: u64, i: usize| base + (i * T::SIZE) as u64;
+        let touches = (L + store.is_some() as usize) as u64;
+        let mut hits = 0;
+        let mut i = 0;
+        while i < n {
+            let m = self.chunk_len(
+                loads.iter().chain(&store).map(|&b| at(b, i)),
+                T::SIZE,
+                n - i,
+            );
+            let end = i + m;
+            let probed = (m > 0)
+                .then(|| self.resident(loads.map(|b| at(b, i))))
+                .flatten()
+                .and_then(|held| match store {
+                    Some(base) => self.resident([at(base, i)]).map(|[o]| (held, Some(o))),
+                    None => Some((held, None)),
+                });
+            let (held, out) = match probed {
+                Some(held) => held,
+                None => {
+                    // Element `i` on the element path, noting where each
+                    // line lands; each was resident right after its own
+                    // touch, and only a miss's insert can have taken it
+                    // since.
+                    let misses = self.stats.cpu.misses;
+                    let mut held = [(0, 0); L];
+                    let got = std::array::from_fn(|l| {
+                        let v = self.get_elem(at(loads[l], i));
+                        held[l] = self.held(at(loads[l], i), m);
+                        v
+                    });
+                    let v = f(i, got);
+                    let out = store.map(|base| {
+                        self.set_elem(at(base, i), v);
+                        self.held(at(base, i), m)
+                    });
+                    i += 1;
+                    if i >= end
+                        || self.stats.cpu.misses != misses
+                            && !held
+                                .iter()
+                                .chain(&out)
+                                .all(|&(line, slot)| self.cpu.holds(slot, line))
+                    {
+                        continue;
+                    }
+                    (held, out)
+                }
+            };
+            // The chunk on copies of its lines: an input in the output's
+            // slot reads the output's copy.
+            let lines = held.map(|(_, slot)| *self.cpu.slot_data(slot));
+            let in_out = held.map(|(_, slot)| out.is_some_and(|(_, o)| o == slot));
+            let mut out_line = match out {
+                Some((_, slot)) => *self.cpu.slot_data(slot),
+                None => [0; LINE_SIZE],
+            };
+            for e in i..end {
+                let got = std::array::from_fn(|l| {
+                    let off = offset_in_line(at(loads[l], e));
+                    let line = if in_out[l] { &out_line } else { &lines[l] };
+                    T::from_bytes(&line[off..])
+                });
+                let v = f(e, got);
+                if let Some(base) = store {
+                    v.to_bytes(&mut out_line[offset_in_line(at(base, e))..]);
+                }
+            }
+            let rounds = (end - i) as u64;
+            hits += touches * rounds;
+            self.cpu.close_hits(&held, out, rounds);
+            if let Some((_, slot)) = out {
+                *self.cpu.slot_data(slot) = out_line;
+            }
+            i = end;
+        }
+        self.charge_hits(hits);
+    }
+
+    /// [`Self::span`] over loads of two element types, with a body that
+    /// makes element accesses of its own (a gather) between one element's
+    /// loads and the next's. Each chunk's first element takes the element
+    /// path (a streamed line is usually new, so a probe would only add a
+    /// scan). A gather's miss picks its victim by the replacement state,
+    /// so the chunk's later loads keep their per-touch bookkeeping (tick,
+    /// LRU stamp, tree-PLRU bits) on the slots the first touches found,
+    /// and only their counters and clock charge are batched — so `f` must
+    /// not read the counters or the clock. When a body's access evicts one
+    /// of the two lines, the next element starts a new chunk.
+    pub(crate) fn span_gather<A: Pod, B: Pod>(
+        &mut self,
+        loads: (u64, u64),
+        n: usize,
+        mut f: impl FnMut(&mut Self, A, B),
+    ) {
+        let addrs = |i: usize| {
+            [
+                loads.0 + (i * A::SIZE) as u64,
+                loads.1 + (i * B::SIZE) as u64,
+            ]
+        };
+        let mut hits = 0;
+        // The two lines of the chunk in hand, their slots, and its end.
+        let mut chunk = ([(0, 0); 2], 0);
+        for i in 0..n {
+            let [a, b] = addrs(i);
+            let ([(la, sa), (lb, sb)], end) = chunk;
+            let (x, y) = if i < end && self.cpu.holds(sa, la) && self.cpu.holds(sb, lb) {
+                hits += 2;
+                (
+                    A::from_bytes(&self.cpu.touch(la, sa).data_ref()[offset_in_line(a)..]),
+                    B::from_bytes(&self.cpu.touch(lb, sb).data_ref()[offset_in_line(b)..]),
+                )
+            } else {
+                let m =
+                    self.chunk_len([a], A::SIZE, n - i)
+                        .min(self.chunk_len([b], B::SIZE, n - i));
+                let x = self.get_elem(a);
+                let held_a = self.held(a, m);
+                let y = self.get_elem(b);
+                chunk = ([held_a, self.held(b, m)], i + m);
+                (x, y)
+            };
+            f(self, x, y);
+        }
+        self.charge_hits(hits);
+    }
+
+    /// Charged read of one `T` at `addr` ([`Self::read_bytes`]).
+    #[inline]
+    fn get_elem<T: Pod>(&mut self, addr: u64) -> T {
+        let mut buf = [0u8; 16];
+        self.read_bytes(addr, &mut buf[..T::SIZE]);
+        T::from_bytes(&buf)
+    }
+
+    /// Charged write of one `T` at `addr` ([`Self::write_bytes`]).
+    #[inline]
+    fn set_elem<T: Pod>(&mut self, addr: u64, v: T) {
+        let mut buf = [0u8; 16];
+        v.to_bytes(&mut buf);
+        self.write_bytes(addr, &buf[..T::SIZE]);
+    }
+
+    /// How many of the next `left` elements of `size` bytes keep every
+    /// array in the line holding its element at the `first` addresses:
+    /// zero when one of those elements straddles a line, and with a
+    /// recorder attached.
+    #[inline]
+    fn chunk_len(&self, first: impl IntoIterator<Item = u64>, size: usize, left: usize) -> usize {
+        if self.events.is_some() {
+            return 0;
+        }
+        first
+            .into_iter()
+            .map(|a| (LINE_SIZE - offset_in_line(a)) / size)
+            .min()
+            .map_or(0, |room| room.min(left))
+    }
+
+    /// The line of each address and the CPU-cache slot holding it, if every
+    /// one is resident; touches nothing.
+    #[inline]
+    fn resident<const K: usize>(&self, addrs: [u64; K]) -> Option<[(u64, usize); K]> {
+        let mut held = [(0, 0); K];
+        for (h, a) in held.iter_mut().zip(addrs) {
+            let line = line_of(a);
+            *h = (line, self.cpu.slot_of(line)?);
+        }
+        Some(held)
+    }
+
+    /// The line at `addr` and the CPU-cache slot holding it, right after
+    /// its touch — only looked for when its chunk of `m` elements has more.
+    #[inline]
+    fn held(&self, addr: u64, m: usize) -> (u64, usize) {
+        let line = line_of(addr);
+        match m {
+            0 | 1 => (line, 0),
+            _ => (
+                line,
+                self.cpu.slot_of(line).expect("a touched line is resident"),
+            ),
+        }
+    }
+
+    /// `n` element accesses that each hit the CPU cache once: what
+    /// [`Self::charge_access`] and a hit in [`Self::with_line`] count, for
+    /// all of them at once.
+    #[inline]
+    fn charge_hits(&mut self, n: u64) {
+        self.access_count += n;
+        self.stats.accesses += n;
+        self.stats.cpu.hits += n;
+        self.clock.charge(n * self.cfg.timing.cpu_access_ps);
     }
 
     /// Apply `f` to `line`'s payload in the CPU cache; `f` returns whether
