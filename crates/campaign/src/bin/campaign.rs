@@ -62,12 +62,11 @@ const USAGE_TEXT: &str = "\
 usage:
   campaign run     [--registry kernel|dist|ds] [--budget-states N]
                    [--seed S] [--threads T]
-                   [--schedule stratified|every-k:K|exhaustive:N]
                    [--dense D] [--max-batch B] [--shard I/N]
                    [--faults off|lossy|chaotic]
                    [--telemetry] [--resilience] [--out PATH]
   campaign replay  --seed S [--registry NAME] [--budget-states N]
-                   [--threads T] [--schedule SPEC] [--dense D]
+                   [--threads T] [--dense D]
                    [--max-batch B] [--shard I/N] [--faults PROFILE]
                    [--telemetry] [--resilience] [--expect PATH]
                    [--out PATH]
@@ -76,7 +75,7 @@ usage:
                    [--fail-on-diagnostics]
   campaign compare OLD.json NEW.json
   campaign cost    [--budget-states N] [--seed S] [--threads T]
-                   [--schedule SPEC] [--registry NAME] [--json] [--out PATH]
+                   [--registry NAME] [--json] [--out PATH]
 
 --registry NAME selects the scenario registry to sweep (recorded in the
 report; replays reproduce it): `kernel` (default) is the single-rank
@@ -109,17 +108,16 @@ recorder attached, infers per-mechanism persist-order invariants from
 the passing trials, and clusters the failing states by violated
 invariant into a bounded root-cause list (adcc-triage-report/v1, no host
 section: byte-identical across reruns and thread counts). The re-run
-campaign report embeds the schema-v6 diagnostics block. Needs a v5+
-unsharded report (older schemas predate the analyzed unit spaces; merge
-shards first). --fail-on-diagnostics exits nonzero when the clean-tree
-gate is violated (any protocol finding).
+campaign report embeds the diagnostics block. Needs an unsharded report
+of the current schema (merge shards first). --fail-on-diagnostics exits
+nonzero when the clean-tree gate is violated (any protocol finding).
 --resilience fuses an EasyCrash-style dirty-restart sweep into the run:
 every harvested crash state is additionally rebooted from its raw dirty
 NVM image with NO consistency mechanism (no undo replay, no checkpoint
 rollback, no detection pass), run to its natural termination bound, and
 classified converged-exact / converged-acceptable / converged-wrong /
 diverged / detected-dirty-again against the crash-free reference. The
-per-scenario aggregate lands in the schema-v7 natural_resilience block;
+per-scenario aggregate lands in the natural_resilience block;
 scenarios without a dirty-restart path (the ds registry) carry no block.
 Incompatible with --shard (the sweep needs the full schedule).
 ";
@@ -186,7 +184,6 @@ fn cmd_run(args: &[String], replay: bool) -> Result<ExitCode, String> {
             "--budget-states",
             "--seed",
             "--threads",
-            "--schedule",
             "--dense",
             "--max-batch",
             "--shard",
@@ -217,9 +214,6 @@ fn cmd_run(args: &[String], replay: bool) -> Result<ExitCode, String> {
     }
     if let Some(v) = take_opt(args, "--threads")? {
         cfg.threads = parse_u64(&v, "threads")? as usize;
-    }
-    if let Some(v) = take_opt(args, "--schedule")? {
-        cfg.schedule = Schedule::parse(&v)?;
     }
     if let Some(v) = take_opt(args, "--dense")? {
         cfg.dense_units = parse_u64(&v, "dense")?;
@@ -516,8 +510,7 @@ fn config_of(report: &CampaignReport) -> Result<CampaignConfig, String> {
 }
 
 /// Re-run a report's exact schedule under the persist-order analyzer and
-/// triage its failing states into clustered root causes. Rejects pre-v5
-/// schemas (their unit spaces predate the analyzed scenarios) and shard
+/// triage its failing states into clustered root causes. Rejects shard
 /// reports (triage needs the full schedule). `--fail-on-diagnostics` is
 /// the CI clean-tree gate: any protocol finding exits nonzero.
 fn cmd_triage(args: &[String]) -> Result<ExitCode, String> {
@@ -631,7 +624,6 @@ fn cmd_cost(args: &[String]) -> Result<ExitCode, String> {
             "--budget-states",
             "--seed",
             "--threads",
-            "--schedule",
             "--out",
         ],
         &["--json"],
@@ -652,9 +644,6 @@ fn cmd_cost(args: &[String]) -> Result<ExitCode, String> {
     }
     if let Some(v) = take_opt(args, "--threads")? {
         cfg.threads = parse_u64(&v, "threads")? as usize;
-    }
-    if let Some(v) = take_opt(args, "--schedule")? {
-        cfg.schedule = Schedule::parse(&v)?;
     }
     let out_path = take_opt(args, "--out")?;
 

@@ -404,7 +404,7 @@ pub(crate) fn assemble(
     CampaignReport {
         seed: cfg.seed,
         budget_states: cfg.budget_states,
-        schedule: cfg.schedule.name(),
+        schedule: cfg.schedule.name().into(),
         dense_units: cfg.dense_units,
         registry: cfg.registry,
         faults: cfg.faults,

@@ -14,8 +14,9 @@
 //!   `dist` sweeps the multi-rank `adcc::dist` kernels; `ds` sweeps the
 //!   persistent data-structure (`adcc::ds`) queue/hash op-stream
 //!   workloads under undo-logged and baseline protection;
-//! * deterministic, seedable **schedules** ([`schedule::Schedule`]) that
-//!   pick crash points: every-k, stratified random, exhaustive-below-N;
+//! * a deterministic, seedable stratified **schedule**
+//!   ([`schedule::Schedule`]) that picks crash points, every unit once the
+//!   budget covers the space;
 //! * a parallel **engine** ([`engine::run_campaign`]) fanning trials out
 //!   across OS threads (each worker owns its own `MemorySystem`, so the
 //!   single-clock simulator is untouched), classifying each outcome as
@@ -25,7 +26,7 @@
 //!   are replayable from `(seed, budget, schedule)` alone — byte-for-byte
 //!   identical across reruns and thread counts;
 //! * the `campaign` **CLI** (`run`, `replay`, `merge`, `triage`,
-//!   `resilience`, `compare`, `cost`) driving the PR-smoke and
+//!   `compare`, `cost`) driving the PR-smoke and
 //!   nightly-deep CI tiers. Throughput is measured from outside, by
 //!   `benchmark/run.sh`.
 //!

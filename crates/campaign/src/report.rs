@@ -11,9 +11,8 @@
 //! did not produce (`telemetry`, `diagnostics`, `natural_resilience`, the
 //! `registry` / `faults` / `dense_units` / `shard` headers) is absent from
 //! the document and parses as `None` or the default — no new generation.
-//! [`CampaignReport::parse`] accepts exactly [`RERUNNABLE_SCHEMAS`]: the
-//! generations whose header still names today's schedule, so anything
-//! that parses can also be re-run.
+//! [`CampaignReport::parse`] accepts exactly [`SCHEMA`], so anything that
+//! parses can also be re-run.
 
 use adcc_dist::net::FaultProfile;
 use adcc_resilience::{DirtyClass, DirtyClassCounts, NaturalResilience, Tolerance};
@@ -24,26 +23,9 @@ use crate::memstats::ImageMemorySummary;
 use crate::outcome::OutcomeCounts;
 use crate::scenario::Registry;
 
-/// Current report format identifier (bump on breaking schema changes).
-/// v7 adds the optional per-scenario `natural_resilience` block: the
-/// EasyCrash-style dirty-restart sweep aggregate (class histogram,
-/// per-class rates, extra-work pricing, tolerance ladder) from
-/// `adcc::resilience`, emitted only when a campaign ran the resilience
-/// sweep so plain reports keep their exact v6 bytes.
+/// The report format identifier, the one generation
+/// [`CampaignReport::parse`] accepts (bump on breaking schema changes).
 pub const SCHEMA: &str = "adcc-campaign-report/v7";
-
-/// The v6 format (no `natural_resilience` blocks), still accepted.
-pub const SCHEMA_V6: &str = "adcc-campaign-report/v6";
-
-/// The v5 format (no `diagnostics` block either), still accepted — and
-/// the floor: the unit spaces of the batched and analyzed scenarios
-/// landed with it, so an older header names a schedule today's engine
-/// cannot reproduce.
-pub const SCHEMA_V5: &str = "adcc-campaign-report/v5";
-
-/// Every generation [`CampaignReport::parse`] accepts, newest first — all
-/// of them re-runnable (`campaign replay --expect`, `campaign triage`).
-pub const RERUNNABLE_SCHEMAS: [&str; 3] = [SCHEMA, SCHEMA_V6, SCHEMA_V5];
 
 /// An optional block of a scenario row, kept out of line: a row without it
 /// holds a pointer, not the block's size, and callers keep whole campaigns
@@ -112,10 +94,10 @@ pub struct ScenarioReport {
     /// Simulated recovery clock (detect + resume), summed, picoseconds.
     pub sim_time_ps_total: u64,
     /// Forward-execution cost profile summed over trials (present when the
-    /// campaign ran with telemetry enabled; the v2 schema's new block).
+    /// campaign ran with telemetry enabled).
     pub telemetry: Boxed<ExecutionProfile>,
     /// Dirty-restart sweep aggregate (present when the campaign ran the
-    /// resilience sweep; the v7 schema's new block). Scenarios without a
+    /// resilience sweep). Scenarios without a
     /// dirty-restart path (e.g. the `ds` op-stream workloads) carry no
     /// block even in a resilience run.
     pub natural_resilience: Boxed<NaturalResilience>,
@@ -143,7 +125,7 @@ pub struct DiagnosticRecord {
     pub epoch: u64,
 }
 
-/// The v6 `diagnostics` block: which scenarios ran under the analyzer,
+/// The `diagnostics` block: which scenarios ran under the analyzer,
 /// and every protocol finding the sanitizer raised. A clean tree emits
 /// the block with an empty `findings` array, so CI can distinguish
 /// "analyzed and clean" from "not analyzed".
@@ -240,12 +222,11 @@ pub struct CampaignReport {
     pub dense_units: u64,
     /// Which named scenario registry this campaign swept. Emitted as
     /// `"registry": "<name>"` only when non-default, so compute-kernel
-    /// reports carry no extra header field (and `dist` reports keep their
-    /// exact v3 bytes).
+    /// reports carry no extra header field.
     pub registry: Registry,
     /// Fabric fault profile the campaign injected (dist registry).
     /// Emitted as `"faults": "<name>"` only when not `off`, so faultless
-    /// reports keep their pre-v5 header bytes.
+    /// reports carry no extra header field.
     pub faults: FaultProfile,
     /// `Some((i, n))` marks a partial report: shard `i` of an `n`-way
     /// positional split of the schedule (emitted as `"shard": "i/n"`).
@@ -261,7 +242,7 @@ pub struct CampaignReport {
     pub telemetry: Option<Box<ExecutionProfile>>,
     /// Persist-order sanitizer findings (when the campaign ran with the
     /// analyzer attached). Emitted only when present, so plain reports
-    /// keep their exact pre-v6 bytes.
+    /// carry no trace of it.
     pub diagnostics: Option<DiagnosticsBlock>,
     /// Crash-image memory accounting of the run's harness (host facts;
     /// excluded from the canonical form, deterministic nevertheless).
@@ -638,11 +619,8 @@ impl CampaignReport {
             .get("schema")
             .and_then(Json::as_str)
             .ok_or("missing schema")?;
-        if !RERUNNABLE_SCHEMAS.contains(&schema) {
-            return Err(format!(
-                "unsupported schema {schema:?} (want one of {RERUNNABLE_SCHEMAS:?}; older \
-                 generations predate today's scenario unit spaces)"
-            ));
+        if schema != SCHEMA {
+            return Err(format!("unsupported schema {schema:?} (want {SCHEMA:?})"));
         }
         let int = |key: &str| -> Result<u64, String> {
             j.get(key)

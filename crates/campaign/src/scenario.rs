@@ -644,18 +644,13 @@ mod tests {
     #[test]
     fn unit_space_maps_site_and_dense_units() {
         let space = UnitSpace::new(4, 100);
-        assert_eq!(
-            space.trigger_of(2, CrashTrigger::AtSimTimePs),
-            CrashTrigger::AtSimTimePs(2)
-        );
-        assert_eq!(
-            space.trigger_of(4, CrashTrigger::AtSimTimePs),
-            CrashTrigger::AtAccessCount(100)
-        );
-        assert_eq!(
-            space.trigger_of(5, CrashTrigger::AtSimTimePs),
-            CrashTrigger::AtAccessCount(200)
-        );
+        let site = |u| CrashTrigger::AtSite {
+            site: adcc_sim::crash::CrashSite::new(0, u),
+            occurrence: 1,
+        };
+        assert_eq!(space.trigger_of(2, site), site(2));
+        assert_eq!(space.trigger_of(4, site), CrashTrigger::AtAccessCount(100));
+        assert_eq!(space.trigger_of(5, site), CrashTrigger::AtAccessCount(200));
     }
 
     #[test]

@@ -7,58 +7,30 @@ use rand::prelude::*;
 /// space, subject to the per-scenario state budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Schedule {
-    /// Every `k`-th unit, starting at 0, until the budget is spent.
-    EveryK {
-        /// Step between crash points.
-        k: u64,
-    },
     /// The unit space is split into `budget` equal strata and one point is
     /// drawn uniformly (seeded) from each — coverage across the whole run
-    /// with reproducible jitter.
+    /// with reproducible jitter. A budget that covers the space takes
+    /// every unit.
     Stratified,
-    /// Exhaustive when the unit space is at most `n`; stratified fallback
-    /// above that (no silent truncation — the report records trial
-    /// counts next to `total_units`).
-    ExhaustiveBelow {
-        /// Largest unit space still enumerated exhaustively.
-        n: u64,
-    },
 }
 
 impl Schedule {
-    /// Stable identifier used in report JSON and on the CLI.
-    pub fn name(&self) -> String {
-        match self {
-            Schedule::EveryK { k } => format!("every-k:{k}"),
-            Schedule::Stratified => "stratified".to_string(),
-            Schedule::ExhaustiveBelow { n } => format!("exhaustive:{n}"),
-        }
+    /// Stable identifier used in report JSON.
+    pub fn name(&self) -> &'static str {
+        "stratified"
     }
 
-    /// Parse the CLI/report spelling produced by [`Schedule::name`].
+    /// Parse the report spelling produced by [`Schedule::name`].
     pub fn parse(text: &str) -> Result<Schedule, String> {
-        if text == "stratified" {
-            return Ok(Schedule::Stratified);
+        match text {
+            "stratified" => Ok(Schedule::Stratified),
+            _ => Err(format!("unknown schedule {text:?} (expected stratified)")),
         }
-        if let Some(k) = text.strip_prefix("every-k:") {
-            let k: u64 = k.parse().map_err(|_| format!("bad every-k arg {k:?}"))?;
-            if k == 0 {
-                return Err("every-k step must be positive".into());
-            }
-            return Ok(Schedule::EveryK { k });
-        }
-        if let Some(n) = text.strip_prefix("exhaustive:") {
-            let n: u64 = n.parse().map_err(|_| format!("bad exhaustive arg {n:?}"))?;
-            return Ok(Schedule::ExhaustiveBelow { n });
-        }
-        Err(format!(
-            "unknown schedule {text:?} (expected stratified, every-k:K, or exhaustive:N)"
-        ))
     }
 
     /// The crash points for one scenario: sorted, deduplicated, all in
     /// `[0, total_units)`, at most `budget` of them. Deterministic in
-    /// `(self, seed, scenario_name, total_units, budget)`.
+    /// `(seed, scenario_name, total_units, budget)`.
     pub fn crash_points(
         &self,
         seed: u64,
@@ -69,50 +41,33 @@ impl Schedule {
         if total_units == 0 || budget == 0 {
             return Vec::new();
         }
-        match *self {
-            Schedule::EveryK { k } => (0..total_units)
-                .step_by(k.max(1) as usize)
-                .take(budget as usize)
-                .collect(),
-            Schedule::ExhaustiveBelow { n } => {
-                if total_units <= n && total_units <= budget {
-                    (0..total_units).collect()
-                } else {
-                    Schedule::Stratified.crash_points(seed, scenario_name, total_units, budget)
-                }
-            }
-            Schedule::Stratified => {
-                if budget >= total_units {
-                    return (0..total_units).collect();
-                }
-                // Stratum bounds in u128: `s * total_units` overflows u64
-                // for large unit spaces (the old code silently collided
-                // strata through the wraparound and then `dedup` shrank
-                // the draw below the budget). With exact arithmetic and
-                // `budget < total_units`, consecutive bounds differ by at
-                // least ⌊total/budget⌋ ≥ 1, so strata are disjoint and
-                // non-empty and the draw count equals the budget.
-                let mut rng = StdRng::seed_from_u64(seed ^ fnv1a(scenario_name));
-                let stratum_lo =
-                    |s: u64| -> u64 { (s as u128 * total_units as u128 / budget as u128) as u64 };
-                let mut points: Vec<u64> = (0..budget)
-                    .map(|s| {
-                        let lo = stratum_lo(s);
-                        let hi = stratum_lo(s + 1);
-                        debug_assert!(lo < hi, "stratum {s} empty: {lo}..{hi}");
-                        rng.random_range(lo..hi)
-                    })
-                    .collect();
-                points.sort_unstable();
-                points.dedup();
-                debug_assert_eq!(
-                    points.len() as u64,
-                    budget,
-                    "disjoint strata cannot collide"
-                );
-                points
-            }
+        if budget >= total_units {
+            return (0..total_units).collect();
         }
+        // Stratum bounds in u128: `s * total_units` overflows u64 for large
+        // unit spaces. With exact arithmetic and `budget < total_units`,
+        // consecutive bounds differ by at least ⌊total/budget⌋ ≥ 1, so
+        // strata are disjoint and non-empty and the draw count equals the
+        // budget.
+        let mut rng = StdRng::seed_from_u64(seed ^ fnv1a(scenario_name));
+        let stratum_lo =
+            |s: u64| -> u64 { (s as u128 * total_units as u128 / budget as u128) as u64 };
+        let mut points: Vec<u64> = (0..budget)
+            .map(|s| {
+                let lo = stratum_lo(s);
+                let hi = stratum_lo(s + 1);
+                debug_assert!(lo < hi, "stratum {s} empty: {lo}..{hi}");
+                rng.random_range(lo..hi)
+            })
+            .collect();
+        points.sort_unstable();
+        points.dedup();
+        debug_assert_eq!(
+            points.len() as u64,
+            budget,
+            "disjoint strata cannot collide"
+        );
+        points
     }
 }
 
@@ -133,15 +88,12 @@ mod tests {
 
     #[test]
     fn parse_roundtrips() {
-        for s in [
-            Schedule::Stratified,
-            Schedule::EveryK { k: 7 },
-            Schedule::ExhaustiveBelow { n: 256 },
-        ] {
-            assert_eq!(Schedule::parse(&s.name()).unwrap(), s);
+        let s = Schedule::Stratified;
+        assert_eq!(Schedule::parse(s.name()).unwrap(), s);
+        for other in ["bogus", "every-k:3", "exhaustive:8"] {
+            let err = Schedule::parse(other).expect_err(other);
+            assert!(err.contains("stratified"), "{other}: {err}");
         }
-        assert!(Schedule::parse("every-k:0").is_err());
-        assert!(Schedule::parse("bogus").is_err());
     }
 
     #[test]
@@ -199,7 +151,7 @@ mod tests {
                 total in 1u64..=u64::MAX,
                 budget in 1u64..=2048,
             ) {
-                // Keep the exhaustive branch's allocation bounded.
+                // Keep the every-unit branch's allocation bounded.
                 let budget = budget.min(2048);
                 let pts = Schedule::Stratified.crash_points(seed, "prop", total, budget);
                 prop_assert_eq!(pts.len() as u64, budget.min(total));
@@ -207,25 +159,5 @@ mod tests {
                 prop_assert!(pts.iter().all(|&p| p < total));
             }
         }
-    }
-
-    #[test]
-    fn every_k_and_exhaustive() {
-        assert_eq!(
-            Schedule::EveryK { k: 4 }.crash_points(0, "x", 10, 100),
-            vec![0, 4, 8]
-        );
-        assert_eq!(
-            Schedule::EveryK { k: 1 }.crash_points(0, "x", 10, 3),
-            vec![0, 1, 2]
-        );
-        assert_eq!(
-            Schedule::ExhaustiveBelow { n: 16 }.crash_points(0, "x", 10, 100),
-            (0..10).collect::<Vec<_>>()
-        );
-        // Above the cutoff it falls back to stratified.
-        let pts = Schedule::ExhaustiveBelow { n: 16 }.crash_points(3, "x", 1000, 8);
-        assert_eq!(pts.len(), 8);
-        assert!(pts.windows(2).all(|w| w[0] < w[1]));
     }
 }

@@ -30,14 +30,18 @@ fn assert_usage_failure(args: &[&str]) {
 
 #[test]
 fn unknown_flags_exit_nonzero_with_usage_on_stderr() {
-    for sub in ["run", "replay", "cost", "triage"] {
-        let out = campaign(&[sub, "--bogus-flag"]);
-        assert_eq!(out.status.code(), Some(1), "{sub} --bogus-flag");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(
-            stderr.contains("unknown option") && stderr.contains("usage:"),
-            "{sub} stderr:\n{stderr}"
-        );
+    // Stratified is the one schedule, so `--schedule` is unknown too.
+    for flag in [&["--bogus-flag"][..], &["--schedule", "stratified"]] {
+        for sub in ["run", "replay", "cost", "triage"] {
+            let out = campaign(&[&[sub][..], flag].concat());
+            assert_eq!(out.status.code(), Some(1), "{sub} {flag:?}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("unknown option {:?}", flag[0]))
+                    && stderr.contains("usage:"),
+                "{sub} stderr:\n{stderr}"
+            );
+        }
     }
     // The per-trial oracle is a library function (`engine::run_per_trial`),
     // not a flag.
@@ -218,7 +222,7 @@ fn value_flags_without_values_exit_nonzero() {
     for args in [
         vec!["run", "--seed"],
         vec!["run", "--budget-states"],
-        vec!["cost", "--schedule"],
+        vec!["cost", "--threads"],
     ] {
         let out = campaign(&args);
         assert_eq!(out.status.code(), Some(1), "{args:?}");
@@ -394,7 +398,7 @@ fn triage_usage_errors_exit_nonzero() {
     // with usage on stderr.
     assert_usage_failure(&["triage"]);
     assert_usage_failure(&["triage", "--threads", "2"]);
-    let path = fixture("campaign-report-v5.json");
+    let path = fixture("campaign-report-v7.json");
     assert_usage_failure(&["triage", &path, "--bogus"]);
     // A missing report file is a read error, not a usage error.
     let out = campaign(&["triage", "/nonexistent/report.json"]);
@@ -405,30 +409,24 @@ fn triage_usage_errors_exit_nonzero() {
 
 #[test]
 fn triage_rejects_pre_v5_schema_generations() {
-    // A pre-v5 header names a schedule today's unit spaces cannot
-    // reproduce: the one parser refuses it, and triage says so rather
-    // than re-run the wrong schedule.
+    // Only the current generation parses: an older header names a schedule
+    // today's unit spaces may not reproduce, and triage says so rather than
+    // re-run the wrong schedule.
     let dir = std::env::temp_dir().join("adcc-triage-pre-v5");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("v4.json");
-    std::fs::write(&path, r#"{"schema": "adcc-campaign-report/v4"}"#).unwrap();
-    let out = campaign(&["triage", path.to_str().unwrap()]);
-    assert_eq!(out.status.code(), Some(1), "v4 must be rejected");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("unsupported schema \"adcc-campaign-report/v4\""),
-        "stderr:\n{stderr}"
-    );
-    // The accepted generations span every schema since the batched unit
-    // spaces landed: a v6 report still triages clean after the v7 bump.
-    let path = fixture("campaign-report-v6.json");
-    let out = campaign(&["triage", &path, "--threads", "2"]);
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "v6 stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    for v in ["v4", "v6"] {
+        let path = dir.join(format!("{v}.json"));
+        let schema = format!("adcc-campaign-report/{v}");
+        std::fs::write(&path, format!(r#"{{"schema": "{schema}"}}"#)).unwrap();
+        let out = campaign(&["triage", path.to_str().unwrap()]);
+        assert_eq!(out.status.code(), Some(1), "{v} must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unsupported schema {schema:?}"))
+                && stderr.contains(adcc_campaign::report::SCHEMA),
+            "stderr:\n{stderr}"
+        );
+    }
 }
 
 #[test]

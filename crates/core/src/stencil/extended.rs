@@ -9,28 +9,6 @@ use adcc_sim::system::{MemorySystem, SystemConfig};
 use super::{initial_value, sites, ALPHA};
 use crate::iterative::{self, Extended, Recovery};
 
-/// How block sums are compared during recovery.
-///
-/// The scan reads the same stored values in the same order the sweep
-/// accumulated them, so a consistent block reproduces its flushed sum
-/// **bitwise** — [`VerifyMode::Exact`] guarantees the recovered run is
-/// identical to a crash-free run.
-///
-/// [`VerifyMode::Tolerant`] deliberately trades that guarantee away: as
-/// the diffusion converges, a generation with a few stale (one-window-old)
-/// lines differs from the true one by less than the tolerance, and
-/// accepting it restarts *closer to the crash* at the cost of a bounded,
-/// self-damping perturbation — the same argument the paper makes for
-/// Monte-Carlo ("the inconsistency data is an error" the algorithm
-/// tolerates). Only sound for contractive iterations like diffusion.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum VerifyMode {
-    /// Bitwise block-sum comparison (the default).
-    Exact,
-    /// Accept `|sum − flushed| <= tol · (1 + Σ|value|)`.
-    Tolerant(f64),
-}
-
 /// What recovery did, plus the final grid (row-major).
 pub type StencilRecovery = Recovery<Vec<f64>>;
 
@@ -53,16 +31,6 @@ pub struct ExtendedStencil {
     pub window: usize,
     /// Rows per checksummed block.
     pub rb: usize,
-    /// Recovery verification mode (see [`VerifyMode`]).
-    pub verify: VerifyMode,
-}
-
-impl ExtendedStencil {
-    /// Switch the recovery verification mode.
-    pub fn with_verify(mut self, mode: VerifyMode) -> Self {
-        self.verify = mode;
-        self
-    }
 }
 
 impl ExtendedStencil {
@@ -120,7 +88,6 @@ impl ExtendedStencil {
             sweeps,
             window,
             rb,
-            verify: VerifyMode::Exact,
         }
     }
 
@@ -181,7 +148,10 @@ impl ExtendedStencil {
 
     /// Verify that sweep `s`'s output generation is complete and
     /// consistent in NVM: every block pair carries tag `s` and the block
-    /// data reproduces the flushed sum (charged reads).
+    /// data reproduces the flushed sum **bitwise** (charged reads). The
+    /// scan reads the stored values in the order the sweep accumulated
+    /// them, so a consistent block reproduces its sum exactly and the
+    /// recovered run is identical to a crash-free one.
     pub fn verify_sweep(&self, sys: &mut MemorySystem, s: usize) -> bool {
         let slot = (s + 1) % self.window;
         let buf = self.bufs[slot];
@@ -192,24 +162,14 @@ impl ExtendedStencil {
             }
             let want = self.cs.get(sys, slot, 2 * b + 1);
             let mut sum = 0.0f64;
-            let mut scale = 1.0f64;
             for r in self.block_rows(b) {
                 for c in 1..self.cols - 1 {
-                    let v = buf.get(sys, r, c);
-                    sum += v;
-                    scale += v.abs();
+                    sum += buf.get(sys, r, c);
                 }
             }
             let rows_in_block = self.block_rows(b).len();
             sys.charge_flops(2 * (rows_in_block * (self.cols - 2)) as u64);
-            if !sum.is_finite() {
-                return false;
-            }
-            let ok = match self.verify {
-                VerifyMode::Exact => sum.to_bits() == want.to_bits(),
-                VerifyMode::Tolerant(tol) => (sum - want).abs() <= tol * scale,
-            };
-            if !ok {
+            if !sum.is_finite() || sum.to_bits() != want.to_bits() {
                 return false;
             }
         }
@@ -402,42 +362,6 @@ mod tests {
         // Sweep 4 also wrote slot 2 (window 3) — same slot, old content
         // replaced: tag is 7, not 4, so 4 must NOT verify.
         assert!(!st.verify_sweep(&mut sys2, 4));
-    }
-
-    #[test]
-    fn tolerant_mode_restarts_closer_with_bounded_perturbation() {
-        // After many sweeps the diffusion has nearly converged; a crash
-        // mid-sweep leaves the previous generation's tail lines dirty in
-        // cache (stale in NVM by ~1e-9). Exact verification rejects it and
-        // restarts further back; tolerant verification accepts it and the
-        // perturbation self-damps.
-        let want = heat_host(14, 14, 16);
-        let run_with = |mode: VerifyMode| -> (Option<usize>, f64) {
-            let mut sys = MemorySystem::new(cfg());
-            let st = ExtendedStencil::setup(&mut sys, 14, 14, 16, 3, 4).with_verify(mode);
-            let trig = CrashTrigger::AtSite {
-                site: CrashSite::new(sites::PH_AFTER_BLOCK, 1),
-                occurrence: 15, // mid-sweep 14
-            };
-            let mut emu = CrashEmulator::from_system(sys, trig);
-            let image = st.run(&mut emu, 0, 16).crashed().expect("must crash");
-            let rec = st.recover_and_resume(&image, cfg());
-            let err = rec
-                .solution
-                .iter()
-                .zip(&want)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f64, f64::max);
-            (rec.restart_from, err)
-        };
-        let (exact_from, exact_err) = run_with(VerifyMode::Exact);
-        let (tol_from, tol_err) = run_with(VerifyMode::Tolerant(1e-6));
-        assert_eq!(exact_err, 0.0, "exact mode must reproduce bitwise");
-        assert!(tol_err < 1e-6, "tolerant perturbation must stay bounded");
-        assert!(
-            tol_from.unwrap_or(0) >= exact_from.unwrap_or(0),
-            "tolerant mode must never restart further back than exact"
-        );
     }
 
     #[test]

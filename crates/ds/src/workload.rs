@@ -829,6 +829,15 @@ mod tests {
         assert_eq!(w.log_stats(), LogStats::default(), "baseline logs nothing");
     }
 
+    /// Crash (or harvest) at the first poll of site `(phase, index)`.
+    fn first_poll(phase: u32, index: u64) -> CrashTrigger {
+        let site = CrashSite::new(phase, index);
+        CrashTrigger::AtSite {
+            site,
+            occurrence: 1,
+        }
+    }
+
     fn crash_at(cfg: WorkloadCfg, trigger: CrashTrigger) -> (DsLayout, NvmImage, u64) {
         let stream = OpStream::generate(cfg.stream);
         let mut emu = CrashEmulator::new(cfg.system(), trigger);
@@ -847,13 +856,7 @@ mod tests {
         let cfg = WorkloadCfg::queue(Protection::Undo, OpStreamCfg::default());
         let stream = OpStream::generate(cfg.stream);
         // Crash inside the allocator metadata window of some mid-stream op.
-        let (layout, img, at) = crash_at(
-            cfg,
-            CrashTrigger::AtPhaseIndex {
-                phase: PH_DS_ALLOC,
-                index: 20,
-            },
-        );
+        let (layout, img, at) = crash_at(cfg, first_poll(PH_DS_ALLOC, 20));
         let r = recover_verify_resume(cfg, layout, cfg.system(), &img, &stream);
         assert!(r.detected, "active tx must be detected");
         assert!(r.matches, "undo recovery must be exact: {r:?}");
@@ -865,13 +868,7 @@ mod tests {
     fn undo_hash_commit_crash_loses_nothing() {
         let cfg = WorkloadCfg::hash(Protection::Undo, OpStreamCfg::default());
         let stream = OpStream::generate(cfg.stream);
-        let (layout, img, at) = crash_at(
-            cfg,
-            CrashTrigger::AtPhaseIndex {
-                phase: PH_DS_COMMIT,
-                index: 31,
-            },
-        );
+        let (layout, img, at) = crash_at(cfg, first_poll(PH_DS_COMMIT, 31));
         let r = recover_verify_resume(cfg, layout, cfg.system(), &img, &stream);
         assert!(r.matches, "{r:?}");
         assert_eq!(r.resume_from, at, "committed op is stable at COMMIT");
@@ -885,13 +882,7 @@ mod tests {
         ] {
             let stream = OpStream::generate(structure_cfg.stream);
             for idx in [5u64, 50, 113] {
-                let (layout, img, _) = crash_at(
-                    structure_cfg,
-                    CrashTrigger::AtPhaseIndex {
-                        phase: PH_DS_MUT,
-                        index: idx,
-                    },
-                );
+                let (layout, img, _) = crash_at(structure_cfg, first_poll(PH_DS_MUT, idx));
                 let r = recover_verify_resume(
                     structure_cfg,
                     layout,
@@ -919,10 +910,10 @@ mod tests {
                 let stream = OpStream::generate(cfg.stream);
                 let mut emu = CrashEmulator::new(cfg.system(), CrashTrigger::Never);
                 let mut w = Workload::setup(emu.system_mut(), cfg);
-                emu.arm_harvest((0..3 * stream.len()).map(|u| {
-                    let (phase, index) = (phases[(u % 3) as usize], u / 3 + 1);
-                    (CrashTrigger::AtPhaseIndex { phase, index }, u)
-                }));
+                emu.arm_harvest(
+                    (0..3 * stream.len())
+                        .map(|u| (first_poll(phases[(u % 3) as usize], u / 3 + 1), u)),
+                );
                 for op in stream.ops() {
                     assert!(w.apply_op(&mut emu, op, None).completed().is_some());
                 }
@@ -941,13 +932,7 @@ mod tests {
     fn recovery_is_a_pure_function_of_the_image() {
         let cfg = WorkloadCfg::queue(Protection::Undo, OpStreamCfg::default());
         let stream = OpStream::generate(cfg.stream);
-        let (layout, img, _) = crash_at(
-            cfg,
-            CrashTrigger::AtPhaseIndex {
-                phase: PH_DS_MUT,
-                index: 40,
-            },
-        );
+        let (layout, img, _) = crash_at(cfg, first_poll(PH_DS_MUT, 40));
         let a = recover_verify_resume(cfg, layout, cfg.system(), &img, &stream);
         let b = recover_verify_resume(cfg, layout, cfg.system(), &img, &stream);
         assert_eq!(a.resume_from, b.resume_from);

@@ -44,18 +44,8 @@ pub enum CrashTrigger {
         /// Which poll of the site fires the crash (1-based).
         occurrence: u32,
     },
-    /// Crash at the first poll of any site in this phase with
-    /// `index >= index` (useful when indices are data-dependent).
-    AtPhaseIndex {
-        /// Phase to watch.
-        phase: u32,
-        /// Minimum index that fires the crash.
-        index: u64,
-    },
     /// Crash at the first poll after `count` element accesses.
     AtAccessCount(u64),
-    /// Crash at the first poll after the simulated clock passes `ps`.
-    AtSimTimePs(u64),
 }
 
 /// One crash state captured by an armed harvest plan (see
@@ -187,7 +177,7 @@ impl CrashEmulator {
     }
 
     /// The site whose poll fired the trigger, if it has fired. For
-    /// access-count and sim-time triggers this is how the application
+    /// access-count triggers this is how the application
     /// learns *where* in the computation the crash actually landed.
     pub fn fired_site(&self) -> Option<CrashSite> {
         self.fired_site
@@ -268,13 +258,12 @@ impl CrashEmulator {
             return;
         }
         let access = self.sys.access_count();
-        let now_ps = self.sys.now().ps();
         let mut fired: Vec<u64> = Vec::new();
         for p in h.points.iter_mut() {
             if p.done {
                 continue;
             }
-            if trigger_fires(p.trigger, site, &mut p.site_hits, access, now_ps) {
+            if trigger_fires(p.trigger, site, &mut p.site_hits, access) {
                 p.done = true;
                 h.pending -= 1;
                 fired.push(p.unit);
@@ -322,7 +311,6 @@ impl CrashEmulator {
             site,
             &mut self.site_hits,
             self.sys.access_count(),
-            self.sys.now().ps(),
         );
         if fire {
             self.fired = true;
@@ -379,7 +367,6 @@ fn trigger_fires(
     site: CrashSite,
     site_hits: &mut u32,
     access_count: u64,
-    now_ps: u64,
 ) -> bool {
     match trigger {
         CrashTrigger::Never => false,
@@ -394,9 +381,7 @@ fn trigger_fires(
                 false
             }
         }
-        CrashTrigger::AtPhaseIndex { phase, index } => site.phase == phase && site.index >= index,
         CrashTrigger::AtAccessCount(n) => access_count >= n,
-        CrashTrigger::AtSimTimePs(ps) => now_ps >= ps,
     }
 }
 
@@ -464,14 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn phase_index_trigger() {
-        let mut e = emu(CrashTrigger::AtPhaseIndex { phase: 1, index: 5 });
-        assert!(!e.poll(CrashSite::new(1, 4)));
-        assert!(!e.poll(CrashSite::new(0, 10)));
-        assert!(e.poll(CrashSite::new(1, 5)));
-    }
-
-    #[test]
     fn access_count_trigger_fires_at_next_poll() {
         let mut e = emu(CrashTrigger::AtAccessCount(5));
         let a = PArray::<u64>::alloc_nvm(&mut e, 16);
@@ -479,15 +456,6 @@ mod tests {
         for i in 0..5 {
             a.set(&mut e, i, i as u64);
         }
-        assert!(e.poll(CrashSite::new(0, 1)));
-    }
-
-    #[test]
-    fn sim_time_trigger() {
-        let mut e = emu(CrashTrigger::AtSimTimePs(1));
-        let a = PArray::<u64>::alloc_nvm(&mut e, 1);
-        assert!(!e.poll(CrashSite::new(0, 0)));
-        a.set(&mut e, 0, 1);
         assert!(e.poll(CrashSite::new(0, 1)));
     }
 
@@ -602,7 +570,7 @@ mod tests {
     }
 
     #[test]
-    fn harvest_supports_occurrence_access_and_time_points() {
+    fn harvest_supports_occurrence_and_access_points() {
         let mut e = emu(CrashTrigger::Never);
         let a = PArray::<u64>::alloc_nvm(&mut e, 8);
         e.arm_harvest([
@@ -614,21 +582,18 @@ mod tests {
                 0,
             ),
             (CrashTrigger::AtAccessCount(4), 1),
-            (CrashTrigger::AtSimTimePs(1), 2),
         ]);
         for i in 0..5u64 {
             a.set(&mut e, i as usize, i);
             assert!(!e.poll(CrashSite::new(1, 0)));
         }
         let mut harvests = e.take_harvests();
-        assert_eq!(harvests.len(), 3);
+        assert_eq!(harvests.len(), 2);
         harvests.sort_by_key(|h| h.unit);
         // Occurrence 3 of the repeated site fired on the third poll.
         assert_eq!(harvests[0].at.stats.accesses, 3);
         // Access threshold 4 fired at the first poll with >= 4 accesses.
         assert_eq!(harvests[1].at.stats.accesses, 4);
-        // The sim-time point fired at the first poll after time advanced.
-        assert_eq!(harvests[2].at.stats.accesses, 1);
     }
 
     #[test]

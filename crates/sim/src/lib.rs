@@ -63,8 +63,6 @@ pub mod prelude {
     pub use crate::parray::{PArray, PMatrix, PScalar, Pod};
     pub use crate::policy::ReplacementPolicy;
     pub use crate::stats::{LevelStats, MemStats};
-    pub use crate::system::{
-        CounterSnapshot, DeltaBase, FlushOp, MemorySystem, Placement, SystemConfig,
-    };
+    pub use crate::system::{CounterSnapshot, DeltaBase, FlushOp, MemorySystem, SystemConfig};
     pub use crate::timing::{HddTiming, MediaTiming, PlatformTiming};
 }

@@ -30,15 +30,6 @@ use crate::parray::Pod;
 use crate::stats::MemStats;
 use crate::timing::{PlatformTiming, StreamDetector};
 
-/// Placement class for an allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Placement {
-    /// Persistent: survives crashes once evicted/flushed from caches.
-    Nvm,
-    /// Volatile scratch in the DRAM-direct region: fast, lost at crash.
-    DramDirect,
-}
-
 /// Which cache-line write-back instruction the platform's persistence
 /// helpers use (paper §II: `CLFLUSH` is what the paper measures; it notes
 /// that `CLFLUSHOPT`/`CLWB` "should further improve performance" — the
@@ -421,14 +412,6 @@ impl MemorySystem {
     /// Allocate a line-aligned volatile region.
     pub fn alloc_dram(&mut self, size: usize) -> u64 {
         self.dram_alloc.alloc_lines(size)
-    }
-
-    /// Allocate with an explicit placement.
-    pub fn alloc(&mut self, size: usize, placement: Placement) -> u64 {
-        match placement {
-            Placement::Nvm => self.alloc_nvm(size),
-            Placement::DramDirect => self.alloc_dram(size),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -814,15 +797,7 @@ impl MemorySystem {
             self.stats.nvm_line_reads += 1;
             let data = self.nvm.read_line(line);
             if let Some(v) = dc.insert(line, data, false) {
-                if v.dirty {
-                    let s = self.nvm_streams.note(v.line);
-                    self.clock.charge(t.nvm.write_cost(s));
-                    self.stats.nvm_line_writes += 1;
-                    self.stats.dram_cache.dirty_evictions += 1;
-                    self.nvm.write_line(v.line, &v.data);
-                } else {
-                    self.stats.dram_cache.clean_evictions += 1;
-                }
+                self.dram_cache_evicted(v);
             }
             return data;
         }
@@ -857,21 +832,28 @@ impl MemorySystem {
             }
             // Full-line write allocation: no fill needed.
             if let Some(v2) = dc.insert(v.line, v.data, true) {
-                if v2.dirty {
-                    let s = self.nvm_streams.note(v2.line);
-                    self.clock.charge(t.nvm.write_cost(s));
-                    self.stats.nvm_line_writes += 1;
-                    self.stats.dram_cache.dirty_evictions += 1;
-                    self.nvm.write_line(v2.line, &v2.data);
-                } else {
-                    self.stats.dram_cache.clean_evictions += 1;
-                }
+                self.dram_cache_evicted(v2);
             }
             return;
         }
         let hit = self.nvm_streams.note(v.line);
         self.clock.charge(t.nvm.write_cost(hit));
         self.stats.nvm_line_writes += 1;
+        self.nvm.write_line(v.line, &v.data);
+    }
+
+    /// Retire a line the DRAM cache evicted: a dirty victim is written
+    /// back to NVM.
+    #[inline]
+    fn dram_cache_evicted(&mut self, v: Victim) {
+        if !v.dirty {
+            self.stats.dram_cache.clean_evictions += 1;
+            return;
+        }
+        let s = self.nvm_streams.note(v.line);
+        self.clock.charge(self.cfg.timing.nvm.write_cost(s));
+        self.stats.nvm_line_writes += 1;
+        self.stats.dram_cache.dirty_evictions += 1;
         self.nvm.write_line(v.line, &v.data);
     }
 
