@@ -98,7 +98,7 @@ impl MemCheckpoint {
 
     /// Take a checkpoint of `regions` (list of `(addr, len)` in simulated
     /// memory). Returns the new checkpoint sequence number.
-    pub fn checkpoint(&mut self, sys: &mut MemorySystem, regions: &[(u64, usize)]) -> u64 {
+    pub fn checkpoint(&self, sys: &mut MemorySystem, regions: &[(u64, usize)]) -> u64 {
         let total: usize = regions.iter().map(|r| r.1).sum();
         assert!(
             total <= self.slot_bytes,
@@ -158,19 +158,14 @@ impl MemCheckpoint {
     /// `regions`. Returns its sequence number, or `None` if no valid
     /// checkpoint exists.
     pub fn restore(&self, sys: &mut MemorySystem, regions: &[(u64, usize)]) -> Option<u64> {
-        let mut candidates: Vec<(u64, usize)> = Vec::new();
-        for s in 0..2 {
-            let (seq, complete) = {
-                let seq = self.header.get(sys, s * HDR_WORDS);
-                let complete = self.header.get(sys, s * HDR_WORDS + 1) == 1;
-                (seq, complete)
-            };
-            if complete && seq > 0 {
-                candidates.push((seq, s));
-            }
-        }
+        let mut candidates = [0, 1].map(|s| {
+            let seq = self.header.get(sys, s * HDR_WORDS);
+            let complete = self.header.get(sys, s * HDR_WORDS + 1) == 1;
+            (complete && seq > 0).then_some((seq, s))
+        });
+        // Newest first.
         candidates.sort_unstable();
-        while let Some((seq, s)) = candidates.pop() {
+        for (seq, s) in candidates.into_iter().rev().flatten() {
             let total = self.header.get(sys, s * HDR_WORDS + 2) as usize;
             let want = self.header.get(sys, s * HDR_WORDS + 3);
             let slot = self.slots[s];
@@ -237,7 +232,7 @@ mod tests {
         b.store_slice(&mut s, &[2.5; 16]);
         let regions = [(a.base(), a.byte_len()), (b.base(), b.byte_len())];
 
-        let mut ck = MemCheckpoint::new(&mut s, 4096, false);
+        let ck = MemCheckpoint::new(&mut s, 4096, false);
         let seq = ck.checkpoint(&mut s, &regions);
         assert_eq!(seq, 1);
 
@@ -256,7 +251,7 @@ mod tests {
         let a = PArray::<f64>::alloc_nvm(&mut s, 8);
         a.store_slice(&mut s, &[3.0; 8]);
         let regions = [(a.base(), a.byte_len())];
-        let mut ck = MemCheckpoint::new(&mut s, 1024, false);
+        let ck = MemCheckpoint::new(&mut s, 1024, false);
         ck.checkpoint(&mut s, &regions);
         let layout = ck.layout();
 
@@ -275,7 +270,7 @@ mod tests {
         let mut s = sys();
         let a = PArray::<u64>::alloc_nvm(&mut s, 8);
         let regions = [(a.base(), a.byte_len())];
-        let mut ck = MemCheckpoint::new(&mut s, 1024, false);
+        let ck = MemCheckpoint::new(&mut s, 1024, false);
         a.store_slice(&mut s, &[1; 8]);
         assert_eq!(ck.checkpoint(&mut s, &regions), 1);
         a.store_slice(&mut s, &[2; 8]);
@@ -293,7 +288,7 @@ mod tests {
         let mut s = sys();
         let a = PArray::<u64>::alloc_nvm(&mut s, 8);
         let regions = [(a.base(), a.byte_len())];
-        let mut ck = MemCheckpoint::new(&mut s, 1024, false);
+        let ck = MemCheckpoint::new(&mut s, 1024, false);
         a.store_slice(&mut s, &[1; 8]);
         ck.checkpoint(&mut s, &regions);
         // Begin a second checkpoint but "crash" before the header publish:
@@ -316,7 +311,7 @@ mod tests {
         let mut s = sys();
         let a = PArray::<f64>::alloc_nvm(&mut s, 512);
         let regions = [(a.base(), a.byte_len())];
-        let mut ck = MemCheckpoint::new(&mut s, 8192, false);
+        let ck = MemCheckpoint::new(&mut s, 8192, false);
         ck.checkpoint(&mut s, &regions);
         assert!(s.clock().bucket_total(Bucket::CkptCopy).ps() > 0);
         assert!(s.clock().bucket_total(Bucket::Flush).ps() > 0);
@@ -327,7 +322,7 @@ mod tests {
     fn oversize_payload_panics() {
         let mut s = sys();
         let a = PArray::<f64>::alloc_nvm(&mut s, 512);
-        let mut ck = MemCheckpoint::new(&mut s, 64, false);
+        let ck = MemCheckpoint::new(&mut s, 64, false);
         ck.checkpoint(&mut s, &[(a.base(), a.byte_len())]);
     }
 }

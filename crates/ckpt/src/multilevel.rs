@@ -60,10 +60,25 @@ impl RemoteTiming {
 
 /// The remote storage node's view of one process's checkpoints. Survives
 /// node loss (it lives outside the node's [`adcc_sim::image::NvmImage`]).
-#[derive(Debug, Clone, Default)]
+/// `clone_from` copies into the target's buffer.
+#[derive(Debug, Default)]
 pub struct RemoteStore {
     payload: Vec<u8>,
     seq: Option<u64>,
+}
+
+impl Clone for RemoteStore {
+    fn clone(&self) -> Self {
+        RemoteStore {
+            payload: self.payload.clone(),
+            seq: self.seq,
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.payload.clone_from(&src.payload);
+        self.seq = src.seq;
+    }
 }
 
 impl RemoteStore {
@@ -174,7 +189,10 @@ impl MultilevelCheckpoint {
     ) {
         let total: usize = regions.iter().map(|r| r.1).sum();
         let prev = sys.clock_mut().set_bucket(Bucket::Io);
-        let mut payload = vec![0u8; total];
+        // The store's buffer is overwritten in place.
+        let payload = &mut remote.payload;
+        payload.clear();
+        payload.resize(total, 0);
         let mut off = 0usize;
         let mut buf = [0u8; LINE_SIZE];
         for &(addr, len) in regions {
@@ -188,7 +206,6 @@ impl MultilevelCheckpoint {
             off += len;
         }
         sys.charge_io(timing.transfer_cost_ps(total as u64));
-        remote.payload = payload;
         remote.seq = Some(seq);
         sys.clock_mut().set_bucket(prev);
     }

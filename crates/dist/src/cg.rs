@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::spd::random_spd;
-use adcc_sim::parray::PArray;
+use adcc_sim::parray::{gather_span, load_span, map_span, span, PArray};
 use adcc_sim::system::MemorySystem;
 
 use crate::cluster::Cluster;
@@ -65,41 +65,85 @@ impl Shape for Spd {
 /// Problem and mechanism parameters of the distributed CG solve.
 pub type CgConfig = DistConfig<Spd>;
 
-/// The distributed CG program. Cloning copies only the handles and
-/// host-side bookkeeping (`rho` and the in-flight `pq` partials included)
-/// — batch replays clone the kernel alongside [`Cluster::fork`].
+/// One rank's row block: its host structure and its arrays.
 #[derive(Clone)]
+struct Block {
+    /// Host copy of the local row pointer (structure metadata; matrix
+    /// *values* are read charged from NVM every iteration).
+    rowptr: Vec<usize>,
+    /// NVM matrix values.
+    a_vals: PArray<f64>,
+    /// NVM matrix column indices.
+    a_cols: PArray<u32>,
+    /// Volatile solution/residual/direction segments.
+    x_r: PArray<f64>,
+    r_r: PArray<f64>,
+    p_r: PArray<f64>,
+    /// Volatile scratch `q = A p` segment.
+    q_r: PArray<f64>,
+    /// Volatile replicated full `p`.
+    p_full: PArray<f64>,
+}
+
+impl Block {
+    /// `x‖r‖p`, the segments an iterate slot holds.
+    fn segments(&self) -> [PArray<f64>; 3] {
+        [self.x_r, self.r_r, self.p_r]
+    }
+
+    /// Rank `rank`'s own segment of the replicated `p`, `m` long.
+    fn own_p(&self, rank: usize, m: usize) -> PArray<f64> {
+        self.p_full.slice(rank * m, m)
+    }
+}
+
+/// The distributed CG program. Batch replays clone the kernel alongside
+/// [`Cluster::fork`]; a clone shares the blocks and copies the host-side
+/// bookkeeping (`rho` and the in-flight `pq` partials included), and
+/// `clone_from` reuses its target's buffers.
 pub struct DistCg {
     cfg: CgConfig,
     /// Rows (and vector elements) per rank.
     m: usize,
-    /// Host copy of each rank's local row pointer (structure metadata;
-    /// matrix *values* are read charged from NVM every iteration). Fixed
-    /// at setup, so clones share it.
-    rowptr: Arc<Vec<Vec<usize>>>,
+    /// Per rank, fixed at setup, so clones share them.
+    blocks: Arc<Vec<Block>>,
     /// Current `rho` (every rank holds the same value after the setup and
     /// each superstep's allreduce; recovery re-reads it from NVM/ckpt).
     rho: f64,
     /// Partial `pᵀq` per rank, carried from [`DistKernel::compute`] across
     /// the `PH_MID` boundary into [`DistKernel::commit`]'s allreduce.
     pq: Vec<f64>,
-    /// NVM matrix values per rank.
-    a_vals: Vec<PArray<f64>>,
-    /// NVM matrix column indices per rank.
-    a_cols: Vec<PArray<u32>>,
-    /// Volatile solution/residual/direction segments per rank.
-    x_r: Vec<PArray<f64>>,
-    r_r: Vec<PArray<f64>>,
-    p_r: Vec<PArray<f64>>,
-    /// Volatile scratch `q = A p` segment per rank.
-    q_r: Vec<PArray<f64>>,
-    /// Volatile replicated full `p` per rank.
-    p_full: Vec<PArray<f64>>,
+    /// Host buffer of a superstep's segment copies and partials. Nothing
+    /// in it outlives a call, so a clone starts it empty.
+    scratch: Vec<f64>,
     /// How the segments and `rho` are made durable and brought back. The
     /// static matrix block rides to the remote level too: CG re-reads
     /// `A`'s values from NVM every superstep and a lost node comes back
     /// with blank NVM.
     mech: Mechanism,
+}
+
+impl Clone for DistCg {
+    fn clone(&self) -> Self {
+        DistCg {
+            cfg: self.cfg.clone(),
+            m: self.m,
+            blocks: Arc::clone(&self.blocks),
+            rho: self.rho,
+            pq: self.pq.clone(),
+            scratch: Vec::new(),
+            mech: self.mech.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.cfg.clone_from(&src.cfg);
+        self.m = src.m;
+        self.blocks.clone_from(&src.blocks);
+        self.rho = src.rho;
+        self.pq.clone_from(&src.pq);
+        self.mech.clone_from(&src.mech);
+    }
 }
 
 impl DistCg {
@@ -121,16 +165,10 @@ impl DistCg {
         let m = n / cfg.ranks;
         let mut prog = DistCg {
             m,
-            rowptr: Arc::default(),
+            blocks: Arc::default(),
             rho: 0.0,
             pq: Vec::new(),
-            a_vals: Vec::new(),
-            a_cols: Vec::new(),
-            x_r: Vec::new(),
-            r_r: Vec::new(),
-            p_r: Vec::new(),
-            q_r: Vec::new(),
-            p_full: Vec::new(),
+            scratch: Vec::new(),
             mech: cfg.mechanism(cl),
             cfg,
         };
@@ -162,45 +200,40 @@ impl DistCg {
             let p_r = PArray::<f64>::alloc_dram(sys, m);
             let q_r = PArray::<f64>::alloc_dram(sys, m);
             let p_full = PArray::<f64>::alloc_dram(sys, n);
-            for j in 0..m {
-                let bv = b_seg.get(sys, j);
-                x_r.set(sys, j, 0.0);
-                r_r.set(sys, j, bv);
-                p_r.set(sys, j, bv);
-            }
-            Arc::make_mut(&mut prog.rowptr).push(local_ptr);
-            prog.a_vals.push(a_vals);
-            prog.a_cols.push(a_cols);
-            prog.x_r.push(x_r);
-            prog.r_r.push(r_r);
-            prog.p_r.push(p_r);
-            prog.q_r.push(q_r);
-            prog.p_full.push(p_full);
+            span(sys, [b_seg], [x_r, r_r, p_r], |_, [bv]| [0.0, bv, bv]);
+            Arc::make_mut(&mut prog.blocks).push(Block {
+                rowptr: local_ptr,
+                a_vals,
+                a_cols,
+                x_r,
+                r_r,
+                p_r,
+                q_r,
+                p_full,
+            });
         }
         // rho₀ = rᵀr via the charged rank-ordered allreduce.
         let partials: Vec<f64> = (0..prog.cfg.ranks)
             .map(|rank| {
                 let sys = cl.system_mut(rank);
-                (0..m)
-                    .map(|j| {
-                        let v = prog.r_r[rank].get(sys, j);
-                        sys.charge_flops(2);
-                        v * v
-                    })
-                    .sum()
+                let mut partial = 0.0;
+                load_span(sys, [prog.blocks[rank].r_r], |_, [v]| partial += v * v);
+                sys.charge_flops(2 * m as u64);
+                partial
             })
             .collect();
         prog.rho = cl.allreduce_sum(&partials);
         // Persist iterate 0 under the configured mechanism.
         for rank in 0..prog.cfg.ranks {
-            let nnz = prog.rowptr[rank][m];
-            let segments = [prog.x_r[rank], prog.r_r[rank], prog.p_r[rank]];
+            let block = &prog.blocks[rank];
+            let nnz = block.rowptr[m];
+            let segments = block.segments();
             let part = Partition {
                 slot_len: 3 * m,
                 volatile: &segments.map(|seg| (seg.base(), m * 8)),
                 statics: &[
-                    (prog.a_vals[rank].base(), nnz * 8),
-                    (prog.a_cols[rank].base(), nnz * 4),
+                    (block.a_vals.base(), nnz * 8),
+                    (block.a_cols.base(), nnz * 4),
                 ],
                 scalar: Some(prog.rho),
             };
@@ -215,27 +248,23 @@ impl DistCg {
     /// rank order, then synchronize.
     fn allgather_p(&mut self, cl: &mut Cluster) {
         let p = self.cfg.ranks;
-        let m = self.m;
         // Each rank reads its segment once and sends it to every peer.
-        let mut seg = Vec::with_capacity(m);
+        let mut seg = std::mem::take(&mut self.scratch);
         for rank in 0..p {
             let sys = cl.system_mut(rank);
             seg.clear();
-            seg.extend((0..m).map(|j| self.p_r[rank].get(sys, j)));
+            load_span(sys, [self.blocks[rank].p_r], |_, [v]| seg.push(v));
             for dst in 0..p {
                 if dst != rank {
                     cl.send_with(rank, dst, |_, out| out.extend_from_slice(&seg));
                 }
             }
         }
+        self.scratch = seg;
         for dst in 0..p {
             for src in 0..p {
                 if src == dst {
-                    let sys = cl.system_mut(dst);
-                    for j in 0..m {
-                        let v = self.p_r[dst].get(sys, j);
-                        self.p_full[dst].set(sys, dst * m + j, v);
-                    }
+                    self.copy_own_segment(cl, dst);
                 } else {
                     self.recv_segment(cl, src, dst);
                 }
@@ -246,12 +275,17 @@ impl DistCg {
 
     /// Receive `src`'s `p` segment into `dst`'s replicated `p_full`.
     fn recv_segment(&self, cl: &mut Cluster, src: usize, dst: usize) {
-        let (full, m) = (self.p_full[dst], self.m);
+        let (full, m) = (self.blocks[dst].p_full, self.m);
         cl.recv_with(src, dst, |sys, seg| {
-            for (j, &v) in seg.iter().enumerate() {
-                full.set(sys, src * m + j, v);
-            }
+            full.slice(src * m, m).store_slice(sys, seg)
         });
+    }
+
+    /// Copy `rank`'s own `p` segment into its replicated `p_full`.
+    fn copy_own_segment(&self, cl: &mut Cluster, rank: usize) {
+        let block = &self.blocks[rank];
+        let own = block.own_p(rank, self.m);
+        map_span(cl.system_mut(rank), [block.p_r], own, |_, [v]| v);
     }
 
     /// Segment-assisted reconstruction: every survivor re-sends its `p`
@@ -259,23 +293,18 @@ impl DistCg {
     /// `p_full` (own segment from the restored ring).
     fn segment_assist(&mut self, cl: &mut Cluster, rank: usize) {
         let p = self.cfg.ranks;
-        let m = self.m;
         for src in 0..p {
             if src == rank {
                 continue;
             }
-            let p_src = self.p_r[src];
+            let p_src = self.blocks[src].p_r;
             cl.send_with(src, rank, |sys, out| {
-                out.extend((0..m).map(|j| p_src.get(sys, j)));
+                load_span(sys, [p_src], |_, [v]| out.push(v));
             });
         }
         for src in 0..p {
             if src == rank {
-                let sys = cl.system_mut(rank);
-                for j in 0..m {
-                    let v = self.p_r[rank].get(sys, j);
-                    self.p_full[rank].set(sys, rank * m + j, v);
-                }
+                self.copy_own_segment(cl, rank);
             } else {
                 self.recv_segment(cl, src, rank);
             }
@@ -283,22 +312,15 @@ impl DistCg {
     }
 }
 
-/// Gather one rank's `x‖r‖p` segments into an iterate slot, element by
-/// element (the commit-side copy loop).
-fn store_segments(
-    sys: &mut MemorySystem,
-    [x, r, p]: [PArray<f64>; 3],
-    slot: PArray<f64>,
-    m: usize,
-) {
-    for j in 0..m {
-        let xv = x.get(sys, j);
-        let rv = r.get(sys, j);
-        let pv = p.get(sys, j);
-        slot.set(sys, j, xv);
-        slot.set(sys, m + j, rv);
-        slot.set(sys, 2 * m + j, pv);
-    }
+/// The `x‖r‖p` thirds of an iterate slot of segments `m` long.
+fn thirds(slot: PArray<f64>, m: usize) -> [PArray<f64>; 3] {
+    [0, 1, 2].map(|k| slot.slice(k * m, m))
+}
+
+/// Gather one rank's `x‖r‖p` segments into an iterate slot, interleaved
+/// element by element (the commit-side copy loop).
+fn store_segments(sys: &mut MemorySystem, segments: [PArray<f64>; 3], slot: PArray<f64>, m: usize) {
+    span(sys, segments, thirds(slot, m), |_, v| v);
 }
 
 impl DistKernel for DistCg {
@@ -315,25 +337,33 @@ impl DistKernel for DistCg {
         // q = A p (local rows), partial pᵀq — no persistence happens
         // before the MID boundary. The partials cross the boundary in
         // `self.pq`, so a batch replay's cloned kernel carries them.
-        let mut pq = vec![0.0f64; p];
+        self.pq.clear();
         for rank in 0..p {
             let sys = cl.system_mut(rank);
+            let Block {
+                rowptr,
+                a_vals,
+                a_cols,
+                q_r,
+                p_full,
+                ..
+            } = &self.blocks[rank];
             let mut partial = 0.0;
             for j in 0..m {
-                let (lo, hi) = (self.rowptr[rank][j], self.rowptr[rank][j + 1]);
                 let mut acc = 0.0;
-                for k in lo..hi {
-                    let v = self.a_vals[rank].get(sys, k);
-                    let c = self.a_cols[rank].get(sys, k) as usize;
-                    acc += v * self.p_full[rank].get(sys, c);
-                }
-                sys.charge_flops(2 * (hi - lo) as u64 + 2);
-                self.q_r[rank].set(sys, j, acc);
-                partial += self.p_full[rank].get(sys, rank * m + j) * acc;
+                gather_span(
+                    sys,
+                    *a_vals,
+                    *a_cols,
+                    rowptr[j]..rowptr[j + 1],
+                    |sys, v, c| acc += v * p_full.get(sys, c as usize),
+                );
+                q_r.set(sys, j, acc);
+                partial += p_full.get(sys, rank * m + j) * acc;
             }
-            pq[rank] = partial;
+            sys.charge_flops(2 * (rowptr[m] + m) as u64);
+            self.pq.push(partial);
         }
-        self.pq = pq;
     }
 
     fn commit(&mut self, cl: &mut Cluster, iter: u64) {
@@ -342,37 +372,40 @@ impl DistKernel for DistCg {
         let denom = cl.allreduce_sum(&self.pq);
         let alpha = self.rho / denom;
         // Compute phase 2: advance x and r, reduce the new rho, update p.
-        let mut rr = vec![0.0f64; p];
+        let mut rr = std::mem::take(&mut self.scratch);
+        rr.clear();
         for rank in 0..p {
             let sys = cl.system_mut(rank);
+            let block = &self.blocks[rank];
+            let (x, r) = (block.x_r, block.r_r);
             let mut partial = 0.0;
-            for j in 0..m {
-                let pj = self.p_full[rank].get(sys, rank * m + j);
-                let qj = self.q_r[rank].get(sys, j);
-                let xj = self.x_r[rank].get(sys, j) + alpha * pj;
-                let rj = self.r_r[rank].get(sys, j) - alpha * qj;
-                sys.charge_flops(6);
-                self.x_r[rank].set(sys, j, xj);
-                self.r_r[rank].set(sys, j, rj);
-                partial += rj * rj;
-            }
-            rr[rank] = partial;
+            span(
+                sys,
+                [block.own_p(rank, m), block.q_r, x, r],
+                [x, r],
+                |_, [pj, qj, xj, rj]| {
+                    let rj = rj - alpha * qj;
+                    partial += rj * rj;
+                    [xj + alpha * pj, rj]
+                },
+            );
+            sys.charge_flops(6 * m as u64);
+            rr.push(partial);
         }
         let rho_new = cl.allreduce_sum(&rr);
+        self.scratch = rr;
         let beta = rho_new / self.rho;
         for rank in 0..p {
             let sys = cl.system_mut(rank);
-            for j in 0..m {
-                let rj = self.r_r[rank].get(sys, j);
-                let pj = self.p_full[rank].get(sys, rank * m + j);
-                sys.charge_flops(2);
-                self.p_r[rank].set(sys, j, rj + beta * pj);
-            }
+            let block = &self.blocks[rank];
+            let ins = [block.r_r, block.own_p(rank, m)];
+            map_span(sys, ins, block.p_r, |_, [rj, pj]| rj + beta * pj);
+            sys.charge_flops(2 * m as u64);
         }
         self.rho = rho_new;
         // Persist phase for every rank, then END polls.
         for rank in 0..p {
-            let segments = [self.x_r[rank], self.r_r[rank], self.p_r[rank]];
+            let segments = self.blocks[rank].segments();
             self.mech.commit(
                 cl.system_mut(rank),
                 rank,
@@ -386,7 +419,9 @@ impl DistKernel for DistCg {
     fn solution(&self, cl: &Cluster) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.cfg.shape.n);
         for rank in 0..self.cfg.ranks {
-            self.x_r[rank].peek_into(cl.system(rank), 0..self.m, &mut out);
+            self.blocks[rank]
+                .x_r
+                .peek_into(cl.system(rank), 0..self.m, &mut out);
         }
         out
     }
@@ -399,7 +434,7 @@ impl DistKernel for DistCg {
         let mut out = Vec::with_capacity(self.cfg.ranks * 3 * self.m + 1);
         for rank in 0..self.cfg.ranks {
             let sys = cl.system(rank);
-            for seg in [self.x_r[rank], self.r_r[rank], self.p_r[rank]] {
+            for seg in self.blocks[rank].segments() {
                 seg.peek_into(sys, 0..self.m, &mut out);
             }
         }
@@ -412,15 +447,8 @@ impl DistKernel for DistCg {
     }
 
     fn load_slot(&self, sys: &mut MemorySystem, rank: usize, slot: PArray<f64>) {
-        let m = self.m;
-        for j in 0..m {
-            let x = slot.get(sys, j);
-            let r = slot.get(sys, m + j);
-            let pv = slot.get(sys, 2 * m + j);
-            self.x_r[rank].set(sys, j, x);
-            self.r_r[rank].set(sys, j, r);
-            self.p_r[rank].set(sys, j, pv);
-        }
+        let segments = self.blocks[rank].segments();
+        span(sys, thirds(slot, self.m), segments, |_, v| v);
     }
 
     fn set_scalar(&mut self, rho: f64) {

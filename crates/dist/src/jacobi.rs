@@ -15,7 +15,9 @@
 //! workload. A `1 × p` grid degenerates to the seed's row striping with
 //! an identical message schedule.
 
-use adcc_sim::parray::PArray;
+use std::sync::Arc;
+
+use adcc_sim::parray::{load_span, map_span, span, PArray};
 use adcc_sim::system::MemorySystem;
 
 use crate::cluster::Cluster;
@@ -53,28 +55,61 @@ fn initial(global_row: usize, col: usize) -> f64 {
     ((global_row * 53 + col * 17 + 29) % 113) as f64 / 113.0
 }
 
-/// The distributed Jacobi program. Cloning copies only the handles and
-/// host-side bookkeeping — batch replays clone the kernel alongside
-/// [`Cluster::fork`].
-#[derive(Clone)]
+/// One rank's volatile arrays.
+#[derive(Clone, Copy)]
+struct Arrays {
+    /// Working block, `(rows_b + 2) × (cols_b + 2)` row-major (halo ring:
+    /// rows `0` / `rows_b + 1`, columns `0` / `cols_b + 1`).
+    x: PArray<f64>,
+    /// Next iterate, `rows_b × cols_b`.
+    x_new: PArray<f64>,
+}
+
+/// The distributed Jacobi program. Batch replays clone the kernel
+/// alongside [`Cluster::fork`]; a clone shares the handles and copies the
+/// mechanism's host-side state, and `clone_from` reuses its target's
+/// buffers.
 pub struct DistJacobi {
     cfg: JacobiConfig,
     /// Interior rows per block.
     rows_b: usize,
     /// Interior columns per block.
     cols_b: usize,
-    /// Volatile working block, `(rows_b + 2) × (cols_b + 2)` row-major
-    /// (halo ring: rows `0` / `rows_b + 1`, columns `0` / `cols_b + 1`).
-    x: Vec<PArray<f64>>,
-    /// Volatile next iterate, `rows_b × cols_b`.
-    x_new: Vec<PArray<f64>>,
+    /// Per rank, fixed at setup, so clones share them.
+    arrays: Arc<Vec<Arrays>>,
     /// How the blocks are made durable and brought back.
     mech: Mechanism,
+}
+
+impl Clone for DistJacobi {
+    fn clone(&self) -> Self {
+        DistJacobi {
+            cfg: self.cfg.clone(),
+            rows_b: self.rows_b,
+            cols_b: self.cols_b,
+            arrays: Arc::clone(&self.arrays),
+            mech: self.mech.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.cfg.clone_from(&src.cfg);
+        (self.rows_b, self.cols_b) = (src.rows_b, src.cols_b);
+        self.arrays.clone_from(&src.arrays);
+        self.mech.clone_from(&src.mech);
+    }
 }
 
 impl DistJacobi {
     fn idx(&self, i: usize, j: usize) -> usize {
         i * (self.cols_b + 2) + j
+    }
+
+    /// Each interior row `i` of a block with the index in `x` of its first
+    /// interior cell: the row is `cols_b` cells from there.
+    fn interior_rows(&self) -> impl Iterator<Item = (usize, usize)> {
+        let width = self.cols_b + 2;
+        (0..self.rows_b).map(move |i| (i, (i + 1) * width + 1))
     }
 
     /// Side `d` of a block as a `(first, step, len)` walk over `x`: the
@@ -101,9 +136,13 @@ impl DistJacobi {
     /// Send rank `r`'s face towards direction `d` to that neighbor, `n`.
     fn send_face(&self, cl: &mut Cluster, r: usize, d: Dir, n: usize) {
         let (first, step, len) = self.side(d, false);
-        let x = self.x[r];
+        let x = self.arrays[r].x;
         cl.send_with(r, n, |sys, out| {
-            out.extend((0..len).map(|k| x.get(sys, first + k * step)));
+            if step == 1 {
+                load_span(sys, [x.slice(first, len)], |_, [v]| out.push(v));
+            } else {
+                out.extend((0..len).map(|k| x.get(sys, first + k * step)));
+            }
         });
     }
 
@@ -111,11 +150,15 @@ impl DistJacobi {
     /// `n`.
     fn recv_halo(&self, cl: &mut Cluster, r: usize, d: Dir, n: usize) {
         let (first, step, len) = self.side(d, true);
-        let x = self.x[r];
+        let x = self.arrays[r].x;
         cl.recv_with(n, r, |sys, vals| {
             debug_assert_eq!(vals.len(), len);
-            for (k, &v) in vals.iter().enumerate() {
-                x.set(sys, first + k * step, v);
+            if step == 1 {
+                x.slice(first, len).store_slice(sys, vals);
+            } else {
+                for (k, &v) in vals.iter().enumerate() {
+                    x.set(sys, first + k * step, v);
+                }
             }
         });
     }
@@ -129,14 +172,15 @@ impl DistJacobi {
         let (c, rw) = self.cfg.grid.coords(r);
         let (px, py) = (self.cfg.grid.px, self.cfg.grid.py);
         let sys = cl.system_mut(r);
+        let x = self.arrays[r].x;
         if c == 0 {
             for i in 0..rb + 2 {
-                self.x[r].set(sys, self.idx(i, 0), LEFT_B);
+                x.set(sys, self.idx(i, 0), LEFT_B);
             }
         }
         if c == px - 1 {
             for i in 0..rb + 2 {
-                self.x[r].set(sys, self.idx(i, cb + 1), RIGHT_B);
+                x.set(sys, self.idx(i, cb + 1), RIGHT_B);
             }
         }
         let (j0, j1) = (
@@ -144,14 +188,10 @@ impl DistJacobi {
             if c == px - 1 { cb } else { cb + 1 },
         );
         if rw == 0 {
-            for j in j0..=j1 {
-                self.x[r].set(sys, self.idx(0, j), TOP_B);
-            }
+            x.slice(self.idx(0, j0), j1 + 1 - j0).fill(sys, TOP_B);
         }
         if rw == py - 1 {
-            for j in j0..=j1 {
-                self.x[r].set(sys, self.idx(rb + 1, j), BOT_B);
-            }
+            x.slice(self.idx(rb + 1, j0), j1 + 1 - j0).fill(sys, BOT_B);
         }
     }
 
@@ -172,8 +212,7 @@ impl DistJacobi {
         let mut prog = DistJacobi {
             rows_b,
             cols_b,
-            x: Vec::new(),
-            x_new: Vec::new(),
+            arrays: Arc::default(),
             mech,
             cfg,
         };
@@ -181,8 +220,7 @@ impl DistJacobi {
             let sys = cl.system_mut(r);
             let x = PArray::<f64>::alloc_dram(sys, (rows_b + 2) * (cols_b + 2));
             let x_new = PArray::<f64>::alloc_dram(sys, rows_b * cols_b);
-            prog.x.push(x);
-            prog.x_new.push(x_new);
+            Arc::make_mut(&mut prog.arrays).push(Arrays { x, x_new });
             prog.reinit(sys, r);
             prog.set_boundaries(cl, r);
             let part = Partition {
@@ -191,13 +229,15 @@ impl DistJacobi {
                 statics: &[],
                 scalar: None,
             };
-            let width = cols_b + 2;
+            let rows = prog.interior_rows();
             prog.mech.add_rank(cl.system_mut(r), part, |sys, slot| {
-                for i in 0..rows_b {
-                    for j in 0..cols_b {
-                        let v = x.get(sys, (i + 1) * width + j + 1);
-                        slot.set(sys, i * cols_b + j, v);
-                    }
+                for (i, first) in rows {
+                    map_span(
+                        sys,
+                        [x.slice(first, cols_b)],
+                        slot.slice(i * cols_b, cols_b),
+                        |_, [v]| v,
+                    );
                 }
             });
         }
@@ -252,40 +292,37 @@ impl DistKernel for DistJacobi {
         }
         for r in 0..p {
             let sys = cl.system_mut(r);
+            let Arrays { x, x_new } = self.arrays[r];
             for i in 1..=rb {
-                for j in 1..=cb {
-                    let up = self.x[r].get(sys, self.idx(i - 1, j));
-                    let down = self.x[r].get(sys, self.idx(i + 1, j));
-                    let left = self.x[r].get(sys, self.idx(i, j - 1));
-                    let right = self.x[r].get(sys, self.idx(i, j + 1));
-                    sys.charge_flops(4);
-                    self.x_new[r].set(
-                        sys,
-                        (i - 1) * cb + (j - 1),
-                        0.25 * (up + down + left + right),
-                    );
-                }
+                // The `cb` cells from `(i, j)` on.
+                let run = |i, j| x.slice(self.idx(i, j), cb);
+                span(
+                    sys,
+                    [run(i - 1, 1), run(i + 1, 1), run(i, 0), run(i, 2)],
+                    [x_new.slice((i - 1) * cb, cb)],
+                    |_, [up, down, left, right]| [0.25 * (up + down + left + right)],
+                );
             }
+            sys.charge_flops(4 * (rb * cb) as u64);
         }
     }
 
     fn commit(&mut self, cl: &mut Cluster, iter: u64) {
         let p = self.cfg.ranks;
-        let (rb, cb) = (self.rows_b, self.cols_b);
+        let cb = self.cols_b;
         for r in 0..p {
             let sys = cl.system_mut(r);
-            for i in 0..rb {
-                for j in 0..cb {
-                    let v = self.x_new[r].get(sys, i * cb + j);
-                    self.x[r].set(sys, self.idx(i + 1, j + 1), v);
-                }
+            let Arrays { x, x_new } = self.arrays[r];
+            for (i, first) in self.interior_rows() {
+                map_span(
+                    sys,
+                    [x_new.slice(i * cb, cb)],
+                    x.slice(first, cb),
+                    |_, [v]| v,
+                );
             }
-            let x_new = self.x_new[r];
             self.mech.commit(sys, r, iter, None, |sys, slot| {
-                for k in 0..rb * cb {
-                    let v = x_new.get(sys, k);
-                    slot.set(sys, k, v);
-                }
+                map_span(sys, [x_new], slot, |_, [v]| v)
             });
         }
     }
@@ -297,7 +334,9 @@ impl DistKernel for DistJacobi {
             for bj in 0..self.cfg.grid.px {
                 let r = self.cfg.grid.rank_at(bj, gi / self.rows_b);
                 let first = self.idx(gi % self.rows_b + 1, 1);
-                self.x[r].peek_into(cl.system(r), first..first + self.cols_b, &mut out);
+                self.arrays[r]
+                    .x
+                    .peek_into(cl.system(r), first..first + self.cols_b, &mut out);
             }
         }
         out
@@ -310,7 +349,7 @@ impl DistKernel for DistJacobi {
         let cells = (self.rows_b + 2) * (self.cols_b + 2);
         let mut out = Vec::with_capacity(self.cfg.ranks * cells);
         for r in 0..self.cfg.ranks {
-            self.x[r].peek_into(cl.system(r), 0..cells, &mut out);
+            self.arrays[r].x.peek_into(cl.system(r), 0..cells, &mut out);
         }
         out
     }
@@ -320,11 +359,14 @@ impl DistKernel for DistJacobi {
     }
 
     fn load_slot(&self, sys: &mut MemorySystem, rank: usize, slot: PArray<f64>) {
-        for i in 0..self.rows_b {
-            for j in 0..self.cols_b {
-                let v = slot.get(sys, i * self.cols_b + j);
-                self.x[rank].set(sys, self.idx(i + 1, j + 1), v);
-            }
+        let cb = self.cols_b;
+        for (i, first) in self.interior_rows() {
+            map_span(
+                sys,
+                [slot.slice(i * cb, cb)],
+                self.arrays[rank].x.slice(first, cb),
+                |_, [v]| v,
+            );
         }
     }
 
@@ -345,14 +387,11 @@ impl DistKernel for DistJacobi {
 
     fn reinit(&self, sys: &mut MemorySystem, r: usize) {
         let (c, rw) = self.cfg.grid.coords(r);
-        for i in 0..self.rows_b {
-            for j in 0..self.cols_b {
-                self.x[r].set(
-                    sys,
-                    self.idx(i + 1, j + 1),
-                    initial(rw * self.rows_b + i, c * self.cols_b + j),
-                );
-            }
+        for (i, first) in self.interior_rows() {
+            self.arrays[r]
+                .x
+                .slice(first, self.cols_b)
+                .store_span(sys, |j| initial(rw * self.rows_b + i, c * self.cols_b + j));
         }
     }
 }

@@ -42,12 +42,13 @@
 //!    after the load, each kernel choosing its own bucket.
 //! 6. Remote regions are `[statics…, slot 0, slot 1, scalar pair,
 //!    counter]`, in that order.
-//! 7. A kernel is cloned per replay: [`Local`]'s clone copies handles and
-//!    the remote payloads, and shares the region lists.
+//! 7. A kernel is cloned per replay: a clone shares every table fixed at
+//!    setup (handles, region lists) and copies only [`Local`]'s remote
+//!    payloads, which `clone_from` copies into its target's buffers.
 
 use std::sync::Arc;
 
-use adcc_ckpt::mem::{MemCheckpoint, MemCheckpointLayout};
+use adcc_ckpt::mem::MemCheckpoint;
 use adcc_ckpt::multilevel::{MultilevelCheckpoint, RemoteStore, RemoteTiming};
 use adcc_sim::clock::Bucket;
 use adcc_sim::parray::{PArray, PScalar};
@@ -88,10 +89,10 @@ struct Cells {
 }
 
 /// Double-buffered iterate slots plus a persisted superstep counter.
-#[derive(Clone)]
 pub struct Local {
     remote: Option<RemoteTiming>,
-    cells: Vec<Cells>,
+    /// Per rank, fixed at setup, so clones share them.
+    cells: Arc<Vec<Cells>>,
     /// Per rank, what the remote level snapshots (invariant 6).
     regions: Arc<Vec<Vec<(u64, usize)>>>,
     /// Host-side: they model storage *outside* the node, so they survive
@@ -99,14 +100,30 @@ pub struct Local {
     stores: Vec<RemoteStore>,
 }
 
+impl Clone for Local {
+    fn clone(&self) -> Self {
+        Local {
+            remote: self.remote,
+            cells: Arc::clone(&self.cells),
+            regions: Arc::clone(&self.regions),
+            stores: self.stores.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.remote = src.remote;
+        self.cells.clone_from(&src.cells);
+        self.regions.clone_from(&src.regions);
+        self.stores.clone_from(&src.stores);
+    }
+}
+
 /// One rank's [`Restart`] handles.
 #[derive(Clone)]
 struct Coordinated {
+    /// Only NVM addresses, so it serves a rebooted process as is.
     ckpt: MemCheckpoint,
-    /// For re-attachment after the rank's process died.
-    layout: MemCheckpointLayout,
-    /// Fixed at setup, so kernel clones share it.
-    regions: Arc<[(u64, usize)]>,
+    regions: Vec<(u64, usize)>,
     scalar: Option<PArray<f64>>,
     /// Volatile iterate marker, part of the checkpoint payload.
     marker: PArray<u64>,
@@ -116,12 +133,12 @@ struct Coordinated {
 #[derive(Clone)]
 pub struct Restart {
     period: u64,
-    ranks: Vec<Coordinated>,
+    /// Per rank, fixed at setup, so clones share them.
+    ranks: Arc<Vec<Coordinated>>,
 }
 
 /// The persistence mechanism of one kernel instance, one entry per rank
 /// in rank order.
-#[derive(Clone)]
 pub enum Mechanism {
     /// [`RecoveryMode::AlgorithmDirected`].
     Local(Local),
@@ -192,17 +209,32 @@ impl Local {
     }
 }
 
+impl Clone for Mechanism {
+    fn clone(&self) -> Self {
+        match self {
+            Mechanism::Local(local) => Mechanism::Local(local.clone()),
+            Mechanism::Restart(restart) => Mechanism::Restart(restart.clone()),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        match (self, src) {
+            (Mechanism::Local(to), Mechanism::Local(from)) => to.clone_from(from),
+            (to, from) => *to = from.clone(),
+        }
+    }
+}
+
 impl Restart {
-    /// Re-attach the failed rank's checkpoint area and restore every rank
-    /// under [`Bucket::Resume`]. Returns the globally agreed `(iterate,
+    /// Restore every rank under [`Bucket::Resume`] (a rebooted rank's
+    /// checkpoint handle is the one it held). Returns the globally agreed `(iterate,
     /// scalar)` — or `None` when any rank lacks a valid level, in which
     /// case the **whole cluster** must go back to a re-derivable iterate 0
     /// (a partial rollback would mix iterates). Panics if the restored
     /// values disagree: coordinated checkpoints are taken between the same
     /// poll boundaries on every rank, so disagreement is a protocol bug,
     /// never a recoverable state.
-    fn restore_all(&mut self, cl: &mut Cluster, failed: usize) -> Option<(u64, Option<f64>)> {
-        self.ranks[failed].ckpt = MemCheckpoint::attach(self.ranks[failed].layout, false);
+    fn restore_all(&self, cl: &mut Cluster) -> Option<(u64, Option<f64>)> {
         let mut restored = Vec::with_capacity(self.ranks.len());
         for (r, rank) in self.ranks.iter().enumerate() {
             let sys = cl.system_mut(r);
@@ -231,13 +263,13 @@ impl Mechanism {
         match mode {
             RecoveryMode::AlgorithmDirected => Mechanism::Local(Local {
                 remote,
-                cells: Vec::new(),
+                cells: Arc::default(),
                 regions: Arc::default(),
                 stores: Vec::new(),
             }),
             RecoveryMode::GlobalRestart => Mechanism::Restart(Restart {
                 period: ckpt_period,
-                ranks: Vec::new(),
+                ranks: Arc::default(),
             }),
         }
     }
@@ -266,7 +298,7 @@ impl Mechanism {
                 regions.push((counter.addr(), 8));
                 Arc::make_mut(&mut local.regions).push(regions);
                 local.stores.push(RemoteStore::new());
-                local.cells.push(Cells {
+                Arc::make_mut(&mut local.cells).push(Cells {
                     slots,
                     scalar,
                     counter,
@@ -285,12 +317,11 @@ impl Mechanism {
                 regions.extend(scalar.map(|cell| (cell.base(), 8)));
                 regions.push((marker.base(), 8));
                 let bytes = regions.iter().map(|r| r.1).sum();
-                let mut ckpt = MemCheckpoint::new(sys, bytes, false);
+                let ckpt = MemCheckpoint::new(sys, bytes, false);
                 ckpt.checkpoint(sys, &regions);
-                restart.ranks.push(Coordinated {
-                    layout: ckpt.layout(),
+                Arc::make_mut(&mut restart.ranks).push(Coordinated {
                     ckpt,
-                    regions: regions.into(),
+                    regions,
                     scalar,
                     marker,
                 });
@@ -333,7 +364,7 @@ impl Mechanism {
                     scalar: cell,
                     marker,
                     ..
-                } = &mut restart.ranks[rank];
+                } = &restart.ranks[rank];
                 debug_assert_eq!(cell.is_some(), scalar.is_some());
                 if let Some((cell, value)) = cell.zip(scalar) {
                     cell.set(sys, 0, value);
@@ -439,7 +470,7 @@ fn restart_recover<K: DistKernel + ?Sized>(
 ) -> Recovery {
     let frontier = crash.frontier();
     let ranks = cl.ranks() as u64;
-    let (detected, cc) = rollback(kernel, cl, crash.rank);
+    let (detected, cc) = rollback(kernel, cl);
     debug_assert!(cc <= frontier);
     let mut rec = Recovery {
         detected,
@@ -479,12 +510,8 @@ fn restart_of<K: DistKernel + ?Sized>(kernel: &mut K) -> &mut Restart {
 /// Coordinated rollback: `(detected, restored_iterate)`. Any rank without
 /// a valid level drags the whole cluster back to iterate 0 and reports
 /// the state as detected-dirty.
-fn rollback<K: DistKernel + ?Sized>(
-    kernel: &mut K,
-    cl: &mut Cluster,
-    failed: usize,
-) -> (bool, u64) {
-    let rolled = match restart_of(kernel).restore_all(cl, failed) {
+fn rollback<K: DistKernel + ?Sized>(kernel: &mut K, cl: &mut Cluster) -> (bool, u64) {
+    let rolled = match restart_of(kernel).restore_all(cl) {
         Some((iter, scalar)) => {
             if let Some(value) = scalar {
                 kernel.set_scalar(value);

@@ -127,12 +127,15 @@ impl<P> DistConfig<P> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::cg::{CgConfig, Spd};
-    use crate::jacobi::{JacobiConfig, Plate};
+    use crate::cg::{CgConfig, DistCg, Spd};
+    use crate::jacobi::{DistJacobi, JacobiConfig, Plate};
     use crate::sites;
-    use crate::stencil::{Rod, StencilConfig};
-    use crate::trial::{run_dist_trial, DistKernel, DistTrial};
+    use crate::stencil::{DistStencil, Rod, StencilConfig};
+    use crate::trial::{run_dist_trial, run_superstep, DistKernel, DistTrial};
+    use adcc_sim::clock::Bucket;
     use adcc_sim::crash::{CrashSite, CrashTrigger};
+    use adcc_sim::events::EventRecorder;
+    use adcc_sim::stats::MemStats;
 
     type Setup<P, K> = fn(&mut Cluster, DistConfig<P>) -> K;
 
@@ -255,5 +258,74 @@ pub(crate) mod tests {
                 "forward fabric use measured: {case}"
             );
         }
+    }
+
+    /// What each rank's charges left that a later charge or verdict can
+    /// see: the clock per bucket, the counters and the access count.
+    fn charged(cl: &Cluster) -> Vec<([u64; Bucket::COUNT], MemStats, u64)> {
+        (0..cl.ranks())
+            .map(|r| {
+                let sys = cl.system(r);
+                (
+                    sys.clock().bucket_totals(),
+                    *sys.stats(),
+                    sys.access_count(),
+                )
+            })
+            .collect()
+    }
+
+    /// Set `config(mode)` up twice, one cluster with a recorder on every
+    /// rank, so every span element there takes the element path; run two
+    /// supersteps, crash rank 1 mid-superstep 3, recover, and resume one
+    /// superstep. Both clusters must charge the same at every step. The
+    /// rebooted rank comes back without a recorder, so it gets a new one
+    /// for the resumed superstep.
+    fn spans_charge_what_element_loops_charge<P: Shape, K: DistKernel>(
+        config: fn(RecoveryMode) -> DistConfig<P>,
+        setup: Setup<P, K>,
+    ) {
+        for mode in [RecoveryMode::AlgorithmDirected, RecoveryMode::GlobalRestart] {
+            let failures = [crash_at(1, sites::PH_MID, 3)];
+            let cfg = config(mode);
+            let case = format!("{:?} {mode:?}", cfg.shape);
+            let (mut spans, mut on_spans) = cfg.clone().launch(&failures, setup);
+            let mut elems = Cluster::new_multi(cfg.cluster(), &failures);
+            for r in 0..elems.ranks() {
+                elems.system_mut(r).attach_recorder(EventRecorder::new());
+            }
+            let mut on_elems = setup(&mut elems, cfg);
+            assert_eq!(charged(&spans), charged(&elems), "{case}: setup");
+            for iter in 1..=2 {
+                assert!(run_superstep(&mut on_spans, &mut spans, iter, true).is_none());
+                assert!(run_superstep(&mut on_elems, &mut elems, iter, true).is_none());
+                assert_eq!(charged(&spans), charged(&elems), "{case}: superstep {iter}");
+            }
+            let crash = run_superstep(&mut on_spans, &mut spans, 3, true).expect("armed");
+            let same = run_superstep(&mut on_elems, &mut elems, 3, true).expect("armed");
+            assert_eq!((crash.rank, crash.site), (same.rank, same.site), "{case}");
+            assert_eq!(charged(&spans), charged(&elems), "{case}: crash");
+            let a = on_spans.recover(&mut spans, crash);
+            let b = on_elems.recover(&mut elems, same);
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{case}: recovery");
+            assert_eq!(charged(&spans), charged(&elems), "{case}: recovered");
+            let bits = |cl: &Cluster, k: &K| -> Vec<u64> {
+                k.resume_state(cl).iter().map(|v| v.to_bits()).collect()
+            };
+            assert_eq!(bits(&spans, &on_spans), bits(&elems, &on_elems), "{case}");
+            elems.system_mut(1).attach_recorder(EventRecorder::new());
+            for (cl, k) in [(&mut spans, &mut on_spans), (&mut elems, &mut on_elems)] {
+                assert!(run_superstep(k, cl, a.resume_iter, a.resume_exchange).is_none());
+            }
+            assert_eq!(charged(&spans), charged(&elems), "{case}: resumed");
+            assert_eq!(bits(&spans, &on_spans), bits(&elems, &on_elems), "{case}");
+        }
+    }
+
+    #[test]
+    fn every_kernel_charges_the_same_through_spans_and_element_loops() {
+        spans_charge_what_element_loops_charge(rod, DistStencil::setup);
+        spans_charge_what_element_loops_charge(plate, DistJacobi::setup);
+        spans_charge_what_element_loops_charge(spd, DistCg::setup);
     }
 }

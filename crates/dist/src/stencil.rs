@@ -19,8 +19,10 @@
 //!   last coordinated checkpoint and re-executes every lost superstep,
 //!   halo exchanges included.
 
+use std::sync::Arc;
+
 use adcc_sim::clock::Bucket;
-use adcc_sim::parray::PArray;
+use adcc_sim::parray::{map_span, span, PArray};
 use adcc_sim::system::MemorySystem;
 
 use crate::cluster::Cluster;
@@ -56,21 +58,46 @@ fn initial(global_cell: usize) -> f64 {
     ((global_cell * 37 + 11) % 101) as f64 / 101.0
 }
 
+/// One rank's volatile arrays.
+#[derive(Clone, Copy)]
+struct Arrays {
+    /// Working iterate, `m + 2` cells (halo at `0` and `m + 1`).
+    x: PArray<f64>,
+    /// Next iterate, `m` cells.
+    x_new: PArray<f64>,
+}
+
 /// The distributed stencil program (handles survive rank crashes; all
-/// per-rank state lives in the cluster's simulated memories). Cloning
-/// copies only the handles and host-side bookkeeping — batch replays
-/// clone the kernel alongside [`Cluster::fork`].
-#[derive(Clone)]
+/// per-rank state lives in the cluster's simulated memories). Batch
+/// replays clone the kernel alongside [`Cluster::fork`]; a clone shares
+/// the handles and copies the mechanism's host-side state, and
+/// `clone_from` reuses its target's buffers.
 pub struct DistStencil {
     cfg: StencilConfig,
     /// Cells per rank.
     m: usize,
-    /// Volatile working iterate, `m + 2` cells (halo at `0` and `m + 1`).
-    x: Vec<PArray<f64>>,
-    /// Volatile next iterate, `m` cells.
-    x_new: Vec<PArray<f64>>,
+    /// Per rank, fixed at setup, so clones share them.
+    arrays: Arc<Vec<Arrays>>,
     /// How the partitions are made durable and brought back.
     mech: Mechanism,
+}
+
+impl Clone for DistStencil {
+    fn clone(&self) -> Self {
+        DistStencil {
+            cfg: self.cfg.clone(),
+            m: self.m,
+            arrays: Arc::clone(&self.arrays),
+            mech: self.mech.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, src: &Self) {
+        self.cfg.clone_from(&src.cfg);
+        self.m = src.m;
+        self.arrays.clone_from(&src.arrays);
+        self.mech.clone_from(&src.mech);
+    }
 }
 
 impl DistStencil {
@@ -83,8 +110,7 @@ impl DistStencil {
         let m = cells / cfg.ranks;
         let mut prog = DistStencil {
             m,
-            x: Vec::new(),
-            x_new: Vec::new(),
+            arrays: Arc::default(),
             mech: cfg.mechanism(cl),
             cfg,
         };
@@ -92,8 +118,7 @@ impl DistStencil {
             let sys = cl.system_mut(r);
             let x = PArray::<f64>::alloc_dram(sys, m + 2);
             let x_new = PArray::<f64>::alloc_dram(sys, m);
-            prog.x.push(x);
-            prog.x_new.push(x_new);
+            Arc::make_mut(&mut prog.arrays).push(Arrays { x, x_new });
             prog.reinit(sys, r);
             prog.set_rod_ends(sys, r);
             let part = Partition {
@@ -103,10 +128,7 @@ impl DistStencil {
                 scalar: None,
             };
             prog.mech.add_rank(sys, part, |sys, slot| {
-                for j in 0..m {
-                    let v = x.get(sys, j + 1);
-                    slot.set(sys, j, v);
-                }
+                map_span(sys, [x.slice(1, m)], slot, |_, [v]| v)
             });
         }
         prog
@@ -117,13 +139,15 @@ impl DistStencil {
     /// (refilled by the next exchange).
     fn set_rod_ends(&self, sys: &mut MemorySystem, r: usize) {
         let pos = self.cfg.grid.chain_pos(r);
-        self.x[r].set(sys, 0, if pos == 0 { LEFT_B } else { 0.0 });
+        self.arrays[r]
+            .x
+            .set(sys, 0, if pos == 0 { LEFT_B } else { 0.0 });
         let right = if pos == self.cfg.ranks - 1 {
             RIGHT_B
         } else {
             0.0
         };
-        self.x[r].set(sys, self.m + 1, right);
+        self.arrays[r].x.set(sys, self.m + 1, right);
     }
 
     /// Exchange boundary cells into the chain neighbors' halos (fixed rod
@@ -133,8 +157,8 @@ impl DistStencil {
         let m = self.m;
         for r in 0..p {
             let sys = cl.system_mut(r);
-            let left = self.x[r].get(sys, 1);
-            let right = self.x[r].get(sys, m);
+            let left = self.arrays[r].x.get(sys, 1);
+            let right = self.arrays[r].x.get(sys, m);
             if let Some(prev) = self.cfg.grid.chain_prev(r) {
                 cl.send_with(r, prev, |_, out| out.push(left));
             }
@@ -145,15 +169,15 @@ impl DistStencil {
         for r in 0..p {
             if let Some(prev) = self.cfg.grid.chain_prev(r) {
                 let v = cl.recv_with(prev, r, |_, v| v[0]);
-                self.x[r].set(cl.system_mut(r), 0, v);
+                self.arrays[r].x.set(cl.system_mut(r), 0, v);
             } else {
-                self.x[r].set(cl.system_mut(r), 0, LEFT_B);
+                self.arrays[r].x.set(cl.system_mut(r), 0, LEFT_B);
             }
             if let Some(next) = self.cfg.grid.chain_next(r) {
                 let v = cl.recv_with(next, r, |_, v| v[0]);
-                self.x[r].set(cl.system_mut(r), m + 1, v);
+                self.arrays[r].x.set(cl.system_mut(r), m + 1, v);
             } else {
-                self.x[r].set(cl.system_mut(r), m + 1, RIGHT_B);
+                self.arrays[r].x.set(cl.system_mut(r), m + 1, RIGHT_B);
             }
         }
         cl.barrier();
@@ -166,21 +190,21 @@ impl DistStencil {
         let m = self.m;
         if let Some(prev) = self.cfg.grid.chain_prev(rank) {
             let sys = cl.system_mut(prev);
-            let v = self.x[prev].get(sys, m);
+            let v = self.arrays[prev].x.get(sys, m);
             cl.send_with(prev, rank, |_, out| out.push(v));
             let v = cl.recv_with(prev, rank, |_, v| v[0]);
-            self.x[rank].set(cl.system_mut(rank), 0, v);
+            self.arrays[rank].x.set(cl.system_mut(rank), 0, v);
         } else {
-            self.x[rank].set(cl.system_mut(rank), 0, LEFT_B);
+            self.arrays[rank].x.set(cl.system_mut(rank), 0, LEFT_B);
         }
         if let Some(next) = self.cfg.grid.chain_next(rank) {
             let sys = cl.system_mut(next);
-            let v = self.x[next].get(sys, 1);
+            let v = self.arrays[next].x.get(sys, 1);
             cl.send_with(next, rank, |_, out| out.push(v));
             let v = cl.recv_with(next, rank, |_, v| v[0]);
-            self.x[rank].set(cl.system_mut(rank), m + 1, v);
+            self.arrays[rank].x.set(cl.system_mut(rank), m + 1, v);
         } else {
-            self.x[rank].set(cl.system_mut(rank), m + 1, RIGHT_B);
+            self.arrays[rank].x.set(cl.system_mut(rank), m + 1, RIGHT_B);
         }
     }
 }
@@ -200,13 +224,14 @@ impl DistKernel for DistStencil {
         // at the same persisted frontier.
         for r in 0..p {
             let sys = cl.system_mut(r);
-            for j in 1..=m {
-                let a = self.x[r].get(sys, j - 1);
-                let b = self.x[r].get(sys, j);
-                let c = self.x[r].get(sys, j + 1);
-                sys.charge_flops(4);
-                self.x_new[r].set(sys, j - 1, b + K_DIFF * (a - 2.0 * b + c));
-            }
+            let Arrays { x, x_new } = self.arrays[r];
+            span(
+                sys,
+                [x.slice(0, m), x.slice(1, m), x.slice(2, m)],
+                [x_new],
+                |_, [a, b, c]| [b + K_DIFF * (a - 2.0 * b + c)],
+            );
+            sys.charge_flops(4 * m as u64);
         }
     }
 
@@ -218,16 +243,10 @@ impl DistKernel for DistStencil {
         // coordinated).
         for r in 0..p {
             let sys = cl.system_mut(r);
-            for j in 0..m {
-                let v = self.x_new[r].get(sys, j);
-                self.x[r].set(sys, j + 1, v);
-            }
-            let x_new = self.x_new[r];
+            let Arrays { x, x_new } = self.arrays[r];
+            map_span(sys, [x_new], x.slice(1, m), |_, [v]| v);
             self.mech.commit(sys, r, iter, None, |sys, slot| {
-                for j in 0..m {
-                    let v = x_new.get(sys, j);
-                    slot.set(sys, j, v);
-                }
+                map_span(sys, [x_new], slot, |_, [v]| v)
             });
         }
     }
@@ -236,7 +255,9 @@ impl DistKernel for DistStencil {
         let mut out = Vec::with_capacity(self.cfg.shape.cells);
         for pos in 0..self.cfg.ranks {
             let r = self.cfg.grid.chain_rank(pos);
-            self.x[r].peek_into(cl.system(r), 1..self.m + 1, &mut out);
+            self.arrays[r]
+                .x
+                .peek_into(cl.system(r), 1..self.m + 1, &mut out);
         }
         out
     }
@@ -248,7 +269,9 @@ impl DistKernel for DistStencil {
     fn resume_state(&self, cl: &Cluster) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.cfg.ranks * (self.m + 2));
         for r in 0..self.cfg.ranks {
-            self.x[r].peek_into(cl.system(r), 0..self.m + 2, &mut out);
+            self.arrays[r]
+                .x
+                .peek_into(cl.system(r), 0..self.m + 2, &mut out);
         }
         out
     }
@@ -258,10 +281,12 @@ impl DistKernel for DistStencil {
     }
 
     fn load_slot(&self, sys: &mut MemorySystem, rank: usize, slot: PArray<f64>) {
-        for j in 0..self.m {
-            let v = slot.get(sys, j);
-            self.x[rank].set(sys, j + 1, v);
-        }
+        map_span(
+            sys,
+            [slot],
+            self.arrays[rank].x.slice(1, self.m),
+            |_, [v]| v,
+        );
     }
 
     /// The in-flight superstep's halos were exchanged at its start and
@@ -283,9 +308,10 @@ impl DistKernel for DistStencil {
 
     fn reinit(&self, sys: &mut MemorySystem, r: usize) {
         let pos = self.cfg.grid.chain_pos(r);
-        for j in 0..self.m {
-            self.x[r].set(sys, j + 1, initial(pos * self.m + j));
-        }
+        self.arrays[r]
+            .x
+            .slice(1, self.m)
+            .store_span(sys, |j| initial(pos * self.m + j));
     }
 }
 

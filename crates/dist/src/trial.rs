@@ -636,6 +636,7 @@ pub fn run_dist_batch<K: DistKernel + Clone>(
     let probes = (passes.recover && passes.telemetry).then(|| attach_probes(cl));
     let mut drain = Drain {
         spare: None,
+        kernel: None,
         follows: points
             .iter()
             .filter(|p| p.follow != FollowUp::default())
@@ -683,11 +684,14 @@ pub fn run_dist_batch<K: DistKernel + Clone>(
 }
 
 /// What every drain of one batch execution shares.
-struct Drain<'a> {
+struct Drain<'a, K> {
     /// The cluster every replay runs on: the first fork of the batch
     /// allocates it, every later one overwrites it in place
     /// ([`Cluster::fork_armed_into`]).
     spare: Option<Cluster>,
+    /// The kernel every replay runs, copied from the live one the same
+    /// way (`clone_from`).
+    kernel: Option<K>,
     /// The non-default follow-ups, by unit.
     follows: HashMap<u64, FollowUp>,
     probes: Option<&'a [Probe]>,
@@ -695,12 +699,12 @@ struct Drain<'a> {
     reference: &'a ReferenceRun,
 }
 
-impl Drain<'_> {
+impl<K: DistKernel + Clone> Drain<'_, K> {
     /// Drain the crash states the poll boundary at `site` captured and
     /// replay each distinct machine state ([`poll_groups`]; each boundary
     /// polls a rank once, so a rank's drain is a single group) once per
     /// distinct follow-up among its units.
-    fn replay_boundary<K: DistKernel + Clone>(
+    fn replay_boundary(
         &mut self,
         cl: &mut Cluster,
         kernel: &K,
@@ -743,7 +747,7 @@ impl Drain<'_> {
     /// profile is read from the live probes at the drain boundary: nothing
     /// is charged between a poll and its drain, so the live counters *are*
     /// the crash-instant counters.
-    fn replay<K: DistKernel + Clone>(
+    fn replay(
         &mut self,
         cl: &Cluster,
         kernel: &K,
@@ -763,7 +767,7 @@ impl Drain<'_> {
         };
         let dirty = self.passes.dirty.then(|| {
             let fork = fork_into(&mut self.spare, cl, armed.as_slice());
-            dirty_continuation(fork, &mut kernel.clone(), &crash)
+            dirty_continuation(fork, clone_into(&mut self.kernel, kernel), &crash)
         });
         let trial = self.passes.recover.then(|| {
             let dirty_lines = crash.image.dirty_lines_at_crash();
@@ -773,7 +777,7 @@ impl Drain<'_> {
             let fork = fork_into(&mut self.spare, cl, armed.as_slice());
             recover_and_resume(
                 fork,
-                &mut kernel.clone(),
+                clone_into(&mut self.kernel, kernel),
                 crash,
                 forward,
                 Some(self.reference),
@@ -798,6 +802,15 @@ fn fork_into<'s>(
     match spare {
         Some(into) => cl.fork_armed_into(pending, into),
         None => *spare = Some(cl.fork_armed(pending)),
+    }
+    spare.as_mut().expect("the spare was just filled")
+}
+
+/// Copy `kernel` into the batch's spare kernel, building it on first use.
+fn clone_into<'s, K: Clone>(spare: &'s mut Option<K>, kernel: &K) -> &'s mut K {
+    match spare {
+        Some(into) => into.clone_from(kernel),
+        None => *spare = Some(kernel.clone()),
     }
     spare.as_mut().expect("the spare was just filled")
 }

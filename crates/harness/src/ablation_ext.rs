@@ -256,7 +256,7 @@ pub fn ckpt_strategies(scale: Scale) -> Table {
         let st = PlainStencil::setup(&mut sys, g, g, sweeps);
         let regions = st.regions();
         let payload: usize = regions.iter().map(|r| r.1).sum();
-        let mut ck = MemCheckpoint::new(&mut sys, payload, false);
+        let ck = MemCheckpoint::new(&mut sys, payload, false);
         let t0 = sys.now();
         let mut ckpt_ps = 0u64;
         for tt in 0..sweeps {
@@ -392,7 +392,7 @@ pub fn ckpt_incremental_sparse(scale: Scale) -> Table {
         let mut sys = MemorySystem::new(cfg.clone());
         let state = PArray::<f64>::alloc_nvm(&mut sys, state_len);
         let regions = vec![(state.base(), state.byte_len())];
-        let mut ck = MemCheckpoint::new(&mut sys, state.byte_len(), false);
+        let ck = MemCheckpoint::new(&mut sys, state.byte_len(), false);
         let t0 = sys.now();
         for s in 0..steps {
             for i in 0..hot_len {

@@ -327,24 +327,25 @@ impl SetAssocCache {
     }
 
     /// A line-chunk of hits in closed form: what `rounds` passes of
-    /// [`Self::lookup`] over the lines of `loads` and then `store`, each
-    /// resident in its given slot, leave — the store's slot dirty. An LRU
-    /// stamp is the tick of its slot's last touch, FIFO and Random ignore
-    /// hits, and a tree-PLRU touch sets its path's bits from the way alone:
-    /// passes repeated leave what the last one leaves, so only it is
-    /// written.
+    /// [`Self::lookup`] over the lines of `loads` and then of `stores`, in
+    /// order, each resident in its given slot, leave — every store's slot
+    /// dirty. An LRU stamp is the tick of its slot's last touch, FIFO and
+    /// Random ignore hits, and a tree-PLRU touch sets its path's bits from
+    /// the way alone: passes repeated leave what the last one leaves, so
+    /// only it is written.
     #[inline]
     pub(crate) fn close_hits(
         &mut self,
         loads: &[(u64, usize)],
-        store: Option<(u64, usize)>,
+        stores: &[(u64, usize)],
         rounds: u64,
     ) {
-        let touched = loads.iter().chain(&store);
-        self.tick += (loads.len() + store.is_some() as usize) as u64 * rounds;
+        let touches = (loads.len() + stores.len()) as u64;
+        let touched = loads.iter().chain(stores);
+        self.tick += touches * rounds;
         match self.policy {
             ReplacementPolicy::Lru => {
-                let first = self.tick + 1 - (loads.len() + store.is_some() as usize) as u64;
+                let first = self.tick + 1 - touches;
                 for (i, &(_, slot)) in touched.enumerate() {
                     self.slots[slot].stamp = first + i as u64;
                 }
@@ -357,7 +358,7 @@ impl SetAssocCache {
                 }
             }
         }
-        if let Some((_, slot)) = store {
+        for &(_, slot) in stores {
             self.slots[slot].dirty = true;
         }
     }
@@ -859,8 +860,8 @@ mod tests {
 
     /// `close_hits` against the lookups it stands for, and two mutants of
     /// it — one that skips the hit bookkeeping (LRU stamps, tree-PLRU
-    /// bits), one that leaves the store clean — which the same comparison
-    /// must tell apart from the lookups.
+    /// bits), one that leaves any one of several stores clean — which the
+    /// same comparison must tell apart from the lookups.
     #[test]
     fn closed_hits_leave_what_lookups_leave() {
         for policy in ReplacementPolicy::ALL {
@@ -868,21 +869,21 @@ mod tests {
             let cfg = CacheConfig::new(8 * LINE_SIZE, 4).with_policy(policy);
             let mut c = SetAssocCache::new(cfg);
             let mut rng = XorShift::new(5);
-            let (mut stamp_caught, mut dirty_caught) = (0, 0);
+            let (mut stamp_caught, mut dirty_caught, mut multi_caught) = (0, 0, 0);
             for step in 0..2_000u64 {
                 let line = rng.below(12) as u64;
                 if c.lookup(line).is_none() {
                     c.insert(line, data(step as u8), false);
                 }
-                // One to three resident lines, repeats allowed, and maybe
-                // a store to the last of them.
+                // One to five resident lines, repeats allowed, the last
+                // zero to three of them stores (which may share a line).
                 let resident: Vec<u64> = c.iter_lines().map(|(l, _)| l).collect();
-                let touched: Vec<(u64, usize)> = (0..1 + rng.below(3))
+                let touched: Vec<(u64, usize)> = (0..1 + rng.below(5))
                     .map(|_| resident[rng.below(resident.len())])
                     .map(|l| (l, c.slot_of(l).expect("resident")))
                     .collect();
-                let store = (rng.below(2) == 0).then(|| touched[touched.len() - 1]);
-                let loads = &touched[..touched.len() - store.is_some() as usize];
+                let split = touched.len() - rng.below(4).min(touched.len());
+                let (loads, stores) = touched.split_at(split);
                 let rounds = 1 + rng.below(8) as u64;
 
                 let mut model = c.clone();
@@ -890,12 +891,12 @@ mod tests {
                     for &(l, _) in loads {
                         model.lookup(l).expect("resident");
                     }
-                    if let Some((l, _)) = store {
+                    for &(l, _) in stores {
                         model.lookup(l).expect("resident").mark_dirty();
                     }
                 }
                 let before = c.clone();
-                c.close_hits(loads, store, rounds);
+                c.close_hits(loads, stores, rounds);
                 let what = format!("{policy:?} step {step}");
                 assert_eq!(replacement_state(&c), replacement_state(&model), "{what}");
 
@@ -907,7 +908,7 @@ mod tests {
                 if replacement_state(&no_stamp) != replacement_state(&model) {
                     stamp_caught += 1;
                 }
-                if let Some((_, slot)) = store.filter(|&(_, s)| !before.slots[s].dirty) {
+                for &(_, slot) in stores.iter().filter(|&&(_, s)| !before.slots[s].dirty) {
                     let mut no_dirty = c.clone();
                     no_dirty.slots[slot].dirty = false;
                     assert_ne!(
@@ -916,6 +917,8 @@ mod tests {
                         "{what}: a clean store"
                     );
                     dirty_caught += 1;
+                    // A store other than the last, on a slot of its own.
+                    multi_caught += usize::from(stores.last().is_some_and(|&(_, s)| s != slot));
                 }
                 c = model;
             }
@@ -924,6 +927,7 @@ mod tests {
                 matches!(policy, ReplacementPolicy::Lru | ReplacementPolicy::TreePlru);
             assert_eq!(stamp_caught > 0, stamps_matter, "{policy:?}");
             assert!(dirty_caught > 0, "{policy:?}");
+            assert!(multi_caught > 0, "{policy:?}: no store but the last caught");
         }
     }
 

@@ -151,9 +151,9 @@ impl<T: Pod> PArray<T> {
 
     /// Charged `self[i] = f(i)` for every `i` in order: what
     /// [`PArray::set`] in a loop charges and leaves, paid per line (see
-    /// [`map_span`]).
+    /// [`span`]).
     pub fn store_span(&self, sys: &mut MemorySystem, mut f: impl FnMut(usize) -> T) {
-        sys.span([], Some(self.base), self.len, |i, []| f(i));
+        sys.span([], [self.base], self.len, |i, []| [f(i)]);
     }
 
     /// Uncharged initialization directly into the backing store ("input
@@ -220,46 +220,51 @@ impl<T: Pod> PArray<T> {
 }
 
 /// The equal length of a span's arrays.
-fn span_len<T: Pod>(arrays: &[PArray<T>]) -> usize {
-    let n = arrays.first().map_or(0, PArray::len);
-    assert!(
-        arrays.iter().all(|a| a.len() == n),
-        "span arrays differ in length"
-    );
+fn span_len<'a, T: Pod>(mut arrays: impl Iterator<Item = &'a PArray<T>>) -> usize {
+    let n = arrays.next().map_or(0, PArray::len);
+    assert!(arrays.all(|a| a.len() == n), "span arrays differ in length");
     n
 }
 
-/// Charged `f(i, [ins[0][i], ..])` for every `i` in order: what
-/// [`PArray::get`] of each array in turn, in a loop, charges and leaves,
-/// paid per line (see [`map_span`]). The arrays may alias.
+/// Charged `[outs[0][i], ..] = f(i, [ins[0][i], ..])` for every `i` in
+/// order: the loads in array order, then the stores in array order —
+/// exactly the charges, counters, cache state and bytes of that loop over
+/// [`PArray::get`] and [`PArray::set`], paid per line: `MemorySystem`'s
+/// span walk charges a line-chunk whose lines are all resident as hits in
+/// closed form, and otherwise sends the chunk's first element down the
+/// element path. Any array may alias any other, and several stores may
+/// share a line.
+pub fn span<T: Pod, const L: usize, const S: usize>(
+    sys: &mut MemorySystem,
+    ins: [PArray<T>; L],
+    outs: [PArray<T>; S],
+    f: impl FnMut(usize, [T; L]) -> [T; S],
+) {
+    let n = span_len(ins.iter().chain(&outs));
+    sys.span(ins.map(|a| a.base), outs.map(|a| a.base), n, f);
+}
+
+/// [`span`] with no store: charged `f(i, [ins[0][i], ..])` for every `i`.
 pub fn load_span<T: Pod, const L: usize>(
     sys: &mut MemorySystem,
     ins: [PArray<T>; L],
     mut f: impl FnMut(usize, [T; L]),
 ) {
-    let n = span_len(&ins);
-    sys.span(ins.map(|a| a.base), None, n, |i, got| {
+    span(sys, ins, [], |i, got| {
         f(i, got);
-        T::default()
+        []
     });
 }
 
-/// Charged `out[i] = f(i, [ins[0][i], ..])` for every `i` in order: the
-/// loads in array order, then the store — exactly the charges, counters,
-/// cache state and bytes of that loop over [`PArray::get`] and
-/// [`PArray::set`], paid per line: `MemorySystem`'s span walk charges a
-/// line-chunk whose lines are all resident as hits in closed form, and
-/// otherwise sends the chunk's first element down the element path. `out`
-/// may alias an input.
+/// [`span`] with one store: charged `out[i] = f(i, [ins[0][i], ..])` for
+/// every `i`.
 pub fn map_span<T: Pod, const L: usize>(
     sys: &mut MemorySystem,
     ins: [PArray<T>; L],
     out: PArray<T>,
-    f: impl FnMut(usize, [T; L]) -> T,
+    mut f: impl FnMut(usize, [T; L]) -> T,
 ) {
-    let n = span_len(&ins);
-    assert_eq!(out.len(), n, "span arrays differ in length");
-    sys.span(ins.map(|a| a.base), Some(out.base), n, f);
+    span(sys, ins, [out], |i, got| [f(i, got)]);
 }
 
 /// Charged loads of `a[k]` then `b[k]` for every `k` in `range`, in

@@ -511,22 +511,23 @@ impl MemorySystem {
     ///
     /// ```text
     /// for i in 0..n {
-    ///     v = f(i, [read loads[0] element i, .., read loads[L-1] element i]);
-    ///     write v to store element i, if there is a store array;
+    ///     [v_0, .., v_S-1] = f(i, [read loads[0] element i, .., read loads[L-1] element i]);
+    ///     write v_0 to stores[0] element i, .., v_S-1 to stores[S-1] element i;
     /// }
     /// ```
     ///
-    /// over arrays of `T` at the base addresses `loads` and `store`,
+    /// over arrays of `T` at the base addresses `loads` and `stores`,
     /// leaving every charge, counter, byte and bit of cache state that loop
     /// leaves, but paying per line rather than per element. The walk goes
     /// one line-chunk at a time: the `m` elements from `i` on for which
     /// every array stays in the line holding its element `i`. If each of
     /// those `k` lines is resident in the CPU cache, all `m·k` touches of
     /// the chunk are hits on known slots. Their bytes move on copies of the
-    /// lines (one copy per slot, so an input aliasing the output reads what
-    /// the loop has written; the stored line goes back to its slot, dirty),
-    /// and they are charged in closed form: the counters and one clock
-    /// charge in the current bucket, the cache tick, and the replacement
+    /// lines, one copy per slot written: every store to a slot writes its
+    /// copy, an input in a written slot reads it (so it sees what the loop
+    /// has written), and each written copy goes back to its slot, dirty.
+    /// They are charged in closed form: the counters and one clock charge
+    /// in the current bucket, the cache tick, and the replacement
     /// bookkeeping of the last round of touches alone, which is all that
     /// rounds of hits repeated leave (`SetAssocCache::close_hits`).
     /// Otherwise element `i` takes the element path — so every miss, its
@@ -536,20 +537,20 @@ impl MemorySystem {
     /// while a recorder is attached (it sees one store event per write).
     /// Crash triggers are evaluated only at a poll, so none falls inside a
     /// span.
-    pub(crate) fn span<T: Pod, const L: usize>(
+    pub(crate) fn span<T: Pod, const L: usize, const S: usize>(
         &mut self,
         loads: [u64; L],
-        store: Option<u64>,
+        stores: [u64; S],
         n: usize,
-        mut f: impl FnMut(usize, [T; L]) -> T,
+        mut f: impl FnMut(usize, [T; L]) -> [T; S],
     ) {
         let at = |base: u64, i: usize| base + (i * T::SIZE) as u64;
-        let touches = (L + store.is_some() as usize) as u64;
+        let touches = (L + S) as u64;
         let mut hits = 0;
         let mut i = 0;
         while i < n {
             let m = self.chunk_len(
-                loads.iter().chain(&store).map(|&b| at(b, i)),
+                loads.iter().chain(&stores).map(|&b| at(b, i)),
                 T::SIZE,
                 n - i,
             );
@@ -557,10 +558,7 @@ impl MemorySystem {
             let probed = (m > 0)
                 .then(|| self.resident(loads.map(|b| at(b, i))))
                 .flatten()
-                .and_then(|held| match store {
-                    Some(base) => self.resident([at(base, i)]).map(|[o]| (held, Some(o))),
-                    None => Some((held, None)),
-                });
+                .and_then(|held| Some((held, self.resident(stores.map(|b| at(b, i)))?)));
             let (held, out) = match probed {
                 Some(held) => held,
                 None => {
@@ -575,11 +573,12 @@ impl MemorySystem {
                         held[l] = self.held(at(loads[l], i), m);
                         v
                     });
-                    let v = f(i, got);
-                    let out = store.map(|base| {
-                        self.set_elem(at(base, i), v);
-                        self.held(at(base, i), m)
-                    });
+                    let vs = f(i, got);
+                    let mut out = [(0, 0); S];
+                    for s in 0..S {
+                        self.set_elem(at(stores[s], i), vs[s]);
+                        out[s] = self.held(at(stores[s], i), m);
+                    }
                     i += 1;
                     if i >= end
                         || self.stats.cpu.misses != misses
@@ -593,30 +592,33 @@ impl MemorySystem {
                     (held, out)
                 }
             };
-            // The chunk on copies of its lines: an input in the output's
-            // slot reads the output's copy.
+            // The chunk on copies of its written lines: store `s` writes
+            // the copy of the first store to its slot, and an input in a
+            // written slot reads that copy.
+            let own: [usize; S] =
+                std::array::from_fn(|s| (0..s).find(|&t| out[t].1 == out[s].1).unwrap_or(s));
+            let from = held.map(|(_, slot)| out.iter().position(|&(_, o)| o == slot));
             let lines = held.map(|(_, slot)| *self.cpu.slot_data(slot));
-            let in_out = held.map(|(_, slot)| out.is_some_and(|(_, o)| o == slot));
-            let mut out_line = match out {
-                Some((_, slot)) => *self.cpu.slot_data(slot),
-                None => [0; LINE_SIZE],
-            };
+            let mut outs = out.map(|(_, slot)| *self.cpu.slot_data(slot));
             for e in i..end {
                 let got = std::array::from_fn(|l| {
                     let off = offset_in_line(at(loads[l], e));
-                    let line = if in_out[l] { &out_line } else { &lines[l] };
+                    let line = match from[l] {
+                        Some(s) => &outs[s],
+                        None => &lines[l],
+                    };
                     T::from_bytes(&line[off..])
                 });
-                let v = f(e, got);
-                if let Some(base) = store {
-                    v.to_bytes(&mut out_line[offset_in_line(at(base, e))..]);
+                let vs = f(e, got);
+                for s in 0..S {
+                    vs[s].to_bytes(&mut outs[own[s]][offset_in_line(at(stores[s], e))..]);
                 }
             }
             let rounds = (end - i) as u64;
             hits += touches * rounds;
-            self.cpu.close_hits(&held, out, rounds);
-            if let Some((_, slot)) = out {
-                *self.cpu.slot_data(slot) = out_line;
+            self.cpu.close_hits(&held, &out, rounds);
+            for s in (0..S).filter(|&s| own[s] == s) {
+                *self.cpu.slot_data(out[s].1) = outs[s];
             }
             i = end;
         }

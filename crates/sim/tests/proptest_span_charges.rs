@@ -1,6 +1,6 @@
-//! Differential test of the charged spans (`parray::{load_span, map_span,
-//! gather_span}` and `PArray::store_span`) against the element loops they
-//! stand for.
+//! Differential test of the charged spans (`parray::{span, load_span,
+//! map_span, gather_span}` and `PArray::store_span`) against the element
+//! loops they stand for.
 //!
 //! Two machines start equal. One runs every step through a span, the other
 //! through the `get`/`set` loop the span documents. After each step they
@@ -12,7 +12,10 @@
 //! random reads.
 //!
 //! The arrays sit at random offsets into their first line, so elements
-//! straddle lines; outputs alias inputs, in place or shifted; the caches
+//! straddle lines; a span loads one to four arrays and stores zero to
+//! three; outputs alias inputs, in place or shifted, and several outputs
+//! interleave in one array (`slot[j]`, `slot[m + j]`, `slot[2m + j]` with
+//! `m < 8`, so they share lines) as inputs can; the caches
 //! are a few lines of 2 or 4 ways, so one operand's miss or a gather
 //! evicts another operand's line in the middle of a chunk. Every case runs
 //! on the NVM-only and the heterogeneous platform under all four
@@ -20,7 +23,7 @@
 
 use proptest::prelude::*;
 
-use adcc_sim::parray::{gather_span, load_span, map_span};
+use adcc_sim::parray::{gather_span, load_span, map_span, span};
 use adcc_sim::policy::XorShift;
 use adcc_sim::prelude::*;
 
@@ -38,12 +41,14 @@ type Operand = (usize, usize);
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// Fold over up to three f64 operands.
+    /// Fold over up to four f64 operands.
     Load { ins: Vec<Operand>, len: usize },
-    /// `out[i] = f(ins[..][i])`; `out` may be one of `ins`, shifted or not.
+    /// `outs[s][i] = f_s(ins[..][i])` for each output `s` in order; an
+    /// output may be one of `ins`, shifted or not, or share lines with
+    /// the other outputs.
     Map {
         ins: Vec<Operand>,
-        out: Operand,
+        outs: Vec<Operand>,
         len: usize,
     },
     /// `out[i] = g(i)`.
@@ -70,17 +75,56 @@ fn operand(arrays: usize) -> impl Strategy<Value = Operand> {
     (0..arrays, 0..LEN)
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    let ins = |arrays| proptest::collection::vec(operand(arrays), 1..4);
+/// `count` operands at `stride` elements apart in one array: the
+/// `slot[j]`, `slot[m + j]`, `slot[2m + j]` layout of an iterate slot.
+fn interleaved((arr, start, stride): (usize, usize, usize), count: usize) -> Vec<Operand> {
+    (0..count)
+        .map(|t| (arr, (start + t * stride).min(LEN - 1)))
+        .collect()
+}
+
+/// One to four inputs: independent, or interleaved in one array.
+fn inputs() -> impl Strategy<Value = Vec<Operand>> {
     prop_oneof![
-        3 => (ins(F64S), 0..=LEN).prop_map(|(ins, len)| Op::Load { ins, len }),
-        4 => (ins(F64S), operand(F64S), 0..=LEN, any::<bool>()).prop_map(
-            |(ins, out, len, in_place)| {
-                // Half the maps write over their first input, in place.
-                let out = if in_place { ins[0] } else { out };
-                Op::Map { ins, out, len }
-            }
-        ),
+        3 => proptest::collection::vec(operand(F64S), 1..5),
+        1 => ((0..F64S, 0..LEN, 1..8usize), 1..5usize).prop_map(|(at, n)| interleaved(at, n)),
+    ]
+}
+
+fn map_strategy() -> impl Strategy<Value = Op> {
+    (
+        inputs(),
+        proptest::collection::vec(operand(F64S), 0..4),
+        0..3usize,
+        (0..F64S, 0..LEN, 1..8usize),
+        0..=LEN,
+    )
+        .prop_map(|(ins, drawn, kind, at, len)| {
+            let outs = match kind {
+                // Independent outputs.
+                0 => drawn,
+                // Each output over an input, in place or shifted.
+                1 => drawn
+                    .iter()
+                    .map(|&(k, start)| {
+                        let (arr, at) = ins[k % ins.len()];
+                        (arr, if start % 2 == 0 { at } else { start })
+                    })
+                    .collect(),
+                // Outputs interleaved in one array, a line-sharing stride
+                // apart, each output `stride` elements long.
+                _ => interleaved(at, drawn.len()),
+            };
+            let len = if kind == 2 { len.min(at.2) } else { len };
+            Op::Map { ins, outs, len }
+        })
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    let ins = |arrays| proptest::collection::vec(operand(arrays), 1..5);
+    prop_oneof![
+        3 => (inputs(), 0..=LEN).prop_map(|(ins, len)| Op::Load { ins, len }),
+        5 => map_strategy(),
         2 => (operand(F64S), 0..=LEN).prop_map(|(out, len)| Op::Store { out, len }),
         1 => (ins(U32S), 0..=LEN).prop_map(|(ins, len)| Op::LoadU32 { ins, len }),
         2 => (operand(U32S), operand(F64S), 0..F64S, 0..=LEN).prop_map(
@@ -148,10 +192,37 @@ fn fold(acc: f64, i: usize, xs: &[f64]) -> f64 {
     acc * 0.75 + sum + i as f64
 }
 
-fn map(i: usize, xs: &[f64]) -> f64 {
+/// Output `out`'s value at element `i`.
+fn map(i: usize, out: usize, xs: &[f64]) -> f64 {
     xs.iter()
         .enumerate()
-        .fold(-0.25 * i as f64, |s, (l, x)| s + (l as f64 + 1.5) * x)
+        .fold(-0.25 * i as f64 - out as f64, |s, (l, x)| {
+            s + (l as f64 + 1.5 + out as f64) * x
+        })
+}
+
+/// `v[..L]` in, `v[L..]` out, through one span.
+fn map_by_span<const L: usize, const S: usize>(sys: &mut MemorySystem, v: &[PArray<f64>]) {
+    let ins: [_; L] = std::array::from_fn(|l| v[l]);
+    let outs: [_; S] = std::array::from_fn(|s| v[L + s]);
+    span(sys, ins, outs, |i, xs: [f64; L]| {
+        std::array::from_fn(|s| map(i, s, &xs))
+    });
+}
+
+/// [`map_by_span`] with one output, through `map_span`.
+fn map_one<const L: usize>(sys: &mut MemorySystem, v: &[PArray<f64>]) {
+    let ins: [_; L] = std::array::from_fn(|l| v[l]);
+    map_span(sys, ins, v[L], |i, xs| map(i, 0, &xs));
+}
+
+/// The fold of `v`, through one load span.
+fn fold_by_span<T: Pod, const L: usize>(
+    sys: &mut MemorySystem,
+    v: &[PArray<T>],
+    fold: impl FnMut(usize, [T; L]),
+) {
+    load_span(sys, std::array::from_fn(|l| v[l]), fold);
 }
 
 fn fold_u32(acc: u64, xs: &[u32]) -> u64 {
@@ -165,22 +236,36 @@ fn by_span(sys: &mut MemorySystem, p: &Pool, op: &Op) -> Answer {
         Op::Load { ins, len } => {
             let v = Pool::views(&p.f, ins, *len);
             let mut acc = 0.0;
+            let mut f = |i, xs: &[f64]| acc = fold(acc, i, xs);
             match v.len() {
-                1 => load_span(sys, [v[0]], |i, xs| acc = fold(acc, i, &xs)),
-                2 => load_span(sys, [v[0], v[1]], |i, xs| acc = fold(acc, i, &xs)),
-                _ => load_span(sys, [v[0], v[1], v[2]], |i, xs| acc = fold(acc, i, &xs)),
+                1 => fold_by_span::<_, 1>(sys, &v, |i, xs| f(i, &xs)),
+                2 => fold_by_span::<_, 2>(sys, &v, |i, xs| f(i, &xs)),
+                3 => fold_by_span::<_, 3>(sys, &v, |i, xs| f(i, &xs)),
+                _ => fold_by_span::<_, 4>(sys, &v, |i, xs| f(i, &xs)),
             }
             acc.to_bits()
         }
-        Op::Map { ins, out, len } => {
-            let mut all = ins.clone();
-            all.push(*out);
+        Op::Map { ins, outs, len } => {
+            let all: Vec<Operand> = ins.iter().chain(outs).copied().collect();
             let v = Pool::views(&p.f, &all, *len);
-            let o = v[v.len() - 1];
-            match v.len() - 1 {
-                1 => map_span(sys, [v[0]], o, |i, xs| map(i, &xs)),
-                2 => map_span(sys, [v[0], v[1]], o, |i, xs| map(i, &xs)),
-                _ => map_span(sys, [v[0], v[1], v[2]], o, |i, xs| map(i, &xs)),
+            match (ins.len(), outs.len()) {
+                (1, 0) => map_by_span::<1, 0>(sys, &v),
+                (1, 1) => map_one::<1>(sys, &v),
+                (1, 2) => map_by_span::<1, 2>(sys, &v),
+                (1, 3) => map_by_span::<1, 3>(sys, &v),
+                (2, 0) => map_by_span::<2, 0>(sys, &v),
+                (2, 1) => map_one::<2>(sys, &v),
+                (2, 2) => map_by_span::<2, 2>(sys, &v),
+                (2, 3) => map_by_span::<2, 3>(sys, &v),
+                (3, 0) => map_by_span::<3, 0>(sys, &v),
+                (3, 1) => map_one::<3>(sys, &v),
+                (3, 2) => map_by_span::<3, 2>(sys, &v),
+                (3, 3) => map_by_span::<3, 3>(sys, &v),
+                (4, 0) => map_by_span::<4, 0>(sys, &v),
+                (4, 1) => map_one::<4>(sys, &v),
+                (4, 2) => map_by_span::<4, 2>(sys, &v),
+                (4, 3) => map_by_span::<4, 3>(sys, &v),
+                arity => unreachable!("{arity:?}"),
             }
             0
         }
@@ -192,10 +277,12 @@ fn by_span(sys: &mut MemorySystem, p: &Pool, op: &Op) -> Answer {
         Op::LoadU32 { ins, len } => {
             let v = Pool::views(&p.u, ins, *len);
             let mut acc = 1;
+            let mut f = |xs: &[u32]| acc = fold_u32(acc, xs);
             match v.len() {
-                1 => load_span(sys, [v[0]], |_, xs| acc = fold_u32(acc, &xs)),
-                2 => load_span(sys, [v[0], v[1]], |_, xs| acc = fold_u32(acc, &xs)),
-                _ => load_span(sys, [v[0], v[1], v[2]], |_, xs| acc = fold_u32(acc, &xs)),
+                1 => fold_by_span::<_, 1>(sys, &v, |_, xs| f(&xs)),
+                2 => fold_by_span::<_, 2>(sys, &v, |_, xs| f(&xs)),
+                3 => fold_by_span::<_, 3>(sys, &v, |_, xs| f(&xs)),
+                _ => fold_by_span::<_, 4>(sys, &v, |_, xs| f(&xs)),
             }
             acc
         }
@@ -236,14 +323,15 @@ fn by_element(sys: &mut MemorySystem, p: &Pool, op: &Op) -> Answer {
             }
             acc.to_bits()
         }
-        Op::Map { ins, out, len } => {
-            let mut all = ins.clone();
-            all.push(*out);
+        Op::Map { ins, outs, len } => {
+            let all: Vec<Operand> = ins.iter().chain(outs).copied().collect();
             let v = Pool::views(&p.f, &all, *len);
-            let (o, ins) = v.split_last().expect("an output");
-            for i in 0..o.len() {
+            let (ins, outs) = v.split_at(ins.len());
+            for i in 0..v[0].len() {
                 let xs: Vec<f64> = ins.iter().map(|a| a.get(sys, i)).collect();
-                o.set(sys, i, map(i, &xs));
+                for (s, o) in outs.iter().enumerate() {
+                    o.set(sys, i, map(i, s, &xs));
+                }
             }
             0
         }

@@ -19,7 +19,7 @@ fn main() {
     let regions = vec![(x.base(), x.byte_len())];
 
     // --- 1. Full double-buffered NVM checkpoint -------------------------
-    let mut full = MemCheckpoint::new(&mut sys, x.byte_len(), false);
+    let full = MemCheckpoint::new(&mut sys, x.byte_len(), false);
     let seq = full.checkpoint(&mut sys, &regions);
     println!("[full]        checkpoint seq {seq} taken");
 

@@ -2,8 +2,9 @@
 //! work counter as a tier-1 gate.
 //!
 //! A counting global allocator pins how many heap allocations one chaotic
-//! dist crash state costs, and that a warm fabric send/receive round trip
-//! and a fork into a warm spare cluster cost none. The count is thread-local, so tests running in parallel
+//! dist crash state costs, and that a warm fabric send/receive round trip,
+//! a fork into a warm spare cluster (and of the kernel into a spare
+//! kernel), and a superstep of each kernel on a warm cluster cost none. The count is thread-local, so tests running in parallel
 //! cannot pollute it; the campaign runs at `threads: 1`, which drives every
 //! task on the calling thread.
 
@@ -13,8 +14,11 @@ use std::cell::Cell;
 use adcc::campaign::engine::{run_campaign, CampaignConfig};
 use adcc::campaign::scenario::Registry;
 use adcc::campaign::schedule::Schedule;
-use adcc::dist::cluster::RankFailure;
+use adcc::dist::cg::DistCg;
+use adcc::dist::cluster::{Cluster, RankFailure};
+use adcc::dist::jacobi::DistJacobi;
 use adcc::dist::net::{Fabric, FaultProfile, NetTiming};
+use adcc::dist::preset::{DistConfig, Shape};
 use adcc::dist::stencil::{DistStencil, StencilConfig};
 use adcc::dist::trial::{run_superstep, DistKernel, RecoveryMode};
 use adcc::sim::crash::{CrashSite, CrashTrigger};
@@ -68,9 +72,11 @@ fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
 /// below, rounded up: 477 while every message allocated its encoded
 /// buffer, its queue slot and its decoded copy; 166 with the fabric's
 /// in-flight arena; 55 once every replay of a batch forks into one spare
-/// cluster and resume states are gathered a line at a time. A change that
-/// allocates more per state fails here.
-const BUDGET_PER_STATE: u64 = 55;
+/// cluster and resume states are gathered a line at a time; 26 once a
+/// kernel shares its setup-fixed tables, every replay copies into one
+/// spare kernel, and a superstep reuses its scratch and remote-level
+/// buffers. A change that allocates more per state fails here.
+const BUDGET_PER_STATE: u64 = 26;
 
 fn chaotic(seed: u64) -> CampaignConfig {
     CampaignConfig {
@@ -154,6 +160,42 @@ fn a_recycled_fork_allocates_nothing() {
     live.fork_armed_into(&armed, &mut spare);
     let ((), n) = allocations(|| live.fork_armed_into(&armed, &mut spare));
     assert_eq!(n, 0, "a fork into a warm spare allocates nothing");
+    // So does the kernel copied into a spare kernel that ran a superstep.
+    let mut spare_kernel = kernel.clone();
+    assert!(run_superstep(&mut spare_kernel, &mut live.fork(), 4, true).is_none());
+    let ((), n) = allocations(|| spare_kernel.clone_from(&kernel));
+    assert_eq!(n, 0, "a kernel copied into a warm spare allocates nothing");
     assert!(spare.armed_pending() && spare.node_loss(5));
     assert!(kernel.iters() > 6, "the armed site lies ahead");
+}
+
+/// Allocations of superstep 4 of `setup`'s kernel on a chaotic cluster,
+/// after three warm-up supersteps, under both recovery modes.
+fn warm_superstep_allocations<P: Shape, K: DistKernel>(
+    setup: impl Fn(&mut Cluster, DistConfig<P>) -> K + Copy,
+) -> [u64; 2] {
+    [RecoveryMode::AlgorithmDirected, RecoveryMode::GlobalRestart].map(|mode| {
+        let cfg = DistConfig::<P>::campaign_for(mode, FaultProfile::Chaotic);
+        let (mut cl, mut kernel) = cfg.launch(&[], setup);
+        for iter in 1..=3 {
+            assert!(run_superstep(&mut kernel, &mut cl, iter, true).is_none());
+        }
+        let (fired, n) = allocations(|| run_superstep(&mut kernel, &mut cl, 4, true));
+        assert!(fired.is_none());
+        n
+    })
+}
+
+#[test]
+fn a_warm_superstep_allocates_nothing() {
+    let got = [
+        ("stencil", warm_superstep_allocations(DistStencil::setup)),
+        ("jacobi", warm_superstep_allocations(DistJacobi::setup)),
+        ("cg", warm_superstep_allocations(DistCg::setup)),
+    ];
+    assert_eq!(
+        got,
+        [("stencil", [0, 0]), ("jacobi", [0, 0]), ("cg", [0, 0])],
+        "allocations of one warm superstep, [local, restart]"
+    );
 }

@@ -49,7 +49,7 @@ proptest! {
         let mut s2 = MemorySystem::new(cfg.clone());
         let x2 = PArray::<f64>::alloc_nvm(&mut s2, 64);
         let regions2 = [(x2.base(), x2.byte_len())];
-        let mut full = MemCheckpoint::new(&mut s2, x2.byte_len(), false);
+        let full = MemCheckpoint::new(&mut s2, x2.byte_len(), false);
 
         let mut any_ckpt = false;
         for step in &script {
