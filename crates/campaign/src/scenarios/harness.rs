@@ -12,8 +12,10 @@
 //!   oracle the delta-equivalence suite compares the batch against.
 //! * the batch, in the three steps of [`Scenario::harvest`]:
 //!   1. [`harvest`] — arm one harvest point per scheduled unit and run the
-//!      forward execution **once** to completion. One thread, once per
-//!      batch.
+//!      forward execution **once**, to its last harvested crash point
+//!      unless a pass reads the rest: the completed run's classification
+//!      for a unit that never fired, or the analyze pass's event record.
+//!      One thread, once per batch.
 //!   2. [`Batch::run_next`] — one job per *distinct crash state*: recover,
 //!      dirty-restart, whichever were asked for, each from an image
 //!      materialized for it and handed over by value. A job reads the batch
@@ -82,7 +84,10 @@ use crate::scenario::{
 ///   construction), so every execution starts from the same machine.
 /// * [`forward`](Workload::forward) — the live state and the emulator.
 ///   Must poll the emulator and return `Crashed` when a poll fires; with
-///   the `Never` trigger of a batch it runs to completion.
+///   the `Never` trigger of a batch it runs to completion, or until the
+///   poll after its last harvested crash point stops it
+///   ([`CrashEmulator::stop_when_drained`]). Whatever it records for a
+///   harvest (a log sidecar) it records before its next poll.
 /// * [`recover`](Workload::recover) — the crash state (site + image) and
 ///   a shared reference to the live mechanism handles (layouts, the
 ///   checkpoint manager), never a unit and never the forward emulator.
@@ -349,10 +354,13 @@ fn harvest<'a, W: Workload>(
     let base_bytes = emu
         .arm_harvest(units.iter().map(|&u| (w.trigger_of(u), u)))
         .resident_bytes();
-    let end = w
-        .forward(&mut live, &mut emu)
-        .completed()
-        .expect("a Never trigger runs to completion");
+    // Past the last harvested crash point only the analyze pass reads the
+    // run (the whole event record): without it, the run stops at the poll
+    // after that point, and the stop's crash image is dropped.
+    if regions.is_empty() {
+        emu.stop_when_drained();
+    }
+    let end = w.forward(&mut live, &mut emu).completed();
     let harvests = emu.take_harvests();
     let mut end_of_last = 0;
     let groups: Vec<Range<usize>> = poll_groups(&harvests)
@@ -366,6 +374,7 @@ fn harvest<'a, W: Workload>(
     // The last two things anybody wants of the forward machine; a job boots
     // its own. Dropped here, it is not held across every job of the batch.
     let completed = (passes.recover && harvests.len() < units.len()).then(|| {
+        let end = end.expect("a plan that never drained runs to completion");
         let profile = probe
             .as_ref()
             .map(|p| with_log(w, &live, None, p.finish(&emu)));
@@ -620,6 +629,7 @@ mod tests {
     use crate::engine::{run_tasks, Task};
     use crate::outcome::Outcome;
     use crate::scenario::{Kernel, Mechanism, ResilienceBatch, UnitSpace};
+    use adcc_analyze::{Checks, Role};
     use adcc_sim::parray::PArray;
     use adcc_sim::system::SystemConfig;
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -632,6 +642,13 @@ mod tests {
     /// often each per-state hook ran.
     #[derive(Default)]
     struct Toy {
+        /// Polls after the fourth, with no access between them (unit 7
+        /// fires at the first). Every forward poll is counted in `polled`.
+        tail_polls: u64,
+        polled: Arc<AtomicU64>,
+        /// Declare the toy's array a protocol region: the analyze pass
+        /// runs.
+        analyzed: bool,
         recovers: Arc<AtomicU64>,
         dirties: Arc<AtomicU64>,
         /// When set, the first two recoveries do not return before both
@@ -702,8 +719,9 @@ mod tests {
             (emu, live)
         }
         fn forward(&self, live: &mut ToyLive, e: &mut CrashEmulator) -> RunOutcome<()> {
-            for i in 0..4u64 {
+            for i in 0..4 + self.tail_polls {
                 let fired = e.poll(CrashSite::new(0, i));
+                self.polled.fetch_add(1, Relaxed);
                 live.polls = i + 1;
                 while live.logs.len() < e.harvest_count() {
                     live.logs.push(polls_passed(live.polls));
@@ -711,8 +729,10 @@ mod tests {
                 if fired {
                     return RunOutcome::Crashed(e.crash_now());
                 }
-                live.a.set(e, 2 * i as usize, i);
-                live.a.set(e, 2 * i as usize + 1, i);
+                if i < 4 {
+                    live.a.set(e, 2 * i as usize, i);
+                    live.a.set(e, 2 * i as usize + 1, i);
+                }
             }
             RunOutcome::Completed(())
         }
@@ -773,6 +793,11 @@ mod tests {
         }
         fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {
             Some((Tolerance::exact_only(0.0), vec![0.0]))
+        }
+        fn regions(&self) -> Vec<Region> {
+            // The array is the machine's first allocation: one line at 0.
+            let a = Region::from_range("toy/a", 0, 64, Role::Payload, 0, Checks::ALL);
+            self.analyzed.then_some(a).into_iter().collect()
         }
         fn log_stats(&self, live: &ToyLive, harvest: Option<usize>) -> Option<LogStats> {
             Some(harvest.map_or(polls_passed(live.polls), |k| live.logs[k]))
@@ -869,6 +894,56 @@ mod tests {
         let none = toy.run_passes(&UNITS, Passes::default(), &mem);
         assert!(none.trials.is_empty() && none.dirty.is_none());
         assert_eq!(mem.summary().executions, 1);
+    }
+
+    #[test]
+    fn a_batch_stops_at_the_poll_after_its_last_crash_point_unless_analyzed() {
+        // Units 1..=4 are captured by the third poll; four polls follow.
+        const EARLY: [u64; 4] = [1, 2, 3, 4];
+        let passes = Passes::recover(true).and_dirty().and_analyze();
+        let run = |toy: &Toy| {
+            let mem = ImageMemory::default();
+            let out = toy.run_passes(&EARLY, passes, &mem);
+            let m = mem.summary();
+            assert_eq!((m.executions, m.images, m.distinct_states), (1, 4, Some(2)));
+            (toy.polled.load(Relaxed), out)
+        };
+        let (stopped_at, stopped) = run(&Toy {
+            tail_polls: 3,
+            ..Toy::default()
+        });
+        // The fourth poll stopped the run; the toy declares no regions, so
+        // the analyze pass asked for degrades to nothing.
+        assert_eq!(stopped_at, 4);
+        assert!(stopped.analysis.is_none());
+        // The analyze pass reads the whole event record: no stop.
+        let (full_at, full) = run(&Toy {
+            tail_polls: 3,
+            analyzed: true,
+            ..Toy::default()
+        });
+        assert_eq!(full_at, 7);
+        assert!(full.analysis.is_some());
+        // The same trials — telemetry and log sidecars included — and the
+        // same dirty trials either way, and as the unit-by-unit oracle.
+        let trials = |out: &PassOutput| out.trials.iter().map(whole).collect::<Vec<_>>();
+        assert_eq!(trials(&stopped), trials(&full));
+        let logged: Vec<u64> = stopped
+            .trials
+            .iter()
+            .map(|t| t.telemetry.expect("asked for").log_appends)
+            .collect();
+        assert_eq!(logged, [2, 2, 3, 3]);
+        let oracle = Toy {
+            tail_polls: 3,
+            ..Toy::default()
+        };
+        for (t, &unit) in stopped.trials.iter().zip(&EARLY) {
+            assert_eq!(whole(t), whole(&run_trial(&oracle, unit, true)));
+        }
+        let dirty = |out: &PassOutput| out.dirty.as_ref().map(|d| d.trials.clone());
+        assert_eq!(dirty(&stopped), dirty(&full));
+        assert_eq!(dirty(&stopped).map(|d| d.len()), Some(EARLY.len()));
     }
 
     #[test]

@@ -42,6 +42,7 @@
 
 use std::borrow::Cow;
 use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 use adcc_sim::clock::{Bucket, SimTime};
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
@@ -183,6 +184,19 @@ pub struct McSim {
     pub lookups: u64,
     pub seed: u64,
     pub mode: McMode,
+    /// Every tail's tallies, built by the first tally that may read them.
+    /// A clone shares them; one with another `(seed, lookups)` never reads
+    /// them.
+    tails: OnceLock<Arc<TailTallies>>,
+}
+
+/// The tallies of every tail of one run over the problem's own grids:
+/// `suffix[i]` is what lookups `[i, lookups)` add to the counters, for the
+/// `(seed, lookups)` they were built for.
+struct TailTallies {
+    seed: u64,
+    lookups: u64,
+    suffix: Vec<[u64; XS_CHANNELS]>,
 }
 
 impl McSim {
@@ -212,6 +226,7 @@ impl McSim {
             lookups,
             seed,
             mode,
+            tails: OnceLock::new(),
         }
     }
 
@@ -267,6 +282,11 @@ impl McSim {
     /// Interaction types of lookups `[from, lookups)`, tallied on the host
     /// from `image`'s own grid bytes — what simulating those lookups on a
     /// machine booted from `image` would add to the counters.
+    ///
+    /// An image whose grids are the problem's, bit for bit, reads the
+    /// answer off this sim's [`TailTallies`], built over the first such
+    /// image: the lookups of every tail then read the same bytes. Any other
+    /// image is tallied lookup by lookup.
     fn tally_tail(&self, image: &NvmImage, from: u64) -> [u64; XS_CHANNELS] {
         let view = |arr: &PArray<f64>| image.view(arr.base(), arr.byte_len());
         let (energy, xs) = (view(&self.grids.energy), view(&self.grids.xs));
@@ -275,6 +295,26 @@ impl McSim {
             xs: &xs,
             macro_xs: [0.0; XS_CHANNELS],
         };
+        if same_bits(&energy, &self.problem.energy) && same_bits(&xs, &self.problem.xs) {
+            let tails = self.tails.get_or_init(|| {
+                let types: Vec<usize> = (0..self.lookups)
+                    .map(|i| self.lookup(&mut mem, i))
+                    .collect();
+                let mut suffix = vec![[0; XS_CHANNELS]; types.len() + 1];
+                for (i, &t) in types.iter().enumerate().rev() {
+                    suffix[i] = suffix[i + 1];
+                    suffix[i][t] += 1;
+                }
+                Arc::new(TailTallies {
+                    seed: self.seed,
+                    lookups: self.lookups,
+                    suffix,
+                })
+            });
+            if (tails.seed, tails.lookups) == (self.seed, self.lookups) {
+                return tails.suffix[from.min(self.lookups) as usize];
+            }
+        }
         let mut tally = [0u64; XS_CHANNELS];
         for i in from..self.lookups {
             tally[self.lookup(&mut mem, i)] += 1;
@@ -846,6 +886,15 @@ impl ReplayKind for DirtyReentry {
     }
 }
 
+/// Whether `bytes` hold `words`, little-endian, bit for bit.
+fn same_bits(bytes: &[u8], words: &[f64]) -> bool {
+    bytes.len() == 8 * words.len()
+        && bytes
+            .chunks_exact(8)
+            .zip(words)
+            .all(|(b, w)| f64::from_bytes(b).to_bits() == w.to_bits())
+}
+
 /// [`LookupMem`] over a crash image, uncharged: the grids are read straight
 /// from the image's bytes and `macro_xs` lives in a local.
 struct ImageGrids<'a> {
@@ -1024,6 +1073,39 @@ mod tests {
         assert_eq!(facts(&tallied), facts(&simulated));
         assert_ne!(tallied.counts, reference.counts, "the poison must show");
         assert_eq!(tallied.counts.iter().sum::<u64>(), lookups);
+    }
+
+    #[test]
+    fn a_clone_with_another_seed_or_length_never_reads_the_tallies_it_carries() {
+        let p = McProblem::generate(36, 32, 11);
+        let c = SystemConfig::nvm_only(16 << 10, 1 << 20);
+        let lookups = 120u64;
+        let mode = McMode::Selective { interval: 8 };
+        let (mc, images) = images_at_every_lookup(&p, &c, lookups, mode);
+        // Recovering once builds the tallies every clone below carries.
+        mc.recover_and_resume(&images[60], c.clone(), 60);
+        assert!(mc.tails.get().is_some());
+        let reseeded = McSim {
+            seed: 777,
+            ..mc.clone()
+        };
+        let shorter = McSim {
+            lookups: 90,
+            ..mc.clone()
+        };
+        // A shared table would show: each clone's tails tally differently.
+        let whole_run = mc.tally_tail(&images[0], 0);
+        assert_ne!(reseeded.tally_tail(&images[0], 0), whole_run);
+        assert_ne!(shorter.tally_tail(&images[0], 0), whole_run);
+        for crashed_at in [0, 1, 37, 60, 89, 90, 120] {
+            let image = &images[crashed_at as usize];
+            let got = mc.recover_and_resume_reseeded(image, c.clone(), crashed_at, 777);
+            let want = reseeded.recover_and_resume_simulated_tail(image, c.clone(), crashed_at);
+            assert_eq!(facts(&got), facts(&want), "reseeded at {crashed_at}");
+            let got = shorter.recover_and_resume(image, c.clone(), crashed_at);
+            let want = shorter.recover_and_resume_simulated_tail(image, c.clone(), crashed_at);
+            assert_eq!(facts(&got), facts(&want), "shorter at {crashed_at}");
+        }
     }
 
     /// Hostile caches for the epoch chain: counter lines are evicted at

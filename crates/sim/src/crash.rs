@@ -86,7 +86,8 @@ struct PlanPoint {
 }
 
 /// The armed harvest state: the delta base every capture is diffed
-/// against, the pending points, and the captures so far.
+/// against, the pending points, the captures so far, and whether the run
+/// stops once nothing is pending.
 #[derive(Debug)]
 struct HarvestState {
     base: DeltaBase,
@@ -94,6 +95,7 @@ struct HarvestState {
     pending: usize,
     polls: u64,
     out: Vec<Harvest>,
+    stop: bool,
 }
 
 /// Split harvests (capture order, as [`CrashEmulator::take_harvests`] and
@@ -216,8 +218,31 @@ impl CrashEmulator {
             pending,
             polls: 0,
             out: Vec::new(),
+            stop: false,
         });
         &armed.base
+    }
+
+    /// Stop the run once the armed harvest plan has drained: after every
+    /// point has fired, the *next* poll fires as the crash trigger does, so
+    /// a driver that wants only the harvests does not pay for the rest of
+    /// the execution. Never the capturing poll itself: what the application
+    /// records right after a poll for the states it captured (a log
+    /// sidecar) is recorded before the run unwinds.
+    ///
+    /// Refused — `false`, nothing changes — when no plan is armed or the
+    /// plan holds a [`CrashTrigger::Never`] point: that point never fires,
+    /// and the plan does not count it as pending.
+    pub fn stop_when_drained(&mut self) -> bool {
+        let Some(h) = self.harvest.as_mut() else {
+            return false;
+        };
+        let never = h
+            .points
+            .iter()
+            .any(|p| matches!(p.trigger, CrashTrigger::Never));
+        h.stop = !never;
+        h.stop
     }
 
     /// Crash states captured so far by the armed harvest plan.
@@ -248,14 +273,15 @@ impl CrashEmulator {
             .unwrap_or_default()
     }
 
-    /// Evaluate the armed harvest plan at a poll of `site`.
-    fn harvest_at(&mut self, site: CrashSite) {
+    /// Evaluate the armed harvest plan at a poll of `site`; `true` when
+    /// the plan had drained before this poll and stops the run.
+    fn harvest_at(&mut self, site: CrashSite) -> bool {
         let Some(h) = self.harvest.as_mut() else {
-            return;
+            return false;
         };
         h.polls += 1;
         if h.pending == 0 {
-            return;
+            return h.stop;
         }
         let access = self.sys.access_count();
         let mut fired: Vec<u64> = Vec::new();
@@ -270,7 +296,7 @@ impl CrashEmulator {
             }
         }
         if fired.is_empty() {
-            return;
+            return false;
         }
         let base = h.base.clone();
         let at = self.sys.counter_snapshot();
@@ -295,14 +321,16 @@ impl CrashEmulator {
                 at,
             });
         }
+        false
     }
 
     /// Poll at an instrumented site; returns `true` when the application
     /// must crash now (it should then call [`CrashEmulator::crash_now`] and
-    /// unwind).
+    /// unwind): the trigger fired, or a drained plan stops the run
+    /// ([`CrashEmulator::stop_when_drained`]).
     #[inline]
     pub fn poll(&mut self, site: CrashSite) -> bool {
-        self.harvest_at(site);
+        let drained = self.harvest_at(site);
         if self.fired {
             return false;
         }
@@ -311,7 +339,7 @@ impl CrashEmulator {
             site,
             &mut self.site_hits,
             self.sys.access_count(),
-        );
+        ) || drained;
         if fire {
             self.fired = true;
             self.fired_site = Some(site);
@@ -670,6 +698,78 @@ mod tests {
         let h = e.take_harvests().remove(0);
         assert_eq!(h.unit, 9);
         assert_eq!(h.image.materialize(), img);
+    }
+
+    /// A point of the first poll of `(0, index)`.
+    fn first_poll_of(index: u64) -> CrashTrigger {
+        CrashTrigger::AtSite {
+            site: CrashSite::new(0, index),
+            occurrence: 1,
+        }
+    }
+
+    #[test]
+    fn a_drained_plan_stops_the_run_at_the_next_poll_not_the_capturing_one() {
+        let mut e = emu(CrashTrigger::Never);
+        let a = PArray::<u64>::alloc_nvm(&mut e, 8);
+        e.arm_harvest([(first_poll_of(1), 0), (first_poll_of(3), 1)]);
+        assert!(e.stop_when_drained());
+        let mut polled = Vec::new();
+        for i in 0..6u64 {
+            a.set(&mut e, i as usize, i);
+            a.persist_all(&mut e);
+            let stop = e.poll(CrashSite::new(0, i));
+            polled.push((i, stop, e.harvest_count()));
+            if stop {
+                break;
+            }
+        }
+        // Poll 3 drains the plan and captures without stopping; poll 4
+        // stops, and nothing after it runs.
+        assert_eq!(
+            polled,
+            [
+                (0, false, 0),
+                (1, false, 1),
+                (2, false, 1),
+                (3, false, 2),
+                (4, true, 2)
+            ]
+        );
+        assert!(e.fired());
+        assert_eq!(e.fired_site(), Some(CrashSite::new(0, 4)));
+        // Once stopped, no later poll asks for a second crash.
+        assert!(!e.poll(CrashSite::new(0, 5)));
+        let harvests = e.take_harvests();
+        assert_eq!(harvests.iter().map(|h| h.unit).collect::<Vec<_>>(), [0, 1]);
+        assert_eq!(harvests[1].image.read_u64(a.addr(3)), 3);
+    }
+
+    #[test]
+    fn a_plan_with_a_point_that_never_fires_runs_to_completion() {
+        let mut e = emu(CrashTrigger::Never);
+        // Site (0, 9) is never polled: the plan never drains.
+        e.arm_harvest([(first_poll_of(1), 0), (first_poll_of(9), 1)]);
+        assert!(e.stop_when_drained());
+        for i in 0..6u64 {
+            assert!(!e.poll(CrashSite::new(0, i)), "poll {i}");
+        }
+        assert!(!e.fired());
+        assert_eq!(e.take_harvests().len(), 1);
+    }
+
+    #[test]
+    fn a_stop_over_a_never_point_is_refused() {
+        let mut e = emu(CrashTrigger::Never);
+        assert!(!e.stop_when_drained(), "no plan armed");
+        // The `Never` point is not pending, so the plan drains at poll 1.
+        e.arm_harvest([(first_poll_of(1), 0), (CrashTrigger::Never, 1)]);
+        assert!(!e.stop_when_drained());
+        for i in 0..6u64 {
+            assert!(!e.poll(CrashSite::new(0, i)), "poll {i}");
+        }
+        assert!(!e.fired());
+        assert_eq!(e.take_harvests().len(), 1);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //!   same way, so "no canonical kernel byte moved" is tier-1 too.
 //! * The `ds-sweep` config (ds registry, budget 1200) is pinned the same
 //!   way, and so is the `campaign triage` document of that run — the ds
-//!   registry is the only one with analyzer regions.
+//!   registry is the only one with analyzer regions — and a ds run at
+//!   budget 500 with telemetry, whose profiles read per-capture log
+//!   sidecars.
 //! * Every pinned campaign also pins its host-independent work counters:
 //!   forward executions, harvested images and distinct crash states, so
 //!   "same executions, same harvested states" is a test too.
@@ -255,6 +257,19 @@ fn ds_campaign_and_triage_bytes_equal_the_pinned_digests() {
     );
     let triage = run_triage(&cfg).to_string_pretty();
     moved.extend(check_digest("ds-1200-triage.json", &triage, 0xfe8a_2d51_c53f_77e2).err());
+    // Telemetry profiles read each capture's log sidecar: the state a batch
+    // whose forward run stopped too early would have cut short.
+    let telemetry = CampaignConfig {
+        budget_states: 500,
+        telemetry: true,
+        ..cfg
+    };
+    moved.extend(check_report(
+        "ds-500-telemetry.json",
+        &run_campaign(&telemetry),
+        0x985c_62ec_532c_8871,
+        (4, 500, Some(500)),
+    ));
     assert!(
         moved.is_empty(),
         "canonical ds bytes moved:\n{}",
