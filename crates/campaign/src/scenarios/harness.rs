@@ -18,17 +18,18 @@
 //!      One thread, once per batch.
 //!   2. [`Batch::run_next`] — one job per *distinct crash state*: recover,
 //!      dirty-restart, whichever were asked for, each from an image
-//!      materialized for it and handed over by value. A job reads the batch
-//!      (`&Live`, the harvests, the probe) and writes only its own result
-//!      slot, so any number of threads may take jobs from one batch at
-//!      once; each holds one materialized image, so peak memory is flat in
+//!      materialized for it (recovery is handed it by value; the dirty
+//!      step materializes its own). A job reads the batch (`&Live`, the
+//!      harvests, the probe) and writes only its own result slot, so any
+//!      number of threads may take jobs from one batch at once; each holds
+//!      one materialized image, so peak memory is flat in
 //!      the number of crash points and linear in the number of workers. A
 //!      workload that [chains](Workload::chains) takes its states
 //!      *together*: each requested per-state pass is one job — the recover
 //!      chain, then the dirty chain, two jobs of the one cursor, so two
 //!      workers can take one each — which pulls the states in poll order
-//!      one image at a time. Both kinds of job go through the same two
-//!      hooks ([`Workload::recover_chain`],
+//!      and materializes one image at a time. Both kinds of job go through
+//!      the same two hooks ([`Workload::recover_chain`],
 //!      [`Workload::dirty_restart_chain`]): a job of one state is a chain
 //!      of one.
 //!   3. [`Batch::finish`] — [`merge`](super::merge) the states' verdicts
@@ -62,7 +63,7 @@ use adcc_pmem::LogStats;
 use adcc_resilience::{DirtyClass, DirtyTrial, Tolerance};
 use adcc_sim::crash::{poll_groups, CrashEmulator, CrashSite, CrashTrigger, Harvest, RunOutcome};
 use adcc_sim::events::EventRecorder;
-use adcc_sim::image::NvmImage;
+use adcc_sim::image::{DeltaImage, NvmImage};
 use adcc_sim::line::{LINE_SHIFT, LINE_SIZE};
 use adcc_telemetry::{ExecutionProfile, Probe};
 
@@ -196,14 +197,16 @@ pub(crate) trait Workload: Send + Sync {
     /// [`recover_chain`](Workload::recover_chain) is the recover step: one
     /// [`DirtyRestart`] per image in the order given, each equal to what
     /// [`dirty_restart`](Workload::dirty_restart) makes of that state alone,
-    /// which is what the default does.
+    /// which is what the default does. The images come as harvested: a
+    /// chain materializes each when it boots it, and may read it in place
+    /// before that.
     fn dirty_restart_chain(
         &self,
         live: &Self::Live,
-        images: &mut dyn Iterator<Item = NvmImage>,
+        images: &mut dyn Iterator<Item = &DeltaImage>,
     ) -> Vec<DirtyRestart> {
         images
-            .map(|image| self.dirty_restart(live, &image))
+            .map(|image| self.dirty_restart(live, &image.materialize()))
             .collect()
     }
 
@@ -466,7 +469,7 @@ impl<W: Workload> Batch<'_, W> {
     fn restart_states(&self, groups: Range<usize>) {
         let mut images = self.groups[groups.clone()]
             .iter()
-            .map(|group| self.harvests[group.start].image.materialize());
+            .map(|group| &self.harvests[group.start].image);
         let restarted = self.w.dirty_restart_chain(&self.live, &mut images);
         self.store_each(groups, restarted, |slot, group, d| {
             slot.dirty = self.dirty_trial(group, &d)
@@ -775,12 +778,14 @@ mod tests {
         fn dirty_restart_chain(
             &self,
             live: &ToyLive,
-            images: &mut dyn Iterator<Item = NvmImage>,
+            images: &mut dyn Iterator<Item = &DeltaImage>,
         ) -> Vec<DirtyRestart> {
             self.dirty_chains_run.fetch_add(1, Relaxed);
             self.meet_in_chain();
             assert!(!self.dirty_chain_panics, "toy: the dirty chain failed");
-            images.map(|i| self.dirty_restart(live, &i)).collect()
+            images
+                .map(|i| self.dirty_restart(live, &i.materialize()))
+                .collect()
         }
         fn complete(
             &self,

@@ -8,16 +8,21 @@
 //! and replay recovery classifies the states streaming — O(run + points ×
 //! recovery) instead of O(points × run).
 //!
-//! `mc-epoch` goes one step further. Its recovery replays to the *end of
-//! the run*, every picosecond of it reported, so a batch's states are
-//! recovered as one [`McSim::recover_chain`]: a replay that reaches a
-//! machine an earlier state's replay already stood on reads the rest of
-//! its clock off that one — O(run + points × a few dozen lookups). Its
-//! dirty restarts all re-enter at lookup 0 of a cold machine and differ
-//! only in the tallies they run on, which the loop never looks at: they are
-//! one [`McSim::dirty_chain`], at the same cost. (`mc-selective`'s are not:
-//! NVM with DRAM's timing prefetches, so the stream detector is an input,
-//! and a cold restart's never lines up with a warm one's.)
+//! Both also chain their per-state passes. `mc-epoch`'s recovery replays
+//! to the *end of the run*, every picosecond of it reported, so a batch's
+//! states are recovered as one [`McSim::recover_chain`]: a replay that
+//! reaches a machine an earlier state's replay already stood on reads the
+//! rest of its clock off that one — O(run + points × a few dozen lookups).
+//! (`mc-selective`'s recoveries share nothing; its chain recovers them one
+//! by one.) Every dirty restart runs to the end of the run too, from the
+//! loop index its image holds, on a cold machine: the restarts of one
+//! index differ only in cells the loop never reads but to add to or to
+//! overwrite, so they are one [`McSim::dirty_chain`] that simulates one run
+//! per index — one in all for `mc-epoch`, which never writes the index, and
+//! one per flushed index for `mc-selective`. Restarts from different
+//! indices never join: NVM with DRAM's timing prefetches, so the stream
+//! detector is an input, and a cold restart's never lines up with the warm
+//! one of a pilot that came from an earlier index.
 
 use std::borrow::Cow;
 use std::sync::OnceLock;
@@ -27,7 +32,7 @@ use adcc_core::mc::{McProblem, XS_CHANNELS};
 use adcc_core::DirtyRestart;
 use adcc_resilience::Tolerance;
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
-use adcc_sim::image::NvmImage;
+use adcc_sim::image::{DeltaImage, NvmImage};
 use adcc_sim::system::{MemorySystem, SystemConfig};
 use adcc_telemetry::ExecutionProfile;
 
@@ -191,11 +196,11 @@ impl Workload for McCampaign {
         self.classify(&rec, telemetry)
     }
 
-    /// Epoch recovery replays every state to the end of the run, and so
-    /// does every dirty restart: the states of one execution share that
-    /// tail.
+    /// Every dirty restart runs to the end of the run, and so does epoch
+    /// recovery: the states of one execution share that tail. (Selective
+    /// recoveries share nothing; their chain recovers them one by one.)
     fn chains(&self) -> bool {
-        matches!(self.mode, McMode::Epoch { .. })
+        true
     }
 
     fn recover_chain(
@@ -241,9 +246,9 @@ impl Workload for McCampaign {
     fn dirty_restart_chain(
         &self,
         mc: &McSim,
-        images: &mut dyn Iterator<Item = NvmImage>,
+        images: &mut dyn Iterator<Item = &DeltaImage>,
     ) -> Vec<DirtyRestart> {
-        mc.dirty_chain(&self.cfg, images.map(Cow::Owned)).answers
+        mc.dirty_chain(&self.cfg, images).answers
     }
 }
 
@@ -251,6 +256,7 @@ impl Workload for McCampaign {
 mod tests {
     use super::*;
     use crate::scenario::Scenario;
+    use adcc_sim::crash::poll_groups;
 
     #[test]
     fn one_reference_serves_both_scenarios() {
@@ -369,15 +375,66 @@ mod tests {
         }
     }
 
+    /// `mc-selective`'s dirty restarts re-enter at the loop index flushed
+    /// every `INTERVAL` lookups, on a cold machine. The states between two
+    /// flushes of the index therefore stand on one machine but for their
+    /// tallies, and join where they boot: the chain simulates one run per
+    /// flushed index, from that index to the end, and one index read per
+    /// other state. Among the runs is the idx = 0 one every dense crash
+    /// point lands in (the 400 dense points of a campaign all fall inside
+    /// lookups 0..52).
+    #[test]
+    fn a_chain_of_selective_dirty_restarts_simulates_one_run_per_flushed_index() {
+        let s = McCampaign::new_selective(reference_counts());
+        let sites = (0..40).map(|k| 7 + 30 * k);
+        let dense = (0..10).map(|d| LOOKUPS + 40 * d);
+        let units: Vec<u64> = sites.chain(dense).collect();
+        let (mut emu, mut mc) = s.setup(CrashTrigger::Never);
+        emu.arm_harvest(units.iter().map(|&u| (s.trigger_of(u), u)));
+        assert!(s.forward(&mut mc, &mut emu).completed().is_some());
+        let harvests = emu.take_harvests();
+        assert_eq!(harvests.len(), units.len());
+        let states: Vec<&DeltaImage> = poll_groups(&harvests)
+            .map(|group| &group[0].image)
+            .collect();
+        let indices: Vec<u64> = states
+            .iter()
+            .map(|image| image.read_u64(mc.idx_cell.addr()))
+            .collect();
+        assert!(indices.windows(2).all(|w| w[0] <= w[1]), "{indices:?}");
+        let dense_group = indices.iter().filter(|&&i| i == 0).count();
+        assert!(dense_group > 10, "{dense_group} states at idx 0");
+
+        let chain = mc.dirty_chain(&s.cfg, states.iter().copied());
+        let mut alone = 0;
+        let mut one_run_per_index = 0;
+        for (k, (&image, chained)) in states.iter().zip(&chain.answers).enumerate() {
+            let one = mc.dirty_chain(&s.cfg, [image]);
+            assert_eq!(one.answers, std::slice::from_ref(chained), "state {k}");
+            alone += one.simulated_accesses;
+            // A pilot runs to the end; a follower reads the index and joins.
+            let pilots = k == 0 || indices[k - 1] != indices[k];
+            one_run_per_index += if pilots { one.simulated_accesses } else { 1 };
+        }
+        assert_eq!(chain.simulated_accesses, one_run_per_index);
+        assert!(
+            2 * chain.simulated_accesses < alone,
+            "{} accesses simulated, {alone} alone",
+            chain.simulated_accesses
+        );
+        assert_eq!(chain.simulated_accesses, 4_389_663);
+    }
+
     /// And for its dirty restarts, which all run the whole loop again: alone,
-    /// ten of them simulate ten forward runs; chained, every follower stands
-    /// where the pilot stood — but for its tallies — a couple of dozen
-    /// lookups in (one that did not would take the pilot to the end with it
-    /// and put the chain past two runs on its own), and is right anyway.
+    /// ten of them simulate ten forward runs. Chained, every follower boots
+    /// where the pilot booted — lookup 0 of a cold machine — on a machine
+    /// that differs from the pilot's only in its tallies and epoch words, and
+    /// joins there: the chain is the pilot's run plus one index read per
+    /// follower, and right anyway.
     #[test]
     fn a_chain_of_epoch_dirty_restarts_simulates_less_than_two_forward_runs() {
         let s = McCampaign::new_epoch(reference_counts());
-        for (states, simulated) in [(10, 508_142), (20, 578_442)] {
+        for (states, simulated) in [(10, 444_881), (20, 444_891)] {
             let units: Vec<u64> = (0..states).map(|k| 25 + (1200 / states) * k).collect();
             let (mut emu, mut mc) = s.setup(CrashTrigger::Never);
             emu.arm_harvest(units.iter().map(|&u| (s.trigger_of(u), u)));
@@ -385,13 +442,12 @@ mod tests {
             let forward_run = emu.access_count();
             let harvests = emu.take_harvests();
             assert_eq!(harvests.len(), units.len());
-            let chain = mc.dirty_chain(
-                &s.cfg,
-                harvests.iter().map(|h| Cow::Owned(h.image.materialize())),
-            );
+            let chain = mc.dirty_chain(&s.cfg, harvests.iter().map(|h| &h.image));
             let mut alone = 0;
+            let mut pilot = None;
             for (h, chained) in harvests.iter().zip(&chain.answers) {
-                let one = mc.dirty_chain(&s.cfg, [Cow::Owned(h.image.materialize())]);
+                let one = mc.dirty_chain(&s.cfg, [&h.image]);
+                pilot.get_or_insert(one.simulated_accesses);
                 assert_eq!(
                     one.answers,
                     std::slice::from_ref(chained),
@@ -410,6 +466,8 @@ mod tests {
                 "{states} states: {} accesses simulated, a forward run is {forward_run}",
                 chain.simulated_accesses
             );
+            let joined_at_boot = pilot.expect("a pilot") + (states - 1);
+            assert_eq!(chain.simulated_accesses, joined_at_boot, "{states} states");
             assert_eq!(chain.simulated_accesses, simulated, "{states} states");
         }
     }

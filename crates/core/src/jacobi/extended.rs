@@ -13,11 +13,11 @@ use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::simops::SimCsr;
 use adcc_sim::crash::{CrashEmulator, CrashSite, RunOutcome};
 use adcc_sim::image::NvmImage;
-use adcc_sim::parray::{PArray, PMatrix, PScalar};
+use adcc_sim::parray::{load_span, PArray, PMatrix, PScalar};
 use adcc_sim::system::{MemorySystem, SystemConfig};
 
 use super::plain::inv_diag;
-use super::{sites, OMEGA};
+use super::{sites, update, OMEGA};
 use crate::iterative::{self, Extended, Recovery};
 
 /// Relative tolerance for the update-equation invariant, scaled by ‖b‖.
@@ -102,11 +102,7 @@ impl ExtendedJacobi {
             let x_i = self.x_row(i);
             let x_next = self.x_row(i + 1);
             self.a.spmv(emu, x_i, self.ax);
-            for j in 0..self.n {
-                let v = x_i.get(emu, j)
-                    + OMEGA * self.dinv.get(emu, j) * (self.b.get(emu, j) - self.ax.get(emu, j));
-                x_next.set(emu, j, v);
-            }
+            update(emu, [x_i, self.dinv, self.b, self.ax], x_next);
             emu.charge_flops(4 * self.n as u64);
             if emu.poll(CrashSite::new(sites::PH_AFTER_X, i as u64)) {
                 return RunOutcome::Crashed(emu.crash_now());
@@ -135,13 +131,12 @@ impl ExtendedJacobi {
         let x_next = self.x_row(j + 1);
         self.a.spmv(sys, x_j, self.ax);
         let mut err2 = 0.0f64;
-        for k in 0..self.n {
-            let want = x_j.get(sys, k)
-                + OMEGA * self.dinv.get(sys, k) * (self.b.get(sys, k) - self.ax.get(sys, k));
-            let got = x_next.get(sys, k);
+        let ins = [x_j, self.dinv, self.b, self.ax, x_next];
+        load_span(sys, ins, |_, [x, dinv, b, ax, got]| {
+            let want = x + OMEGA * dinv * (b - ax);
             let d = want - got;
             err2 += d * d;
-        }
+        });
         sys.charge_flops(6 * self.n as u64);
         err2.is_finite() && err2.sqrt() <= TOL_UPDATE * norm_b
     }
@@ -176,10 +171,7 @@ impl Extended for ExtendedJacobi {
     /// ring may have overwritten it).
     fn reenter(&self, sys: &mut MemorySystem, verified: Option<usize>) {
         if verified.is_none() {
-            let x0 = self.x_row(0);
-            for k in 0..self.n {
-                x0.set(sys, k, 0.0);
-            }
+            self.x_row(0).fill(sys, 0.0);
         }
     }
 

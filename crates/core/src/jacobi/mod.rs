@@ -15,6 +15,9 @@
 //! a history dimension on `x` plus one flushed cache line (the iteration
 //! counter) per iteration.
 
+use adcc_sim::parray::{map_span, PArray};
+use adcc_sim::system::MemorySystem;
+
 pub mod extended;
 pub mod plain;
 pub mod variants;
@@ -25,6 +28,13 @@ pub use plain::{jacobi_host, PlainJacobi};
 /// Damping factor used throughout (safe for strictly diagonally dominant
 /// systems and matches the host reference arithmetic exactly).
 pub const OMEGA: f64 = 0.8;
+
+/// One weighted-Jacobi update, charged: `next[j] = x[j] + ω · dinv[j] ·
+/// (b[j] − ax[j])` for every `j` of `[x, dinv, b, ax]`, each element's four
+/// loads (in that order) then its store, paid per line. `next` may be `x`.
+pub(crate) fn update(sys: &mut MemorySystem, ins: [PArray<f64>; 4], next: PArray<f64>) {
+    map_span(sys, ins, next, |_, [x, d, b, ax]| x + OMEGA * d * (b - ax));
+}
 
 /// Crash-site phases for Jacobi (see [`adcc_sim::crash::CrashSite`]).
 pub mod sites {

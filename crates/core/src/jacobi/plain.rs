@@ -5,7 +5,7 @@ use adcc_linalg::simops::SimCsr;
 use adcc_sim::parray::{PArray, PScalar};
 use adcc_sim::system::MemorySystem;
 
-use super::OMEGA;
+use super::{update, OMEGA};
 
 /// Extract `1 / diag(A)` from a CSR matrix.
 pub fn inv_diag(a: &CsrMatrix) -> Vec<f64> {
@@ -85,11 +85,7 @@ impl PlainJacobi {
     /// One weighted-Jacobi iteration through the simulator.
     pub fn step(&self, sys: &mut MemorySystem) {
         self.a.spmv(sys, self.x, self.ax);
-        for j in 0..self.n {
-            let v = self.x.get(sys, j)
-                + OMEGA * self.dinv.get(sys, j) * (self.b.get(sys, j) - self.ax.get(sys, j));
-            self.x.set(sys, j, v);
-        }
+        update(sys, [self.x, self.dinv, self.b, self.ax], self.x);
         sys.charge_flops(4 * self.n as u64);
     }
 

@@ -48,9 +48,7 @@ impl Baseline for PlainJacobi {
 
     /// Back to the initial zero iterate.
     fn reinit(&self, sys: &mut MemorySystem) {
-        for j in 0..self.n {
-            self.x.set(sys, j, 0.0);
-        }
+        self.x.fill(sys, 0.0);
     }
 
     fn log_lines(&self) -> usize {

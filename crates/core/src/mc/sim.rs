@@ -36,9 +36,13 @@
 //!   states of a deterministic simulator have one future, so the tallies
 //!   are the pilot's;
 //! * **dirty restart** ([`McSim::dirty_chain`]) joins where they have [one
-//!   future modulo the tally cells](MemorySystem::same_future_modulo) — the
-//!   loop never looks at a tally, it only adds one to it, so each tally
-//!   keeps the difference it had at the join.
+//!   future modulo](MemorySystem::same_future_modulo) the tally cells and
+//!   the epoch words — the loop never looks at a tally, it only adds one to
+//!   it, so each tally keeps the difference it had at the join; and it
+//!   writes an epoch word without ever reading it. Restarts re-enter a cold
+//!   machine at the loop index the image flushed, so the states of one
+//!   index join where they boot, and a state that boots at another index
+//!   retires the pilot and pilots its own run.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -46,7 +50,7 @@ use std::sync::{Arc, OnceLock};
 
 use adcc_sim::clock::{Bucket, SimTime};
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
-use adcc_sim::image::NvmImage;
+use adcc_sim::image::{BootImage, NvmImage};
 use adcc_sim::parray::{PArray, PScalar, Pod};
 use adcc_sim::system::{MemorySystem, SystemConfig};
 
@@ -399,46 +403,65 @@ impl McSim {
     /// execution**, in the order they were captured: the same
     /// [`DirtyRestart`] per state, field for field and picosecond for
     /// picosecond, for less simulated work. Each image is pulled from
-    /// `images` when its turn comes; an owned one becomes its machine's
-    /// pool, a borrowed one is copied into it.
+    /// `images` when its turn comes and read in place for its loop index;
+    /// only when its state boots does it become its machine's pool — a
+    /// delta materialized then, an owned image as it is, a borrowed one
+    /// copied.
     ///
     /// Each state boots its machine and reads the loop index; one the loop
     /// bound rejects stands past the end and is answered there. The rest go
-    /// through the lockstep driver (see the module docs), joining where the
-    /// two machines have [one future modulo](MemorySystem::same_future_modulo)
-    /// the tally words — the only bytes here that the loop reads just to add
-    /// to and that steer no address, branch or charge (the loop index, the
-    /// epoch words, `macro_xs` and the grids are compared like everything
-    /// else; the epoch words steer nothing on this path either, but a word
-    /// this loop *overwrites* equalises by itself). A joined restart's
+    /// through the lockstep driver (see the module docs), one pilot per run
+    /// of states that boot at one loop index. A follower joins where the two
+    /// machines have [one future modulo](MemorySystem::same_future_modulo)
+    /// the tallies and, in epoch mode, the epoch words: bytes this loop
+    /// reads only to add one to, or never reads at all. A joined restart's
     /// tallies end as far above the pilot's as they stood at the join
-    /// (tallies are only ever `get + 1 -> set`), and the count-total audit is
-    /// evaluated on those.
+    /// (tallies are only ever `get + 1 -> set`), and the count-total audit
+    /// is evaluated on those.
+    ///
+    /// A restart re-enters the loop on a cold machine, so the states of one
+    /// loop index stand on one machine but for those cells, and join where
+    /// they boot. [`McMode::Epoch`] never writes the index: its whole chain
+    /// is one run from lookup 0. [`McMode::Selective`] flushes it every
+    /// `interval` lookups: its chain is one run per flushed index.
     pub fn dirty_chain<'a>(
         &self,
         cfg: &SystemConfig,
-        images: impl IntoIterator<Item = Cow<'a, NvmImage>>,
+        images: impl IntoIterator<Item = impl BootImage<'a>>,
     ) -> Chain<DirtyRestart> {
-        let cells = self.tally_cells();
+        let cells = self.dirty_cells();
         self.lockstep(
-            images
-                .into_iter()
-                .map(|image| DirtyReentry::boot(self, cfg, image)),
+            images.into_iter(),
+            // A restart that boots at another index than the pilot meets a
+            // machine warmed by lookups it never ran; where NVM prefetches,
+            // their stream detectors never line up.
+            |image| Some(image.read_u64(self.idx_cell.addr())),
+            |image| DirtyReentry::boot(self, cfg, image.into_image()),
             |follower, pilot| follower.emu.same_future_modulo(&pilot.emu, &cells),
         )
     }
 
-    /// The words a run only ever adds one to, as ascending address ranges:
-    /// the five tallies, wherever this mode keeps them.
+    /// The bytes two dirty restarts may differ in at a lookup boundary and
+    /// still have one future, as ascending address ranges; everything else
+    /// — the loop index, `macro_xs`, the grids, every other byte of these
+    /// lines — is compared exactly:
+    ///
+    /// * the five tallies, wherever this mode keeps them: the loop reads a
+    ///   tally only to add one to it, so each keeps its difference;
+    /// * in [`McMode::Epoch`], each counter line's epoch word: only
+    ///   [`EpochCounters::increment`] touches it on this path, and it writes
+    ///   the word without reading it.
+    ///
+    /// (`macro_xs` is dead at a boundary too — every lookup zeroes it before
+    /// reading it — but the states of one flushed index hold one `macro_xs`,
+    /// so it stays compared.)
     #[allow(clippy::single_range_in_vec_init)] // a list of ranges, here of one
-    fn tally_cells(&self) -> Vec<Range<u64>> {
+    fn dirty_cells(&self) -> Vec<Range<u64>> {
         let words = |arr: &PArray<u64>, n: usize| arr.base()..arr.base() + 8 * n as u64;
         if matches!(self.mode, McMode::Epoch { .. }) {
+            // Each line: its tallies, then its epoch word.
             let (lo, hi) = (&self.epoch_counters.lo, &self.epoch_counters.hi);
-            vec![
-                words(lo, EpochCounters::LO),
-                words(hi, XS_CHANNELS - EpochCounters::LO),
-            ]
+            vec![words(lo, lo.len()), words(hi, hi.len())]
         } else {
             vec![words(&self.counters, XS_CHANNELS)]
         }
@@ -509,7 +532,9 @@ impl McSim {
             };
         }
         self.lockstep(
-            states.map(|(crashed_at, image)| EpochRecovery::boot(self, cfg, crashed_at, image)),
+            states,
+            |_| None,
+            |(crashed_at, image)| EpochRecovery::boot(self, cfg, crashed_at, image),
             |follower, pilot| {
                 // A pre-filter, not a second condition: before the later
                 // line epoch of either replay the two apply different
@@ -526,9 +551,9 @@ impl McSim {
     }
 
     /// The one lockstep driver behind [`McSim::recover_chain`] and
-    /// [`McSim::dirty_chain`]. `replays` yields the chain's states, each
-    /// booted when its turn comes; `joins(follower, pilot)` is the kind's
-    /// join predicate, asked only where both stand at one boundary.
+    /// [`McSim::dirty_chain`]. `states` yields the chain's states, each
+    /// booted by `boot` when its turn comes; `joins(follower, pilot)` is the
+    /// kind's join predicate, asked only where both stand at one boundary.
     ///
     /// A state that stands past the end of the run at boot — a loop index
     /// the loop bound rejects — is answered there and joins nothing. The
@@ -539,37 +564,46 @@ impl McSim {
     /// of the run unjoined is complete as it stands. Once the pilot has run
     /// to the end, every joined state adds (pilot's end − pilot's reading at
     /// its join) to its own reading — for an exact join the tallies' share
-    /// of that is zero — and its kind turns the result into its answer. At
-    /// most two machines are alive, and nothing is approximated: a state is
-    /// joined on the full predicate or not at all.
-    fn lockstep<K: ReplayKind>(
+    /// of that is zero — and its kind turns the result into its answer.
+    ///
+    /// `boots_at(state)` is `Some` for a kind whose states join only a pilot
+    /// that booted where they do: the boundary the state will boot at, read
+    /// uncharged before it boots. A state that will boot at another boundary
+    /// than the pilot did retires the pilot first — the old pilot runs to
+    /// the end and closes its states, and the new state pilots the next run.
+    /// So at most two machines are alive, and only while a follower steps
+    /// beside the pilot; nothing is approximated: a state is joined on the
+    /// full predicate or not at all.
+    fn lockstep<K: ReplayKind, S>(
         &self,
-        replays: impl Iterator<Item = Replay<K>>,
+        states: impl Iterator<Item = S>,
+        boots_at: impl Fn(&S) -> Option<u64>,
+        boot: impl Fn(S) -> Replay<K>,
         joins: impl Fn(&Replay<K>, &Replay<K>) -> bool,
     ) -> Chain<K::Answer> {
         let mut pilot: Option<Replay<K>> = None;
+        // The states since the pilot took over, in order.
         let mut stopped = Vec::new();
+        let mut answers = Vec::new();
         let mut simulated_accesses = 0;
-        for mut run in replays {
-            let pilot_at = if run.next > self.lookups {
+        for state in states {
+            let at = boots_at(&state).filter(|&at| at <= self.lookups);
+            if let Some(retired) = pilot.take_if(|p| at.is_some_and(|at| at != p.booted_at)) {
+                simulated_accesses += self.close(retired, &mut stopped, &mut answers);
+            }
+            let mut run = boot(state);
+            debug_assert!(at.is_none_or(|at| at == run.booted_at));
+            if run.next > self.lookups {
                 // Answered at boot: the loop bound rejects it.
-                None
-            } else if let Some(pilot) = pilot.as_mut() {
-                while run.next < self.lookups {
-                    if run.next < pilot.next {
-                        run.step(self);
-                    } else if pilot.next < run.next {
-                        pilot.step(self);
-                    } else if joins(&run, pilot) {
-                        break;
-                    } else {
-                        run.step(self);
-                        pilot.step(self);
-                    }
-                }
-                // At the end of the run nothing is left to read off anyone.
-                (run.next < self.lookups).then(|| pilot.reading(self))
-            } else {
+                simulated_accesses += run.emu.access_count();
+                stopped.push(Stopped {
+                    kind: run.kind,
+                    own: run.reading(self),
+                    pilot_at: None,
+                });
+                continue;
+            }
+            let Some(pilot) = pilot.as_mut() else {
                 // The pilot joins itself where it stands.
                 let at = run.reading(self);
                 stopped.push(Stopped {
@@ -580,6 +614,20 @@ impl McSim {
                 pilot = Some(run);
                 continue;
             };
+            while run.next < self.lookups {
+                if run.next < pilot.next {
+                    run.step(self);
+                } else if pilot.next < run.next {
+                    pilot.step(self);
+                } else if joins(&run, pilot) {
+                    break;
+                } else {
+                    run.step(self);
+                    pilot.step(self);
+                }
+            }
+            // At the end of the run nothing is left to read off anyone.
+            let pilot_at = (run.next < self.lookups).then(|| pilot.reading(self));
             simulated_accesses += run.emu.access_count();
             stopped.push(Stopped {
                 kind: run.kind,
@@ -587,20 +635,31 @@ impl McSim {
                 pilot_at,
             });
         }
-        let end = pilot.map(|mut pilot| {
-            while pilot.next < self.lookups {
-                pilot.step(self);
-            }
-            simulated_accesses += pilot.emu.access_count();
-            pilot.reading(self)
-        });
+        if let Some(pilot) = pilot {
+            simulated_accesses += self.close(pilot, &mut stopped, &mut answers);
+        }
+        // States answered at boot after the last pilot, or with none at all.
+        answers.extend(stopped.into_iter().map(|state| state.close(self, None)));
         Chain {
-            answers: stopped
-                .into_iter()
-                .map(|state| state.close(self, end.as_ref()))
-                .collect(),
+            answers,
             simulated_accesses,
         }
+    }
+
+    /// Run `pilot` to the end of the run and turn every state `stopped`
+    /// holds into its answer, appended to `answers`; the pilot's accesses.
+    fn close<K: ReplayKind>(
+        &self,
+        mut pilot: Replay<K>,
+        stopped: &mut Vec<Stopped<K>>,
+        answers: &mut Vec<K::Answer>,
+    ) -> u64 {
+        while pilot.next < self.lookups {
+            pilot.step(self);
+        }
+        let end = pilot.reading(self);
+        answers.extend(stopped.drain(..).map(|state| state.close(self, Some(&end))));
+        pilot.emu.access_count()
     }
 
     /// Recovery in the index-flushing modes: re-execute `[flushed index,
@@ -713,6 +772,8 @@ trait ReplayKind: Copy {
 /// stands at, and what its kind keeps besides.
 struct Replay<K> {
     emu: CrashEmulator,
+    /// The boundary it booted at.
+    booted_at: u64,
     /// Lookups `..next` are done (or were, the image says).
     next: u64,
     kind: K,
@@ -722,6 +783,7 @@ impl<K: ReplayKind> Replay<K> {
     fn new(sys: MemorySystem, next: u64, kind: K) -> Self {
         Replay {
             emu: CrashEmulator::from_system(sys, CrashTrigger::Never),
+            booted_at: next,
             next,
             kind,
         }
@@ -1342,6 +1404,41 @@ mod tests {
         // join nobody any more.
         let one_run = mc.dirty_chain(&hostile(), [Cow::Borrowed(&images[10])]);
         assert_eq!(chain.simulated_accesses, 3 * one_run.simulated_accesses);
+    }
+
+    /// What the dirty chain exempts from its join steers nothing: an image
+    /// whose exempt cells hold other values restarts on the same clock for
+    /// the same lookups. (The loop index, were it exempt, would move both.)
+    #[test]
+    fn nothing_a_dirty_restart_charges_depends_on_its_exempt_cells() {
+        let p = McProblem::generate(36, 32, 11);
+        for mode in [
+            McMode::Epoch { interval: 8 },
+            McMode::Selective { interval: 8 },
+        ] {
+            let (mc, images) = images_at_every_lookup(&p, &hostile(), EPOCH_LOOKUPS, mode);
+            let cells = mc.dirty_cells();
+            for k in [0, 13, 40, 77] {
+                let mut bytes = images[k].prefix().to_vec();
+                for cell in &cells {
+                    bytes.resize(bytes.len().max(cell.end as usize), 0);
+                    for word in bytes[cell.start as usize..cell.end as usize].chunks_exact_mut(8) {
+                        let w = u64::from_le_bytes(word.try_into().expect("a word"));
+                        word.copy_from_slice(&(w + 3).to_le_bytes());
+                    }
+                }
+                let moved = NvmImage::new(bytes, images[k].len());
+                let want = mc.dirty_restart(&images[k], hostile());
+                let got = mc.dirty_restart(&moved, hostile());
+                assert_eq!(
+                    (got.sim_time_ps, got.extra_units),
+                    (want.sim_time_ps, want.extra_units),
+                    "{mode:?} state {k}"
+                );
+                // The tallies did move: no restart of it passes the audit.
+                assert_eq!(got.solution, None, "{mode:?} state {k}");
+            }
+        }
     }
 
     /// The gotcha the chain has to preserve: the timed replay of **every**

@@ -3,10 +3,10 @@
 
 use adcc_sim::crash::{CrashEmulator, CrashSite, RunOutcome};
 use adcc_sim::image::NvmImage;
-use adcc_sim::parray::{PMatrix, PScalar};
+use adcc_sim::parray::{load_span, map_span, PMatrix, PScalar};
 use adcc_sim::system::{MemorySystem, SystemConfig};
 
-use super::{initial_value, sites, ALPHA};
+use super::{initial_value, sites, sweep_row};
 use crate::iterative::{self, Extended, Recovery};
 
 /// What recovery did, plus the final grid (row-major).
@@ -116,17 +116,7 @@ impl ExtendedStencil {
             for b in 0..self.blocks() {
                 let mut sum = 0.0f64;
                 for r in self.block_rows(b) {
-                    for c in 1..self.cols - 1 {
-                        let v = src.get(emu, r, c)
-                            + ALPHA
-                                * (src.get(emu, r - 1, c)
-                                    + src.get(emu, r + 1, c)
-                                    + src.get(emu, r, c - 1)
-                                    + src.get(emu, r, c + 1)
-                                    - 4.0 * src.get(emu, r, c));
-                        dst.set(emu, r, c, v);
-                        sum += v;
-                    }
+                    sweep_row(emu, src, dst, r, |v| sum += v);
                 }
                 let rows_in_block = self.block_rows(b).len();
                 emu.charge_flops(7 * (rows_in_block * (self.cols - 2)) as u64);
@@ -163,9 +153,8 @@ impl ExtendedStencil {
             let want = self.cs.get(sys, slot, 2 * b + 1);
             let mut sum = 0.0f64;
             for r in self.block_rows(b) {
-                for c in 1..self.cols - 1 {
-                    sum += buf.get(sys, r, c);
-                }
+                let inner = buf.row(r).slice(1, self.cols - 2);
+                load_span(sys, [inner], |_, [v]| sum += v);
             }
             let rows_in_block = self.block_rows(b).len();
             sys.charge_flops(2 * (rows_in_block * (self.cols - 2)) as u64);
@@ -218,13 +207,7 @@ impl Extended for ExtendedStencil {
     /// bill).
     fn reenter(&self, sys: &mut MemorySystem, verified: Option<usize>) {
         if verified.is_none() {
-            let b0 = self.bufs[0];
-            for r in 0..self.rows {
-                for c in 0..self.cols {
-                    let v = self.g0.get(sys, r, c);
-                    b0.set(sys, r, c, v);
-                }
-            }
+            map_span(sys, [self.g0.array()], self.bufs[0].array(), |_, [v]| v);
         }
     }
 

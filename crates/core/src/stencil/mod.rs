@@ -22,6 +22,9 @@
 //! whose blocks all carry the right tag and reproduce their flushed sums,
 //! then resumes from the following sweep.
 
+use adcc_sim::parray::{map_span, PMatrix};
+use adcc_sim::system::MemorySystem;
+
 pub mod extended;
 pub mod plain;
 pub mod variants;
@@ -39,6 +42,39 @@ pub fn initial_value(rows: usize, cols: usize, r: usize, c: usize) -> f64 {
     let bump = 80.0 * (-((rf - 0.3).powi(2) + (cf - 0.6).powi(2)) / 0.02).exp();
     let edge = if c == 0 { 40.0 } else { 0.0 };
     bump + edge
+}
+
+/// Interior row `r` of one sweep, charged: `dst[r][c] = src[r][c] + α ·
+/// (up + down + left + right − 4 · src[r][c])` for `c` in `1..cols − 1`,
+/// each element's six loads (`src[r][c]`, its four neighbours, `src[r][c]`
+/// again) then its store, in the element loop's order, paid per line. Each
+/// new value is handed to `each`, in column order.
+pub(crate) fn sweep_row(
+    sys: &mut MemorySystem,
+    src: PMatrix<f64>,
+    dst: PMatrix<f64>,
+    r: usize,
+    mut each: impl FnMut(f64),
+) {
+    let inner = |m: PMatrix<f64>, r: usize, from: usize| m.row(r).slice(from, m.cols() - 2);
+    let ins = [
+        inner(src, r, 1),
+        inner(src, r - 1, 1),
+        inner(src, r + 1, 1),
+        inner(src, r, 0),
+        inner(src, r, 2),
+        inner(src, r, 1),
+    ];
+    map_span(
+        sys,
+        ins,
+        inner(dst, r, 1),
+        |_, [here, up, down, left, right, centre]| {
+            let v = here + ALPHA * (up + down + left + right - 4.0 * centre);
+            each(v);
+            v
+        },
+    );
 }
 
 /// Crash-site phases for the stencil (see [`adcc_sim::crash::CrashSite`]).

@@ -3,7 +3,7 @@
 use adcc_sim::parray::{PMatrix, PScalar};
 use adcc_sim::system::MemorySystem;
 
-use super::{initial_value, ALPHA};
+use super::{initial_value, sweep_row, ALPHA};
 
 /// Host-side reference: `sweeps` explicit 5-point sweeps of the heat
 /// equation on a `rows × cols` grid with fixed boundary. Returns the final
@@ -78,16 +78,7 @@ impl PlainStencil {
         let src = self.bufs[t % 2];
         let dst = self.bufs[(t + 1) % 2];
         for r in 1..self.rows - 1 {
-            for c in 1..self.cols - 1 {
-                let v = src.get(sys, r, c)
-                    + ALPHA
-                        * (src.get(sys, r - 1, c)
-                            + src.get(sys, r + 1, c)
-                            + src.get(sys, r, c - 1)
-                            + src.get(sys, r, c + 1)
-                            - 4.0 * src.get(sys, r, c));
-                dst.set(sys, r, c, v);
-            }
+            sweep_row(sys, src, dst, r, |_| {});
         }
         sys.charge_flops(6 * ((self.rows - 2) * (self.cols - 2)) as u64);
     }

@@ -47,12 +47,10 @@ impl Baseline for PlainStencil {
 
     /// Re-seed both ping-pong buffers from the initial condition.
     fn reinit(&self, sys: &mut MemorySystem) {
+        let (rows, cols) = (self.rows, self.cols);
+        let at = |i: usize| super::initial_value(rows, cols, i / cols, i % cols);
         for b in &self.bufs {
-            for r in 0..self.rows {
-                for c in 0..self.cols {
-                    b.set(sys, r, c, super::initial_value(self.rows, self.cols, r, c));
-                }
-            }
+            b.array().store_span(sys, at);
         }
     }
 

@@ -1229,10 +1229,15 @@ impl MemorySystem {
     /// prices, addresses or orders anything by payload, so two machines this
     /// vouches for charge, count and evict alike whatever is done to them;
     /// what they can differ in is what they *read* from a cell. The caller
-    /// owes the rest: `cells` may name only bytes that are read to be added
-    /// to and written back, and that no address, branch or charge of the
-    /// code still to run depends on. Then every cell keeps its difference,
-    /// and everything outside the cells is one future.
+    /// owes the rest: `cells` may name only bytes that no address, branch or
+    /// charge of the code still to run depends on, and that this code
+    ///
+    /// * reads only to add to and write back — a **tally**, which keeps its
+    ///   difference; or
+    /// * overwrites before it reads, or never reads — a **dead cell**, whose
+    ///   difference nothing sees and which an overwrite makes equal.
+    ///
+    /// Then everything outside the cells is one future.
     pub fn same_future_modulo(&self, other: &Self, cells: &[Range<u64>]) -> bool {
         debug_assert!(
             cells.windows(2).all(|w| w[0].end <= w[1].start)
@@ -2296,6 +2301,47 @@ mod tests {
         let dramc = b.dramc.as_mut().expect("heterogeneous");
         assert!(dramc.clean_line(first + 1).is_some(), "evicted dirty");
         assert!(!a.same_future(&b), "a DRAM-cache dirty bit went unnoticed");
+    }
+
+    /// A dead cell — bytes the code still to run overwrites before it reads
+    /// them — may hold anything: two machines that differ only there are
+    /// vouched for, and once both overwrite it they are one machine, having
+    /// read, charged and counted alike on the way.
+    #[test]
+    fn machines_that_differ_only_in_a_dead_cell_evolve_identically() {
+        let (mut a, first) = warm(tiny_nvm_only());
+        // A word whose line was persisted and evicted (NVM holds its only
+        // copy) and a word of the last line written (dirty in cache).
+        let mru = first + LINES - 1;
+        let (in_nvm, in_cache) = (first << LINE_SHIFT, mru << LINE_SHIFT);
+        let cells = [in_nvm + 16..in_nvm + 24, in_cache + 32..in_cache + 40];
+        let mut b = a.clone();
+        b.nvm.write_bytes(in_nvm + 16, &[0xAB; 8]);
+        b.cpu.lookup(mru).expect("resident").data()[32..40].fill(0xCD);
+        assert!(!a.same_future(&b));
+        assert!(a.same_future_modulo(&b, &cells) && b.same_future_modulo(&a, &cells));
+
+        // Overwrite both cells, then read every line around them and persist.
+        let run = |s: &mut MemorySystem| {
+            for cell in &cells {
+                s.write_bytes(cell.start, &7u64.to_le_bytes());
+            }
+            let mut seen = vec![0u8; 16 * LINES as usize];
+            for (l, out) in seen.chunks_exact_mut(16).enumerate() {
+                s.read_bytes(((first + l as u64) << LINE_SHIFT) + 12, out);
+            }
+            s.persist_line(in_nvm);
+            s.sfence();
+            seen
+        };
+        assert_eq!(run(&mut a), run(&mut b));
+        assert!(a.same_future(&b), "the overwrite made them one machine");
+        let (sa, sb) = (a.counter_snapshot(), b.counter_snapshot());
+        assert_eq!(
+            (sa.stats, sa.bucket_ps, sa.now_ps, a.access_count()),
+            (sb.stats, sb.bucket_ps, sb.now_ps, b.access_count())
+        );
+        assert_eq!(a.crash(), b.crash());
     }
 
     #[test]
