@@ -5,7 +5,7 @@ use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::simops::{self, SimCsr};
 use adcc_sim::crash::{CrashEmulator, CrashSite, RunOutcome};
 use adcc_sim::image::NvmImage;
-use adcc_sim::parray::{map_span, PArray, PMatrix, PScalar};
+use adcc_sim::parray::{load_span, map_span, span, PArray, PMatrix, PScalar};
 use adcc_sim::system::{MemorySystem, SystemConfig};
 
 use super::sites;
@@ -27,7 +27,11 @@ pub type BiRecovery = Recovery<Vec<f64>>;
 pub struct ExtendedBiCgStab {
     pub a: SimCsr,
     pub b: PArray<f64>,
-    /// `x[i]`, `r[i]`, `p[i]` enter iteration `i` (row `i % window`).
+    /// `x[i]`, `r[i]`, `p[i]` enter iteration `i` (row `i % window`). A
+    /// ring slot that never left the cache keeps the triple one lap older
+    /// in NVM; the full-length scalar rows bind a candidate to its
+    /// iteration, since that older `p` fails the direction recurrence
+    /// under iteration `j`'s flushed `(β_j, ω_j)`.
     pub x: PMatrix<f64>,
     pub r: PMatrix<f64>,
     pub p: PMatrix<f64>,
@@ -180,15 +184,14 @@ impl ExtendedBiCgStab {
     /// Candidate check, invariant 1: `‖r(j+1) − (b − A·x(j+1))‖ <= tol‖b‖`.
     fn check_residual(&self, sys: &mut MemorySystem, j: usize, norm_b: f64) -> bool {
         self.a.spmv(sys, self.x_row(j + 1), self.v);
-        let r_next = self.r_row(j + 1);
         let mut err2 = 0.0f64;
         let mut norm_r2 = 0.0f64;
-        for k in 0..self.n {
-            let want = self.b.get(sys, k) - self.v.get(sys, k);
-            let got = r_next.get(sys, k);
+        let ins = [self.b, self.v, self.r_row(j + 1)];
+        load_span(sys, ins, |_, [b, v, got]| {
+            let want = b - v;
             err2 += (want - got) * (want - got);
             norm_r2 += got * got;
-        }
+        });
         sys.charge_flops(5 * self.n as u64);
         // Degenerate all-zero rows (never written) only pass if x solves
         // the system exactly, which the norm guard below rejects.
@@ -205,17 +208,14 @@ impl ExtendedBiCgStab {
             return false;
         }
         self.a.spmv(sys, self.p_row(j), self.v);
-        let r_next = self.r_row(j + 1);
-        let p_j = self.p_row(j);
-        let p_next = self.p_row(j + 1);
         let mut err2 = 0.0f64;
         let mut ref2 = 0.0f64;
-        for k in 0..self.n {
-            let want = r_next.get(sys, k) + beta * (p_j.get(sys, k) - omega * self.v.get(sys, k));
-            let got = p_next.get(sys, k);
+        let ins = [self.r_row(j + 1), self.p_row(j), self.v, self.p_row(j + 1)];
+        load_span(sys, ins, |_, [r_next, p_j, v, got]| {
+            let want = r_next + beta * (p_j - omega * v);
             err2 += (want - got) * (want - got);
             ref2 += want * want;
-        }
+        });
         sys.charge_flops(8 * self.n as u64);
         err2.is_finite() && ref2 > 0.0 && err2.sqrt() <= TOL_DIR * ref2.sqrt()
     }
@@ -251,15 +251,8 @@ impl Extended for ExtendedBiCgStab {
         match verified {
             Some(j) => self.scalars.get(sys, j, 3),
             None => {
-                let x0 = self.x_row(0);
-                let r0 = self.r_row(0);
-                let p0 = self.p_row(0);
-                for k in 0..self.n {
-                    let bv = self.b.get(sys, k);
-                    x0.set(sys, k, 0.0);
-                    r0.set(sys, k, bv);
-                    p0.set(sys, k, bv);
-                }
+                let rows = [self.x_row(0), self.r_row(0), self.p_row(0)];
+                span(sys, [self.b], rows, |_, [bv]| [0.0, bv, bv]);
                 simops::dot(sys, self.b, self.b)
             }
         }
@@ -398,6 +391,46 @@ mod tests {
         // j = 5 (pair p5/p6): p6 corrupt as p_next -> fails.
         // j = 4: intact.
         assert_eq!(bi.detect_restart(&mut sys2), Some(4));
+    }
+
+    #[test]
+    fn ring_rejects_a_row_one_lap_stale() {
+        // Window 4: after iterations 0..6 every slot is persisted, then
+        // iterations 6..9 rewrite slots 3, 0, 1 in an 8 MB cache that never
+        // evicts. NVM then holds rows 4, 5, 6, 3 in slots 0–3, one lap
+        // older than the rows 8, 9, 6, 7 the counter (8) implies.
+        let (a, b) = problem();
+        let big = SystemConfig::nvm_only(8 << 20, 64 << 20);
+        let mut sys = MemorySystem::new(big.clone());
+        let bi = ExtendedBiCgStab::setup_windowed(&mut sys, &a, &b, 10, 4);
+        let rho0: f64 = b.iter().map(|v| v * v).sum();
+        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
+        let rho6 = bi.run(&mut emu, 0, 6, rho0).completed().unwrap();
+        let mut sys = emu.into_system();
+        bi.x.array().persist_all(&mut sys);
+        bi.r.array().persist_all(&mut sys);
+        bi.p.array().persist_all(&mut sys);
+        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
+        bi.run(&mut emu, 6, 9, rho6).completed().unwrap();
+        let image = emu.into_system().crash();
+
+        let mut sys2 = MemorySystem::from_image(big.clone(), &image);
+        let norm_b = simops::dot(&mut sys2, bi.b, bi.b).sqrt();
+        let stale: Vec<usize> = iterative::candidates(8, 10, 4).collect();
+        assert_eq!(stale, [8, 7, 6], "every candidate reads a stale slot");
+        // Each stale slot's `x` and `r` are one lap's, so the residual
+        // identity alone accepts every candidate; the direction recurrence
+        // under iteration j's flushed scalars rejects each.
+        for j in stale {
+            assert!(bi.check_residual(&mut sys2, j, norm_b), "j = {j}");
+            assert!(!bi.check_direction(&mut sys2, j), "j = {j} verified");
+        }
+        let mut sys3 = MemorySystem::from_image(big.clone(), &image);
+        assert_eq!(bi.detect_restart(&mut sys3), None);
+
+        let rec = bi.recover_and_resume(&image, big);
+        assert_eq!(rec.restart_from, None);
+        assert!(max_diff(&rec.solution, &bicgstab_host(&a, &b, 10)) < 1e-8);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::simops::{self, SimCsr};
 use adcc_sim::crash::{CrashEmulator, CrashSite, RunOutcome};
 use adcc_sim::image::NvmImage;
-use adcc_sim::parray::{PArray, PMatrix, PScalar};
+use adcc_sim::parray::{load_span, span, PArray, PMatrix, PScalar};
 use adcc_sim::system::{MemorySystem, SystemConfig};
 
 use super::sites;
@@ -50,9 +50,11 @@ pub type CgRecovery = Recovery<CgSolution>;
 
 /// Extended CG state (Fig. 2): history matrices over simulated NVM.
 ///
-/// The history may be a full `iters + 1` rows (the paper's formulation) or
-/// a bounded ring of `window` rows: row `i % window` holds iteration `i`'s
-/// data, trading memory for a bounded recovery horizon.
+/// The history is the paper's full `iters + 1` rows: row `i` holds
+/// iteration `i`'s data and is never overwritten. A bounded ring would let
+/// an unevicted slot keep the generation one lap older in NVM, and that
+/// generation passes both invariants; nothing here binds a row's bytes to
+/// its iteration, so CG keeps no ring.
 pub struct ExtendedCg {
     pub a: SimCsr,
     pub b: PArray<f64>,
@@ -68,45 +70,27 @@ pub struct ExtendedCg {
     pub iter_cell: PScalar<u64>,
     pub n: usize,
     pub iters: usize,
-    /// History rows; iteration `i` lives in row `i % window`.
-    pub window: usize,
 }
 
 impl ExtendedCg {
     /// Seed the problem and the initial iteration-0 state into NVM
     /// (uncharged input state; `p[0] = r[0] = b`, `z[0] = 0`). Returns the
-    /// state and initial `rho = bᵀb`. Full history (the paper's layout).
+    /// state and initial `rho = bᵀb`.
     pub fn setup(
         sys: &mut MemorySystem,
         a_host: &CsrMatrix,
         b_host: &[f64],
         iters: usize,
     ) -> (Self, f64) {
-        Self::setup_windowed(sys, a_host, b_host, iters, iters + 1)
-    }
-
-    /// As [`ExtendedCg::setup`] but with a bounded history of `window`
-    /// rows (>= 3). Recovery can then restart at most `window - 1`
-    /// iterations back; beyond that it falls back to the (always intact)
-    /// initial state.
-    pub fn setup_windowed(
-        sys: &mut MemorySystem,
-        a_host: &CsrMatrix,
-        b_host: &[f64],
-        iters: usize,
-        window: usize,
-    ) -> (Self, f64) {
         let n = a_host.n();
         assert_eq!(b_host.len(), n);
-        assert!(window >= 3, "window must hold at least 3 iterations");
-        let window = window.min(iters + 1);
         let a = SimCsr::seed_from(sys, a_host);
         let b = PArray::<f64>::alloc_nvm(sys, n);
         b.seed_slice(sys, b_host);
-        let p = PMatrix::<f64>::alloc_nvm(sys, window, n);
-        let q = PMatrix::<f64>::alloc_nvm(sys, window, n);
-        let r = PMatrix::<f64>::alloc_nvm(sys, window, n);
-        let z = PMatrix::<f64>::alloc_nvm(sys, window, n);
+        let p = PMatrix::<f64>::alloc_nvm(sys, iters + 1, n);
+        let q = PMatrix::<f64>::alloc_nvm(sys, iters + 1, n);
+        let r = PMatrix::<f64>::alloc_nvm(sys, iters + 1, n);
+        let z = PMatrix::<f64>::alloc_nvm(sys, iters + 1, n);
         p.row(0).seed_slice(sys, b_host);
         r.row(0).seed_slice(sys, b_host);
         // z[0] and q rows are zero-initialized NVM already.
@@ -123,28 +107,9 @@ impl ExtendedCg {
                 iter_cell,
                 n,
                 iters,
-                window,
             },
             rho0,
         )
-    }
-
-    /// Ring-mapped history rows for iteration `i`.
-    #[inline]
-    fn p_row(&self, i: usize) -> PArray<f64> {
-        self.p.row(i % self.window)
-    }
-    #[inline]
-    fn q_row(&self, i: usize) -> PArray<f64> {
-        self.q.row(i % self.window)
-    }
-    #[inline]
-    fn r_row(&self, i: usize) -> PArray<f64> {
-        self.r.row(i % self.window)
-    }
-    #[inline]
-    fn z_row(&self, i: usize) -> PArray<f64> {
-        self.z.row(i % self.window)
     }
 
     /// Run iterations `[from, to)`; `rho` must be `r[from]ᵀ r[from]`.
@@ -163,26 +128,26 @@ impl ExtendedCg {
             self.iter_cell.persist(emu);
             emu.sfence();
 
-            let p_i = self.p_row(i);
-            let q_i = self.q_row(i);
+            let p_i = self.p.row(i);
+            let q_i = self.q.row(i);
             self.a.spmv(emu, p_i, q_i);
             if emu.poll(CrashSite::new(sites::PH_AFTER_Q, i as u64)) {
                 return RunOutcome::Crashed(emu.crash_now());
             }
             let pq = simops::dot(emu, p_i, q_i);
             let alpha = rho / pq;
-            simops::xpby(emu, self.z_row(i), alpha, p_i, self.z_row(i + 1));
+            simops::xpby(emu, self.z.row(i), alpha, p_i, self.z.row(i + 1));
             if emu.poll(CrashSite::new(sites::PH_AFTER_Z, i as u64)) {
                 return RunOutcome::Crashed(emu.crash_now());
             }
-            simops::xpby(emu, self.r_row(i), -alpha, q_i, self.r_row(i + 1));
+            simops::xpby(emu, self.r.row(i), -alpha, q_i, self.r.row(i + 1));
             if emu.poll(CrashSite::new(sites::PH_AFTER_R, i as u64)) {
                 return RunOutcome::Crashed(emu.crash_now());
             }
-            let r_next = self.r_row(i + 1);
+            let r_next = self.r.row(i + 1);
             let rho_new = simops::dot(emu, r_next, r_next);
             let beta = rho_new / rho;
-            simops::xpby(emu, r_next, beta, p_i, self.p_row(i + 1));
+            simops::xpby(emu, r_next, beta, p_i, self.p.row(i + 1));
             rho = rho_new;
             if emu.poll(CrashSite::new(sites::PH_LINE10, i as u64)) {
                 return RunOutcome::Crashed(emu.crash_now());
@@ -196,7 +161,7 @@ impl ExtendedCg {
 
     /// Uncharged extraction of the solution after iteration `iters`.
     pub fn peek_solution(&self, sys: &MemorySystem, rho: f64) -> CgSolution {
-        let last = self.z_row(self.iters);
+        let last = self.z.row(self.iters);
         CgSolution {
             z: (0..self.n).map(|j| last.peek(sys, j)).collect(),
             rho,
@@ -214,7 +179,7 @@ impl ExtendedCg {
         let crashed = self.iter_cell.get(sys) as usize;
         let scratch = PArray::<f64>::alloc_dram(sys, self.n);
         let norm_b = simops::dot(sys, self.b, self.b).sqrt();
-        iterative::candidates(crashed, self.iters, self.window).find(|&j| {
+        iterative::candidates(crashed, self.iters, self.iters + 1).find(|&j| {
             self.check_orthogonality(sys, j) && self.check_residual(sys, j, scratch, norm_b)
         })
     }
@@ -222,8 +187,8 @@ impl ExtendedCg {
     /// `|p(j+1) · q(j)| <= TOL_ORTH * ||p(j+1)|| * ||q(j)||` (and the data
     /// must be non-degenerate: zero vectors mean the iteration never ran).
     fn check_orthogonality(&self, sys: &mut MemorySystem, j: usize) -> bool {
-        let p_next = self.p_row(j + 1);
-        let q_j = self.q_row(j);
+        let p_next = self.p.row(j + 1);
+        let q_j = self.q.row(j);
         let pq = simops::dot(sys, p_next, q_j);
         let np = simops::dot(sys, p_next, p_next).sqrt();
         let nq = simops::dot(sys, q_j, q_j).sqrt();
@@ -244,15 +209,13 @@ impl ExtendedCg {
         scratch: PArray<f64>,
         norm_b: f64,
     ) -> bool {
-        self.a.spmv(sys, self.z_row(j + 1), scratch);
-        let r_next = self.r_row(j + 1);
+        self.a.spmv(sys, self.z.row(j + 1), scratch);
         let mut err2 = 0.0f64;
-        for k in 0..self.n {
-            let want = self.b.get(sys, k) - scratch.get(sys, k);
-            let got = r_next.get(sys, k);
-            let d = want - got;
+        let ins = [self.b, scratch, self.r.row(j + 1)];
+        load_span(sys, ins, |_, [b, ax, got]| {
+            let d = (b - ax) - got;
             err2 += d * d;
-        }
+        });
         sys.charge_flops(4 * self.n as u64);
         err2.is_finite() && err2.sqrt() <= TOL_RESID * norm_b
     }
@@ -287,26 +250,22 @@ impl Extended for ExtendedCg {
 
     /// `rho = r(j+1)ᵀ r(j+1)` from the verified residual row, or
     /// `p(0) = r(0) = b`, `z(0) = 0` rebuilt from `b` (read-only, intact).
+    /// Full history never overwrites row 0, so the rebuild rewrites the
+    /// bytes already there; it stays because its charge is part of a
+    /// scratch restart's `resume_time`.
     fn reenter(&self, sys: &mut MemorySystem, verified: Option<usize>) -> f64 {
         match verified {
             Some(j) => self.reenter_dirty(sys, j + 1),
             None => {
-                let p0 = self.p_row(0);
-                let r0 = self.r_row(0);
-                let z0 = self.z_row(0);
-                for k in 0..self.n {
-                    let v = self.b.get(sys, k);
-                    p0.set(sys, k, v);
-                    r0.set(sys, k, v);
-                    z0.set(sys, k, 0.0);
-                }
+                let rows = [self.p.row(0), self.r.row(0), self.z.row(0)];
+                span(sys, [self.b], rows, |_, [v]| [v, v, 0.0]);
                 simops::dot(sys, self.b, self.b)
             }
         }
     }
 
     fn reenter_dirty(&self, sys: &mut MemorySystem, c: usize) -> f64 {
-        let r_c = self.r_row(c);
+        let r_c = self.r.row(c);
         simops::dot(sys, r_c, r_c)
     }
 
@@ -421,73 +380,6 @@ mod tests {
         let rec = cg.recover_and_resume(&image, big);
         assert_eq!(rec.restart_from, None);
         assert_eq!(rec.report.lost_units, 8); // iterations 0..=7
-    }
-
-    #[test]
-    fn windowed_history_matches_full_history_without_crash() {
-        let (a, b) = problem();
-        let host = super::super::plain::cg_host(&a, &b, 10);
-        for window in [3usize, 5, 11] {
-            let mut sys = MemorySystem::new(cfg());
-            let (cg, rho0) = ExtendedCg::setup_windowed(&mut sys, &a, &b, 10, window);
-            let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-            let rho = cg.run(&mut emu, 0, 10, rho0).completed().unwrap();
-            let sol = cg.peek_solution(&emu, rho);
-            assert!(max_diff(&sol.z, &host) < 1e-10, "window {window} diverged");
-        }
-    }
-
-    #[test]
-    fn windowed_recovery_within_window_is_correct() {
-        let (a, b) = problem();
-        let reference = super::super::plain::cg_host(&a, &b, 12);
-        // Small cache: the previous iteration is evicted, so recovery
-        // lands within the 4-iteration window.
-        let tiny = SystemConfig::nvm_only(2 << 10, 64 << 20);
-        let mut sys = MemorySystem::new(tiny.clone());
-        let (cg, rho0) = ExtendedCg::setup_windowed(&mut sys, &a, &b, 12, 4);
-        let trig = CrashTrigger::AtSite {
-            site: CrashSite::new(sites::PH_LINE10, 9),
-            occurrence: 1,
-        };
-        let mut emu = CrashEmulator::from_system(sys, trig);
-        let image = cg.run(&mut emu, 0, 12, rho0).crashed().unwrap();
-        let rec = cg.recover_and_resume(&image, tiny);
-        assert!(rec.restart_from.is_some(), "should restart within window");
-        assert!(max_diff(&rec.solution.z, &reference) < 1e-9);
-    }
-
-    #[test]
-    fn windowed_recovery_beyond_window_restarts_from_scratch_correctly() {
-        let (a, b) = problem();
-        let reference = super::super::plain::cg_host(&a, &b, 12);
-        // Huge cache: nothing consistent in NVM, and the window has
-        // wrapped many times — recovery must rebuild iteration 0 from b.
-        let big = SystemConfig::nvm_only(8 << 20, 64 << 20);
-        let mut sys = MemorySystem::new(big.clone());
-        let (cg, rho0) = ExtendedCg::setup_windowed(&mut sys, &a, &b, 12, 4);
-        let trig = CrashTrigger::AtSite {
-            site: CrashSite::new(sites::PH_LINE10, 10),
-            occurrence: 1,
-        };
-        let mut emu = CrashEmulator::from_system(sys, trig);
-        let image = cg.run(&mut emu, 0, 12, rho0).crashed().unwrap();
-        let rec = cg.recover_and_resume(&image, big);
-        assert_eq!(rec.restart_from, None);
-        assert!(max_diff(&rec.solution.z, &reference) < 1e-9);
-    }
-
-    #[test]
-    fn windowed_history_uses_less_memory() {
-        let (a, b) = problem();
-        let mut sys_full = MemorySystem::new(cfg());
-        let _ = ExtendedCg::setup(&mut sys_full, &a, &b, 15);
-        let full_remaining = 0; // full history allocates 16 rows per array
-        let _ = full_remaining;
-        let mut sys_win = MemorySystem::new(cfg());
-        let (cg, _) = ExtendedCg::setup_windowed(&mut sys_win, &a, &b, 15, 4);
-        assert_eq!(cg.window, 4);
-        assert_eq!(cg.p.rows(), 4, "ring buffer must be bounded");
     }
 
     #[test]

@@ -1,13 +1,19 @@
 //! Extended Jacobi: history dimension + one flushed line per iteration,
 //! with update-equation recovery.
 //!
-//! Mirrors [`crate::cg::extended`]: the iterate `x` gains an iteration
-//! dimension (full history or a bounded ring of `window >= 3` rows), and
-//! the only explicit persistence is one `persist_line` of the iteration
+//! Mirrors [`crate::cg::extended`]: the iterate `x` gains the paper's full
+//! iteration dimension (`iters + 1` rows, none ever overwritten), and the
+//! only explicit persistence is one `persist_line` of the iteration
 //! counter per iteration. Recovery scans backwards from the crashed
 //! iteration and accepts the first `j` whose NVM data satisfies the update
 //! equation `x(j+1) = x(j) + ω·D⁻¹·(b − A·x(j))` — one SpMV per candidate,
 //! the same cost class as CG's residual check.
+//!
+//! There is no bounded ring. A slot whose newest iterate never left the
+//! cache would keep the pair one lap older in NVM, that pair satisfies
+//! the update equation, and nothing flushed ties a row to its iteration —
+//! unlike BiCGSTAB's full-length scalar rows or the stencil's tagged block
+//! checksums, which make those rings sound.
 
 use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::simops::SimCsr;
@@ -31,7 +37,7 @@ pub struct ExtendedJacobi {
     pub a: SimCsr,
     pub b: PArray<f64>,
     pub dinv: PArray<f64>,
-    /// `x[i]` is the iterate entering iteration `i` (row `i % window`).
+    /// `x[i]` is the iterate entering iteration `i`.
     pub x: PMatrix<f64>,
     /// The one cache line flushed every iteration.
     pub iter_cell: PScalar<u64>,
@@ -39,35 +45,19 @@ pub struct ExtendedJacobi {
     ax: PArray<f64>,
     pub n: usize,
     pub iters: usize,
-    /// History rows; iteration `i` lives in row `i % window`.
-    pub window: usize,
 }
 
 impl ExtendedJacobi {
-    /// Full-history setup (`iters + 1` rows).
+    /// Seed the problem into NVM (uncharged input state; `x[0] = 0`).
     pub fn setup(sys: &mut MemorySystem, a_host: &CsrMatrix, b_host: &[f64], iters: usize) -> Self {
-        Self::setup_windowed(sys, a_host, b_host, iters, iters + 1)
-    }
-
-    /// Bounded-history setup: `window >= 3` rows; recovery can restart at
-    /// most `window - 2` iterations back.
-    pub fn setup_windowed(
-        sys: &mut MemorySystem,
-        a_host: &CsrMatrix,
-        b_host: &[f64],
-        iters: usize,
-        window: usize,
-    ) -> Self {
         let n = a_host.n();
         assert_eq!(b_host.len(), n);
-        assert!(window >= 3, "window must hold at least 3 iterations");
-        let window = window.min(iters + 1);
         let a = SimCsr::seed_from(sys, a_host);
         let b = PArray::<f64>::alloc_nvm(sys, n);
         b.seed_slice(sys, b_host);
         let dinv = PArray::<f64>::alloc_nvm(sys, n);
         dinv.seed_slice(sys, &inv_diag(a_host));
-        let x = PMatrix::<f64>::alloc_nvm(sys, window, n);
+        let x = PMatrix::<f64>::alloc_nvm(sys, iters + 1, n);
         // x[0] = 0 is the zero-initialized NVM.
         let iter_cell = PScalar::<u64>::alloc_nvm(sys);
         let ax = PArray::<f64>::alloc_dram(sys, n);
@@ -80,13 +70,7 @@ impl ExtendedJacobi {
             ax,
             n,
             iters,
-            window,
         }
-    }
-
-    #[inline]
-    fn x_row(&self, i: usize) -> PArray<f64> {
-        self.x.row(i % self.window)
     }
 
     /// Run iterations `[from, to)`. Returns the crash image if the
@@ -99,8 +83,8 @@ impl ExtendedJacobi {
             self.iter_cell.persist(emu);
             emu.sfence();
 
-            let x_i = self.x_row(i);
-            let x_next = self.x_row(i + 1);
+            let x_i = self.x.row(i);
+            let x_next = self.x.row(i + 1);
             self.a.spmv(emu, x_i, self.ax);
             update(emu, [x_i, self.dinv, self.b, self.ax], x_next);
             emu.charge_flops(4 * self.n as u64);
@@ -116,7 +100,7 @@ impl ExtendedJacobi {
 
     /// Uncharged extraction of the iterate after iteration `iters`.
     pub fn peek_solution(&self, sys: &MemorySystem) -> Vec<f64> {
-        let last = self.x_row(self.iters);
+        let last = self.x.row(self.iters);
         (0..self.n).map(|j| last.peek(sys, j)).collect()
     }
 
@@ -127,8 +111,8 @@ impl ExtendedJacobi {
     /// unlike CG's orthogonality check, the update equation is one-sided
     /// and cannot be satisfied by unwritten rows unless `b = 0`.
     fn check_update(&self, sys: &mut MemorySystem, j: usize, norm_b: f64) -> bool {
-        let x_j = self.x_row(j);
-        let x_next = self.x_row(j + 1);
+        let x_j = self.x.row(j);
+        let x_next = self.x.row(j + 1);
         self.a.spmv(sys, x_j, self.ax);
         let mut err2 = 0.0f64;
         let ins = [x_j, self.dinv, self.b, self.ax, x_next];
@@ -163,15 +147,17 @@ impl Extended for ExtendedJacobi {
     fn detect_restart(&self, sys: &mut MemorySystem) -> Option<usize> {
         let crashed = self.iter_cell.get(sys) as usize;
         let norm_b = adcc_linalg::simops::dot(sys, self.b, self.b).sqrt();
-        iterative::candidates(crashed, self.iters, self.window)
+        iterative::candidates(crashed, self.iters, self.iters + 1)
             .find(|&j| self.check_update(sys, j, norm_b))
     }
 
-    /// Nothing is carried; a scratch restart rebuilds `x(0) = 0` (the
-    /// ring may have overwritten it).
+    /// Nothing is carried; a scratch restart rebuilds `x(0) = 0`. Full
+    /// history never overwrites row 0, so the rebuild rewrites the zeros
+    /// already there; it stays because its charge is part of a scratch
+    /// restart's `resume_time`.
     fn reenter(&self, sys: &mut MemorySystem, verified: Option<usize>) {
         if verified.is_none() {
-            self.x_row(0).fill(sys, 0.0);
+            self.x.row(0).fill(sys, 0.0);
         }
     }
 
@@ -273,24 +259,6 @@ mod tests {
     }
 
     #[test]
-    fn windowed_recovery_is_correct() {
-        let (a, b) = problem();
-        let want = jacobi_host(&a, &b, 12);
-        let tiny = SystemConfig::nvm_only(2 << 10, 64 << 20);
-        let mut sys = MemorySystem::new(tiny.clone());
-        let jac = ExtendedJacobi::setup_windowed(&mut sys, &a, &b, 12, 4);
-        let trig = CrashTrigger::AtSite {
-            site: CrashSite::new(sites::PH_AFTER_X, 9),
-            occurrence: 1,
-        };
-        let mut emu = CrashEmulator::from_system(sys, trig);
-        let image = jac.run(&mut emu, 0, 12).crashed().unwrap();
-        let rec = jac.recover_and_resume(&image, tiny);
-        assert!(rec.restart_from.is_some(), "should restart within window");
-        assert!(max_diff(&rec.solution, &want) < 1e-9);
-    }
-
-    #[test]
     fn only_one_line_flushed_per_iteration() {
         let (a, b) = problem();
         let mut sys = MemorySystem::new(cfg());
@@ -317,7 +285,7 @@ mod tests {
         jac.x.array().persist_all(&mut sys);
         jac.iter_cell.set(&mut sys, 5);
         jac.iter_cell.persist(&mut sys);
-        let x5 = jac.x_row(5);
+        let x5 = jac.x.row(5);
         for k in 0..jac.n / 2 {
             x5.set(&mut sys, k, 1e30);
         }

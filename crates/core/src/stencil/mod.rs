@@ -5,9 +5,10 @@
 //! solvers and dense kernels, and the paper's recipe maps onto them
 //! cleanly by *combining* its two techniques:
 //!
-//! * like extended CG, the sweep buffers form a **ring of `window >= 3`
-//!   generations**, so no sweep overwrites its predecessor and old
-//!   generations drift to NVM by normal eviction; and
+//! * like extended CG's iterate history, the sweep buffers keep several
+//!   generations — here a **ring of `window >= 3`** — so no sweep
+//!   overwrites its predecessor and old generations drift to NVM by
+//!   normal eviction; and
 //! * like the ABFT matrix multiplication, each **row block** gets a tiny
 //!   checksum — `(sweep tag, block sum)` — computed while the block is
 //!   swept and flushed immediately (a line per block), while the O(grid)

@@ -23,8 +23,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Extended CG: recovery finds a valid restart point and converges to
-    /// the reference. Full history only — a bounded CG ring can verify a
-    /// generation one lap stale (ROADMAP's ring hole).
+    /// the reference. CG keeps the paper's full history, so the window is
+    /// every row.
     #[test]
     fn cg_recovers_from_any_crash_point(
         trigger in anywhere(5_000..250_000, &CG_PHASES, 8),
