@@ -1,15 +1,18 @@
-//! The one adapter from a plain kernel under the baseline mechanisms
-//! ([`adcc_core::baseline::Baseline`]) to a `*-ckpt` scenario: the kernel
-//! plus the data of [`Checkpointed`], every hook of [`Workload`] following
-//! from the protocol in `adcc_core::baseline` — a double-buffered NVM
-//! checkpoint every unit, restore → resume at recovery.
+//! The one adapter from a plain kernel under a baseline mechanism
+//! ([`adcc_core::baseline::Baseline`] run through
+//! [`baseline::Mechanism`]) to a scenario: the kernel plus the data of
+//! [`BaselineCase`], every hook of [`Workload`] following from the
+//! protocol in `adcc_core::baseline`. The scenario's mechanism label picks
+//! what is armed — a double-buffered NVM checkpoint every unit for
+//! `*-ckpt`, an undo-log transaction every unit for `*-pmem` — and
+//! recovery is that mechanism's restore → resume.
 
 use std::sync::Arc;
 
-use adcc_ckpt::manager::CkptManager;
 use adcc_core::baseline::{self, Baseline};
 use adcc_core::DirtyRestart;
 use adcc_linalg::vecops::max_diff;
+use adcc_pmem::LogStats;
 use adcc_resilience::Tolerance;
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
 use adcc_sim::image::NvmImage;
@@ -18,7 +21,7 @@ use adcc_telemetry::ExecutionProfile;
 
 use super::harness::Workload;
 use super::verified_completion;
-use crate::scenario::{Classified, ScenarioInfo};
+use crate::scenario::{Classified, Mechanism, ScenarioInfo};
 
 /// Units re-executed by a crash at `site`, given the unit the restored run
 /// resumed at.
@@ -30,8 +33,12 @@ pub(crate) fn lost_since(site: CrashSite, start: usize) -> u64 {
     (site.index + 1).saturating_sub(start as u64)
 }
 
-/// What one `*-ckpt` scenario states beyond its kernel.
-pub(crate) struct Checkpointed<K: Baseline, F> {
+/// Spare lines of a `*-pmem` scenario's undo pool beyond one unit's log.
+const TX_SLACK: usize = 8;
+
+/// What one baseline-mechanism scenario states beyond its kernel.
+pub(crate) struct BaselineCase<K: Baseline, F> {
+    /// Its `mechanism` (`Checkpoint` or `Pmem`) is the one armed.
     pub info: ScenarioInfo,
     pub site_trigger: fn(u64) -> CrashTrigger,
     pub config: SystemConfig,
@@ -49,7 +56,7 @@ pub(crate) struct Checkpointed<K: Baseline, F> {
     pub dirty_restart: fn(&K, &NvmImage, SystemConfig, K::Carry) -> DirtyRestart,
 }
 
-impl<K: Baseline, F> Checkpointed<K, F>
+impl<K: Baseline, F> BaselineCase<K, F>
 where
     K::Answer: Into<Vec<f64>>,
 {
@@ -58,7 +65,7 @@ where
     }
 }
 
-impl<K, F> Workload for Checkpointed<K, F>
+impl<K, F> Workload for BaselineCase<K, F>
 where
     K: Baseline + Send + Sync,
     K::Carry: Send + Sync,
@@ -78,8 +85,11 @@ where
     fn setup(&self, trigger: CrashTrigger) -> (CrashEmulator, Self::Live) {
         let mut sys = MemorySystem::new(self.config.clone());
         let (k, carry0) = (self.setup)(&mut sys);
-        let mgr = CkptManager::new_nvm(&mut sys, k.regions(), false);
-        let every_unit = baseline::Mechanism::Ckpt { mgr, period: 1 };
+        let every_unit = match self.info.mechanism {
+            Mechanism::Checkpoint => baseline::Mechanism::nvm_ckpt(&mut sys, &k, 1, false),
+            Mechanism::Pmem => baseline::Mechanism::pmem(&mut sys, &k, 1, TX_SLACK),
+            other => unreachable!("{} is no baseline mechanism", other.name()),
+        };
         (
             CrashEmulator::from_system(sys, trigger),
             (k, carry0, every_unit),
@@ -123,6 +133,10 @@ where
         profile: Option<ExecutionProfile>,
     ) -> Classified {
         verified_completion(self.matches(k, emu), profile)
+    }
+
+    fn log_stats(&self, (.., mechanism): &Self::Live, harvest: Option<usize>) -> Option<LogStats> {
+        mechanism.log_stats(harvest)
     }
 
     fn dirty_reference(&self) -> Option<(Tolerance, Vec<f64>)> {

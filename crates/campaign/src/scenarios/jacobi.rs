@@ -8,7 +8,7 @@ use adcc_linalg::csr::CsrMatrix;
 use adcc_resilience::Tolerance;
 use adcc_sim::system::{MemorySystem, SystemConfig};
 
-use super::baseline::{lost_since, Checkpointed};
+use super::baseline::{lost_since, BaselineCase};
 use super::harness::Workload;
 use super::iterative::Iterative;
 use super::{phase_trigger, trim_dram, Linear};
@@ -70,7 +70,7 @@ pub(crate) fn extended(p: &Arc<Linear>) -> impl Workload {
 /// crash before the checkpoint, odd units after it.
 pub(crate) fn ckpt(p: &Arc<Linear>) -> impl Workload {
     let p = p.clone();
-    Checkpointed {
+    BaselineCase {
         info: ScenarioInfo::new(
             "jacobi-ckpt",
             Kernel::Jacobi,

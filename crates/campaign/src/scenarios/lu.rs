@@ -13,7 +13,7 @@ use adcc_sim::image::NvmImage;
 use adcc_sim::system::{MemorySystem, SystemConfig};
 use adcc_telemetry::ExecutionProfile;
 
-use super::baseline::Checkpointed;
+use super::baseline::BaselineCase;
 use super::harness::Workload;
 use super::{trim_dram, verified_completion};
 use crate::scenario::{Classified, Kernel, Mechanism, ScenarioInfo, UnitSpace};
@@ -149,7 +149,7 @@ impl Workload for LuExtended {
 /// Plain blocked LU with a full-factor checkpoint after every block.
 pub(crate) fn ckpt(p: &Arc<Factored>) -> impl Workload {
     let p = p.clone();
-    Checkpointed {
+    BaselineCase {
         info: ScenarioInfo::new("lu-ckpt", Kernel::Lu, Mechanism::Checkpoint, UNIT_SPACE),
         site_trigger: lu_site_trigger,
         config: config(),

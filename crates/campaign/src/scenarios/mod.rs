@@ -42,7 +42,7 @@ pub fn all() -> Vec<Box<dyn Scenario>> {
     vec![
         Box::new(cg::extended(&cg)),
         Box::new(cg::ckpt(&cg)),
-        Box::new(cg::CgPmem(cg)),
+        Box::new(cg::pmem(&cg)),
         Box::new(bicgstab::extended(&bicgstab, bicgstab::FULL)),
         Box::new(bicgstab::extended(&bicgstab, bicgstab::WINDOW)),
         Box::new(jacobi::extended(&jacobi)),

@@ -9,7 +9,7 @@ use adcc_resilience::Tolerance;
 use adcc_sim::crash::{CrashSite, CrashTrigger};
 use adcc_sim::system::{MemorySystem, SystemConfig};
 
-use super::baseline::{lost_since, Checkpointed};
+use super::baseline::{lost_since, BaselineCase};
 use super::harness::Workload;
 use super::iterative::Iterative;
 use super::trim_dram;
@@ -110,7 +110,7 @@ fn extended_site_trigger(unit: u64) -> CrashTrigger {
 /// Units below `SWEEPS` crash at sweep boundaries (right after the
 /// checkpoint); the rest crash mid-sweep on an access-count trigger.
 pub(crate) fn ckpt(reference: &Arc<[f64]>) -> impl Workload {
-    Checkpointed {
+    BaselineCase {
         info: ScenarioInfo::new(
             "stencil-ckpt",
             Kernel::Stencil,

@@ -15,6 +15,7 @@
 //! ([`crate::iterative`]'s counter is the unit in flight instead).
 
 use adcc_ckpt::manager::CkptManager;
+use adcc_pmem::stats::LogStats;
 use adcc_pmem::undo::{UndoPool, UndoPoolLayout};
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
 use adcc_sim::image::NvmImage;
@@ -276,14 +277,40 @@ pub enum Mechanism {
         mgr: CkptManager,
         period: usize,
     },
-    /// A transaction every `period` units.
+    /// A transaction every `period` units. `logs[h]` is the pool's log
+    /// counters at the `h`-th crash state the forward run's harvest plan
+    /// captured (the emulator cannot see the pool).
     Pmem {
         pool: UndoPool,
         period: usize,
+        logs: Vec<LogStats>,
     },
 }
 
 impl Mechanism {
+    /// A double-buffered NVM checkpoint of `k` every `period` units;
+    /// `drain_dram` writes the DRAM cache back first (the heterogeneous
+    /// platform).
+    pub fn nvm_ckpt<K: Baseline>(
+        sys: &mut MemorySystem,
+        k: &K,
+        period: usize,
+        drain_dram: bool,
+    ) -> Self {
+        let mgr = CkptManager::new_nvm(sys, k.regions(), drain_dram);
+        Mechanism::Ckpt { mgr, period }
+    }
+
+    /// A transaction of `k` every `period` units, in a pool with `slack`
+    /// spare lines (see [`undo_pool`]).
+    pub fn pmem<K: Baseline>(sys: &mut MemorySystem, k: &K, period: usize, slack: usize) -> Self {
+        Mechanism::Pmem {
+            pool: undo_pool(sys, k, slack),
+            period,
+            logs: Vec::new(),
+        }
+    }
+
     /// The forward run under this mechanism.
     pub fn run<K: Baseline>(
         &mut self,
@@ -294,8 +321,28 @@ impl Mechanism {
         match self {
             Mechanism::Native => run_native(emu, k, carry0),
             Mechanism::Ckpt { mgr, period } => run_with_ckpt(emu, k, carry0, mgr, *period),
-            Mechanism::Pmem { pool, period } => run_with_pmem(emu, k, carry0, pool, *period, poll),
+            // Sample the log for every crash state a poll just captured:
+            // the log cannot change between that poll and the sample.
+            Mechanism::Pmem { pool, period, logs } => {
+                run_with_pmem(emu, k, carry0, pool, *period, |emu, pool, site| {
+                    let crashed = emu.poll(site);
+                    while logs.len() < emu.harvest_count() {
+                        logs.push(pool.log_stats());
+                    }
+                    crashed
+                })
+            }
         }
+    }
+
+    /// The undo log's counters at the `h`-th captured crash state of the
+    /// forward run (`Some(h)`) or as the run left them (`None`); `None`
+    /// without a log.
+    pub fn log_stats(&self, harvest: Option<usize>) -> Option<LogStats> {
+        let Mechanism::Pmem { pool, logs, .. } = self else {
+            return None;
+        };
+        Some(harvest.map_or_else(|| pool.log_stats(), |h| logs[h]))
     }
 
     /// On a machine rebooted from a crash image of [`run`](Mechanism::run):
@@ -379,10 +426,7 @@ pub(crate) mod tests {
 
     /// An NVM checkpoint every `period` units.
     pub(crate) fn ckpt<K: Baseline>(period: usize) -> impl Fn(&mut MemorySystem, &K) -> Mechanism {
-        move |sys, k| Mechanism::Ckpt {
-            mgr: CkptManager::new_nvm(sys, k.regions(), false),
-            period,
-        }
+        move |sys, k| Mechanism::nvm_ckpt(sys, k, period, false)
     }
 
     /// A transaction every `period` units, `slack` spare lines in the pool.
@@ -390,10 +434,7 @@ pub(crate) mod tests {
         period: usize,
         slack: usize,
     ) -> impl Fn(&mut MemorySystem, &K) -> Mechanism {
-        move |sys, k| Mechanism::Pmem {
-            pool: undo_pool(sys, k, slack),
-            period,
-        }
+        move |sys, k| Mechanism::pmem(sys, k, period, slack)
     }
 
     pub(crate) fn native<K: Baseline>(_: &mut MemorySystem, _: &K) -> Mechanism {
@@ -474,6 +515,50 @@ pub(crate) mod tests {
         assert!(!pool.in_tx());
         assert_eq!(jac.iter_cell.get(&mut emu), 10);
         assert_eq!(jac.peek(&emu), want);
+    }
+
+    #[test]
+    fn a_transactional_run_samples_its_log_at_every_captured_state() {
+        let class = CgClass::TEST;
+        let a = class.matrix(31);
+        let b = class.rhs(&a);
+        let setup = |sys: &mut MemorySystem| PlainCg::setup(sys, &a, &b, 6);
+        let arm = pmem(1, 8);
+        // Inside the transaction and just after its commit, every iteration.
+        let points: Vec<CrashTrigger> = (0..6)
+            .flat_map(|i| [at(sites::PH_AFTER_R, i), at(sites::PH_ITER_END, i)])
+            .collect();
+
+        let mut sys = MemorySystem::new(cfg());
+        let (cg, rho0) = setup(&mut sys);
+        let mut tx = arm(&mut sys, &cg);
+        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
+        emu.arm_harvest(points.iter().copied().zip(0..));
+        tx.run(&mut emu, &cg, rho0).completed().unwrap();
+        assert_eq!(emu.take_harvests().len(), points.len());
+        let Mechanism::Pmem { pool, logs, .. } = &tx else {
+            unreachable!()
+        };
+        assert_eq!(logs.len(), points.len(), "one sample per captured state");
+        assert_eq!(tx.log_stats(None), Some(pool.log_stats()));
+        assert_eq!(pool.log_stats().tx_commits, 6);
+
+        // A run crashed at the same poll stops its pool where the sample
+        // was taken.
+        for (h, &trigger) in points.iter().enumerate() {
+            let mut sys = MemorySystem::new(cfg());
+            let (cg, rho0) = setup(&mut sys);
+            let mut crashed = arm(&mut sys, &cg);
+            let mut emu = CrashEmulator::from_system(sys, trigger);
+            assert!(crashed.run(&mut emu, &cg, rho0).is_crashed());
+            assert_eq!(tx.log_stats(Some(h)), crashed.log_stats(None), "state {h}");
+        }
+
+        // Nothing else keeps a log.
+        let mut sys = MemorySystem::new(cfg());
+        let (cg, _) = setup(&mut sys);
+        assert_eq!(ckpt(1)(&mut sys, &cg).log_stats(None), None);
+        assert_eq!(Mechanism::Native.log_stats(Some(0)), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! every runtime figure.
 
 use adcc_ckpt::manager::CkptManager;
-use adcc_core::baseline::{self, Baseline, Mechanism};
+use adcc_core::baseline::{Baseline, Mechanism};
 use adcc_sim::clock::Bucket;
 use adcc_sim::crash::{CrashEmulator, CrashTrigger, RunOutcome};
 use adcc_sim::system::{MemorySystem, SystemConfig};
@@ -98,18 +98,12 @@ pub fn time_case<K: Baseline, T, R: FnOnce(&mut CrashEmulator) -> RunOutcome<T>>
             let (k, carry0) = plain(&mut sys);
             let mut mechanism = match case {
                 Case::Native => Mechanism::Native,
-                Case::PmemNvm => Mechanism::Pmem {
-                    pool: baseline::undo_pool(&mut sys, &k, slack),
-                    period,
-                },
+                Case::PmemNvm => Mechanism::pmem(&mut sys, &k, period, slack),
                 Case::CkptHdd => Mechanism::Ckpt {
                     mgr: CkptManager::new_hdd(k.regions(), HddTiming::local_disk()),
                     period,
                 },
-                _ => Mechanism::Ckpt {
-                    mgr: CkptManager::new_nvm(&mut sys, k.regions(), case == Case::CkptNvmDram),
-                    period,
-                },
+                _ => Mechanism::nvm_ckpt(&mut sys, &k, period, case == Case::CkptNvmDram),
             };
             Box::new(move |emu| !mechanism.run(emu, &k, carry0).is_crashed())
         };

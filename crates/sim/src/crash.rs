@@ -308,7 +308,7 @@ impl CrashEmulator {
         // Mark each harvested crash point in the (optional) persistency
         // event stream so the analyzer can tie diagnostics to units.
         for &unit in &fired {
-            self.sys.record_crash_mark(unit);
+            self.sys.record(|r, epoch| r.crash(epoch, unit));
         }
         let h = self.harvest.as_mut().expect("harvest armed");
         let poll = h.polls;

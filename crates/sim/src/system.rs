@@ -312,54 +312,13 @@ impl MemorySystem {
         self.events.as_deref()
     }
 
-    /// Record a harvested crash point for a scheduled campaign `unit`
-    /// (no-op without a recorder; called by the crash emulator).
-    pub fn record_crash_mark(&mut self, unit: u64) {
-        if self.events.is_some() {
-            let epoch = self.nvm.journal_epoch();
-            if let Some(r) = self.events.as_deref_mut() {
-                r.crash(epoch, unit);
-            }
-        }
-    }
-
+    /// Hand one persistency event, stamped with the NVM journal epoch, to
+    /// the attached recorder (no-op without one; the crash emulator marks
+    /// harvested crash points through it too).
     #[inline]
-    fn record_store_event(&mut self, line: u64) {
-        if self.events.is_some() {
-            let epoch = self.nvm.journal_epoch();
-            if let Some(r) = self.events.as_deref_mut() {
-                r.store(epoch, line);
-            }
-        }
-    }
-
-    #[inline]
-    fn record_flush_event(&mut self, line: u64) {
-        if self.events.is_some() {
-            let epoch = self.nvm.journal_epoch();
-            if let Some(r) = self.events.as_deref_mut() {
-                r.flush(epoch, line);
-            }
-        }
-    }
-
-    #[inline]
-    fn record_flush_batched_event(&mut self, line: u64) {
-        if self.events.is_some() {
-            let epoch = self.nvm.journal_epoch();
-            if let Some(r) = self.events.as_deref_mut() {
-                r.flush_batched(epoch, line);
-            }
-        }
-    }
-
-    #[inline]
-    fn record_fence_event(&mut self) {
-        if self.events.is_some() {
-            let epoch = self.nvm.journal_epoch();
-            if let Some(r) = self.events.as_deref_mut() {
-                r.fence(epoch);
-            }
+    pub(crate) fn record(&mut self, event: impl FnOnce(&mut crate::events::EventRecorder, u64)) {
+        if let Some(r) = self.events.as_deref_mut() {
+            event(r, self.nvm.journal_epoch());
         }
     }
 
@@ -447,7 +406,7 @@ impl MemorySystem {
         }
         self.charge_access();
         let line = line_of(addr);
-        self.record_store_event(line);
+        self.record(|r, epoch| r.store(epoch, line));
         self.with_line(line, |data| {
             data[off..off + src.len()].copy_from_slice(src);
             true
@@ -494,7 +453,7 @@ impl MemorySystem {
             let off = offset_in_line(a);
             let take = (LINE_SIZE - off).min(src.len() - done);
             let line = line_of(a);
-            self.record_store_event(line);
+            self.record(|r, epoch| r.store(epoch, line));
             self.with_line(line, |data| {
                 data[off..off + take].copy_from_slice(&src[done..done + take]);
                 true
@@ -871,7 +830,7 @@ impl MemorySystem {
     pub fn clflush(&mut self, addr: u64) {
         self.stats.clflushes += 1;
         self.clock.charge(self.cfg.timing.clflush_ps);
-        self.record_flush_event(line_of(addr));
+        self.record(|r, epoch| r.flush(epoch, line_of(addr)));
         if let Some(v) = self.cpu.remove(line_of(addr)) {
             self.writeback(v);
         }
@@ -882,7 +841,7 @@ impl MemorySystem {
     pub fn clflushopt(&mut self, addr: u64) {
         self.stats.clflushopts += 1;
         self.clock.charge(self.cfg.timing.clflushopt_ps);
-        self.record_flush_event(line_of(addr));
+        self.record(|r, epoch| r.flush(epoch, line_of(addr)));
         if let Some(v) = self.cpu.remove(line_of(addr)) {
             self.writeback(v);
         }
@@ -893,7 +852,7 @@ impl MemorySystem {
     pub fn clwb(&mut self, addr: u64) {
         self.stats.clwbs += 1;
         self.clock.charge(self.cfg.timing.clwb_ps);
-        self.record_flush_event(line_of(addr));
+        self.record(|r, epoch| r.flush(epoch, line_of(addr)));
         if let Some(v) = self.cpu.clean_line(line_of(addr)) {
             self.writeback(v);
         }
@@ -975,7 +934,7 @@ impl MemorySystem {
         for &line in &lines {
             self.stats.clflushopts += 1;
             self.clock.charge(t.clflushopt_ps);
-            self.record_flush_batched_event(line);
+            self.record(|r, epoch| r.flush_batched(epoch, line));
             let addr = line << LINE_SHIFT;
             let cpu_victim = self.cpu.remove(line);
             if is_dram_addr(addr) {
@@ -1011,7 +970,7 @@ impl MemorySystem {
     /// `SFENCE`: order earlier flushes before later stores. Pure cost.
     pub fn sfence(&mut self) {
         self.stats.sfences += 1;
-        self.record_fence_event();
+        self.record(|r, epoch| r.fence(epoch));
         self.clock
             .charge_to(Bucket::Fence, self.cfg.timing.sfence_ps);
     }
@@ -1300,28 +1259,8 @@ impl MemorySystem {
         // Residency metadata is taken pre-drain: with battery-backed caches
         // it measures what *would* have been exposed, not what was lost.
         let dirty_lines = self.dirty_nvm_lines();
-        if self.cfg.persistent_caches {
-            for v in self.cpu.clean_all() {
-                let addr = v.line << LINE_SHIFT;
-                if is_dram_addr(addr) {
-                    continue;
-                }
-                if let Some(dc) = self.dramc.as_mut() {
-                    // Route through the DRAM cache level so its (possibly
-                    // newer-than-NVM, older-than-CPU) copy is superseded.
-                    if let Some(mut r) = dc.lookup(v.line) {
-                        *r.data() = v.data;
-                        r.mark_dirty();
-                        continue;
-                    }
-                }
-                self.nvm.write_line(v.line, &v.data);
-            }
-            if let Some(dc) = self.dramc.as_mut() {
-                for v in dc.clean_all() {
-                    self.nvm.write_line(v.line, &v.data);
-                }
-            }
+        for (line, data) in self.battery_drain() {
+            self.nvm.write_line(line, &data);
         }
         self.cpu.clear();
         if let Some(dc) = self.dramc.as_mut() {
@@ -1388,34 +1327,19 @@ impl MemorySystem {
         );
         let nvm_base = self.nvm.base();
         // Lines the battery would drain may never have reached the backing
-        // store; overlay them (DRAM-cache copies first, then the newer CPU
-        // copies on top — the real drain's supersession order).
-        let mut overlay: Vec<(u64, [u8; LINE_SIZE])> = Vec::new();
-        if self.cfg.persistent_caches {
-            overlay.extend(
-                self.dramc
-                    .iter()
-                    .flat_map(|dc| dc.iter_resident())
-                    .chain(self.cpu.iter_resident())
-                    .filter(|&(line, dirty, _)| dirty && !is_dram_addr(line << LINE_SHIFT))
-                    .map(|(line, _, data)| (line, *data)),
-            );
-        }
+        // store.
+        let drain = self.battery_drain();
         let mut lines: Vec<u64> = self.nvm.journal_lines().to_vec();
-        lines.extend(overlay.iter().map(|&(line, _)| line));
+        lines.extend(drain.iter().map(|&(line, _)| line));
         lines.sort_unstable();
         lines.dedup();
-        // Stable sort keeps insertion order within a line, so the last
-        // entry of an equal-line run is the newest (CPU-level) copy.
-        overlay.sort_by_key(|&(line, _)| line);
         let mut kept = Vec::with_capacity(lines.len());
         let mut data = Vec::with_capacity(lines.len() * LINE_SIZE);
         for &line in &lines {
-            let mut payload = self.nvm.read_line(line);
-            let after = overlay.partition_point(|&(l, _)| l <= line);
-            if after > 0 && overlay[after - 1].0 == line {
-                payload = overlay[after - 1].1;
-            }
+            let payload = match drain.binary_search_by_key(&line, |&(l, _)| l) {
+                Ok(i) => drain[i].1,
+                Err(_) => self.nvm.read_line(line),
+            };
             let off = (line << LINE_SHIFT) - nvm_base;
             let mut in_base = [0u8; LINE_SIZE];
             base.base.read_bytes(off, &mut in_base);
@@ -1444,24 +1368,33 @@ impl MemorySystem {
     /// DRAM-cache copies, like the real drain). Uncharged.
     pub fn crash_fork(&self) -> NvmImage {
         let mut prefix = self.nvm.snapshot();
-        if self.cfg.persistent_caches {
-            let base = self.nvm.base();
-            // DRAM-cache copies first, then CPU copies (newer) on top.
-            let levels = self
-                .dramc
-                .iter()
-                .flat_map(|dc| dc.iter_resident())
-                .chain(self.cpu.iter_resident());
-            for (line, dirty, data) in levels {
-                let addr = line << LINE_SHIFT;
-                if !dirty || is_dram_addr(addr) {
-                    continue;
-                }
-                // A drained line may sit beyond anything NVM ever held.
-                write_growing(&mut prefix, (addr - base) as usize, data);
-            }
+        let base = self.nvm.base();
+        for (line, data) in self.battery_drain() {
+            // A drained line may sit beyond anything NVM ever held.
+            write_growing(&mut prefix, ((line << LINE_SHIFT) - base) as usize, &data);
         }
         NvmImage::new(prefix, self.nvm.capacity()).with_dirty_lines(self.dirty_nvm_lines())
+    }
+
+    /// What the battery of [`SystemConfig::persistent_caches`] drains into
+    /// NVM at a crash, sorted by line: every dirty NVM-homed cache line,
+    /// its CPU copy superseding the DRAM cache's (the newer one). Empty
+    /// without battery-backed caches.
+    fn battery_drain(&self) -> Vec<(u64, [u8; LINE_SIZE])> {
+        if !self.cfg.persistent_caches {
+            return Vec::new();
+        }
+        let mut drain: Vec<(u64, [u8; LINE_SIZE])> = self
+            .cpu
+            .iter_resident()
+            .chain(self.dramc.iter().flat_map(|dc| dc.iter_resident()))
+            .filter(|&(line, dirty, _)| dirty && !is_dram_addr(line << LINE_SHIFT))
+            .map(|(line, _, data)| (line, *data))
+            .collect();
+        // Stable, so the CPU copy leads its line's run and dedup keeps it.
+        drain.sort_by_key(|&(line, _)| line);
+        drain.dedup_by_key(|&mut (line, _)| line);
+        drain
     }
 }
 

@@ -78,10 +78,10 @@ fn main() {
                 let (cg, rho0) = PlainCg::setup(&mut sys, &a, &b, iters);
                 let (mut mechanism, how) = match case {
                     Case::Native => (Mechanism::Native, "none: restart from scratch"),
-                    Case::PmemNvm => {
-                        let pool = baseline::undo_pool(&mut sys, &cg, 16);
-                        (Mechanism::Pmem { pool, period: 1 }, "undo log rolled back")
-                    }
+                    Case::PmemNvm => (
+                        Mechanism::pmem(&mut sys, &cg, 1, 16),
+                        "undo log rolled back",
+                    ),
                     Case::CkptHdd => {
                         let mgr = CkptManager::new_hdd(cg.ckpt_regions(), HddTiming::local_disk());
                         (
@@ -89,14 +89,10 @@ fn main() {
                             "newest checkpoint restored",
                         )
                     }
-                    _ => {
-                        let drain = case == Case::CkptNvmDram;
-                        let mgr = CkptManager::new_nvm(&mut sys, cg.ckpt_regions(), drain);
-                        (
-                            Mechanism::Ckpt { mgr, period: 1 },
-                            "newest checkpoint restored",
-                        )
-                    }
+                    _ => (
+                        Mechanism::nvm_ckpt(&mut sys, &cg, 1, case == Case::CkptNvmDram),
+                        "newest checkpoint restored",
+                    ),
                 };
                 let t0 = sys.now();
                 let mut emu = CrashEmulator::from_system(sys, trigger);

@@ -84,11 +84,9 @@ pub fn crash_anywhere_recovers<K: Extended>(
 /// machine `k` was just set up on.
 pub fn arm<K: Baseline>(ckpt: bool, period: usize, sys: &mut MemorySystem, k: &K) -> Mechanism {
     if ckpt {
-        let mgr = CkptManager::new_nvm(sys, k.regions(), false);
-        Mechanism::Ckpt { mgr, period }
+        Mechanism::nvm_ckpt(sys, k, period, false)
     } else {
-        let pool = baseline::undo_pool(sys, k, 64);
-        Mechanism::Pmem { pool, period }
+        Mechanism::pmem(sys, k, period, 64)
     }
 }
 

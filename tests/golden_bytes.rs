@@ -24,16 +24,17 @@
 //!   "same executions, same harvested states" is a test too.
 //! * The recomputation tables of the iterate-history kernels (`repro fig3`,
 //!   `ext-jacobi`, `ext-stencil`, `ext-bicgstab`) and the seven-case runtime
-//!   tables over `adcc_core::baseline` (`fig4`, `fig8`, `fig13`, `ext-lu`),
-//!   each `--quick --csv`, are pinned by the digest of what the binary
-//!   prints.
+//!   tables over `adcc_core::baseline` (`fig4`, `fig8`, `fig13`, `ext-lu`)
+//!   and the battery-backed-cache ablation (`ablation-battery`, the one
+//!   table that reads `MemorySystem`'s crash-time drain end to end), each
+//!   `--quick --csv`, are pinned by the digest of what the binary prints.
 
 use adcc::campaign::cost::CostTable;
 use adcc::campaign::engine::{run_campaign, CampaignConfig};
 use adcc::campaign::scenario::Registry;
 use adcc::campaign::{run_resilience, run_triage, CampaignReport};
 use adcc::dist::net::FaultProfile;
-use adcc::harness::{ext, fig13, fig3, fig4, fig8, Scale, Table};
+use adcc::harness::{ablation_ext, ext, fig13, fig3, fig4, fig8, Scale, Table};
 
 #[test]
 fn cost_tables_equal_the_committed_baselines() {
@@ -176,6 +177,11 @@ fn recompute_table_bytes_equal_the_pinned_digests() {
             "ext-lu.csv",
             vec![ext::lu_recompute(q), ext::lu_runtime(q)],
             0x3db2_ba91_2afe_99e5,
+        ),
+        (
+            "ablation-battery.csv",
+            vec![ablation_ext::battery_backed(q)],
+            0x3878_7930_b5b2_e2ac,
         ),
     ]
     .into_iter()
