@@ -18,13 +18,13 @@
 //!    deduplicating thousands of `(rank, site)` failure points into a
 //!    handful of [`RootCause`] reports with concrete event windows.
 //!
-//! Detector validity is proven by mutation testing: the `sim`, `ds`, and
-//! `pmem` crates carry test-only `mutant-*` cargo features that each seed
-//! one classic crash-consistency bug (a dropped fence, a skipped ordered
-//! persist, a reordered two-slot publish, a skipped transaction-commit
-//! writeback); the `analyzer_mutants` suites in those crates assert the
-//! sanitizer flags each with the correct category — and stays silent on
-//! the clean tree.
+//! Detector validity is proven by mutation testing: the `analyzer_mutants`
+//! suites of the `sim`, `ds`, and `pmem` crates seed one classic
+//! crash-consistency bug each (a dropped fence, a skipped ordered persist
+//! and a skipped transaction-commit writeback through the drop-persist
+//! hook `adcc_sim::hook`; a reordered two-slot publish through the
+//! `mutant-ckpt-slot` feature) and assert the sanitizer flags each with the
+//! correct category — and stays silent on the clean tree.
 
 #![deny(missing_docs)]
 

@@ -257,6 +257,7 @@ mod tests {
     use super::*;
     use crate::scenario::Scenario;
     use adcc_sim::crash::poll_groups;
+    use adcc_sim::hook::{self, Op, Site};
 
     #[test]
     fn one_reference_serves_both_scenarios() {
@@ -305,16 +306,9 @@ mod tests {
         }
     }
 
-    /// What `McMode::Epoch`'s periodic flush is for: "the periodic flush
-    /// only bounds the replay distance". It persists both counter lines
-    /// every `INTERVAL` lookups, so wherever the crash lands, each line's
-    /// NVM epoch is at most an interval (plus the few lookups since the
-    /// line's last update) behind it. On this run the clean tree replays at
-    /// most 65 lookups over all 1 200 site crash points; without the flush
-    /// (`adcc_core/mutant-epoch-no-flush`) only natural eviction bounds it,
-    /// and 52 of them replay more than the bound, up to 132.
-    #[test]
-    fn epoch_recovery_replays_about_one_interval_wherever_the_crash_lands() {
+    /// Lookups each `mc-epoch` recovery replays, one crash state per site
+    /// crash point.
+    fn epoch_replays() -> Vec<u64> {
         let s = McCampaign::new_epoch(reference_counts());
         let (mut emu, mut mc) = s.setup(CrashTrigger::Never);
         emu.arm_harvest((0..LOOKUPS).map(|u| (s.trigger_of(u), u)));
@@ -327,14 +321,44 @@ mod tests {
                 .iter()
                 .map(|h| (h.site.index + 1, Cow::Owned(h.image.materialize()))),
         );
-        for (h, r) in harvests.iter().zip(&chain.answers) {
+        chain.answers.iter().map(|r| r.report.lost_units).collect()
+    }
+
+    /// Each counter line's NVM epoch may trail the crash by an interval
+    /// plus the few lookups since the line's last update.
+    const REPLAY_BOUND: u64 = INTERVAL + INTERVAL / 4;
+
+    /// What `McMode::Epoch`'s periodic flush is for: "the periodic flush
+    /// only bounds the replay distance". It persists both counter lines
+    /// every `INTERVAL` lookups, so wherever the crash lands, a recovery
+    /// replays at most [`REPLAY_BOUND`] lookups: on this run at most 65
+    /// over all 1 200 site crash points.
+    #[test]
+    fn epoch_recovery_replays_about_one_interval_wherever_the_crash_lands() {
+        for (unit, lost) in epoch_replays().into_iter().enumerate() {
             assert!(
-                r.report.lost_units <= INTERVAL + INTERVAL / 4,
-                "unit {}: {} lookups replayed, the flush interval is {INTERVAL}",
-                h.unit,
-                r.report.lost_units
+                lost <= REPLAY_BOUND,
+                "unit {unit}: {lost} lookups replayed, the flush interval is {INTERVAL}"
             );
         }
+    }
+
+    /// Without that flush (the drop-persist hook skips it) only natural
+    /// eviction bounds the replay: 52 of the 1 200 crash points replay past
+    /// the bound, up to 132 lookups. Recovery stays exact, so the campaign's
+    /// outcome histogram cannot see it; this bound can.
+    #[test]
+    fn without_the_epoch_flush_recovery_replays_past_the_bound() {
+        let (_, sites) = hook::record(epoch_replays);
+        let flushes: Vec<Site> = sites
+            .into_iter()
+            .filter(|s| s.op == Op::Flush && s.at.file().ends_with("mc/sim.rs"))
+            .collect();
+        assert_eq!(flushes.len(), 1, "one periodic counter flush: {flushes:?}");
+        let replays = hook::dropping(flushes[0], epoch_replays);
+        let past: Vec<u64> = replays.into_iter().filter(|&l| l > REPLAY_BOUND).collect();
+        assert_eq!(past.len(), 52, "{past:?}");
+        assert_eq!(past.iter().max(), Some(&132));
     }
 
     /// The same kind of invariant for `mc-epoch`, whose every recovery

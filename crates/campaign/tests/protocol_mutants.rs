@@ -2,7 +2,8 @@
 //! — "zero silent corruption", batch ≡ `run_trial` — must be able to fire
 //! on it.
 //!
-//! Five seeded mutants, one cargo feature each:
+//! Four seeded mutants that reorder persists or change recovery logic, one
+//! cargo feature each, and one persist dropped by the drop-persist hook:
 //!
 //! - `adcc_core/mutant-trust-counter`, in the one skeleton all five
 //!   `*-extended` iterate-history scenarios recover through:
@@ -29,8 +30,8 @@
 //!   or before it — `same_future` compares those bytes, and already refuses
 //!   every join the guard refuses. The guard is a pre-filter that saves the
 //!   comparison, not a second condition.
-//! - `adcc_core/mutant-epoch-no-flush`, in `mc-epoch`'s forward loop:
-//!   `McMode::Epoch` never runs its periodic counter-line flush.
+//! - `mc-epoch`'s periodic counter-line flush, dropped through the hook
+//!   (a row of the persist-necessity table, `tests/persist_necessity.rs`).
 //!   **Killed** by `scenarios::mc`'s replay-distance bound (52 of 1 200
 //!   crash points replay more than 80 lookups); **survives** this campaign's
 //!   outcome histogram, and for a reason: epoch recovery is exact from
@@ -49,15 +50,14 @@
 //!   mutant with the shipment left last survives the exhaustive chaotic
 //!   space too.
 //!
-//! No default build enables any; the nightly `mutants` job runs this file
-//! clean and once per feature:
+//! No default build enables a feature; the nightly `mutants` job runs this
+//! file clean and once per feature:
 //!
 //! ```text
 //! cargo test --release -p adcc_campaign --test protocol_mutants
 //! cargo test --release -p adcc_campaign --features adcc_core/mutant-trust-counter --test protocol_mutants
 //! cargo test --release -p adcc_campaign --features adcc_core/mutant-ckpt-stale-counter --test protocol_mutants
 //! cargo test --release -p adcc_campaign --features adcc_core/mutant-chain-early-join --test protocol_mutants
-//! cargo test --release -p adcc_campaign --features adcc_core/mutant-epoch-no-flush --test protocol_mutants
 //! cargo test --release -p adcc_campaign --features adcc_dist/mutant-publish-first --test protocol_mutants
 //! ```
 //!
@@ -68,13 +68,15 @@
 
 use adcc_campaign::engine::run_per_trial;
 use adcc_campaign::{
-    run_campaign, CampaignConfig, CampaignReport, OutcomeCounts, Registry, ScenarioReport,
+    run_campaign, CampaignConfig, CampaignReport, ImageMemory, OutcomeCounts, Registry,
+    ScenarioReport,
 };
 use adcc_core::baseline::MUTANT_CKPT_STALE_COUNTER;
 use adcc_core::iterative::MUTANT_TRUST_COUNTER;
-use adcc_core::mc::sim::{MUTANT_CHAIN_EARLY_JOIN, MUTANT_EPOCH_NO_FLUSH};
+use adcc_core::mc::sim::MUTANT_CHAIN_EARLY_JOIN;
 use adcc_dist::net::FaultProfile;
 use adcc_dist::persist::MUTANT_PUBLISH_FIRST;
+use adcc_sim::hook::{self, Op};
 
 /// A scenario's outcome histogram: `[exact, recomputed, detected, clean,
 /// silent]`.
@@ -84,7 +86,7 @@ type Histogram = [u64; 5];
 /// through `adcc_core::iterative`, the four that run forward through
 /// `baseline::run_with_ckpt`, the one that recovers through
 /// `McSim::recover_chain` — with their clean-tree histograms at [`config`].
-/// `mutant-epoch-no-flush` moves none of them: see [`EPOCH_LOST_UNITS`].
+/// Dropping `mc-epoch`'s flush moves none of them: see [`EPOCH_LOST_UNITS`].
 const CLEAN: [(&str, Histogram); 10] = [
     ("cg-extended", [0, 1, 19, 0, 0]),
     ("bicgstab-extended", [0, 1, 19, 0, 0]),
@@ -118,14 +120,14 @@ const CKPT_STALE_COUNTER: [(&str, Histogram); 4] = [
     ("lu-ckpt", [0, 7, 13, 0, 0]),
 ];
 
-/// `mc-epoch`'s `lost_units_total` at [`config`], clean and under
-/// `mutant-epoch-no-flush`: the survivor's one visible effect. Recovery
-/// stays exact (the histogram is [`CLEAN`]'s), it only replays further.
+/// `mc-epoch`'s `lost_units_total` at [`config`], clean and with its
+/// periodic counter flush dropped: the survivor's one visible effect.
+/// Recovery stays exact (the histogram is [`CLEAN`]'s), it only replays
+/// further.
 const EPOCH_LOST_UNITS: (&str, u64, u64) = ("mc-epoch", 308, 421);
 
 /// The histograms the mutant compiled into this build moves
-/// (`mutant-chain-early-join`, an equivalent mutant, and
-/// `mutant-epoch-no-flush`, a survivor, move none).
+/// (`mutant-chain-early-join`, an equivalent mutant, moves none).
 fn moved_by_the_mutant() -> &'static [(&'static str, Histogram)] {
     if MUTANT_TRUST_COUNTER {
         &TRUST_COUNTER
@@ -213,38 +215,67 @@ fn histogram(report: &CampaignReport, name: &str) -> Histogram {
     ]
 }
 
-/// Clean, zero silent corruption and every histogram as on file; under a
-/// mutant, exactly the histograms on file for it move, and every silent
-/// corruption of the campaign is one of its kills.
-#[test]
-fn the_hard_gate_fires_exactly_when_recovery_trusts_the_counter() {
-    let report = run_campaign(&config());
+/// Every histogram of a [`config`] campaign as on file: clean, or, under
+/// a mutant, exactly the histograms on file for it moved, and every silent
+/// corruption of the campaign is one of its kills. Returns the kills.
+fn assert_histograms(report: &CampaignReport) -> u64 {
     let moved = moved_by_the_mutant();
     for (name, clean) in CLEAN {
         let want = moved
             .iter()
             .find(|(m, _)| *m == name)
             .map_or(clean, |m| m.1);
-        assert_eq!(histogram(&report, name), want, "{name}");
+        assert_eq!(histogram(report, name), want, "{name}");
     }
-    let (name, clean, no_flush) = EPOCH_LOST_UNITS;
-    let want = if MUTANT_EPOCH_NO_FLUSH {
-        no_flush
-    } else {
-        clean
-    };
-    assert_eq!(scenario(&report, name).lost_units_total, want, "{name}");
     let kills: u64 = moved.iter().map(|(_, h)| h[4]).sum();
     assert_eq!(
         report.silent_corruption_total(),
         kills,
         "a scenario outside the mutant's family moved"
     );
+    kills
+}
+
+/// Clean, zero silent corruption and every histogram as on file; under a
+/// mutant, exactly the histograms on file for it move.
+#[test]
+fn the_hard_gate_fires_exactly_when_recovery_trusts_the_counter() {
+    let report = run_campaign(&config());
+    let kills = assert_histograms(&report);
+    let (name, clean, _) = EPOCH_LOST_UNITS;
+    assert_eq!(scenario(&report, name).lost_units_total, clean, "{name}");
     assert_eq!(
         kills > 0,
         MUTANT_TRUST_COUNTER || MUTANT_CKPT_STALE_COUNTER,
         "the hard gate must fire under these two, and only then"
     );
+}
+
+/// `mc-epoch`'s periodic counter flush, dropped: every histogram stays as on
+/// file, only `mc-epoch` replays further. The hook is scoped to this thread,
+/// so the campaign runs on it alone.
+#[test]
+fn a_dropped_epoch_flush_moves_lost_work_only() {
+    let reg = Registry::Kernel.scenarios();
+    let epoch = reg
+        .iter()
+        .find(|s| s.name() == EPOCH_LOST_UNITS.0)
+        .expect("mc-epoch is registered");
+    let last = [epoch.total_units() - 1];
+    let (_, sites) = hook::record(|| epoch.run_batch(&last, false, &ImageMemory::for_workers(1)));
+    let flushes: Vec<_> = sites
+        .into_iter()
+        .filter(|s| s.op == Op::Flush && s.at.file().ends_with("mc/sim.rs"))
+        .collect();
+    assert_eq!(flushes.len(), 1, "one periodic counter flush: {flushes:?}");
+    let cfg = CampaignConfig {
+        threads: 1,
+        ..config()
+    };
+    let report = hook::dropping(flushes[0], || run_campaign(&cfg));
+    assert_histograms(&report);
+    let (name, _, no_flush) = EPOCH_LOST_UNITS;
+    assert_eq!(scenario(&report, name).lost_units_total, no_flush, "{name}");
 }
 
 /// `mutant-publish-first` against the dist campaign's hard gate: killed on

@@ -139,10 +139,12 @@ impl EpochCounters {
         arr.set(sys, arr.len() - 1, i + 1);
     }
 
-    /// Persist both counter lines (bounds replay distance).
+    /// Persist both counter lines (bounds replay distance), from one call
+    /// site, so a drop-persist mutant drops both.
     fn flush(&self, sys: &mut MemorySystem) {
-        sys.persist_line(self.lo.base());
-        sys.persist_line(self.hi.base());
+        for line in [self.lo, self.hi] {
+            sys.persist_line(line.base());
+        }
         sys.sfence();
     }
 
@@ -363,7 +365,7 @@ impl McSim {
                     self.flush_state(emu);
                 }
                 McMode::Epoch { interval } => {
-                    if (i + 1) % interval.max(1) == 0 && !MUTANT_EPOCH_NO_FLUSH {
+                    if (i + 1) % interval.max(1) == 0 {
                         self.epoch_counters.flush(emu);
                     }
                 }
@@ -718,12 +720,6 @@ pub struct Chain<T> {
 /// verdict to assert.
 #[doc(hidden)]
 pub const MUTANT_CHAIN_EARLY_JOIN: bool = cfg!(feature = "mutant-chain-early-join");
-
-/// `true` when this build carries the seeded `mutant-epoch-no-flush` bug:
-/// [`McMode::Epoch`] never runs its periodic counter-line flush, so a
-/// recovery's replay distance is bounded by natural eviction alone.
-#[doc(hidden)]
-pub const MUTANT_EPOCH_NO_FLUSH: bool = cfg!(feature = "mutant-epoch-no-flush");
 
 /// A machine over the bytes of `image`, caches cold: an image the chain owns
 /// becomes the pool, one it borrowed is copied into it.

@@ -100,10 +100,6 @@ impl PAlloc {
         self.head.set(sys, 0, 0);
         self.head.set(sys, 1, 0);
         self.next.persist_all(sys);
-        // Seeded mutant for the analyzer's mutation suite: skip the
-        // ordered head persist, leaving the hottest metadata line dirty
-        // when the fence retires (an unpersisted-store window).
-        #[cfg(not(feature = "mutant-alloc-head"))]
         self.head.persist_all(sys);
         sys.sfence();
     }

@@ -2,26 +2,26 @@
 //!
 //! Two seeded mutants, each a classic persistent-data-structure bug:
 //!
-//! - `mutant-alloc-head`: `PAlloc::reinit` skips the ordered head
-//!   persist → the hottest metadata line is still dirty when the fence
-//!   retires (`unpersisted-store`).
+//! - the drop-persist hook skips `PAlloc::reinit`'s ordered head persist
+//!   → the hottest metadata line is still dirty when the fence retires
+//!   (`unpersisted-store`).
 //! - `mutant-ckpt-slot`: `Checkpoint::store` persists the *stale* slot
 //!   line instead of the one it just wrote → the two-slot publish is
 //!   reordered (`redundant-flush` on the clean line, plus an
 //!   `unpersisted-store` on the written one).
 //!
 //! The clean tree must be silent on both protocols. The nightly
-//! `mutants` job runs this file three ways:
+//! `mutants` job runs this file both ways:
 //!
 //! ```text
 //! cargo test -p adcc_ds --test analyzer_mutants
-//! cargo test -p adcc_ds --features mutant-alloc-head --test analyzer_mutants
 //! cargo test -p adcc_ds --features mutant-ckpt-slot --test analyzer_mutants
 //! ```
 
 use adcc_analyze::{analyze, Checks, Diagnostic, Region, Role};
 use adcc_ds::{Checkpoint, PAlloc};
 use adcc_sim::events::EventRecorder;
+use adcc_sim::hook::{self, Op};
 use adcc_sim::line::LINE_SIZE;
 use adcc_sim::system::{MemorySystem, SystemConfig};
 
@@ -29,9 +29,9 @@ fn sys() -> MemorySystem {
     MemorySystem::new(SystemConfig::nvm_only(4096, 1 << 20))
 }
 
-/// Reinitialize an 8-block allocator under the recorder and return the
-/// sanitizer's protocol diagnostics.
-fn alloc_reinit_diagnostics() -> Vec<Diagnostic> {
+/// Reinitialize an 8-block allocator under the recorder, through
+/// `reinit`, and return the sanitizer's protocol diagnostics.
+fn alloc_reinit_diagnostics(reinit: impl FnOnce(&PAlloc, &mut MemorySystem)) -> Vec<Diagnostic> {
     let mut s = sys();
     let a = PAlloc::new(&mut s, 8);
     let layout = a.layout();
@@ -39,7 +39,7 @@ fn alloc_reinit_diagnostics() -> Vec<Diagnostic> {
     rec.track_range(layout.head_base, LINE_SIZE);
     rec.track_range(layout.next_base, 8 * 8);
     s.attach_recorder(rec);
-    a.reinit(&mut s);
+    reinit(&a, &mut s);
     let rec = s.take_recorder().expect("recorder attached");
     let regions = vec![
         Region::from_range(
@@ -95,13 +95,13 @@ fn ckpt_store_diagnostics() -> Vec<Diagnostic> {
     analyze(rec.events(), &regions).protocol
 }
 
-#[cfg(not(any(feature = "mutant-alloc-head", feature = "mutant-ckpt-slot")))]
+#[cfg(not(feature = "mutant-ckpt-slot"))]
 mod clean {
     use super::*;
 
     #[test]
     fn clean_alloc_reinit_reports_zero_diagnostics() {
-        let diags = alloc_reinit_diagnostics();
+        let diags = alloc_reinit_diagnostics(|a, s| a.reinit(s));
         assert!(diags.is_empty(), "clean tree must be silent: {diags:?}");
     }
 
@@ -112,11 +112,19 @@ mod clean {
     }
 }
 
-#[cfg(feature = "mutant-alloc-head")]
 #[test]
 fn skipped_head_persist_is_flagged_as_unpersisted_store() {
     use adcc_analyze::Category;
-    let diags = alloc_reinit_diagnostics();
+    let mut sites = Vec::new();
+    alloc_reinit_diagnostics(|a, s| sites = hook::record(|| a.reinit(s)).1);
+    // `reinit` persists the link array, then the head.
+    let persists: Vec<_> = sites
+        .into_iter()
+        .filter(|s| s.op == Op::Flush && s.at.file().ends_with("alloc.rs"))
+        .collect();
+    assert_eq!(persists.len(), 2, "{persists:?}");
+    let head = persists[1];
+    let diags = alloc_reinit_diagnostics(|a, s| hook::dropping(head, || a.reinit(s)));
     assert!(!diags.is_empty(), "mutant must be caught");
     assert!(
         diags

@@ -193,19 +193,12 @@ impl UndoPool {
     pub fn tx_commit(&mut self, sys: &mut MemorySystem) {
         assert!(self.in_tx, "tx_commit outside a transaction");
         let prev = sys.clock_mut().set_bucket(Bucket::Flush);
-        // Seeded mutant for the analyzer's mutation suite: skip the
-        // ordered data writeback, so log truncation (the publishing
-        // store) becomes durable while the transaction's payload is
-        // still dirty — the classic commit-before-data ordering race.
-        #[cfg(not(feature = "mutant-tx-commit"))]
-        {
-            let mut lines: Vec<u64> = self.snapshotted.iter().copied().collect();
-            lines.sort_unstable();
-            for line in lines {
-                sys.persist_line(line << LINE_SHIFT);
-            }
-            sys.sfence();
+        let mut lines: Vec<u64> = self.snapshotted.iter().copied().collect();
+        lines.sort_unstable();
+        for line in lines {
+            sys.persist_line(line << LINE_SHIFT);
         }
+        sys.sfence();
         sys.clock_mut().set_bucket(Bucket::Log);
         self.state.set(sys, STATE_IDLE);
         self.count.set(sys, 0);

@@ -1,28 +1,25 @@
 //! Mutation-testing half of the analyzer's validity proof, pmem side.
 //!
-//! The seeded `mutant-tx-commit` makes `UndoPool::tx_commit` truncate
-//! the log (persist state = IDLE — the publishing store recovery trusts)
-//! without first persisting the transaction's data lines: the classic
-//! commit-before-data bug. With the pool state line declared
-//! `Role::Publish` and the data `Role::Payload` in the same group, the
-//! sanitizer must flag an `ordering-race` at the truncation fence — and
-//! stay silent on the clean tree. The nightly `mutants` job runs:
-//!
-//! ```text
-//! cargo test -p adcc_pmem --test analyzer_mutants
-//! cargo test -p adcc_pmem --features mutant-tx-commit --test analyzer_mutants
-//! ```
+//! With the drop-persist hook skipping `UndoPool::tx_commit`'s data
+//! writeback, commit truncates the log (persist state = IDLE — the
+//! publishing store recovery trusts) before the transaction's data lines
+//! are durable: the classic commit-before-data bug. With the pool state
+//! line declared `Role::Publish` and the data `Role::Payload` in the same
+//! group, the sanitizer must flag an `ordering-race` at the truncation
+//! fence — and stay silent on the clean tree.
 
 use adcc_analyze::{analyze, Checks, Diagnostic, Region, Role};
 use adcc_pmem::UndoPool;
 use adcc_sim::events::EventRecorder;
+use adcc_sim::hook::{self, Op};
 use adcc_sim::line::LINE_SIZE;
 use adcc_sim::parray::PArray;
 use adcc_sim::system::{MemorySystem, SystemConfig};
 
-/// Run one undo transaction over two data lines under the recorder and
-/// return the sanitizer's protocol diagnostics.
-fn tx_commit_diagnostics() -> Vec<Diagnostic> {
+/// Run one undo transaction over two data lines under the recorder,
+/// committing through `commit`, and return the sanitizer's protocol
+/// diagnostics.
+fn tx_commit_diagnostics(commit: impl FnOnce(&mut UndoPool, &mut MemorySystem)) -> Vec<Diagnostic> {
     let mut s = MemorySystem::new(SystemConfig::nvm_only(4096, 1 << 20));
     let data = PArray::<u64>::alloc_nvm(&mut s, 16); // two lines
     data.fill(&mut s, 0);
@@ -41,7 +38,7 @@ fn tx_commit_diagnostics() -> Vec<Diagnostic> {
     for i in 0..16 {
         data.set(&mut s, i, i as u64 + 1);
     }
-    pool.tx_commit(&mut s);
+    commit(&mut pool, &mut s);
 
     let rec = s.take_recorder().expect("recorder attached");
     let no_redundant = Checks {
@@ -73,18 +70,23 @@ fn tx_commit_diagnostics() -> Vec<Diagnostic> {
     analyze(rec.events(), &regions).protocol
 }
 
-#[cfg(not(feature = "mutant-tx-commit"))]
 #[test]
 fn clean_tx_commit_reports_zero_diagnostics() {
-    let diags = tx_commit_diagnostics();
+    let diags = tx_commit_diagnostics(|p, s| p.tx_commit(s));
     assert!(diags.is_empty(), "clean tree must be silent: {diags:?}");
 }
 
-#[cfg(feature = "mutant-tx-commit")]
 #[test]
 fn skipped_commit_writeback_is_flagged_as_ordering_race() {
     use adcc_analyze::Category;
-    let diags = tx_commit_diagnostics();
+    let mut sites = Vec::new();
+    tx_commit_diagnostics(|p, s| sites = hook::record(|| p.tx_commit(s)).1);
+    // Commit writes the data back first, then truncates the log.
+    let writeback = *sites
+        .iter()
+        .find(|s| s.op == Op::Flush && s.at.file().ends_with("undo.rs"))
+        .expect("commit persists");
+    let diags = tx_commit_diagnostics(|p, s| hook::dropping(writeback, || p.tx_commit(s)));
     assert!(
         diags
             .iter()

@@ -70,15 +70,7 @@ impl EpochPersist {
         self.lines.sort_unstable();
         self.lines.dedup();
         let n = self.lines.len();
-        #[cfg(not(feature = "mutant-epoch-fence"))]
         sys.persist_lines_batched(&self.lines);
-        // Seeded mutant for the analyzer's mutation suite: flush the
-        // epoch's lines but drop the ordering fence, opening the
-        // missing-fence publish window the sanitizer must flag.
-        #[cfg(feature = "mutant-epoch-fence")]
-        for &line in &self.lines {
-            sys.clflushopt(line << crate::line::LINE_SHIFT);
-        }
         self.lines.clear();
         self.lines_persisted += n as u64;
         n

@@ -42,6 +42,8 @@ pub mod clock;
 pub mod crash;
 pub mod epoch;
 pub mod events;
+#[doc(hidden)]
+pub mod hook;
 pub mod image;
 pub mod line;
 pub mod lru;

@@ -203,6 +203,7 @@ impl<T: Pod> PArray<T> {
     }
 
     /// Persist all lines of this array to NVM.
+    #[track_caller]
     pub fn persist_all(&self, sys: &mut MemorySystem) {
         sys.persist_range(self.base, self.byte_len());
     }
@@ -341,11 +342,13 @@ impl<T: Pod> PScalar<T> {
     /// Flush the containing line (CPU level, configured [`FlushOp`]).
     ///
     /// [`FlushOp`]: crate::system::FlushOp
+    #[track_caller]
     pub fn flush(&self, sys: &mut MemorySystem) {
         sys.flush_line(self.addr);
     }
 
     /// Persist the containing line to NVM.
+    #[track_caller]
     pub fn persist(&self, sys: &mut MemorySystem) {
         sys.persist_line(self.addr);
     }

@@ -23,6 +23,7 @@ use std::sync::Arc;
 use crate::alloc::Bump;
 use crate::backing::{trimmed_len, write_growing, Backing};
 use crate::clock::{Bucket, SimClock, SimTime};
+use crate::hook::{self, Op};
 use crate::image::{DeltaImage, NvmImage};
 use crate::line::{is_dram_addr, line_of, offset_in_line, DRAM_BASE, LINE_SHIFT, LINE_SIZE};
 use crate::lru::{CacheConfig, SetAssocCache, Victim};
@@ -273,7 +274,10 @@ impl Clone for MemorySystem {
 
 impl MemorySystem {
     /// Cold system (empty caches, zeroed media) from `cfg`.
-    pub fn new(cfg: SystemConfig) -> Self {
+    pub fn new(mut cfg: SystemConfig) -> Self {
+        if let Some(cache) = hook::cpu_cache() {
+            cfg.cpu_cache = cache;
+        }
         MemorySystem {
             cpu: SetAssocCache::new(cfg.cpu_cache),
             dramc: cfg.dram_cache.map(SetAssocCache::new),
@@ -827,7 +831,11 @@ impl MemorySystem {
     /// reached NVM on the heterogeneous platform (it may land in the
     /// volatile DRAM cache) — that is the paper's motivating pitfall; use
     /// [`MemorySystem::persist_line`] for durability.
+    #[track_caller]
     pub fn clflush(&mut self, addr: u64) {
+        if hook::skips(Op::Flush) {
+            return;
+        }
         self.stats.clflushes += 1;
         self.clock.charge(self.cfg.timing.clflush_ps);
         self.record(|r, epoch| r.flush(epoch, line_of(addr)));
@@ -838,7 +846,11 @@ impl MemorySystem {
 
     /// `CLFLUSHOPT`: like [`MemorySystem::clflush`] but unordered, so the
     /// per-instruction stall is much smaller.
+    #[track_caller]
     pub fn clflushopt(&mut self, addr: u64) {
+        if hook::skips(Op::Flush) {
+            return;
+        }
         self.stats.clflushopts += 1;
         self.clock.charge(self.cfg.timing.clflushopt_ps);
         self.record(|r, epoch| r.flush(epoch, line_of(addr)));
@@ -849,7 +861,11 @@ impl MemorySystem {
 
     /// `CLWB`: write the line back one level if dirty, but keep it resident
     /// (clean) in the CPU cache — later re-reads still hit.
+    #[track_caller]
     pub fn clwb(&mut self, addr: u64) {
+        if hook::skips(Op::Flush) {
+            return;
+        }
         self.stats.clwbs += 1;
         self.clock.charge(self.cfg.timing.clwb_ps);
         self.record(|r, epoch| r.flush(epoch, line_of(addr)));
@@ -860,6 +876,7 @@ impl MemorySystem {
 
     /// Flush the line containing `addr` using the configured
     /// [`FlushOp`] (see [`SystemConfig::flush_op`]).
+    #[track_caller]
     pub fn flush_line(&mut self, addr: u64) {
         match self.cfg.flush_op {
             FlushOp::Clflush => self.clflush(addr),
@@ -872,9 +889,10 @@ impl MemorySystem {
     /// CPU flush plus, for NVM-homed lines on the heterogeneous platform,
     /// eviction of the DRAM-cache copy to NVM (the paper's "flush the DRAM
     /// cache using memory copy", at line granularity).
+    #[track_caller]
     pub fn persist_line(&mut self, addr: u64) {
         self.flush_line(addr);
-        if is_dram_addr(addr) {
+        if is_dram_addr(addr) || hook::skips(Op::Flush) {
             return;
         }
         let line = line_of(addr);
@@ -893,6 +911,7 @@ impl MemorySystem {
 
     /// Persist every line of `[addr, addr + len)` (see
     /// [`MemorySystem::persist_line`]).
+    #[track_caller]
     pub fn persist_range(&mut self, addr: u64, len: usize) {
         if len == 0 {
             return;
@@ -921,12 +940,17 @@ impl MemorySystem {
     /// serialization per line. The `repro ablation-epoch` runner compares
     /// both for the ABFT checksum flushing, where the paper's related-work
     /// section says these proposals "can be complementary to our work".
+    #[track_caller]
     pub fn persist_lines_batched(&mut self, lines_in: &[u64]) {
         if lines_in.is_empty() {
             return;
         }
         self.stats.epoch_barriers += 1;
-        let mut lines: Vec<u64> = lines_in.to_vec();
+        let mut lines: Vec<u64> = if hook::skips(Op::Flush) {
+            Vec::new()
+        } else {
+            lines_in.to_vec()
+        };
         lines.sort_unstable();
         lines.dedup();
         let t = self.cfg.timing;
@@ -968,7 +992,11 @@ impl MemorySystem {
     }
 
     /// `SFENCE`: order earlier flushes before later stores. Pure cost.
+    #[track_caller]
     pub fn sfence(&mut self) {
+        if hook::skips(Op::Fence) {
+            return;
+        }
         self.stats.sfences += 1;
         self.record(|r, epoch| r.fence(epoch));
         self.clock

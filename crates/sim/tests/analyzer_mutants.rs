@@ -1,19 +1,15 @@
 //! Mutation-testing half of the analyzer's validity proof, sim side.
 //!
-//! The same epoch-publish protocol runs twice — in the clean tree and
-//! under the `mutant-epoch-fence` feature (the barrier flushes without
-//! its ordering fence). The persist-order sanitizer must stay silent on
-//! the clean tree and flag the mutant with the correct category
-//! (`missing-fence`). The nightly `mutants` job runs this file both ways:
-//!
-//! ```text
-//! cargo test -p adcc_sim --test analyzer_mutants
-//! cargo test -p adcc_sim --features mutant-epoch-fence --test analyzer_mutants
-//! ```
+//! The same epoch-publish protocol runs twice — as written, and with the
+//! drop-persist hook skipping the fence the epoch barrier issues, so its
+//! lines are flushed but never ordered. The persist-order sanitizer must
+//! stay silent on the first and flag the second with the correct category
+//! (`missing-fence`).
 
 use adcc_analyze::{analyze, Checks, Diagnostic, Region, Role};
 use adcc_sim::epoch::EpochPersist;
 use adcc_sim::events::EventRecorder;
+use adcc_sim::hook::{self, Op};
 use adcc_sim::line::LINE_SIZE;
 use adcc_sim::system::{MemorySystem, SystemConfig};
 
@@ -45,18 +41,21 @@ fn epoch_publish_diagnostics() -> Vec<Diagnostic> {
     analyze(rec.events(), &regions).protocol
 }
 
-#[cfg(not(feature = "mutant-epoch-fence"))]
 #[test]
 fn clean_epoch_publish_reports_zero_diagnostics() {
     let diags = epoch_publish_diagnostics();
     assert!(diags.is_empty(), "clean tree must be silent: {diags:?}");
 }
 
-#[cfg(feature = "mutant-epoch-fence")]
 #[test]
 fn dropped_epoch_fence_is_flagged_as_missing_fence() {
     use adcc_analyze::Category;
-    let diags = epoch_publish_diagnostics();
+    let (_, sites) = hook::record(epoch_publish_diagnostics);
+    let fence = *sites
+        .iter()
+        .find(|s| s.op == Op::Fence && s.at.file().ends_with("epoch.rs"))
+        .expect("the barrier fences");
+    let diags = hook::dropping(fence, epoch_publish_diagnostics);
     assert_eq!(diags.len(), 4, "one open window per line: {diags:?}");
     assert!(
         diags.iter().all(|d| d.category == Category::MissingFence),

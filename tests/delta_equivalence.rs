@@ -21,8 +21,8 @@
 //!    execution, never a result.
 //! 3. **Report level**: whole campaigns are byte-identical in canonical
 //!    form under both code paths, across 1 and 8 worker threads, dense
-//!    units included — and, `#[ignore]`d for release runs, at the configs
-//!    CI's smoke and nightly's deep campaigns run.
+//!    units included — and at the configs CI's smoke and nightly's deep
+//!    campaigns run.
 
 use adcc::campaign::engine::{run_campaign, run_per_trial, CampaignConfig};
 use adcc::campaign::memstats::ImageMemory;
@@ -596,14 +596,8 @@ fn batch_chunking_does_not_change_the_report() {
 
 /// The whole-campaign gates at the configs CI's smoke and nightly's deep
 /// campaigns run: the engine's report equals the oracle's, byte for byte.
-/// `#[ignore]`d because the oracle pays one instrumented execution per unit
-/// (~5 ms per kernel state in release, far more in a debug tier-1 run);
-/// the `campaign` job runs the `smoke_` three, nightly the `deep_` two:
-///
-/// ```text
-/// cargo test --release --test delta_equivalence -- --ignored smoke_
-/// cargo test --release --test delta_equivalence -- --ignored deep_
-/// ```
+/// The oracle pays one instrumented execution per unit, ~9 s for all five
+/// in the test profile.
 fn assert_equals_the_per_trial_oracle(cfg: CampaignConfig) {
     assert_eq!(
         run_campaign(&cfg).canonical_string(),
@@ -613,7 +607,6 @@ fn assert_equals_the_per_trial_oracle(cfg: CampaignConfig) {
 
 /// Site-grain only: no two units share a poll.
 #[test]
-#[ignore = "release-mode gate; see assert_equals_the_per_trial_oracle"]
 fn smoke_kernel_500_equals_the_per_trial_oracle() {
     assert_equals_the_per_trial_oracle(config(Registry::Kernel, 500, 0));
 }
@@ -621,7 +614,6 @@ fn smoke_kernel_500_equals_the_per_trial_oracle() {
 /// Dense: most of the 1300 units take the verdict of a crash state another
 /// unit already recovered, and the oracle must still agree unit for unit.
 #[test]
-#[ignore = "release-mode gate; see assert_equals_the_per_trial_oracle"]
 fn smoke_kernel_1300_dense_400_equals_the_per_trial_oracle() {
     assert_equals_the_per_trial_oracle(config(Registry::Kernel, 1300, 400));
 }
@@ -629,7 +621,6 @@ fn smoke_kernel_1300_dense_400_equals_the_per_trial_oracle() {
 /// The 16-rank grid presets: cascades and node losses armed on the
 /// replay's fork against one dedicated cluster per unit.
 #[test]
-#[ignore = "release-mode gate; see assert_equals_the_per_trial_oracle"]
 fn smoke_dist_chaotic_400_dense_40_equals_the_per_trial_oracle() {
     assert_equals_the_per_trial_oracle(CampaignConfig {
         faults: FaultProfile::Chaotic,
@@ -639,14 +630,12 @@ fn smoke_dist_chaotic_400_dense_40_equals_the_per_trial_oracle() {
 
 /// The exhaustive dist space (2400 units; the budget exhausts it).
 #[test]
-#[ignore = "release-mode gate; see assert_equals_the_per_trial_oracle"]
 fn deep_dist_4000_dense_320_equals_the_per_trial_oracle() {
     assert_equals_the_per_trial_oracle(config(Registry::Dist, 4000, 320));
 }
 
 /// The exhaustive ds space (4 × 680 units).
 #[test]
-#[ignore = "release-mode gate; see assert_equals_the_per_trial_oracle"]
 fn deep_ds_3000_dense_200_equals_the_per_trial_oracle() {
     assert_equals_the_per_trial_oracle(config(Registry::Ds, 3000, 200));
 }
