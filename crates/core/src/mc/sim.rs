@@ -26,23 +26,23 @@
 //! small caches forget where a machine started within a few dozen lookups.
 //! One private lockstep driver (`McSim::lockstep`) takes such states in
 //! turn: the first running one is the **pilot**, and every later one steps
-//! beside it until a join predicate holds at one lookup boundary; from
-//! there its clock, tallies and accesses are its own at the join plus what
-//! the pilot did after it. The two kinds of replay differ only in how they
-//! boot, how they step and which predicate they join on:
+//! beside it until the pilot [leads](MemorySystem::lead) it at one lookup
+//! boundary — the two machines have one future but for the stream
+//! detectors and the cells the kind exempts. From there its tallies and
+//! accesses are its own at the join plus what the pilot did after it, and
+//! its clock is that plus what the pilot's shadow of its detectors priced
+//! differently. The two kinds of replay differ only in how they boot, how
+//! they step and which cells they exempt:
 //!
-//! * **epoch recovery** ([`McSim::recover_chain`]) joins where the two
-//!   machines have the [same future](MemorySystem::same_future) — two equal
+//! * **epoch recovery** ([`McSim::recover_chain`]) exempts none — equal
 //!   states of a deterministic simulator have one future, so the tallies
 //!   are the pilot's;
-//! * **dirty restart** ([`McSim::dirty_chain`]) joins where they have [one
-//!   future modulo](MemorySystem::same_future_modulo) the tally cells and
+//! * **dirty restart** ([`McSim::dirty_chain`]) exempts the tally cells and
 //!   the epoch words — the loop never looks at a tally, it only adds one to
 //!   it, so each tally keeps the difference it had at the join; and it
-//!   writes an epoch word without ever reading it. Restarts re-enter a cold
-//!   machine at the loop index the image flushed, so the states of one
-//!   index join where they boot, and a state that boots at another index
-//!   retires the pilot and pilots its own run.
+//!   writes an epoch word without ever reading it. A restart re-enters a
+//!   cold machine at the loop index its image flushed and joins the pilot a
+//!   few dozen lookups on, whichever index either booted at.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -52,7 +52,7 @@ use adcc_sim::clock::{Bucket, SimTime};
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
 use adcc_sim::image::{BootImage, NvmImage};
 use adcc_sim::parray::{PArray, PScalar, Pod};
-use adcc_sim::system::{MemorySystem, SystemConfig};
+use adcc_sim::system::{Follower, MemorySystem, SystemConfig};
 
 use super::grids::{interpolate, search, Charged, LookupMem, McProblem, SimMcGrids};
 use super::rng::{sample, unit_f64};
@@ -196,13 +196,45 @@ pub struct McSim {
     tails: OnceLock<Arc<TailTallies>>,
 }
 
-/// The tallies of every tail of one run over the problem's own grids:
-/// `suffix[i]` is what lookups `[i, lookups)` add to the counters, for the
-/// `(seed, lookups)` they were built for.
+/// The tallies of every tail of one run over the problem's own grids, for
+/// the `(seed, lookups)` they were built for: each lookup's interaction
+/// type, and what lookups `[k · STRIDE, lookups)` add to the counters for
+/// every `k` — so a tail adds fewer than `STRIDE` types to one of those.
 struct TailTallies {
     seed: u64,
     lookups: u64,
+    types: Vec<u8>,
     suffix: Vec<[u64; XS_CHANNELS]>,
+}
+
+impl TailTallies {
+    const STRIDE: usize = 64;
+
+    fn new(seed: u64, types: Vec<u8>) -> Self {
+        let mut suffix = vec![[0; XS_CHANNELS]; types.len().div_ceil(Self::STRIDE) + 1];
+        for (k, chunk) in types.chunks(Self::STRIDE).enumerate().rev() {
+            suffix[k] = suffix[k + 1];
+            for &t in chunk {
+                suffix[k][t as usize] += 1;
+            }
+        }
+        TailTallies {
+            seed,
+            lookups: types.len() as u64,
+            types,
+            suffix,
+        }
+    }
+
+    /// What lookups `[from, lookups)` add to the counters.
+    fn tail(&self, from: usize) -> [u64; XS_CHANNELS] {
+        let k = from.div_ceil(Self::STRIDE);
+        let mut tally = self.suffix[k];
+        for &t in &self.types[from..self.types.len().min(k * Self::STRIDE)] {
+            tally[t as usize] += 1;
+        }
+        tally
+    }
 }
 
 impl McSim {
@@ -303,22 +335,13 @@ impl McSim {
         };
         if same_bits(&energy, &self.problem.energy) && same_bits(&xs, &self.problem.xs) {
             let tails = self.tails.get_or_init(|| {
-                let types: Vec<usize> = (0..self.lookups)
-                    .map(|i| self.lookup(&mut mem, i))
+                let types = (0..self.lookups)
+                    .map(|i| self.lookup(&mut mem, i) as u8)
                     .collect();
-                let mut suffix = vec![[0; XS_CHANNELS]; types.len() + 1];
-                for (i, &t) in types.iter().enumerate().rev() {
-                    suffix[i] = suffix[i + 1];
-                    suffix[i][t] += 1;
-                }
-                Arc::new(TailTallies {
-                    seed: self.seed,
-                    lookups: self.lookups,
-                    suffix,
-                })
+                Arc::new(TailTallies::new(self.seed, types))
             });
             if (tails.seed, tails.lookups) == (self.seed, self.lookups) {
-                return tails.suffix[from.min(self.lookups) as usize];
+                return tails.tail(from.min(self.lookups) as usize);
             }
         }
         let mut tally = [0u64; XS_CHANNELS];
@@ -412,34 +435,31 @@ impl McSim {
     ///
     /// Each state boots its machine and reads the loop index; one the loop
     /// bound rejects stands past the end and is answered there. The rest go
-    /// through the lockstep driver (see the module docs), one pilot per run
-    /// of states that boot at one loop index. A follower joins where the two
-    /// machines have [one future modulo](MemorySystem::same_future_modulo)
+    /// through the lockstep driver (see the module docs) behind one pilot. A
+    /// follower joins where the pilot [leads](MemorySystem::lead) it modulo
     /// the tallies and, in epoch mode, the epoch words: bytes this loop
     /// reads only to add one to, or never reads at all. A joined restart's
     /// tallies end as far above the pilot's as they stood at the join
     /// (tallies are only ever `get + 1 -> set`), and the count-total audit
     /// is evaluated on those.
     ///
-    /// A restart re-enters the loop on a cold machine, so the states of one
-    /// loop index stand on one machine but for those cells, and join where
-    /// they boot. [`McMode::Epoch`] never writes the index: its whole chain
-    /// is one run from lookup 0. [`McMode::Selective`] flushes it every
-    /// `interval` lookups: its chain is one run per flushed index.
+    /// A restart re-enters the loop on a cold machine. The states of one
+    /// loop index stand on one machine but for those cells and join where
+    /// they boot — [`McMode::Epoch`] never writes the index, so that is its
+    /// whole chain. A state of a later index [`McMode::Selective`] flushed
+    /// has the pilot stepped up to it and joins once both caches hold the
+    /// same lines; where NVM prefetches, its cold stream detectors never
+    /// line up with the pilot's warm ones, and the pilot prices them.
     pub fn dirty_chain<'a>(
         &self,
         cfg: &SystemConfig,
         images: impl IntoIterator<Item = impl BootImage<'a>>,
     ) -> Chain<DirtyRestart> {
-        let cells = self.dirty_cells();
         self.lockstep(
             images.into_iter(),
-            // A restart that boots at another index than the pilot meets a
-            // machine warmed by lookups it never ran; where NVM prefetches,
-            // their stream detectors never line up.
-            |image| Some(image.read_u64(self.idx_cell.addr())),
             |image| DirtyReentry::boot(self, cfg, image.into_image()),
-            |follower, pilot| follower.emu.same_future_modulo(&pilot.emu, &cells),
+            &self.dirty_cells(),
+            |_, _| true,
         )
     }
 
@@ -455,8 +475,8 @@ impl McSim {
     ///   the word without reading it.
     ///
     /// (`macro_xs` is dead at a boundary too — every lookup zeroes it before
-    /// reading it — but the states of one flushed index hold one `macro_xs`,
-    /// so it stays compared.)
+    /// reading it — but two restarts that reach one boundary hold one
+    /// `macro_xs` by then, so it stays compared.)
     #[allow(clippy::single_range_in_vec_init)] // a list of ranges, here of one
     fn dirty_cells(&self) -> Vec<Range<u64>> {
         let words = |arr: &PArray<u64>, n: usize| arr.base()..arr.base() + 8 * n as u64;
@@ -516,7 +536,7 @@ impl McSim {
     /// Outside [`McMode::Epoch`] the states are recovered one by one. In
     /// epoch mode each state boots its machine and replays from its own line
     /// epochs, through the lockstep driver (see the module docs), joining
-    /// where [`MemorySystem::same_future`] holds between the two machines.
+    /// where the pilot [leads](MemorySystem::lead) it with no cell exempt.
     /// A joined recovery's counts are the pilot's.
     pub fn recover_chain<'a>(
         &self,
@@ -535,73 +555,61 @@ impl McSim {
         }
         self.lockstep(
             states,
-            |_| None,
             |(crashed_at, image)| EpochRecovery::boot(self, cfg, crashed_at, image),
+            &[],
             |follower, pilot| {
                 // A pre-filter, not a second condition: before the later
                 // line epoch of either replay the two apply different
                 // increments, but each line holds its own epoch word — past
                 // the boundary in a replay that has not reached it, at or
-                // before it in one that has — so `same_future` refuses those
+                // before it in one that has — so `lead` refuses those
                 // boundaries by itself. The guard only saves the comparison
                 // (`mutant-chain-early-join` drops it).
-                (MUTANT_CHAIN_EARLY_JOIN
-                    || follower.next >= follower.kind.own_until().max(pilot.kind.own_until()))
-                    && follower.emu.same_future(&pilot.emu)
+                MUTANT_CHAIN_EARLY_JOIN
+                    || follower.next >= follower.kind.own_until().max(pilot.kind.own_until())
             },
         )
     }
 
     /// The one lockstep driver behind [`McSim::recover_chain`] and
     /// [`McSim::dirty_chain`]. `states` yields the chain's states, each
-    /// booted by `boot` when its turn comes; `joins(follower, pilot)` is the
-    /// kind's join predicate, asked only where both stand at one boundary.
+    /// booted by `boot` when its turn comes; a follower joins where the
+    /// pilot [leads](MemorySystem::lead) it modulo `cells`, asked only where
+    /// both stand at one boundary and `ready(follower, pilot)` holds.
     ///
     /// A state that stands past the end of the run at boot — a loop index
     /// the loop bound rejects — is answered there and joins nothing. The
     /// first other state is the **pilot**, joined to itself where it stands.
     /// Every later one advances in lockstep with it, whichever is behind
-    /// stepping one lookup, until `joins` holds; there it notes its own
-    /// [`Reading`] and the pilot's, and is dropped. One that reaches the end
-    /// of the run unjoined is complete as it stands. Once the pilot has run
-    /// to the end, every joined state adds (pilot's end − pilot's reading at
-    /// its join) to its own reading — for an exact join the tallies' share
-    /// of that is zero — and its kind turns the result into its answer.
-    ///
-    /// `boots_at(state)` is `Some` for a kind whose states join only a pilot
-    /// that booted where they do: the boundary the state will boot at, read
-    /// uncharged before it boots. A state that will boot at another boundary
-    /// than the pilot did retires the pilot first — the old pilot runs to
-    /// the end and closes its states, and the new state pilots the next run.
-    /// So at most two machines are alive, and only while a follower steps
-    /// beside the pilot; nothing is approximated: a state is joined on the
-    /// full predicate or not at all.
+    /// stepping one lookup, until the pilot leads it; there it notes its own
+    /// [`Reading`], the pilot's and the [`Follower`], and is dropped. One
+    /// that reaches the end of the run unjoined is complete as it stands.
+    /// Once the pilot has run to the end, every joined state adds (pilot's
+    /// end − pilot's reading at its join) to its own reading — for an exact
+    /// join the tallies' share of that is zero — and what its detectors
+    /// priced beyond the pilot's since, and its kind turns the result into
+    /// its answer. So at most two machines are alive, and only while a
+    /// follower steps beside the pilot; nothing is approximated.
     fn lockstep<K: ReplayKind, S>(
         &self,
         states: impl Iterator<Item = S>,
-        boots_at: impl Fn(&S) -> Option<u64>,
         boot: impl Fn(S) -> Replay<K>,
-        joins: impl Fn(&Replay<K>, &Replay<K>) -> bool,
+        cells: &[Range<u64>],
+        ready: impl Fn(&Replay<K>, &Replay<K>) -> bool,
     ) -> Chain<K::Answer> {
         let mut pilot: Option<Replay<K>> = None;
-        // The states since the pilot took over, in order.
+        // Every state, in order, where its own machine stopped.
         let mut stopped = Vec::new();
-        let mut answers = Vec::new();
         let mut simulated_accesses = 0;
         for state in states {
-            let at = boots_at(&state).filter(|&at| at <= self.lookups);
-            if let Some(retired) = pilot.take_if(|p| at.is_some_and(|at| at != p.booted_at)) {
-                simulated_accesses += self.close(retired, &mut stopped, &mut answers);
-            }
             let mut run = boot(state);
-            debug_assert!(at.is_none_or(|at| at == run.booted_at));
             if run.next > self.lookups {
                 // Answered at boot: the loop bound rejects it.
                 simulated_accesses += run.emu.access_count();
                 stopped.push(Stopped {
                     kind: run.kind,
                     own: run.reading(self),
-                    pilot_at: None,
+                    joined: None,
                 });
                 continue;
             }
@@ -611,57 +619,50 @@ impl McSim {
                 stopped.push(Stopped {
                     kind: run.kind,
                     own: at,
-                    pilot_at: Some(at),
+                    joined: Some((at, Follower::default())),
                 });
                 pilot = Some(run);
                 continue;
             };
+            let mut joined = None;
             while run.next < self.lookups {
                 if run.next < pilot.next {
                     run.step(self);
                 } else if pilot.next < run.next {
                     pilot.step(self);
-                } else if joins(&run, pilot) {
+                } else if let Some(follower) = ready(&run, pilot)
+                    .then(|| pilot.emu.lead(&run.emu, cells))
+                    .flatten()
+                {
+                    joined = Some((pilot.reading(self), follower));
                     break;
                 } else {
                     run.step(self);
                     pilot.step(self);
                 }
             }
-            // At the end of the run nothing is left to read off anyone.
-            let pilot_at = (run.next < self.lookups).then(|| pilot.reading(self));
             simulated_accesses += run.emu.access_count();
             stopped.push(Stopped {
                 kind: run.kind,
                 own: run.reading(self),
-                pilot_at,
+                joined,
             });
         }
-        if let Some(pilot) = pilot {
-            simulated_accesses += self.close(pilot, &mut stopped, &mut answers);
-        }
-        // States answered at boot after the last pilot, or with none at all.
-        answers.extend(stopped.into_iter().map(|state| state.close(self, None)));
+        let end = pilot.map(|mut pilot| {
+            while pilot.next < self.lookups {
+                pilot.step(self);
+            }
+            simulated_accesses += pilot.emu.access_count();
+            (pilot.reading(self), pilot.emu)
+        });
+        let answers = stopped
+            .into_iter()
+            .map(|state| state.close(self, end.as_ref()))
+            .collect();
         Chain {
             answers,
             simulated_accesses,
         }
-    }
-
-    /// Run `pilot` to the end of the run and turn every state `stopped`
-    /// holds into its answer, appended to `answers`; the pilot's accesses.
-    fn close<K: ReplayKind>(
-        &self,
-        mut pilot: Replay<K>,
-        stopped: &mut Vec<Stopped<K>>,
-        answers: &mut Vec<K::Answer>,
-    ) -> u64 {
-        while pilot.next < self.lookups {
-            pilot.step(self);
-        }
-        let end = pilot.reading(self);
-        answers.extend(stopped.drain(..).map(|state| state.close(self, Some(&end))));
-        pilot.emu.access_count()
     }
 
     /// Recovery in the index-flushing modes: re-execute `[flushed index,
@@ -740,9 +741,15 @@ struct Reading {
 }
 
 impl Reading {
-    /// This reading moved on by what the pilot did from `at` to `end`.
-    fn advanced(mut self, at: &Reading, end: &Reading) -> Reading {
-        self.time += end.time - at.time;
+    /// This reading moved on by what the pilot did from `at` to `end`, its
+    /// clock `ps` further than the pilot's.
+    fn advanced(mut self, at: &Reading, end: &Reading, ps: i64) -> Reading {
+        let moved = (end.time - at.time).ps();
+        self.time = SimTime(
+            (self.time.ps() + moved)
+                .checked_add_signed(ps)
+                .expect("a clock never runs backwards"),
+        );
         self.accesses += end.accesses - at.accesses;
         for ((c, end), at) in self.counts.iter_mut().zip(end.counts).zip(at.counts) {
             *c += end - at;
@@ -768,8 +775,6 @@ trait ReplayKind: Copy {
 /// stands at, and what its kind keeps besides.
 struct Replay<K> {
     emu: CrashEmulator,
-    /// The boundary it booted at.
-    booted_at: u64,
     /// Lookups `..next` are done (or were, the image says).
     next: u64,
     kind: K,
@@ -779,7 +784,6 @@ impl<K: ReplayKind> Replay<K> {
     fn new(sys: MemorySystem, next: u64, kind: K) -> Self {
         Replay {
             emu: CrashEmulator::from_system(sys, CrashTrigger::Never),
-            booted_at: next,
             next,
             kind,
         }
@@ -805,18 +809,20 @@ struct Stopped<K> {
     kind: K,
     /// Its machine's reading where it stopped: final unless it joined.
     own: Reading,
-    /// Where it joined: the pilot's reading at that boundary.
-    pilot_at: Option<Reading>,
+    /// Where it joined: the pilot's reading at that boundary, and the
+    /// [`Follower`] the pilot prices its clock by.
+    joined: Option<(Reading, Follower)>,
 }
 
 impl<K: ReplayKind> Stopped<K> {
-    /// The answer, given the pilot's reading at the end of the run.
-    fn close(self, mc: &McSim, end: Option<&Reading>) -> K::Answer {
-        let reading = match self.pilot_at {
+    /// The answer, given the pilot's reading and machine at the end of the
+    /// run.
+    fn close(self, mc: &McSim, end: Option<&(Reading, CrashEmulator)>) -> K::Answer {
+        let reading = match self.joined {
             None => self.own,
-            Some(at) => {
-                let end = end.expect("a joined pilot runs to the end");
-                self.own.advanced(&at, end)
+            Some((at, follower)) => {
+                let (end, pilot) = end.expect("a joined pilot runs to the end");
+                self.own.advanced(&at, end, pilot.follower_ps(&follower))
             }
         };
         self.kind.answer(mc, reading)
@@ -1105,6 +1111,21 @@ mod tests {
     }
 
     #[test]
+    fn every_tail_is_its_types_counted() {
+        for lookups in [0, 1, 63, 64, 65, 130] {
+            let types: Vec<u8> = (0..lookups).map(|i| (i * i % 7 % 5) as u8).collect();
+            let tails = TailTallies::new(42, types.clone());
+            for from in 0..=lookups {
+                let mut want = [0; XS_CHANNELS];
+                for &t in &types[from..] {
+                    want[t as usize] += 1;
+                }
+                assert_eq!(tails.tail(from), want, "{lookups} lookups, from {from}");
+            }
+        }
+    }
+
+    #[test]
     fn tally_reads_the_grids_of_the_image_it_was_handed() {
         let p = McProblem::generate(36, 32, 11);
         let c = SystemConfig::nvm_only(16 << 10, 1 << 20);
@@ -1310,19 +1331,29 @@ mod tests {
         );
     }
 
+    /// Small caches over NVM with DRAM's timing, which prefetches: a restart
+    /// joins a pilot that booted at another loop index only with its stream
+    /// detectors priced by the pilot.
+    fn prefetching() -> SystemConfig {
+        SystemConfig::nvm_only(4 << 10, 1 << 20)
+    }
+
     #[test]
     fn every_dirty_restart_of_a_chain_equals_its_restart_alone() {
         let p = McProblem::generate(36, 32, 11);
-        let chained = |mc: &McSim, images: &[&NvmImage]| {
-            mc.dirty_chain(&hostile(), images.iter().map(|&i| Cow::Borrowed(i)))
-        };
-        for mode in [
-            McMode::Epoch { interval: 8 },
-            McMode::Selective { interval: 8 },
-            McMode::Basic,
-            McMode::Native,
-        ] {
-            let (mc, mut images) = images_at_every_lookup(&p, &hostile(), EPOCH_LOOKUPS, mode);
+        for (cfg, mode) in [hostile(), prefetching()].into_iter().flat_map(|cfg| {
+            [
+                McMode::Epoch { interval: 8 },
+                McMode::Selective { interval: 8 },
+                McMode::Basic,
+                McMode::Native,
+            ]
+            .map(|mode| (cfg.clone(), mode))
+        }) {
+            let chained = |mc: &McSim, images: &[&NvmImage]| {
+                mc.dirty_chain(&cfg, images.iter().map(|&i| Cow::Borrowed(i)))
+            };
+            let (mc, mut images) = images_at_every_lookup(&p, &cfg, EPOCH_LOOKUPS, mode);
             // Two states the loop bound rejects, one of them first in line:
             // they are answered at boot and never pilot or join anything.
             for at in [0, 40] {
@@ -1335,7 +1366,7 @@ mod tests {
             // simulation, and the oracle.
             let alone: Vec<DirtyRestart> = images
                 .iter()
-                .map(|image| mc.dirty_restart(image, hostile()))
+                .map(|image| mc.dirty_restart(image, cfg.clone()))
                 .collect();
             for at in [0, 40] {
                 assert_eq!((&alone[at].solution, alone[at].extra_units), (&None, 0));
@@ -1359,16 +1390,19 @@ mod tests {
                 let want: Vec<DirtyRestart> = picks.iter().map(|&k| alone[k].clone()).collect();
                 assert_eq!(chained(&mc, &states).answers, want, "{mode:?} {picks:?}");
             }
-            // Epoch-mode restarts all re-enter at lookup 0 of a cold
-            // machine: everything after the pilot joins within a few lookups.
-            if matches!(mode, McMode::Epoch { .. }) {
-                let one_run = chained(&mc, &every[1..2]).simulated_accesses;
-                assert!(
-                    chain.simulated_accesses < 2 * one_run * every.len() as u64 / 3,
-                    "{} accesses simulated, {one_run} a run",
-                    chain.simulated_accesses
-                );
-            }
+            // Every restart re-enters a cold machine, at lookup 0 or at the
+            // index its image flushed, and joins the pilot once their caches
+            // hold the same lines, wherever either booted.
+            let apart: u64 = every
+                .iter()
+                .map(|&image| chained(&mc, &[image]).simulated_accesses)
+                .sum();
+            assert!(
+                2 * chain.simulated_accesses < apart,
+                "{mode:?}, NVM prefetching {}: {} accesses simulated, {apart} alone",
+                cfg.timing.nvm.prefetch,
+                chain.simulated_accesses
+            );
         }
     }
 
@@ -1474,23 +1508,35 @@ mod tests {
             chain_equals_alone(mc, images, alone, &picks);
         }
 
-        /// The same for dirty restarts, in poll order or against it.
+        /// The same for dirty restarts, in poll order or against it: of the
+        /// epoch run, which all re-enter at lookup 0, or of a selective run
+        /// under [`prefetching`] caches, which join across flushed indices
+        /// with their stream detectors priced by the pilot.
         #[test]
         fn any_dirty_chain_of_one_runs_crash_points_equals_restarts_alone(
             picked in proptest::collection::vec(proptest::prelude::any::<bool>(), 97),
             backwards in proptest::prelude::any::<bool>(),
+            selective in proptest::prelude::any::<bool>(),
         ) {
-            static ALONE: std::sync::OnceLock<Vec<DirtyRestart>> = std::sync::OnceLock::new();
-            let (mc, images, _) = epoch_run();
-            let alone = ALONE.get_or_init(|| {
-                let restart = |image| mc.dirty_restart(image, hostile());
-                images.iter().map(restart).collect()
+            type Run = (McSim, Vec<NvmImage>, Vec<DirtyRestart>);
+            static RUNS: [std::sync::OnceLock<Run>; 2] =
+                [std::sync::OnceLock::new(), std::sync::OnceLock::new()];
+            let (cfg, mode) = if selective {
+                (prefetching(), McMode::Selective { interval: 8 })
+            } else {
+                (hostile(), McMode::Epoch { interval: 8 })
+            };
+            let (mc, images, alone) = RUNS[usize::from(selective)].get_or_init(|| {
+                let p = McProblem::generate(36, 32, 11);
+                let (mc, images) = images_at_every_lookup(&p, &cfg, EPOCH_LOOKUPS, mode);
+                let alone = images.iter().map(|image| mc.dirty_restart(image, cfg.clone())).collect();
+                (mc, images, alone)
             });
             let mut picks: Vec<usize> = (0..images.len()).filter(|&k| picked[k]).collect();
             if backwards {
                 picks.reverse();
             }
-            let chain = mc.dirty_chain(&hostile(), picks.iter().map(|&k| Cow::Borrowed(&images[k])));
+            let chain = mc.dirty_chain(&cfg, picks.iter().map(|&k| Cow::Borrowed(&images[k])));
             let want: Vec<&DirtyRestart> = picks.iter().map(|&k| &alone[k]).collect();
             proptest::prop_assert_eq!(chain.answers.iter().collect::<Vec<_>>(), want);
         }

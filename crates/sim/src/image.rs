@@ -194,31 +194,22 @@ impl std::fmt::Debug for NvmImage {
     }
 }
 
-/// A crash image as a chain of reboots takes it: readable in place,
-/// uncharged, and turned into the bytes a machine boots from only when its
-/// turn comes — a materialized [`NvmImage`], borrowed or owned, or a
-/// [`DeltaImage`], materialized then.
+/// A crash image as a chain of reboots takes it: turned into the bytes a
+/// machine boots from only when its turn comes — a materialized
+/// [`NvmImage`], borrowed or owned, or a [`DeltaImage`], materialized then.
 pub trait BootImage<'a> {
-    /// The little-endian `u64` at NVM address `addr`.
-    fn read_u64(&self, addr: u64) -> u64;
     /// The image's bytes: as they are where they exist, materialized
     /// otherwise.
     fn into_image(self) -> Cow<'a, NvmImage>;
 }
 
 impl<'a> BootImage<'a> for Cow<'a, NvmImage> {
-    fn read_u64(&self, addr: u64) -> u64 {
-        NvmImage::read_u64(self, addr)
-    }
     fn into_image(self) -> Cow<'a, NvmImage> {
         self
     }
 }
 
 impl<'a> BootImage<'a> for &'a DeltaImage {
-    fn read_u64(&self, addr: u64) -> u64 {
-        DeltaImage::read_u64(self, addr)
-    }
     fn into_image(self) -> Cow<'a, NvmImage> {
         Cow::Owned(self.materialize())
     }

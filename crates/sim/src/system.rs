@@ -29,7 +29,7 @@ use crate::line::{is_dram_addr, line_of, offset_in_line, DRAM_BASE, LINE_SHIFT, 
 use crate::lru::{CacheConfig, SetAssocCache, Victim};
 use crate::parray::Pod;
 use crate::stats::MemStats;
-use crate::timing::{PlatformTiming, StreamDetector};
+use crate::timing::{MediaTiming, PlatformTiming, StreamDetector};
 
 /// Which cache-line write-back instruction the platform's persistence
 /// helpers use (paper §II: `CLFLUSH` is what the paper measures; it notes
@@ -213,10 +213,68 @@ pub struct MemorySystem {
     dram_alloc: Bump,
     clock: SimClock,
     stats: MemStats,
-    nvm_streams: StreamDetector,
-    dram_streams: StreamDetector,
+    streams: Detectors,
+    /// The stream detectors of the machines this one leads (see
+    /// [`MemorySystem::lead`]); empty unless it leads one whose detectors
+    /// differ from its own.
+    shadows: Vec<Shadow>,
     access_count: u64,
     events: Option<Box<crate::events::EventRecorder>>,
+}
+
+/// The two media a line moves to or from below the caches, each with its
+/// own stream detector and timing.
+#[derive(Clone, Copy)]
+enum Medium {
+    Nvm,
+    Dram,
+}
+
+impl Medium {
+    fn timing(self, t: &PlatformTiming) -> MediaTiming {
+        match self {
+            Medium::Nvm => t.nvm,
+            Medium::Dram => t.dram,
+        }
+    }
+}
+
+/// A machine's stream detectors, one per medium.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Detectors {
+    nvm: StreamDetector,
+    dram: StreamDetector,
+}
+
+impl Detectors {
+    fn on(&mut self, medium: Medium) -> &mut StreamDetector {
+        match medium {
+            Medium::Nvm => &mut self.nvm,
+            Medium::Dram => &mut self.dram,
+        }
+    }
+}
+
+/// A follower's detectors riding beside a leader's own: fed every note the
+/// leader's get, and the picoseconds their answers priced beyond the
+/// leader's so far.
+#[derive(Debug, Clone)]
+struct Shadow {
+    streams: Detectors,
+    ps: i64,
+}
+
+/// A machine [`MemorySystem::lead`] vouched for: what
+/// [`MemorySystem::follower_ps`] needs to price its clock off its leader's.
+/// Meaningful only to the leader that issued it, or a clone of that leader;
+/// `Follower::default()` is the leader itself.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Follower {
+    /// The leader's shadow of its detectors; `None` when they are the
+    /// leader's own wherever a medium prefetches.
+    shadow: Option<usize>,
+    /// That shadow's picoseconds when the follower joined.
+    since: i64,
 }
 
 impl Clone for MemorySystem {
@@ -231,8 +289,8 @@ impl Clone for MemorySystem {
             dram_alloc: self.dram_alloc.clone(),
             clock: self.clock.clone(),
             stats: self.stats,
-            nvm_streams: self.nvm_streams.clone(),
-            dram_streams: self.dram_streams.clone(),
+            streams: self.streams.clone(),
+            shadows: self.shadows.clone(),
             access_count: self.access_count,
             events: self.events.clone(),
         }
@@ -251,8 +309,8 @@ impl Clone for MemorySystem {
             dram_alloc,
             clock,
             stats,
-            nvm_streams,
-            dram_streams,
+            streams,
+            shadows,
             access_count,
             events,
         } = source;
@@ -265,8 +323,8 @@ impl Clone for MemorySystem {
         self.dram_alloc.clone_from(dram_alloc);
         self.clock.clone_from(clock);
         self.stats = *stats;
-        self.nvm_streams.clone_from(nvm_streams);
-        self.dram_streams.clone_from(dram_streams);
+        self.streams.clone_from(streams);
+        self.shadows.clone_from(shadows);
         self.access_count = *access_count;
         self.events.clone_from(events);
     }
@@ -287,8 +345,8 @@ impl MemorySystem {
             dram_alloc: Bump::new(DRAM_BASE, cfg.dram_capacity),
             clock: SimClock::new(),
             stats: MemStats::default(),
-            nvm_streams: StreamDetector::new(),
-            dram_streams: StreamDetector::new(),
+            streams: Detectors::default(),
+            shadows: Vec::new(),
             access_count: 0,
             events: None,
             cfg,
@@ -741,11 +799,8 @@ impl MemorySystem {
 
     /// Fetch a line's data from below the CPU cache, charging costs.
     fn fetch_below(&mut self, line: u64) -> [u8; LINE_SIZE] {
-        let addr = line << LINE_SHIFT;
-        let t = self.cfg.timing;
-        if is_dram_addr(addr) {
-            let hit = self.dram_streams.note(line);
-            self.clock.charge(t.dram.read_cost(hit));
+        if is_dram_addr(line << LINE_SHIFT) {
+            self.charge_line(Medium::Dram, line, MediaTiming::read_cost);
             self.stats.dram_line_reads += 1;
             return self.dram.read_line(line);
         }
@@ -753,23 +808,45 @@ impl MemorySystem {
         if let Some(dc) = self.dramc.as_mut() {
             if let Some(r) = dc.lookup(line) {
                 self.stats.dram_cache.hits += 1;
-                self.clock.charge(t.dram.read_cost(false));
+                self.clock.charge(self.cfg.timing.dram.read_cost(false));
                 return *r.data_ref();
             }
             self.stats.dram_cache.misses += 1;
-            let hit = self.nvm_streams.note(line);
-            self.clock.charge(t.nvm.read_cost(hit));
-            self.stats.nvm_line_reads += 1;
-            let data = self.nvm.read_line(line);
-            if let Some(v) = dc.insert(line, data, false) {
-                self.dram_cache_evicted(v);
-            }
-            return data;
         }
-        let hit = self.nvm_streams.note(line);
-        self.clock.charge(t.nvm.read_cost(hit));
+        self.charge_line(Medium::Nvm, line, MediaTiming::read_cost);
         self.stats.nvm_line_reads += 1;
-        self.nvm.read_line(line)
+        let data = self.nvm.read_line(line);
+        if let Some(v) = self
+            .dramc
+            .as_mut()
+            .and_then(|dc| dc.insert(line, data, false))
+        {
+            self.dram_cache_evicted(v);
+        }
+        data
+    }
+
+    /// Note a line moved to or from `medium` on that medium's stream
+    /// detector, and charge what `price` makes of the answer: the one place
+    /// a detector is asked, and all its answer decides. A machine that leads
+    /// followers with detectors of their own feeds their shadows the note,
+    /// each charged what its own answer prices beyond this machine's.
+    /// Out of line: inlined into its seven callers, the shadows' loop alone
+    /// cost `ds-sweep` ~7 % of its states per second.
+    #[inline(never)]
+    fn charge_line(
+        &mut self,
+        medium: Medium,
+        line: u64,
+        price: impl Fn(&MediaTiming, bool) -> u64,
+    ) {
+        let timing = medium.timing(&self.cfg.timing);
+        let ps = price(&timing, self.streams.on(medium).note(line));
+        self.clock.charge(ps);
+        for shadow in &mut self.shadows {
+            let theirs = price(&timing, shadow.streams.on(medium).note(line));
+            shadow.ps += theirs as i64 - ps as i64;
+        }
     }
 
     /// Write back a line evicted from the CPU cache.
@@ -779,17 +856,14 @@ impl MemorySystem {
             return;
         }
         self.stats.cpu.dirty_evictions += 1;
-        let addr = v.line << LINE_SHIFT;
-        let t = self.cfg.timing;
-        if is_dram_addr(addr) {
-            let hit = self.dram_streams.note(v.line);
-            self.clock.charge(t.dram.write_cost(hit));
+        if is_dram_addr(v.line << LINE_SHIFT) {
+            self.charge_line(Medium::Dram, v.line, MediaTiming::write_cost);
             self.stats.dram_line_writes += 1;
             self.dram.write_line(v.line, &v.data);
             return;
         }
         if let Some(dc) = self.dramc.as_mut() {
-            self.clock.charge(t.dram.write_cost(false));
+            self.clock.charge(self.cfg.timing.dram.write_cost(false));
             if let Some(mut r) = dc.lookup(v.line) {
                 *r.data() = v.data;
                 r.mark_dirty();
@@ -801,8 +875,7 @@ impl MemorySystem {
             }
             return;
         }
-        let hit = self.nvm_streams.note(v.line);
-        self.clock.charge(t.nvm.write_cost(hit));
+        self.charge_line(Medium::Nvm, v.line, MediaTiming::write_cost);
         self.stats.nvm_line_writes += 1;
         self.nvm.write_line(v.line, &v.data);
     }
@@ -815,8 +888,7 @@ impl MemorySystem {
             self.stats.dram_cache.clean_evictions += 1;
             return;
         }
-        let s = self.nvm_streams.note(v.line);
-        self.clock.charge(self.cfg.timing.nvm.write_cost(s));
+        self.charge_line(Medium::Nvm, v.line, MediaTiming::write_cost);
         self.stats.nvm_line_writes += 1;
         self.stats.dram_cache.dirty_evictions += 1;
         self.nvm.write_line(v.line, &v.data);
@@ -896,15 +968,11 @@ impl MemorySystem {
             return;
         }
         let line = line_of(addr);
-        let t = self.cfg.timing;
-        if let Some(dc) = self.dramc.as_mut() {
-            if let Some(v) = dc.remove(line) {
-                if v.dirty {
-                    let s = self.nvm_streams.note(v.line);
-                    self.clock.charge(t.nvm.write_cost(s));
-                    self.stats.nvm_line_writes += 1;
-                    self.nvm.write_line(v.line, &v.data);
-                }
+        if let Some(v) = self.dramc.as_mut().and_then(|dc| dc.remove(line)) {
+            if v.dirty {
+                self.charge_line(Medium::Nvm, v.line, MediaTiming::write_cost);
+                self.stats.nvm_line_writes += 1;
+                self.nvm.write_line(v.line, &v.data);
             }
         }
     }
@@ -1017,8 +1085,7 @@ impl MemorySystem {
         self.clock.charge(scan);
         let dirty = dc.clean_all();
         for v in dirty {
-            let s = self.nvm_streams.note(v.line);
-            self.clock.charge(t.nvm.write_cost(s));
+            self.charge_line(Medium::Nvm, v.line, MediaTiming::write_cost);
             self.stats.nvm_line_writes += 1;
             self.nvm.write_line(v.line, &v.data);
         }
@@ -1226,20 +1293,82 @@ impl MemorySystem {
     ///
     /// Then everything outside the cells is one future.
     pub fn same_future_modulo(&self, other: &Self, cells: &[Range<u64>]) -> bool {
+        self.priced_streams(&other.streams) == self.streams
+            && self.same_future_but_streams(other, cells)
+    }
+
+    /// Whether `follower` has this machine's future modulo `cells` and
+    /// its stream detectors — [`MemorySystem::same_future_modulo`] with the
+    /// detectors exempt — and, if so, the [`Follower`] that prices them.
+    ///
+    /// A detector's answer only picks between two prices of one line
+    /// transfer: the two machines miss, count, read and evict alike under
+    /// whatever is done to both, and only their clocks drift apart. So
+    /// where a prefetching medium's detectors differ, this machine — the
+    /// **leader** — takes a *shadow* of the follower's, or shares the one an
+    /// earlier follower left that now stands equal to them. From here on it
+    /// feeds every shadow the notes its own detectors get, and
+    /// [`MemorySystem::follower_ps`] reads how far the follower's clock would
+    /// have moved beyond its own: exactly, as long as the two take the same
+    /// operations. A shadow is a detector pair and a counter, and nothing
+    /// retires one: a leader lives as long as the chain it leads.
+    pub fn lead(&mut self, follower: &Self, cells: &[Range<u64>]) -> Option<Follower> {
+        if !self.same_future_but_streams(follower, cells) {
+            return None;
+        }
+        let streams = self.priced_streams(&follower.streams);
+        if streams == self.streams {
+            return Some(Follower::default());
+        }
+        let at = match self.shadows.iter().position(|s| s.streams == streams) {
+            Some(at) => at,
+            None => {
+                self.shadows.push(Shadow { streams, ps: 0 });
+                self.shadows.len() - 1
+            }
+        };
+        Some(Follower {
+            shadow: Some(at),
+            since: self.shadows[at].ps,
+        })
+    }
+
+    /// The picoseconds `follower`'s clock has moved beyond this machine's
+    /// since [`MemorySystem::lead`] vouched for it: zero for a follower
+    /// whose priced detectors were this machine's own, and for
+    /// [`Follower::default`], the leader itself.
+    pub fn follower_ps(&self, follower: &Follower) -> i64 {
+        follower
+            .shadow
+            .map_or(0, |at| self.shadows[at].ps - follower.since)
+    }
+
+    /// `streams` where a medium prefetches, this machine's own where it does
+    /// not (its answers price nothing there).
+    fn priced_streams(&self, streams: &Detectors) -> Detectors {
+        let t = &self.cfg.timing;
+        let pick = |prefetch: bool, theirs: &StreamDetector, mine: &StreamDetector| {
+            if prefetch { theirs } else { mine }.clone()
+        };
+        Detectors {
+            nvm: pick(t.nvm.prefetch, &streams.nvm, &self.streams.nvm),
+            dram: pick(t.dram.prefetch, &streams.dram, &self.streams.dram),
+        }
+    }
+
+    /// [`MemorySystem::same_future_modulo`] but for the stream detectors.
+    fn same_future_but_streams(&self, other: &Self, cells: &[Range<u64>]) -> bool {
         debug_assert!(
             cells.windows(2).all(|w| w[0].end <= w[1].start)
                 && cells.iter().all(|c| c.end <= DRAM_BASE),
             "cells are ascending, disjoint NVM ranges"
         );
-        let t = self.cfg.timing;
         self.events.is_none()
             && other.events.is_none()
             && self.cfg == other.cfg
             && self.clock.bucket() == other.clock.bucket()
             && self.nvm_alloc == other.nvm_alloc
             && self.dram_alloc == other.dram_alloc
-            && (!t.nvm.prefetch || self.nvm_streams.same_future(&other.nvm_streams))
-            && (!t.dram.prefetch || self.dram_streams.same_future(&other.dram_streams))
             && self.cpu.same_future_modulo(&other.cpu, cells)
             && match (&self.dramc, &other.dramc) {
                 (Some(mine), Some(theirs)) => mine.same_future_modulo(theirs, cells),
@@ -1295,8 +1424,11 @@ impl MemorySystem {
             dc.clear();
         }
         self.dram.wipe();
-        self.nvm_streams.reset();
-        self.dram_streams.reset();
+        // A follower crashes alike: its detectors forget as this one's do.
+        self.streams = Detectors::default();
+        for shadow in &mut self.shadows {
+            shadow.streams = Detectors::default();
+        }
         self.nvm_snapshot().with_dirty_lines(dirty_lines)
     }
 
@@ -2218,10 +2350,10 @@ mod tests {
             b.dram.write_bytes(DRAM_BASE, &[1]);
         });
         differs("an NVM stream entry", false, &|b| {
-            b.nvm_streams.note(9_999);
+            b.streams.nvm.note(9_999);
         });
         differs("a DRAM stream entry", false, &|b| {
-            b.dram_streams.note(9_999);
+            b.streams.dram.note(9_999);
         });
         differs("an allocation", false, &|b| {
             b.alloc_nvm(8);
@@ -2241,7 +2373,7 @@ mod tests {
         // is priced by its answers.
         let (a, first) = warm(tiny_hetero());
         let mut b = a.clone();
-        b.nvm_streams.note(9_999);
+        b.streams.nvm.note(9_999);
         assert!(a.same_future(&b));
         // The line the CPU cache evicted last: the newest of its DRAM-cache
         // set, so a lookup there moves no line past another.
@@ -2614,6 +2746,118 @@ mod tests {
         Ok(())
     }
 
+    /// Two machines with different pasts washed into one state but for the
+    /// NVM detector's replacement position (`turns` stream-less misses on
+    /// the second): the exact predicate vouches for one position of the
+    /// ring, [`MemorySystem::lead`] for every one. Led, the second machine
+    /// runs `suffix` beside the first, and a third — a clone of the second
+    /// once the shadow has priced it apart from the leader, so its
+    /// detectors stand equal to that shadow — joins then. After every op
+    /// each follower's clock has moved by the leader's plus
+    /// [`MemorySystem::follower_ps`], and everything else by the same
+    /// amount.
+    fn followers_read_their_clocks_off_their_leader(
+        cfg: SystemConfig,
+        fills: (u8, u8),
+        histories: (&[Op], &[Op]),
+        turns: u64,
+        suffix: &[Op],
+    ) -> proptest::prelude::TestCaseResult {
+        use proptest::prelude::*;
+        let boot = |fill: u8, history: &[Op]| {
+            let bytes = (0..LINES as usize * LINE_SIZE)
+                .map(|i| fill.wrapping_mul(i as u8 | 1))
+                .collect();
+            let image = NvmImage::new(bytes, cfg.nvm_capacity);
+            let mut sys = MemorySystem::from_image(cfg.clone(), &image);
+            let nvm = sys.alloc_nvm(REGION as usize + 16);
+            let dram = sys.alloc_dram(REGION as usize + 16);
+            // Histories stay in NVM: the DRAM-direct region has no wash.
+            for op in history {
+                apply(&mut sys, op, nvm, nvm);
+            }
+            (sys, nvm, dram)
+        };
+        let (mut a, nvm, dram) = boot(fills.0, histories.0);
+        wash(&mut a, nvm, false, 0, &[], (0, 0));
+        let (b, ..) = boot(fills.1, histories.1);
+        let washed = |turns: u64| {
+            let mut b = b.clone();
+            wash(&mut b, nvm, true, turns, &[], (0, 0));
+            b
+        };
+        let positions: Vec<MemorySystem> = (0..16).map(washed).collect();
+        for b in &positions {
+            prop_assert!(
+                a.clone().lead(b, &[]).is_some(),
+                "a detector position refused"
+            );
+            // The exact predicate tells the positions apart by their
+            // detectors alone, and vouches for the one `a` stands at (which
+            // two turn counts may reach).
+            let one_ring = b.streams == a.streams || !cfg.timing.nvm.prefetch;
+            prop_assert_eq!(a.same_future(b), one_ring);
+        }
+        prop_assert!(
+            positions.iter().any(|b| a.same_future(b)),
+            "the wash leaves one state"
+        );
+        let mut b = washed(turns);
+        let led = a.lead(&b, &[]).expect("vouched for above");
+        prop_assert_eq!(led.shadow.is_none(), a.same_future(&b));
+
+        let charged = |s: &MemorySystem| (*s.stats(), s.access_count());
+        let (a0, b0) = (charged(&a), charged(&b));
+        let (a_t0, b_t0) = (a.now().ps() as i64, b.now().ps() as i64);
+        let mut late: Option<(MemorySystem, Follower, i64)> = None;
+        for (k, op) in suffix.iter().enumerate() {
+            if late.is_none() && a.follower_ps(&led) != 0 {
+                let c = b.clone();
+                let joined = a.lead(&c, &[]).expect("followers stay vouched for");
+                // It rides the second follower's shadow, not one of its own.
+                prop_assert_eq!(a.shadows.len(), usize::from(led.shadow.is_some()));
+                let offset = c.now().ps() as i64 - a.now().ps() as i64;
+                late = Some((c, joined, offset));
+            }
+            let seen = apply(&mut a, op, nvm, dram);
+            prop_assert_eq!(&seen, &apply(&mut b, op, nvm, dram), "op {}: {:?}", k, op);
+            let leader_moved = a.now().ps() as i64 - a_t0;
+            prop_assert_eq!(
+                b.now().ps() as i64 - b_t0,
+                leader_moved + a.follower_ps(&led),
+                "op {}: {:?}",
+                k,
+                op
+            );
+            let moved = |now: &(MemStats, u64), then: &(MemStats, u64)| {
+                let delta: Vec<u64> = counters(&now.0)
+                    .iter()
+                    .zip(counters(&then.0))
+                    .map(|(n, t)| n - t)
+                    .collect();
+                (delta, now.1 - then.1)
+            };
+            prop_assert_eq!(
+                moved(&charged(&a), &a0),
+                moved(&charged(&b), &b0),
+                "op {}",
+                k
+            );
+            if let Some((c, joined, offset)) = late.as_mut() {
+                prop_assert_eq!(&seen, &apply(c, op, nvm, dram), "op {}: {:?}", k, op);
+                prop_assert_eq!(
+                    c.now().ps() as i64,
+                    a.now().ps() as i64 + *offset + a.follower_ps(joined),
+                    "op {}: {:?}",
+                    k,
+                    op
+                );
+            }
+        }
+        prop_assert!(a.lead(&b, &[]).is_some(), "closed under stepping");
+        Ok(())
+    }
+
     /// Run `prefix` on a machine and on a control, fork the machine twice,
     /// then step on, op by op: the machine, the first fork and the control
     /// run `suffix`, the second fork runs `other`. The three on `suffix`
@@ -2837,6 +3081,24 @@ mod tests {
             for cfg in [tiny_nvm_only(), tiny_hetero()] {
                 let histories = (&history_a[..], &history_b[..]);
                 equal_states_have_one_future(cfg, fills, histories, &suffix, &CELLS, cell_fills)?;
+            }
+        }
+
+        /// What [`MemorySystem::lead`] promises the chained MC dirty restart:
+        /// machines equal but for their stream detectors miss, count and read
+        /// alike under loads, stores, flushes, persists, drains and crashes,
+        /// and the leader prices each follower's clock exactly.
+        #[test]
+        fn followers_clocks_are_their_leaders_plus_the_correction(
+            fills in (proptest::prelude::any::<u8>(), proptest::prelude::any::<u8>()),
+            history_a in proptest::collection::vec(op_strategy(), 0..80),
+            history_b in proptest::collection::vec(op_strategy(), 0..80),
+            turns in 0u64..16,
+            suffix in proptest::collection::vec(op_strategy(), 1..160),
+        ) {
+            for cfg in [tiny_nvm_only(), tiny_hetero()] {
+                let histories = (&history_a[..], &history_b[..]);
+                followers_read_their_clocks_off_their_leader(cfg, fills, histories, turns, &suffix)?;
             }
         }
     }

@@ -185,7 +185,12 @@ impl PlatformTiming {
 /// A small next-line stream detector modelling hardware prefetch. Tracks the
 /// last few miss streams; a miss that continues one of them is a "stream
 /// hit" and is charged transfer-only by prefetch-capable media.
-#[derive(Debug, Clone)]
+///
+/// Two detectors answer every later [`StreamDetector::note`] alike exactly
+/// when they are equal. The scan takes the first matching way and the ring
+/// replaces by position, so a rotated ring is *not* equivalent: equality is
+/// positional.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamDetector {
     streams: [u64; Self::WAYS],
     next: usize,
@@ -215,19 +220,6 @@ impl StreamDetector {
         self.streams[self.next] = line;
         self.next = (self.next + 1) % Self::WAYS;
         false
-    }
-
-    /// Whether every later [`StreamDetector::note`] answers the same on
-    /// both detectors. The scan takes the first matching way and the ring
-    /// replaces by position, so a rotated ring is *not* equivalent: the
-    /// comparison is positional.
-    pub(crate) fn same_future(&self, other: &Self) -> bool {
-        self.streams == other.streams && self.next == other.next
-    }
-
-    /// Forget all streams (e.g. across a crash).
-    pub fn reset(&mut self) {
-        *self = StreamDetector::new();
     }
 }
 

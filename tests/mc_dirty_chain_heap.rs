@@ -1,16 +1,16 @@
 //! Heap budget of `mc-selective`'s dirty chain: an exact, host-independent
 //! memory counter as a tier-1 gate.
 //!
-//! A chain of dirty restarts reads each harvested delta image's loop index
-//! in place and materializes the image only when the state boots. At most
-//! two machines are alive: the pilot and the state checked beside it. A
-//! state that boots at another flushed index retires the pilot first, so
-//! the retired pilot runs to the end alone. A machine owns its image as its
-//! NVM pool, so two machines are two images plus their caches. A
-//! thread-local counting allocator records the chain's peak of live heap
-//! bytes and holds it to two machines, each as large as one restart alone
-//! gets: a chain that materialized an image ahead of its turn (one image
-//! more) or kept a third machine fails here.
+//! A chain of dirty restarts materializes each harvested delta image only
+//! when its state boots. At most two machines are alive: the pilot, which
+//! runs from the first state to the end, and the state stepping beside it
+//! until it joins — whichever flushed index it booted at. A machine owns
+//! its image as its NVM pool, so two machines are two images plus their
+//! caches; the pilot's shadows of its followers' stream detectors are
+//! 152 B each. A thread-local counting allocator records the chain's
+//! peak of live heap bytes and holds it to two machines, each as large as
+//! one restart alone gets: a chain that materialized an image ahead of its
+//! turn (one image more) or kept a third machine fails here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -91,7 +91,7 @@ fn a_selective_dirty_chain_holds_two_machines_at_most() {
     let mc = McSim::setup(&mut sys, problem, LOOKUPS, 42, mode);
     let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
     // Twenty states over the first half of the run: runs of two or three
-    // per flushed index, so the chain retires a pilot every few states.
+    // per flushed index, ten indices in all.
     let units: Vec<u64> = (0..20).map(|k| 10 + 30 * k).collect();
     emu.arm_harvest(units.iter().map(|&u| {
         let site = CrashSite::new(sites::PH_LOOKUP, u);
@@ -109,6 +109,12 @@ fn a_selective_dirty_chain_holds_two_machines_at_most() {
         .map(|group| &group[0].image)
         .collect();
     assert_eq!(states.len(), units.len());
+    let mut indices: Vec<u64> = states
+        .iter()
+        .map(|image| image.read_u64(mc.idx_cell.addr()))
+        .collect();
+    indices.dedup();
+    assert!(indices.len() >= 5, "flushed indices {indices:?}");
     drop(emu);
 
     // One image, and one machine: the first state's restart alone, its
@@ -121,7 +127,8 @@ fn a_selective_dirty_chain_holds_two_machines_at_most() {
         states.len()
     );
     assert_eq!(chain.answers[0], alone.answers[0]);
-    // The chain did retire pilots: more than one run was simulated.
+    // The followers did step beside the pilot: more than its run was
+    // simulated.
     assert!(chain.simulated_accesses > alone.simulated_accesses);
     // What is held to the bound: a third machine or an image ahead would
     // cross it by most of an image.
