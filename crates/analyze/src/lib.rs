@@ -20,11 +20,10 @@
 //!
 //! Detector validity is proven by mutation testing: the `analyzer_mutants`
 //! suites of the `sim`, `ds`, and `pmem` crates seed one classic
-//! crash-consistency bug each (a dropped fence, a skipped ordered persist
-//! and a skipped transaction-commit writeback through the drop-persist
-//! hook `adcc_sim::hook`; a reordered two-slot publish through the
-//! `mutant-ckpt-slot` feature) and assert the sanitizer flags each with the
-//! correct category — and stays silent on the clean tree.
+//! crash-consistency bug each through the mutation hook `adcc_sim::hook`
+//! (a dropped fence, a skipped ordered persist, a skipped transaction-commit
+//! writeback, a reordered two-slot publish) and assert the sanitizer flags
+//! each with the correct category — and stays silent on the clean tree.
 
 #![deny(missing_docs)]
 

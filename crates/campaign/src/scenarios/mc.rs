@@ -352,7 +352,7 @@ mod tests {
             .filter(|s| s.op == Op::Flush && s.at.file().ends_with("mc/sim.rs"))
             .collect();
         assert_eq!(flushes.len(), 1, "one periodic counter flush: {flushes:?}");
-        let replays = hook::dropping(flushes[0], epoch_replays);
+        let replays = hook::mutating(flushes[0], epoch_replays);
         let past: Vec<u64> = replays.into_iter().filter(|&l| l > REPLAY_BOUND).collect();
         assert_eq!(past.len(), 52, "{past:?}");
         assert_eq!(past.iter().max(), Some(&132));

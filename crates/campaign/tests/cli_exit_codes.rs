@@ -6,6 +6,9 @@
 
 use std::process::{Command, Output, Stdio};
 
+use adcc_campaign::{run_campaign, CampaignConfig};
+use adcc_sim::hook::{self, Op};
+
 fn campaign(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_campaign"))
         .args(args)
@@ -343,6 +346,38 @@ fn merge_rejects_overlapping_and_mismatched_shards_with_exit_one() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(std::path::Path::new(&out_path).exists());
+}
+
+/// A campaign that corrupts silently fails its exit gate: a 1-of-1 shard
+/// made in-process under the seeded bug in `iterative.rs` (every
+/// `*-extended` recovery believes its counter), merged by the CLI.
+#[test]
+fn a_merged_report_with_silent_corruption_exits_one() {
+    let cfg = CampaignConfig {
+        budget_states: 260,
+        dense_units: 400,
+        threads: 1,
+        shard: Some((0, 1)),
+        ..CampaignConfig::default()
+    };
+    let (_, sites) = hook::record(|| run_campaign(&cfg));
+    let seed = sites
+        .into_iter()
+        .find(|s| s.op == Op::Seed && s.at.file() == "crates/core/src/iterative.rs")
+        .expect("the campaign recovers through the iterate-history skeleton");
+    let shard = hook::mutating(seed, || run_campaign(&cfg));
+    let dir = std::env::temp_dir().join("adcc-silent-merge");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
+    let (input, merged) = (path("shard.json"), path("merged.json"));
+    std::fs::write(&input, shard.to_string_pretty()).unwrap();
+    let out = campaign(&["merge", "--out", &merged, &input]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("FAIL: 100 silent-corruption outcome(s)"),
+        "stderr:\n{stderr}"
+    );
 }
 
 #[test]

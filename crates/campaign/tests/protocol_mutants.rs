@@ -2,88 +2,82 @@
 //! — "zero silent corruption", batch ≡ `run_trial` — must be able to fire
 //! on it.
 //!
-//! Four seeded mutants that reorder persists or change recovery logic, one
-//! cargo feature each, and one persist dropped by the drop-persist hook:
+//! A seeded bug is one `adcc_sim::hook::seeded()` call, false in every
+//! build and planted by `hook::mutating` in its verdict test below; a
+//! dropped persist is a site of the same hook. Five seeds reorder persists
+//! or change recovery logic:
 //!
-//! - `adcc_core/mutant-trust-counter`, in the one skeleton all five
-//!   `*-extended` iterate-history scenarios recover through:
-//!   `iterative::recover_and_resume` skips the invariant scan and believes
-//!   the flushed unit counter — the bug the scan exists to prevent.
-//!   **Killed**, by the hard gate, in all five (100 of 100 trials).
-//! - `adcc_core/mutant-ckpt-stale-counter`, in the one loop all four
-//!   `*-ckpt` scenarios run forward through: `baseline::run_with_ckpt`
-//!   checkpoints *before* it publishes progress, so a restore re-executes
-//!   a completed unit on that unit's own output. **Killed** in `cg-ckpt`
-//!   and `jacobi-ckpt`, whose units update in place; **survives** in
-//!   `stencil-ckpt` and `lu-ckpt`, which recompute one more unit and
-//!   answer right: a ping-pong sweep reads the buffer it does not write,
-//!   a left-looking block is rebuilt from the pristine input, so
+//! - `iterative.rs`, in the one skeleton all five `*-extended`
+//!   iterate-history scenarios recover through: `recover_and_resume` skips
+//!   the invariant scan and believes the flushed unit counter — the bug the
+//!   scan exists to prevent. **Killed**, by the hard gate, in all five (100
+//!   of 100 trials).
+//! - `baseline.rs`, in the one loop all four `*-ckpt` scenarios run forward
+//!   through: `run_with_ckpt` checkpoints *before* it publishes progress, so
+//!   a restore re-executes a completed unit on that unit's own output.
+//!   **Killed** in `cg-ckpt` and `jacobi-ckpt`, whose units update in place;
+//!   **survives** in `stencil-ckpt` and `lu-ckpt`, which recompute one more
+//!   unit and answer right: a ping-pong sweep reads the buffer it does not
+//!   write, a left-looking block is rebuilt from the pristine input, so
 //!   re-running either is idempotent — natural resilience, not an oracle
 //!   hole (their dirty restarts converge exactly).
-//! - `adcc_core/mutant-chain-early-join`, in `mc-epoch`'s batch recovery:
-//!   `McSim::recover_chain` drops its line-epoch guard, so a replay may
-//!   join the pilot before both apply every increment. **Survives**, here
-//!   and in `core`'s chain-vs-chain-of-one differential, and for a reason:
-//!   it is an equivalent mutant. Each counter line carries its epoch word
-//!   *in the line*, so a replay that has not reached a line's epoch holds a
-//!   word past the boundary it stands at, and one that has holds a word at
-//!   or before it — `same_future` compares those bytes, and already refuses
-//!   every join the guard refuses. The guard is a pre-filter that saves the
-//!   comparison, not a second condition.
-//! - `mc-epoch`'s periodic counter-line flush, dropped through the hook
-//!   (a row of the persist-necessity table, `tests/persist_necessity.rs`).
-//!   **Killed** by `scenarios::mc`'s replay-distance bound (52 of 1 200
-//!   crash points replay more than 80 lookups); **survives** this campaign's
-//!   outcome histogram, and for a reason: epoch recovery is exact from
-//!   whatever `(counters, epoch)` pair NVM holds, so the flush only bounds
-//!   how far it replays. What moves is `lost_units_total`, 308 → 421.
-//! - `adcc_dist/mutant-publish-first`, in the one commit all three
-//!   `dist-*-local` scenarios publish through: `persist::Mechanism::commit`
-//!   runs `publish` (counter → fence → off-node shipment) *before* it
-//!   persists the payload the counter names. **Killed** at module level
-//!   (`persist`'s publish-order test) and by the chaotic campaign, whose
-//!   node-loss units restore from a remote level that was shipped the new
-//!   counter with the old payload (8 silent of 400). **Survives** the
-//!   faultless campaign, byte for byte: every dist poll sits at `PH_MID` or
-//!   `PH_END`, none between the two halves of a commit, so no harvested
-//!   crash state can see their order — a coverage hole, and the same
-//!   mutant with the shipment left last survives the exhaustive chaotic
-//!   space too.
+//! - `mc/sim.rs`, in `mc-epoch`'s batch recovery: `McSim::recover_chain`
+//!   drops its line-epoch guard, so a replay may join the pilot before both
+//!   apply every increment. **Survives**, here and in `core`'s
+//!   chain-vs-chain-of-one differential, and for a reason: it is an
+//!   equivalent mutant. Each counter line carries its epoch word *in the
+//!   line*, so a replay that has not reached a line's epoch holds a word
+//!   past the boundary it stands at, and one that has holds a word at or
+//!   before it — so `MemorySystem::lead`, which decides a join, already
+//!   refuses every join the guard refuses. The guard is a pre-filter that
+//!   saves the comparison, not a second condition.
+//! - `persist.rs`, in the one commit all three `dist-*-local` scenarios
+//!   publish through: `Mechanism::commit` runs `publish` (counter → fence →
+//!   off-node shipment) *before* it persists the payload the counter names.
+//!   **Killed** at module level (`persist`'s publish-order test) and by the
+//!   chaotic campaign, whose node-loss units restore from a remote level
+//!   that was shipped the new counter with the old payload (8 silent of
+//!   400). **Survives** the faultless campaign, byte for byte: every dist
+//!   poll sits at `PH_MID` or `PH_END`, none between the two halves of a
+//!   commit, so no harvested crash state can see their order — a coverage
+//!   hole, and the same mutant with the shipment left last survives the
+//!   exhaustive chaotic space too.
+//! - `detect.rs`, in `adcc_ds`'s two-slot checkpoint: `Checkpoint::store`
+//!   persists the stale slot. **Killed** by the persist-order sanitizer
+//!   (`adcc_ds`'s `analyzer_mutants`).
 //!
-//! No default build enables a feature; the nightly `mutants` job runs this
-//! file clean and once per feature:
+//! and one persist is dropped: `mc-epoch`'s periodic counter-line flush (a
+//! row of the persist-necessity table, `tests/persist_necessity.rs`).
+//! **Killed** by `scenarios::mc`'s replay-distance bound (52 of 1 200 crash
+//! points replay more than 80 lookups); **survives** this campaign's outcome
+//! histogram, and for a reason: epoch recovery is exact from whatever
+//! `(counters, epoch)` pair NVM holds, so the flush only bounds how far it
+//! replays. What moves is `lost_units_total`, 308 → 421.
 //!
-//! ```text
-//! cargo test --release -p adcc_campaign --test protocol_mutants
-//! cargo test --release -p adcc_campaign --features adcc_core/mutant-trust-counter --test protocol_mutants
-//! cargo test --release -p adcc_campaign --features adcc_core/mutant-ckpt-stale-counter --test protocol_mutants
-//! cargo test --release -p adcc_campaign --features adcc_core/mutant-chain-early-join --test protocol_mutants
-//! cargo test --release -p adcc_campaign --features adcc_dist/mutant-publish-first --test protocol_mutants
-//! ```
-//!
-//! A scenario whose histogram does not move under a mutant, or moves
-//! without a silent corruption, is a survivor to explain (natural
-//! resilience, an oracle hole, an equivalent mutant) in ROADMAP's scoreboard —
-//! not a row to delete from [`CLEAN`].
+//! The hook is scoped to the calling thread, so a campaign under a seed
+//! runs on one thread. [`every_seed_is_reached_and_has_a_verdict`] records
+//! the seeds three campaigns reach: a seed nobody reaches, or one without a
+//! verdict test, fails it. A scenario whose histogram does not move under a
+//! seed, or moves without a silent corruption, is a survivor to explain
+//! (natural resilience, an oracle hole, an equivalent mutant) in ROADMAP's
+//! scoreboard — not a row to delete from [`CLEAN`].
+
+use std::sync::OnceLock;
 
 use adcc_campaign::engine::run_per_trial;
 use adcc_campaign::{
     run_campaign, CampaignConfig, CampaignReport, ImageMemory, OutcomeCounts, Registry,
     ScenarioReport,
 };
-use adcc_core::baseline::MUTANT_CKPT_STALE_COUNTER;
-use adcc_core::iterative::MUTANT_TRUST_COUNTER;
-use adcc_core::mc::sim::MUTANT_CHAIN_EARLY_JOIN;
 use adcc_dist::net::FaultProfile;
-use adcc_dist::persist::MUTANT_PUBLISH_FIRST;
-use adcc_sim::hook::{self, Op};
+use adcc_sim::hook::{self, Op, Site};
 
 /// A scenario's outcome histogram: `[exact, recomputed, detected, clean,
 /// silent]`.
 type Histogram = [u64; 5];
 
-/// The scenarios a seeded mutant sits under — the five that recover
-/// through `adcc_core::iterative`, the four that run forward through
+/// The scenarios a seeded bug sits under — the five that recover through
+/// `adcc_core::iterative`, the four that run forward through
 /// `baseline::run_with_ckpt`, the one that recovers through
 /// `McSim::recover_chain` — with their clean-tree histograms at [`config`].
 /// Dropping `mc-epoch`'s flush moves none of them: see [`EPOCH_LOST_UNITS`].
@@ -100,7 +94,7 @@ const CLEAN: [(&str, Histogram); 10] = [
     ("mc-epoch", [0, 20, 0, 0, 0]),
 ];
 
-/// `mutant-trust-counter` flips every trial of all five `*-extended`
+/// The `iterative.rs` seed flips every trial of all five `*-extended`
 /// scenarios to silent corruption. An entry that has to leave this list is
 /// a survivor.
 const TRUST_COUNTER: [(&str, Histogram); 5] = [
@@ -111,8 +105,8 @@ const TRUST_COUNTER: [(&str, Histogram); 5] = [
     ("stencil-extended", [0, 0, 0, 0, 20]),
 ];
 
-/// `mutant-ckpt-stale-counter` moves all four `*-ckpt` histograms: the
-/// first two are kills, the last two the survivors the header explains.
+/// The `baseline.rs` seed moves all four `*-ckpt` histograms: the first
+/// two are kills, the last two the survivors the header explains.
 const CKPT_STALE_COUNTER: [(&str, Histogram); 4] = [
     ("cg-ckpt", [0, 0, 19, 0, 1]),
     ("jacobi-ckpt", [0, 0, 18, 0, 2]),
@@ -126,22 +120,10 @@ const CKPT_STALE_COUNTER: [(&str, Histogram); 4] = [
 /// further.
 const EPOCH_LOST_UNITS: (&str, u64, u64) = ("mc-epoch", 308, 421);
 
-/// The histograms the mutant compiled into this build moves
-/// (`mutant-chain-early-join`, an equivalent mutant, moves none).
-fn moved_by_the_mutant() -> &'static [(&'static str, Histogram)] {
-    if MUTANT_TRUST_COUNTER {
-        &TRUST_COUNTER
-    } else if MUTANT_CKPT_STALE_COUNTER {
-        &CKPT_STALE_COUNTER
-    } else {
-        &[]
-    }
-}
-
 /// The three `dist-*-local` scenarios `Mechanism::commit`'s `Local` arm sits
 /// under, at [`dist_config`]: clean-tree histograms on the faultless fabric
-/// (which `mutant-publish-first` does not move) and on the chaotic tier,
-/// then the chaotic histogram under the mutant — its node-loss kills.
+/// (which the `persist.rs` seed does not move) and on the chaotic tier,
+/// then the chaotic histogram under the seed — its node-loss kills.
 const DIST_LOCAL: [(&str, Histogram, Histogram, Histogram); 3] = [
     (
         "dist-stencil-local",
@@ -160,6 +142,53 @@ const DIST_LOCAL: [(&str, Histogram, Histogram, Histogram); 3] = [
         [83, 0, 0, 0, 0],
         [66, 0, 0, 0, 0],
         [63, 0, 0, 0, 3],
+    ),
+];
+
+const ITERATIVE: &str = "crates/core/src/iterative.rs";
+const BASELINE: &str = "crates/core/src/baseline.rs";
+const MC_SIM: &str = "crates/core/src/mc/sim.rs";
+const PERSIST: &str = "crates/dist/src/persist.rs";
+
+const THIS: &str = include_str!("protocol_mutants.rs");
+
+/// Every seed, by the file of its `hook::seeded()` call, with each test
+/// whose verdict it moves: (seed, test source, test name).
+const VERDICTS: [(&str, &str, &str); 7] = [
+    (
+        BASELINE,
+        THIS,
+        "a_checkpoint_before_its_counter_is_killed_where_units_update_in_place",
+    ),
+    (
+        ITERATIVE,
+        THIS,
+        "the_hard_gate_fires_exactly_when_recovery_trusts_the_counter",
+    ),
+    (
+        MC_SIM,
+        THIS,
+        "an_early_chain_join_survives_batch_against_per_trial",
+    ),
+    (
+        MC_SIM,
+        include_str!("../../core/src/mc/sim.rs"),
+        "an_early_join_survives_the_chain_differentials",
+    ),
+    (
+        PERSIST,
+        THIS,
+        "a_swapped_publish_order_is_seen_through_the_remote_level_only",
+    ),
+    (
+        PERSIST,
+        include_str!("../../dist/src/persist.rs"),
+        "a_commit_that_publishes_first_is_out_of_order",
+    ),
+    (
+        "crates/ds/src/detect.rs",
+        include_str!("../../ds/tests/analyzer_mutants.rs"),
+        "reordered_two_slot_publish_is_flagged",
     ),
 ];
 
@@ -190,6 +219,63 @@ fn config() -> CampaignConfig {
     }
 }
 
+/// `cfg` on the calling thread alone, where its hook is.
+fn one_thread(cfg: CampaignConfig) -> CampaignConfig {
+    CampaignConfig { threads: 1, ..cfg }
+}
+
+/// The clean kernel and chaotic dist campaigns, and every seed site they
+/// and a ds 500 campaign reach.
+struct Recorded {
+    kernel: CampaignReport,
+    chaotic: CampaignReport,
+    seeds: Vec<Site>,
+}
+
+/// Recorded once, on whichever test thread asks first.
+fn recorded() -> &'static Recorded {
+    static RECORDED: OnceLock<Recorded> = OnceLock::new();
+    RECORDED.get_or_init(|| {
+        let ds = CampaignConfig {
+            registry: Registry::Ds,
+            ..CampaignConfig::default()
+        };
+        let run = |cfg| run_campaign(&one_thread(cfg));
+        let ((kernel, chaotic, _), sites) = hook::record(|| {
+            (
+                run(config()),
+                run(dist_config(FaultProfile::Chaotic)),
+                run(ds),
+            )
+        });
+        let seeds = sites.into_iter().filter(|s| s.op == Op::Seed).collect();
+        Recorded {
+            kernel,
+            chaotic,
+            seeds,
+        }
+    })
+}
+
+/// `cfg`'s campaign with the seed of `file` planted: the batch report,
+/// which the per-trial oracle matches byte for byte under the seed too.
+fn seeded(file: &str, cfg: CampaignConfig) -> CampaignReport {
+    let seed = recorded()
+        .seeds
+        .iter()
+        .find(|s| s.at.file() == file)
+        .unwrap_or_else(|| panic!("no campaign reaches a seed in {file}"));
+    let cfg = one_thread(cfg);
+    let (batch, oracle) = hook::mutating(*seed, || (run_campaign(&cfg), run_per_trial(&cfg)));
+    assert_eq!(
+        batch.canonical_string(),
+        oracle.canonical_string(),
+        "{file}: batch against per-trial; if this is the `mc/sim.rs` seed, it no longer \
+         survives: record the kill in ROADMAP's scoreboard and in this file's header"
+    );
+    batch
+}
+
 fn scenario<'a>(report: &'a CampaignReport, name: &str) -> &'a ScenarioReport {
     report
         .scenarios
@@ -215,11 +301,10 @@ fn histogram(report: &CampaignReport, name: &str) -> Histogram {
     ]
 }
 
-/// Every histogram of a [`config`] campaign as on file: clean, or, under
-/// a mutant, exactly the histograms on file for it moved, and every silent
-/// corruption of the campaign is one of its kills. Returns the kills.
-fn assert_histograms(report: &CampaignReport) -> u64 {
-    let moved = moved_by_the_mutant();
+/// Every histogram of a [`config`] campaign as on file: [`CLEAN`]'s, but
+/// for the ones in `moved`, and every silent corruption of the campaign is
+/// one of `moved`'s. Returns the kills.
+fn assert_histograms(report: &CampaignReport, moved: &[(&str, Histogram)]) -> u64 {
     for (name, clean) in CLEAN {
         let want = moved
             .iter()
@@ -231,29 +316,83 @@ fn assert_histograms(report: &CampaignReport) -> u64 {
     assert_eq!(
         report.silent_corruption_total(),
         kills,
-        "a scenario outside the mutant's family moved"
+        "a scenario outside the seed's family moved"
     );
     kills
 }
 
-/// Clean, zero silent corruption and every histogram as on file; under a
-/// mutant, exactly the histograms on file for it move.
+/// The five seeds above, each reached by one of the three campaigns, and
+/// each named in a verdict test that exists.
+#[test]
+fn every_seed_is_reached_and_has_a_verdict() {
+    let reached: Vec<&str> = recorded().seeds.iter().map(|s| s.at.file()).collect();
+    let mut on_file: Vec<&str> = VERDICTS.iter().map(|v| v.0).collect();
+    on_file.dedup();
+    assert_eq!(reached, on_file, "one seed per file, each with a verdict");
+    for (seed, source, name) in VERDICTS {
+        let test = format!("fn {name}()");
+        assert!(
+            source.contains(&test),
+            "{seed}: verdict test {name} is gone"
+        );
+    }
+}
+
+/// Clean, zero silent corruption and every histogram as on file; with
+/// recovery believing the counter, every `*-extended` trial is silent.
 #[test]
 fn the_hard_gate_fires_exactly_when_recovery_trusts_the_counter() {
-    let report = run_campaign(&config());
-    let kills = assert_histograms(&report);
-    let (name, clean, _) = EPOCH_LOST_UNITS;
-    assert_eq!(scenario(&report, name).lost_units_total, clean, "{name}");
+    let clean = &recorded().kernel;
+    assert_histograms(clean, &[]);
+    let (name, lost, _) = EPOCH_LOST_UNITS;
+    assert_eq!(scenario(clean, name).lost_units_total, lost, "{name}");
+    let report = seeded(ITERATIVE, config());
+    assert_eq!(assert_histograms(&report, &TRUST_COUNTER), 100);
+}
+
+#[test]
+fn a_checkpoint_before_its_counter_is_killed_where_units_update_in_place() {
+    let report = seeded(BASELINE, config());
+    assert_eq!(assert_histograms(&report, &CKPT_STALE_COUNTER), 3);
+}
+
+/// The `mc/sim.rs` seed reaches the batch side only (`run_trial` recovers
+/// `mc-epoch` through a chain of one, which meets no pilot), so batch
+/// against per-trial is the gate that would kill it — and, the mutant being
+/// equivalent, does not; every histogram stays clean.
+#[test]
+fn an_early_chain_join_survives_batch_against_per_trial() {
+    let report = seeded(MC_SIM, config());
+    assert_histograms(&report, &[]);
+}
+
+/// Killed on the chaotic tier, through the node-loss units alone (the
+/// `-restart` scenarios commit through the other arm and stay
+/// silent-free); a survivor on the faultless fabric, where no poll
+/// separates payload from publish.
+#[test]
+fn a_swapped_publish_order_is_seen_through_the_remote_level_only() {
+    let off = run_campaign(&dist_config(FaultProfile::Off));
+    let clean = &recorded().chaotic;
+    let chaotic = seeded(PERSIST, dist_config(FaultProfile::Chaotic));
+    for (name, clean_off, clean_chaotic, seeded_chaotic) in DIST_LOCAL {
+        assert_eq!(histogram(&off, name), clean_off, "{name}, faults off");
+        assert_eq!(histogram(clean, name), clean_chaotic, "{name}, chaotic");
+        assert_eq!(histogram(&chaotic, name), seeded_chaotic, "{name}, seeded");
+    }
+    assert_eq!(off.silent_corruption_total(), 0);
+    assert_eq!(clean.silent_corruption_total(), 0);
+    assert_eq!(chaotic.silent_corruption_total(), 8);
+    let seeded_off = seeded(PERSIST, dist_config(FaultProfile::Off));
     assert_eq!(
-        kills > 0,
-        MUTANT_TRUST_COUNTER || MUTANT_CKPT_STALE_COUNTER,
-        "the hard gate must fire under these two, and only then"
+        seeded_off.canonical_string(),
+        off.canonical_string(),
+        "the recorded survivor"
     );
 }
 
 /// `mc-epoch`'s periodic counter flush, dropped: every histogram stays as on
-/// file, only `mc-epoch` replays further. The hook is scoped to this thread,
-/// so the campaign runs on it alone.
+/// file, only `mc-epoch` replays further.
 #[test]
 fn a_dropped_epoch_flush_moves_lost_work_only() {
     let reg = Registry::Kernel.scenarios();
@@ -268,49 +407,16 @@ fn a_dropped_epoch_flush_moves_lost_work_only() {
         .filter(|s| s.op == Op::Flush && s.at.file().ends_with("mc/sim.rs"))
         .collect();
     assert_eq!(flushes.len(), 1, "one periodic counter flush: {flushes:?}");
-    let cfg = CampaignConfig {
-        threads: 1,
-        ..config()
-    };
-    let report = hook::dropping(flushes[0], || run_campaign(&cfg));
-    assert_histograms(&report);
+    let report = hook::mutating(flushes[0], || run_campaign(&one_thread(config())));
+    assert_histograms(&report, &[]);
     let (name, _, no_flush) = EPOCH_LOST_UNITS;
     assert_eq!(scenario(&report, name).lost_units_total, no_flush, "{name}");
 }
 
-/// `mutant-publish-first` against the dist campaign's hard gate: killed on
-/// the chaotic tier, through the node-loss units alone (the `-restart`
-/// scenarios commit through the other arm and stay silent-free); a survivor
-/// on the faultless fabric, where no poll separates payload from publish.
-#[test]
-fn a_swapped_publish_order_is_seen_through_the_remote_level_only() {
-    let off = run_campaign(&dist_config(FaultProfile::Off));
-    let chaotic = run_campaign(&dist_config(FaultProfile::Chaotic));
-    let mut kills = 0;
-    for (name, clean_off, clean_chaotic, mutant_chaotic) in DIST_LOCAL {
-        assert_eq!(histogram(&off, name), clean_off, "{name}, faults off");
-        let want = if MUTANT_PUBLISH_FIRST {
-            mutant_chaotic
-        } else {
-            clean_chaotic
-        };
-        assert_eq!(histogram(&chaotic, name), want, "{name}, chaotic");
-        kills += want[4];
-    }
-    assert_eq!(off.silent_corruption_total(), 0, "the recorded survivor");
-    assert_eq!(chaotic.silent_corruption_total(), kills);
-    assert_eq!(kills > 0, MUTANT_PUBLISH_FIRST);
-}
-
-/// Batch and per-trial both recover through the one iterate-history
-/// skeleton and run forward through the one checkpoint loop, so the
-/// batch-vs-`run_trial` gate holds with `mutant-trust-counter` or
-/// `mutant-ckpt-stale-counter` on too. `mutant-chain-early-join` is the other
-/// kind: it reaches the batch side only (`run_trial` recovers `mc-epoch`
-/// through a chain of one, which meets no pilot), so this comparison is the
-/// gate that would kill it — and, the mutant being equivalent, does not.
-/// Both dist paths commit through the one `Mechanism::commit`, so they agree
-/// under `mutant-publish-first` too, kills included.
+/// Batch and per-trial recover through the one iterate-history skeleton,
+/// run forward through the one checkpoint loop and commit through the one
+/// `Mechanism::commit`, so they agree on the clean tree, at the default
+/// thread count; under each seed, [`seeded`] asks the same.
 #[test]
 fn batch_and_per_trial_agree_either_way() {
     for cfg in [
@@ -321,8 +427,7 @@ fn batch_and_per_trial_agree_either_way() {
         assert_eq!(
             run_campaign(&cfg).canonical_string(),
             run_per_trial(&cfg).canonical_string(),
-            "{cfg:?}; mutant-chain-early-join: {MUTANT_CHAIN_EARLY_JOIN} — if on, it no \
-             longer survives: record the kill in ROADMAP's scoreboard and in this file's header"
+            "{cfg:?}"
         );
     }
 }

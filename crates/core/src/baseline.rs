@@ -18,17 +18,12 @@ use adcc_ckpt::manager::CkptManager;
 use adcc_pmem::stats::LogStats;
 use adcc_pmem::undo::{UndoPool, UndoPoolLayout};
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
+use adcc_sim::hook;
 use adcc_sim::image::NvmImage;
 use adcc_sim::parray::PScalar;
 use adcc_sim::system::{MemorySystem, SystemConfig};
 
 use crate::traits::DirtyRestart;
-
-/// `true` when this build carries the seeded `mutant-ckpt-stale-counter`
-/// bug (see [`run_with_ckpt`]); the mutation suite reads it to know which
-/// verdict to assert.
-#[doc(hidden)]
-pub const MUTANT_CKPT_STALE_COUNTER: bool = cfg!(feature = "mutant-ckpt-stale-counter");
 
 /// A plain application the baseline mechanisms protect: unit `u` (an
 /// iteration, a sweep, a block, a panel, a lookup) overwrites its state in
@@ -140,9 +135,9 @@ pub fn run_native<K: Baseline>(
 /// everywhere but MC — "checkpoint at the end of each iteration results in
 /// the same recomputation cost as our algorithm-based approach").
 ///
-/// With the `mutant-ckpt-stale-counter` feature the checkpoint is taken
-/// *before* progress is published, so a restore re-executes a completed
-/// unit on that unit's own output — seeded for the mutation suite.
+/// A seeded bug ([`hook::seeded`]) checkpoints *before* progress is
+/// published, so a restore re-executes a completed unit on that unit's own
+/// output.
 pub fn run_with_ckpt<K: Baseline>(
     emu: &mut CrashEmulator,
     k: &K,
@@ -154,12 +149,13 @@ pub fn run_with_ckpt<K: Baseline>(
     for u in 0..k.units() {
         carry = completed!(k.unit(emu, u, carry));
         if (u + 1).is_multiple_of(period) {
-            if MUTANT_CKPT_STALE_COUNTER {
+            let stale = hook::seeded();
+            if stale {
                 mgr.checkpoint(emu);
             }
             k.store_carry(emu, carry);
             k.progress().set(emu, (u + 1) as u64);
-            if !MUTANT_CKPT_STALE_COUNTER {
+            if !stale {
                 mgr.checkpoint(emu);
             }
         }

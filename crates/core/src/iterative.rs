@@ -16,17 +16,12 @@
 
 use adcc_sim::clock::SimTime;
 use adcc_sim::crash::{CrashEmulator, CrashTrigger, RunOutcome};
+use adcc_sim::hook;
 use adcc_sim::image::NvmImage;
 use adcc_sim::parray::PScalar;
 use adcc_sim::system::{MemorySystem, SystemConfig};
 
 use crate::traits::{DirtyRestart, RecoveryReport};
-
-/// `true` when this build carries the seeded `mutant-trust-counter` bug
-/// (see [`recover_and_resume`]); the mutation suite reads it to know which
-/// verdict to assert.
-#[doc(hidden)]
-pub const MUTANT_TRUST_COUNTER: bool = cfg!(feature = "mutant-trust-counter");
 
 /// An iterative kernel extended with an iterate history: unit `i` (an
 /// iteration, a sweep) reads history row `i` and writes row `i + 1`, and
@@ -112,9 +107,8 @@ fn run_to<K: Extended>(
 /// (`resume_time`, the paper's "resuming computation time"), then run to
 /// completion.
 ///
-/// With the `mutant-trust-counter` feature the invariant scan is skipped
-/// and the flushed counter is believed — the bug the scan exists to
-/// prevent, seeded for the mutation suite.
+/// A seeded bug ([`hook::seeded`]) skips the invariant scan and believes
+/// the flushed counter — the bug the scan exists to prevent.
 pub fn recover_and_resume<K: Extended>(
     k: &K,
     image: &NvmImage,
@@ -125,7 +119,7 @@ pub fn recover_and_resume<K: Extended>(
     let crashed = k.counter().get(&mut sys) as usize;
 
     let t0 = sys.now();
-    let restart_from = if MUTANT_TRUST_COUNTER {
+    let restart_from = if hook::seeded() {
         Some(crashed.min(units - 1))
     } else {
         k.detect_restart(&mut sys)

@@ -50,6 +50,7 @@ use std::sync::{Arc, OnceLock};
 
 use adcc_sim::clock::{Bucket, SimTime};
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
+use adcc_sim::hook;
 use adcc_sim::image::{BootImage, NvmImage};
 use adcc_sim::parray::{PArray, PScalar, Pod};
 use adcc_sim::system::{Follower, MemorySystem, SystemConfig};
@@ -564,8 +565,8 @@ impl McSim {
                 // the boundary in a replay that has not reached it, at or
                 // before it in one that has — so `lead` refuses those
                 // boundaries by itself. The guard only saves the comparison
-                // (`mutant-chain-early-join` drops it).
-                MUTANT_CHAIN_EARLY_JOIN
+                // (a seeded bug drops it).
+                hook::seeded()
                     || follower.next >= follower.kind.own_until().max(pilot.kind.own_until())
             },
         )
@@ -715,12 +716,6 @@ pub struct Chain<T> {
     /// have charged.)
     pub simulated_accesses: u64,
 }
-
-/// `true` when this build carries the seeded `mutant-chain-early-join` bug
-/// (see [`McSim::recover_chain`]); the mutation suite reads it to know which
-/// verdict to assert.
-#[doc(hidden)]
-pub const MUTANT_CHAIN_EARLY_JOIN: bool = cfg!(feature = "mutant-chain-early-join");
 
 /// A machine over the bytes of `image`, caches cold: an image the chain owns
 /// becomes the pool, one it borrowed is copied into it.
@@ -991,6 +986,7 @@ impl LookupMem for ImageGrids<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adcc_sim::hook::Op;
 
     fn small_problem() -> McProblem {
         McProblem::generate(36, 128, 11)
@@ -1290,6 +1286,21 @@ mod tests {
         let in_full = alone[10].accesses + loner.accesses;
         assert!(chain.simulated_accesses > in_full);
         assert!(chain.simulated_accesses < in_full + alone[50].accesses);
+    }
+
+    /// The seeded bug in [`McSim::recover_chain`], its line-epoch guard
+    /// dropped, is an equivalent mutant: every chain above still equals its
+    /// states recovered alone.
+    #[test]
+    fn an_early_join_survives_the_chain_differentials() {
+        let (mc, images, alone) = epoch_run();
+        let (_, sites) = hook::record(|| chain_equals_alone(mc, images, alone, &[0, 1]));
+        let seeds: Vec<_> = sites.into_iter().filter(|s| s.op == Op::Seed).collect();
+        assert_eq!(seeds.len(), 1, "the guard: {seeds:?}");
+        hook::mutating(seeds[0], || {
+            chained_epoch_recovery_equals_recovery_alone_at_every_crash_point();
+            a_follower_that_never_joins_runs_to_the_end_and_is_still_exact();
+        });
     }
 
     /// `image` with the loop index overwritten.

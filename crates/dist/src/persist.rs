@@ -51,19 +51,13 @@ use std::sync::Arc;
 use adcc_ckpt::mem::MemCheckpoint;
 use adcc_ckpt::multilevel::{MultilevelCheckpoint, RemoteStore, RemoteTiming};
 use adcc_sim::clock::Bucket;
+use adcc_sim::hook;
 use adcc_sim::parray::{PArray, PScalar};
 use adcc_sim::system::MemorySystem;
 
 use crate::cluster::Cluster;
 use crate::sites;
 use crate::trial::{run_superstep, CrashInfo, DistKernel, Recovery, RecoveryMode};
-
-/// `true` when this build carries the seeded `mutant-publish-first` bug:
-/// [`Mechanism::commit`] publishes the counter (and ships off-node) *before*
-/// it persists the payload the counter names. The mutation suites read it
-/// to know which verdict to assert.
-#[doc(hidden)]
-pub const MUTANT_PUBLISH_FIRST: bool = cfg!(feature = "mutant-publish-first");
 
 /// What one rank hands the mechanism at setup.
 pub struct Partition<'a> {
@@ -349,11 +343,13 @@ impl Mechanism {
                     scalar: pair,
                     ..
                 } = local.cells[rank];
-                if MUTANT_PUBLISH_FIRST {
+                // A seeded bug publishes (and ships off-node) first.
+                let first = hook::seeded();
+                if first {
                     local.publish(sys, rank, iter);
                 }
                 persist_payload(sys, (slots, pair), iter, scalar, fill);
-                if !MUTANT_PUBLISH_FIRST {
+                if !first {
                     local.publish(sys, rank, iter);
                 }
             }
@@ -570,6 +566,7 @@ mod tests {
     use crate::trial::poll_phase;
     use adcc_sim::crash::{CrashSite, CrashTrigger};
     use adcc_sim::events::{EventKind, EventRecorder};
+    use adcc_sim::hook::Op;
     use adcc_sim::line::line_of;
     use std::cell::Cell;
 
@@ -628,12 +625,10 @@ mod tests {
         }
     }
 
-    /// The one publish order and the one read order of the algorithm-
-    /// directed protocol: payload flushed before the first fence, counter
-    /// stored after it and flushed before the second; recovery reads the
-    /// counter before any slot line.
-    #[test]
-    fn a_commit_publishes_payload_then_counter_and_recovery_reads_them_in_that_order() {
+    /// Rank 0's commit of superstep 1 under the recorder: whether its
+    /// payload is flushed and fenced before the counter is stored, and
+    /// whether the counter is then flushed before the second fence.
+    fn commit_order() -> (bool, bool) {
         let (mut cl, mut kernel) = two_rank_stencil(&[]);
         let cells = cells_of(&mut kernel, 0);
         kernel.compute(&mut cl, 1, true);
@@ -664,17 +659,19 @@ mod tests {
         assert_eq!(slot_flushes.len(), slot_lines.count(), "every slot line");
         assert_eq!(counter_stores.len(), 1);
         assert_eq!(counter_flushes.len(), 1);
-        let payload_fenced_first =
-            slot_flushes.iter().all(|&s| s < fences[0]) && fences[0] < counter_stores[0];
-        assert_eq!(
-            payload_fenced_first, !MUTANT_PUBLISH_FIRST,
-            "counter published after the payload fence, unless seeded otherwise: {events:?}"
-        );
-        if MUTANT_PUBLISH_FIRST {
-            // Killed here; the read order below is not the mutant's.
-            return;
-        }
-        assert!(counter_stores[0] < counter_flushes[0] && counter_flushes[0] < fences[1]);
+        (
+            slot_flushes.iter().all(|&s| s < fences[0]) && fences[0] < counter_stores[0],
+            counter_stores[0] < counter_flushes[0] && counter_flushes[0] < fences[1],
+        )
+    }
+
+    /// The one publish order and the one read order of the algorithm-
+    /// directed protocol: payload flushed before the first fence, counter
+    /// stored after it and flushed before the second; recovery reads the
+    /// counter before any slot line.
+    #[test]
+    fn a_commit_publishes_payload_then_counter_and_recovery_reads_them_in_that_order() {
+        assert_eq!(commit_order(), (true, true));
 
         // Crash rank 0 at the end of superstep 3 and recover it.
         let site = CrashSite::new(sites::PH_END, 3);
@@ -701,5 +698,14 @@ mod tests {
             Some((1, 1, cells.slots[3 % 2].base()))
         );
         assert!(poll_phase(&mut cl, sites::PH_END, 3).is_none(), "disarmed");
+    }
+    /// The seeded bug in [`Mechanism::commit`], which publishes the counter
+    /// before it persists the payload, is killed by the publish order.
+    #[test]
+    fn a_commit_that_publishes_first_is_out_of_order() {
+        let (_, sites) = hook::record(commit_order);
+        let seeds: Vec<_> = sites.into_iter().filter(|s| s.op == Op::Seed).collect();
+        assert_eq!(seeds.len(), 1, "{seeds:?}");
+        assert!(!hook::mutating(seeds[0], commit_order).0);
     }
 }

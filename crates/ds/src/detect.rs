@@ -14,6 +14,7 @@
 //!   recovery exactly which operation was in flight for each client —
 //!   the detectability property a bare CAS cannot offer.
 
+use adcc_sim::hook;
 use adcc_sim::parray::PArray;
 use adcc_sim::system::MemorySystem;
 
@@ -62,15 +63,15 @@ impl Checkpoint {
         };
         self.slots.set(sys, dst, tag);
         self.slots.set(sys, dst + 1, value);
-        #[cfg(not(feature = "mutant-ckpt-slot"))]
-        sys.persist_line(self.slots.addr(dst));
-        // Seeded mutant for the analyzer's mutation suite: persist the
-        // *winning* (clean) slot line instead of the one just written —
-        // the two-slot publish is reordered and the new value never
-        // becomes durable (a redundant flush of a clean line plus an
-        // unpersisted store).
-        #[cfg(feature = "mutant-ckpt-slot")]
-        sys.persist_line(self.slots.addr(if dst == 0 { LINE_WORDS } else { 0 }));
+        // A seeded bug persists the *winning* (clean) slot line instead:
+        // the new value never becomes durable (a redundant flush of a
+        // clean line plus an unpersisted store).
+        let line = if hook::seeded() {
+            LINE_WORDS - dst
+        } else {
+            dst
+        };
+        sys.persist_line(self.slots.addr(line));
         sys.sfence();
     }
 

@@ -5,18 +5,12 @@
 //! - the drop-persist hook skips `PAlloc::reinit`'s ordered head persist
 //!   → the hottest metadata line is still dirty when the fence retires
 //!   (`unpersisted-store`).
-//! - `mutant-ckpt-slot`: `Checkpoint::store` persists the *stale* slot
-//!   line instead of the one it just wrote → the two-slot publish is
-//!   reordered (`redundant-flush` on the clean line, plus an
+//! - the seeded bug in `Checkpoint::store` (`hook::seeded`) persists the
+//!   *stale* slot line instead of the one it just wrote → the two-slot
+//!   publish is reordered (`redundant-flush` on the clean line, plus an
 //!   `unpersisted-store` on the written one).
 //!
-//! The clean tree must be silent on both protocols. The nightly
-//! `mutants` job runs this file both ways:
-//!
-//! ```text
-//! cargo test -p adcc_ds --test analyzer_mutants
-//! cargo test -p adcc_ds --features mutant-ckpt-slot --test analyzer_mutants
-//! ```
+//! The clean tree must be silent on both protocols.
 
 use adcc_analyze::{analyze, Checks, Diagnostic, Region, Role};
 use adcc_ds::{Checkpoint, PAlloc};
@@ -95,21 +89,16 @@ fn ckpt_store_diagnostics() -> Vec<Diagnostic> {
     analyze(rec.events(), &regions).protocol
 }
 
-#[cfg(not(feature = "mutant-ckpt-slot"))]
-mod clean {
-    use super::*;
+#[test]
+fn clean_alloc_reinit_reports_zero_diagnostics() {
+    let diags = alloc_reinit_diagnostics(|a, s| a.reinit(s));
+    assert!(diags.is_empty(), "clean tree must be silent: {diags:?}");
+}
 
-    #[test]
-    fn clean_alloc_reinit_reports_zero_diagnostics() {
-        let diags = alloc_reinit_diagnostics(|a, s| a.reinit(s));
-        assert!(diags.is_empty(), "clean tree must be silent: {diags:?}");
-    }
-
-    #[test]
-    fn clean_ckpt_store_reports_zero_diagnostics() {
-        let diags = ckpt_store_diagnostics();
-        assert!(diags.is_empty(), "clean tree must be silent: {diags:?}");
-    }
+#[test]
+fn clean_ckpt_store_reports_zero_diagnostics() {
+    let diags = ckpt_store_diagnostics();
+    assert!(diags.is_empty(), "clean tree must be silent: {diags:?}");
 }
 
 #[test]
@@ -124,7 +113,7 @@ fn skipped_head_persist_is_flagged_as_unpersisted_store() {
         .collect();
     assert_eq!(persists.len(), 2, "{persists:?}");
     let head = persists[1];
-    let diags = alloc_reinit_diagnostics(|a, s| hook::dropping(head, || a.reinit(s)));
+    let diags = alloc_reinit_diagnostics(|a, s| hook::mutating(head, || a.reinit(s)));
     assert!(!diags.is_empty(), "mutant must be caught");
     assert!(
         diags
@@ -134,11 +123,13 @@ fn skipped_head_persist_is_flagged_as_unpersisted_store() {
     );
 }
 
-#[cfg(feature = "mutant-ckpt-slot")]
 #[test]
 fn reordered_two_slot_publish_is_flagged() {
     use adcc_analyze::Category;
-    let diags = ckpt_store_diagnostics();
+    let (_, sites) = hook::record(ckpt_store_diagnostics);
+    let seeds: Vec<_> = sites.into_iter().filter(|s| s.op == Op::Seed).collect();
+    assert_eq!(seeds.len(), 1, "{seeds:?}");
+    let diags = hook::mutating(seeds[0], ckpt_store_diagnostics);
     assert!(
         diags.iter().any(|d| d.category == Category::RedundantFlush),
         "the stale-slot flush must be flagged redundant: {diags:?}"

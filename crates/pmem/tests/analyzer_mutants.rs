@@ -86,7 +86,7 @@ fn skipped_commit_writeback_is_flagged_as_ordering_race() {
         .iter()
         .find(|s| s.op == Op::Flush && s.at.file().ends_with("undo.rs"))
         .expect("commit persists");
-    let diags = tx_commit_diagnostics(|p, s| hook::dropping(writeback, || p.tx_commit(s)));
+    let diags = tx_commit_diagnostics(|p, s| hook::mutating(writeback, || p.tx_commit(s)));
     assert!(
         diags
             .iter()

@@ -1,15 +1,18 @@
-//! The drop-persist hook: a thread-scoped test hook on the persist path.
+//! The mutation hook: a thread-scoped test hook on the persist path and
+//! at every seeded bug.
 //!
 //! Every persist and fence entry point of [`MemorySystem`] (and the
 //! `PArray`/`PScalar` wrappers over them) is `#[track_caller]`, so a flush
 //! or a fence is attributed to the call in the program that asked for it —
 //! a kernel's `persist_range`, a mechanism's `sfence` — not to a line of
-//! the simulator. That call is a [`Site`]. Inside [`record`] every site
-//! the closure reaches is listed; inside [`dropping`] the flushes, or the
-//! fence, of one site are skipped, as if the call had been deleted; inside
-//! [`with_cpu_cache`] every machine built gets that CPU cache instead of its
-//! configured one. Mutation tests ask of each persist whether recovery stays
-//! right without it.
+//! the simulator. That call is a [`Site`], as is each [`seeded`] call, the
+//! branch a seeded bug takes. Inside [`record`] every site the closure
+//! reaches is listed; inside [`mutating`] one site is mutated — a persist
+//! site's flushes or fence skipped, as if the call had been deleted, a seed
+//! planted; inside [`with_cpu_cache`] every machine built gets that CPU
+//! cache instead of its configured one. Mutation tests ask of each persist
+//! whether recovery stays right without it, and of each seed whether a gate
+//! sees it.
 //!
 //! The hook is empty by default and scoped to the calling thread: it is
 //! no [`SystemConfig`](crate::system::SystemConfig) field, and a machine
@@ -30,10 +33,12 @@ pub enum Op {
     Flush,
     /// The ordering fence.
     Fence,
+    /// A [`seeded`] bug.
+    Seed,
 }
 
-/// One persist or fence call in the program, and what it issues there
-/// (`persist_lines_batched` issues both from one call).
+/// One persist, fence or [`seeded`] call in the program, and what it
+/// issues there (`persist_lines_batched` issues a flush and a fence).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Site {
     /// The call.
@@ -45,13 +50,13 @@ pub struct Site {
 #[derive(Default)]
 struct Hook {
     recorded: Option<BTreeSet<Site>>,
-    dropped: Option<Site>,
+    mutated: Option<Site>,
     cpu_cache: Option<CacheConfig>,
 }
 
 impl Hook {
     fn active(&self) -> bool {
-        self.recorded.is_some() || self.dropped.is_some() || self.cpu_cache.is_some()
+        self.recorded.is_some() || self.mutated.is_some() || self.cpu_cache.is_some()
     }
 }
 
@@ -62,8 +67,8 @@ thread_local! {
     static HOOK: RefCell<Hook> = RefCell::new(Hook::default());
 }
 
-/// Whether the persist or fence being issued from the caller's site is to
-/// be skipped; notes the site when recording.
+/// Whether the caller's site is the one mutated: its persist or fence is
+/// to be skipped, its seed planted. Notes the site when recording.
 #[inline]
 #[track_caller]
 pub(crate) fn skips(op: Op) -> bool {
@@ -74,13 +79,21 @@ pub(crate) fn skips(op: Op) -> bool {
         })
 }
 
+/// Whether the seeded bug at the caller's site is planted: only inside
+/// [`mutating`] that site. Outside the hook, one thread-local read.
+#[inline]
+#[track_caller]
+pub fn seeded() -> bool {
+    skips(Op::Seed)
+}
+
 #[cold]
 fn hooked(site: Site) -> bool {
     HOOK.with_borrow_mut(|h| {
         if let Some(r) = &mut h.recorded {
             r.insert(site);
         }
-        h.dropped == Some(site)
+        h.mutated == Some(site)
     })
 }
 
@@ -122,10 +135,11 @@ pub fn record<R>(f: impl FnOnce() -> R) -> (R, Vec<Site>) {
     (r, sites)
 }
 
-/// Run `f` with the flushes, or the fence, of `site` skipped.
-pub fn dropping<R>(site: Site, f: impl FnOnce() -> R) -> R {
-    let outer = update(|h| h.dropped.replace(site));
-    let _restore = Restore(|| update(|h| h.dropped = outer));
+/// Run `f` with `site` mutated: the flushes, or the fence, of a persist
+/// site skipped; a seed site's bug planted.
+pub fn mutating<R>(site: Site, f: impl FnOnce() -> R) -> R {
+    let outer = update(|h| h.mutated.replace(site));
+    let _restore = Restore(|| update(|h| h.mutated = outer));
     f()
 }
 
@@ -202,7 +216,7 @@ mod tests {
         a.set(&mut s, 1);
         b.set(&mut s, 2);
         let fences = s.stats().sfences;
-        dropping(sites[0], || {
+        mutating(sites[0], || {
             persist(&mut s, a);
             b.persist(&mut s);
             s.sfence();
@@ -214,6 +228,18 @@ mod tests {
         persist(&mut s, a);
         assert_eq!(s.nvm_snapshot().read_u64(a.addr()), 1, "the scope ended");
         assert!(!ACTIVE.get());
+    }
+
+    /// A seed is planted at its own site inside [`mutating`] only;
+    /// recording finds it without planting it.
+    #[test]
+    fn a_seed_is_planted_at_its_own_site_only() {
+        let seed = || seeded();
+        let (planted, sites) = record(seed);
+        assert!(!planted);
+        assert_eq!(sites.iter().map(|s| s.op).collect::<Vec<_>>(), [Op::Seed]);
+        mutating(sites[0], || assert!(seed() && !seeded(), "another site"));
+        assert!(!seed(), "the scope ended");
     }
 
     /// Inside [`with_cpu_cache`] a machine is built with the given CPU

@@ -55,7 +55,7 @@ fn dropped_epoch_fence_is_flagged_as_missing_fence() {
         .iter()
         .find(|s| s.op == Op::Fence && s.at.file().ends_with("epoch.rs"))
         .expect("the barrier fences");
-    let diags = hook::dropping(fence, epoch_publish_diagnostics);
+    let diags = hook::mutating(fence, epoch_publish_diagnostics);
     assert_eq!(diags.len(), 4, "one open window per line: {diags:?}");
     assert!(
         diags.iter().all(|d| d.category == Category::MissingFence),

@@ -3,7 +3,8 @@
 //! asks of each persist ordering and EasyCrash of each data object.
 //!
 //! A recording run lists the sites each scenario reaches: every call that
-//! issues a flush or a fence (`adcc_sim::hook`). Then each site is dropped
+//! issues a flush or a fence (`adcc_sim::hook`; its seeded bugs are not
+//! swept here). Then each site is dropped
 //! in turn, and every scenario that reaches it re-runs its poll-exhaustive
 //! sweep — one crash state at every site-grain crash point — at two CPU
 //! caches: the campaign's own, and one that holds the whole working set, so
@@ -150,6 +151,7 @@ impl Key {
         match self.op {
             Op::Flush => "flush",
             Op::Fence => "fence",
+            Op::Seed => unreachable!("seed sites are not swept"),
         }
     }
 }
@@ -226,7 +228,9 @@ fn clean_sweeps(scenarios: &[Box<dyn Scenario>]) -> Vec<Vec<Clean>> {
         |&(i, _)| scenarios[i].total_units(),
         |&(i, cache)| {
             let t0 = Instant::now();
-            let (sweep, reached) = hook::record(|| sweep(scenarios[i].as_ref(), cache));
+            let (sweep, mut reached) = hook::record(|| sweep(scenarios[i].as_ref(), cache));
+            // A seeded bug is no persist: its verdicts are their own tests.
+            reached.retain(|site| site.op != Op::Seed);
             let nanos = t0.elapsed().as_nanos() as u64;
             Clean {
                 sweep,
@@ -263,7 +267,7 @@ fn findings(
         |&(_, c, i)| clean[i][c].nanos,
         |&(k, c, i)| {
             let dropped = catch_unwind(AssertUnwindSafe(|| {
-                hook::dropping(sites[k], || sweep(scenarios[i].as_ref(), CACHES[c]))
+                hook::mutating(sites[k], || sweep(scenarios[i].as_ref(), CACHES[c]))
             }));
             match dropped {
                 Ok(dropped) => criterion(&clean[i][c].sweep, &dropped),
@@ -413,7 +417,7 @@ fn the_paper_cg_counter_persist_bounds_lost_work_at_the_whole_set_cache_only() {
         1,
         "CG persists its counter only: {persists:?}"
     );
-    let found = CACHES.map(|cache| hook::dropping(persists[0], || sweep(cg, cache)));
+    let found = CACHES.map(|cache| hook::mutating(persists[0], || sweep(cg, cache)));
     assert_eq!(criterion(&clean[0], &found[0]), None, "campaign cache");
     assert_eq!(
         criterion(&clean[1], &found[1]),
