@@ -446,7 +446,7 @@ pub fn run_per_trial(cfg: &CampaignConfig) -> CampaignReport {
 /// `k % n == i` of each scenario's full plan — the partition is over the
 /// *planned* sequence, not the unit values, so it is stable under
 /// duplicate points and exactly tiles the unsharded plan.
-fn plan(cfg: &CampaignConfig, scenarios: &[Box<dyn Scenario>]) -> Vec<Vec<u64>> {
+pub(crate) fn plan(cfg: &CampaignConfig, scenarios: &[Box<dyn Scenario>]) -> Vec<Vec<u64>> {
     let n = scenarios.len() as u64;
     let base = cfg.budget_states / n;
     let rem = cfg.budget_states % n;

@@ -1,13 +1,12 @@
 //! BiCGSTAB scenarios: the algorithm extension with full and bounded
 //! (ring-buffer) iteration histories.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use adcc_core::bicgstab::{bicgstab_host, sites, ExtendedBiCgStab};
 use adcc_resilience::Tolerance;
 use adcc_sim::system::{MemorySystem, SystemConfig};
 
-use super::harness::Workload;
 use super::iterative::Iterative;
 use super::{phase_trigger, trim_dram, Linear};
 use crate::scenario::{Kernel, Mechanism, ScenarioInfo, UnitSpace};
@@ -23,8 +22,11 @@ const PROBLEM_SEED: u64 = 302;
 /// ~156k element accesses; a 16-access stride carries ~9.7k points).
 const DENSE_STRIDE: u64 = 16;
 
+/// The family's problem, built once per process.
 pub(crate) fn problem() -> Arc<Linear> {
-    Linear::new(PROBLEM_SEED, |a, b| bicgstab_host(a, b, ITERS))
+    static PROBLEM: OnceLock<Arc<Linear>> = OnceLock::new();
+    let solve = || Linear::new(PROBLEM_SEED, |a, b| bicgstab_host(a, b, ITERS));
+    PROBLEM.get_or_init(solve).clone()
 }
 
 /// Dirty-restart residual tolerance. BiCGSTAB's recurrence has no
@@ -46,7 +48,10 @@ const BI_PHASES: [u32; 2] = [sites::PH_AFTER_XR, sites::PH_ITER_END];
 
 /// Extended BiCGSTAB over a history of `window` rows ([`FULL`] or
 /// [`WINDOW`]).
-pub(crate) fn extended(p: &Arc<Linear>, window: usize) -> impl Workload {
+pub(crate) fn extended(
+    p: &Arc<Linear>,
+    window: usize,
+) -> Iterative<impl Fn(&mut MemorySystem) -> (ExtendedBiCgStab, f64) + Send + Sync> {
     let p = p.clone();
     let (name, mechanism) = if window > ITERS {
         ("bicgstab-extended", Mechanism::Extended)

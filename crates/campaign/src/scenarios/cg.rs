@@ -3,7 +3,7 @@
 //! undo-log transaction every iteration — as two values of
 //! [`BaselineCase`].
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use adcc_core::baseline;
 use adcc_core::cg::{cg_host, sites, ExtendedCg, PlainCg};
@@ -25,8 +25,11 @@ const PROBLEM_SEED: u64 = 301;
 /// carries ~10k dense points before spilling past the run.
 const DENSE_STRIDE: u64 = 10;
 
+/// The family's problem, built once per process.
 pub(crate) fn problem() -> Arc<Linear> {
-    Linear::new(PROBLEM_SEED, |a, b| cg_host(a, b, ITERS))
+    static PROBLEM: OnceLock<Arc<Linear>> = OnceLock::new();
+    let solve = || Linear::new(PROBLEM_SEED, |a, b| cg_host(a, b, ITERS));
+    PROBLEM.get_or_init(solve).clone()
 }
 
 /// Dirty-restart residual tolerance. Krylov continuation on a torn
@@ -57,7 +60,9 @@ const CG_PHASES: [u32; 4] = [
 
 /// Extended CG with invariant-scan recovery; crash points sweep the four
 /// instrumented statements of every iteration.
-pub(crate) fn extended(p: &Arc<Linear>) -> impl Workload {
+pub(crate) fn extended(
+    p: &Arc<Linear>,
+) -> Iterative<impl Fn(&mut MemorySystem) -> (ExtendedCg, f64) + Send + Sync> {
     let p = p.clone();
     Iterative {
         info: ScenarioInfo::new(

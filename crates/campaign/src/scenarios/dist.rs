@@ -42,8 +42,7 @@
 //! behind [`Scenario::run_trial`] — the oracle the batch path is checked
 //! against.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use adcc_dist::cg::{DistCg, Spd};
 use adcc_dist::cluster::{Cluster, RankFailure};
@@ -60,7 +59,7 @@ use adcc_linalg::vecops::max_diff;
 use adcc_resilience::{DirtyTrial, Tolerance};
 use adcc_sim::crash::{CrashSite, CrashTrigger};
 
-use super::{merge, verified_completion, StateResult};
+use super::{merge, once_per_process, verified_completion, StateResult};
 use crate::memstats::ImageMemory;
 use crate::scenario::{
     Classified, Harvested, Kernel, Mechanism, PassOutput, Passes, Scenario, ScenarioInfo, Trial,
@@ -218,35 +217,11 @@ struct Dist<K> {
     /// Site-grain block sizes `(singleton, cascade, node_loss)`.
     blocks: (u64, u64, u64),
     /// The crash-free cluster execution, looked up on first use (see
-    /// [`cached_reference`]) and then shared by every trial of this
+    /// [`Dist::reference`]) and then shared by every trial of this
     /// scenario: per-trial classification needs its solution, the batch
     /// path also its per-superstep resume states (to short-circuit resumed
     /// tails).
     reference: OnceLock<&'static ReferenceRun>,
-}
-
-/// The process-wide reference cache. A crash-free run is a pure function
-/// of the scenario's fixed config — which its name (kernel family and
-/// recovery mode) and fault profile pin — and every `run_campaign`
-/// rebuilds the registry, so the cluster execution behind it runs once per
-/// process rather than once per registry build (as
-/// [`super::mc::reference_counts`] does for MC). The map hands out one
-/// leaked cell per key; the run itself happens outside the map's lock, so
-/// scenarios compute their references concurrently.
-fn cached_reference(
-    name: &'static str,
-    faults: FaultProfile,
-    run: impl FnOnce() -> ReferenceRun,
-) -> &'static ReferenceRun {
-    type Cells = Mutex<HashMap<(&'static str, &'static str), &'static OnceLock<ReferenceRun>>>;
-    static CELLS: OnceLock<Cells> = OnceLock::new();
-    let cell: &'static OnceLock<ReferenceRun> = CELLS
-        .get_or_init(Cells::default)
-        .lock()
-        .expect("reference cache poisoned")
-        .entry((name, faults.name()))
-        .or_insert_with(|| Box::leak(Box::default()));
-    cell.get_or_init(run)
 }
 
 impl<K: DistKernel> Dist<K> {
@@ -290,9 +265,12 @@ impl<K: DistKernel> Dist<K> {
         (self.family.build)(self.mode, failures)
     }
 
+    /// The crash-free cluster execution: a pure function of the scenario's
+    /// fixed config, which its name (kernel family and recovery mode) and
+    /// fault profile pin, so it runs once per process (see [`once_per_process`]).
     fn reference(&self) -> &'static ReferenceRun {
         self.reference.get_or_init(|| {
-            cached_reference(self.info.name, self.family.faults, || {
+            once_per_process((self.info.name, self.family.faults.name()), || {
                 let (mut cl, mut kernel) = self.build(&[]);
                 reference_run(&mut cl, &mut kernel)
             })

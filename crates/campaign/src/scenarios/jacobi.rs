@@ -1,6 +1,6 @@
 //! Jacobi scenarios: algorithm extension and per-iteration checkpoint.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use adcc_core::baseline;
 use adcc_core::jacobi::{jacobi_host, sites, ExtendedJacobi, PlainJacobi};
@@ -21,8 +21,11 @@ const PROBLEM_SEED: u64 = 303;
 /// ~79k element accesses; an 8-access stride carries ~9.8k points).
 const DENSE_STRIDE: u64 = 8;
 
+/// The family's problem, built once per process.
 pub(crate) fn problem() -> Arc<Linear> {
-    Linear::new(PROBLEM_SEED, |a, b| jacobi_host(a, b, ITERS))
+    static PROBLEM: OnceLock<Arc<Linear>> = OnceLock::new();
+    let solve = || Linear::new(PROBLEM_SEED, |a, b| jacobi_host(a, b, ITERS));
+    PROBLEM.get_or_init(solve).clone()
 }
 
 /// Dirty-restart residual tolerance. Weighted Jacobi is a fixed-point
@@ -44,7 +47,9 @@ fn config(a: &CsrMatrix) -> SystemConfig {
 
 /// Extended Jacobi (iterate-history ring) with update-equation recovery;
 /// unit `i` crashes after iteration `i`'s update.
-pub(crate) fn extended(p: &Arc<Linear>) -> impl Workload {
+pub(crate) fn extended(
+    p: &Arc<Linear>,
+) -> Iterative<impl Fn(&mut MemorySystem) -> (ExtendedJacobi, ()) + Send + Sync> {
     let p = p.clone();
     Iterative {
         info: ScenarioInfo::new(

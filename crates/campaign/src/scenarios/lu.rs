@@ -1,9 +1,9 @@
 //! Checksum-LU scenarios: ABFT-checksum algorithm extension and per-block
 //! checkpoint.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use adcc_core::lu::{dominant_matrix, lu_host, sites, ChecksumLu, LuBlockStatus};
+use adcc_core::lu::{dominant_matrix, lu_host, sites, ChecksumLu, LuBlockStatus, LuResumed};
 use adcc_core::DirtyRestart;
 use adcc_linalg::vecops::max_diff;
 use adcc_linalg::Matrix;
@@ -14,8 +14,9 @@ use adcc_sim::system::{MemorySystem, SystemConfig};
 use adcc_telemetry::ExecutionProfile;
 
 use super::baseline::BaselineCase;
-use super::harness::Workload;
-use super::{trim_dram, verified_completion};
+use super::harness::{HarvestedState, Workload};
+use super::iterative::pilot_pays;
+use super::{once_per_process, trim_dram, verified_completion};
 use crate::scenario::{Classified, Kernel, Mechanism, ScenarioInfo, UnitSpace};
 
 const N: usize = 32;
@@ -33,10 +34,16 @@ pub(crate) struct Factored {
     reference: Matrix,
 }
 
+/// The family's problem, factored once per process.
 pub(crate) fn problem() -> Arc<Factored> {
-    let a = dominant_matrix(N, PROBLEM_SEED);
-    let reference = lu_host(&a);
-    Arc::new(Factored { a, reference })
+    static PROBLEM: OnceLock<Arc<Factored>> = OnceLock::new();
+    PROBLEM
+        .get_or_init(|| {
+            let a = dominant_matrix(N, PROBLEM_SEED);
+            let reference = lu_host(&a);
+            Arc::new(Factored { a, reference })
+        })
+        .clone()
 }
 
 fn config() -> SystemConfig {
@@ -86,14 +93,53 @@ fn lu_site_trigger(unit: u64) -> CrashTrigger {
 /// boundaries (after the block's checksums persisted).
 pub(crate) struct LuExtended(pub(crate) Arc<Factored>);
 
+const EXTENDED: ScenarioInfo =
+    ScenarioInfo::new("lu-extended", Kernel::Lu, Mechanism::Extended, UNIT_SPACE);
+
+impl LuExtended {
+    /// The crash-free factorization on a fresh machine, `at` blocks in.
+    fn crash_free(&self, at: usize) -> (ChecksumLu, CrashEmulator) {
+        let mut sys = MemorySystem::new(config());
+        let lu = ChecksumLu::setup(&mut sys, &self.0.a, BK);
+        let emu = lu.crash_free_to(sys, at);
+        (lu, emu)
+    }
+
+    /// Whether the crash-free factor matches the reference.
+    fn crash_free_verdict(&self) -> bool {
+        let (lu, emu) = self.crash_free(N.div_ceil(BK));
+        factor_matches(&lu.peek_factor(&emu), &self.0.reference)
+    }
+
+    /// [`LuExtended::crash_free_verdict`], computed once per process, as the
+    /// iterate-history scenarios' verdict is.
+    fn cached_verdict(&self) -> bool {
+        *once_per_process((EXTENDED.name, "crash-free verdict"), || {
+            self.crash_free_verdict()
+        })
+    }
+
+    /// The crash-free verdict, when `resumed` reads byte for byte as the
+    /// crash-free factorization did `resumed.at` blocks in (LU carries
+    /// nothing between blocks); `None` otherwise, and where the pilot would
+    /// not pay.
+    fn joined(&self, lu: &ChecksumLu, resumed: &LuResumed) -> Option<bool> {
+        if !pilot_pays(resumed.at, lu.blocks()) {
+            return None;
+        }
+        let (_, pilot) = self.crash_free(resumed.at);
+        let joins = pilot.same_contents(&resumed.emu);
+        drop(pilot);
+        joins.then(|| self.cached_verdict())
+    }
+}
+
 impl Workload for LuExtended {
     type Live = ChecksumLu;
     type End = ();
 
     fn info(&self) -> &ScenarioInfo {
-        const INFO: ScenarioInfo =
-            ScenarioInfo::new("lu-extended", Kernel::Lu, Mechanism::Extended, UNIT_SPACE);
-        &INFO
+        &EXTENDED
     }
     fn site_trigger(&self, unit: u64) -> CrashTrigger {
         lu_site_trigger(unit)
@@ -120,6 +166,28 @@ impl Workload for LuExtended {
         let matches = factor_matches(&rec.factor, &self.0.reference);
         let detected = rec.statuses.contains(&LuBlockStatus::Inconsistent);
         Classified::from_report(detected, matches, &rec.report, profile)
+    }
+
+    /// [`Workload::recover`], booted from the owned image, with the untimed
+    /// tail skipped wherever the recovery [joins](LuExtended::joined) the
+    /// crash-free factorization.
+    fn recover_chain(
+        &self,
+        lu: &ChecksumLu,
+        states: &mut dyn Iterator<Item = HarvestedState>,
+    ) -> Vec<Classified> {
+        states
+            .map(|s| {
+                let resumed = lu.resume_to_crash(MemorySystem::from_owned_image(config(), s.image));
+                let detected = resumed.statuses.contains(&LuBlockStatus::Inconsistent);
+                let report = resumed.report;
+                let matches = match self.joined(lu, &resumed) {
+                    Some(matches) => matches,
+                    None => factor_matches(&resumed.finish(lu).factor, &self.0.reference),
+                };
+                Classified::from_report(detected, matches, &report, s.profile)
+            })
+            .collect()
     }
 
     fn complete(
@@ -172,4 +240,55 @@ fn lost_blocks(site: CrashSite, start: usize) -> u64 {
         site.index
     };
     (crashed + 1).saturating_sub(start as u64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenarios::iterative::tests::{next_allocation, states, Joining};
+
+    impl Joining for LuExtended {
+        fn joins(&self, lu: &ChecksumLu, image: NvmImage) -> bool {
+            let sys = MemorySystem::from_owned_image(config(), image);
+            self.joined(lu, &lu.resume_to_crash(sys)).is_some()
+        }
+        fn fresh_verdict(&self) -> bool {
+            self.crash_free_verdict()
+        }
+        fn next_allocations(&self) -> [(u64, u64); 2] {
+            let (lu, emu) = self.crash_free(0);
+            let before = next_allocation(&emu);
+            let emu = lu.crash_free_to(emu.into_system(), lu.blocks());
+            [before, next_allocation(&emu)]
+        }
+    }
+
+    /// Every LU recovery on a clean tree is right, and every one whose
+    /// pilot pays joins: so the compare is shown to refuse here, on a
+    /// joining recovery whose factor is one element off, and on one whose
+    /// DRAM is.
+    #[test]
+    fn a_recovery_one_byte_off_does_not_join() {
+        let w = LuExtended(problem());
+        let (lu, states) = states(&w, &(0..UNIT_SPACE.sites).collect::<Vec<_>>());
+        let mut refused = 0;
+        for (_, image) in states {
+            let resumed =
+                lu.resume_to_crash(MemorySystem::from_owned_image(config(), image.clone()));
+            if w.joined(&lu, &resumed).is_none() {
+                continue;
+            }
+            let mut in_factor = resumed;
+            let col = lu.f.row(0);
+            let v = col.get(&mut in_factor.emu, 0);
+            col.set(&mut in_factor.emu, 0, f64::from_bits(v.to_bits() ^ 1));
+            assert_eq!(w.joined(&lu, &in_factor), None, "a factor bit");
+            let mut in_dram = lu.resume_to_crash(MemorySystem::from_owned_image(config(), image));
+            let scratch = in_dram.emu.alloc_dram(8);
+            in_dram.emu.write_bytes(scratch, &[1]);
+            assert_eq!(w.joined(&lu, &in_dram), None, "a DRAM byte");
+            refused += 1;
+        }
+        assert!(refused > 0, "no LU recovery joined");
+    }
 }

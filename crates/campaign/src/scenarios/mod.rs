@@ -15,7 +15,9 @@ mod lu;
 mod mc;
 mod stencil;
 
-use std::sync::Arc;
+use std::any::Any;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use adcc_linalg::csr::CsrMatrix;
 use adcc_linalg::spd::CgClass;
@@ -32,7 +34,7 @@ use crate::scenario::{Classified, PassOutput, ResilienceBatch, Scenario};
 /// criterion); `crate::scenario::tests` enforces it.
 pub fn all() -> Vec<Box<dyn Scenario>> {
     // Each family's problem (matrix, right-hand side, host-solved
-    // reference) is built once and shared by its scenarios.
+    // reference) is built once per process and shared by its scenarios.
     let cg = cg::problem();
     let bicgstab = bicgstab::problem();
     let jacobi = jacobi::problem();
@@ -54,6 +56,29 @@ pub fn all() -> Vec<Box<dyn Scenario>> {
         Box::new(mc::McCampaign::new_selective(mc_reference)),
         Box::new(mc::McCampaign::new_epoch(mc_reference)),
     ]
+}
+
+/// The value `init` computes, computed once per process under `key`: for a
+/// pure function of a scenario's fixed config that `key` pins — a
+/// crash-free run, its verdict. Every `run_campaign` rebuilds the registry;
+/// the value outlives each build. The map hands out one leaked cell per
+/// key, and `init` runs outside the map's lock, so keys fill concurrently.
+/// One key holds one type.
+pub(crate) fn once_per_process<T: Send + Sync + 'static>(
+    key: (&'static str, &'static str),
+    init: impl FnOnce() -> T,
+) -> &'static T {
+    type Cells = Mutex<HashMap<(&'static str, &'static str), &'static (dyn Any + Send + Sync)>>;
+    static CELLS: OnceLock<Cells> = OnceLock::new();
+    let cell: &'static (dyn Any + Send + Sync) = *CELLS
+        .get_or_init(Cells::default)
+        .lock()
+        .expect("process cache poisoned")
+        .entry(key)
+        .or_insert_with(|| Box::leak(Box::new(OnceLock::<T>::new())));
+    cell.downcast_ref::<OnceLock<T>>()
+        .expect("one type per key")
+        .get_or_init(init)
 }
 
 /// A `CgClass::TEST` sparse system with its host-solved answer: the

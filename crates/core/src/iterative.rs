@@ -106,16 +106,38 @@ fn run_to<K: Extended>(
 /// (`detect_time`), re-enter the loop and resume to the crashed unit
 /// (`resume_time`, the paper's "resuming computation time"), then run to
 /// completion.
-///
-/// A seeded bug ([`hook::seeded`]) skips the invariant scan and believes
-/// the flushed counter — the bug the scan exists to prevent.
 pub fn recover_and_resume<K: Extended>(
     k: &K,
     image: &NvmImage,
     cfg: SystemConfig,
 ) -> Recovery<K::Solution> {
+    resume_to_crash(k, MemorySystem::from_image(cfg, image)).finish(k)
+}
+
+/// A recovery resumed back to its crash point: everything
+/// [`recover_and_resume`] measures, and the machine and carry the untimed
+/// rest of its run starts from.
+pub struct Resumed<C> {
+    /// The completed unit accepted as the restart point (`None` = restart
+    /// from the initial state).
+    pub restart_from: Option<usize>,
+    /// The report: nothing after the crash point is in it.
+    pub report: RecoveryReport,
+    /// The units run so far: the crash-free run stood here after `at`.
+    pub at: usize,
+    /// The carry entering unit `at`.
+    pub carry: C,
+    /// The machine entering unit `at`.
+    pub emu: CrashEmulator,
+}
+
+/// The measured half of [`recover_and_resume`] on a machine booted from the
+/// crash image: detect, re-enter, resume to the crash point.
+///
+/// A seeded bug ([`hook::seeded`]) skips the invariant scan and believes
+/// the flushed counter — the bug the scan exists to prevent.
+pub fn resume_to_crash<K: Extended>(k: &K, mut sys: MemorySystem) -> Resumed<K::Carry> {
     let units = k.units();
-    let mut sys = MemorySystem::from_image(cfg, image);
     let crashed = k.counter().get(&mut sys) as usize;
 
     let t0 = sys.now();
@@ -128,14 +150,11 @@ pub fn recover_and_resume<K: Extended>(
 
     let resume_at = restart_from.map_or(0, |j| j + 1);
     let carry = k.reenter(&mut sys, restart_from);
-    // Resume back to the crash point (measured), then continue.
     let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-    let back_at_crash = (crashed + 1).min(units).max(resume_at);
-    let carry = run_to(k, &mut emu, resume_at, back_at_crash, carry);
+    let at = (crashed + 1).min(units).max(resume_at);
+    let carry = run_to(k, &mut emu, resume_at, at, carry);
     let t2 = emu.now();
-    let carry = run_to(k, &mut emu, back_at_crash, units, carry);
-
-    Recovery {
+    Resumed {
         restart_from,
         report: RecoveryReport {
             detect_time: t1 - t0,
@@ -143,8 +162,35 @@ pub fn recover_and_resume<K: Extended>(
             lost_units: (crashed + 1 - resume_at) as u64,
             restart_unit: resume_at as u64,
         },
-        solution: k.peek(&emu, carry),
+        at,
+        carry,
+        emu,
     }
+}
+
+impl<C: Copy> Resumed<C> {
+    /// Run the rest of the recovered run, untimed, to its answer.
+    pub fn finish<K: Extended<Carry = C>>(mut self, k: &K) -> Recovery<K::Solution> {
+        let carry = run_to(k, &mut self.emu, self.at, k.units(), self.carry);
+        Recovery {
+            restart_from: self.restart_from,
+            report: self.report,
+            solution: k.peek(&self.emu, carry),
+        }
+    }
+}
+
+/// The crash-free run on `sys` (set up, `carry0` entering unit 0) to unit
+/// `at`: its machine and the carry entering unit `at`.
+pub fn crash_free_to<K: Extended>(
+    k: &K,
+    sys: MemorySystem,
+    carry0: K::Carry,
+    at: usize,
+) -> (CrashEmulator, K::Carry) {
+    let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
+    let carry = run_to(k, &mut emu, 0, at, carry0);
+    (emu, carry)
 }
 
 /// EasyCrash-style dirty restart: reboot from the raw image, trust the
@@ -173,9 +219,8 @@ pub fn dirty_restart<K: Extended>(k: &K, image: &NvmImage, cfg: SystemConfig) ->
 /// unit 0 with the carry `carry0` — the paper's normalization (the clock
 /// is read around the main loop).
 pub fn timed_full_run<K: Extended>(k: &K, sys: MemorySystem, carry0: K::Carry) -> SimTime {
-    let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-    let t0 = emu.now();
-    run_to(k, &mut emu, 0, k.units(), carry0);
+    let t0 = sys.now();
+    let (emu, _) = crash_free_to(k, sys, carry0, k.units());
     SimTime((emu.now() - t0).ps() / k.units() as u64)
 }
 

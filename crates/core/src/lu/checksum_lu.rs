@@ -229,7 +229,14 @@ impl ChecksumLu {
     /// inconsistent ones in ascending order (sound for left-looking LU),
     /// then finish from the in-flight block.
     pub fn recover_and_resume(&self, image: &NvmImage, cfg: SystemConfig) -> LuRecovery {
-        let mut sys = MemorySystem::from_image(cfg, image);
+        self.resume_to_crash(MemorySystem::from_image(cfg, image))
+            .finish(self)
+    }
+
+    /// The measured half of [`ChecksumLu::recover_and_resume`] on a machine
+    /// booted from the crash image: verify, refactor the inconsistent
+    /// blocks, redo the in-flight one.
+    pub fn resume_to_crash(&self, mut sys: MemorySystem) -> LuResumed {
         let crashed_blk = (self.blk_cell.get(&mut sys) as usize).min(self.blocks() - 1);
 
         let t0 = sys.now();
@@ -248,17 +255,11 @@ impl ChecksumLu {
                     .expect("trigger is Never");
             }
         }
-        // Redo the in-flight block and everything after it.
         self.run_block(&mut emu, crashed_blk)
             .completed()
             .expect("trigger is Never");
         let t2 = emu.now();
-        self.run(&mut emu, crashed_blk + 1)
-            .completed()
-            .expect("trigger is Never");
-        let sys = emu.into_system();
-
-        LuRecovery {
+        LuResumed {
             statuses,
             report: RecoveryReport {
                 detect_time: t1 - t0,
@@ -266,7 +267,8 @@ impl ChecksumLu {
                 lost_units: lost,
                 restart_unit: crashed_blk as u64,
             },
-            factor: self.peek_factor(&sys),
+            at: crashed_blk + 1,
+            emu,
         }
     }
 
@@ -316,13 +318,51 @@ impl ChecksumLu {
         m
     }
 
+    /// The crash-free run on `sys` (set up) through block `at - 1`.
+    pub fn crash_free_to(&self, sys: MemorySystem, at: usize) -> CrashEmulator {
+        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
+        for b in 0..at {
+            self.run_block(&mut emu, b)
+                .completed()
+                .expect("trigger is Never");
+        }
+        emu
+    }
+
     /// Average per-block simulated time of a crash-free run.
     pub fn timed_full_run(&self, sys: MemorySystem) -> (MemorySystem, SimTime) {
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        let t0 = emu.now();
-        self.run(&mut emu, 0).completed().expect("trigger is Never");
+        let t0 = sys.now();
+        let emu = self.crash_free_to(sys, self.blocks());
         let per_block = SimTime((emu.now() - t0).ps() / self.blocks() as u64);
         (emu.into_system(), per_block)
+    }
+}
+
+/// An LU recovery resumed back to its crash point: everything
+/// [`ChecksumLu::recover_and_resume`] measures, and the machine the untimed
+/// rest of its run starts from.
+pub struct LuResumed {
+    /// Verdict per claimed-complete block.
+    pub statuses: Vec<LuBlockStatus>,
+    /// The report: nothing after the crash point is in it.
+    pub report: RecoveryReport,
+    /// The blocks run so far: the crash-free run stood here after `at`.
+    pub at: usize,
+    /// The machine entering block `at`.
+    pub emu: CrashEmulator,
+}
+
+impl LuResumed {
+    /// Factor the remaining blocks, untimed.
+    pub fn finish(mut self, lu: &ChecksumLu) -> LuRecovery {
+        lu.run(&mut self.emu, self.at)
+            .completed()
+            .expect("trigger is Never");
+        LuRecovery {
+            statuses: self.statuses,
+            report: self.report,
+            factor: lu.peek_factor(&self.emu),
+        }
     }
 }
 

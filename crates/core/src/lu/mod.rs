@@ -42,7 +42,7 @@ pub mod checksum_lu;
 pub mod host;
 pub mod variants;
 
-pub use checksum_lu::{ChecksumLu, LuBlockStatus, LuRecovery};
+pub use checksum_lu::{ChecksumLu, LuBlockStatus, LuRecovery, LuResumed};
 pub use host::{dominant_matrix, lu_host, lu_reconstruct};
 
 /// Crash-site phases for LU (see [`adcc_sim::crash::CrashSite`]).

@@ -287,19 +287,24 @@ impl Backing {
 
     /// Whether no later read, snapshot or crash image can tell this store
     /// from `other`, the bytes of the address ranges `cells` (ascending,
-    /// disjoint) aside: same address range, same bytes outside `cells` (one
-    /// prefix may spell out zeros the other leaves implicit), and neither
-    /// keeps a write journal — a journal is an input to delta forks, and it
-    /// is not compared.
+    /// disjoint) aside: [`Backing::same_bytes_outside`], and neither keeps a
+    /// write journal — a journal is an input to delta forks, and it is not
+    /// compared.
     pub(crate) fn same_future_modulo(&self, other: &Self, cells: &[Range<u64>]) -> bool {
+        !self.journaling && !other.journaling && self.same_bytes_outside(other, cells)
+    }
+
+    /// Whether this store and `other` span one address range and hold the
+    /// same bytes outside the address ranges `cells` (ascending, disjoint):
+    /// one written prefix may spell out zeros the other leaves implicit.
+    /// Compares slices gap by gap, never line by line.
+    pub(crate) fn same_bytes_outside(&self, other: &Self, cells: &[Range<u64>]) -> bool {
         let (short, long) = if self.bytes.len() <= other.bytes.len() {
             (&self.bytes, &other.bytes)
         } else {
             (&other.bytes, &self.bytes)
         };
-        !self.journaling
-            && !other.journaling
-            && (self.base, self.cap) == (other.base, other.cap)
+        (self.base, self.cap) == (other.base, other.cap)
             && outside(cells, self.base..self.base + long.len() as u64).all(|gap| {
                 let held = gap.start.min(short.len())..gap.end.min(short.len());
                 long[held.clone()] == short[held.clone()]

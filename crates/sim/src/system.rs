@@ -1379,6 +1379,43 @@ impl MemorySystem {
             && self.dram.same_future_modulo(&other.dram, &[])
     }
 
+    /// Whether a program reading this machine and `other` would see the
+    /// same byte at every NVM and DRAM address: each machine's caches
+    /// overlaid on its backing stores, as [`MemorySystem::peek_bytes`] reads
+    /// them. Exact, like [`MemorySystem::same_future`], but over values
+    /// only: where a line lives, whether it is dirty, the clock, counters,
+    /// stream detectors, allocators and configuration are not compared
+    /// (media of different address ranges answer `false`). So two machines
+    /// it vouches for compute alike under code that allocates nothing, but
+    /// may charge, evict and crash apart.
+    ///
+    /// Uncharged. A line resident in either machine's caches is compared
+    /// whole, every other byte as one slice of the written prefixes per gap
+    /// between such lines: between work units, never on an access path.
+    pub fn same_contents(&self, other: &Self) -> bool {
+        let mut lines: Vec<u64> = [self, other]
+            .into_iter()
+            .flat_map(|s| {
+                s.cpu
+                    .iter_lines()
+                    .chain(s.dramc.iter().flat_map(|c| c.iter_lines()))
+            })
+            .map(|(line, _)| line)
+            .collect();
+        lines.sort_unstable();
+        lines.dedup();
+        let cells: Vec<Range<u64>> = lines
+            .iter()
+            .map(|&l| l << LINE_SHIFT..(l + 1) << LINE_SHIFT)
+            .collect();
+        let (nvm, dram) = cells.split_at(cells.partition_point(|c| !is_dram_addr(c.start)));
+        self.nvm.same_bytes_outside(&other.nvm, nvm)
+            && self.dram.same_bytes_outside(&other.dram, dram)
+            && lines
+                .iter()
+                .all(|&l| self.peek_line(l) == other.peek_line(l))
+    }
+
     /// Count the distinct dirty NVM-homed cache lines currently resident in
     /// the volatile hierarchy (CPU cache and, on the heterogeneous
     /// platform, the DRAM cache). This is the paper's "dirty data in the
@@ -2396,6 +2433,73 @@ mod tests {
         assert!(!a.same_future(&b), "a DRAM-cache dirty bit went unnoticed");
     }
 
+    /// `same_contents` reads each machine as a program would, caches over
+    /// backing, from either side.
+    #[test]
+    fn one_differing_byte_each_breaks_same_contents() {
+        let (a, first) = warm(tiny_nvm_only());
+        let mru = first + LINES - 1;
+        // Whether the two read alike, asked from both sides.
+        let same = |a: &MemorySystem, b: &MemorySystem| {
+            let answer = a.same_contents(b);
+            assert_eq!(answer, b.same_contents(a), "asymmetric");
+            answer
+        };
+        let differs = |what: &str, same_after: bool, change: &dyn Fn(&mut MemorySystem)| {
+            let mut b = a.clone();
+            change(&mut b);
+            assert_eq!(same(&a, &b), same_after, "{what}");
+        };
+        assert!(same(&a, &a.clone()));
+        assert!(
+            a.cpu.probe(first + 1).is_none(),
+            "the second line was evicted"
+        );
+        differs("an NVM byte under no cached line", false, &|b| {
+            b.nvm.write_bytes((first + 1) << LINE_SHIFT, &[0xEE]);
+        });
+        differs("an NVM byte under a dirty cached line", true, &|b| {
+            b.nvm.write_bytes(mru << LINE_SHIFT, &[0xEE]);
+        });
+        differs("a cached payload byte", false, &|b| {
+            b.cpu.lookup(mru).expect("resident").data()[63] ^= 1;
+        });
+        differs("a DRAM byte", false, &|b| {
+            b.dram.write_bytes(DRAM_BASE + 100, &[1]);
+        });
+        differs("a dirty line dropped unwritten", false, &|b| {
+            assert!(b.cpu.remove(mru).is_some());
+        });
+        differs("a dirty line written back and dropped", true, &|b| {
+            let victim = b.cpu.remove(mru).expect("resident");
+            b.nvm.write_line(victim.line, &victim.data);
+        });
+        // Neither where a line lives nor what drove the machine there.
+        differs("everything but a value", true, &|b| {
+            b.persist_line(mru << LINE_SHIFT);
+            assert!(b.cpu.lookup(first + LINES - 3).is_some());
+            b.streams.nvm.note(9_999);
+            b.alloc_nvm(8);
+            b.charge_ps(12_345);
+            b.clock_mut().set_bucket(Bucket::Resume);
+            b.nvm.write_bytes(40_000, &[0; 16]);
+        });
+        differs("a pool of another size", false, &|b| {
+            b.nvm = Backing::new(0, 1 << 17);
+        });
+
+        // The DRAM cache is overlaid too: a line it holds dirty reads
+        // through to both machines.
+        let (a, first) = warm(tiny_hetero());
+        let evicted = first + LINES - 17;
+        let mut b = a.clone();
+        b.nvm.write_bytes(evicted << LINE_SHIFT, &[0xEE]);
+        assert!(same(&a, &b), "under the DRAM cache's dirty copy");
+        let dramc = b.dramc.as_mut().expect("heterogeneous");
+        dramc.lookup(evicted).expect("evicted into it").data()[7] ^= 1;
+        assert!(!same(&a, &b), "the DRAM cache's payload");
+    }
+
     /// A dead cell — bytes the code still to run overwrites before it reads
     /// them — may hold anything: two machines that differ only there are
     /// vouched for, and once both overwrite it they are one machine, having
@@ -2746,6 +2850,79 @@ mod tests {
         Ok(())
     }
 
+    /// Two machines with different pasts — boot images, op histories over
+    /// both regions — washed into one state, then `steps` on the second one
+    /// by one: after each, [`MemorySystem::same_contents`] answers, from
+    /// either side, what reading every byte of both regions answers. Reads,
+    /// flushes, persists and drains keep the two alike; a store, or a crash
+    /// over a dirty line, sets them apart.
+    fn same_contents_reads_every_byte(
+        cfg: SystemConfig,
+        fills: (u8, u8),
+        histories: (&[Op], &[Op]),
+        steps: &[Op],
+    ) -> proptest::prelude::TestCaseResult {
+        use proptest::prelude::*;
+        let washed = |fill: u8, history: &[Op], ascending_first: bool| {
+            let bytes = (0..LINES as usize * LINE_SIZE)
+                .map(|i| fill.wrapping_mul(i as u8 | 1))
+                .collect();
+            let image = NvmImage::new(bytes, cfg.nvm_capacity);
+            let mut sys = MemorySystem::from_image(cfg.clone(), &image);
+            let nvm = sys.alloc_nvm(REGION as usize + 16);
+            let dram = sys.alloc_dram(REGION as usize + 16);
+            for op in history {
+                apply(&mut sys, op, nvm, dram);
+            }
+            wash(&mut sys, nvm, ascending_first, 0, &[], (0, 0));
+            sys.write_bytes(dram, &[0x5A; LINES as usize * LINE_SIZE]);
+            (sys, nvm, dram)
+        };
+        let (a, nvm, dram) = washed(fills.0, histories.0, false);
+        let (mut b, ..) = washed(fills.1, histories.1, true);
+        let read = |s: &MemorySystem| {
+            let mut bytes = vec![0u8; 2 * LINES as usize * LINE_SIZE];
+            let (in_nvm, in_dram) = bytes.split_at_mut(LINES as usize * LINE_SIZE);
+            s.peek_bytes(nvm, in_nvm);
+            s.peek_bytes(dram, in_dram);
+            bytes
+        };
+        // The same contents with every cached line written back and
+        // dropped: the gaps between cached lines are all there is to
+        // compare.
+        let uncached = |s: &MemorySystem| {
+            let mut s = s.clone();
+            let lines = |c: &SetAssocCache| c.iter_lines().map(|(l, _)| l).collect::<Vec<_>>();
+            // The DRAM cache first: a CPU line above it is newer.
+            for l in s.dramc.as_ref().map(lines).unwrap_or_default() {
+                let v = s.dramc.as_mut().and_then(|c| c.remove(l)).expect("listed");
+                s.nvm.write_line(l, &v.data);
+            }
+            for l in lines(&s.cpu) {
+                let v = s.cpu.remove(l).expect("listed");
+                let home = if is_dram_addr(l << LINE_SHIFT) {
+                    &mut s.dram
+                } else {
+                    &mut s.nvm
+                };
+                home.write_line(l, &v.data);
+            }
+            s
+        };
+        prop_assert!(a.same_contents(&b) && b.same_contents(&a), "washed");
+        for (k, op) in steps.iter().enumerate() {
+            apply(&mut b, op, nvm, dram);
+            let alike = read(&a) == read(&b);
+            let (bare_a, bare_b) = (uncached(&a), uncached(&b));
+            prop_assert_eq!(read(&bare_b), read(&b), "op {}: written back", k);
+            for (x, y) in [(&a, &b), (&bare_a, &b), (&a, &bare_b), (&bare_a, &bare_b)] {
+                prop_assert_eq!(x.same_contents(y), alike, "op {}: {:?}", k, op);
+                prop_assert_eq!(y.same_contents(x), alike, "op {}: {:?}", k, op);
+            }
+        }
+        Ok(())
+    }
+
     /// Two machines with different pasts washed into one state but for the
     /// NVM detector's replacement position (`turns` stream-less misses on
     /// the second): the exact predicate vouches for one position of the
@@ -3081,6 +3258,22 @@ mod tests {
             for cfg in [tiny_nvm_only(), tiny_hetero()] {
                 let histories = (&history_a[..], &history_b[..]);
                 equal_states_have_one_future(cfg, fills, histories, &suffix, &CELLS, cell_fills)?;
+            }
+        }
+
+        /// `same_contents` promises what a kernel recovery's join with the
+        /// crash-free run relies on: it vouches for two machines exactly
+        /// when every byte a program can read of them is equal.
+        #[test]
+        fn same_contents_is_every_byte_read_alike(
+            fills in (proptest::prelude::any::<u8>(), proptest::prelude::any::<u8>()),
+            history_a in proptest::collection::vec(op_strategy(), 0..80),
+            history_b in proptest::collection::vec(op_strategy(), 0..80),
+            steps in proptest::collection::vec(op_strategy(), 1..40),
+        ) {
+            for cfg in [tiny_nvm_only(), tiny_hetero()] {
+                let histories = (&history_a[..], &history_b[..]);
+                same_contents_reads_every_byte(cfg, fills, histories, &steps)?;
             }
         }
 
