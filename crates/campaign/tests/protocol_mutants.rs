@@ -4,9 +4,18 @@
 //!
 //! A seeded bug is one `adcc_sim::hook::seeded()` call, false in every
 //! build and planted by `hook::mutating` in its verdict test below; a
-//! dropped persist is a site of the same hook. Five seeds reorder persists
-//! or change recovery logic:
+//! dropped persist is a site of the same hook. Six seeds reorder persists,
+//! change recovery logic or skip a check:
 //!
+//! - `scenarios/mc.rs`, in the MC scenarios' batch hooks: the image check
+//!   before a replay is read off a crash-free cold reference is skipped, so
+//!   a crash image that is not the set-up image outside the dead cells and
+//!   the loop index is answered as if it were. **Survives** the campaign,
+//!   and for a reason: every image a forward run harvests passes the check
+//!   (the grids are read-only, the loop writes only the cells the check
+//!   leaves out), so no campaign input can tell. **Killed** by the
+//!   scenario's fallback differential, whose corrupted images the check
+//!   exists for.
 //! - `iterative.rs`, in the one skeleton all five `*-extended`
 //!   iterate-history scenarios recover through: `recover_and_resume` skips
 //!   the invariant scan and believes the flushed unit counter — the bug the
@@ -145,6 +154,7 @@ const DIST_LOCAL: [(&str, Histogram, Histogram, Histogram); 3] = [
     ),
 ];
 
+const MC_CAMPAIGN: &str = "crates/campaign/src/scenarios/mc.rs";
 const ITERATIVE: &str = "crates/core/src/iterative.rs";
 const BASELINE: &str = "crates/core/src/baseline.rs";
 const MC_SIM: &str = "crates/core/src/mc/sim.rs";
@@ -154,7 +164,17 @@ const THIS: &str = include_str!("protocol_mutants.rs");
 
 /// Every seed, by the file of its `hook::seeded()` call, with each test
 /// whose verdict it moves: (seed, test source, test name).
-const VERDICTS: [(&str, &str, &str); 7] = [
+const VERDICTS: [(&str, &str, &str); 9] = [
+    (
+        MC_CAMPAIGN,
+        THIS,
+        "a_skipped_image_check_survives_the_campaign",
+    ),
+    (
+        MC_CAMPAIGN,
+        include_str!("../src/scenarios/mc.rs"),
+        "a_skipped_image_check_is_killed_by_the_fallback_differential",
+    ),
     (
         BASELINE,
         THIS,
@@ -321,7 +341,7 @@ fn assert_histograms(report: &CampaignReport, moved: &[(&str, Histogram)]) -> u6
     kills
 }
 
-/// The five seeds above, each reached by one of the three campaigns, and
+/// The six seeds above, each reached by one of the three campaigns, and
 /// each named in a verdict test that exists.
 #[test]
 fn every_seed_is_reached_and_has_a_verdict() {
@@ -364,6 +384,20 @@ fn a_checkpoint_before_its_counter_is_killed_where_units_update_in_place() {
 fn an_early_chain_join_survives_batch_against_per_trial() {
     let report = seeded(MC_SIM, config());
     assert_histograms(&report, &[]);
+}
+
+/// The `scenarios/mc.rs` seed answers every `mc-selective` recovery off
+/// the table unchecked; batch against per-trial, which never reads the
+/// table, does not move, because every harvested image would have passed.
+#[test]
+fn a_skipped_image_check_survives_the_campaign() {
+    let report = seeded(MC_CAMPAIGN, config());
+    assert_histograms(&report, &[]);
+    assert_eq!(
+        report.canonical_string(),
+        recorded().kernel.canonical_string(),
+        "the recorded survivor"
+    );
 }
 
 /// Killed on the chaotic tier, through the node-loss units alone (the

@@ -43,6 +43,11 @@
 //!   writes an epoch word without ever reading it. A restart re-enters a
 //!   cold machine at the loop index its image flushed and joins the pilot a
 //!   few dozen lookups on, whichever index either booted at.
+//!
+//! A cold replay from an image that is the set-up image but for the cells
+//! the loop never reads before it writes them, or only adds one to, and the
+//! loop index, need not be simulated at all: it charges what the crash-free
+//! replay from the set-up image at that index charges (`cold`).
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -59,6 +64,10 @@ use super::grids::{interpolate, search, Charged, LookupMem, McProblem, SimMcGrid
 use super::rng::{sample, unit_f64};
 use super::{sites, XS_CHANNELS};
 use crate::traits::{DirtyRestart, RecoveryReport};
+
+mod cold;
+
+pub use cold::{ColdCheck, ColdRecovery, ColdRestart};
 
 /// Persistence mode of the MC loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -678,11 +687,8 @@ impl McSim {
         // tally it on the host instead of simulating it untimed — from the
         // image's own grids, so before the machine takes the image over.
         let tail = self.tally_tail(&image, crashed_at);
-        let mut sys = boot(cfg, image);
-        let t0 = sys.now();
-        let resumed_from = self.idx_cell.get(&mut sys);
-        let t1 = sys.now();
-        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
+        let (mut emu, resumed_from, detect_time) = self.reboot_at_index(cfg, image);
+        let t1 = emu.now();
         // Re-execute back to the crash point (measured as resume time).
         self.run(&mut emu, resumed_from, crashed_at)
             .completed()
@@ -696,13 +702,29 @@ impl McSim {
             resumed_from,
             counts,
             report: RecoveryReport {
-                detect_time: t1 - t0,
+                detect_time,
                 resume_time: t2 - t1,
                 lost_units: crashed_at.saturating_sub(resumed_from),
                 restart_unit: resumed_from,
             },
             accesses: emu.access_count(),
         }
+    }
+
+    /// The detect phase of recovery in the index-flushing modes: boot
+    /// `image` and read the flushed loop index. The machine, standing where
+    /// the timed replay begins, the index, and the phase's time.
+    fn reboot_at_index(
+        &self,
+        cfg: &SystemConfig,
+        image: Cow<'_, NvmImage>,
+    ) -> (CrashEmulator, u64, SimTime) {
+        let mut sys = boot(cfg, image);
+        let t0 = sys.now();
+        let resumed_from = self.idx_cell.get(&mut sys);
+        let detect_time = sys.now() - t0;
+        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
+        (emu, resumed_from, detect_time)
     }
 }
 
@@ -1503,6 +1525,90 @@ mod tests {
             assert_eq!(r.accesses, 4);
         }
         assert_eq!(chain.simulated_accesses, 8);
+    }
+
+    /// One run of `mode` harvesting a crash state after every lookup, as
+    /// the campaign harvests them: `images[i]` is the delta image of the
+    /// state after lookup `i`.
+    fn deltas_at_every_lookup(
+        p: &McProblem,
+        c: &SystemConfig,
+        lookups: u64,
+        mode: McMode,
+    ) -> (McSim, Vec<adcc_sim::image::DeltaImage>) {
+        let mut sys = MemorySystem::new(c.clone());
+        let mc = McSim::setup(&mut sys, p.clone(), lookups, 42, mode);
+        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
+        emu.arm_harvest((0..lookups).map(|i| {
+            let site = CrashSite::new(sites::PH_LOOKUP, i);
+            (
+                CrashTrigger::AtSite {
+                    site,
+                    occurrence: 1,
+                },
+                i,
+            )
+        }));
+        mc.run(&mut emu, 0, lookups).completed().unwrap();
+        let images = emu.take_harvests().into_iter().map(|h| h.image).collect();
+        (mc, images)
+    }
+
+    /// Read off the cold references, every crash state of a run answers
+    /// what recovering it and restarting it answer, field for field: every
+    /// selective recovery, every restart at loop index 0. The caches evict
+    /// tallies between flushes, so the tallies the states boot with are
+    /// not the reference's. The set-up image the references boot is the
+    /// set-up machine's NVM, and every harvested image passes the check.
+    #[test]
+    fn cold_references_answer_as_the_simulation_does() {
+        let p = McProblem::generate(36, 32, 11);
+        for (cfg, mode) in [
+            (hostile(), McMode::Epoch { interval: 8 }),
+            (hostile(), McMode::Selective { interval: 8 }),
+            (prefetching(), McMode::Selective { interval: 8 }),
+        ] {
+            let (mc, deltas) = deltas_at_every_lookup(&p, &cfg, EPOCH_LOOKUPS, mode);
+            let setup = deltas[0].base();
+            assert_eq!(**setup, mc.setup_image(&cfg, 0), "{mode:?}");
+            let restart = mc.cold_restart(&cfg);
+            let mut recoveries: Vec<Option<ColdRecovery>> = Vec::new();
+            let mut check = ColdCheck::new(&mc);
+            let (mut restarted, mut audits_fired) = (0, 0);
+            for (i, delta) in deltas.iter().enumerate() {
+                let (image, crashed_at) = (delta.materialize(), i as u64 + 1);
+                assert!(mc.is_cold(&image) && check.is_cold(delta), "{mode:?} {i}");
+                let k = image.read_u64(mc.idx_cell.addr());
+                if k == 0 {
+                    let want = mc.dirty_restart(&image, cfg.clone());
+                    assert_eq!(mc.restart_off(&restart, delta), Some(want), "{mode:?} {i}");
+                    restarted += 1;
+                }
+                if let McMode::Selective { interval } = mode {
+                    let slot = (k / interval) as usize;
+                    recoveries.resize_with(recoveries.len().max(slot + 1), || None);
+                    let reference = recoveries[slot]
+                        .get_or_insert_with(|| mc.cold_recovery(&cfg, k, k + interval));
+                    let got = mc
+                        .recovery_off(reference, &image, crashed_at)
+                        .expect("in span");
+                    let want = mc.recover_and_resume(&image, cfg.clone(), crashed_at);
+                    assert_eq!(facts(&got), facts(&want), "{mode:?} {i}");
+                    audits_fired += u64::from(got.counts.iter().sum::<u64>() != EPOCH_LOOKUPS);
+                    // Out of its span, or for another index, it answers nothing.
+                    assert!(mc
+                        .recovery_off(reference, &image, crashed_at + interval + 1)
+                        .is_none());
+                    assert!(mc
+                        .recovery_off(reference, &image, k.wrapping_sub(1))
+                        .is_none());
+                }
+            }
+            assert!(restarted >= 7, "{mode:?}: {restarted} restarts at index 0");
+            if matches!(mode, McMode::Selective { .. }) {
+                assert!(audits_fired > 0, "{mode:?}: no booted tally differed");
+            }
+        }
     }
 
     proptest::proptest! {

@@ -87,6 +87,18 @@ pub fn seeded() -> bool {
     skips(Op::Seed)
 }
 
+/// Whether every machine runs as configured: no persist or fence site is
+/// mutated and no CPU cache stands in. Recording changes no machine, and a
+/// planted seed changes the program's path, not the machine under it. A
+/// simulated result kept for reuse is valid, and may be filled, only while
+/// this holds — and only if no seed lies on the path it stands for.
+pub fn runs_as_configured() -> bool {
+    !ACTIVE.get()
+        || HOOK.with_borrow(|h| {
+            h.cpu_cache.is_none() && h.mutated.is_none_or(|site| site.op == Op::Seed)
+        })
+}
+
 #[cold]
 fn hooked(site: Site) -> bool {
     HOOK.with_borrow_mut(|h| {
@@ -250,5 +262,26 @@ mod tests {
         let inside = with_cpu_cache(big, sys);
         assert_eq!(inside.config().cpu_cache, big);
         assert_eq!(sys().config().cpu_cache, CacheConfig::new(4096, 8));
+    }
+
+    /// Machines run as configured outside the hook, while recording and
+    /// under a planted seed; not while a persist or fence is dropped or
+    /// another CPU cache stands in.
+    #[test]
+    fn only_a_dropped_site_or_a_cache_override_changes_machines() {
+        let mut s = sys();
+        let cell = PScalar::<u64>::alloc_nvm(&mut s);
+        let ((), sites) = record(|| {
+            assert!(runs_as_configured());
+            cell.persist(&mut s);
+            seeded();
+        });
+        assert!(runs_as_configured());
+        for site in sites {
+            let planted = mutating(site, runs_as_configured);
+            assert_eq!(planted, site.op == Op::Seed, "{site:?}");
+        }
+        let big = CacheConfig::new(1 << 20, 16);
+        assert!(!with_cpu_cache(big, runs_as_configured));
     }
 }

@@ -282,6 +282,16 @@ impl DeltaImage {
         self.delta.lines.len() as u64
     }
 
+    /// The lines that differ from the base, ascending, each with its bytes:
+    /// every other address reads as the base does.
+    pub fn delta_lines(&self) -> impl Iterator<Item = (u64, &[u8; LINE_SIZE])> {
+        let DeltaPayload { lines, data } = &*self.delta;
+        lines.iter().copied().zip(
+            data.chunks_exact(LINE_SIZE)
+                .map(|line| line.try_into().expect("whole lines")),
+        )
+    }
+
     /// Bytes of delta payload this crash state owns (excludes the shared
     /// base). This is the per-state memory cost campaigns report.
     pub fn delta_bytes(&self) -> u64 {

@@ -55,7 +55,7 @@ pub fn lines_spanned(addr: u64, len: usize) -> u64 {
 /// address order, as offsets into the span. `cells` must be ascending and
 /// disjoint (a range out of order only shrinks what is left out, never
 /// widens it).
-pub(crate) fn outside(
+pub fn outside(
     cells: &[std::ops::Range<u64>],
     span: std::ops::Range<u64>,
 ) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {

@@ -277,6 +277,19 @@ pub struct Follower {
     since: i64,
 }
 
+/// `ranges` sorted, overlapping and abutting ones merged.
+fn disjoint(mut ranges: Vec<Range<u64>>) -> Vec<Range<u64>> {
+    ranges.sort_unstable_by_key(|r| r.start);
+    let mut out: Vec<Range<u64>> = Vec::with_capacity(ranges.len());
+    for r in ranges {
+        match out.last_mut() {
+            Some(last) if r.start <= last.end => last.end = last.end.max(r.end),
+            _ => out.push(r),
+        }
+    }
+    out
+}
+
 impl Clone for MemorySystem {
     fn clone(&self) -> Self {
         MemorySystem {
@@ -1294,7 +1307,7 @@ impl MemorySystem {
     /// Then everything outside the cells is one future.
     pub fn same_future_modulo(&self, other: &Self, cells: &[Range<u64>]) -> bool {
         self.priced_streams(&other.streams) == self.streams
-            && self.same_future_but_streams(other, cells)
+            && self.same_future_but_streams(other, cells, false)
     }
 
     /// Whether `follower` has this machine's future modulo `cells` and
@@ -1312,8 +1325,18 @@ impl MemorySystem {
     /// have moved beyond its own: exactly, as long as the two take the same
     /// operations. A shadow is a detector pair and a counter, and nothing
     /// retires one: a leader lives as long as the chain it leads.
+    ///
+    /// A chain never crashes, so `lead` compares **crash-free** futures: the
+    /// NVM and DRAM backing bytes under a line that is dirty anywhere in the
+    /// (equal) cache hierarchy are exempt too, for the backing compare only.
+    /// Nothing reads them before a full-line write-back of the cached copy
+    /// replaces them; only a crash image could show them. So two machines it
+    /// vouches for may crash to different images, and
+    /// [`MemorySystem::same_future`] and
+    /// [`MemorySystem::same_future_modulo`], which promise equal crash
+    /// images, stay exact.
     pub fn lead(&mut self, follower: &Self, cells: &[Range<u64>]) -> Option<Follower> {
-        if !self.same_future_but_streams(follower, cells) {
+        if !self.same_future_but_streams(follower, cells, true) {
             return None;
         }
         let streams = self.priced_streams(&follower.streams);
@@ -1356,14 +1379,21 @@ impl MemorySystem {
         }
     }
 
-    /// [`MemorySystem::same_future_modulo`] but for the stream detectors.
-    fn same_future_but_streams(&self, other: &Self, cells: &[Range<u64>]) -> bool {
+    /// [`MemorySystem::same_future_modulo`] but for the stream detectors;
+    /// `crash_free`, the backing bytes under dirty cached lines aside too
+    /// (see [`MemorySystem::lead`]).
+    fn same_future_but_streams(
+        &self,
+        other: &Self,
+        cells: &[Range<u64>],
+        crash_free: bool,
+    ) -> bool {
         debug_assert!(
             cells.windows(2).all(|w| w[0].end <= w[1].start)
                 && cells.iter().all(|c| c.end <= DRAM_BASE),
             "cells are ascending, disjoint NVM ranges"
         );
-        self.events.is_none()
+        let same_caches = self.events.is_none()
             && other.events.is_none()
             && self.cfg == other.cfg
             && self.clock.bucket() == other.clock.bucket()
@@ -1374,9 +1404,39 @@ impl MemorySystem {
                 (Some(mine), Some(theirs)) => mine.same_future_modulo(theirs, cells),
                 (None, None) => true,
                 _ => false,
+            };
+        if !same_caches {
+            return false;
+        }
+        if !crash_free {
+            return self.nvm.same_future_modulo(&other.nvm, cells)
+                && self.dram.same_future_modulo(&other.dram, &[]);
+        }
+        // The caches are equal, dirty bits included: one set of dirty lines.
+        let (nvm, dram) = self.under_dirty_lines(cells);
+        self.nvm.same_future_modulo(&other.nvm, &nvm)
+            && self.dram.same_future_modulo(&other.dram, &dram)
+    }
+
+    /// The NVM ranges `cells` joined with every NVM line dirty in this
+    /// machine's caches, and the DRAM lines dirty there: ascending, disjoint.
+    fn under_dirty_lines(&self, cells: &[Range<u64>]) -> (Vec<Range<u64>>, Vec<Range<u64>>) {
+        let mut nvm: Vec<Range<u64>> = cells.to_vec();
+        let mut dram = Vec::new();
+        let dirty = self
+            .cpu
+            .iter_lines()
+            .chain(self.dramc.iter().flat_map(|c| c.iter_lines()))
+            .filter(|&(_, dirty)| dirty);
+        for (line, _) in dirty {
+            let range = line << LINE_SHIFT..(line + 1) << LINE_SHIFT;
+            if is_dram_addr(range.start) {
+                dram.push(range);
+            } else {
+                nvm.push(range);
             }
-            && self.nvm.same_future_modulo(&other.nvm, cells)
-            && self.dram.same_future_modulo(&other.dram, &[])
+        }
+        (disjoint(nvm), disjoint(dram))
     }
 
     /// Whether a program reading this machine and `other` would see the
@@ -2539,6 +2599,65 @@ mod tests {
             (sb.stats, sb.bucket_ps, sb.now_ps, b.access_count())
         );
         assert_eq!(a.crash(), b.crash());
+    }
+
+    /// `lead` compares crash-free futures: the backing bytes under a line
+    /// dirty in the cache hierarchy are dead until its write-back replaces
+    /// them. Two machines that differ only there are led, but are not one
+    /// future, because a crash would show the bytes. Once every line is
+    /// written back they are one machine, having charged and counted alike.
+    /// The same difference under a clean cached line is read on its next
+    /// miss, and both predicates refuse it.
+    #[test]
+    fn lead_leaves_out_the_backing_under_dirty_lines_only() {
+        let dirty = |s: &MemorySystem, line: u64| {
+            s.cpu
+                .iter_lines()
+                .chain(s.dramc.iter().flat_map(|c| c.iter_lines()))
+                .any(|l| l == (line, true))
+        };
+        for cfg in [tiny_nvm_only(), tiny_hetero()] {
+            let (a, first) = warm(cfg);
+            let mru = first + LINES - 1;
+            // On the heterogeneous platform: dirty in the DRAM cache only.
+            let lower = first + LINES - 17;
+            let mut under = vec![mru];
+            if a.dramc.is_some() {
+                assert!(a.cpu.slot_of(lower).is_none());
+                under.push(lower);
+            }
+            for line in under {
+                assert!(dirty(&a, line), "line {line} is dirty");
+                let mut b = a.clone();
+                b.nvm.write_bytes((line << LINE_SHIFT) + 3, &[0xEE; 8]);
+                assert!(!a.same_future(&b) && !a.same_future_modulo(&b, &[]));
+                assert!(a.clone().lead(&b, &[]).is_some(), "line {line}");
+                assert!(b.clone().lead(&a, &[]).is_some(), "line {line}");
+
+                let mut a = a.clone();
+                let run = |s: &mut MemorySystem| {
+                    let t0 = s.now();
+                    for l in first..first + LINES {
+                        s.persist_line(l << LINE_SHIFT);
+                    }
+                    (s.now() - t0, s.access_count())
+                };
+                assert_eq!(run(&mut a), run(&mut b));
+                assert!(a.same_future(&b), "the write-backs made them one machine");
+                assert_eq!(a.crash(), b.crash());
+            }
+
+            // A clean cached line: its backing bytes are read on a miss.
+            let mut a = a.clone();
+            let mut word = [0u8; 8];
+            a.read_bytes(first << LINE_SHIFT, &mut word);
+            assert!(a.cpu.slot_of(first).is_some() && !dirty(&a, first));
+            let mut b = a.clone();
+            b.nvm.write_bytes((first << LINE_SHIFT) + 3, &[0xEE; 8]);
+            assert!(!a.same_future(&b));
+            assert!(a.clone().lead(&b, &[]).is_none());
+            assert!(b.clone().lead(&a, &[]).is_none());
+        }
     }
 
     #[test]
