@@ -18,8 +18,8 @@
 //!      One thread, once per batch.
 //!   2. [`Batch::run_next`] — one job per *distinct crash state*: recover,
 //!      dirty-restart, whichever were asked for, each from an image
-//!      materialized for it (recovery is handed it by value; the dirty
-//!      step materializes its own). A job reads the batch (`&Live`, the
+//!      materialized for it (each step materializes its own, when it
+//!      boots it). A job reads the batch (`&Live`, the
 //!      harvests, the probe) and writes only its own result slot, so any
 //!      number of threads may take jobs from one batch at once; each holds
 //!      one materialized image, so peak memory is flat in
@@ -144,17 +144,17 @@ pub(crate) trait Workload: Send + Sync {
     /// [`chains`](Workload::chains), one otherwise: one verdict per state in
     /// the order given, each equal to what
     /// [`recover`](Workload::recover) makes of that state alone, which is
-    /// what the default does. A state's image is materialized when it is
-    /// pulled from `states` and handed over by value, so a workload that can
-    /// boot from it without a copy does, and a chain holds as many images as
-    /// it has not dropped.
+    /// what the default does. A state comes with its image as harvested: a
+    /// workload materializes it when it boots it, and may read it in place
+    /// before that, so a chain holds as many materialized images as it has
+    /// booted and not dropped.
     fn recover_chain(
         &self,
         live: &Self::Live,
         states: &mut dyn Iterator<Item = HarvestedState>,
     ) -> Vec<Classified> {
         states
-            .map(|s| self.recover(live, s.site, &s.image, s.profile))
+            .map(|s| self.recover(live, s.site, &s.image.materialize(), s.profile))
             .collect()
     }
 
@@ -241,10 +241,11 @@ impl<W: Workload> Scenario for W {
 }
 
 /// One distinct crash state of a batch, as [`Workload::recover_chain`]
-/// receives it: what [`Workload::recover`] takes, by value.
+/// receives it: what [`Workload::recover`] takes, by value, the image as
+/// harvested.
 pub(crate) struct HarvestedState {
     pub site: CrashSite,
-    pub image: NvmImage,
+    pub image: DeltaImage,
     /// The forward execution's cost up to the crash, when telemetry is on.
     pub profile: Option<ExecutionProfile>,
 }
@@ -457,7 +458,7 @@ impl<W: Workload> Batch<'_, W> {
             let h = &self.harvests[group.start];
             HarvestedState {
                 site: h.site,
-                image: h.image.materialize(),
+                image: h.image.clone(),
                 profile: self.profile_at(group),
             }
         });
@@ -481,8 +482,8 @@ impl<W: Workload> Harvested for Batch<'_, W> {
     /// Step 2, one job: every requested per-state pass over the next
     /// unclaimed poll group's machine state, or — of a chained batch — the
     /// next pass over all of them. Either way a pass goes through the
-    /// workload's chain hook, which gets each image by value, materialized
-    /// for it: a job of one state is a chain of one.
+    /// workload's chain hook, which gets each image as harvested: a job of
+    /// one state is a chain of one.
     fn run_next(&self) -> bool {
         // The claim publishes nothing: what a job reads was written before
         // the batch was shared, what it writes goes through its slot's lock.
@@ -772,7 +773,7 @@ mod tests {
             self.chains_run.fetch_add(1, Relaxed);
             self.meet_in_chain();
             states
-                .map(|s| self.recover(live, s.site, &s.image, s.profile))
+                .map(|s| self.recover(live, s.site, &s.image.materialize(), s.profile))
                 .collect()
         }
         fn dirty_restart_chain(

@@ -169,7 +169,8 @@ where
     ) -> Vec<Classified> {
         states
             .map(|s| {
-                let sys = MemorySystem::from_owned_image(self.config.clone(), s.image);
+                let sys =
+                    MemorySystem::from_owned_image(self.config.clone(), s.image.materialize());
                 let resumed = iterative::resume_to_crash(k, sys);
                 let (detected, report) = (resumed.restart_from.is_none(), resumed.report);
                 let matches = match self.joined(k, &resumed) {
@@ -209,6 +210,7 @@ pub(crate) mod tests {
     use crate::scenarios::{bicgstab, cg, jacobi, lu, stencil};
     use adcc_sim::crash::poll_groups;
     use adcc_sim::hook::{self, Op};
+    use adcc_sim::image::DeltaImage;
     use adcc_sim::lru::CacheConfig;
 
     /// A scenario whose batch recover step joins the crash-free run.
@@ -308,7 +310,7 @@ pub(crate) mod tests {
                     seen[2] += usize::from(whole.outcome == Outcome::SilentCorruption);
                     let state = HarvestedState {
                         site,
-                        image,
+                        image: DeltaImage::whole(image),
                         profile: None,
                     };
                     let batch = w.recover_chain(&live, &mut std::iter::once(state));

@@ -178,7 +178,10 @@ impl Workload for LuExtended {
     ) -> Vec<Classified> {
         states
             .map(|s| {
-                let resumed = lu.resume_to_crash(MemorySystem::from_owned_image(config(), s.image));
+                let resumed = lu.resume_to_crash(MemorySystem::from_owned_image(
+                    config(),
+                    s.image.materialize(),
+                ));
                 let detected = resumed.statuses.contains(&LuBlockStatus::Inconsistent);
                 let report = resumed.report;
                 let matches = match self.joined(lu, &resumed) {

@@ -28,15 +28,21 @@
 //! same tally increments (see `adcc_core::mc::sim::cold`). Every image a run
 //! harvests is such an image. So `mc-selective`'s recoveries, which replay
 //! at most one interval, read their clock off a [`ColdRecovery`] per flushed
-//! index, and every dirty restart that boots at `k = 0` — all of
-//! `mc-epoch`'s, `mc-selective`'s in its first interval — off one
-//! [`ColdRestart`]. Both are built once per process, only when the image
-//! check passes, and never under a hook that changes machines. Restarts at
-//! a later index still chain: tabling every index would retain a
-//! reference document per index for little time (ROADMAP, item 5).
+//! index, and `mc-epoch`'s dirty restarts, which all boot at `k = 0`, off
+//! one [`ColdRestart`]. Each is built once per process, only when the image
+//! check passes, and never under a hook that changes machines. A recovery
+//! reference is built first only as far as the state that asks for it
+//! crashed, which simulates what recovering that state does, and over the
+//! whole interval when a later state asks past it: a process that runs one
+//! campaign, where most indices are asked for once, simulates no more than
+//! it did without them. The restart reference is one run to the end, as the
+//! epoch chain's pilot is. `mc-selective`'s restarts all chain: those at
+//! `k = 0` join that chain's pilot where it boots, and tabling the later
+//! indices would retain a reference document per index for little time
+//! (ROADMAP, item 5).
 
 use std::borrow::Cow;
-use std::sync::OnceLock;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use adcc_core::mc::sim::{ColdCheck, ColdRecovery, ColdRestart, McMode, McRecovery, McSim};
 use adcc_core::mc::{McProblem, XS_CHANNELS};
@@ -161,38 +167,63 @@ impl McCampaign {
 
     /// `image`'s recovery to `crashed_at`, read off this scenario's
     /// crash-free cold recovery from the loop index it holds: for a
-    /// `mc-selective` image the check vouches for, while machines run as
-    /// configured; `None` otherwise.
-    fn tabled_recovery(&self, mc: &McSim, image: &NvmImage, crashed_at: u64) -> Option<McRecovery> {
+    /// `mc-selective` image `check` vouches for, crashed within the interval
+    /// that index opens, while machines run as configured; `None` otherwise.
+    fn tabled_recovery(
+        &self,
+        mc: &McSim,
+        check: &mut ColdCheck,
+        image: &DeltaImage,
+        crashed_at: u64,
+    ) -> Option<McRecovery> {
         if !matches!(self.mode, McMode::Selective { .. }) || !hook::runs_as_configured() {
             return None;
         }
         let k = image.read_u64(mc.idx_cell.addr());
-        if !k.is_multiple_of(INTERVAL) {
+        let replayed = crashed_at.checked_sub(k);
+        if !k.is_multiple_of(INTERVAL) || !replayed.is_some_and(|n| n <= INTERVAL) {
             return None;
         }
-        let table = once_per_process((self.info.name, "cold recoveries"), || {
+        type Slot = Mutex<Option<Arc<ColdRecovery>>>;
+        let table: &Vec<Slot> = once_per_process((self.info.name, "cold recoveries"), || {
             let flushed = LOOKUPS.div_ceil(INTERVAL);
-            (0..flushed).map(|_| OnceLock::new()).collect::<Vec<_>>()
+            (0..flushed).map(|_| Mutex::default()).collect()
         });
-        let slot: &OnceLock<ColdRecovery> = table.get(usize::try_from(k / INTERVAL).ok()?)?;
-        if !vouched(|| mc.is_cold(image)) {
+        let slot = table.get(usize::try_from(k / INTERVAL).ok()?)?;
+        if !vouched(|| check.is_cold(image)) {
             return None;
         }
-        let reference = slot.get_or_init(|| mc.cold_recovery(&self.cfg, k, k + INTERVAL));
-        mc.recovery_off(reference, image, crashed_at)
+        let reference = {
+            let mut held = slot.lock().expect("a reference build never panics");
+            match &*held {
+                Some(built) if built.reaches(crashed_at) => Arc::clone(built),
+                built => {
+                    // First as far as this state needs, then the interval.
+                    let to = if built.is_some() {
+                        k + INTERVAL
+                    } else {
+                        crashed_at
+                    };
+                    let fresh = Arc::new(mc.cold_recovery(&self.cfg, k, to));
+                    *held = Some(Arc::clone(&fresh));
+                    fresh
+                }
+            }
+        };
+        mc.recovery_off(&reference, image, crashed_at)
     }
 
     /// `image`'s dirty restart, read off this scenario's crash-free cold
-    /// restart from loop index 0: for an image that boots there and `check`
-    /// vouches for, while machines run as configured; `None` otherwise.
+    /// restart from loop index 0: for a `mc-epoch` image `check` vouches
+    /// for, while machines run as configured; `None` otherwise.
     fn tabled_restart(
         &self,
         mc: &McSim,
         check: &mut ColdCheck,
         image: &DeltaImage,
     ) -> Option<DirtyRestart> {
-        if !hook::runs_as_configured()
+        if !matches!(self.mode, McMode::Epoch { .. })
+            || !hook::runs_as_configured()
             || image.read_u64(mc.idx_cell.addr()) != 0
             || !vouched(|| check.is_cold(image))
         {
@@ -202,6 +233,51 @@ impl McCampaign {
             mc.cold_restart(&self.cfg)
         });
         mc.restart_off(reference, image)
+    }
+
+    /// [`Workload::recover_chain`], and how many states it read off the
+    /// table.
+    fn recoveries(
+        &self,
+        mc: &McSim,
+        states: &mut dyn Iterator<Item = HarvestedState>,
+    ) -> (Vec<Classified>, usize) {
+        let mut check = ColdCheck::new(mc);
+        let mut profiles = Vec::new();
+        let states = states.map(|s| {
+            profiles.push(s.profile);
+            (s.site.index + 1, s.image)
+        });
+        let (recoveries, tabled) = table_or_chain(
+            states,
+            |(crashed_at, image)| self.tabled_recovery(mc, &mut check, image, *crashed_at),
+            |rest| {
+                let rest =
+                    rest.map(|(crashed_at, image)| (crashed_at, Cow::Owned(image.materialize())));
+                mc.recover_chain(&self.cfg, rest).answers
+            },
+        );
+        let verdicts = recoveries
+            .iter()
+            .zip(profiles)
+            .map(|(rec, profile)| self.classify(rec, profile))
+            .collect();
+        (verdicts, tabled)
+    }
+
+    /// [`Workload::dirty_restart_chain`], and how many states it read off
+    /// the table.
+    fn restarts(
+        &self,
+        mc: &McSim,
+        images: &mut dyn Iterator<Item = &DeltaImage>,
+    ) -> (Vec<DirtyRestart>, usize) {
+        let mut check = ColdCheck::new(mc);
+        table_or_chain(
+            images,
+            |image| self.tabled_restart(mc, &mut check, image),
+            |rest| mc.dirty_chain(&self.cfg, rest).answers,
+        )
     }
 
     /// Classify one recovery against the reference counts.
@@ -261,30 +337,13 @@ impl Workload for McCampaign {
     }
 
     /// The recoveries the table answers are read off it; the rest chain,
-    /// each image pulled when its turn comes.
+    /// each image materialized when its turn comes.
     fn recover_chain(
         &self,
         mc: &McSim,
         states: &mut dyn Iterator<Item = HarvestedState>,
     ) -> Vec<Classified> {
-        let mut read_off = Vec::new();
-        let rest = states.filter_map(|s| {
-            let crashed_at = s.site.index + 1;
-            let tabled = self.tabled_recovery(mc, &s.image, crashed_at);
-            let chained = tabled
-                .is_none()
-                .then_some((crashed_at, Cow::Owned(s.image)));
-            read_off.push((tabled, s.profile));
-            chained
-        });
-        let mut chained = mc.recover_chain(&self.cfg, rest).answers.into_iter();
-        read_off
-            .into_iter()
-            .map(|(tabled, profile)| {
-                let rec = tabled.or_else(|| chained.next());
-                self.classify(&rec.expect("one recovery per state"), profile)
-            })
-            .collect()
+        self.recoveries(mc, states).0
     }
 
     fn complete(
@@ -312,21 +371,32 @@ impl Workload for McCampaign {
         mc: &McSim,
         images: &mut dyn Iterator<Item = &DeltaImage>,
     ) -> Vec<DirtyRestart> {
-        let mut check = ColdCheck::new(mc);
-        let mut read_off = Vec::new();
-        let rest = images.filter(|&image| {
-            let tabled = self.tabled_restart(mc, &mut check, image);
-            let chained = tabled.is_none();
-            read_off.push(tabled);
-            chained
-        });
-        let mut chained = mc.dirty_chain(&self.cfg, rest).answers.into_iter();
-        read_off
-            .into_iter()
-            .map(|tabled| tabled.or_else(|| chained.next()))
-            .collect::<Option<_>>()
-            .expect("one restart per state")
+        self.restarts(mc, images).0
     }
+}
+
+/// Each state's answer, in order: off a table where `tabled` gives one, the
+/// rest from one `chain` over them; and how many the table gave.
+fn table_or_chain<S, T>(
+    states: impl Iterator<Item = S>,
+    mut tabled: impl FnMut(&S) -> Option<T>,
+    chain: impl FnOnce(&mut dyn Iterator<Item = S>) -> Vec<T>,
+) -> (Vec<T>, usize) {
+    let mut read_off = Vec::new();
+    let chained = chain(&mut states.filter_map(|s| {
+        let answer = tabled(&s);
+        let rest = answer.is_none().then_some(s);
+        read_off.push(answer);
+        rest
+    }));
+    let hits = read_off.iter().flatten().count();
+    let mut chained = chained.into_iter();
+    let answers = read_off
+        .into_iter()
+        .map(|answer| answer.or_else(|| chained.next()))
+        .collect::<Option<_>>()
+        .expect("one answer per state");
+    (answers, hits)
 }
 
 /// Whether `check` vouches for an image: the one place the image check is
@@ -380,10 +450,19 @@ mod tests {
             .collect()
     }
 
+    /// `states` as the recover hook receives them.
+    fn handed(states: &[(CrashSite, DeltaImage)]) -> impl Iterator<Item = HarvestedState> + '_ {
+        states.iter().map(|(site, image)| HarvestedState {
+            site: *site,
+            image: image.clone(),
+            profile: None,
+        })
+    }
+
     /// The tables answer what the simulation answers, field for field: each
-    /// `mc-selective` recovery, and each dirty restart that boots at loop
-    /// index 0 of either scenario, at every site poll and a dense sample.
-    /// The hooks' whole answers equal the simulated chains' too.
+    /// `mc-selective` recovery and each `mc-epoch` dirty restart, at every
+    /// site poll and a dense sample. The hooks' whole answers equal the
+    /// simulated chains' too.
     #[test]
     fn every_tabled_answer_is_the_simulated_one() {
         let units = site_polls_and_dense_sample();
@@ -396,10 +475,9 @@ mod tests {
             let simulated = mc.dirty_chain(&s.cfg, states.iter().map(|(_, image)| image));
             for ((site, image), want) in states.iter().zip(&simulated.answers) {
                 let crashed_at = site.index + 1;
-                let full = image.materialize();
-                if let Some(got) = s.tabled_recovery(&mc, &full, crashed_at) {
-                    let one = [(crashed_at, Cow::Borrowed(&full))];
-                    let alone = mc.recover_chain(&s.cfg, one).answers.pop().expect("one");
+                if let Some(got) = s.tabled_recovery(&mc, &mut check, image, crashed_at) {
+                    let alone =
+                        mc.recover_and_resume(&image.materialize(), s.cfg.clone(), crashed_at);
                     assert_eq!(facts(&got), facts(&alone), "{name} at {site:?}");
                     recovered += 1;
                 }
@@ -408,14 +486,17 @@ mod tests {
                     restarted += 1;
                 }
             }
-            let hooked = s.dirty_restart_chain(&mc, &mut states.iter().map(|(_, image)| image));
+            let (hooked, _) = s.restarts(&mc, &mut states.iter().map(|(_, image)| image));
             assert_eq!(hooked, simulated.answers, "{name}");
+            let (hooked, _) = s.recoveries(&mc, &mut handed(&states));
+            let verdict = |c: &Classified| (c.outcome, c.lost_units, c.sim_time_ps);
+            for (got, (site, image)) in hooked.iter().zip(&states) {
+                let want = s.recover(&mc, *site, &image.materialize(), None);
+                assert_eq!(verdict(got), verdict(&want), "{name} at {site:?}");
+            }
             match s.mode {
-                // Every recovery replays at most an interval; the states of
-                // index 0 are the first 63 polls.
-                McMode::Selective { .. } => {
-                    assert_eq!((recovered, restarted), (states.len(), 63), "{name}");
-                }
+                // Every recovery replays at most an interval.
+                McMode::Selective { .. } => assert_eq!((recovered, restarted), (states.len(), 0)),
                 // Epoch mode never writes the index: every restart boots at 0.
                 _ => assert_eq!((recovered, restarted), (0, states.len()), "{name}"),
             }
@@ -436,7 +517,7 @@ mod tests {
     /// energy grid, a byte of the cross-section grid (each flipped), a byte
     /// beside the loop index on its line and a byte past the last line of
     /// the loop's state (each stray, nonzero).
-    fn corruptions(mc: &McSim, image: &NvmImage) -> [(&'static str, u64, u8); 4] {
+    fn corruptions(mc: &McSim, image: &DeltaImage) -> [(&'static str, u64, u8); 4] {
         let flip = |addr: u64| (addr, image.read_u8(addr) ^ 0x10);
         let hi = mc.idx_cell.addr() + 3 * adcc_sim::line::LINE_SIZE as u64;
         let energy = flip(mc.grids.energy.addr(100) + 6);
@@ -450,7 +531,8 @@ mod tests {
     }
 
     /// An image the check refuses falls back to simulation and answers what
-    /// the per-trial oracle's `recover` and `dirty_restart` answer for it.
+    /// the per-trial oracle's `recover` answers for it: one whose base is
+    /// corrupted, with no delta.
     #[test]
     fn a_corrupted_image_falls_back_to_simulation() {
         for s in both() {
@@ -458,21 +540,24 @@ mod tests {
             // Units 20 and 90: loop index 0 and 64 in `mc-selective`.
             let (mc, states) = harvest(&s, &[20, 90]);
             for (site, image) in &states {
-                let full = image.materialize();
-                assert!(mc.is_cold(&full), "{name}: a harvested image is cold");
-                for (what, addr, byte) in corruptions(&mc, &full) {
-                    let bad = with_bytes(&full, addr, &[byte]);
-                    assert!(!mc.is_cold(&bad), "{name}: {what}");
-                    assert!(s.tabled_recovery(&mc, &bad, site.index + 1).is_none());
+                let mut check = ColdCheck::new(&mc);
+                assert!(check.is_cold(image), "{name}: a harvested image is cold");
+                for (what, addr, byte) in corruptions(&mc, image) {
+                    let bad = with_bytes(&image.materialize(), addr, &[byte]);
+                    let delta = DeltaImage::whole(bad.clone());
+                    assert!(!check.is_cold(&delta), "{name}: {what}");
+                    let tabled = s.tabled_recovery(&mc, &mut check, &delta, site.index + 1);
+                    assert!(tabled.is_none());
                     let state = HarvestedState {
                         site: *site,
-                        image: bad.clone(),
+                        image: delta,
                         profile: None,
                     };
-                    let batch = s.recover_chain(&mc, &mut std::iter::once(state));
+                    let (batch, hits) = s.recoveries(&mc, &mut std::iter::once(state));
                     let oracle = s.recover(&mc, *site, &bad, None);
                     let verdict = |c: &Classified| (c.outcome, c.lost_units, c.sim_time_ps);
                     assert_eq!(verdict(&batch[0]), verdict(&oracle), "{name}: {what}");
+                    assert_eq!(hits, 0, "{name}: {what}");
                 }
             }
         }
@@ -480,34 +565,44 @@ mod tests {
 
     /// The same for the delta images the dirty pass reads: a run that has
     /// its NVM written behind its back after lookup 10 harvests images whose
-    /// deltas carry the corruption. None is read off the table, and the
-    /// hook's answers are the per-trial restarts.
+    /// deltas carry the corruption. None is read off a table, and the hooks'
+    /// answers are the per-trial recoveries and restarts.
     #[test]
     fn a_corrupted_delta_image_falls_back_to_simulation() {
         for s in both() {
             let name = s.info.name;
             let (live, states) = harvest(&s, &[20]);
-            for (what, addr, byte) in corruptions(&live, &states[0].1.materialize()) {
+            for (what, addr, byte) in corruptions(&live, &states[0].1) {
                 let (mut emu, mc) = s.setup(CrashTrigger::Never);
                 let units = [20, 40, 60];
                 emu.arm_harvest(units.map(|u| (s.trigger_of(u), u)));
                 assert!(mc.run(&mut emu, 0, 10).completed().is_some());
                 emu.seed_bytes(addr, &[byte]);
                 assert!(mc.run(&mut emu, 10, LOOKUPS).completed().is_some());
-                let images: Vec<DeltaImage> =
-                    emu.take_harvests().into_iter().map(|h| h.image).collect();
-                assert_eq!(images.len(), units.len());
+                let states: Vec<(CrashSite, DeltaImage)> = emu
+                    .take_harvests()
+                    .into_iter()
+                    .map(|h| (h.site, h.image))
+                    .collect();
+                assert_eq!(states.len(), units.len());
                 let mut check = ColdCheck::new(&mc);
-                for image in &images {
+                for (_, image) in &states {
                     assert_eq!(image.read_u64(mc.idx_cell.addr()), 0);
                     assert!(!check.is_cold(image), "{name}: {what}");
                 }
-                let hooked = s.dirty_restart_chain(&mc, &mut images.iter());
-                let alone: Vec<DirtyRestart> = images
+                let (hooked, hits) = s.restarts(&mc, &mut states.iter().map(|(_, image)| image));
+                let alone: Vec<DirtyRestart> = states
                     .iter()
-                    .map(|image| s.dirty_restart(&mc, &image.materialize()))
+                    .map(|(_, image)| s.dirty_restart(&mc, &image.materialize()))
                     .collect();
-                assert_eq!(hooked, alone, "{name}: {what}");
+                assert_eq!((hooked, hits), (alone, 0), "{name}: {what}");
+                let (hooked, hits) = s.recoveries(&mc, &mut handed(&states));
+                let verdict = |c: &Classified| (c.outcome, c.lost_units, c.sim_time_ps);
+                for (got, (site, image)) in hooked.iter().zip(&states) {
+                    let want = s.recover(&mc, *site, &image.materialize(), None);
+                    assert_eq!(verdict(got), verdict(&want), "{name}: {what}");
+                }
+                assert_eq!(hits, 0, "{name}: {what}");
             }
         }
     }
@@ -531,14 +626,15 @@ mod tests {
             bytes[at..at + 8].copy_from_slice(&skewed.to_le_bytes());
         }
         let poisoned = NvmImage::new(bytes, image.len());
+        let delta = DeltaImage::whole(poisoned.clone());
         let crashed_at = site.index + 1;
-        let (clean, seeds) = hook::record(|| s.tabled_recovery(&mc, &poisoned, crashed_at));
+        let ask = || s.tabled_recovery(&mc, &mut ColdCheck::new(&mc), &delta, crashed_at);
+        let (clean, seeds) = hook::record(ask);
         assert!(clean.is_none(), "the check refuses the poison");
         let seeds: Vec<Site> = seeds.into_iter().filter(|s| s.op == Op::Seed).collect();
         assert_eq!(seeds.len(), 1, "the one image check: {seeds:?}");
         let simulated = mc.recover_and_resume(&poisoned, s.cfg.clone(), crashed_at);
-        let seeded = hook::mutating(seeds[0], || s.tabled_recovery(&mc, &poisoned, crashed_at));
-        let seeded = seeded.expect("the seed skips the check");
+        let seeded = hook::mutating(seeds[0], ask).expect("the seed skips the check");
         assert_ne!(
             seeded.report.resume_time, simulated.report.resume_time,
             "the poison must show"
@@ -546,9 +642,9 @@ mod tests {
     }
 
     /// How many distinct crash states of a kernel campaign at seed 42 each
-    /// MC scenario's hooks read off the tables, per pass, of how many:
-    /// `[recover hits, dirty hits, states]`.
-    fn table_hits(budget_states: u64) -> [(&'static str, [usize; 3]); 2] {
+    /// MC scenario's hooks read off the tables, and of how many: `[recover
+    /// hits, dirty hits, states]`, the dirty pass run only for `resilience`.
+    fn table_hits(budget_states: u64, resilience: bool) -> [(&'static str, [usize; 3]); 2] {
         let cfg = CampaignConfig {
             budget_states,
             dense_units: 400,
@@ -562,12 +658,11 @@ mod tests {
             let mut hits = [0; 3];
             for chunk in planned[at.expect("registered")].chunks(cfg.max_batch as usize) {
                 let (mc, states) = harvest(&s, chunk);
-                let mut check = ColdCheck::new(&mc);
-                for (site, image) in &states {
-                    let full = image.materialize();
-                    let recovered = s.tabled_recovery(&mc, &full, site.index + 1);
-                    hits[0] += usize::from(recovered.is_some());
-                    hits[1] += usize::from(s.tabled_restart(&mc, &mut check, image).is_some());
+                hits[0] += s.recoveries(&mc, &mut handed(&states)).1;
+                if resilience {
+                    hits[1] += s
+                        .restarts(&mc, &mut states.iter().map(|(_, image)| image))
+                        .1;
                 }
                 hits[2] += states.len();
             }
@@ -576,17 +671,17 @@ mod tests {
     }
 
     /// A change that quietly stops reading the tables fails here: the
-    /// states of the `kernel-sweep` (260 states, 400 dense units) and
-    /// `resilience-sweep` (130, 400) campaigns at seed 42 that each pass
-    /// reads off them. `kernel-sweep` runs no dirty pass, and `mc-epoch`'s
-    /// recoveries chain.
+    /// states of the `kernel-sweep` (260 states, 400 dense units, no dirty
+    /// pass) and `resilience-sweep` (130, 400) campaigns at seed 42 that
+    /// each hook reads off them. `mc-epoch`'s recoveries and
+    /// `mc-selective`'s restarts chain.
     #[test]
     fn the_sweeps_read_as_many_states_off_the_tables_as_pinned() {
-        let [selective, epoch] = table_hits(260);
-        assert_eq!(selective, ("mc-selective", [20, 6, 20]));
-        assert_eq!(epoch, ("mc-epoch", [0, 20, 20]));
-        let [selective, epoch] = table_hits(130);
-        assert_eq!(selective, ("mc-selective", [10, 3, 10]));
+        let [selective, epoch] = table_hits(260, false);
+        assert_eq!(selective, ("mc-selective", [20, 0, 20]));
+        assert_eq!(epoch, ("mc-epoch", [0, 0, 20]));
+        let [selective, epoch] = table_hits(130, true);
+        assert_eq!(selective, ("mc-selective", [10, 0, 10]));
         assert_eq!(epoch, ("mc-epoch", [0, 10, 10]));
     }
 
@@ -598,17 +693,16 @@ mod tests {
         for s in both() {
             let (mc, states) = harvest(&s, &[20]);
             let (site, image) = &states[0];
-            let full = image.materialize();
             let ask = || {
                 let mut check = ColdCheck::new(&mc);
-                let recovered = s.tabled_recovery(&mc, &full, site.index + 1);
+                let recovered = s.tabled_recovery(&mc, &mut check, image, site.index + 1);
                 (
                     recovered.is_some(),
                     s.tabled_restart(&mc, &mut check, image).is_some(),
                 )
             };
             let selective = matches!(s.mode, McMode::Selective { .. });
-            assert_eq!(ask(), (selective, true), "{}", s.info.name);
+            assert_eq!(ask(), (selective, !selective), "{}", s.info.name);
             let (mut emu, mut live) = s.setup(CrashTrigger::Never);
             let (_, sites) = hook::record(|| s.forward(&mut live, &mut emu));
             let flush = sites.iter().find(|s| s.op == Op::Flush).expect("a persist");

@@ -1577,7 +1577,7 @@ mod tests {
             let (mut restarted, mut audits_fired) = (0, 0);
             for (i, delta) in deltas.iter().enumerate() {
                 let (image, crashed_at) = (delta.materialize(), i as u64 + 1);
-                assert!(mc.is_cold(&image) && check.is_cold(delta), "{mode:?} {i}");
+                assert!(check.is_cold(delta), "{mode:?} {i}");
                 let k = image.read_u64(mc.idx_cell.addr());
                 if k == 0 {
                     let want = mc.dirty_restart(&image, cfg.clone());
@@ -1590,17 +1590,24 @@ mod tests {
                     let reference = recoveries[slot]
                         .get_or_insert_with(|| mc.cold_recovery(&cfg, k, k + interval));
                     let got = mc
-                        .recovery_off(reference, &image, crashed_at)
+                        .recovery_off(reference, delta, crashed_at)
                         .expect("in span");
                     let want = mc.recover_and_resume(&image, cfg.clone(), crashed_at);
                     assert_eq!(facts(&got), facts(&want), "{mode:?} {i}");
                     audits_fired += u64::from(got.counts.iter().sum::<u64>() != EPOCH_LOOKUPS);
+                    // One built only as far as this crash point answers it,
+                    // and nothing past it.
+                    let short = mc.cold_recovery(&cfg, k, crashed_at);
+                    let got = mc.recovery_off(&short, delta, crashed_at);
+                    assert_eq!(got.as_ref().map(facts), Some(facts(&want)), "{mode:?} {i}");
+                    assert!(!short.reaches(crashed_at + 1));
+                    assert!(mc.recovery_off(&short, delta, crashed_at + 1).is_none());
                     // Out of its span, or for another index, it answers nothing.
                     assert!(mc
-                        .recovery_off(reference, &image, crashed_at + interval + 1)
+                        .recovery_off(reference, delta, crashed_at + interval + 1)
                         .is_none());
                     assert!(mc
-                        .recovery_off(reference, &image, k.wrapping_sub(1))
+                        .recovery_off(reference, delta, k.wrapping_sub(1))
                         .is_none());
                 }
             }

@@ -12,9 +12,9 @@
 //! set-up image with that loop index: the same clock, the same accesses and
 //! the same tally *increments* on top of the tallies it booted with.
 //!
-//! [`McSim::is_cold`] and [`ColdCheck`] are that condition, checked exactly:
-//! the grids bit for bit against the problem, zeros everywhere else outside
-//! the dead cells and the loop index. [`ColdRecovery`] and [`ColdRestart`]
+//! [`ColdCheck`] is that condition, checked exactly over the delta images a
+//! harvest takes: the grids bit for bit against the problem, zeros
+//! everywhere else outside the dead cells and the loop index. [`ColdRecovery`] and [`ColdRestart`]
 //! are the crash-free references, built by the simulated code paths they
 //! stand in for, from the set-up image itself. No image is held: the set-up
 //! image is the problem's grids plus zeros.
@@ -37,8 +37,8 @@ use crate::traits::{DirtyRestart, RecoveryReport};
 
 /// What recovery of the set-up image with the loop index at `from` did,
 /// crash-free: the detect phase, and the machine's clock and access count
-/// at every lookup boundary of its timed replay, up to the span it was
-/// built for. (Its tallies are the host tally's: see
+/// at every lookup boundary of its timed replay, up to the crash point it
+/// was built for. (Its tallies are the host tally's: see
 /// [`McSim::recovery_off`].)
 pub struct ColdRecovery {
     from: u64,
@@ -108,8 +108,8 @@ impl McSim {
     /// for bit, zeros elsewhere — outside the dead cells and the loop index:
     /// whether a cold replay from it replays as one from the set-up image
     /// with its loop index does. Exact; one pass over the image's written
-    /// prefix.
-    pub fn is_cold(&self, image: &NvmImage) -> bool {
+    /// prefix. [`ColdCheck`] asks it of each harvest's base.
+    fn is_cold(&self, image: &NvmImage) -> bool {
         let view = |arr: &PArray<f64>| image.view(arr.base(), arr.byte_len());
         let prefix = image.prefix();
         same_bits(&view(&self.grids.energy), &self.problem.energy)
@@ -134,6 +134,8 @@ impl McSim {
     /// The crash-free recovery of the set-up image with the loop index at
     /// `from`, to every crash point up to `to` (at most the end of the
     /// loop): the index-flushing modes' recovery, a boundary at a time.
+    /// Building it to `to` simulates what recovering one state crashed at
+    /// `to` does.
     pub fn cold_recovery(&self, cfg: &SystemConfig, from: u64, to: u64) -> ColdRecovery {
         let image = self.setup_image(cfg, from);
         let (mut emu, resumed_from, detect_time) = self.reboot_at_index(cfg, Cow::Owned(image));
@@ -158,16 +160,17 @@ impl McSim {
     }
 
     /// [`McSim::recover_and_resume`] of `image` to `crashed_at`, read off
-    /// `reference` — for an image [`McSim::is_cold`] vouches for (the caller
+    /// `reference` — for an image [`ColdCheck`] vouches for (the caller
     /// checks) that holds the loop index `reference` starts from, crashed
-    /// within its span; `None` otherwise. The counts are the image's
-    /// tallies plus what lookups `[from, lookups)` add: the timed replay's
-    /// increments and the untimed tail's, both the host tally of the
-    /// image's grids, which are the problem's.
+    /// where it [reaches](ColdRecovery::reaches); `None` otherwise. The
+    /// counts are the image's tallies plus what lookups `[from, lookups)`
+    /// add: the timed replay's increments and the untimed tail's, both the
+    /// host tally of the image's grids, which are its base's and the
+    /// problem's.
     pub fn recovery_off(
         &self,
         reference: &ColdRecovery,
-        image: &NvmImage,
+        image: &DeltaImage,
         crashed_at: u64,
     ) -> Option<McRecovery> {
         let from = image.read_u64(self.idx_cell.addr());
@@ -178,7 +181,7 @@ impl McSim {
             .at
             .get(usize::try_from(crashed_at.checked_sub(from)?).ok()?)?;
         let mut counts = self.image_counts(|addr| image.read_u64(addr));
-        for (c, t) in counts.iter_mut().zip(self.tally_tail(image, from)) {
+        for (c, t) in counts.iter_mut().zip(self.tally_tail(image.base(), from)) {
             *c += t;
         }
         Some(McRecovery {
@@ -228,14 +231,24 @@ impl McSim {
     }
 }
 
-/// [`McSim::is_cold`] over the delta images of one harvest: each delta's
-/// lines against its base outside the dead cells and the loop index, each
-/// distinct base checked once.
+/// Whether delta images of one harvest are their run's set-up image outside
+/// the dead cells and the loop index (see the module docs): each distinct
+/// base checked once, bit for bit, and then each delta's lines against it.
 pub struct ColdCheck<'a> {
     mc: &'a McSim,
     free: Vec<Range<u64>>,
     /// The last base checked, and its verdict.
     base: Option<(Arc<NvmImage>, bool)>,
+}
+
+impl ColdRecovery {
+    /// Whether it answers a state crashed at `crashed_at`: from where it
+    /// starts to as far as it was built.
+    pub fn reaches(&self, crashed_at: u64) -> bool {
+        crashed_at
+            .checked_sub(self.from)
+            .is_some_and(|j| j < self.at.len() as u64)
+    }
 }
 
 impl<'a> ColdCheck<'a> {

@@ -260,6 +260,12 @@ impl DeltaImage {
         self
     }
 
+    /// `image` as a delta of no lines over itself.
+    pub fn whole(image: NvmImage) -> Self {
+        let dirty_lines = image.dirty_lines_at_crash();
+        DeltaImage::new(Arc::new(image), Vec::new(), Vec::new()).with_dirty_lines(dirty_lines)
+    }
+
     /// Dirty NVM-homed cache lines resident in volatile levels at crash
     /// time (the same residency metric [`NvmImage::dirty_lines_at_crash`]
     /// carries; it survives materialization).

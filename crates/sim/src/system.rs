@@ -2657,6 +2657,21 @@ mod tests {
             assert!(!a.same_future(&b));
             assert!(a.clone().lead(&b, &[]).is_none());
             assert!(b.clone().lead(&a, &[]).is_none());
+
+            // A DRAM-homed line dirty in the CPU cache: the same for the
+            // DRAM backing, at its absolute address.
+            let mut a = a.clone();
+            let home = a.alloc_dram(LINE_SIZE);
+            a.write_bytes(home, &[0x5A; 8]);
+            assert!(dirty(&a, line_of(home)), "the DRAM line is dirty");
+            let mut b = a.clone();
+            b.dram.write_bytes(home + 40, &[0xEE; 8]);
+            assert!(!a.same_future(&b) && !a.same_future_modulo(&b, &[]));
+            assert!(a.clone().lead(&b, &[]).is_some());
+            assert!(b.clone().lead(&a, &[]).is_some());
+            a.persist_line(home);
+            b.persist_line(home);
+            assert!(a.same_future(&b), "the write-back made them one machine");
         }
     }
 
