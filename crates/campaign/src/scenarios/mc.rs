@@ -25,26 +25,27 @@
 //! image that is the set-up image outside the dead cells (`macro_xs`, the
 //! tallies, the epoch words) and the loop index `k` charges what the
 //! crash-free replay from the set-up image at `k` charges, and adds the
-//! same tally increments (see `adcc_core::mc::sim::cold`). Every image a run
-//! harvests is such an image. So `mc-selective`'s recoveries, which replay
-//! at most one interval, read their clock off a [`ColdRecovery`] per flushed
-//! index, and `mc-epoch`'s dirty restarts, which all boot at `k = 0`, off
-//! one [`ColdRestart`]. Each is built once per process, only when the image
-//! check passes, and never under a hook that changes machines. A recovery
-//! reference is built first only as far as the state that asks for it
-//! crashed, which simulates what recovering that state does, and over the
-//! whole interval when a later state asks past it: a process that runs one
-//! campaign, where most indices are asked for once, simulates no more than
-//! it did without them. The restart reference is one run to the end, as the
-//! epoch chain's pilot is. `mc-selective`'s restarts all chain: those at
-//! `k = 0` join that chain's pilot where it boots, and tabling the later
-//! indices would retain a reference document per index for little time
-//! (ROADMAP, item 5).
+//! same tally increments (see `adcc_core::mc::sim::cold`). A recovery and a
+//! dirty restart from `k` are that one replay, read at the crash point and
+//! at the end of the loop, and every image a run harvests is such an image.
+//! So each scenario keeps one table of [`ColdRecovery`] references, a slot
+//! per flushed index, built once per process, only when the image check
+//! passes, and never under a hook that changes machines. `mc-selective`'s
+//! recoveries, which replay at most one interval, read off the slot of
+//! their index; `mc-epoch`'s dirty restarts, which all boot at `k = 0`, off
+//! slot 0 built to the end of the loop, one run as the epoch chain's pilot
+//! is. A slot is built first only as far as the state that asks needs,
+//! which simulates what recovering that state does, and further when a
+//! later state asks past it: a process that runs one campaign, where most
+//! indices are asked for once, simulates no more than it did without the
+//! table. `mc-selective`'s restarts all chain: those at `k = 0` join that
+//! chain's pilot where it boots, and tabling the later indices would retain
+//! a reference per index for little time (ROADMAP, item 5).
 
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use adcc_core::mc::sim::{ColdCheck, ColdRecovery, ColdRestart, McMode, McRecovery, McSim};
+use adcc_core::mc::sim::{ColdCheck, ColdRecovery, McMode, McRecovery, McSim};
 use adcc_core::mc::{McProblem, XS_CHANNELS};
 use adcc_core::DirtyRestart;
 use adcc_resilience::Tolerance;
@@ -165,10 +166,30 @@ impl McCampaign {
         }
     }
 
-    /// `image`'s recovery to `crashed_at`, read off this scenario's
-    /// crash-free cold recovery from the loop index it holds: for a
-    /// `mc-selective` image `check` vouches for, crashed within the interval
-    /// that index opens, while machines run as configured; `None` otherwise.
+    /// This scenario's cold reference from the flushed loop index `k`, built
+    /// at least to `to` (see the module docs); `None` past the loop.
+    fn cold_reference(&self, mc: &McSim, k: u64, to: u64) -> Option<Arc<ColdRecovery>> {
+        type Slot = Mutex<Option<Arc<ColdRecovery>>>;
+        let table: &Vec<Slot> = once_per_process((self.info.name, "cold references"), || {
+            let flushed = LOOKUPS.div_ceil(INTERVAL);
+            (0..flushed).map(|_| Mutex::default()).collect()
+        });
+        let slot = table.get(usize::try_from(k / INTERVAL).ok()?)?;
+        let mut held = slot.lock().expect("a reference build never panics");
+        if let Some(built) = held.as_ref().filter(|built| built.reaches(to)) {
+            return Some(Arc::clone(built));
+        }
+        // First as far as this state needs, then at least the interval.
+        let to = held.as_ref().map_or(to, |_| to.max(k + INTERVAL));
+        let fresh = Arc::new(mc.cold_recovery(&self.cfg, k, to));
+        *held = Some(Arc::clone(&fresh));
+        Some(fresh)
+    }
+
+    /// `image`'s recovery to `crashed_at`, read off the cold reference from
+    /// the loop index it holds: for a `mc-selective` image `check` vouches
+    /// for, crashed within the interval that index opens, while machines run
+    /// as configured; `None` otherwise.
     fn tabled_recovery(
         &self,
         mc: &McSim,
@@ -181,41 +202,18 @@ impl McCampaign {
         }
         let k = image.read_u64(mc.idx_cell.addr());
         let replayed = crashed_at.checked_sub(k);
-        if !k.is_multiple_of(INTERVAL) || !replayed.is_some_and(|n| n <= INTERVAL) {
+        if !k.is_multiple_of(INTERVAL)
+            || replayed.is_none_or(|n| n > INTERVAL)
+            || !vouched(|| check.is_cold(image))
+        {
             return None;
         }
-        type Slot = Mutex<Option<Arc<ColdRecovery>>>;
-        let table: &Vec<Slot> = once_per_process((self.info.name, "cold recoveries"), || {
-            let flushed = LOOKUPS.div_ceil(INTERVAL);
-            (0..flushed).map(|_| Mutex::default()).collect()
-        });
-        let slot = table.get(usize::try_from(k / INTERVAL).ok()?)?;
-        if !vouched(|| check.is_cold(image)) {
-            return None;
-        }
-        let reference = {
-            let mut held = slot.lock().expect("a reference build never panics");
-            match &*held {
-                Some(built) if built.reaches(crashed_at) => Arc::clone(built),
-                built => {
-                    // First as far as this state needs, then the interval.
-                    let to = if built.is_some() {
-                        k + INTERVAL
-                    } else {
-                        crashed_at
-                    };
-                    let fresh = Arc::new(mc.cold_recovery(&self.cfg, k, to));
-                    *held = Some(Arc::clone(&fresh));
-                    fresh
-                }
-            }
-        };
-        mc.recovery_off(&reference, image, crashed_at)
+        mc.recovery_off(&*self.cold_reference(mc, k, crashed_at)?, image, crashed_at)
     }
 
-    /// `image`'s dirty restart, read off this scenario's crash-free cold
-    /// restart from loop index 0: for a `mc-epoch` image `check` vouches
-    /// for, while machines run as configured; `None` otherwise.
+    /// `image`'s dirty restart, read off the cold reference from loop index
+    /// 0 built to the end of the loop: for a `mc-epoch` image `check`
+    /// vouches for, while machines run as configured; `None` otherwise.
     fn tabled_restart(
         &self,
         mc: &McSim,
@@ -229,10 +227,7 @@ impl McCampaign {
         {
             return None;
         }
-        let reference: &ColdRestart = once_per_process((self.info.name, "cold restart"), || {
-            mc.cold_restart(&self.cfg)
-        });
-        mc.restart_off(reference, image)
+        mc.restart_off(&*self.cold_reference(mc, 0, LOOKUPS)?, image)
     }
 
     /// [`Workload::recover_chain`], and how many states it read off the

@@ -37,17 +37,18 @@
 //! * **epoch recovery** ([`McSim::recover_chain`]) exempts none — equal
 //!   states of a deterministic simulator have one future, so the tallies
 //!   are the pilot's;
-//! * **dirty restart** ([`McSim::dirty_chain`]) exempts the tally cells and
-//!   the epoch words — the loop never looks at a tally, it only adds one to
-//!   it, so each tally keeps the difference it had at the join; and it
-//!   writes an epoch word without ever reading it. A restart re-enters a
-//!   cold machine at the loop index its image flushed and joins the pilot a
-//!   few dozen lookups on, whichever index either booted at.
+//! * **dirty restart** ([`McSim::dirty_chain`]) exempts the dead cells
+//!   (`cold`): `macro_xs`, which each lookup zeroes before it reads it; the
+//!   tallies, which the loop only ever adds one to, so each keeps the
+//!   difference it had at the join; and the epoch words, which it writes
+//!   without ever reading them. A restart re-enters a cold machine at the
+//!   loop index its image flushed and joins the pilot a few dozen lookups
+//!   on, whichever index either booted at.
 //!
-//! A cold replay from an image that is the set-up image but for the cells
-//! the loop never reads before it writes them, or only adds one to, and the
-//! loop index, need not be simulated at all: it charges what the crash-free
-//! replay from the set-up image at that index charges (`cold`).
+//! A cold replay from an image that is the set-up image but for the dead
+//! cells and the loop index need not be simulated at all: a recovery or a
+//! dirty restart charges what the crash-free replay from the set-up image
+//! at that index charges (`cold`).
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -56,7 +57,7 @@ use std::sync::{Arc, OnceLock};
 use adcc_sim::clock::{Bucket, SimTime};
 use adcc_sim::crash::{CrashEmulator, CrashSite, CrashTrigger, RunOutcome};
 use adcc_sim::hook;
-use adcc_sim::image::{BootImage, NvmImage};
+use adcc_sim::image::NvmImage;
 use adcc_sim::parray::{PArray, PScalar, Pod};
 use adcc_sim::system::{Follower, MemorySystem, SystemConfig};
 
@@ -67,7 +68,7 @@ use crate::traits::{DirtyRestart, RecoveryReport};
 
 mod cold;
 
-pub use cold::{ColdCheck, ColdRecovery, ColdRestart};
+pub use cold::{ColdCheck, ColdRecovery};
 
 /// Persistence mode of the MC loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -438,17 +439,16 @@ impl McSim {
     /// execution**, in the order they were captured: the same
     /// [`DirtyRestart`] per state, field for field and picosecond for
     /// picosecond, for less simulated work. Each image is pulled from
-    /// `images` when its turn comes and read in place for its loop index;
-    /// only when its state boots does it become its machine's pool — a
-    /// delta materialized then, an owned image as it is, a borrowed one
-    /// copied.
+    /// `images` and turned into its machine's pool only when its state
+    /// boots — a delta materialized then, an owned image as it is, a
+    /// borrowed one copied.
     ///
     /// Each state boots its machine and reads the loop index; one the loop
     /// bound rejects stands past the end and is answered there. The rest go
     /// through the lockstep driver (see the module docs) behind one pilot. A
     /// follower joins where the pilot [leads](MemorySystem::lead) it modulo
-    /// the tallies and, in epoch mode, the epoch words: bytes this loop
-    /// reads only to add one to, or never reads at all. A joined restart's
+    /// the dead cells: bytes this loop reads only to add one to, overwrites
+    /// before it reads, or never reads at all. A joined restart's
     /// tallies end as far above the pilot's as they stood at the join
     /// (tallies are only ever `get + 1 -> set`), and the count-total audit
     /// is evaluated on those.
@@ -463,40 +463,14 @@ impl McSim {
     pub fn dirty_chain<'a>(
         &self,
         cfg: &SystemConfig,
-        images: impl IntoIterator<Item = impl BootImage<'a>>,
+        images: impl IntoIterator<Item = impl Into<Cow<'a, NvmImage>>>,
     ) -> Chain<DirtyRestart> {
         self.lockstep(
             images.into_iter(),
-            |image| DirtyReentry::boot(self, cfg, image.into_image()),
-            &self.dirty_cells(),
+            |image| DirtyReentry::boot(self, cfg, image.into()),
+            &self.dead_cells(),
             |_, _| true,
         )
-    }
-
-    /// The bytes two dirty restarts may differ in at a lookup boundary and
-    /// still have one future, as ascending address ranges; everything else
-    /// — the loop index, `macro_xs`, the grids, every other byte of these
-    /// lines — is compared exactly:
-    ///
-    /// * the five tallies, wherever this mode keeps them: the loop reads a
-    ///   tally only to add one to it, so each keeps its difference;
-    /// * in [`McMode::Epoch`], each counter line's epoch word: only
-    ///   [`EpochCounters::increment`] touches it on this path, and it writes
-    ///   the word without reading it.
-    ///
-    /// (`macro_xs` is dead at a boundary too — every lookup zeroes it before
-    /// reading it — but two restarts that reach one boundary hold one
-    /// `macro_xs` by then, so it stays compared.)
-    #[allow(clippy::single_range_in_vec_init)] // a list of ranges, here of one
-    fn dirty_cells(&self) -> Vec<Range<u64>> {
-        let words = |arr: &PArray<u64>, n: usize| arr.base()..arr.base() + 8 * n as u64;
-        if matches!(self.mode, McMode::Epoch { .. }) {
-            // Each line: its tallies, then its epoch word.
-            let (lo, hi) = (&self.epoch_counters.lo, &self.epoch_counters.hi);
-            vec![words(lo, lo.len()), words(hi, hi.len())]
-        } else {
-            vec![words(&self.counters, XS_CHANNELS)]
-        }
     }
 
     /// Reseeded recovery: like [`McSim::recover_and_resume`], but the
@@ -1480,7 +1454,7 @@ mod tests {
             McMode::Selective { interval: 8 },
         ] {
             let (mc, images) = images_at_every_lookup(&p, &hostile(), EPOCH_LOOKUPS, mode);
-            let cells = mc.dirty_cells();
+            let cells = mc.dead_cells();
             for k in [0, 13, 40, 77] {
                 let mut bytes = images[k].prefix().to_vec();
                 for cell in &cells {
@@ -1556,9 +1530,11 @@ mod tests {
 
     /// Read off the cold references, every crash state of a run answers
     /// what recovering it and restarting it answer, field for field: every
-    /// selective recovery, every restart at loop index 0. The caches evict
-    /// tallies between flushes, so the tallies the states boot with are
-    /// not the reference's. The set-up image the references boot is the
+    /// selective recovery, off a reference built only as far as its crash
+    /// point and off one built over the interval, and every restart, at
+    /// every flushed index, off one built to the end of the loop. The caches
+    /// evict tallies between flushes, so the tallies the states boot with
+    /// are not the reference's. The set-up image the references boot is the
     /// set-up machine's NVM, and every harvested image passes the check.
     #[test]
     fn cold_references_answer_as_the_simulation_does() {
@@ -1571,7 +1547,7 @@ mod tests {
             let (mc, deltas) = deltas_at_every_lookup(&p, &cfg, EPOCH_LOOKUPS, mode);
             let setup = deltas[0].base();
             assert_eq!(**setup, mc.setup_image(&cfg, 0), "{mode:?}");
-            let restart = mc.cold_restart(&cfg);
+            let mut to_the_end: Vec<Option<ColdRecovery>> = Vec::new();
             let mut recoveries: Vec<Option<ColdRecovery>> = Vec::new();
             let mut check = ColdCheck::new(&mc);
             let (mut restarted, mut audits_fired) = (0, 0);
@@ -1579,11 +1555,13 @@ mod tests {
                 let (image, crashed_at) = (delta.materialize(), i as u64 + 1);
                 assert!(check.is_cold(delta), "{mode:?} {i}");
                 let k = image.read_u64(mc.idx_cell.addr());
-                if k == 0 {
-                    let want = mc.dirty_restart(&image, cfg.clone());
-                    assert_eq!(mc.restart_off(&restart, delta), Some(want), "{mode:?} {i}");
-                    restarted += 1;
-                }
+                let slot = k as usize;
+                to_the_end.resize_with(to_the_end.len().max(slot + 1), || None);
+                let whole = to_the_end[slot]
+                    .get_or_insert_with(|| mc.cold_recovery(&cfg, k, EPOCH_LOOKUPS));
+                let want = mc.dirty_restart(&image, cfg.clone());
+                assert_eq!(mc.restart_off(whole, delta), Some(want), "{mode:?} {i}");
+                restarted += u64::from(k > 0);
                 if let McMode::Selective { interval } = mode {
                     let slot = (k / interval) as usize;
                     recoveries.resize_with(recoveries.len().max(slot + 1), || None);
@@ -1602,6 +1580,10 @@ mod tests {
                     assert_eq!(got.as_ref().map(facts), Some(facts(&want)), "{mode:?} {i}");
                     assert!(!short.reaches(crashed_at + 1));
                     assert!(mc.recovery_off(&short, delta, crashed_at + 1).is_none());
+                    // Short of the end of the loop, no restart.
+                    if crashed_at < EPOCH_LOOKUPS {
+                        assert!(mc.restart_off(&short, delta).is_none());
+                    }
                     // Out of its span, or for another index, it answers nothing.
                     assert!(mc
                         .recovery_off(reference, delta, crashed_at + interval + 1)
@@ -1611,8 +1593,12 @@ mod tests {
                         .is_none());
                 }
             }
-            assert!(restarted >= 7, "{mode:?}: {restarted} restarts at index 0");
-            if matches!(mode, McMode::Selective { .. }) {
+            if let McMode::Selective { interval } = mode {
+                assert_eq!(
+                    restarted,
+                    EPOCH_LOOKUPS - interval + 1,
+                    "{mode:?}: restarts past 0"
+                );
                 assert!(audits_fired > 0, "{mode:?}: no booted tally differed");
             }
         }

@@ -12,12 +12,18 @@
 //! set-up image with that loop index: the same clock, the same accesses and
 //! the same tally *increments* on top of the tallies it booted with.
 //!
+//! A dirty restart from loop index `k` is that replay too, read at the end
+//! of the loop: it boots the same image, reads the index once and runs the
+//! loop on, one `McSim::run(i, i + 1)` at a time, as the index-flushing
+//! modes' recovery does. Only the clock's bucket differs, which moves where
+//! picoseconds are booked, not how many.
+//!
 //! [`ColdCheck`] is that condition, checked exactly over the delta images a
 //! harvest takes: the grids bit for bit against the problem, zeros
-//! everywhere else outside the dead cells and the loop index. [`ColdRecovery`] and [`ColdRestart`]
-//! are the crash-free references, built by the simulated code paths they
-//! stand in for, from the set-up image itself. No image is held: the set-up
-//! image is the problem's grids plus zeros.
+//! everywhere else outside the dead cells and the loop index. A
+//! [`ColdRecovery`] is the crash-free reference, built by the simulated code
+//! path it stands in for, from the set-up image itself. No image is held:
+//! the set-up image is the problem's grids plus zeros.
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -30,15 +36,16 @@ use adcc_sim::parray::PArray;
 use adcc_sim::system::SystemConfig;
 
 use super::{
-    same_bits, DirtyReentry, EpochCounters, McMode, McRecovery, McSim, Reading, Replay, ReplayKind,
+    same_bits, DirtyReentry, EpochCounters, McMode, McRecovery, McSim, Reading, ReplayKind,
     XS_CHANNELS,
 };
 use crate::traits::{DirtyRestart, RecoveryReport};
 
-/// What recovery of the set-up image with the loop index at `from` did,
-/// crash-free: the detect phase, and the machine's clock and access count
-/// at every lookup boundary of its timed replay, up to the crash point it
-/// was built for. (Its tallies are the host tally's: see
+/// What the cold replay of the set-up image with the loop index at `from`
+/// did, crash-free: the detect phase, and the machine's clock and access
+/// count at every lookup boundary of its timed replay, up to the crash point
+/// it was built for — or to the end of the loop, where it is also the dirty
+/// restart from `from`. (Its tallies are the host tally's: see
 /// [`McSim::recovery_off`].)
 pub struct ColdRecovery {
     from: u64,
@@ -47,13 +54,6 @@ pub struct ColdRecovery {
     resume_began: SimTime,
     /// `at[j]`: the clock and access count after lookups `from..from + j`.
     at: Vec<(SimTime, u64)>,
-}
-
-/// What a dirty restart of the set-up image did, crash-free, run to the
-/// end of the loop.
-pub struct ColdRestart {
-    kind: DirtyReentry,
-    end: Reading,
 }
 
 impl McSim {
@@ -89,17 +89,26 @@ impl McSim {
         ranges
     }
 
-    /// The dead cells (see the module docs) and the loop index, ascending.
-    fn dead_and_index(&self) -> Vec<Range<u64>> {
-        let idx = self.idx_cell.addr();
+    /// The dead cells (see the module docs), ascending: `macro_xs`, the
+    /// tallies of both layouts and the epoch words. Neither layout is
+    /// touched in the other's modes.
+    pub(super) fn dead_cells(&self) -> Vec<Range<u64>> {
         let (lo, hi) = (&self.epoch_counters.lo, &self.epoch_counters.hi);
         let mut ranges = vec![
             span(&self.macro_xs),
             span(&self.counters),
-            idx..idx + 8,
             span(lo),
             span(hi),
         ];
+        ranges.sort_unstable_by_key(|r| r.start);
+        ranges
+    }
+
+    /// [`McSim::dead_cells`] and the loop index, ascending.
+    fn dead_and_index(&self) -> Vec<Range<u64>> {
+        let idx = self.idx_cell.addr();
+        let mut ranges = self.dead_cells();
+        ranges.push(idx..idx + 8);
         ranges.sort_unstable_by_key(|r| r.start);
         ranges
     }
@@ -131,11 +140,12 @@ impl McSim {
         })
     }
 
-    /// The crash-free recovery of the set-up image with the loop index at
+    /// The crash-free cold replay of the set-up image with the loop index at
     /// `from`, to every crash point up to `to` (at most the end of the
     /// loop): the index-flushing modes' recovery, a boundary at a time.
     /// Building it to `to` simulates what recovering one state crashed at
-    /// `to` does.
+    /// `to` does; building it to the end, what a dirty restart from `from`
+    /// does, in any mode.
     pub fn cold_recovery(&self, cfg: &SystemConfig, from: u64, to: u64) -> ColdRecovery {
         let image = self.setup_image(cfg, from);
         let (mut emu, resumed_from, detect_time) = self.reboot_at_index(cfg, Cow::Owned(image));
@@ -162,11 +172,9 @@ impl McSim {
     /// [`McSim::recover_and_resume`] of `image` to `crashed_at`, read off
     /// `reference` — for an image [`ColdCheck`] vouches for (the caller
     /// checks) that holds the loop index `reference` starts from, crashed
-    /// where it [reaches](ColdRecovery::reaches); `None` otherwise. The
-    /// counts are the image's tallies plus what lookups `[from, lookups)`
-    /// add: the timed replay's increments and the untimed tail's, both the
-    /// host tally of the image's grids, which are its base's and the
-    /// problem's.
+    /// where it [reaches](ColdRecovery::reaches); `None` otherwise. Its
+    /// counts take in the timed replay's increments and the untimed tail's
+    /// alike (`counts_off`).
     pub fn recovery_off(
         &self,
         reference: &ColdRecovery,
@@ -180,13 +188,9 @@ impl McSim {
         let &(time, accesses) = reference
             .at
             .get(usize::try_from(crashed_at.checked_sub(from)?).ok()?)?;
-        let mut counts = self.image_counts(|addr| image.read_u64(addr));
-        for (c, t) in counts.iter_mut().zip(self.tally_tail(image.base(), from)) {
-            *c += t;
-        }
         Some(McRecovery {
             resumed_from: from,
-            counts,
+            counts: self.counts_off(image, from),
             report: RecoveryReport {
                 detect_time: reference.detect_time,
                 resume_time: time - reference.resume_began,
@@ -197,37 +201,48 @@ impl McSim {
         })
     }
 
-    /// The crash-free dirty restart of the set-up image, which holds loop
-    /// index 0, run to the end of the loop: every restart of
-    /// [`McMode::Epoch`], which never writes the index, and those of the
-    /// index-flushing modes before their first flush.
-    pub fn cold_restart(&self, cfg: &SystemConfig) -> ColdRestart {
-        let image = self.setup_image(cfg, 0);
-        let mut run: Replay<DirtyReentry> = DirtyReentry::boot(self, cfg, Cow::Owned(image));
-        while run.next < self.lookups {
-            run.step(self);
-        }
-        ColdRestart {
-            kind: run.kind,
-            end: run.reading(self),
-        }
-    }
-
     /// [`McSim::dirty_restart`] of `image`, read off `reference` — for an
-    /// image [`ColdCheck`] vouches for (the caller checks) that holds loop
-    /// index 0; `None` otherwise. Its tallies end
-    /// as far above the reference's as they booted, and the count-total
-    /// audit is evaluated on those.
-    pub fn restart_off(&self, reference: &ColdRestart, image: &DeltaImage) -> Option<DirtyRestart> {
-        if image.read_u64(self.idx_cell.addr()) != reference.kind.idx {
+    /// image [`ColdCheck`] vouches for (the caller checks) that holds the
+    /// loop index `reference` starts from, when `reference` was built to the
+    /// end of the loop; `None` otherwise. The restart's clock runs from
+    /// before the index read to the loop's end; its tallies end as far above
+    /// the reference's as they booted, and the count-total audit is
+    /// evaluated on those.
+    pub fn restart_off(
+        &self,
+        reference: &ColdRecovery,
+        image: &DeltaImage,
+    ) -> Option<DirtyRestart> {
+        let from = image.read_u64(self.idx_cell.addr());
+        if from != reference.from || !reference.reaches(self.lookups) {
             return None;
         }
-        let mut end = reference.end;
-        let booted = self.image_counts(|addr| image.read_u64(addr));
-        for (c, b) in end.counts.iter_mut().zip(booted) {
-            *c += b;
+        let &(time, accesses) = reference.at.last()?;
+        let kind = DirtyReentry {
+            began: reference.resume_began - reference.detect_time,
+            idx: from,
+        };
+        let counts = self.counts_off(image, from);
+        Some(kind.answer(
+            self,
+            Reading {
+                time,
+                counts,
+                accesses,
+            },
+        ))
+    }
+
+    /// The tallies a cold replay of `image` from loop index `from` ends the
+    /// loop with: the image's own plus what lookups `[from, lookups)` add,
+    /// the host tally of the image's grids, which are its base's and the
+    /// problem's.
+    fn counts_off(&self, image: &DeltaImage, from: u64) -> [u64; XS_CHANNELS] {
+        let mut counts = self.image_counts(|addr| image.read_u64(addr));
+        for (c, t) in counts.iter_mut().zip(self.tally_tail(image.base(), from)) {
+            *c += t;
         }
-        Some(reference.kind.answer(self, end))
+        counts
     }
 }
 

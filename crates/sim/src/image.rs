@@ -194,24 +194,12 @@ impl std::fmt::Debug for NvmImage {
     }
 }
 
-/// A crash image as a chain of reboots takes it: turned into the bytes a
-/// machine boots from only when its turn comes — a materialized
-/// [`NvmImage`], borrowed or owned, or a [`DeltaImage`], materialized then.
-pub trait BootImage<'a> {
-    /// The image's bytes: as they are where they exist, materialized
-    /// otherwise.
-    fn into_image(self) -> Cow<'a, NvmImage>;
-}
-
-impl<'a> BootImage<'a> for Cow<'a, NvmImage> {
-    fn into_image(self) -> Cow<'a, NvmImage> {
-        self
-    }
-}
-
-impl<'a> BootImage<'a> for &'a DeltaImage {
-    fn into_image(self) -> Cow<'a, NvmImage> {
-        Cow::Owned(self.materialize())
+/// A delta image as a machine boots from it: materialized when the
+/// conversion runs, so a chain that converts each image in its turn holds
+/// no image ahead of it.
+impl<'a> From<&'a DeltaImage> for Cow<'a, NvmImage> {
+    fn from(image: &'a DeltaImage) -> Self {
+        Cow::Owned(image.materialize())
     }
 }
 

@@ -268,7 +268,7 @@ struct Shadow {
 /// [`MemorySystem::follower_ps`] needs to price its clock off its leader's.
 /// Meaningful only to the leader that issued it, or a clone of that leader;
 /// `Follower::default()` is the leader itself.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Follower {
     /// The leader's shadow of its detectors; `None` when they are the
     /// leader's own wherever a medium prefetches.
@@ -1259,84 +1259,67 @@ impl MemorySystem {
         self.access_count
     }
 
-    /// Whether this machine and `other` have **one future**: any sequence
-    /// of operations applied to both from here on charges the same
-    /// picoseconds to the same buckets, moves every counter by the same
-    /// amount, reads the same values and leaves the same crash images. The
-    /// simulator is deterministic, so that holds exactly when every input
-    /// to a later charge or read is equal, and this compares all of them —
-    /// no hash, no tolerance:
+    /// Whether `follower` has this machine's **crash-free future** modulo
+    /// `cells` and its stream detectors, and, if so, the [`Follower`] that
+    /// prices those detectors: any sequence of operations short of a crash,
+    /// applied to both from here on, charges the same picoseconds to the
+    /// same buckets but for what the detectors price, moves every counter by
+    /// the same amount and reads the same values outside `cells`. The
+    /// simulator is deterministic, so that holds exactly when every input to
+    /// a later charge or read is equal, and this compares all of them — no
+    /// hash, no tolerance:
     ///
     /// * the configuration, both bump allocators and the clock's current
     ///   bucket;
     /// * both caches, set by set, as (line, dirty, payload) in replacement
     ///   order (see `SetAssocCache::same_future_modulo`: exact for LRU and
-    ///   FIFO, `false` for the policies whose victim depends on the way);
-    /// * the NVM and DRAM backing contents;
-    /// * each stream detector, position by position — unless its medium
-    ///   does not prefetch, in which case its answers price nothing
-    ///   ([`MediaTiming::read_cost`](crate::timing::MediaTiming::read_cost)
-    ///   ignores them) and it is not an input.
+    ///   FIFO, `None` for the policies whose victim depends on the way);
+    /// * the NVM and DRAM backing contents, but for the bytes under a line
+    ///   that is dirty anywhere in the (equal) cache hierarchy: nothing
+    ///   reads them before a full-line write-back of the cached copy
+    ///   replaces them, and only a crash image could show them. Two machines
+    ///   it vouches for may crash to different images.
     ///
-    /// What it does not compare makes it answer `false`: an attached event
+    /// What it does not compare makes it answer `None`: an attached event
     /// recorder, a running write journal. What is *not* an input, and may
     /// differ: the clock's reading, the counters and the access count (only
     /// their deltas are determined), and which way of its set a line sits
     /// in. Uncharged; costs one pass over both machines' resident bytes, so
     /// it belongs between work units, never on an access path.
-    pub fn same_future(&self, other: &Self) -> bool {
-        self.same_future_modulo(other, &[])
-    }
-
-    /// [`MemorySystem::same_future`] with the **payload bytes** of the NVM
-    /// address ranges `cells` (ascending, disjoint) exempt — in both caches'
-    /// line payloads and in the NVM backing — and nothing else: whether a
-    /// cell's line is resident, where it stands in the replacement order,
-    /// its dirty bit, and every other byte stay exact. The simulator never
-    /// prices, addresses or orders anything by payload, so two machines this
-    /// vouches for charge, count and evict alike whatever is done to them;
-    /// what they can differ in is what they *read* from a cell. The caller
-    /// owes the rest: `cells` may name only bytes that no address, branch or
-    /// charge of the code still to run depends on, and that this code
+    ///
+    /// `cells` (ascending, disjoint NVM ranges) have their **payload bytes**
+    /// exempt — in both caches' line payloads and in the NVM backing — and
+    /// nothing else: whether a cell's line is resident, where it stands in
+    /// the replacement order, its dirty bit, and every other byte stay
+    /// exact. The simulator never prices, addresses or orders anything by
+    /// payload, so two machines this vouches for charge, count and evict
+    /// alike whatever is done to them; what they can differ in is what they
+    /// *read* from a cell. The caller owes the rest: `cells` may name only
+    /// bytes that no address, branch or charge of the code still to run
+    /// depends on, and that this code
     ///
     /// * reads only to add to and write back — a **tally**, which keeps its
     ///   difference; or
     /// * overwrites before it reads, or never reads — a **dead cell**, whose
     ///   difference nothing sees and which an overwrite makes equal.
     ///
-    /// Then everything outside the cells is one future.
-    pub fn same_future_modulo(&self, other: &Self, cells: &[Range<u64>]) -> bool {
-        self.priced_streams(&other.streams) == self.streams
-            && self.same_future_but_streams(other, cells, false)
-    }
-
-    /// Whether `follower` has this machine's future modulo `cells` and
-    /// its stream detectors — [`MemorySystem::same_future_modulo`] with the
-    /// detectors exempt — and, if so, the [`Follower`] that prices them.
-    ///
     /// A detector's answer only picks between two prices of one line
     /// transfer: the two machines miss, count, read and evict alike under
-    /// whatever is done to both, and only their clocks drift apart. So
-    /// where a prefetching medium's detectors differ, this machine — the
+    /// whatever is done to both, and only their clocks drift apart. So where
+    /// a prefetching medium's detectors differ, this machine — the
     /// **leader** — takes a *shadow* of the follower's, or shares the one an
     /// earlier follower left that now stands equal to them. From here on it
     /// feeds every shadow the notes its own detectors get, and
     /// [`MemorySystem::follower_ps`] reads how far the follower's clock would
     /// have moved beyond its own: exactly, as long as the two take the same
-    /// operations. A shadow is a detector pair and a counter, and nothing
-    /// retires one: a leader lives as long as the chain it leads.
-    ///
-    /// A chain never crashes, so `lead` compares **crash-free** futures: the
-    /// NVM and DRAM backing bytes under a line that is dirty anywhere in the
-    /// (equal) cache hierarchy are exempt too, for the backing compare only.
-    /// Nothing reads them before a full-line write-back of the cached copy
-    /// replaces them; only a crash image could show them. So two machines it
-    /// vouches for may crash to different images, and
-    /// [`MemorySystem::same_future`] and
-    /// [`MemorySystem::same_future_modulo`], which promise equal crash
-    /// images, stay exact.
+    /// operations. A detector of a medium that does not prefetch prices
+    /// nothing ([`MediaTiming::read_cost`](crate::timing::MediaTiming::read_cost)
+    /// ignores it) and is no input. Where the priced detectors are equal the
+    /// answer is [`Follower::default`]: the two machines are one. A shadow is
+    /// a detector pair and a counter, and nothing retires one: a leader lives
+    /// as long as the chain it leads.
     pub fn lead(&mut self, follower: &Self, cells: &[Range<u64>]) -> Option<Follower> {
-        if !self.same_future_but_streams(follower, cells, true) {
+        if !self.same_future_but_streams(follower, cells) {
             return None;
         }
         let streams = self.priced_streams(&follower.streams);
@@ -1379,15 +1362,8 @@ impl MemorySystem {
         }
     }
 
-    /// [`MemorySystem::same_future_modulo`] but for the stream detectors;
-    /// `crash_free`, the backing bytes under dirty cached lines aside too
-    /// (see [`MemorySystem::lead`]).
-    fn same_future_but_streams(
-        &self,
-        other: &Self,
-        cells: &[Range<u64>],
-        crash_free: bool,
-    ) -> bool {
+    /// [`MemorySystem::lead`]'s comparison but for the stream detectors.
+    fn same_future_but_streams(&self, other: &Self, cells: &[Range<u64>]) -> bool {
         debug_assert!(
             cells.windows(2).all(|w| w[0].end <= w[1].start)
                 && cells.iter().all(|c| c.end <= DRAM_BASE),
@@ -1407,10 +1383,6 @@ impl MemorySystem {
             };
         if !same_caches {
             return false;
-        }
-        if !crash_free {
-            return self.nvm.same_future_modulo(&other.nvm, cells)
-                && self.dram.same_future_modulo(&other.dram, &[]);
         }
         // The caches are equal, dirty bits included: one set of dirty lines.
         let (nvm, dram) = self.under_dirty_lines(cells);
@@ -1442,7 +1414,7 @@ impl MemorySystem {
     /// Whether a program reading this machine and `other` would see the
     /// same byte at every NVM and DRAM address: each machine's caches
     /// overlaid on its backing stores, as [`MemorySystem::peek_bytes`] reads
-    /// them. Exact, like [`MemorySystem::same_future`], but over values
+    /// them. Exact, like [`MemorySystem::lead`], but over values
     /// only: where a line lives, whether it is dirty, the clock, counters,
     /// stream detectors, allocators and configuration are not compared
     /// (media of different address ranges answer `false`). So two machines
@@ -2365,8 +2337,14 @@ mod tests {
         }
     }
     // ------------------------------------------------------------------
-    // same_future
+    // lead
     // ------------------------------------------------------------------
+
+    /// Whether `a` leads `b` as one machine, `cells` aside: the join
+    /// [`MemorySystem::lead`] makes with no detector to price.
+    fn one_future(a: &MemorySystem, b: &MemorySystem, cells: &[Range<u64>]) -> bool {
+        a.clone().lead(b, cells) == Some(Follower::default())
+    }
 
     /// Lines of the op region, its slack line included.
     const LINES: u64 = REGION / LINE_SIZE as u64 + 1;
@@ -2395,7 +2373,7 @@ mod tests {
     #[test]
     fn one_differing_input_each_breaks_same_future() {
         let (a, first) = warm(tiny_nvm_only());
-        assert!(a.same_future(&a.clone()));
+        assert!(one_future(&a, &a.clone(), &[]));
         // The last line written, and the line written before it in its set.
         let (mru, second) = (first + LINES - 1, first + LINES - 3);
         // Two cells: a byte of the first line (persisted and evicted: NVM
@@ -2405,10 +2383,11 @@ mod tests {
         // Whether `a` vouches for `b`: exactly, and with the cells' payload
         // exempt. Either way from either side.
         let vouched = |a: &MemorySystem, b: &MemorySystem, cells: &[Range<u64>]| {
-            assert_eq!(a.same_future(b), b.same_future(a));
-            let modulo = a.same_future_modulo(b, cells);
-            assert_eq!(modulo, b.same_future_modulo(a, cells));
-            (a.same_future(b), modulo)
+            let exact = one_future(a, b, &[]);
+            assert_eq!(exact, one_future(b, a, &[]));
+            let modulo = one_future(a, b, cells);
+            assert_eq!(modulo, one_future(b, a, cells));
+            (exact, modulo)
         };
         // `exempt`: the difference is payload of a cell and nothing else.
         let differs = |what: &str, exempt: bool, change: &dyn Fn(&mut MemorySystem)| {
@@ -2471,7 +2450,7 @@ mod tests {
         let (a, first) = warm(tiny_hetero());
         let mut b = a.clone();
         b.streams.nvm.note(9_999);
-        assert!(a.same_future(&b));
+        assert!(one_future(&a, &b, &[]));
         // The line the CPU cache evicted last: the newest of its DRAM-cache
         // set, so a lookup there moves no line past another.
         let evicted = first + LINES - 17;
@@ -2490,7 +2469,10 @@ mod tests {
         let mut b = a.clone();
         let dramc = b.dramc.as_mut().expect("heterogeneous");
         assert!(dramc.clean_line(first + 1).is_some(), "evicted dirty");
-        assert!(!a.same_future(&b), "a DRAM-cache dirty bit went unnoticed");
+        assert!(
+            a.clone().lead(&b, &[]).is_none(),
+            "a DRAM-cache dirty bit went unnoticed"
+        );
     }
 
     /// `same_contents` reads each machine as a program would, caches over
@@ -2575,8 +2557,8 @@ mod tests {
         let mut b = a.clone();
         b.nvm.write_bytes(in_nvm + 16, &[0xAB; 8]);
         b.cpu.lookup(mru).expect("resident").data()[32..40].fill(0xCD);
-        assert!(!a.same_future(&b));
-        assert!(a.same_future_modulo(&b, &cells) && b.same_future_modulo(&a, &cells));
+        assert!(a.clone().lead(&b, &[]).is_none());
+        assert!(one_future(&a, &b, &cells) && one_future(&b, &a, &cells));
 
         // Overwrite both cells, then read every line around them and persist.
         let run = |s: &mut MemorySystem| {
@@ -2592,7 +2574,10 @@ mod tests {
             seen
         };
         assert_eq!(run(&mut a), run(&mut b));
-        assert!(a.same_future(&b), "the overwrite made them one machine");
+        assert!(
+            one_future(&a, &b, &[]),
+            "the overwrite made them one machine"
+        );
         let (sa, sb) = (a.counter_snapshot(), b.counter_snapshot());
         assert_eq!(
             (sa.stats, sa.bucket_ps, sa.now_ps, a.access_count()),
@@ -2603,11 +2588,10 @@ mod tests {
 
     /// `lead` compares crash-free futures: the backing bytes under a line
     /// dirty in the cache hierarchy are dead until its write-back replaces
-    /// them. Two machines that differ only there are led, but are not one
-    /// future, because a crash would show the bytes. Once every line is
-    /// written back they are one machine, having charged and counted alike.
-    /// The same difference under a clean cached line is read on its next
-    /// miss, and both predicates refuse it.
+    /// them. Two machines that differ only there are led, though a crash
+    /// would show the bytes. Once every line is written back they are one
+    /// machine, having charged and counted alike. The same difference under
+    /// a clean cached line is read on its next miss, and `lead` refuses it.
     #[test]
     fn lead_leaves_out_the_backing_under_dirty_lines_only() {
         let dirty = |s: &MemorySystem, line: u64| {
@@ -2630,9 +2614,9 @@ mod tests {
                 assert!(dirty(&a, line), "line {line} is dirty");
                 let mut b = a.clone();
                 b.nvm.write_bytes((line << LINE_SHIFT) + 3, &[0xEE; 8]);
-                assert!(!a.same_future(&b) && !a.same_future_modulo(&b, &[]));
-                assert!(a.clone().lead(&b, &[]).is_some(), "line {line}");
-                assert!(b.clone().lead(&a, &[]).is_some(), "line {line}");
+                assert_ne!(a.clone().crash(), b.clone().crash(), "a crash shows them");
+                assert!(one_future(&a, &b, &[]), "line {line}");
+                assert!(one_future(&b, &a, &[]), "line {line}");
 
                 let mut a = a.clone();
                 let run = |s: &mut MemorySystem| {
@@ -2643,7 +2627,10 @@ mod tests {
                     (s.now() - t0, s.access_count())
                 };
                 assert_eq!(run(&mut a), run(&mut b));
-                assert!(a.same_future(&b), "the write-backs made them one machine");
+                assert!(
+                    one_future(&a, &b, &[]),
+                    "the write-backs made them one machine"
+                );
                 assert_eq!(a.crash(), b.crash());
             }
 
@@ -2654,7 +2641,6 @@ mod tests {
             assert!(a.cpu.slot_of(first).is_some() && !dirty(&a, first));
             let mut b = a.clone();
             b.nvm.write_bytes((first << LINE_SHIFT) + 3, &[0xEE; 8]);
-            assert!(!a.same_future(&b));
             assert!(a.clone().lead(&b, &[]).is_none());
             assert!(b.clone().lead(&a, &[]).is_none());
 
@@ -2666,12 +2652,13 @@ mod tests {
             assert!(dirty(&a, line_of(home)), "the DRAM line is dirty");
             let mut b = a.clone();
             b.dram.write_bytes(home + 40, &[0xEE; 8]);
-            assert!(!a.same_future(&b) && !a.same_future_modulo(&b, &[]));
-            assert!(a.clone().lead(&b, &[]).is_some());
-            assert!(b.clone().lead(&a, &[]).is_some());
+            assert!(one_future(&a, &b, &[]) && one_future(&b, &a, &[]));
             a.persist_line(home);
             b.persist_line(home);
-            assert!(a.same_future(&b), "the write-back made them one machine");
+            assert!(
+                one_future(&a, &b, &[]),
+                "the write-back made them one machine"
+            );
         }
     }
 
@@ -2689,7 +2676,7 @@ mod tests {
         // Zeros the backing store spells out instead of leaving implicit.
         b.nvm.write_bytes(40_000, &[0; 16]);
         b.dram.write_bytes(DRAM_BASE + 640, &[0]);
-        assert!(a.same_future(&b) && b.same_future(&a));
+        assert!(one_future(&a, &b, &[]) && one_future(&b, &a, &[]));
     }
 
     #[test]
@@ -2697,24 +2684,24 @@ mod tests {
         let (a, _) = warm(tiny_nvm_only());
         let mut recorded = a.clone();
         recorded.attach_recorder(crate::events::EventRecorder::new());
-        assert!(!recorded.same_future(&recorded.clone()));
+        assert!(recorded.clone().lead(&recorded, &[]).is_none());
         let mut journaled = a.clone();
         journaled.delta_base();
-        assert!(!journaled.same_future(&journaled.clone()));
+        assert!(journaled.clone().lead(&journaled, &[]).is_none());
         journaled.retire_delta_base();
-        assert!(journaled.same_future(&a));
+        assert!(one_future(&journaled, &a, &[]));
         // Way-dependent replacement: not even a clone is vouched for.
         use crate::policy::ReplacementPolicy;
         for policy in [ReplacementPolicy::TreePlru, ReplacementPolicy::Random] {
             let mut cfg = tiny_nvm_only();
             cfg.cpu_cache = cfg.cpu_cache.with_policy(policy);
             let (s, _) = warm(cfg);
-            assert!(!s.same_future(&s.clone()), "{policy:?}");
+            assert!(s.clone().lead(&s, &[]).is_none(), "{policy:?}");
         }
         let mut cfg = tiny_nvm_only();
         cfg.cpu_cache = cfg.cpu_cache.with_policy(ReplacementPolicy::Fifo);
         let (s, _) = warm(cfg);
-        assert!(s.same_future(&s.clone()));
+        assert!(one_future(&s, &s.clone(), &[]));
     }
 
     #[test]
@@ -2732,7 +2719,7 @@ mod tests {
         let (a, b) = (fill([0, 2]), fill([2, 0]));
         let ways = |s: &MemorySystem| s.cpu.iter_lines().map(|r| r.0).collect::<Vec<_>>();
         assert_ne!(ways(&a), ways(&b), "the fills placed the lines alike");
-        assert!(a.same_future(&b));
+        assert!(one_future(&a, &b, &[]));
     }
 
     /// Bring a machine with any history over the op region to the one state
@@ -2823,14 +2810,15 @@ mod tests {
     }
 
     /// Two machines with different pasts — boot images, op histories, clock
-    /// readings, way placement — washed into one future, then one op
-    /// suffix on both: every observation and every delta must agree.
+    /// readings, way placement — washed into one future, then the crash-free
+    /// ops of one suffix on both: every observation and every delta must
+    /// agree.
     ///
     /// With `cells` (offsets into the NVM region) the washes leave each
-    /// machine its own `cell_fills` there, the predicate is asked modulo
-    /// the cells, and the suffix — which must only ever [`Op::Bump`] them —
-    /// has to agree on everything but what the cells hold, and keep every
-    /// cell's difference between the two machines.
+    /// machine its own `cell_fills` there, [`MemorySystem::lead`] is asked
+    /// modulo the cells, and the suffix — which must only ever [`Op::Bump`]
+    /// them — has to agree on everything but what the cells hold, and keep
+    /// every cell's difference between the two machines.
     fn equal_states_have_one_future(
         cfg: SystemConfig,
         fills: (u8, u8),
@@ -2861,8 +2849,8 @@ mod tests {
         let (b, _, _, first) = boot(fills.1, histories.1, true);
         // Where NVM prefetches, the detector's replacement position is an
         // input, and it counts every stream-less miss either past made: the
-        // second machine is tried at every position. The predicate must
-        // vouch for exactly one — and for none that is a near miss further.
+        // second machine is tried at every position. `lead` must join one as
+        // the same machine — and none that is a near miss further.
         let washed = |turns: u64, off: Option<&Op>| {
             let mut b = b.clone();
             wash(&mut b, nvm, first, turns, &cells, cell_fills.1);
@@ -2873,24 +2861,23 @@ mod tests {
         };
         for (turns, off) in (0..16).flat_map(|t| NEAR_MISSES.iter().map(move |off| (t, off))) {
             prop_assert!(
-                !a.same_future_modulo(&washed(turns, Some(off)), &cells),
+                a.clone().lead(&washed(turns, Some(off)), &cells).is_none(),
                 "{:?} went unnoticed",
                 off
             );
         }
         let mut b = (0..16)
             .map(|turns| washed(turns, None))
-            .find(|b| a.same_future_modulo(b, &cells))
+            .find(|b| one_future(&a, b, &cells))
             .expect("the wash leaves one state");
-        // The exemption is what vouched, wherever the fills left a trace:
-        // the cached sweeps' in the caches (and, once evicted, below them),
-        // the persisted sweep's in NVM where a DRAM cache absorbed every
-        // eviction since.
-        let ((a_persisted, a_cached), (b_persisted, b_cached)) = cell_fills;
-        let backing_only = cfg.dram_cache.is_some() && a_persisted != b_persisted;
+        // The exemption is what vouched where the cached sweeps left their
+        // fills, in the caches and, once evicted, below them. The persisted
+        // sweep's stay in NVM only under lines dirty in the caches, which no
+        // crash-free future reads.
+        let ((_, a_cached), (_, b_cached)) = cell_fills;
         prop_assert_eq!(
-            a.same_future(&b),
-            cells.is_empty() || (a_cached == b_cached && !backing_only)
+            one_future(&a, &b, &[]),
+            cells.is_empty() || a_cached == b_cached
         );
 
         // What an op showed, the cells' bytes blanked.
@@ -2927,11 +2914,13 @@ mod tests {
 
         let (a0, b0) = (a.counter_snapshot(), b.counter_snapshot());
         let (a_accesses, b_accesses) = (a.access_count(), b.access_count());
-        let mut cells_apart = apart(&a, &b);
+        let cells_apart = apart(&a, &b);
         for (k, op) in suffix.iter().enumerate() {
-            // A plain store into a cell is not what an accumulator sees.
-            if matches!(*op, Op::Write((false, off), len, _)
-                if (nvm + off..nvm + off + len as u64).any(in_cell))
+            // A plain store into a cell is not what an accumulator sees, and
+            // a crash image is no crash-free future.
+            if matches!(op, Op::Crash | Op::Fork)
+                || matches!(*op, Op::Write((false, off), len, _)
+                    if (nvm + off..nvm + off + len as u64).any(in_cell))
             {
                 continue;
             }
@@ -2969,18 +2958,11 @@ mod tests {
                 op
             );
             prop_assert_eq!(a.access_count() - a_accesses, b.access_count() - b_accesses);
-            // A crash throws away each machine's cached cells and shows the
-            // copies NVM held, which stand apart by whatever they did;
-            // nothing else moves a cell on one machine only.
-            if matches!(op, Op::Crash) {
-                cells_apart = apart(&a, &b);
-            }
+            // Nothing moves a cell on one machine only.
             prop_assert_eq!(apart(&a, &b), cells_apart.clone(), "op {}: {:?}", k, op);
         }
         // Equal states stay equal: the predicate is closed under stepping.
-        prop_assert!(a.same_future_modulo(&b, &cells));
-        let (end_a, end_b) = (Seen::Image(a.crash()), Seen::Image(b.crash()));
-        prop_assert_eq!(blanked(end_a, &Op::Crash), blanked(end_b, &Op::Crash));
+        prop_assert!(one_future(&a, &b, &cells));
         Ok(())
     }
 
@@ -3059,8 +3041,8 @@ mod tests {
 
     /// Two machines with different pasts washed into one state but for the
     /// NVM detector's replacement position (`turns` stream-less misses on
-    /// the second): the exact predicate vouches for one position of the
-    /// ring, [`MemorySystem::lead`] for every one. Led, the second machine
+    /// the second): [`MemorySystem::lead`] joins one position of the ring as
+    /// the same machine, and leads every one. Led, the second machine
     /// runs `suffix` beside the first, and a third — a clone of the second
     /// once the shadow has priced it apart from the leader, so its
     /// detectors stand equal to that shadow — joins then. After every op
@@ -3103,19 +3085,20 @@ mod tests {
                 a.clone().lead(b, &[]).is_some(),
                 "a detector position refused"
             );
-            // The exact predicate tells the positions apart by their
-            // detectors alone, and vouches for the one `a` stands at (which
-            // two turn counts may reach).
+            // Only a shadow tells the positions apart, by their detectors
+            // alone; the one `a` stands at (which two turn counts may reach)
+            // needs none.
             let one_ring = b.streams == a.streams || !cfg.timing.nvm.prefetch;
-            prop_assert_eq!(a.same_future(b), one_ring);
+            prop_assert_eq!(one_future(&a, b, &[]), one_ring);
         }
         prop_assert!(
-            positions.iter().any(|b| a.same_future(b)),
+            positions.iter().any(|b| one_future(&a, b, &[])),
             "the wash leaves one state"
         );
         let mut b = washed(turns);
+        let one_ring = b.streams == a.streams || !cfg.timing.nvm.prefetch;
         let led = a.lead(&b, &[]).expect("vouched for above");
-        prop_assert_eq!(led.shadow.is_none(), a.same_future(&b));
+        prop_assert_eq!(led.shadow.is_none(), one_ring);
 
         let charged = |s: &MemorySystem| (*s.stats(), s.access_count());
         let (a0, b0) = (charged(&a), charged(&b));
@@ -3315,9 +3298,9 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
-        /// `same_future` promises what the chained MC recovery relies on:
-        /// two machines it calls equal cannot be told apart by anything
-        /// that follows, however differently they got there.
+        /// `lead` promises what the chained MC recovery relies on: two
+        /// machines it joins as one cannot be told apart by anything
+        /// crash-free that follows, however differently they got there.
         #[test]
         fn machines_with_the_same_future_stay_indistinguishable(
             fills in (proptest::prelude::any::<u8>(), proptest::prelude::any::<u8>()),
@@ -3375,12 +3358,12 @@ mod tests {
             }
         }
 
-        /// `same_future_modulo` promises what the chained MC dirty restart
+        /// `lead` modulo cells promises what the chained MC dirty restart
         /// relies on: two machines that differ only in what their
         /// accumulator cells hold — in the backing, in the caches, in both —
-        /// cannot be told apart by anything that follows and only ever adds
-        /// to the cells, except by reading a cell; and each cell keeps its
-        /// distance.
+        /// cannot be told apart by anything crash-free that follows and only
+        /// ever adds to the cells, except by reading a cell; and each cell
+        /// keeps its distance.
         #[test]
         fn machines_equal_modulo_cells_stay_indistinguishable(
             fills in (proptest::prelude::any::<u8>(), proptest::prelude::any::<u8>()),

@@ -6,7 +6,7 @@
 //! through the `get`/`set` loop the span documents. After each step they
 //! must agree on everything a later charge, read or crash could show: the
 //! values the step computed, the clock per bucket, `MemStats`, the access
-//! count, `dirty_nvm_lines`, the `crash_fork` image, `same_future` (where
+//! count, `dirty_nvm_lines`, the `crash_fork` image, `lead` joining them as one machine (where
 //! it answers at all: LRU and FIFO without a recorder), the recorded
 //! events, and the CPU- and DRAM-cache hit/miss sequence of the next 1,000
 //! random reads.
@@ -26,6 +26,7 @@ use proptest::prelude::*;
 use adcc_sim::parray::{gather_span, load_span, map_span, span};
 use adcc_sim::policy::XorShift;
 use adcc_sim::prelude::*;
+use adcc_sim::system::Follower;
 
 /// Elements per array.
 const LEN: usize = 40;
@@ -470,7 +471,12 @@ fn spans_equal_loops(
         prop_assert_eq!(got, want, "step {} {:?}: answers", step, op);
         prop_assert_eq!(seen(&span), seen(&elem), "step {} {:?}", step, op);
         if comparable {
-            prop_assert!(span.same_future(&elem), "step {} {:?}: futures", step, op);
+            prop_assert!(
+                span.clone().lead(&elem, &[]) == Some(Follower::default()),
+                "step {} {:?}: futures",
+                step,
+                op
+            );
         }
         prop_assert_eq!(
             next_misses(&span, &pool, seed ^ step as u64),
