@@ -25,27 +25,35 @@
 //! image that is the set-up image outside the dead cells (`macro_xs`, the
 //! tallies, the epoch words) and the loop index `k` charges what the
 //! crash-free replay from the set-up image at `k` charges, and adds the
-//! same tally increments (see `adcc_core::mc::sim::cold`). A recovery and a
-//! dirty restart from `k` are that one replay, read at the crash point and
-//! at the end of the loop, and every image a run harvests is such an image.
-//! So each scenario keeps one table of [`ColdRecovery`] references, a slot
-//! per flushed index, built once per process, only when the image check
-//! passes, and never under a hook that changes machines. `mc-selective`'s
-//! recoveries, which replay at most one interval, read off the slot of
-//! their index; `mc-epoch`'s dirty restarts, which all boot at `k = 0`, off
-//! slot 0 built to the end of the loop, one run as the epoch chain's pilot
-//! is. A slot is built first only as far as the state that asks needs,
-//! which simulates what recovering that state does, and further when a
-//! later state asks past it: a process that runs one campaign, where most
-//! indices are asked for once, simulates no more than it did without the
-//! table. `mc-selective`'s restarts all chain: those at `k = 0` join that
-//! chain's pilot where it boots, and tabling the later indices would retain
-//! a reference per index for little time (ROADMAP, item 5).
+//! same tally increments (see `adcc_core::mc::sim::cold`), and every image
+//! a run harvests is such an image. So each scenario keeps two tables, a
+//! slot per flushed index, once per process, used only for a state the
+//! image check passes:
+//!
+//! - `mc-selective`'s recoveries, which replay at most one interval, read
+//!   off a [`ColdRecovery`] reference per index, never under a hook that
+//!   changes machines. A slot is built first only as far as the state that
+//!   asks needs, which simulates what recovering that state does, and to
+//!   the end of the interval when a later state asks past it.
+//! - A dirty restart from `k` is that replay run to the end of the loop, so
+//!   its clock is one number per `k`: the [`RestartEnds`] slot of `k`. The
+//!   restart chains fill it: the first restart of an empty slot chains and
+//!   records its clock, and the later ones of the batch, or of any later
+//!   batch, read it (`mc-epoch`'s, which never write the index, all read
+//!   slot 0). A slot already filled must agree. Nothing is read or filled
+//!   while any hook mutates (`hook::runs_unmutated`): under the seed that
+//!   skips the image check, a fill would hand a poisoned clock to every
+//!   later restart in the process.
+//!
+//! Filling costs no simulation, so a process that runs one campaign, where
+//! most indices are asked for once, simulates no more than it did without
+//! the tables, and one that runs many reads nearly every restart off them.
 
 use std::borrow::Cow;
+use std::ptr;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use adcc_core::mc::sim::{ColdCheck, ColdRecovery, McMode, McRecovery, McSim};
+use adcc_core::mc::sim::{Chain, ColdCheck, ColdRecovery, McMode, McRecovery, McSim};
 use adcc_core::mc::{McProblem, XS_CHANNELS};
 use adcc_core::DirtyRestart;
 use adcc_resilience::Tolerance;
@@ -166,15 +174,22 @@ impl McCampaign {
         }
     }
 
-    /// This scenario's cold reference from the flushed loop index `k`, built
-    /// at least to `to` (see the module docs); `None` past the loop.
-    fn cold_reference(&self, mc: &McSim, k: u64, to: u64) -> Option<Arc<ColdRecovery>> {
-        type Slot = Mutex<Option<Arc<ColdRecovery>>>;
-        let table: &Vec<Slot> = once_per_process((self.info.name, "cold references"), || {
+    /// This scenario's cold references, a slot per flushed loop index,
+    /// process-wide.
+    fn cold_references(&self) -> &'static [Mutex<Option<Arc<ColdRecovery>>>] {
+        once_per_process((self.info.name, "cold references"), || {
             let flushed = LOOKUPS.div_ceil(INTERVAL);
-            (0..flushed).map(|_| Mutex::default()).collect()
-        });
-        let slot = table.get(usize::try_from(k / INTERVAL).ok()?)?;
+            (0..flushed).map(|_| Mutex::default()).collect::<Vec<_>>()
+        })
+    }
+
+    /// This scenario's cold reference from the flushed loop index `k`, built
+    /// at least to `to`, at most an interval past `k` (see the module docs);
+    /// `None` past the loop.
+    fn cold_reference(&self, mc: &McSim, k: u64, to: u64) -> Option<Arc<ColdRecovery>> {
+        let slot = self
+            .cold_references()
+            .get(usize::try_from(k / INTERVAL).ok()?)?;
         let mut held = slot.lock().expect("a reference build never panics");
         if let Some(built) = held.as_ref().filter(|built| built.reaches(to)) {
             return Some(Arc::clone(built));
@@ -211,23 +226,27 @@ impl McCampaign {
         mc.recovery_off(&*self.cold_reference(mc, k, crashed_at)?, image, crashed_at)
     }
 
-    /// `image`'s dirty restart, read off the cold reference from loop index
-    /// 0 built to the end of the loop: for a `mc-epoch` image `check`
-    /// vouches for, while machines run as configured; `None` otherwise.
-    fn tabled_restart(
+    /// This scenario's restart clocks, process-wide: the table the
+    /// [`Workload`] hook reads and fills.
+    fn restart_ends(&self) -> &'static RestartEnds {
+        once_per_process((self.info.name, "restart ends"), RestartEnds::default)
+    }
+
+    /// The slot in `ends` of `image`'s restart clock: for an image `check`
+    /// vouches for that holds a flushed loop index, while nothing is mutated;
+    /// `None` otherwise.
+    fn restart_slot<'e>(
         &self,
         mc: &McSim,
         check: &mut ColdCheck,
+        ends: &'e RestartEnds,
         image: &DeltaImage,
-    ) -> Option<DirtyRestart> {
-        if !matches!(self.mode, McMode::Epoch { .. })
-            || !hook::runs_as_configured()
-            || image.read_u64(mc.idx_cell.addr()) != 0
-            || !vouched(|| check.is_cold(image))
-        {
+    ) -> Option<&'e OnceLock<u64>> {
+        if !hook::runs_unmutated() {
             return None;
         }
-        mc.restart_off(&*self.cold_reference(mc, 0, LOOKUPS)?, image)
+        let slot = ends.slot(image.read_u64(mc.idx_cell.addr()))?;
+        vouched(|| check.is_cold(image)).then_some(slot)
     }
 
     /// [`Workload::recover_chain`], and how many states it read off the
@@ -249,10 +268,12 @@ impl McCampaign {
             |rest| {
                 let rest =
                     rest.map(|(crashed_at, image)| (crashed_at, Cow::Owned(image.materialize())));
-                mc.recover_chain(&self.cfg, rest).answers
+                mc.recover_chain(&self.cfg, rest)
             },
+            |recovery| recovery,
         );
         let verdicts = recoveries
+            .answers
             .iter()
             .zip(profiles)
             .map(|(rec, profile)| self.classify(rec, profile))
@@ -260,18 +281,49 @@ impl McCampaign {
         (verdicts, tabled)
     }
 
-    /// [`Workload::dirty_restart_chain`], and how many states it read off
-    /// the table.
+    /// [`Workload::dirty_restart_chain`] over `ends`, and how many states
+    /// it read off it. A state whose slot is filled reads it; the first
+    /// state of an empty slot chains and fills it with its clock, and the
+    /// later ones of that slot read it then. The rest chain.
     fn restarts(
         &self,
         mc: &McSim,
         images: &mut dyn Iterator<Item = &DeltaImage>,
-    ) -> (Vec<DirtyRestart>, usize) {
+        ends: &RestartEnds,
+    ) -> (Chain<DirtyRestart>, usize) {
         let mut check = ColdCheck::new(mc);
+        let states = images.map(|image| (image, self.restart_slot(mc, &mut check, ends, image)));
+        let mut filling: Vec<&OnceLock<u64>> = Vec::new();
         table_or_chain(
-            images,
-            |image| self.tabled_restart(mc, &mut check, image),
-            |rest| mc.dirty_chain(&self.cfg, rest).answers,
+            states,
+            |&(image, slot)| {
+                let slot = slot?;
+                if slot.get().is_some() || filling.iter().any(|f| ptr::eq(*f, slot)) {
+                    return Some((image, slot));
+                }
+                filling.push(slot);
+                None
+            },
+            |rest| {
+                let mut fills = Vec::new();
+                let chain = mc.dirty_chain(
+                    &self.cfg,
+                    rest.map(|(image, slot)| {
+                        fills.push(slot);
+                        image
+                    }),
+                );
+                for (answer, slot) in chain.answers.iter().zip(fills) {
+                    if let Some(slot) = slot {
+                        RestartEnds::record(slot, answer.sim_time_ps);
+                    }
+                }
+                chain
+            },
+            |(image, slot)| {
+                let end = slot.get().expect("filled by the chain or before it");
+                mc.restart_off(*end, image)
+            },
         )
     }
 
@@ -366,32 +418,73 @@ impl Workload for McCampaign {
         mc: &McSim,
         images: &mut dyn Iterator<Item = &DeltaImage>,
     ) -> Vec<DirtyRestart> {
-        self.restarts(mc, images).0
+        self.restarts(mc, images, self.restart_ends()).0.answers
     }
 }
 
-/// Each state's answer, in order: off a table where `tabled` gives one, the
-/// rest from one `chain` over them; and how many the table gave.
-fn table_or_chain<S, T>(
+/// The clock (`sim_time_ps`) of a dirty restart of a vouched image from
+/// each flushed loop index, as the chains record it: a slot per index.
+pub(crate) struct RestartEnds(Vec<OnceLock<u64>>);
+
+impl Default for RestartEnds {
+    fn default() -> Self {
+        let flushed = LOOKUPS.div_ceil(INTERVAL);
+        RestartEnds((0..flushed).map(|_| OnceLock::new()).collect())
+    }
+}
+
+impl RestartEnds {
+    /// The slot of the restarts from loop index `k`; `None` unless the
+    /// loop flushes `k`.
+    fn slot(&self, k: u64) -> Option<&OnceLock<u64>> {
+        if !k.is_multiple_of(INTERVAL) {
+            return None;
+        }
+        self.0.get(usize::try_from(k / INTERVAL).ok()?)
+    }
+
+    /// Record `sim_time_ps`, a chained restart's clock, in its `slot`. A
+    /// slot already filled must hold the same clock.
+    fn record(slot: &OnceLock<u64>, sim_time_ps: u64) {
+        let held = *slot.get_or_init(|| sim_time_ps);
+        assert_eq!(
+            held, sim_time_ps,
+            "two vouched restarts from one flushed index ran different clocks"
+        );
+    }
+}
+
+/// Each state's answer, in order: where `tabled` finds it on a table, what
+/// `read` reads there once one `chain` has run over the rest (a chain may
+/// fill what a later state reads); and how many were read.
+fn table_or_chain<S, R, T>(
     states: impl Iterator<Item = S>,
-    mut tabled: impl FnMut(&S) -> Option<T>,
-    chain: impl FnOnce(&mut dyn Iterator<Item = S>) -> Vec<T>,
-) -> (Vec<T>, usize) {
+    mut tabled: impl FnMut(&S) -> Option<R>,
+    chain: impl FnOnce(&mut dyn Iterator<Item = S>) -> Chain<T>,
+    mut read: impl FnMut(R) -> T,
+) -> (Chain<T>, usize) {
     let mut read_off = Vec::new();
-    let chained = chain(&mut states.filter_map(|s| {
-        let answer = tabled(&s);
-        let rest = answer.is_none().then_some(s);
-        read_off.push(answer);
+    let Chain {
+        answers,
+        simulated_accesses,
+    } = chain(&mut states.filter_map(|s| {
+        let found = tabled(&s);
+        let rest = found.is_none().then_some(s);
+        read_off.push(found);
         rest
     }));
     let hits = read_off.iter().flatten().count();
-    let mut chained = chained.into_iter();
+    let mut chained = answers.into_iter();
     let answers = read_off
         .into_iter()
-        .map(|answer| answer.or_else(|| chained.next()))
+        .map(|found| found.map_or_else(|| chained.next(), |found| Some(read(found))))
         .collect::<Option<_>>()
         .expect("one answer per state");
-    (answers, hits)
+    let chain = Chain {
+        answers,
+        simulated_accesses,
+    };
+    (chain, hits)
 }
 
 /// Whether `check` vouches for an image: the one place the image check is
@@ -454,10 +547,29 @@ mod tests {
         })
     }
 
+    /// `image`'s dirty restart, read off its slot in `ends` once a chain has
+    /// filled it; `None` otherwise.
+    fn tabled_restart(
+        s: &McCampaign,
+        mc: &McSim,
+        check: &mut ColdCheck,
+        ends: &RestartEnds,
+        image: &DeltaImage,
+    ) -> Option<DirtyRestart> {
+        let end = *s.restart_slot(mc, check, ends, image)?.get()?;
+        Some(mc.restart_off(end, image))
+    }
+
+    /// How many slots of `ends` a chain has filled.
+    fn filled(ends: &RestartEnds) -> usize {
+        ends.0.iter().filter(|slot| slot.get().is_some()).count()
+    }
+
     /// The tables answer what the simulation answers, field for field: each
-    /// `mc-selective` recovery and each `mc-epoch` dirty restart, at every
-    /// site poll and a dense sample. The hooks' whole answers equal the
-    /// simulated chains' too.
+    /// `mc-selective` recovery, and each dirty restart of both scenarios once
+    /// the hook's own chain has filled a fresh table, at every site poll and
+    /// a dense sample. The hooks' whole answers equal the simulated chains'
+    /// too, and each flushed index's first tabled restart the restart alone.
     #[test]
     fn every_tabled_answer_is_the_simulated_one() {
         let units = site_polls_and_dense_sample();
@@ -466,9 +578,8 @@ mod tests {
             let (mc, states) = harvest(&s, &units);
             assert_eq!(states.len(), LOOKUPS as usize, "{name}");
             let mut check = ColdCheck::new(&mc);
-            let (mut recovered, mut restarted) = (0, 0);
-            let simulated = mc.dirty_chain(&s.cfg, states.iter().map(|(_, image)| image));
-            for ((site, image), want) in states.iter().zip(&simulated.answers) {
+            let mut recovered = 0;
+            for (site, image) in &states {
                 let crashed_at = site.index + 1;
                 if let Some(got) = s.tabled_recovery(&mc, &mut check, image, crashed_at) {
                     let alone =
@@ -476,13 +587,25 @@ mod tests {
                     assert_eq!(facts(&got), facts(&alone), "{name} at {site:?}");
                     recovered += 1;
                 }
-                if let Some(got) = s.tabled_restart(&mc, &mut check, image) {
-                    assert_eq!(&got, want, "{name} at {site:?}");
-                    restarted += 1;
+            }
+            let simulated = mc.dirty_chain(&s.cfg, states.iter().map(|(_, image)| image));
+            let ends = RestartEnds::default();
+            let (hooked, read) = s.restarts(&mc, &mut states.iter().map(|(_, image)| image), &ends);
+            assert_eq!(hooked.answers, simulated.answers, "{name}");
+            let mut indices = Vec::new();
+            for ((site, image), want) in states.iter().zip(&simulated.answers) {
+                let got = tabled_restart(&s, &mc, &mut check, &ends, image);
+                assert_eq!(got.as_ref(), Some(want), "{name} at {site:?}");
+                let k = image.read_u64(mc.idx_cell.addr());
+                if !indices.contains(&k) {
+                    indices.push(k);
+                    let alone = s.dirty_restart(&mc, &image.materialize());
+                    assert_eq!(want, &alone, "{name} at {site:?}");
                 }
             }
-            let (hooked, _) = s.restarts(&mc, &mut states.iter().map(|(_, image)| image));
-            assert_eq!(hooked, simulated.answers, "{name}");
+            // Each slot's first state chained; the rest read it.
+            assert_eq!(indices.len(), filled(&ends), "{name}");
+            assert_eq!(read, states.len() - indices.len(), "{name}");
             let (hooked, _) = s.recoveries(&mc, &mut handed(&states));
             let verdict = |c: &Classified| (c.outcome, c.lost_units, c.sim_time_ps);
             for (got, (site, image)) in hooked.iter().zip(&states) {
@@ -490,10 +613,13 @@ mod tests {
                 assert_eq!(verdict(got), verdict(&want), "{name} at {site:?}");
             }
             match s.mode {
-                // Every recovery replays at most an interval.
-                McMode::Selective { .. } => assert_eq!((recovered, restarted), (states.len(), 0)),
+                // Every recovery replays at most an interval; the loop
+                // flushes 19 indices.
+                McMode::Selective { .. } => {
+                    assert_eq!((recovered, indices.len()), (states.len(), 19))
+                }
                 // Epoch mode never writes the index: every restart boots at 0.
-                _ => assert_eq!((recovered, restarted), (0, states.len()), "{name}"),
+                _ => assert_eq!((recovered, indices.len()), (0, 1), "{name}"),
             }
         }
     }
@@ -566,8 +692,8 @@ mod tests {
     fn a_corrupted_delta_image_falls_back_to_simulation() {
         for s in both() {
             let name = s.info.name;
-            let (live, states) = harvest(&s, &[20]);
-            for (what, addr, byte) in corruptions(&live, &states[0].1) {
+            let (live, clean) = harvest(&s, &[20]);
+            for (what, addr, byte) in corruptions(&live, &clean[0].1) {
                 let (mut emu, mc) = s.setup(CrashTrigger::Never);
                 let units = [20, 40, 60];
                 emu.arm_harvest(units.map(|u| (s.trigger_of(u), u)));
@@ -585,12 +711,17 @@ mod tests {
                     assert_eq!(image.read_u64(mc.idx_cell.addr()), 0);
                     assert!(!check.is_cold(image), "{name}: {what}");
                 }
-                let (hooked, hits) = s.restarts(&mc, &mut states.iter().map(|(_, image)| image));
+                // Slot 0 filled by a clean restart, and not read.
+                let ends = RestartEnds::default();
+                s.restarts(&live, &mut std::iter::once(&clean[0].1), &ends);
+                assert_eq!(filled(&ends), 1);
+                let (hooked, hits) =
+                    s.restarts(&mc, &mut states.iter().map(|(_, image)| image), &ends);
                 let alone: Vec<DirtyRestart> = states
                     .iter()
                     .map(|(_, image)| s.dirty_restart(&mc, &image.materialize()))
                     .collect();
-                assert_eq!((hooked, hits), (alone, 0), "{name}: {what}");
+                assert_eq!((hooked.answers, hits), (alone, 0), "{name}: {what}");
                 let (hooked, hits) = s.recoveries(&mc, &mut handed(&states));
                 let verdict = |c: &Classified| (c.outcome, c.lost_units, c.sim_time_ps);
                 for (got, (site, image)) in hooked.iter().zip(&states) {
@@ -613,14 +744,7 @@ mod tests {
         let s = McCampaign::new_selective(reference_counts());
         let (mc, states) = harvest(&s, &[60]);
         let (site, image) = &states[0];
-        let mut bytes = image.materialize().prefix().to_vec();
-        let points = mc.grids.grid_points;
-        for g in 0..points {
-            let at = mc.grids.energy.addr(g) as usize;
-            let skewed = (g as f64 / points as f64).powi(4);
-            bytes[at..at + 8].copy_from_slice(&skewed.to_le_bytes());
-        }
-        let poisoned = NvmImage::new(bytes, image.len());
+        let poisoned = poisoned(&mc, image);
         let delta = DeltaImage::whole(poisoned.clone());
         let crashed_at = site.index + 1;
         let ask = || s.tabled_recovery(&mc, &mut ColdCheck::new(&mc), &delta, crashed_at);
@@ -636,10 +760,76 @@ mod tests {
         );
     }
 
+    /// `image` with another fuel energy grid, skewed towards its low end.
+    fn poisoned(mc: &McSim, image: &DeltaImage) -> NvmImage {
+        let mut bytes = image.materialize().prefix().to_vec();
+        let points = mc.grids.grid_points;
+        for g in 0..points {
+            let at = mc.grids.energy.addr(g) as usize;
+            let skewed = (g as f64 / points as f64).powi(4);
+            bytes[at..at + 8].copy_from_slice(&skewed.to_le_bytes());
+        }
+        NvmImage::new(bytes, image.len())
+    }
+
+    /// The seed that skips the image check neither reads the restart table
+    /// nor fills it: a poisoned image's restart under it is the simulated
+    /// one, before and after a clean restart fills its slot, and the slot
+    /// holds the clean clock. A fill under the seed would have stored the
+    /// poisoned clock for every later restart in the process: an unhooked
+    /// restart of the clean image through the process-wide table is still
+    /// the restart alone.
+    #[test]
+    fn a_restart_under_the_skipped_image_check_neither_reads_nor_fills_the_table() {
+        let s = McCampaign::new_selective(reference_counts());
+        let (mc, states) = harvest(&s, &[60]);
+        let image = &states[0].1;
+        let poisoned = poisoned(&mc, image);
+        let delta = DeltaImage::whole(poisoned.clone());
+        let ends = RestartEnds::default();
+        let restart = |image: &DeltaImage| {
+            let (chain, read) = s.restarts(&mc, &mut std::iter::once(image), &ends);
+            (chain.answers, read)
+        };
+        let (_, sites) = hook::record(|| restart(&delta));
+        let seeds: Vec<Site> = sites
+            .into_iter()
+            .filter(|s| s.op == Op::Seed && s.at.file().ends_with("scenarios/mc.rs"))
+            .collect();
+        assert_eq!(seeds.len(), 1, "the one image check: {seeds:?}");
+        let simulated = s.dirty_restart(&mc, &poisoned);
+        let clean = s.dirty_restart(&mc, &image.materialize());
+        assert_ne!(
+            simulated.sim_time_ps, clean.sim_time_ps,
+            "the poison must show"
+        );
+        for filled_before in [0, 1] {
+            let seeded = hook::mutating(seeds[0], || restart(&delta));
+            assert_eq!(seeded, (vec![simulated.clone()], 0));
+            assert_eq!(filled(&ends), filled_before);
+            let read = usize::from(filled_before == 1);
+            assert_eq!(restart(image), (vec![clean.clone()], read));
+        }
+        assert_eq!(
+            ends.slot(0).and_then(OnceLock::get),
+            Some(&clean.sim_time_ps)
+        );
+        let through_the_process =
+            |image: &DeltaImage| s.dirty_restart_chain(&mc, &mut std::iter::once(image));
+        hook::mutating(seeds[0], || through_the_process(&delta));
+        assert_eq!(through_the_process(image), [clean]);
+    }
+
     /// How many distinct crash states of a kernel campaign at seed 42 each
     /// MC scenario's hooks read off the tables, and of how many: `[recover
-    /// hits, dirty hits, states]`, the dirty pass run only for `resilience`.
-    fn table_hits(budget_states: u64, resilience: bool) -> [(&'static str, [usize; 3]); 2] {
+    /// hits, dirty hits, states]`, the dirty pass run only for `resilience`,
+    /// over each scenario's restart table in `ends`; and the accesses its
+    /// restart chains simulated.
+    fn table_hits(
+        budget_states: u64,
+        resilience: bool,
+        ends: &[RestartEnds; 2],
+    ) -> [(&'static str, [usize; 3], u64); 2] {
         let cfg = CampaignConfig {
             budget_states,
             dense_units: 400,
@@ -648,62 +838,93 @@ mod tests {
         };
         let registry = Registry::Kernel.scenarios();
         let planned = plan(&cfg, &registry);
+        let mut ends = ends.iter();
         both().map(|s| {
+            let ends = ends.next().expect("a table per scenario");
             let at = registry.iter().position(|r| r.name() == s.info.name);
-            let mut hits = [0; 3];
+            let (mut hits, mut simulated) = ([0; 3], 0);
             for chunk in planned[at.expect("registered")].chunks(cfg.max_batch as usize) {
                 let (mc, states) = harvest(&s, chunk);
                 hits[0] += s.recoveries(&mc, &mut handed(&states)).1;
                 if resilience {
-                    hits[1] += s
-                        .restarts(&mc, &mut states.iter().map(|(_, image)| image))
-                        .1;
+                    let images = &mut states.iter().map(|(_, image)| image);
+                    let (chain, read) = s.restarts(&mc, images, ends);
+                    hits[1] += read;
+                    simulated += chain.simulated_accesses;
                 }
                 hits[2] += states.len();
             }
-            (s.info.name, hits)
+            (s.info.name, hits, simulated)
         })
     }
 
     /// A change that quietly stops reading the tables fails here: the
     /// states of the `kernel-sweep` (260 states, 400 dense units, no dirty
     /// pass) and `resilience-sweep` (130, 400) campaigns at seed 42 that
-    /// each hook reads off them. `mc-epoch`'s recoveries and
-    /// `mc-selective`'s restarts chain.
+    /// each hook reads off them, on fresh restart tables. `mc-epoch`'s
+    /// recoveries chain. One resilience campaign fills a slot from each
+    /// flushed index's first restart and reads the later ones of that index
+    /// off it, so it simulates no more restart accesses than chaining every
+    /// `mc-selective` restart (491 267) and running `mc-epoch`'s loop once
+    /// (444 872). A second campaign on the same tables reads every restart
+    /// off them. No cold recovery reference the sweeps built holds more than
+    /// an interval.
     #[test]
     fn the_sweeps_read_as_many_states_off_the_tables_as_pinned() {
-        let [selective, epoch] = table_hits(260, false);
-        assert_eq!(selective, ("mc-selective", [20, 0, 20]));
-        assert_eq!(epoch, ("mc-epoch", [0, 0, 20]));
-        let [selective, epoch] = table_hits(130, true);
-        assert_eq!(selective, ("mc-selective", [10, 0, 10]));
-        assert_eq!(epoch, ("mc-epoch", [0, 10, 10]));
+        let fresh = || [RestartEnds::default(), RestartEnds::default()];
+        let [selective, epoch] = table_hits(260, false, &fresh());
+        assert_eq!(selective, ("mc-selective", [20, 0, 20], 0));
+        assert_eq!(epoch, ("mc-epoch", [0, 0, 20], 0));
+        let ends = fresh();
+        let [selective, epoch] = table_hits(130, true, &ends);
+        assert_eq!(selective, ("mc-selective", [10, 2, 10], 491_265));
+        assert_eq!(epoch, ("mc-epoch", [0, 9, 10], 444_872));
+        let [selective, epoch] = table_hits(130, true, &ends);
+        assert_eq!(selective, ("mc-selective", [10, 10, 10], 0));
+        assert_eq!(epoch, ("mc-epoch", [0, 10, 10], 0));
+        for s in both() {
+            for (k, slot) in (0..).step_by(INTERVAL as usize).zip(s.cold_references()) {
+                let held = slot.lock().expect("a reference build never panics");
+                let past = held
+                    .as_ref()
+                    .filter(|built| built.reaches(k + INTERVAL + 1));
+                assert!(past.is_none(), "{}: the reference from {k}", s.info.name);
+            }
+        }
     }
 
     /// Under a hook that changes machines — a dropped persist, another CPU
-    /// cache — no table answers: the process-wide references stand for the
-    /// machines as configured.
+    /// cache — no table answers, and no restart fills one: the process-wide
+    /// tables stand for the machines as configured.
     #[test]
     fn no_table_answers_while_a_hook_changes_machines() {
         for s in both() {
+            let name = s.info.name;
             let (mc, states) = harvest(&s, &[20]);
             let (site, image) = &states[0];
+            let ends = RestartEnds::default();
+            let restart = || s.restarts(&mc, &mut std::iter::once(image), &ends).1;
             let ask = || {
                 let mut check = ColdCheck::new(&mc);
                 let recovered = s.tabled_recovery(&mc, &mut check, image, site.index + 1);
-                (
-                    recovered.is_some(),
-                    s.tabled_restart(&mc, &mut check, image).is_some(),
-                )
+                let restarted = tabled_restart(&s, &mc, &mut check, &ends, image);
+                (recovered.is_some(), restarted.is_some())
             };
-            let selective = matches!(s.mode, McMode::Selective { .. });
-            assert_eq!(ask(), (selective, !selective), "{}", s.info.name);
             let (mut emu, mut live) = s.setup(CrashTrigger::Never);
             let (_, sites) = hook::record(|| s.forward(&mut live, &mut emu));
             let flush = sites.iter().find(|s| s.op == Op::Flush).expect("a persist");
-            assert_eq!(hook::mutating(*flush, ask), (false, false));
             let big = adcc_sim::lru::CacheConfig::new(1 << 20, 16);
-            assert_eq!(hook::with_cpu_cache(big, ask), (false, false));
+            assert_eq!(hook::mutating(*flush, restart), 0, "{name}");
+            assert_eq!(hook::with_cpu_cache(big, restart), 0, "{name}");
+            assert_eq!(filled(&ends), 0, "{name}: filled under a hook");
+            assert_eq!(restart(), 0, "{name}");
+            assert_eq!(filled(&ends), 1, "{name}");
+            let selective = matches!(s.mode, McMode::Selective { .. });
+            assert_eq!(ask(), (selective, true), "{name}");
+            assert_eq!(hook::mutating(*flush, ask), (false, false), "{name}");
+            assert_eq!(hook::with_cpu_cache(big, ask), (false, false), "{name}");
+            assert_eq!(hook::mutating(*flush, restart), 0, "{name}");
+            assert_eq!(restart(), 1, "{name}");
         }
     }
 

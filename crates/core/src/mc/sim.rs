@@ -916,6 +916,21 @@ impl DirtyReentry {
         let idx = mc.idx_cell.get(&mut sys);
         Replay::new(sys, idx, DirtyReentry { began, idx })
     }
+
+    /// The restart from loop index `idx` whose clock ran `sim_time_ps` and
+    /// whose tallies ended at `counts`: the audit a run ends with, on those.
+    fn audit(mc: &McSim, idx: u64, sim_time_ps: u64, counts: [u64; XS_CHANNELS]) -> DirtyRestart {
+        if idx > mc.lookups {
+            // The loop bound itself rejects a counter past the end.
+            return DirtyRestart::rejected(sim_time_ps);
+        }
+        let audited = counts.iter().sum::<u64>() == mc.lookups;
+        DirtyRestart {
+            solution: audited.then(|| counts.iter().map(|&c| c as f64).collect()),
+            extra_units: mc.lookups - idx,
+            sim_time_ps,
+        }
+    }
 }
 
 impl ReplayKind for DirtyReentry {
@@ -927,17 +942,7 @@ impl ReplayKind for DirtyReentry {
 
     /// The audit a run ends with, on the tallies this state ends with.
     fn answer(self, mc: &McSim, end: Reading) -> DirtyRestart {
-        let sim_time_ps = (end.time - self.began).ps();
-        if self.idx > mc.lookups {
-            // The loop bound itself rejects a counter past the end.
-            return DirtyRestart::rejected(sim_time_ps);
-        }
-        let audited = end.counts.iter().sum::<u64>() == mc.lookups;
-        DirtyRestart {
-            solution: audited.then(|| end.counts.iter().map(|&c| c as f64).collect()),
-            extra_units: mc.lookups - self.idx,
-            sim_time_ps,
-        }
+        Self::audit(mc, self.idx, (end.time - self.began).ps(), end.counts)
     }
 }
 
@@ -1532,10 +1537,11 @@ mod tests {
     /// what recovering it and restarting it answer, field for field: every
     /// selective recovery, off a reference built only as far as its crash
     /// point and off one built over the interval, and every restart, at
-    /// every flushed index, off one built to the end of the loop. The caches
-    /// evict tallies between flushes, so the tallies the states boot with
-    /// are not the reference's. The set-up image the references boot is the
-    /// set-up machine's NVM, and every harvested image passes the check.
+    /// every flushed index, off the clock of the set-up image's restart from
+    /// that index. The caches evict tallies between flushes, so the tallies
+    /// the states boot with are not the reference's. The set-up image the
+    /// references boot is the set-up machine's NVM, and every harvested
+    /// image passes the check.
     #[test]
     fn cold_references_answer_as_the_simulation_does() {
         let p = McProblem::generate(36, 32, 11);
@@ -1547,7 +1553,7 @@ mod tests {
             let (mc, deltas) = deltas_at_every_lookup(&p, &cfg, EPOCH_LOOKUPS, mode);
             let setup = deltas[0].base();
             assert_eq!(**setup, mc.setup_image(&cfg, 0), "{mode:?}");
-            let mut to_the_end: Vec<Option<ColdRecovery>> = Vec::new();
+            let mut ends: Vec<Option<u64>> = Vec::new();
             let mut recoveries: Vec<Option<ColdRecovery>> = Vec::new();
             let mut check = ColdCheck::new(&mc);
             let (mut restarted, mut audits_fired) = (0, 0);
@@ -1556,11 +1562,13 @@ mod tests {
                 assert!(check.is_cold(delta), "{mode:?} {i}");
                 let k = image.read_u64(mc.idx_cell.addr());
                 let slot = k as usize;
-                to_the_end.resize_with(to_the_end.len().max(slot + 1), || None);
-                let whole = to_the_end[slot]
-                    .get_or_insert_with(|| mc.cold_recovery(&cfg, k, EPOCH_LOOKUPS));
+                ends.resize_with(ends.len().max(slot + 1), || None);
+                let end = *ends[slot].get_or_insert_with(|| {
+                    let setup = mc.setup_image(&cfg, k);
+                    mc.dirty_restart(&setup, cfg.clone()).sim_time_ps
+                });
                 let want = mc.dirty_restart(&image, cfg.clone());
-                assert_eq!(mc.restart_off(whole, delta), Some(want), "{mode:?} {i}");
+                assert_eq!(mc.restart_off(end, delta), want, "{mode:?} {i}");
                 restarted += u64::from(k > 0);
                 if let McMode::Selective { interval } = mode {
                     let slot = (k / interval) as usize;
@@ -1580,10 +1588,6 @@ mod tests {
                     assert_eq!(got.as_ref().map(facts), Some(facts(&want)), "{mode:?} {i}");
                     assert!(!short.reaches(crashed_at + 1));
                     assert!(mc.recovery_off(&short, delta, crashed_at + 1).is_none());
-                    // Short of the end of the loop, no restart.
-                    if crashed_at < EPOCH_LOOKUPS {
-                        assert!(mc.restart_off(&short, delta).is_none());
-                    }
                     // Out of its span, or for another index, it answers nothing.
                     assert!(mc
                         .recovery_off(reference, delta, crashed_at + interval + 1)

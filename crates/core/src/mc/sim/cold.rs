@@ -12,18 +12,20 @@
 //! set-up image with that loop index: the same clock, the same accesses and
 //! the same tally *increments* on top of the tallies it booted with.
 //!
-//! A dirty restart from loop index `k` is that replay too, read at the end
+//! A dirty restart from loop index `k` is that replay too, run to the end
 //! of the loop: it boots the same image, reads the index once and runs the
 //! loop on, one `McSim::run(i, i + 1)` at a time, as the index-flushing
-//! modes' recovery does. Only the clock's bucket differs, which moves where
-//! picoseconds are booked, not how many.
+//! modes' recovery does. So its clock is one number per `k`, and any
+//! simulated restart of such an image from `k` may record it.
 //!
 //! [`ColdCheck`] is that condition, checked exactly over the delta images a
 //! harvest takes: the grids bit for bit against the problem, zeros
 //! everywhere else outside the dead cells and the loop index. A
-//! [`ColdRecovery`] is the crash-free reference, built by the simulated code
-//! path it stands in for, from the set-up image itself. No image is held:
-//! the set-up image is the problem's grids plus zeros.
+//! [`ColdRecovery`] is the crash-free recovery reference, built by the
+//! simulated code path it stands in for, from the set-up image itself. No
+//! image is held: the set-up image is the problem's grids plus zeros. A
+//! restart needs no reference but its recorded clock
+//! ([`McSim::restart_off`]).
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -35,17 +37,13 @@ use adcc_sim::line::{outside, LINE_SIZE};
 use adcc_sim::parray::PArray;
 use adcc_sim::system::SystemConfig;
 
-use super::{
-    same_bits, DirtyReentry, EpochCounters, McMode, McRecovery, McSim, Reading, ReplayKind,
-    XS_CHANNELS,
-};
+use super::{same_bits, DirtyReentry, EpochCounters, McMode, McRecovery, McSim, XS_CHANNELS};
 use crate::traits::{DirtyRestart, RecoveryReport};
 
 /// What the cold replay of the set-up image with the loop index at `from`
 /// did, crash-free: the detect phase, and the machine's clock and access
 /// count at every lookup boundary of its timed replay, up to the crash point
-/// it was built for — or to the end of the loop, where it is also the dirty
-/// restart from `from`. (Its tallies are the host tally's: see
+/// it was built for. (Its tallies are the host tally's: see
 /// [`McSim::recovery_off`].)
 pub struct ColdRecovery {
     from: u64,
@@ -144,8 +142,7 @@ impl McSim {
     /// `from`, to every crash point up to `to` (at most the end of the
     /// loop): the index-flushing modes' recovery, a boundary at a time.
     /// Building it to `to` simulates what recovering one state crashed at
-    /// `to` does; building it to the end, what a dirty restart from `from`
-    /// does, in any mode.
+    /// `to` does.
     pub fn cold_recovery(&self, cfg: &SystemConfig, from: u64, to: u64) -> ColdRecovery {
         let image = self.setup_image(cfg, from);
         let (mut emu, resumed_from, detect_time) = self.reboot_at_index(cfg, Cow::Owned(image));
@@ -201,36 +198,14 @@ impl McSim {
         })
     }
 
-    /// [`McSim::dirty_restart`] of `image`, read off `reference` — for an
-    /// image [`ColdCheck`] vouches for (the caller checks) that holds the
-    /// loop index `reference` starts from, when `reference` was built to the
-    /// end of the loop; `None` otherwise. The restart's clock runs from
-    /// before the index read to the loop's end; its tallies end as far above
-    /// the reference's as they booted, and the count-total audit is
-    /// evaluated on those.
-    pub fn restart_off(
-        &self,
-        reference: &ColdRecovery,
-        image: &DeltaImage,
-    ) -> Option<DirtyRestart> {
+    /// [`McSim::dirty_restart`] of an `image` [`ColdCheck`] vouches for,
+    /// given `sim_time_ps`: the clock of a simulated restart of any image it
+    /// vouches for from the loop index `image` holds (the caller checks
+    /// both). Its tallies end as far above that restart's as they booted,
+    /// and the count-total audit is evaluated on those.
+    pub fn restart_off(&self, sim_time_ps: u64, image: &DeltaImage) -> DirtyRestart {
         let from = image.read_u64(self.idx_cell.addr());
-        if from != reference.from || !reference.reaches(self.lookups) {
-            return None;
-        }
-        let &(time, accesses) = reference.at.last()?;
-        let kind = DirtyReentry {
-            began: reference.resume_began - reference.detect_time,
-            idx: from,
-        };
-        let counts = self.counts_off(image, from);
-        Some(kind.answer(
-            self,
-            Reading {
-                time,
-                counts,
-                accesses,
-            },
-        ))
+        DirtyReentry::audit(self, from, sim_time_ps, self.counts_off(image, from))
     }
 
     /// The tallies a cold replay of `image` from loop index `from` ends the

@@ -91,12 +91,20 @@ pub fn seeded() -> bool {
 /// mutated and no CPU cache stands in. Recording changes no machine, and a
 /// planted seed changes the program's path, not the machine under it. A
 /// simulated result kept for reuse is valid, and may be filled, only while
-/// this holds — and only if no seed lies on the path it stands for.
+/// this holds — and only if no seed lies on the path it stands for (else
+/// [`runs_unmutated`]).
 pub fn runs_as_configured() -> bool {
     !ACTIVE.get()
         || HOOK.with_borrow(|h| {
             h.cpu_cache.is_none() && h.mutated.is_none_or(|site| site.op == Op::Seed)
         })
+}
+
+/// Whether nothing is mutated: machines run as configured and no seed is
+/// planted either. A simulated result kept for reuse that a seed may lie
+/// on the path to is filled, and read, only while this holds.
+pub fn runs_unmutated() -> bool {
+    !ACTIVE.get() || HOOK.with_borrow(|h| h.cpu_cache.is_none() && h.mutated.is_none())
 }
 
 #[cold]
@@ -266,22 +274,25 @@ mod tests {
 
     /// Machines run as configured outside the hook, while recording and
     /// under a planted seed; not while a persist or fence is dropped or
-    /// another CPU cache stands in.
+    /// another CPU cache stands in. Nothing is mutated outside the hook
+    /// and while recording only.
     #[test]
     fn only_a_dropped_site_or_a_cache_override_changes_machines() {
         let mut s = sys();
         let cell = PScalar::<u64>::alloc_nvm(&mut s);
         let ((), sites) = record(|| {
-            assert!(runs_as_configured());
+            assert!(runs_as_configured() && runs_unmutated());
             cell.persist(&mut s);
             seeded();
         });
-        assert!(runs_as_configured());
+        assert!(runs_as_configured() && runs_unmutated());
         for site in sites {
             let planted = mutating(site, runs_as_configured);
             assert_eq!(planted, site.op == Op::Seed, "{site:?}");
+            assert!(!mutating(site, runs_unmutated), "{site:?}");
         }
         let big = CacheConfig::new(1 << 20, 16);
         assert!(!with_cpu_cache(big, runs_as_configured));
+        assert!(!with_cpu_cache(big, runs_unmutated));
     }
 }
