@@ -23,35 +23,31 @@
 //!
 //! Most of those replays are not simulated at all. A cold replay from an
 //! image that is the set-up image outside the dead cells (`macro_xs`, the
-//! tallies, the epoch words) and the loop index `k` charges what the
-//! crash-free replay from the set-up image at `k` charges, and adds the
-//! same tally increments (see `adcc_core::mc::sim::cold`), and every image
-//! a run harvests is such an image. So each scenario keeps two tables, a
-//! slot per flushed index, once per process, used only for a state the
-//! image check passes:
+//! tallies, the epoch words) and the loop index `k` charges what every such
+//! image's replay from `k` charges, and adds the same tally increments (see
+//! `adcc_core::mc::sim::cold`); every image a run harvests is one. So each
+//! scenario keeps one [`ColdTable`] per process, a [`Slot`] per flushed
+//! index, for the states the image check passes:
 //!
 //! - `mc-selective`'s recoveries, which replay at most one interval, read
-//!   off a [`ColdRecovery`] reference per index, never under a hook that
-//!   changes machines. A slot is built first only as far as the state that
-//!   asks needs, which simulates what recovering that state does, and to
-//!   the end of the interval when a later state asks past it.
-//! - A dirty restart from `k` is that replay run to the end of the loop, so
-//!   its clock is one number per `k`: the [`RestartEnds`] slot of `k`. The
-//!   restart chains fill it: the first restart of an empty slot chains and
-//!   records its clock, and the later ones of the batch, or of any later
-//!   batch, read it (`mc-epoch`'s, which never write the index, all read
-//!   slot 0). A slot already filled must agree. Nothing is read or filled
-//!   while any hook mutates (`hook::runs_unmutated`): under the seed that
-//!   skips the image check, a fill would hand a poisoned clock to every
-//!   later restart in the process.
+//!   the slot's [`ColdRecovery`]: the replay of the first state that asked,
+//!   as far as it needed (its own recovery), rebuilt to the end of the
+//!   interval by a state that asks past it. A rebuild must agree.
+//! - A dirty restart from `k` is that replay run to the end of the loop: one
+//!   clock per `k`. The first restart of an empty slot chains and records
+//!   it, and the later ones of any batch read it (`mc-epoch`'s, which never
+//!   write the index, all read slot 0). A filled slot must agree.
 //!
-//! Filling costs no simulation, so a process that runs one campaign, where
-//! most indices are asked for once, simulates no more than it did without
-//! the tables, and one that runs many reads nearly every restart off them.
+//! A slot is read while `hook::runs_as_configured` and filled only while
+//! `hook::runs_unmutated`: a fill replays the image that asks, so under the
+//! seed that skips the image check it would poison the slot for the
+//! process. One campaign simulates at most one interval more per flushed
+//! index than replaying each state would (a rebuild replays the whole
+//! interval); a process that runs many reads nearly every state off it.
 
 use std::borrow::Cow;
 use std::ptr;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 use adcc_core::mc::sim::{Chain, ColdCheck, ColdRecovery, McMode, McRecovery, McSim};
 use adcc_core::mc::{McProblem, XS_CHANNELS};
@@ -174,79 +170,49 @@ impl McCampaign {
         }
     }
 
-    /// This scenario's cold references, a slot per flushed loop index,
-    /// process-wide.
-    fn cold_references(&self) -> &'static [Mutex<Option<Arc<ColdRecovery>>>] {
-        once_per_process((self.info.name, "cold references"), || {
-            let flushed = LOOKUPS.div_ceil(INTERVAL);
-            (0..flushed).map(|_| Mutex::default()).collect::<Vec<_>>()
-        })
+    /// This scenario's process-wide [`ColdTable`], the [`Workload`] hooks'.
+    fn table(&self) -> &'static ColdTable {
+        once_per_process((self.info.name, "cold replays"), ColdTable::default)
     }
 
-    /// This scenario's cold reference from the flushed loop index `k`, built
-    /// at least to `to`, at most an interval past `k` (see the module docs);
-    /// `None` past the loop.
-    fn cold_reference(&self, mc: &McSim, k: u64, to: u64) -> Option<Arc<ColdRecovery>> {
-        let slot = self
-            .cold_references()
-            .get(usize::try_from(k / INTERVAL).ok()?)?;
-        let mut held = slot.lock().expect("a reference build never panics");
-        if let Some(built) = held.as_ref().filter(|built| built.reaches(to)) {
-            return Some(Arc::clone(built));
-        }
-        // First as far as this state needs, then at least the interval.
-        let to = held.as_ref().map_or(to, |_| to.max(k + INTERVAL));
-        let fresh = Arc::new(mc.cold_recovery(&self.cfg, k, to));
-        *held = Some(Arc::clone(&fresh));
-        Some(fresh)
-    }
-
-    /// `image`'s recovery to `crashed_at`, read off the cold reference from
-    /// the loop index it holds: for a `mc-selective` image `check` vouches
-    /// for, crashed within the interval that index opens, while machines run
-    /// as configured; `None` otherwise.
+    /// `image`'s recovery to `crashed_at`, read off its slot in `table`: for
+    /// a `mc-selective` image the table serves, crashed within the interval
+    /// its index opens; `None` otherwise, or if the slot does not reach that
+    /// far and may not be filled. A slot is built first as far as the state
+    /// that asks needs, and then to the end of the interval.
     fn tabled_recovery(
         &self,
         mc: &McSim,
+        table: &ColdTable,
         check: &mut ColdCheck,
         image: &DeltaImage,
         crashed_at: u64,
     ) -> Option<McRecovery> {
-        if !matches!(self.mode, McMode::Selective { .. }) || !hook::runs_as_configured() {
+        if !matches!(self.mode, McMode::Selective { .. }) {
             return None;
         }
+        let slot = table.slot(mc, check, image)?;
         let k = image.read_u64(mc.idx_cell.addr());
-        let replayed = crashed_at.checked_sub(k);
-        if !k.is_multiple_of(INTERVAL)
-            || replayed.is_none_or(|n| n > INTERVAL)
-            || !vouched(|| check.is_cold(image))
-        {
+        if crashed_at.checked_sub(k).is_none_or(|n| n > INTERVAL) {
             return None;
         }
-        mc.recovery_off(&*self.cold_reference(mc, k, crashed_at)?, image, crashed_at)
-    }
-
-    /// This scenario's restart clocks, process-wide: the table the
-    /// [`Workload`] hook reads and fills.
-    fn restart_ends(&self) -> &'static RestartEnds {
-        once_per_process((self.info.name, "restart ends"), RestartEnds::default)
-    }
-
-    /// The slot in `ends` of `image`'s restart clock: for an image `check`
-    /// vouches for that holds a flushed loop index, while nothing is mutated;
-    /// `None` otherwise.
-    fn restart_slot<'e>(
-        &self,
-        mc: &McSim,
-        check: &mut ColdCheck,
-        ends: &'e RestartEnds,
-        image: &DeltaImage,
-    ) -> Option<&'e OnceLock<u64>> {
-        if !hook::runs_unmutated() {
-            return None;
+        let mut held = slot.recovery.lock().expect("a fill of this slot panicked");
+        if !held.as_ref().is_some_and(|built| built.reaches(crashed_at)) {
+            if !hook::runs_unmutated() {
+                return None;
+            }
+            let to = held
+                .as_ref()
+                .map_or(crashed_at, |_| crashed_at.max(k + INTERVAL));
+            let (_, fresh) = mc.index_replay(&self.cfg, image.into(), to);
+            assert!(
+                held.as_ref()
+                    .is_none_or(|shorter| fresh.agrees_with(shorter)),
+                "two vouched replays from one flushed index ran different clocks"
+            );
+            *held = Some(fresh);
         }
-        let slot = ends.slot(image.read_u64(mc.idx_cell.addr()))?;
-        vouched(|| check.is_cold(image)).then_some(slot)
+        mc.recovery_off(held.as_ref()?, image, crashed_at)
     }
 
     /// [`Workload::recover_chain`], and how many states it read off the
@@ -255,6 +221,7 @@ impl McCampaign {
         &self,
         mc: &McSim,
         states: &mut dyn Iterator<Item = HarvestedState>,
+        table: &ColdTable,
     ) -> (Vec<Classified>, usize) {
         let mut check = ColdCheck::new(mc);
         let mut profiles = Vec::new();
@@ -264,7 +231,7 @@ impl McCampaign {
         });
         let (recoveries, tabled) = table_or_chain(
             states,
-            |(crashed_at, image)| self.tabled_recovery(mc, &mut check, image, *crashed_at),
+            |(crashed_at, image)| self.tabled_recovery(mc, table, &mut check, image, *crashed_at),
             |rest| {
                 let rest =
                     rest.map(|(crashed_at, image)| (crashed_at, Cow::Owned(image.materialize())));
@@ -281,47 +248,48 @@ impl McCampaign {
         (verdicts, tabled)
     }
 
-    /// [`Workload::dirty_restart_chain`] over `ends`, and how many states
+    /// [`Workload::dirty_restart_chain`] over `table`, and how many states
     /// it read off it. A state whose slot is filled reads it; the first
-    /// state of an empty slot chains and fills it with its clock, and the
-    /// later ones of that slot read it then. The rest chain.
+    /// state of an empty slot chains and fills it with its clock, if it may,
+    /// and the later ones of that slot read it then. The rest chain.
     fn restarts(
         &self,
         mc: &McSim,
         images: &mut dyn Iterator<Item = &DeltaImage>,
-        ends: &RestartEnds,
+        table: &ColdTable,
     ) -> (Chain<DirtyRestart>, usize) {
         let mut check = ColdCheck::new(mc);
-        let states = images.map(|image| (image, self.restart_slot(mc, &mut check, ends, image)));
-        let mut filling: Vec<&OnceLock<u64>> = Vec::new();
+        let fills = hook::runs_unmutated();
+        let states = images.map(|image| (image, table.slot(mc, &mut check, image)));
+        let mut filling: Vec<&Slot> = Vec::new();
         table_or_chain(
             states,
             |&(image, slot)| {
                 let slot = slot?;
-                if slot.get().is_some() || filling.iter().any(|f| ptr::eq(*f, slot)) {
+                if slot.restart.get().is_some() || filling.iter().any(|f| ptr::eq(*f, slot)) {
                     return Some((image, slot));
                 }
-                filling.push(slot);
+                filling.extend(fills.then_some(slot));
                 None
             },
             |rest| {
-                let mut fills = Vec::new();
+                let mut slots = Vec::new();
                 let chain = mc.dirty_chain(
                     &self.cfg,
                     rest.map(|(image, slot)| {
-                        fills.push(slot);
+                        slots.push(slot.filter(|_| fills));
                         image
                     }),
                 );
-                for (answer, slot) in chain.answers.iter().zip(fills) {
+                for (answer, slot) in chain.answers.iter().zip(slots) {
                     if let Some(slot) = slot {
-                        RestartEnds::record(slot, answer.sim_time_ps);
+                        slot.record(answer.sim_time_ps);
                     }
                 }
                 chain
             },
             |(image, slot)| {
-                let end = slot.get().expect("filled by the chain or before it");
+                let end = slot.restart.get().expect("filled before it is read");
                 mc.restart_off(*end, image)
             },
         )
@@ -390,7 +358,7 @@ impl Workload for McCampaign {
         mc: &McSim,
         states: &mut dyn Iterator<Item = HarvestedState>,
     ) -> Vec<Classified> {
-        self.recoveries(mc, states).0
+        self.recoveries(mc, states, self.table()).0
     }
 
     fn complete(
@@ -418,35 +386,43 @@ impl Workload for McCampaign {
         mc: &McSim,
         images: &mut dyn Iterator<Item = &DeltaImage>,
     ) -> Vec<DirtyRestart> {
-        self.restarts(mc, images, self.restart_ends()).0.answers
+        self.restarts(mc, images, self.table()).0.answers
     }
 }
 
-/// The clock (`sim_time_ps`) of a dirty restart of a vouched image from
-/// each flushed loop index, as the chains record it: a slot per index.
-pub(crate) struct RestartEnds(Vec<OnceLock<u64>>);
+/// A scenario's cold replays: a [`Slot`] per flushed loop index (see the
+/// module docs).
+#[derive(Default)]
+struct ColdTable([Slot; LOOKUPS.div_ceil(INTERVAL) as usize]);
 
-impl Default for RestartEnds {
-    fn default() -> Self {
-        let flushed = LOOKUPS.div_ceil(INTERVAL);
-        RestartEnds((0..flushed).map(|_| OnceLock::new()).collect())
-    }
+/// The cold replays from one flushed loop index.
+#[derive(Default)]
+struct Slot {
+    /// The recovery replay, as far as it was built.
+    recovery: Mutex<Option<ColdRecovery>>,
+    /// The clock (`sim_time_ps`) of a dirty restart.
+    restart: OnceLock<u64>,
 }
 
-impl RestartEnds {
-    /// The slot of the restarts from loop index `k`; `None` unless the
-    /// loop flushes `k`.
-    fn slot(&self, k: u64) -> Option<&OnceLock<u64>> {
-        if !k.is_multiple_of(INTERVAL) {
+impl ColdTable {
+    /// `image`'s slot: for an image that holds a flushed loop index and that
+    /// `check` vouches for, while machines run as configured; `None`
+    /// otherwise. A slot is filled only while nothing is mutated either.
+    fn slot(&self, mc: &McSim, check: &mut ColdCheck, image: &DeltaImage) -> Option<&Slot> {
+        let k = image.read_u64(mc.idx_cell.addr());
+        if !hook::runs_as_configured() || !k.is_multiple_of(INTERVAL) {
             return None;
         }
-        self.0.get(usize::try_from(k / INTERVAL).ok()?)
+        let slot = self.0.get(usize::try_from(k / INTERVAL).ok()?)?;
+        vouched(|| check.is_cold(image)).then_some(slot)
     }
+}
 
-    /// Record `sim_time_ps`, a chained restart's clock, in its `slot`. A
-    /// slot already filled must hold the same clock.
-    fn record(slot: &OnceLock<u64>, sim_time_ps: u64) {
-        let held = *slot.get_or_init(|| sim_time_ps);
+impl Slot {
+    /// Record `sim_time_ps`, a chained restart's clock. A slot already
+    /// filled must hold the same clock.
+    fn record(&self, sim_time_ps: u64) {
+        let held = *self.restart.get_or_init(|| sim_time_ps);
         assert_eq!(
             held, sim_time_ps,
             "two vouched restarts from one flushed index ran different clocks"
@@ -547,22 +523,27 @@ mod tests {
         })
     }
 
-    /// `image`'s dirty restart, read off its slot in `ends` once a chain has
-    /// filled it; `None` otherwise.
+    /// `image`'s dirty restart, read off its slot in `table` once a chain
+    /// has filled it; `None` otherwise.
     fn tabled_restart(
-        s: &McCampaign,
         mc: &McSim,
         check: &mut ColdCheck,
-        ends: &RestartEnds,
+        table: &ColdTable,
         image: &DeltaImage,
     ) -> Option<DirtyRestart> {
-        let end = *s.restart_slot(mc, check, ends, image)?.get()?;
+        let end = *table.slot(mc, check, image)?.restart.get()?;
         Some(mc.restart_off(end, image))
     }
 
-    /// How many slots of `ends` a chain has filled.
-    fn filled(ends: &RestartEnds) -> usize {
-        ends.0.iter().filter(|slot| slot.get().is_some()).count()
+    /// How many slots of `table` hold a restart clock, and how many a
+    /// recovery replay.
+    fn filled(table: &ColdTable) -> (usize, usize) {
+        let slots = table.0.iter();
+        let replays = slots
+            .clone()
+            .filter(|slot| slot.recovery.lock().unwrap().is_some());
+        let clocks = slots.filter(|slot| slot.restart.get().is_some());
+        (clocks.count(), replays.count())
     }
 
     /// The tables answer what the simulation answers, field for field: each
@@ -577,11 +558,12 @@ mod tests {
             let name = s.info.name;
             let (mc, states) = harvest(&s, &units);
             assert_eq!(states.len(), LOOKUPS as usize, "{name}");
+            let table = ColdTable::default();
             let mut check = ColdCheck::new(&mc);
             let mut recovered = 0;
             for (site, image) in &states {
                 let crashed_at = site.index + 1;
-                if let Some(got) = s.tabled_recovery(&mc, &mut check, image, crashed_at) {
+                if let Some(got) = s.tabled_recovery(&mc, &table, &mut check, image, crashed_at) {
                     let alone =
                         mc.recover_and_resume(&image.materialize(), s.cfg.clone(), crashed_at);
                     assert_eq!(facts(&got), facts(&alone), "{name} at {site:?}");
@@ -589,12 +571,12 @@ mod tests {
                 }
             }
             let simulated = mc.dirty_chain(&s.cfg, states.iter().map(|(_, image)| image));
-            let ends = RestartEnds::default();
-            let (hooked, read) = s.restarts(&mc, &mut states.iter().map(|(_, image)| image), &ends);
+            let (hooked, read) =
+                s.restarts(&mc, &mut states.iter().map(|(_, image)| image), &table);
             assert_eq!(hooked.answers, simulated.answers, "{name}");
             let mut indices = Vec::new();
             for ((site, image), want) in states.iter().zip(&simulated.answers) {
-                let got = tabled_restart(&s, &mc, &mut check, &ends, image);
+                let got = tabled_restart(&mc, &mut check, &table, image);
                 assert_eq!(got.as_ref(), Some(want), "{name} at {site:?}");
                 let k = image.read_u64(mc.idx_cell.addr());
                 if !indices.contains(&k) {
@@ -604,9 +586,9 @@ mod tests {
                 }
             }
             // Each slot's first state chained; the rest read it.
-            assert_eq!(indices.len(), filled(&ends), "{name}");
+            assert_eq!(indices.len(), filled(&table).0, "{name}");
             assert_eq!(read, states.len() - indices.len(), "{name}");
-            let (hooked, _) = s.recoveries(&mc, &mut handed(&states));
+            let (hooked, _) = s.recoveries(&mc, &mut handed(&states), &table);
             let verdict = |c: &Classified| (c.outcome, c.lost_units, c.sim_time_ps);
             for (got, (site, image)) in hooked.iter().zip(&states) {
                 let want = s.recover(&mc, *site, &image.materialize(), None);
@@ -616,10 +598,11 @@ mod tests {
                 // Every recovery replays at most an interval; the loop
                 // flushes 19 indices.
                 McMode::Selective { .. } => {
-                    assert_eq!((recovered, indices.len()), (states.len(), 19))
+                    assert_eq!((recovered, indices.len()), (states.len(), 19));
+                    assert_eq!(filled(&table), (19, 19));
                 }
                 // Epoch mode never writes the index: every restart boots at 0.
-                _ => assert_eq!((recovered, indices.len()), (0, 1), "{name}"),
+                _ => assert_eq!((recovered, filled(&table)), (0, (1, 0)), "{name}"),
             }
         }
     }
@@ -653,13 +636,16 @@ mod tests {
 
     /// An image the check refuses falls back to simulation and answers what
     /// the per-trial oracle's `recover` answers for it: one whose base is
-    /// corrupted, with no delta.
+    /// corrupted, with no delta. The slot a clean state of its index filled
+    /// first is not read.
     #[test]
     fn a_corrupted_image_falls_back_to_simulation() {
         for s in both() {
             let name = s.info.name;
             // Units 20 and 90: loop index 0 and 64 in `mc-selective`.
             let (mc, states) = harvest(&s, &[20, 90]);
+            let table = ColdTable::default();
+            s.recoveries(&mc, &mut handed(&states), &table);
             for (site, image) in &states {
                 let mut check = ColdCheck::new(&mc);
                 assert!(check.is_cold(image), "{name}: a harvested image is cold");
@@ -667,14 +653,15 @@ mod tests {
                     let bad = with_bytes(&image.materialize(), addr, &[byte]);
                     let delta = DeltaImage::whole(bad.clone());
                     assert!(!check.is_cold(&delta), "{name}: {what}");
-                    let tabled = s.tabled_recovery(&mc, &mut check, &delta, site.index + 1);
+                    let crashed_at = site.index + 1;
+                    let tabled = s.tabled_recovery(&mc, &table, &mut check, &delta, crashed_at);
                     assert!(tabled.is_none());
                     let state = HarvestedState {
                         site: *site,
                         image: delta,
                         profile: None,
                     };
-                    let (batch, hits) = s.recoveries(&mc, &mut std::iter::once(state));
+                    let (batch, hits) = s.recoveries(&mc, &mut std::iter::once(state), &table);
                     let oracle = s.recover(&mc, *site, &bad, None);
                     let verdict = |c: &Classified| (c.outcome, c.lost_units, c.sim_time_ps);
                     assert_eq!(verdict(&batch[0]), verdict(&oracle), "{name}: {what}");
@@ -711,18 +698,20 @@ mod tests {
                     assert_eq!(image.read_u64(mc.idx_cell.addr()), 0);
                     assert!(!check.is_cold(image), "{name}: {what}");
                 }
-                // Slot 0 filled by a clean restart, and not read.
-                let ends = RestartEnds::default();
-                s.restarts(&live, &mut std::iter::once(&clean[0].1), &ends);
-                assert_eq!(filled(&ends), 1);
+                // Slot 0 filled by a clean restart and recovery, and not read.
+                let table = ColdTable::default();
+                s.restarts(&live, &mut std::iter::once(&clean[0].1), &table);
+                s.recoveries(&live, &mut handed(&clean), &table);
+                let selective = matches!(s.mode, McMode::Selective { .. });
+                assert_eq!(filled(&table), (1, usize::from(selective)), "{name}");
                 let (hooked, hits) =
-                    s.restarts(&mc, &mut states.iter().map(|(_, image)| image), &ends);
+                    s.restarts(&mc, &mut states.iter().map(|(_, image)| image), &table);
                 let alone: Vec<DirtyRestart> = states
                     .iter()
                     .map(|(_, image)| s.dirty_restart(&mc, &image.materialize()))
                     .collect();
                 assert_eq!((hooked.answers, hits), (alone, 0), "{name}: {what}");
-                let (hooked, hits) = s.recoveries(&mc, &mut handed(&states));
+                let (hooked, hits) = s.recoveries(&mc, &mut handed(&states), &table);
                 let verdict = |c: &Classified| (c.outcome, c.lost_units, c.sim_time_ps);
                 for (got, (site, image)) in hooked.iter().zip(&states) {
                     let want = s.recover(&mc, *site, &image.materialize(), None);
@@ -735,10 +724,11 @@ mod tests {
 
     /// The seeded bug in [`vouched`] — the image check skipped — is killed
     /// by the fallback differential: a recovery from an image whose fuel
-    /// energy grid is another one is read off the clean reference, and its
-    /// clock is not what recovering it gives, because the energy grid steers
-    /// each lookup's binary search and so the lines it reads. (A campaign
-    /// cannot see the bug: every image a run harvests passes the check.)
+    /// energy grid is another one is read off the slot a clean state filled,
+    /// and its clock is not what recovering it gives, because the energy
+    /// grid steers each lookup's binary search and so the lines it reads. (A
+    /// campaign cannot see the bug: every image a run harvests passes the
+    /// check.)
     #[test]
     fn a_skipped_image_check_is_killed_by_the_fallback_differential() {
         let s = McCampaign::new_selective(reference_counts());
@@ -747,13 +737,16 @@ mod tests {
         let poisoned = poisoned(&mc, image);
         let delta = DeltaImage::whole(poisoned.clone());
         let crashed_at = site.index + 1;
-        let ask = || s.tabled_recovery(&mc, &mut ColdCheck::new(&mc), &delta, crashed_at);
-        let (clean, seeds) = hook::record(ask);
+        let table = ColdTable::default();
+        let ask =
+            |image| s.tabled_recovery(&mc, &table, &mut ColdCheck::new(&mc), image, crashed_at);
+        assert!(ask(image).is_some(), "a clean state fills the slot");
+        let (clean, seeds) = hook::record(|| ask(&delta));
         assert!(clean.is_none(), "the check refuses the poison");
         let seeds: Vec<Site> = seeds.into_iter().filter(|s| s.op == Op::Seed).collect();
         assert_eq!(seeds.len(), 1, "the one image check: {seeds:?}");
         let simulated = mc.recover_and_resume(&poisoned, s.cfg.clone(), crashed_at);
-        let seeded = hook::mutating(seeds[0], ask).expect("the seed skips the check");
+        let seeded = hook::mutating(seeds[0], || ask(&delta)).expect("the seed skips the check");
         assert_ne!(
             seeded.report.resume_time, simulated.report.resume_time,
             "the poison must show"
@@ -772,23 +765,23 @@ mod tests {
         NvmImage::new(bytes, image.len())
     }
 
-    /// The seed that skips the image check neither reads the restart table
-    /// nor fills it: a poisoned image's restart under it is the simulated
-    /// one, before and after a clean restart fills its slot, and the slot
-    /// holds the clean clock. A fill under the seed would have stored the
+    /// The seed that skips the image check reads a filled restart slot and
+    /// never fills one: a poisoned image's restart under it is the simulated
+    /// one while its slot is empty, and the clean clock once a clean restart
+    /// has filled the slot. A fill under the seed would have stored the
     /// poisoned clock for every later restart in the process: an unhooked
     /// restart of the clean image through the process-wide table is still
     /// the restart alone.
     #[test]
-    fn a_restart_under_the_skipped_image_check_neither_reads_nor_fills_the_table() {
+    fn a_restart_under_the_skipped_image_check_reads_a_filled_slot_and_never_fills_one() {
         let s = McCampaign::new_selective(reference_counts());
         let (mc, states) = harvest(&s, &[60]);
         let image = &states[0].1;
         let poisoned = poisoned(&mc, image);
         let delta = DeltaImage::whole(poisoned.clone());
-        let ends = RestartEnds::default();
+        let table = ColdTable::default();
         let restart = |image: &DeltaImage| {
-            let (chain, read) = s.restarts(&mc, &mut std::iter::once(image), &ends);
+            let (chain, read) = s.restarts(&mc, &mut std::iter::once(image), &table);
             (chain.answers, read)
         };
         let (_, sites) = hook::record(|| restart(&delta));
@@ -803,52 +796,76 @@ mod tests {
             simulated.sim_time_ps, clean.sim_time_ps,
             "the poison must show"
         );
-        for filled_before in [0, 1] {
-            let seeded = hook::mutating(seeds[0], || restart(&delta));
-            assert_eq!(seeded, (vec![simulated.clone()], 0));
-            assert_eq!(filled(&ends), filled_before);
-            let read = usize::from(filled_before == 1);
-            assert_eq!(restart(image), (vec![clean.clone()], read));
-        }
-        assert_eq!(
-            ends.slot(0).and_then(OnceLock::get),
-            Some(&clean.sim_time_ps)
-        );
+        let seeded = || hook::mutating(seeds[0], || restart(&delta));
+        assert_eq!(seeded(), (vec![simulated], 0));
+        assert_eq!(filled(&table), (0, 0), "filled under the seed");
+        assert_eq!(restart(image), (vec![clean.clone()], 0));
+        let (read, hits) = seeded();
+        assert_eq!((read[0].sim_time_ps, hits), (clean.sim_time_ps, 1));
+        assert_eq!(table.0[0].restart.get(), Some(&clean.sim_time_ps));
         let through_the_process =
             |image: &DeltaImage| s.dirty_restart_chain(&mc, &mut std::iter::once(image));
         hook::mutating(seeds[0], || through_the_process(&delta));
         assert_eq!(through_the_process(image), [clean]);
     }
 
-    /// How many distinct crash states of a kernel campaign at seed 42 each
-    /// MC scenario's hooks read off the tables, and of how many: `[recover
+    /// A slot's two fills panic on a disagreeing replay: a rebuild whose
+    /// prefix is not the replay it replaces ...
+    #[test]
+    #[should_panic(expected = "two vouched replays from one flushed index ran different clocks")]
+    fn a_rebuild_that_disagrees_with_its_prefix_panics() {
+        let s = McCampaign::new_selective(reference_counts());
+        let (mc, states) = harvest(&s, &[60]);
+        let image = &states[0].1;
+        let table = ColdTable::default();
+        let poisoned = DeltaImage::whole(poisoned(&mc, image));
+        let (_, short) = mc.index_replay(&s.cfg, (&poisoned).into(), 10);
+        *table.0[0].recovery.lock().unwrap() = Some(short);
+        s.recoveries(&mc, &mut handed(&states), &table);
+    }
+
+    /// ... and a restart clock that is not the one recorded.
+    #[test]
+    #[should_panic(expected = "two vouched restarts from one flushed index ran different clocks")]
+    fn a_restart_clock_that_disagrees_with_its_slot_panics() {
+        let s = McCampaign::new_selective(reference_counts());
+        let (mc, states) = harvest(&s, &[60]);
+        let image = &states[0].1;
+        let slot = Slot::default();
+        slot.record(s.dirty_restart(&mc, &image.materialize()).sim_time_ps);
+        slot.record(s.dirty_restart(&mc, &poisoned(&mc, image)).sim_time_ps);
+    }
+
+    /// How many distinct crash states of a kernel campaign at `seed` each MC
+    /// scenario's hooks read off the tables, and of how many: `[recover
     /// hits, dirty hits, states]`, the dirty pass run only for `resilience`,
-    /// over each scenario's restart table in `ends`; and the accesses its
-    /// restart chains simulated.
+    /// over each scenario's table in `tables`; and the accesses its restart
+    /// chains simulated.
     fn table_hits(
+        seed: u64,
         budget_states: u64,
         resilience: bool,
-        ends: &[RestartEnds; 2],
+        tables: &[ColdTable; 2],
     ) -> [(&'static str, [usize; 3], u64); 2] {
         let cfg = CampaignConfig {
             budget_states,
             dense_units: 400,
-            seed: 42,
+            seed,
             ..CampaignConfig::default()
         };
         let registry = Registry::Kernel.scenarios();
         let planned = plan(&cfg, &registry);
-        let mut ends = ends.iter();
+        let mut tables = tables.iter();
         both().map(|s| {
-            let ends = ends.next().expect("a table per scenario");
+            let table = tables.next().expect("a table per scenario");
             let at = registry.iter().position(|r| r.name() == s.info.name);
             let (mut hits, mut simulated) = ([0; 3], 0);
             for chunk in planned[at.expect("registered")].chunks(cfg.max_batch as usize) {
                 let (mc, states) = harvest(&s, chunk);
-                hits[0] += s.recoveries(&mc, &mut handed(&states)).1;
+                hits[0] += s.recoveries(&mc, &mut handed(&states), table).1;
                 if resilience {
                     let images = &mut states.iter().map(|(_, image)| image);
-                    let (chain, read) = s.restarts(&mc, images, ends);
+                    let (chain, read) = s.restarts(&mc, images, table);
                     hits[1] += read;
                     simulated += chain.simulated_accesses;
                 }
@@ -861,53 +878,62 @@ mod tests {
     /// A change that quietly stops reading the tables fails here: the
     /// states of the `kernel-sweep` (260 states, 400 dense units, no dirty
     /// pass) and `resilience-sweep` (130, 400) campaigns at seed 42 that
-    /// each hook reads off them, on fresh restart tables. `mc-epoch`'s
-    /// recoveries chain. One resilience campaign fills a slot from each
-    /// flushed index's first restart and reads the later ones of that index
-    /// off it, so it simulates no more restart accesses than chaining every
-    /// `mc-selective` restart (491 267) and running `mc-epoch`'s loop once
-    /// (444 872). A second campaign on the same tables reads every restart
-    /// off them. No cold recovery reference the sweeps built holds more than
-    /// an interval.
+    /// each hook reads off them, on fresh tables. `mc-epoch`'s recoveries
+    /// chain. One resilience campaign fills a slot from each flushed index's
+    /// first restart and reads the later ones of that index off it, so it
+    /// simulates no more restart accesses than chaining every `mc-selective`
+    /// restart (491 267) and running `mc-epoch`'s loop once (444 872). A
+    /// second campaign on the same tables reads every restart off them. No
+    /// recovery replay the sweeps built holds more than an interval, and at
+    /// seed 43 the two states of index 768 build its slot twice: to their
+    /// first crash point, 792, and then to the end of the interval, 832.
     #[test]
     fn the_sweeps_read_as_many_states_off_the_tables_as_pinned() {
-        let fresh = || [RestartEnds::default(), RestartEnds::default()];
-        let [selective, epoch] = table_hits(260, false, &fresh());
+        let fresh = || [ColdTable::default(), ColdTable::default()];
+        let [selective, epoch] = table_hits(42, 260, false, &fresh());
         assert_eq!(selective, ("mc-selective", [20, 0, 20], 0));
         assert_eq!(epoch, ("mc-epoch", [0, 0, 20], 0));
-        let ends = fresh();
-        let [selective, epoch] = table_hits(130, true, &ends);
+        let tables = fresh();
+        let [selective, epoch] = table_hits(42, 130, true, &tables);
         assert_eq!(selective, ("mc-selective", [10, 2, 10], 491_265));
         assert_eq!(epoch, ("mc-epoch", [0, 9, 10], 444_872));
-        let [selective, epoch] = table_hits(130, true, &ends);
+        let [selective, epoch] = table_hits(42, 130, true, &tables);
         assert_eq!(selective, ("mc-selective", [10, 10, 10], 0));
         assert_eq!(epoch, ("mc-epoch", [0, 10, 10], 0));
-        for s in both() {
-            for (k, slot) in (0..).step_by(INTERVAL as usize).zip(s.cold_references()) {
-                let held = slot.lock().expect("a reference build never panics");
+        for (s, table) in both().iter().zip(&tables) {
+            for (k, slot) in (0..).step_by(INTERVAL as usize).zip(&table.0) {
+                let held = slot.recovery.lock().expect("a fill of this slot panicked");
                 let past = held
                     .as_ref()
                     .filter(|built| built.reaches(k + INTERVAL + 1));
-                assert!(past.is_none(), "{}: the reference from {k}", s.info.name);
+                assert!(past.is_none(), "{}: the replay from {k}", s.info.name);
             }
         }
+        let tables = fresh();
+        table_hits(43, 130, false, &tables);
+        let held = tables[0].0[768 / INTERVAL as usize]
+            .recovery
+            .lock()
+            .unwrap();
+        let built = held.as_ref().expect("index 768 asked for");
+        assert!(built.reaches(832) && !built.reaches(833));
     }
 
     /// Under a hook that changes machines — a dropped persist, another CPU
-    /// cache — no table answers, and no restart fills one: the process-wide
-    /// tables stand for the machines as configured.
+    /// cache — no slot answers and none is filled: the process-wide tables
+    /// stand for the machines as configured.
     #[test]
     fn no_table_answers_while_a_hook_changes_machines() {
         for s in both() {
             let name = s.info.name;
             let (mc, states) = harvest(&s, &[20]);
             let (site, image) = &states[0];
-            let ends = RestartEnds::default();
-            let restart = || s.restarts(&mc, &mut std::iter::once(image), &ends).1;
+            let table = ColdTable::default();
+            let restart = || s.restarts(&mc, &mut std::iter::once(image), &table).1;
             let ask = || {
                 let mut check = ColdCheck::new(&mc);
-                let recovered = s.tabled_recovery(&mc, &mut check, image, site.index + 1);
-                let restarted = tabled_restart(&s, &mc, &mut check, &ends, image);
+                let recovered = s.tabled_recovery(&mc, &table, &mut check, image, site.index + 1);
+                let restarted = tabled_restart(&mc, &mut check, &table, image);
                 (recovered.is_some(), restarted.is_some())
             };
             let (mut emu, mut live) = s.setup(CrashTrigger::Never);
@@ -916,11 +942,13 @@ mod tests {
             let big = adcc_sim::lru::CacheConfig::new(1 << 20, 16);
             assert_eq!(hook::mutating(*flush, restart), 0, "{name}");
             assert_eq!(hook::with_cpu_cache(big, restart), 0, "{name}");
-            assert_eq!(filled(&ends), 0, "{name}: filled under a hook");
+            assert_eq!(hook::mutating(*flush, ask), (false, false), "{name}");
+            assert_eq!(hook::with_cpu_cache(big, ask), (false, false), "{name}");
+            assert_eq!(filled(&table), (0, 0), "{name}: filled under a hook");
             assert_eq!(restart(), 0, "{name}");
-            assert_eq!(filled(&ends), 1, "{name}");
             let selective = matches!(s.mode, McMode::Selective { .. });
             assert_eq!(ask(), (selective, true), "{name}");
+            assert_eq!(filled(&table), (1, usize::from(selective)), "{name}");
             assert_eq!(hook::mutating(*flush, ask), (false, false), "{name}");
             assert_eq!(hook::with_cpu_cache(big, ask), (false, false), "{name}");
             assert_eq!(hook::mutating(*flush, restart), 0, "{name}");

@@ -45,10 +45,8 @@
 //!   loop index its image flushed and joins the pilot a few dozen lookups
 //!   on, whichever index either booted at.
 //!
-//! A cold replay from an image that is the set-up image but for the dead
-//! cells and the loop index need not be simulated at all: a recovery or a
-//! dirty restart charges what the crash-free replay from the set-up image
-//! at that index charges (`cold`).
+//! Cold replays — of images that are the set-up image but for the dead
+//! cells and the loop index — charge alike per index (`cold`).
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -647,58 +645,6 @@ impl McSim {
             answers,
             simulated_accesses,
         }
-    }
-
-    /// Recovery in the index-flushing modes: re-execute `[flushed index,
-    /// crashed_at)` timed, tally the rest of the run on the host.
-    fn recover_to_crash_point(
-        &self,
-        image: Cow<'_, NvmImage>,
-        cfg: &SystemConfig,
-        crashed_at: u64,
-    ) -> McRecovery {
-        // The rest of the run only ever adds one to a counter per lookup:
-        // tally it on the host instead of simulating it untimed — from the
-        // image's own grids, so before the machine takes the image over.
-        let tail = self.tally_tail(&image, crashed_at);
-        let (mut emu, resumed_from, detect_time) = self.reboot_at_index(cfg, image);
-        let t1 = emu.now();
-        // Re-execute back to the crash point (measured as resume time).
-        self.run(&mut emu, resumed_from, crashed_at)
-            .completed()
-            .expect("trigger is Never");
-        let t2 = emu.now();
-        let mut counts = self.peek_counts(&emu);
-        for (c, n) in counts.iter_mut().zip(tail) {
-            *c += n;
-        }
-        McRecovery {
-            resumed_from,
-            counts,
-            report: RecoveryReport {
-                detect_time,
-                resume_time: t2 - t1,
-                lost_units: crashed_at.saturating_sub(resumed_from),
-                restart_unit: resumed_from,
-            },
-            accesses: emu.access_count(),
-        }
-    }
-
-    /// The detect phase of recovery in the index-flushing modes: boot
-    /// `image` and read the flushed loop index. The machine, standing where
-    /// the timed replay begins, the index, and the phase's time.
-    fn reboot_at_index(
-        &self,
-        cfg: &SystemConfig,
-        image: Cow<'_, NvmImage>,
-    ) -> (CrashEmulator, u64, SimTime) {
-        let mut sys = boot(cfg, image);
-        let t0 = sys.now();
-        let resumed_from = self.idx_cell.get(&mut sys);
-        let detect_time = sys.now() - t0;
-        let emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
-        (emu, resumed_from, detect_time)
     }
 }
 
@@ -1535,13 +1481,12 @@ mod tests {
 
     /// Read off the cold references, every crash state of a run answers
     /// what recovering it and restarting it answer, field for field: every
-    /// selective recovery, off a reference built only as far as its crash
-    /// point and off one built over the interval, and every restart, at
-    /// every flushed index, off the clock of the set-up image's restart from
-    /// that index. The caches evict tallies between flushes, so the tallies
-    /// the states boot with are not the reference's. The set-up image the
-    /// references boot is the set-up machine's NVM, and every harvested
-    /// image passes the check.
+    /// selective recovery, off the replay of its index's first state over the
+    /// interval and off its own replay built only as far as its crash point,
+    /// and every restart, at every flushed index, off the clock of its
+    /// index's first restart. The caches evict tallies between flushes, so
+    /// the tallies the states boot with are not the reference's, and every
+    /// harvested image passes the check.
     #[test]
     fn cold_references_answer_as_the_simulation_does() {
         let p = McProblem::generate(36, 32, 11);
@@ -1551,8 +1496,6 @@ mod tests {
             (prefetching(), McMode::Selective { interval: 8 }),
         ] {
             let (mc, deltas) = deltas_at_every_lookup(&p, &cfg, EPOCH_LOOKUPS, mode);
-            let setup = deltas[0].base();
-            assert_eq!(**setup, mc.setup_image(&cfg, 0), "{mode:?}");
             let mut ends: Vec<Option<u64>> = Vec::new();
             let mut recoveries: Vec<Option<ColdRecovery>> = Vec::new();
             let mut check = ColdCheck::new(&mc);
@@ -1561,29 +1504,28 @@ mod tests {
                 let (image, crashed_at) = (delta.materialize(), i as u64 + 1);
                 assert!(check.is_cold(delta), "{mode:?} {i}");
                 let k = image.read_u64(mc.idx_cell.addr());
+                let want = mc.dirty_restart(&image, cfg.clone());
                 let slot = k as usize;
                 ends.resize_with(ends.len().max(slot + 1), || None);
-                let end = *ends[slot].get_or_insert_with(|| {
-                    let setup = mc.setup_image(&cfg, k);
-                    mc.dirty_restart(&setup, cfg.clone()).sim_time_ps
-                });
-                let want = mc.dirty_restart(&image, cfg.clone());
+                let end = *ends[slot].get_or_insert(want.sim_time_ps);
                 assert_eq!(mc.restart_off(end, delta), want, "{mode:?} {i}");
                 restarted += u64::from(k > 0);
                 if let McMode::Selective { interval } = mode {
                     let slot = (k / interval) as usize;
                     recoveries.resize_with(recoveries.len().max(slot + 1), || None);
                     let reference = recoveries[slot]
-                        .get_or_insert_with(|| mc.cold_recovery(&cfg, k, k + interval));
+                        .get_or_insert_with(|| mc.index_replay(&cfg, delta.into(), k + interval).1);
                     let got = mc
                         .recovery_off(reference, delta, crashed_at)
                         .expect("in span");
                     let want = mc.recover_and_resume(&image, cfg.clone(), crashed_at);
                     assert_eq!(facts(&got), facts(&want), "{mode:?} {i}");
                     audits_fired += u64::from(got.counts.iter().sum::<u64>() != EPOCH_LOOKUPS);
-                    // One built only as far as this crash point answers it,
-                    // and nothing past it.
-                    let short = mc.cold_recovery(&cfg, k, crashed_at);
+                    // Its own replay built only as far as this crash point
+                    // answers it, agrees with the reference, and answers
+                    // nothing past it.
+                    let (_, short) = mc.index_replay(&cfg, delta.into(), crashed_at);
+                    assert!(short.agrees_with(reference), "{mode:?} {i}");
                     let got = mc.recovery_off(&short, delta, crashed_at);
                     assert_eq!(got.as_ref().map(facts), Some(facts(&want)), "{mode:?} {i}");
                     assert!(!short.reaches(crashed_at + 1));
@@ -1604,6 +1546,7 @@ mod tests {
                     "{mode:?}: restarts past 0"
                 );
                 assert!(audits_fired > 0, "{mode:?}: no booted tally differed");
+                assert!(recoveries.iter().all(Option::is_some), "{mode:?}");
             }
         }
     }

@@ -8,43 +8,38 @@
 //! before it reads it; the tallies, which it only ever reads to add one to
 //! (`get + 1 -> set`), wherever any mode keeps them; and the epoch words,
 //! which it writes without reading. None of them steers an address, a
-//! branch or a charge. So the replay of such an image is the replay of the
-//! set-up image with that loop index: the same clock, the same accesses and
-//! the same tally *increments* on top of the tallies it booted with.
-//!
-//! A dirty restart from loop index `k` is that replay too, run to the end
-//! of the loop: it boots the same image, reads the index once and runs the
-//! loop on, one `McSim::run(i, i + 1)` at a time, as the index-flushing
-//! modes' recovery does. So its clock is one number per `k`, and any
-//! simulated restart of such an image from `k` may record it.
+//! branch or a charge. So the replays of two such images with one loop
+//! index charge alike: the same clock, the same accesses and the same tally
+//! *increments* on top of the tallies each booted with.
 //!
 //! [`ColdCheck`] is that condition, checked exactly over the delta images a
 //! harvest takes: the grids bit for bit against the problem, zeros
 //! everywhere else outside the dead cells and the loop index. A
-//! [`ColdRecovery`] is the crash-free recovery reference, built by the
-//! simulated code path it stands in for, from the set-up image itself. No
-//! image is held: the set-up image is the problem's grids plus zeros. A
-//! restart needs no reference but its recorded clock
-//! ([`McSim::restart_off`]).
+//! [`ColdRecovery`] is the index-flushing modes' recovery replay itself
+//! ([`McSim::index_replay`]): one built from an image the check vouches for
+//! answers every such image with its loop index ([`McSim::recovery_off`]).
+//! A dirty restart from `k` is that replay run to the end of the loop, so
+//! any simulated restart of such an image may record its clock for every
+//! other ([`McSim::restart_off`]).
 
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
 use adcc_sim::clock::SimTime;
+use adcc_sim::crash::{CrashEmulator, CrashTrigger};
 use adcc_sim::image::{DeltaImage, NvmImage};
 use adcc_sim::line::{outside, LINE_SIZE};
 use adcc_sim::parray::PArray;
 use adcc_sim::system::SystemConfig;
 
-use super::{same_bits, DirtyReentry, EpochCounters, McMode, McRecovery, McSim, XS_CHANNELS};
+use super::{boot, same_bits, DirtyReentry, EpochCounters, McMode, McRecovery, McSim, XS_CHANNELS};
 use crate::traits::{DirtyRestart, RecoveryReport};
 
-/// What the cold replay of the set-up image with the loop index at `from`
-/// did, crash-free: the detect phase, and the machine's clock and access
-/// count at every lookup boundary of its timed replay, up to the crash point
-/// it was built for. (Its tallies are the host tally's: see
-/// [`McSim::recovery_off`].)
+/// The index-flushing modes' recovery replay of one image, crash-free: the
+/// loop index it booted at, the detect phase, and the machine's clock and
+/// access count at every lookup boundary of its timed replay, as far as it
+/// ran. (Its tallies are the host tally's: see [`McSim::recovery_off`].)
 pub struct ColdRecovery {
     from: u64,
     detect_time: SimTime,
@@ -55,36 +50,41 @@ pub struct ColdRecovery {
 }
 
 impl McSim {
-    /// The set-up image with the loop index at `idx`: the problem's grids,
-    /// zeros elsewhere.
-    pub(super) fn setup_image(&self, cfg: &SystemConfig, idx: u64) -> NvmImage {
-        let ranges = self.layout();
-        let end = ranges.iter().map(|r| r.end).max().unwrap_or(0);
-        let mut bytes = vec![0; end as usize];
-        for (arr, words) in [
-            (&self.grids.energy, &self.problem.energy),
-            (&self.grids.xs, &self.problem.xs),
-        ] {
-            let at = arr.base() as usize;
-            for (dst, w) in bytes[at..at + arr.byte_len()]
-                .chunks_exact_mut(8)
-                .zip(words.iter())
-            {
-                dst.copy_from_slice(&w.to_le_bytes());
-            }
+    /// Recovery in the index-flushing modes, up to `to` (at most the end of
+    /// the loop): boot `image`, read the flushed loop index — the detect
+    /// phase — and re-execute the lookups from there, a boundary at a time.
+    /// The machine where the replay stopped, and the replay: what recovering
+    /// a state crashed at `to` simulates. Built from an image [`ColdCheck`]
+    /// vouches for, the replay answers every image the check vouches for
+    /// that holds the same loop index ([`McSim::recovery_off`]).
+    pub fn index_replay(
+        &self,
+        cfg: &SystemConfig,
+        image: Cow<'_, NvmImage>,
+        to: u64,
+    ) -> (CrashEmulator, ColdRecovery) {
+        let mut sys = boot(cfg, image);
+        let t0 = sys.now();
+        let from = self.idx_cell.get(&mut sys);
+        let resume_began = sys.now();
+        let mut emu = CrashEmulator::from_system(sys, CrashTrigger::Never);
+        let to = to.min(self.lookups);
+        // Held for the process when tabled: sized exactly.
+        let mut at = Vec::with_capacity(to.saturating_sub(from) as usize + 1);
+        at.push((emu.now(), emu.access_count()));
+        for i in from..to {
+            self.run(&mut emu, i, i + 1)
+                .completed()
+                .expect("trigger is Never");
+            at.push((emu.now(), emu.access_count()));
         }
-        let at = self.idx_cell.addr() as usize;
-        bytes[at..at + 8].copy_from_slice(&idx.to_le_bytes());
-        NvmImage::new(bytes, cfg.nvm_capacity)
-    }
-
-    /// Every address range the loop's state occupies, ascending: the two
-    /// grids, then [`McSim::dead_and_index`]'s.
-    fn layout(&self) -> Vec<Range<u64>> {
-        let mut ranges = self.dead_and_index();
-        ranges.extend([span(&self.grids.energy), span(&self.grids.xs)]);
-        ranges.sort_unstable_by_key(|r| r.start);
-        ranges
+        let replay = ColdRecovery {
+            from,
+            detect_time: resume_began - t0,
+            resume_began,
+            at,
+        };
+        (emu, replay)
     }
 
     /// The dead cells (see the module docs), ascending: `macro_xs`, the
@@ -113,15 +113,19 @@ impl McSim {
 
     /// Whether `image` is this run's set-up image — the problem's grids bit
     /// for bit, zeros elsewhere — outside the dead cells and the loop index:
-    /// whether a cold replay from it replays as one from the set-up image
-    /// with its loop index does. Exact; one pass over the image's written
-    /// prefix. [`ColdCheck`] asks it of each harvest's base.
+    /// whether its cold replay charges as every such image's with its loop
+    /// index does. Exact; one pass over the image's written prefix.
+    /// [`ColdCheck`] asks it of each harvest's base.
     fn is_cold(&self, image: &NvmImage) -> bool {
         let view = |arr: &PArray<f64>| image.view(arr.base(), arr.byte_len());
         let prefix = image.prefix();
+        // Every address range the loop's state occupies, ascending.
+        let mut layout = self.dead_and_index();
+        layout.extend([span(&self.grids.energy), span(&self.grids.xs)]);
+        layout.sort_unstable_by_key(|r| r.start);
         same_bits(&view(&self.grids.energy), &self.problem.energy)
             && same_bits(&view(&self.grids.xs), &self.problem.xs)
-            && outside(&self.layout(), 0..prefix.len() as u64)
+            && outside(&layout, 0..prefix.len() as u64)
                 .all(|gap| prefix[gap].iter().all(|&b| b == 0))
     }
 
@@ -138,32 +142,25 @@ impl McSim {
         })
     }
 
-    /// The crash-free cold replay of the set-up image with the loop index at
-    /// `from`, to every crash point up to `to` (at most the end of the
-    /// loop): the index-flushing modes' recovery, a boundary at a time.
-    /// Building it to `to` simulates what recovering one state crashed at
-    /// `to` does.
-    pub fn cold_recovery(&self, cfg: &SystemConfig, from: u64, to: u64) -> ColdRecovery {
-        let image = self.setup_image(cfg, from);
-        let (mut emu, resumed_from, detect_time) = self.reboot_at_index(cfg, Cow::Owned(image));
-        debug_assert_eq!(resumed_from, from);
-        let resume_began = emu.now();
-        // Held for the process: sized exactly, not grown by doubling.
-        let lookups = from..to.min(self.lookups);
-        let mut at = Vec::with_capacity(lookups.clone().count() + 1);
-        at.push((emu.now(), emu.access_count()));
-        for i in lookups {
-            self.run(&mut emu, i, i + 1)
-                .completed()
-                .expect("trigger is Never");
-            at.push((emu.now(), emu.access_count()));
+    /// Recovery in the index-flushing modes: re-execute `[flushed index,
+    /// crashed_at)` timed, tally the rest of the run on the host.
+    pub(super) fn recover_to_crash_point(
+        &self,
+        image: Cow<'_, NvmImage>,
+        cfg: &SystemConfig,
+        crashed_at: u64,
+    ) -> McRecovery {
+        // The rest of the run only ever adds one to a counter per lookup:
+        // tally it on the host instead of simulating it untimed — from the
+        // image's own grids, so before the machine takes the image over.
+        let tail = self.tally_tail(&image, crashed_at);
+        let (emu, replay) = self.index_replay(cfg, image, crashed_at);
+        let mut counts = self.peek_counts(&emu);
+        for (c, n) in counts.iter_mut().zip(tail) {
+            *c += n;
         }
-        ColdRecovery {
-            from,
-            detect_time,
-            resume_began,
-            at,
-        }
+        let end = *replay.at.last().expect("the boundary it booted at");
+        replay.answer(end, crashed_at, counts)
     }
 
     /// [`McSim::recover_and_resume`] of `image` to `crashed_at`, read off
@@ -182,20 +179,10 @@ impl McSim {
         if from != reference.from {
             return None;
         }
-        let &(time, accesses) = reference
+        let &end = reference
             .at
             .get(usize::try_from(crashed_at.checked_sub(from)?).ok()?)?;
-        Some(McRecovery {
-            resumed_from: from,
-            counts: self.counts_off(image, from),
-            report: RecoveryReport {
-                detect_time: reference.detect_time,
-                resume_time: time - reference.resume_began,
-                lost_units: crashed_at - from,
-                restart_unit: from,
-            },
-            accesses,
-        })
+        Some(reference.answer(end, crashed_at, self.counts_off(image, from)))
     }
 
     /// [`McSim::dirty_restart`] of an `image` [`ColdCheck`] vouches for,
@@ -238,6 +225,37 @@ impl ColdRecovery {
         crashed_at
             .checked_sub(self.from)
             .is_some_and(|j| j < self.at.len() as u64)
+    }
+
+    /// Whether it and `other` replayed alike as far as both ran: the loop
+    /// index, the detect phase, where the timed replay began and the clock
+    /// and access count at every boundary.
+    pub fn agrees_with(&self, other: &ColdRecovery) -> bool {
+        (self.from, self.detect_time, self.resume_began)
+            == (other.from, other.detect_time, other.resume_began)
+            && self.at.iter().zip(&other.at).all(|(a, b)| a == b)
+    }
+
+    /// The recovery of a state crashed at `crashed_at`, read off the
+    /// boundary `(time, accesses)` of this replay, its tallies ending at
+    /// `counts`.
+    fn answer(
+        &self,
+        (time, accesses): (SimTime, u64),
+        crashed_at: u64,
+        counts: [u64; XS_CHANNELS],
+    ) -> McRecovery {
+        McRecovery {
+            resumed_from: self.from,
+            counts,
+            report: RecoveryReport {
+                detect_time: self.detect_time,
+                resume_time: time - self.resume_began,
+                lost_units: crashed_at.saturating_sub(self.from),
+                restart_unit: self.from,
+            },
+            accesses,
+        }
     }
 }
 

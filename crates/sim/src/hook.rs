@@ -90,9 +90,9 @@ pub fn seeded() -> bool {
 /// Whether every machine runs as configured: no persist or fence site is
 /// mutated and no CPU cache stands in. Recording changes no machine, and a
 /// planted seed changes the program's path, not the machine under it. A
-/// simulated result kept for reuse is valid, and may be filled, only while
-/// this holds — and only if no seed lies on the path it stands for (else
-/// [`runs_unmutated`]).
+/// simulated result kept for reuse stands for the machines as configured:
+/// it is read only while this holds, and filled only while
+/// [`runs_unmutated`] does.
 pub fn runs_as_configured() -> bool {
     !ACTIVE.get()
         || HOOK.with_borrow(|h| {
@@ -101,8 +101,10 @@ pub fn runs_as_configured() -> bool {
 }
 
 /// Whether nothing is mutated: machines run as configured and no seed is
-/// planted either. A simulated result kept for reuse that a seed may lie
-/// on the path to is filled, and read, only while this holds.
+/// planted either. A simulated result kept for reuse is filled only while
+/// this holds: a seed may lie on the path that fills it (one that skips a
+/// check may let a wrong input fill it), and every later read would take
+/// the mutant's result for the program's.
 pub fn runs_unmutated() -> bool {
     !ACTIVE.get() || HOOK.with_borrow(|h| h.cpu_cache.is_none() && h.mutated.is_none())
 }
