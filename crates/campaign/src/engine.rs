@@ -493,10 +493,10 @@ fn aggregate(s: &dyn Scenario, dense_units: u64, trials: &[Trial]) -> ScenarioRe
     }
     let info = s.info();
     ScenarioReport {
-        name: info.name.to_string(),
-        kernel: info.kernel.name().to_string(),
-        mechanism: info.mechanism.name().to_string(),
-        platform: info.platform.to_string(),
+        name: info.name.into(),
+        kernel: info.kernel,
+        mechanism: info.mechanism,
+        platform: info.platform.into(),
         total_units: info.unit_space.sites + dense_units,
         trials: trials.len() as u64,
         outcomes,

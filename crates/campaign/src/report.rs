@@ -14,6 +14,8 @@
 //! [`CampaignReport::parse`] accepts exactly [`SCHEMA`], so anything that
 //! parses can also be re-run.
 
+use std::borrow::Cow;
+
 use adcc_dist::net::FaultProfile;
 use adcc_resilience::{DirtyClass, DirtyClassCounts, NaturalResilience, Tolerance};
 use adcc_telemetry::{adr_eadr_costs, ExecutionProfile};
@@ -21,7 +23,7 @@ use adcc_telemetry::{adr_eadr_costs, ExecutionProfile};
 use crate::json::Json;
 use crate::memstats::ImageMemorySummary;
 use crate::outcome::OutcomeCounts;
-use crate::scenario::Registry;
+use crate::scenario::{Kernel, Mechanism, Registry};
 
 /// The report format identifier, the one generation
 /// [`CampaignReport::parse`] accepts (bump on breaking schema changes).
@@ -70,17 +72,19 @@ impl<T> From<Option<T>> for Boxed<T> {
     }
 }
 
-/// Aggregated results for one scenario.
+/// Aggregated results for one scenario. A report the engine builds
+/// borrows its scenario's static names, and one parsed from a document
+/// owns them: each repeat a caller keeps holds no name on the heap.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioReport {
     /// Unique scenario name.
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Kernel family.
-    pub kernel: String,
+    pub kernel: Kernel,
     /// Persistence mechanism.
-    pub mechanism: String,
+    pub mechanism: Mechanism,
     /// Platform preset.
-    pub platform: String,
+    pub platform: Cow<'static, str>,
     /// Size of the scenario's crash-point space.
     pub total_units: u64,
     /// Crash states actually evaluated (budget-limited).
@@ -544,10 +548,10 @@ impl CampaignReport {
             .iter()
             .map(|s| {
                 let mut e = Json::obj();
-                e.push("name", Json::Str(s.name.clone()));
-                e.push("kernel", Json::Str(s.kernel.clone()));
-                e.push("mechanism", Json::Str(s.mechanism.clone()));
-                e.push("platform", Json::Str(s.platform.clone()));
+                e.push("name", Json::Str(s.name.to_string()));
+                e.push("kernel", Json::Str(s.kernel.name().into()));
+                e.push("mechanism", Json::Str(s.mechanism.name().into()));
+                e.push("platform", Json::Str(s.platform.to_string()));
                 e.push("total_units", Json::Int(s.total_units));
                 e.push("trials", Json::Int(s.trials));
                 e.push("outcomes", s.outcomes.to_json());
@@ -645,10 +649,10 @@ impl CampaignReport {
                         .ok_or_else(|| format!("scenario missing {key}"))
                 };
                 Ok(ScenarioReport {
-                    name: s("name")?,
-                    kernel: s("kernel")?,
-                    mechanism: s("mechanism")?,
-                    platform: s("platform")?,
+                    name: s("name")?.into(),
+                    kernel: Kernel::parse(&s("kernel")?)?,
+                    mechanism: Mechanism::parse(&s("mechanism")?)?,
+                    platform: s("platform")?.into(),
                     total_units: n("total_units")?,
                     trials: n("trials")?,
                     outcomes: OutcomeCounts::from_json(
@@ -748,7 +752,9 @@ pub fn flush_audit(report: &CampaignReport) -> Vec<String> {
             (t.flush_total() == 0 && t.epoch_barriers == 0).then(|| {
                 format!(
                     "{}: flush-based mechanism {:?} recorded zero flushes over {} trials",
-                    s.name, s.mechanism, s.trials
+                    s.name,
+                    s.mechanism.name(),
+                    s.trials
                 )
             })
         })
@@ -843,8 +849,8 @@ mod tests {
             shard: None,
             scenarios: vec![ScenarioReport {
                 name: "cg-extended".into(),
-                kernel: "cg".into(),
-                mechanism: "extended".into(),
+                kernel: Kernel::Cg,
+                mechanism: Mechanism::Extended,
                 platform: "nvm-only".into(),
                 total_units: 48,
                 trials: 2,

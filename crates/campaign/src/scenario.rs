@@ -33,6 +33,18 @@ pub enum Kernel {
 }
 
 impl Kernel {
+    /// Every kernel family.
+    pub const ALL: [Kernel; 8] = [
+        Kernel::Cg,
+        Kernel::BiCgStab,
+        Kernel::Jacobi,
+        Kernel::Stencil,
+        Kernel::Lu,
+        Kernel::Mc,
+        Kernel::Queue,
+        Kernel::Hash,
+    ];
+
     /// The compute-kernel families covered by the default (`kernel`)
     /// registry.
     pub const COMPUTE: [Kernel; 6] = [
@@ -57,6 +69,12 @@ impl Kernel {
             Kernel::Hash => "hash",
         }
     }
+
+    /// The family whose [`Kernel::name`] is `name`.
+    pub fn parse(name: &str) -> Result<Kernel, String> {
+        let found = Kernel::ALL.into_iter().find(|k| k.name() == name);
+        found.ok_or_else(|| format!("unknown kernel '{name}'"))
+    }
 }
 
 /// Persistence mechanism under test.
@@ -80,6 +98,17 @@ pub enum Mechanism {
 }
 
 impl Mechanism {
+    /// Every mechanism.
+    pub const ALL: [Mechanism; 7] = [
+        Mechanism::Extended,
+        Mechanism::ExtendedWindowed,
+        Mechanism::Checkpoint,
+        Mechanism::Pmem,
+        Mechanism::Selective,
+        Mechanism::Epoch,
+        Mechanism::Baseline,
+    ];
+
     /// Stable identifier used in report JSON.
     pub fn name(self) -> &'static str {
         match self {
@@ -91,6 +120,12 @@ impl Mechanism {
             Mechanism::Epoch => "epoch",
             Mechanism::Baseline => "baseline",
         }
+    }
+
+    /// The mechanism whose [`Mechanism::name`] is `name`.
+    pub fn parse(name: &str) -> Result<Mechanism, String> {
+        let found = Mechanism::ALL.into_iter().find(|m| m.name() == name);
+        found.ok_or_else(|| format!("unknown mechanism '{name}'"))
     }
 }
 

@@ -23,33 +23,40 @@
 //!
 //! Most of those replays are not simulated at all. A cold replay from an
 //! image that is the set-up image outside the dead cells (`macro_xs`, the
-//! tallies, the epoch words) and the loop index `k` charges what every such
-//! image's replay from `k` charges, and adds the same tally increments (see
-//! `adcc_core::mc::sim::cold`); every image a run harvests is one. So each
-//! scenario keeps one [`ColdTable`] per process, a [`Slot`] per flushed
-//! index, for the states the image check passes:
+//! tallies, the epoch words) and the loop index charges what every such
+//! image's replay charges that reads the same steering words, and adds the
+//! same tally increments (see `adcc_core::mc::sim::cold`); every image a
+//! run harvests is one. So each scenario keeps one [`ColdTable`] per
+//! process for the states the image check passes:
 //!
-//! - `mc-selective`'s recoveries, which replay at most one interval, read
-//!   the slot's [`ColdRecovery`]: the replay of the first state that asked,
-//!   as far as it needed (its own recovery), rebuilt to the end of the
-//!   interval by a state that asks past it. A rebuild must agree.
+//! - `mc-selective`'s recoveries, which replay at most one interval from
+//!   the flushed index `k`, read `k`'s [`Slot`]'s [`ColdRecovery`]: the
+//!   replay of the first state that asked, as far as it needed (its own
+//!   recovery), rebuilt to the end of the interval by a state that asks
+//!   past it. A rebuild must agree.
 //! - A dirty restart from `k` is that replay run to the end of the loop: one
-//!   clock per `k`. The first restart of an empty slot chains and records
-//!   it, and the later ones of any batch read it (`mc-epoch`'s, which never
-//!   write the index, all read slot 0). A filled slot must agree.
+//!   clock per slot (`mc-epoch`'s, which never write the index, all read
+//!   slot 0).
+//! - `mc-epoch`'s recoveries read the two line epochs instead of `k`, and
+//!   replay from them: one [`EpochClock`] per pair.
 //!
-//! A slot is read while `hook::runs_as_configured` and filled only while
+//! A restart or an epoch recovery whose clock is held reads it. The first
+//! state of an empty entry chains and fills it, and the later ones of that
+//! entry in the batch read it once the chain has run. A refill must agree.
+//!
+//! An entry is read while `hook::reads_kept` and filled only while
 //! `hook::runs_unmutated`: a fill replays the image that asks, so under the
-//! seed that skips the image check it would poison the slot for the
-//! process. One campaign simulates at most one interval more per flushed
+//! seed that skips the image check it would poison the entry for the
+//! process; and a read skips the chain, so no other seed, nor a recording,
+//! sees one. One campaign simulates at most one interval more per flushed
 //! index than replaying each state would (a rebuild replays the whole
 //! interval); a process that runs many reads nearly every state off it.
 
 use std::borrow::Cow;
-use std::ptr;
+use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
-use adcc_core::mc::sim::{Chain, ColdCheck, ColdRecovery, McMode, McRecovery, McSim};
+use adcc_core::mc::sim::{Chain, ColdCheck, ColdRecovery, EpochClock, McMode, McRecovery, McSim};
 use adcc_core::mc::{McProblem, XS_CHANNELS};
 use adcc_core::DirtyRestart;
 use adcc_resilience::Tolerance;
@@ -191,7 +198,7 @@ impl McCampaign {
         if !matches!(self.mode, McMode::Selective { .. }) {
             return None;
         }
-        let slot = table.slot(mc, check, image)?;
+        let slot = &table.slots[table.slot(mc, check, image)?];
         let k = image.read_u64(mc.idx_cell.addr());
         if crashed_at.checked_sub(k).is_none_or(|n| n > INTERVAL) {
             return None;
@@ -215,43 +222,50 @@ impl McCampaign {
         mc.recovery_off(held.as_ref()?, image, crashed_at)
     }
 
-    /// [`Workload::recover_chain`], and how many states it read off the
-    /// table.
+    /// The recoveries of `states`, `(crashed_at, image)`, and how many of
+    /// them were read off `table`.
     fn recoveries(
         &self,
         mc: &McSim,
-        states: &mut dyn Iterator<Item = HarvestedState>,
+        states: &mut dyn Iterator<Item = (u64, DeltaImage)>,
         table: &ColdTable,
-    ) -> (Vec<Classified>, usize) {
+    ) -> (Chain<McRecovery>, usize) {
         let mut check = ColdCheck::new(mc);
-        let mut profiles = Vec::new();
-        let states = states.map(|s| {
-            profiles.push(s.profile);
-            (s.site.index + 1, s.image)
-        });
-        let (recoveries, tabled) = table_or_chain(
-            states,
-            |(crashed_at, image)| self.tabled_recovery(mc, table, &mut check, image, *crashed_at),
-            |rest| {
-                let rest =
-                    rest.map(|(crashed_at, image)| (crashed_at, Cow::Owned(image.materialize())));
-                mc.recover_chain(&self.cfg, rest)
-            },
-            |recovery| recovery,
-        );
-        let verdicts = recoveries
-            .answers
-            .iter()
-            .zip(profiles)
-            .map(|(rec, profile)| self.classify(rec, profile))
-            .collect();
-        (verdicts, tabled)
+        let chain = |rest: &mut dyn Iterator<Item = (u64, DeltaImage)>| {
+            let rest =
+                rest.map(|(crashed_at, image)| (crashed_at, Cow::Owned(image.materialize())));
+            mc.recover_chain(&self.cfg, rest)
+        };
+        if let McMode::Epoch { .. } = self.mode {
+            let states = states.map(|s| {
+                let pair = table.line_epochs(mc, &mut check, &s.1);
+                (s, pair)
+            });
+            filled_or_chain(
+                states,
+                |pair| table.clock(pair).is_some(),
+                chain,
+                |pair, answer| table.record(pair, EpochClock::of(answer)),
+                |(crashed_at, image), pair| {
+                    let clock = table.clock(pair).expect("filled before it is read");
+                    mc.epoch_recovery_off(&clock, &image, crashed_at)
+                },
+            )
+        } else {
+            table_or_chain(
+                states,
+                |s| {
+                    self.tabled_recovery(mc, table, &mut check, &s.1, s.0)
+                        .ok_or(s)
+                },
+                chain,
+                |recovery| recovery,
+            )
+        }
     }
 
     /// [`Workload::dirty_restart_chain`] over `table`, and how many states
-    /// it read off it. A state whose slot is filled reads it; the first
-    /// state of an empty slot chains and fills it with its clock, if it may,
-    /// and the later ones of that slot read it then. The rest chain.
+    /// it read off it: each state keyed by its slot.
     fn restarts(
         &self,
         mc: &McSim,
@@ -259,38 +273,15 @@ impl McCampaign {
         table: &ColdTable,
     ) -> (Chain<DirtyRestart>, usize) {
         let mut check = ColdCheck::new(mc);
-        let fills = hook::runs_unmutated();
         let states = images.map(|image| (image, table.slot(mc, &mut check, image)));
-        let mut filling: Vec<&Slot> = Vec::new();
-        table_or_chain(
+        filled_or_chain(
             states,
-            |&(image, slot)| {
-                let slot = slot?;
-                if slot.restart.get().is_some() || filling.iter().any(|f| ptr::eq(*f, slot)) {
-                    return Some((image, slot));
-                }
-                filling.extend(fills.then_some(slot));
-                None
-            },
-            |rest| {
-                let mut slots = Vec::new();
-                let chain = mc.dirty_chain(
-                    &self.cfg,
-                    rest.map(|(image, slot)| {
-                        slots.push(slot.filter(|_| fills));
-                        image
-                    }),
-                );
-                for (answer, slot) in chain.answers.iter().zip(slots) {
-                    if let Some(slot) = slot {
-                        slot.record(answer.sim_time_ps);
-                    }
-                }
-                chain
-            },
-            |(image, slot)| {
-                let end = slot.restart.get().expect("filled before it is read");
-                mc.restart_off(*end, image)
+            |slot| table.slots[slot].restart.get().is_some(),
+            |rest| mc.dirty_chain(&self.cfg, rest),
+            |slot, answer| table.slots[slot].record(answer.sim_time_ps),
+            |image, slot| {
+                let end = table.slots[slot].restart.get();
+                mc.restart_off(*end.expect("filled before it is read"), image)
             },
         )
     }
@@ -358,7 +349,19 @@ impl Workload for McCampaign {
         mc: &McSim,
         states: &mut dyn Iterator<Item = HarvestedState>,
     ) -> Vec<Classified> {
-        self.recoveries(mc, states, self.table()).0
+        let mut profiles = Vec::new();
+        let (recovered, _) = self.recoveries(
+            mc,
+            &mut states.map(|s| {
+                profiles.push(s.profile);
+                (s.site.index + 1, s.image)
+            }),
+            self.table(),
+        );
+        let verdicts = recovered.answers.iter().zip(profiles);
+        verdicts
+            .map(|(rec, profile)| self.classify(rec, profile))
+            .collect()
     }
 
     fn complete(
@@ -390,10 +393,14 @@ impl Workload for McCampaign {
     }
 }
 
-/// A scenario's cold replays: a [`Slot`] per flushed loop index (see the
-/// module docs).
+/// A scenario's cold replays (see the module docs).
 #[derive(Default)]
-struct ColdTable([Slot; LOOKUPS.div_ceil(INTERVAL) as usize]);
+struct ColdTable {
+    /// A slot per flushed loop index.
+    slots: [Slot; LOOKUPS.div_ceil(INTERVAL) as usize],
+    /// `mc-epoch`'s recovery clocks, by pair of line epochs.
+    clocks: Mutex<HashMap<(u64, u64), EpochClock>>,
+}
 
 /// The cold replays from one flushed loop index.
 #[derive(Default)]
@@ -405,16 +412,45 @@ struct Slot {
 }
 
 impl ColdTable {
-    /// `image`'s slot: for an image that holds a flushed loop index and that
-    /// `check` vouches for, while machines run as configured; `None`
-    /// otherwise. A slot is filled only while nothing is mutated either.
-    fn slot(&self, mc: &McSim, check: &mut ColdCheck, image: &DeltaImage) -> Option<&Slot> {
+    /// The index of `image`'s slot: for an image that holds a flushed loop
+    /// index, while kept results may be read and `check` vouches for it;
+    /// `None` otherwise.
+    fn slot(&self, mc: &McSim, check: &mut ColdCheck, image: &DeltaImage) -> Option<usize> {
         let k = image.read_u64(mc.idx_cell.addr());
-        if !hook::runs_as_configured() || !k.is_multiple_of(INTERVAL) {
+        let slot = usize::try_from(k / INTERVAL).ok()?;
+        if !k.is_multiple_of(INTERVAL) || slot >= self.slots.len() {
             return None;
         }
-        let slot = self.0.get(usize::try_from(k / INTERVAL).ok()?)?;
         vouched(|| check.is_cold(image)).then_some(slot)
+    }
+
+    /// The line epochs `image` holds, its key among the epoch clocks: while
+    /// kept results may be read and `check` vouches for it; `None`
+    /// otherwise.
+    fn line_epochs(
+        &self,
+        mc: &McSim,
+        check: &mut ColdCheck,
+        image: &DeltaImage,
+    ) -> Option<(u64, u64)> {
+        vouched(|| check.is_cold(image)).then(|| mc.line_epochs(image))
+    }
+
+    /// The epoch recovery clock held for `pair`.
+    fn clock(&self, pair: (u64, u64)) -> Option<EpochClock> {
+        let clocks = self.clocks.lock().expect("a fill of the clocks panicked");
+        clocks.get(&pair).copied()
+    }
+
+    /// Record `clock`, a chained epoch recovery's, for `pair`. A pair
+    /// already filled must hold the same clock.
+    fn record(&self, pair: (u64, u64), clock: EpochClock) {
+        let mut clocks = self.clocks.lock().expect("a fill of the clocks panicked");
+        let held = *clocks.entry(pair).or_insert(clock);
+        assert_eq!(
+            held, clock,
+            "two vouched epoch recoveries from one pair of line epochs ran different clocks"
+        );
     }
 }
 
@@ -430,12 +466,12 @@ impl Slot {
     }
 }
 
-/// Each state's answer, in order: where `tabled` finds it on a table, what
-/// `read` reads there once one `chain` has run over the rest (a chain may
-/// fill what a later state reads); and how many were read.
+/// Each state's answer, in order: what `read` makes of what `tabled` finds
+/// on a table, once one `chain` has run over the states it hands back (a
+/// chain may fill what a later state reads); and how many were read.
 fn table_or_chain<S, R, T>(
     states: impl Iterator<Item = S>,
-    mut tabled: impl FnMut(&S) -> Option<R>,
+    mut tabled: impl FnMut(S) -> Result<R, S>,
     chain: impl FnOnce(&mut dyn Iterator<Item = S>) -> Chain<T>,
     mut read: impl FnMut(R) -> T,
 ) -> (Chain<T>, usize) {
@@ -443,11 +479,15 @@ fn table_or_chain<S, R, T>(
     let Chain {
         answers,
         simulated_accesses,
-    } = chain(&mut states.filter_map(|s| {
-        let found = tabled(&s);
-        let rest = found.is_none().then_some(s);
-        read_off.push(found);
-        rest
+    } = chain(&mut states.filter_map(|s| match tabled(s) {
+        Ok(found) => {
+            read_off.push(Some(found));
+            None
+        }
+        Err(rest) => {
+            read_off.push(None);
+            Some(rest)
+        }
     }));
     let hits = read_off.iter().flatten().count();
     let mut chained = answers.into_iter();
@@ -463,10 +503,53 @@ fn table_or_chain<S, R, T>(
     (chain, hits)
 }
 
-/// Whether `check` vouches for an image: the one place the image check is
-/// asked. A seeded bug skips it.
+/// [`table_or_chain`] over states each with the key of the table entry that
+/// may answer it, if any: a state whose entry is `filled` is read off it;
+/// the first state of an empty entry chains and, while nothing is mutated,
+/// its answer is `record`ed there, and the later states of that entry read
+/// it once the chain has run. The rest chain.
+fn filled_or_chain<S, K: Copy + PartialEq, T>(
+    states: impl Iterator<Item = (S, Option<K>)>,
+    filled: impl Fn(K) -> bool,
+    chain: impl FnOnce(&mut dyn Iterator<Item = S>) -> Chain<T>,
+    record: impl Fn(K, &T),
+    mut read: impl FnMut(S, K) -> T,
+) -> (Chain<T>, usize) {
+    let fills = hook::runs_unmutated();
+    let mut filling = Vec::new();
+    table_or_chain(
+        states,
+        |(state, key)| match key {
+            Some(k) if filled(k) || filling.contains(&k) => Ok((state, k)),
+            _ => {
+                filling.extend(key.filter(|_| fills));
+                Err((state, key))
+            }
+        },
+        |rest| {
+            let mut keys = Vec::new();
+            let chain = chain(&mut rest.map(|(state, key)| {
+                keys.push(key.filter(|_| fills));
+                state
+            }));
+            for (answer, key) in chain.answers.iter().zip(keys) {
+                if let Some(k) = key {
+                    record(k, answer);
+                }
+            }
+            chain
+        },
+        |(state, k)| read(state, k),
+    )
+}
+
+/// Whether a table may answer for an image `check` asks about: the one
+/// place the image check is asked, and only while kept results may be read
+/// (`hook::reads_kept`). A seeded bug skips the check — the one seed a read
+/// goes ahead under, since it acts only there.
 fn vouched(check: impl FnOnce() -> bool) -> bool {
-    hook::seeded() || check()
+    let skipped = hook::seeded();
+    hook::reads_kept(skipped) && (skipped || check())
 }
 
 #[cfg(test)]
@@ -514,13 +597,12 @@ mod tests {
             .collect()
     }
 
-    /// `states` as the recover hook receives them.
-    fn handed(states: &[(CrashSite, DeltaImage)]) -> impl Iterator<Item = HarvestedState> + '_ {
-        states.iter().map(|(site, image)| HarvestedState {
-            site: *site,
-            image: image.clone(),
-            profile: None,
-        })
+    /// `states` as [`McCampaign::recoveries`] takes them: `(crashed_at,
+    /// image)`.
+    fn handed(states: &[(CrashSite, DeltaImage)]) -> impl Iterator<Item = (u64, DeltaImage)> + '_ {
+        states
+            .iter()
+            .map(|(site, image)| (site.index + 1, image.clone()))
     }
 
     /// `image`'s dirty restart, read off its slot in `table` once a chain
@@ -531,26 +613,44 @@ mod tests {
         table: &ColdTable,
         image: &DeltaImage,
     ) -> Option<DirtyRestart> {
-        let end = *table.slot(mc, check, image)?.restart.get()?;
+        let end = *table.slots[table.slot(mc, check, image)?].restart.get()?;
         Some(mc.restart_off(end, image))
     }
 
-    /// How many slots of `table` hold a restart clock, and how many a
-    /// recovery replay.
-    fn filled(table: &ColdTable) -> (usize, usize) {
-        let slots = table.0.iter();
+    /// `image`'s `mc-epoch` recovery to `crashed_at`, read off its line
+    /// epochs' clock in `table` once a chain has filled it; `None`
+    /// otherwise.
+    fn tabled_epoch_recovery(
+        mc: &McSim,
+        check: &mut ColdCheck,
+        table: &ColdTable,
+        image: &DeltaImage,
+        crashed_at: u64,
+    ) -> Option<McRecovery> {
+        let clock = table.clock(table.line_epochs(mc, check, image)?)?;
+        Some(mc.epoch_recovery_off(&clock, image, crashed_at))
+    }
+
+    /// How many slots of `table` hold a restart clock, how many a recovery
+    /// replay, and how many pairs of line epochs a recovery clock.
+    fn filled(table: &ColdTable) -> (usize, usize, usize) {
+        let slots = table.slots.iter();
         let replays = slots
             .clone()
             .filter(|slot| slot.recovery.lock().unwrap().is_some());
         let clocks = slots.filter(|slot| slot.restart.get().is_some());
-        (clocks.count(), replays.count())
+        let pairs = table.clocks.lock().unwrap().len();
+        (clocks.count(), replays.count(), pairs)
     }
 
     /// The tables answer what the simulation answers, field for field: each
-    /// `mc-selective` recovery, and each dirty restart of both scenarios once
-    /// the hook's own chain has filled a fresh table, at every site poll and
-    /// a dense sample. The hooks' whole answers equal the simulated chains'
-    /// too, and each flushed index's first tabled restart the restart alone.
+    /// `mc-selective` recovery, and each `mc-epoch` recovery and dirty
+    /// restart of both scenarios once the hooks' own chains have filled a
+    /// fresh table, at every site poll and a dense sample. The hooks' whole
+    /// answers equal the simulated chains' too — the recover hook's on a
+    /// first pass that fills the table and on a second that reads every
+    /// state off it — and each flushed index's first tabled restart the
+    /// restart alone.
     #[test]
     fn every_tabled_answer_is_the_simulated_one() {
         let units = site_polls_and_dense_sample();
@@ -558,15 +658,18 @@ mod tests {
             let name = s.info.name;
             let (mc, states) = harvest(&s, &units);
             assert_eq!(states.len(), LOOKUPS as usize, "{name}");
+            let alone: Vec<McRecovery> = handed(&states)
+                .map(|(crashed_at, image)| {
+                    mc.recover_and_resume(&image.materialize(), s.cfg.clone(), crashed_at)
+                })
+                .collect();
             let table = ColdTable::default();
             let mut check = ColdCheck::new(&mc);
             let mut recovered = 0;
-            for (site, image) in &states {
+            for ((site, image), want) in states.iter().zip(&alone) {
                 let crashed_at = site.index + 1;
                 if let Some(got) = s.tabled_recovery(&mc, &table, &mut check, image, crashed_at) {
-                    let alone =
-                        mc.recover_and_resume(&image.materialize(), s.cfg.clone(), crashed_at);
-                    assert_eq!(facts(&got), facts(&alone), "{name} at {site:?}");
+                    assert_eq!(facts(&got), facts(want), "{name} at {site:?}");
                     recovered += 1;
                 }
             }
@@ -588,21 +691,30 @@ mod tests {
             // Each slot's first state chained; the rest read it.
             assert_eq!(indices.len(), filled(&table).0, "{name}");
             assert_eq!(read, states.len() - indices.len(), "{name}");
-            let (hooked, _) = s.recoveries(&mc, &mut handed(&states), &table);
-            let verdict = |c: &Classified| (c.outcome, c.lost_units, c.sim_time_ps);
-            for (got, (site, image)) in hooked.iter().zip(&states) {
-                let want = s.recover(&mc, *site, &image.materialize(), None);
-                assert_eq!(verdict(got), verdict(&want), "{name} at {site:?}");
+            let mut hits = [0; 2];
+            for hit in &mut hits {
+                let (hooked, read) = s.recoveries(&mc, &mut handed(&states), &table);
+                for ((got, want), (site, _)) in hooked.answers.iter().zip(&alone).zip(&states) {
+                    assert_eq!(facts(got), facts(want), "{name} at {site:?}");
+                }
+                *hit = read;
             }
             match s.mode {
                 // Every recovery replays at most an interval; the loop
                 // flushes 19 indices.
                 McMode::Selective { .. } => {
                     assert_eq!((recovered, indices.len()), (states.len(), 19));
-                    assert_eq!(filled(&table), (19, 19));
+                    assert_eq!(filled(&table), (19, 19, 0));
+                    assert_eq!(hits, [states.len(); 2]);
                 }
-                // Epoch mode never writes the index: every restart boots at 0.
-                _ => assert_eq!((recovered, filled(&table)), (0, (1, 0)), "{name}"),
+                // Epoch mode never writes the index: every restart boots at
+                // 0. Its recoveries come in 136 pairs of line epochs: the
+                // first state of each chains on the first pass, and the
+                // second reads every state off the table.
+                _ => {
+                    assert_eq!((recovered, filled(&table)), (0, (1, 0, 136)), "{name}");
+                    assert_eq!(hits, [states.len() - 136, states.len()], "{name}");
+                }
             }
         }
     }
@@ -635,8 +747,8 @@ mod tests {
     }
 
     /// An image the check refuses falls back to simulation and answers what
-    /// the per-trial oracle's `recover` answers for it: one whose base is
-    /// corrupted, with no delta. The slot a clean state of its index filled
+    /// recovering it alone answers: one whose base is corrupted, with no
+    /// delta. The entry a clean state of its index or line epochs filled
     /// first is not read.
     #[test]
     fn a_corrupted_image_falls_back_to_simulation() {
@@ -656,15 +768,10 @@ mod tests {
                     let crashed_at = site.index + 1;
                     let tabled = s.tabled_recovery(&mc, &table, &mut check, &delta, crashed_at);
                     assert!(tabled.is_none());
-                    let state = HarvestedState {
-                        site: *site,
-                        image: delta,
-                        profile: None,
-                    };
+                    let state = (crashed_at, delta);
                     let (batch, hits) = s.recoveries(&mc, &mut std::iter::once(state), &table);
-                    let oracle = s.recover(&mc, *site, &bad, None);
-                    let verdict = |c: &Classified| (c.outcome, c.lost_units, c.sim_time_ps);
-                    assert_eq!(verdict(&batch[0]), verdict(&oracle), "{name}: {what}");
+                    let oracle = mc.recover_and_resume(&bad, s.cfg.clone(), crashed_at);
+                    assert_eq!(facts(&batch.answers[0]), facts(&oracle), "{name}: {what}");
                     assert_eq!(hits, 0, "{name}: {what}");
                 }
             }
@@ -698,12 +805,13 @@ mod tests {
                     assert_eq!(image.read_u64(mc.idx_cell.addr()), 0);
                     assert!(!check.is_cold(image), "{name}: {what}");
                 }
-                // Slot 0 filled by a clean restart and recovery, and not read.
+                // Slot 0, or a pair of line epochs, filled by a clean restart
+                // and recovery, and not read.
                 let table = ColdTable::default();
                 s.restarts(&live, &mut std::iter::once(&clean[0].1), &table);
                 s.recoveries(&live, &mut handed(&clean), &table);
-                let selective = matches!(s.mode, McMode::Selective { .. });
-                assert_eq!(filled(&table), (1, usize::from(selective)), "{name}");
+                let selective = usize::from(matches!(s.mode, McMode::Selective { .. }));
+                assert_eq!(filled(&table), (1, selective, 1 - selective), "{name}");
                 let (hooked, hits) =
                     s.restarts(&mc, &mut states.iter().map(|(_, image)| image), &table);
                 let alone: Vec<DirtyRestart> = states
@@ -712,10 +820,10 @@ mod tests {
                     .collect();
                 assert_eq!((hooked.answers, hits), (alone, 0), "{name}: {what}");
                 let (hooked, hits) = s.recoveries(&mc, &mut handed(&states), &table);
-                let verdict = |c: &Classified| (c.outcome, c.lost_units, c.sim_time_ps);
-                for (got, (site, image)) in hooked.iter().zip(&states) {
-                    let want = s.recover(&mc, *site, &image.materialize(), None);
-                    assert_eq!(verdict(got), verdict(&want), "{name}: {what}");
+                for (got, (crashed_at, image)) in hooked.answers.iter().zip(handed(&states)) {
+                    let want =
+                        mc.recover_and_resume(&image.materialize(), s.cfg.clone(), crashed_at);
+                    assert_eq!(facts(got), facts(&want), "{name}: {what}");
                 }
                 assert_eq!(hits, 0, "{name}: {what}");
             }
@@ -724,33 +832,45 @@ mod tests {
 
     /// The seeded bug in [`vouched`] — the image check skipped — is killed
     /// by the fallback differential: a recovery from an image whose fuel
-    /// energy grid is another one is read off the slot a clean state filled,
-    /// and its clock is not what recovering it gives, because the energy
-    /// grid steers each lookup's binary search and so the lines it reads. (A
-    /// campaign cannot see the bug: every image a run harvests passes the
-    /// check.)
+    /// energy grid is another one is read off the entry a clean state
+    /// filled — its flushed index's replay in `mc-selective`, its line
+    /// epochs' clock in `mc-epoch` — and its clock is not what recovering it
+    /// gives, because the energy grid steers each lookup's binary search and
+    /// so the lines it reads. (A campaign cannot see the bug: every image a
+    /// run harvests passes the check.)
     #[test]
     fn a_skipped_image_check_is_killed_by_the_fallback_differential() {
-        let s = McCampaign::new_selective(reference_counts());
-        let (mc, states) = harvest(&s, &[60]);
-        let (site, image) = &states[0];
-        let poisoned = poisoned(&mc, image);
-        let delta = DeltaImage::whole(poisoned.clone());
-        let crashed_at = site.index + 1;
-        let table = ColdTable::default();
-        let ask =
-            |image| s.tabled_recovery(&mc, &table, &mut ColdCheck::new(&mc), image, crashed_at);
-        assert!(ask(image).is_some(), "a clean state fills the slot");
-        let (clean, seeds) = hook::record(|| ask(&delta));
-        assert!(clean.is_none(), "the check refuses the poison");
-        let seeds: Vec<Site> = seeds.into_iter().filter(|s| s.op == Op::Seed).collect();
-        assert_eq!(seeds.len(), 1, "the one image check: {seeds:?}");
-        let simulated = mc.recover_and_resume(&poisoned, s.cfg.clone(), crashed_at);
-        let seeded = hook::mutating(seeds[0], || ask(&delta)).expect("the seed skips the check");
-        assert_ne!(
-            seeded.report.resume_time, simulated.report.resume_time,
-            "the poison must show"
-        );
+        for s in both() {
+            let name = s.info.name;
+            let (mc, states) = harvest(&s, &[60]);
+            let (site, image) = &states[0];
+            let crashed_at = site.index + 1;
+            let poisoned = poisoned(&mc, image);
+            let delta = DeltaImage::whole(poisoned.clone());
+            assert_eq!(mc.line_epochs(&delta), mc.line_epochs(image), "{name}");
+            let table = ColdTable::default();
+            let recover = |image: &DeltaImage| {
+                let (chain, hits) = s.recoveries(
+                    &mc,
+                    &mut std::iter::once((crashed_at, image.clone())),
+                    &table,
+                );
+                (chain.answers, hits)
+            };
+            recover(image);
+            assert_eq!(recover(image).1, 1, "{name}: a clean state fills its entry");
+            assert_eq!(recover(&delta).1, 0, "{name}: the check refuses the poison");
+            let (_, seeds) = hook::record(|| recover(&delta));
+            let seeds: Vec<Site> = seeds.into_iter().filter(|s| s.op == Op::Seed).collect();
+            assert_eq!(seeds.len(), 1, "{name}: the one image check: {seeds:?}");
+            let simulated = mc.recover_and_resume(&poisoned, s.cfg.clone(), crashed_at);
+            let (seeded, hits) = hook::mutating(seeds[0], || recover(&delta));
+            assert_eq!(hits, 1, "{name}: the seed skips the check");
+            assert_ne!(
+                seeded[0].report.resume_time, simulated.report.resume_time,
+                "{name}: the poison must show"
+            );
+        }
     }
 
     /// `image` with another fuel energy grid, skewed towards its low end.
@@ -798,11 +918,11 @@ mod tests {
         );
         let seeded = || hook::mutating(seeds[0], || restart(&delta));
         assert_eq!(seeded(), (vec![simulated], 0));
-        assert_eq!(filled(&table), (0, 0), "filled under the seed");
+        assert_eq!(filled(&table), (0, 0, 0), "filled under the seed");
         assert_eq!(restart(image), (vec![clean.clone()], 0));
         let (read, hits) = seeded();
         assert_eq!((read[0].sim_time_ps, hits), (clean.sim_time_ps, 1));
-        assert_eq!(table.0[0].restart.get(), Some(&clean.sim_time_ps));
+        assert_eq!(table.slots[0].restart.get(), Some(&clean.sim_time_ps));
         let through_the_process =
             |image: &DeltaImage| s.dirty_restart_chain(&mc, &mut std::iter::once(image));
         hook::mutating(seeds[0], || through_the_process(&delta));
@@ -820,11 +940,11 @@ mod tests {
         let table = ColdTable::default();
         let poisoned = DeltaImage::whole(poisoned(&mc, image));
         let (_, short) = mc.index_replay(&s.cfg, (&poisoned).into(), 10);
-        *table.0[0].recovery.lock().unwrap() = Some(short);
+        *table.slots[0].recovery.lock().unwrap() = Some(short);
         s.recoveries(&mc, &mut handed(&states), &table);
     }
 
-    /// ... and a restart clock that is not the one recorded.
+    /// ... a restart clock that is not the one recorded ...
     #[test]
     #[should_panic(expected = "two vouched restarts from one flushed index ran different clocks")]
     fn a_restart_clock_that_disagrees_with_its_slot_panics() {
@@ -836,17 +956,44 @@ mod tests {
         slot.record(s.dirty_restart(&mc, &poisoned(&mc, image)).sim_time_ps);
     }
 
-    /// How many distinct crash states of a kernel campaign at `seed` each MC
-    /// scenario's hooks read off the tables, and of how many: `[recover
-    /// hits, dirty hits, states]`, the dirty pass run only for `resilience`,
-    /// over each scenario's table in `tables`; and the accesses its restart
-    /// chains simulated.
+    /// ... and an epoch recovery clock that is not the one recorded for its
+    /// line epochs.
+    #[test]
+    #[should_panic(
+        expected = "two vouched epoch recoveries from one pair of line epochs ran different clocks"
+    )]
+    fn an_epoch_clock_that_disagrees_with_its_pair_panics() {
+        let s = McCampaign::new_epoch(reference_counts());
+        let (mc, states) = harvest(&s, &[60]);
+        let (site, image) = &states[0];
+        let recover =
+            |image: &NvmImage| mc.recover_and_resume(image, s.cfg.clone(), site.index + 1);
+        let table = ColdTable::default();
+        let pair = mc.line_epochs(image);
+        table.record(pair, EpochClock::of(&recover(&image.materialize())));
+        table.record(pair, EpochClock::of(&recover(&poisoned(&mc, image))));
+    }
+
+    /// What each MC scenario's hooks did over the distinct crash states of
+    /// a kernel campaign at `seed`, each over its table in `tables`.
+    struct Hits {
+        name: &'static str,
+        /// `[recover hits, dirty hits, states]`, the dirty pass run only
+        /// for a resilience campaign.
+        hits: [usize; 3],
+        /// The accesses the recover chains simulated, and what chaining
+        /// every state of each batch simulates, as with no table.
+        recovered: (u64, u64),
+        /// The accesses the restart chains simulated.
+        restarted: u64,
+    }
+
     fn table_hits(
         seed: u64,
         budget_states: u64,
         resilience: bool,
         tables: &[ColdTable; 2],
-    ) -> [(&'static str, [usize; 3], u64); 2] {
+    ) -> [Hits; 2] {
         let cfg = CampaignConfig {
             budget_states,
             dense_units: 400,
@@ -859,49 +1006,77 @@ mod tests {
         both().map(|s| {
             let table = tables.next().expect("a table per scenario");
             let at = registry.iter().position(|r| r.name() == s.info.name);
-            let (mut hits, mut simulated) = ([0; 3], 0);
+            let mut out = Hits {
+                name: s.info.name,
+                hits: [0; 3],
+                recovered: (0, 0),
+                restarted: 0,
+            };
             for chunk in planned[at.expect("registered")].chunks(cfg.max_batch as usize) {
                 let (mc, states) = harvest(&s, chunk);
-                hits[0] += s.recoveries(&mc, &mut handed(&states), table).1;
+                let (chain, read) = s.recoveries(&mc, &mut handed(&states), table);
+                out.hits[0] += read;
+                out.recovered.0 += chain.simulated_accesses;
+                let every =
+                    handed(&states).map(|(at, image)| (at, Cow::Owned(image.materialize())));
+                out.recovered.1 += mc.recover_chain(&s.cfg, every).simulated_accesses;
                 if resilience {
                     let images = &mut states.iter().map(|(_, image)| image);
                     let (chain, read) = s.restarts(&mc, images, table);
-                    hits[1] += read;
-                    simulated += chain.simulated_accesses;
+                    out.hits[1] += read;
+                    out.restarted += chain.simulated_accesses;
                 }
-                hits[2] += states.len();
+                out.hits[2] += states.len();
             }
-            (s.info.name, hits, simulated)
+            out
         })
     }
 
     /// A change that quietly stops reading the tables fails here: the
     /// states of the `kernel-sweep` (260 states, 400 dense units, no dirty
     /// pass) and `resilience-sweep` (130, 400) campaigns at seed 42 that
-    /// each hook reads off them, on fresh tables. `mc-epoch`'s recoveries
-    /// chain. One resilience campaign fills a slot from each flushed index's
-    /// first restart and reads the later ones of that index off it, so it
-    /// simulates no more restart accesses than chaining every `mc-selective`
-    /// restart (491 267) and running `mc-epoch`'s loop once (444 872). A
-    /// second campaign on the same tables reads every restart off them. No
-    /// recovery replay the sweeps built holds more than an interval, and at
-    /// seed 43 the two states of index 768 build its slot twice: to their
-    /// first crash point, 792, and then to the end of the interval, 832.
+    /// each hook reads off them, on fresh tables. Each of `mc-epoch`'s
+    /// states in one campaign holds line epochs of its own, so the first
+    /// campaign chains them all, simulating no more recovery accesses than
+    /// chaining every state of each batch. One resilience campaign fills a slot from each
+    /// flushed index's first restart and reads the later ones of that index
+    /// off it, so it simulates no more restart accesses than chaining every
+    /// `mc-selective` restart (491 267) and running `mc-epoch`'s loop once
+    /// (444 872). A second campaign on the same tables reads every
+    /// recovery and restart off them. No recovery replay the sweeps built
+    /// holds more than an interval, and at seed 43 the two states of index
+    /// 768 build its slot twice: to their first crash point, 792, and then
+    /// to the end of the interval, 832.
     #[test]
     fn the_sweeps_read_as_many_states_off_the_tables_as_pinned() {
         let fresh = || [ColdTable::default(), ColdTable::default()];
-        let [selective, epoch] = table_hits(42, 260, false, &fresh());
-        assert_eq!(selective, ("mc-selective", [20, 0, 20], 0));
-        assert_eq!(epoch, ("mc-epoch", [0, 0, 20], 0));
+        let tables = fresh();
+        let [selective, epoch] = table_hits(42, 260, false, &tables);
+        assert_eq!(
+            (selective.name, selective.hits),
+            ("mc-selective", [20, 0, 20])
+        );
+        assert_eq!(selective.recovered.0, 0);
+        assert_eq!((epoch.name, epoch.hits), ("mc-epoch", [0, 0, 20]));
+        assert!(epoch.recovered.0 <= epoch.recovered.1);
+        assert_eq!(epoch.recovered, (568_769, 568_769));
+        let [selective, epoch] = table_hits(42, 260, false, &tables);
+        assert_eq!(selective.hits, [20, 0, 20]);
+        assert_eq!(epoch.hits, [20, 0, 20]);
+        assert_eq!(epoch.recovered.0, 0);
         let tables = fresh();
         let [selective, epoch] = table_hits(42, 130, true, &tables);
-        assert_eq!(selective, ("mc-selective", [10, 2, 10], 491_265));
-        assert_eq!(epoch, ("mc-epoch", [0, 9, 10], 444_872));
+        assert_eq!(selective.hits, [10, 2, 10]);
+        assert_eq!(selective.restarted, 491_265);
+        assert_eq!(epoch.hits, [0, 9, 10]);
+        assert_eq!(epoch.recovered, (520_712, 520_712));
+        assert_eq!(epoch.restarted, 444_872);
         let [selective, epoch] = table_hits(42, 130, true, &tables);
-        assert_eq!(selective, ("mc-selective", [10, 10, 10], 0));
-        assert_eq!(epoch, ("mc-epoch", [0, 10, 10], 0));
+        assert_eq!(selective.hits, [10, 10, 10]);
+        assert_eq!(epoch.hits, [10, 10, 10]);
+        assert_eq!((selective.restarted, epoch.restarted), (0, 0));
         for (s, table) in both().iter().zip(&tables) {
-            for (k, slot) in (0..).step_by(INTERVAL as usize).zip(&table.0) {
+            for (k, slot) in (0..).step_by(INTERVAL as usize).zip(&table.slots) {
                 let held = slot.recovery.lock().expect("a fill of this slot panicked");
                 let past = held
                     .as_ref()
@@ -911,7 +1086,7 @@ mod tests {
         }
         let tables = fresh();
         table_hits(43, 130, false, &tables);
-        let held = tables[0].0[768 / INTERVAL as usize]
+        let held = tables[0].slots[768 / INTERVAL as usize]
             .recovery
             .lock()
             .unwrap();
@@ -920,39 +1095,66 @@ mod tests {
     }
 
     /// Under a hook that changes machines — a dropped persist, another CPU
-    /// cache — no slot answers and none is filled: the process-wide tables
-    /// stand for the machines as configured.
+    /// cache — no entry answers and none is filled: the process-wide tables
+    /// stand for the machines as configured. Nor under a seed planted
+    /// elsewhere, nor while recording: a read skips the chain it stands
+    /// for, and every site on it.
     #[test]
     fn no_table_answers_while_a_hook_changes_machines() {
         for s in both() {
             let name = s.info.name;
             let (mc, states) = harvest(&s, &[20]);
             let (site, image) = &states[0];
+            let crashed_at = site.index + 1;
             let table = ColdTable::default();
             let restart = || s.restarts(&mc, &mut std::iter::once(image), &table).1;
+            let recover = || {
+                let state = (crashed_at, image.clone());
+                s.recoveries(&mc, &mut std::iter::once(state), &table).1
+            };
             let ask = || {
                 let mut check = ColdCheck::new(&mc);
-                let recovered = s.tabled_recovery(&mc, &table, &mut check, image, site.index + 1);
+                let recovered = s
+                    .tabled_recovery(&mc, &table, &mut check, image, crashed_at)
+                    .or_else(|| tabled_epoch_recovery(&mc, &mut check, &table, image, crashed_at));
                 let restarted = tabled_restart(&mc, &mut check, &table, image);
                 (recovered.is_some(), restarted.is_some())
             };
             let (mut emu, mut live) = s.setup(CrashTrigger::Never);
             let (_, sites) = hook::record(|| s.forward(&mut live, &mut emu));
-            let flush = sites.iter().find(|s| s.op == Op::Flush).expect("a persist");
+            let flush = *sites.iter().find(|s| s.op == Op::Flush).expect("a persist");
+            let (_, elsewhere) = hook::record(|| hook::seeded());
             let big = adcc_sim::lru::CacheConfig::new(1 << 20, 16);
-            assert_eq!(hook::mutating(*flush, restart), 0, "{name}");
-            assert_eq!(hook::with_cpu_cache(big, restart), 0, "{name}");
-            assert_eq!(hook::mutating(*flush, ask), (false, false), "{name}");
-            assert_eq!(hook::with_cpu_cache(big, ask), (false, false), "{name}");
-            assert_eq!(filled(&table), (0, 0), "{name}: filled under a hook");
+            let under_each_hook = |f: &dyn Fn() -> usize| {
+                [
+                    hook::mutating(flush, f),
+                    hook::with_cpu_cache(big, f),
+                    hook::mutating(elsewhere[0], f),
+                    hook::record(f).0,
+                ]
+            };
+            let asked_under_each_hook = || {
+                [
+                    hook::mutating(flush, ask),
+                    hook::with_cpu_cache(big, ask),
+                    hook::mutating(elsewhere[0], ask),
+                    hook::record(ask).0,
+                ]
+            };
+            assert_eq!(under_each_hook(&restart), [0; 4], "{name}");
+            assert_eq!(under_each_hook(&recover), [0; 4], "{name}");
+            assert_eq!(asked_under_each_hook(), [(false, false); 4], "{name}");
+            assert_eq!(filled(&table), (0, 0, 0), "{name}: filled under a hook");
             assert_eq!(restart(), 0, "{name}");
             let selective = matches!(s.mode, McMode::Selective { .. });
-            assert_eq!(ask(), (selective, true), "{name}");
-            assert_eq!(filled(&table), (1, usize::from(selective)), "{name}");
-            assert_eq!(hook::mutating(*flush, ask), (false, false), "{name}");
-            assert_eq!(hook::with_cpu_cache(big, ask), (false, false), "{name}");
-            assert_eq!(hook::mutating(*flush, restart), 0, "{name}");
-            assert_eq!(restart(), 1, "{name}");
+            assert_eq!(recover(), usize::from(selective), "{name}");
+            assert_eq!(ask(), (true, true), "{name}");
+            let selective = usize::from(selective);
+            assert_eq!(filled(&table), (1, selective, 1 - selective), "{name}");
+            assert_eq!(asked_under_each_hook(), [(false, false); 4], "{name}");
+            assert_eq!(under_each_hook(&restart), [0; 4], "{name}");
+            assert_eq!(under_each_hook(&recover), [0; 4], "{name}");
+            assert_eq!((restart(), recover()), (1, 1), "{name}");
         }
     }
 

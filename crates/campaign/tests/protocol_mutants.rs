@@ -39,7 +39,10 @@
 //!   past the boundary it stands at, and one that has holds a word at or
 //!   before it — so `MemorySystem::lead`, which decides a join, already
 //!   refuses every join the guard refuses. The guard is a pre-filter that
-//!   saves the comparison, not a second condition.
+//!   saves the comparison, not a second condition. `mc-epoch` reads most
+//!   recoveries off a process-wide table of clocks instead of chaining
+//!   them, but never under this seed nor while recording
+//!   (`hook::reads_kept`), so the chain runs here whatever ran before.
 //! - `persist.rs`, in the one commit all three `dist-*-local` scenarios
 //!   publish through: `Mechanism::commit` runs `publish` (counter → fence →
 //!   off-node shipment) *before* it persists the payload the counter names.
@@ -252,29 +255,32 @@ struct Recorded {
     seeds: Vec<Site>,
 }
 
+/// The three campaigns, run on this thread while recording.
+fn record_campaigns() -> Recorded {
+    let ds = CampaignConfig {
+        registry: Registry::Ds,
+        ..CampaignConfig::default()
+    };
+    let run = |cfg| run_campaign(&one_thread(cfg));
+    let ((kernel, chaotic, _), sites) = hook::record(|| {
+        (
+            run(config()),
+            run(dist_config(FaultProfile::Chaotic)),
+            run(ds),
+        )
+    });
+    let seeds = sites.into_iter().filter(|s| s.op == Op::Seed).collect();
+    Recorded {
+        kernel,
+        chaotic,
+        seeds,
+    }
+}
+
 /// Recorded once, on whichever test thread asks first.
 fn recorded() -> &'static Recorded {
     static RECORDED: OnceLock<Recorded> = OnceLock::new();
-    RECORDED.get_or_init(|| {
-        let ds = CampaignConfig {
-            registry: Registry::Ds,
-            ..CampaignConfig::default()
-        };
-        let run = |cfg| run_campaign(&one_thread(cfg));
-        let ((kernel, chaotic, _), sites) = hook::record(|| {
-            (
-                run(config()),
-                run(dist_config(FaultProfile::Chaotic)),
-                run(ds),
-            )
-        });
-        let seeds = sites.into_iter().filter(|s| s.op == Op::Seed).collect();
-        Recorded {
-            kernel,
-            chaotic,
-            seeds,
-        }
-    })
+    RECORDED.get_or_init(record_campaigns)
 }
 
 /// `cfg`'s campaign with the seed of `file` planted: the batch report,
@@ -341,11 +347,10 @@ fn assert_histograms(report: &CampaignReport, moved: &[(&str, Histogram)]) -> u6
     kills
 }
 
-/// The six seeds above, each reached by one of the three campaigns, and
-/// each named in a verdict test that exists.
-#[test]
-fn every_seed_is_reached_and_has_a_verdict() {
-    let reached: Vec<&str> = recorded().seeds.iter().map(|s| s.at.file()).collect();
+/// `seeds` are one per file of [`VERDICTS`], and each verdict test named
+/// there exists.
+fn assert_every_seed_has_a_verdict(seeds: &[Site]) {
+    let reached: Vec<&str> = seeds.iter().map(|s| s.at.file()).collect();
     let mut on_file: Vec<&str> = VERDICTS.iter().map(|v| v.0).collect();
     on_file.dedup();
     assert_eq!(reached, on_file, "one seed per file, each with a verdict");
@@ -356,6 +361,26 @@ fn every_seed_is_reached_and_has_a_verdict() {
             "{seed}: verdict test {name} is gone"
         );
     }
+}
+
+/// The six seeds above, each reached by one of the three campaigns, and
+/// each named in a verdict test that exists.
+#[test]
+fn every_seed_is_reached_and_has_a_verdict() {
+    assert_every_seed_has_a_verdict(&recorded().seeds);
+}
+
+/// The MC scenarios' process-wide tables answer a state in place of the
+/// chain that would simulate it, and a clean kernel campaign fills them
+/// with every `mc-epoch` recovery a second one asks for. Were they read
+/// while recording, the second campaign would never reach the `mc/sim.rs`
+/// seed in `McSim::recover_chain`, and whether [`recorded`] found it would
+/// depend on which test ran first. They are not (`hook::reads_kept`): the
+/// campaigns recorded after a clean one still reach every seed.
+#[test]
+fn campaigns_after_a_clean_one_still_reach_every_seed() {
+    run_campaign(&config());
+    assert_every_seed_has_a_verdict(&record_campaigns().seeds);
 }
 
 /// Clean, zero silent corruption and every histogram as on file; with
@@ -379,7 +404,9 @@ fn a_checkpoint_before_its_counter_is_killed_where_units_update_in_place() {
 /// The `mc/sim.rs` seed reaches the batch side only (`run_trial` recovers
 /// `mc-epoch` through a chain of one, which meets no pilot), so batch
 /// against per-trial is the gate that would kill it — and, the mutant being
-/// equivalent, does not; every histogram stays clean.
+/// equivalent, does not; every histogram stays clean. No `mc-epoch` state
+/// is read off its table under the seed (`hook::reads_kept`), however many
+/// campaigns filled it before: every batch chains.
 #[test]
 fn an_early_chain_join_survives_batch_against_per_trial() {
     let report = seeded(MC_SIM, config());

@@ -46,7 +46,8 @@
 //!   on, whichever index either booted at.
 //!
 //! Cold replays — of images that are the set-up image but for the dead
-//! cells and the loop index — charge alike per index (`cold`).
+//! cells and the loop index — charge alike per index, and epoch recoveries
+//! per pair of line epochs (`cold`).
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -66,7 +67,7 @@ use crate::traits::{DirtyRestart, RecoveryReport};
 
 mod cold;
 
-pub use cold::{ColdCheck, ColdRecovery};
+pub use cold::{ColdCheck, ColdRecovery, EpochClock};
 
 /// Persistence mode of the MC loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1482,9 +1483,10 @@ mod tests {
     /// Read off the cold references, every crash state of a run answers
     /// what recovering it and restarting it answer, field for field: every
     /// selective recovery, off the replay of its index's first state over the
-    /// interval and off its own replay built only as far as its crash point,
-    /// and every restart, at every flushed index, off the clock of its
-    /// index's first restart. The caches evict tallies between flushes, so
+    /// interval and off its own replay built only as far as its crash point;
+    /// every epoch recovery, off the clock of the first state with its line
+    /// epochs; and every restart, at every flushed index, off the clock of
+    /// its index's first restart. The caches evict tallies between flushes, so
     /// the tallies the states boot with are not the reference's, and every
     /// harvested image passes the check.
     #[test]
@@ -1498,6 +1500,7 @@ mod tests {
             let (mc, deltas) = deltas_at_every_lookup(&p, &cfg, EPOCH_LOOKUPS, mode);
             let mut ends: Vec<Option<u64>> = Vec::new();
             let mut recoveries: Vec<Option<ColdRecovery>> = Vec::new();
+            let mut clocks = std::collections::HashMap::new();
             let mut check = ColdCheck::new(&mc);
             let (mut restarted, mut audits_fired) = (0, 0);
             for (i, delta) in deltas.iter().enumerate() {
@@ -1510,6 +1513,14 @@ mod tests {
                 let end = *ends[slot].get_or_insert(want.sim_time_ps);
                 assert_eq!(mc.restart_off(end, delta), want, "{mode:?} {i}");
                 restarted += u64::from(k > 0);
+                if let McMode::Epoch { .. } = mode {
+                    let want = mc.recover_and_resume(&image, cfg.clone(), crashed_at);
+                    let clock = clocks
+                        .entry(mc.line_epochs(delta))
+                        .or_insert_with(|| EpochClock::of(&want));
+                    let got = mc.epoch_recovery_off(clock, delta, crashed_at);
+                    assert_eq!(facts(&got), facts(&want), "{mode:?} {i}");
+                }
                 if let McMode::Selective { interval } = mode {
                     let slot = (k / interval) as usize;
                     recoveries.resize_with(recoveries.len().max(slot + 1), || None);
@@ -1538,6 +1549,10 @@ mod tests {
                         .recovery_off(reference, delta, k.wrapping_sub(1))
                         .is_none());
                 }
+            }
+            if let McMode::Epoch { .. } = mode {
+                // Line epochs recur: states share clocks.
+                assert!(clocks.len() < deltas.len() / 2, "{} pairs", clocks.len());
             }
             if let McMode::Selective { interval } = mode {
                 assert_eq!(

@@ -21,6 +21,14 @@
 //! A dirty restart from `k` is that replay run to the end of the loop, so
 //! any simulated restart of such an image may record its clock for every
 //! other ([`McSim::restart_off`]).
+//!
+//! An [`McMode::Epoch`] recovery never reads the loop index; it reads the
+//! two epoch words instead, and they steer it: it replays from the earlier
+//! one and applies a line's increments only from that line's own. Nothing
+//! else of the dead cells does, so its clock is one per pair of line
+//! epochs — an [`EpochClock`] — and its tallies the image's own plus the
+//! host tally of each line's channels from that line's epoch
+//! ([`McSim::epoch_recovery_off`]).
 
 use std::borrow::Cow;
 use std::ops::Range;
@@ -47,6 +55,27 @@ pub struct ColdRecovery {
     resume_began: SimTime,
     /// `at[j]`: the clock and access count after lookups `from..from + j`.
     at: Vec<(SimTime, u64)>,
+}
+
+/// The clock of an [`McMode::Epoch`] recovery, as simulated for one image
+/// [`ColdCheck`] vouches for: every such image with the same line epochs
+/// recovers on it (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EpochClock {
+    detect_time: SimTime,
+    resume_time: SimTime,
+    accesses: u64,
+}
+
+impl EpochClock {
+    /// The clock `recovery`, a simulated epoch recovery, ran.
+    pub fn of(recovery: &McRecovery) -> Self {
+        EpochClock {
+            detect_time: recovery.report.detect_time,
+            resume_time: recovery.report.resume_time,
+            accesses: recovery.accesses,
+        }
+    }
 }
 
 impl McSim {
@@ -182,7 +211,7 @@ impl McSim {
         let &end = reference
             .at
             .get(usize::try_from(crashed_at.checked_sub(from)?).ok()?)?;
-        Some(reference.answer(end, crashed_at, self.counts_off(image, from)))
+        Some(reference.answer(end, crashed_at, self.counts_off(image, (from, from))))
     }
 
     /// [`McSim::dirty_restart`] of an `image` [`ColdCheck`] vouches for,
@@ -192,17 +221,59 @@ impl McSim {
     /// and the count-total audit is evaluated on those.
     pub fn restart_off(&self, sim_time_ps: u64, image: &DeltaImage) -> DirtyRestart {
         let from = image.read_u64(self.idx_cell.addr());
-        DirtyReentry::audit(self, from, sim_time_ps, self.counts_off(image, from))
+        let counts = self.counts_off(image, (from, from));
+        DirtyReentry::audit(self, from, sim_time_ps, counts)
     }
 
-    /// The tallies a cold replay of `image` from loop index `from` ends the
-    /// loop with: the image's own plus what lookups `[from, lookups)` add,
-    /// the host tally of the image's grids, which are its base's and the
-    /// problem's.
-    fn counts_off(&self, image: &DeltaImage, from: u64) -> [u64; XS_CHANNELS] {
+    /// The two counter lines' epochs `image` holds, in [`McMode::Epoch`]'s
+    /// layout: what its epoch recovery's clock is keyed by.
+    pub fn line_epochs(&self, image: &DeltaImage) -> (u64, u64) {
+        let word = |line: &PArray<u64>| image.read_u64(line.addr(line.len() - 1));
+        (word(&self.epoch_counters.lo), word(&self.epoch_counters.hi))
+    }
+
+    /// [`McSim::recover_and_resume`] of an `image` [`ColdCheck`] vouches for
+    /// to `crashed_at`, in [`McMode::Epoch`], given `clock`: the clock of a
+    /// simulated recovery of any image it vouches for with the same
+    /// [line epochs](McSim::line_epochs) (the caller checks both). Each
+    /// line's tallies are the image's own plus what the lookups from the
+    /// line's epoch on add to them.
+    pub fn epoch_recovery_off(
+        &self,
+        clock: &EpochClock,
+        image: &DeltaImage,
+        crashed_at: u64,
+    ) -> McRecovery {
+        let epochs = self.line_epochs(image);
+        let resumed_from = epochs.0.min(epochs.1);
+        McRecovery {
+            resumed_from,
+            counts: self.counts_off(image, epochs),
+            report: RecoveryReport {
+                detect_time: clock.detect_time,
+                resume_time: clock.resume_time,
+                lost_units: crashed_at.saturating_sub(resumed_from),
+                restart_unit: resumed_from,
+            },
+            accesses: clock.accesses,
+        }
+    }
+
+    /// The tallies a cold replay of `image` ends the loop with: the image's
+    /// own plus what the lookups from `from` on add, the host tally of the
+    /// image's grids, which are its base's and the problem's — from `from.0`
+    /// for the channels of [`McMode::Epoch`]'s first counter line, from
+    /// `from.1` for the rest. A replay from a loop index starts both there.
+    fn counts_off(&self, image: &DeltaImage, from: (u64, u64)) -> [u64; XS_CHANNELS] {
         let mut counts = self.image_counts(|addr| image.read_u64(addr));
-        for (c, t) in counts.iter_mut().zip(self.tally_tail(image.base(), from)) {
-            *c += t;
+        let lo = self.tally_tail(image.base(), from.0);
+        let hi = if from.1 == from.0 {
+            lo
+        } else {
+            self.tally_tail(image.base(), from.1)
+        };
+        for (t, c) in counts.iter_mut().enumerate() {
+            *c += if t < EpochCounters::LO { lo[t] } else { hi[t] };
         }
         counts
     }

@@ -87,16 +87,24 @@ pub fn seeded() -> bool {
     skips(Op::Seed)
 }
 
-/// Whether every machine runs as configured: no persist or fence site is
-/// mutated and no CPU cache stands in. Recording changes no machine, and a
-/// planted seed changes the program's path, not the machine under it. A
-/// simulated result kept for reuse stands for the machines as configured:
-/// it is read only while this holds, and filled only while
-/// [`runs_unmutated`] does.
-pub fn runs_as_configured() -> bool {
+/// Whether a simulated result kept for reuse may be read in place of the
+/// simulation it stands for. `own_seed` says whether the seed on the read's
+/// own path — the check that vouches for its input, say — is the one
+/// planted.
+///
+/// A kept result stands for the machines as configured, so it is not read
+/// while a persist or fence site is mutated or another CPU cache stands
+/// in. It also stands for the code that computed it, and a read skips
+/// every site on that code. So it is not read while recording, or the
+/// sites a run reaches would depend on what ran before it in the process;
+/// nor under a planted seed but the read's own, which acts only where a
+/// read goes ahead: another seed may sit on the skipped code, and once an
+/// earlier run had filled the result it would never run again. A kept
+/// result is filled only while [`runs_unmutated`] holds.
+pub fn reads_kept(own_seed: bool) -> bool {
     !ACTIVE.get()
         || HOOK.with_borrow(|h| {
-            h.cpu_cache.is_none() && h.mutated.is_none_or(|site| site.op == Op::Seed)
+            h.recorded.is_none() && h.cpu_cache.is_none() && (own_seed || h.mutated.is_none())
         })
 }
 
@@ -274,27 +282,29 @@ mod tests {
         assert_eq!(sys().config().cpu_cache, CacheConfig::new(4096, 8));
     }
 
-    /// Machines run as configured outside the hook, while recording and
-    /// under a planted seed; not while a persist or fence is dropped or
-    /// another CPU cache stands in. Nothing is mutated outside the hook
-    /// and while recording only.
+    /// A kept result is read outside the hook and under its own planted
+    /// seed; not while recording, under another seed, while a persist or
+    /// fence is dropped or while another CPU cache stands in. Nothing is
+    /// mutated outside the hook and while recording only.
     #[test]
-    fn only_a_dropped_site_or_a_cache_override_changes_machines() {
+    fn a_kept_result_is_read_only_where_it_skips_no_site() {
         let mut s = sys();
         let cell = PScalar::<u64>::alloc_nvm(&mut s);
+        assert!(reads_kept(false) && runs_unmutated());
         let ((), sites) = record(|| {
-            assert!(runs_as_configured() && runs_unmutated());
+            assert!(!reads_kept(false) && runs_unmutated());
             cell.persist(&mut s);
             seeded();
         });
-        assert!(runs_as_configured() && runs_unmutated());
+        assert!(reads_kept(false) && runs_unmutated());
         for site in sites {
-            let planted = mutating(site, runs_as_configured);
-            assert_eq!(planted, site.op == Op::Seed, "{site:?}");
+            let own = site.op == Op::Seed;
+            assert_eq!(mutating(site, || reads_kept(own)), own, "{site:?}");
+            assert!(!mutating(site, || reads_kept(false)), "{site:?}");
             assert!(!mutating(site, runs_unmutated), "{site:?}");
         }
         let big = CacheConfig::new(1 << 20, 16);
-        assert!(!with_cpu_cache(big, runs_as_configured));
+        assert!(!with_cpu_cache(big, || reads_kept(false)));
         assert!(!with_cpu_cache(big, runs_unmutated));
     }
 }

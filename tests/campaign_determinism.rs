@@ -153,10 +153,14 @@ fn telemetry_counts_are_meaningful_per_mechanism() {
     let pmem = report
         .scenarios
         .iter()
-        .find(|s| s.mechanism == "pmem")
+        .find(|s| s.mechanism.name() == "pmem")
         .unwrap();
     assert!(pmem.telemetry.unwrap().log_bytes > 0);
-    for s in report.scenarios.iter().filter(|s| s.mechanism != "pmem") {
+    for s in report
+        .scenarios
+        .iter()
+        .filter(|s| s.mechanism.name() != "pmem")
+    {
         assert_eq!(s.telemetry.unwrap().log_bytes, 0, "{}", s.name);
     }
     assert!(adcc::campaign::flush_audit(&report).is_empty());

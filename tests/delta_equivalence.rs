@@ -639,3 +639,41 @@ fn deep_dist_4000_dense_320_equals_the_per_trial_oracle() {
 fn deep_ds_3000_dense_200_equals_the_per_trial_oracle() {
     assert_equals_the_per_trial_oracle(config(Registry::Ds, 3000, 200));
 }
+
+/// The MC scenarios read most replays off process-wide tables that earlier
+/// campaigns in the process filled, which a one-campaign process (`campaign
+/// replay --expect`) never does. So kernel campaigns run twice in one
+/// process — the second pass reading what the first filled — equal the
+/// per-trial oracle byte for byte, and resilience campaigns run twice equal
+/// one that reads no table: a campaign run while recording, where nothing
+/// kept is read (`hook::reads_kept`) and every MC replay is simulated.
+#[test]
+fn campaigns_on_warm_tables_equal_the_tableless_oracles() {
+    use adcc::campaign::run_resilience;
+    use adcc::sim::hook;
+    let cfg = |seed| CampaignConfig {
+        budget_states: 130,
+        dense_units: 400,
+        seed,
+        threads: 1,
+        ..CampaignConfig::default()
+    };
+    let seeds = [42, 43];
+    let per_trial = seeds.map(|seed| run_per_trial(&cfg(seed)).canonical_string());
+    let tableless = seeds.map(|seed| {
+        let (report, _) = hook::record(|| run_resilience(&cfg(seed)));
+        report.canonical_string()
+    });
+    for pass in 0..2 {
+        for (k, seed) in seeds.into_iter().enumerate() {
+            let cfg = CampaignConfig {
+                threads: 2,
+                ..cfg(seed)
+            };
+            let got = run_campaign(&cfg).canonical_string();
+            assert_eq!(got, per_trial[k], "seed {seed}, pass {pass}");
+            let got = run_resilience(&cfg).canonical_string();
+            assert_eq!(got, tableless[k], "--resilience, seed {seed}, pass {pass}");
+        }
+    }
+}
